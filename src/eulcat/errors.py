@@ -11,3 +11,12 @@ class EulcatError(Exception):
 
 class ValidationError(EulcatError):
     """Input data violates a structural invariant."""
+
+
+class InvariantViolation(EulcatError):
+    """Two routes to the same quantity disagree; ``witness`` holds the
+    values that differ."""
+
+    def __init__(self, message: str, witness=None):
+        super().__init__(message)
+        self.witness = witness

@@ -12,7 +12,6 @@ function of its inputs.
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import InitVar, dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -467,13 +466,6 @@ def iso_classes(cat: FinCat) -> IsoClasses:
     return IsoClasses(tuple(classes), tuple(c[0] for c in classes), aut, full)
 
 
-def aut_group(cat: FinCat, x: str) -> FinGroup:
-    """Group of invertible endomorphisms of ``x`` under composition."""
-    cat.require_object(x)
-    invertibles = tuple(m for m in cat.hom(x, x) if cat.is_invertible(m))
-    return FinGroup.from_mul(invertibles, lambda a, b: cat.compose(a, b), name=f"aut({x})")
-
-
 # -- skeleton -----------------------------------------------------------------
 
 
@@ -541,6 +533,44 @@ def skeleton(cat: FinCat) -> SkeletonData:
     return SkeletonData(gamma, inclusion, retraction, eta)
 
 
+# -- integer-indexed hom counts ------------------------------------------------
+
+
+def _count_rows(cat: FinCat, transpose: bool = False) -> list[dict[int, int]]:
+    """Sparse rows {j: |mor(x_i, x_j)|} of the hom-count matrix, indexed by
+    the object order (or of its transpose); only non-zero counts are stored."""
+    index = {x: i for i, x in enumerate(cat.objects)}
+    rows: list[dict[int, int]] = [{} for _ in cat.objects]
+    for m in cat.morphisms:
+        i, j = index[m.source], index[m.target]
+        if transpose:
+            i, j = j, i
+        row = rows[i]
+        row[j] = row.get(j, 0) + 1
+    return rows
+
+
+def _topological_order(rows: Sequence[Mapping[int, int]]) -> Optional[list[int]]:
+    """Kahn's algorithm on the off-diagonal support of sparse rows: every j
+    with a non-zero rows[i][j], j != i, comes before i.  None on a cycle."""
+    waiting = [len(row) - (i in row) for i, row in enumerate(rows)]
+    needed_by: list[list[int]] = [[] for _ in rows]
+    for i, row in enumerate(rows):
+        for j in row:
+            if j != i:
+                needed_by[j].append(i)
+    ready = [i for i, count in enumerate(waiting) if count == 0]
+    order = []
+    while ready:
+        j = ready.pop()
+        order.append(j)
+        for i in needed_by[j]:
+            waiting[i] -= 1
+            if waiting[i] == 0:
+                ready.append(i)
+    return order if len(order) == len(rows) else None
+
+
 # -- scwol path combinatorics -------------------------------------------------
 
 
@@ -563,59 +593,47 @@ class PathCounts:
         return sum((-1) ** n * c for n, c in enumerate(self.starts[x]))
 
 
-def _dimension_cap() -> Optional[int]:
-    raw = os.environ.get("EULCAT_MAX_DIM")
-    return int(raw) if raw else None
-
-
 def path_counts(cat: FinCat, n_max: Optional[int] = None) -> PathCounts:
     """Count composable paths of non-identity morphisms, per length and start.
 
-    The input is replaced by its skeleton internally.  The count matrix of a
-    finite skeletal scwol is nilpotent, so iteration terminates; ``n_max``
-    (or the EULCAT_MAX_DIM environment variable) is a safety valve only.
+    The input is replaced by its skeleton internally.  Counts come from a
+    dynamic program over the skeleton's non-identity arrows: the number of
+    paths of length n starting at x is the sum, over arrows x -> y, of
+    those of length n - 1 starting at y, so each length costs one pass over
+    the arrows.  A skeletal scwol has no cycle of arrows, so its paths visit
+    distinct objects and stop before the object count; a longer path
+    raises NotScwol, as does one longer than ``n_max``.
     """
     if not classify(cat).is_scwol:
         raise NotScwol(f"{cat.name} has a non-identity endomorphism")
     gamma = skeleton(cat).category
     objs = gamma.objects
-    n = len(objs)
-    index = {x: i for i, x in enumerate(objs)}
-    mat = [[0] * n for _ in range(n)]
-    for m in gamma.morphisms:
-        if not gamma.is_identity(m.name):
-            mat[index[m.source]][index[m.target]] += 1
+    # a scwol's only endomorphisms are identities: the off-diagonal counts
+    # are exactly the non-identity arrows
+    rows = _count_rows(gamma)
 
-    cap = n_max if n_max is not None else _dimension_cap()
-    counts = [n]
-    starts = {x: [1] for x in objs}
-    power = mat
+    counts = [len(objs)]
+    starts = [[1] for _ in objs]
+    vec = [1] * len(objs)
     level = 1
-    while any(v for row in power for v in row):
-        if cap is not None and level > cap:
+    while True:
+        vec = [sum(k * vec[j] for j, k in row.items() if j != i) for i, row in enumerate(rows)]
+        total = sum(vec)
+        if not total:
+            break
+        if n_max is not None and level > n_max:
             raise NotScwol(
-                f"{cat.name}: path dimension exceeded cap {cap}; "
+                f"{cat.name}: path dimension exceeded cap {n_max}; "
                 "non-nilpotent count matrix means the input is not a scwol"
             )
-        counts.append(sum(v for row in power for v in row))
-        for x in objs:
-            starts[x].append(sum(power[index[x]]))
-        power = _mat_mul(power, mat)
+        if level >= len(objs):
+            raise NotScwol(f"{cat.name}: a path of {level} arrows repeats an object")
+        counts.append(total)
+        for row, v in zip(starts, vec):
+            row.append(v)
         level += 1
 
-    width = len(counts)
-    return PathCounts(
-        tuple(counts),
-        {x: tuple(starts[x] + [0] * (width - len(starts[x]))) for x in objs},
-    )
-
-
-def _mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]):
-    n = len(a)
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)]
-        for i in range(n)
-    ]
+    return PathCounts(tuple(counts), {x: tuple(row) for x, row in zip(objs, starts)})
 
 
 def nonidentity_paths(cat: FinCat, length: int) -> list[tuple[str, ...]]:

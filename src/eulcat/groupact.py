@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .errors import EulcatError, ValidationError
+from .errors import EulcatError, InvariantViolation, ValidationError
 from .eulerchar import chi_scwol
 from .fincat import (
     CatFunctor,
@@ -988,7 +988,7 @@ def transport_groupoid(group: FinGroup, elements: Sequence[str],
 
     Objects are the set elements; the morphisms s1 -> s2 are the group
     elements g with g . s1 = s2, composed by group multiplication.  The
-    result is asserted (by equal chi_L) to agree with the homotopy colimit
+    result is checked (by equal chi_L) to agree with the homotopy colimit
     of the complex of groups of the action on the discrete scwol.
     """
     elements = tuple(elements)
@@ -1032,9 +1032,12 @@ def transport_groupoid(group: FinGroup, elements: Sequence[str],
         },
     )
     via_complex = hocolim_groups(complex_of_groups(discrete_action).complex)
-    assert chi_L(groupoid) == chi_L(via_complex), (
-        "transport groupoid disagrees with the homotopy colimit route"
-    )
+    direct, via_hocolim = chi_L(groupoid), chi_L(via_complex)
+    if direct != via_hocolim:
+        raise InvariantViolation(
+            "transport groupoid disagrees with the homotopy colimit route",
+            witness={"transport": direct, "hocolim": via_hocolim},
+        )
     return groupoid
 
 
@@ -1146,7 +1149,7 @@ def haefliger_chi(cat: FinCat, vals: Mapping[str, Fraction]) -> Fraction:
     ``vals[i]`` is the user-supplied Euler characteristic of the classifying
     space of the local group at i (1 for trivial groups).  The proof's
     identity, 1 - chi(Lk^i) = alternating count of paths starting at i, is
-    asserted along the way.
+    checked along the way.
     """
     if not classify(cat).is_scwol:
         raise NotScwol(f"{cat.name} has a non-identity endomorphism")
@@ -1156,7 +1159,12 @@ def haefliger_chi(cat: FinCat, vals: Mapping[str, Fraction]) -> Fraction:
     for i in gamma.objects:
         link = lower_link(gamma, i)
         one_minus = 1 - chi_scwol(link)
-        assert one_minus == pc.start_sum(i), "lower-link identity fails"
+        if one_minus != pc.start_sum(i):
+            raise InvariantViolation(
+                f"lower-link identity fails at {i!r}",
+                witness={"object": i, "one_minus_chi_link": one_minus,
+                         "start_sum": pc.start_sum(i)},
+            )
         if i not in vals:
             from .hocolim import MissingValue
 

@@ -10,8 +10,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .errors import EulcatError
-from .fincat import FinCat, opposite
+from .errors import EulcatError, InvariantViolation
+from .fincat import FinCat, _count_rows, _topological_order
 
 Rational = Fraction
 
@@ -106,6 +106,23 @@ def mor_count_matrix(cat: FinCat) -> RatMatrix:
     )
 
 
+def _back_substitute(rows: Sequence[Mapping[int, int]], order: Sequence[int]) -> list[Fraction]:
+    """Solve sum_j rows[i][j] w_j = 1 along a topological order of the
+    support: w_i = (1 - sum_{j != i} rows[i][j] w_j) / rows[i][i].
+
+    The diagonal of a hom-count matrix counts identities, so it is >= 1.
+    """
+    values: list[Fraction] = [Fraction(0)] * len(rows)
+    for i in order:
+        row = rows[i]
+        acc = Fraction(1)
+        for j, count in row.items():
+            if j != i:
+                acc -= count * values[j]
+        values[i] = acc / row[i]
+    return values
+
+
 @dataclass(frozen=True)
 class Weighting:
     category: FinCat
@@ -114,13 +131,13 @@ class Weighting:
     unique: bool
 
     def __post_init__(self):
-        cat = self.category
+        # sum_y |mor(x, y)| q^y, summed one morphism at a time
+        cat, values = self.category, self.values
         for x in cat.objects:
-            total = sum(
-                (len(cat.hom(x, y)) if self.side == "weighting" else len(cat.hom(y, x)))
-                * self.values[y]
-                for y in cat.objects
-            )
+            if self.side == "weighting":
+                total = sum(values[cat.target(m)] for m in cat.morphisms_from(x))
+            else:
+                total = sum(values[cat.source(m)] for m in cat.morphisms_to(x))
             if total != 1:
                 raise NoWeighting(f"{self.side} equation fails at {x!r}")
 
@@ -128,24 +145,37 @@ class Weighting:
         return sum(self.values.values(), Fraction(0))
 
 
+def _solve(cat: FinCat, side: str) -> Weighting:
+    rows = _count_rows(cat, transpose=(side == "coweighting"))
+    order = _topological_order(rows)
+    if order is not None:
+        values, unique = _back_substitute(rows, order), True
+    else:
+        n = len(rows)
+        mat = RatMatrix.from_rows([[row.get(j, 0) for j in range(n)] for row in rows])
+        sol = solve_linear(mat, [Fraction(1)] * n)
+        if sol is None:
+            raise NoWeighting(f"{cat.name} admits no {side}")
+        values, unique = sol.values, sol.unique
+    return Weighting(cat, dict(zip(cat.objects, values)), side=side, unique=unique)
+
+
 def weighting(cat: FinCat) -> Weighting:
-    """Solve sum_y |mor(x,y)| q^y = 1 for all objects x."""
-    mat = mor_count_matrix(cat)
-    sol = solve_linear(mat, [Fraction(1)] * len(cat.objects))
-    if sol is None:
-        raise NoWeighting(f"{cat.name} admits no weighting")
-    return Weighting(
-        cat,
-        dict(zip(cat.objects, sol.values)),
-        side="weighting",
-        unique=sol.unique,
-    )
+    """Solve sum_y |mor(x,y)| q^y = 1 for all objects x.
+
+    When the arrows between distinct objects form no cycle (every skeletal
+    EI category, so every skeletal scwol), the system is triangular and is
+    solved by back-substitution along a topological order; the solution is
+    then unique.  Only a cyclic support falls back to Gaussian elimination
+    (``solve_linear``) on the full hom-count matrix.
+    """
+    return _solve(cat, "weighting")
 
 
 def coweighting(cat: FinCat) -> Weighting:
-    """A coweighting on C is a weighting on C^op."""
-    w = weighting(opposite(cat))
-    return Weighting(cat, dict(w.values), side="coweighting", unique=w.unique)
+    """A coweighting on C is a weighting on C^op: the same routes as
+    ``weighting``, on the transposed hom-count matrix."""
+    return _solve(cat, "coweighting")
 
 
 def chi_L(cat: FinCat) -> Fraction:
@@ -157,5 +187,9 @@ def chi_L(cat: FinCat) -> Fraction:
     except NoWeighting as exc:
         raise NoEulerCharacteristic(str(exc)) from exc
     total = w.total()
-    assert total == cw.total(), "weighting and coweighting sums disagree"
+    if total != cw.total():
+        raise InvariantViolation(
+            f"{cat.name}: weighting and coweighting sums disagree",
+            witness={"weighting": total, "coweighting": cw.total()},
+        )
     return total

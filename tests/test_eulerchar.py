@@ -116,5 +116,5 @@ class TestChi2FreeEI:
     @settings(max_examples=20, deadline=None)
     @given(scwols)
     def test_scwols_satisfy_hypotheses(self, cat):
-        # the operation asserts agreement with chi_L internally
+        # the operation checks agreement with chi_L internally
         assert chi2_free_EI(cat) == chi_scwol(cat)

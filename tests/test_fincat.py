@@ -242,12 +242,6 @@ class TestPathCounts:
         with pytest.raises(NotScwol):
             path_counts(zoo.pushout_scwol(), n_max=0)
 
-    def test_dimension_cap_environment_variable(self, monkeypatch):
-        monkeypatch.setenv("EULCAT_MAX_DIM", "0")
-        with pytest.raises(NotScwol):
-            path_counts(zoo.pushout_scwol())
-        monkeypatch.setenv("EULCAT_MAX_DIM", "5")
-        assert path_counts(zoo.pushout_scwol()).counts == (3, 2)
 
 
 class TestLowerLink:
