@@ -6,7 +6,13 @@ map validation failures to a single exit code.
 
 
 class EulcatError(Exception):
-    """Base class for all errors raised by eulcat."""
+    """Base class for all errors raised by eulcat.  ``witness``, when set,
+    holds the machine-readable offending data (a triple, a pair, values that
+    differ)."""
+
+    def __init__(self, message: str, witness=None):
+        super().__init__(message)
+        self.witness = witness
 
 
 class ValidationError(EulcatError):
@@ -16,7 +22,3 @@ class ValidationError(EulcatError):
 class InvariantViolation(EulcatError):
     """Two routes to the same quantity disagree; ``witness`` holds the
     values that differ."""
-
-    def __init__(self, message: str, witness=None):
-        super().__init__(message)
-        self.witness = witness

@@ -34,10 +34,6 @@ from .ratlin import chi_L, weighting
 class HypothesisNotMet(EulcatError):
     """EI/freeness hypothesis fails; carries a witness pair."""
 
-    def __init__(self, message: str, witness=None):
-        super().__init__(message)
-        self.witness = witness
-
 
 @dataclass(frozen=True)
 class EulerVector:

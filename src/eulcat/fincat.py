@@ -3,7 +3,11 @@
 A FinCat stores everything needed to answer categorical questions by
 exhaustive search: the full composition table, identities, hom-sets.
 Validation checks identity laws and associativity on every composable
-pair/triple, so downstream code may assume a lawful category.
+pair/triple, so downstream code may assume a lawful category.  It runs on
+integer indices built for the check and dropped after it (one row of
+composites per morphism, whole rows compared at a time); names come back
+only to report the first failure, whose ``witness`` holds the offending
+names.
 
 All values are immutable after validation; every operation here is a pure
 function of its inputs.
@@ -13,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import InitVar, dataclass, field
+from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import ValidationError
@@ -102,7 +107,10 @@ class FinCat:
             if e not in mor:
                 raise DanglingReference(f"{self.name}: identity {e!r} of {x!r} is unknown")
             if mor[e].source != x or mor[e].target != x:
-                raise BrokenIdentity(f"{self.name}: identity {e!r} is not an endomorphism of {x!r}")
+                raise BrokenIdentity(
+                    f"{self.name}: identity {e!r} is not an endomorphism of {x!r}",
+                    witness={"morphism": e},
+                )
         for x in self.identity:
             if x not in obj_set:
                 raise DanglingReference(f"{self.name}: identity table names unknown object {x!r}")
@@ -120,48 +128,80 @@ class FinCat:
         object.__setattr__(self, "_by_target", {k: tuple(v) for k, v in by_target.items()})
 
         if check:
-            # composition table: total on composable pairs, nothing else
-            for (g, f), gf in self.composition.items():
-                if g not in mor or f not in mor or gf not in mor:
-                    raise DanglingReference(
-                        f"{self.name}: composition entry ({g!r}, {f!r}) -> {gf!r} names unknown morphisms"
-                    )
-                if mor[f].target != mor[g].source:
-                    raise DanglingReference(
-                        f"{self.name}: pair ({g!r}, {f!r}) is not composable "
-                        f"(target of {f!r} is {mor[f].target!r}, source of {g!r} is {mor[g].source!r})"
-                    )
-                if mor[gf].source != mor[f].source or mor[gf].target != mor[g].target:
-                    raise IncompleteCompositionTable(
-                        f"{self.name}: composite {gf!r} of ({g!r}, {f!r}) has wrong endpoints"
-                    )
-            for f in self.morphisms:
-                for g in by_source[f.target]:
-                    if (g, f.name) not in self.composition:
-                        raise IncompleteCompositionTable(
-                            f"{self.name}: missing composite for pair ({g!r}, {f.name!r})"
-                        )
-
-            # identity laws
-            for f in self.morphisms:
-                if self.composition[(self.identity[f.target], f.name)] != f.name:
-                    raise BrokenIdentity(f"{self.name}: id o {f.name!r} != {f.name!r}")
-                if self.composition[(f.name, self.identity[f.source])] != f.name:
-                    raise BrokenIdentity(f"{self.name}: {f.name!r} o id != {f.name!r}")
-
-            # associativity on every composable triple
-            comp = self.composition
-            for f in self.morphisms:
-                for g in by_source[f.target]:
-                    gf = comp[(g, f.name)]
-                    for h in by_source[mor[g].target]:
-                        if comp[(h, gf)] != comp[(comp[(h, g)], f.name)]:
-                            raise NonAssociative(
-                                f"{self.name}: h o (g o f) != (h o g) o f for "
-                                f"(h, g, f) = ({h!r}, {g!r}, {f.name!r})"
-                            )
+            self._check_laws()
 
         object.__setattr__(self, "_invertible", self._find_invertibles())
+
+    def _check_laws(self) -> None:
+        """Check the composition table exhaustively on integer indices that
+        live only for this call.
+
+        ``rows[f][g]`` is the index of ``g o f``.  In order: every table entry
+        (known names, composable pair, endpoints of the composite), then
+        completeness, then both identity laws, then associativity on every
+        composable triple.  Names come back only to report the first failure.
+        """
+        names = [m.name for m in self.morphisms]
+        index = {m: i for i, m in enumerate(names)}
+        obj_index = {x: i for i, x in enumerate(self.objects)}
+        src = [obj_index[m.source] for m in self.morphisms]
+        tgt = [obj_index[m.target] for m in self.morphisms]
+        out = [[index[g] for g in self._by_source[x]] for x in self.objects]
+
+        rows: list[dict[int, int]] = [{} for _ in names]
+        for (g, f), gf in self.composition.items():
+            try:
+                gi, fi, ci = index[g], index[f], index[gf]
+            except KeyError:
+                raise DanglingReference(
+                    f"{self.name}: composition entry ({g!r}, {f!r}) -> {gf!r} names unknown morphisms"
+                ) from None
+            if tgt[fi] != src[gi]:
+                raise DanglingReference(
+                    f"{self.name}: pair ({g!r}, {f!r}) is not composable "
+                    f"(target of {f!r} is {self._mor[f].target!r}, source of {g!r} is {self._mor[g].source!r})"
+                )
+            if src[ci] != src[fi] or tgt[ci] != tgt[gi]:
+                raise IncompleteCompositionTable(
+                    f"{self.name}: composite {gf!r} of ({g!r}, {f!r}) has wrong endpoints"
+                )
+            rows[fi][gi] = ci
+        # every key of rows[f] is composable with f, so a short row misses one
+        for f, row in enumerate(rows):
+            if len(row) != len(out[tgt[f]]):
+                g = next(g for g in out[tgt[f]] if g not in row)
+                raise IncompleteCompositionTable(
+                    f"{self.name}: missing composite for pair ({names[g]!r}, {names[f]!r})",
+                    witness={"pair": (names[g], names[f])},
+                )
+
+        ident = [index[self.identity[x]] for x in self.objects]
+        for f, row in enumerate(rows):
+            if row[ident[tgt[f]]] != f:
+                raise BrokenIdentity(
+                    f"{self.name}: id o {names[f]!r} != {names[f]!r}", witness={"morphism": names[f]}
+                )
+            if rows[ident[src[f]]][f] != f:
+                raise BrokenIdentity(
+                    f"{self.name}: {names[f]!r} o id != {names[f]!r}", witness={"morphism": names[f]}
+                )
+
+        # h o (g o f) against (h o g) o f for all h at once: take_out[y] reads
+        # row[h] for every h out of y, take_hg[g] reads row[h o g] in the same
+        # order.  Every object has its identity, so no getter is empty.
+        take_out = [itemgetter(*hs) for hs in out]
+        take_hg = [itemgetter(*[rows[g][h] for h in out[tgt[g]]]) for g in range(len(names))]
+        for f, row_f in enumerate(rows):
+            for g in out[tgt[f]]:
+                row_gf = rows[row_f[g]]
+                if take_out[tgt[g]](row_gf) != take_hg[g](row_f):
+                    h = next(h for h in out[tgt[g]] if row_gf[h] != row_f[rows[g][h]])
+                    triple = {"h": names[h], "g": names[g], "f": names[f]}
+                    raise NonAssociative(
+                        f"{self.name}: h o (g o f) != (h o g) o f for "
+                        f"(h, g, f) = ({names[h]!r}, {names[g]!r}, {names[f]!r})",
+                        witness=triple,
+                    )
 
     def _find_invertibles(self) -> dict[str, str]:
         """Map each invertible morphism to its (unique) inverse."""
@@ -236,7 +276,7 @@ def validate(raw: Mapping, name: str = "C") -> FinCat:
         )
         identity = {str(k): str(v) for k, v in raw["identity"].items()}
         composition = {(str(g), str(f)): str(gf) for g, f, gf in raw.get("compose", [])}
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DanglingReference(f"{name}: malformed category description ({exc})") from exc
     return FinCat(objects, morphisms, identity, composition, name=str(raw.get("name", name)))
 

@@ -76,6 +76,23 @@ class NotAnAction(ValidationError):
     """A purported G-set action table is not an action."""
 
 
+def _check_homomorphism_law(group: FinGroup, perms: Sequence[list[int]],
+                            points: Sequence[str]) -> None:
+    """Require ``perms[gh] == perms[g] o perms[h]`` for every pair (g, h), one
+    whole permutation at a time; ``perms[g][i]`` is the index of the image of
+    ``points[i]`` under the element of index g."""
+    labels, table = group.labels, group.table
+    for g, perm_g in enumerate(perms):
+        for h, perm_h in enumerate(perms):
+            gh = table[g][h]
+            if perms[gh] != [perm_g[j] for j in perm_h]:
+                i = next(i for i, j in enumerate(perm_h) if perm_g[j] != perms[gh][i])
+                raise NotAHomomorphismAction(
+                    f"action of {labels[g]!r}{labels[h]!r} disagrees with action of "
+                    f"{labels[gh]!r} on {points[i]!r}"
+                )
+
+
 @dataclass(frozen=True, eq=False)
 class ScwolAction:
     """A finite group acting on a finite scwol.
@@ -110,14 +127,12 @@ class ScwolAction:
         for x in cat.objects:
             if self.on_objects[e][x] != x:
                 raise NotAHomomorphismAction("identity element moves an object")
-        for g in g_labels:
-            for h in g_labels:
-                gh = self.group.mul(g, h)
-                for x in cat.objects:
-                    if self.on_objects[g][self.on_objects[h][x]] != self.on_objects[gh][x]:
-                        raise NotAHomomorphismAction(
-                            f"action of {g!r}{h!r} disagrees with action of {gh!r} on {x!r}"
-                        )
+        obj_index = {x: i for i, x in enumerate(cat.objects)}
+        _check_homomorphism_law(
+            self.group,
+            [[obj_index[self.on_objects[g][x]] for x in cat.objects] for g in g_labels],
+            cat.objects,
+        )
         for m in cat.morphisms:
             if cat.is_identity(m.name):
                 continue
@@ -126,10 +141,11 @@ class ScwolAction:
                     raise AxiomIViolation(m.name, g)
 
         # morphism level: each element acts as a strictly invertible functor
+        comp = cat.composition
+        names = sorted(m.name for m in cat.morphisms)
         for g in g_labels:
             omap = self.on_objects[g]
             mmap = self.on_morphisms[g]
-            names = sorted(m.name for m in cat.morphisms)
             if sorted(mmap) != names or sorted(mmap.values()) != names:
                 raise NotAFunctorAction(f"element {g!r} does not permute the morphisms")
             for m in cat.morphisms:
@@ -141,25 +157,21 @@ class ScwolAction:
             for x in cat.objects:
                 if mmap[cat.identity[x]] != cat.identity[omap[x]]:
                     raise NotAFunctorAction(f"element {g!r} breaks identities at {x!r}")
-            for (g2, f2), c2 in cat.composition.items():
-                if cat.compose(mmap[g2], mmap[f2]) != mmap[c2]:
+            for (g2, f2), c2 in comp.items():
+                if comp[(mmap[g2], mmap[f2])] != mmap[c2]:
                     raise NotAFunctorAction(
                         f"element {g!r} breaks composition at ({g2!r}, {f2!r})"
                     )
         for m in cat.morphisms:
             if self.on_morphisms[e][m.name] != m.name:
                 raise NotAHomomorphismAction("identity element moves a morphism")
-        for g in g_labels:
-            for h in g_labels:
-                gh = self.group.mul(g, h)
-                for m in cat.morphisms:
-                    if (
-                        self.on_morphisms[g][self.on_morphisms[h][m.name]]
-                        != self.on_morphisms[gh][m.name]
-                    ):
-                        raise NotAHomomorphismAction(
-                            f"action of {g!r}{h!r} disagrees with action of {gh!r} on {m.name!r}"
-                        )
+        mor_names = cat.morphism_names()
+        mor_index = {m: i for i, m in enumerate(mor_names)}
+        _check_homomorphism_law(
+            self.group,
+            [[mor_index[self.on_morphisms[g][m]] for m in mor_names] for g in g_labels],
+            mor_names,
+        )
 
         for m in cat.morphisms:
             if cat.is_identity(m.name):

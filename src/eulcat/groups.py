@@ -65,12 +65,19 @@ class FinGroup:
             if inverse[a] is None:
                 raise NotAGroup(f"element {self.labels[a]!r} of {self.name} has no inverse")
         object.__setattr__(self, "_inverse", tuple(inverse))
-        for a, b, c in itertools.product(range(n), repeat=3):
-            if self.table[self.table[a][b]][c] != self.table[a][self.table[b][c]]:
-                raise NotAGroup(
-                    f"{self.name} is not associative on "
-                    f"({self.labels[a]!r}, {self.labels[b]!r}, {self.labels[c]!r})"
-                )
+        # (ab)c against a(bc) for every c at once: row ab of the table
+        # against row a read through row b
+        rows = [list(row) for row in self.table]
+        for a, row_a in enumerate(rows):
+            for b, ab in enumerate(row_a):
+                if rows[ab] != [row_a[x] for x in rows[b]]:
+                    c = next(c for c in range(n) if rows[ab][c] != row_a[rows[b][c]])
+                    triple = (self.labels[a], self.labels[b], self.labels[c])
+                    raise NotAGroup(
+                        f"{self.name} is not associative on "
+                        f"({triple[0]!r}, {triple[1]!r}, {triple[2]!r})",
+                        witness=triple,
+                    )
 
     # -- basic queries ----------------------------------------------------
 
@@ -103,10 +110,6 @@ class FinGroup:
     def conjugate(self, a: str, by: str) -> str:
         """Return ``by * a * by^-1``."""
         return self.mul(self.mul(by, a), self.inv(by))
-
-    def is_abelian(self) -> bool:
-        return all(row[j] == self.table[j][i]
-                   for i, row in enumerate(self.table) for j in range(len(self)))
 
     # -- constructions -----------------------------------------------------
 

@@ -316,7 +316,7 @@ def parse(manifest: Mapping) -> tuple[str, Any]:
         raise BadManifest("manifest has no payload")
     try:
         return kind, _PARSERS[kind](payload)
-    except (KeyError, TypeError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise BadManifest(f"malformed {kind} payload ({exc})") from exc
 
 

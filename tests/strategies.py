@@ -20,4 +20,5 @@ groupoids = seeded(randgen.random_groupoid, max_objects=4, max_group_order=4)
 strict_diagrams = seeded(randgen.random_strict_diagram)
 free_actions = seeded(randgen.random_free_action)
 actions = seeded(randgen.random_action)
+groups = seeded(randgen.random_group, max_order=6)
 small_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=12)

@@ -20,7 +20,7 @@ from eulcat.fincat import (
     skeleton,
     validate,
 )
-from eulcat.groups import cyclic_group, symmetric_group, perm_of_label
+from eulcat.groups import FinGroup, NotAGroup, cyclic_group, symmetric_group, perm_of_label
 
 from strategies import scwols, skeletal_scwols, groupoids
 
@@ -73,8 +73,9 @@ class TestValidate:
     def test_missing_composite_rejected(self):
         raw = pushout_raw()
         raw["compose"] = [entry for entry in raw["compose"] if entry[0] != "id_k" or entry[1] != "g"]
-        with pytest.raises(IncompleteCompositionTable):
+        with pytest.raises(IncompleteCompositionTable) as exc:
             validate(raw)
+        assert exc.value.witness == {"pair": ("id_k", "g")}
 
     def test_unknown_object_rejected(self):
         raw = pushout_raw()
@@ -85,8 +86,9 @@ class TestValidate:
     def test_broken_identity_rejected(self):
         raw = pushout_raw()
         raw["identity"]["j"] = "id_k"
-        with pytest.raises(BrokenIdentity):
+        with pytest.raises(BrokenIdentity) as exc:
             validate(raw)
+        assert exc.value.witness == {"morphism": "id_k"}
 
     def test_identity_law_rejected(self):
         raw = pushout_raw()
@@ -95,6 +97,20 @@ class TestValidate:
                 entry[2] = "h"
         with pytest.raises((BrokenIdentity, IncompleteCompositionTable)):
             validate(raw)
+
+    def test_identity_law_witness(self):
+        raw = {
+            "objects": ["*"],
+            "morphisms": [
+                {"id": "e", "source": "*", "target": "*"},
+                {"id": "a", "source": "*", "target": "*"},
+            ],
+            "identity": {"*": "e"},
+            "compose": [["e", "e", "e"], ["e", "a", "e"], ["a", "e", "a"], ["a", "a", "e"]],
+        }
+        with pytest.raises(BrokenIdentity, match=r"id o 'a' != 'a'") as exc:
+            validate(raw)
+        assert exc.value.witness == {"morphism": "a"}
 
     def test_non_associative_rejected(self):
         # monoid table on {e, a, b} with a deliberate associativity defect
@@ -113,8 +129,19 @@ class TestValidate:
                 ["b", "a", "a"], ["b", "b", "a"],
             ],
         }
-        with pytest.raises(NonAssociative):
+        with pytest.raises(NonAssociative) as exc:
             validate(raw)
+        # f = g = a: b o (a o a) = b o b = a, but (b o a) o a = a o a = b
+        assert exc.value.witness == {"h": "b", "g": "a", "f": "a"}
+        assert str(exc.value) == "C: h o (g o f) != (h o g) o f for (h, g, f) = ('b', 'a', 'a')"
+
+    def test_non_associative_group_table_witness(self):
+        # identity e and inverses exist, but (a a) b = b while a (a b) = a
+        table = ((0, 1, 2), (1, 0, 0), (2, 0, 0))
+        with pytest.raises(NotAGroup) as exc:
+            FinGroup(("e", "a", "b"), table, name="M")
+        assert exc.value.witness == ("a", "a", "b")
+        assert str(exc.value) == "M is not associative on ('a', 'a', 'b')"
 
 
 class TestClassify:

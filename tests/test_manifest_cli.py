@@ -285,3 +285,34 @@ class TestCli:
 
     def test_unknown_demo(self, capsys):
         assert main(["demo", "nonsense"]) == 2
+
+
+ONE_OBJECT = {
+    "objects": ["x"],
+    "morphisms": [{"id": "i", "source": "x", "target": "x"}],
+    "identity": {"x": "i"},
+    "compose": [["i", "i", "i"]],
+}
+
+
+@pytest.mark.parametrize(
+    "kind, payload",
+    [
+        ("category", {**ONE_OBJECT, "identity": []}),
+        ("diagram", {"index": ONE_OBJECT, "vertices": [], "edges": {}}),
+        ("spectrum", {"index": ONE_OBJECT, "cells": []}),
+        ("spectrum", {"index": ONE_OBJECT, "cells": {"x": ["one"]}}),
+    ],
+    ids=["category-identity-list", "diagram-vertices-list", "spectrum-cells-list",
+         "spectrum-cell-not-integer"],
+)
+def test_malformed_payload_exits_2_with_one_error_line(tmp_path, capsys, kind, payload):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"schema": 1, "kind": kind, "payload": payload}))
+    assert main(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert [line for line in captured.err.splitlines() if line.startswith("error:")] == [
+        captured.err.strip()
+    ]
+    assert "Traceback" not in captured.err
