@@ -1,11 +1,15 @@
 """Grothendieck constructions (homotopy colimits) of diagrams of finite
 categories, finite cell models encoded as spectra of per-object cell counts,
 and the executable cross-check of the homotopy colimit formula.
+
+One builder serves strict and pseudo diagrams alike: it asks the diagram
+for its coherence inverses (``unit_inv``, ``comp_inv``), which are
+identities for a strict diagram.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
@@ -16,7 +20,6 @@ from .fincat import (
     FinCat,
     Morphism,
     NatIso,
-    NotNatural,
     NotScwol,
     classify,
     path_counts,
@@ -39,6 +42,20 @@ class UnknownKind(EulcatError):
     """No built-in cell model with that name."""
 
 
+def _check_vertices_and_edges(d: Diagram) -> None:
+    """Every index object has a vertex category and every index morphism a
+    functor between the vertex categories at its endpoints."""
+    for i in d.index.objects:
+        if i not in d.vertex:
+            raise ValidationError(f"no vertex category at {i!r}")
+    for m in d.index.morphisms:
+        fun = d.edge.get(m.name)
+        if fun is None:
+            raise ValidationError(f"no functor along {m.name!r}")
+        if fun.source is not d.vertex[m.source] or fun.target is not d.vertex[m.target]:
+            raise ValidationError(f"functor along {m.name!r} has wrong endpoints")
+
+
 @dataclass(frozen=True, eq=False)
 class StrictDiagram:
     """A strict functor from a finite index category into finite categories."""
@@ -48,16 +65,8 @@ class StrictDiagram:
     edge: Mapping[str, CatFunctor]
 
     def __post_init__(self):
+        _check_vertices_and_edges(self)
         idx = self.index
-        for i in idx.objects:
-            if i not in self.vertex:
-                raise ValidationError(f"no vertex category at {i!r}")
-        for m in idx.morphisms:
-            fun = self.edge.get(m.name)
-            if fun is None:
-                raise ValidationError(f"no functor along {m.name!r}")
-            if fun.source is not self.vertex[m.source] or fun.target is not self.vertex[m.target]:
-                raise ValidationError(f"functor along {m.name!r} has wrong endpoints")
         for i in idx.objects:
             if not self.edge[idx.identity[i]].same_maps_as(
                 CatFunctor.identity_functor(self.vertex[i])
@@ -68,6 +77,16 @@ class StrictDiagram:
                 raise ValidationError(
                     f"strictness fails: edge({vu!r}) != edge({v!r}) o edge({u!r})"
                 )
+
+    # Coherence inverses for the Grothendieck construction: all identities.
+
+    def unit_inv(self, i: str, c: str) -> str:
+        return self.vertex[i].identity[c]
+
+    def comp_inv(self, v: str, u: str, c: str) -> str:
+        """Identity at C(v)(C(u)(c)) = C(v o u)(c)."""
+        vc = self.edge[v].obj_map[self.edge[u].obj_map[c]]
+        return self.vertex[self.index.target(v)].identity[vc]
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,17 +106,8 @@ class PseudoDiagram:
     unit: Mapping[str, NatIso]
 
     def __post_init__(self):
+        _check_vertices_and_edges(self)
         idx = self.index
-        for i in idx.objects:
-            if i not in self.vertex:
-                raise ValidationError(f"no vertex category at {i!r}")
-        for m in idx.morphisms:
-            fun = self.edge.get(m.name)
-            if fun is None:
-                raise ValidationError(f"no functor along {m.name!r}")
-            if fun.source is not self.vertex[m.source] or fun.target is not self.vertex[m.target]:
-                raise ValidationError(f"functor along {m.name!r} has wrong endpoints")
-
         for i in idx.objects:
             iso = self.unit.get(i)
             if iso is None:
@@ -123,6 +133,14 @@ class PseudoDiagram:
     def comp_component(self, v: str, u: str, c: str) -> str:
         """Component of C(v) o C(u) => C(vu) at the object c of C(source(u))."""
         return self.comp[(v, u)].components[c]
+
+    def unit_inv(self, i: str, c: str) -> str:
+        """Inverse of the unit component Id => C(id_i) at c."""
+        return self.vertex[i].inverse(self.unit[i].components[c])
+
+    def comp_inv(self, v: str, u: str, c: str) -> str:
+        """Inverse of the comp component C(v) o C(u) => C(v o u) at c."""
+        return self.vertex[self.index.target(v)].inverse(self.comp_component(v, u, c))
 
     def _check_unit_axioms(self):
         idx = self.index
@@ -175,26 +193,25 @@ class PseudoDiagram:
     @staticmethod
     def from_strict(d: StrictDiagram) -> "PseudoDiagram":
         """View a strict diagram as a pseudo diagram with identity coherences."""
-        comp = {}
-        for (v, u), vu in d.index.composition.items():
-            fun = d.edge[u].then(d.edge[v])
-            comp[(v, u)] = NatIso(
-                fun,
+        # identities are their own inverses
+        idx = d.index
+        comp = {
+            (v, u): NatIso(
+                d.edge[u].then(d.edge[v]),
                 d.edge[vu],
-                {
-                    c: d.vertex[d.index.target(v)].identity[fun.obj_map[c]]
-                    for c in d.vertex[d.index.source(u)].objects
-                },
+                {c: d.comp_inv(v, u, c) for c in d.vertex[idx.source(u)].objects},
             )
+            for (v, u), vu in idx.composition.items()
+        }
         unit = {
             i: NatIso(
                 CatFunctor.identity_functor(d.vertex[i]),
-                d.edge[d.index.identity[i]],
-                {c: d.vertex[i].identity[c] for c in d.vertex[i].objects},
+                d.edge[idx.identity[i]],
+                {c: d.unit_inv(i, c) for c in d.vertex[i].objects},
             )
-            for i in d.index.objects
+            for i in idx.objects
         }
-        return PseudoDiagram(d.index, d.vertex, d.edge, comp, unit)
+        return PseudoDiagram(idx, d.vertex, d.edge, comp, unit)
 
 
 Diagram = Union[StrictDiagram, PseudoDiagram]
@@ -216,62 +233,74 @@ class GrothendieckResult:
     alphas: Mapping[str, CatFunctor]
 
 
-def grothendieck(d: StrictDiagram, verify: bool = False) -> GrothendieckResult:
-    """Homotopy colimit of a strict diagram.
+def _grothendieck(d: Diagram, check: bool) -> FinCat:
+    """The Grothendieck construction of a strict or pseudo diagram.
 
-    Objects are pairs (i, c); a morphism (i,c) -> (j,d) is a pair (u, f)
-    with u: i -> j and f: C(u)(c) -> d, composed by
-    (v, g) o (u, f) = (v o u, g o C(v)(f)).
+    Objects are pairs (i, c); a morphism (i,c) -> (j,e) is a pair (u, f)
+    with u: i -> j and f: C(u)(c) -> e, named ``(u,f)@c``.  Composition is
+    (v, g) o (u, f) = (v o u, g o C(v)(f) o comp_inv(v, u, c)) and the
+    identity of (i, c) is (id_i, unit_inv(i, c)), with the coherence
+    inverses looked up on the diagram (identities for a strict diagram).
+    """
+    idx = d.index
+    objs = []
+    mors = []
+    ident = {}
+    # names[(u, c)][f] is the name of (u, f)@c; the f run through the
+    # morphisms out of C(u)(c) in target order, the order of ``mors``
+    names: dict[tuple[str, str], dict[str, str]] = {}
+    for i in idx.objects:
+        for c in d.vertex[i].objects:
+            src = _pair_obj(i, c)
+            objs.append(src)
+            for u in idx.morphisms_from(i):
+                j = idx.target(u)
+                cj = d.vertex[j]
+                uc = d.edge[u].obj_map[c]
+                named = names[(u, c)] = {}
+                for e in cj.objects:
+                    tgt = _pair_obj(j, e)
+                    for f in cj.hom(uc, e):
+                        named[f] = name = _triple_mor(u, f, c)
+                        mors.append(Morphism(name, src, tgt))
+            ident[src] = names[(idx.identity[i], c)][d.unit_inv(i, c)]
+
+    comp = {}
+    for (u, c), named in names.items():
+        cj = d.vertex[idx.target(u)]
+        # per v out of j: everything about (v o u, c) that does not depend on f
+        steps = [
+            (
+                v,
+                d.vertex[idx.target(v)].composition,
+                d.edge[v].mor_map,
+                d.comp_inv(v, u, c),
+                names[(idx.compose(v, u), c)],
+            )
+            for v in idx.morphisms_from(idx.target(u))
+        ]
+        for f, name in named.items():
+            e = cj.target(f)
+            for v, k_comp, v_mor, inv, composite in steps:
+                h = k_comp[(v_mor[f], inv)]
+                for g, g_name in names[(v, e)].items():
+                    comp[(g_name, name)] = composite[k_comp[(g, h)]]
+
+    return FinCat(
+        tuple(objs), tuple(mors), ident, comp, name=f"hocolim({idx.name})", check=check
+    )
+
+
+def grothendieck(d: StrictDiagram, verify: bool = False) -> GrothendieckResult:
+    """Homotopy colimit of a strict diagram, composed by
+    (v, g) o (u, f) = (v o u, g o C(v)(f)), with the inclusions
+    alpha_i: C(i) -> hocolim, f |-> (id_i, f).
 
     The construction is lawful for any valid strict diagram; set ``verify``
     to re-run the full exhaustive FinCat validation on the output anyway.
     """
     idx = d.index
-    objs = []
-    vertex_of: dict[str, tuple[str, str]] = {}
-    for i in idx.objects:
-        for c in d.vertex[i].objects:
-            name = _pair_obj(i, c)
-            objs.append(name)
-            vertex_of[name] = (i, c)
-
-    mors = []
-    data: dict[str, tuple[str, str, str]] = {}  # name -> (u, f, c)
-    ident = {}
-    for i in idx.objects:
-        ci = d.vertex[i]
-        for c in ci.objects:
-            for u in idx.morphisms_from(i):
-                j = idx.target(u)
-                cj = d.vertex[j]
-                uc = d.edge[u].obj_map[c]
-                for dd in cj.objects:
-                    for f in cj.hom(uc, dd):
-                        name = _triple_mor(u, f, c)
-                        mors.append(Morphism(name, _pair_obj(i, c), _pair_obj(j, dd)))
-                        data[name] = (u, f, c)
-                        if u == idx.identity[i] and f == ci.identity[c]:
-                            ident[_pair_obj(i, c)] = name
-
-    comp = {}
-    by_source: dict[str, list[str]] = {o: [] for o in objs}
-    for m in mors:
-        by_source[m.source].append(m.name)
-    target_of = {m.name: m.target for m in mors}
-    for m in mors:
-        u, f, c = data[m.name]
-        j = idx.target(u)
-        for m2 in by_source[target_of[m.name]]:
-            v, g, _ = data[m2]
-            k = idx.target(v)
-            vu = idx.compose(v, u)
-            gf = d.vertex[k].compose(g, d.edge[v].mor_map[f])
-            comp[(m2, m.name)] = _triple_mor(vu, gf, c)
-
-    cat = FinCat(
-        tuple(objs), tuple(mors), ident, comp, name=f"hocolim({idx.name})", check=verify
-    )
-
+    cat = _grothendieck(d, check=verify)
     alphas = {}
     for i in idx.objects:
         ci = d.vertex[i]
@@ -288,56 +317,13 @@ def grothendieck(d: StrictDiagram, verify: bool = False) -> GrothendieckResult:
 
 
 def grothendieck_pseudo(d: PseudoDiagram) -> FinCat:
-    """Homotopy colimit of a pseudo diagram.
-
-    Same objects and morphisms as the strict case; composition picks up the
-    inverse coherence component,
-    (v, g) o (u, f) = (v o u, g o C(v)(f) o comp_{v,u}^{-1}(c)),
-    and the identity of (i, c) is (id_i, unit_i^{-1}(c)).  The output is
-    re-validated exhaustively as a finite category.
+    """Homotopy colimit of a pseudo diagram: the strict objects and
+    morphisms, with composition and identities corrected by the inverse
+    coherence components.  The output is re-validated exhaustively as a
+    finite category; a failure raises CoherenceFailure.
     """
-    idx = d.index
-    objs = []
-    for i in idx.objects:
-        for c in d.vertex[i].objects:
-            objs.append(_pair_obj(i, c))
-
-    mors = []
-    data: dict[str, tuple[str, str, str]] = {}
-    ident = {}
-    for i in idx.objects:
-        ci = d.vertex[i]
-        for c in ci.objects:
-            for u in idx.morphisms_from(i):
-                j = idx.target(u)
-                cj = d.vertex[j]
-                uc = d.edge[u].obj_map[c]
-                for dd in cj.objects:
-                    for f in cj.hom(uc, dd):
-                        name = _triple_mor(u, f, c)
-                        mors.append(Morphism(name, _pair_obj(i, c), _pair_obj(j, dd)))
-                        data[name] = (u, f, c)
-            unit_inv = ci.inverse(d.unit[i].components[c])
-            ident[_pair_obj(i, c)] = _triple_mor(idx.identity[i], unit_inv, c)
-
-    comp = {}
-    by_source: dict[str, list[str]] = {o: [] for o in objs}
-    for m in mors:
-        by_source[m.source].append(m.name)
-    target_of = {m.name: m.target for m in mors}
-    for m in mors:
-        u, f, c = data[m.name]
-        for m2 in by_source[target_of[m.name]]:
-            v, g, _ = data[m2]
-            k = idx.target(v)
-            ck = d.vertex[k]
-            vu = idx.compose(v, u)
-            tw_inv = ck.inverse(d.comp_component(v, u, c))
-            gf = ck.compose(g, ck.compose(d.edge[v].mor_map[f], tw_inv))
-            comp[(m2, m.name)] = _triple_mor(vu, gf, c)
-
     try:
-        return FinCat(tuple(objs), tuple(mors), ident, comp, name=f"hocolim({idx.name})")
+        return _grothendieck(d, check=True)
     except ValidationError as exc:
         raise CoherenceFailure(f"pseudo homotopy colimit is not a category: {exc}") from exc
 

@@ -22,7 +22,6 @@ from .groupact import ComplexOfGroups, ScwolAction, validate_action
 from .hocolim import CellSpectrum, PseudoDiagram, StrictDiagram
 
 SCHEMA_VERSION = 1
-KINDS = ("category", "group", "diagram", "pseudo_diagram", "action", "complex", "spectrum")
 
 
 class BadManifest(ValidationError):
@@ -94,16 +93,16 @@ def _functor_payload(fun: CatFunctor) -> dict:
     }
 
 
+def _str_map(raw: Mapping) -> dict[str, str]:
+    return {str(k): str(v) for k, v in raw.items()}
+
+
 def _functor_from_payload(payload: Mapping, src: FinCat, tgt: FinCat) -> CatFunctor:
-    return CatFunctor(
-        src,
-        tgt,
-        {str(k): str(v) for k, v in payload["objects"].items()},
-        {str(k): str(v) for k, v in payload["morphisms"].items()},
-    )
+    return CatFunctor(src, tgt, _str_map(payload["objects"]), _str_map(payload["morphisms"]))
 
 
-def diagram_payload(d: StrictDiagram) -> dict:
+def diagram_payload(d: StrictDiagram | PseudoDiagram) -> dict:
+    """Index, vertices and edges: a strict payload, and the core of a pseudo one."""
     return {
         "index": category_payload(d.index),
         "vertices": {i: category_payload(d.vertex[i]) for i in d.index.objects},
@@ -111,12 +110,16 @@ def diagram_payload(d: StrictDiagram) -> dict:
     }
 
 
-def diagram_from_payload(payload: Mapping) -> StrictDiagram:
+def _diagram_parts(payload: Mapping) -> tuple[FinCat, dict, dict]:
+    """Parse index, vertices and edges, naming a missing vertex or edge."""
     index = category_from_payload(payload["index"], name="index")
     vertex = {
         str(i): category_from_payload(p, name=f"vertex[{i}]")
         for i, p in payload["vertices"].items()
     }
+    for i in index.objects:
+        if i not in vertex:
+            raise BadManifest(f"no vertex category for index object {i!r}")
     edge = {}
     for m in index.morphisms:
         if m.name not in payload["edges"]:
@@ -124,14 +127,16 @@ def diagram_from_payload(payload: Mapping) -> StrictDiagram:
         edge[m.name] = _functor_from_payload(
             payload["edges"][m.name], vertex[m.source], vertex[m.target]
         )
-    return StrictDiagram(index, vertex, edge)
+    return index, vertex, edge
+
+
+def diagram_from_payload(payload: Mapping) -> StrictDiagram:
+    return StrictDiagram(*_diagram_parts(payload))
 
 
 def pseudo_diagram_payload(d: PseudoDiagram) -> dict:
-    out = {
-        "index": category_payload(d.index),
-        "vertices": {i: category_payload(d.vertex[i]) for i in d.index.objects},
-        "edges": {m.name: _functor_payload(d.edge[m.name]) for m in d.index.morphisms},
+    return {
+        **diagram_payload(d),
         "comp": sorted(
             [v, u, {c: iso.components[c] for c in sorted(iso.components)}]
             for (v, u), iso in d.comp.items()
@@ -141,40 +146,23 @@ def pseudo_diagram_payload(d: PseudoDiagram) -> dict:
             for i in d.index.objects
         },
     }
-    return out
 
 
 def pseudo_diagram_from_payload(payload: Mapping) -> PseudoDiagram:
-    from .fincat import CatFunctor as CF
-
-    index = category_from_payload(payload["index"], name="index")
-    vertex = {
-        str(i): category_from_payload(p, name=f"vertex[{i}]")
-        for i, p in payload["vertices"].items()
-    }
-    edge = {}
-    for m in index.morphisms:
-        edge[m.name] = _functor_from_payload(
-            payload["edges"][m.name], vertex[m.source], vertex[m.target]
-        )
+    index, vertex, edge = _diagram_parts(payload)
     comp = {}
     for v, u, components in payload.get("comp", []):
         v, u = str(v), str(u)
         if (v, u) not in index.composition:
             raise BadManifest(f"comp entry for non-composable pair ({v!r}, {u!r})")
-        fun = edge[u].then(edge[v])
         comp[(v, u)] = NatIso(
-            fun,
-            edge[index.composition[(v, u)]],
-            {str(c): str(w) for c, w in components.items()},
+            edge[u].then(edge[v]), edge[index.composition[(v, u)]], _str_map(components)
         )
     unit = {}
     for i, components in payload.get("unit", {}).items():
         i = str(i)
         unit[i] = NatIso(
-            CF.identity_functor(vertex[i]),
-            edge[index.identity[i]],
-            {str(c): str(w) for c, w in components.items()},
+            CatFunctor.identity_functor(vertex[i]), edge[index.identity[i]], _str_map(components)
         )
     return PseudoDiagram(index, vertex, edge, comp, unit)
 
@@ -237,11 +225,7 @@ def complex_from_payload(payload: Mapping) -> ComplexOfGroups:
             raw = payload["homs"].get(m.name)
             if raw is None:
                 raise BadManifest(f"no structure homomorphism for {m.name!r}")
-            homs[m.name] = GroupHom(
-                local[m.source],
-                local[m.target],
-                {str(a): str(b) for a, b in raw.items()},
-            )
+            homs[m.name] = GroupHom(local[m.source], local[m.target], _str_map(raw))
     twists = {}
     for b, a, g in payload.get("twists", []):
         twists[(str(b), str(a))] = str(g)
@@ -275,31 +259,23 @@ def spectrum_from_payload(payload: Mapping) -> CellSpectrum:
 # -- envelope ---------------------------------------------------------------------------
 
 
-_SERIALIZERS = {
-    "category": category_payload,
-    "group": group_payload,
-    "diagram": diagram_payload,
-    "pseudo_diagram": pseudo_diagram_payload,
-    "action": action_payload,
-    "complex": complex_payload,
-    "spectrum": spectrum_payload,
+# kind -> (serializer, parser)
+_CODECS = {
+    "category": (category_payload, category_from_payload),
+    "group": (group_payload, group_from_payload),
+    "diagram": (diagram_payload, diagram_from_payload),
+    "pseudo_diagram": (pseudo_diagram_payload, pseudo_diagram_from_payload),
+    "action": (action_payload, action_from_payload),
+    "complex": (complex_payload, complex_from_payload),
+    "spectrum": (spectrum_payload, spectrum_from_payload),
 }
-
-_PARSERS = {
-    "category": category_from_payload,
-    "group": group_from_payload,
-    "diagram": diagram_from_payload,
-    "pseudo_diagram": pseudo_diagram_from_payload,
-    "action": action_from_payload,
-    "complex": complex_from_payload,
-    "spectrum": spectrum_from_payload,
-}
+KINDS = tuple(_CODECS)
 
 
 def serialize(kind: str, value) -> dict:
-    if kind not in _SERIALIZERS:
+    if kind not in KINDS:
         raise BadManifest(f"unknown manifest kind {kind!r}")
-    return {"schema": SCHEMA_VERSION, "kind": kind, "payload": _SERIALIZERS[kind](value)}
+    return {"schema": SCHEMA_VERSION, "kind": kind, "payload": _CODECS[kind][0](value)}
 
 
 def parse(manifest: Mapping) -> tuple[str, Any]:
@@ -315,7 +291,7 @@ def parse(manifest: Mapping) -> tuple[str, Any]:
     if payload is None:
         raise BadManifest("manifest has no payload")
     try:
-        return kind, _PARSERS[kind](payload)
+        return kind, _CODECS[kind][1](payload)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise BadManifest(f"malformed {kind} payload ({exc})") from exc
 

@@ -2,12 +2,13 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from eulcat import randgen, zoo
 from eulcat.errors import ValidationError
 from eulcat.eulerchar import chi2_free_EI, chi_scwol, groupoid_chi2
 from eulcat.fincat import (
+    Morphism,
     are_isomorphic,
     classify,
     equal_presentation,
@@ -37,6 +38,7 @@ from eulcat.groupact import (
     validate_action,
 )
 from eulcat.groups import GroupHom, cyclic_group, klein_four_group, symmetric_group, perm_of_label
+from eulcat.hocolim import grothendieck_pseudo
 from eulcat.ratlin import chi_L
 
 from strategies import SEEDS, actions, free_actions, small_rationals, scwols
@@ -307,14 +309,24 @@ class TestHocolimGroups:
         cplx = one_arrow_complex(z2, z4, hom)
         assert chi_L(hocolim_groups(cplx)) == Fraction(1, 4)
 
-    def test_matches_generic_pseudo_route(self):
-        action = randgen.cone_action(randgen.circle_action())
-        built = complex_of_groups(action)
-        direct = hocolim_groups(built.complex)
-        generic = __import__("eulcat.hocolim", fromlist=["grothendieck_pseudo"]).grothendieck_pseudo(
-            complex_to_pseudo_diagram(built.complex)
+    @settings(max_examples=20, deadline=None)
+    @given(actions)
+    @example(randgen.cone_action(randgen.circle_action()))
+    def test_matches_generic_pseudo_route(self, action):
+        cplx = complex_of_groups(action).complex
+        direct = hocolim_groups(cplx)
+        generic = grothendieck_pseudo(complex_to_pseudo_diagram(cplx))
+        # the generic route names x as (x,*) and (a,g) as (a,g)@*
+        obj = {x: f"({x},*)" for x in direct.objects}
+        mor = {m.name: f"{m.name}@*" for m in direct.morphisms}
+        assert tuple(obj[x] for x in direct.objects) == generic.objects
+        assert {Morphism(mor[m.name], obj[m.source], obj[m.target]) for m in direct.morphisms} == set(
+            generic.morphisms
         )
-        assert are_isomorphic(direct, generic)
+        assert {obj[x]: mor[e] for x, e in direct.identity.items()} == dict(generic.identity)
+        assert {
+            (mor[g], mor[f]): mor[gf] for (g, f), gf in direct.composition.items()
+        } == dict(generic.composition)
 
     @settings(max_examples=10, deadline=None)
     @given(actions)

@@ -316,3 +316,30 @@ def test_malformed_payload_exits_2_with_one_error_line(tmp_path, capsys, kind, p
         captured.err.strip()
     ]
     assert "Traceback" not in captured.err
+
+
+ONE_VERTEX = {"x": ONE_OBJECT}
+IDENTITY_EDGE = {"i": {"objects": {"x": "x"}, "morphisms": {"i": "i"}}}
+
+
+@pytest.mark.parametrize("kind", ["diagram", "pseudo_diagram"])
+@pytest.mark.parametrize(
+    "vertices, edges, missing",
+    [
+        ({}, IDENTITY_EDGE, "no vertex category for index object 'x'"),
+        (ONE_VERTEX, {}, "no edge functor for morphism 'i'"),
+    ],
+    ids=["missing-vertex", "missing-edge"],
+)
+def test_missing_diagram_part_is_named(tmp_path, capsys, kind, vertices, edges, missing):
+    payload = {"index": ONE_OBJECT, "vertices": vertices, "edges": edges}
+    if kind == "pseudo_diagram":
+        payload.update(comp=[["i", "i", {"x": "i"}]], unit={"x": {"x": "i"}})
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"schema": 1, "kind": kind, "payload": payload}))
+    assert main(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and missing in errors[0]
+    assert "Traceback" not in captured.err
