@@ -9,6 +9,7 @@ identical strings in a machine-readable report.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -571,15 +572,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reuses for every call in this process.  Parsing
+    leaves it unchanged: each call gets a fresh namespace, and ``append``
+    options copy their ``[]`` default before appending."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except EulcatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (EulcatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

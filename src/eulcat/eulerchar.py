@@ -23,10 +23,10 @@ from .errors import EulcatError, InvariantViolation
 from .fincat import (
     FinCat,
     NotGroupoid,
+    _skeleton_category,
     classify,
     iso_classes,
     path_counts,
-    skeleton,
 )
 from .ratlin import chi_L, weighting
 
@@ -109,7 +109,7 @@ def chi2_free_EI(cat: FinCat) -> Fraction:
     topological order (never by elimination).  The result is checked equal to
     chi_L of the input.
     """
-    gamma = skeleton(cat).category
+    gamma = _skeleton_category(cat)
     report = classify(gamma)
     if not report.is_EI:
         bad = next(

@@ -15,7 +15,6 @@ function of its inputs.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import InitVar, dataclass, field
 from operator import itemgetter
 from typing import Iterable, Mapping, Optional, Sequence
@@ -398,7 +397,12 @@ class PredicateReport:
 
 
 def classify(cat: FinCat) -> PredicateReport:
-    """Compute structural predicates by exhaustive search."""
+    """Compute structural predicates from the tables.
+
+    Each predicate is one pass over the morphisms (skeletal: no invertible
+    arrow between distinct objects), except direct finiteness, which tries
+    every v in mor(y, x) against each u: x -> y.
+    """
     is_scwol = all(
         cat.is_identity(m) for x in cat.objects for m in cat.hom(x, x)
     )
@@ -417,9 +421,8 @@ def classify(cat: FinCat) -> PredicateReport:
                     is_df = False
                     break
 
-    is_skeletal = all(
-        not _isomorphic_objects(cat, x, y)
-        for x, y in itertools.combinations(cat.objects, 2)
+    is_skeletal = not any(
+        m.source != m.target and cat.is_invertible(m.name) for m in cat.morphisms
     )
 
     # connectivity under the zigzag relation
@@ -447,12 +450,6 @@ def classify(cat: FinCat) -> PredicateReport:
     )
 
 
-def _isomorphic_objects(cat: FinCat, x: str, y: str) -> bool:
-    if x == y:
-        return True
-    return any(cat.is_invertible(m) for m in cat.hom(x, y))
-
-
 # -- isomorphism classes and automorphism groups ------------------------------
 
 
@@ -473,24 +470,35 @@ class IsoClasses:
         return self.class_of(x)[0]
 
 
+def _iso_partition(cat: FinCat) -> tuple[tuple[str, ...], ...]:
+    """Isomorphism classes, each sorted, in the order of their least object.
+
+    In sorted order, the next object x not yet placed is the least of its
+    class, which is x with the targets of the invertible arrows out of x
+    (isomorphism is symmetric and transitive in a lawful category).
+    """
+    placed: set[str] = set()
+    classes = []
+    for x in sorted(cat.objects):
+        if x in placed:
+            continue
+        cls = {x}
+        cls.update(cat.target(m) for m in cat.morphisms_from(x) if cat.is_invertible(m))
+        placed |= cls
+        classes.append(tuple(sorted(cls)))
+    return tuple(classes)
+
+
 def iso_classes(cat: FinCat) -> IsoClasses:
-    """Partition objects into isomorphism classes.
+    """Partition objects into isomorphism classes, in one pass over the
+    arrows out of each class representative.
 
     The representative of each class is its lexicographically least object
     id.  The automorphism group at the representative is the group of
     invertible endomorphisms under composition (all endomorphisms, in an
     EI-category).
     """
-    remaining = set(cat.objects)
-    classes = []
-    for x in sorted(cat.objects):
-        if x not in remaining:
-            continue
-        cls = [y for y in sorted(remaining) if _isomorphic_objects(cat, x, y)]
-        remaining.difference_update(cls)
-        classes.append(tuple(cls))
-    classes.sort(key=lambda c: c[0])
-
+    classes = _iso_partition(cat)
     aut = {}
     full = {}
     for cls in classes:
@@ -503,7 +511,7 @@ def iso_classes(cat: FinCat) -> IsoClasses:
             lambda a, b: cat.compose(a, b),
             name=f"aut({rep})",
         )
-    return IsoClasses(tuple(classes), tuple(c[0] for c in classes), aut, full)
+    return IsoClasses(classes, tuple(c[0] for c in classes), aut, full)
 
 
 # -- skeleton -----------------------------------------------------------------
@@ -518,8 +526,8 @@ class SkeletonData:
 
 
 def full_subcategory(cat: FinCat, objects: Iterable[str], name: str | None = None) -> FinCat:
-    objs = tuple(x for x in cat.objects if x in set(objects))
-    keep = set(objs)
+    keep = set(objects)
+    objs = tuple(x for x in cat.objects if x in keep)
     mors = tuple(m for m in cat.morphisms if m.source in keep and m.target in keep)
     names = {m.name for m in mors}
     comp = {
@@ -527,6 +535,13 @@ def full_subcategory(cat: FinCat, objects: Iterable[str], name: str | None = Non
     }
     ident = {x: cat.identity[x] for x in objs}
     return FinCat(objs, mors, ident, comp, name=name or f"{cat.name}_full", check=False)
+
+
+def _skeleton_category(cat: FinCat) -> FinCat:
+    """``skeleton(cat).category`` alone, for callers that read nothing else:
+    no automorphism groups, functors or natural isomorphism are built."""
+    reps = [cls[0] for cls in _iso_partition(cat)]
+    return full_subcategory(cat, reps, name=f"sk({cat.name})")
 
 
 def skeleton(cat: FinCat) -> SkeletonData:
@@ -646,7 +661,7 @@ def path_counts(cat: FinCat, n_max: Optional[int] = None) -> PathCounts:
     """
     if not classify(cat).is_scwol:
         raise NotScwol(f"{cat.name} has a non-identity endomorphism")
-    gamma = skeleton(cat).category
+    gamma = _skeleton_category(cat)
     objs = gamma.objects
     # a scwol's only endomorphisms are identities: the off-diagonal counts
     # are exactly the non-identity arrows

@@ -24,6 +24,7 @@ from .fincat import (
     Morphism,
     NatIso,
     NotScwol,
+    _skeleton_category,
     classify,
     full_subcategory,
     iso_classes,
@@ -1165,7 +1166,7 @@ def haefliger_chi(cat: FinCat, vals: Mapping[str, Fraction]) -> Fraction:
     """
     if not classify(cat).is_scwol:
         raise NotScwol(f"{cat.name} has a non-identity endomorphism")
-    gamma = skeleton(cat).category
+    gamma = _skeleton_category(cat)
     pc = path_counts(gamma)
     total = Fraction(0)
     for i in gamma.objects:

@@ -21,9 +21,9 @@ from .fincat import (
     Morphism,
     NatIso,
     NotScwol,
+    _skeleton_category,
     classify,
     path_counts,
-    skeleton,
 )
 from .ratlin import Weighting, chi_L
 
@@ -373,7 +373,7 @@ def bar_spectrum(cat: FinCat) -> CellSpectrum:
     non-identity morphisms starting at x, computed on the skeleton."""
     if not classify(cat).is_scwol:
         raise NotScwol(f"{cat.name} has a non-identity endomorphism")
-    gamma = skeleton(cat).category
+    gamma = _skeleton_category(cat)
     pc = path_counts(gamma)
     return CellSpectrum(gamma, {x: pc.starts[x] for x in gamma.objects})
 

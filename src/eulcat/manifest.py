@@ -161,6 +161,8 @@ def pseudo_diagram_from_payload(payload: Mapping) -> PseudoDiagram:
     unit = {}
     for i, components in payload.get("unit", {}).items():
         i = str(i)
+        if not index.has_object(i):
+            raise BadManifest(f"unit entry for non-index object {i!r}")
         unit[i] = NatIso(
             CatFunctor.identity_functor(vertex[i]), edge[index.identity[i]], _str_map(components)
         )
@@ -217,6 +219,9 @@ def complex_from_payload(payload: Mapping) -> ComplexOfGroups:
     local = {
         str(x): group_from_payload(p) for x, p in payload["local"].items()
     }
+    for x in base.objects:
+        if x not in local:
+            raise BadManifest(f"no local group for object {x!r}")
     homs = {}
     for m in base.morphisms:
         if base.is_identity(m.name):
@@ -302,6 +307,8 @@ def load_file(path: str) -> tuple[str, Any]:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise BadManifest(f"{path}: not valid JSON ({exc})") from exc
+        except UnicodeDecodeError as exc:
+            raise BadManifest(f"{path}: not UTF-8 text ({exc})") from exc
     return parse(data)
 
 

@@ -2,10 +2,12 @@
 
 Each fast route in the library is pitted against an independent slow route
 kept only here: dense matrix powers for path counts, Gaussian elimination
-for weightings, and the simple-path enumeration for the free-EI sum.
-Every comparison demands exact equality.
+for weightings, the simple-path enumeration for the free-EI sum, and
+all-pairs isomorphism tests for the structural predicates, the isomorphism
+classes and the skeleton.  Every comparison demands exact equality.
 """
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -15,15 +17,21 @@ from hypothesis import strategies as st
 from eulcat import ratlin, zoo
 from eulcat.eulerchar import HypothesisNotMet, chi2_free_EI, free_aut_witness
 from eulcat.fincat import (
+    FinCat,
     NotScwol,
+    PredicateReport,
     _count_rows,
+    _skeleton_category,
     _topological_order,
     classify,
+    equal_presentation,
+    full_subcategory,
+    iso_classes,
     opposite,
     path_counts,
     skeleton,
 )
-from eulcat.groups import cyclic_group
+from eulcat.groups import FinGroup, cyclic_group
 from eulcat.hocolim import grothendieck
 from eulcat.ratlin import coweighting, mor_count_matrix, solve_linear, weighting
 
@@ -83,6 +91,79 @@ def simple_path_sum(gamma):
     for x0 in gamma.objects:
         extend(x0, frozenset([x0]), 0, Fraction(1, aut_order[x0]))
     return total
+
+
+def _isomorphic_objects(cat, x, y):
+    if x == y:
+        return True
+    return any(cat.is_invertible(m) for m in cat.hom(x, y))
+
+
+def all_pairs_classify(cat):
+    """The structural predicates, skeletality tested on every object pair."""
+    is_scwol = all(cat.is_identity(m) for x in cat.objects for m in cat.hom(x, x))
+    is_ei = all(cat.is_invertible(m) for x in cat.objects for m in cat.hom(x, x))
+    is_groupoid = all(cat.is_invertible(m.name) for m in cat.morphisms)
+    is_df = True
+    for u in cat.morphisms:
+        if not is_df:
+            break
+        for v in cat.hom(u.target, u.source):
+            if cat.compose(v, u.name) == cat.identity[u.source]:
+                if cat.compose(u.name, v) != cat.identity[u.target]:
+                    is_df = False
+                    break
+    is_skeletal = all(
+        not _isomorphic_objects(cat, x, y) for x, y in itertools.combinations(cat.objects, 2)
+    )
+    if not cat.objects:
+        is_connected = True
+    else:
+        seen = {cat.objects[0]}
+        frontier = [cat.objects[0]]
+        while frontier:
+            x = frontier.pop()
+            for m in cat.morphisms_from(x) + cat.morphisms_to(x):
+                for y in (cat.source(m), cat.target(m)):
+                    if y not in seen:
+                        seen.add(y)
+                        frontier.append(y)
+        is_connected = len(seen) == len(cat.objects)
+    return PredicateReport(is_scwol, is_ei, is_df, is_groupoid, is_skeletal, is_connected)
+
+
+def all_pairs_iso_classes(cat):
+    """(classes, representatives, aut, all_endos_invertible), each class
+    found by testing the least remaining object against every other."""
+    remaining = set(cat.objects)
+    classes = []
+    for x in sorted(cat.objects):
+        if x not in remaining:
+            continue
+        cls = [y for y in sorted(remaining) if _isomorphic_objects(cat, x, y)]
+        remaining.difference_update(cls)
+        classes.append(tuple(cls))
+    classes.sort(key=lambda c: c[0])
+    aut, full = {}, {}
+    for cls in classes:
+        rep = cls[0]
+        endos = cat.hom(rep, rep)
+        invertibles = tuple(m for m in endos if cat.is_invertible(m))
+        full[rep] = len(invertibles) == len(endos)
+        aut[rep] = FinGroup.from_mul(invertibles, cat.compose, name=f"aut({rep})")
+    return tuple(classes), tuple(c[0] for c in classes), aut, full
+
+
+def all_pairs_skeleton_category(cat):
+    """The full subcategory on the all-pairs representatives."""
+    reps = all_pairs_iso_classes(cat)[1]
+    objs = tuple(x for x in cat.objects if x in set(reps))
+    keep = set(objs)
+    mors = tuple(m for m in cat.morphisms if m.source in keep and m.target in keep)
+    names = {m.name for m in mors}
+    comp = {(g, f): gf for (g, f), gf in cat.composition.items() if g in names and f in names}
+    ident = {x: cat.identity[x] for x in objs}
+    return FinCat(objs, mors, ident, comp, name=f"sk({cat.name})", check=False)
 
 
 # -- the topological order --------------------------------------------------------
@@ -185,3 +266,43 @@ class TestChi2FreeEIAgainstSimplePaths:
                 chi2_free_EI(cat)
             return
         assert chi2_free_EI(cat) == simple_path_sum(gamma)
+
+
+# -- predicates, isomorphism classes and the skeleton -------------------------------------
+
+
+class TestIsoClassesAgainstAllPairs:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.one_of(
+            scwols, posets, groupoids.map(lambda g: g.category), grothendieck_totals
+        )
+    )
+    def test_same_predicates_classes_and_skeleton(self, cat):
+        assert classify(cat) == all_pairs_classify(cat)
+
+        iso = iso_classes(cat)
+        classes, reps, aut, full = all_pairs_iso_classes(cat)
+        assert (iso.classes, iso.representatives) == (classes, reps)
+        assert dict(iso.all_endos_invertible) == full
+        assert list(iso.aut) == list(aut)
+        for x, group in aut.items():
+            assert (iso.aut[x].labels, iso.aut[x].table) == (group.labels, group.table)
+
+        expected = all_pairs_skeleton_category(cat)
+        for gamma in (skeleton(cat).category, _skeleton_category(cat)):
+            assert equal_presentation(gamma, expected)
+            assert gamma.name == expected.name
+
+    def test_non_skeletal_groupoid(self):
+        cat = zoo.inflate(zoo.one_object_category(cyclic_group(3)), {"*": 3})
+        assert not classify(cat).is_skeletal
+        assert classify(cat) == all_pairs_classify(cat)
+        assert iso_classes(cat).classes == all_pairs_iso_classes(cat)[0]
+        assert len(_skeleton_category(cat).objects) == 1
+
+
+def test_full_subcategory_reads_an_iterator_once():
+    cat = zoo.subsets_poset_opposite(2)
+    kept = full_subcategory(cat, iter(cat.objects[1:]))
+    assert kept.objects == cat.objects[1:]

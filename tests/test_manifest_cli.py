@@ -295,18 +295,45 @@ ONE_OBJECT = {
 }
 
 
+ONE_VERTEX = {"x": ONE_OBJECT}
+IDENTITY_EDGE = {"i": {"objects": {"x": "x"}, "morphisms": {"i": "i"}}}
+
+
+def _trivial_arrow_complex_payload() -> dict:
+    from eulcat.groupact import one_arrow_complex
+    from eulcat.groups import GroupHom, trivial_group
+
+    one, other = trivial_group(), trivial_group()
+    return manifest.complex_payload(one_arrow_complex(one, other, GroupHom(one, other, {"0": "0"})))
+
+
+def _without_local(payload: dict, x: str) -> dict:
+    return {**payload, "local": {k: v for k, v in payload["local"].items() if k != x}}
+
+
 @pytest.mark.parametrize(
-    "kind, payload",
+    "kind, payload, named",
     [
-        ("category", {**ONE_OBJECT, "identity": []}),
-        ("diagram", {"index": ONE_OBJECT, "vertices": [], "edges": {}}),
-        ("spectrum", {"index": ONE_OBJECT, "cells": []}),
-        ("spectrum", {"index": ONE_OBJECT, "cells": {"x": ["one"]}}),
+        ("category", {**ONE_OBJECT, "identity": []}, "malformed category description"),
+        ("diagram", {"index": ONE_OBJECT, "vertices": [], "edges": {}}, "malformed diagram payload"),
+        ("spectrum", {"index": ONE_OBJECT, "cells": []}, "malformed spectrum payload"),
+        ("spectrum", {"index": ONE_OBJECT, "cells": {"x": ["one"]}}, "malformed spectrum payload"),
+        (
+            "pseudo_diagram",
+            {"index": ONE_OBJECT, "vertices": ONE_VERTEX, "edges": IDENTITY_EDGE,
+             "comp": [["i", "i", {"x": "i"}]], "unit": {"q": {"x": "i"}}},
+            "unit entry for non-index object 'q'",
+        ),
+        (
+            "complex",
+            _without_local(_trivial_arrow_complex_payload(), "1"),
+            "no local group for object '1'",
+        ),
     ],
     ids=["category-identity-list", "diagram-vertices-list", "spectrum-cells-list",
-         "spectrum-cell-not-integer"],
+         "spectrum-cell-not-integer", "pseudo-unit-non-index-object", "complex-missing-local"],
 )
-def test_malformed_payload_exits_2_with_one_error_line(tmp_path, capsys, kind, payload):
+def test_malformed_payload_exits_2_with_one_error_line(tmp_path, capsys, kind, payload, named):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"schema": 1, "kind": kind, "payload": payload}))
     assert main(["validate", str(path)]) == 2
@@ -315,11 +342,8 @@ def test_malformed_payload_exits_2_with_one_error_line(tmp_path, capsys, kind, p
     assert [line for line in captured.err.splitlines() if line.startswith("error:")] == [
         captured.err.strip()
     ]
+    assert named in captured.err
     assert "Traceback" not in captured.err
-
-
-ONE_VERTEX = {"x": ONE_OBJECT}
-IDENTITY_EDGE = {"i": {"objects": {"x": "x"}, "morphisms": {"i": "i"}}}
 
 
 @pytest.mark.parametrize("kind", ["diagram", "pseudo_diagram"])
@@ -343,3 +367,52 @@ def test_missing_diagram_part_is_named(tmp_path, capsys, kind, vertices, edges, 
     errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and missing in errors[0]
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("content", [None, b"\xff\xfe{}"], ids=["directory", "not-utf8"])
+def test_unreadable_path_exits_2_with_one_error_line(tmp_path, capsys, content):
+    path = tmp_path / "m.json"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    assert main(["validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert [line for line in captured.err.splitlines() if line.startswith("error:")] == [
+        captured.err.strip()
+    ]
+    assert str(path) in captured.err
+
+
+class TestParserReuse:
+    """``main`` reuses one parser per process; no option value may carry
+    over from one call to the next."""
+
+    def test_one_parser_per_process(self):
+        from eulcat.cli import _parser, build_parser
+
+        assert _parser() is _parser()
+        assert build_parser() is not build_parser()
+
+    def test_candidates_do_not_leak(self, tmp_path, capsys):
+        path = write(tmp_path, "c.json", "complex", complex_of_groups(randgen.circle_action()).complex)
+        assert main(["--json", "developability", path, "--candidate", "1,2"]) == 1
+        assert len(json.loads(capsys.readouterr().out)["candidates"]) == 1
+        assert main(["--json", "developability", path]) == 0
+        assert json.loads(capsys.readouterr().out)["candidates"] == []
+
+    def test_values_do_not_leak(self, tmp_path, capsys):
+        path = write(tmp_path, "p.json", "category", zoo.pushout_scwol())
+        vals = ["--val", "j=1", "--val", "k=1", "--val", "l=1"]
+        assert main(["haefliger", path, *vals]) == 0
+        assert capsys.readouterr().out.strip() == "1"
+        assert main(["haefliger", path]) == 2
+        assert "no local value supplied" in capsys.readouterr().err
+
+    def test_json_flag_does_not_stick(self, tmp_path, capsys):
+        path = write(tmp_path, "p.json", "category", zoo.pushout_scwol())
+        assert main(["--json", "chi", path]) == 0
+        assert json.loads(capsys.readouterr().out) == {"chi": "1"}
+        assert main(["chi", path]) == 0
+        assert capsys.readouterr().out == "1\n"
