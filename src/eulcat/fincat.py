@@ -318,12 +318,6 @@ class CatFunctor:
             if tgt.compose(self.mor_map[g], self.mor_map[f]) != self.mor_map[gf]:
                 raise NotAFunctor(f"composition not preserved on ({g!r}, {f!r})")
 
-    def on_obj(self, x: str) -> str:
-        return self.obj_map[x]
-
-    def on_mor(self, m: str) -> str:
-        return self.mor_map[m]
-
     def then(self, other: "CatFunctor") -> "CatFunctor":
         """Composite functor self ; other (apply self first)."""
         if other.source is not self.target:
@@ -403,9 +397,7 @@ def classify(cat: FinCat) -> PredicateReport:
     arrow between distinct objects), except direct finiteness, which tries
     every v in mor(y, x) against each u: x -> y.
     """
-    is_scwol = all(
-        cat.is_identity(m) for x in cat.objects for m in cat.hom(x, x)
-    )
+    is_scwol = _is_scwol(cat)
     is_ei = all(
         cat.is_invertible(m) for x in cat.objects for m in cat.hom(x, x)
     )
@@ -450,6 +442,11 @@ def classify(cat: FinCat) -> PredicateReport:
     )
 
 
+def _is_scwol(cat: FinCat) -> bool:
+    """``classify(cat).is_scwol`` in one pass: every endomorphism is an identity."""
+    return all(m.source != m.target or cat.is_identity(m.name) for m in cat.morphisms)
+
+
 # -- isomorphism classes and automorphism groups ------------------------------
 
 
@@ -459,15 +456,6 @@ class IsoClasses:
     representatives: tuple[str, ...]
     aut: Mapping[str, FinGroup]
     all_endos_invertible: Mapping[str, bool]
-
-    def class_of(self, x: str) -> tuple[str, ...]:
-        for cls in self.classes:
-            if x in cls:
-                return cls
-        raise UnknownObject(f"no class contains {x!r}")
-
-    def representative_of(self, x: str) -> str:
-        return self.class_of(x)[0]
 
 
 def _iso_partition(cat: FinCat) -> tuple[tuple[str, ...], ...]:
@@ -659,9 +647,13 @@ def path_counts(cat: FinCat, n_max: Optional[int] = None) -> PathCounts:
     distinct objects and stop before the object count; a longer path
     raises NotScwol, as does one longer than ``n_max``.
     """
-    if not classify(cat).is_scwol:
+    if not _is_scwol(cat):
         raise NotScwol(f"{cat.name} has a non-identity endomorphism")
-    gamma = _skeleton_category(cat)
+    return _skeleton_path_counts(_skeleton_category(cat), cat.name, n_max)
+
+
+def _skeleton_path_counts(gamma: FinCat, name: str, n_max: Optional[int] = None) -> PathCounts:
+    """``path_counts`` on a skeletal scwol, with no scwol check or second skeleton."""
     objs = gamma.objects
     # a scwol's only endomorphisms are identities: the off-diagonal counts
     # are exactly the non-identity arrows
@@ -678,11 +670,11 @@ def path_counts(cat: FinCat, n_max: Optional[int] = None) -> PathCounts:
             break
         if n_max is not None and level > n_max:
             raise NotScwol(
-                f"{cat.name}: path dimension exceeded cap {n_max}; "
+                f"{name}: path dimension exceeded cap {n_max}; "
                 "non-nilpotent count matrix means the input is not a scwol"
             )
         if level >= len(objs):
-            raise NotScwol(f"{cat.name}: a path of {level} arrows repeats an object")
+            raise NotScwol(f"{name}: a path of {level} arrows repeats an object")
         counts.append(total)
         for row, v in zip(starts, vec):
             row.append(v)
@@ -719,7 +711,7 @@ def lower_link(cat: FinCat, obj: str) -> FinCat:
     a -> b is a morphism u of the ambient scwol with u o a = b, recorded as
     the pair (u, a).
     """
-    if not classify(cat).is_scwol:
+    if not _is_scwol(cat):
         raise NotScwol(f"{cat.name} has a non-identity endomorphism")
     cat.require_object(obj)
     link_objs = tuple(

@@ -24,12 +24,12 @@ from .fincat import (
     Morphism,
     NatIso,
     NotScwol,
+    _is_scwol,
     _skeleton_category,
-    classify,
+    _skeleton_path_counts,
     full_subcategory,
     iso_classes,
     lower_link,
-    path_counts,
     skeleton,
 )
 from .groups import FinGroup, GroupHom
@@ -112,7 +112,7 @@ class ScwolAction:
     def __post_init__(self):
         g_labels = self.group.labels
         cat = self.space
-        if not classify(cat).is_scwol:
+        if not _is_scwol(cat):
             raise NotScwol(f"{cat.name} has a non-identity endomorphism")
 
         # object level first: axiom (i) only needs the object action, and the
@@ -250,27 +250,6 @@ def trivial_action(group: FinGroup, space: FinCat) -> ScwolAction:
     )
 
 
-def action_from_object_map(group: FinGroup, space: FinCat,
-                           on_objects: Mapping[str, Mapping[str, str]]) -> ScwolAction:
-    """Extend an object permutation action along unique morphism transport.
-
-    Usable when for every morphism m and element g there is exactly one
-    morphism g.source(m) -> g.target(m); raises otherwise.
-    """
-    on_morphisms = {}
-    for g, omap in on_objects.items():
-        mmap = {}
-        for m in space.morphisms:
-            candidates = space.hom(omap[m.source], omap[m.target])
-            if len(candidates) != 1:
-                raise NotAFunctorAction(
-                    f"morphism image of {m.name!r} under {g!r} is not unique"
-                )
-            mmap[m.name] = candidates[0]
-        on_morphisms[g] = mmap
-    return ScwolAction(group, space, on_objects, on_morphisms)
-
-
 # -- quotients ------------------------------------------------------------------
 
 
@@ -329,7 +308,7 @@ def quotient(action: ScwolAction) -> QuotientResult:
             comp[(mb.name, ma.name)] = results.pop()
 
     q = FinCat(objs, tuple(mors), ident, comp, name=f"{cat.name}/{action.group.name}")
-    if not classify(q).is_scwol:
+    if not _is_scwol(q):
         raise InvalidQuotient(f"quotient of {cat.name} is not a scwol")
 
     projection = CatFunctor(cat, q, dict(obj_orbit), dict(mor_orbit))
@@ -376,7 +355,7 @@ class ComplexOfGroups:
 
     def __post_init__(self):
         base = self.base
-        if not classify(base).is_scwol:
+        if not _is_scwol(base):
             raise NotScwol(f"{base.name} has a non-identity endomorphism")
         for x in base.objects:
             if x not in self.local:
@@ -1164,10 +1143,10 @@ def haefliger_chi(cat: FinCat, vals: Mapping[str, Fraction]) -> Fraction:
     identity, 1 - chi(Lk^i) = alternating count of paths starting at i, is
     checked along the way.
     """
-    if not classify(cat).is_scwol:
+    if not _is_scwol(cat):
         raise NotScwol(f"{cat.name} has a non-identity endomorphism")
     gamma = _skeleton_category(cat)
-    pc = path_counts(gamma)
+    pc = _skeleton_path_counts(gamma, cat.name)
     total = Fraction(0)
     for i in gamma.objects:
         link = lower_link(gamma, i)

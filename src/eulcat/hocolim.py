@@ -21,9 +21,10 @@ from .fincat import (
     Morphism,
     NatIso,
     NotScwol,
+    _is_scwol,
     _skeleton_category,
+    _skeleton_path_counts,
     classify,
-    path_counts,
 )
 from .ratlin import Weighting, chi_L
 
@@ -371,10 +372,10 @@ class CellSpectrum:
 def bar_spectrum(cat: FinCat) -> CellSpectrum:
     """Cell counts of the bar model: one n-cell based at x per path of n
     non-identity morphisms starting at x, computed on the skeleton."""
-    if not classify(cat).is_scwol:
+    if not _is_scwol(cat):
         raise NotScwol(f"{cat.name} has a non-identity endomorphism")
     gamma = _skeleton_category(cat)
-    pc = path_counts(gamma)
+    pc = _skeleton_path_counts(gamma, cat.name)
     return CellSpectrum(gamma, {x: pc.starts[x] for x in gamma.objects})
 
 

@@ -1,17 +1,23 @@
 """Exact rational linear algebra: weightings, coweightings, and chi_L.
 
-All arithmetic uses fractions.Fraction (arbitrary-precision, always in
-lowest terms with positive denominator); no floating point anywhere.
+A weighting solves the hom-count system by the first route that applies:
+back-substitution when the arrows between distinct objects form no cycle;
+otherwise the same on the system condensed onto isomorphism classes; and
+only when that is still cyclic, Gaussian elimination (``solve_linear``) on
+the condensed matrix.  Values are fractions.Fraction; every weighting is
+verified in integers, scaled by the lcm of its denominators.  No floating
+point anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Optional, Sequence
 
 from .errors import EulcatError, InvariantViolation
-from .fincat import FinCat, _count_rows, _topological_order
+from .fincat import FinCat, _count_rows, _iso_partition, _topological_order
 
 Rational = Fraction
 
@@ -131,33 +137,60 @@ class Weighting:
     unique: bool
 
     def __post_init__(self):
-        # sum_y |mor(x, y)| q^y, summed one morphism at a time
-        cat, values = self.category, self.values
+        # sum_y |mor(x, y)| q^y = 1 in integers, one morphism at a time:
+        # each value scaled by L, the lcm of the denominators, sums to L
+        cat, values, side = self.category, self.values, self.side
+        if side not in ("weighting", "coweighting"):
+            raise NoWeighting(f"unknown side {side!r}", witness={"side": side})
         for x in cat.objects:
-            if self.side == "weighting":
-                total = sum(values[cat.target(m)] for m in cat.morphisms_from(x))
-            else:
-                total = sum(values[cat.source(m)] for m in cat.morphisms_to(x))
-            if total != 1:
-                raise NoWeighting(f"{self.side} equation fails at {x!r}")
+            if x not in values:
+                raise NoWeighting(f"{side} has no value at {x!r}", witness={"object": x})
+        scale = lcm(*(values[x].denominator for x in cat.objects))
+        scaled = {x: values[x].numerator * (scale // values[x].denominator) for x in cat.objects}
+        sums = dict.fromkeys(cat.objects, 0)
+        if side == "weighting":
+            for m in cat.morphisms:
+                sums[m.source] += scaled[m.target]
+        else:
+            for m in cat.morphisms:
+                sums[m.target] += scaled[m.source]
+        for x, total in sums.items():
+            if total != scale:
+                raise NoWeighting(f"{side} equation fails at {x!r}", witness={"object": x})
 
     def total(self) -> Fraction:
         return sum(self.values.values(), Fraction(0))
 
 
 def _solve(cat: FinCat, side: str) -> Weighting:
+    """A cyclic support is condensed onto the first object (in object order)
+    of each isomorphism class, and the others get 0: isomorphic objects have
+    equal rows and columns, so these are the pivots elimination on the full
+    matrix would pick.  ``solve_linear`` sees only a still-cyclic condensate."""
     rows = _count_rows(cat, transpose=(side == "coweighting"))
+    reps = None
     order = _topological_order(rows)
+    if order is None:
+        index = {x: i for i, x in enumerate(cat.objects)}
+        reps = sorted(min(index[x] for x in cls) for cls in _iso_partition(cat))
+        pos = {r: k for k, r in enumerate(reps)}
+        rows = [{pos[j]: c for j, c in rows[r].items() if j in pos} for r in reps]
+        order = _topological_order(rows)
     if order is not None:
-        values, unique = _back_substitute(rows, order), True
+        solved, unique = _back_substitute(rows, order), True
     else:
         n = len(rows)
         mat = RatMatrix.from_rows([[row.get(j, 0) for j in range(n)] for row in rows])
         sol = solve_linear(mat, [Fraction(1)] * n)
         if sol is None:
             raise NoWeighting(f"{cat.name} admits no {side}")
-        values, unique = sol.values, sol.unique
-    return Weighting(cat, dict(zip(cat.objects, values)), side=side, unique=unique)
+        solved, unique = sol.values, sol.unique
+    if reps is not None:
+        full = [Fraction(0)] * len(cat.objects)
+        for r, v in zip(reps, solved):
+            full[r] = v
+        solved, unique = full, unique and len(reps) == len(full)
+    return Weighting(cat, dict(zip(cat.objects, solved)), side=side, unique=unique)
 
 
 def weighting(cat: FinCat) -> Weighting:
@@ -166,8 +199,9 @@ def weighting(cat: FinCat) -> Weighting:
     When the arrows between distinct objects form no cycle (every skeletal
     EI category, so every skeletal scwol), the system is triangular and is
     solved by back-substitution along a topological order; the solution is
-    then unique.  Only a cyclic support falls back to Gaussian elimination
-    (``solve_linear``) on the full hom-count matrix.
+    then unique.  A cyclic support is condensed onto isomorphism classes and
+    solved the same way if that is acyclic (every EI category); only a
+    non-EI cycle is left to Gaussian elimination on the condensed matrix.
     """
     return _solve(cat, "weighting")
 

@@ -9,18 +9,20 @@ classes and the skeleton.  Every comparison demands exact equality.
 
 import itertools
 from fractions import Fraction
+from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eulcat import ratlin, zoo
+from eulcat import eulerchar, fincat, hocolim, randgen, ratlin, zoo
 from eulcat.eulerchar import HypothesisNotMet, chi2_free_EI, free_aut_witness
 from eulcat.fincat import (
     FinCat,
     NotScwol,
     PredicateReport,
     _count_rows,
+    _is_scwol,
     _skeleton_category,
     _topological_order,
     classify,
@@ -29,11 +31,13 @@ from eulcat.fincat import (
     iso_classes,
     opposite,
     path_counts,
+    product,
     skeleton,
 )
 from eulcat.groups import FinGroup, cyclic_group
-from eulcat.hocolim import grothendieck
-from eulcat.ratlin import coweighting, mor_count_matrix, solve_linear, weighting
+from eulcat.groupact import haefliger_chi
+from eulcat.hocolim import bar_spectrum, check_hocolim_formula, grothendieck
+from eulcat.ratlin import NoWeighting, coweighting, mor_count_matrix, solve_linear, weighting
 
 from strategies import groupoids, posets, scwols, skeletal_scwols, strict_diagrams
 
@@ -69,10 +73,32 @@ def dense_path_counts(cat):
 
 
 def eliminated(cat, side):
-    """(values, unique) from Gaussian elimination on the hom-count matrix."""
+    """(values, unique) from Gaussian elimination on the hom-count matrix;
+    the library's NoWeighting when the system is inconsistent."""
     mat = mor_count_matrix(cat if side == "weighting" else opposite(cat))
     sol = solve_linear(mat, [Fraction(1)] * len(cat.objects))
+    if sol is None:
+        raise NoWeighting(f"{cat.name} admits no {side}")
     return dict(zip(cat.objects, sol.values)), sol.unique
+
+
+def split_idempotent():
+    """s: y -> x and r: x -> y with r o s = id_y and s o r = e, an
+    idempotent on x that is not an identity: not EI, and x, y are not
+    isomorphic, so the support stays cyclic after condensation."""
+    return zoo.build_category(
+        ["x", "y"],
+        [("e", "x", "x"), ("s", "y", "x"), ("r", "x", "y")],
+        {("r", "s"): "id_y", ("s", "r"): "e", ("e", "e"): "e", ("e", "s"): "s",
+         ("r", "e"): "r"},
+        name="split",
+    )
+
+
+def reordered(cat, order):
+    """The same category with its objects listed in another order."""
+    objs = tuple(cat.objects[i] for i in order)
+    return FinCat(objs, cat.morphisms, cat.identity, cat.composition, name=cat.name, check=False)
 
 
 def simple_path_sum(gamma):
@@ -217,6 +243,40 @@ class TestPathCountsAgainstMatrixPowers:
 # -- weightings and coweightings --------------------------------------------------------
 
 
+def inflated(cat, data):
+    """``cat`` with 1-3 copies of each object, listed in a drawn order."""
+    copies = {x: data.draw(st.integers(1, 3)) for x in cat.objects}
+    fat = zoo.inflate(cat, copies)
+    return reordered(fat, data.draw(st.permutations(range(len(fat.objects)))))
+
+
+def outcome(fn, *args):
+    """fn(*args), or the NoWeighting message, as a comparable value."""
+    try:
+        return fn(*args)
+    except NoWeighting as exc:
+        return str(exc)
+
+
+def solved(solve, cat):
+    w = solve(cat)
+    return dict(w.values), w.unique
+
+
+def assert_both_sides_match(cat):
+    for solve, side in ((weighting, "weighting"), (coweighting, "coweighting")):
+        assert outcome(solved, solve, cat) == outcome(eliminated, cat, side)
+
+
+@pytest.fixture
+def elimination_calls(monkeypatch):
+    """The matrices the library hands to ``solve_linear``."""
+    calls = []
+    real = ratlin.solve_linear
+    monkeypatch.setattr(ratlin, "solve_linear", lambda a, b: calls.append(a) or real(a, b))
+    return calls
+
+
 class TestWeightingAgainstElimination:
     @settings(max_examples=30, deadline=None)
     @given(st.one_of(skeletal_scwols, scwols, posets, grothendieck_totals))
@@ -228,20 +288,27 @@ class TestWeightingAgainstElimination:
     @settings(max_examples=20, deadline=None)
     @given(groupoids)
     def test_groupoid_fallback_matches(self, gpd):
-        cat = gpd.category
-        for solve in (weighting, coweighting):
-            w = solve(cat)
-            assert (dict(w.values), w.unique) == eliminated(cat, w.side)
+        assert_both_sides_match(gpd.category)
 
-    def test_cyclic_support_takes_elimination(self, monkeypatch):
-        calls = []
-        real = ratlin.solve_linear
-        monkeypatch.setattr(ratlin, "solve_linear", lambda a, b: calls.append(a) or real(a, b))
+    @settings(max_examples=25, deadline=None)
+    @given(st.one_of(scwols, posets, grothendieck_totals, st.just(split_idempotent())), st.data())
+    def test_inflated_categories_match(self, cat, data):
+        assert_both_sides_match(inflated(cat, data))
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.one_of(skeletal_scwols, posets, groupoids.map(lambda g: g.category)), st.data())
+    def test_products_with_a_non_ei_monoid_match(self, cat, data):
+        assert_both_sides_match(product(zoo.monoid_z2_mult(), inflated(cat, data)))
+
+    def test_inflated_group_makes_no_elimination_call(self, elimination_calls):
         cat = zoo.inflate(zoo.one_object_category(cyclic_group(2)), {"*": 2})
         assert weighting(cat).total() == coweighting(cat).total() == Fraction(1, 2)
-        assert len(calls) == 2
-        weighting(zoo.subsets_poset_opposite(2))
-        assert len(calls) == 2
+        assert not weighting(cat).unique
+        assert elimination_calls == []
+
+    def test_split_idempotent_eliminates_once_per_side(self, elimination_calls):
+        assert_both_sides_match(split_idempotent())
+        assert [(a.nrows, a.ncols) for a in elimination_calls] == [(2, 2), (2, 2)]
 
 
 # -- the free-EI path sum ----------------------------------------------------------------
@@ -306,3 +373,73 @@ def test_full_subcategory_reads_an_iterator_once():
     cat = zoo.subsets_poset_opposite(2)
     kept = full_subcategory(cat, iter(cat.objects[1:]))
     assert kept.objects == cat.objects[1:]
+
+
+# -- the scwol check and the skeleton pass ------------------------------------------------
+
+
+class TestOnePassScwolCheck:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.one_of(
+            scwols,
+            posets,
+            groupoids.map(lambda g: g.category),
+            grothendieck_totals,
+            st.one_of(scwols, posets).map(lambda c: product(zoo.monoid_z2_mult(), c)),
+        )
+    )
+    def test_matches_classify(self, cat):
+        assert _is_scwol(cat) == classify(cat).is_scwol
+
+    @pytest.mark.parametrize(
+        "run, partitions",
+        [
+            (lambda: bar_spectrum(zoo.subsets_poset_opposite(3)), 1),
+            # the input, then each lower link's own skeleton inside chi_scwol
+            (lambda: haefliger_chi(zoo.pushout_scwol(), {x: 1 for x in "jkl"}), 4),
+        ],
+        ids=["bar_spectrum", "haefliger_chi"],
+    )
+    def test_one_skeleton_pass_and_no_classify(self, monkeypatch, run, partitions):
+        counts = {"classify": 0, "_iso_partition": 0}
+
+        def counted(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        for module in (fincat, hocolim, eulerchar):
+            counted(module, "classify")
+        for module in (fincat, ratlin):
+            counted(module, "_iso_partition")
+        run()
+        assert counts == {"classify": 0, "_iso_partition": partitions}
+
+
+# -- non-skeletal chi_L without elimination -----------------------------------------------
+
+
+class TestNoEliminationOnEICategories:
+    """chi_L of EI categories never reaches ``solve_linear``: the guard is
+    a call that raises, not a clock."""
+
+    @pytest.fixture(autouse=True)
+    def refuse_elimination(self, monkeypatch):
+        def refuse(a, b):
+            raise AssertionError(f"solve_linear called on a {a.nrows}x{a.ncols} matrix")
+
+        monkeypatch.setattr(ratlin, "solve_linear", refuse)
+
+    def test_inflated_polygon(self):
+        base = zoo.polygon_scwol(160)
+        assert ratlin.chi_L(zoo.inflate(base, {x: 3 for x in base.objects})) == 0
+
+    def test_audit_formula_instances(self):
+        rng = Random(0)
+        for _ in range(50):
+            assert check_hocolim_formula(randgen.random_strict_diagram(rng), "chiL").equal

@@ -1,12 +1,16 @@
 from fractions import Fraction
+from math import lcm
 from random import Random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eulcat import zoo
 from eulcat.fincat import opposite, product, skeleton
 from eulcat.groups import cyclic_group
+from eulcat.hocolim import grothendieck
+from eulcat.randgen import connected_groupoid, disjoint_union
 from eulcat.ratlin import (
     DimensionMismatch,
     NoEulerCharacteristic,
@@ -19,7 +23,9 @@ from eulcat.ratlin import (
     weighting,
 )
 
-from strategies import skeletal_scwols
+from strategies import groupoids, skeletal_scwols, strict_diagrams
+
+grothendieck_totals = strict_diagrams.map(lambda d: grothendieck(d).category)
 
 
 class TestSolveLinear:
@@ -76,6 +82,39 @@ class TestWeighting:
         with pytest.raises(NoWeighting):
             Weighting(cat, {"j": Fraction(0), "k": Fraction(1), "l": Fraction(1)},
                       side="weighting", unique=True)
+
+    def test_missing_value_is_named(self):
+        with pytest.raises(NoWeighting, match="'j'") as info:
+            Weighting(zoo.pushout_scwol(), {}, "weighting", True)
+        assert info.value.witness == {"object": "j"}
+
+    def test_unknown_side_is_named(self):
+        cat = zoo.terminal_category()
+        with pytest.raises(NoWeighting, match="'cowieghting'") as info:
+            Weighting(cat, {"*": Fraction(1)}, "cowieghting", True)
+        assert info.value.witness == {"side": "cowieghting"}
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.one_of(groupoids.map(lambda g: g.category), grothendieck_totals), st.data())
+    def test_one_value_moved_by_one_over_lcm_is_rejected(self, cat, data):
+        for solve in (weighting, coweighting):
+            w = solve(cat)
+            assert Weighting(cat, dict(w.values), w.side, w.unique).values == w.values
+            scale = lcm(*(v.denominator for v in w.values.values()))
+            x = data.draw(st.sampled_from(cat.objects))
+            step = data.draw(st.sampled_from((1, -1)))
+            moved = dict(w.values, **{x: w.values[x] + Fraction(step, scale)})
+            with pytest.raises(NoWeighting, match="equation fails"):
+                Weighting(cat, moved, w.side, w.unique)
+
+    def test_mixed_denominators(self):
+        # B(Z/2) + B(Z/3): weighting 1/2 and 1/3, verified with L = 6
+        cat = disjoint_union([connected_groupoid(cyclic_group(n), 1, f"z{n}")[0] for n in (2, 3)])
+        values = {"z2.0": Fraction(1, 2), "z3.0": Fraction(1, 3)}
+        for side in ("weighting", "coweighting"):
+            assert Weighting(cat, values, side, True).total() == Fraction(5, 6)
+            with pytest.raises(NoWeighting, match="'z3.0'"):
+                Weighting(cat, dict(values, **{"z3.0": Fraction(1, 2)}), side, True)
 
     def test_coweighting_is_weighting_on_opposite(self):
         cat = zoo.pushout_scwol()
