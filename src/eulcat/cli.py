@@ -1,5 +1,12 @@
 """Command-line front end.
 
+Every subcommand is one row of ``COMMANDS``: its help, its handler, the
+manifest kinds its FILE may hold (``()`` for any kind, ``None`` for
+``demo``, which takes a NAME and loads no manifest) and its flags.
+``build_parser`` walks the table.  ``main`` loads the manifest and checks its
+kind, runs the handler, which returns ``(lines, report, ok)``, and prints the
+human lines, or the report with ``--json``.
+
 Exit codes: 0 success / all checks PASS, 1 computed but some check FAILed,
 2 invalid input.  Every number is printed exactly, as `p/q` (or a plain
 integer when the denominator is 1); ``--json`` emits the same numbers as
@@ -9,18 +16,18 @@ identical strings in a machine-readable report.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
 from fractions import Fraction
+from typing import Any, Callable, Mapping, Optional
 
 from . import manifest, randgen, zoo
 from .errors import EulcatError
 from .eulerchar import chi_scwol, groupoid_chi2
-from .fincat import FinCat, are_isomorphic, classify, iso_classes, path_counts, skeleton
+from .fincat import are_isomorphic, classify, iso_classes, path_counts, skeleton
 from .groupact import (
-    ComplexOfGroups,
-    ScwolAction,
     chi_theorems,
     complex_of_groups,
     developability_check,
@@ -31,8 +38,6 @@ from .groupact import (
 )
 from .groups import perm_of_label, symmetric_group
 from .hocolim import (
-    PseudoDiagram,
-    StrictDiagram,
     bar_spectrum,
     builtin_spectrum,
     check_hocolim_formula,
@@ -47,14 +52,6 @@ from .ratlin import chi_L, coweighting, weighting
 R = manifest.render_rational
 
 
-def _emit(args, human_lines, report: dict) -> None:
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        for line in human_lines:
-            print(line)
-
-
 def _load(path: str, *kinds: str):
     kind, value = manifest.load_file(path)
     if kinds and kind not in kinds:
@@ -64,147 +61,104 @@ def _load(path: str, *kinds: str):
     return kind, value
 
 
-# -- simple category queries -----------------------------------------------------
+def _transport_chis(group, points, act) -> tuple[Fraction, int]:
+    """chi2 and chi of the transport groupoid of ``group`` acting on ``points``."""
+    groupoid = transport_groupoid(group, points, act)
+    return groupoid_chi2(groupoid), len(iso_classes(groupoid).classes)
 
 
-def cmd_validate(args) -> int:
-    kind, value = _load(args.file)
+# -- handlers: (kind, value, args) -> (human lines, JSON report, ok) ---------------
+
+
+def _validate(kind, value, args):
     lines = [f"OK: valid {kind}"]
     report = {"kind": kind, "valid": True}
     if kind == "category":
         lines.append(f"objects: {len(value.objects)}, morphisms: {len(value.morphisms)}")
-        report["objects"] = len(value.objects)
-        report["morphisms"] = len(value.morphisms)
+        report.update(objects=len(value.objects), morphisms=len(value.morphisms))
     if args.json:
         report["canonical"] = manifest.serialize(kind, value)
-    _emit(args, lines, report)
-    return 0
+    return lines, report, True
 
 
-def cmd_classify(args) -> int:
-    _, cat = _load(args.file, "category")
-    rep = classify(cat)
-    flags = {
-        "is_scwol": rep.is_scwol,
-        "is_EI": rep.is_EI,
-        "is_directly_finite": rep.is_directly_finite,
-        "is_groupoid": rep.is_groupoid,
-        "is_skeletal": rep.is_skeletal,
-        "is_connected": rep.is_connected,
-    }
-    _emit(args, [f"{k}: {str(v).lower()}" for k, v in flags.items()], flags)
-    return 0
+def _classify(kind, cat, args):
+    flags = dataclasses.asdict(classify(cat))
+    return [f"{k}: {str(v).lower()}" for k, v in flags.items()], flags, True
 
 
-def cmd_skeleton(args) -> int:
-    _, cat = _load(args.file, "category")
+def _skeleton(kind, cat, args):
     sk = skeleton(cat)
     iso = iso_classes(cat)
-    lines = ["classes:"]
-    classes = []
-    for cls in iso.classes:
-        lines.append(f"  {cls[0]}: {', '.join(cls)}")
-        classes.append(list(cls))
+    lines = ["classes:"] + [f"  {cls[0]}: {', '.join(cls)}" for cls in iso.classes]
     lines.append(f"skeleton objects: {', '.join(sk.category.objects)}")
     report = {
-        "classes": classes,
+        "classes": [list(cls) for cls in iso.classes],
         "skeleton": manifest.category_payload(sk.category),
         "aut_orders": {rep_: iso.aut[rep_].order for rep_ in iso.representatives},
     }
-    _emit(args, lines, report)
-    return 0
+    return lines, report, True
 
 
-def cmd_chi(args) -> int:
-    _, cat = _load(args.file, "category")
-    value = chi_scwol(cat)
-    _emit(args, [str(value)], {"chi": str(value)})
-    return 0
+def _number(key: str, fn):
+    """A handler printing the one rational ``fn(category)`` under ``key``."""
+
+    def handler(kind, cat, args):
+        value = R(fn(cat))
+        return [value], {key: value}, True
+
+    return handler
 
 
-def cmd_chi2(args) -> int:
-    _, cat = _load(args.file, "category")
-    value = chi2_of(cat)
-    _emit(args, [R(value)], {"chi2": R(value)})
-    return 0
-
-
-def cmd_chil(args) -> int:
-    _, cat = _load(args.file, "category")
-    value = chi_L(cat)
-    _emit(args, [R(value)], {"chi_L": R(value)})
-    return 0
-
-
-def cmd_weighting(args) -> int:
-    _, cat = _load(args.file, "category")
+def _weighting(kind, cat, args):
     w = coweighting(cat) if args.co else weighting(cat)
     ordered = sorted(w.values)
-    line = ", ".join(f"{x}: {R(w.values[x])}" for x in ordered)
     report = {
         "side": w.side,
         "unique": w.unique,
         "values": {x: R(w.values[x]) for x in ordered},
         "total": R(w.total()),
     }
-    _emit(args, [line], report)
-    return 0
+    return [", ".join(f"{x}: {v}" for x, v in report["values"].items())], report, True
 
 
-def cmd_paths(args) -> int:
-    _, cat = _load(args.file, "category")
+def _paths(kind, cat, args):
     pc = path_counts(cat, n_max=args.max_dim)
     lines = ["c: " + ", ".join(str(c) for c in pc.counts)]
-    for x in sorted(pc.starts):
-        lines.append(f"{x}: " + ", ".join(str(c) for c in pc.starts[x]))
+    lines += [f"{x}: " + ", ".join(str(c) for c in pc.starts[x]) for x in sorted(pc.starts)]
     lines.append(f"chi: {pc.euler_sum()}")
     report = {
         "counts": list(pc.counts),
         "starts": {x: list(v) for x, v in pc.starts.items()},
         "chi": pc.euler_sum(),
     }
-    _emit(args, lines, report)
-    return 0
+    return lines, report, True
 
 
-# -- homotopy colimits -------------------------------------------------------------
-
-
-def _total_category(kind: str, value) -> FinCat:
+def _hocolim(kind, value, args):
     if kind == "diagram":
-        return grothendieck(value, verify=True).category
-    if kind == "pseudo_diagram":
-        return grothendieck_pseudo(value)
-    return hocolim_groups(value)
-
-
-def cmd_hocolim(args) -> int:
-    kind, value = _load(args.file, "diagram", "pseudo_diagram", "complex")
-    cat = _total_category(kind, value)
+        cat = grothendieck(value, verify=True).category
+    elif kind == "pseudo_diagram":
+        cat = grothendieck_pseudo(value)
+    else:
+        cat = hocolim_groups(value)
+    try:
+        chi = R(chi_L(cat))
+    except EulcatError:
+        chi = None
     lines = [
         f"objects: {len(cat.objects)}",
         f"morphisms: {len(cat.morphisms)}",
+        f"chi_L: {'undefined' if chi is None else chi}",
     ]
-    report = {"objects": len(cat.objects), "morphisms": len(cat.morphisms)}
-    try:
-        value_l = chi_L(cat)
-        lines.append(f"chi_L: {R(value_l)}")
-        report["chi_L"] = R(value_l)
-    except EulcatError:
-        lines.append("chi_L: undefined")
-        report["chi_L"] = None
+    report = {"objects": len(cat.objects), "morphisms": len(cat.morphisms), "chi_L": chi}
     if args.json:
         report["category"] = manifest.category_payload(cat)
-    _emit(args, lines, report)
-    return 0
+    return lines, report, True
 
 
-def cmd_check_formula(args) -> int:
-    kind, value = _load(args.file, "diagram", "pseudo_diagram")
-    spectrum = None
-    if args.spectrum:
-        _, spectrum = _load(args.spectrum, "spectrum")
-    rep = check_hocolim_formula(value, invariant=args.invariant, spectrum=spectrum)
+def _check_formula(kind, diagram, args):
+    spectrum = _load(args.spectrum, "spectrum")[1] if args.spectrum else None
+    rep = check_hocolim_formula(diagram, invariant=args.invariant, spectrum=spectrum)
     verdict = "PASS" if rep.equal else "FAIL"
     lines = [
         f"invariant: {rep.invariant}",
@@ -219,82 +173,37 @@ def cmd_check_formula(args) -> int:
         "vertex_values": {i: R(v) for i, v in rep.vertex_values.items()},
         "verdict": verdict,
     }
-    _emit(args, lines, report)
-    return 0 if rep.equal else 1
+    return lines, report, rep.equal
 
 
-# -- group actions -------------------------------------------------------------------
+def _quotient(kind, action, args):
+    q = quotient(action).category
+    lines = [f"objects: {', '.join(q.objects)}", f"morphisms: {len(q.morphisms)}"]
+    return lines, {"quotient": manifest.category_payload(q)}, True
 
 
-def cmd_quotient(args) -> int:
-    _, action = _load(args.file, "action")
-    q = quotient(action)
-    lines = [
-        f"objects: {', '.join(q.category.objects)}",
-        f"morphisms: {len(q.category.morphisms)}",
-    ]
-    report = {"quotient": manifest.category_payload(q.category)}
-    _emit(args, lines, report)
-    return 0
-
-
-def cmd_complex_of_groups(args) -> int:
-    _, action = _load(args.file, "action")
-    out = complex_of_groups(action)
-    cplx = out.complex
-    lines = []
-    for x in cplx.base.objects:
-        lines.append(f"local[{x}]: order {cplx.local[x].order}")
+def _complex_of_groups(kind, action, args):
+    cplx = complex_of_groups(action).complex
+    lines = [f"local[{x}]: order {cplx.local[x].order}" for x in cplx.base.objects]
     nontrivial = [
         f"twist[{b},{a}] = {g}"
         for (b, a), g in sorted(cplx.twists.items())
         if g != cplx.local[cplx.base.target(b)].identity
     ]
     lines += nontrivial if nontrivial else ["all twists trivial"]
-    report = {"complex": manifest.complex_payload(cplx)}
-    _emit(args, lines, report)
-    return 0
+    return lines, {"complex": manifest.complex_payload(cplx)}, True
 
 
-def cmd_hocolim_groups(args) -> int:
-    _, cplx = _load(args.file, "complex")
-    cat = hocolim_groups(cplx)
-    value = chi_L(cat)
-    lines = [
-        f"objects: {len(cat.objects)}",
-        f"morphisms: {len(cat.morphisms)}",
-        f"chi_L: {R(value)}",
-    ]
-    report = {
-        "objects": len(cat.objects),
-        "morphisms": len(cat.morphisms),
-        "chi_L": R(value),
-    }
-    if args.json:
-        report["category"] = manifest.category_payload(cat)
-    _emit(args, lines, report)
-    return 0
-
-
-def cmd_transport(args) -> int:
-    _, action = _load(args.file, "action")
+def _transport(kind, action, args):
     if any(not action.space.is_identity(m.name) for m in action.space.morphisms):
         raise manifest.BadManifest("transport expects an action on a discrete scwol")
-    act = {
-        g: {x: action.act_obj(g, x) for x in action.space.objects}
-        for g in action.group.labels
-    }
-    groupoid = transport_groupoid(action.group, action.space.objects, act)
-    chi2 = groupoid_chi2(groupoid)
-    chi = len(iso_classes(groupoid).classes)
-    lines = [f"chi2: {R(chi2)}", f"chi: {chi}"]
-    _emit(args, lines, {"chi2": R(chi2), "chi": str(chi)})
-    return 0
+    chi2, chi = _transport_chis(action.group, action.space.objects, action.on_objects)
+    return [f"chi2: {R(chi2)}", f"chi: {chi}"], {"chi2": R(chi2), "chi": str(chi)}, True
 
 
-def cmd_chi_theorems(args) -> int:
-    _, action = _load(args.file, "action")
+def _chi_theorems(kind, action, args):
     rep = chi_theorems(action)
+    verdict = "PASS" if rep.all_hold() else "FAIL"
     lines = [
         f"chi(X): {rep.chi_space}",
         f"chi(X/G): {rep.chi_quotient}",
@@ -303,7 +212,7 @@ def cmd_chi_theorems(args) -> int:
         f"chi2(hocolim F) via chi_L:  {R(rep.chi2_hocolim_direct_route)}",
         f"chi2 = chi(X)/|G|: {str(rep.chi2_equals_chi_over_order).lower()}",
         f"chi(hocolim F): {rep.chi_hocolim}",
-        "PASS" if rep.all_hold() else "FAIL",
+        verdict,
     ]
     report = {
         "chi_space": str(rep.chi_space),
@@ -313,14 +222,12 @@ def cmd_chi_theorems(args) -> int:
         "chi2_formula_route": R(rep.chi2_hocolim_formula_route),
         "chi2_direct_route": R(rep.chi2_hocolim_direct_route),
         "chi_hocolim": str(rep.chi_hocolim),
-        "verdict": "PASS" if rep.all_hold() else "FAIL",
+        "verdict": verdict,
     }
-    _emit(args, lines, report)
-    return 0 if rep.all_hold() else 1
+    return lines, report, rep.all_hold()
 
 
-def cmd_developability(args) -> int:
-    _, cplx = _load(args.file, "complex")
+def _developability(kind, cplx, args):
     candidates = []
     for spec_str in args.candidate:
         try:
@@ -331,11 +238,9 @@ def cmd_developability(args) -> int:
                 f"candidate {spec_str!r} is not of the form CHI,ORDER"
             ) from None
     rep = developability_check(cplx, candidates)
-    lines = [f"chi2(hocolim F): {R(rep.chi2_hocolim)}"]
-    for cand in rep.candidates:
-        lines.append(
-            f"chi(X) = {cand.chi_space}, |G| = {cand.group_order}: {cand.verdict}"
-        )
+    lines = [f"chi2(hocolim F): {R(rep.chi2_hocolim)}"] + [
+        f"chi(X) = {c.chi_space}, |G| = {c.group_order}: {c.verdict}" for c in rep.candidates
+    ]
     report = {
         "chi2_hocolim": R(rep.chi2_hocolim),
         "candidates": [
@@ -343,12 +248,10 @@ def cmd_developability(args) -> int:
             for c in rep.candidates
         ],
     }
-    _emit(args, lines, report)
-    return 0 if rep.all_pass() else 1
+    return lines, report, rep.all_pass()
 
 
-def cmd_haefliger(args) -> int:
-    _, cat = _load(args.file, "category")
+def _haefliger(kind, cat, args):
     vals = {}
     for assignment in args.val:
         try:
@@ -358,9 +261,23 @@ def cmd_haefliger(args) -> int:
             raise manifest.BadManifest(
                 f"value {assignment!r} is not of the form OBJECT=p/q"
             ) from None
-    value = haefliger_chi(cat, vals)
-    _emit(args, [R(value)], {"chi": R(value)})
-    return 0
+        except ZeroDivisionError:
+            raise manifest.BadManifest(f"value {assignment!r} has a zero denominator") from None
+        if not cat.has_object(key):
+            raise manifest.BadManifest(f"value {assignment!r} names no object of {cat.name}")
+    value = R(haefliger_chi(cat, vals))
+    return [value], {"chi": value}, True
+
+
+def _demo(kind, value, args):
+    if args.name not in DEMOS:
+        raise manifest.BadManifest(
+            f"unknown demo {args.name!r}; available: {', '.join(sorted(DEMOS))}"
+        )
+    lines: list[str] = []
+    passed = DEMOS[args.name](lines)
+    lines.append("PASS" if passed else "FAIL")
+    return lines, {"demo": args.name, "lines": lines, "verdict": lines[-1]}, passed
 
 
 # -- demos ------------------------------------------------------------------------------
@@ -406,19 +323,17 @@ def _demo_z2_circle(out) -> bool:
 def _demo_inclusion_exclusion(out) -> bool:
     sets = {"0": {"1", "2"}, "1": {"2", "3"}, "2": {"3"}}
     union = sets["0"] | sets["1"] | sets["2"]
-    spectrum = builtin_spectrum("subsets_poset", q=2)
-    vals = {}
-    for label in spectrum.index.objects:
-        members = label[1:-1].split(",")
-        inter = set.intersection(*(sets[j] for j in members))
-        vals[label] = Fraction(len(inter))
-    formula = formula_value(spectrum, vals)
 
+    def intersection(label: str) -> set[str]:
+        # an object "{0,2}" of the index names the sets it intersects
+        return set.intersection(*(sets[j] for j in label[1:-1].split(",")))
+
+    spectrum = builtin_spectrum("subsets_poset", q=2)
+    formula = formula_value(
+        spectrum, {label: Fraction(len(intersection(label))) for label in spectrum.index.objects}
+    )
     poset = zoo.subsets_poset_opposite(2)
-    elements = {
-        label: sorted(set.intersection(*(sets[j] for j in label[1:-1].split(","))))
-        for label in poset.objects
-    }
+    elements = {label: sorted(intersection(label)) for label in poset.objects}
     maps = {
         m.name: {x: x for x in elements[m.source]}
         for m in poset.morphisms
@@ -440,9 +355,7 @@ def _demo_transport_s3(out) -> bool:
     act = {
         g: {s: str(perm_of_label(g)[int(s) - 1] + 1) for s in pts} for g in s3.labels
     }
-    groupoid = transport_groupoid(s3, pts, act)
-    chi2 = groupoid_chi2(groupoid)
-    chi = len(iso_classes(groupoid).classes)
+    chi2, chi = _transport_chis(s3, pts, act)
     out.append("transport groupoid of S3 acting on {1,2,3}")
     out.append(f"chi2 = {R(chi2)} = |S|/|G| = 3/6")
     out.append(f"chi  = {chi} = |S/G|")
@@ -479,16 +392,60 @@ DEMOS = {
 }
 
 
-def cmd_demo(args) -> int:
-    if args.name not in DEMOS:
-        raise manifest.BadManifest(
-            f"unknown demo {args.name!r}; available: {', '.join(sorted(DEMOS))}"
-        )
-    lines: list[str] = []
-    passed = DEMOS[args.name](lines)
-    lines.append("PASS" if passed else "FAIL")
-    _emit(args, lines, {"demo": args.name, "lines": lines, "verdict": lines[-1]})
-    return 0 if passed else 1
+# -- the command table ------------------------------------------------------------------
+
+
+@dataclasses.dataclass(frozen=True)
+class Command:
+    help: str
+    handler: Callable[[Optional[str], Any, argparse.Namespace], tuple[list[str], dict, bool]]
+    kinds: Optional[tuple[str, ...]]  # () any kind; None: no manifest, a demo NAME
+    flags: Mapping[str, dict] = dataclasses.field(default_factory=dict)
+
+
+CATEGORY, ACTION, COMPLEX = ("category",), ("action",), ("complex",)
+
+COMMANDS = {
+    "validate": Command("validate any manifest", _validate, ()),
+    "classify": Command("structural predicates", _classify, CATEGORY),
+    "skeleton": Command("iso classes and skeleton", _skeleton, CATEGORY),
+    "chi": Command("Euler characteristic of a finite scwol", _number("chi", chi_scwol), CATEGORY),
+    "chi2": Command("L2-Euler characteristic", _number("chi2", chi2_of), CATEGORY),
+    "chil": Command("Leinster Euler characteristic", _number("chi_L", chi_L), CATEGORY),
+    "weighting": Command(
+        "weighting of a finite category", _weighting, CATEGORY,
+        {"--co": dict(action="store_true", help="coweighting instead")},
+    ),
+    "paths": Command(
+        "path counts of a finite scwol", _paths, CATEGORY, {"--max-dim": dict(type=int)}
+    ),
+    "hocolim": Command(
+        "Grothendieck construction", _hocolim, ("diagram", "pseudo_diagram", "complex")
+    ),
+    "check-formula": Command(
+        "homotopy colimit formula check", _check_formula, ("diagram", "pseudo_diagram"),
+        {
+            "--invariant": dict(choices=["chiL", "chi2", "chi_scwol"], default="chiL"),
+            "--spectrum": dict(help="explicit cell-model spectrum manifest"),
+        },
+    ),
+    "quotient": Command("quotient scwol of an action", _quotient, ACTION),
+    "complex-of-groups": Command("complex of groups of an action", _complex_of_groups, ACTION),
+    "hocolim-groups": Command("homotopy colimit of a complex", _hocolim, COMPLEX),
+    "transport": Command("transport groupoid of a G-set action", _transport, ACTION),
+    "chi-theorems": Command("Euler characteristic laws of an action", _chi_theorems, ACTION),
+    "developability": Command(
+        "necessary developability check", _developability, COMPLEX,
+        {"--candidate": dict(action="append", default=[], metavar="CHI,ORDER",
+                             help="candidate chi(X) and |G| (repeatable)")},
+    ),
+    "haefliger": Command(
+        "lower-link Euler characteristic formula", _haefliger, CATEGORY,
+        {"--val": dict(action="append", default=[], metavar="OBJECT=P/Q",
+                       help="chi of the classifying space of the local group (repeatable)")},
+    ),
+    "demo": Command("reproduce a named worked example", _demo, None),
+}
 
 
 # -- driver -----------------------------------------------------------------------------
@@ -502,73 +459,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--json", action="store_true", help="emit a JSON report")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.set_defaults(fn=fn)
-        return p
-
-    add("validate", cmd_validate, help="validate any manifest").add_argument("file")
-    add("classify", cmd_classify, help="structural predicates").add_argument("file")
-    add("skeleton", cmd_skeleton, help="iso classes and skeleton").add_argument("file")
-    add("chi", cmd_chi, help="Euler characteristic of a finite scwol").add_argument("file")
-    add("chi2", cmd_chi2, help="L2-Euler characteristic").add_argument("file")
-    add("chil", cmd_chil, help="Leinster Euler characteristic").add_argument("file")
-
-    p = add("weighting", cmd_weighting, help="weighting of a finite category")
-    p.add_argument("file")
-    p.add_argument("--co", action="store_true", help="coweighting instead")
-
-    p = add("paths", cmd_paths, help="path counts of a finite scwol")
-    p.add_argument("file")
-    p.add_argument("--max-dim", type=int, default=None)
-
-    add("hocolim", cmd_hocolim, help="Grothendieck construction").add_argument("file")
-
-    p = add("check-formula", cmd_check_formula, help="homotopy colimit formula check")
-    p.add_argument("file")
-    p.add_argument("--invariant", choices=["chiL", "chi2", "chi_scwol"], default="chiL")
-    p.add_argument("--spectrum", help="explicit cell-model spectrum manifest")
-
-    add("quotient", cmd_quotient, help="quotient scwol of an action").add_argument("file")
-    add(
-        "complex-of-groups",
-        cmd_complex_of_groups,
-        help="complex of groups of an action",
-    ).add_argument("file")
-    add(
-        "hocolim-groups", cmd_hocolim_groups, help="homotopy colimit of a complex"
-    ).add_argument("file")
-    add(
-        "transport", cmd_transport, help="transport groupoid of a G-set action"
-    ).add_argument("file")
-    add(
-        "chi-theorems", cmd_chi_theorems, help="Euler characteristic laws of an action"
-    ).add_argument("file")
-
-    p = add("developability", cmd_developability, help="necessary developability check")
-    p.add_argument("file")
-    p.add_argument(
-        "--candidate",
-        action="append",
-        default=[],
-        metavar="CHI,ORDER",
-        help="candidate chi(X) and |G| (repeatable)",
-    )
-
-    p = add("haefliger", cmd_haefliger, help="lower-link Euler characteristic formula")
-    p.add_argument("file")
-    p.add_argument(
-        "--val",
-        action="append",
-        default=[],
-        metavar="OBJECT=P/Q",
-        help="chi of the classifying space of the local group (repeatable)",
-    )
-
-    add("demo", cmd_demo, help="reproduce a named worked example").add_argument(
-        "name", help=", ".join(sorted(DEMOS))
-    )
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        if command.kinds is None:
+            p.add_argument("name", help=", ".join(sorted(DEMOS)))
+        else:
+            p.add_argument("file")
+        for flag, options in command.flags.items():
+            p.add_argument(flag, **options)
     return parser
 
 
@@ -582,11 +480,19 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    command = COMMANDS[args.command]
     try:
-        return args.fn(args)
+        kind, value = (None, None) if command.kinds is None else _load(args.file, *command.kinds)
+        lines, report, ok = command.handler(kind, value, args)
+        if args.json:
+            print(json.dumps(report, indent=2, sort_keys=True))
+        else:
+            for line in lines:
+                print(line)
     except (EulcatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -15,16 +15,15 @@ overlap:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
 
 from .errors import EulcatError, InvariantViolation
 from .fincat import (
     FinCat,
     NotGroupoid,
+    _is_EI,
+    _is_groupoid,
     _skeleton_category,
-    classify,
     iso_classes,
     path_counts,
 )
@@ -33,17 +32,6 @@ from .ratlin import chi_L, weighting
 
 class HypothesisNotMet(EulcatError):
     """EI/freeness hypothesis fails; carries a witness pair."""
-
-
-@dataclass(frozen=True)
-class EulerVector:
-    """Functorial Euler characteristic: one rational per iso-class representative."""
-
-    category: FinCat
-    values: Mapping[str, Fraction]
-
-    def total(self) -> Fraction:
-        return sum(self.values.values(), Fraction(0))
 
 
 def chi_scwol(cat: FinCat) -> int:
@@ -55,22 +43,24 @@ def chi_scwol(cat: FinCat) -> int:
     return path_counts(cat).euler_sum()
 
 
-def chi_f_scwol(cat: FinCat) -> EulerVector:
-    """Per-object alternating cell counts of the bar model; sums to chi_scwol."""
+def chi_f_scwol(cat: FinCat) -> dict[str, Fraction]:
+    """Functorial Euler characteristic of a finite scwol: the alternating
+    count of bar-model cells starting at each iso-class representative.
+    The values sum to chi_scwol."""
     pc = path_counts(cat)
     values = {x: Fraction(pc.start_sum(x)) for x in pc.starts}
-    vec = EulerVector(cat, values)
-    if vec.total() != pc.euler_sum():
+    total = sum(values.values(), Fraction(0))
+    if total != pc.euler_sum():
         raise InvariantViolation(
             f"{cat.name}: per-object sums disagree with the path-count sum",
-            witness={"per_object_total": vec.total(), "euler_sum": pc.euler_sum()},
+            witness={"per_object_total": total, "euler_sum": pc.euler_sum()},
         )
-    return vec
+    return values
 
 
 def groupoid_chi2(cat: FinCat) -> Fraction:
     """Groupoid cardinality: sum of 1/|aut| over isomorphism classes."""
-    if not classify(cat).is_groupoid:
+    if not _is_groupoid(cat):
         raise NotGroupoid(f"{cat.name} has a non-invertible morphism")
     iso = iso_classes(cat)
     return sum(
@@ -110,8 +100,7 @@ def chi2_free_EI(cat: FinCat) -> Fraction:
     chi_L of the input.
     """
     gamma = _skeleton_category(cat)
-    report = classify(gamma)
-    if not report.is_EI:
+    if not _is_EI(gamma):
         bad = next(
             m.name
             for m in gamma.morphisms

@@ -397,12 +397,6 @@ def classify(cat: FinCat) -> PredicateReport:
     arrow between distinct objects), except direct finiteness, which tries
     every v in mor(y, x) against each u: x -> y.
     """
-    is_scwol = _is_scwol(cat)
-    is_ei = all(
-        cat.is_invertible(m) for x in cat.objects for m in cat.hom(x, x)
-    )
-    is_groupoid = all(cat.is_invertible(m.name) for m in cat.morphisms)
-
     is_df = True
     for u in cat.morphisms:
         if not is_df:
@@ -433,10 +427,10 @@ def classify(cat: FinCat) -> PredicateReport:
         is_connected = len(seen) == len(cat.objects)
 
     return PredicateReport(
-        is_scwol=is_scwol,
-        is_EI=is_ei,
+        is_scwol=_is_scwol(cat),
+        is_EI=_is_EI(cat),
         is_directly_finite=is_df,
-        is_groupoid=is_groupoid,
+        is_groupoid=_is_groupoid(cat),
         is_skeletal=is_skeletal,
         is_connected=is_connected,
     )
@@ -445,6 +439,16 @@ def classify(cat: FinCat) -> PredicateReport:
 def _is_scwol(cat: FinCat) -> bool:
     """``classify(cat).is_scwol`` in one pass: every endomorphism is an identity."""
     return all(m.source != m.target or cat.is_identity(m.name) for m in cat.morphisms)
+
+
+def _is_EI(cat: FinCat) -> bool:
+    """``classify(cat).is_EI`` in one pass: every endomorphism is invertible."""
+    return all(m.source != m.target or cat.is_invertible(m.name) for m in cat.morphisms)
+
+
+def _is_groupoid(cat: FinCat) -> bool:
+    """``classify(cat).is_groupoid`` in one pass: every morphism is invertible."""
+    return all(cat.is_invertible(m.name) for m in cat.morphisms)
 
 
 # -- isomorphism classes and automorphism groups ------------------------------
@@ -670,8 +674,7 @@ def _skeleton_path_counts(gamma: FinCat, name: str, n_max: Optional[int] = None)
             break
         if n_max is not None and level > n_max:
             raise NotScwol(
-                f"{name}: path dimension exceeded cap {n_max}; "
-                "non-nilpotent count matrix means the input is not a scwol"
+                f"{name}: a path of {level} arrows is longer than the requested cap {n_max}"
             )
         if level >= len(objs):
             raise NotScwol(f"{name}: a path of {level} arrows repeats an object")

@@ -21,10 +21,10 @@ from .fincat import (
     Morphism,
     NatIso,
     NotScwol,
+    _is_groupoid,
     _is_scwol,
     _skeleton_category,
     _skeleton_path_counts,
-    classify,
 )
 from .ratlin import Weighting, chi_L
 
@@ -432,10 +432,9 @@ def chi2_of(cat: FinCat) -> Fraction:
     Dispatches: groupoid cardinality for groupoids, path counting for
     scwols, and the free-EI path sum otherwise.
     """
-    report = classify(cat)
-    if report.is_groupoid:
+    if _is_groupoid(cat):
         return groupoid_chi2(cat)
-    if report.is_scwol:
+    if _is_scwol(cat):
         return Fraction(chi_scwol(cat))
     return chi2_free_EI(cat)
 

@@ -309,6 +309,8 @@ def load_file(path: str) -> tuple[str, Any]:
             raise BadManifest(f"{path}: not valid JSON ({exc})") from exc
         except UnicodeDecodeError as exc:
             raise BadManifest(f"{path}: not UTF-8 text ({exc})") from exc
+        except RecursionError:
+            raise BadManifest(f"{path}: JSON nested too deeply to decode") from None
     return parse(data)
 
 

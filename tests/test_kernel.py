@@ -22,6 +22,8 @@ from eulcat.fincat import (
     NotScwol,
     PredicateReport,
     _count_rows,
+    _is_EI,
+    _is_groupoid,
     _is_scwol,
     _skeleton_category,
     _topological_order,
@@ -36,7 +38,7 @@ from eulcat.fincat import (
 )
 from eulcat.groups import FinGroup, cyclic_group
 from eulcat.groupact import haefliger_chi
-from eulcat.hocolim import bar_spectrum, check_hocolim_formula, grothendieck
+from eulcat.hocolim import bar_spectrum, check_hocolim_formula, constant_diagram, grothendieck
 from eulcat.ratlin import NoWeighting, coweighting, mor_count_matrix, solve_linear, weighting
 
 from strategies import groupoids, posets, scwols, skeletal_scwols, strict_diagrams
@@ -378,17 +380,36 @@ def test_full_subcategory_reads_an_iterator_once():
 # -- the scwol check and the skeleton pass ------------------------------------------------
 
 
+# scwols, posets, groupoids, EI totals and non-EI products with a monoid
+predicate_inputs = st.one_of(
+    scwols,
+    posets,
+    groupoids.map(lambda g: g.category),
+    grothendieck_totals,
+    st.one_of(scwols, posets).map(lambda c: product(zoo.monoid_z2_mult(), c)),
+)
+
+
+def count_calls(monkeypatch, counts: dict) -> None:
+    """Count, in ``counts``, the calls of each fincat/ratlin function named
+    there, through every library module that binds it."""
+
+    for name in counts:
+        for module in (fincat, hocolim, eulerchar, ratlin):
+            real = getattr(module, name, None)
+            if real is None:
+                continue
+
+            def wrapper(*args, _real=real, _name=name, **kwargs):
+                counts[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+
 class TestOnePassScwolCheck:
     @settings(max_examples=40, deadline=None)
-    @given(
-        st.one_of(
-            scwols,
-            posets,
-            groupoids.map(lambda g: g.category),
-            grothendieck_totals,
-            st.one_of(scwols, posets).map(lambda c: product(zoo.monoid_z2_mult(), c)),
-        )
-    )
+    @given(predicate_inputs)
     def test_matches_classify(self, cat):
         assert _is_scwol(cat) == classify(cat).is_scwol
 
@@ -403,22 +424,35 @@ class TestOnePassScwolCheck:
     )
     def test_one_skeleton_pass_and_no_classify(self, monkeypatch, run, partitions):
         counts = {"classify": 0, "_iso_partition": 0}
-
-        def counted(module, name):
-            real = getattr(module, name)
-
-            def wrapper(*args, **kwargs):
-                counts[name] += 1
-                return real(*args, **kwargs)
-
-            monkeypatch.setattr(module, name, wrapper)
-
-        for module in (fincat, hocolim, eulerchar):
-            counted(module, "classify")
-        for module in (fincat, ratlin):
-            counted(module, "_iso_partition")
+        count_calls(monkeypatch, counts)
         run()
         assert counts == {"classify": 0, "_iso_partition": partitions}
+
+
+class TestOnePassPredicates:
+    @settings(max_examples=40, deadline=None)
+    @given(predicate_inputs)
+    def test_match_classify(self, cat):
+        report = classify(cat)
+        assert _is_EI(cat) == report.is_EI
+        assert _is_groupoid(cat) == report.is_groupoid
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: hocolim.chi2_of(zoo.one_object_category(cyclic_group(3))),
+            lambda: hocolim.chi2_of(zoo.pushout_scwol()),
+            lambda: hocolim.chi2_of(grothendieck(constant_diagram(
+                zoo.pushout_scwol(), zoo.one_object_category(cyclic_group(2)))).category),
+            lambda: eulerchar.groupoid_chi2(zoo.discrete_category("ab")),
+        ],
+        ids=["groupoid", "scwol", "free-EI", "groupoid_chi2"],
+    )
+    def test_chi2_routes_make_no_classify_call(self, monkeypatch, run):
+        counts = {"classify": 0}
+        count_calls(monkeypatch, counts)
+        run()
+        assert counts == {"classify": 0}
 
 
 # -- non-skeletal chi_L without elimination -----------------------------------------------

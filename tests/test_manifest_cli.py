@@ -369,7 +369,9 @@ def test_missing_diagram_part_is_named(tmp_path, capsys, kind, vertices, edges, 
     assert "Traceback" not in captured.err
 
 
-@pytest.mark.parametrize("content", [None, b"\xff\xfe{}"], ids=["directory", "not-utf8"])
+@pytest.mark.parametrize(
+    "content", [None, b"\xff\xfe{}", b"[" * 200000], ids=["directory", "not-utf8", "deeply-nested"]
+)
 def test_unreadable_path_exits_2_with_one_error_line(tmp_path, capsys, content):
     path = tmp_path / "m.json"
     if content is None:
@@ -383,6 +385,43 @@ def test_unreadable_path_exits_2_with_one_error_line(tmp_path, capsys, content):
         captured.err.strip()
     ]
     assert str(path) in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["haefliger", "p.json", "--val", "j=1/0", "--val", "k=1", "--val", "l=1"], "'j=1/0'"),
+        (["haefliger", "p.json", "--val", "zz=1", "--val", "j=1", "--val", "k=1", "--val", "l=1"],
+         "'zz=1'"),
+        (["paths", "p.json", "--max-dim", "0"], "longer than the requested cap 0"),
+    ],
+    ids=["zero-denominator", "unknown-object", "max-dim-below-depth"],
+)
+def test_bad_option_value_exits_2_with_one_error_line(tmp_path, monkeypatch, capsys, argv, named):
+    write(tmp_path, "p.json", "category", zoo.pushout_scwol())
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert [line for line in captured.err.splitlines() if line.startswith("error:")] == [
+        captured.err.strip()
+    ]
+    assert named in captured.err
+    assert "not a scwol" not in captured.err
+
+
+def test_commands_parser_and_readme_name_the_same_subcommands():
+    import argparse
+    from pathlib import Path
+
+    from eulcat.cli import COMMANDS, build_parser
+
+    (subparsers,) = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("Subcommands:", 1)[1].split("```text", 1)[1].split("```", 1)[0]
+    assert list(COMMANDS) == list(subparsers.choices) == block.split()
 
 
 class TestParserReuse:
