@@ -26,7 +26,14 @@ from typing import Any, Callable, Mapping, Optional
 from . import manifest, randgen, zoo
 from .errors import EulcatError
 from .eulerchar import chi_scwol, groupoid_chi2
-from .fincat import are_isomorphic, classify, iso_classes, path_counts, skeleton
+from .fincat import (
+    _iso_partition,
+    are_isomorphic,
+    classify,
+    full_subcategory,
+    iso_classes,
+    path_counts,
+)
 from .groupact import (
     chi_theorems,
     complex_of_groups,
@@ -47,7 +54,7 @@ from .hocolim import (
     grothendieck_pseudo,
     set_diagram,
 )
-from .ratlin import chi_L, coweighting, weighting
+from .ratlin import NoEulerCharacteristic, chi_L, coweighting, weighting
 
 R = manifest.render_rational
 
@@ -64,7 +71,7 @@ def _load(path: str, *kinds: str):
 def _transport_chis(group, points, act) -> tuple[Fraction, int]:
     """chi2 and chi of the transport groupoid of ``group`` acting on ``points``."""
     groupoid = transport_groupoid(group, points, act)
-    return groupoid_chi2(groupoid), len(iso_classes(groupoid).classes)
+    return groupoid_chi2(groupoid), len(_iso_partition(groupoid))
 
 
 # -- handlers: (kind, value, args) -> (human lines, JSON report, ok) ---------------
@@ -87,13 +94,13 @@ def _classify(kind, cat, args):
 
 
 def _skeleton(kind, cat, args):
-    sk = skeleton(cat)
     iso = iso_classes(cat)
+    gamma = full_subcategory(cat, iso.representatives, name=f"sk({cat.name})")
     lines = ["classes:"] + [f"  {cls[0]}: {', '.join(cls)}" for cls in iso.classes]
-    lines.append(f"skeleton objects: {', '.join(sk.category.objects)}")
+    lines.append(f"skeleton objects: {', '.join(gamma.objects)}")
     report = {
         "classes": [list(cls) for cls in iso.classes],
-        "skeleton": manifest.category_payload(sk.category),
+        "skeleton": manifest.category_payload(gamma),
         "aut_orders": {rep_: iso.aut[rep_].order for rep_ in iso.representatives},
     }
     return lines, report, True
@@ -143,7 +150,7 @@ def _hocolim(kind, value, args):
         cat = hocolim_groups(value)
     try:
         chi = R(chi_L(cat))
-    except EulcatError:
+    except NoEulerCharacteristic:
         chi = None
     lines = [
         f"objects: {len(cat.objects)}",

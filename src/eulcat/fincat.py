@@ -531,53 +531,51 @@ def full_subcategory(cat: FinCat, objects: Iterable[str], name: str | None = Non
 
 def _skeleton_category(cat: FinCat) -> FinCat:
     """``skeleton(cat).category`` alone, for callers that read nothing else:
-    no automorphism groups, functors or natural isomorphism are built."""
-    reps = [cls[0] for cls in _iso_partition(cat)]
-    return full_subcategory(cat, reps, name=f"sk({cat.name})")
+    no functors or natural isomorphism are built, and a skeletal input (every
+    class a singleton) is returned as it is."""
+    classes = _iso_partition(cat)
+    if len(classes) == len(cat.objects):
+        return cat
+    return full_subcategory(cat, [cls[0] for cls in classes], name=f"sk({cat.name})")
+
+
+def _retract(cat: FinCat, rep_of: Mapping[str, str], name: str) -> SkeletonData:
+    """The retraction data of a choice of representatives.
+
+    ``rep_of`` maps every object to the representative of its isomorphism
+    class, and each representative to itself.  Returns the full subcategory
+    Gamma on the representatives, the inclusion i, and eta: i o r => id with
+    eta_x the least-named isomorphism rep(x) -> x (the identity at a
+    representative); the retraction r conjugates f: x -> y into
+    r(f) = eta_y^-1 o f o eta_x: rep(x) -> rep(y), so r o i = id_Gamma.
+    """
+    gamma = full_subcategory(cat, rep_of.values(), name=name)
+    inclusion = CatFunctor(
+        gamma, cat, {x: x for x in gamma.objects}, {m.name: m.name for m in gamma.morphisms}
+    )
+    eta_comp = {x: cat.identity[x] for x in rep_of}
+    for x, rep in rep_of.items():
+        if x != rep:
+            eta_comp[x] = min(u for u in cat.hom(rep, x) if cat.is_invertible(u))
+    r_mor = {}
+    for m in cat.morphisms:
+        f_eta = cat.compose(m.name, eta_comp[m.source])
+        r_mor[m.name] = cat.compose(cat.inverse(eta_comp[m.target]), f_eta)
+    retraction = CatFunctor(cat, gamma, dict(rep_of), r_mor)
+    eta = NatIso(retraction.then(inclusion), CatFunctor.identity_functor(cat), eta_comp)
+    return SkeletonData(gamma, inclusion, retraction, eta)
 
 
 def skeleton(cat: FinCat) -> SkeletonData:
     """Full subcategory on iso-class representatives with retraction data.
 
-    Returns (Gamma, i, r, eta) with r o i = id_Gamma and eta: i o r => id
-    whose component at each representative is the identity.  The component
-    at a non-representative x is the least-named isomorphism rep(x) -> x.
+    The representative of each class is its least object id (the classes of
+    ``_iso_partition``); ``_retract`` builds (Gamma, i, r, eta) from that
+    choice, with r o i = id_Gamma and eta: i o r => id whose component at a
+    non-representative x is the least-named isomorphism rep(x) -> x.
     """
-    iso = iso_classes(cat)
-    reps = iso.representatives
-    gamma = full_subcategory(cat, reps, name=f"sk({cat.name})")
-    inclusion = CatFunctor(
-        gamma,
-        cat,
-        {x: x for x in gamma.objects},
-        {m.name: m.name for m in gamma.morphisms},
-    )
-
-    eta_comp: dict[str, str] = {}
-    rep_of: dict[str, str] = {}
-    for cls in iso.classes:
-        rep = cls[0]
-        for x in cls:
-            rep_of[x] = rep
-            if x == rep:
-                eta_comp[x] = cat.identity[x]
-            else:
-                eta_comp[x] = min(m for m in cat.hom(rep, x) if cat.is_invertible(m))
-
-    r_obj = dict(rep_of)
-    r_mor = {}
-    for m in cat.morphisms:
-        # conjugate f: x -> y into rep(x) -> rep(y)
-        f_eta = cat.compose(m.name, eta_comp[m.source])
-        r_mor[m.name] = cat.compose(cat.inverse(eta_comp[m.target]), f_eta)
-    retraction = CatFunctor(cat, gamma, r_obj, r_mor)
-
-    eta = NatIso(
-        f=retraction.then(inclusion),
-        g=CatFunctor.identity_functor(cat),
-        components=eta_comp,
-    )
-    return SkeletonData(gamma, inclusion, retraction, eta)
+    rep_of = {x: cls[0] for cls in _iso_partition(cat) for x in cls}
+    return _retract(cat, rep_of, f"sk({cat.name})")
 
 
 # -- integer-indexed hom counts ------------------------------------------------
@@ -684,27 +682,6 @@ def _skeleton_path_counts(gamma: FinCat, name: str, n_max: Optional[int] = None)
         level += 1
 
     return PathCounts(tuple(counts), {x: tuple(row) for x, row in zip(objs, starts)})
-
-
-def nonidentity_paths(cat: FinCat, length: int) -> list[tuple[str, ...]]:
-    """All composable tuples of ``length`` non-identity morphisms.
-
-    Finite per length even for non-skeletal scwols (where the total number
-    over all lengths is infinite and path_counts must skeletonize first).
-    """
-    if length == 0:
-        return [()]
-    paths = [
-        (m.name,) for m in cat.morphisms if not cat.is_identity(m.name)
-    ]
-    for _ in range(length - 1):
-        paths = [
-            p + (n,)
-            for p in paths
-            for n in cat.morphisms_from(cat.target(p[-1]))
-            if not cat.is_identity(n)
-        ]
-    return paths
 
 
 def lower_link(cat: FinCat, obj: str) -> FinCat:

@@ -25,10 +25,10 @@ from .fincat import (
     NatIso,
     NotScwol,
     _is_scwol,
+    _iso_partition,
+    _retract,
     _skeleton_category,
     _skeleton_path_counts,
-    full_subcategory,
-    iso_classes,
     lower_link,
     skeleton,
 )
@@ -737,7 +737,7 @@ def skeletal_reduction(action: ScwolAction) -> SkeletalReduction:
     complexes_agree = False
     fx = fg = None
     if rbar is not None:
-        fx_choices, fg_choices = _coordinated_choices(action, reduced, r, qx, qg, rbar)
+        fx_choices, fg_choices = _coordinated_choices(action, r, qx, rbar)
         fx = complex_of_groups(action, *fx_choices)
         fg = complex_of_groups(reduced, *fg_choices)
         complexes_agree = _complexes_agree_along(fx.complex, fg.complex, rbar)
@@ -765,101 +765,47 @@ def skeletal_reduction(action: ScwolAction) -> SkeletalReduction:
     return SkeletalReduction(reduced, r, incl, report)
 
 
-def _coordinated_choices(action, reduced, r, qx, qg, rbar):
+def _coordinated_choices(action, r, qx, rbar):
     """Choices making the complexes over X/G and over the skeleton agree.
 
-    Follows the retraction: pick a skeleton of X/G with preimages q; the
-    selected preimage of an arbitrary orbit is the target of the unique lift
-    of the unique isomorphism from its skeletal representative, and h
-    elements are shared along iso-normal forms and transported through the
-    retraction.
+    Follows the retraction: take the skeleton of X/G; the selected preimage
+    of an orbit is the target of the unique lift, from the least preimage of
+    its skeletal representative, of the unique isomorphism eta between them;
+    h elements are chosen on skeletal morphisms, shared along the skeleton's
+    retraction (the normal form of each morphism) and transported through
+    rbar.
     """
     cat = action.space
     group = action.group
-    base = qx.category
-    qsk = skeleton(base)
-    skel_objs = set(qsk.category.objects)
-    iso = iso_classes(base)
+    qsk = skeleton(qx.category)
+    rep_of, eta, normal_form = qsk.retraction.obj_map, qsk.eta.components, qsk.retraction.mor_map
+
+    def lift(start: str, orbit: str) -> str:
+        return next(a for a in cat.morphisms_from(start) if qx.morphism_orbit_of[a] == orbit)
 
     # selected preimage per orbit object of X/G
-    sel: dict[str, str] = {}
-    norm_obj: dict[str, str] = {}
-    for cls in iso.classes:
-        q_rep = cls[0]
-        q_pre = min(x for x in cat.objects if qx.object_orbit_of[x] == q_rep)
-        sel[q_rep] = q_pre
-        norm_obj[q_rep] = q_rep
-        for other in cls[1:]:
-            norm_obj[other] = q_rep
-            iso_mor = next(
-                m for m in base.hom(q_rep, other) if base.is_invertible(m)
-            )
-            lift = next(
-                a
-                for a in cat.morphisms_from(q_pre)
-                if qx.morphism_orbit_of[a] == iso_mor
-            )
-            sel[other] = cat.target(lift)
+    least: dict[str, str] = {}
+    for x in sorted(cat.objects):
+        least.setdefault(qx.object_orbit_of[x], x)
+    sel = {s: cat.target(lift(least[rep], eta[s])) for s, rep in rep_of.items()}
 
     # h elements: chosen on skeletal morphisms, shared along normal forms
     h_on_skel: dict[str, str] = {}
-    h_x: dict[str, str] = {}
-    norm_mor: dict[str, str] = {}
-    for m in base.morphisms:
-        nf = _normal_form_morphism(base, iso, norm_obj, m.name)
-        norm_mor[m.name] = nf
-    for m in base.morphisms:
-        nf = norm_mor[m.name]
-        if nf not in h_on_skel:
-            src_rep = base.source(nf)
-            tgt_rep = base.target(nf)
-            lift = next(
-                a
-                for a in cat.morphisms_from(sel[src_rep])
-                if qx.morphism_orbit_of[a] == nf
+    for m in qsk.category.morphisms:
+        if qsk.category.is_identity(m.name):
+            h_on_skel[m.name] = group.identity
+        else:
+            t = cat.target(lift(sel[m.source], m.name))
+            h_on_skel[m.name] = next(
+                g for g in group.labels if action.act_obj(g, t) == sel[m.target]
             )
-            if base.is_identity(nf):
-                h_on_skel[nf] = group.identity
-            else:
-                h_on_skel[nf] = next(
-                    g
-                    for g in group.labels
-                    if action.act_obj(g, cat.target(lift)) == sel[tgt_rep]
-                )
-        h_x[m.name] = h_on_skel[norm_mor[m.name]]
+    h_x = {m: h_on_skel[nf] for m, nf in normal_form.items()}
 
     # transport through rbar for the reduced action: every object/morphism
     # of Gamma/G is the rbar-image of a unique skeletal object/morphism
-    sel_g: dict[str, str] = {}
-    h_g: dict[str, str] = {}
-    for q_rep in skel_objs:
-        sel_g[rbar.obj_map[q_rep]] = r.obj_map[sel[q_rep]]
-    for nf, h in h_on_skel.items():
-        if base.source(nf) in skel_objs and base.target(nf) in skel_objs:
-            h_g[rbar.mor_map[nf]] = h
-
+    sel_g = {rbar.obj_map[s]: r.obj_map[sel[s]] for s in qsk.category.objects}
+    h_g = {rbar.mor_map[nf]: h for nf, h in h_on_skel.items()}
     return (sel, h_x), (sel_g, h_g)
-
-
-def _normal_form_morphism(base, iso, norm_obj, m: str) -> str:
-    """The unique skeletal morphism completing the iso square of m."""
-    src, tgt = base.source(m), base.target(m)
-    src_rep, tgt_rep = norm_obj[src], norm_obj[tgt]
-    if src == src_rep and tgt == tgt_rep:
-        return m
-    to_src = (
-        base.identity[src]
-        if src == src_rep
-        else next(u for u in base.hom(src_rep, src) if base.is_invertible(u))
-    )
-    from_tgt = (
-        base.identity[tgt]
-        if tgt == tgt_rep
-        else base.inverse(
-            next(u for u in base.hom(tgt_rep, tgt) if base.is_invertible(u))
-        )
-    )
-    return base.compose(from_tgt, base.compose(m, to_src))
 
 
 def _complexes_agree_along(fx: ComplexOfGroups, fg: ComplexOfGroups, rbar: CatFunctor) -> bool:
@@ -889,30 +835,28 @@ class EquivariantSkeleton:
 def equivariant_skeleton(action: ScwolAction) -> EquivariantSkeleton:
     """A skeleton chosen orbit-by-orbit so its inclusion is G-equivariant.
 
-    Representatives are chosen on one iso class per G-orbit of classes and
-    extended along the action; the natural isomorphism then automatically
-    satisfies eta_{g.x} = g . eta_x (isomorphisms in a scwol are unique).
+    In each G-orbit of isomorphism classes, the least object of the least
+    class represents that class, and its images under the action represent
+    the other classes of the orbit.  The shared builder ``fincat._retract``
+    (also behind ``skeleton``) turns this choice into the category sk_G(X),
+    the inclusion, the retraction and eta; eta then satisfies
+    eta_{g.x} = g . eta_x, because isomorphisms in a scwol are unique.
     """
     cat = action.space
     group = action.group
-    iso = iso_classes(cat)
-    rep_of_class = {cls[0]: cls[0] for cls in iso.classes}
-    class_of_obj = {}
-    for cls in iso.classes:
-        for x in cls:
-            class_of_obj[x] = cls[0]
+    classes = _iso_partition(cat)
+    class_of_obj = {x: cls[0] for cls in classes for x in cls}
 
     # G acts on iso classes; choose one class per orbit, a representative
     # object there, then push forward along the action
     section: dict[str, str] = {}
     handled: set[str] = set()
-    for cls in iso.classes:
+    for cls in classes:
         cls_id = cls[0]
         if cls_id in handled:
             continue
         orbit_classes = sorted({class_of_obj[action.act_obj(g, cls_id)] for g in group.labels})
-        base_class = orbit_classes[0]
-        base_obj = base_class  # least object of the least class
+        base_obj = orbit_classes[0]  # least object of the least class
         for g in group.labels:
             target_class = class_of_obj[action.act_obj(g, base_obj)]
             candidate = action.act_obj(g, base_obj)
@@ -923,28 +867,8 @@ def equivariant_skeleton(action: ScwolAction) -> EquivariantSkeleton:
             section[target_class] = candidate
         handled.update(orbit_classes)
 
-    chosen = sorted(section.values())
-    gamma = full_subcategory(cat, chosen, name=f"sk_G({cat.name})")
-    incl = CatFunctor(
-        gamma, cat, {x: x for x in gamma.objects}, {m.name: m.name for m in gamma.morphisms}
-    )
-
-    eta_comp = {}
-    for x in cat.objects:
-        rep = section[class_of_obj[x]]
-        if rep == x:
-            eta_comp[x] = cat.identity[x]
-        else:
-            eta_comp[x] = next(m for m in cat.hom(rep, x) if cat.is_invertible(m))
-    r_obj = {x: section[class_of_obj[x]] for x in cat.objects}
-    r_mor = {}
-    for m in cat.morphisms:
-        conj = cat.compose(m.name, eta_comp[m.source])
-        r_mor[m.name] = cat.compose(cat.inverse(eta_comp[m.target]), conj)
-    retraction = CatFunctor(cat, gamma, r_obj, r_mor)
-    eta = NatIso(
-        retraction.then(incl), CatFunctor.identity_functor(cat), eta_comp
-    )
+    sk = _retract(cat, {x: section[class_of_obj[x]] for x in cat.objects}, f"sk_G({cat.name})")
+    gamma, eta_comp = sk.category, sk.eta.components
 
     restricted = ScwolAction(
         group,
@@ -967,7 +891,7 @@ def equivariant_skeleton(action: ScwolAction) -> EquivariantSkeleton:
         for x in cat.objects
     )
     return EquivariantSkeleton(
-        restricted, incl, retraction, eta, incl_equivariant, eta_equivariant
+        restricted, sk.inclusion, sk.retraction, sk.eta, incl_equivariant, eta_equivariant
     )
 
 
@@ -1139,13 +1063,27 @@ def haefliger_chi(cat: FinCat, vals: Mapping[str, Fraction]) -> Fraction:
     """sum_i (1 - chi(B Lk^i)) . vals(i) over a finite scwol, skeletonized.
 
     ``vals[i]`` is the user-supplied Euler characteristic of the classifying
-    space of the local group at i (1 for trivial groups).  The proof's
-    identity, 1 - chi(Lk^i) = alternating count of paths starting at i, is
-    checked along the way.
+    space of the local group at i (1 for trivial groups).  Every key must
+    name an object, and isomorphic objects must carry equal values: the sum
+    reads the value at each skeleton representative.  The proof's identity,
+    1 - chi(Lk^i) = alternating count of paths starting at i, is checked
+    along the way.
     """
     if not _is_scwol(cat):
         raise NotScwol(f"{cat.name} has a non-identity endomorphism")
     gamma = _skeleton_category(cat)
+    for x in vals:
+        cat.require_object(x)
+        if gamma.has_object(x):
+            continue
+        isomorphic = (cat.target(u) for u in cat.morphisms_from(x) if cat.is_invertible(u))
+        rep = next(y for y in isomorphic if gamma.has_object(y))
+        if rep in vals and Fraction(vals[rep]) != Fraction(vals[x]):
+            raise ValidationError(
+                f"isomorphic objects {rep!r} and {x!r} carry different values "
+                f"{vals[rep]} and {vals[x]}",
+                witness={"objects": (rep, x), "values": (vals[rep], vals[x])},
+            )
     pc = _skeleton_path_counts(gamma, cat.name)
     total = Fraction(0)
     for i in gamma.objects:

@@ -506,12 +506,6 @@ def constant_diagram(index: FinCat, cat: FinCat) -> StrictDiagram:
     )
 
 
-def trivial_diagram(index: FinCat) -> StrictDiagram:
-    from .zoo import terminal_category
-
-    return constant_diagram(index, terminal_category())
-
-
 def set_diagram(index: FinCat, sets: Mapping[str, Sequence[str]],
                 maps: Mapping[str, Mapping[str, str]]) -> StrictDiagram:
     """Diagram of sets encoded as a diagram of discrete categories.

@@ -105,13 +105,6 @@ def solve_linear(a: RatMatrix, b: Sequence) -> Optional[LinearSolution]:
     return LinearSolution(tuple(values), unique=(len(pivot_cols) == ncols))
 
 
-def mor_count_matrix(cat: FinCat) -> RatMatrix:
-    """The matrix (|mor(x, y)|) indexed by the category's object order."""
-    return RatMatrix.from_rows(
-        [[len(cat.hom(x, y)) for y in cat.objects] for x in cat.objects]
-    )
-
-
 def _back_substitute(rows: Sequence[Mapping[int, int]], order: Sequence[int]) -> list[Fraction]:
     """Solve sum_j rows[i][j] w_j = 1 along a topological order of the
     support: w_i = (1 - sum_{j != i} rows[i][j] w_j) / rows[i][i].

@@ -17,7 +17,6 @@ from eulcat.fincat import (
     are_isomorphic,
     classify,
     iso_classes,
-    nonidentity_paths,
     path_counts,
     skeleton,
 )
@@ -42,6 +41,8 @@ from eulcat.hocolim import (
     set_diagram,
 )
 from eulcat.ratlin import chi_L, weighting
+
+from helpers import nonidentity_paths
 
 
 def report(number: int, text: str) -> None:

@@ -9,11 +9,11 @@ from eulcat.errors import ValidationError
 from eulcat.eulerchar import chi2_free_EI, chi_scwol, groupoid_chi2
 from eulcat.fincat import (
     Morphism,
+    UnknownObject,
     are_isomorphic,
     classify,
     equal_presentation,
     iso_classes,
-    nonidentity_paths,
     path_counts,
     skeleton,
 )
@@ -41,6 +41,7 @@ from eulcat.groups import GroupHom, cyclic_group, klein_four_group, symmetric_gr
 from eulcat.hocolim import grothendieck_pseudo
 from eulcat.ratlin import chi_L
 
+from helpers import nonidentity_paths
 from strategies import SEEDS, actions, free_actions, small_rationals, scwols
 
 
@@ -549,6 +550,24 @@ class TestHaefliger:
         gamma = skeleton(cat).category
         vals = {x: Fraction(1) for x in gamma.objects}
         assert haefliger_chi(cat, vals) == chi_scwol(cat)
+
+    def test_unknown_key_is_rejected(self):
+        vals = {"j": Fraction(1), "k": Fraction(1), "l": Fraction(1), "zz": Fraction(2)}
+        with pytest.raises(UnknownObject, match="'zz'"):
+            haefliger_chi(zoo.pushout_scwol(), vals)
+
+    def test_values_in_one_class_must_agree(self):
+        # j~0 and j~1 are isomorphic copies of j; j~0 represents the class
+        fat = zoo.inflate(zoo.pushout_scwol(), {"j": 2})
+        vals = {"j~0": Fraction(1, 2), "k~0": Fraction(1, 3), "l~0": Fraction(1, 5)}
+        expected = vals["k~0"] + vals["l~0"] - vals["j~0"]
+        assert haefliger_chi(fat, vals) == expected
+        assert haefliger_chi(fat, {**vals, "j~1": Fraction(1, 2)}) == expected
+        with pytest.raises(ValidationError, match="'j~0' and 'j~1'") as err:
+            haefliger_chi(fat, {**vals, "j~1": Fraction(1, 7)})
+        assert err.value.witness == {
+            "objects": ("j~0", "j~1"), "values": (Fraction(1, 2), Fraction(1, 7))
+        }
 
     @settings(max_examples=15, deadline=None)
     @given(small_rationals, small_rationals, small_rationals)

@@ -29,10 +29,10 @@ from eulcat.hocolim import (
     grothendieck,
     grothendieck_pseudo,
     set_diagram,
-    trivial_diagram,
 )
 from eulcat.ratlin import NoWeighting, chi_L, weighting
 
+from helpers import trivial_diagram
 from strategies import SEEDS, scwols, small_rationals
 
 

@@ -5,10 +5,12 @@ import pytest
 
 from eulcat import manifest, randgen, zoo
 from eulcat.cli import main
+from eulcat.errors import InvariantViolation
 from eulcat.fincat import equal_presentation
 from eulcat.groupact import complex_of_groups, complex_to_pseudo_diagram
 from eulcat.groups import cyclic_group
 from eulcat.hocolim import bar_spectrum, builtin_spectrum, constant_diagram
+from eulcat.ratlin import NoEulerCharacteristic
 
 
 @pytest.fixture
@@ -408,6 +410,30 @@ def test_bad_option_value_exits_2_with_one_error_line(tmp_path, monkeypatch, cap
     ]
     assert named in captured.err
     assert "not a scwol" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "error, code, out, err",
+    [
+        (NoEulerCharacteristic, 0, "objects: 3\nmorphisms: 5\nchi_L: undefined\n", ""),
+        (InvariantViolation, 2, "", "error: sums disagree\n"),
+    ],
+    ids=["no-euler-characteristic", "library-fault"],
+)
+def test_hocolim_reads_only_a_missing_chi_as_undefined(tmp_path, monkeypatch, capsys,
+                                                       error, code, out, err):
+    """A failed cross-check inside chi_L is a library fault, not an
+    undefined Euler characteristic: it exits 2 with one error line."""
+    from eulcat import cli
+
+    def raising(cat):
+        raise error("sums disagree")
+
+    path = write(tmp_path, "d.json", "diagram",
+                 constant_diagram(zoo.pushout_scwol(), zoo.terminal_category()))
+    monkeypatch.setattr(cli, "chi_L", raising)
+    assert main(["hocolim", path]) == code
+    assert capsys.readouterr() == (out, err)
 
 
 def test_commands_parser_and_readme_name_the_same_subcommands():
