@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import json
 import sys
 from fractions import Fraction
 from typing import Any, Callable, Mapping, Optional
@@ -492,7 +491,7 @@ def main(argv=None) -> int:
         kind, value = (None, None) if command.kinds is None else _load(args.file, *command.kinds)
         lines, report, ok = command.handler(kind, value, args)
         if args.json:
-            print(json.dumps(report, indent=2, sort_keys=True))
+            print(manifest._dumps(report))
         else:
             for line in lines:
                 print(line)

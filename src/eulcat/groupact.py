@@ -33,7 +33,7 @@ from .fincat import (
     skeleton,
 )
 from .groups import FinGroup, GroupHom
-from .hocolim import CellSpectrum, bar_spectrum, formula_value
+from .hocolim import bar_spectrum, formula_value
 from .ratlin import chi_L
 
 
@@ -575,11 +575,10 @@ def hocolim_groups(cplx: ComplexOfGroups) -> FinCat:
             tgt = cplx.local[base.target(mb)]
             tw_inv = tgt.inv(cplx.twist(mb, ma))
             for g1 in cplx.local[base.target(ma)].labels:
-                fb_g1 = cplx.homs[mb](g1)
+                a_g1 = nm(ma, g1)
+                fb_g1_tw_inv = tgt.mul(cplx.homs[mb](g1), tw_inv)
                 for g2 in tgt.labels:
-                    comp[(nm(mb, g2), nm(ma, g1))] = nm(
-                        ba, tgt.mul(g2, tgt.mul(fb_g1, tw_inv))
-                    )
+                    comp[(nm(mb, g2), a_g1)] = nm(ba, tgt.mul(g2, fb_g1_tw_inv))
 
     return FinCat(
         tuple(base.objects), tuple(mors), ident, comp, name=f"hocolim({base.name})"

@@ -7,6 +7,7 @@
 All numbers that can be non-integral are strings "p/q"; integers stay JSON
 integers.  Serialization is deterministic (object-id order), and
 ``parse(serialize(x))`` rebuilds an identical structure for every kind.
+``_dumps`` writes every manifest file and every CLI ``--json`` report.
 """
 
 from __future__ import annotations
@@ -314,7 +315,102 @@ def load_file(path: str) -> tuple[str, Any]:
     return parse(data)
 
 
+# -- text ----------------------------------------------------------------------------
+
+
+_quote = json.encoder.encode_basestring_ascii  # the C escaper json.dumps uses
+_SEQUENCES = {list, tuple}
+
+
+def _dumps(value) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte.
+
+    CPython's C encoder does not indent, so json.dumps runs its pure-Python
+    encoder here.  This writer covers dicts with str keys, lists, tuples,
+    str, int, bool and None.  Any other value (a float, a non-str key, a
+    subclass, an unserialisable object, a cycle) raises TypeError or
+    RecursionError inside it, and then the whole value goes to json.dumps,
+    so the bytes and the errors are json.dumps's own.  (A str subclass in a
+    list of strings is escaped as a str, which is what json.dumps does.)
+    """
+    out: list[str] = []
+    try:
+        _write(value, "\n", out)
+    except (TypeError, RecursionError):
+        return json.dumps(value, indent=2, sort_keys=True)
+    return "".join(out)
+
+
+def _write(v, nl: str, out: list[str]) -> None:
+    """Append the text of ``v`` to ``out``; ``nl`` is the newline and indent
+    of its closing bracket.  Pieces are appended, not returned, so no text is
+    copied once per nesting level."""
+    t = type(v)
+    if t is str:
+        out.append(_quote(v))
+    elif t is dict:
+        if not v:
+            out.append("{}")
+            return
+        ind = nl + "  "
+        sep = "{" + ind
+        for k in sorted(v):
+            x = v[k]
+            if type(x) is str:
+                out.append(sep + _quote(k) + ": " + _quote(x))
+            else:
+                out.append(sep + _quote(k) + ": ")
+                _write(x, ind, out)
+            sep = "," + ind
+        out.append(nl + "}")
+    elif t is list or t is tuple:
+        _write_list(v, nl, out)
+    elif t is int:
+        out.append(int.__repr__(v))
+    elif v is None:
+        out.append("null")
+    elif v is True:
+        out.append("true")
+    elif v is False:
+        out.append("false")
+    else:
+        raise TypeError
+
+
+def _write_list(v, nl: str, out: list[str]) -> None:
+    if not v:
+        out.append("[]")
+        return
+    ind = nl + "  "
+    sep = "," + ind
+    try:  # a list of strings
+        out.append("[" + ind + sep.join(map(_quote, v)) + nl + "]")
+        return
+    except TypeError:
+        pass
+    if {*map(type, v)} <= _SEQUENCES and all(v):
+        ind2 = ind + "  "
+        try:  # a list of non-empty string lists, such as compose triples
+            out.append(
+                "[" + ind + "[" + ind2
+                + (ind + "]" + sep + "[" + ind2).join(
+                    [("," + ind2).join(map(_quote, x)) for x in v]
+                )
+                + ind + "]" + nl + "]"
+            )
+            return
+        except TypeError:
+            pass
+    first = "[" + ind
+    for x in v:
+        out.append(first)
+        _write(x, ind, out)
+        first = sep
+    out.append(nl + "]")
+
+
 def dump_file(path: str, kind: str, value) -> None:
+    text = _dumps(serialize(kind, value))
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(serialize(kind, value), fh, indent=2, sort_keys=True)
+        fh.write(text)
         fh.write("\n")

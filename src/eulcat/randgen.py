@@ -17,7 +17,7 @@ from .fincat import CatFunctor, FinCat, Morphism
 from .groups import FinGroup, GroupHom, all_homs, cyclic_group, klein_four_group, symmetric_group, trivial_group
 from .groupact import ScwolAction, trivial_action
 from .hocolim import StrictDiagram
-from .zoo import build_category, cone, discrete_category, inflate, polygon_scwol
+from .zoo import build_category, cone, inflate, polygon_scwol
 
 _POOL: Optional[list[FinGroup]] = None
 _HOM_CACHE: dict[tuple[int, int], list[GroupHom]] = {}

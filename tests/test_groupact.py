@@ -8,6 +8,7 @@ from eulcat import randgen, zoo
 from eulcat.errors import ValidationError
 from eulcat.eulerchar import chi2_free_EI, chi_scwol, groupoid_chi2
 from eulcat.fincat import (
+    FinCat,
     Morphism,
     UnknownObject,
     are_isomorphic,
@@ -37,7 +38,14 @@ from eulcat.groupact import (
     trivial_action,
     validate_action,
 )
-from eulcat.groups import GroupHom, cyclic_group, klein_four_group, symmetric_group, perm_of_label
+from eulcat.groups import (
+    GroupHom,
+    cyclic_group,
+    klein_four_group,
+    perm_of_label,
+    symmetric_group,
+    trivial_group,
+)
 from eulcat.hocolim import grothendieck_pseudo
 from eulcat.ratlin import chi_L
 
@@ -328,6 +336,65 @@ class TestHocolimGroups:
         assert {
             (mor[g], mor[f]): mor[gf] for (g, f), gf in direct.composition.items()
         } == dict(generic.composition)
+
+    @staticmethod
+    def assert_same_as_unhoisted_loop(cplx):
+        """hocolim_groups equals its old body, which multiplied F(b)(g1) by
+        the inverse twist and named (a, g1) again for every g2: the same
+        category, name and composition table in the same insertion order."""
+        base = cplx.base
+
+        def nm(a, g):
+            return f"({a},{g})"
+
+        mors = [
+            Morphism(nm(m.name, g), m.source, m.target)
+            for m in base.morphisms
+            for g in cplx.local[m.target].labels
+        ]
+        ident = {x: nm(base.identity[x], cplx.local[x].identity) for x in base.objects}
+        comp = {}
+        for ma in base.morphism_names():
+            for mb in base.morphisms_from(base.target(ma)):
+                ba = base.compose(mb, ma)
+                tgt = cplx.local[base.target(mb)]
+                tw_inv = tgt.inv(cplx.twist(mb, ma))
+                for g1 in cplx.local[base.target(ma)].labels:
+                    fb_g1 = cplx.homs[mb](g1)
+                    for g2 in tgt.labels:
+                        comp[(nm(mb, g2), nm(ma, g1))] = nm(
+                            ba, tgt.mul(g2, tgt.mul(fb_g1, tw_inv))
+                        )
+        old = FinCat(tuple(base.objects), tuple(mors), ident, comp, name=f"hocolim({base.name})")
+        new = hocolim_groups(cplx)
+        assert equal_presentation(new, old) and new.name == old.name
+        assert list(new.composition.items()) == list(old.composition.items())
+
+    @settings(max_examples=20, deadline=None)
+    @given(actions)
+    @example(randgen.cone_action(randgen.circle_action()))
+    def test_same_table_as_unhoisted_loop(self, action):
+        self.assert_same_as_unhoisted_loop(complex_of_groups(action).complex)
+
+    def test_same_table_as_unhoisted_loop_with_noncentral_twist(self):
+        # 0 -a-> 1 -b-> 2 with local groups 1, S3, S3 and F(b) = id: the twist
+        # of (b, a) is a transposition, which commutes with no 3-cycle g1, so
+        # g2 . F(b)(g1) . twist^-1 depends on the order of the factors
+        base = zoo.build_category(
+            ("0", "1", "2"),
+            (("a", "0", "1"), ("b", "1", "2"), ("ba", "0", "2")),
+            {("b", "a"): "ba"},
+        )
+        one, s3 = trivial_group(), symmetric_group(3)
+        local = {"0": one, "1": s3, "2": s3}
+        to_s3 = GroupHom(one, s3, {one.identity: s3.identity})
+        homs = {base.identity[x]: GroupHom.identity_hom(local[x]) for x in base.objects}
+        homs.update(a=to_s3, b=GroupHom.identity_hom(s3), ba=to_s3)
+        twists = {pair: local[base.target(pair[0])].identity for pair in base.composition}
+        twists[("b", "a")] = next(
+            g for g in s3.labels if g != s3.identity and s3.mul(g, g) == s3.identity
+        )
+        self.assert_same_as_unhoisted_loop(ComplexOfGroups(base, local, homs, twists))
 
     @settings(max_examples=10, deadline=None)
     @given(actions)

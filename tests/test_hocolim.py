@@ -4,7 +4,7 @@ from random import Random
 import pytest
 from hypothesis import given, settings
 
-from eulcat import randgen, zoo
+from eulcat import fincat, hocolim, randgen, zoo
 from eulcat.eulerchar import chi_scwol
 from eulcat.fincat import (
     NotScwol,
@@ -18,6 +18,7 @@ from eulcat.groups import cyclic_group, trivial_group
 from eulcat.hocolim import (
     CellSpectrum,
     CoherenceFailure,
+    FormulaReport,
     MissingValue,
     PseudoDiagram,
     UnknownKind,
@@ -33,7 +34,7 @@ from eulcat.hocolim import (
 from eulcat.ratlin import NoWeighting, chi_L, weighting
 
 from helpers import trivial_diagram
-from strategies import SEEDS, scwols, small_rationals
+from strategies import SEEDS, scwols, small_rationals, strict_diagrams
 
 
 def intro_pushout_diagram():
@@ -276,6 +277,32 @@ class TestCheckFormula:
             intro_pushout_diagram(), "chiL", spectrum=builtin_spectrum("pushout")
         )
         assert rep.equal
+
+    @settings(max_examples=30, deadline=None)
+    @given(strict_diagrams)
+    def test_strict_total_builds_no_inclusion_functor(self, d):
+        def old_route(d, invariant="chiL"):
+            """check_hocolim_formula on a strict diagram as it was: the total
+            category read off grothendieck(d), which also builds the alphas."""
+            fn = hocolim._invariant_fn(invariant)
+            lhs = Fraction(fn(grothendieck(d).category))
+            spec = bar_spectrum(d.index)
+            vals = {i: Fraction(fn(d.vertex[i])) for i in spec.objects_with_cells()}
+            rhs = formula_value(spec, vals)
+            return FormulaReport(invariant, lhs, rhs, vals, lhs == rhs)
+
+        built = [0]
+        real = fincat.CatFunctor.__post_init__
+
+        def counted(functor):
+            built[0] += 1
+            real(functor)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fincat.CatFunctor, "__post_init__", counted)
+            rep = check_hocolim_formula(d, "chiL")
+        assert built[0] == 0
+        assert rep == old_route(d)
 
     def test_foreign_spectrum_names_rejected(self):
         d = constant_diagram(zoo.parallel_pair_scwol(), zoo.terminal_category())
