@@ -187,11 +187,23 @@ class FinCat:
 
         # h o (g o f) against (h o g) o f for all h at once: take_out[y] reads
         # row[h] for every h out of y, take_hg[g] reads row[h o g] in the same
-        # order.  Every object has its identity, so no getter is empty.
+        # order.  Every object has its identity, so no getter is empty.  A
+        # triple whose f or g is an identity holds by the identity laws
+        # above, so those pairs are skipped and get no getter.
+        is_ident = [False] * len(names)
+        for i in ident:
+            is_ident[i] = True
         take_out = [itemgetter(*hs) for hs in out]
-        take_hg = [itemgetter(*[rows[g][h] for h in out[tgt[g]]]) for g in range(len(names))]
+        take_hg = [
+            None if is_ident[g] else itemgetter(*[rows[g][h] for h in out[tgt[g]]])
+            for g in range(len(names))
+        ]
         for f, row_f in enumerate(rows):
+            if is_ident[f]:
+                continue
             for g in out[tgt[f]]:
+                if is_ident[g]:
+                    continue
                 row_gf = rows[row_f[g]]
                 if take_out[tgt[g]](row_gf) != take_hg[g](row_f):
                     h = next(h for h in out[tgt[g]] if row_gf[h] != row_f[rows[g][h]])

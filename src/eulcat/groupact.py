@@ -32,7 +32,7 @@ from .fincat import (
     lower_link,
     skeleton,
 )
-from .groups import FinGroup, GroupHom
+from .groups import FinGroup, GroupHom, _image_of
 from .hocolim import bar_spectrum, formula_value
 from .ratlin import chi_L
 
@@ -267,7 +267,10 @@ def quotient(action: ScwolAction) -> QuotientResult:
 
     Well-definedness of the induced composition and the source-side orbit
     bijection are consequences of the action axioms; both are re-verified
-    here and raise InvalidQuotient on failure.
+    here and raise InvalidQuotient on failure.  The composites of all lifts
+    are collected in one pass over the space's composition table, grouped
+    by the pair of orbits composed; each composable pair of orbit
+    representatives, in order, must then have exactly one composite orbit.
     """
     cat = action.space
     obj_orbit: dict[str, str] = {}
@@ -289,18 +292,18 @@ def quotient(action: ScwolAction) -> QuotientResult:
     for x in objs:
         ident[x] = mor_orbit[cat.identity[x]]
 
-    # induced composition: compose any composable pair of lifts; verify all
-    # choices give the same orbit
+    # induced composition: compose every composable pair of lifts, in one
+    # pass over the table, then require each pair of orbits to have exactly
+    # one composite orbit
+    lifted: dict[tuple[str, str], set[str]] = {}
+    for (b, a), ba in cat.composition.items():
+        lifted.setdefault((mor_orbit[b], mor_orbit[a]), set()).add(mor_orbit[ba])
     comp: dict[tuple[str, str], str] = {}
     for mb in mors:
         for ma in mors:
             if ma.target != mb.source:
                 continue
-            results = set()
-            for a in action.morphism_orbit(ma.name):
-                for b in action.morphism_orbit(mb.name):
-                    if cat.target(a) == cat.source(b):
-                        results.add(mor_orbit[cat.compose(b, a)])
+            results = lifted.get((mb.name, ma.name), set())
             if len(results) != 1:
                 raise InvalidQuotient(
                     f"composite of orbits ({mb.name!r}, {ma.name!r}) is not well-defined: {sorted(results)}"
@@ -387,26 +390,36 @@ class ComplexOfGroups:
                 if g != self.local[base.target(b)].identity:
                     raise ValidationError(f"unit twist at ({b!r}, {a!r}) must be trivial")
 
-        # conjugation identity (the 2-cell condition)
+        # conjugation identity (the 2-cell condition), on indices: twist[p]
+        # is the index of the twist at the pair p, img[m][i] that of the
+        # image of element i along m
+        img = {m.name: _image_of(self.homs[m.name]) for m in base.morphisms}
+        twist: dict[tuple[str, str], int] = {}
         for (b, a), g in self.twists.items():
             ba = self.base.compose(b, a)
             tgt = self.local[base.target(b)]
-            for x in self.local[base.source(a)].labels:
-                composed = self.homs[b](self.homs[a](x))
-                if tgt.conjugate(composed, g) != self.homs[ba](x):
-                    raise ValidationError(
-                        f"conjugation identity fails at ({b!r}, {a!r}) on element {x!r}"
-                    )
+            table = tgt.table
+            gi = twist[(b, a)] = tgt._index[g]
+            row_g, g_inv = table[gi], tgt._inverse[gi]
+            img_b, img_ba = img[b], img[ba]
+            conjugated = [table[row_g[img_b[j]]][g_inv] for j in img[a]]
+            if conjugated != img_ba:
+                x = next(x for x, c, want in zip(self.local[base.source(a)].labels,
+                                                 conjugated, img_ba) if c != want)
+                raise ValidationError(
+                    f"conjugation identity fails at ({b!r}, {a!r}) on element {x!r}"
+                )
 
         # cocycle identity on composable triples
         for a in base.morphism_names():
             for b in base.morphisms_from(base.target(a)):
                 ba = base.compose(b, a)
+                tw_ba = twist[(b, a)]
                 for c in base.morphisms_from(base.target(b)):
                     cb = base.compose(c, b)
-                    tgt = self.local[base.target(c)]
-                    lhs = tgt.mul(self.twists[(c, ba)], self.homs[c](self.twists[(b, a)]))
-                    rhs = tgt.mul(self.twists[(cb, a)], self.twists[(c, b)])
+                    table = self.local[base.target(c)].table
+                    lhs = table[twist[(c, ba)]][img[c][tw_ba]]
+                    rhs = table[twist[(cb, a)]][twist[(c, b)]]
                     if lhs != rhs:
                         raise ValidationError(
                             f"cocycle fails on triple ({c!r}, {b!r}, {a!r})"
@@ -475,7 +488,16 @@ def complex_of_groups(
     choices may be overridden (used by skeletal reduction to coordinate
     choices across a retraction); override validity is checked.
     """
-    q = quotient(action)
+    return _complex_from_quotient(action, quotient(action), object_reps, h_elements)
+
+
+def _complex_from_quotient(
+    action: ScwolAction,
+    q: QuotientResult,
+    object_reps: Optional[Mapping[str, str]],
+    h_elements: Optional[Mapping[str, str]],
+) -> ComplexFromAction:
+    """``complex_of_groups`` on the quotient ``q`` of the same action."""
     base = q.category
     cat = action.space
     group = action.group
@@ -520,22 +542,25 @@ def complex_of_groups(
                 g for g in group.labels if action.act_obj(g, cat.target(lift)) == t_rep
             )
 
+    labels, table, inverse, index = group.labels, group.table, group._inverse, group._index
+    h_idx: dict[str, int] = {}
     homs = {}
     for m in base.morphisms:
         # conjugation happens in the ambient group; an element fixing the
         # lift's source fixes the lift and hence its target, so conjugating
         # by h lands in the stabilizer of the target representative
-        h = h_elts[m.name]
+        h = h_idx[m.name] = group.index(h_elts[m.name])
+        row_h, h_inv = table[h], inverse[h]
         homs[m.name] = GroupHom(
             local[m.source],
             local[m.target],
-            {a: group.conjugate(a, h) for a in local[m.source].labels},
+            {a: labels[table[row_h[index[a]]][h_inv]] for a in local[m.source].labels},
         )
+    # twist(b, a) = h_ba . h_a^-1 . h_b^-1
     twists = {}
     for (b, a) in base.composition:
         ba = base.compose(b, a)
-        elt = group.mul(h_elts[ba], group.mul(group.inv(h_elts[a]), group.inv(h_elts[b])))
-        twists[(b, a)] = elt
+        twists[(b, a)] = labels[table[h_idx[ba]][table[inverse[h_idx[a]]][inverse[h_idx[b]]]]]
 
     cplx = ComplexOfGroups(base, local, homs, twists)
     return ComplexFromAction(
@@ -568,17 +593,23 @@ def hocolim_groups(cplx: ComplexOfGroups) -> FinCat:
     for x in base.objects:
         ident[x] = nm(base.identity[x], cplx.local[x].identity)
 
+    # on indices: for each g1, k is the index of F(b)(g1) . twist(b, a)^-1,
+    # and the composite with (b, g2) is (b o a, g2 . k), read off row g2
     comp = {}
     for ma in base.morphism_names():
         for mb in base.morphisms_from(base.target(ma)):
             ba = base.compose(mb, ma)
             tgt = cplx.local[base.target(mb)]
-            tw_inv = tgt.inv(cplx.twist(mb, ma))
-            for g1 in cplx.local[base.target(ma)].labels:
+            table = tgt.table
+            tw_inv = tgt._inverse[tgt.index(cplx.twist(mb, ma))]
+            fb = _image_of(cplx.homs[mb])
+            b_names = [nm(mb, g2) for g2 in tgt.labels]
+            ba_names = [nm(ba, g) for g in tgt.labels]
+            for g1, fb_g1 in zip(cplx.local[base.target(ma)].labels, fb):
                 a_g1 = nm(ma, g1)
-                fb_g1_tw_inv = tgt.mul(cplx.homs[mb](g1), tw_inv)
-                for g2 in tgt.labels:
-                    comp[(nm(mb, g2), a_g1)] = nm(ba, tgt.mul(g2, fb_g1_tw_inv))
+                k = table[fb_g1][tw_inv]
+                for b_g2, row_g2 in zip(b_names, table):
+                    comp[(b_g2, a_g1)] = ba_names[row_g2[k]]
 
     return FinCat(
         tuple(base.objects), tuple(mors), ident, comp, name=f"hocolim({base.name})"
@@ -737,8 +768,8 @@ def skeletal_reduction(action: ScwolAction) -> SkeletalReduction:
     fx = fg = None
     if rbar is not None:
         fx_choices, fg_choices = _coordinated_choices(action, r, qx, rbar)
-        fx = complex_of_groups(action, *fx_choices)
-        fg = complex_of_groups(reduced, *fg_choices)
+        fx = _complex_from_quotient(action, qx, *fx_choices)
+        fg = _complex_from_quotient(reduced, qg, *fg_choices)
         complexes_agree = _complexes_agree_along(fx.complex, fg.complex, rbar)
 
     # (5) the homotopy colimits have equal chi_L
@@ -915,9 +946,10 @@ def transport_groupoid(group: FinGroup, elements: Sequence[str],
             raise NotAnAction(f"element {g!r} does not permute the set")
     if any(act[e][s] != s for s in elements):
         raise NotAnAction("identity element moves a point")
-    for g in group.labels:
-        for h in group.labels:
-            gh = group.mul(g, h)
+    labels, table = group.labels, group.table
+    for g, row_g in zip(labels, table):
+        for h, gh_index in zip(labels, row_g):
+            gh = labels[gh_index]
             if any(act[g][act[h][s]] != act[gh][s] for s in elements):
                 raise NotAnAction(f"action of {g!r}{h!r} disagrees with {gh!r}")
 
@@ -928,10 +960,10 @@ def transport_groupoid(group: FinGroup, elements: Sequence[str],
     ident = {s: nm(e, s) for s in elements}
     comp = {}
     for s in elements:
-        for g in group.labels:
+        for gi, g in enumerate(labels):
             mid = act[g][s]
-            for h in group.labels:
-                comp[(nm(h, mid), nm(g, s))] = nm(group.mul(h, g), s)
+            for h, row_h in zip(labels, table):
+                comp[(nm(h, mid), nm(g, s))] = nm(labels[row_h[gi]], s)
     groupoid = FinCat(elements, tuple(mors), ident, comp, name=f"transport({group.name})")
 
     from .zoo import discrete_category

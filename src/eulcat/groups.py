@@ -1,8 +1,12 @@
 """Finite groups as explicit Cayley tables, plus group homomorphisms.
 
-Elements are referred to by opaque string labels; all tables index by
-interned integers internally.  Groups are tiny here (order <= a few dozen),
-so every axiom is checked exhaustively at construction time.
+Elements are referred to by opaque string labels at the boundary; inside,
+every group law is computed on integer indices: ``FinGroup.table`` holds
+the products and ``FinGroup._inverse`` the inverses, and a homomorphism is
+read as the list of its image indices (``_image_of``).  Labels come back only
+for results and error messages.  Groups are tiny here (order <= a few dozen),
+so every axiom is checked exhaustively at construction time, a whole row of
+the table at a time.
 """
 
 from __future__ import annotations
@@ -47,27 +51,32 @@ class FinGroup:
                 if not 0 <= v < n:
                     raise NotAGroup(f"Cayley table entry {v} out of range")
         object.__setattr__(self, "_index", {lab: i for i, lab in enumerate(self.labels)})
-        # identity: the unique e with e*x = x = x*e for all x
-        identity = None
-        for e in range(n):
-            if all(self.table[e][x] == x == self.table[x][e] for x in range(n)):
-                identity = e
-                break
+        rows = [list(row) for row in self.table]
+        cols = [list(col) for col in zip(*rows)]
+        # identity: the first e whose row and column both read 0, 1, ..., n-1
+        every = list(range(n))
+        identity = next((e for e in every if rows[e] == every and cols[e] == every), None)
         if identity is None:
             raise NotAGroup(f"{self.name} has no identity element")
         object.__setattr__(self, "_identity", identity)
-        inverse = [None] * n
-        for a in range(n):
-            for b in range(n):
-                if self.table[a][b] == identity == self.table[b][a]:
-                    inverse[a] = b
-                    break
-            if inverse[a] is None:
-                raise NotAGroup(f"element {self.labels[a]!r} of {self.name} has no inverse")
+        # inverse of a: the first b where row a and column a both hold e
+        inverse = []
+        for a, row_a in enumerate(rows):
+            col_a = cols[a]
+            b = -1
+            try:
+                while True:
+                    b = row_a.index(identity, b + 1)
+                    if col_a[b] == identity:
+                        break
+            except ValueError:
+                raise NotAGroup(
+                    f"element {self.labels[a]!r} of {self.name} has no inverse"
+                ) from None
+            inverse.append(b)
         object.__setattr__(self, "_inverse", tuple(inverse))
         # (ab)c against a(bc) for every c at once: row ab of the table
         # against row a read through row b
-        rows = [list(row) for row in self.table]
         for a, row_a in enumerate(rows):
             for b, ab in enumerate(row_a):
                 if rows[ab] != [row_a[x] for x in rows[b]]:
@@ -109,23 +118,28 @@ class FinGroup:
 
     def conjugate(self, a: str, by: str) -> str:
         """Return ``by * a * by^-1``."""
-        return self.mul(self.mul(by, a), self.inv(by))
+        b = self.index(by)
+        return self.labels[self.table[self.table[b][self.index(a)]][self._inverse[b]]]
 
     # -- constructions -----------------------------------------------------
 
     def subgroup(self, members: Iterable[str], name: str | None = None) -> "FinGroup":
         """Full subgroup on ``members``; raises if the subset is not closed."""
         labels = sorted(set(members), key=self.index)
-        pos = {lab: i for i, lab in enumerate(labels)}
+        idx = [self._index[lab] for lab in labels]
+        pos = {i: k for k, i in enumerate(idx)}
         table = []
-        for a in labels:
-            row = []
-            for b in labels:
-                p = self.mul(a, b)
-                if p not in pos:
-                    raise NotAGroup(f"subset not closed: {a!r}*{b!r} = {p!r} escapes")
-                row.append(pos[p])
-            table.append(tuple(row))
+        for a in idx:
+            row = self.table[a]
+            products = [row[b] for b in idx]
+            try:
+                table.append(tuple([pos[p] for p in products]))
+            except KeyError:
+                b, p = next((b, p) for b, p in zip(idx, products) if p not in pos)
+                names = self.labels
+                raise NotAGroup(
+                    f"subset not closed: {names[a]!r}*{names[b]!r} = {names[p]!r} escapes"
+                ) from None
         return FinGroup(tuple(labels), tuple(table), name=name or f"{self.name}_sub")
 
     @staticmethod
@@ -185,19 +199,24 @@ class GroupHom:
     mapping: Mapping[str, str]
 
     def __post_init__(self):
-        for a in self.source.labels:
+        source, target = self.source, self.target
+        for a in source.labels:
             if a not in self.mapping:
                 raise NotAHomomorphism(f"map undefined on {a!r}")
-            if self.mapping[a] not in self.target:
+            if self.mapping[a] not in target:
                 raise NotAHomomorphism(f"image {self.mapping[a]!r} not in target group")
-        if self.mapping[self.source.identity] != self.target.identity:
+        img = _image_of(self)
+        if img[source._identity] != target._identity:
             raise NotAHomomorphism("identity is not preserved")
-        for a in self.source.labels:
-            for b in self.source.labels:
-                if self.mapping[self.source.mul(a, b)] != self.target.mul(
-                    self.mapping[a], self.mapping[b]
-                ):
-                    raise NotAHomomorphism(f"product not preserved on ({a!r}, {b!r})")
+        # f(ab) against f(a)f(b) for every b at once: row a of the source
+        # read through f, against row f(a) of the target read at f(b)
+        for a, row_a in enumerate(source.table):
+            row_fa = target.table[img[a]]
+            if [img[ab] for ab in row_a] != [row_fa[fb] for fb in img]:
+                b = next(b for b, ab in enumerate(row_a) if img[ab] != row_fa[img[b]])
+                raise NotAHomomorphism(
+                    f"product not preserved on ({source.labels[a]!r}, {source.labels[b]!r})"
+                )
 
     def __call__(self, a: str) -> str:
         return self.mapping[a]
@@ -208,6 +227,12 @@ class GroupHom:
     @staticmethod
     def identity_hom(group: FinGroup) -> "GroupHom":
         return GroupHom(group, group, {a: a for a in group.labels})
+
+
+def _image_of(hom: GroupHom) -> list[int]:
+    """``img[i]`` is the target index of the image of source element i."""
+    index = hom.target._index
+    return [index[hom.mapping[a]] for a in hom.source.labels]
 
 
 def all_homs(source: FinGroup, target: FinGroup) -> list[GroupHom]:

@@ -43,6 +43,25 @@ class UnknownKind(EulcatError):
     """No built-in cell model with that name."""
 
 
+def _is_identity_on(fun: CatFunctor, cat: FinCat) -> bool:
+    """``fun.same_maps_as(CatFunctor.identity_functor(cat))``, without
+    building and validating the identity functor."""
+    return dict(fun.obj_map) == {x: x for x in cat.objects} and dict(fun.mor_map) == {
+        m.name: m.name for m in cat.morphisms
+    }
+
+
+def _is_composite(first: CatFunctor, second: CatFunctor, fun: CatFunctor) -> bool:
+    """``first.then(second).same_maps_as(fun)`` for the edges along a
+    composable pair, without building and validating the composite, which
+    is a functor by construction.  The maps are composed key by key just as
+    ``then`` composes them, so an extra key gives the same answer or the
+    same error."""
+    obj_map = {x: second.obj_map[y] for x, y in first.obj_map.items()}
+    mor_map = {m: second.mor_map[n] for m, n in first.mor_map.items()}
+    return obj_map == dict(fun.obj_map) and mor_map == dict(fun.mor_map)
+
+
 def _check_vertices_and_edges(d: Diagram) -> None:
     """Every index object has a vertex category and every index morphism a
     functor between the vertex categories at its endpoints."""
@@ -69,12 +88,10 @@ class StrictDiagram:
         _check_vertices_and_edges(self)
         idx = self.index
         for i in idx.objects:
-            if not self.edge[idx.identity[i]].same_maps_as(
-                CatFunctor.identity_functor(self.vertex[i])
-            ):
+            if not _is_identity_on(self.edge[idx.identity[i]], self.vertex[i]):
                 raise ValidationError(f"edge at id_{i!r} is not the identity functor")
         for (v, u), vu in idx.composition.items():
-            if not self.edge[u].then(self.edge[v]).same_maps_as(self.edge[vu]):
+            if not _is_composite(self.edge[u], self.edge[v], self.edge[vu]):
                 raise ValidationError(
                     f"strictness fails: edge({vu!r}) != edge({v!r}) o edge({u!r})"
                 )
@@ -113,14 +130,14 @@ class PseudoDiagram:
             iso = self.unit.get(i)
             if iso is None:
                 raise CoherenceFailure(f"no unit isomorphism at {i!r}")
-            if not iso.f.same_maps_as(CatFunctor.identity_functor(self.vertex[i])):
+            if not _is_identity_on(iso.f, self.vertex[i]):
                 raise CoherenceFailure(f"unit at {i!r} does not start at the identity functor")
             if not iso.g.same_maps_as(self.edge[idx.identity[i]]):
                 raise CoherenceFailure(f"unit at {i!r} does not land in C(id_{i})")
         for (v, u), iso in self.comp.items():
             if (v, u) not in idx.composition:
                 raise CoherenceFailure(f"comp given for non-composable pair ({v!r}, {u!r})")
-            if not iso.f.same_maps_as(self.edge[u].then(self.edge[v])):
+            if not _is_composite(self.edge[u], self.edge[v], iso.f):
                 raise CoherenceFailure(f"comp at ({v!r}, {u!r}) has wrong source functor")
             if not iso.g.same_maps_as(self.edge[idx.composition[(v, u)]]):
                 raise CoherenceFailure(f"comp at ({v!r}, {u!r}) has wrong target functor")

@@ -63,7 +63,7 @@ def group_payload(group: FinGroup) -> dict:
     return {
         "name": group.name,
         "elements": list(group.labels),
-        "table": [[group.mul(a, b) for b in group.labels] for a in group.labels],
+        "table": [[group.labels[v] for v in row] for row in group.table],
         "identity": group.identity,
     }
 

@@ -39,6 +39,7 @@ from eulcat.groupact import (
     validate_action,
 )
 from eulcat.groups import (
+    FinGroup,
     GroupHom,
     cyclic_group,
     klein_four_group,
@@ -49,8 +50,22 @@ from eulcat.groups import (
 from eulcat.hocolim import grothendieck_pseudo
 from eulcat.ratlin import chi_L
 
-from helpers import nonidentity_paths
+from helpers import count_calls, nonidentity_paths, s3_chain, s3_flag_action
 from strategies import SEEDS, actions, free_actions, small_rationals, scwols
+
+
+def flag_complex():
+    action, h_elements = s3_flag_action()
+    return complex_of_groups(action, h_elements=h_elements).complex
+
+
+# complexes whose twists fail to commute with the images of the structure maps
+NONCENTRAL = {
+    "S3-chain": lambda: ComplexOfGroups(*s3_chain()),
+    "S3-chain-other-twist": lambda: ComplexOfGroups(*s3_chain(twist="102")),
+    "S3-chain-conjugating": lambda: ComplexOfGroups(*s3_chain(conjugating=True)),
+    "S3-flag": flag_complex,
+}
 
 
 def s3_point_action():
@@ -322,7 +337,14 @@ class TestHocolimGroups:
     @given(actions)
     @example(randgen.cone_action(randgen.circle_action()))
     def test_matches_generic_pseudo_route(self, action):
-        cplx = complex_of_groups(action).complex
+        self.assert_matches_generic_pseudo_route(complex_of_groups(action).complex)
+
+    @pytest.mark.parametrize("make", NONCENTRAL.values(), ids=NONCENTRAL.keys())
+    def test_matches_generic_pseudo_route_with_noncentral_twist(self, make):
+        self.assert_matches_generic_pseudo_route(make())
+
+    @staticmethod
+    def assert_matches_generic_pseudo_route(cplx):
         direct = hocolim_groups(cplx)
         generic = grothendieck_pseudo(complex_to_pseudo_diagram(cplx))
         # the generic route names x as (x,*) and (a,g) as (a,g)@*
@@ -377,24 +399,10 @@ class TestHocolimGroups:
         self.assert_same_as_unhoisted_loop(complex_of_groups(action).complex)
 
     def test_same_table_as_unhoisted_loop_with_noncentral_twist(self):
-        # 0 -a-> 1 -b-> 2 with local groups 1, S3, S3 and F(b) = id: the twist
-        # of (b, a) is a transposition, which commutes with no 3-cycle g1, so
+        # a transposition twist commutes with no 3-cycle g1, so
         # g2 . F(b)(g1) . twist^-1 depends on the order of the factors
-        base = zoo.build_category(
-            ("0", "1", "2"),
-            (("a", "0", "1"), ("b", "1", "2"), ("ba", "0", "2")),
-            {("b", "a"): "ba"},
-        )
-        one, s3 = trivial_group(), symmetric_group(3)
-        local = {"0": one, "1": s3, "2": s3}
-        to_s3 = GroupHom(one, s3, {one.identity: s3.identity})
-        homs = {base.identity[x]: GroupHom.identity_hom(local[x]) for x in base.objects}
-        homs.update(a=to_s3, b=GroupHom.identity_hom(s3), ba=to_s3)
-        twists = {pair: local[base.target(pair[0])].identity for pair in base.composition}
-        twists[("b", "a")] = next(
-            g for g in s3.labels if g != s3.identity and s3.mul(g, g) == s3.identity
-        )
-        self.assert_same_as_unhoisted_loop(ComplexOfGroups(base, local, homs, twists))
+        for make in NONCENTRAL.values():
+            self.assert_same_as_unhoisted_loop(make())
 
     @settings(max_examples=10, deadline=None)
     @given(actions)
@@ -561,6 +569,14 @@ class TestChiTheorems:
     def test_always_hold(self, action):
         assert chi_theorems(action).all_hold()
 
+    def test_s3_flag(self):
+        action, h_elements = s3_flag_action()
+        rep = chi_theorems(action)
+        assert rep.all_hold() and rep.chi2_hocolim_direct_route == Fraction(1, 6)
+        assert skeletal_reduction(action).report.all_hold()
+        # the chi_L of the homotopy colimit does not depend on the h elements
+        assert chi_L(hocolim_groups(flag_complex())) == Fraction(1, 6)
+
 
 class TestDevelopability:
     def test_positive_chi2_blocks_zero_chi(self):
@@ -640,3 +656,53 @@ class TestHaefliger:
     @given(small_rationals, small_rationals, small_rationals)
     def test_pushout_formula_over_random_rationals(self, a, b, c):
         assert haefliger_chi(zoo.pushout_scwol(), {"j": a, "k": b, "l": c}) == b + c - a
+
+
+class TestWorkCounts:
+    """Counted calls pin the work that the index-level group layer removed."""
+
+    INPUTS = {
+        "circle": randgen.circle_action,
+        "cone": lambda: randgen.cone_action(randgen.circle_action()),
+        "fat-circle": lambda: randgen.inflate_action(
+            randgen.circle_action(), {"x": 2, "x2": 2, "y": 1, "z": 1}
+        ),
+        "seed-14": lambda: randgen.random_action(Random(14)),
+        "seed-59": lambda: randgen.random_action(Random(59)),
+        "S3-flag": lambda: s3_flag_action()[0],
+    }
+
+    @pytest.mark.parametrize("make", INPUTS.values(), ids=INPUTS.keys())
+    def test_reduction_and_theorems_take_three_quotients(self, make, monkeypatch):
+        """skeletal_reduction hands its two quotients to the complexes it
+        builds, and chi_theorems takes one more, as the audit task does."""
+        action = make()
+        counts = {"quotient": 0}
+        count_calls(monkeypatch, counts)
+        assert skeletal_reduction(action).report.all_hold()
+        assert chi_theorems(action).all_hold()
+        assert counts == {"quotient": 3}
+
+    @pytest.mark.parametrize("make", INPUTS.values(), ids=INPUTS.keys())
+    def test_group_laws_take_no_labelled_product(self, make, monkeypatch):
+        """GroupHom, ComplexOfGroups, complex_of_groups and hocolim_groups
+        compute on Cayley-table indices, never through FinGroup.mul."""
+        action = make()
+        cplx = complex_of_groups(action).complex
+        chain = s3_chain(conjugating=True)
+        counts = {"mul": 0, "inv": 0, "conjugate": 0}
+        for name in counts:
+            real = getattr(FinGroup, name)
+
+            def counted(*args, _real=real, _name=name):
+                counts[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(FinGroup, name, counted)
+        for hom in cplx.homs.values():
+            GroupHom(hom.source, hom.target, dict(hom.mapping))
+        ComplexOfGroups(cplx.base, cplx.local, cplx.homs, cplx.twists)
+        ComplexOfGroups(*chain)
+        hocolim_groups(cplx)
+        chi_theorems(action)
+        assert counts == {"mul": 0, "inv": 0, "conjugate": 0}

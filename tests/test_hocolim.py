@@ -1,12 +1,17 @@
 from fractions import Fraction
 from random import Random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eulcat import fincat, hocolim, randgen, zoo
 from eulcat.eulerchar import chi_scwol
+from eulcat.errors import ValidationError
 from eulcat.fincat import (
+    CatFunctor,
+    NatIso,
     NotScwol,
     are_isomorphic,
     classify,
@@ -14,6 +19,7 @@ from eulcat.fincat import (
     product,
     skeleton,
 )
+from eulcat.groupact import complex_of_groups, complex_to_pseudo_diagram
 from eulcat.groups import cyclic_group, trivial_group
 from eulcat.hocolim import (
     CellSpectrum,
@@ -21,6 +27,7 @@ from eulcat.hocolim import (
     FormulaReport,
     MissingValue,
     PseudoDiagram,
+    StrictDiagram,
     UnknownKind,
     bar_spectrum,
     builtin_spectrum,
@@ -34,7 +41,7 @@ from eulcat.hocolim import (
 from eulcat.ratlin import NoWeighting, chi_L, weighting
 
 from helpers import trivial_diagram
-from strategies import SEEDS, scwols, small_rationals, strict_diagrams
+from strategies import SEEDS, actions, scwols, small_rationals, strict_diagrams
 
 
 def intro_pushout_diagram():
@@ -135,6 +142,157 @@ class TestGrothendieckPseudo:
             PseudoDiagram(
                 diagram.index, diagram.vertex, diagram.edge, corrupted, diagram.unit
             )
+
+
+# -- diagram validation: the functor-level route as a reference ----------------------
+
+
+def reference_strict_checks(index, vertex, edge):
+    """StrictDiagram's checks through validated identity and composite functors."""
+    hocolim._check_vertices_and_edges(SimpleNamespace(index=index, vertex=vertex, edge=edge))
+    for i in index.objects:
+        if not edge[index.identity[i]].same_maps_as(CatFunctor.identity_functor(vertex[i])):
+            raise ValidationError(f"edge at id_{i!r} is not the identity functor")
+    for (v, u), vu in index.composition.items():
+        if not edge[u].then(edge[v]).same_maps_as(edge[vu]):
+            raise ValidationError(f"strictness fails: edge({vu!r}) != edge({v!r}) o edge({u!r})")
+
+
+def reference_pseudo_checks(index, vertex, edge, comp, unit):
+    """PseudoDiagram's checks through validated identity and composite
+    functors, then its unchanged coherence axioms."""
+    d = object.__new__(PseudoDiagram)
+    for name, value in zip(("index", "vertex", "edge", "comp", "unit"),
+                           (index, vertex, edge, comp, unit)):
+        object.__setattr__(d, name, value)
+    hocolim._check_vertices_and_edges(d)
+    for i in index.objects:
+        iso = unit.get(i)
+        if iso is None:
+            raise CoherenceFailure(f"no unit isomorphism at {i!r}")
+        if not iso.f.same_maps_as(CatFunctor.identity_functor(vertex[i])):
+            raise CoherenceFailure(f"unit at {i!r} does not start at the identity functor")
+        if not iso.g.same_maps_as(edge[index.identity[i]]):
+            raise CoherenceFailure(f"unit at {i!r} does not land in C(id_{i})")
+    for (v, u), iso in comp.items():
+        if (v, u) not in index.composition:
+            raise CoherenceFailure(f"comp given for non-composable pair ({v!r}, {u!r})")
+        if not iso.f.same_maps_as(edge[u].then(edge[v])):
+            raise CoherenceFailure(f"comp at ({v!r}, {u!r}) has wrong source functor")
+        if not iso.g.same_maps_as(edge[index.composition[(v, u)]]):
+            raise CoherenceFailure(f"comp at ({v!r}, {u!r}) has wrong target functor")
+    for (v, u) in index.composition:
+        if (v, u) not in comp:
+            raise CoherenceFailure(f"no comp isomorphism at ({v!r}, {u!r})")
+    d._check_unit_axioms()
+    d._check_associativity_axiom()
+
+
+def verdict(fn):
+    """What ``fn()`` returns, or the class and message of what it raises."""
+    try:
+        return fn()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def any_outcome(fn, *args):
+    """None on success, else the class and message of whatever was raised."""
+    outcome = verdict(lambda: fn(*args))
+    return outcome if isinstance(outcome, tuple) else None
+
+
+def with_extra_key(fun, rng):
+    """A copy of ``fun`` with one key too many in its object or morphism map.
+
+    CatFunctor requires the keys it needs and ignores others, so the copy is
+    still a validated functor.  The extra key maps to an object or morphism
+    of the target, so that it survives composition, or to no name at all, so
+    that composing with it raises KeyError.
+    """
+    obj_map, mor_map = dict(fun.obj_map), dict(fun.mor_map)
+    if rng.random() < 0.5:
+        obj_map["?extra"] = rng.choice(list(fun.target.objects) + ["?nowhere"])
+    else:
+        mor_map["?extra"] = rng.choice(list(fun.target.morphism_names()) + ["?nowhere"])
+    return CatFunctor(fun.source, fun.target, obj_map, mor_map)
+
+
+pseudo_diagrams = st.one_of(
+    strict_diagrams.map(PseudoDiagram.from_strict),
+    actions.map(lambda a: complex_to_pseudo_diagram(complex_of_groups(a).complex)),
+)
+
+
+class TestDiagramChecks:
+    @settings(max_examples=40, deadline=None)
+    @given(strict_diagrams, SEEDS)
+    def test_strict_against_composite_functors(self, d, seed):
+        """The unchanged diagram, then a copy with one edge given an extra key."""
+        args = (d.index, d.vertex, dict(d.edge))
+        assert any_outcome(StrictDiagram, *args) is None is any_outcome(reference_strict_checks, *args)
+        rng = Random(seed)
+        m = rng.choice(sorted(d.edge))
+        args[2][m] = with_extra_key(d.edge[m], rng)
+        assert any_outcome(StrictDiagram, *args) == any_outcome(reference_strict_checks, *args)
+
+    @settings(max_examples=40, deadline=None)
+    @given(pseudo_diagrams, SEEDS)
+    def test_pseudo_against_composite_functors(self, p, seed):
+        """The unchanged diagram, then a copy with an extra key in one edge,
+        or in the source or target functor of one comp or unit isomorphism."""
+        args = (p.index, p.vertex, dict(p.edge), dict(p.comp), dict(p.unit))
+        assert any_outcome(PseudoDiagram, *args) is None is any_outcome(reference_pseudo_checks, *args)
+        rng = Random(seed)
+        where = rng.choice(("edge", "comp", "unit"))
+        if where == "edge":
+            m = rng.choice(sorted(p.edge))
+            args[2][m] = with_extra_key(p.edge[m], rng)
+        else:
+            table = args[3] if where == "comp" else args[4]
+            key = rng.choice(sorted(table))
+            iso = table[key]
+            f, g = (with_extra_key(iso.f, rng), iso.g) if rng.random() < 0.5 else (
+                iso.f, with_extra_key(iso.g, rng))
+            table[key] = NatIso(f, g, iso.components)
+        assert any_outcome(PseudoDiagram, *args) == any_outcome(reference_pseudo_checks, *args)
+
+    @settings(max_examples=30, deadline=None)
+    @given(strict_diagrams, SEEDS)
+    def test_composite_check_against_then(self, d, seed):
+        """hocolim._is_composite against then + same_maps_as on every
+        composable pair, with an extra key in one of the three functors."""
+        rng = Random(seed)
+        for (v, u), vu in d.index.composition.items():
+            funs = [d.edge[u], d.edge[v], d.edge[vu]]
+            k = rng.randrange(3)
+            funs[k] = with_extra_key(funs[k], rng)
+            first, second, fun = funs
+            assert verdict(lambda: hocolim._is_composite(first, second, fun)) == verdict(
+                lambda: first.then(second).same_maps_as(fun)
+            )
+
+    @settings(max_examples=20, deadline=None)
+    @given(strict_diagrams, pseudo_diagrams)
+    def test_constructors_build_no_functor(self, d, p):
+        """Strictness and the comp and unit functors are checked on the maps:
+        no CatFunctor is composed with ``then`` or validated on the way."""
+        calls = {"then": 0, "__post_init__": 0}
+
+        def counting(name):
+            real = getattr(CatFunctor, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return real(*args)
+            return counted
+
+        with pytest.MonkeyPatch.context() as mp:
+            for name in calls:
+                mp.setattr(CatFunctor, name, counting(name))
+            StrictDiagram(d.index, d.vertex, d.edge)
+            PseudoDiagram(p.index, p.vertex, p.edge, p.comp, p.unit)
+        assert calls == {"then": 0, "__post_init__": 0}
 
 
 class TestSpectra:

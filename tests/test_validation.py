@@ -1,19 +1,21 @@
 """Differential tests for the integer-indexed validators.
 
-``FinCat``, ``FinGroup`` and ``ScwolAction`` check their laws on integer
-indices.  The name-based loops they replaced are kept here, and only here,
-as references.  On valid inputs and on single-entry corruptions, the library
-and the reference must agree on accept/reject, on the exception class and on
-the message of the first failure.
+``FinCat``, ``FinGroup``, ``GroupHom``, ``ScwolAction`` and ``ComplexOfGroups``
+check their laws on integer indices, and ``subgroup``, ``conjugate`` and
+``quotient`` compute on them.  The name-based loops they replaced are kept
+here, and only here, as references.  On valid inputs and on single-entry
+corruptions, the library and the reference must agree on accept/reject, on
+the exception class and on the message of the first failure.
 """
 
 import itertools
 from random import Random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eulcat.errors import EulcatError
+from eulcat.errors import EulcatError, ValidationError
 from eulcat.fincat import (
     BrokenIdentity,
     DanglingReference,
@@ -26,13 +28,27 @@ from eulcat.fincat import (
 from eulcat.groupact import (
     AxiomIIViolation,
     AxiomIViolation,
+    ComplexOfGroups,
+    InvalidQuotient,
     NotAFunctorAction,
     NotAHomomorphismAction,
     ScwolAction,
+    complex_of_groups,
+    quotient,
 )
-from eulcat.groups import FinGroup, NotAGroup
+from eulcat import zoo
+from eulcat.groups import (
+    FinGroup,
+    GroupHom,
+    NotAGroup,
+    NotAHomomorphism,
+    cyclic_group,
+    symmetric_group,
+)
 from eulcat.hocolim import grothendieck
+from eulcat.randgen import homs_between
 
+from helpers import s3_chain, s3_flag_action
 from strategies import SEEDS, actions, groupoids, groups, posets, scwols, strict_diagrams
 
 grothendieck_totals = strict_diagrams.map(lambda d: grothendieck(d).category)
@@ -115,6 +131,147 @@ def reference_group_laws(labels, table, name):
             raise NotAGroup(
                 f"{name} is not associative on ({labels[a]!r}, {labels[b]!r}, {labels[c]!r})"
             )
+
+
+def reference_identity_and_inverse(table):
+    """FinGroup's identity and inverse search, one product at a time."""
+    n = len(table)
+    identity = next(e for e in range(n) if all(table[e][x] == x == table[x][e] for x in range(n)))
+    inverse = tuple(
+        next(b for b in range(n) if table[a][b] == identity == table[b][a]) for a in range(n)
+    )
+    return identity, inverse
+
+
+def reference_hom_laws(source, target, mapping):
+    """GroupHom's checks, one labelled product at a time."""
+    for a in source.labels:
+        if a not in mapping:
+            raise NotAHomomorphism(f"map undefined on {a!r}")
+        if mapping[a] not in target:
+            raise NotAHomomorphism(f"image {mapping[a]!r} not in target group")
+    if mapping[source.identity] != target.identity:
+        raise NotAHomomorphism("identity is not preserved")
+    for a in source.labels:
+        for b in source.labels:
+            if mapping[source.mul(a, b)] != target.mul(mapping[a], mapping[b]):
+                raise NotAHomomorphism(f"product not preserved on ({a!r}, {b!r})")
+
+
+def reference_subgroup(group, members, name=None):
+    """FinGroup.subgroup, one labelled product at a time."""
+    labels = sorted(set(members), key=group.index)
+    pos = {lab: i for i, lab in enumerate(labels)}
+    table = []
+    for a in labels:
+        row = []
+        for b in labels:
+            p = group.mul(a, b)
+            if p not in pos:
+                raise NotAGroup(f"subset not closed: {a!r}*{b!r} = {p!r} escapes")
+            row.append(pos[p])
+        table.append(tuple(row))
+    return FinGroup(tuple(labels), tuple(table), name=name or f"{group.name}_sub")
+
+
+def reference_conjugate(group, a, by):
+    return group.mul(group.mul(by, a), group.inv(by))
+
+
+def reference_complex_laws(base, local, homs, twists):
+    """ComplexOfGroups' checks, one labelled product at a time."""
+    if not classify(base).is_scwol:
+        raise NotScwol(f"{base.name} has a non-identity endomorphism")
+    for x in base.objects:
+        if x not in local:
+            raise ValidationError(f"no local group at {x!r}")
+    for m in base.morphisms:
+        hom = homs.get(m.name)
+        if hom is None:
+            raise ValidationError(f"no structure homomorphism along {m.name!r}")
+        if hom.source is not local[m.source] or hom.target is not local[m.target]:
+            raise ValidationError(f"homomorphism along {m.name!r} has wrong endpoints")
+        if not hom.is_injective():
+            raise ValidationError(f"homomorphism along {m.name!r} is not injective")
+        if base.is_identity(m.name):
+            if any(hom(x) != x for x in hom.source.labels):
+                raise ValidationError(f"identity morphism {m.name!r} carries a non-identity map")
+    for (b, a), g in twists.items():
+        if (b, a) not in base.composition:
+            raise ValidationError(f"twist given for non-composable pair ({b!r}, {a!r})")
+        if g not in local[base.target(b)]:
+            raise ValidationError(
+                f"twist at ({b!r}, {a!r}) is not an element of the local group at {base.target(b)!r}"
+            )
+    for (b, a) in base.composition:
+        if (b, a) not in twists:
+            raise ValidationError(f"no twist at composable pair ({b!r}, {a!r})")
+        if base.is_identity(a) or base.is_identity(b):
+            if twists[(b, a)] != local[base.target(b)].identity:
+                raise ValidationError(f"unit twist at ({b!r}, {a!r}) must be trivial")
+    for (b, a), g in twists.items():
+        ba = base.compose(b, a)
+        tgt = local[base.target(b)]
+        for x in local[base.source(a)].labels:
+            composed = homs[b](homs[a](x))
+            if reference_conjugate(tgt, composed, g) != homs[ba](x):
+                raise ValidationError(
+                    f"conjugation identity fails at ({b!r}, {a!r}) on element {x!r}"
+                )
+    for a in base.morphism_names():
+        for b in base.morphisms_from(base.target(a)):
+            ba = base.compose(b, a)
+            for c in base.morphisms_from(base.target(b)):
+                cb = base.compose(c, b)
+                tgt = local[base.target(c)]
+                lhs = tgt.mul(twists[(c, ba)], homs[c](twists[(b, a)]))
+                rhs = tgt.mul(twists[(cb, a)], twists[(c, b)])
+                if lhs != rhs:
+                    raise ValidationError(f"cocycle fails on triple ({c!r}, {b!r}, {a!r})")
+
+
+def reference_structure_maps(built):
+    """The structure maps and twists of an associated complex, computed
+    from its h elements one labelled product at a time."""
+    group, h = built.to_group.group, built.to_group.h_elements
+    cplx = built.complex
+    homs = {
+        m.name: {a: reference_conjugate(group, a, h[m.name]) for a in cplx.local[m.source].labels}
+        for m in cplx.base.morphisms
+    }
+    twists = {
+        (b, a): group.mul(h[cplx.base.compose(b, a)], group.mul(group.inv(h[a]), group.inv(h[b])))
+        for (b, a) in cplx.base.composition
+    }
+    return homs, twists
+
+
+def reference_quotient_composition(action):
+    """The induced composition of quotient(action), composing the lifts of
+    each pair of orbit representatives afresh."""
+    cat = action.space
+    obj_orbit = {x: orb[0] for orb in action.object_orbits() for x in orb}
+    mor_orbit = {m: orb[0] for orb in action.morphism_orbits() for m in orb}
+    mors = [
+        (m, obj_orbit[cat.source(m)], obj_orbit[cat.target(m)])
+        for m in sorted(set(mor_orbit.values()))
+    ]
+    comp = {}
+    for mb, mb_source, _ in mors:
+        for ma, _, ma_target in mors:
+            if ma_target != mb_source:
+                continue
+            results = set()
+            for a in action.morphism_orbit(ma):
+                for b in action.morphism_orbit(mb):
+                    if cat.target(a) == cat.source(b):
+                        results.add(mor_orbit[cat.compose(b, a)])
+            if len(results) != 1:
+                raise InvalidQuotient(
+                    f"composite of orbits ({mb!r}, {ma!r}) is not well-defined: {sorted(results)}"
+                )
+            comp[(mb, ma)] = results.pop()
+    return comp
 
 
 def reference_action_laws(group, cat, on_objects, on_morphisms):
@@ -204,6 +361,21 @@ def assert_same_fincat_verdict(cat, composition):
 def assert_same_group_verdict(labels, table, name):
     got = outcome(FinGroup, labels, table, name=name)
     assert got == outcome(reference_group_laws, labels, table, name)
+    if got is None:
+        group = FinGroup(labels, table, name=name)
+        assert (group._identity, group._inverse) == reference_identity_and_inverse(table)
+    return got
+
+
+def assert_same_hom_verdict(source, target, mapping):
+    got = outcome(GroupHom, source, target, mapping)
+    assert got == outcome(reference_hom_laws, source, target, mapping)
+    return got
+
+
+def assert_same_complex_verdict(base, local, homs, twists):
+    got = outcome(ComplexOfGroups, base, local, homs, twists)
+    assert got == outcome(reference_complex_laws, base, local, homs, twists)
     return got
 
 
@@ -283,6 +455,19 @@ class TestFinGroup:
         table[a][b] = (table[a][b] + rng.randrange(1, n)) % n if n > 1 else 0
         assert_same_group_verdict(group.labels, tuple(map(tuple, table)), group.name)
 
+    @settings(max_examples=40, deadline=None)
+    @given(groups, SEEDS)
+    def test_one_broken_identity_entry(self, group, seed):
+        """An entry a*b = e changed: row a may still hold e where column a
+        does not, which the inverse search must not take for an inverse."""
+        rng = Random(seed)
+        n, e = group.order, group._identity
+        table = [list(row) for row in group.table]
+        a = rng.randrange(n)
+        b = table[a].index(e)
+        table[a][b] = (e + rng.randrange(1, n)) % n if n > 1 else e
+        assert_same_group_verdict(group.labels, tuple(map(tuple, table)), group.name)
+
 
 # -- ScwolAction -------------------------------------------------------------------
 
@@ -328,3 +513,189 @@ class TestScwolAction:
             x, y = rng.sample(sorted(table), 2)
             table[x], table[y] = table[y], table[x]
         assert_same_action_verdict(action, on_objects, on_morphisms)
+
+
+# -- GroupHom, subgroup and conjugate ------------------------------------------------
+
+
+class TestGroupHom:
+    @settings(max_examples=40, deadline=None)
+    @given(groups, groups, SEEDS)
+    def test_valid_homs_accepted_by_both(self, source, target, seed):
+        hom = Random(seed).choice(homs_between(source, target))
+        assert assert_same_hom_verdict(source, target, dict(hom.mapping)) is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(groups, groups, SEEDS)
+    def test_one_wrong_image(self, source, target, seed):
+        rng = Random(seed)
+        mapping = dict(rng.choice(homs_between(source, target)).mapping)
+        a = rng.choice(source.labels)
+        others = [h for h in target.labels if h != mapping[a]]
+        mapping[a] = rng.choice(others) if others else "?unknown"
+        # the result may still be a homomorphism: Z2 -> Z6 sending 1 to 0
+        assert_same_hom_verdict(source, target, mapping)
+
+    @settings(max_examples=30, deadline=None)
+    @given(actions, SEEDS)
+    def test_complex_structure_maps(self, action, seed):
+        """The conjugation maps of an associated complex, and a copy of one
+        with a single image changed."""
+        rng = Random(seed)
+        hom = rng.choice(list(complex_of_groups(action).complex.homs.values()))
+        assert assert_same_hom_verdict(hom.source, hom.target, dict(hom.mapping)) is None
+        mapping = dict(hom.mapping)
+        a = rng.choice(hom.source.labels)
+        mapping[a] = rng.choice([h for h in hom.target.labels if h != mapping[a]] or ["?"])
+        assert_same_hom_verdict(hom.source, hom.target, mapping)
+
+
+def result_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except EulcatError as exc:
+        return type(exc), str(exc)
+
+
+class TestSubgroupAndConjugate:
+    @settings(max_examples=60, deadline=None)
+    @given(groups, SEEDS)
+    def test_subgroup(self, group, seed):
+        """A random subset (rarely closed), the subgroup generated by one
+        element, and that subgroup with one element removed."""
+        rng = Random(seed)
+        generated, g = {group.identity}, rng.choice(group.labels)
+        while g not in generated:
+            generated.add(g)
+            g = group.mul(g, rng.choice(sorted(generated)))
+        subsets = [
+            [x for x in group.labels if rng.random() < 0.5],
+            sorted(generated),
+            sorted(generated - {rng.choice(sorted(generated))}),
+        ]
+        for members in subsets:
+            got = result_or_error(group.subgroup, members, "H")
+            want = result_or_error(reference_subgroup, group, members, "H")
+            if isinstance(want, FinGroup):
+                assert (got.labels, got.table, got.name) == (want.labels, want.table, want.name)
+            else:
+                assert got == want
+
+    def test_first_escape_is_reported(self):
+        s3 = symmetric_group(3)
+        with pytest.raises(NotAGroup) as err:
+            s3.subgroup(["102", "021", "012"])
+        assert str(err.value) == "subset not closed: '021'*'102' = '201' escapes"
+
+    @settings(max_examples=30, deadline=None)
+    @given(groups)
+    def test_conjugate(self, group):
+        for a in group.labels:
+            for by in group.labels:
+                assert group.conjugate(a, by) == reference_conjugate(group, a, by)
+
+
+# -- ComplexOfGroups and quotient ------------------------------------------------------
+
+
+def complex_args(action):
+    cplx = complex_of_groups(action).complex
+    return cplx.base, dict(cplx.local), dict(cplx.homs), dict(cplx.twists)
+
+
+class TestComplexOfGroups:
+    @settings(max_examples=30, deadline=None)
+    @given(actions)
+    def test_valid_complexes_accepted_by_both(self, action):
+        assert assert_same_complex_verdict(*complex_args(action)) is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(actions, SEEDS)
+    def test_one_wrong_twist(self, action, seed):
+        """One twist replaced by another element of its group, at a pair of
+        non-identity morphisms when there is one."""
+        rng = Random(seed)
+        base, local, homs, twists = complex_args(action)
+        pairs = [
+            (b, a) for (b, a) in sorted(twists)
+            if not (base.is_identity(a) or base.is_identity(b))
+        ] or sorted(twists)
+        b, a = rng.choice(pairs)
+        others = [g for g in local[base.target(b)].labels if g != twists[(b, a)]]
+        if others:
+            twists[(b, a)] = rng.choice(others)
+        assert_same_complex_verdict(base, local, homs, twists)
+
+    @settings(max_examples=30, deadline=None)
+    @given(actions)
+    def test_structure_maps_by_labels(self, action):
+        built = complex_of_groups(action)
+        homs, twists = reference_structure_maps(built)
+        assert {m: dict(hom.mapping) for m, hom in built.complex.homs.items()} == homs
+        assert list(built.complex.twists.items()) == list(twists.items())
+
+    def test_s3_flag(self):
+        """Non-central twists, from chosen h elements: the complex is built
+        as the label formulas say, and each twist at a pair of non-identity
+        morphisms, replaced by any other element, is judged alike."""
+        action, h_elements = s3_flag_action()
+        built = complex_of_groups(action, h_elements=h_elements)
+        homs, twists = reference_structure_maps(built)
+        assert {m: dict(hom.mapping) for m, hom in built.complex.homs.items()} == homs
+        assert list(built.complex.twists.items()) == list(twists.items())
+        base, local = built.complex.base, built.complex.local
+        rejected = 0
+        for (b, a), tw in twists.items():
+            if base.is_identity(a) or base.is_identity(b):
+                continue
+            for g in local[base.target(b)].labels:
+                corrupted = {**twists, (b, a): g}
+                got = assert_same_complex_verdict(base, local, built.complex.homs, corrupted)
+                rejected += got is not None
+        assert rejected == 4 * 5
+
+    @pytest.mark.parametrize("conjugating", [False, True])
+    @pytest.mark.parametrize("twist", ["021", "102", "120"])
+    def test_s3_chains(self, conjugating, twist):
+        """Non-central twists: every twist is valid on the plain chain, only
+        "021" on the conjugating one."""
+        got = assert_same_complex_verdict(*s3_chain(conjugating, twist))
+        assert (got is None) == (not conjugating or twist == "021")
+
+
+class TestQuotient:
+    @settings(max_examples=40, deadline=None)
+    @given(actions)
+    def test_same_composition_as_pairwise_orbit_loop(self, action):
+        got = quotient(action).category.composition
+        assert list(got.items()) == list(reference_quotient_composition(action).items())
+
+    @pytest.mark.parametrize("objects, arrows, compose, swap, want", [
+        # g1 and g2 swapped, their composites h1 and h2 with f fixed
+        (("x", "y", "z"),
+         (("f", "x", "y"), ("g1", "y", "z"), ("g2", "y", "z"), ("h1", "x", "z"), ("h2", "x", "z")),
+         {("g1", "f"): "h1", ("g2", "f"): "h2"},
+         {"g1": "g2", "g2": "g1"},
+         "('g1', 'f') is not well-defined: ['h1', 'h2']"),
+        # y1 and y2 swapped, f: x -> y1 and g: y2 -> z fixed
+        (("x", "y1", "y2", "z"), (("f", "x", "y1"), ("g", "y2", "z")), {},
+         {"y1": "y2", "y2": "y1", "id_y1": "id_y2", "id_y2": "id_y1"},
+         "('g', 'f') is not well-defined: []"),
+    ], ids=["two-composites", "no-composite"])
+    def test_ill_defined_composite(self, objects, arrows, compose, swap, want):
+        """A Z/2 "action" that is no functor, built without ScwolAction's
+        checks: both routes report the same pair of orbits and lift set."""
+        space = zoo.build_category(objects, arrows, compose)
+        names = space.morphism_names()
+        action = object.__new__(ScwolAction)
+        for field, value in (
+            ("group", cyclic_group(2)),
+            ("space", space),
+            ("on_objects", {"0": {x: x for x in objects},
+                            "1": {x: swap.get(x, x) for x in objects}}),
+            ("on_morphisms", {"0": {m: m for m in names},
+                              "1": {m: swap.get(m, m) for m in names}}),
+        ):
+            object.__setattr__(action, field, value)
+        want = (InvalidQuotient, f"composite of orbits {want}")
+        assert outcome(quotient, action) == outcome(reference_quotient_composition, action) == want
