@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field
 from operator import itemgetter
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NoReturn, Optional, Sequence
 
 from .errors import ValidationError
 from .groups import FinGroup
@@ -341,52 +341,44 @@ class CatFunctor:
             {m: other.mor_map[n] for m, n in self.mor_map.items()},
         )
 
-    def same_maps_as(self, other: "CatFunctor") -> bool:
-        return (
-            dict(self.obj_map) == dict(other.obj_map)
-            and dict(self.mor_map) == dict(other.mor_map)
-        )
-
     @staticmethod
     def identity_functor(cat: FinCat) -> "CatFunctor":
-        return CatFunctor(
-            cat, cat, {x: x for x in cat.objects}, {m.name: m.name for m in cat.morphisms}
-        )
+        return CatFunctor(cat, cat, *_identity_maps(cat))
 
 
-@dataclass(frozen=True, eq=False)
-class NatIso:
-    """A natural isomorphism between two parallel functors.
+def _identity_maps(cat: FinCat) -> tuple[dict[str, str], dict[str, str]]:
+    """The object and morphism maps of the identity functor of ``cat``."""
+    return {x: x for x in cat.objects}, {m.name: m.name for m in cat.morphisms}
 
-    ``components[x]`` is a morphism F(x) -> G(x) of the target category,
-    required to be invertible, with all naturality squares commuting.
+
+def _check_natural(cat, tgt, f_obj, f_mor, g_obj, g_mor, components, where) -> None:
+    """Check that ``components`` is a natural isomorphism F => G.
+
+    F and G are parallel functors ``cat`` -> ``tgt``, given by their object
+    and morphism maps.  ``components[x]`` must be an invertible morphism
+    F(x) -> G(x) of ``tgt`` (extra keys are ignored) and every naturality
+    square must commute.  A failure raises NotNatural, its message prefixed
+    by ``where``, with the entry and the object or morphism as witness.
     """
 
-    f: CatFunctor
-    g: CatFunctor
-    components: Mapping[str, str]
+    def fail(message: str, **witness) -> NoReturn:
+        raise NotNatural(f"{where}: {message}", witness={"entry": where, **witness})
 
-    def __post_init__(self):
-        if self.f.source is not self.g.source or self.f.target is not self.g.target:
-            raise NotNatural("functors are not parallel")
-        cat = self.f.source
-        tgt = self.f.target
-        for x in cat.objects:
-            c = self.components.get(x)
-            if c is None:
-                raise NotNatural(f"no component at {x!r}")
-            if tgt.source(c) != self.f.obj_map[x] or tgt.target(c) != self.g.obj_map[x]:
-                raise NotNatural(f"component at {x!r} has wrong endpoints")
-            if not tgt.is_invertible(c):
-                raise NotNatural(f"component at {x!r} is not invertible")
-        for m in cat.morphisms:
-            lhs = tgt.compose(self.components[m.target], self.f.mor_map[m.name])
-            rhs = tgt.compose(self.g.mor_map[m.name], self.components[m.source])
-            if lhs != rhs:
-                raise NotNatural(f"naturality fails at morphism {m.name!r}")
-
-    def component(self, x: str) -> str:
-        return self.components[x]
+    for x in cat.objects:
+        c = components.get(x)
+        if c is None:
+            fail(f"no component at {x!r}", object=x)
+        if c not in tgt._mor:
+            fail(f"component at {x!r} is not a morphism of {tgt.name}", object=x)
+        if tgt.source(c) != f_obj[x] or tgt.target(c) != g_obj[x]:
+            fail(f"component at {x!r} has wrong endpoints", object=x)
+        if not tgt.is_invertible(c):
+            fail(f"component at {x!r} is not invertible", object=x)
+    for m in cat.morphisms:
+        lhs = tgt.compose(components[m.target], f_mor[m.name])
+        rhs = tgt.compose(g_mor[m.name], components[m.source])
+        if lhs != rhs:
+            fail(f"naturality fails at morphism {m.name!r}", morphism=m.name)
 
 
 # -- structural predicates ----------------------------------------------------
@@ -523,10 +515,16 @@ def iso_classes(cat: FinCat) -> IsoClasses:
 
 @dataclass(frozen=True, eq=False)
 class SkeletonData:
+    """A skeleton Gamma of a category with its inclusion i and retraction r.
+
+    ``eta[x]`` is the component at x of the natural isomorphism
+    eta: i o r => id, an isomorphism r(x) -> x.
+    """
+
     category: FinCat
     inclusion: CatFunctor
     retraction: CatFunctor
-    eta: NatIso  # inclusion o retraction => identity
+    eta: Mapping[str, str]
 
 
 def full_subcategory(cat: FinCat, objects: Iterable[str], name: str | None = None) -> FinCat:
@@ -574,8 +572,9 @@ def _retract(cat: FinCat, rep_of: Mapping[str, str], name: str) -> SkeletonData:
         f_eta = cat.compose(m.name, eta_comp[m.source])
         r_mor[m.name] = cat.compose(cat.inverse(eta_comp[m.target]), f_eta)
     retraction = CatFunctor(cat, gamma, dict(rep_of), r_mor)
-    eta = NatIso(retraction.then(inclusion), CatFunctor.identity_functor(cat), eta_comp)
-    return SkeletonData(gamma, inclusion, retraction, eta)
+    # i is the identity on names, so i o r has the maps of r
+    _check_natural(cat, cat, rep_of, r_mor, *_identity_maps(cat), eta_comp, f"eta of {name}")
+    return SkeletonData(gamma, inclusion, retraction, eta_comp)
 
 
 def skeleton(cat: FinCat) -> SkeletonData:
@@ -583,8 +582,9 @@ def skeleton(cat: FinCat) -> SkeletonData:
 
     The representative of each class is its least object id (the classes of
     ``_iso_partition``); ``_retract`` builds (Gamma, i, r, eta) from that
-    choice, with r o i = id_Gamma and eta: i o r => id whose component at a
-    non-representative x is the least-named isomorphism rep(x) -> x.
+    choice, with r o i = id_Gamma and eta: i o r => id, a table of components
+    whose entry at a non-representative x is the least-named isomorphism
+    rep(x) -> x.
     """
     rep_of = {x: cls[0] for cls in _iso_partition(cat) for x in cls}
     return _retract(cat, rep_of, f"sk({cat.name})")

@@ -22,7 +22,6 @@ from .fincat import (
     CatFunctor,
     FinCat,
     Morphism,
-    NatIso,
     NotScwol,
     _is_scwol,
     _iso_partition,
@@ -329,11 +328,15 @@ def quotient(action: ScwolAction) -> QuotientResult:
     return QuotientResult(q, projection, obj_orbit, mor_orbit)
 
 
+def _fixers(action: ScwolAction, obj: str) -> list[str]:
+    """The elements g with g . obj = obj, in group order."""
+    return [g for g in action.group.labels if action.act_obj(g, obj) == obj]
+
+
 def stabilizer(action: ScwolAction, obj: str) -> FinGroup:
     """Isotropy subgroup {g : g . obj = obj} with the induced Cayley table."""
     action.space.require_object(obj)
-    members = [g for g in action.group.labels if action.act_obj(g, obj) == obj]
-    return action.group.subgroup(members, name=f"Stab({obj})")
+    return action.group.subgroup(_fixers(action, obj), name=f"Stab({obj})")
 
 
 # -- complexes of groups ---------------------------------------------------------
@@ -633,21 +636,8 @@ def complex_to_pseudo_diagram(cplx: ComplexOfGroups):
             {"*": "*"},
             {g: hom(g) for g in hom.source.labels},
         )
-    comp = {}
-    for (b, a), tw in cplx.twists.items():
-        comp[(b, a)] = NatIso(
-            edge[a].then(edge[b]),
-            edge[base.compose(b, a)],
-            {"*": tw},
-        )
-    unit = {
-        x: NatIso(
-            CatFunctor.identity_functor(vertex[x]),
-            edge[base.identity[x]],
-            {"*": cplx.local[x].identity},
-        )
-        for x in base.objects
-    }
+    comp = {pair: {"*": tw} for pair, tw in cplx.twists.items()}
+    unit = {x: {"*": cplx.local[x].identity} for x in base.objects}
     return PseudoDiagram(base, vertex, edge, comp, unit)
 
 
@@ -757,11 +747,8 @@ def skeletal_reduction(action: ScwolAction) -> SkeletalReduction:
         rbar = None
         is_equivalence = False
 
-    # (3) the inclusion preserves stabilizers
-    stab_ok = all(
-        set(stabilizer(action, x).labels) == set(stabilizer(reduced, x).labels)
-        for x in gamma.objects
-    )
+    # (3) the inclusion preserves stabilizers, compared as member lists
+    stab_ok = all(_fixers(action, x) == _fixers(reduced, x) for x in gamma.objects)
 
     # (4) the associated complexes agree under coordinated choices
     complexes_agree = False
@@ -808,7 +795,7 @@ def _coordinated_choices(action, r, qx, rbar):
     cat = action.space
     group = action.group
     qsk = skeleton(qx.category)
-    rep_of, eta, normal_form = qsk.retraction.obj_map, qsk.eta.components, qsk.retraction.mor_map
+    rep_of, eta, normal_form = qsk.retraction.obj_map, qsk.eta, qsk.retraction.mor_map
 
     def lift(start: str, orbit: str) -> str:
         return next(a for a in cat.morphisms_from(start) if qx.morphism_orbit_of[a] == orbit)
@@ -857,7 +844,7 @@ class EquivariantSkeleton:
     action: ScwolAction
     inclusion: CatFunctor
     retraction: CatFunctor
-    eta: NatIso
+    eta: Mapping[str, str]  # components of inclusion o retraction => identity
     inclusion_equivariant: bool
     eta_equivariant: bool
 
@@ -898,7 +885,7 @@ def equivariant_skeleton(action: ScwolAction) -> EquivariantSkeleton:
         handled.update(orbit_classes)
 
     sk = _retract(cat, {x: section[class_of_obj[x]] for x in cat.objects}, f"sk_G({cat.name})")
-    gamma, eta_comp = sk.category, sk.eta.components
+    gamma, eta_comp = sk.category, sk.eta
 
     restricted = ScwolAction(
         group,

@@ -4,7 +4,9 @@ and the executable cross-check of the homotopy colimit formula.
 
 One builder serves strict and pseudo diagrams alike: it asks the diagram
 for its coherence inverses (``unit_inv``, ``comp_inv``), which are
-identities for a strict diagram.
+identities for a strict diagram.  A pseudo diagram holds each coherence
+isomorphism as its table of components, as its manifest does: the edges
+already fix the functors it runs between.
 """
 
 from __future__ import annotations
@@ -19,8 +21,9 @@ from .fincat import (
     CatFunctor,
     FinCat,
     Morphism,
-    NatIso,
     NotScwol,
+    _check_natural,
+    _identity_maps,
     _is_groupoid,
     _is_scwol,
     _skeleton_category,
@@ -44,22 +47,24 @@ class UnknownKind(EulcatError):
 
 
 def _is_identity_on(fun: CatFunctor, cat: FinCat) -> bool:
-    """``fun.same_maps_as(CatFunctor.identity_functor(cat))``, without
-    building and validating the identity functor."""
-    return dict(fun.obj_map) == {x: x for x in cat.objects} and dict(fun.mor_map) == {
-        m.name: m.name for m in cat.morphisms
-    }
+    """Whether ``fun`` has the maps of the identity functor of ``cat``,
+    without building and validating that functor."""
+    return (dict(fun.obj_map), dict(fun.mor_map)) == _identity_maps(cat)
+
+
+def _composite_maps(first: CatFunctor, second: CatFunctor) -> tuple[dict, dict]:
+    """The object and morphism maps of ``first.then(second)``, composed key
+    by key just as ``then`` composes them (so an extra key gives the same
+    maps or the same error), without building and validating the composite,
+    which is a functor by construction."""
+    obj_map = {x: second.obj_map[y] for x, y in first.obj_map.items()}
+    mor_map = {m: second.mor_map[n] for m, n in first.mor_map.items()}
+    return obj_map, mor_map
 
 
 def _is_composite(first: CatFunctor, second: CatFunctor, fun: CatFunctor) -> bool:
-    """``first.then(second).same_maps_as(fun)`` for the edges along a
-    composable pair, without building and validating the composite, which
-    is a functor by construction.  The maps are composed key by key just as
-    ``then`` composes them, so an extra key gives the same answer or the
-    same error."""
-    obj_map = {x: second.obj_map[y] for x, y in first.obj_map.items()}
-    mor_map = {m: second.mor_map[n] for m, n in first.mor_map.items()}
-    return obj_map == dict(fun.obj_map) and mor_map == dict(fun.mor_map)
+    """Whether ``fun`` has the maps of ``first.then(second)``."""
+    return _composite_maps(first, second) == (dict(fun.obj_map), dict(fun.mor_map))
 
 
 def _check_vertices_and_edges(d: Diagram) -> None:
@@ -109,38 +114,42 @@ class StrictDiagram:
 
 @dataclass(frozen=True, eq=False)
 class PseudoDiagram:
-    """A pseudo functor: vertex/edge data plus coherence isomorphisms.
+    """A pseudo functor: vertex/edge data plus coherence isomorphisms, given
+    by their components, in the tables a ``pseudo_diagram`` manifest stores.
 
-    ``comp[(v, u)]`` is a natural isomorphism C(v) o C(u) => C(v o u) and
-    ``unit[i]`` a natural isomorphism Id => C(id_i); both are required to
-    satisfy the pseudofunctor unit and associativity axioms, checked on
-    every composable pair and triple.
+    ``comp[(v, u)][c]`` is the component at the object c of C(source(u)) of
+    a natural isomorphism C(v) o C(u) => C(v o u), and ``unit[i][c]`` the
+    component at c of a natural isomorphism Id => C(id_i).  The diagram fixes
+    the source and target functors, so each table is checked against them
+    (``fincat._check_natural``); together the tables must satisfy the
+    pseudofunctor unit and associativity axioms, checked on every composable
+    pair and triple.
     """
 
     index: FinCat
     vertex: Mapping[str, FinCat]
     edge: Mapping[str, CatFunctor]
-    comp: Mapping[tuple[str, str], NatIso]
-    unit: Mapping[str, NatIso]
+    comp: Mapping[tuple[str, str], Mapping[str, str]]
+    unit: Mapping[str, Mapping[str, str]]
 
     def __post_init__(self):
         _check_vertices_and_edges(self)
         idx = self.index
         for i in idx.objects:
-            iso = self.unit.get(i)
-            if iso is None:
+            components = self.unit.get(i)
+            if components is None:
                 raise CoherenceFailure(f"no unit isomorphism at {i!r}")
-            if not _is_identity_on(iso.f, self.vertex[i]):
-                raise CoherenceFailure(f"unit at {i!r} does not start at the identity functor")
-            if not iso.g.same_maps_as(self.edge[idx.identity[i]]):
-                raise CoherenceFailure(f"unit at {i!r} does not land in C(id_{i})")
-        for (v, u), iso in self.comp.items():
+            ci, fun = self.vertex[i], self.edge[idx.identity[i]]
+            _check_natural(
+                ci, ci, *_identity_maps(ci), fun.obj_map, fun.mor_map, components, f"unit at {i!r}"
+            )
+        for (v, u), components in self.comp.items():
             if (v, u) not in idx.composition:
                 raise CoherenceFailure(f"comp given for non-composable pair ({v!r}, {u!r})")
-            if not _is_composite(self.edge[u], self.edge[v], iso.f):
-                raise CoherenceFailure(f"comp at ({v!r}, {u!r}) has wrong source functor")
-            if not iso.g.same_maps_as(self.edge[idx.composition[(v, u)]]):
-                raise CoherenceFailure(f"comp at ({v!r}, {u!r}) has wrong target functor")
+            fun = self.edge[idx.composition[(v, u)]]
+            f_obj, f_mor = _composite_maps(self.edge[u], self.edge[v])
+            _check_natural(fun.source, fun.target, f_obj, f_mor, fun.obj_map, fun.mor_map,
+                           components, f"comp at {(v, u)!r}")
         for (v, u) in idx.composition:
             if (v, u) not in self.comp:
                 raise CoherenceFailure(f"no comp isomorphism at ({v!r}, {u!r})")
@@ -150,11 +159,11 @@ class PseudoDiagram:
 
     def comp_component(self, v: str, u: str, c: str) -> str:
         """Component of C(v) o C(u) => C(vu) at the object c of C(source(u))."""
-        return self.comp[(v, u)].components[c]
+        return self.comp[(v, u)][c]
 
     def unit_inv(self, i: str, c: str) -> str:
         """Inverse of the unit component Id => C(id_i) at c."""
-        return self.vertex[i].inverse(self.unit[i].components[c])
+        return self.vertex[i].inverse(self.unit[i][c])
 
     def comp_inv(self, v: str, u: str, c: str) -> str:
         """Inverse of the comp component C(v) o C(u) => C(v o u) at c."""
@@ -169,7 +178,7 @@ class PseudoDiagram:
                 # C_{u, id} o (C(u) . unit_source) = 1
                 left = tgt_cat.compose(
                     self.comp_component(u, idx.identity[m.source], c),
-                    self.edge[u].mor_map[self.unit[m.source].components[c]],
+                    self.edge[u].mor_map[self.unit[m.source][c]],
                 )
                 if left != tgt_cat.identity[self.edge[u].obj_map[c]]:
                     raise CoherenceFailure(
@@ -178,7 +187,7 @@ class PseudoDiagram:
                 # C_{id, u} o (unit_target at C(u)c) = 1
                 left2 = tgt_cat.compose(
                     self.comp_component(idx.identity[m.target], u, c),
-                    self.unit[m.target].components[self.edge[u].obj_map[c]],
+                    self.unit[m.target][self.edge[u].obj_map[c]],
                 )
                 if left2 != tgt_cat.identity[self.edge[u].obj_map[c]]:
                     raise CoherenceFailure(
@@ -214,21 +223,10 @@ class PseudoDiagram:
         # identities are their own inverses
         idx = d.index
         comp = {
-            (v, u): NatIso(
-                d.edge[u].then(d.edge[v]),
-                d.edge[vu],
-                {c: d.comp_inv(v, u, c) for c in d.vertex[idx.source(u)].objects},
-            )
-            for (v, u), vu in idx.composition.items()
+            (v, u): {c: d.comp_inv(v, u, c) for c in d.vertex[idx.source(u)].objects}
+            for (v, u) in idx.composition
         }
-        unit = {
-            i: NatIso(
-                CatFunctor.identity_functor(d.vertex[i]),
-                d.edge[idx.identity[i]],
-                {c: d.unit_inv(i, c) for c in d.vertex[i].objects},
-            )
-            for i in idx.objects
-        }
+        unit = {i: {c: d.unit_inv(i, c) for c in d.vertex[i].objects} for i in idx.objects}
         return PseudoDiagram(idx, d.vertex, d.edge, comp, unit)
 
 
@@ -247,8 +245,26 @@ def _triple_mor(u: str, f: str, c: str) -> str:
 
 @dataclass(frozen=True, eq=False)
 class GrothendieckResult:
+    """The homotopy colimit of a strict diagram, with the diagram."""
+
     category: FinCat
-    alphas: Mapping[str, CatFunctor]
+    diagram: StrictDiagram
+
+    @property
+    def alphas(self) -> dict[str, CatFunctor]:
+        """The inclusions alpha_i: C(i) -> hocolim, f |-> (id_i, f), built
+        and validated on every access; nothing is cached on the result."""
+        idx = self.diagram.index
+        alphas = {}
+        for i in idx.objects:
+            ci = self.diagram.vertex[i]
+            alphas[i] = CatFunctor(
+                ci,
+                self.category,
+                {c: _pair_obj(i, c) for c in ci.objects},
+                {m.name: _triple_mor(idx.identity[i], m.name, m.source) for m in ci.morphisms},
+            )
+        return alphas
 
 
 def _grothendieck(d: Diagram, check: bool) -> FinCat:
@@ -311,27 +327,13 @@ def _grothendieck(d: Diagram, check: bool) -> FinCat:
 
 def grothendieck(d: StrictDiagram, verify: bool = False) -> GrothendieckResult:
     """Homotopy colimit of a strict diagram, composed by
-    (v, g) o (u, f) = (v o u, g o C(v)(f)), with the inclusions
-    alpha_i: C(i) -> hocolim, f |-> (id_i, f).
+    (v, g) o (u, f) = (v o u, g o C(v)(f)); the inclusions
+    alpha_i: C(i) -> hocolim are built on request (``.alphas``).
 
     The construction is lawful for any valid strict diagram; set ``verify``
     to re-run the full exhaustive FinCat validation on the output anyway.
     """
-    idx = d.index
-    cat = _grothendieck(d, check=verify)
-    alphas = {}
-    for i in idx.objects:
-        ci = d.vertex[i]
-        alphas[i] = CatFunctor(
-            ci,
-            cat,
-            {c: _pair_obj(i, c) for c in ci.objects},
-            {
-                m.name: _triple_mor(idx.identity[i], m.name, m.source)
-                for m in ci.morphisms
-            },
-        )
-    return GrothendieckResult(cat, alphas)
+    return GrothendieckResult(_grothendieck(d, check=verify), d)
 
 
 def grothendieck_pseudo(d: PseudoDiagram) -> FinCat:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Any, Mapping
 
 from .errors import ValidationError
-from .fincat import CatFunctor, FinCat, NatIso, validate
+from .fincat import CatFunctor, FinCat, validate
 from .groups import FinGroup, GroupHom
 from .groupact import ComplexOfGroups, ScwolAction, validate_action
 from .hocolim import CellSpectrum, PseudoDiagram, StrictDiagram
@@ -139,12 +139,11 @@ def pseudo_diagram_payload(d: PseudoDiagram) -> dict:
     return {
         **diagram_payload(d),
         "comp": sorted(
-            [v, u, {c: iso.components[c] for c in sorted(iso.components)}]
-            for (v, u), iso in d.comp.items()
+            [v, u, {c: components[c] for c in sorted(components)}]
+            for (v, u), components in d.comp.items()
         ),
         "unit": {
-            i: {c: d.unit[i].components[c] for c in sorted(d.unit[i].components)}
-            for i in d.index.objects
+            i: {c: d.unit[i][c] for c in sorted(d.unit[i])} for i in d.index.objects
         },
     }
 
@@ -156,17 +155,13 @@ def pseudo_diagram_from_payload(payload: Mapping) -> PseudoDiagram:
         v, u = str(v), str(u)
         if (v, u) not in index.composition:
             raise BadManifest(f"comp entry for non-composable pair ({v!r}, {u!r})")
-        comp[(v, u)] = NatIso(
-            edge[u].then(edge[v]), edge[index.composition[(v, u)]], _str_map(components)
-        )
+        comp[(v, u)] = _str_map(components)
     unit = {}
     for i, components in payload.get("unit", {}).items():
         i = str(i)
         if not index.has_object(i):
             raise BadManifest(f"unit entry for non-index object {i!r}")
-        unit[i] = NatIso(
-            CatFunctor.identity_functor(vertex[i]), edge[index.identity[i]], _str_map(components)
-        )
+        unit[i] = _str_map(components)
     return PseudoDiagram(index, vertex, edge, comp, unit)
 
 

@@ -1,7 +1,7 @@
 """Constructions that only the tests use, kept out of the library."""
 
 from eulcat import eulerchar, fincat, groupact, hocolim, randgen, ratlin, zoo
-from eulcat.fincat import FinCat
+from eulcat.fincat import CatFunctor, FinCat, NotNatural
 from eulcat.groups import GroupHom, symmetric_group, trivial_group
 from eulcat.hocolim import StrictDiagram, constant_diagram
 from eulcat.ratlin import RatMatrix
@@ -34,6 +34,28 @@ def mor_count_matrix(cat: FinCat) -> RatMatrix:
     return RatMatrix.from_rows(
         [[len(cat.hom(x, y)) for y in cat.objects] for x in cat.objects]
     )
+
+
+def nat_iso_checks(f: CatFunctor, g: CatFunctor, components) -> None:
+    """The checks of the former ``NatIso`` class, on two validated functors:
+    ``components`` must be a natural isomorphism f => g.  A component that
+    names no morphism raises KeyError, as it did there."""
+    if f.source is not g.source or f.target is not g.target:
+        raise NotNatural("functors are not parallel")
+    cat, tgt = f.source, f.target
+    for x in cat.objects:
+        c = components.get(x)
+        if c is None:
+            raise NotNatural(f"no component at {x!r}")
+        if tgt.source(c) != f.obj_map[x] or tgt.target(c) != g.obj_map[x]:
+            raise NotNatural(f"component at {x!r} has wrong endpoints")
+        if not tgt.is_invertible(c):
+            raise NotNatural(f"component at {x!r} is not invertible")
+    for m in cat.morphisms:
+        lhs = tgt.compose(components[m.target], f.mor_map[m.name])
+        rhs = tgt.compose(g.mor_map[m.name], components[m.source])
+        if lhs != rhs:
+            raise NotNatural(f"naturality fails at morphism {m.name!r}")
 
 
 def trivial_diagram(index: FinCat) -> StrictDiagram:

@@ -8,15 +8,17 @@ library and the reference must give the same presentation, the same
 composition table in the same insertion order and the same structure maps.
 """
 
+from types import SimpleNamespace
+
+import pytest
 from hypothesis import given, settings
 
 from eulcat.errors import ValidationError
-from eulcat.fincat import CatFunctor, FinCat, Morphism, NatIso, equal_presentation
+from eulcat.fincat import CatFunctor, FinCat, Morphism, equal_presentation
 from eulcat.groupact import complex_of_groups, complex_to_pseudo_diagram
 from eulcat.groups import cyclic_group
 from eulcat.hocolim import (
     CoherenceFailure,
-    GrothendieckResult,
     PseudoDiagram,
     StrictDiagram,
     _pair_obj,
@@ -30,7 +32,7 @@ from eulcat.zoo import one_object_category, terminal_category
 from strategies import actions, strict_diagrams
 
 
-def reference_grothendieck(d: StrictDiagram, verify: bool = False) -> GrothendieckResult:
+def reference_grothendieck(d: StrictDiagram, verify: bool = False) -> SimpleNamespace:
     idx = d.index
     objs = []
     vertex_of: dict[str, tuple[str, str]] = {}
@@ -89,7 +91,7 @@ def reference_grothendieck(d: StrictDiagram, verify: bool = False) -> Grothendie
                 for m in ci.morphisms
             },
         )
-    return GrothendieckResult(cat, alphas)
+    return SimpleNamespace(category=cat, alphas=alphas)
 
 
 def reference_grothendieck_pseudo(d: PseudoDiagram) -> FinCat:
@@ -114,7 +116,7 @@ def reference_grothendieck_pseudo(d: PseudoDiagram) -> FinCat:
                         name = _triple_mor(u, f, c)
                         mors.append(Morphism(name, _pair_obj(i, c), _pair_obj(j, dd)))
                         data[name] = (u, f, c)
-            unit_inv = ci.inverse(d.unit[i].components[c])
+            unit_inv = ci.inverse(d.unit[i][c])
             ident[_pair_obj(i, c)] = _triple_mor(idx.identity[i], unit_inv, c)
 
     comp = {}
@@ -186,9 +188,29 @@ class TestOneBuilder:
             index,
             {"i": vertex},
             {idx_id: ident},
-            {(idx_id, idx_id): NatIso(ident.then(ident), ident, {"*": "2"})},
-            {"i": NatIso(ident, ident, {"*": "1"})},
+            {(idx_id, idx_id): {"*": "2"}},
+            {"i": {"*": "1"}},
         )
         got = grothendieck_pseudo(d)
         assert_same_table(got, reference_grothendieck_pseudo(d))
         assert got.identity["(i,*)"] == f"({idx_id},2)@*"
+
+
+class TestAlphasOnRequest:
+    @settings(max_examples=20, deadline=None)
+    @given(strict_diagrams)
+    def test_built_and_validated_on_each_access(self, d):
+        """``grothendieck`` validates no functor; each read of ``alphas``
+        validates one inclusion per index object, and nothing is cached."""
+        built = []
+        real = CatFunctor.__post_init__
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(CatFunctor, "__post_init__", lambda self: built.append(self) or real(self))
+            res = grothendieck(d)
+            assert built == []
+            first = res.alphas
+            assert len(built) == len(d.index.objects)
+            second = res.alphas
+            assert len(built) == 2 * len(d.index.objects)
+        assert all(first[i] is not second[i] for i in d.index.objects)
+        assert_same_alphas(first, reference_grothendieck(d).alphas)

@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eulcat import fincat, hocolim, randgen, zoo
+from eulcat import fincat, hocolim, manifest, randgen, zoo
 from eulcat.eulerchar import chi_scwol
 from eulcat.errors import ValidationError
 from eulcat.fincat import (
     CatFunctor,
-    NatIso,
+    NotNatural,
     NotScwol,
     are_isomorphic,
     classify,
@@ -40,8 +40,8 @@ from eulcat.hocolim import (
 )
 from eulcat.ratlin import NoWeighting, chi_L, weighting
 
-from helpers import trivial_diagram
-from strategies import SEEDS, actions, scwols, small_rationals, strict_diagrams
+from helpers import nat_iso_checks, trivial_diagram
+from strategies import SEEDS, actions, groupoids, scwols, small_rationals, strict_diagrams
 
 
 def intro_pushout_diagram():
@@ -134,10 +134,7 @@ class TestGrothendieckPseudo:
         diagram = complex_to_pseudo_diagram(good)
 
         corrupted = dict(diagram.comp)
-        iso = corrupted[("b", "a")]
-        from eulcat.fincat import NatIso
-
-        corrupted[("b", "a")] = NatIso(iso.f, iso.g, {"*": "1"})
+        corrupted[("b", "a")] = {"*": "1"}
         with pytest.raises(CoherenceFailure):
             PseudoDiagram(
                 diagram.index, diagram.vertex, diagram.edge, corrupted, diagram.unit
@@ -147,40 +144,40 @@ class TestGrothendieckPseudo:
 # -- diagram validation: the functor-level route as a reference ----------------------
 
 
+def same_maps(a, b) -> bool:
+    return (dict(a.obj_map), dict(a.mor_map)) == (dict(b.obj_map), dict(b.mor_map))
+
+
 def reference_strict_checks(index, vertex, edge):
     """StrictDiagram's checks through validated identity and composite functors."""
     hocolim._check_vertices_and_edges(SimpleNamespace(index=index, vertex=vertex, edge=edge))
     for i in index.objects:
-        if not edge[index.identity[i]].same_maps_as(CatFunctor.identity_functor(vertex[i])):
+        if not same_maps(edge[index.identity[i]], CatFunctor.identity_functor(vertex[i])):
             raise ValidationError(f"edge at id_{i!r} is not the identity functor")
     for (v, u), vu in index.composition.items():
-        if not edge[u].then(edge[v]).same_maps_as(edge[vu]):
+        if not same_maps(edge[u].then(edge[v]), edge[vu]):
             raise ValidationError(f"strictness fails: edge({vu!r}) != edge({v!r}) o edge({u!r})")
 
 
 def reference_pseudo_checks(index, vertex, edge, comp, unit):
-    """PseudoDiagram's checks through validated identity and composite
-    functors, then its unchanged coherence axioms."""
+    """PseudoDiagram's checks as they were made through ``NatIso``: each
+    component table is checked against validated identity and composite
+    functors (``helpers.nat_iso_checks``), then the unchanged coherence
+    axioms run."""
     d = object.__new__(PseudoDiagram)
     for name, value in zip(("index", "vertex", "edge", "comp", "unit"),
                            (index, vertex, edge, comp, unit)):
         object.__setattr__(d, name, value)
     hocolim._check_vertices_and_edges(d)
     for i in index.objects:
-        iso = unit.get(i)
-        if iso is None:
+        components = unit.get(i)
+        if components is None:
             raise CoherenceFailure(f"no unit isomorphism at {i!r}")
-        if not iso.f.same_maps_as(CatFunctor.identity_functor(vertex[i])):
-            raise CoherenceFailure(f"unit at {i!r} does not start at the identity functor")
-        if not iso.g.same_maps_as(edge[index.identity[i]]):
-            raise CoherenceFailure(f"unit at {i!r} does not land in C(id_{i})")
-    for (v, u), iso in comp.items():
+        nat_iso_checks(CatFunctor.identity_functor(vertex[i]), edge[index.identity[i]], components)
+    for (v, u), components in comp.items():
         if (v, u) not in index.composition:
             raise CoherenceFailure(f"comp given for non-composable pair ({v!r}, {u!r})")
-        if not iso.f.same_maps_as(edge[u].then(edge[v])):
-            raise CoherenceFailure(f"comp at ({v!r}, {u!r}) has wrong source functor")
-        if not iso.g.same_maps_as(edge[index.composition[(v, u)]]):
-            raise CoherenceFailure(f"comp at ({v!r}, {u!r}) has wrong target functor")
+        nat_iso_checks(edge[u].then(edge[v]), edge[index.composition[(v, u)]], components)
     for (v, u) in index.composition:
         if (v, u) not in comp:
             raise CoherenceFailure(f"no comp isomorphism at ({v!r}, {u!r})")
@@ -218,9 +215,37 @@ def with_extra_key(fun, rng):
     return CatFunctor(fun.source, fun.target, obj_map, mor_map)
 
 
+def corrupt_component(components, c, cat, how, rng):
+    """A copy of the component table with the entry at ``c`` replaced by a
+    parallel twin, a non-invertible arrow or an arrow with other endpoints
+    (left as it is when ``cat`` has none), by a name that is no morphism of
+    ``cat``, or dropped."""
+    table = dict(components)
+    old = table[c]
+    ends = cat.source(old), cat.target(old)
+    if how == "twin":
+        twins = [m for m in cat.hom(*ends) if m != old]
+        table[c] = rng.choice(twins) if twins else old
+    elif how == "non-invertible":
+        arrows = [m for m in cat.morphism_names() if not cat.is_invertible(m)]
+        parallel = [m for m in arrows if (cat.source(m), cat.target(m)) == ends]
+        table[c] = rng.choice(parallel or arrows or [old])
+    elif how == "misplaced":
+        arrows = [m for m in cat.morphism_names() if (cat.source(m), cat.target(m)) != ends]
+        table[c] = rng.choice(arrows or [old])
+    elif how == "unknown":
+        table[c] = "?nosuch"
+    else:
+        del table[c]
+    return table
+
+
 pseudo_diagrams = st.one_of(
     strict_diagrams.map(PseudoDiagram.from_strict),
     actions.map(lambda a: complex_to_pseudo_diagram(complex_of_groups(a).complex)),
+    # one-object monoid vertices, so that a component can be a parallel
+    # arrow that is not invertible
+    scwols.map(lambda idx: PseudoDiagram.from_strict(constant_diagram(idx, zoo.monoid_z2_mult()))),
 )
 
 
@@ -236,31 +261,60 @@ class TestDiagramChecks:
         args[2][m] = with_extra_key(d.edge[m], rng)
         assert any_outcome(StrictDiagram, *args) == any_outcome(reference_strict_checks, *args)
 
-    @settings(max_examples=40, deadline=None)
-    @given(pseudo_diagrams, SEEDS)
-    def test_pseudo_against_composite_functors(self, p, seed):
-        """The unchanged diagram, then a copy with an extra key in one edge,
-        or in the source or target functor of one comp or unit isomorphism."""
+    @settings(max_examples=120, deadline=None)
+    @given(pseudo_diagrams, SEEDS,
+           st.sampled_from(("edge", "twin", "non-invertible", "misplaced", "unknown", "dropped")))
+    def test_pseudo_against_composite_functors(self, p, seed, how):
+        """The unchanged diagram, then a copy with an extra key in one edge
+        or one corrupted coherence component.  Both routes accept or both
+        reject; a rejection's message ends with the old route's message,
+        except for a name that is no morphism, where the old route raised
+        KeyError."""
         args = (p.index, p.vertex, dict(p.edge), dict(p.comp), dict(p.unit))
         assert any_outcome(PseudoDiagram, *args) is None is any_outcome(reference_pseudo_checks, *args)
         rng = Random(seed)
-        where = rng.choice(("edge", "comp", "unit"))
-        if where == "edge":
+        # entries with a component to corrupt (a vertex may have no objects)
+        entries = [(table, key) for table in args[3:] for key in sorted(table) if table[key]]
+        if how == "edge" or not entries:
+            how = "edge"
             m = rng.choice(sorted(p.edge))
             args[2][m] = with_extra_key(p.edge[m], rng)
         else:
-            table = args[3] if where == "comp" else args[4]
-            key = rng.choice(sorted(table))
-            iso = table[key]
-            f, g = (with_extra_key(iso.f, rng), iso.g) if rng.random() < 0.5 else (
-                iso.f, with_extra_key(iso.g, rng))
-            table[key] = NatIso(f, g, iso.components)
-        assert any_outcome(PseudoDiagram, *args) == any_outcome(reference_pseudo_checks, *args)
+            table, key = rng.choice(entries)
+            cat = p.vertex[p.index.target(key[0]) if table is args[3] else key]
+            c = rng.choice(sorted(table[key]))
+            table[key] = corrupt_component(table[key], c, cat, how, rng)
+        new = any_outcome(PseudoDiagram, *args)
+        old = any_outcome(reference_pseudo_checks, *args)
+        if how == "unknown":
+            assert old == (KeyError, repr("?nosuch"))
+            assert new[0] is NotNatural and new[1].endswith(
+                f"component at {c!r} is not a morphism of {cat.name}")
+        elif old is None:
+            assert new is None
+        else:
+            assert new[0] is old[0] and new[1].endswith(old[1])
+
+    def test_rejection_names_the_entry_and_object(self):
+        """A one-object monoid over the terminal index: a unit component
+        that is not invertible, and a comp table with no component."""
+        index, vertex = zoo.terminal_category("i"), zoo.monoid_z2_mult()
+        idx_id = index.identity["i"]
+        args = (index, {"i": vertex}, {idx_id: CatFunctor.identity_functor(vertex)})
+        with pytest.raises(NotNatural) as err:
+            PseudoDiagram(*args, {(idx_id, idx_id): {"*": "1"}}, {"i": {"*": "0"}})
+        assert str(err.value) == "unit at 'i': component at '*' is not invertible"
+        assert err.value.witness == {"entry": "unit at 'i'", "object": "*"}
+        with pytest.raises(NotNatural) as err:
+            PseudoDiagram(*args, {(idx_id, idx_id): {}}, {"i": {"*": "1"}})
+        where = f"comp at {(idx_id, idx_id)!r}"
+        assert str(err.value) == f"{where}: no component at '*'"
+        assert err.value.witness == {"entry": where, "object": "*"}
 
     @settings(max_examples=30, deadline=None)
     @given(strict_diagrams, SEEDS)
     def test_composite_check_against_then(self, d, seed):
-        """hocolim._is_composite against then + same_maps_as on every
+        """hocolim._is_composite against a validated ``then`` on every
         composable pair, with an extra key in one of the three functors."""
         rng = Random(seed)
         for (v, u), vu in d.index.composition.items():
@@ -269,30 +323,43 @@ class TestDiagramChecks:
             funs[k] = with_extra_key(funs[k], rng)
             first, second, fun = funs
             assert verdict(lambda: hocolim._is_composite(first, second, fun)) == verdict(
-                lambda: first.then(second).same_maps_as(fun)
+                lambda: same_maps(first.then(second), fun)
             )
 
     @settings(max_examples=20, deadline=None)
-    @given(strict_diagrams, pseudo_diagrams)
-    def test_constructors_build_no_functor(self, d, p):
-        """Strictness and the comp and unit functors are checked on the maps:
-        no CatFunctor is composed with ``then`` or validated on the way."""
-        calls = {"then": 0, "__post_init__": 0}
+    @given(strict_diagrams, pseudo_diagrams, st.one_of(scwols, groupoids.map(lambda g: g.category)))
+    def test_constructors_build_no_functor(self, d, p, cat):
+        """Strictness, the coherence tables and the skeleton's eta are
+        checked on the maps: no CatFunctor is composed with ``then``, made an
+        identity functor or validated on the way, except the edges a
+        manifest holds and the skeleton's inclusion and retraction."""
+        payload = manifest.pseudo_diagram_payload(p)
 
-        def counting(name):
-            real = getattr(CatFunctor, name)
+        def made(*sections):
+            """The then, identity_functor and validation calls ``sections`` make."""
+            calls = dict.fromkeys(("then", "identity_functor", "__post_init__"), 0)
 
-            def counted(*args):
-                calls[name] += 1
-                return real(*args)
-            return counted
+            def counting(name, real):
+                def counted(*args):
+                    calls[name] += 1
+                    return real(*args)
+                return counted
 
-        with pytest.MonkeyPatch.context() as mp:
-            for name in calls:
-                mp.setattr(CatFunctor, name, counting(name))
-            StrictDiagram(d.index, d.vertex, d.edge)
-            PseudoDiagram(p.index, p.vertex, p.edge, p.comp, p.unit)
-        assert calls == {"then": 0, "__post_init__": 0}
+            with pytest.MonkeyPatch.context() as mp:
+                for name in calls:
+                    mp.setattr(CatFunctor, name, counting(name, getattr(CatFunctor, name)))
+                for section in sections:
+                    section()
+            return calls
+
+        assert made(
+            lambda: StrictDiagram(d.index, d.vertex, d.edge),
+            lambda: PseudoDiagram(p.index, p.vertex, p.edge, p.comp, p.unit),
+        ) == {"then": 0, "identity_functor": 0, "__post_init__": 0}
+        assert made(lambda: manifest.pseudo_diagram_from_payload(payload)) == {
+            "then": 0, "identity_functor": 0, "__post_init__": len(p.index.morphisms)}
+        assert made(lambda: skeleton(cat)) == {
+            "then": 0, "identity_functor": 0, "__post_init__": 2}
 
 
 class TestSpectra:

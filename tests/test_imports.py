@@ -1,4 +1,6 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and every
+private module-level name (``_name``) the library defines is used somewhere
+in the library; a use in the tests does not count.
 
 The package's ``__init__.py`` re-exports and ``from __future__`` imports are
 exempt.  Only the standard library ``ast`` is used.
@@ -27,6 +29,30 @@ def unused_imports(source: str) -> list[str]:
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
 
 
+def unused_private_names(sources: dict[str, str]) -> list[str]:
+    """``module: name`` for each module-level ``_name`` (a function, class
+    or assigned name, not a dunder) that no module reads as a name or an
+    attribute."""
+    defined, used = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            defined += [(module, n) for n in names if n.startswith("_") and not n.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return [f"{module}: {name}" for module, name in defined if name not in used]
+
+
 def test_the_check_sees_an_unused_import():
     assert unused_imports("import json\nfrom os import path, sep\nsep\n") == [
         "line 1: json",
@@ -37,3 +63,16 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_check_sees_an_unused_private_name():
+    sources = {
+        "a": "_K = 1\n_T: int = 2\ndef _f():\n    return _K\nclass _C:\n    pass\n__all__ = []\n",
+        "b": "from a import _f, _C\n_f()\n",
+    }
+    assert unused_private_names(sources) == ["a: _T", "a: _C"]
+
+
+def test_no_unused_private_name():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert unused_private_names(sources) == []

@@ -59,14 +59,8 @@ class TestRoundTrip:
         def same(a, b):
             return (
                 equal_presentation(a.index, b.index)
-                and all(
-                    dict(a.comp[k].components) == dict(b.comp[k].components)
-                    for k in a.comp
-                )
-                and all(
-                    dict(a.unit[i].components) == dict(b.unit[i].components)
-                    for i in a.unit
-                )
+                and all(dict(a.comp[k]) == dict(b.comp[k]) for k in a.comp)
+                and all(dict(a.unit[i]) == dict(b.unit[i]) for i in a.unit)
             )
 
         self.assert_roundtrip("pseudo_diagram", d, same)
@@ -327,13 +321,26 @@ def _without_local(payload: dict, x: str) -> dict:
             "unit entry for non-index object 'q'",
         ),
         (
+            "pseudo_diagram",
+            {"index": ONE_OBJECT, "vertices": ONE_VERTEX, "edges": IDENTITY_EDGE,
+             "comp": [["i", "i", {"x": "nosuch"}]], "unit": {"x": {"x": "i"}}},
+            "comp at ('i', 'i'): component at 'x' is not a morphism of vertex[x]",
+        ),
+        (
+            "pseudo_diagram",
+            {"index": ONE_OBJECT, "vertices": ONE_VERTEX, "edges": IDENTITY_EDGE,
+             "comp": [["i", "i", {"x": "i"}]], "unit": {"x": {}}},
+            "unit at 'x': no component at 'x'",
+        ),
+        (
             "complex",
             _without_local(_trivial_arrow_complex_payload(), "1"),
             "no local group for object '1'",
         ),
     ],
     ids=["category-identity-list", "diagram-vertices-list", "spectrum-cells-list",
-         "spectrum-cell-not-integer", "pseudo-unit-non-index-object", "complex-missing-local"],
+         "spectrum-cell-not-integer", "pseudo-unit-non-index-object",
+         "pseudo-component-names-no-morphism", "pseudo-component-missing", "complex-missing-local"],
 )
 def test_malformed_payload_exits_2_with_one_error_line(tmp_path, capsys, kind, payload, named):
     path = tmp_path / "bad.json"

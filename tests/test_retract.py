@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from eulcat import groups, randgen, zoo
 from eulcat.fincat import (
     CatFunctor,
-    NatIso,
     SkeletonData,
     equal_presentation,
     full_subcategory,
@@ -26,13 +25,15 @@ from eulcat.groupact import (
     InvalidQuotient,
     ScwolAction,
     _coordinated_choices,
+    _fixers,
     equivariant_skeleton,
     quotient,
     skeletal_reduction,
+    stabilizer,
 )
 from eulcat.groups import cyclic_group
 
-from helpers import count_calls
+from helpers import count_calls, nat_iso_checks
 from strategies import actions, groupoids, posets, scwols
 
 
@@ -70,12 +71,8 @@ def reference_skeleton(cat):
         r_mor[m.name] = cat.compose(cat.inverse(eta_comp[m.target]), f_eta)
     retraction = CatFunctor(cat, gamma, r_obj, r_mor)
 
-    eta = NatIso(
-        f=retraction.then(inclusion),
-        g=CatFunctor.identity_functor(cat),
-        components=eta_comp,
-    )
-    return SkeletonData(gamma, inclusion, retraction, eta)
+    nat_iso_checks(retraction.then(inclusion), CatFunctor.identity_functor(cat), eta_comp)
+    return SkeletonData(gamma, inclusion, retraction, eta_comp)
 
 
 def reference_equivariant_skeleton(action):
@@ -126,9 +123,7 @@ def reference_equivariant_skeleton(action):
         conj = cat.compose(m.name, eta_comp[m.source])
         r_mor[m.name] = cat.compose(cat.inverse(eta_comp[m.target]), conj)
     retraction = CatFunctor(cat, gamma, r_obj, r_mor)
-    eta = NatIso(
-        retraction.then(incl), CatFunctor.identity_functor(cat), eta_comp
-    )
+    nat_iso_checks(retraction.then(incl), CatFunctor.identity_functor(cat), eta_comp)
 
     restricted = ScwolAction(
         group,
@@ -151,7 +146,7 @@ def reference_equivariant_skeleton(action):
         for x in cat.objects
     )
     return EquivariantSkeleton(
-        restricted, incl, retraction, eta, incl_equivariant, eta_equivariant
+        restricted, incl, retraction, eta_comp, incl_equivariant, eta_equivariant
     )
 
 
@@ -274,7 +269,7 @@ def assert_same_retraction(new, old):
     assert new.category.name == old.category.name
     assert maps(new.inclusion) == maps(old.inclusion)
     assert maps(new.retraction) == maps(old.retraction)
-    assert dict(new.eta.components) == dict(old.eta.components)
+    assert dict(new.eta) == dict(old.eta)
 
 
 def reduction_setup(action):
@@ -353,3 +348,36 @@ class TestNoIsoClassesPass:
         )
         assert len(skeleton(cat).category.objects) == 1
         assert built == []
+
+
+class TestStabilizersAsMemberSets:
+    """``skeletal_reduction`` compares stabilizers as member lists; the
+    subgroups it once built for the comparison are the reference."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(all_actions)
+    @example(FAT_CIRCLE)
+    def test_report_matches_subgroup_route(self, action):
+        red = skeletal_reduction(action)
+        old = all(
+            set(stabilizer(action, x).labels) == set(stabilizer(red.action, x).labels)
+            for x in red.action.space.objects
+        )
+        assert red.report.stabilizers_preserved == old
+        for x in action.space.objects:
+            assert _fixers(action, x) == list(stabilizer(action, x).labels)
+
+    def test_only_the_complexes_build_groups(self, monkeypatch):
+        """The only groups built are the local groups of the two complexes
+        of groups, one per object of each quotient."""
+        built = []
+        real = groups.FinGroup.__post_init__
+        red = skeletal_reduction(FAT_CIRCLE)
+        expected = len(quotient(FAT_CIRCLE).category.objects) + len(
+            quotient(red.action).category.objects
+        )
+        monkeypatch.setattr(
+            groups.FinGroup, "__post_init__", lambda self: built.append(self.name) or real(self)
+        )
+        assert skeletal_reduction(FAT_CIRCLE).report.all_hold()
+        assert len(built) == expected
