@@ -77,7 +77,6 @@ class FinCat:
     _mor: dict = field(init=False, repr=False)
     _hom: dict = field(init=False, repr=False)
     _by_source: dict = field(init=False, repr=False)
-    _by_target: dict = field(init=False, repr=False)
     _identity_names: frozenset = field(init=False, repr=False)
     _invertible: dict = field(init=False, repr=False)
 
@@ -117,14 +116,11 @@ class FinCat:
 
         hom: dict[tuple[str, str], list[str]] = {}
         by_source: dict[str, list[str]] = {x: [] for x in self.objects}
-        by_target: dict[str, list[str]] = {x: [] for x in self.objects}
         for m in self.morphisms:
             hom.setdefault((m.source, m.target), []).append(m.name)
             by_source[m.source].append(m.name)
-            by_target[m.target].append(m.name)
         object.__setattr__(self, "_hom", {k: tuple(v) for k, v in hom.items()})
         object.__setattr__(self, "_by_source", {k: tuple(v) for k, v in by_source.items()})
-        object.__setattr__(self, "_by_target", {k: tuple(v) for k, v in by_target.items()})
 
         if check:
             self._check_laws()
@@ -244,9 +240,6 @@ class FinCat:
     def morphisms_from(self, x: str) -> tuple[str, ...]:
         return self._by_source[x]
 
-    def morphisms_to(self, x: str) -> tuple[str, ...]:
-        return self._by_target[x]
-
     def is_identity(self, m: str) -> bool:
         return m in self._identity_names
 
@@ -279,6 +272,8 @@ def validate(raw: Mapping, name: str = "C") -> FinCat:
          "morphisms": [{"id":..., "source":..., "target":...}, ...],
          "identity": {object: morphism_id, ...},
          "compose": [[g, f, gf], ...]}
+
+    Each pair (g, f) is listed once.
     """
     try:
         objects = tuple(str(x) for x in raw["objects"])
@@ -286,10 +281,22 @@ def validate(raw: Mapping, name: str = "C") -> FinCat:
             Morphism(str(m["id"]), str(m["source"]), str(m["target"])) for m in raw["morphisms"]
         )
         identity = {str(k): str(v) for k, v in raw["identity"].items()}
-        composition = {(str(g), str(f)): str(gf) for g, f, gf in raw.get("compose", [])}
+        triples = raw.get("compose", [])
+        composition = {(str(g), str(f)): str(gf) for g, f, gf in triples}
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DanglingReference(f"{name}: malformed category description ({exc})") from exc
-    return FinCat(objects, morphisms, identity, composition, name=str(raw.get("name", name)))
+    name = str(raw.get("name", name))
+    if len(composition) != len(triples):
+        seen: set[tuple[str, str]] = set()
+        for g, f, _ in triples:
+            pair = (str(g), str(f))
+            if pair in seen:
+                raise DanglingReference(
+                    f"{name}: pair ({pair[0]!r}, {pair[1]!r}) is listed more than once in compose",
+                    witness={"pair": pair},
+                )
+            seen.add(pair)
+    return FinCat(objects, morphisms, identity, composition, name=name)
 
 
 # -- functors and natural isomorphisms ---------------------------------------
@@ -356,9 +363,10 @@ def _check_natural(cat, tgt, f_obj, f_mor, g_obj, g_mor, components, where) -> N
 
     F and G are parallel functors ``cat`` -> ``tgt``, given by their object
     and morphism maps.  ``components[x]`` must be an invertible morphism
-    F(x) -> G(x) of ``tgt`` (extra keys are ignored) and every naturality
-    square must commute.  A failure raises NotNatural, its message prefixed
-    by ``where``, with the entry and the object or morphism as witness.
+    F(x) -> G(x) of ``tgt``, every naturality square must commute, and no
+    key may name anything but an object of ``cat``.  A failure raises
+    NotNatural, its message prefixed by ``where``, with the entry and the
+    object or morphism as witness.
     """
 
     def fail(message: str, **witness) -> NoReturn:
@@ -379,6 +387,10 @@ def _check_natural(cat, tgt, f_obj, f_mor, g_obj, g_mor, components, where) -> N
         rhs = tgt.compose(g_mor[m.name], components[m.source])
         if lhs != rhs:
             fail(f"naturality fails at morphism {m.name!r}", morphism=m.name)
+    # every object has a component, so a longer table has a stray key
+    if len(components) != len(cat.objects):
+        x = next(x for x in components if not cat.has_object(x))
+        fail(f"component key {x!r} is not an object of {cat.name}", object=x)
 
 
 # -- structural predicates ----------------------------------------------------
@@ -415,20 +427,23 @@ def classify(cat: FinCat) -> PredicateReport:
         m.source != m.target and cat.is_invertible(m.name) for m in cat.morphisms
     )
 
-    # connectivity under the zigzag relation
-    if not cat.objects:
-        is_connected = True
-    else:
-        seen = {cat.objects[0]}
-        frontier = [cat.objects[0]]
-        while frontier:
-            x = frontier.pop()
-            for m in cat.morphisms_from(x) + cat.morphisms_to(x):
-                for y in (cat.source(m), cat.target(m)):
-                    if y not in seen:
-                        seen.add(y)
-                        frontier.append(y)
-        is_connected = len(seen) == len(cat.objects)
+    # connectivity under the zigzag relation: one union-find pass over the
+    # endpoints of the morphisms, counting the merges
+    parent = {x: x for x in cat.objects}
+
+    def root(x: str) -> str:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    components = len(cat.objects)
+    for m in cat.morphisms:
+        a, b = root(m.source), root(m.target)
+        if a != b:
+            parent[a] = b
+            components -= 1
+    is_connected = components <= 1
 
     return PredicateReport(
         is_scwol=_is_scwol(cat),

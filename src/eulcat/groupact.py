@@ -8,6 +8,11 @@ the source of a non-identity morphism onto its target, and an element fixing
 the source of a morphism fixes the morphism.  Together these make orbits,
 quotients, and stabilizer bookkeeping behave; every consequence used here is
 re-verified at run time rather than assumed.
+
+``ScwolAction`` is the one validator of an action: a G-set reaches it as an
+action on the discrete scwol, and every rejection of action data is a
+``NotAnAction``.  Orbits are named by their least members, and each lift and
+carrying element (some g with g . x = y) is found by one helper.
 """
 
 from __future__ import annotations
@@ -32,19 +37,25 @@ from .fincat import (
     skeleton,
 )
 from .groups import FinGroup, GroupHom, _image_of
-from .hocolim import bar_spectrum, formula_value
+from .hocolim import MissingValue, PseudoDiagram, bar_spectrum, formula_value
 from .ratlin import chi_L
+from .zoo import arrow_category, discrete_category, one_object_category
 
 
-class NotAFunctorAction(ValidationError):
+class NotAnAction(ValidationError):
+    """The data is not a group action: the base of every rejection by
+    ``ScwolAction``, ``validate_action`` and ``transport_groupoid``."""
+
+
+class NotAFunctorAction(NotAnAction):
     """Some group element does not act as a strictly invertible functor."""
 
 
-class NotAHomomorphismAction(ValidationError):
+class NotAHomomorphismAction(NotAnAction):
     """The assignment g -> (action of g) is not a group homomorphism."""
 
 
-class AxiomIViolation(ValidationError):
+class AxiomIViolation(NotAnAction):
     """g . source(a) = target(a) for a non-identity morphism a."""
 
     def __init__(self, morphism: str, element: str):
@@ -56,7 +67,7 @@ class AxiomIViolation(ValidationError):
         self.element = element
 
 
-class AxiomIIViolation(ValidationError):
+class AxiomIIViolation(NotAnAction):
     """g fixes source(a) but moves the non-identity morphism a."""
 
     def __init__(self, morphism: str, element: str):
@@ -70,10 +81,6 @@ class AxiomIIViolation(ValidationError):
 
 class InvalidQuotient(EulcatError):
     """Internal consistency failure while forming a quotient scwol."""
-
-
-class NotAnAction(ValidationError):
-    """A purported G-set action table is not an action."""
 
 
 def _check_homomorphism_law(group: FinGroup, perms: Sequence[list[int]],
@@ -195,33 +202,26 @@ class ScwolAction:
         return tuple(sorted({self.act_mor(g, m) for g in self.group.labels}))
 
     def object_orbits(self) -> tuple[tuple[str, ...], ...]:
-        seen: set[str] = set()
-        orbits = []
-        for x in sorted(self.space.objects):
-            if x not in seen:
-                orb = self.object_orbit(x)
-                seen.update(orb)
-                orbits.append(orb)
-        return tuple(orbits)
+        return _orbits(self.space.objects, self.object_orbit)
 
     def morphism_orbits(self) -> tuple[tuple[str, ...], ...]:
-        seen: set[str] = set()
-        orbits = []
-        for m in sorted(n.name for n in self.space.morphisms):
-            if m not in seen:
-                orb = self.morphism_orbit(m)
-                seen.update(orb)
-                orbits.append(orb)
-        return tuple(orbits)
+        return _orbits(self.space.morphism_names(), self.morphism_orbit)
 
     def is_free_on_objects(self) -> bool:
-        e = self.group.identity
-        return all(
-            self.act_obj(g, x) != x
-            for g in self.group.labels
-            if g != e
-            for x in self.space.objects
-        )
+        only_identity = [self.group.identity]
+        return all(_fixers(self, x) == only_identity for x in self.space.objects)
+
+
+def _orbits(names: Sequence[str], orbit) -> tuple[tuple[str, ...], ...]:
+    """The distinct ``orbit(x)``, in the order of their least members."""
+    seen: set[str] = set()
+    orbits = []
+    for x in sorted(names):
+        if x not in seen:
+            orb = orbit(x)
+            seen.update(orb)
+            orbits.append(orb)
+    return tuple(orbits)
 
 
 def validate_action(raw: Mapping, group: FinGroup, space: FinCat) -> ScwolAction:
@@ -261,8 +261,8 @@ class QuotientResult:
 
 
 def quotient(action: ScwolAction) -> QuotientResult:
-    """Quotient scwol: objects and morphisms are G-orbits, with composition
-    and identities induced from the space.
+    """Quotient scwol: objects and morphisms are G-orbits, each named by its
+    least member, with composition and identities induced from the space.
 
     Well-definedness of the induced composition and the source-side orbit
     bijection are consequences of the action axioms; both are re-verified
@@ -444,8 +444,6 @@ def constant_complex(base: FinCat, group: FinGroup) -> ComplexOfGroups:
 
 def one_arrow_complex(g0: FinGroup, g1: FinGroup, hom: GroupHom) -> ComplexOfGroups:
     """A complex G0 -> G1 over the arrow scwol {0 -> 1}."""
-    from .zoo import arrow_category
-
     base = arrow_category()
     if hom.source is not g0 or hom.target is not g1:
         raise ValidationError("homomorphism endpoints do not match the groups")
@@ -507,8 +505,7 @@ def _complex_from_quotient(
 
     reps: dict[str, str] = {}
     for orbit_name in base.objects:
-        members = action.object_orbit(orbit_name)
-        chosen = (object_reps or {}).get(orbit_name, members[0])
+        chosen = (object_reps or {}).get(orbit_name, orbit_name)
         if q.object_orbit_of.get(chosen) != orbit_name:
             raise ValidationError(
                 f"override representative {chosen!r} does not project to {orbit_name!r}"
@@ -522,9 +519,7 @@ def _complex_from_quotient(
     for m in base.morphisms:
         s_rep = reps[m.source]
         t_rep = reps[m.target]
-        candidates = [
-            a for a in cat.morphisms_from(s_rep) if q.morphism_orbit_of[a] == m.name
-        ]
+        candidates = _lifts(q, cat, s_rep, m.name)
         if len(candidates) != 1:
             raise InvalidQuotient(
                 f"morphism {m.name!r} has {len(candidates)} lifts at {s_rep!r}"
@@ -541,9 +536,7 @@ def _complex_from_quotient(
                 )
             h_elts[m.name] = wanted
         else:
-            h_elts[m.name] = next(
-                g for g in group.labels if action.act_obj(g, cat.target(lift)) == t_rep
-            )
+            h_elts[m.name] = _carrier(action, cat.target(lift), t_rep)
 
     labels, table, inverse, index = group.labels, group.table, group._inverse, group._index
     h_idx: dict[str, int] = {}
@@ -571,6 +564,17 @@ def _complex_from_quotient(
         MorphismToGroup(group, reps, lifts, h_elts),
         q,
     )
+
+
+def _lifts(q: QuotientResult, cat: FinCat, start: str, orbit: str) -> list[str]:
+    """The morphisms of ``cat`` out of ``start`` that lie in the morphism
+    orbit ``orbit`` of the quotient ``q``."""
+    return [a for a in cat.morphisms_from(start) if q.morphism_orbit_of[a] == orbit]
+
+
+def _carrier(action: ScwolAction, x: str, y: str) -> str:
+    """The least-index group element g with g . x = y."""
+    return next(g for g in action.group.labels if action.act_obj(g, x) == y)
 
 
 # -- homotopy colimit of a complex of groups -------------------------------------
@@ -622,9 +626,6 @@ def hocolim_groups(cplx: ComplexOfGroups) -> FinCat:
 def complex_to_pseudo_diagram(cplx: ComplexOfGroups):
     """Reinterpret a complex of groups as a pseudo diagram of one-object
     categories, for the generic Grothendieck construction."""
-    from .hocolim import PseudoDiagram
-    from .zoo import one_object_category
-
     base = cplx.base
     vertex = {x: one_object_category(cplx.local[x], obj="*") for x in base.objects}
     edge = {}
@@ -793,28 +794,24 @@ def _coordinated_choices(action, r, qx, rbar):
     rbar.
     """
     cat = action.space
-    group = action.group
     qsk = skeleton(qx.category)
     rep_of, eta, normal_form = qsk.retraction.obj_map, qsk.eta, qsk.retraction.mor_map
 
-    def lift(start: str, orbit: str) -> str:
-        return next(a for a in cat.morphisms_from(start) if qx.morphism_orbit_of[a] == orbit)
+    def lift_target(start: str, orbit: str) -> str:
+        return cat.target(_lifts(qx, cat, start, orbit)[0])
 
-    # selected preimage per orbit object of X/G
-    least: dict[str, str] = {}
-    for x in sorted(cat.objects):
-        least.setdefault(qx.object_orbit_of[x], x)
-    sel = {s: cat.target(lift(least[rep], eta[s])) for s, rep in rep_of.items()}
+    # selected preimage per orbit object of X/G; an orbit's name is its
+    # least member
+    sel = {s: lift_target(rep, eta[s]) for s, rep in rep_of.items()}
 
     # h elements: chosen on skeletal morphisms, shared along normal forms
     h_on_skel: dict[str, str] = {}
     for m in qsk.category.morphisms:
         if qsk.category.is_identity(m.name):
-            h_on_skel[m.name] = group.identity
+            h_on_skel[m.name] = action.group.identity
         else:
-            t = cat.target(lift(sel[m.source], m.name))
-            h_on_skel[m.name] = next(
-                g for g in group.labels if action.act_obj(g, t) == sel[m.target]
+            h_on_skel[m.name] = _carrier(
+                action, lift_target(sel[m.source], m.name), sel[m.target]
             )
     h_x = {m: h_on_skel[nf] for m, nf in normal_form.items()}
 
@@ -898,7 +895,7 @@ def equivariant_skeleton(action: ScwolAction) -> EquivariantSkeleton:
     )
 
     incl_equivariant = all(
-        action.act_obj(g, x) in set(gamma.objects)
+        gamma.has_object(action.act_obj(g, x))
         for g in group.labels
         for x in gamma.objects
     )
@@ -921,29 +918,30 @@ def transport_groupoid(group: FinGroup, elements: Sequence[str],
 
     Objects are the set elements; the morphisms s1 -> s2 are the group
     elements g with g . s1 = s2, composed by group multiplication.  The
-    result is checked (by equal chi_L) to agree with the homotopy colimit
-    of the complex of groups of the action on the discrete scwol.
+    table ``act`` is validated once, as a ``ScwolAction`` on the discrete
+    scwol on ``elements``, so a table that is not an action raises a
+    ``NotAnAction``.  The result is checked (by equal chi_L) to agree with
+    the homotopy colimit of the complex of groups of that action.
     """
     elements = tuple(elements)
-    e = group.identity
-    for g in group.labels:
-        if g not in act:
-            raise NotAnAction(f"no action row for element {g!r}")
-        if sorted(act[g]) != sorted(elements) or sorted(act[g].values()) != sorted(elements):
-            raise NotAnAction(f"element {g!r} does not permute the set")
-    if any(act[e][s] != s for s in elements):
-        raise NotAnAction("identity element moves a point")
-    labels, table = group.labels, group.table
-    for g, row_g in zip(labels, table):
-        for h, gh_index in zip(labels, row_g):
-            gh = labels[gh_index]
-            if any(act[g][act[h][s]] != act[gh][s] for s in elements):
-                raise NotAnAction(f"action of {g!r}{h!r} disagrees with {gh!r}")
+    disc = discrete_category(elements, name="S")
+    # a name outside the set maps to itself here; ScwolAction rejects its row
+    # at the object level before it reads these morphism rows
+    rows = {g: dict(act[g]) for g in group.labels if g in act}
+    disc_id = disc.identity
+    discrete_action = ScwolAction(
+        group,
+        disc,
+        rows,
+        {g: {disc_id.get(s, s): disc_id.get(t, t) for s, t in row.items()}
+         for g, row in rows.items()},
+    )
 
     def nm(g: str, s: str) -> str:
         return f"({g},{s})"
 
-    mors = [Morphism(nm(g, s), s, act[g][s]) for s in elements for g in group.labels]
+    e, labels, table = group.identity, group.labels, group.table
+    mors = [Morphism(nm(g, s), s, act[g][s]) for s in elements for g in labels]
     ident = {s: nm(e, s) for s in elements}
     comp = {}
     for s in elements:
@@ -953,18 +951,6 @@ def transport_groupoid(group: FinGroup, elements: Sequence[str],
                 comp[(nm(h, mid), nm(g, s))] = nm(labels[row_h[gi]], s)
     groupoid = FinCat(elements, tuple(mors), ident, comp, name=f"transport({group.name})")
 
-    from .zoo import discrete_category
-
-    disc = discrete_category(elements, name="S")
-    discrete_action = ScwolAction(
-        group,
-        disc,
-        {g: dict(act[g]) for g in group.labels},
-        {
-            g: {disc.identity[s]: disc.identity[act[g][s]] for s in elements}
-            for g in group.labels
-        },
-    )
     via_complex = hocolim_groups(complex_of_groups(discrete_action).complex)
     direct, via_hocolim = chi_L(groupoid), chi_L(via_complex)
     if direct != via_hocolim:
@@ -1114,8 +1100,6 @@ def haefliger_chi(cat: FinCat, vals: Mapping[str, Fraction]) -> Fraction:
                          "start_sum": pc.start_sum(i)},
             )
         if i not in vals:
-            from .hocolim import MissingValue
-
             raise MissingValue(f"no local value supplied at {i!r}")
         total += one_minus * Fraction(vals[i])
     return total

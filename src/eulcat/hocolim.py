@@ -11,6 +11,7 @@ already fix the functors it runs between.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
@@ -30,6 +31,13 @@ from .fincat import (
     _skeleton_path_counts,
 )
 from .ratlin import Weighting, chi_L
+from .zoo import (
+    discrete_category,
+    parallel_pair_scwol,
+    pushout_scwol,
+    subset_label,
+    subsets_poset_opposite,
+)
 
 INVARIANTS = ("chiL", "chi2", "chi_scwol")
 
@@ -370,10 +378,6 @@ class CellSpectrum:
                 raise ValidationError(f"negative cell count at {i!r}")
         self.derived_weighting()  # raises NoWeighting if the equation fails
 
-    def count(self, i: str, n: int) -> int:
-        vec = self.cells.get(i, ())
-        return vec[n] if n < len(vec) else 0
-
     def alternating_sum(self, i: str) -> Fraction:
         return sum(
             (Fraction((-1) ** n * c) for n, c in enumerate(self.cells.get(i, ()))),
@@ -404,8 +408,6 @@ def builtin_spectrum(kind: str, **kwargs) -> CellSpectrum:
     Kinds: "terminal" (args: cat, obj), "parallel_pair", "pushout",
     "subsets_poset" (arg: q).
     """
-    from . import zoo
-
     if kind == "terminal":
         cat: Optional[FinCat] = kwargs.get("cat")
         obj = kwargs.get("obj")
@@ -414,20 +416,18 @@ def builtin_spectrum(kind: str, **kwargs) -> CellSpectrum:
         cat.require_object(obj)
         return CellSpectrum(cat, {obj: (1,)})
     if kind == "parallel_pair":
-        return CellSpectrum(zoo.parallel_pair_scwol(), {"k": (1,), "j": (0, 1)})
+        return CellSpectrum(parallel_pair_scwol(), {"k": (1,), "j": (0, 1)})
     if kind == "pushout":
-        return CellSpectrum(zoo.pushout_scwol(), {"k": (1,), "l": (1,), "j": (0, 1)})
+        return CellSpectrum(pushout_scwol(), {"k": (1,), "l": (1,), "j": (0, 1)})
     if kind == "subsets_poset":
         q = kwargs.get("q")
         if q is None:
             raise UnknownKind("subsets_poset spectrum needs q=...")
-        import itertools as _it
-
-        cat = zoo.subsets_poset_opposite(q)
+        cat = subsets_poset_opposite(q)
         cells = {}
         for r in range(1, q + 2):
-            for s in _it.combinations(range(q + 1), r):
-                cells[zoo.subset_label(s)] = tuple([0] * (r - 1) + [1])
+            for s in itertools.combinations(range(q + 1), r):
+                cells[subset_label(s)] = tuple([0] * (r - 1) + [1])
         return CellSpectrum(cat, cells)
     raise UnknownKind(f"no built-in spectrum named {kind!r}")
 
@@ -532,8 +532,6 @@ def set_diagram(index: FinCat, sets: Mapping[str, Sequence[str]],
     ``maps[u]`` sends elements of sets[source(u)] to sets[target(u)]; maps
     for identities may be omitted.
     """
-    from .zoo import discrete_category
-
     vertex = {i: discrete_category(sets[i], name=f"set[{i}]") for i in index.objects}
     edge = {}
     for m in index.morphisms:

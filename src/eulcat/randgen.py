@@ -16,8 +16,8 @@ from typing import Mapping, Optional, Sequence
 from .fincat import CatFunctor, FinCat, Morphism
 from .groups import FinGroup, GroupHom, all_homs, cyclic_group, klein_four_group, symmetric_group, trivial_group
 from .groupact import ScwolAction, trivial_action
-from .hocolim import StrictDiagram
-from .zoo import build_category, cone, inflate, polygon_scwol
+from .hocolim import StrictDiagram, constant_diagram, set_diagram
+from .zoo import build_category, circle_scwol, cone, inflate, polygon_scwol
 
 _POOL: Optional[list[FinGroup]] = None
 _HOM_CACHE: dict[tuple[int, int], list[GroupHom]] = {}
@@ -294,8 +294,6 @@ def random_groupoid_diagram(
 def random_inclusion_diagram(rng: Random, universe_size: int = 6,
                              max_objects: int = 4) -> StrictDiagram:
     """Random diagram of subset inclusions over a random poset."""
-    from .hocolim import set_diagram
-
     poset = random_poset(rng, max_objects)
     universe = [f"u{i}" for i in range(rng.randint(1, universe_size))]
 
@@ -328,8 +326,6 @@ def random_strict_diagram(rng: Random) -> StrictDiagram:
         return random_groupoid_diagram(rng)
     if roll < 0.8:
         return random_inclusion_diagram(rng)
-    from .hocolim import constant_diagram
-
     index = random_scwol(rng, max_objects=4, allow_fattening=False)
     vertex = random_groupoid(rng, 3, 4, tag="cv").category
     return constant_diagram(index, vertex)
@@ -431,8 +427,6 @@ def reflection_action(sides: int) -> ScwolAction:
 
 def circle_action() -> ScwolAction:
     """The reflection of the combinatorial circle (the 2-gon)."""
-    from .zoo import circle_scwol
-
     group = cyclic_group(2)
     space = circle_scwol()
     swap_o = {"x": "x2", "x2": "x", "y": "y", "z": "z"}

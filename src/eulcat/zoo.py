@@ -12,7 +12,7 @@ import itertools
 from typing import Iterable, Mapping, Sequence
 
 from .fincat import FinCat, Morphism
-from .groups import FinGroup
+from .groups import FinGroup, cyclic_group, klein_four_group
 
 
 def build_category(
@@ -244,8 +244,6 @@ def two_object_ei_category(group: FinGroup, action: Mapping[str, Mapping[str, st
 
 def gamma_one() -> FinCat:
     """Two-object EI category whose aut(y) is Z/4 = <(1234)> acting on 4 points."""
-    from .groups import cyclic_group
-
     z4 = cyclic_group(4)
     cycle = {"1": "2", "2": "3", "3": "4", "4": "1"}
     points = ("1", "2", "3", "4")
@@ -263,8 +261,6 @@ def gamma_one() -> FinCat:
 
 def gamma_two() -> FinCat:
     """Two-object EI category whose aut(y) is the Klein group <(12),(34)>."""
-    from .groups import klein_four_group
-
     v4 = klein_four_group()
     swap12 = {"1": "2", "2": "1", "3": "3", "4": "4"}
     swap34 = {"1": "1", "2": "2", "3": "4", "4": "3"}

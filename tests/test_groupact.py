@@ -22,6 +22,9 @@ from eulcat.groupact import (
     AxiomIViolation,
     AxiomIIViolation,
     ComplexOfGroups,
+    NotAFunctorAction,
+    NotAHomomorphismAction,
+    NotAnAction,
     ScwolAction,
     chi_theorems,
     complex_of_groups,
@@ -76,6 +79,12 @@ def s3_point_action():
 
 
 class TestValidateAction:
+    @pytest.mark.parametrize(
+        "error", [NotAFunctorAction, NotAHomomorphismAction, AxiomIViolation, AxiomIIViolation]
+    )
+    def test_every_rejection_is_a_not_an_action(self, error):
+        assert issubclass(error, NotAnAction) and issubclass(NotAnAction, ValidationError)
+
     def test_circle_reflection_is_valid(self):
         action = randgen.circle_action()
         assert action.object_orbits() == (("x", "x2"), ("y",), ("z",))
@@ -512,8 +521,6 @@ class TestTransportGroupoid:
         assert iso.aut[iso.representatives[0]].order == 1
 
     def test_rejects_non_action(self):
-        from eulcat.groupact import NotAnAction
-
         z2 = cyclic_group(2)
         with pytest.raises(NotAnAction):
             transport_groupoid(

@@ -1,6 +1,7 @@
-"""Every name a library module imports is used in that module, and every
-private module-level name (``_name``) the library defines is used somewhere
-in the library; a use in the tests does not count.
+"""Every name a library module imports is used in that module, every
+import sits at module level, and every private module-level name
+(``_name``) the library defines is used somewhere in the library; a use in
+the tests does not count.
 
 The package's ``__init__.py`` re-exports and ``from __future__`` imports are
 exempt.  Only the standard library ``ast`` is used.
@@ -27,6 +28,19 @@ def unused_imports(source: str) -> list[str]:
                 imported[alias.asname or alias.name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def function_level_imports(source: str) -> list[str]:
+    """``line n: function`` for each import inside a function body."""
+    found = []
+    for func in ast.walk(ast.parse(source)):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found += [
+                f"line {node.lineno}: {func.name}"
+                for node in ast.walk(func)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+            ]
+    return found
 
 
 def unused_private_names(sources: dict[str, str]) -> list[str]:
@@ -63,6 +77,16 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_check_sees_a_function_level_import():
+    source = "import json\ndef f():\n    from os import path\n    return path\n"
+    assert function_level_imports(source) == ["line 3: f"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_function_level_import(path):
+    assert function_level_imports(path.read_text(encoding="utf-8")) == []
 
 
 def test_the_check_sees_an_unused_private_name():

@@ -152,7 +152,7 @@ def all_pairs_classify(cat):
         frontier = [cat.objects[0]]
         while frontier:
             x = frontier.pop()
-            for m in cat.morphisms_from(x) + cat.morphisms_to(x):
+            for m in cat.morphisms_from(x) + tuple(m.name for m in cat.morphisms if m.target == x):
                 for y in (cat.source(m), cat.target(m)):
                     if y not in seen:
                         seen.add(y)

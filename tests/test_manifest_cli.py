@@ -291,6 +291,20 @@ ONE_OBJECT = {
 }
 
 
+# two parallel arrows f, g: j -> k, with (id_k, f) listed twice, the
+# wrong composite first: a table keeping the last entry would accept it
+TWO_ARROWS_PAIR_TWICE = {
+    "objects": ["j", "k"],
+    "morphisms": [{"id": "id_j", "source": "j", "target": "j"},
+                  {"id": "id_k", "source": "k", "target": "k"},
+                  {"id": "f", "source": "j", "target": "k"},
+                  {"id": "g", "source": "j", "target": "k"}],
+    "identity": {"j": "id_j", "k": "id_k"},
+    "compose": [["id_j", "id_j", "id_j"], ["id_k", "id_k", "id_k"], ["f", "id_j", "f"],
+                ["g", "id_j", "g"], ["id_k", "g", "g"], ["id_k", "f", "g"], ["id_k", "f", "f"]],
+}
+
+
 ONE_VERTEX = {"x": ONE_OBJECT}
 IDENTITY_EDGE = {"i": {"objects": {"x": "x"}, "morphisms": {"i": "i"}}}
 
@@ -311,6 +325,8 @@ def _without_local(payload: dict, x: str) -> dict:
     "kind, payload, named",
     [
         ("category", {**ONE_OBJECT, "identity": []}, "malformed category description"),
+        ("category", TWO_ARROWS_PAIR_TWICE,
+         "pair ('id_k', 'f') is listed more than once in compose"),
         ("diagram", {"index": ONE_OBJECT, "vertices": [], "edges": {}}, "malformed diagram payload"),
         ("spectrum", {"index": ONE_OBJECT, "cells": []}, "malformed spectrum payload"),
         ("spectrum", {"index": ONE_OBJECT, "cells": {"x": ["one"]}}, "malformed spectrum payload"),
@@ -329,6 +345,12 @@ def _without_local(payload: dict, x: str) -> dict:
         (
             "pseudo_diagram",
             {"index": ONE_OBJECT, "vertices": ONE_VERTEX, "edges": IDENTITY_EDGE,
+             "comp": [["i", "i", {"x": "i", "ghost": "nosuch"}]], "unit": {"x": {"x": "i"}}},
+            "comp at ('i', 'i'): component key 'ghost' is not an object of vertex[x]",
+        ),
+        (
+            "pseudo_diagram",
+            {"index": ONE_OBJECT, "vertices": ONE_VERTEX, "edges": IDENTITY_EDGE,
              "comp": [["i", "i", {"x": "i"}]], "unit": {"x": {}}},
             "unit at 'x': no component at 'x'",
         ),
@@ -338,9 +360,10 @@ def _without_local(payload: dict, x: str) -> dict:
             "no local group for object '1'",
         ),
     ],
-    ids=["category-identity-list", "diagram-vertices-list", "spectrum-cells-list",
-         "spectrum-cell-not-integer", "pseudo-unit-non-index-object",
-         "pseudo-component-names-no-morphism", "pseudo-component-missing", "complex-missing-local"],
+    ids=["category-identity-list", "category-pair-listed-twice", "diagram-vertices-list",
+         "spectrum-cells-list", "spectrum-cell-not-integer", "pseudo-unit-non-index-object",
+         "pseudo-component-names-no-morphism", "pseudo-component-key-names-no-object",
+         "pseudo-component-missing", "complex-missing-local"],
 )
 def test_malformed_payload_exits_2_with_one_error_line(tmp_path, capsys, kind, payload, named):
     path = tmp_path / "bad.json"

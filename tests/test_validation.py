@@ -6,6 +6,10 @@ check their laws on integer indices, and ``subgroup``, ``conjugate`` and
 here, and only here, as references.  On valid inputs and on single-entry
 corruptions, the library and the reference must agree on accept/reject, on
 the exception class and on the message of the first failure.
+
+``transport_groupoid`` leaves its G-set to ``ScwolAction``; its former
+label-level check and body are kept here too, and must agree with it on
+accept/reject and on the groupoid built.
 """
 
 import itertools
@@ -16,14 +20,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eulcat.errors import EulcatError, ValidationError
+from eulcat.errors import InvariantViolation
 from eulcat.fincat import (
     BrokenIdentity,
     DanglingReference,
     FinCat,
     IncompleteCompositionTable,
+    Morphism,
     NonAssociative,
     NotScwol,
     classify,
+    equal_presentation,
 )
 from eulcat.groupact import (
     AxiomIIViolation,
@@ -32,11 +39,15 @@ from eulcat.groupact import (
     InvalidQuotient,
     NotAFunctorAction,
     NotAHomomorphismAction,
+    NotAnAction,
     ScwolAction,
+    _complex_from_quotient,
     complex_of_groups,
+    hocolim_groups,
     quotient,
+    transport_groupoid,
 )
-from eulcat import zoo
+from eulcat import randgen, zoo
 from eulcat.groups import (
     FinGroup,
     GroupHom,
@@ -46,10 +57,20 @@ from eulcat.groups import (
     symmetric_group,
 )
 from eulcat.hocolim import grothendieck
+from eulcat.ratlin import chi_L
 from eulcat.randgen import homs_between
 
 from helpers import s3_chain, s3_flag_action
-from strategies import SEEDS, actions, groupoids, groups, posets, scwols, strict_diagrams
+from strategies import (
+    SEEDS,
+    TWISTED_ACTION_SEEDS,
+    actions,
+    groupoids,
+    groups,
+    posets,
+    scwols,
+    strict_diagrams,
+)
 
 grothendieck_totals = strict_diagrams.map(lambda d: grothendieck(d).category)
 categories = st.one_of(
@@ -338,6 +359,57 @@ def reference_action_laws(group, cat, on_objects, on_morphisms):
                 raise AxiomIIViolation(m.name, g)
 
 
+def reference_gset_laws(group, elements, act):
+    """transport_groupoid's former G-set check, one label at a time."""
+    e = group.identity
+    for g in group.labels:
+        if g not in act:
+            raise NotAnAction(f"no action row for element {g!r}")
+        if sorted(act[g]) != sorted(elements) or sorted(act[g].values()) != sorted(elements):
+            raise NotAnAction(f"element {g!r} does not permute the set")
+    if any(act[e][s] != s for s in elements):
+        raise NotAnAction("identity element moves a point")
+    labels, table = group.labels, group.table
+    for g, row_g in zip(labels, table):
+        for h, gh_index in zip(labels, row_g):
+            gh = labels[gh_index]
+            if any(act[g][act[h][s]] != act[gh][s] for s in elements):
+                raise NotAnAction(f"action of {g!r}{h!r} disagrees with {gh!r}")
+
+
+def reference_transport_groupoid(group, elements, act):
+    """transport_groupoid's former body: its own G-set check, the groupoid,
+    then the discrete ScwolAction for the chi_L cross-check."""
+    elements = tuple(elements)
+    reference_gset_laws(group, elements, act)
+    e, labels, table = group.identity, group.labels, group.table
+
+    def nm(g, s):
+        return f"({g},{s})"
+
+    mors = [Morphism(nm(g, s), s, act[g][s]) for s in elements for g in labels]
+    ident = {s: nm(e, s) for s in elements}
+    comp = {}
+    for s in elements:
+        for gi, g in enumerate(labels):
+            mid = act[g][s]
+            for h, row_h in zip(labels, table):
+                comp[(nm(h, mid), nm(g, s))] = nm(labels[row_h[gi]], s)
+    groupoid = FinCat(elements, tuple(mors), ident, comp, name=f"transport({group.name})")
+
+    disc = zoo.discrete_category(elements, name="S")
+    discrete_action = ScwolAction(
+        group,
+        disc,
+        {g: dict(act[g]) for g in labels},
+        {g: {disc.identity[s]: disc.identity[act[g][s]] for s in elements} for g in labels},
+    )
+    via_complex = hocolim_groups(complex_of_groups(discrete_action).complex)
+    if chi_L(groupoid) != chi_L(via_complex):
+        raise InvariantViolation("transport groupoid disagrees with the homotopy colimit route")
+    return groupoid
+
+
 # -- comparison ---------------------------------------------------------------------
 
 
@@ -513,6 +585,100 @@ class TestScwolAction:
             x, y = rng.sample(sorted(table), 2)
             table[x], table[y] = table[y], table[x]
         assert_same_action_verdict(action, on_objects, on_morphisms)
+
+
+# -- transport groupoids -------------------------------------------------------------
+
+
+GSET_FAULTS = (None, "missing-row", "missing-point", "point-outside", "two-to-one",
+               "identity-moves", "one-image-swapped")
+
+
+def corrupt_gset(rng, group, elements, act, fault):
+    """``act`` with one fault of the named kind, where the G-set allows it."""
+    act = {g: dict(row) for g, row in act.items()}
+    g = rng.choice(group.labels)
+    s = rng.choice(elements)
+    others = [t for t in elements if t != s]
+    if fault == "missing-row":
+        del act[g]
+    elif fault == "missing-point":
+        del act[g][s]
+    elif fault == "point-outside":
+        act[g][s] = "outside"
+    elif fault == "two-to-one" and others:
+        act[g][s] = act[g][rng.choice(others)]
+    elif fault in ("identity-moves", "one-image-swapped") and others:
+        row = act[group.identity if fault == "identity-moves" else g]
+        t = rng.choice(others)
+        row[s], row[t] = row[t], row[s]
+    return act
+
+
+def transport_or_rejection(fn, group, elements, act):
+    """The groupoid, or the NotAnAction raised; any other exception propagates."""
+    try:
+        return fn(group, elements, act)
+    except NotAnAction as exc:
+        return exc
+
+
+class TestTransportGroupoid:
+    @pytest.mark.parametrize("fault", GSET_FAULTS, ids=lambda f: f or "valid")
+    @settings(max_examples=15, deadline=None)
+    @given(groups, SEEDS)
+    def test_same_verdict_and_groupoid_as_own_check(self, fault, group, seed):
+        rng = Random(seed)
+        elements, act = randgen.random_gset(rng, group)
+        act = corrupt_gset(rng, group, elements, act, fault)
+        new = transport_or_rejection(transport_groupoid, group, elements, act)
+        old = transport_or_rejection(reference_transport_groupoid, group, elements, act)
+        assert isinstance(new, FinCat) == isinstance(old, FinCat)
+        if fault is None:
+            assert isinstance(new, FinCat)
+        if isinstance(new, FinCat):
+            assert equal_presentation(new, old)
+
+    @pytest.mark.parametrize("act, message", [
+        ({"0": {"1": "1", "2": "2"}}, "no action data for element '1'"),
+        ({"0": {"1": "1", "2": "2"}, "1": {"1": "2", "2": "3"}},
+         "element '1' does not permute the objects"),
+        ({"0": {"1": "2", "2": "1"}, "1": {"1": "2", "2": "1"}}, "identity element moves an object"),
+        ({"0": {"1": "1", "2": "2"}, "1": {"1": "1", "2": "2", "3": "3"}},
+         "element '1' does not permute the objects"),
+    ], ids=["missing-row", "point-outside", "identity-moves", "extra-point"])
+    def test_rejected_inside_scwol_action(self, monkeypatch, act, message):
+        """The G-set is rejected by ScwolAction's own check, and nowhere else."""
+        raised = []
+        real = ScwolAction.__post_init__
+
+        def post_init(self):
+            try:
+                real(self)
+            except NotAnAction as exc:
+                raised.append(exc)
+                raise
+
+        monkeypatch.setattr(ScwolAction, "__post_init__", post_init)
+        with pytest.raises(NotAnAction, match=message) as info:
+            transport_groupoid(cyclic_group(2), ("1", "2"), act)
+        assert raised == [info.value]
+
+
+def test_complex_from_quotient_reads_no_orbit(monkeypatch):
+    """An orbit's name is its least member, the default representative, so
+    building the complex asks the action for no orbit."""
+    cases = [randgen.circle_action(), s3_flag_action()[0]]
+    cases += [randgen.random_action(Random(s)) for s in TWISTED_ACTION_SEEDS[:4]]
+    quotients = [quotient(action) for action in cases]
+    calls = []
+    real = ScwolAction.object_orbit
+    monkeypatch.setattr(ScwolAction, "object_orbit",
+                        lambda self, x: calls.append(x) or real(self, x))
+    for action, q in zip(cases, quotients):
+        built = _complex_from_quotient(action, q, None, None)
+        assert dict(built.to_group.representatives) == {s: s for s in q.category.objects}
+    assert calls == []
 
 
 # -- GroupHom, subgroup and conjugate ------------------------------------------------
