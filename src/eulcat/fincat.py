@@ -318,44 +318,62 @@ class CatFunctor:
     mor_map: Mapping[str, str]
 
     def __post_init__(self):
-        src, tgt = self.source, self.target
-        for x in src.objects:
-            if x not in self.obj_map or not tgt.has_object(self.obj_map[x]):
-                raise NotAFunctor(f"object map undefined or out of range at {x!r}")
-        for m in src.morphisms:
-            if m.name not in self.mor_map:
-                raise NotAFunctor(f"morphism map undefined at {m.name!r}")
-            fm = self.mor_map[m.name]
-            if fm not in tgt._mor:
-                raise NotAFunctor(f"image {fm!r} is not a morphism of {tgt.name}")
-            if tgt.source(fm) != self.obj_map[m.source] or tgt.target(fm) != self.obj_map[m.target]:
-                raise NotAFunctor(f"image of {m.name!r} has wrong endpoints")
-        for x in src.objects:
-            if self.mor_map[src.identity[x]] != tgt.identity[self.obj_map[x]]:
-                raise NotAFunctor(f"identity of {x!r} not preserved")
-        for (g, f), gf in src.composition.items():
-            if tgt.compose(self.mor_map[g], self.mor_map[f]) != self.mor_map[gf]:
-                raise NotAFunctor(f"composition not preserved on ({g!r}, {f!r})")
+        _check_functor(self.source, self.target, self.obj_map, self.mor_map)
 
     def then(self, other: "CatFunctor") -> "CatFunctor":
         """Composite functor self ; other (apply self first)."""
         if other.source is not self.target:
-            raise NotAFunctor("functors are not composable")
-        return CatFunctor(
-            self.source,
-            other.target,
-            {x: other.obj_map[y] for x, y in self.obj_map.items()},
-            {m: other.mor_map[n] for m, n in self.mor_map.items()},
-        )
+            raise NotAFunctor(
+                "functors are not composable",
+                witness={"target": self.target.name, "source": other.source.name},
+            )
+        return CatFunctor(self.source, other.target, *_composite_maps(self, other))
 
     @staticmethod
     def identity_functor(cat: FinCat) -> "CatFunctor":
         return CatFunctor(cat, cat, *_identity_maps(cat))
 
 
+def _check_functor(src: FinCat, tgt: FinCat, obj_map: Mapping, mor_map: Mapping) -> None:
+    """Check the laws of a functor ``src`` -> ``tgt`` in order: objects,
+    morphisms (an image for each), source/target, identities, composition.
+    Keys naming nothing in ``src`` are ignored.  A failure raises NotAFunctor
+    with witness ``{"law": law, "at": x}``, x an object, morphism or pair."""
+
+    def fail(message: str, law: str, at) -> NoReturn:
+        raise NotAFunctor(message, witness={"law": law, "at": at})
+
+    mor, comp = tgt._mor, tgt.composition
+    for x in src.objects:
+        if x not in obj_map or not tgt.has_object(obj_map[x]):
+            fail(f"object map undefined or out of range at {x!r}", "objects", x)
+    for m in src.morphisms:
+        if m.name not in mor_map:
+            fail(f"morphism map undefined at {m.name!r}", "morphisms", m.name)
+        fm = mor_map[m.name]
+        if fm not in mor:
+            fail(f"image {fm!r} is not a morphism of {tgt.name}", "morphisms", m.name)
+        if mor[fm].source != obj_map[m.source] or mor[fm].target != obj_map[m.target]:
+            fail(f"image of {m.name!r} has wrong endpoints", "source/target", m.name)
+    for x in src.objects:
+        if mor_map[src.identity[x]] != tgt.identity[obj_map[x]]:
+            fail(f"identity of {x!r} not preserved", "identities", x)
+    for (g, f), gf in src.composition.items():
+        if comp[(mor_map[g], mor_map[f])] != mor_map[gf]:
+            fail(f"composition not preserved on ({g!r}, {f!r})", "composition", (g, f))
+
+
 def _identity_maps(cat: FinCat) -> tuple[dict[str, str], dict[str, str]]:
     """The object and morphism maps of the identity functor of ``cat``."""
     return {x: x for x in cat.objects}, {m.name: m.name for m in cat.morphisms}
+
+
+def _composite_maps(first: CatFunctor, second: CatFunctor) -> tuple[dict, dict]:
+    """The maps of ``first`` then ``second``, composed key by key (an extra
+    key of ``first`` is kept, or raises KeyError), without validating them."""
+    obj_map = {x: second.obj_map[y] for x, y in first.obj_map.items()}
+    mor_map = {m: second.mor_map[n] for m, n in first.mor_map.items()}
+    return obj_map, mor_map
 
 
 def _check_natural(cat, tgt, f_obj, f_mor, g_obj, g_mor, components, where) -> None:

@@ -10,8 +10,9 @@ quotients, and stabilizer bookkeeping behave; every consequence used here is
 re-verified at run time rather than assumed.
 
 ``ScwolAction`` is the one validator of an action: a G-set reaches it as an
-action on the discrete scwol, and every rejection of action data is a
-``NotAnAction``.  Orbits are named by their least members, and each lift and
+action on the discrete scwol, each element is checked by the functor check
+behind ``CatFunctor``, and every rejection is a ``NotAnAction`` with a
+witness.  Orbits are named by their least members, and each lift and
 carrying element (some g with g . x = y) is found by one helper.
 """
 
@@ -27,7 +28,9 @@ from .fincat import (
     CatFunctor,
     FinCat,
     Morphism,
+    NotAFunctor,
     NotScwol,
+    _check_functor,
     _is_scwol,
     _iso_partition,
     _retract,
@@ -61,10 +64,9 @@ class AxiomIViolation(NotAnAction):
     def __init__(self, morphism: str, element: str):
         super().__init__(
             f"axiom (i) fails: element {element!r} sends the source of "
-            f"{morphism!r} onto its target"
+            f"{morphism!r} onto its target",
+            witness={"morphism": morphism, "element": element},
         )
-        self.morphism = morphism
-        self.element = element
 
 
 class AxiomIIViolation(NotAnAction):
@@ -73,31 +75,46 @@ class AxiomIIViolation(NotAnAction):
     def __init__(self, morphism: str, element: str):
         super().__init__(
             f"axiom (ii) fails: element {element!r} fixes the source of "
-            f"{morphism!r} but moves the morphism"
+            f"{morphism!r} but moves the morphism",
+            witness={"morphism": morphism, "element": element},
         )
-        self.morphism = morphism
-        self.element = element
 
 
 class InvalidQuotient(EulcatError):
     """Internal consistency failure while forming a quotient scwol."""
 
 
-def _check_homomorphism_law(group: FinGroup, perms: Sequence[list[int]],
-                            points: Sequence[str]) -> None:
-    """Require ``perms[gh] == perms[g] o perms[h]`` for every pair (g, h), one
-    whole permutation at a time; ``perms[g][i]`` is the index of the image of
-    ``points[i]`` under the element of index g."""
-    labels, table = group.labels, group.table
+def _check_homomorphism_law(group: FinGroup, table: Mapping, points: Sequence[str], what: str):
+    """Require that the identity fixes each of ``points`` (``what``s, which
+    ``table[g]`` maps among themselves) and ``table[gh] == table[g] o
+    table[h]`` on them for every pair (g, h), one whole index row at a time."""
+    labels, mul = group.labels, group.table
+    index = {p: i for i, p in enumerate(points)}
+    perms = [[index[table[g][p]] for p in points] for g in labels]
+    e = group._identity
+    for i, j in enumerate(perms[e]):
+        if i != j:
+            raise NotAHomomorphismAction(
+                f"identity element moves {'an' if what == 'object' else 'a'} {what}",
+                witness={"element": labels[e], what: points[i]},
+            )
     for g, perm_g in enumerate(perms):
         for h, perm_h in enumerate(perms):
-            gh = table[g][h]
+            gh = mul[g][h]
             if perms[gh] != [perm_g[j] for j in perm_h]:
                 i = next(i for i, j in enumerate(perm_h) if perm_g[j] != perms[gh][i])
                 raise NotAHomomorphismAction(
                     f"action of {labels[g]!r}{labels[h]!r} disagrees with action of "
-                    f"{labels[gh]!r} on {points[i]!r}"
+                    f"{labels[gh]!r} on {points[i]!r}",
+                    witness={"pair": (labels[g], labels[h]), what: points[i]},
                 )
+
+
+def _check_permutation(g: str, table: Mapping[str, str], points: list[str], level: str) -> None:
+    """Require ``table`` (element g on ``level``) to permute the sorted ``points``."""
+    if sorted(table) != points or sorted(table.values()) != points:
+        raise NotAFunctorAction(f"element {g!r} does not permute the {level}",
+                                witness={"element": g, "level": level})
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,9 +122,10 @@ class ScwolAction:
     """A finite group acting on a finite scwol.
 
     ``on_objects[g]`` and ``on_morphisms[g]`` give the permutation induced
-    by each group element.  Validation checks functoriality of each element,
-    the homomorphism law against the Cayley table, and both scwol-action
-    axioms, exhaustively.
+    by each group element.  Validation checks, exhaustively, that each
+    element permutes the objects and the morphisms as a functor (by
+    ``fincat._check_functor``), the homomorphism law against the Cayley
+    table, and both scwol-action axioms; each rejection has a witness.
     """
 
     group: FinGroup
@@ -124,65 +142,32 @@ class ScwolAction:
         # object level first: axiom (i) only needs the object action, and the
         # interesting rejections (e.g. swapping the endpoints of an arrow)
         # should be reported as axiom violations, not as functor breakage
+        objects = sorted(cat.objects)
         for g in g_labels:
             if g not in self.on_objects or g not in self.on_morphisms:
-                raise NotAFunctorAction(f"no action data for element {g!r}")
-            omap = self.on_objects[g]
-            if sorted(omap) != sorted(cat.objects) or sorted(omap.values()) != sorted(cat.objects):
-                raise NotAFunctorAction(f"element {g!r} does not permute the objects")
-        e = self.group.identity
-        for x in cat.objects:
-            if self.on_objects[e][x] != x:
-                raise NotAHomomorphismAction("identity element moves an object")
-        obj_index = {x: i for i, x in enumerate(cat.objects)}
-        _check_homomorphism_law(
-            self.group,
-            [[obj_index[self.on_objects[g][x]] for x in cat.objects] for g in g_labels],
-            cat.objects,
-        )
-        for m in cat.morphisms:
-            if cat.is_identity(m.name):
-                continue
+                raise NotAFunctorAction(f"no action data for element {g!r}", witness={"element": g})
+            _check_permutation(g, self.on_objects[g], objects, "objects")
+        _check_homomorphism_law(self.group, self.on_objects, cat.objects, "object")
+        arrows = [m for m in cat.morphisms if not cat.is_identity(m.name)]
+        for m in arrows:
             for g in g_labels:
                 if self.on_objects[g][m.source] == m.target:
                     raise AxiomIViolation(m.name, g)
 
         # morphism level: each element acts as a strictly invertible functor
-        comp = cat.composition
         names = sorted(m.name for m in cat.morphisms)
         for g in g_labels:
-            omap = self.on_objects[g]
-            mmap = self.on_morphisms[g]
-            if sorted(mmap) != names or sorted(mmap.values()) != names:
-                raise NotAFunctorAction(f"element {g!r} does not permute the morphisms")
-            for m in cat.morphisms:
-                img = mmap[m.name]
-                if cat.source(img) != omap[m.source] or cat.target(img) != omap[m.target]:
-                    raise NotAFunctorAction(
-                        f"element {g!r} breaks source/target at {m.name!r}"
-                    )
-            for x in cat.objects:
-                if mmap[cat.identity[x]] != cat.identity[omap[x]]:
-                    raise NotAFunctorAction(f"element {g!r} breaks identities at {x!r}")
-            for (g2, f2), c2 in comp.items():
-                if comp[(mmap[g2], mmap[f2])] != mmap[c2]:
-                    raise NotAFunctorAction(
-                        f"element {g!r} breaks composition at ({g2!r}, {f2!r})"
-                    )
-        for m in cat.morphisms:
-            if self.on_morphisms[e][m.name] != m.name:
-                raise NotAHomomorphismAction("identity element moves a morphism")
-        mor_names = cat.morphism_names()
-        mor_index = {m: i for i, m in enumerate(mor_names)}
-        _check_homomorphism_law(
-            self.group,
-            [[mor_index[self.on_morphisms[g][m]] for m in mor_names] for g in g_labels],
-            mor_names,
-        )
-
-        for m in cat.morphisms:
-            if cat.is_identity(m.name):
-                continue
+            _check_permutation(g, self.on_morphisms[g], names, "morphisms")
+            try:
+                _check_functor(cat, cat, self.on_objects[g], self.on_morphisms[g])
+            except NotAFunctor as exc:
+                law, at = exc.witness["law"], exc.witness["at"]
+                raise NotAFunctorAction(
+                    f"element {g!r} breaks {law} at {at!r}", witness={"element": g, **exc.witness}
+                ) from exc
+        # on identities the law follows from the object level and functoriality
+        _check_homomorphism_law(self.group, self.on_morphisms, [m.name for m in arrows], "morphism")
+        for m in arrows:
             for g in g_labels:
                 if self.on_objects[g][m.source] == m.source and self.on_morphisms[g][m.name] != m.name:
                     raise AxiomIIViolation(m.name, g)
@@ -236,7 +221,9 @@ def validate_action(raw: Mapping, group: FinGroup, space: FinCat) -> ScwolAction
             for g, table in raw["morphism_action"].items()
         }
     except (KeyError, TypeError, AttributeError) as exc:
-        raise NotAFunctorAction(f"malformed action description ({exc})") from exc
+        raise NotAFunctorAction(
+            f"malformed action description ({exc})", witness={"cause": str(exc)}
+        ) from exc
     return ScwolAction(group, space, on_objects, on_morphisms)
 
 

@@ -202,21 +202,31 @@ class GroupHom:
         source, target = self.source, self.target
         for a in source.labels:
             if a not in self.mapping:
-                raise NotAHomomorphism(f"map undefined on {a!r}")
+                raise NotAHomomorphism(f"map undefined on {a!r}", witness={"element": a})
             if self.mapping[a] not in target:
-                raise NotAHomomorphism(f"image {self.mapping[a]!r} not in target group")
+                raise NotAHomomorphism(
+                    f"image {self.mapping[a]!r} not in target group",
+                    witness={"element": a, "image": self.mapping[a]},
+                )
         img = _image_of(self)
         if img[source._identity] != target._identity:
-            raise NotAHomomorphism("identity is not preserved")
+            raise NotAHomomorphism("identity is not preserved", witness={"element": source.identity})
         # f(ab) against f(a)f(b) for every b at once: row a of the source
         # read through f, against row f(a) of the target read at f(b)
         for a, row_a in enumerate(source.table):
             row_fa = target.table[img[a]]
             if [img[ab] for ab in row_a] != [row_fa[fb] for fb in img]:
                 b = next(b for b, ab in enumerate(row_a) if img[ab] != row_fa[img[b]])
+                pair = (source.labels[a], source.labels[b])
                 raise NotAHomomorphism(
-                    f"product not preserved on ({source.labels[a]!r}, {source.labels[b]!r})"
+                    f"product not preserved on ({pair[0]!r}, {pair[1]!r})", witness={"pair": pair}
                 )
+        # every element has an image, so a longer map has a stray key
+        if len(self.mapping) != len(source):
+            key = next(k for k in self.mapping if k not in source)
+            raise NotAHomomorphism(
+                f"map key {key!r} is not an element of {source.name}", witness={"key": key}
+            )
 
     def __call__(self, a: str) -> str:
         return self.mapping[a]

@@ -24,6 +24,7 @@ from .fincat import (
     Morphism,
     NotScwol,
     _check_natural,
+    _composite_maps,
     _identity_maps,
     _is_groupoid,
     _is_scwol,
@@ -58,16 +59,6 @@ def _is_identity_on(fun: CatFunctor, cat: FinCat) -> bool:
     """Whether ``fun`` has the maps of the identity functor of ``cat``,
     without building and validating that functor."""
     return (dict(fun.obj_map), dict(fun.mor_map)) == _identity_maps(cat)
-
-
-def _composite_maps(first: CatFunctor, second: CatFunctor) -> tuple[dict, dict]:
-    """The object and morphism maps of ``first.then(second)``, composed key
-    by key just as ``then`` composes them (so an extra key gives the same
-    maps or the same error), without building and validating the composite,
-    which is a functor by construction."""
-    obj_map = {x: second.obj_map[y] for x, y in first.obj_map.items()}
-    mor_map = {m: second.mor_map[n] for m, n in first.mor_map.items()}
-    return obj_map, mor_map
 
 
 def _is_composite(first: CatFunctor, second: CatFunctor, fun: CatFunctor) -> bool:

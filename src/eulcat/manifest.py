@@ -98,8 +98,19 @@ def _str_map(raw: Mapping) -> dict[str, str]:
     return {str(k): str(v) for k, v in raw.items()}
 
 
-def _functor_from_payload(payload: Mapping, src: FinCat, tgt: FinCat) -> CatFunctor:
-    return CatFunctor(src, tgt, _str_map(payload["objects"]), _str_map(payload["morphisms"]))
+def _functor_from_payload(payload: Mapping, src: FinCat, tgt: FinCat, edge: str) -> CatFunctor:
+    """The functor along index morphism ``edge``.  CatFunctor ignores keys
+    that name nothing in ``src``; a manifest may not carry them."""
+    fun = CatFunctor(src, tgt, _str_map(payload["objects"]), _str_map(payload["morphisms"]))
+    # CatFunctor requires every object and morphism, so a longer map has a stray key
+    if len(fun.obj_map) != len(src.objects):
+        x = next(x for x in fun.obj_map if not src.has_object(x))
+        raise BadManifest(f"edge {edge!r}: object map key {x!r} is not an object of {src.name}")
+    if len(fun.mor_map) != len(src.morphisms):
+        names = set(src.morphism_names())
+        m = next(m for m in fun.mor_map if m not in names)
+        raise BadManifest(f"edge {edge!r}: morphism map key {m!r} is not a morphism of {src.name}")
+    return fun
 
 
 def diagram_payload(d: StrictDiagram | PseudoDiagram) -> dict:
@@ -112,7 +123,8 @@ def diagram_payload(d: StrictDiagram | PseudoDiagram) -> dict:
 
 
 def _diagram_parts(payload: Mapping) -> tuple[FinCat, dict, dict]:
-    """Parse index, vertices and edges, naming a missing vertex or edge."""
+    """Parse index, vertices and edges, naming a missing or stray vertex or
+    edge."""
     index = category_from_payload(payload["index"], name="index")
     vertex = {
         str(i): category_from_payload(p, name=f"vertex[{i}]")
@@ -121,13 +133,19 @@ def _diagram_parts(payload: Mapping) -> tuple[FinCat, dict, dict]:
     for i in index.objects:
         if i not in vertex:
             raise BadManifest(f"no vertex category for index object {i!r}")
-    edge = {}
+    if len(vertex) != len(index.objects):
+        i = next(i for i in vertex if not index.has_object(i))
+        raise BadManifest(f"vertex category for non-index object {i!r}")
+    edges, edge = payload["edges"], {}
     for m in index.morphisms:
-        if m.name not in payload["edges"]:
+        if m.name not in edges:
             raise BadManifest(f"no edge functor for morphism {m.name!r}")
         edge[m.name] = _functor_from_payload(
-            payload["edges"][m.name], vertex[m.source], vertex[m.target]
+            edges[m.name], vertex[m.source], vertex[m.target], m.name
         )
+    if len(edges) != len(edge):
+        m = next(m for m in edges if m not in edge)
+        raise BadManifest(f"edge functor for non-index morphism {m!r}")
     return index, vertex, edge
 
 

@@ -77,6 +77,13 @@ class TestValidate:
             validate(raw)
         assert exc.value.witness == {"pair": ("id_k", "g")}
 
+    def test_build_category_leaves_a_missing_composite_to_fincat(self):
+        """zoo.build_category has no check of its own: FinCat names the pair."""
+        with pytest.raises(IncompleteCompositionTable) as exc:
+            zoo.build_category(("x", "y", "z"), (("f", "x", "y"), ("g", "y", "z")))
+        assert str(exc.value) == "C: missing composite for pair ('g', 'f')"
+        assert exc.value.witness == {"pair": ("g", "f")}
+
     def test_unknown_object_rejected(self):
         raw = pushout_raw()
         raw["morphisms"][3]["target"] = "zz"

@@ -4,12 +4,14 @@ from random import Random
 import pytest
 from hypothesis import example, given, settings
 
-from eulcat import randgen, zoo
+from eulcat import groupact, randgen, zoo
 from eulcat.errors import ValidationError
 from eulcat.eulerchar import chi2_free_EI, chi_scwol, groupoid_chi2
 from eulcat.fincat import (
+    CatFunctor,
     FinCat,
     Morphism,
+    NotAFunctor,
     UnknownObject,
     are_isomorphic,
     classify,
@@ -102,8 +104,9 @@ class TestValidateAction:
                 "1": {"id_0": "id_1", "id_1": "id_0", "a": "a"},
             },
         }
-        with pytest.raises(AxiomIViolation):
+        with pytest.raises(AxiomIViolation) as info:
             validate_action(raw, z2, arrow)
+        assert info.value.witness == {"morphism": "a", "element": "1"}
 
     def test_fixing_source_but_moving_morphism_violates_axiom_ii(self):
         pair = zoo.parallel_pair_scwol()
@@ -118,8 +121,9 @@ class TestValidateAction:
                 "1": {"id_j": "id_j", "id_k": "id_k", "f0": "f1", "f1": "f0"},
             },
         }
-        with pytest.raises(AxiomIIViolation):
+        with pytest.raises(AxiomIIViolation) as info:
             validate_action(raw, z2, pair)
+        assert info.value.witness == {"morphism": "f0", "element": "1"}
 
     def test_trivial_action_valid_everywhere(self):
         action = trivial_action(klein_four_group(), zoo.subsets_poset_opposite(1))
@@ -165,6 +169,128 @@ class TestValidateAction:
                 fixes_path = all(action.act_mor(g, m) == m for m in path)
                 fixes_source = action.act_obj(g, cat.source(path[0])) == cat.source(path[0])
                 assert fixes_path == fixes_source
+
+
+def two_composite_scwol():
+    """x -f-> y -g-> z with two arrows h1, h2: x -> z and g o f = h1."""
+    return zoo.build_category(
+        ("x", "y", "z"),
+        (("f", "x", "y"), ("g", "y", "z"), ("h1", "x", "z"), ("h2", "x", "z")),
+        {("g", "f"): "h1"},
+        name="S",
+    )
+
+
+def changed(identity: dict, changes: dict) -> dict:
+    """``identity`` with each changed key remapped, or dropped for None."""
+    table = {**identity, **changes}
+    return {k: v for k, v in table.items() if v is not None}
+
+
+class TestFunctorLaws:
+    """Each NotAFunctor message of fincat._check_functor with its witness,
+    and the NotAnAction that the same maps give as the action of element
+    '1' of Z/2 (element '0' acting trivially).  Missing or unknown images
+    break the permutation check that comes first in ScwolAction."""
+
+    LAWS = [
+        ({"x": None}, {}, "object map undefined or out of range at 'x'",
+         {"law": "objects", "at": "x"},
+         "element '1' does not permute the objects", {"element": "1", "level": "objects"}),
+        ({"x": "nosuch"}, {}, "object map undefined or out of range at 'x'",
+         {"law": "objects", "at": "x"},
+         "element '1' does not permute the objects", {"element": "1", "level": "objects"}),
+        ({}, {"f": None}, "morphism map undefined at 'f'", {"law": "morphisms", "at": "f"},
+         "element '1' does not permute the morphisms", {"element": "1", "level": "morphisms"}),
+        ({}, {"f": "nosuch"}, "image 'nosuch' is not a morphism of S",
+         {"law": "morphisms", "at": "f"},
+         "element '1' does not permute the morphisms", {"element": "1", "level": "morphisms"}),
+        ({}, {"f": "h1", "h1": "f"}, "image of 'f' has wrong endpoints",
+         {"law": "source/target", "at": "f"},
+         "element '1' breaks source/target at 'f'",
+         {"element": "1", "law": "source/target", "at": "f"}),
+        ({}, {"h1": "h2", "h2": "h1"}, "composition not preserved on ('g', 'f')",
+         {"law": "composition", "at": ("g", "f")},
+         "element '1' breaks composition at ('g', 'f')",
+         {"element": "1", "law": "composition", "at": ("g", "f")}),
+    ]
+
+    @pytest.mark.parametrize(
+        "obj, mor, message, witness, action_message, action_witness", LAWS,
+        ids=["object-missing", "object-unknown", "morphism-missing", "image-unknown",
+             "endpoints", "composition"],
+    )
+    def test_message_and_witness(self, obj, mor, message, witness, action_message,
+                                 action_witness):
+        space = two_composite_scwol()
+        obj_map = changed({x: x for x in space.objects}, obj)
+        mor_map = changed({m: m for m in space.morphism_names()}, mor)
+        with pytest.raises(NotAFunctor) as info:
+            CatFunctor(space, space, obj_map, mor_map)
+        assert (str(info.value), info.value.witness) == (message, witness)
+        trivial = trivial_action(cyclic_group(2), space)
+        with pytest.raises(NotAFunctorAction) as info:
+            ScwolAction(trivial.group, space, {**trivial.on_objects, "1": obj_map},
+                        {**trivial.on_morphisms, "1": mor_map})
+        assert (str(info.value), info.value.witness) == (action_message, action_witness)
+        if "law" in action_witness:
+            assert action_message == f"element '1' breaks {witness['law']} at {witness['at']!r}"
+            assert action_witness == {"element": "1", **witness}
+
+    def test_identities(self):
+        """Only a category with a loop can break this law: in a scwol the
+        one endomorphism of an object is its identity, so no action that
+        keeps endpoints can move an identity."""
+        with pytest.raises(NotAFunctor) as info:
+            CatFunctor(zoo.terminal_category(), zoo.one_object_category(cyclic_group(2)),
+                       {"*": "*"}, {"id_*": "1"})
+        assert (str(info.value), info.value.witness) == (
+            "identity of '*' not preserved", {"law": "identities", "at": "*"}
+        )
+
+    def test_then_of_unrelated_functors(self):
+        pair, arrow = zoo.parallel_pair_scwol(), zoo.arrow_category()
+        with pytest.raises(NotAFunctor) as info:
+            CatFunctor.identity_functor(pair).then(CatFunctor.identity_functor(arrow))
+        assert info.value.witness == {"target": "A", "source": "arrow"}
+
+    def test_action_builds_no_functor(self, monkeypatch):
+        """ScwolAction runs the functor check on each element's maps and
+        builds no CatFunctor for it."""
+        built = []
+        real = CatFunctor.__post_init__
+        monkeypatch.setattr(CatFunctor, "__post_init__", lambda self: built.append(self) or real(self))
+        for action in (randgen.circle_action(), s3_flag_action()[0]):
+            ScwolAction(action.group, action.space, action.on_objects, action.on_morphisms)
+        assert built == []
+
+    @pytest.mark.parametrize("objects, arrows, on_objects, on_morphisms, message, witness", [
+        (("p", "q"), (), {"0": {"p": "q", "q": "p"}}, {"0": {"id_p": "id_q", "id_q": "id_p"}},
+         "identity element moves an object", {"element": "0", "object": "p"}),
+        (("j", "k"), (("f0", "j", "k"), ("f1", "j", "k")), {}, {"0": {"f0": "f1", "f1": "f0"}},
+         "identity element moves a morphism", {"element": "0", "morphism": "f0"}),
+        (("p", "q", "r"), (), {"1": {"p": "q", "q": "r", "r": "p"}},
+         {"1": {"id_p": "id_q", "id_q": "id_r", "id_r": "id_p"}},
+         "action of '1''1' disagrees with action of '0' on 'p'",
+         {"pair": ("1", "1"), "object": "p"}),
+        (("j", "k"), (("f0", "j", "k"), ("f1", "j", "k"), ("f2", "j", "k")), {},
+         {"1": {"f0": "f1", "f1": "f2", "f2": "f0"}},
+         "action of '1''1' disagrees with action of '0' on 'f0'",
+         {"pair": ("1", "1"), "morphism": "f0"}),
+    ], ids=["identity-moves-object", "identity-moves-morphism", "law-on-objects",
+            "law-on-morphisms"])
+    def test_homomorphism_law_names_the_point(self, objects, arrows, on_objects,
+                                              on_morphisms, message, witness):
+        """Z/2 tables that are permutations and functors but no action."""
+        space = zoo.build_category(objects, arrows)
+        trivial = trivial_action(cyclic_group(2), space)
+        with pytest.raises(NotAHomomorphismAction) as info:
+            ScwolAction(
+                trivial.group, space,
+                {g: changed(t, on_objects.get(g, {})) for g, t in trivial.on_objects.items()},
+                {g: changed(t, on_morphisms.get(g, {})) for g, t in trivial.on_morphisms.items()},
+            )
+        assert (str(info.value), info.value.witness) == (message, witness)
 
 
 class TestQuotient:
@@ -519,6 +645,21 @@ class TestTransportGroupoid:
         assert len(iso_classes(groupoid).classes) == 1
         iso = iso_classes(groupoid)
         assert iso.aut[iso.representatives[0]].order == 1
+
+    def test_morphism_law_sees_no_point(self, monkeypatch):
+        """Every morphism of the discrete scwol is an identity, where the law
+        follows from the object level, so only the objects are checked."""
+        seen = []
+        real = groupact._check_homomorphism_law
+
+        def counted(group, table, points, what):
+            seen.append((what, len(points)))
+            return real(group, table, points, what)
+
+        monkeypatch.setattr(groupact, "_check_homomorphism_law", counted)
+        s3, pts, act = s3_point_action()
+        transport_groupoid(s3, pts, act)
+        assert seen == [("object", 3), ("morphism", 0)]
 
     def test_rejects_non_action(self):
         z2 = cyclic_group(2)

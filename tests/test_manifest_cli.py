@@ -321,6 +321,68 @@ def _without_local(payload: dict, x: str) -> dict:
     return {**payload, "local": {k: v for k, v in payload["local"].items() if k != x}}
 
 
+# j -g-> k, each vertex the one-object category ONE_OBJECT, every edge the identity
+ARROW_INDEX = {
+    "objects": ["j", "k"],
+    "morphisms": [{"id": "id_j", "source": "j", "target": "j"},
+                  {"id": "id_k", "source": "k", "target": "k"},
+                  {"id": "g", "source": "j", "target": "k"}],
+    "identity": {"j": "id_j", "k": "id_k"},
+    "compose": [["id_j", "id_j", "id_j"], ["id_k", "id_k", "id_k"], ["g", "id_j", "g"],
+                ["id_k", "g", "g"]],
+}
+
+
+def _arrow_diagram_with_stray(kind: str, *stray) -> dict:
+    """A valid diagram or pseudo diagram over ARROW_INDEX, with the last
+    item of ``stray`` stored under the key path before it."""
+    payload = {
+        "index": ARROW_INDEX,
+        "vertices": {"j": ONE_OBJECT, "k": ONE_OBJECT},
+        "edges": {m: {"objects": {"x": "x"}, "morphisms": {"i": "i"}} for m in ("id_j", "id_k", "g")},
+    }
+    if kind == "pseudo_diagram":
+        pairs = [("id_j", "id_j"), ("id_k", "id_k"), ("g", "id_j"), ("id_k", "g")]
+        payload.update(comp=[[v, u, {"x": "i"}] for v, u in pairs],
+                       unit={"j": {"x": "i"}, "k": {"x": "i"}})
+    *keys, key, value = stray
+    table = payload
+    for k in keys:
+        table = table[k]
+    table[key] = value
+    return payload
+
+
+# A stray edge-map key used to fail strictness with a misleading message, or
+# pass in a pseudo diagram and be dropped from its canonical form (or fail as
+# a malformed payload when its image named nothing); stray edges and
+# vertices were ignored.
+STRAY_DIAGRAM_NAMES = {
+    "object-key-to-object": (("edges", "g", "objects", "ghost", "x"),
+                             "edge 'g': object map key 'ghost' is not an object of vertex[j]"),
+    "object-key-to-nothing": (("edges", "g", "objects", "ghost", "nosuch"),
+                              "edge 'g': object map key 'ghost' is not an object of vertex[j]"),
+    "morphism-key-to-morphism": (("edges", "g", "morphisms", "ghost", "i"),
+                                 "edge 'g': morphism map key 'ghost' is not a morphism of vertex[j]"),
+    "morphism-key-to-nothing": (("edges", "g", "morphisms", "ghost", "nosuch"),
+                                "edge 'g': morphism map key 'ghost' is not a morphism of vertex[j]"),
+    "edge-for-no-morphism": (("edges", "h", {"objects": {"x": "x"}, "morphisms": {"i": "i"}}),
+                             "edge functor for non-index morphism 'h'"),
+    "vertex-for-no-object": (("vertices", "q", ONE_OBJECT),
+                             "vertex category for non-index object 'q'"),
+}
+
+
+def _stray_hom_key_complex_payload() -> dict:
+    """Z/2 -> Z/2 sending both elements to 0, with a third key "ghost": the
+    stray image used to count towards injectivity, so the complex passed."""
+    payload = _trivial_arrow_complex_payload()
+    z2 = manifest.group_payload(cyclic_group(2))
+    payload["local"] = {"0": z2, "1": z2}
+    payload["homs"] = {"a": {"0": "0", "1": "0", "ghost": "1"}}
+    return payload
+
+
 @pytest.mark.parametrize(
     "kind, payload, named",
     [
@@ -359,11 +421,19 @@ def _without_local(payload: dict, x: str) -> dict:
             _without_local(_trivial_arrow_complex_payload(), "1"),
             "no local group for object '1'",
         ),
+        ("complex", _stray_hom_key_complex_payload(), "map key 'ghost' is not an element of Z2"),
+        *[
+            (kind, _arrow_diagram_with_stray(kind, *stray), named)
+            for stray, named in STRAY_DIAGRAM_NAMES.values()
+            for kind in ("diagram", "pseudo_diagram")
+        ],
     ],
     ids=["category-identity-list", "category-pair-listed-twice", "diagram-vertices-list",
          "spectrum-cells-list", "spectrum-cell-not-integer", "pseudo-unit-non-index-object",
          "pseudo-component-names-no-morphism", "pseudo-component-key-names-no-object",
-         "pseudo-component-missing", "complex-missing-local"],
+         "pseudo-component-missing", "complex-missing-local", "complex-hom-stray-key",
+         *[f"{kind}-stray-{case}" for case in STRAY_DIAGRAM_NAMES
+           for kind in ("diagram", "pseudo_diagram")]],
 )
 def test_malformed_payload_exits_2_with_one_error_line(tmp_path, capsys, kind, payload, named):
     path = tmp_path / "bad.json"
@@ -399,6 +469,18 @@ def test_missing_diagram_part_is_named(tmp_path, capsys, kind, vertices, edges, 
     errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and missing in errors[0]
     assert "Traceback" not in captured.err
+
+
+def test_hocolim_groups_rejects_a_stray_homomorphism_key(tmp_path, capsys):
+    """The stray image made a non-injective map look injective, and
+    hocolim-groups printed chi_L 1/2."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"schema": 1, "kind": "complex",
+                                "payload": _stray_hom_key_complex_payload()}))
+    assert main(["hocolim-groups", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == "error: map key 'ghost' is not an element of Z2"
 
 
 @pytest.mark.parametrize(

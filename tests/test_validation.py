@@ -702,6 +702,29 @@ class TestGroupHom:
         # the result may still be a homomorphism: Z2 -> Z6 sending 1 to 0
         assert_same_hom_verdict(source, target, mapping)
 
+    @pytest.mark.parametrize("mapping, message, witness", [
+        ({"0": "0"}, "map undefined on '1'", {"element": "1"}),
+        ({"0": "0", "1": "2"}, "image '2' not in target group", {"element": "1", "image": "2"}),
+        ({"0": "1", "1": "0"}, "identity is not preserved", {"element": "0"}),
+        ({"0": "0", "1": "0", "ghost": "1"}, "map key 'ghost' is not an element of Z2",
+         {"key": "ghost"}),
+    ], ids=["undefined", "out-of-range", "identity", "stray-key"])
+    def test_rejection_carries_a_witness(self, mapping, message, witness):
+        """Z/2 -> Z/2.  A stray key used to pass, and its image counted in
+        is_injective, so the map sending both elements to 0 looked injective."""
+        z2 = cyclic_group(2)
+        with pytest.raises(NotAHomomorphism) as info:
+            GroupHom(z2, z2, mapping)
+        assert (str(info.value), info.value.witness) == (message, witness)
+
+    def test_product_failure_names_the_pair(self):
+        z3 = cyclic_group(3)
+        with pytest.raises(NotAHomomorphism) as info:
+            GroupHom(z3, z3, {"0": "0", "1": "1", "2": "1"})
+        assert (str(info.value), info.value.witness) == (
+            "product not preserved on ('1', '1')", {"pair": ("1", "1")}
+        )
+
     @settings(max_examples=30, deadline=None)
     @given(actions, SEEDS)
     def test_complex_structure_maps(self, action, seed):
