@@ -23,8 +23,8 @@ from .fincat import (
     NotGroupoid,
     _is_EI,
     _is_groupoid,
+    _iso_partition,
     _skeleton_category,
-    iso_classes,
     path_counts,
 )
 from .ratlin import chi_L, weighting
@@ -59,12 +59,12 @@ def chi_f_scwol(cat: FinCat) -> dict[str, Fraction]:
 
 
 def groupoid_chi2(cat: FinCat) -> Fraction:
-    """Groupoid cardinality: sum of 1/|aut| over isomorphism classes."""
+    """Groupoid cardinality: sum of 1/|aut| over isomorphism classes, where
+    |aut(x)| = |mor(x, x)| since every endomorphism is invertible."""
     if not _is_groupoid(cat):
         raise NotGroupoid(f"{cat.name} has a non-invertible morphism")
-    iso = iso_classes(cat)
     return sum(
-        (Fraction(1, iso.aut[rep].order) for rep in iso.representatives),
+        (Fraction(1, len(cat.hom(cls[0], cls[0]))) for cls in _iso_partition(cat)),
         Fraction(0),
     )
 

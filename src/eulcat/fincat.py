@@ -79,31 +79,40 @@ class FinCat:
     _by_source: dict = field(init=False, repr=False)
     _identity_names: frozenset = field(init=False, repr=False)
     _invertible: dict = field(init=False, repr=False)
+    _directly_finite: bool = field(init=False, repr=False)
 
     def __post_init__(self, check: bool = True):
         if len(set(self.objects)) != len(self.objects):
-            raise DanglingReference(f"{self.name}: duplicate object ids")
+            dup = next(x for i, x in enumerate(self.objects) if x in self.objects[:i])
+            raise DanglingReference(f"{self.name}: duplicate object ids", witness={"object": dup})
         names = [m.name for m in self.morphisms]
         if len(set(names)) != len(names):
             dup = sorted({n for n in names if names.count(n) > 1})
-            raise DanglingReference(f"{self.name}: duplicate morphism ids {dup}")
+            raise DanglingReference(
+                f"{self.name}: duplicate morphism ids {dup}", witness={"morphism": dup[0]}
+            )
         obj_set = set(self.objects)
         mor = {m.name: m for m in self.morphisms}
         for m in self.morphisms:
             if m.source not in obj_set or m.target not in obj_set:
                 raise DanglingReference(
                     f"{self.name}: morphism {m.name!r} has unknown endpoint "
-                    f"{m.source!r} -> {m.target!r}"
+                    f"{m.source!r} -> {m.target!r}",
+                    witness={"morphism": m.name},
                 )
         object.__setattr__(self, "_mor", mor)
 
         # identities
         for x in self.objects:
             if x not in self.identity:
-                raise BrokenIdentity(f"{self.name}: object {x!r} has no identity morphism")
+                raise BrokenIdentity(
+                    f"{self.name}: object {x!r} has no identity morphism", witness={"object": x}
+                )
             e = self.identity[x]
             if e not in mor:
-                raise DanglingReference(f"{self.name}: identity {e!r} of {x!r} is unknown")
+                raise DanglingReference(
+                    f"{self.name}: identity {e!r} of {x!r} is unknown", witness={"object": x}
+                )
             if mor[e].source != x or mor[e].target != x:
                 raise BrokenIdentity(
                     f"{self.name}: identity {e!r} is not an endomorphism of {x!r}",
@@ -111,7 +120,9 @@ class FinCat:
                 )
         for x in self.identity:
             if x not in obj_set:
-                raise DanglingReference(f"{self.name}: identity table names unknown object {x!r}")
+                raise DanglingReference(
+                    f"{self.name}: identity table names unknown object {x!r}", witness={"object": x}
+                )
         object.__setattr__(self, "_identity_names", frozenset(self.identity.values()))
 
         hom: dict[tuple[str, str], list[str]] = {}
@@ -125,7 +136,7 @@ class FinCat:
         if check:
             self._check_laws()
 
-        object.__setattr__(self, "_invertible", self._find_invertibles())
+        self._find_invertibles()
 
     def _check_laws(self) -> None:
         """Check the composition table exhaustively on integer indices that
@@ -149,16 +160,19 @@ class FinCat:
                 gi, fi, ci = index[g], index[f], index[gf]
             except KeyError:
                 raise DanglingReference(
-                    f"{self.name}: composition entry ({g!r}, {f!r}) -> {gf!r} names unknown morphisms"
+                    f"{self.name}: composition entry ({g!r}, {f!r}) -> {gf!r} names unknown morphisms",
+                    witness={"pair": (g, f)},
                 ) from None
             if tgt[fi] != src[gi]:
                 raise DanglingReference(
                     f"{self.name}: pair ({g!r}, {f!r}) is not composable "
-                    f"(target of {f!r} is {self._mor[f].target!r}, source of {g!r} is {self._mor[g].source!r})"
+                    f"(target of {f!r} is {self._mor[f].target!r}, source of {g!r} is {self._mor[g].source!r})",
+                    witness={"pair": (g, f)},
                 )
             if src[ci] != src[fi] or tgt[ci] != tgt[gi]:
                 raise IncompleteCompositionTable(
-                    f"{self.name}: composite {gf!r} of ({g!r}, {f!r}) has wrong endpoints"
+                    f"{self.name}: composite {gf!r} of ({g!r}, {f!r}) has wrong endpoints",
+                    witness={"pair": (g, f)},
                 )
             rows[fi][gi] = ci
         # every key of rows[f] is composable with f, so a short row misses one
@@ -210,18 +224,21 @@ class FinCat:
                         witness=triple,
                     )
 
-    def _find_invertibles(self) -> dict[str, str]:
-        """Map each invertible morphism to its (unique) inverse."""
+    def _find_invertibles(self) -> None:
+        """Set ``_invertible`` (each invertible m to its inverse) and
+        ``_directly_finite`` (no g with g o m = id but m o g != id) in one
+        search, which stops at an inverse: the only left inverse of m."""
         inv: dict[str, str] = {}
+        directly_finite = True
         for m in self.morphisms:
             for g in self.hom(m.target, m.source):
-                if (
-                    self.composition[(g, m.name)] == self.identity[m.source]
-                    and self.composition[(m.name, g)] == self.identity[m.target]
-                ):
-                    inv[m.name] = g
-                    break
-        return inv
+                if self.composition[(g, m.name)] == self.identity[m.source]:
+                    if self.composition[(m.name, g)] == self.identity[m.target]:
+                        inv[m.name] = g
+                        break
+                    directly_finite = False
+        object.__setattr__(self, "_invertible", inv)
+        object.__setattr__(self, "_directly_finite", directly_finite)
 
     # -- accessors ----------------------------------------------------------
 
@@ -284,7 +301,9 @@ def validate(raw: Mapping, name: str = "C") -> FinCat:
         triples = raw.get("compose", [])
         composition = {(str(g), str(f)): str(gf) for g, f, gf in triples}
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise DanglingReference(f"{name}: malformed category description ({exc})") from exc
+        raise DanglingReference(
+            f"{name}: malformed category description ({exc})", witness={"cause": str(exc)}
+        ) from exc
     name = str(raw.get("name", name))
     if len(composition) != len(triples):
         seen: set[tuple[str, str]] = set()
@@ -337,13 +356,14 @@ class CatFunctor:
 def _check_functor(src: FinCat, tgt: FinCat, obj_map: Mapping, mor_map: Mapping) -> None:
     """Check the laws of a functor ``src`` -> ``tgt`` in order: objects,
     morphisms (an image for each), source/target, identities, composition.
-    Keys naming nothing in ``src`` are ignored.  A failure raises NotAFunctor
-    with witness ``{"law": law, "at": x}``, x an object, morphism or pair."""
+    Composition is checked only on entries with no identity factor.  Keys
+    naming nothing in ``src`` are ignored.  A failure raises NotAFunctor with
+    witness ``{"law": law, "at": x}``, x an object, morphism or pair."""
 
     def fail(message: str, law: str, at) -> NoReturn:
         raise NotAFunctor(message, witness={"law": law, "at": at})
 
-    mor, comp = tgt._mor, tgt.composition
+    mor, comp, src_ids = tgt._mor, tgt.composition, src._identity_names
     for x in src.objects:
         if x not in obj_map or not tgt.has_object(obj_map[x]):
             fail(f"object map undefined or out of range at {x!r}", "objects", x)
@@ -359,6 +379,8 @@ def _check_functor(src: FinCat, tgt: FinCat, obj_map: Mapping, mor_map: Mapping)
         if mor_map[src.identity[x]] != tgt.identity[obj_map[x]]:
             fail(f"identity of {x!r} not preserved", "identities", x)
     for (g, f), gf in src.composition.items():
+        if g in src_ids or f in src_ids:  # holds by source/target and identities
+            continue
         if comp[(mor_map[g], mor_map[f])] != mor_map[gf]:
             fail(f"composition not preserved on ({g!r}, {f!r})", "composition", (g, f))
 
@@ -380,9 +402,10 @@ def _check_natural(cat, tgt, f_obj, f_mor, g_obj, g_mor, components, where) -> N
     """Check that ``components`` is a natural isomorphism F => G.
 
     F and G are parallel functors ``cat`` -> ``tgt``, given by their object
-    and morphism maps.  ``components[x]`` must be an invertible morphism
-    F(x) -> G(x) of ``tgt``, every naturality square must commute, and no
-    key may name anything but an object of ``cat``.  A failure raises
+    and morphism maps, which must preserve identities (validated functors or
+    their composites).  ``components[x]`` must be an invertible morphism
+    F(x) -> G(x) of ``tgt``, every square at a non-identity must commute, and
+    no key may name anything but an object of ``cat``.  A failure raises
     NotNatural, its message prefixed by ``where``, with the entry and the
     object or morphism as witness.
     """
@@ -401,6 +424,8 @@ def _check_natural(cat, tgt, f_obj, f_mor, g_obj, g_mor, components, where) -> N
         if not tgt.is_invertible(c):
             fail(f"component at {x!r} is not invertible", object=x)
     for m in cat.morphisms:
+        if cat.is_identity(m.name):  # holds by the endpoints checked above
+            continue
         lhs = tgt.compose(components[m.target], f_mor[m.name])
         rhs = tgt.compose(g_mor[m.name], components[m.source])
         if lhs != rhs:
@@ -428,19 +453,9 @@ def classify(cat: FinCat) -> PredicateReport:
     """Compute structural predicates from the tables.
 
     Each predicate is one pass over the morphisms (skeletal: no invertible
-    arrow between distinct objects), except direct finiteness, which tries
-    every v in mor(y, x) against each u: x -> y.
+    arrow between distinct objects), except direct finiteness, which the
+    inverse search of ``FinCat._find_invertibles`` already decided.
     """
-    is_df = True
-    for u in cat.morphisms:
-        if not is_df:
-            break
-        for v in cat.hom(u.target, u.source):
-            if cat.compose(v, u.name) == cat.identity[u.source]:
-                if cat.compose(u.name, v) != cat.identity[u.target]:
-                    is_df = False
-                    break
-
     is_skeletal = not any(
         m.source != m.target and cat.is_invertible(m.name) for m in cat.morphisms
     )
@@ -466,7 +481,7 @@ def classify(cat: FinCat) -> PredicateReport:
     return PredicateReport(
         is_scwol=_is_scwol(cat),
         is_EI=_is_EI(cat),
-        is_directly_finite=is_df,
+        is_directly_finite=cat._directly_finite,
         is_groupoid=_is_groupoid(cat),
         is_skeletal=is_skeletal,
         is_connected=is_connected,
@@ -484,8 +499,8 @@ def _is_EI(cat: FinCat) -> bool:
 
 
 def _is_groupoid(cat: FinCat) -> bool:
-    """``classify(cat).is_groupoid`` in one pass: every morphism is invertible."""
-    return all(cat.is_invertible(m.name) for m in cat.morphisms)
+    """``classify(cat).is_groupoid``: every morphism has an inverse."""
+    return len(cat._invertible) == len(cat.morphisms)
 
 
 # -- isomorphism classes and automorphism groups ------------------------------

@@ -125,7 +125,8 @@ class ScwolAction:
     by each group element.  Validation checks, exhaustively, that each
     element permutes the objects and the morphisms as a functor (by
     ``fincat._check_functor``), the homomorphism law against the Cayley
-    table, and both scwol-action axioms; each rejection has a witness.
+    table, and both scwol-action axioms, and last that no row is given for
+    a label that is no element; each rejection has a witness.
     """
 
     group: FinGroup
@@ -171,6 +172,14 @@ class ScwolAction:
             for g in g_labels:
                 if self.on_objects[g][m.source] == m.source and self.on_morphisms[g][m.name] != m.name:
                     raise AxiomIIViolation(m.name, g)
+        # every element has both rows, so a longer table has a stray row
+        for table in (self.on_objects, self.on_morphisms):
+            if len(table) != len(g_labels):
+                label = next(g for g in table if g not in self.group)
+                raise NotAFunctorAction(
+                    f"action row {label!r} is not an element of {self.group.name}",
+                    witness={"element": label},
+                )
 
     # -- convenience -------------------------------------------------------
 
@@ -241,8 +250,10 @@ def trivial_action(group: FinGroup, space: FinCat) -> ScwolAction:
 
 @dataclass(frozen=True, eq=False)
 class QuotientResult:
+    """The quotient scwol and the orbit of each object and morphism: the
+    maps of the projection, which is built as no functor."""
+
     category: FinCat
-    projection: CatFunctor
     object_orbit_of: Mapping[str, str]
     morphism_orbit_of: Mapping[str, str]
 
@@ -253,7 +264,8 @@ def quotient(action: ScwolAction) -> QuotientResult:
 
     Well-definedness of the induced composition and the source-side orbit
     bijection are consequences of the action axioms; both are re-verified
-    here and raise InvalidQuotient on failure.  The composites of all lifts
+    here and raise InvalidQuotient on failure; with the validated action they
+    make the orbit maps a functor.  The composites of all lifts
     are collected in one pass over the space's composition table, grouped
     by the pair of orbits composed; each composable pair of orbit
     representatives, in order, must then have exactly one composite orbit.
@@ -300,8 +312,6 @@ def quotient(action: ScwolAction) -> QuotientResult:
     if not _is_scwol(q):
         raise InvalidQuotient(f"quotient of {cat.name} is not a scwol")
 
-    projection = CatFunctor(cat, q, dict(obj_orbit), dict(mor_orbit))
-
     # source-side orbit bijection: morphisms out of x biject with morphisms
     # out of p(x), for every object x
     for x in cat.objects:
@@ -312,7 +322,7 @@ def quotient(action: ScwolAction) -> QuotientResult:
         if set(images) != set(q.morphisms_from(obj_orbit[x])):
             raise InvalidQuotient(f"projection is not surjective on morphisms out of {x!r}")
 
-    return QuotientResult(q, projection, obj_orbit, mor_orbit)
+    return QuotientResult(q, obj_orbit, mor_orbit)
 
 
 def _fixers(action: ScwolAction, obj: str) -> list[str]:
@@ -913,8 +923,9 @@ def transport_groupoid(group: FinGroup, elements: Sequence[str],
     elements = tuple(elements)
     disc = discrete_category(elements, name="S")
     # a name outside the set maps to itself here; ScwolAction rejects its row
-    # at the object level before it reads these morphism rows
-    rows = {g: dict(act[g]) for g in group.labels if g in act}
+    # at the object level before it reads these morphism rows, and a row for
+    # a label that is no element after every other check
+    rows = {g: dict(row) for g, row in act.items()}
     disc_id = disc.identity
     discrete_action = ScwolAction(
         group,

@@ -370,10 +370,7 @@ class CellSpectrum:
         self.derived_weighting()  # raises NoWeighting if the equation fails
 
     def alternating_sum(self, i: str) -> Fraction:
-        return sum(
-            (Fraction((-1) ** n * c) for n, c in enumerate(self.cells.get(i, ()))),
-            Fraction(0),
-        )
+        return Fraction(sum((-1) ** n * c for n, c in enumerate(self.cells.get(i, ()))))
 
     def derived_weighting(self) -> Weighting:
         values = {i: self.alternating_sum(i) for i in self.index.objects}

@@ -254,7 +254,15 @@ def complex_from_payload(payload: Mapping) -> ComplexOfGroups:
                 twists[(b, a)] = local[base.target(b)].identity
             else:
                 raise BadManifest(f"no twist for composable pair ({b!r}, {a!r})")
-    return ComplexOfGroups(base, local, homs, twists)
+    cplx = ComplexOfGroups(base, local, homs, twists)
+    # every base object has a local group, so a longer table has a stray key
+    if len(local) != len(base.objects):
+        x = next(x for x in local if not base.has_object(x))
+        raise BadManifest(f"local group for non-base object {x!r}")
+    for m in payload.get("homs", {}):
+        if m not in homs:
+            raise BadManifest(f"structure homomorphism for non-base morphism {m!r}")
+    return cplx
 
 
 # -- spectra -----------------------------------------------------------------------------

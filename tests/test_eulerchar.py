@@ -11,8 +11,8 @@ from eulcat.eulerchar import (
     chi_scwol,
     groupoid_chi2,
 )
-from eulcat.fincat import NotGroupoid, opposite, skeleton
-from eulcat.groups import cyclic_group, symmetric_group, perm_of_label
+from eulcat.fincat import NotGroupoid, iso_classes, opposite, skeleton
+from eulcat.groups import FinGroup, cyclic_group, symmetric_group, perm_of_label
 from eulcat.ratlin import Weighting, chi_L
 
 from strategies import groupoids, scwols, skeletal_scwols
@@ -88,6 +88,23 @@ class TestGroupoidChi2:
     @given(groupoids)
     def test_agrees_with_chi_l(self, gpd):
         assert groupoid_chi2(gpd.category) == chi_L(gpd.category)
+
+    @settings(max_examples=15, deadline=None)
+    @given(groupoids)
+    def test_agrees_with_the_automorphism_group_route(self, gpd):
+        """The former route: the order of the validated aut group of each
+        class representative."""
+        iso = iso_classes(gpd.category)
+        expected = sum((Fraction(1, iso.aut[rep].order) for rep in iso.representatives), Fraction(0))
+        assert groupoid_chi2(gpd.category) == expected
+
+    def test_builds_no_group(self, monkeypatch):
+        cat = zoo.inflate(zoo.one_object_category(symmetric_group(3)), {"*": 2})
+        built = []
+        real = FinGroup.__post_init__
+        monkeypatch.setattr(FinGroup, "__post_init__", lambda self: built.append(self) or real(self))
+        assert groupoid_chi2(cat) == Fraction(1, 6)
+        assert built == []
 
 
 class TestChi2FreeEI:

@@ -77,6 +77,41 @@ class TestValidate:
             validate(raw)
         assert exc.value.witness == {"pair": ("id_k", "g")}
 
+    @pytest.mark.parametrize("edit, error, message, witness", [
+        (lambda raw: raw["objects"].append("k"), DanglingReference,
+         "C: duplicate object ids", {"object": "k"}),
+        (lambda raw: raw["morphisms"].append({"id": "g", "source": "j", "target": "l"}),
+         DanglingReference, "C: duplicate morphism ids ['g']", {"morphism": "g"}),
+        (lambda raw: raw["morphisms"][3].update(target="zz"), DanglingReference,
+         "C: morphism 'g' has unknown endpoint 'j' -> 'zz'", {"morphism": "g"}),
+        (lambda raw: raw["identity"].pop("l"), BrokenIdentity,
+         "C: object 'l' has no identity morphism", {"object": "l"}),
+        (lambda raw: raw["identity"].update(l="nosuch"), DanglingReference,
+         "C: identity 'nosuch' of 'l' is unknown", {"object": "l"}),
+        (lambda raw: raw["identity"].update(zz="id_l"), DanglingReference,
+         "C: identity table names unknown object 'zz'", {"object": "zz"}),
+        (lambda raw: raw["compose"].append(["nosuch", "g", "g"]), DanglingReference,
+         "C: composition entry ('nosuch', 'g') -> 'g' names unknown morphisms",
+         {"pair": ("nosuch", "g")}),
+        (lambda raw: raw["compose"].append(["g", "g", "g"]), DanglingReference,
+         "C: pair ('g', 'g') is not composable (target of 'g' is 'k', source of 'g' is 'j')",
+         {"pair": ("g", "g")}),
+        (lambda raw: raw["compose"].__setitem__(3, ["id_k", "g", "h"]),
+         IncompleteCompositionTable, "C: composite 'h' of ('id_k', 'g') has wrong endpoints",
+         {"pair": ("id_k", "g")}),
+        (lambda raw: raw.update(identity=[]), DanglingReference,
+         "C: malformed category description ('list' object has no attribute 'items')",
+         {"cause": "'list' object has no attribute 'items'"}),
+    ], ids=["duplicate-object", "duplicate-morphism", "unknown-endpoint", "no-identity",
+            "unknown-identity", "identity-of-no-object", "entry-names-nothing",
+            "not-composable", "wrong-endpoints", "malformed"])
+    def test_rejection_carries_a_witness(self, edit, error, message, witness):
+        raw = pushout_raw()
+        edit(raw)
+        with pytest.raises(error) as exc:
+            validate(raw)
+        assert (str(exc.value), exc.value.witness) == (message, witness)
+
     def test_build_category_leaves_a_missing_composite_to_fincat(self):
         """zoo.build_category has no check of its own: FinCat names the pair."""
         with pytest.raises(IncompleteCompositionTable) as exc:

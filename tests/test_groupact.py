@@ -13,6 +13,7 @@ from eulcat.fincat import (
     Morphism,
     NotAFunctor,
     UnknownObject,
+    _check_natural,
     are_isomorphic,
     classify,
     equal_presentation,
@@ -264,6 +265,26 @@ class TestFunctorLaws:
             ScwolAction(action.group, action.space, action.on_objects, action.on_morphisms)
         assert built == []
 
+    @pytest.mark.parametrize("level", ["on_objects", "on_morphisms"])
+    def test_stray_row_is_rejected(self, level):
+        """A row for a label that is no element used to be ignored."""
+        action = randgen.circle_action()
+        tables = {"on_objects": dict(action.on_objects), "on_morphisms": dict(action.on_morphisms)}
+        tables[level]["ghost"] = tables[level]["1"]
+        with pytest.raises(NotAFunctorAction) as info:
+            ScwolAction(action.group, action.space, tables["on_objects"], tables["on_morphisms"])
+        assert (str(info.value), info.value.witness) == (
+            "action row 'ghost' is not an element of Z2", {"element": "ghost"}
+        )
+
+    def test_stray_row_is_checked_last(self):
+        """Every other law is checked first, so its message is kept."""
+        action = randgen.circle_action()
+        with pytest.raises(NotAFunctorAction, match="element '1' breaks source/target at 'id_x'"):
+            ScwolAction(action.group, action.space,
+                        {**action.on_objects, "ghost": action.on_objects["0"]},
+                        {**action.on_morphisms, "1": action.on_morphisms["0"]})
+
     @pytest.mark.parametrize("objects, arrows, on_objects, on_morphisms, message, witness", [
         (("p", "q"), (), {"0": {"p": "q", "q": "p"}}, {"0": {"id_p": "id_q", "id_q": "id_p"}},
          "identity element moves an object", {"element": "0", "object": "p"}),
@@ -293,7 +314,73 @@ class TestFunctorLaws:
         assert (str(info.value), info.value.witness) == (message, witness)
 
 
+class ReadCounting(dict):
+    """A composition table that counts its lookups."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+
+def counting_reads(cat: FinCat) -> ReadCounting:
+    table = ReadCounting(cat.composition)
+    object.__setattr__(cat, "composition", table)
+    return table
+
+
+class TestIdentityEntriesAreSettled:
+    """Entries and squares with an identity factor hold once endpoints and
+    identities do, so the functor and naturality checks read none of them."""
+
+    def test_functor_check_on_a_discrete_action(self):
+        z3, pts = cyclic_group(3), ("p", "q", "r")
+        disc = zoo.discrete_category(pts)
+        table = counting_reads(disc)
+        on_objects = {g: {pts[i]: pts[(i + k) % 3] for i in range(3)}
+                      for k, g in enumerate(z3.labels)}
+        on_morphisms = {g: {disc.identity[x]: disc.identity[y] for x, y in row.items()}
+                        for g, row in on_objects.items()}
+        ScwolAction(z3, disc, on_objects, on_morphisms)
+        assert table.reads == 0
+
+    def test_functor_check_reads_each_other_entry_once(self):
+        space = two_composite_scwol()
+        table = counting_reads(space)
+        CatFunctor.identity_functor(space)
+        assert table.reads == 1  # (g, f), the one pair of non-identities
+
+    @pytest.mark.parametrize("space", [zoo.discrete_category("pq"), two_composite_scwol()],
+                             ids=["discrete", "two-composite"])
+    def test_naturality_squares(self, monkeypatch, space):
+        calls = []
+        real = FinCat.compose
+        monkeypatch.setattr(FinCat, "compose", lambda self, g, f: calls.append((g, f)) or real(self, g, f))
+        obj, mor = {x: x for x in space.objects}, {m: m for m in space.morphism_names()}
+        _check_natural(space, space, obj, mor, obj, mor, dict(space.identity), "id")
+        arrows = [m for m in space.morphism_names() if not space.is_identity(m)]
+        assert sorted(calls) == sorted([(space.identity[space.target(m)], m) for m in arrows]
+                                       + [(m, space.identity[space.source(m)]) for m in arrows])
+
+
 class TestQuotient:
+    def test_builds_no_functor(self, monkeypatch):
+        actions_ = [randgen.circle_action(), s3_flag_action()[0]]
+        built = []
+        real = CatFunctor.__post_init__
+        monkeypatch.setattr(CatFunctor, "__post_init__", lambda self: built.append(self) or real(self))
+        for action in actions_:
+            quotient(action)
+        assert built == []
+
+    @settings(max_examples=20, deadline=None)
+    @given(actions)
+    def test_orbit_maps_are_a_functor(self, action):
+        """The former projection functor, built here as the reference."""
+        q = quotient(action)
+        CatFunctor(action.space, q.category, q.object_orbit_of, q.morphism_orbit_of)
+
     def test_circle_quotient_is_pushout(self):
         q = quotient(randgen.circle_action())
         assert are_isomorphic(q.category, zoo.pushout_scwol())
@@ -660,6 +747,15 @@ class TestTransportGroupoid:
         s3, pts, act = s3_point_action()
         transport_groupoid(s3, pts, act)
         assert seen == [("object", 3), ("morphism", 0)]
+
+    def test_rejects_a_row_for_no_element(self):
+        """Rows reach ScwolAction unfiltered, so a G-set table is held to
+        the same rule as an action manifest."""
+        z2 = cyclic_group(2)
+        act = {"0": {"1": "1", "2": "2"}, "1": {"1": "2", "2": "1"}, "ghost": {"1": "1"}}
+        with pytest.raises(NotAFunctorAction) as info:
+            transport_groupoid(z2, ("1", "2"), act)
+        assert info.value.witness == {"element": "ghost"}
 
     def test_rejects_non_action(self):
         z2 = cyclic_group(2)

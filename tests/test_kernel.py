@@ -12,7 +12,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eulcat import eulerchar, hocolim, randgen, ratlin, zoo
@@ -348,6 +348,7 @@ class TestIsoClassesAgainstAllPairs:
             scwols, posets, groupoids.map(lambda g: g.category), grothendieck_totals
         )
     )
+    @example(split_idempotent())
     def test_same_predicates_classes_and_skeleton(self, cat):
         assert classify(cat) == all_pairs_classify(cat)
 
@@ -370,6 +371,23 @@ class TestIsoClassesAgainstAllPairs:
             assert gamma is cat
         else:
             assert gamma.name == expected.name
+
+    def test_one_sided_inverse_is_not_directly_finite(self):
+        """r o s = id_y but s o r = e != id_x."""
+        assert classify(split_idempotent()).is_directly_finite is False
+
+    def test_classify_composes_nothing(self, monkeypatch):
+        """Direct finiteness comes from the inverse search that FinCat makes
+        when it is built, so classify looks up no composite."""
+        cats = [split_idempotent(), zoo.inflate(zoo.one_object_category(cyclic_group(3)), {"*": 2}),
+                zoo.gamma_one(), product(zoo.monoid_z2_mult(), zoo.pushout_scwol())]
+        calls = []
+        real = FinCat.compose
+        monkeypatch.setattr(FinCat, "compose", lambda self, g, f: calls.append((g, f)) or real(self, g, f))
+        reports = [classify(cat) for cat in cats]
+        assert calls == []
+        monkeypatch.undo()
+        assert reports == [all_pairs_classify(cat) for cat in cats]
 
     def test_non_skeletal_groupoid(self):
         cat = zoo.inflate(zoo.one_object_category(cyclic_group(3)), {"*": 3})

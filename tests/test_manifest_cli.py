@@ -383,6 +383,14 @@ def _stray_hom_key_complex_payload() -> dict:
     return payload
 
 
+def _with_stray(payload: dict, table: str, key: str, value) -> dict:
+    """``payload`` with ``table[key] = value`` added; each was ignored."""
+    return {**payload, table: {**payload[table], key: value}}
+
+
+CIRCLE_ACTION = manifest.action_payload(randgen.circle_action())
+
+
 @pytest.mark.parametrize(
     "kind, payload, named",
     [
@@ -422,6 +430,15 @@ def _stray_hom_key_complex_payload() -> dict:
             "no local group for object '1'",
         ),
         ("complex", _stray_hom_key_complex_payload(), "map key 'ghost' is not an element of Z2"),
+        ("complex", _with_stray(_trivial_arrow_complex_payload(), "homs", "ghost", {"0": "0"}),
+         "structure homomorphism for non-base morphism 'ghost'"),
+        ("complex", _with_stray(_trivial_arrow_complex_payload(), "local", "q",
+                                manifest.group_payload(cyclic_group(2))),
+         "local group for non-base object 'q'"),
+        ("action", _with_stray(CIRCLE_ACTION, "object_action", "ghost", {"x": "y"}),
+         "action row 'ghost' is not an element of Z2"),
+        ("action", _with_stray(CIRCLE_ACTION, "morphism_action", "ghost", {"a1": "a1"}),
+         "action row 'ghost' is not an element of Z2"),
         *[
             (kind, _arrow_diagram_with_stray(kind, *stray), named)
             for stray, named in STRAY_DIAGRAM_NAMES.values()
@@ -432,6 +449,8 @@ def _stray_hom_key_complex_payload() -> dict:
          "spectrum-cells-list", "spectrum-cell-not-integer", "pseudo-unit-non-index-object",
          "pseudo-component-names-no-morphism", "pseudo-component-key-names-no-object",
          "pseudo-component-missing", "complex-missing-local", "complex-hom-stray-key",
+         "complex-hom-for-no-morphism", "complex-local-for-no-object",
+         "action-object-row-for-no-element", "action-morphism-row-for-no-element",
          *[f"{kind}-stray-{case}" for case in STRAY_DIAGRAM_NAMES
            for kind in ("diagram", "pseudo_diagram")]],
 )

@@ -1,5 +1,5 @@
-"""Every ``raise`` of a functor or homomorphism rejection in the library
-passes ``witness=``, so the exception carries the offending data as well as
+"""Every ``raise`` of a category, functor, naturality or homomorphism
+rejection in the library passes ``witness=``, so the exception carries the offending data as well as
 its message.  Only the standard library ``ast`` is used.
 """
 
@@ -10,7 +10,11 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "eulcat"
 MODULES = sorted(SRC.glob("*.py"))
-CHECKED = {"NotAFunctor", "NotAFunctorAction", "NotAHomomorphism", "NotAHomomorphismAction"}
+CHECKED = {
+    "NotAFunctor", "NotAFunctorAction", "NotAHomomorphism", "NotAHomomorphismAction",
+    "DanglingReference", "BrokenIdentity", "IncompleteCompositionTable", "NonAssociative",
+    "NotNatural",
+}
 
 
 def checked_raises(source: str) -> list[tuple[int, str, bool]]:
