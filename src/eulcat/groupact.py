@@ -1098,6 +1098,6 @@ def haefliger_chi(cat: FinCat, vals: Mapping[str, Fraction]) -> Fraction:
                          "start_sum": pc.start_sum(i)},
             )
         if i not in vals:
-            raise MissingValue(f"no local value supplied at {i!r}")
+            raise MissingValue(f"no local value supplied at {i!r}", witness={"object": i})
         total += one_minus * Fraction(vals[i])
     return total

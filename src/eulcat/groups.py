@@ -124,7 +124,12 @@ class FinGroup:
     # -- constructions -----------------------------------------------------
 
     def subgroup(self, members: Iterable[str], name: str | None = None) -> "FinGroup":
-        """Full subgroup on ``members``; raises if the subset is not closed."""
+        """Full subgroup on ``members``; raises if the subset is not closed.
+
+        A closed non-empty subset of a finite group is a subgroup: it holds
+        the identity and every inverse, read here from this group's, and it
+        inherits associativity.  So only closure is checked.
+        """
         labels = sorted(set(members), key=self.index)
         idx = [self._index[lab] for lab in labels]
         pos = {i: k for k, i in enumerate(idx)}
@@ -140,7 +145,18 @@ class FinGroup:
                 raise NotAGroup(
                     f"subset not closed: {names[a]!r}*{names[b]!r} = {names[p]!r} escapes"
                 ) from None
-        return FinGroup(tuple(labels), tuple(table), name=name or f"{self.name}_sub")
+        name = name or f"{self.name}_sub"
+        if not idx:
+            raise NotAGroup(f"{name} has no identity element")
+        sub = object.__new__(FinGroup)
+        for field_name, value in (
+            ("labels", tuple(labels)), ("table", tuple(table)), ("name", name),
+            ("_index", {lab: k for k, lab in enumerate(labels)}),
+            ("_identity", pos[self._identity]),
+            ("_inverse", tuple(pos[self._inverse[a]] for a in idx)),
+        ):
+            object.__setattr__(sub, field_name, value)
+        return sub
 
     @staticmethod
     def from_mul(labels: Sequence[str], mul, name: str = "G") -> "FinGroup":

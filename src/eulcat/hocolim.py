@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .errors import EulcatError, ValidationError
 from .eulerchar import chi_scwol, chi2_free_EI, groupoid_chi2
@@ -25,13 +25,15 @@ from .fincat import (
     NotScwol,
     _check_natural,
     _composite_maps,
+    _count_rows,
     _identity_maps,
     _is_groupoid,
     _is_scwol,
+    _iso_partition,
     _skeleton_category,
     _skeleton_path_counts,
 )
-from .ratlin import Weighting, chi_L
+from .ratlin import NoWeighting, Weighting, _chi_L_of_rows, chi_L
 from .zoo import (
     discrete_category,
     parallel_pair_scwol,
@@ -53,6 +55,11 @@ class MissingValue(EulcatError):
 
 class UnknownKind(EulcatError):
     """No built-in cell model with that name."""
+
+
+class ForeignSpectrum(ValidationError):
+    """A supplied spectrum's alternating sums are no weighting on the
+    diagram's index category."""
 
 
 def _is_identity_on(fun: CatFunctor, cat: FinCat) -> bool:
@@ -137,21 +144,25 @@ class PseudoDiagram:
         for i in idx.objects:
             components = self.unit.get(i)
             if components is None:
-                raise CoherenceFailure(f"no unit isomorphism at {i!r}")
+                raise CoherenceFailure(f"no unit isomorphism at {i!r}", witness={"object": i})
             ci, fun = self.vertex[i], self.edge[idx.identity[i]]
             _check_natural(
                 ci, ci, *_identity_maps(ci), fun.obj_map, fun.mor_map, components, f"unit at {i!r}"
             )
         for (v, u), components in self.comp.items():
             if (v, u) not in idx.composition:
-                raise CoherenceFailure(f"comp given for non-composable pair ({v!r}, {u!r})")
+                raise CoherenceFailure(
+                    f"comp given for non-composable pair ({v!r}, {u!r})", witness={"pair": (v, u)}
+                )
             fun = self.edge[idx.composition[(v, u)]]
             f_obj, f_mor = _composite_maps(self.edge[u], self.edge[v])
             _check_natural(fun.source, fun.target, f_obj, f_mor, fun.obj_map, fun.mor_map,
                            components, f"comp at {(v, u)!r}")
         for (v, u) in idx.composition:
             if (v, u) not in self.comp:
-                raise CoherenceFailure(f"no comp isomorphism at ({v!r}, {u!r})")
+                raise CoherenceFailure(
+                    f"no comp isomorphism at ({v!r}, {u!r})", witness={"pair": (v, u)}
+                )
 
         self._check_unit_axioms()
         self._check_associativity_axiom()
@@ -181,7 +192,8 @@ class PseudoDiagram:
                 )
                 if left != tgt_cat.identity[self.edge[u].obj_map[c]]:
                     raise CoherenceFailure(
-                        f"right unit axiom fails for {u!r} at object {c!r}"
+                        f"right unit axiom fails for {u!r} at object {c!r}",
+                        witness={"morphism": u, "object": c},
                     )
                 # C_{id, u} o (unit_target at C(u)c) = 1
                 left2 = tgt_cat.compose(
@@ -190,7 +202,8 @@ class PseudoDiagram:
                 )
                 if left2 != tgt_cat.identity[self.edge[u].obj_map[c]]:
                     raise CoherenceFailure(
-                        f"left unit axiom fails for {u!r} at object {c!r}"
+                        f"left unit axiom fails for {u!r} at object {c!r}",
+                        witness={"morphism": u, "object": c},
                     )
 
     def _check_associativity_axiom(self):
@@ -213,7 +226,8 @@ class PseudoDiagram:
                         if lhs != rhs:
                             raise CoherenceFailure(
                                 f"associativity coherence fails on triple "
-                                f"({w!r}, {v!r}, {u!r}) at object {c!r}"
+                                f"({w!r}, {v!r}, {u!r}) at object {c!r}",
+                                witness={"triple": (w, v, u), "object": c},
                             )
 
     @staticmethod
@@ -344,7 +358,88 @@ def grothendieck_pseudo(d: PseudoDiagram) -> FinCat:
     try:
         return _grothendieck(d, check=True)
     except ValidationError as exc:
-        raise CoherenceFailure(f"pseudo homotopy colimit is not a category: {exc}") from exc
+        raise CoherenceFailure(
+            f"pseudo homotopy colimit is not a category: {exc}", witness={"cause": exc.witness}
+        ) from exc
+
+
+def _total_counts(d: StrictDiagram) -> tuple[list[dict[int, int]], Callable[[], list[int]]]:
+    """The hom-count rows of the Grothendieck construction of a strict
+    diagram, and a function giving the least index of each of its
+    isomorphism classes in increasing order, read off the diagram.
+
+    The objects (i, c) are numbered i-major, as ``_grothendieck`` lists them,
+    and |Hom((i,c),(j,e))| = sum over u: i -> j of |C(j)(C(u)c, e)|.  An
+    isomorphism (u, f) needs u and f invertible, so (i,c) and (j,e) are
+    isomorphic exactly when some invertible u: i -> j has C(u)c isomorphic to
+    e in C(j).
+    """
+    idx = d.index
+    offset: dict[str, int] = {}
+    position: dict[str, dict[str, int]] = {}
+    vertex_rows: dict[str, list[dict[int, int]]] = {}
+    n = 0
+    for i in idx.objects:
+        ci = d.vertex[i]
+        offset[i] = n
+        position[i] = {c: k for k, c in enumerate(ci.objects)}
+        vertex_rows[i] = _count_rows(ci)
+        n += len(ci.objects)
+
+    rows = []
+    for i in idx.objects:
+        # per u out of i: where C(j) starts, its rows and positions, C(u)
+        steps = []
+        for u in idx.morphisms_from(i):
+            j = idx.target(u)
+            steps.append((offset[j], vertex_rows[j], position[j], d.edge[u].obj_map))
+        for c in d.vertex[i].objects:
+            row: dict[int, int] = {}
+            for base, v_rows, pos, obj_map in steps:
+                for e, count in v_rows[pos[obj_map[c]]].items():
+                    row[base + e] = row.get(base + e, 0) + count
+            rows.append(row)
+
+    def at(i: str, c: str) -> int:
+        return offset[i] + position[i][c]
+
+    def reps_of() -> list[int]:
+        # union-find whose roots are the least members of their classes
+        root = list(range(n))
+
+        def find(k: int) -> int:
+            while root[k] != k:
+                root[k] = root[root[k]]
+                k = root[k]
+            return k
+
+        def join(a: int, b: int) -> None:
+            a, b = find(a), find(b)
+            root[max(a, b)] = min(a, b)
+
+        for i in idx.objects:
+            for cls in _iso_partition(d.vertex[i]):
+                for c in cls[1:]:
+                    join(at(i, cls[0]), at(i, c))
+            for u in idx.morphisms_from(i):
+                if idx.is_invertible(u):
+                    j, obj_map = idx.target(u), d.edge[u].obj_map
+                    for c in d.vertex[i].objects:
+                        join(at(i, c), at(j, obj_map[c]))
+        return [k for k in range(n) if find(k) == k]
+
+    return rows, reps_of
+
+
+def _strict_chi_L(d: StrictDiagram) -> Fraction:
+    """``chi_L`` of the Grothendieck construction of a strict diagram from
+    ``_total_counts``; no total category is built."""
+    idx = d.index
+
+    def label(k: int) -> str:
+        return [_pair_obj(i, c) for i in idx.objects for c in d.vertex[i].objects][k]
+
+    return _chi_L_of_rows(*_total_counts(d), f"hocolim({idx.name})", label)
 
 
 # -- cell spectra --------------------------------------------------------------
@@ -372,9 +467,12 @@ class CellSpectrum:
     def alternating_sum(self, i: str) -> Fraction:
         return Fraction(sum((-1) ** n * c for n, c in enumerate(self.cells.get(i, ()))))
 
-    def derived_weighting(self) -> Weighting:
-        values = {i: self.alternating_sum(i) for i in self.index.objects}
-        return Weighting(self.index, values, side="weighting", unique=False)
+    def derived_weighting(self, index: Optional[FinCat] = None) -> Weighting:
+        """The alternating sums as a weighting on ``index`` (by default the
+        spectrum's own), checked in integers."""
+        index = self.index if index is None else index
+        values = {i: self.alternating_sum(i) for i in index.objects}
+        return Weighting(index, values, side="weighting", unique=False)
 
     def objects_with_cells(self) -> tuple[str, ...]:
         return tuple(i for i in self.index.objects if any(self.cells.get(i, ())))
@@ -425,7 +523,7 @@ def formula_value(spectrum: CellSpectrum, vals: Mapping[str, Fraction]) -> Fract
     total = Fraction(0)
     for i in spectrum.objects_with_cells():
         if i not in vals:
-            raise MissingValue(f"no value supplied at {i!r}")
+            raise MissingValue(f"no value supplied at {i!r}", witness={"object": i})
         total += spectrum.alternating_sum(i) * Fraction(vals[i])
     return total
 
@@ -473,24 +571,49 @@ def check_hocolim_formula(
     """Compare invariant(hocolim) with the cell-model formula, exactly.
 
     LHS: the invariant of the Grothendieck construction, computed directly.
+    For ``chiL`` on a strict diagram that is Leinster's chi of the total
+    category's hom counts, read off the diagram (``_strict_chi_L``) with no
+    total category built.  A pseudo diagram (whose coherence the build
+    validates) and the other invariants take the invariant of the built
+    total category.
     RHS: formula_value over the bar spectrum of the index (which must then
-    be a finite scwol) or over an explicitly supplied, verified spectrum.
+    be a finite scwol) or over an explicitly supplied spectrum, whose
+    alternating sums must be a weighting on the diagram's index.
     """
     fn = _invariant_fn(invariant)
     if isinstance(d, PseudoDiagram):
-        total_cat = grothendieck_pseudo(d)
+        lhs = Fraction(fn(grothendieck_pseudo(d)))
+    elif invariant == "chiL":
+        lhs = _strict_chi_L(d)
     else:
-        total_cat = _grothendieck(d, check=False)
-    lhs = Fraction(fn(total_cat))
+        lhs = Fraction(fn(_grothendieck(d, check=False)))
 
     spec = spectrum if spectrum is not None else bar_spectrum(d.index)
     vals = {}
     for i in spec.objects_with_cells():
         if i not in d.vertex:
-            raise MissingValue(f"spectrum object {i!r} is not an index object")
+            raise MissingValue(
+                f"spectrum object {i!r} is not an index object", witness={"object": i}
+            )
         vals[i] = Fraction(fn(d.vertex[i]))
+    if spectrum is not None and spectrum.index is not d.index:
+        _check_weighting_on(spectrum, d.index)
     rhs = formula_value(spec, vals)
     return FormulaReport(invariant, lhs, rhs, vals, lhs == rhs)
+
+
+def _check_weighting_on(spec: CellSpectrum, index: FinCat) -> None:
+    """The alternating sums of ``spec`` form a weighting on ``index``, a
+    category other than the one ``spec`` was verified on."""
+    try:
+        spec.derived_weighting(index)
+    except NoWeighting as exc:
+        x = exc.witness["object"]
+        raise ForeignSpectrum(
+            f"spectrum over {spec.index.name} is no cell model over {index.name}: "
+            f"weighting equation fails at {x!r}",
+            witness={"object": x},
+        ) from None
 
 
 def homotopy_orbit_chi(chi_bg, vertex: FinCat, invariant: str = "chiL") -> Fraction:

@@ -1,20 +1,24 @@
 """Exact rational linear algebra: weightings, coweightings, and chi_L.
 
-A weighting solves the hom-count system by the first route that applies:
-back-substitution when the arrows between distinct objects form no cycle;
-otherwise the same on the system condensed onto isomorphism classes; and
-only when that is still cyclic, Gaussian elimination (``solve_linear``) on
-the condensed matrix.  Values are fractions.Fraction; every weighting is
-verified in integers, scaled by the lcm of its denominators.  No floating
-point anywhere.
+One kernel (``_weigh``) solves every weighting system from sparse hom-count
+rows, by the first route that applies: back-substitution when the arrows
+between distinct objects form no cycle; otherwise the same on the system
+condensed onto isomorphism classes; and only when that is still cyclic,
+Gaussian elimination (``solve_linear``) on the condensed matrix.  Its rows
+come from a category (``_count_rows`` and ``_iso_partition``) or, for the
+Grothendieck construction of a strict diagram, from the diagram itself
+(``hocolim``).  Values are fractions.Fraction; the kernel checks every
+equation once, in integers, scaled by the lcm of the denominators, against
+the rows it solved.  No floating point anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from math import lcm
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import EulcatError, InvariantViolation
 from .fincat import FinCat, _count_rows, _iso_partition, _topological_order
@@ -122,6 +126,65 @@ def _back_substitute(rows: Sequence[Mapping[int, int]], order: Sequence[int]) ->
     return values
 
 
+def _check_equations(
+    rows: Sequence[Mapping[int, int]],
+    values: Sequence[Fraction],
+    side: str,
+    label: Callable[[int], str],
+) -> None:
+    """sum_j rows[i][j] values[j] = 1 for every i, in integers: each value
+    scaled by L, the lcm of the denominators, must sum to L.  The first row
+    that fails raises, named by ``label``."""
+    scale = lcm(*(v.denominator for v in values))
+    scaled = [v.numerator * (scale // v.denominator) for v in values]
+    for i, row in enumerate(rows):
+        if sum(count * scaled[j] for j, count in row.items()) != scale:
+            x = label(i)
+            raise NoWeighting(f"{side} equation fails at {x!r}", witness={"object": x})
+
+
+def _weigh(
+    rows: Sequence[Mapping[int, int]],
+    reps_of: Callable[[], Sequence[int]],
+    side: str,
+    name: str,
+    label: Callable[[int], str],
+) -> tuple[list[Fraction], bool]:
+    """The kernel behind every weighting: ``(values, unique)`` solving
+    sum_j rows[i][j] w_j = 1, checked against ``rows`` in integers.
+
+    A cyclic support is condensed onto the representatives ``reps_of()``
+    returns, the least index of each isomorphism class in increasing order,
+    and the others get 0: isomorphic objects have equal rows and columns, so
+    these are the pivots elimination on the full matrix would pick.  Only a
+    still-cyclic condensate reaches ``solve_linear``.  ``name`` and ``label``
+    (row index to object) serve the messages.
+    """
+    solved_rows, reps = rows, None
+    order = _topological_order(rows)
+    if order is None:
+        reps = reps_of()
+        pos = {r: k for k, r in enumerate(reps)}
+        solved_rows = [{pos[j]: c for j, c in rows[r].items() if j in pos} for r in reps]
+        order = _topological_order(solved_rows)
+    if order is not None:
+        values, unique = _back_substitute(solved_rows, order), True
+    else:
+        n = len(solved_rows)
+        mat = RatMatrix.from_rows([[row.get(j, 0) for j in range(n)] for row in solved_rows])
+        sol = solve_linear(mat, [Fraction(1)] * n)
+        if sol is None:
+            raise NoWeighting(f"{name} admits no {side}", witness={"side": side})
+        values, unique = list(sol.values), sol.unique
+    if reps is not None:
+        full = [Fraction(0)] * len(rows)
+        for r, v in zip(reps, values):
+            full[r] = v
+        values, unique = full, unique and len(reps) == len(full)
+    _check_equations(rows, values, side, label)
+    return values, unique
+
+
 @dataclass(frozen=True)
 class Weighting:
     category: FinCat
@@ -130,60 +193,45 @@ class Weighting:
     unique: bool
 
     def __post_init__(self):
-        # sum_y |mor(x, y)| q^y = 1 in integers, one morphism at a time:
-        # each value scaled by L, the lcm of the denominators, sums to L
+        # sum_y |mor(x, y)| q^y = 1 in integers, one hom-count row at a time
         cat, values, side = self.category, self.values, self.side
         if side not in ("weighting", "coweighting"):
             raise NoWeighting(f"unknown side {side!r}", witness={"side": side})
         for x in cat.objects:
             if x not in values:
                 raise NoWeighting(f"{side} has no value at {x!r}", witness={"object": x})
-        scale = lcm(*(values[x].denominator for x in cat.objects))
-        scaled = {x: values[x].numerator * (scale // values[x].denominator) for x in cat.objects}
-        sums = dict.fromkeys(cat.objects, 0)
-        if side == "weighting":
-            for m in cat.morphisms:
-                sums[m.source] += scaled[m.target]
-        else:
-            for m in cat.morphisms:
-                sums[m.target] += scaled[m.source]
-        for x, total in sums.items():
-            if total != scale:
-                raise NoWeighting(f"{side} equation fails at {x!r}", witness={"object": x})
+        rows = _count_rows(cat, transpose=(side == "coweighting"))
+        _check_equations(rows, [values[x] for x in cat.objects], side, cat.objects.__getitem__)
 
     def total(self) -> Fraction:
         return sum(self.values.values(), Fraction(0))
 
 
-def _solve(cat: FinCat, side: str) -> Weighting:
-    """A cyclic support is condensed onto the first object (in object order)
-    of each isomorphism class, and the others get 0: isomorphic objects have
-    equal rows and columns, so these are the pivots elimination on the full
-    matrix would pick.  ``solve_linear`` sees only a still-cyclic condensate."""
-    rows = _count_rows(cat, transpose=(side == "coweighting"))
-    reps = None
-    order = _topological_order(rows)
-    if order is None:
+def _class_reps(cat: FinCat) -> Callable[[], list[int]]:
+    """The condensation callback for ``_weigh`` on the hom-count rows of
+    ``cat``: the first object, in object order, of each ``_iso_partition``
+    class, as row indices in increasing order."""
+    def reps_of() -> list[int]:
         index = {x: i for i, x in enumerate(cat.objects)}
-        reps = sorted(min(index[x] for x in cls) for cls in _iso_partition(cat))
-        pos = {r: k for k, r in enumerate(reps)}
-        rows = [{pos[j]: c for j, c in rows[r].items() if j in pos} for r in reps]
-        order = _topological_order(rows)
-    if order is not None:
-        solved, unique = _back_substitute(rows, order), True
-    else:
-        n = len(rows)
-        mat = RatMatrix.from_rows([[row.get(j, 0) for j in range(n)] for row in rows])
-        sol = solve_linear(mat, [Fraction(1)] * n)
-        if sol is None:
-            raise NoWeighting(f"{cat.name} admits no {side}")
-        solved, unique = sol.values, sol.unique
-    if reps is not None:
-        full = [Fraction(0)] * len(cat.objects)
-        for r, v in zip(reps, solved):
-            full[r] = v
-        solved, unique = full, unique and len(reps) == len(full)
-    return Weighting(cat, dict(zip(cat.objects, solved)), side=side, unique=unique)
+        return sorted(min(index[x] for x in cls) for cls in _iso_partition(cat))
+
+    return reps_of
+
+
+def _solve(cat: FinCat, side: str) -> Weighting:
+    """``_weigh`` on the hom-count rows of ``cat`` (transposed for a
+    coweighting), condensed if need be onto ``_class_reps``.  The kernel
+    has checked the values, so the ``Weighting`` is built without a second
+    check."""
+    rows = _count_rows(cat, transpose=(side == "coweighting"))
+    values, unique = _weigh(rows, _class_reps(cat), side, cat.name, cat.objects.__getitem__)
+    solved = object.__new__(Weighting)
+    for field_name, value in (
+        ("category", cat), ("values", dict(zip(cat.objects, values))), ("side", side),
+        ("unique", unique),
+    ):
+        object.__setattr__(solved, field_name, value)
+    return solved
 
 
 def weighting(cat: FinCat) -> Weighting:
@@ -208,15 +256,33 @@ def coweighting(cat: FinCat) -> Weighting:
 def chi_L(cat: FinCat) -> Fraction:
     """Leinster Euler characteristic: the common sum of a weighting and a
     coweighting; raises if either is missing."""
-    try:
-        w = weighting(cat)
-        cw = coweighting(cat)
-    except NoWeighting as exc:
-        raise NoEulerCharacteristic(str(exc)) from exc
-    total = w.total()
-    if total != cw.total():
+    return _chi_L_of_rows(_count_rows(cat), _class_reps(cat), cat.name, cat.objects.__getitem__)
+
+
+def _chi_L_of_rows(
+    rows: Sequence[Mapping[int, int]],
+    reps_of: Callable[[], Sequence[int]],
+    name: str,
+    label: Callable[[int], str],
+) -> Fraction:
+    """``chi_L`` of the category with hom-count rows ``rows``: the weighting
+    on the rows and the coweighting on their transpose, by ``_weigh``."""
+    cols: list[dict[int, int]] = [{} for _ in rows]
+    for i, row in enumerate(rows):
+        for j, count in row.items():
+            cols[j][i] = count
+    reps_of = cache(reps_of)  # a transposed support condenses onto the same classes
+    totals = []
+    for side, side_rows in (("weighting", rows), ("coweighting", cols)):
+        try:
+            values, _ = _weigh(side_rows, reps_of, side, name, label)
+        except NoWeighting as exc:
+            raise NoEulerCharacteristic(str(exc), witness=exc.witness) from exc
+        totals.append(sum(values, Fraction(0)))
+    total, cototal = totals
+    if total != cototal:
         raise InvariantViolation(
-            f"{cat.name}: weighting and coweighting sums disagree",
-            witness={"weighting": total, "coweighting": cw.total()},
+            f"{name}: weighting and coweighting sums disagree",
+            witness={"weighting": total, "coweighting": cototal},
         )
     return total

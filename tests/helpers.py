@@ -62,6 +62,19 @@ def trivial_diagram(index: FinCat) -> StrictDiagram:
     return constant_diagram(index, terminal_category())
 
 
+def split_idempotent():
+    """s: y -> x and r: x -> y with r o s = id_y and s o r = e, an
+    idempotent on x that is not an identity: not EI, and x, y are not
+    isomorphic, so the support stays cyclic after condensation."""
+    return zoo.build_category(
+        ["x", "y"],
+        [("e", "x", "x"), ("s", "y", "x"), ("r", "x", "y")],
+        {("r", "s"): "id_y", ("s", "r"): "e", ("e", "e"): "e", ("e", "s"): "s",
+         ("r", "e"): "r"},
+        name="split",
+    )
+
+
 def count_calls(monkeypatch, counts: dict) -> None:
     """Count, in ``counts``, the calls of each library function named there,
     through every library module that binds it."""

@@ -3,10 +3,10 @@ from random import Random
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eulcat import fincat, hocolim, manifest, randgen, zoo
+from eulcat import fincat, hocolim, manifest, randgen, ratlin, zoo
 from eulcat.eulerchar import chi_scwol
 from eulcat.errors import ValidationError
 from eulcat.fincat import (
@@ -24,6 +24,7 @@ from eulcat.groups import cyclic_group, trivial_group
 from eulcat.hocolim import (
     CellSpectrum,
     CoherenceFailure,
+    ForeignSpectrum,
     FormulaReport,
     MissingValue,
     PseudoDiagram,
@@ -38,9 +39,9 @@ from eulcat.hocolim import (
     grothendieck_pseudo,
     set_diagram,
 )
-from eulcat.ratlin import NoWeighting, chi_L, weighting
+from eulcat.ratlin import NoEulerCharacteristic, NoWeighting, chi_L, weighting
 
-from helpers import nat_iso_checks, trivial_diagram
+from helpers import count_calls, nat_iso_checks, split_idempotent, trivial_diagram
 from strategies import SEEDS, actions, groupoids, scwols, small_rationals, strict_diagrams
 
 
@@ -533,6 +534,154 @@ class TestCheckFormula:
         d = constant_diagram(zoo.parallel_pair_scwol(), zoo.terminal_category())
         with pytest.raises(MissingValue):
             check_hocolim_formula(d, "chiL", spectrum=builtin_spectrum("pushout"))
+
+    def test_spectrum_over_another_index_is_rejected(self):
+        """The parallel pair's cells name only objects the pushout has, but
+        their alternating sums are no weighting on the pushout: the check
+        used to report lhs=1, rhs=0, a false FAIL."""
+        d = constant_diagram(zoo.pushout_scwol(), zoo.terminal_category())
+        spec = builtin_spectrum("parallel_pair")
+        with pytest.raises(ForeignSpectrum) as info:
+            check_hocolim_formula(d, "chiL", spectrum=spec)
+        assert isinstance(info.value, ValidationError)
+        assert str(info.value) == (
+            f"spectrum over {spec.index.name} is no cell model over {d.index.name}: "
+            "weighting equation fails at 'j'"
+        )
+        assert info.value.witness == {"object": "j"}
+
+    def test_vertex_invariant_fails_before_the_index_check(self, monkeypatch):
+        """A vertex with no invariant at a cell object fails first, as it
+        did before the spectrum's index was checked."""
+        d = constant_diagram(zoo.pushout_scwol(), zoo.terminal_category())
+
+        def undefined(cat):
+            raise NoEulerCharacteristic(f"{cat.name} admits no weighting")
+
+        monkeypatch.setattr(hocolim, "chi_L", undefined)
+        with pytest.raises(NoEulerCharacteristic):
+            check_hocolim_formula(d, "chiL", spectrum=builtin_spectrum("parallel_pair"))
+
+    def test_spectrum_over_an_equal_index_is_accepted(self):
+        d = constant_diagram(zoo.pushout_scwol(), zoo.terminal_category())
+        spec = builtin_spectrum("pushout")
+        assert spec.index is not d.index
+        assert check_hocolim_formula(d, "chiL", spectrum=spec).equal
+
+
+def full_build_formula(d, invariant="chiL", spectrum=None):
+    """check_hocolim_formula with its left-hand side always taken on the
+    built total category, as before the hom-count route."""
+    fn = hocolim._invariant_fn(invariant)
+    if isinstance(d, PseudoDiagram):
+        total = grothendieck_pseudo(d)
+    else:
+        total = hocolim._grothendieck(d, check=False)
+    lhs = Fraction(fn(total))
+    spec = spectrum if spectrum is not None else bar_spectrum(d.index)
+    vals = {i: Fraction(fn(d.vertex[i])) for i in spec.objects_with_cells()}
+    rhs = formula_value(spec, vals)
+    return FormulaReport(invariant, lhs, rhs, vals, lhs == rhs)
+
+
+def swap_diagram():
+    """The two-point set {x, y} at both objects of the contractible groupoid
+    on a, b, with both isomorphisms swapping the points: (a,x) ~ (b,y) and
+    (a,y) ~ (b,x) in the total category, whose chi is 2."""
+    swap = {"x": "y", "y": "x"}
+    return set_diagram(
+        zoo.contractible_groupoid(("a", "b")),
+        {"a": ["x", "y"], "b": ["x", "y"]},
+        {"u[a>b]": swap, "u[b>a]": swap},
+    )
+
+
+class TestChiLFromHomCounts:
+    """The left-hand side of a strict ``chiL`` check is read off the
+    diagram's hom counts and isomorphism classes; ``chi_L`` of the built
+    total category is the reference."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(strict_diagrams)
+    @example(swap_diagram())
+    @example(intro_pushout_diagram())
+    def test_rows_and_classes_match_the_full_build(self, d):
+        """chi_L of a Grothendieck construction depends on its maps only
+        through the formula, so the hom counts and classes are compared
+        entry by entry, not only through the value."""
+        total = hocolim._grothendieck(d, check=False)
+        index = {x: k for k, x in enumerate(total.objects)}
+        rows, reps_of = hocolim._total_counts(d)
+        assert rows == fincat._count_rows(total)
+        assert reps_of() == sorted(min(index[x] for x in cls) for cls in fincat._iso_partition(total))
+        assert hocolim._strict_chi_L(d) == chi_L(total)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.one_of(groupoids.map(lambda g: g.category), scwols))
+    def test_index_isomorphisms_merge_classes(self, cat):
+        """Over the contractible groupoid on a, b each (a, c) is isomorphic
+        to (b, c).  Unless the classes merge along the index isomorphisms
+        the condensate stays cyclic and the check builds the total."""
+        index = zoo.contractible_groupoid(("a", "b"))
+        d = constant_diagram(index, cat)
+        spec = CellSpectrum(index, {"a": (1,)})
+        want = full_build_formula(d, spectrum=spec)
+        counts = {"_grothendieck": 0}
+        with pytest.MonkeyPatch.context() as mp:
+            count_calls(mp, counts)
+            rep = check_hocolim_formula(d, "chiL", spectrum=spec)
+        assert counts["_grothendieck"] == 0
+        assert rep == want and rep.equal
+
+    def test_swapping_isomorphisms_merge_across_points(self, monkeypatch):
+        d = swap_diagram()
+        want = full_build_formula(d)
+        counts = {"_grothendieck": 0}
+        count_calls(monkeypatch, counts)
+        rep = check_hocolim_formula(d, "chiL")
+        assert counts["_grothendieck"] == 0
+        assert rep == want and rep.lhs == 2
+
+    def test_strict_check_builds_no_total(self, monkeypatch):
+        rng = Random(0)
+        diagrams = [randgen.random_strict_diagram(rng) for _ in range(40)]
+        counts = {"_grothendieck": 0}
+        count_calls(monkeypatch, counts)
+        for d in diagrams:
+            assert check_hocolim_formula(d, "chiL").equal
+        assert counts["_grothendieck"] == 0
+
+    @pytest.mark.parametrize(
+        "invariant, make, builds",
+        [
+            ("chi2", intro_pushout_diagram, 1),
+            ("chi_scwol", intro_pushout_diagram, 1),
+            ("chiL", lambda: PseudoDiagram.from_strict(intro_pushout_diagram()), 1),
+            ("chiL", lambda: constant_diagram(zoo.pushout_scwol(), split_idempotent()), 0),
+        ],
+        ids=["chi2", "chi_scwol", "pseudo", "still-cyclic"],
+    )
+    def test_other_checks_build_the_total_once(self, monkeypatch, invariant, make, builds):
+        """Only a pseudo diagram and the other invariants build the total; a
+        strict ``chiL`` check whose condensate is still cyclic is eliminated
+        on the diagram's rows."""
+        d = make()
+        want = full_build_formula(d, invariant)
+        counts = {"_grothendieck": 0}
+        count_calls(monkeypatch, counts)
+        assert check_hocolim_formula(d, invariant) == want
+        assert counts["_grothendieck"] == builds
+
+    def test_still_cyclic_condensate_keeps_the_old_message(self, monkeypatch):
+        """With elimination finding no solution, the diagram's rows raise
+        what ``chi_L`` of the built total category raises."""
+        d = constant_diagram(zoo.pushout_scwol(), split_idempotent())
+        monkeypatch.setattr(ratlin, "solve_linear", lambda a, b: None)
+        with pytest.raises(NoEulerCharacteristic) as want:
+            full_build_formula(d)
+        with pytest.raises(NoEulerCharacteristic) as got:
+            check_hocolim_formula(d, "chiL")
+        assert str(got.value) == str(want.value) == f"hocolim({d.index.name}) admits no weighting"
 
 
 class TestHomotopyOrbit:

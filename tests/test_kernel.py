@@ -41,7 +41,7 @@ from eulcat.groupact import haefliger_chi
 from eulcat.hocolim import bar_spectrum, check_hocolim_formula, constant_diagram, grothendieck
 from eulcat.ratlin import NoWeighting, coweighting, solve_linear, weighting
 
-from helpers import count_calls, mor_count_matrix
+from helpers import count_calls, mor_count_matrix, split_idempotent
 from strategies import groupoids, posets, scwols, skeletal_scwols, strict_diagrams
 
 grothendieck_totals = strict_diagrams.map(lambda d: grothendieck(d).category)
@@ -83,19 +83,6 @@ def eliminated(cat, side):
     if sol is None:
         raise NoWeighting(f"{cat.name} admits no {side}")
     return dict(zip(cat.objects, sol.values)), sol.unique
-
-
-def split_idempotent():
-    """s: y -> x and r: x -> y with r o s = id_y and s o r = e, an
-    idempotent on x that is not an identity: not EI, and x, y are not
-    isomorphic, so the support stays cyclic after condensation."""
-    return zoo.build_category(
-        ["x", "y"],
-        [("e", "x", "x"), ("s", "y", "x"), ("r", "x", "y")],
-        {("r", "s"): "id_y", ("s", "r"): "e", ("e", "e"): "e", ("e", "s"): "s",
-         ("r", "e"): "r"},
-        name="split",
-    )
 
 
 def reordered(cat, order):

@@ -188,6 +188,18 @@ class TestCli:
         spath = write(tmp_path, "s.json", "spectrum", builtin_spectrum("pushout"))
         assert main(["check-formula", dpath, "--spectrum", spath]) == 0
 
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+    def test_check_formula_with_a_spectrum_over_another_index(self, tmp_path, capsys, json_flag):
+        d = constant_diagram(zoo.pushout_scwol(), zoo.terminal_category())
+        dpath = write(tmp_path, "d.json", "diagram", d)
+        spath = write(tmp_path, "s.json", "spectrum", builtin_spectrum("parallel_pair"))
+        assert main([*json_flag, "check-formula", dpath, "--spectrum", spath]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: spectrum over A is no cell model over P: weighting equation fails at 'j'"
+        ]
+
     def test_quotient_and_complex_and_hocolim_groups(self, tmp_path, capsys):
         action = randgen.circle_action()
         apath = write(tmp_path, "act.json", "action", action)

@@ -12,14 +12,19 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 # assert the script itself would make.
 SCRIPT = """
 import sys
+from fractions import Fraction
 from eulcat import ratlin, zoo
 from eulcat.errors import InvariantViolation
 
-class Skewed:
-    def total(self):
-        return 99
+solve = ratlin._weigh
 
-ratlin.coweighting = lambda cat: Skewed()
+def skewed(rows, reps_of, side, name, label):
+    values, unique = solve(rows, reps_of, side, name, label)
+    if side == "coweighting":
+        values = [Fraction(0)] * (len(values) - 1) + [Fraction(99)]
+    return values, unique
+
+ratlin._weigh = skewed
 if sys.flags.optimize != 1 or __debug__:
     print("not optimized")
     sys.exit(3)

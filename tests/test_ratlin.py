@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eulcat import zoo
+from eulcat import hocolim, ratlin, zoo
 from eulcat.fincat import opposite, product, skeleton
 from eulcat.groups import cyclic_group
-from eulcat.hocolim import grothendieck
+from eulcat.hocolim import constant_diagram, grothendieck
 from eulcat.randgen import connected_groupoid, disjoint_union
 from eulcat.ratlin import (
     DimensionMismatch,
@@ -23,6 +23,7 @@ from eulcat.ratlin import (
     weighting,
 )
 
+from helpers import count_calls, split_idempotent
 from strategies import groupoids, skeletal_scwols, strict_diagrams
 
 grothendieck_totals = strict_diagrams.map(lambda d: grothendieck(d).category)
@@ -135,6 +136,43 @@ class TestWeighting:
         assert weighting(cat).total() == coweighting(cat).total()
 
 
+class TestOneIntegerCheck:
+    """The kernel checks each weighting it solves once, in integers, against
+    the rows it solved; the ``Weighting`` it returns is not checked again."""
+
+    def test_each_solve_checks_once(self, monkeypatch):
+        # two copies of j: a cyclic support, solved on the condensate
+        cat = zoo.inflate(zoo.pushout_scwol(), {"j": 2, "k": 1, "l": 1})
+        d = constant_diagram(zoo.pushout_scwol(), cat)
+        counts = {"_check_equations": 0}
+        count_calls(monkeypatch, counts)
+        w = weighting(cat)
+        assert counts["_check_equations"] == 1
+        assert chi_L(cat) == 1
+        assert counts["_check_equations"] == 3
+        assert Weighting(cat, dict(w.values), w.side, w.unique) == w
+        assert counts["_check_equations"] == 4
+        assert hocolim._strict_chi_L(d) == 1
+        assert counts["_check_equations"] == 6
+
+    def test_first_failing_row_is_named(self):
+        with pytest.raises(NoWeighting) as info:
+            ratlin._check_equations(
+                [{0: 1}, {0: 1, 1: 1}], [Fraction(1), Fraction(1, 2)], "weighting", "xy".__getitem__
+            )
+        assert (str(info.value), info.value.witness) == (
+            "weighting equation fails at 'y'", {"object": "y"}
+        )
+
+    def test_inconsistent_system_names_its_side(self, monkeypatch):
+        monkeypatch.setattr(ratlin, "solve_linear", lambda a, b: None)
+        with pytest.raises(NoWeighting) as info:
+            coweighting(split_idempotent())
+        assert (str(info.value), info.value.witness) == (
+            "split admits no coweighting", {"side": "coweighting"}
+        )
+
+
 class TestChiL:
     def test_two_element_monoid(self):
         assert chi_L(zoo.monoid_z2_mult()) == Fraction(1, 2)
@@ -178,12 +216,14 @@ class TestChiL:
     def test_missing_weighting_maps_to_no_euler_characteristic(self, monkeypatch):
         import eulcat.ratlin as ratlin_mod
 
-        def refuse(cat):
-            raise NoWeighting("forced")
+        def refuse(rows, reps_of, side, name, label):
+            raise NoWeighting("forced", witness={"side": side})
 
-        monkeypatch.setattr(ratlin_mod, "weighting", refuse)
-        with pytest.raises(NoEulerCharacteristic):
+        monkeypatch.setattr(ratlin_mod, "_weigh", refuse)
+        with pytest.raises(NoEulerCharacteristic) as info:
             ratlin_mod.chi_L(zoo.pushout_scwol())
+        assert str(info.value) == "forced"
+        assert info.value.witness == {"side": "weighting"}
 
     @settings(max_examples=12, deadline=None)
     @given(skeletal_scwols, skeletal_scwols)

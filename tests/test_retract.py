@@ -369,15 +369,25 @@ class TestStabilizersAsMemberSets:
 
     def test_only_the_complexes_build_groups(self, monkeypatch):
         """The only groups built are the local groups of the two complexes
-        of groups, one per object of each quotient."""
+        of groups, one per object of each quotient.  A group is built either
+        validated or, as a subgroup of a validated group, by ``subgroup``
+        without validation; both are counted."""
         built = []
         real = groups.FinGroup.__post_init__
+        real_subgroup = groups.FinGroup.subgroup
         red = skeletal_reduction(FAT_CIRCLE)
         expected = len(quotient(FAT_CIRCLE).category.objects) + len(
             quotient(red.action).category.objects
         )
+
+        def subgroup(self, *args, **kwargs):
+            sub = real_subgroup(self, *args, **kwargs)
+            built.append(sub.name)
+            return sub
+
         monkeypatch.setattr(
             groups.FinGroup, "__post_init__", lambda self: built.append(self.name) or real(self)
         )
+        monkeypatch.setattr(groups.FinGroup, "subgroup", subgroup)
         assert skeletal_reduction(FAT_CIRCLE).report.all_hold()
         assert len(built) == expected

@@ -42,9 +42,11 @@ from eulcat.groupact import (
     NotAnAction,
     ScwolAction,
     _complex_from_quotient,
+    _fixers,
     complex_of_groups,
     hocolim_groups,
     quotient,
+    stabilizer,
     transport_groupoid,
 )
 from eulcat import randgen, zoo
@@ -769,6 +771,35 @@ class TestSubgroupAndConjugate:
                 assert (got.labels, got.table, got.name) == (want.labels, want.table, want.name)
             else:
                 assert got == want
+
+    @settings(max_examples=40, deadline=None)
+    @given(groups)
+    def test_every_subset_matches_the_validated_group(self, group):
+        """``subgroup`` checks closure only and reads identity and inverses
+        off the validated parent; full validation of the same table is the
+        reference, on every subset (the empty one has no identity)."""
+        for r in range(len(group) + 1):
+            for members in itertools.combinations(group.labels, r):
+                got = result_or_error(group.subgroup, members, "H")
+                want = result_or_error(reference_subgroup, group, members, "H")
+                if isinstance(want, FinGroup):
+                    fields = ("labels", "table", "name", "_index", "_identity", "_inverse")
+                    assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields]
+                else:
+                    assert got == want
+        assert result_or_error(group.subgroup, [], "H") == (NotAGroup, "H has no identity element")
+
+    @settings(max_examples=20, deadline=None)
+    @given(actions)
+    def test_stabilizer_validates_no_group(self, action):
+        built = []
+        real = FinGroup.__post_init__
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(FinGroup, "__post_init__", lambda self: built.append(self.name) or real(self))
+            stabs = {x: stabilizer(action, x) for x in action.space.objects}
+        assert built == []
+        for x, stab in stabs.items():
+            assert stab.labels == tuple(_fixers(action, x))
 
     def test_first_escape_is_reported(self):
         s3 = symmetric_group(3)

@@ -1,6 +1,7 @@
-"""Every ``raise`` of a category, functor, naturality or homomorphism
-rejection in the library passes ``witness=``, so the exception carries the offending data as well as
-its message.  Only the standard library ``ast`` is used.
+"""Every ``raise`` of a category, functor, naturality, homomorphism,
+coherence, missing-value or weighting rejection in the library passes
+``witness=``, so the exception carries the offending data as well as its
+message.  Only the standard library ``ast`` is used.
 """
 
 import ast
@@ -13,7 +14,7 @@ MODULES = sorted(SRC.glob("*.py"))
 CHECKED = {
     "NotAFunctor", "NotAFunctorAction", "NotAHomomorphism", "NotAHomomorphismAction",
     "DanglingReference", "BrokenIdentity", "IncompleteCompositionTable", "NonAssociative",
-    "NotNatural",
+    "NotNatural", "CoherenceFailure", "MissingValue", "NoWeighting",
 }
 
 
