@@ -142,7 +142,7 @@ def _paths(kind, cat, args):
 
 def _hocolim(kind, value, args):
     if kind == "diagram":
-        cat = grothendieck(value, verify=True).category
+        cat = grothendieck(value).category
     elif kind == "pseudo_diagram":
         cat = grothendieck_pseudo(value)
     else:
@@ -296,7 +296,7 @@ def _demo_intro_pushout(out) -> bool:
         {"j": ["y", "z"], "k": ["s"], "l": ["s2"]},
         {"g": {"y": "s", "z": "s"}, "h": {"y": "s2", "z": "s2"}},
     )
-    H = grothendieck(d, verify=True).category
+    H = grothendieck(d).category
     direct = chi_scwol(H)
     rep = check_hocolim_formula(d, "chiL")
     out.append("homotopy pushout of {*} <- {y,z} -> {*'}")

@@ -749,7 +749,7 @@ def lower_link(cat: FinCat, obj: str) -> FinCat:
 
     Objects are the non-identity morphisms a with source obj; a morphism
     a -> b is a morphism u of the ambient scwol with u o a = b, recorded as
-    the pair (u, a).
+    the pair (u, a).  Its composites are those of ``cat``, so no law is checked.
     """
     if not _is_scwol(cat):
         raise NotScwol(f"{cat.name} has a non-identity endomorphism")
@@ -780,7 +780,7 @@ def lower_link(cat: FinCat, obj: str) -> FinCat:
                 comp[(m2.name, m1.name)] = pair_name(
                     cat.compose(u_of[m2.name], u_of[m1.name]), m1.source
                 )
-    return FinCat(link_objs, tuple(mors), ident, comp, name=f"Lk^{obj}({cat.name})")
+    return FinCat(link_objs, tuple(mors), ident, comp, name=f"Lk^{obj}({cat.name})", check=False)
 
 
 # -- constructions used across the library ------------------------------------

@@ -263,12 +263,12 @@ def quotient(action: ScwolAction) -> QuotientResult:
     least member, with composition and identities induced from the space.
 
     Well-definedness of the induced composition and the source-side orbit
-    bijection are consequences of the action axioms; both are re-verified
-    here and raise InvalidQuotient on failure; with the validated action they
-    make the orbit maps a functor.  The composites of all lifts
-    are collected in one pass over the space's composition table, grouped
-    by the pair of orbits composed; each composable pair of orbit
-    representatives, in order, must then have exactly one composite orbit.
+    bijection follow from the action axioms; both are re-verified here
+    (InvalidQuotient) and, with the validated action, settle the laws, which
+    are not checked again: composable orbits lift to composable morphisms
+    whose composites project to the orbit composites.  The composites of all
+    lifts are collected in one pass over the space's composition table; each
+    composable pair of orbit representatives must have one composite orbit.
     """
     cat = action.space
     obj_orbit: dict[str, str] = {}
@@ -308,7 +308,7 @@ def quotient(action: ScwolAction) -> QuotientResult:
                 )
             comp[(mb.name, ma.name)] = results.pop()
 
-    q = FinCat(objs, tuple(mors), ident, comp, name=f"{cat.name}/{action.group.name}")
+    q = FinCat(objs, tuple(mors), ident, comp, name=f"{cat.name}/{action.group.name}", check=False)
     if not _is_scwol(q):
         raise InvalidQuotient(f"quotient of {cat.name} is not a scwol")
 
@@ -362,33 +362,36 @@ class ComplexOfGroups:
             raise NotScwol(f"{base.name} has a non-identity endomorphism")
         for x in base.objects:
             if x not in self.local:
-                raise ValidationError(f"no local group at {x!r}")
+                raise ValidationError(f"no local group at {x!r}", witness={"object": x})
         for m in base.morphisms:
-            hom = self.homs.get(m.name)
+            hom, at = self.homs.get(m.name), {"morphism": m.name}
             if hom is None:
-                raise ValidationError(f"no structure homomorphism along {m.name!r}")
+                raise ValidationError(f"no structure homomorphism along {m.name!r}", witness=at)
             if hom.source is not self.local[m.source] or hom.target is not self.local[m.target]:
-                raise ValidationError(f"homomorphism along {m.name!r} has wrong endpoints")
+                raise ValidationError(f"homomorphism along {m.name!r} has wrong endpoints", witness=at)
             if not hom.is_injective():
-                raise ValidationError(f"homomorphism along {m.name!r} is not injective")
-            if base.is_identity(m.name):
-                if any(hom(x) != x for x in hom.source.labels):
-                    raise ValidationError(f"identity morphism {m.name!r} carries a non-identity map")
+                raise ValidationError(f"homomorphism along {m.name!r} is not injective", witness=at)
+            if base.is_identity(m.name) and any(hom(x) != x for x in hom.source.labels):
+                raise ValidationError(f"identity morphism {m.name!r} carries a non-identity map",
+                                      witness=at)
 
         for (b, a), g in self.twists.items():
             if (b, a) not in base.composition:
-                raise ValidationError(f"twist given for non-composable pair ({b!r}, {a!r})")
+                raise ValidationError(f"twist given for non-composable pair ({b!r}, {a!r})",
+                                      witness={"pair": (b, a)})
             if g not in self.local[base.target(b)]:
                 raise ValidationError(
-                    f"twist at ({b!r}, {a!r}) is not an element of the local group at {base.target(b)!r}"
+                    f"twist at ({b!r}, {a!r}) is not an element of the local group at {base.target(b)!r}",
+                    witness={"pair": (b, a), "element": g},
                 )
         for (b, a) in base.composition:
             if (b, a) not in self.twists:
-                raise ValidationError(f"no twist at composable pair ({b!r}, {a!r})")
-            if base.is_identity(a) or base.is_identity(b):
-                g = self.twists[(b, a)]
-                if g != self.local[base.target(b)].identity:
-                    raise ValidationError(f"unit twist at ({b!r}, {a!r}) must be trivial")
+                raise ValidationError(f"no twist at composable pair ({b!r}, {a!r})",
+                                      witness={"pair": (b, a)})
+            g = self.twists[(b, a)]
+            if (base.is_identity(a) or base.is_identity(b)) and g != self.local[base.target(b)].identity:
+                raise ValidationError(f"unit twist at ({b!r}, {a!r}) must be trivial",
+                                      witness={"pair": (b, a), "element": g})
 
         # conjugation identity (the 2-cell condition), on indices: twist[p]
         # is the index of the twist at the pair p, img[m][i] that of the
@@ -406,9 +409,8 @@ class ComplexOfGroups:
             if conjugated != img_ba:
                 x = next(x for x, c, want in zip(self.local[base.source(a)].labels,
                                                  conjugated, img_ba) if c != want)
-                raise ValidationError(
-                    f"conjugation identity fails at ({b!r}, {a!r}) on element {x!r}"
-                )
+                raise ValidationError(f"conjugation identity fails at ({b!r}, {a!r}) on element {x!r}",
+                                      witness={"pair": (b, a), "element": x})
 
         # cocycle identity on composable triples
         for a in base.morphism_names():
@@ -421,9 +423,8 @@ class ComplexOfGroups:
                     lhs = table[twist[(c, ba)]][img[c][tw_ba]]
                     rhs = table[twist[(cb, a)]][twist[(c, b)]]
                     if lhs != rhs:
-                        raise ValidationError(
-                            f"cocycle fails on triple ({c!r}, {b!r}, {a!r})"
-                        )
+                        raise ValidationError(f"cocycle fails on triple ({c!r}, {b!r}, {a!r})",
+                                              witness={"triple": (c, b, a)})
 
     def twist(self, b: str, a: str) -> str:
         return self.twists[(b, a)]
@@ -443,7 +444,8 @@ def one_arrow_complex(g0: FinGroup, g1: FinGroup, hom: GroupHom) -> ComplexOfGro
     """A complex G0 -> G1 over the arrow scwol {0 -> 1}."""
     base = arrow_category()
     if hom.source is not g0 or hom.target is not g1:
-        raise ValidationError("homomorphism endpoints do not match the groups")
+        raise ValidationError("homomorphism endpoints do not match the groups",
+                              witness={"morphism": "a"})
     homs = {
         base.identity["0"]: GroupHom.identity_hom(g0),
         base.identity["1"]: GroupHom.identity_hom(g1),
@@ -505,7 +507,8 @@ def _complex_from_quotient(
         chosen = (object_reps or {}).get(orbit_name, orbit_name)
         if q.object_orbit_of.get(chosen) != orbit_name:
             raise ValidationError(
-                f"override representative {chosen!r} does not project to {orbit_name!r}"
+                f"override representative {chosen!r} does not project to {orbit_name!r}",
+                witness={"object": orbit_name, "representative": chosen},
             )
         reps[orbit_name] = chosen
 
@@ -529,7 +532,8 @@ def _complex_from_quotient(
         if wanted is not None:
             if action.act_obj(wanted, cat.target(lift)) != t_rep:
                 raise ValidationError(
-                    f"override h element {wanted!r} does not carry the lift target onto {t_rep!r}"
+                    f"override h element {wanted!r} does not carry the lift target onto {t_rep!r}",
+                    witness={"morphism": m.name, "element": wanted},
                 )
             h_elts[m.name] = wanted
         else:
@@ -583,6 +587,7 @@ def hocolim_groups(cplx: ComplexOfGroups) -> FinCat:
     Objects are the base objects; a morphism s -> t is a pair (a, g) with
     a: s -> t in the base and g in local[t], composed by
     (b, g2) o (a, g1) = (b o a, g2 . F(b)(g1) . twist(b, a)^{-1}).
+    The complex's identities make it lawful (Bridson-Haefliger III.C): no law is checked.
     """
     base = cplx.base
 
@@ -616,7 +621,7 @@ def hocolim_groups(cplx: ComplexOfGroups) -> FinCat:
                     comp[(b_g2, a_g1)] = ba_names[row_g2[k]]
 
     return FinCat(
-        tuple(base.objects), tuple(mors), ident, comp, name=f"hocolim({base.name})"
+        tuple(base.objects), tuple(mors), ident, comp, name=f"hocolim({base.name})", check=False
     )
 
 
@@ -1052,7 +1057,7 @@ def developability_check(
     results = []
     for chi_space, order in candidates:
         if order <= 0:
-            raise ValidationError("group order must be positive")
+            raise ValidationError("group order must be positive", witness={"order": order})
         verdict = "PASS" if Fraction(chi_space) == r * order else "FAIL"
         results.append(DevelopabilityCandidate(chi_space, order, verdict))
     return DevelopabilityReport(r, tuple(results))

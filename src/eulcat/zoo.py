@@ -130,13 +130,13 @@ def polygon_scwol(n: int) -> FinCat:
 
 
 def one_object_category(group: FinGroup, obj: str = "*") -> FinCat:
-    """The one-object category with morphisms the given group."""
+    """The one-object category of a group; its laws are the group's, not checked again."""
     mors = [Morphism(g, obj, obj) for g in group.labels]
     ident = {obj: group.identity}
     comp = {
         (g, f): group.mul(g, f) for g in group.labels for f in group.labels
     }
-    return FinCat((obj,), tuple(mors), ident, comp, name=f"B{group.name}")
+    return FinCat((obj,), tuple(mors), ident, comp, name=f"B{group.name}", check=False)
 
 
 def monoid_z2_mult() -> FinCat:

@@ -1,8 +1,10 @@
 """Constructions that only the tests use, kept out of the library."""
 
+import itertools
+
 from eulcat import eulerchar, fincat, groupact, hocolim, randgen, ratlin, zoo
 from eulcat.fincat import CatFunctor, FinCat, NotNatural
-from eulcat.groups import GroupHom, symmetric_group, trivial_group
+from eulcat.groups import GroupHom, cyclic_group, symmetric_group, trivial_group
 from eulcat.hocolim import StrictDiagram, constant_diagram
 from eulcat.ratlin import RatMatrix
 from eulcat.zoo import terminal_category
@@ -56,6 +58,23 @@ def nat_iso_checks(f: CatFunctor, g: CatFunctor, components) -> None:
         rhs = tgt.compose(g.mor_map[m.name], components[m.source])
         if lhs != rhs:
             raise NotNatural(f"naturality fails at morphism {m.name!r}")
+
+
+def assert_lawful(cat: FinCat) -> FinCat:
+    """The law oracle for categories the library builds without checking
+    their laws: rebuild the same tables through the checked ``FinCat``
+    constructor, which raises on the first law that fails.  Returns ``cat``."""
+    FinCat(cat.objects, cat.morphisms, cat.identity, cat.composition, name=cat.name)
+    return cat
+
+
+def unvalidated(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` with ``fields``, built
+    without running its ``__post_init__`` checks."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 def trivial_diagram(index: FinCat) -> StrictDiagram:
@@ -123,6 +142,38 @@ def s3_chain(conjugating: bool = False, twist: str = "021"):
     return base, local, homs, twists
 
 
+def flag_action(group, subgroups, apexes=("p", "q", "r")):
+    """``group`` acting on the poset Y -> a1 -> a2 -> ..., where Y is the
+    disjoint union of the coset spaces ``group``/H for H in ``subgroups``
+    (each given by its members), and the apexes form a chain of fixed
+    points.  Every lift ends at a fixed point, so any h elements are valid
+    for ``complex_of_groups``."""
+    cosets, on_cosets = [], {g: {} for g in group.labels}
+    for prefix, members in zip("yz", subgroups):
+        elements, act = randgen.coset_gset(group, members, prefix=prefix)
+        cosets += elements
+        for g in group.labels:
+            on_cosets[g].update(act[g])
+    links = list(itertools.combinations(apexes, 2))
+    arrows = [(f"{y}{z}", y, z) for y in cosets for z in apexes]
+    arrows += [(a + b, a, b) for a, b in links]
+    compose = {(b + c, a + b): a + c for a, b, c in itertools.combinations(apexes, 3)}
+    for y in cosets:
+        compose.update({(a + b, f"{y}{a}"): f"{y}{b}" for a, b in links})
+    space = zoo.build_category(tuple(cosets) + tuple(apexes), arrows, compose, name="flag")
+
+    def moved(g, x):
+        return on_cosets[g].get(x, x)
+
+    on_objects = {g: {x: moved(g, x) for x in space.objects} for g in group.labels}
+    on_morphisms = {
+        g: {m.name: next(n for n in space.hom(moved(g, m.source), moved(g, m.target)))
+            for m in space.morphisms}
+        for g in group.labels
+    }
+    return groupact.ScwolAction(group, space, on_objects, on_morphisms)
+
+
 def s3_flag_action():
     """S3 acting on the poset Y -> p -> q -> r, where Y = {y0, y1, y2} is
     S3/<021> and p, q, r are fixed points, with h elements chosen so that
@@ -131,31 +182,30 @@ def s3_flag_action():
     commute.
 
     Returns the action and the h elements to pass to ``complex_of_groups``.
-    Any h is valid here, since every lift ends at a fixed point.  The
-    defaults pick h = e throughout, and randomly drawn actions only have
+    The defaults pick h = e throughout, and randomly drawn actions only have
     abelian groups, so neither reaches a twist that fails to commute with
     the images of the structure maps.
     """
-    s3 = symmetric_group(3)
-    cosets, on_cosets = randgen.coset_gset(s3, ("012", "021"), prefix="y")
-    apexes = ("p", "q", "r")
-    arrows = [(f"{y}{z}", y, z) for y in cosets for z in apexes]
-    arrows += [("pq", "p", "q"), ("pr", "p", "r"), ("qr", "q", "r")]
-    compose = {("qr", "pq"): "pr"}
-    for y in cosets:
-        compose.update({("pq", f"{y}p"): f"{y}q", ("pr", f"{y}p"): f"{y}r",
-                        ("qr", f"{y}q"): f"{y}r"})
-    space = zoo.build_category(tuple(cosets) + apexes, arrows, compose, name="flag")
-
-    def moved(g, x):
-        return on_cosets[g].get(x, x)
-
-    on_objects = {g: {x: moved(g, x) for x in space.objects} for g in s3.labels}
-    on_morphisms = {
-        g: {m.name: next(n for n in space.hom(moved(g, m.source), moved(g, m.target)))
-            for m in space.morphisms}
-        for g in s3.labels
-    }
-    action = groupact.ScwolAction(s3, space, on_objects, on_morphisms)
+    action = flag_action(symmetric_group(3), [("012", "021")])
     h_elements = {"y0p": "012", "pq": "012", "qr": "021", "y0q": "102", "pr": "012", "y0r": "120"}
     return action, h_elements
+
+
+def z2_chain_complex_data(corrupt: bool):
+    """Arguments of a complex of groups over the chain 0 -> 1 -> 2 -> 3 with
+    Z/2 everywhere and identity structure maps; ``corrupt`` sets the twist
+    at (b, a) to 1, which breaks the cocycle on the triple (c, b, a) and
+    nothing else (Z/2 is abelian, so conjugation holds)."""
+    base = zoo.build_category(
+        ("0", "1", "2", "3"),
+        (("a", "0", "1"), ("b", "1", "2"), ("c", "2", "3"),
+         ("ba", "0", "2"), ("cb", "1", "3"), ("cba", "0", "3")),
+        {("b", "a"): "ba", ("c", "b"): "cb", ("c", "ba"): "cba", ("cb", "a"): "cba"},
+        name="chain4",
+    )
+    z2 = cyclic_group(2)
+    ident = GroupHom.identity_hom(z2)
+    twists = {pair: "0" for pair in base.composition}
+    if corrupt:
+        twists[("b", "a")] = "1"
+    return base, {x: z2 for x in base.objects}, {m.name: ident for m in base.morphisms}, twists

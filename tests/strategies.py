@@ -4,7 +4,9 @@ from random import Random
 
 from hypothesis import strategies as st
 
-from eulcat import randgen
+from eulcat import groupact, randgen
+from eulcat.groups import symmetric_group
+from helpers import flag_action
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -29,3 +31,47 @@ actions = st.one_of(
 )
 groups = seeded(randgen.random_group, max_order=6)
 small_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+
+
+SYMMETRIC = (symmetric_group(3), symmetric_group(4))
+
+
+def flag_subgroups(group):
+    """The cyclic subgroups of index at most 8 and the stabilizer of the
+    last point, as member tuples."""
+    last = str(len(group.labels[0]) - 1)
+    stabilizer = tuple(g for g in group.labels if g.endswith(last))
+    cyclic = {m for m in randgen.cyclic_subgroups(group) if 8 * len(m) >= group.order}
+    return sorted(cyclic | {stabilizer})
+
+
+@st.composite
+def flag_actions(draw):
+    """An S3 or S4 ``helpers.flag_action`` on one or two coset spaces and a
+    chain of two or three apexes, with h elements drawn for every
+    non-identity morphism of the quotient."""
+    group = draw(st.sampled_from(SYMMETRIC))
+    subgroups = draw(st.lists(st.sampled_from(flag_subgroups(group)), min_size=1, max_size=2))
+    action = flag_action(group, subgroups, ("p", "q", "r")[: draw(st.integers(2, 3))])
+    base = groupact.quotient(action).category
+    elements = st.sampled_from(group.labels)
+    h = {m: draw(elements) for m in base.morphism_names() if not base.is_identity(m)}
+    return action, h
+
+
+def has_noncentral_twist(drawn) -> bool:
+    """Whether some twist(b, a) of the complex fails to commute with some
+    F(b)(g)."""
+    action, h = drawn
+    cplx = groupact.complex_of_groups(action, h_elements=h).complex
+    for (b, a), t in cplx.twists.items():
+        local = cplx.local[cplx.base.target(b)]
+        if any(local.mul(t, y) != local.mul(y, t) for y in cplx.homs[b].mapping.values()):
+            return True
+    return False
+
+
+# (action, h elements) whose complex of groups has a twist that fails to
+# commute with the image of a structure map; no randomly drawn action (all
+# of whose groups are abelian) and no default choice of h yields one
+noncentral_actions = flag_actions().filter(has_noncentral_twist)

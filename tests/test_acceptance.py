@@ -42,7 +42,7 @@ from eulcat.hocolim import (
 )
 from eulcat.ratlin import chi_L, weighting
 
-from helpers import nonidentity_paths
+from helpers import assert_lawful, nonidentity_paths
 
 
 def report(number: int, text: str) -> None:
@@ -114,7 +114,7 @@ def test_05_intro_pushout():
         {"j": ["y", "z"], "k": ["s"], "l": ["s2"]},
         {"g": {"y": "s", "z": "s"}, "h": {"y": "s2", "z": "s2"}},
     )
-    total = grothendieck(d, verify=True).category
+    total = assert_lawful(grothendieck(d).category)
     assert chi_scwol(total) == 0
     rep = check_hocolim_formula(d, "chiL")
     assert rep.equal and rep.lhs == 0 and rep.rhs == 1 + 1 - 2

@@ -57,7 +57,7 @@ from eulcat.hocolim import grothendieck_pseudo
 from eulcat.ratlin import chi_L
 
 from helpers import count_calls, nonidentity_paths, s3_chain, s3_flag_action
-from strategies import SEEDS, actions, free_actions, small_rationals, scwols
+from strategies import SEEDS, actions, free_actions, noncentral_actions, small_rationals, scwols
 
 
 def flag_complex():
@@ -565,6 +565,12 @@ class TestHocolimGroups:
     def test_matches_generic_pseudo_route_with_noncentral_twist(self, make):
         self.assert_matches_generic_pseudo_route(make())
 
+    @settings(max_examples=15, deadline=None)
+    @given(noncentral_actions)
+    def test_matches_generic_pseudo_route_with_drawn_noncentral_twists(self, drawn):
+        action, h = drawn
+        self.assert_matches_generic_pseudo_route(complex_of_groups(action, h_elements=h).complex)
+
     @staticmethod
     def assert_matches_generic_pseudo_route(cplx):
         direct = hocolim_groups(cplx)
@@ -812,6 +818,15 @@ class TestChiTheorems:
     @given(actions)
     def test_always_hold(self, action):
         assert chi_theorems(action).all_hold()
+
+    @settings(max_examples=10, deadline=None)
+    @given(noncentral_actions)
+    def test_hold_with_drawn_noncentral_twists(self, drawn):
+        action, h = drawn
+        assert chi_theorems(action).all_hold()
+        # chi2(hocolim) = chi(X)/|G| for every choice of h elements
+        total = hocolim_groups(complex_of_groups(action, h_elements=h).complex)
+        assert chi_L(total) == Fraction(chi_scwol(action.space), action.group.order)
 
     def test_s3_flag(self):
         action, h_elements = s3_flag_action()

@@ -41,7 +41,15 @@ from eulcat.hocolim import (
 )
 from eulcat.ratlin import NoEulerCharacteristic, NoWeighting, chi_L, weighting
 
-from helpers import count_calls, nat_iso_checks, split_idempotent, trivial_diagram
+from helpers import (
+    assert_lawful,
+    count_calls,
+    nat_iso_checks,
+    split_idempotent,
+    trivial_diagram,
+    unvalidated,
+    z2_chain_complex_data,
+)
 from strategies import SEEDS, actions, groupoids, scwols, small_rationals, strict_diagrams
 
 
@@ -57,11 +65,11 @@ class TestGrothendieck:
     def test_constant_diagram_is_product(self):
         index = zoo.pushout_scwol()
         value = zoo.one_object_category(cyclic_group(2))
-        total = grothendieck(constant_diagram(index, value), verify=True).category
+        total = assert_lawful(grothendieck(constant_diagram(index, value)).category)
         assert are_isomorphic(total, product(index, value))
 
     def test_intro_pushout(self):
-        total = grothendieck(intro_pushout_diagram(), verify=True).category
+        total = assert_lawful(grothendieck(intro_pushout_diagram()).category)
         assert len(total.objects) == 4
         assert sum(1 for m in total.morphisms if not total.is_identity(m.name)) == 4
         assert chi_scwol(total) == 0
@@ -70,12 +78,13 @@ class TestGrothendieck:
 
     def test_trivial_diagram_recovers_index(self):
         index = zoo.subsets_poset_opposite(1)
-        total = grothendieck(trivial_diagram(index), verify=True).category
+        total = assert_lawful(grothendieck(trivial_diagram(index)).category)
         assert are_isomorphic(total, index)
 
     def test_alphas_are_functors_into_the_total_category(self):
         d = intro_pushout_diagram()
-        res = grothendieck(d, verify=True)
+        res = grothendieck(d)
+        assert_lawful(res.category)
         for i, alpha in res.alphas.items():
             assert alpha.source is d.vertex[i]
             assert alpha.target is res.category
@@ -84,7 +93,7 @@ class TestGrothendieck:
 class TestGrothendieckPseudo:
     def test_strict_viewed_as_pseudo_is_identical(self):
         d = intro_pushout_diagram()
-        strict = grothendieck(d, verify=True).category
+        strict = assert_lawful(grothendieck(d).category)
         pseudo = grothendieck_pseudo(PseudoDiagram.from_strict(d))
         assert equal_presentation(strict, pseudo)
 
@@ -105,33 +114,9 @@ class TestGrothendieckPseudo:
 
     def test_corrupted_twist_raises_coherence_failure(self):
         from eulcat.groupact import ComplexOfGroups, complex_to_pseudo_diagram
-        from eulcat.groups import GroupHom
 
-        # chain 0 -> 1 -> 2 -> 3 with Z/2 everywhere and identity structure
-        # maps; a single corrupted twist breaks the cocycle on the triple
-        base = zoo.build_category(
-            ("0", "1", "2", "3"),
-            (
-                ("a", "0", "1"),
-                ("b", "1", "2"),
-                ("c", "2", "3"),
-                ("ba", "0", "2"),
-                ("cb", "1", "3"),
-                ("cba", "0", "3"),
-            ),
-            {
-                ("b", "a"): "ba",
-                ("c", "b"): "cb",
-                ("c", "ba"): "cba",
-                ("cb", "a"): "cba",
-            },
-            name="chain4",
-        )
-        z2 = cyclic_group(2)
-        ident = GroupHom.identity_hom(z2)
-        homs = {m.name: ident for m in base.morphisms}
-        twists = {pair: "0" for pair in base.composition}
-        good = ComplexOfGroups(base, {x: z2 for x in base.objects}, homs, twists)
+        # a single corrupted twist breaks the cocycle on the triple
+        good = ComplexOfGroups(*z2_chain_complex_data(corrupt=False))
         diagram = complex_to_pseudo_diagram(good)
 
         corrupted = dict(diagram.comp)
@@ -165,10 +150,7 @@ def reference_pseudo_checks(index, vertex, edge, comp, unit):
     component table is checked against validated identity and composite
     functors (``helpers.nat_iso_checks``), then the unchanged coherence
     axioms run."""
-    d = object.__new__(PseudoDiagram)
-    for name, value in zip(("index", "vertex", "edge", "comp", "unit"),
-                           (index, vertex, edge, comp, unit)):
-        object.__setattr__(d, name, value)
+    d = unvalidated(PseudoDiagram, index=index, vertex=vertex, edge=edge, comp=comp, unit=unit)
     hocolim._check_vertices_and_edges(d)
     for i in index.objects:
         components = unit.get(i)
@@ -576,7 +558,7 @@ def full_build_formula(d, invariant="chiL", spectrum=None):
     if isinstance(d, PseudoDiagram):
         total = grothendieck_pseudo(d)
     else:
-        total = hocolim._grothendieck(d, check=False)
+        total = hocolim._grothendieck(d)
     lhs = Fraction(fn(total))
     spec = spectrum if spectrum is not None else bar_spectrum(d.index)
     vals = {i: Fraction(fn(d.vertex[i])) for i in spec.objects_with_cells()}
@@ -609,7 +591,7 @@ class TestChiLFromHomCounts:
         """chi_L of a Grothendieck construction depends on its maps only
         through the formula, so the hom counts and classes are compared
         entry by entry, not only through the value."""
-        total = hocolim._grothendieck(d, check=False)
+        total = hocolim._grothendieck(d)
         index = {x: k for k, x in enumerate(total.objects)}
         rows, reps_of = hocolim._total_counts(d)
         assert rows == fincat._count_rows(total)

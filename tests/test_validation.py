@@ -23,6 +23,7 @@ from eulcat.errors import EulcatError, ValidationError
 from eulcat.errors import InvariantViolation
 from eulcat.fincat import (
     BrokenIdentity,
+    CatFunctor,
     DanglingReference,
     FinCat,
     IncompleteCompositionTable,
@@ -44,7 +45,9 @@ from eulcat.groupact import (
     _complex_from_quotient,
     _fixers,
     complex_of_groups,
+    developability_check,
     hocolim_groups,
+    one_arrow_complex,
     quotient,
     stabilizer,
     transport_groupoid,
@@ -58,11 +61,11 @@ from eulcat.groups import (
     cyclic_group,
     symmetric_group,
 )
-from eulcat.hocolim import grothendieck
+from eulcat.hocolim import CellSpectrum, StrictDiagram, grothendieck
 from eulcat.ratlin import chi_L
 from eulcat.randgen import homs_between
 
-from helpers import s3_chain, s3_flag_action
+from helpers import s3_chain, s3_flag_action, unvalidated, z2_chain_complex_data
 from strategies import (
     SEEDS,
     TWISTED_ACTION_SEEDS,
@@ -907,15 +910,122 @@ class TestQuotient:
         checks: both routes report the same pair of orbits and lift set."""
         space = zoo.build_category(objects, arrows, compose)
         names = space.morphism_names()
-        action = object.__new__(ScwolAction)
-        for field, value in (
-            ("group", cyclic_group(2)),
-            ("space", space),
-            ("on_objects", {"0": {x: x for x in objects},
-                            "1": {x: swap.get(x, x) for x in objects}}),
-            ("on_morphisms", {"0": {m: m for m in names},
-                              "1": {m: swap.get(m, m) for m in names}}),
-        ):
-            object.__setattr__(action, field, value)
+        action = unvalidated(
+            ScwolAction,
+            group=cyclic_group(2),
+            space=space,
+            on_objects={"0": {x: x for x in objects}, "1": {x: swap.get(x, x) for x in objects}},
+            on_morphisms={"0": {m: m for m in names}, "1": {m: swap.get(m, m) for m in names}},
+        )
         want = (InvalidQuotient, f"composite of orbits {want}")
         assert outcome(quotient, action) == outcome(reference_quotient_composition, action) == want
+
+
+# -- witnesses of the plain ValidationError sites ----------------------------------
+
+Z2, Z4 = cyclic_group(2), cyclic_group(4)
+ARROW = zoo.arrow_category()
+NEGATE_Z4 = GroupHom(Z4, Z4, {"0": "0", "1": "3", "2": "2", "3": "1"})
+
+
+def arrow_complex(local=(), homs=(), twists=(), drop=()):
+    """Z/2 -> Z/4 over {0 -a-> 1}, with entries replaced by ``local``,
+    ``homs`` and ``twists`` and the keys in ``drop`` removed."""
+    args = [
+        {"0": Z2, "1": Z4, **dict(local)},
+        {"id_0": GroupHom.identity_hom(Z2), "id_1": GroupHom.identity_hom(Z4),
+         "a": GroupHom(Z2, Z4, {"0": "0", "1": "2"}), **dict(homs)},
+        {**{pair: "0" for pair in ARROW.composition}, **dict(twists)},
+    ]
+    for table in args:
+        for key in drop:
+            table.pop(key, None)
+    return ComplexOfGroups(ARROW, *args)
+
+
+def swapped_arrows_action():
+    """Z/2 swapping p -f-> q with p2 -f2-> q2: no lift target is fixed."""
+    space = zoo.build_category(("p", "p2", "q", "q2"), (("f", "p", "q"), ("f2", "p2", "q2")))
+    swap = {"p": "p2", "q": "q2", "f": "f2", "id_p": "id_p2", "id_q": "id_q2"}
+    swap.update({v: k for k, v in swap.items()})
+    objects, morphisms = space.objects, space.morphism_names()
+    return ScwolAction(Z2, space,
+                       {"0": {x: x for x in objects}, "1": {x: swap[x] for x in objects}},
+                       {"0": {m: m for m in morphisms}, "1": {m: swap[m] for m in morphisms}})
+
+
+def strict_on_discrete(index, edge_at):
+    """The discrete category {x, y} at every index object, with the swap
+    along the index morphisms in ``edge_at`` and identities elsewhere."""
+    disc = zoo.discrete_category(["x", "y"])
+    swap = CatFunctor(disc, disc, {"x": "y", "y": "x"}, {"id_x": "id_y", "id_y": "id_x"})
+    edge = {m: swap if m in edge_at else CatFunctor.identity_functor(disc)
+            for m in index.morphism_names()}
+    return StrictDiagram(index, {i: disc for i in index.objects}, edge)
+
+
+TERMINAL = zoo.terminal_category("i")
+PLAIN_REJECTIONS = {
+    "no local group": (lambda: arrow_complex(drop=["1"]),
+                       "no local group at '1'", {"object": "1"}),
+    "no structure map": (lambda: arrow_complex(drop=["a"]),
+                         "no structure homomorphism along 'a'", {"morphism": "a"}),
+    "wrong endpoints": (lambda: arrow_complex(homs={"a": GroupHom.identity_hom(Z2)}),
+                        "homomorphism along 'a' has wrong endpoints", {"morphism": "a"}),
+    "not injective": (lambda: arrow_complex(homs={"a": GroupHom(Z2, Z4, {"0": "0", "1": "0"})}),
+                      "homomorphism along 'a' is not injective", {"morphism": "a"}),
+    "identity map": (lambda: arrow_complex(local={"0": Z4},
+                                           homs={"id_0": NEGATE_Z4, "a": GroupHom.identity_hom(Z4)}),
+                     "identity morphism 'id_0' carries a non-identity map", {"morphism": "id_0"}),
+    "stray twist": (lambda: arrow_complex(twists={("a", "a"): "0"}),
+                    "twist given for non-composable pair ('a', 'a')", {"pair": ("a", "a")}),
+    "foreign twist": (lambda: arrow_complex(twists={("id_1", "a"): "9"}),
+                      "twist at ('id_1', 'a') is not an element of the local group at '1'",
+                      {"pair": ("id_1", "a"), "element": "9"}),
+    "missing twist": (lambda: arrow_complex(drop=[("id_1", "a")]),
+                      "no twist at composable pair ('id_1', 'a')", {"pair": ("id_1", "a")}),
+    "unit twist": (lambda: arrow_complex(twists={("id_1", "a"): "2"}),
+                   "unit twist at ('id_1', 'a') must be trivial",
+                   {"pair": ("id_1", "a"), "element": "2"}),
+    "conjugation": (lambda: ComplexOfGroups(*s3_chain(conjugating=True, twist="102")),
+                    "conjugation identity fails at ('b', 'a') on element '021'",
+                    {"pair": ("b", "a"), "element": "021"}),
+    "cocycle": (lambda: ComplexOfGroups(*z2_chain_complex_data(corrupt=True)),
+                "cocycle fails on triple ('c', 'b', 'a')", {"triple": ("c", "b", "a")}),
+    "one arrow": (lambda: one_arrow_complex(Z2, Z4, GroupHom.identity_hom(Z2)),
+                  "homomorphism endpoints do not match the groups", {"morphism": "a"}),
+    "override representative": (
+        lambda: complex_of_groups(s3_flag_action()[0], object_reps={"y0": "p"}),
+        "override representative 'p' does not project to 'y0'",
+        {"object": "y0", "representative": "p"}),
+    "override h element": (
+        lambda: complex_of_groups(swapped_arrows_action(), h_elements={"f": "1"}),
+        "override h element '1' does not carry the lift target onto 'q'",
+        {"morphism": "f", "element": "1"}),
+    "group order": (lambda: developability_check(arrow_complex(), [(0, 0)]),
+                    "group order must be positive", {"order": 0}),
+    "no vertex": (lambda: StrictDiagram(TERMINAL, {}, {}),
+                  "no vertex category at 'i'", {"object": "i"}),
+    "no edge": (lambda: StrictDiagram(TERMINAL, {"i": zoo.discrete_category(["x"])}, {}),
+                "no functor along 'id_i'", {"morphism": "id_i"}),
+    "edge endpoints": (
+        lambda: StrictDiagram(TERMINAL, {"i": zoo.discrete_category(["x"])},
+                              {"id_i": CatFunctor.identity_functor(zoo.discrete_category(["x"]))}),
+        "functor along 'id_i' has wrong endpoints", {"morphism": "id_i"}),
+    "identity edge": (lambda: strict_on_discrete(TERMINAL, ["id_i"]),
+                      "edge at id_'i' is not the identity functor", {"object": "i"}),
+    "strictness": (lambda: strict_on_discrete(s3_chain()[0], ["ba"]),
+                   "strictness fails: edge('ba') != edge('b') o edge('a')", {"pair": ("b", "a")}),
+    "negative cells": (lambda: CellSpectrum(zoo.pushout_scwol(), {"k": (-1,)}),
+                       "negative cell count at 'k'", {"object": "k"}),
+}
+
+
+@pytest.mark.parametrize("build, message, witness", PLAIN_REJECTIONS.values(),
+                         ids=PLAIN_REJECTIONS.keys())
+def test_plain_rejection_carries_its_witness(build, message, witness):
+    with pytest.raises(ValidationError) as info:
+        build()
+    assert type(info.value) is ValidationError
+    assert str(info.value) == message
+    assert info.value.witness == witness

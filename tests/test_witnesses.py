@@ -1,6 +1,6 @@
 """Every ``raise`` of a category, functor, naturality, homomorphism,
-coherence, missing-value or weighting rejection in the library passes
-``witness=``, so the exception carries the offending data as well as its
+coherence, missing-value or weighting rejection, and of a plain
+``ValidationError``, in the library passes ``witness=``, so the exception carries the offending data as well as its
 message.  Only the standard library ``ast`` is used.
 """
 
@@ -14,7 +14,7 @@ MODULES = sorted(SRC.glob("*.py"))
 CHECKED = {
     "NotAFunctor", "NotAFunctorAction", "NotAHomomorphism", "NotAHomomorphismAction",
     "DanglingReference", "BrokenIdentity", "IncompleteCompositionTable", "NonAssociative",
-    "NotNatural", "CoherenceFailure", "MissingValue", "NoWeighting",
+    "NotNatural", "CoherenceFailure", "MissingValue", "NoWeighting", "ValidationError",
 }
 
 
