@@ -1,7 +1,7 @@
 """Euler characteristics computable from finite data.
 
-Three computable regimes, all cross-checked against chi_L where they
-overlap:
+Three computable regimes, each equal to chi_L where they overlap (the
+tests check this; nothing here computes a second route):
 
 * finite scwols: the alternating sum of path counts over a skeleton,
   which simultaneously computes the Euler characteristic, the L2-Euler
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import EulcatError, InvariantViolation
+from .errors import EulcatError
 from .fincat import (
     FinCat,
     NotGroupoid,
@@ -27,7 +27,7 @@ from .fincat import (
     _skeleton_category,
     path_counts,
 )
-from .ratlin import chi_L, weighting
+from .ratlin import weighting
 
 
 class HypothesisNotMet(EulcatError):
@@ -46,16 +46,9 @@ def chi_scwol(cat: FinCat) -> int:
 def chi_f_scwol(cat: FinCat) -> dict[str, Fraction]:
     """Functorial Euler characteristic of a finite scwol: the alternating
     count of bar-model cells starting at each iso-class representative.
-    The values sum to chi_scwol."""
+    The values sum to chi_scwol, since both sums count the same paths."""
     pc = path_counts(cat)
-    values = {x: Fraction(pc.start_sum(x)) for x in pc.starts}
-    total = sum(values.values(), Fraction(0))
-    if total != pc.euler_sum():
-        raise InvariantViolation(
-            f"{cat.name}: per-object sums disagree with the path-count sum",
-            witness={"per_object_total": total, "euler_sum": pc.euler_sum()},
-        )
-    return values
+    return {x: Fraction(pc.start_sum(x)) for x in pc.starts}
 
 
 def groupoid_chi2(cat: FinCat) -> Fraction:
@@ -96,8 +89,9 @@ def chi2_free_EI(cat: FinCat) -> Fraction:
     distinct objects.  In a skeletal EI category the arrows between distinct
     objects form no cycle and |mor(x, x)| = |aut(x)|, so this sum is the
     total of the skeleton's weighting, computed by back-substitution along a
-    topological order (never by elimination).  The result is checked equal to
-    chi_L of the input.
+    topological order (never by elimination).  chi_L is invariant under
+    equivalence, so this is chi_L of the input too, and no second route is
+    computed.
     """
     gamma = _skeleton_category(cat)
     if not _is_EI(gamma):
@@ -117,11 +111,4 @@ def chi2_free_EI(cat: FinCat) -> Fraction:
             f"left aut-action is not free: {u!r} o {a!r} = {a!r}", witness=witness
         )
 
-    total = weighting(gamma).total()
-    leinster = chi_L(cat)
-    if total != leinster:
-        raise InvariantViolation(
-            f"{cat.name}: path-sum formula disagrees with chi_L",
-            witness={"path_sum": total, "chi_L": leinster},
-        )
-    return total
+    return weighting(gamma).total()

@@ -493,6 +493,15 @@ def _is_scwol(cat: FinCat) -> bool:
     return all(m.source != m.target or cat.is_identity(m.name) for m in cat.morphisms)
 
 
+def _require_scwol(cat: FinCat) -> None:
+    """Raise NotScwol, with the first non-identity endomorphism as witness,
+    unless every endomorphism of ``cat`` is an identity."""
+    for m in cat.morphisms:
+        if m.source == m.target and not cat.is_identity(m.name):
+            raise NotScwol(f"{cat.name} has a non-identity endomorphism",
+                           witness={"morphism": m.name})
+
+
 def _is_EI(cat: FinCat) -> bool:
     """``classify(cat).is_EI`` in one pass: every endomorphism is invertible."""
     return all(m.source != m.target or cat.is_invertible(m.name) for m in cat.morphisms)
@@ -709,8 +718,7 @@ def path_counts(cat: FinCat, n_max: Optional[int] = None) -> PathCounts:
     distinct objects and stop before the object count; a longer path
     raises NotScwol, as does one longer than ``n_max``.
     """
-    if not _is_scwol(cat):
-        raise NotScwol(f"{cat.name} has a non-identity endomorphism")
+    _require_scwol(cat)
     return _skeleton_path_counts(_skeleton_category(cat), cat.name, n_max)
 
 
@@ -732,10 +740,12 @@ def _skeleton_path_counts(gamma: FinCat, name: str, n_max: Optional[int] = None)
             break
         if n_max is not None and level > n_max:
             raise NotScwol(
-                f"{name}: a path of {level} arrows is longer than the requested cap {n_max}"
+                f"{name}: a path of {level} arrows is longer than the requested cap {n_max}",
+                witness={"level": level},
             )
         if level >= len(objs):
-            raise NotScwol(f"{name}: a path of {level} arrows repeats an object")
+            raise NotScwol(f"{name}: a path of {level} arrows repeats an object",
+                           witness={"level": level})
         counts.append(total)
         for row, v in zip(starts, vec):
             row.append(v)
@@ -751,8 +761,7 @@ def lower_link(cat: FinCat, obj: str) -> FinCat:
     a -> b is a morphism u of the ambient scwol with u o a = b, recorded as
     the pair (u, a).  Its composites are those of ``cat``, so no law is checked.
     """
-    if not _is_scwol(cat):
-        raise NotScwol(f"{cat.name} has a non-identity endomorphism")
+    _require_scwol(cat)
     cat.require_object(obj)
     link_objs = tuple(
         m for m in cat.morphisms_from(obj) if not cat.is_identity(m)

@@ -23,7 +23,6 @@ from .fincat import (
     CatFunctor,
     FinCat,
     Morphism,
-    NotScwol,
     _check_natural,
     _composite_maps,
     _count_rows,
@@ -31,6 +30,7 @@ from .fincat import (
     _is_groupoid,
     _is_scwol,
     _iso_partition,
+    _require_scwol,
     _skeleton_category,
     _skeleton_path_counts,
 )
@@ -475,8 +475,7 @@ class CellSpectrum:
 def bar_spectrum(cat: FinCat) -> CellSpectrum:
     """Cell counts of the bar model: one n-cell based at x per path of n
     non-identity morphisms starting at x, computed on the skeleton."""
-    if not _is_scwol(cat):
-        raise NotScwol(f"{cat.name} has a non-identity endomorphism")
+    _require_scwol(cat)
     gamma = _skeleton_category(cat)
     pc = _skeleton_path_counts(gamma, cat.name)
     return CellSpectrum(gamma, {x: pc.starts[x] for x in gamma.objects})

@@ -1,8 +1,10 @@
 """Constructions that only the tests use, kept out of the library."""
 
 import itertools
+from fractions import Fraction
 
 from eulcat import eulerchar, fincat, groupact, hocolim, randgen, ratlin, zoo
+from eulcat.errors import EulcatError
 from eulcat.fincat import CatFunctor, FinCat, NotNatural
 from eulcat.groups import GroupHom, cyclic_group, symmetric_group, trivial_group
 from eulcat.hocolim import StrictDiagram, constant_diagram
@@ -66,6 +68,92 @@ def assert_lawful(cat: FinCat) -> FinCat:
     constructor, which raises on the first law that fails.  Returns ``cat``."""
     FinCat(cat.objects, cat.morphisms, cat.identity, cat.composition, name=cat.name)
     return cat
+
+
+class InvalidQuotient(EulcatError):
+    """A consequence of the scwol-action axioms fails on something derived
+    from an action: raised by the oracles below and by the reference
+    builders, never by the library."""
+
+
+def assert_orbit_projection(action, q) -> None:
+    """The oracle for ``groupact.quotient``: ``q``, its result on
+    ``action``, is a scwol; each composable pair of orbits has exactly one
+    composite orbit, which ``q`` records; and the arrows out of each object
+    x biject, by projection, with those out of its orbit."""
+    cat, quot, mor_orbit = action.space, q.category, q.morphism_orbit_of
+    if not fincat.classify(quot).is_scwol:
+        raise InvalidQuotient(f"quotient of {cat.name} is not a scwol")
+    lifted: dict[tuple[str, str], set[str]] = {}
+    for (b, a), ba in cat.composition.items():
+        lifted.setdefault((mor_orbit[b], mor_orbit[a]), set()).add(mor_orbit[ba])
+    for mb in quot.morphisms:
+        for ma in quot.morphisms:
+            if ma.target != mb.source:
+                continue
+            results = lifted.get((mb.name, ma.name), set())
+            if len(results) != 1:
+                raise InvalidQuotient(f"composite of orbits ({mb.name!r}, {ma.name!r}) "
+                                      f"is not well-defined: {sorted(results)}")
+            if {quot.composition.get((mb.name, ma.name))} != results:
+                raise InvalidQuotient(f"quotient composite at ({mb.name!r}, {ma.name!r}) "
+                                      f"is not the orbit {results.pop()!r}")
+    for x in cat.objects:
+        images = [mor_orbit[m] for m in cat.morphisms_from(x)]
+        if len(set(images)) != len(images):
+            raise InvalidQuotient(f"projection is not injective on morphisms out of {x!r}")
+        if set(images) != set(quot.morphisms_from(q.object_orbit_of[x])):
+            raise InvalidQuotient(f"projection is not surjective on morphisms out of {x!r}")
+
+
+def assert_equivariant_section(action) -> None:
+    """The oracle for ``groupact.equivariant_skeleton``'s section: no element
+    moves an object onto another object isomorphic to it, and the skeleton
+    built from ``action`` has one object in each isomorphism class and is
+    carried onto itself by every element."""
+    cat = action.space
+    class_of = {x: cls[0] for cls in fincat.iso_classes(cat).classes for x in cls}
+    for x in cat.objects:
+        for g in action.group.labels:
+            y = action.act_obj(g, x)
+            if y != x and class_of[y] == class_of[x]:
+                raise InvalidQuotient("equivariant section is not well-defined; "
+                                      "action axioms violated")
+    chosen = groupact.equivariant_skeleton(action).action.space.objects
+    if sorted(class_of[x] for x in chosen) != sorted(set(class_of.values())):
+        raise InvalidQuotient("equivariant skeleton misses or repeats an isomorphism class")
+    if any(action.act_obj(g, x) not in chosen for g in action.group.labels for x in chosen):
+        raise InvalidQuotient("equivariant skeleton is not carried onto itself")
+
+
+def discrete_action(group, elements, act):
+    """The G-set ``act`` on ``elements`` as a ``ScwolAction`` on the discrete
+    scwol."""
+    disc = zoo.discrete_category(elements, name="S")
+    return groupact.ScwolAction(
+        group, disc, {g: dict(act[g]) for g in group.labels},
+        {g: {disc.identity[s]: disc.identity[act[g][s]] for s in elements}
+         for g in group.labels},
+    )
+
+
+def assert_transport_groupoid(group, elements, act, groupoid) -> None:
+    """The oracle for ``groupact.transport_groupoid``: ``groupoid``, built
+    from the G-set ``act``, is lawful; its chi_L equals that of the homotopy
+    colimit of the complex of groups of the action; and its chi2 is the sum
+    over orbits of 1/|stabilizer|, which is |S|/|G|."""
+    assert_lawful(groupoid)
+    cplx = groupact.complex_of_groups(discrete_action(group, elements, act)).complex
+    direct, via_hocolim = ratlin.chi_L(groupoid), ratlin.chi_L(groupact.hocolim_groups(cplx))
+    if direct != via_hocolim:
+        raise AssertionError(f"transport chi_L {direct} != hocolim chi_L {via_hocolim}")
+    orbits = {min(act[g][s] for g in group.labels) for s in elements}
+    by_orbits = sum((Fraction(1, sum(act[g][s] == s for g in group.labels)) for s in orbits),
+                    Fraction(0))
+    chi2 = eulerchar.groupoid_chi2(groupoid)
+    if not chi2 == by_orbits == Fraction(len(elements), group.order):
+        raise AssertionError(f"chi2 {chi2}, orbit sum {by_orbits}, |S|/|G| "
+                             f"{Fraction(len(elements), group.order)}")
 
 
 def unvalidated(cls, **fields):

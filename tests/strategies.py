@@ -19,6 +19,8 @@ skeletal_scwols = seeded(randgen.random_skeletal_scwol, max_objects=6)
 scwols = seeded(randgen.random_scwol, max_objects=6)
 posets = seeded(randgen.random_poset, max_objects=5)
 groupoids = seeded(randgen.random_groupoid, max_objects=4, max_group_order=4)
+# small enough that the product of two stays a few thousand morphisms
+small_groupoids = seeded(randgen.random_groupoid, max_objects=3, max_group_order=3)
 strict_diagrams = seeded(randgen.random_strict_diagram)
 free_actions = seeded(randgen.random_free_action)
 # Seeds of 0-299 whose complex of groups has a twist that is not its own

@@ -1,15 +1,23 @@
-"""The law oracle for the categories the library builds without checking
-their laws.
+"""The oracles for what the library derives from a validated input
+without checking it again.
 
 Every homotopy colimit total (``grothendieck``, ``grothendieck_pseudo``,
-``hocolim_groups``), and ``one_object_category``, ``lower_link`` and
-``quotient``, is built from an input whose own checks make it lawful.
-Here each output is rebuilt through the checked ``FinCat`` constructor
-(``helpers.assert_lawful``).  The non-vacuity tests skip the input checks
-on a complex with a broken cocycle and on pseudo diagrams with a broken
-unit or associativity component, and show that the oracle rejects their
-totals: the input checks are what carry the weight.
+``hocolim_groups``), and ``one_object_category``, ``lower_link``,
+``quotient`` and ``transport_groupoid``, is built from an input whose own
+checks make it lawful.  Here each output is rebuilt through the checked
+``FinCat`` constructor (``helpers.assert_lawful``).  The consequences of
+the scwol-action axioms that the library reads without checking (the orbit
+projection of ``quotient``, the section of ``equivariant_skeleton``) and
+the paper identities it uses as definitions (the lower-link identity behind
+``haefliger_chi``, chi2_free_EI = chi_L, chi2 of a transport groupoid, and
+multiplicativity on products) are checked here too.  The non-vacuity tests
+skip the input checks on a complex with a broken cocycle, on pseudo
+diagrams with a broken unit or associativity component and on actions
+breaking axiom (i) or (ii), and show that the oracles reject what is built from
+them: the input checks are what carry the weight.
 """
+
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -17,19 +25,51 @@ from hypothesis import strategies as st
 
 from eulcat import zoo
 from eulcat.errors import ValidationError
-from eulcat.fincat import BrokenIdentity, CatFunctor, NonAssociative, lower_link
+from eulcat.eulerchar import chi2_free_EI, chi_scwol, groupoid_chi2
+from eulcat.fincat import (
+    BrokenIdentity,
+    CatFunctor,
+    NonAssociative,
+    lower_link,
+    path_counts,
+    product,
+    skeleton,
+)
 from eulcat.groupact import (
+    AxiomIIViolation,
+    AxiomIViolation,
     ComplexOfGroups,
+    ScwolAction,
     complex_of_groups,
     complex_to_pseudo_diagram,
+    haefliger_chi,
     hocolim_groups,
     quotient,
+    transport_groupoid,
 )
 from eulcat.groups import cyclic_group
 from eulcat.hocolim import CoherenceFailure, PseudoDiagram, grothendieck, grothendieck_pseudo
+from eulcat.ratlin import chi_L
 
-from helpers import assert_lawful, unvalidated, z2_chain_complex_data
-from strategies import actions, groups, noncentral_actions, scwols, strict_diagrams
+from helpers import (
+    InvalidQuotient,
+    assert_equivariant_section,
+    assert_lawful,
+    assert_orbit_projection,
+    assert_transport_groupoid,
+    unvalidated,
+    z2_chain_complex_data,
+)
+from strategies import (
+    actions,
+    free_actions,
+    groups,
+    noncentral_actions,
+    scwols,
+    skeletal_scwols,
+    small_groupoids,
+    strict_diagrams,
+)
 
 
 def assert_both_totals_lawful(cplx):
@@ -78,6 +118,70 @@ class TestSmallerBuilders:
         assert_lawful(quotient(action).category)
 
 
+class TestActionConsequences:
+    @settings(max_examples=30, deadline=None)
+    @given(st.one_of(actions, free_actions, noncentral_actions.map(lambda drawn: drawn[0])))
+    def test_orbit_projection(self, action):
+        assert_orbit_projection(action, quotient(action))
+
+    @settings(max_examples=25, deadline=None)
+    @given(actions)
+    def test_equivariant_section(self, action):
+        assert_equivariant_section(action)
+
+    @settings(max_examples=20, deadline=None)
+    @given(actions)
+    def test_transport_groupoid_of_the_object_rows(self, action):
+        """The G-set of an action's object rows."""
+        group, elements = action.group, action.space.objects
+        act = {g: dict(action.on_objects[g]) for g in group.labels}
+        groupoid = transport_groupoid(group, elements, act)
+        assert_transport_groupoid(group, elements, act, groupoid)
+
+
+class TestPaperIdentities:
+    @settings(max_examples=30, deadline=None)
+    @given(scwols)
+    def test_lower_link_identity(self, cat):
+        """1 - chi(B Lk^i) is the alternating count of paths starting at i,
+        at every object of the skeleton, and the lower-link formula with a
+        distinct value at each object is the sum of those counts."""
+        gamma, pc = skeleton(cat).category, path_counts(cat)
+        vals = {i: Fraction(k + 1, 7) for k, i in enumerate(gamma.objects)}
+        route = Fraction(0)
+        for i in gamma.objects:
+            one_minus = 1 - chi_scwol(lower_link(gamma, i))
+            assert one_minus == pc.start_sum(i)
+            route += one_minus * vals[i]
+        assert haefliger_chi(cat, vals) == route
+
+    @settings(max_examples=20, deadline=None)
+    @given(small_groupoids, skeletal_scwols)
+    def test_chi2_free_EI_is_chi_L_on_products(self, gpd, cat):
+        total = product(gpd.category, cat)
+        assert chi2_free_EI(total) == chi_L(total)
+
+    @pytest.mark.parametrize("cat", [
+        zoo.gamma_one(), zoo.one_object_category(cyclic_group(3)), zoo.pushout_scwol(),
+        zoo.subsets_poset_opposite(3), zoo.contractible_groupoid(("a", "b", "c")),
+        product(zoo.one_object_category(cyclic_group(2)), zoo.circle_scwol()),
+    ], ids=["gamma_one", "BZ3", "pushout", "subsets3", "contractible", "BZ2xcircle"])
+    def test_chi2_free_EI_is_chi_L_on_zoo_cases(self, cat):
+        assert chi2_free_EI(cat) == chi_L(cat)
+
+    @settings(max_examples=15, deadline=None)
+    @given(small_groupoids, small_groupoids)
+    def test_groupoid_products(self, a, b):
+        total = product(a.category, b.category)
+        assert chi_L(total) == chi_L(a.category) * chi_L(b.category)
+        assert groupoid_chi2(total) == groupoid_chi2(a.category) * groupoid_chi2(b.category)
+
+    @settings(max_examples=15, deadline=None)
+    @given(scwols, scwols)
+    def test_scwol_products(self, a, b):
+        assert chi_scwol(product(a, b)) == chi_scwol(a) * chi_scwol(b)
+
+
 class TestNonVacuity:
     def test_broken_cocycle(self):
         data = z2_chain_complex_data(corrupt=True)
@@ -111,6 +215,41 @@ class TestNonVacuity:
             PseudoDiagram(**fields)
         with pytest.raises(BrokenIdentity):
             assert_lawful(grothendieck_pseudo(unvalidated(PseudoDiagram, **fields)))
+
+    def test_axiom_i_broken_by_an_isomorphism(self):
+        """Z/2 swapping the ends of an isomorphism x -> y: ScwolAction
+        rejects it, and the section oracle rejects the same tables built
+        without that check."""
+        space = zoo.contractible_groupoid(("x", "y"))
+        swap = {"x": "y", "y": "x"}
+        names = space.morphism_names()
+        on_morphisms = {"0": {m: m for m in names},
+                        "1": {m.name: next(iter(space.hom(swap[m.source], swap[m.target])))
+                              for m in space.morphisms}}
+        fields = dict(group=cyclic_group(2), space=space,
+                      on_objects={"0": {"x": "x", "y": "y"}, "1": swap},
+                      on_morphisms=on_morphisms)
+        with pytest.raises(AxiomIViolation):
+            ScwolAction(**fields)
+        with pytest.raises(InvalidQuotient, match="equivariant section is not well-defined"):
+            assert_equivariant_section(unvalidated(ScwolAction, **fields))
+
+    def test_axiom_ii_broken_by_parallel_arrows(self):
+        """Z/2 exchanging two parallel arrows x -> y and fixing x: a functor
+        action that breaks axiom (ii) only.  ScwolAction rejects it, and the
+        projection oracle rejects the quotient of the same tables built
+        without that check."""
+        space = zoo.build_category(("x", "y"), (("f1", "x", "y"), ("f2", "x", "y")), {})
+        names = space.morphism_names()
+        fields = dict(group=cyclic_group(2), space=space,
+                      on_objects={g: {"x": "x", "y": "y"} for g in "01"},
+                      on_morphisms={"0": {m: m for m in names},
+                                    "1": {**{m: m for m in names}, "f1": "f2", "f2": "f1"}})
+        with pytest.raises(AxiomIIViolation):
+            ScwolAction(**fields)
+        action = unvalidated(ScwolAction, **fields)
+        with pytest.raises(InvalidQuotient, match="not injective on morphisms out of 'x'"):
+            assert_orbit_projection(action, quotient(action))
 
     def test_valid_inputs_pass(self):
         """The same constructions on the uncorrupted complex pass the oracle."""

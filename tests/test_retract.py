@@ -22,7 +22,6 @@ from eulcat.fincat import (
 )
 from eulcat.groupact import (
     EquivariantSkeleton,
-    InvalidQuotient,
     ScwolAction,
     _coordinated_choices,
     _fixers,
@@ -33,7 +32,7 @@ from eulcat.groupact import (
 )
 from eulcat.groups import cyclic_group
 
-from helpers import count_calls, nat_iso_checks
+from helpers import InvalidQuotient, count_calls, nat_iso_checks
 from strategies import actions, groupoids, posets, scwols
 
 

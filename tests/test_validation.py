@@ -37,7 +37,6 @@ from eulcat.groupact import (
     AxiomIIViolation,
     AxiomIViolation,
     ComplexOfGroups,
-    InvalidQuotient,
     NotAFunctorAction,
     NotAHomomorphismAction,
     NotAnAction,
@@ -65,7 +64,14 @@ from eulcat.hocolim import CellSpectrum, StrictDiagram, grothendieck
 from eulcat.ratlin import chi_L
 from eulcat.randgen import homs_between
 
-from helpers import s3_chain, s3_flag_action, unvalidated, z2_chain_complex_data
+from helpers import (
+    InvalidQuotient,
+    assert_orbit_projection,
+    s3_chain,
+    s3_flag_action,
+    unvalidated,
+    z2_chain_complex_data,
+)
 from strategies import (
     SEEDS,
     TWISTED_ACTION_SEEDS,
@@ -906,19 +912,24 @@ class TestQuotient:
          "('g', 'f') is not well-defined: []"),
     ], ids=["two-composites", "no-composite"])
     def test_ill_defined_composite(self, objects, arrows, compose, swap, want):
-        """A Z/2 "action" that is no functor, built without ScwolAction's
-        checks: both routes report the same pair of orbits and lift set."""
+        """A Z/2 "action" that is no functor: ScwolAction rejects it, and
+        the quotient of the same tables built without that check fails the
+        oracle, which reports the same pair of orbits and lift set as the
+        reference."""
         space = zoo.build_category(objects, arrows, compose)
         names = space.morphism_names()
-        action = unvalidated(
-            ScwolAction,
+        fields = dict(
             group=cyclic_group(2),
             space=space,
             on_objects={"0": {x: x for x in objects}, "1": {x: swap.get(x, x) for x in objects}},
             on_morphisms={"0": {m: m for m in names}, "1": {m: swap.get(m, m) for m in names}},
         )
+        with pytest.raises(NotAFunctorAction):
+            ScwolAction(**fields)
+        action = unvalidated(ScwolAction, **fields)
         want = (InvalidQuotient, f"composite of orbits {want}")
-        assert outcome(quotient, action) == outcome(reference_quotient_composition, action) == want
+        got = outcome(assert_orbit_projection, action, quotient(action))
+        assert got == outcome(reference_quotient_composition, action) == want
 
 
 # -- witnesses of the plain ValidationError sites ----------------------------------
@@ -993,7 +1004,7 @@ PLAIN_REJECTIONS = {
     "cocycle": (lambda: ComplexOfGroups(*z2_chain_complex_data(corrupt=True)),
                 "cocycle fails on triple ('c', 'b', 'a')", {"triple": ("c", "b", "a")}),
     "one arrow": (lambda: one_arrow_complex(Z2, Z4, GroupHom.identity_hom(Z2)),
-                  "homomorphism endpoints do not match the groups", {"morphism": "a"}),
+                  "homomorphism along 'a' has wrong endpoints", {"morphism": "a"}),
     "override representative": (
         lambda: complex_of_groups(s3_flag_action()[0], object_reps={"y0": "p"}),
         "override representative 'p' does not project to 'y0'",

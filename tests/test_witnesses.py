@@ -1,7 +1,8 @@
-"""Every ``raise`` of a category, functor, naturality, homomorphism,
-coherence, missing-value or weighting rejection, and of a plain
-``ValidationError``, in the library passes ``witness=``, so the exception carries the offending data as well as its
-message.  Only the standard library ``ast`` is used.
+"""Every ``raise`` of a category, scwol, functor, naturality,
+homomorphism, coherence, missing-value or weighting rejection, and of a
+plain ``ValidationError``, in the library passes ``witness=``, so the
+exception carries the offending data as well as its message.  Only the
+standard library ``ast`` is used.
 """
 
 import ast
@@ -15,6 +16,7 @@ CHECKED = {
     "NotAFunctor", "NotAFunctorAction", "NotAHomomorphism", "NotAHomomorphismAction",
     "DanglingReference", "BrokenIdentity", "IncompleteCompositionTable", "NonAssociative",
     "NotNatural", "CoherenceFailure", "MissingValue", "NoWeighting", "ValidationError",
+    "NotScwol",
 }
 
 
