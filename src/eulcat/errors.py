@@ -1,7 +1,8 @@
 """Shared exception hierarchy.
 
 Every error raised by this package derives from EulcatError so the CLI can
-map validation failures to a single exit code.
+map validation failures to a single exit code.  ``_trusted`` is the one way
+the library builds a value without its constructor's checks.
 """
 
 
@@ -22,3 +23,12 @@ class ValidationError(EulcatError):
 class InvariantViolation(EulcatError):
     """Two routes to the same quantity disagree; ``witness`` holds the
     values that differ."""
+
+
+def _trusted(cls, **fields):
+    """The frozen dataclass ``cls`` holding ``fields``, with no ``__post_init__``
+    run: for values derived from validated ones, lawful by the caller's proof."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj

@@ -19,7 +19,7 @@ from dataclasses import InitVar, dataclass, field
 from operator import itemgetter
 from typing import Iterable, Mapping, NoReturn, Optional, Sequence
 
-from .errors import ValidationError
+from .errors import ValidationError, _trusted
 from .groups import FinGroup
 
 
@@ -340,17 +340,21 @@ class CatFunctor:
         _check_functor(self.source, self.target, self.obj_map, self.mor_map)
 
     def then(self, other: "CatFunctor") -> "CatFunctor":
-        """Composite functor self ; other (apply self first)."""
+        """Composite functor self ; other (apply self first), a functor unchecked."""
         if other.source is not self.target:
             raise NotAFunctor(
                 "functors are not composable",
                 witness={"target": self.target.name, "source": other.source.name},
             )
-        return CatFunctor(self.source, other.target, *_composite_maps(self, other))
+        obj_map, mor_map = _composite_maps(self, other)
+        return _trusted(CatFunctor, source=self.source, target=other.target, obj_map=obj_map,
+                        mor_map=mor_map)
 
     @staticmethod
     def identity_functor(cat: FinCat) -> "CatFunctor":
-        return CatFunctor(cat, cat, *_identity_maps(cat))
+        """The identity functor, lawful on every category: built unchecked."""
+        obj_map, mor_map = _identity_maps(cat)
+        return _trusted(CatFunctor, source=cat, target=cat, obj_map=obj_map, mor_map=mor_map)
 
 
 def _check_functor(src: FinCat, tgt: FinCat, obj_map: Mapping, mor_map: Mapping) -> None:
@@ -399,7 +403,7 @@ def _composite_maps(first: CatFunctor, second: CatFunctor) -> tuple[dict, dict]:
 
 
 def _check_natural(cat, tgt, f_obj, f_mor, g_obj, g_mor, components, where) -> None:
-    """Check that ``components`` is a natural isomorphism F => G.
+    """Check that ``components`` (a ``PseudoDiagram`` table) is a natural isomorphism F => G.
 
     F and G are parallel functors ``cat`` -> ``tgt``, given by their object
     and morphism maps, which must preserve identities (validated functors or
@@ -615,11 +619,11 @@ def _retract(cat: FinCat, rep_of: Mapping[str, str], name: str) -> SkeletonData:
     eta_x the least-named isomorphism rep(x) -> x (the identity at a
     representative); the retraction r conjugates f: x -> y into
     r(f) = eta_y^-1 o f o eta_x: rep(x) -> rep(y), so r o i = id_Gamma.
+    Unchecked: the inner eta cancel in r(g) o r(f), and eta is natural by that definition.
     """
     gamma = full_subcategory(cat, rep_of.values(), name=name)
-    inclusion = CatFunctor(
-        gamma, cat, {x: x for x in gamma.objects}, {m.name: m.name for m in gamma.morphisms}
-    )
+    obj_map, mor_map = _identity_maps(gamma)
+    inclusion = _trusted(CatFunctor, source=gamma, target=cat, obj_map=obj_map, mor_map=mor_map)
     eta_comp = {x: cat.identity[x] for x in rep_of}
     for x, rep in rep_of.items():
         if x != rep:
@@ -628,9 +632,8 @@ def _retract(cat: FinCat, rep_of: Mapping[str, str], name: str) -> SkeletonData:
     for m in cat.morphisms:
         f_eta = cat.compose(m.name, eta_comp[m.source])
         r_mor[m.name] = cat.compose(cat.inverse(eta_comp[m.target]), f_eta)
-    retraction = CatFunctor(cat, gamma, dict(rep_of), r_mor)
-    # i is the identity on names, so i o r has the maps of r
-    _check_natural(cat, cat, rep_of, r_mor, *_identity_maps(cat), eta_comp, f"eta of {name}")
+    retraction = _trusted(CatFunctor, source=cat, target=gamma, obj_map=dict(rep_of),
+                          mor_map=r_mor)
     return SkeletonData(gamma, inclusion, retraction, eta_comp)
 
 

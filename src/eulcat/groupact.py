@@ -6,14 +6,14 @@ complexes, developability verdicts, and the lower-link formula.
 An action must satisfy the two scwol-action axioms: no group element moves
 the source of a non-identity morphism onto its target, and an element fixing
 the source of a morphism fixes the morphism.  Inputs are validated and what
-is derived from them is trusted: the quotient scwol, the one lift of each
-orbit arrow, the equivariant section and the transport groupoid follow from
-a validated action by the axioms (arXiv:1007.3868; Bridson-Haefliger III.C),
-so none is checked again, and no function re-proves a paper identity on its
-own output.  Each proof is in the builder's docstring; the checks live in
-the tests as oracles.  The reports (``chi_theorems``, ``skeletal_reduction``,
-``developability_check``) compute their identities because the identities
-are what they report.
+is derived from them is trusted: the quotient, each orbit arrow's one lift,
+the complex of groups, the reduced and restricted actions and the transport
+groupoid follow from a validated action by the axioms (arXiv:1007.3868;
+Bridson-Haefliger III.C), so each is built unchecked (by ``errors._trusted``)
+and no function re-proves a paper identity on its own output.  Each proof
+is in the builder's docstring; the checks live in the tests as oracles.
+The reports (``chi_theorems``, ``skeletal_reduction``, ``developability_check``)
+compute their identities because the identities are what they report.
 
 ``ScwolAction`` is the one validator of an action: a G-set reaches it as an
 action on the discrete scwol, each element is checked by the functor check
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .errors import ValidationError
+from .errors import ValidationError, _trusted
 from .eulerchar import chi_scwol
 from .fincat import (
     CatFunctor,
@@ -468,7 +468,8 @@ def _complex_from_quotient(
 ) -> ComplexFromAction:
     """``complex_of_groups`` on the quotient ``q`` of the same action.  Each
     orbit arrow out of a representative has exactly one lift there, by the
-    source-side orbit bijection of the quotient, so no count is checked."""
+    source-side orbit bijection of the quotient, so no count is checked.  The
+    complex is unchecked: conjugations by h, with h = e at identities, satisfy its identities."""
     base = q.category
     cat = action.space
     group = action.group
@@ -492,7 +493,11 @@ def _complex_from_quotient(
         t_rep = reps[m.target]
         lift = lifts[m.name] = _lifts(q, cat, s_rep, m.name)[0]
         wanted = (h_elements or {}).get(m.name)
-        if base.is_identity(m.name) and wanted is None:
+        if base.is_identity(m.name):
+            if wanted not in (None, group.identity):
+                raise ValidationError(
+                    f"override h element {wanted!r} at identity morphism {m.name!r} "
+                    f"is not the group identity", witness={"morphism": m.name, "element": wanted})
             wanted = group.identity
         if wanted is not None:
             if action.act_obj(wanted, cat.target(lift)) != t_rep:
@@ -513,10 +518,9 @@ def _complex_from_quotient(
         # by h lands in the stabilizer of the target representative
         h = h_idx[m.name] = group.index(h_elts[m.name])
         row_h, h_inv = table[h], inverse[h]
-        homs[m.name] = GroupHom(
-            local[m.source],
-            local[m.target],
-            {a: labels[table[row_h[index[a]]][h_inv]] for a in local[m.source].labels},
+        homs[m.name] = _trusted(
+            GroupHom, source=local[m.source], target=local[m.target],
+            mapping={a: labels[table[row_h[index[a]]][h_inv]] for a in local[m.source].labels},
         )
     # twist(b, a) = h_ba . h_a^-1 . h_b^-1
     twists = {}
@@ -524,12 +528,8 @@ def _complex_from_quotient(
         ba = base.compose(b, a)
         twists[(b, a)] = labels[table[h_idx[ba]][table[inverse[h_idx[a]]][inverse[h_idx[b]]]]]
 
-    cplx = ComplexOfGroups(base, local, homs, twists)
-    return ComplexFromAction(
-        cplx,
-        MorphismToGroup(group, reps, lifts, h_elts),
-        q,
-    )
+    cplx = _trusted(ComplexOfGroups, base=base, local=local, homs=homs, twists=twists)
+    return ComplexFromAction(cplx, MorphismToGroup(group, reps, lifts, h_elts), q)
 
 
 def _lifts(q: QuotientResult, cat: FinCat, start: str, orbit: str) -> list[str]:
@@ -592,21 +592,18 @@ def hocolim_groups(cplx: ComplexOfGroups) -> FinCat:
 
 def complex_to_pseudo_diagram(cplx: ComplexOfGroups):
     """Reinterpret a complex of groups as a pseudo diagram of one-object
-    categories, for the generic Grothendieck construction."""
+    categories, for the generic Grothendieck construction; unchecked, as the
+    complex's identities are the pseudo diagram's."""
     base = cplx.base
     vertex = {x: one_object_category(cplx.local[x], obj="*") for x in base.objects}
     edge = {}
     for m in base.morphisms:
         hom = cplx.homs[m.name]
-        edge[m.name] = CatFunctor(
-            vertex[m.source],
-            vertex[m.target],
-            {"*": "*"},
-            {g: hom(g) for g in hom.source.labels},
-        )
+        edge[m.name] = _trusted(CatFunctor, source=vertex[m.source], target=vertex[m.target],
+                                obj_map={"*": "*"}, mor_map={g: hom(g) for g in hom.source.labels})
     comp = {pair: {"*": tw} for pair, tw in cplx.twists.items()}
     unit = {x: {"*": cplx.local[x].identity} for x in base.objects}
-    return PseudoDiagram(base, vertex, edge, comp, unit)
+    return _trusted(PseudoDiagram, index=base, vertex=vertex, edge=edge, comp=comp, unit=unit)
 
 
 # -- skeletal reduction and the equivariant skeleton ------------------------------
@@ -647,11 +644,12 @@ class SkeletalReduction:
 def skeletal_reduction(action: ScwolAction) -> SkeletalReduction:
     """Replace an action on a scwol by an action on its skeleton.
 
-    The induced action of g on the skeleton is r o (g . -) o i.  The report
-    re-verifies, instance by instance: equivariance of r, the commuting
-    quotient square with its induced equivalence, stabilizer preservation,
-    literal agreement of the two associated complexes of groups under
-    coordinated choices, equality of chi_L of the two homotopy colimits,
+    The induced action of g on the skeleton is r o (g . -) o i, unchecked
+    (r sends isomorphisms to identities; axiom (i) lifts through r), as is rbar.
+    The report re-verifies, instance by instance: equivariance of r, the
+    commuting quotient square with its induced equivalence, stabilizer
+    preservation, literal agreement of the two associated complexes of groups
+    under coordinated choices, equality of chi_L of the two homotopy colimits,
     and preservation of freeness on objects.
     """
     cat = action.space
@@ -667,7 +665,8 @@ def skeletal_reduction(action: ScwolAction) -> SkeletalReduction:
         on_morphisms[g] = {
             m.name: r.mor_map[action.act_mor(g, m.name)] for m in gamma.morphisms
         }
-    reduced = ScwolAction(group, gamma, on_objects, on_morphisms)
+    reduced = _trusted(ScwolAction, group=group, space=gamma, on_objects=on_objects,
+                       on_morphisms=on_morphisms)
 
     # (1) r is G-equivariant
     equivariant = all(
@@ -698,7 +697,8 @@ def skeletal_reduction(action: ScwolAction) -> SkeletalReduction:
         if prev != img:
             square = False
     if square:
-        rbar = CatFunctor(qx.category, qg.category, rbar_obj, rbar_mor)
+        rbar = _trusted(CatFunctor, source=qx.category, target=qg.category, obj_map=rbar_obj,
+                        mor_map=rbar_mor)
         surjective = set(rbar_obj.values()) == set(qg.category.objects)
         fully_faithful = all(
             len(qx.category.hom(a, b))
@@ -825,7 +825,7 @@ def equivariant_skeleton(action: ScwolAction) -> EquivariantSkeleton:
     builder ``fincat._retract`` (also behind ``skeleton``) turns this choice
     into the category sk_G(X), the inclusion, the retraction and eta; eta
     then satisfies eta_{g.x} = g . eta_x, because isomorphisms in a scwol
-    are unique.
+    are unique.  G carries the section onto itself: the restriction is unchecked.
     """
     cat = action.space
     group = action.group
@@ -845,14 +845,11 @@ def equivariant_skeleton(action: ScwolAction) -> EquivariantSkeleton:
     sk = _retract(cat, {x: section[class_of_obj[x]] for x in cat.objects}, f"sk_G({cat.name})")
     gamma, eta_comp = sk.category, sk.eta
 
-    restricted = ScwolAction(
-        group,
-        gamma,
-        {g: {x: action.act_obj(g, x) for x in gamma.objects} for g in group.labels},
-        {
-            g: {m.name: action.act_mor(g, m.name) for m in gamma.morphisms}
-            for g in group.labels
-        },
+    restricted = _trusted(
+        ScwolAction, group=group, space=gamma,
+        on_objects={g: {x: action.act_obj(g, x) for x in gamma.objects} for g in group.labels},
+        on_morphisms={g: {m.name: action.act_mor(g, m.name) for m in gamma.morphisms}
+                      for g in group.labels},
     )
 
     incl_equivariant = all(

@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .errors import ValidationError
+from .errors import ValidationError, _trusted
 
 
 class NotAGroup(ValidationError):
@@ -43,13 +43,15 @@ class FinGroup:
     def __post_init__(self):
         n = len(self.labels)
         if len(set(self.labels)) != n:
-            raise NotAGroup(f"duplicate element labels in {self.name}")
-        if len(self.table) != n or any(len(row) != n for row in self.table):
-            raise NotAGroup(f"Cayley table of {self.name} is not {n}x{n}")
+            dup = next(x for i, x in enumerate(self.labels) if x in self.labels[:i])
+            raise NotAGroup(f"duplicate element labels in {self.name}", witness={"element": dup})
+        shape = [len(row) for row in self.table]
+        if shape != [n] * n:
+            raise NotAGroup(f"Cayley table of {self.name} is not {n}x{n}", witness={"shape": shape})
         for row in self.table:
             for v in row:
                 if not 0 <= v < n:
-                    raise NotAGroup(f"Cayley table entry {v} out of range")
+                    raise NotAGroup(f"Cayley table entry {v} out of range", witness={"entry": v})
         object.__setattr__(self, "_index", {lab: i for i, lab in enumerate(self.labels)})
         rows = [list(row) for row in self.table]
         cols = [list(col) for col in zip(*rows)]
@@ -57,7 +59,7 @@ class FinGroup:
         every = list(range(n))
         identity = next((e for e in every if rows[e] == every and cols[e] == every), None)
         if identity is None:
-            raise NotAGroup(f"{self.name} has no identity element")
+            raise NotAGroup(f"{self.name} has no identity element", witness={"group": self.name})
         object.__setattr__(self, "_identity", identity)
         # inverse of a: the first b where row a and column a both hold e
         inverse = []
@@ -70,9 +72,8 @@ class FinGroup:
                     if col_a[b] == identity:
                         break
             except ValueError:
-                raise NotAGroup(
-                    f"element {self.labels[a]!r} of {self.name} has no inverse"
-                ) from None
+                raise NotAGroup(f"element {self.labels[a]!r} of {self.name} has no inverse",
+                                witness={"element": self.labels[a]}) from None
             inverse.append(b)
         object.__setattr__(self, "_inverse", tuple(inverse))
         # (ab)c against a(bc) for every c at once: row ab of the table
@@ -143,20 +144,16 @@ class FinGroup:
                 b, p = next((b, p) for b, p in zip(idx, products) if p not in pos)
                 names = self.labels
                 raise NotAGroup(
-                    f"subset not closed: {names[a]!r}*{names[b]!r} = {names[p]!r} escapes"
+                    f"subset not closed: {names[a]!r}*{names[b]!r} = {names[p]!r} escapes",
+                    witness={"pair": (names[a], names[b]), "product": names[p]},
                 ) from None
         name = name or f"{self.name}_sub"
         if not idx:
-            raise NotAGroup(f"{name} has no identity element")
-        sub = object.__new__(FinGroup)
-        for field_name, value in (
-            ("labels", tuple(labels)), ("table", tuple(table)), ("name", name),
-            ("_index", {lab: k for k, lab in enumerate(labels)}),
-            ("_identity", pos[self._identity]),
-            ("_inverse", tuple(pos[self._inverse[a]] for a in idx)),
-        ):
-            object.__setattr__(sub, field_name, value)
-        return sub
+            raise NotAGroup(f"{name} has no identity element", witness={"group": name})
+        return _trusted(FinGroup, labels=tuple(labels), table=tuple(table), name=name,
+                        _index={lab: k for k, lab in enumerate(labels)},
+                        _identity=pos[self._identity],
+                        _inverse=tuple(pos[self._inverse[a]] for a in idx))
 
     @staticmethod
     def from_mul(labels: Sequence[str], mul, name: str = "G") -> "FinGroup":
@@ -252,7 +249,8 @@ class GroupHom:
 
     @staticmethod
     def identity_hom(group: FinGroup) -> "GroupHom":
-        return GroupHom(group, group, {a: a for a in group.labels})
+        """The identity map, a homomorphism of every group: built unchecked."""
+        return _trusted(GroupHom, source=group, target=group, mapping={a: a for a in group.labels})
 
 
 def _image_of(hom: GroupHom) -> list[int]:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence, Union
 
-from .errors import EulcatError, ValidationError
+from .errors import EulcatError, ValidationError, _trusted
 from .eulerchar import chi_scwol, chi2_free_EI, groupoid_chi2
 from .fincat import (
     CatFunctor,
@@ -233,15 +233,15 @@ class PseudoDiagram:
 
     @staticmethod
     def from_strict(d: StrictDiagram) -> "PseudoDiagram":
-        """View a strict diagram as a pseudo diagram with identity coherences."""
-        # identities are their own inverses
+        """View a strict diagram as a pseudo diagram with identity coherences
+        (their own inverses), lawful unchecked since the diagram is strict."""
         idx = d.index
         comp = {
             (v, u): {c: d.comp_inv(v, u, c) for c in d.vertex[idx.source(u)].objects}
             for (v, u) in idx.composition
         }
         unit = {i: {c: d.unit_inv(i, c) for c in d.vertex[i].objects} for i in idx.objects}
-        return PseudoDiagram(idx, d.vertex, d.edge, comp, unit)
+        return _trusted(PseudoDiagram, index=idx, vertex=d.vertex, edge=d.edge, comp=comp, unit=unit)
 
 
 Diagram = Union[StrictDiagram, PseudoDiagram]
@@ -266,18 +266,16 @@ class GrothendieckResult:
 
     @property
     def alphas(self) -> dict[str, CatFunctor]:
-        """The inclusions alpha_i: C(i) -> hocolim, f |-> (id_i, f), built
-        and validated on every access; nothing is cached on the result."""
+        """The inclusions alpha_i: C(i) -> hocolim, f |-> (id_i, f), built on
+        every access and unchecked: (id_i, g) o (id_i, f) = (id_i, g o f)."""
         idx = self.diagram.index
         alphas = {}
         for i in idx.objects:
             ci = self.diagram.vertex[i]
-            alphas[i] = CatFunctor(
-                ci,
-                self.category,
-                {c: _pair_obj(i, c) for c in ci.objects},
-                {m.name: _triple_mor(idx.identity[i], m.name, m.source) for m in ci.morphisms},
-            )
+            alphas[i] = _trusted(CatFunctor, source=ci, target=self.category,
+                                 obj_map={c: _pair_obj(i, c) for c in ci.objects},
+                                 mor_map={m.name: _triple_mor(idx.identity[i], m.name, m.source)
+                                          for m in ci.morphisms})
         return alphas
 
 
@@ -474,11 +472,12 @@ class CellSpectrum:
 
 def bar_spectrum(cat: FinCat) -> CellSpectrum:
     """Cell counts of the bar model: one n-cell based at x per path of n
-    non-identity morphisms starting at x, computed on the skeleton."""
+    non-identity morphisms starting at x, computed on the skeleton.  Unchecked:
+    q^x = 1 - sum of q^y over the arrows x -> y, so the sums are a weighting."""
     _require_scwol(cat)
     gamma = _skeleton_category(cat)
     pc = _skeleton_path_counts(gamma, cat.name)
-    return CellSpectrum(gamma, {x: pc.starts[x] for x in gamma.objects})
+    return _trusted(CellSpectrum, index=gamma, cells={x: pc.starts[x] for x in gamma.objects})
 
 
 def builtin_spectrum(kind: str, **kwargs) -> CellSpectrum:
@@ -621,12 +620,10 @@ def homotopy_orbit_chi(chi_bg, vertex: FinCat, invariant: str = "chiL") -> Fract
 
 
 def constant_diagram(index: FinCat, cat: FinCat) -> StrictDiagram:
+    """``cat`` at every index object and identity edges: strict, so unchecked."""
     ident = CatFunctor.identity_functor(cat)
-    return StrictDiagram(
-        index,
-        {i: cat for i in index.objects},
-        {m.name: ident for m in index.morphisms},
-    )
+    return _trusted(StrictDiagram, index=index, vertex={i: cat for i in index.objects},
+                    edge={m.name: ident for m in index.morphisms})
 
 
 def set_diagram(index: FinCat, sets: Mapping[str, Sequence[str]],

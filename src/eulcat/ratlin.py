@@ -20,7 +20,7 @@ from functools import cache
 from math import lcm
 from typing import Callable, Mapping, Optional, Sequence
 
-from .errors import EulcatError, InvariantViolation
+from .errors import EulcatError, InvariantViolation, _trusted
 from .fincat import FinCat, _count_rows, _iso_partition, _topological_order
 
 Rational = Fraction
@@ -225,13 +225,8 @@ def _solve(cat: FinCat, side: str) -> Weighting:
     check."""
     rows = _count_rows(cat, transpose=(side == "coweighting"))
     values, unique = _weigh(rows, _class_reps(cat), side, cat.name, cat.objects.__getitem__)
-    solved = object.__new__(Weighting)
-    for field_name, value in (
-        ("category", cat), ("values", dict(zip(cat.objects, values))), ("side", side),
-        ("unique", unique),
-    ):
-        object.__setattr__(solved, field_name, value)
-    return solved
+    return _trusted(Weighting, category=cat, values=dict(zip(cat.objects, values)), side=side,
+                    unique=unique)
 
 
 def weighting(cat: FinCat) -> Weighting:

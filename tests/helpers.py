@@ -1,11 +1,12 @@
 """Constructions that only the tests use, kept out of the library."""
 
+import dataclasses
 import itertools
 from fractions import Fraction
 
 from eulcat import eulerchar, fincat, groupact, hocolim, randgen, ratlin, zoo
-from eulcat.errors import EulcatError
-from eulcat.fincat import CatFunctor, FinCat, NotNatural
+from eulcat.errors import EulcatError, _trusted
+from eulcat.fincat import CatFunctor, FinCat, NotNatural, _check_natural, _identity_maps
 from eulcat.groups import GroupHom, cyclic_group, symmetric_group, trivial_group
 from eulcat.hocolim import StrictDiagram, constant_diagram
 from eulcat.ratlin import RatMatrix
@@ -156,13 +157,33 @@ def assert_transport_groupoid(group, elements, act, groupoid) -> None:
                              f"{Fraction(len(elements), group.order)}")
 
 
-def unvalidated(cls, **fields):
-    """An instance of the frozen dataclass ``cls`` with ``fields``, built
-    without running its ``__post_init__`` checks."""
-    obj = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
-    return obj
+# the library's one builder past a constructor's checks, for non-vacuity tests
+unvalidated = _trusted
+
+
+def assert_revalidates(*values) -> None:
+    """The oracle for values the library builds with ``errors._trusted``:
+    rebuild each as ``type(value)(**init fields)``, so that the real
+    constructor's checks run and raise on the first law that fails.  Pass
+    the parts before the whole (a complex's homomorphisms, a diagram's
+    edges): a constructor trusts the validated values it is handed."""
+    for value in values:
+        type(value)(**{f.name: getattr(value, f.name) for f in dataclasses.fields(value) if f.init})
+
+
+def assert_complex_revalidates(cplx) -> None:
+    """``assert_revalidates`` on each structure homomorphism, then the complex."""
+    assert_revalidates(*cplx.homs.values(), cplx)
+
+
+def assert_retraction_data(cat, inclusion, retraction, eta) -> None:
+    """The oracle for ``fincat._retract`` (behind ``skeleton`` and
+    ``equivariant_skeleton``): both functors revalidate, and ``eta`` is a
+    natural isomorphism i o r => id (i is the identity on names, so i o r
+    has the maps of r)."""
+    assert_revalidates(inclusion, retraction)
+    _check_natural(cat, cat, retraction.obj_map, retraction.mor_map, *_identity_maps(cat), eta,
+                   "eta")
 
 
 def trivial_diagram(index: FinCat) -> StrictDiagram:

@@ -21,11 +21,9 @@ from eulcat.fincat import (
     skeleton,
 )
 from eulcat.groupact import (
-    ScwolAction,
     chi_theorems,
     complex_of_groups,
     developability_check,
-    hocolim_groups,
     one_arrow_complex,
     quotient,
     skeletal_reduction,

@@ -15,7 +15,7 @@ from eulcat.fincat import NotGroupoid, iso_classes, opposite, skeleton
 from eulcat.groups import FinGroup, cyclic_group, symmetric_group, perm_of_label
 from eulcat.ratlin import Weighting, chi_L
 
-from strategies import groupoids, scwols, skeletal_scwols
+from strategies import groupoids, scwols
 
 
 class TestChiScwol:

@@ -15,6 +15,14 @@ skip the input checks on a complex with a broken cocycle, on pseudo
 diagrams with a broken unit or associativity component and on actions
 breaking axiom (i) or (ii), and show that the oracles reject what is built from
 them: the input checks are what carry the weight.
+
+Every other value the library derives from validated ones is built by
+``errors._trusted``, with no constructor check: functors, homomorphisms,
+complexes, actions, diagrams, spectra, weightings and subgroups.
+``helpers.assert_revalidates`` rebuilds each through its constructor here,
+and the skeleton's eta goes through ``fincat._check_natural``; the
+non-vacuity tests show that a twist with its factors swapped and one wrong
+eta component are rejected, and no listed path runs a constructor check.
 """
 
 from fractions import Fraction
@@ -23,13 +31,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eulcat import zoo
+from eulcat import groupact, zoo
 from eulcat.errors import ValidationError
 from eulcat.eulerchar import chi2_free_EI, chi_scwol, groupoid_chi2
 from eulcat.fincat import (
     BrokenIdentity,
     CatFunctor,
     NonAssociative,
+    NotNatural,
     lower_link,
     path_counts,
     product,
@@ -42,27 +51,44 @@ from eulcat.groupact import (
     ScwolAction,
     complex_of_groups,
     complex_to_pseudo_diagram,
+    equivariant_skeleton,
     haefliger_chi,
     hocolim_groups,
     quotient,
+    skeletal_reduction,
+    stabilizer,
     transport_groupoid,
 )
-from eulcat.groups import cyclic_group
-from eulcat.hocolim import CoherenceFailure, PseudoDiagram, grothendieck, grothendieck_pseudo
-from eulcat.ratlin import chi_L
+from eulcat.groups import GroupHom, cyclic_group
+from eulcat.hocolim import (
+    CellSpectrum,
+    CoherenceFailure,
+    PseudoDiagram,
+    StrictDiagram,
+    bar_spectrum,
+    constant_diagram,
+    grothendieck,
+    grothendieck_pseudo,
+)
+from eulcat.ratlin import chi_L, coweighting, weighting
 
 from helpers import (
     InvalidQuotient,
+    assert_complex_revalidates,
     assert_equivariant_section,
     assert_lawful,
     assert_orbit_projection,
+    assert_retraction_data,
+    assert_revalidates,
     assert_transport_groupoid,
+    s3_flag_action,
     unvalidated,
     z2_chain_complex_data,
 )
 from strategies import (
     actions,
     free_actions,
+    groupoids,
     groups,
     noncentral_actions,
     scwols,
@@ -70,6 +96,9 @@ from strategies import (
     small_groupoids,
     strict_diagrams,
 )
+
+ANY_ACTION = st.one_of(actions, free_actions, noncentral_actions.map(lambda drawn: drawn[0]))
+SCWOLS_AND_GROUPOIDS = st.one_of(scwols, groupoids.map(lambda g: g.category))
 
 
 def assert_both_totals_lawful(cplx):
@@ -256,3 +285,133 @@ class TestNonVacuity:
         cplx = ComplexOfGroups(*z2_chain_complex_data(corrupt=False))
         assert_lawful(hocolim_groups(cplx))
         assert_lawful(grothendieck_pseudo(complex_to_pseudo_diagram(cplx)))
+
+
+class TestTrustedBuilders:
+    """``assert_revalidates`` on every value built with ``errors._trusted``."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.one_of(actions, free_actions))
+    def test_complex_of_an_action(self, action):
+        assert_complex_revalidates(complex_of_groups(action).complex)
+
+    @settings(max_examples=20, deadline=None)
+    @given(noncentral_actions)
+    def test_noncentral_complex_with_its_h(self, drawn):
+        action, h = drawn
+        assert_complex_revalidates(complex_of_groups(action, h_elements=h).complex)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.one_of(actions, noncentral_actions.map(lambda drawn: drawn[0])))
+    def test_complex_to_pseudo_diagram(self, action):
+        p = complex_to_pseudo_diagram(complex_of_groups(action).complex)
+        assert_revalidates(*p.edge.values(), p)
+
+    @settings(max_examples=30, deadline=None)
+    @given(SCWOLS_AND_GROUPOIDS)
+    def test_skeleton(self, cat):
+        sk = skeleton(cat)
+        assert_retraction_data(cat, sk.inclusion, sk.retraction, sk.eta)
+
+    @settings(max_examples=25, deadline=None)
+    @given(actions)
+    def test_equivariant_skeleton(self, action):
+        esk = equivariant_skeleton(action)
+        assert_retraction_data(action.space, esk.inclusion, esk.retraction, esk.eta)
+        assert_revalidates(esk.action)
+
+    @settings(max_examples=20, deadline=None)
+    @given(ANY_ACTION)
+    def test_skeletal_reduction(self, action):
+        """The reduced action, and the induced functor on quotients and the
+        two coordinated complexes it is compared along."""
+        compared = []
+        real = groupact._complexes_agree_along
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(groupact, "_complexes_agree_along",
+                       lambda fx, fg, rbar: compared.append((fx, fg, rbar)) or real(fx, fg, rbar))
+            reduced = skeletal_reduction(action).action
+        assert_revalidates(reduced)
+        [(fx, fg, rbar)] = compared
+        assert_complex_revalidates(fx)
+        assert_complex_revalidates(fg)
+        assert_revalidates(rbar)
+
+    @settings(max_examples=30, deadline=None)
+    @given(scwols)
+    def test_bar_spectrum(self, cat):
+        assert_revalidates(bar_spectrum(cat))
+
+    @settings(max_examples=25, deadline=None)
+    @given(strict_diagrams)
+    def test_strict_diagram_builders(self, d):
+        """``from_strict``, ``constant_diagram``, the alphas and ``then``."""
+        assert_revalidates(PseudoDiagram.from_strict(d))
+        const = constant_diagram(d.index, d.vertex[d.index.objects[0]])
+        assert_revalidates(*const.edge.values(), const)
+        assert_revalidates(*grothendieck(d).alphas.values())
+        assert_revalidates(*(d.edge[u].then(d.edge[v]) for v, u in d.index.composition))
+
+    @settings(max_examples=30, deadline=None)
+    @given(SCWOLS_AND_GROUPOIDS)
+    def test_weightings(self, cat):
+        assert_revalidates(weighting(cat), coweighting(cat))
+
+    @settings(max_examples=20, deadline=None)
+    @given(groups, ANY_ACTION)
+    def test_identities_and_stabilizers(self, group, action):
+        assert_revalidates(GroupHom.identity_hom(group), CatFunctor.identity_functor(action.space))
+        assert_revalidates(*(stabilizer(action, x) for x in action.space.objects))
+
+
+class TestTrustedNonVacuity:
+    def test_twist_with_swapped_factors(self):
+        """h_ba . h_b^-1 . h_a^-1 in place of h_ba . h_a^-1 . h_b^-1 on the
+        non-central S3 flag complex: the oracle rejects it."""
+        action, h = s3_flag_action()
+        built = complex_of_groups(action, h_elements=h)
+        cplx, hs, group = built.complex, built.to_group.h_elements, action.group
+        swapped = {
+            (b, a): group.mul(hs[cplx.base.compose(b, a)], group.mul(group.inv(hs[b]), group.inv(hs[a])))
+            for b, a in cplx.twists
+        }
+        assert swapped != cplx.twists
+        with pytest.raises(ValidationError, match="conjugation identity fails"):
+            assert_complex_revalidates(unvalidated(
+                ComplexOfGroups, base=cplx.base, local=cplx.local, homs=cplx.homs, twists=swapped))
+        assert_complex_revalidates(cplx)
+
+    def test_one_wrong_eta_component(self):
+        """BZ/2 x (x ~ y) has two isomorphisms between its two objects, so a
+        skeleton's eta can take the other one at a single object."""
+        cat = product(zoo.one_object_category(cyclic_group(2)), zoo.contractible_groupoid("xy"))
+        sk = skeleton(cat)
+        x, c = next((x, c) for x, c in sk.eta.items() if not cat.is_identity(c))
+        other = next(u for u in cat.hom(cat.source(c), x) if u != c)
+        with pytest.raises(NotNatural, match="naturality fails"):
+            assert_retraction_data(cat, sk.inclusion, sk.retraction, {**sk.eta, x: other})
+        assert_retraction_data(cat, sk.inclusion, sk.retraction, sk.eta)
+
+
+CHECKED_CLASSES = (ComplexOfGroups, GroupHom, CatFunctor, ScwolAction, CellSpectrum,
+                   PseudoDiagram, StrictDiagram)
+
+
+@settings(max_examples=20, deadline=None)
+@given(ANY_ACTION)
+def test_derived_paths_run_no_constructor_check(action):
+    """``complex_of_groups``, ``skeleton``, ``skeletal_reduction``,
+    ``equivariant_skeleton`` and ``bar_spectrum`` of a validated action and
+    its space run no ``__post_init__`` of the checked classes."""
+    ran = []
+    with pytest.MonkeyPatch.context() as mp:
+        for cls in CHECKED_CLASSES:
+            real = cls.__post_init__
+            mp.setattr(cls, "__post_init__",
+                       lambda self, _real=real: ran.append(type(self).__name__) or _real(self))
+        complex_of_groups(action)
+        skeleton(action.space)
+        skeletal_reduction(action)
+        equivariant_skeleton(action)
+        bar_spectrum(action.space)
+    assert ran == []

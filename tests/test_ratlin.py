@@ -1,6 +1,5 @@
 from fractions import Fraction
 from math import lcm
-from random import Random
 
 import pytest
 from hypothesis import given, settings

@@ -757,6 +757,34 @@ def result_or_error(fn, *args):
         return type(exc), str(exc)
 
 
+GROUP_REJECTIONS = {
+    "duplicate": (lambda: FinGroup(("e", "e"), ((0, 1), (1, 0))),
+                  "duplicate element labels in G", {"element": "e"}),
+    "shape": (lambda: FinGroup(("e", "a"), ((0, 1),)), "Cayley table of G is not 2x2",
+              {"shape": [2]}),
+    "range": (lambda: FinGroup(("e", "a"), ((0, 1), (1, 2))),
+              "Cayley table entry 2 out of range", {"entry": 2}),
+    "no identity": (lambda: FinGroup(("e", "a"), ((0, 0), (0, 0))),
+                    "G has no identity element", {"group": "G"}),
+    "no inverse": (lambda: FinGroup(("e", "a"), ((0, 1), (1, 1))),
+                   "element 'a' of G has no inverse", {"element": "a"}),
+    "not closed": (lambda: symmetric_group(3).subgroup(["102", "021", "012"]),
+                   "subset not closed: '021'*'102' = '201' escapes",
+                   {"pair": ("021", "102"), "product": "201"}),
+    "empty subset": (lambda: cyclic_group(2).subgroup([], "H"), "H has no identity element",
+                     {"group": "H"}),
+}
+
+
+@pytest.mark.parametrize("build, message, witness", GROUP_REJECTIONS.values(),
+                         ids=GROUP_REJECTIONS.keys())
+def test_group_rejection_carries_its_witness(build, message, witness):
+    with pytest.raises(NotAGroup) as info:
+        build()
+    assert str(info.value) == message
+    assert info.value.witness == witness
+
+
 class TestSubgroupAndConjugate:
     @settings(max_examples=60, deadline=None)
     @given(groups, SEEDS)
@@ -1009,6 +1037,10 @@ PLAIN_REJECTIONS = {
         lambda: complex_of_groups(s3_flag_action()[0], object_reps={"y0": "p"}),
         "override representative 'p' does not project to 'y0'",
         {"object": "y0", "representative": "p"}),
+    "identity override": (
+        lambda: complex_of_groups(s3_flag_action()[0], h_elements={"id_p": "021"}),
+        "override h element '021' at identity morphism 'id_p' is not the group identity",
+        {"morphism": "id_p", "element": "021"}),
     "override h element": (
         lambda: complex_of_groups(swapped_arrows_action(), h_elements={"f": "1"}),
         "override h element '1' does not carry the lift target onto 'q'",

@@ -1,4 +1,4 @@
-"""Every ``raise`` of a category, scwol, functor, naturality,
+"""Every ``raise`` of a category, scwol, group, functor, naturality,
 homomorphism, coherence, missing-value or weighting rejection, and of a
 plain ``ValidationError``, in the library passes ``witness=``, so the
 exception carries the offending data as well as its message.  Only the
@@ -16,7 +16,7 @@ CHECKED = {
     "NotAFunctor", "NotAFunctorAction", "NotAHomomorphism", "NotAHomomorphismAction",
     "DanglingReference", "BrokenIdentity", "IncompleteCompositionTable", "NonAssociative",
     "NotNatural", "CoherenceFailure", "MissingValue", "NoWeighting", "ValidationError",
-    "NotScwol",
+    "NotScwol", "NotAGroup",
 }
 
 
