@@ -62,7 +62,8 @@ def _load(path: str, *kinds: str):
     kind, value = manifest.load_file(path)
     if kinds and kind not in kinds:
         raise manifest.BadManifest(
-            f"{path}: expected manifest kind in {kinds}, found {kind!r}"
+            f"{path}: expected manifest kind in {kinds}, found {kind!r}",
+            witness={"path": path, "kind": kind},
         )
     return kind, value
 
@@ -201,9 +202,12 @@ def _complex_of_groups(kind, action, args):
 
 
 def _transport(kind, action, args):
-    if any(not action.space.is_identity(m.name) for m in action.space.morphisms):
-        raise manifest.BadManifest("transport expects an action on a discrete scwol")
-    chi2, chi = _transport_chis(action.group, action.space.objects, action.on_objects)
+    space = action.space
+    moving = next((m.name for m in space.morphisms if not space.is_identity(m.name)), None)
+    if moving is not None:
+        raise manifest.BadManifest("transport expects an action on a discrete scwol",
+                                   witness={"morphism": moving})
+    chi2, chi = _transport_chis(action.group, space.objects, action.on_objects)
     return [f"chi2: {R(chi2)}", f"chi: {chi}"], {"chi2": R(chi2), "chi": str(chi)}, True
 
 
@@ -241,7 +245,8 @@ def _developability(kind, cplx, args):
             candidates.append((int(chi_str), int(order_str)))
         except ValueError:
             raise manifest.BadManifest(
-                f"candidate {spec_str!r} is not of the form CHI,ORDER"
+                f"candidate {spec_str!r} is not of the form CHI,ORDER",
+                witness={"candidate": spec_str},
             ) from None
     rep = developability_check(cplx, candidates)
     lines = [f"chi2(hocolim F): {R(rep.chi2_hocolim)}"] + [
@@ -265,12 +270,15 @@ def _haefliger(kind, cat, args):
             vals[key] = manifest.parse_rational(raw)
         except ValueError:
             raise manifest.BadManifest(
-                f"value {assignment!r} is not of the form OBJECT=p/q"
+                f"value {assignment!r} is not of the form OBJECT=p/q",
+                witness={"value": assignment},
             ) from None
         except ZeroDivisionError:
-            raise manifest.BadManifest(f"value {assignment!r} has a zero denominator") from None
+            raise manifest.BadManifest(f"value {assignment!r} has a zero denominator",
+                                       witness={"value": assignment}) from None
         if not cat.has_object(key):
-            raise manifest.BadManifest(f"value {assignment!r} names no object of {cat.name}")
+            raise manifest.BadManifest(f"value {assignment!r} names no object of {cat.name}",
+                                       witness={"value": assignment, "object": key})
     value = R(haefliger_chi(cat, vals))
     return [value], {"chi": value}, True
 
@@ -278,7 +286,8 @@ def _haefliger(kind, cat, args):
 def _demo(kind, value, args):
     if args.name not in DEMOS:
         raise manifest.BadManifest(
-            f"unknown demo {args.name!r}; available: {', '.join(sorted(DEMOS))}"
+            f"unknown demo {args.name!r}; available: {', '.join(sorted(DEMOS))}",
+            witness={"demo": args.name},
         )
     lines: list[str] = []
     passed = DEMOS[args.name](lines)

@@ -473,10 +473,29 @@ def _complex_from_quotient(
     base = q.category
     cat = action.space
     group = action.group
+    object_reps, h_elements = object_reps or {}, h_elements or {}
+    for orbit_name in object_reps:
+        if not base.has_object(orbit_name):
+            raise ValidationError(
+                f"override representative given for {orbit_name!r}, "
+                f"which is no orbit of {base.name}",
+                witness={"object": orbit_name},
+            )
+    for m, h in h_elements.items():
+        if m not in base._mor:
+            raise ValidationError(
+                f"override h element given for {m!r}, which is no morphism of {base.name}",
+                witness={"morphism": m},
+            )
+        if h not in group:
+            raise ValidationError(
+                f"override h element {h!r} at {m!r} is not an element of {group.name}",
+                witness={"morphism": m, "element": h},
+            )
 
     reps: dict[str, str] = {}
     for orbit_name in base.objects:
-        chosen = (object_reps or {}).get(orbit_name, orbit_name)
+        chosen = object_reps.get(orbit_name, orbit_name)
         if q.object_orbit_of.get(chosen) != orbit_name:
             raise ValidationError(
                 f"override representative {chosen!r} does not project to {orbit_name!r}",
@@ -492,7 +511,7 @@ def _complex_from_quotient(
         s_rep = reps[m.source]
         t_rep = reps[m.target]
         lift = lifts[m.name] = _lifts(q, cat, s_rep, m.name)[0]
-        wanted = (h_elements or {}).get(m.name)
+        wanted = h_elements.get(m.name)
         if base.is_identity(m.name):
             if wanted not in (None, group.identity):
                 raise ValidationError(

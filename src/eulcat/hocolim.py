@@ -11,7 +11,6 @@ already fix the functors it runs between.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -581,13 +580,16 @@ def check_hocolim_formula(
 
     spec = spectrum if spectrum is not None else bar_spectrum(d.index)
     vals = {}
-    invariant_of = functools.cache(lambda cat: Fraction(fn(cat)))
+    invariant_of: dict[FinCat, Fraction] = {}
     for i in spec.objects_with_cells():
         if i not in d.vertex:
             raise MissingValue(
                 f"spectrum object {i!r} is not an index object", witness={"object": i}
             )
-        vals[i] = invariant_of(d.vertex[i])
+        cat = d.vertex[i]
+        if cat not in invariant_of:
+            invariant_of[cat] = Fraction(fn(cat))
+        vals[i] = invariant_of[cat]
     if spectrum is not None and spectrum.index is not d.index:
         _check_weighting_on(spectrum, d.index)
     rhs = formula_value(spec, vals)

@@ -74,12 +74,14 @@ def group_from_payload(payload: Mapping) -> FinGroup:
         pos = {lab: i for i, lab in enumerate(labels)}
         table = tuple(tuple(pos[str(v)] for v in row) for row in payload["table"])
     except (KeyError, TypeError) as exc:
-        raise BadManifest(f"malformed group payload ({exc})") from exc
+        raise BadManifest(f"malformed group payload ({exc})",
+                          witness={"kind": "group", "error": str(exc)}) from exc
     group = FinGroup(labels, table, name=str(payload.get("name", "G")))
     declared = payload.get("identity")
     if declared is not None and str(declared) != group.identity:
         raise BadManifest(
-            f"declared identity {declared!r} is not the identity of the table"
+            f"declared identity {declared!r} is not the identity of the table",
+            witness={"identity": declared, "table_identity": group.identity},
         )
     return group
 
@@ -105,11 +107,13 @@ def _functor_from_payload(payload: Mapping, src: FinCat, tgt: FinCat, edge: str)
     # CatFunctor requires every object and morphism, so a longer map has a stray key
     if len(fun.obj_map) != len(src.objects):
         x = next(x for x in fun.obj_map if not src.has_object(x))
-        raise BadManifest(f"edge {edge!r}: object map key {x!r} is not an object of {src.name}")
+        raise BadManifest(f"edge {edge!r}: object map key {x!r} is not an object of {src.name}",
+                          witness={"edge": edge, "object": x})
     if len(fun.mor_map) != len(src.morphisms):
         names = set(src.morphism_names())
         m = next(m for m in fun.mor_map if m not in names)
-        raise BadManifest(f"edge {edge!r}: morphism map key {m!r} is not a morphism of {src.name}")
+        raise BadManifest(f"edge {edge!r}: morphism map key {m!r} is not a morphism of {src.name}",
+                          witness={"edge": edge, "morphism": m})
     return fun
 
 
@@ -132,20 +136,21 @@ def _diagram_parts(payload: Mapping) -> tuple[FinCat, dict, dict]:
     }
     for i in index.objects:
         if i not in vertex:
-            raise BadManifest(f"no vertex category for index object {i!r}")
+            raise BadManifest(f"no vertex category for index object {i!r}", witness={"object": i})
     if len(vertex) != len(index.objects):
         i = next(i for i in vertex if not index.has_object(i))
-        raise BadManifest(f"vertex category for non-index object {i!r}")
+        raise BadManifest(f"vertex category for non-index object {i!r}", witness={"object": i})
     edges, edge = payload["edges"], {}
     for m in index.morphisms:
         if m.name not in edges:
-            raise BadManifest(f"no edge functor for morphism {m.name!r}")
+            raise BadManifest(f"no edge functor for morphism {m.name!r}",
+                              witness={"morphism": m.name})
         edge[m.name] = _functor_from_payload(
             edges[m.name], vertex[m.source], vertex[m.target], m.name
         )
     if len(edges) != len(edge):
         m = next(m for m in edges if m not in edge)
-        raise BadManifest(f"edge functor for non-index morphism {m!r}")
+        raise BadManifest(f"edge functor for non-index morphism {m!r}", witness={"morphism": m})
     return index, vertex, edge
 
 
@@ -172,13 +177,14 @@ def pseudo_diagram_from_payload(payload: Mapping) -> PseudoDiagram:
     for v, u, components in payload.get("comp", []):
         v, u = str(v), str(u)
         if (v, u) not in index.composition:
-            raise BadManifest(f"comp entry for non-composable pair ({v!r}, {u!r})")
+            raise BadManifest(f"comp entry for non-composable pair ({v!r}, {u!r})",
+                              witness={"pair": (v, u)})
         comp[(v, u)] = _str_map(components)
     unit = {}
     for i, components in payload.get("unit", {}).items():
         i = str(i)
         if not index.has_object(i):
-            raise BadManifest(f"unit entry for non-index object {i!r}")
+            raise BadManifest(f"unit entry for non-index object {i!r}", witness={"object": i})
         unit[i] = _str_map(components)
     return PseudoDiagram(index, vertex, edge, comp, unit)
 
@@ -235,7 +241,7 @@ def complex_from_payload(payload: Mapping) -> ComplexOfGroups:
     }
     for x in base.objects:
         if x not in local:
-            raise BadManifest(f"no local group for object {x!r}")
+            raise BadManifest(f"no local group for object {x!r}", witness={"object": x})
     homs = {}
     for m in base.morphisms:
         if base.is_identity(m.name):
@@ -243,7 +249,8 @@ def complex_from_payload(payload: Mapping) -> ComplexOfGroups:
         else:
             raw = payload["homs"].get(m.name)
             if raw is None:
-                raise BadManifest(f"no structure homomorphism for {m.name!r}")
+                raise BadManifest(f"no structure homomorphism for {m.name!r}",
+                                  witness={"morphism": m.name})
             homs[m.name] = GroupHom(local[m.source], local[m.target], _str_map(raw))
     twists = {}
     for b, a, g in payload.get("twists", []):
@@ -253,15 +260,17 @@ def complex_from_payload(payload: Mapping) -> ComplexOfGroups:
             if base.is_identity(a) or base.is_identity(b):
                 twists[(b, a)] = local[base.target(b)].identity
             else:
-                raise BadManifest(f"no twist for composable pair ({b!r}, {a!r})")
+                raise BadManifest(f"no twist for composable pair ({b!r}, {a!r})",
+                                  witness={"pair": (b, a)})
     cplx = ComplexOfGroups(base, local, homs, twists)
     # every base object has a local group, so a longer table has a stray key
     if len(local) != len(base.objects):
         x = next(x for x in local if not base.has_object(x))
-        raise BadManifest(f"local group for non-base object {x!r}")
+        raise BadManifest(f"local group for non-base object {x!r}", witness={"object": x})
     for m in payload.get("homs", {}):
         if m not in homs:
-            raise BadManifest(f"structure homomorphism for non-base morphism {m!r}")
+            raise BadManifest(f"structure homomorphism for non-base morphism {m!r}",
+                              witness={"morphism": m})
     return cplx
 
 
@@ -301,26 +310,28 @@ KINDS = tuple(_CODECS)
 
 def serialize(kind: str, value) -> dict:
     if kind not in KINDS:
-        raise BadManifest(f"unknown manifest kind {kind!r}")
+        raise BadManifest(f"unknown manifest kind {kind!r}", witness={"kind": kind})
     return {"schema": SCHEMA_VERSION, "kind": kind, "payload": _CODECS[kind][0](value)}
 
 
 def parse(manifest: Mapping) -> tuple[str, Any]:
     if not isinstance(manifest, Mapping):
-        raise BadManifest("manifest must be a JSON object")
+        raise BadManifest("manifest must be a JSON object",
+                          witness={"type": type(manifest).__name__})
     version = manifest.get("schema")
     if version != SCHEMA_VERSION:
-        raise BadManifest(f"unrecognized schema version {version!r}")
+        raise BadManifest(f"unrecognized schema version {version!r}", witness={"schema": version})
     kind = manifest.get("kind")
     if kind not in KINDS:
-        raise BadManifest(f"unknown kind {kind!r}; expected one of {KINDS}")
+        raise BadManifest(f"unknown kind {kind!r}; expected one of {KINDS}", witness={"kind": kind})
     payload = manifest.get("payload")
     if payload is None:
-        raise BadManifest("manifest has no payload")
+        raise BadManifest("manifest has no payload", witness={"key": "payload"})
     try:
         return kind, _CODECS[kind][1](payload)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise BadManifest(f"malformed {kind} payload ({exc})") from exc
+        raise BadManifest(f"malformed {kind} payload ({exc})",
+                          witness={"kind": kind, "error": str(exc)}) from exc
 
 
 def load_file(path: str) -> tuple[str, Any]:
@@ -328,11 +339,16 @@ def load_file(path: str) -> tuple[str, Any]:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
-            raise BadManifest(f"{path}: not valid JSON ({exc})") from exc
+            raise BadManifest(
+                f"{path}: not valid JSON ({exc})",
+                witness={"path": path, "line": exc.lineno, "column": exc.colno},
+            ) from exc
         except UnicodeDecodeError as exc:
-            raise BadManifest(f"{path}: not UTF-8 text ({exc})") from exc
+            raise BadManifest(f"{path}: not UTF-8 text ({exc})",
+                              witness={"path": path, "byte": exc.start}) from exc
         except RecursionError:
-            raise BadManifest(f"{path}: JSON nested too deeply to decode") from None
+            raise BadManifest(f"{path}: JSON nested too deeply to decode",
+                              witness={"path": path}) from None
     return parse(data)
 
 

@@ -7,17 +7,20 @@ condensed onto isomorphism classes; and only when that is still cyclic,
 Gaussian elimination (``solve_linear``) on the condensed matrix.  Its rows
 come from a category (``_count_rows`` and ``_iso_partition``) or, for the
 Grothendieck construction of a strict diagram, from the diagram itself
-(``hocolim``).  Values are fractions.Fraction; the kernel checks every
-equation once, in integers, scaled by the lcm of the denominators, against
-the rows it solved.  No floating point anywhere.
+(``hocolim``).  The kernel works in integers: back-substitution carries
+each weight as a numerator over one running denominator, the lcm of the
+weights' denominators, and checks every equation once against the rows it
+solved by comparing integer row sums with that denominator.  Fractions are
+made only for results: one per object of a returned ``Weighting`` and the
+two totals of ``chi_L``.  Only ``solve_linear`` computes in Fractions.  No
+floating point anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import EulcatError, InvariantViolation, _trusted
@@ -109,80 +112,127 @@ def solve_linear(a: RatMatrix, b: Sequence) -> Optional[LinearSolution]:
     return LinearSolution(tuple(values), unique=(len(pivot_cols) == ncols))
 
 
-def _back_substitute(rows: Sequence[Mapping[int, int]], order: Sequence[int]) -> list[Fraction]:
+def _back_substitute(
+    rows: Sequence[Mapping[int, int]], order: Sequence[int]
+) -> tuple[list[int], int]:
     """Solve sum_j rows[i][j] w_j = 1 along a topological order of the
-    support: w_i = (1 - sum_{j != i} rows[i][j] w_j) / rows[i][i].
+    support: w_i = (1 - sum_{j != i} rows[i][j] w_j) / rows[i][i], in integers.
 
-    The diagonal of a hom-count matrix counts identities, so it is >= 1.
+    Returns ``(nums, den)`` with w_i = nums[i] / den, where ``den`` is the
+    lcm of the weights' denominators.  ``den`` grows by d / gcd(acc, d) only
+    when the diagonal count d fails to divide the next numerator acc, and
+    the numerators found so far are rescaled with it.  The diagonal of a
+    hom-count matrix counts identities, so it is >= 1.
     """
-    values: list[Fraction] = [Fraction(0)] * len(rows)
+    nums = [0] * len(rows)
+    den = 1
     for i in order:
         row = rows[i]
-        acc = Fraction(1)
+        acc = den
         for j, count in row.items():
             if j != i:
-                acc -= count * values[j]
-        values[i] = acc / row[i]
-    return values
+                acc -= count * nums[j]
+        d = row[i]
+        if acc % d:
+            g = gcd(acc, d)
+            grow = d // g
+            nums = [v * grow for v in nums]
+            den *= grow
+            nums[i] = acc // g
+        else:
+            nums[i] = acc // d
+    return nums, den
+
+
+def _over_common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """``(nums, den)`` with values[i] = nums[i] / den and ``den`` the lcm of
+    the denominators."""
+    den = lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def _check_equations(
     rows: Sequence[Mapping[int, int]],
-    values: Sequence[Fraction],
+    nums: Sequence[int],
+    den: int,
     side: str,
     label: Callable[[int], str],
 ) -> None:
-    """sum_j rows[i][j] values[j] = 1 for every i, in integers: each value
-    scaled by L, the lcm of the denominators, must sum to L.  The first row
-    that fails raises, named by ``label``."""
-    scale = lcm(*(v.denominator for v in values))
-    scaled = [v.numerator * (scale // v.denominator) for v in values]
+    """sum_j rows[i][j] w_j = 1 for every i, for w_j = nums[j] / den: in
+    integers, sum_j rows[i][j] nums[j] = den.  The first row that fails
+    raises, named by ``label``."""
     for i, row in enumerate(rows):
-        if sum(count * scaled[j] for j, count in row.items()) != scale:
+        if sum(count * nums[j] for j, count in row.items()) != den:
             x = label(i)
             raise NoWeighting(f"{side} equation fails at {x!r}", witness={"object": x})
 
 
+Support = tuple[Sequence[Mapping[int, int]], Optional[Sequence[int]], Optional[Sequence[int]]]
+
+
+def _support(rows: Sequence[Mapping[int, int]], reps_of: Callable[[], Sequence[int]]) -> Support:
+    """``(solved_rows, order, reps)``: the rows ``_weigh`` solves, a
+    topological order of their support (None if it has a cycle), and the
+    condensation representatives (None if the rows are solved as they are).
+
+    A cyclic support is condensed onto the representatives ``reps_of()``
+    returns, the least index of each isomorphism class in increasing order:
+    isomorphic objects have equal rows and columns, so these are the pivots
+    elimination on the full matrix would pick.
+    """
+    order = _topological_order(rows)
+    if order is not None:
+        return rows, order, None
+    reps = reps_of()
+    pos = {r: k for k, r in enumerate(reps)}
+    condensed = [{pos[j]: c for j, c in rows[r].items() if j in pos} for r in reps]
+    return condensed, _topological_order(condensed), reps
+
+
+def _transpose(rows: Sequence[Mapping[int, int]]) -> list[dict[int, int]]:
+    cols: list[dict[int, int]] = [{} for _ in rows]
+    for i, row in enumerate(rows):
+        for j, count in row.items():
+            cols[j][i] = count
+    return cols
+
+
 def _weigh(
     rows: Sequence[Mapping[int, int]],
-    reps_of: Callable[[], Sequence[int]],
+    support: Support,
     side: str,
     name: str,
     label: Callable[[int], str],
-) -> tuple[list[Fraction], bool]:
-    """The kernel behind every weighting: ``(values, unique)`` solving
-    sum_j rows[i][j] w_j = 1, checked against ``rows`` in integers.
+) -> tuple[list[int], int, bool]:
+    """The kernel behind every weighting: ``(nums, den, unique)`` with
+    w_j = nums[j] / den solving sum_j rows[i][j] w_j = 1, checked against
+    ``rows`` in integers.
 
-    A cyclic support is condensed onto the representatives ``reps_of()``
-    returns, the least index of each isomorphism class in increasing order,
-    and the others get 0: isomorphic objects have equal rows and columns, so
-    these are the pivots elimination on the full matrix would pick.  Only a
-    still-cyclic condensate reaches ``solve_linear``.  ``name`` and ``label``
-    (row index to object) serve the messages.
+    ``support`` is what ``_support`` gives for ``rows`` (``_chi_L_of_rows``
+    derives the coweighting's from the weighting's).  Objects off the
+    condensation representatives get 0, and only a still-cyclic condensate
+    reaches ``solve_linear``.  ``name`` and ``label`` (row index to object)
+    serve the messages.
     """
-    solved_rows, reps = rows, None
-    order = _topological_order(rows)
-    if order is None:
-        reps = reps_of()
-        pos = {r: k for k, r in enumerate(reps)}
-        solved_rows = [{pos[j]: c for j, c in rows[r].items() if j in pos} for r in reps]
-        order = _topological_order(solved_rows)
+    solved_rows, order, reps = support
     if order is not None:
-        values, unique = _back_substitute(solved_rows, order), True
+        nums, den = _back_substitute(solved_rows, order)
+        unique = True
     else:
         n = len(solved_rows)
         mat = RatMatrix.from_rows([[row.get(j, 0) for j in range(n)] for row in solved_rows])
         sol = solve_linear(mat, [Fraction(1)] * n)
         if sol is None:
             raise NoWeighting(f"{name} admits no {side}", witness={"side": side})
-        values, unique = list(sol.values), sol.unique
+        nums, den = _over_common_denominator(sol.values)
+        unique = sol.unique
     if reps is not None:
-        full = [Fraction(0)] * len(rows)
-        for r, v in zip(reps, values):
+        full = [0] * len(rows)
+        for r, v in zip(reps, nums):
             full[r] = v
-        values, unique = full, unique and len(reps) == len(full)
-    _check_equations(rows, values, side, label)
-    return values, unique
+        nums, unique = full, unique and len(reps) == len(full)
+    _check_equations(rows, nums, den, side, label)
+    return nums, den, unique
 
 
 @dataclass(frozen=True)
@@ -201,14 +251,15 @@ class Weighting:
             if x not in values:
                 raise NoWeighting(f"{side} has no value at {x!r}", witness={"object": x})
         rows = _count_rows(cat, transpose=(side == "coweighting"))
-        _check_equations(rows, [values[x] for x in cat.objects], side, cat.objects.__getitem__)
+        nums, den = _over_common_denominator([values[x] for x in cat.objects])
+        _check_equations(rows, nums, den, side, cat.objects.__getitem__)
 
     def total(self) -> Fraction:
         return sum(self.values.values(), Fraction(0))
 
 
 def _class_reps(cat: FinCat) -> Callable[[], list[int]]:
-    """The condensation callback for ``_weigh`` on the hom-count rows of
+    """The condensation callback for ``_support`` on the hom-count rows of
     ``cat``: the first object, in object order, of each ``_iso_partition``
     class, as row indices in increasing order."""
     def reps_of() -> list[int]:
@@ -222,11 +273,12 @@ def _solve(cat: FinCat, side: str) -> Weighting:
     """``_weigh`` on the hom-count rows of ``cat`` (transposed for a
     coweighting), condensed if need be onto ``_class_reps``.  The kernel
     has checked the values, so the ``Weighting`` is built without a second
-    check."""
+    check; its values are the only Fractions made."""
     rows = _count_rows(cat, transpose=(side == "coweighting"))
-    values, unique = _weigh(rows, _class_reps(cat), side, cat.name, cat.objects.__getitem__)
-    return _trusted(Weighting, category=cat, values=dict(zip(cat.objects, values)), side=side,
-                    unique=unique)
+    nums, den, unique = _weigh(rows, _support(rows, _class_reps(cat)), side, cat.name,
+                               cat.objects.__getitem__)
+    values = {x: Fraction(v, den) for x, v in zip(cat.objects, nums)}
+    return _trusted(Weighting, category=cat, values=values, side=side, unique=unique)
 
 
 def weighting(cat: FinCat) -> Weighting:
@@ -261,19 +313,25 @@ def _chi_L_of_rows(
     label: Callable[[int], str],
 ) -> Fraction:
     """``chi_L`` of the category with hom-count rows ``rows``: the weighting
-    on the rows and the coweighting on their transpose, by ``_weigh``."""
-    cols: list[dict[int, int]] = [{} for _ in rows]
-    for i, row in enumerate(rows):
-        for j, count in row.items():
-            cols[j][i] = count
-    reps_of = cache(reps_of)  # a transposed support condenses onto the same classes
+    on the rows and the coweighting on their transpose, by ``_weigh``.
+
+    Both sides share one support: the transpose of an acyclic support is
+    acyclic in the reversed order, and a transposed support condenses onto
+    the same classes.  The two totals are the only Fractions made.
+    """
+    support = _support(rows, reps_of)
+    solved_rows, order, reps = support
+    cols = _transpose(rows)
+    co_support = (cols if reps is None else _transpose(solved_rows),
+                  None if order is None else order[::-1], reps)
     totals = []
-    for side, side_rows in (("weighting", rows), ("coweighting", cols)):
+    for side, side_rows, side_support in (("weighting", rows, support),
+                                          ("coweighting", cols, co_support)):
         try:
-            values, _ = _weigh(side_rows, reps_of, side, name, label)
+            nums, den, _ = _weigh(side_rows, side_support, side, name, label)
         except NoWeighting as exc:
             raise NoEulerCharacteristic(str(exc), witness=exc.witness) from exc
-        totals.append(sum(values, Fraction(0)))
+        totals.append(Fraction(sum(nums), den))
     total, cototal = totals
     if total != cototal:
         raise InvariantViolation(

@@ -9,6 +9,7 @@ classes and the skeleton.  Every comparison demands exact equality.
 
 import itertools
 from fractions import Fraction
+from math import lcm
 from random import Random
 
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eulcat import eulerchar, hocolim, randgen, ratlin, zoo
+from eulcat.errors import EulcatError, InvariantViolation
 from eulcat.eulerchar import HypothesisNotMet, chi2_free_EI, free_aut_witness
 from eulcat.fincat import (
     FinCat,
@@ -39,7 +41,7 @@ from eulcat.fincat import (
 from eulcat.groups import FinGroup, cyclic_group
 from eulcat.groupact import haefliger_chi
 from eulcat.hocolim import bar_spectrum, check_hocolim_formula, constant_diagram, grothendieck
-from eulcat.ratlin import NoWeighting, coweighting, solve_linear, weighting
+from eulcat.ratlin import NoWeighting, RatMatrix, coweighting, solve_linear, weighting
 
 from helpers import count_calls, mor_count_matrix, split_idempotent
 from strategies import groupoids, posets, scwols, skeletal_scwols, strict_diagrams
@@ -473,3 +475,189 @@ class TestNoEliminationOnEICategories:
         rng = Random(0)
         for _ in range(50):
             assert check_hocolim_formula(randgen.random_strict_diagram(rng), "chiL").equal
+
+
+# -- the integer kernel against the Fraction kernel ----------------------------------------
+
+
+def fraction_back_substitute(rows, order):
+    """Back-substitution with one Fraction per term."""
+    values = [Fraction(0)] * len(rows)
+    for i in order:
+        row = rows[i]
+        acc = Fraction(1)
+        for j, count in row.items():
+            if j != i:
+                acc -= count * values[j]
+        values[i] = acc / row[i]
+    return values
+
+
+def fraction_check_equations(rows, values, side, label):
+    scale = lcm(*(v.denominator for v in values))
+    scaled = [v.numerator * (scale // v.denominator) for v in values]
+    for i, row in enumerate(rows):
+        if sum(count * scaled[j] for j, count in row.items()) != scale:
+            x = label(i)
+            raise NoWeighting(f"{side} equation fails at {x!r}", witness={"object": x})
+
+
+def fraction_weigh(rows, reps_of, side, name, label):
+    """``(values, unique)`` by the same routes as ``ratlin._weigh``, in
+    Fractions, each side finding its own topological order."""
+    solved_rows, reps = rows, None
+    order = _topological_order(rows)
+    if order is None:
+        reps = reps_of()
+        pos = {r: k for k, r in enumerate(reps)}
+        solved_rows = [{pos[j]: c for j, c in rows[r].items() if j in pos} for r in reps]
+        order = _topological_order(solved_rows)
+    if order is not None:
+        values, unique = fraction_back_substitute(solved_rows, order), True
+    else:
+        n = len(solved_rows)
+        mat = RatMatrix.from_rows([[row.get(j, 0) for j in range(n)] for row in solved_rows])
+        sol = solve_linear(mat, [Fraction(1)] * n)
+        if sol is None:
+            raise NoWeighting(f"{name} admits no {side}", witness={"side": side})
+        values, unique = list(sol.values), sol.unique
+    if reps is not None:
+        full = [Fraction(0)] * len(rows)
+        for r, v in zip(reps, values):
+            full[r] = v
+        values, unique = full, unique and len(reps) == len(full)
+    fraction_check_equations(rows, values, side, label)
+    return values, unique
+
+
+def fraction_chi_L(rows, reps_of, name, label):
+    totals = []
+    for side, side_rows in (("weighting", rows), ("coweighting", ratlin._transpose(rows))):
+        try:
+            values, _ = fraction_weigh(side_rows, reps_of, side, name, label)
+        except NoWeighting as exc:
+            raise ratlin.NoEulerCharacteristic(str(exc), witness=exc.witness) from exc
+        totals.append(sum(values, Fraction(0)))
+    if totals[0] != totals[1]:
+        raise InvariantViolation(f"{name}: weighting and coweighting sums disagree",
+                                 witness={"weighting": totals[0], "coweighting": totals[1]})
+    return totals[0]
+
+
+def kernel_outcome(fn, *args):
+    """fn(*args, "C", label), or the class, message and witness it raises."""
+    try:
+        return fn(*args, "C", LABELS.__getitem__)
+    except EulcatError as exc:
+        return type(exc).__name__, str(exc), exc.witness
+
+
+def integer_weigh(rows, reps_of, side, name, label):
+    nums, den, unique = ratlin._weigh(rows, ratlin._support(rows, reps_of), side, name, label)
+    values = [Fraction(v, den) for v in nums]
+    assert den == lcm(*(v.denominator for v in values))
+    return values, unique
+
+
+LABELS = "abcdefghijklmnopqrstuvwxyz"
+
+
+@st.composite
+def count_rows(draw):
+    """Sparse rows with a positive diagonal and any off-diagonal support,
+    with drawn condensation representatives: the lawful shapes and the
+    inconsistent ones, whose first failing row the kernel must name."""
+    n = draw(st.integers(1, 6))
+    rows = []
+    for i in range(n):
+        row = {j: c for j in range(n) if (c := draw(st.integers(0, 2)))}
+        row[i] = draw(st.integers(1, 4))
+        rows.append(row)
+    reps = sorted(draw(st.sets(st.integers(0, n - 1), min_size=1)))
+    return rows, lambda: reps
+
+
+def category_rows(cat):
+    return _count_rows(cat), ratlin._class_reps(cat)
+
+
+def assert_kernels_agree(rows, reps_of):
+    cols = ratlin._transpose(rows)
+    for side, side_rows in (("weighting", rows), ("coweighting", cols)):
+        assert (kernel_outcome(integer_weigh, side_rows, reps_of, side)
+                == kernel_outcome(fraction_weigh, side_rows, reps_of, side))
+    assert (kernel_outcome(ratlin._chi_L_of_rows, rows, reps_of)
+            == kernel_outcome(fraction_chi_L, rows, reps_of))
+
+
+class TestIntegerKernelAgainstFractions:
+    @settings(max_examples=60, deadline=None)
+    @given(count_rows())
+    def test_drawn_rows(self, drawn):
+        assert_kernels_agree(*drawn)
+
+    @settings(max_examples=30, deadline=None)
+    @given(strict_diagrams)
+    def test_strict_diagram_totals(self, d):
+        assert_kernels_agree(*hocolim._total_counts(d))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.one_of(skeletal_scwols, scwols, posets, grothendieck_totals,
+                     groupoids.map(lambda g: g.category)))
+    def test_categories(self, cat):
+        assert_kernels_agree(*category_rows(cat))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.one_of(scwols, posets, grothendieck_totals, st.just(split_idempotent())), st.data())
+    def test_inflated_categories(self, cat, data):
+        assert_kernels_agree(*category_rows(inflated(cat, data)))
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.one_of(skeletal_scwols, posets, groupoids.map(lambda g: g.category)), st.data())
+    def test_products_with_a_non_ei_monoid(self, cat, data):
+        assert_kernels_agree(*category_rows(product(zoo.monoid_z2_mult(), inflated(cat, data))))
+
+    @settings(max_examples=40, deadline=None)
+    @given(count_rows())
+    def test_back_substitution(self, drawn):
+        rows, _ = drawn
+        order = _topological_order(rows)
+        if order is not None:
+            nums, den = ratlin._back_substitute(rows, order)
+            assert [Fraction(v, den) for v in nums] == fraction_back_substitute(rows, order)
+
+    def test_growing_denominator(self):
+        # w = 1/2, 1/4, 3/8 down a chain with two identities at each object
+        rows = [{0: 2}, {1: 2, 0: 1}, {2: 2, 1: 1}]
+        assert ratlin._back_substitute(rows, [0, 1, 2]) == ([4, 2, 3], 8)
+
+
+@pytest.fixture
+def fractions_made(monkeypatch):
+    """The number of Fractions constructed so far, as a one-element list."""
+    made = [0]
+    real = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made[0] += 1
+        return real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    return made
+
+
+class TestFractionsMade:
+    @pytest.mark.parametrize("build", [lambda: zoo.polygon_scwol(80),
+                                       lambda: zoo.subsets_poset_opposite(5)],
+                             ids=["polygon80", "subsets5"])
+    def test_chi_L_makes_its_two_totals(self, build, fractions_made):
+        cat = build()
+        fractions_made[0] = 0
+        ratlin.chi_L(cat)
+        assert fractions_made[0] == 2
+
+    def test_weighting_makes_one_per_object(self, fractions_made):
+        cat = zoo.polygon_scwol(80)
+        fractions_made[0] = 0
+        weighting(cat)
+        assert fractions_made[0] == len(cat.objects)

@@ -96,12 +96,54 @@ class TestRoundTrip:
         self.assert_roundtrip("spectrum", bar_spectrum(zoo.pushout_scwol()), same)
 
     def test_bad_kind_rejected(self):
-        with pytest.raises(manifest.BadManifest):
+        with pytest.raises(manifest.BadManifest) as info:
             manifest.parse({"schema": 1, "kind": "nope", "payload": {}})
+        assert info.value.witness == {"kind": "nope"}
 
     def test_bad_schema_rejected(self):
-        with pytest.raises(manifest.BadManifest):
+        with pytest.raises(manifest.BadManifest) as info:
             manifest.parse({"schema": 99, "kind": "category", "payload": {}})
+        assert info.value.witness == {"schema": 99}
+
+
+def _edited(kind, value, edit):
+    blob = json.loads(json.dumps(manifest.serialize(kind, value)))
+    edit(blob["payload"])
+    return blob
+
+
+DIAGRAM = constant_diagram(zoo.pushout_scwol(), zoo.discrete_category(["x"]))
+BAD_PAYLOADS = {
+    "missing vertex": (lambda: _edited("diagram", DIAGRAM, lambda p: p["vertices"].pop("k")),
+                       "no vertex category for index object 'k'", {"object": "k"}),
+    "stray edge": (lambda: _edited("diagram", DIAGRAM,
+                                   lambda p: p["edges"].update(zz=p["edges"]["id_j"])),
+                   "edge functor for non-index morphism 'zz'", {"morphism": "zz"}),
+    "stray edge key": (lambda: _edited("diagram", DIAGRAM,
+                                       lambda p: p["edges"]["id_j"]["objects"].update(y="x")),
+                       "edge 'id_j': object map key 'y' is not an object of discrete",
+                       {"edge": "id_j", "object": "y"}),
+    "stray hom": (lambda: _edited("complex", complex_of_groups(randgen.circle_action()).complex,
+                                  lambda p: p["homs"].update(zz={})),
+                  "structure homomorphism for non-base morphism 'zz'", {"morphism": "zz"}),
+    "no payload": (lambda: {"schema": 1, "kind": "category"},
+                   "manifest has no payload", {"key": "payload"}),
+}
+
+
+@pytest.mark.parametrize("build, message, witness", BAD_PAYLOADS.values(), ids=BAD_PAYLOADS.keys())
+def test_bad_payload_names_its_entry(build, message, witness):
+    with pytest.raises(manifest.BadManifest) as info:
+        manifest.parse(build())
+    assert (str(info.value), info.value.witness) == (message, witness)
+
+
+def test_undecodable_file_names_its_path(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('{"schema": 1,\n "kind": }')
+    with pytest.raises(manifest.BadManifest) as info:
+        manifest.load_file(str(path))
+    assert info.value.witness == {"path": str(path), "line": 2, "column": 10}
 
 
 def write(tmp_path, name, kind, value):

@@ -12,17 +12,16 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 # assert the script itself would make.
 SCRIPT = """
 import sys
-from fractions import Fraction
 from eulcat import ratlin, zoo
 from eulcat.errors import InvariantViolation
 
 solve = ratlin._weigh
 
-def skewed(rows, reps_of, side, name, label):
-    values, unique = solve(rows, reps_of, side, name, label)
+def skewed(rows, support, side, name, label):
+    nums, den, unique = solve(rows, support, side, name, label)
     if side == "coweighting":
-        values = [Fraction(0)] * (len(values) - 1) + [Fraction(99)]
-    return values, unique
+        nums = [0] * (len(nums) - 1) + [99 * den]
+    return nums, den, unique
 
 ratlin._weigh = skewed
 if sys.flags.optimize != 1 or __debug__:

@@ -156,9 +156,8 @@ class TestOneIntegerCheck:
 
     def test_first_failing_row_is_named(self):
         with pytest.raises(NoWeighting) as info:
-            ratlin._check_equations(
-                [{0: 1}, {0: 1, 1: 1}], [Fraction(1), Fraction(1, 2)], "weighting", "xy".__getitem__
-            )
+            # w = (1, 1/2) over the common denominator 2
+            ratlin._check_equations([{0: 1}, {0: 1, 1: 1}], [2, 1], 2, "weighting", "xy".__getitem__)
         assert (str(info.value), info.value.witness) == (
             "weighting equation fails at 'y'", {"object": "y"}
         )
@@ -215,7 +214,7 @@ class TestChiL:
     def test_missing_weighting_maps_to_no_euler_characteristic(self, monkeypatch):
         import eulcat.ratlin as ratlin_mod
 
-        def refuse(rows, reps_of, side, name, label):
+        def refuse(rows, support, side, name, label):
             raise NoWeighting("forced", witness={"side": side})
 
         monkeypatch.setattr(ratlin_mod, "_weigh", refuse)

@@ -1045,6 +1045,18 @@ PLAIN_REJECTIONS = {
         lambda: complex_of_groups(swapped_arrows_action(), h_elements={"f": "1"}),
         "override h element '1' does not carry the lift target onto 'q'",
         {"morphism": "f", "element": "1"}),
+    "foreign h element": (
+        lambda: complex_of_groups(s3_flag_action()[0], h_elements={"y0p": "zzz"}),
+        "override h element 'zzz' at 'y0p' is not an element of S3",
+        {"morphism": "y0p", "element": "zzz"}),
+    "stray h override": (
+        lambda: complex_of_groups(s3_flag_action()[0], h_elements={"nosuch": "012"}),
+        "override h element given for 'nosuch', which is no morphism of flag/S3",
+        {"morphism": "nosuch"}),
+    "stray representative override": (
+        lambda: complex_of_groups(s3_flag_action()[0], object_reps={"nosuch": "x"}),
+        "override representative given for 'nosuch', which is no orbit of flag/S3",
+        {"object": "nosuch"}),
     "group order": (lambda: developability_check(arrow_complex(), [(0, 0)]),
                     "group order must be positive", {"order": 0}),
     "no vertex": (lambda: StrictDiagram(TERMINAL, {}, {}),

@@ -16,7 +16,7 @@ CHECKED = {
     "NotAFunctor", "NotAFunctorAction", "NotAHomomorphism", "NotAHomomorphismAction",
     "DanglingReference", "BrokenIdentity", "IncompleteCompositionTable", "NonAssociative",
     "NotNatural", "CoherenceFailure", "MissingValue", "NoWeighting", "ValidationError",
-    "NotScwol", "NotAGroup",
+    "NotScwol", "NotAGroup", "BadManifest",
 }
 
 
