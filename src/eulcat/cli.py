@@ -44,6 +44,7 @@ from .groupact import (
 )
 from .groups import perm_of_label, symmetric_group
 from .hocolim import (
+    _total_chi_L,
     bar_spectrum,
     builtin_spectrum,
     check_hocolim_formula,
@@ -354,8 +355,7 @@ def _demo_inclusion_exclusion(out) -> bool:
         for m in poset.morphisms
         if not poset.is_identity(m.name)
     }
-    d = set_diagram(poset, elements, maps)
-    direct = chi_L(grothendieck(d).category)
+    direct = _total_chi_L(set_diagram(poset, elements, maps))
 
     out.append("inclusion-exclusion for S0={1,2}, S1={2,3}, S2={3}")
     out.append(f"|S0 u S1 u S2| = {len(union)}")

@@ -55,7 +55,8 @@ def groupoid_chi2(cat: FinCat) -> Fraction:
     """Groupoid cardinality: sum of 1/|aut| over isomorphism classes, where
     |aut(x)| = |mor(x, x)| since every endomorphism is invertible."""
     if not _is_groupoid(cat):
-        raise NotGroupoid(f"{cat.name} has a non-invertible morphism")
+        first = next(m.name for m in cat.morphisms if not cat.is_invertible(m.name))
+        raise NotGroupoid(f"{cat.name} has a non-invertible morphism", witness={"morphism": first})
     return sum(
         (Fraction(1, len(cat.hom(cls[0], cls[0]))) for cls in _iso_partition(cat)),
         Fraction(0),

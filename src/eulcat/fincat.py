@@ -274,7 +274,7 @@ class FinCat:
 
     def require_object(self, x: str) -> None:
         if not self.has_object(x):
-            raise UnknownObject(f"{self.name} has no object {x!r}")
+            raise UnknownObject(f"{self.name} has no object {x!r}", witness={"object": x})
 
     def __len__(self) -> int:
         return len(self.objects)

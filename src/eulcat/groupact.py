@@ -36,6 +36,7 @@ from .fincat import (
     Morphism,
     NotAFunctor,
     _check_functor,
+    _count_rows,
     _iso_partition,
     _require_scwol,
     _retract,
@@ -45,7 +46,7 @@ from .fincat import (
 )
 from .groups import FinGroup, GroupHom, _image_of
 from .hocolim import MissingValue, PseudoDiagram, bar_spectrum, formula_value
-from .ratlin import chi_L
+from .ratlin import _chi_L_of_rows, _class_reps
 from .zoo import arrow_category, discrete_category, one_object_category
 
 
@@ -609,6 +610,17 @@ def hocolim_groups(cplx: ComplexOfGroups) -> FinCat:
     )
 
 
+def _hocolim_chi_L(cplx: ComplexOfGroups) -> Fraction:
+    """``chi_L(hocolim_groups(cplx))`` from hom counts, with no total built:
+    |Hom(s, t)| is |local[t]| per a: s -> t, and (a, g) is invertible exactly
+    when a is, so the iso classes are the base's.  The name and labels are
+    the total's, and so is every message and witness."""
+    base = cplx.base
+    orders = [cplx.local[x].order for x in base.objects]
+    rows = [{t: count * orders[t] for t, count in row.items()} for row in _count_rows(base)]
+    return _chi_L_of_rows(rows, _class_reps(base), f"hocolim({base.name})", base.objects.__getitem__)
+
+
 def complex_to_pseudo_diagram(cplx: ComplexOfGroups):
     """Reinterpret a complex of groups as a pseudo diagram of one-object
     categories, for the generic Grothendieck construction; unchecked, as the
@@ -668,8 +680,8 @@ def skeletal_reduction(action: ScwolAction) -> SkeletalReduction:
     The report re-verifies, instance by instance: equivariance of r, the
     commuting quotient square with its induced equivalence, stabilizer
     preservation, literal agreement of the two associated complexes of groups
-    under coordinated choices, equality of chi_L of the two homotopy colimits,
-    and preservation of freeness on objects.
+    under coordinated choices, equality of chi_L of the two homotopy colimits
+    (from their hom counts) and preservation of freeness on objects.
     """
     cat = action.space
     group = action.group
@@ -748,9 +760,7 @@ def skeletal_reduction(action: ScwolAction) -> SkeletalReduction:
 
     # (5) the homotopy colimits have equal chi_L
     if fx is not None and fg is not None:
-        hocolims_equal = chi_L(hocolim_groups(fx.complex)) == chi_L(
-            hocolim_groups(fg.complex)
-        )
+        hocolims_equal = _hocolim_chi_L(fx.complex) == _hocolim_chi_L(fg.complex)
     else:
         hocolims_equal = False
 
@@ -962,8 +972,8 @@ def chi_theorems(action: ScwolAction) -> ChiTheoremsReport:
 
     Checks, exactly: chi(X/G) = chi(X)/|G| when the object action is free;
     chi2(hocolim F) = chi(X)/|G| computed both via the quotient's cell
-    spectrum with values 1/|stabilizer| and via chi_L of the homotopy
-    colimit; and chi(hocolim F) = chi(X/G) via the all-ones values.
+    spectrum with values 1/|stabilizer| and via chi_L of the homotopy colimit
+    from its hom counts; and chi(hocolim F) = chi(X/G) via the all-ones values.
     """
     from_action = complex_of_groups(action)
     q = from_action.quotient
@@ -980,7 +990,7 @@ def chi_theorems(action: ScwolAction) -> ChiTheoremsReport:
         for s in q.category.objects
     }
     formula_route = formula_value(spectrum, inv_stab)
-    direct_route = chi_L(hocolim_groups(from_action.complex))
+    direct_route = _hocolim_chi_L(from_action.complex)
     ones_route = formula_value(spectrum, {s: Fraction(1) for s in q.category.objects})
 
     return ChiTheoremsReport(
@@ -1019,10 +1029,10 @@ def developability_check(
     cplx: ComplexOfGroups, candidates: Sequence[tuple[int, int]]
 ) -> DevelopabilityReport:
     """Necessary condition for developing a complex from (X, G): the
-    L2-Euler characteristic r of its homotopy colimit must satisfy
-    chi(X) = r * |G| exactly (so r * |G| must be an integer of the right
-    sign)."""
-    r = chi_L(hocolim_groups(cplx))
+    L2-Euler characteristic r of its homotopy colimit, read off its hom
+    counts, must satisfy chi(X) = r * |G| exactly (so r * |G| must be an
+    integer of the right sign)."""
+    r = _hocolim_chi_L(cplx)
     results = []
     for chi_space, order in candidates:
         if order <= 0:

@@ -354,16 +354,16 @@ def grothendieck_pseudo(d: PseudoDiagram) -> FinCat:
     return _grothendieck(d)
 
 
-def _total_counts(d: StrictDiagram) -> tuple[list[dict[int, int]], Callable[[], list[int]]]:
-    """The hom-count rows of the Grothendieck construction of a strict
-    diagram, and a function giving the least index of each of its
+def _total_counts(d: Diagram) -> tuple[list[dict[int, int]], Callable[[], list[int]]]:
+    """The hom-count rows of the Grothendieck construction of a strict or
+    pseudo diagram, and a function giving the least index of each of its
     isomorphism classes in increasing order, read off the diagram.
 
     The objects (i, c) are numbered i-major, as ``_grothendieck`` lists them,
-    and |Hom((i,c),(j,e))| = sum over u: i -> j of |C(j)(C(u)c, e)|.  An
-    isomorphism (u, f) needs u and f invertible, so (i,c) and (j,e) are
-    isomorphic exactly when some invertible u: i -> j has C(u)c isomorphic to
-    e in C(j).
+    and |Hom((i,c),(j,e))| = sum over u: i -> j of |C(j)(C(u)c, e)|: the
+    coherences change composites, not the morphisms (u, f).  An isomorphism
+    (u, f) needs u and f invertible, so (i,c) and (j,e) are isomorphic
+    exactly when some invertible u: i -> j has C(u)c isomorphic to e in C(j).
     """
     idx = d.index
     offset: dict[str, int] = {}
@@ -422,15 +422,13 @@ def _total_counts(d: StrictDiagram) -> tuple[list[dict[int, int]], Callable[[], 
     return rows, reps_of
 
 
-def _strict_chi_L(d: StrictDiagram) -> Fraction:
-    """``chi_L`` of the Grothendieck construction of a strict diagram from
-    ``_total_counts``; no total category is built."""
-    idx = d.index
-
+def _total_chi_L(d: Diagram) -> Fraction:
+    """``chi_L`` of the Grothendieck construction of a strict or pseudo
+    diagram from ``_total_counts``; no total category is built."""
     def label(k: int) -> str:
-        return [_pair_obj(i, c) for i in idx.objects for c in d.vertex[i].objects][k]
+        return [_pair_obj(i, c) for i in d.index.objects for c in d.vertex[i].objects][k]
 
-    return _chi_L_of_rows(*_total_counts(d), f"hocolim({idx.name})", label)
+    return _chi_L_of_rows(*_total_counts(d), f"hocolim({d.index.name})", label)
 
 
 # -- cell spectra --------------------------------------------------------------
@@ -455,14 +453,14 @@ class CellSpectrum:
                 raise ValidationError(f"negative cell count at {i!r}", witness={"object": i})
         self.derived_weighting()  # raises NoWeighting if the equation fails
 
-    def alternating_sum(self, i: str) -> Fraction:
-        return Fraction(sum((-1) ** n * c for n, c in enumerate(self.cells.get(i, ()))))
+    def alternating_sum(self, i: str) -> int:
+        return sum((-1) ** n * c for n, c in enumerate(self.cells.get(i, ())))
 
     def derived_weighting(self, index: Optional[FinCat] = None) -> Weighting:
         """The alternating sums as a weighting on ``index`` (by default the
         spectrum's own), checked in integers."""
         index = self.index if index is None else index
-        values = {i: self.alternating_sum(i) for i in index.objects}
+        values = {i: Fraction(self.alternating_sum(i)) for i in index.objects}
         return Weighting(index, values, side="weighting", unique=False)
 
     def objects_with_cells(self) -> tuple[str, ...]:
@@ -510,13 +508,13 @@ def builtin_spectrum(kind: str, **kwargs) -> CellSpectrum:
 
 
 def formula_value(spectrum: CellSpectrum, vals: Mapping[str, Fraction]) -> Fraction:
-    """sum_n (-1)^n sum_{n-cells at i} vals(i)  =  sum_i q^i vals(i)."""
-    total = Fraction(0)
+    """sum_n (-1)^n sum_{n-cells at i} vals(i)  =  sum_i q^i vals(i), q^i in integers."""
+    total = 0
     for i in spectrum.objects_with_cells():
         if i not in vals:
             raise MissingValue(f"no value supplied at {i!r}", witness={"object": i})
-        total += spectrum.alternating_sum(i) * Fraction(vals[i])
-    return total
+        total += spectrum.alternating_sum(i) * vals[i]
+    return Fraction(total)
 
 
 # -- the homotopy colimit formula, executably ----------------------------------
@@ -562,21 +560,18 @@ def check_hocolim_formula(
     """Compare invariant(hocolim) with the cell-model formula, exactly.
 
     LHS: the invariant of the Grothendieck construction, computed directly.
-    For ``chiL`` on a strict diagram that is Leinster's chi of the total
-    category's hom counts, read off the diagram (``_strict_chi_L``) with no
-    total category built.  A pseudo diagram and the other invariants take
-    the invariant of the total category, built from the validated diagram
-    with no second law check.
+    For ``chiL``, strict or pseudo, that is Leinster's chi of the total
+    category's hom counts, read off the diagram (``_total_chi_L``) with no
+    total category built.  The other invariants take the invariant of the
+    total category, built from the validated diagram with no second law
+    check.
     RHS: formula_value over the bar spectrum of the index (which must then
     be a finite scwol) or over an explicitly supplied spectrum, whose
     alternating sums must be a weighting on the diagram's index.  The
     invariant is computed once per distinct vertex category.
     """
     fn = _invariant_fn(invariant)
-    if invariant == "chiL" and not isinstance(d, PseudoDiagram):
-        lhs = _strict_chi_L(d)
-    else:
-        lhs = Fraction(fn(_grothendieck(d)))
+    lhs = _total_chi_L(d) if invariant == "chiL" else fn(_grothendieck(d))
 
     spec = spectrum if spectrum is not None else bar_spectrum(d.index)
     vals = {}
@@ -588,7 +583,7 @@ def check_hocolim_formula(
             )
         cat = d.vertex[i]
         if cat not in invariant_of:
-            invariant_of[cat] = Fraction(fn(cat))
+            invariant_of[cat] = fn(cat)
         vals[i] = invariant_of[cat]
     if spectrum is not None and spectrum.index is not d.index:
         _check_weighting_on(spectrum, d.index)
@@ -618,7 +613,7 @@ def homotopy_orbit_chi(chi_bg, vertex: FinCat, invariant: str = "chiL") -> Fract
     classifying space) is taken on trust from the caller; the result
     chi_bg * invariant(vertex) is reported without independent verification.
     """
-    return Fraction(chi_bg) * Fraction(_invariant_fn(invariant)(vertex))
+    return Fraction(chi_bg) * _invariant_fn(invariant)(vertex)
 
 
 def constant_diagram(index: FinCat, cat: FinCat) -> StrictDiagram:

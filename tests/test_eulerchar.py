@@ -75,8 +75,10 @@ class TestGroupoidChi2:
         assert groupoid_chi2(transport_groupoid(s3, pts, act)) == Fraction(1, 2)
 
     def test_rejects_non_groupoid(self):
-        with pytest.raises(NotGroupoid):
+        with pytest.raises(NotGroupoid) as info:
             groupoid_chi2(zoo.pushout_scwol())
+        # the first non-invertible morphism in morphism order
+        assert info.value.witness == {"morphism": "g"}
 
     @settings(max_examples=15, deadline=None)
     @given(groupoids)

@@ -330,8 +330,9 @@ class TestLowerLink:
         assert all(link.is_identity(m.name) for m in link.morphisms)
 
     def test_unknown_object(self):
-        with pytest.raises(UnknownObject):
+        with pytest.raises(UnknownObject) as info:
             lower_link(zoo.pushout_scwol(), "zz")
+        assert info.value.witness == {"object": "zz"}
 
     @settings(max_examples=20, deadline=None)
     @given(skeletal_scwols)

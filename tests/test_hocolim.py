@@ -596,7 +596,7 @@ class TestChiLFromHomCounts:
         rows, reps_of = hocolim._total_counts(d)
         assert rows == fincat._count_rows(total)
         assert reps_of() == sorted(min(index[x] for x in cls) for cls in fincat._iso_partition(total))
-        assert hocolim._strict_chi_L(d) == chi_L(total)
+        assert hocolim._total_chi_L(d) == chi_L(total)
 
     @settings(max_examples=25, deadline=None)
     @given(st.one_of(groupoids.map(lambda g: g.category), scwols))
@@ -638,15 +638,15 @@ class TestChiLFromHomCounts:
         [
             ("chi2", intro_pushout_diagram, 1),
             ("chi_scwol", intro_pushout_diagram, 1),
-            ("chiL", lambda: PseudoDiagram.from_strict(intro_pushout_diagram()), 1),
+            ("chiL", lambda: PseudoDiagram.from_strict(intro_pushout_diagram()), 0),
             ("chiL", lambda: constant_diagram(zoo.pushout_scwol(), split_idempotent()), 0),
         ],
         ids=["chi2", "chi_scwol", "pseudo", "still-cyclic"],
     )
     def test_other_checks_build_the_total_once(self, monkeypatch, invariant, make, builds):
-        """Only a pseudo diagram and the other invariants build the total; a
-        strict ``chiL`` check whose condensate is still cyclic is eliminated
-        on the diagram's rows."""
+        """Only the other invariants build the total; a ``chiL`` check, strict
+        or pseudo, reads the diagram's rows, and one whose condensate is
+        still cyclic is eliminated on them."""
         d = make()
         want = full_build_formula(d, invariant)
         counts = {"_grothendieck": 0}

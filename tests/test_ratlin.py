@@ -151,7 +151,7 @@ class TestOneIntegerCheck:
         assert counts["_check_equations"] == 3
         assert Weighting(cat, dict(w.values), w.side, w.unique) == w
         assert counts["_check_equations"] == 4
-        assert hocolim._strict_chi_L(d) == 1
+        assert hocolim._total_chi_L(d) == 1
         assert counts["_check_equations"] == 6
 
     def test_first_failing_row_is_named(self):

@@ -1,8 +1,8 @@
 """Every ``raise`` of a category, scwol, group, functor, naturality,
-homomorphism, coherence, missing-value or weighting rejection, and of a
-plain ``ValidationError``, in the library passes ``witness=``, so the
-exception carries the offending data as well as its message.  Only the
-standard library ``ast`` is used.
+homomorphism, coherence, missing-value, weighting, manifest, groupoid or
+unknown-object rejection, and of a plain ``ValidationError``, in the library
+passes ``witness=``, so the exception carries the offending data as well as
+its message.  Only the standard library ``ast`` is used.
 """
 
 import ast
@@ -16,7 +16,7 @@ CHECKED = {
     "NotAFunctor", "NotAFunctorAction", "NotAHomomorphism", "NotAHomomorphismAction",
     "DanglingReference", "BrokenIdentity", "IncompleteCompositionTable", "NonAssociative",
     "NotNatural", "CoherenceFailure", "MissingValue", "NoWeighting", "ValidationError",
-    "NotScwol", "NotAGroup", "BadManifest",
+    "NotScwol", "NotAGroup", "BadManifest", "NotGroupoid", "UnknownObject",
 }
 
 
