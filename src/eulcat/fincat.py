@@ -2,12 +2,18 @@
 
 A FinCat stores everything needed to answer categorical questions by
 exhaustive search: the full composition table, identities, hom-sets.
-Validation checks identity laws and associativity on every composable
-pair/triple, so downstream code may assume a lawful category.  It runs on
-integer indices built for the check and dropped after it (one row of
-composites per morphism, whole rows compared at a time); names come back
+Validation checks the endpoints of every composite, the identity laws on
+every morphism and, unless the category is thin, associativity on every
+composable triple, so downstream code may assume a lawful category.  It
+runs on integer indices built for the check and dropped after it (one row
+of composites per morphism, whole rows compared at a time); names come back
 only to report the first failure, whose ``witness`` holds the offending
 names.
+
+Two morphisms x -> w with checked endpoints are equal when Hom(x, w) has one
+element.  So on a *thin* category (``_is_thin``: no hom-set has two
+elements) associativity and a functor's composition law into it hold once
+the endpoints do, and neither is checked there.
 
 All values are immutable after validation; every operation here is a pure
 function of its inputs.
@@ -15,12 +21,13 @@ function of its inputs.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import InitVar, dataclass, field
 from operator import itemgetter
 from typing import Iterable, Mapping, NoReturn, Optional, Sequence
 
 from .errors import ValidationError, _trusted
-from .groups import FinGroup
+from .groups import FinGroup, _first_repeat
 
 
 class DanglingReference(ValidationError):
@@ -83,11 +90,11 @@ class FinCat:
 
     def __post_init__(self, check: bool = True):
         if len(set(self.objects)) != len(self.objects):
-            dup = next(x for i, x in enumerate(self.objects) if x in self.objects[:i])
+            dup = _first_repeat(self.objects)
             raise DanglingReference(f"{self.name}: duplicate object ids", witness={"object": dup})
         names = [m.name for m in self.morphisms]
         if len(set(names)) != len(names):
-            dup = sorted({n for n in names if names.count(n) > 1})
+            dup = sorted(n for n, k in Counter(names).items() if k > 1)
             raise DanglingReference(
                 f"{self.name}: duplicate morphism ids {dup}", witness={"morphism": dup[0]}
             )
@@ -139,13 +146,15 @@ class FinCat:
         self._find_invertibles()
 
     def _check_laws(self) -> None:
-        """Check the composition table exhaustively on integer indices that
-        live only for this call.
+        """Check the composition table on integer indices that live only
+        for this call.
 
         ``rows[f][g]`` is the index of ``g o f``.  In order: every table entry
         (known names, composable pair, endpoints of the composite), then
         completeness, then both identity laws, then associativity on every
-        composable triple.  Names come back only to report the first failure.
+        composable triple unless the category is thin, where both sides of a
+        triple share a one-element hom-set.  Names come back only to report
+        the first failure.
         """
         names = [m.name for m in self.morphisms]
         index = {m: i for i, m in enumerate(names)}
@@ -195,6 +204,10 @@ class FinCat:
                     f"{self.name}: {names[f]!r} o id != {names[f]!r}", witness={"morphism": names[f]}
                 )
 
+        # both sides of a triple lie in Hom(s(f), t(h)), by the endpoints
+        # checked above, so a thin category is associative
+        if _is_thin(self):
+            return
         # h o (g o f) against (h o g) o f for all h at once: take_out[y] reads
         # row[h] for every h out of y, take_hg[g] reads row[h o g] in the same
         # order.  Every object has its identity, so no getter is empty.  A
@@ -281,7 +294,8 @@ class FinCat:
 
 
 def validate(raw: Mapping, name: str = "C") -> FinCat:
-    """Build and exhaustively validate a FinCat from plain data.
+    """Build a FinCat from plain data and check every law of it (associativity
+    only where some hom-set has two elements; see the module docstring).
 
     Expected shape (the JSON payload of kind "category"):
 
@@ -360,7 +374,8 @@ class CatFunctor:
 def _check_functor(src: FinCat, tgt: FinCat, obj_map: Mapping, mor_map: Mapping) -> None:
     """Check the laws of a functor ``src`` -> ``tgt`` in order: objects,
     morphisms (an image for each), source/target, identities, composition.
-    Composition is checked only on entries with no identity factor.  Keys
+    Composition is checked only on entries with no identity factor, and not
+    at all into a thin ``tgt``, where both sides share a hom-set.  Keys
     naming nothing in ``src`` are ignored.  A failure raises NotAFunctor with
     witness ``{"law": law, "at": x}``, x an object, morphism or pair."""
 
@@ -382,6 +397,8 @@ def _check_functor(src: FinCat, tgt: FinCat, obj_map: Mapping, mor_map: Mapping)
     for x in src.objects:
         if mor_map[src.identity[x]] != tgt.identity[obj_map[x]]:
             fail(f"identity of {x!r} not preserved", "identities", x)
+    if _is_thin(tgt):  # both sides run F(s(f)) -> F(t(g)), by source/target
+        return
     for (g, f), gf in src.composition.items():
         if g in src_ids or f in src_ids:  # holds by source/target and identities
             continue
@@ -495,6 +512,12 @@ def classify(cat: FinCat) -> PredicateReport:
 def _is_scwol(cat: FinCat) -> bool:
     """``classify(cat).is_scwol`` in one pass: every endomorphism is an identity."""
     return all(m.source != m.target or cat.is_identity(m.name) for m in cat.morphisms)
+
+
+def _is_thin(cat: FinCat) -> bool:
+    """Whether every non-empty hom-set of ``cat`` has one element, so that
+    any two morphisms with the same endpoints are equal."""
+    return len(cat._hom) == len(cat.morphisms)
 
 
 def _require_scwol(cat: FinCat) -> None:

@@ -26,6 +26,12 @@ class NotAHomomorphism(ValidationError):
     """Elementwise map does not preserve the group structure."""
 
 
+def _first_repeat(items: Sequence[str]) -> str:
+    """The first item equal to an earlier one, found in one pass."""
+    seen: set[str] = set()
+    return next(x for x in items if x in seen or seen.add(x))
+
+
 @dataclass(frozen=True, eq=False)
 class FinGroup:
     """A finite group given by element labels and a Cayley table on indices.
@@ -43,7 +49,7 @@ class FinGroup:
     def __post_init__(self):
         n = len(self.labels)
         if len(set(self.labels)) != n:
-            dup = next(x for i, x in enumerate(self.labels) if x in self.labels[:i])
+            dup = _first_repeat(self.labels)
             raise NotAGroup(f"duplicate element labels in {self.name}", witness={"element": dup})
         shape = [len(row) for row in self.table]
         if shape != [n] * n:

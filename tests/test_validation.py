@@ -13,6 +13,7 @@ accept/reject and on the groupoid built.
 """
 
 import itertools
+import time
 from random import Random
 
 import pytest
@@ -29,9 +30,12 @@ from eulcat.fincat import (
     IncompleteCompositionTable,
     Morphism,
     NonAssociative,
+    NotAFunctor,
     NotScwol,
+    _is_thin,
     classify,
     equal_presentation,
+    product,
 )
 from eulcat.groupact import (
     AxiomIIViolation,
@@ -78,8 +82,11 @@ from strategies import (
     actions,
     groupoids,
     groups,
+    noncentral_actions,
     posets,
     scwols,
+    skeletal_scwols,
+    small_groupoids,
     strict_diagrams,
 )
 
@@ -133,7 +140,8 @@ def reference_fincat_laws(objects, morphisms, identity, composition, name):
                 if composition[(h, gf)] != composition[(composition[(h, g)], f.name)]:
                     raise NonAssociative(
                         f"{name}: h o (g o f) != (h o g) o f for "
-                        f"(h, g, f) = ({h!r}, {g!r}, {f.name!r})"
+                        f"(h, g, f) = ({h!r}, {g!r}, {f.name!r})",
+                        witness={"h": h, "g": g, "f": f.name},
                     )
 
 
@@ -424,12 +432,13 @@ def reference_transport_groupoid(group, elements, act):
 # -- comparison ---------------------------------------------------------------------
 
 
-def outcome(fn, *args, **kwargs):
-    """None on success, else (exception class, message); any other exception propagates."""
+def outcome(fn, *args, witness=False, **kwargs):
+    """None on success, else (exception class, message), with the witness
+    appended when ``witness``; any other exception propagates."""
     try:
         fn(*args, **kwargs)
     except EulcatError as exc:
-        return type(exc), str(exc)
+        return (type(exc), str(exc)) + ((exc.witness,) if witness else ())
     return None
 
 
@@ -517,6 +526,130 @@ class TestFinCat:
             comp[("?unknown", key[1])] = comp.pop(key)
         got = assert_same_fincat_verdict(cat, comp)
         assert got is not None and got[0] is DanglingReference
+
+
+def chain_poset():
+    """{0 -> 1 -> 2}: a thin source whose one non-identity composite is c."""
+    return zoo.build_category(
+        ("0", "1", "2"), (("a", "0", "1"), ("b", "1", "2"), ("c", "0", "2")),
+        {("b", "a"): "c"}, name="chain",
+    )
+
+
+thin_or_not = st.one_of(
+    categories, skeletal_scwols, small_groupoids.map(lambda g: g.category),
+    st.integers(1, 4).map(lambda n: zoo.contractible_groupoid([str(i) for i in range(n)])),
+)
+
+
+class TestThinCategories:
+    """A category is thin when each of its hom-sets has at most one element.
+    Then any two morphisms with the same endpoints are equal, so associativity,
+    a functor's composition law into it and an action's arrow-level
+    homomorphism law on it are not checked."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(thin_or_not)
+    def test_flag_counts_hom_sets(self, cat):
+        sizes = [len(cat.hom(x, y)) for x in cat.objects for y in cat.objects]
+        assert _is_thin(cat) == (max(sizes) <= 1)
+
+    def test_flag_on_known_categories(self):
+        assert _is_thin(zoo.subsets_poset_opposite(3)) and _is_thin(zoo.polygon_scwol(5))
+        assert _is_thin(zoo.contractible_groupoid(["x", "y"]))
+        assert not _is_thin(zoo.parallel_pair_scwol())
+        assert not _is_thin(zoo.one_object_category(cyclic_group(2)))
+
+    def test_broken_triple_in_a_non_thin_category(self):
+        """subsets_poset_opposite(3) x {j => k}, with each composite of two
+        non-identities in turn swapped for its parallel twin: every verdict,
+        witness included, is the reference's, and some are a broken triple."""
+        cat = product(zoo.subsets_poset_opposite(3), zoo.parallel_pair_scwol())
+        assert not _is_thin(cat)
+        kinds = set()
+        for key, gf in cat.composition.items():
+            if cat.is_identity(key[0]) or cat.is_identity(key[1]):
+                continue
+            for twin in cat.hom(cat.source(gf), cat.target(gf)):
+                if twin == gf:
+                    continue
+                comp = {**cat.composition, key: twin}
+                parts = (cat.objects, cat.morphisms, dict(cat.identity), comp)
+                got = outcome(FinCat, *parts, name=cat.name, witness=True)
+                assert got == outcome(reference_fincat_laws, *parts, cat.name, witness=True)
+                kinds.add(got[0])
+        assert NonAssociative in kinds
+
+    def test_functor_into_a_non_thin_target(self):
+        """A thin source, a target with two arrows x -> z: mapping c to the
+        one that is not q o p breaks composition, and is seen."""
+        tgt = zoo.build_category(
+            ("x", "y", "z"),
+            (("p", "x", "y"), ("q", "y", "z"), ("r", "x", "z"), ("r2", "x", "z")),
+            {("q", "p"): "r"}, name="T",
+        )
+        src = chain_poset()
+        assert _is_thin(src) and not _is_thin(tgt)
+        obj_map = {"0": "x", "1": "y", "2": "z"}
+        mor_map = {"id_0": "id_x", "id_1": "id_y", "id_2": "id_z", "a": "p", "b": "q"}
+        assert outcome(CatFunctor, src, tgt, obj_map, {**mor_map, "c": "r"}) is None
+        assert outcome(CatFunctor, src, tgt, obj_map, {**mor_map, "c": "r2"}, witness=True) == (
+            NotAFunctor, "composition not preserved on ('b', 'a')",
+            {"law": "composition", "at": ("b", "a")},
+        )
+
+    def test_action_on_a_non_thin_scwol(self):
+        """Z/3 fixing both objects of {j => k}, with 1 and 2 both swapping f0
+        and f1: each element is a functor, but 1 then 1 is not 2 on the
+        arrows.  The homomorphism law reports it before axiom (ii) does."""
+        z3 = cyclic_group(3)
+        space = zoo.parallel_pair_scwol()
+        assert not _is_thin(space)
+        fixed = {"j": "j", "k": "k"}
+        swap = {"id_j": "id_j", "id_k": "id_k", "f0": "f1", "f1": "f0"}
+        on_objects = {g: dict(fixed) for g in z3.labels}
+        on_morphisms = {g: dict(swap) for g in z3.labels}
+        on_morphisms[z3.identity] = {m: m for m in swap}
+        args = (z3, space, on_objects, on_morphisms)
+        got = outcome(ScwolAction, *args, witness=True)
+        assert got == (
+            NotAHomomorphismAction, "action of '1''1' disagrees with action of '2' on 'f0'",
+            {"pair": ("1", "1"), "morphism": "f0"},
+        )
+        assert got[:2] == outcome(reference_action_laws, *args)
+
+
+class TestDuplicateIds:
+    """Duplicates are found in one pass: 100k ids with repeats at the end
+    are rejected with the first repeat (objects, labels) or the sorted
+    repeats (morphisms), well inside a generous bound."""
+
+    N = 100_000
+    BOUND_S = 10.0
+
+    def timed_verdict(self, fn, *args, **kwargs):
+        start = time.perf_counter()
+        got = outcome(fn, *args, witness=True, **kwargs)
+        assert time.perf_counter() - start < self.BOUND_S
+        return got
+
+    def test_objects(self):
+        objects = tuple(f"x{i}" for i in range(self.N)) + ("x5", "x3")
+        got = self.timed_verdict(FinCat, objects, (), {}, {}, name="C")
+        assert got == (DanglingReference, "C: duplicate object ids", {"object": "x5"})
+
+    def test_morphisms(self):
+        names = [f"m{i}" for i in range(self.N)] + ["m99999", "m7"]
+        morphisms = tuple(Morphism(n, "x", "x") for n in names)
+        got = self.timed_verdict(FinCat, ("x",), morphisms, {}, {}, name="C")
+        assert got == (
+            DanglingReference, "C: duplicate morphism ids ['m7', 'm99999']", {"morphism": "m7"},
+        )
+
+    def test_group_labels(self):
+        labels = tuple(str(i) for i in range(self.N)) + ("5", "3")
+        got = self.timed_verdict(FinGroup, labels, (), name="G")
+        assert got == (NotAGroup, "duplicate element labels in G", {"element": "5"})
 
 
 # -- FinGroup ----------------------------------------------------------------------
@@ -855,24 +988,29 @@ class TestSubgroupAndConjugate:
 # -- ComplexOfGroups and quotient ------------------------------------------------------
 
 
-def complex_args(action):
-    cplx = complex_of_groups(action).complex
+def complex_args(action, h=None):
+    cplx = complex_of_groups(action, h_elements=h).complex
     return cplx.base, dict(cplx.local), dict(cplx.homs), dict(cplx.twists)
+
+
+# (action, h elements): drawn actions with the default h, whose groups are
+# abelian, and S3/S4 flag actions with drawn h and a non-central twist
+drawn_complexes = st.one_of(actions.map(lambda a: (a, None)), noncentral_actions)
 
 
 class TestComplexOfGroups:
     @settings(max_examples=30, deadline=None)
-    @given(actions)
-    def test_valid_complexes_accepted_by_both(self, action):
-        assert assert_same_complex_verdict(*complex_args(action)) is None
+    @given(drawn_complexes)
+    def test_valid_complexes_accepted_by_both(self, drawn):
+        assert assert_same_complex_verdict(*complex_args(*drawn)) is None
 
     @settings(max_examples=60, deadline=None)
-    @given(actions, SEEDS)
-    def test_one_wrong_twist(self, action, seed):
+    @given(drawn_complexes, SEEDS)
+    def test_one_wrong_twist(self, drawn, seed):
         """One twist replaced by another element of its group, at a pair of
         non-identity morphisms when there is one."""
         rng = Random(seed)
-        base, local, homs, twists = complex_args(action)
+        base, local, homs, twists = complex_args(*drawn)
         pairs = [
             (b, a) for (b, a) in sorted(twists)
             if not (base.is_identity(a) or base.is_identity(b))
@@ -884,9 +1022,10 @@ class TestComplexOfGroups:
         assert_same_complex_verdict(base, local, homs, twists)
 
     @settings(max_examples=30, deadline=None)
-    @given(actions)
-    def test_structure_maps_by_labels(self, action):
-        built = complex_of_groups(action)
+    @given(drawn_complexes)
+    def test_structure_maps_by_labels(self, drawn):
+        action, h = drawn
+        built = complex_of_groups(action, h_elements=h)
         homs, twists = reference_structure_maps(built)
         assert {m: dict(hom.mapping) for m, hom in built.complex.homs.items()} == homs
         assert list(built.complex.twists.items()) == list(twists.items())
