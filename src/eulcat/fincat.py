@@ -1,7 +1,8 @@
 """Finite categories as explicit object/morphism/composition tables.
 
 A FinCat stores everything needed to answer categorical questions by
-exhaustive search: the full composition table, identities, hom-sets.
+exhaustive search: the full composition table (which a Grothendieck total
+builds on first read, see ``FinCat``), identities, hom-sets.
 Validation checks the endpoints of every composite, the identity laws on
 every morphism and, unless the category is thin, associativity on every
 composable triple, so downstream code may assume a lawful category.  It
@@ -71,7 +72,11 @@ class FinCat:
     and a total composition table on composable pairs.
 
     ``composition[(g, f)]`` is the name of ``g o f`` (apply f first), defined
-    exactly when ``target(f) == source(g)``.
+    exactly when ``target(f) == source(g)``.  A Grothendieck total built by
+    ``_lazy_total`` holds a builder in place of the table, and its inverse
+    data as handed in: the table is built on the first read of
+    ``composition``, stored on the instance, and the builder dropped.  Every
+    other FinCat holds its table from construction.
     """
 
     objects: tuple[str, ...]
@@ -99,7 +104,6 @@ class FinCat:
                 f"{self.name}: duplicate morphism ids {dup}", witness={"morphism": dup[0]}
             )
         obj_set = set(self.objects)
-        mor = {m.name: m for m in self.morphisms}
         for m in self.morphisms:
             if m.source not in obj_set or m.target not in obj_set:
                 raise DanglingReference(
@@ -107,7 +111,9 @@ class FinCat:
                     f"{m.source!r} -> {m.target!r}",
                     witness={"morphism": m.name},
                 )
-        object.__setattr__(self, "_mor", mor)
+        for attr, table in _headers(self.objects, self.morphisms, self.identity).items():
+            object.__setattr__(self, attr, table)
+        mor = self._mor
 
         # identities
         for x in self.objects:
@@ -130,15 +136,6 @@ class FinCat:
                 raise DanglingReference(
                     f"{self.name}: identity table names unknown object {x!r}", witness={"object": x}
                 )
-        object.__setattr__(self, "_identity_names", frozenset(self.identity.values()))
-
-        hom: dict[tuple[str, str], list[str]] = {}
-        by_source: dict[str, list[str]] = {x: [] for x in self.objects}
-        for m in self.morphisms:
-            hom.setdefault((m.source, m.target), []).append(m.name)
-            by_source[m.source].append(m.name)
-        object.__setattr__(self, "_hom", {k: tuple(v) for k, v in hom.items()})
-        object.__setattr__(self, "_by_source", {k: tuple(v) for k, v in by_source.items()})
 
         if check:
             self._check_laws()
@@ -291,6 +288,53 @@ class FinCat:
 
     def __len__(self) -> int:
         return len(self.objects)
+
+
+class _TableOnFirstRead:
+    """``FinCat.composition`` of a total built by ``_lazy_total``: the first
+    read runs the builder, stores the table on the instance and drops the
+    builder.  A non-data descriptor, so a table already on the instance (every
+    FinCat built by its constructor) shadows it and is read directly."""
+
+    def __get__(self, cat, owner=None):
+        if cat is None:
+            return self
+        table = cat.__dict__["_build_composition"]()
+        cat.__dict__["composition"] = table
+        del cat.__dict__["_build_composition"]
+        return table
+
+
+FinCat.composition = _TableOnFirstRead()
+
+
+def _headers(objects, morphisms, identity) -> dict:
+    """The lookup tables ``_mor``, ``_hom``, ``_by_source`` and
+    ``_identity_names`` of a FinCat, from morphisms whose endpoints are objects."""
+    hom: dict[tuple[str, str], list[str]] = {}
+    by_source: dict[str, list[str]] = {x: [] for x in objects}
+    for m in morphisms:
+        hom.setdefault((m.source, m.target), []).append(m.name)
+        by_source[m.source].append(m.name)
+    return {
+        "_mor": {m.name: m for m in morphisms},
+        "_hom": {k: tuple(v) for k, v in hom.items()},
+        "_by_source": {k: tuple(v) for k, v in by_source.items()},
+        "_identity_names": frozenset(identity.values()),
+    }
+
+
+def _lazy_total(objects, morphisms, identity, name, invertible, directly_finite,
+                build_composition) -> FinCat:
+    """A FinCat whose composition table ``build_composition()`` makes on first
+    read, with its inverse data handed in: ``invertible`` maps each invertible
+    morphism to its inverse and ``directly_finite`` is the truth of that
+    property.  Unchecked: for Grothendieck totals of validated diagrams, whose
+    inverse data ``hocolim._grothendieck`` reads off the diagram with proof."""
+    return _trusted(FinCat, objects=objects, morphisms=morphisms, identity=identity, name=name,
+                    _invertible=invertible, _directly_finite=directly_finite,
+                    _build_composition=build_composition,
+                    **_headers(objects, morphisms, identity))
 
 
 def validate(raw: Mapping, name: str = "C") -> FinCat:
@@ -809,12 +853,14 @@ def lower_link(cat: FinCat, obj: str) -> FinCat:
                 u_of[nm] = u
                 if cat.is_identity(u):
                     ident[a] = nm
+    out: dict[str, list[Morphism]] = {a: [] for a in link_objs}
+    for m in mors:
+        out[m.source].append(m)
     for m1 in mors:
-        for m2 in mors:
-            if m1.target == m2.source:
-                comp[(m2.name, m1.name)] = pair_name(
-                    cat.compose(u_of[m2.name], u_of[m1.name]), m1.source
-                )
+        for m2 in out[m1.target]:
+            comp[(m2.name, m1.name)] = pair_name(
+                cat.compose(u_of[m2.name], u_of[m1.name]), m1.source
+            )
     return FinCat(link_objs, tuple(mors), ident, comp, name=f"Lk^{obj}({cat.name})", check=False)
 
 

@@ -29,6 +29,7 @@ from .fincat import (
     _is_groupoid,
     _is_scwol,
     _iso_partition,
+    _lazy_total,
     _require_scwol,
     _skeleton_category,
     _skeleton_path_counts,
@@ -287,16 +288,40 @@ def _grothendieck(d: Diagram) -> FinCat:
     identity of (i, c) is (id_i, unit_inv(i, c)), with the coherence
     inverses looked up on the diagram (identities for a strict diagram).
     No law is checked: the diagram's checks make it a category (arXiv:1007.3868).
+
+    When the index is directly finite (every scwol and every EI category
+    is), the inverse data is read off the diagram and the composition table
+    is built on its first read (``fincat._lazy_total``):
+
+    - (u, f)@c is invertible exactly when u is invertible in the index and f
+      in C(j).  If (v, g) is its inverse, v is u's, and g o C(v)(f) and
+      f o C(u)(g) are isomorphisms, so f has a right inverse and C(v)(f) a
+      left one; C(v) is an equivalence, so f is invertible.
+    - Its inverse is then (u^-1, g)@e with
+      g = unit_inv(i, c) o comp_inv(u^-1, u, c)^-1 o C(u^-1)(f^-1): composed
+      after (u, f) it gives (id_i, unit_inv(i, c)), since C(u^-1) is a
+      functor, and a left inverse of an invertible arrow is its inverse.
+    - The total is directly finite exactly when every C(i) is.  A left
+      inverse (v, g) of (u, f) has v o u = id_i, so u is invertible, and
+      g o C(v)(f) is an isomorphism: a one-sided inverse in C(i), which
+      makes C(v)(f), and so f, invertible when C(i) is directly finite.
+      Conversely, f |-> (id_i, f o unit_inv(i, c)) embeds C(i) faithfully.
+
+    Over any other index the table is built at once and searched for
+    inverses.
     """
     idx = d.index
+    lift = idx._directly_finite
     objs = []
     mors = []
     ident = {}
+    inv: dict[str, str] = {}
     # names[(u, c)][f] is the name of (u, f)@c; the f run through the
     # morphisms out of C(u)(c) in target order, the order of ``mors``
     names: dict[tuple[str, str], dict[str, str]] = {}
     for i in idx.objects:
-        for c in d.vertex[i].objects:
+        ci = d.vertex[i]
+        for c in ci.objects:
             src = _pair_obj(i, c)
             objs.append(src)
             for u in idx.morphisms_from(i):
@@ -309,32 +334,45 @@ def _grothendieck(d: Diagram) -> FinCat:
                     for f in cj.hom(uc, e):
                         named[f] = name = _triple_mor(u, f, c)
                         mors.append(Morphism(name, src, tgt))
+                if lift and idx.is_invertible(u):
+                    v = idx.inverse(u)
+                    # unit_inv(i, c) o comp_inv(v, u, c)^-1: C(v)C(u)(c) -> c
+                    back = ci.compose(d.unit_inv(i, c), ci.inverse(d.comp_inv(v, u, c)))
+                    v_mor = d.edge[v].mor_map
+                    for f, name in named.items():
+                        if cj.is_invertible(f):
+                            g = ci.compose(back, v_mor[cj.inverse(f)])
+                            inv[name] = _triple_mor(v, g, cj.target(f))
             ident[src] = names[(idx.identity[i], c)][d.unit_inv(i, c)]
 
-    comp = {}
-    for (u, c), named in names.items():
-        cj = d.vertex[idx.target(u)]
-        # per v out of j: everything about (v o u, c) that does not depend on f
-        steps = [
-            (
-                v,
-                d.vertex[idx.target(v)].composition,
-                d.edge[v].mor_map,
-                d.comp_inv(v, u, c),
-                names[(idx.compose(v, u), c)],
-            )
-            for v in idx.morphisms_from(idx.target(u))
-        ]
-        for f, name in named.items():
-            e = cj.target(f)
-            for v, k_comp, v_mor, inv, composite in steps:
-                h = k_comp[(v_mor[f], inv)]
-                for g, g_name in names[(v, e)].items():
-                    comp[(g_name, name)] = composite[k_comp[(g, h)]]
+    def table() -> dict[tuple[str, str], str]:
+        comp = {}
+        for (u, c), named in names.items():
+            cj = d.vertex[idx.target(u)]
+            # per v out of j: everything about (v o u, c) that does not depend on f
+            steps = [
+                (
+                    v,
+                    d.vertex[idx.target(v)].composition,
+                    d.edge[v].mor_map,
+                    d.comp_inv(v, u, c),
+                    names[(idx.compose(v, u), c)],
+                )
+                for v in idx.morphisms_from(idx.target(u))
+            ]
+            for f, name in named.items():
+                e = cj.target(f)
+                for v, k_comp, v_mor, comp_inv, composite in steps:
+                    h = k_comp[(v_mor[f], comp_inv)]
+                    for g, g_name in names[(v, e)].items():
+                        comp[(g_name, name)] = composite[k_comp[(g, h)]]
+        return comp
 
-    return FinCat(
-        tuple(objs), tuple(mors), ident, comp, name=f"hocolim({idx.name})", check=False
-    )
+    name = f"hocolim({idx.name})"
+    if not lift:
+        return FinCat(tuple(objs), tuple(mors), ident, table(), name=name, check=False)
+    directly_finite = all(d.vertex[i]._directly_finite for i in idx.objects)
+    return _lazy_total(tuple(objs), tuple(mors), ident, name, inv, directly_finite, table)
 
 
 def grothendieck(d: StrictDiagram) -> GrothendieckResult:

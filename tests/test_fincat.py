@@ -334,6 +334,28 @@ class TestLowerLink:
             lower_link(zoo.pushout_scwol(), "zz")
         assert info.value.witness == {"object": "zz"}
 
+    @settings(max_examples=30, deadline=None)
+    @given(scwols)
+    def test_table_matches_pairwise_reference(self, cat):
+        """Composites grouped by source give the table, in its order, of a
+        search over every pair of link morphisms."""
+        for x in cat.objects:
+            link = lower_link(cat, x)
+            # the link morphism (u, a), in the order lower_link lists them
+            u_of = {}
+            for a in link.objects:
+                for u in cat.morphisms_from(cat.target(a)):
+                    if cat.compose(u, a) in link.objects:
+                        u_of[f"({u},{a})"] = u
+            assert list(u_of) == list(link.morphism_names())
+            pairwise = {
+                (m2.name, m1.name): f"({cat.compose(u_of[m2.name], u_of[m1.name])},{m1.source})"
+                for m1 in link.morphisms
+                for m2 in link.morphisms
+                if m1.target == m2.source
+            }
+            assert list(link.composition.items()) == list(pairwise.items())
+
     @settings(max_examples=20, deadline=None)
     @given(skeletal_scwols)
     def test_link_shortens_paths(self, cat):
