@@ -1,15 +1,18 @@
 """Finite categories as explicit object/morphism/composition tables.
 
 A FinCat stores everything needed to answer categorical questions by
-exhaustive search: the full composition table (which a Grothendieck total
-builds on first read, see ``FinCat``), identities, hom-sets.
+exhaustive search: the full composition table (which a category validated
+from a manifest and a Grothendieck total build on first read, see
+``FinCat``), identities, hom-sets.
 Validation checks the endpoints of every composite, the identity laws on
 every morphism and, unless the category is thin, associativity on every
 composable triple, so downstream code may assume a lawful category.  It
-runs on integer indices built for the check and dropped after it (one row
-of composites per morphism, whole rows compared at a time); names come back
-only to report the first failure, whose ``witness`` holds the offending
-names.
+runs on integer rows (``_Rows``: one row of composites per morphism, whole
+rows compared at a time) read in one pass over the table's entries, the
+``compose`` list itself for a manifest.  The inverse search reads the same
+rows, and a validated manifest's name-keyed table is built from them on
+first read.  Names come back only to report the first failure, whose
+``witness`` holds the offending names.
 
 Two morphisms x -> w with checked endpoints are equal when Hom(x, w) has one
 element.  So on a *thin* category (``_is_thin``: no hom-set has two
@@ -28,7 +31,7 @@ from operator import itemgetter
 from typing import Iterable, Mapping, NoReturn, Optional, Sequence
 
 from .errors import ValidationError, _trusted
-from .groups import FinGroup, _first_repeat
+from .groups import FinGroup, _first_repeat, _require_list
 
 
 class DanglingReference(ValidationError):
@@ -72,11 +75,13 @@ class FinCat:
     and a total composition table on composable pairs.
 
     ``composition[(g, f)]`` is the name of ``g o f`` (apply f first), defined
-    exactly when ``target(f) == source(g)``.  A Grothendieck total built by
-    ``_lazy_total`` holds a builder in place of the table, and its inverse
-    data as handed in: the table is built on the first read of
-    ``composition``, stored on the instance, and the builder dropped.  Every
-    other FinCat holds its table from construction.
+    exactly when ``target(f) == source(g)``.  Two kinds of FinCat hold a
+    builder in place of the table, which is built on the first read of
+    ``composition``, stored on the instance, and the builder dropped:
+    a category validated from a manifest by ``validate``, whose builder
+    reads the integer rows its check made, in the manifest's entry order;
+    and a Grothendieck total built by ``_lazy_total``, with its inverse data
+    as handed in.  Every other FinCat holds its table from construction.
     """
 
     objects: tuple[str, ...]
@@ -94,29 +99,55 @@ class FinCat:
     _directly_finite: bool = field(init=False, repr=False)
 
     def __post_init__(self, check: bool = True):
-        if len(set(self.objects)) != len(self.objects):
-            dup = _first_repeat(self.objects)
+        try:
+            records = self._check_records(check)
+            rows = _Rows(self, *records) if check else None
+        except ValidationError:
+            self._check_listing()  # a malformed entry or a pair listed twice comes first
+            raise
+        if rows is None:
+            self._find_invertibles()
+            return
+        comp = self.composition
+        from_manifest = type(comp) is _Triples
+        # each entry filled one cell, so fewer cells means a pair listed twice
+        if from_manifest and sum(map(len, rows.rows)) != len(comp.entries):
+            self._check_listing()
+        rows.check_laws(self)
+        rows.set_inverses(self)
+        if from_manifest:
+            object.__setattr__(self, "_build_composition", rows.table)
+            del self.__dict__["composition"]
+
+    def _check_records(self, check: bool) -> Optional[tuple[list, dict, list, list]]:
+        """Check the object and morphism ids, the endpoints and the identity
+        map, and set the lookup tables of ``_headers``.  For a checked build,
+        return what ``_Rows`` reads: the morphism names, their index, and
+        the object index of each source and target."""
+        objects, morphisms = self.objects, self.morphisms
+        obj_index = {x: i for i, x in enumerate(objects)} if check else set(objects)
+        if len(obj_index) != len(objects):
+            dup = _first_repeat(objects)
             raise DanglingReference(f"{self.name}: duplicate object ids", witness={"object": dup})
-        names = [m.name for m in self.morphisms]
-        if len(set(names)) != len(names):
+        names = [m.name for m in morphisms]
+        index = {m: i for i, m in enumerate(names)} if check else set(names)
+        if len(index) != len(names):
             dup = sorted(n for n, k in Counter(names).items() if k > 1)
             raise DanglingReference(
                 f"{self.name}: duplicate morphism ids {dup}", witness={"morphism": dup[0]}
             )
-        obj_set = set(self.objects)
-        for m in self.morphisms:
-            if m.source not in obj_set or m.target not in obj_set:
+        for m in morphisms:
+            if m.source not in obj_index or m.target not in obj_index:
                 raise DanglingReference(
                     f"{self.name}: morphism {m.name!r} has unknown endpoint "
                     f"{m.source!r} -> {m.target!r}",
                     witness={"morphism": m.name},
                 )
-        for attr, table in _headers(self.objects, self.morphisms, self.identity).items():
+        for attr, table in _headers(objects, morphisms, self.identity).items():
             object.__setattr__(self, attr, table)
         mor = self._mor
 
-        # identities
-        for x in self.objects:
+        for x in objects:
             if x not in self.identity:
                 raise BrokenIdentity(
                     f"{self.name}: object {x!r} has no identity morphism", witness={"object": x}
@@ -132,112 +163,39 @@ class FinCat:
                     witness={"morphism": e},
                 )
         for x in self.identity:
-            if x not in obj_set:
+            if x not in obj_index:
                 raise DanglingReference(
                     f"{self.name}: identity table names unknown object {x!r}", witness={"object": x}
                 )
+        if not check:
+            return None
+        src = [obj_index[m.source] for m in morphisms]
+        tgt = [obj_index[m.target] for m in morphisms]
+        return names, index, src, tgt
 
-        if check:
-            self._check_laws()
-
-        self._find_invertibles()
-
-    def _check_laws(self) -> None:
-        """Check the composition table on integer indices that live only
-        for this call.
-
-        ``rows[f][g]`` is the index of ``g o f``.  In order: every table entry
-        (known names, composable pair, endpoints of the composite), then
-        completeness, then both identity laws, then associativity on every
-        composable triple unless the category is thin, where both sides of a
-        triple share a one-element hom-set.  Names come back only to report
-        the first failure.
-        """
-        names = [m.name for m in self.morphisms]
-        index = {m: i for i, m in enumerate(names)}
-        obj_index = {x: i for i, x in enumerate(self.objects)}
-        src = [obj_index[m.source] for m in self.morphisms]
-        tgt = [obj_index[m.target] for m in self.morphisms]
-        out = [[index[g] for g in self._by_source[x]] for x in self.objects]
-
-        rows: list[dict[int, int]] = [{} for _ in names]
-        for (g, f), gf in self.composition.items():
-            try:
-                gi, fi, ci = index[g], index[f], index[gf]
-            except KeyError:
-                raise DanglingReference(
-                    f"{self.name}: composition entry ({g!r}, {f!r}) -> {gf!r} names unknown morphisms",
-                    witness={"pair": (g, f)},
-                ) from None
-            if tgt[fi] != src[gi]:
-                raise DanglingReference(
-                    f"{self.name}: pair ({g!r}, {f!r}) is not composable "
-                    f"(target of {f!r} is {self._mor[f].target!r}, source of {g!r} is {self._mor[g].source!r})",
-                    witness={"pair": (g, f)},
-                )
-            if src[ci] != src[fi] or tgt[ci] != tgt[gi]:
-                raise IncompleteCompositionTable(
-                    f"{self.name}: composite {gf!r} of ({g!r}, {f!r}) has wrong endpoints",
-                    witness={"pair": (g, f)},
-                )
-            rows[fi][gi] = ci
-        # every key of rows[f] is composable with f, so a short row misses one
-        for f, row in enumerate(rows):
-            if len(row) != len(out[tgt[f]]):
-                g = next(g for g in out[tgt[f]] if g not in row)
-                raise IncompleteCompositionTable(
-                    f"{self.name}: missing composite for pair ({names[g]!r}, {names[f]!r})",
-                    witness={"pair": (names[g], names[f])},
-                )
-
-        ident = [index[self.identity[x]] for x in self.objects]
-        for f, row in enumerate(rows):
-            if row[ident[tgt[f]]] != f:
-                raise BrokenIdentity(
-                    f"{self.name}: id o {names[f]!r} != {names[f]!r}", witness={"morphism": names[f]}
-                )
-            if rows[ident[src[f]]][f] != f:
-                raise BrokenIdentity(
-                    f"{self.name}: {names[f]!r} o id != {names[f]!r}", witness={"morphism": names[f]}
-                )
-
-        # both sides of a triple lie in Hom(s(f), t(h)), by the endpoints
-        # checked above, so a thin category is associative
-        if _is_thin(self):
+    def _check_listing(self) -> None:
+        """Raise at the faults of a manifest's ``compose`` list that are
+        reported before every other check: ValueError at the first entry of
+        other than three names (``validate`` reports it as malformed), then
+        DanglingReference at the first pair (g, f) listed twice.  A table held
+        as a dict has neither."""
+        comp = self.composition
+        if type(comp) is not _Triples:
             return
-        # h o (g o f) against (h o g) o f for all h at once: take_out[y] reads
-        # row[h] for every h out of y, take_hg[g] reads row[h o g] in the same
-        # order.  Every object has its identity, so no getter is empty.  A
-        # triple whose f or g is an identity holds by the identity laws
-        # above, so those pairs are skipped and get no getter.
-        is_ident = [False] * len(names)
-        for i in ident:
-            is_ident[i] = True
-        take_out = [itemgetter(*hs) for hs in out]
-        take_hg = [
-            None if is_ident[g] else itemgetter(*[rows[g][h] for h in out[tgt[g]]])
-            for g in range(len(names))
-        ]
-        for f, row_f in enumerate(rows):
-            if is_ident[f]:
-                continue
-            for g in out[tgt[f]]:
-                if is_ident[g]:
-                    continue
-                row_gf = rows[row_f[g]]
-                if take_out[tgt[g]](row_gf) != take_hg[g](row_f):
-                    h = next(h for h in out[tgt[g]] if row_gf[h] != row_f[rows[g][h]])
-                    triple = {"h": names[h], "g": names[g], "f": names[f]}
-                    raise NonAssociative(
-                        f"{self.name}: h o (g o f) != (h o g) o f for "
-                        f"(h, g, f) = ({names[h]!r}, {names[g]!r}, {names[f]!r})",
-                        witness=triple,
-                    )
+        pairs = [(str(g), str(f)) for g, f, _ in comp.entries]
+        if len(set(pairs)) != len(pairs):
+            pair = _first_repeat(pairs)
+            raise DanglingReference(
+                f"{self.name}: pair ({pair[0]!r}, {pair[1]!r}) is listed more than once in compose",
+                witness={"pair": pair},
+            )
 
     def _find_invertibles(self) -> None:
         """Set ``_invertible`` (each invertible m to its inverse) and
         ``_directly_finite`` (no g with g o m = id but m o g != id) in one
-        search, which stops at an inverse: the only left inverse of m."""
+        search of the name table, which stops at an inverse: the only left
+        inverse of m.  For unchecked builds; a checked one searches its rows
+        (``_Rows.set_inverses``)."""
         inv: dict[str, str] = {}
         directly_finite = True
         for m in self.morphisms:
@@ -290,11 +248,162 @@ class FinCat:
         return len(self.objects)
 
 
+class _Triples:
+    """The ``compose`` entries ``[g, f, gf]`` of a category manifest, handed
+    to ``FinCat`` by ``validate`` in place of a name-keyed table.  An id may
+    be a JSON number, read as its ``str``."""
+
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: list):
+        self.entries = entries
+
+
+class _Rows:
+    """The composition table of a checked FinCat on morphism indices, read in
+    one pass over its entries: ``rows[f][g]`` is the index of ``g o f``, and
+    ``order[k]`` is the f of entry k.
+
+    Each entry is checked as it is read, in table order: known names,
+    composable pair, endpoints of the composite.  ``check_laws`` and
+    ``set_inverses`` read the rows, and ``table`` rebuilds the name-keyed
+    table from them.  Names come back only to report the first failure,
+    whose ``witness`` holds the offending names.
+    """
+
+    __slots__ = ("names", "index", "src", "tgt", "ident", "rows", "order")
+
+    def __init__(self, cat: FinCat, names: list, index: dict, src: list, tgt: list):
+        comp = cat.composition
+        from_manifest = type(comp) is _Triples
+        entries = comp.entries if from_manifest else ((g, f, gf) for (g, f), gf in comp.items())
+        self.names, self.index, self.src, self.tgt = names, index, src, tgt
+        self.ident = [index[cat.identity[x]] for x in cat.objects]
+        rows: list[dict[int, int]] = [{} for _ in names]
+        order: list[int] = []
+        self.rows, self.order = rows, order
+        put = order.append
+        for g, f, gf in entries:
+            try:
+                gi, fi, ci = index[g], index[f], index[gf]
+            except (KeyError, TypeError):
+                if from_manifest:
+                    g, f, gf = str(g), str(f), str(gf)
+                if g not in index or f not in index or gf not in index:
+                    raise DanglingReference(
+                        f"{cat.name}: composition entry ({g!r}, {f!r}) -> {gf!r} names unknown morphisms",
+                        witness={"pair": (g, f)},
+                    ) from None
+                gi, fi, ci = index[g], index[f], index[gf]
+            if tgt[fi] != src[gi]:
+                raise DanglingReference(
+                    f"{cat.name}: pair ({g!r}, {f!r}) is not composable "
+                    f"(target of {f!r} is {cat.target(f)!r}, source of {g!r} is {cat.source(g)!r})",
+                    witness={"pair": (g, f)},
+                )
+            if src[ci] != src[fi] or tgt[ci] != tgt[gi]:
+                raise IncompleteCompositionTable(
+                    f"{cat.name}: composite {gf!r} of ({g!r}, {f!r}) has wrong endpoints",
+                    witness={"pair": (g, f)},
+                )
+            rows[fi][gi] = ci
+            put(fi)
+
+    def check_laws(self, cat: FinCat) -> None:
+        """Check completeness, then both identity laws, then associativity on
+        every composable triple unless ``cat`` is thin, where both sides of a
+        triple share a one-element hom-set."""
+        names, src, tgt, ident, rows = self.names, self.src, self.tgt, self.ident, self.rows
+        index = self.index
+        out = [[index[g] for g in cat._by_source[x]] for x in cat.objects]
+        # every key of rows[f] is composable with f, so a short row misses one
+        for f, row in enumerate(rows):
+            if len(row) != len(out[tgt[f]]):
+                g = next(g for g in out[tgt[f]] if g not in row)
+                raise IncompleteCompositionTable(
+                    f"{cat.name}: missing composite for pair ({names[g]!r}, {names[f]!r})",
+                    witness={"pair": (names[g], names[f])},
+                )
+
+        for f, row in enumerate(rows):
+            if row[ident[tgt[f]]] != f:
+                raise BrokenIdentity(
+                    f"{cat.name}: id o {names[f]!r} != {names[f]!r}", witness={"morphism": names[f]}
+                )
+            if rows[ident[src[f]]][f] != f:
+                raise BrokenIdentity(
+                    f"{cat.name}: {names[f]!r} o id != {names[f]!r}", witness={"morphism": names[f]}
+                )
+
+        # both sides of a triple lie in Hom(s(f), t(h)), by the endpoints
+        # checked above, so a thin category is associative
+        if _is_thin(cat):
+            return
+        # h o (g o f) against (h o g) o f for all h at once: take_out[y] reads
+        # row[h] for every h out of y, take_hg[g] reads row[h o g] in the same
+        # order.  Every object has its identity, so no getter is empty.  A
+        # triple whose f or g is an identity holds by the identity laws
+        # above, so those pairs are skipped and get no getter.
+        is_ident = [False] * len(names)
+        for i in ident:
+            is_ident[i] = True
+        take_out = [itemgetter(*hs) for hs in out]
+        take_hg = [
+            None if is_ident[g] else itemgetter(*[rows[g][h] for h in out[tgt[g]]])
+            for g in range(len(names))
+        ]
+        for f, row_f in enumerate(rows):
+            if is_ident[f]:
+                continue
+            for g in out[tgt[f]]:
+                if is_ident[g]:
+                    continue
+                row_gf = rows[row_f[g]]
+                if take_out[tgt[g]](row_gf) != take_hg[g](row_f):
+                    h = next(h for h in out[tgt[g]] if row_gf[h] != row_f[rows[g][h]])
+                    triple = {"h": names[h], "g": names[g], "f": names[f]}
+                    raise NonAssociative(
+                        f"{cat.name}: h o (g o f) != (h o g) o f for "
+                        f"(h, g, f) = ({names[h]!r}, {names[g]!r}, {names[f]!r})",
+                        witness=triple,
+                    )
+
+    def set_inverses(self, cat: FinCat) -> None:
+        """Set ``cat._invertible`` and ``cat._directly_finite`` by the search of
+        ``FinCat._find_invertibles``, with g o m read as ``rows[m][g]``."""
+        index, src, tgt, ident, rows = self.index, self.src, self.tgt, self.ident, self.rows
+        hom = cat._hom
+        inv: dict[str, str] = {}
+        directly_finite = True
+        for m, mor in enumerate(cat.morphisms):
+            for g in hom.get((mor.target, mor.source), ()):
+                gi = index[g]
+                if rows[m][gi] == ident[src[m]]:
+                    if rows[gi][m] == ident[tgt[m]]:
+                        inv[mor.name] = g
+                        break
+                    directly_finite = False
+        object.__setattr__(cat, "_invertible", inv)
+        object.__setattr__(cat, "_directly_finite", directly_finite)
+
+    def table(self) -> dict[tuple[str, str], str]:
+        """The name-keyed table, in entry order: row f holds its cells in the
+        order of the entries that filled them."""
+        names = self.names
+        cells = [iter(row.items()) for row in self.rows]
+        table = {}
+        for f in self.order:
+            g, gf = next(cells[f])
+            table[(names[g], names[f])] = names[gf]
+        return table
+
+
 class _TableOnFirstRead:
-    """``FinCat.composition`` of a total built by ``_lazy_total``: the first
-    read runs the builder, stores the table on the instance and drops the
-    builder.  A non-data descriptor, so a table already on the instance (every
-    FinCat built by its constructor) shadows it and is read directly."""
+    """``FinCat.composition`` of a category that holds a builder in place of
+    its table (see ``FinCat``): the first read runs the builder, stores the
+    table on the instance and drops the builder.  A non-data descriptor, so a
+    table already on the instance (every other FinCat) shadows it and is read
+    directly."""
 
     def __get__(self, cat, owner=None):
         if cat is None:
@@ -348,7 +457,11 @@ def validate(raw: Mapping, name: str = "C") -> FinCat:
          "identity": {object: morphism_id, ...},
          "compose": [[g, f, gf], ...]}
 
-    Each pair (g, f) is listed once.
+    ``objects``, ``morphisms``, ``compose`` and each of its entries are
+    lists, and each pair (g, f) is listed once.  An id may be a JSON number,
+    read as its ``str``.  The entries are read once, into the integer rows of
+    the check; the name-keyed table is built from those rows on its first
+    read, in entry order.
     """
     try:
         objects = tuple(str(x) for x in raw["objects"])
@@ -357,23 +470,34 @@ def validate(raw: Mapping, name: str = "C") -> FinCat:
         )
         identity = {str(k): str(v) for k, v in raw["identity"].items()}
         triples = raw.get("compose", [])
-        composition = {(str(g), str(f)): str(gf) for g, f, gf in triples}
+        _require_lists(raw, triples)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise DanglingReference(
-            f"{name}: malformed category description ({exc})", witness={"cause": str(exc)}
-        ) from exc
-    name = str(raw.get("name", name))
-    if len(composition) != len(triples):
-        seen: set[tuple[str, str]] = set()
-        for g, f, _ in triples:
-            pair = (str(g), str(f))
-            if pair in seen:
-                raise DanglingReference(
-                    f"{name}: pair ({pair[0]!r}, {pair[1]!r}) is listed more than once in compose",
-                    witness={"pair": pair},
-                )
-            seen.add(pair)
-    return FinCat(objects, morphisms, identity, composition, name=name)
+        cause = exc
+    else:
+        try:
+            return FinCat(objects, morphisms, identity, _Triples(triples),
+                          name=str(raw.get("name", name)))
+        except ValueError as exc:  # an entry of other than three names stops the check
+            cause = exc
+    raise DanglingReference(
+        f"{name}: malformed category description ({cause})", witness={"cause": str(cause)}
+    ) from cause
+
+
+def _require_lists(raw: Mapping, triples) -> None:
+    """Raise TypeError unless ``objects``, ``morphisms``, ``compose`` and each
+    compose entry of ``raw`` are lists.  An entry that does not unpack into
+    three raises its own TypeError or ValueError first."""
+    if (type(raw["objects"]) is list and type(raw["morphisms"]) is list
+            and type(triples) is list and {*map(type, triples)} <= {list}):
+        return
+    for _g, _f, _gf in triples:
+        pass
+    _require_list(raw["objects"], "objects")
+    _require_list(raw["morphisms"], "morphisms")
+    _require_list(triples, "compose")
+    for k, entry in enumerate(triples):
+        _require_list(entry, f"compose entry {k}")
 
 
 # -- functors and natural isomorphisms ---------------------------------------
@@ -620,7 +744,10 @@ def iso_classes(cat: FinCat) -> IsoClasses:
     The representative of each class is its lexicographically least object
     id.  The automorphism group at the representative is the group of
     invertible endomorphisms under composition (all endomorphisms, in an
-    EI-category).
+    EI-category), built unchecked: in a lawful category the invertible
+    endomorphisms of x hold id_x and are closed under composition
+    ((a o b)^-1 = b^-1 o a^-1) and under ``cat.inverse``, and composition
+    is associative, so they form a group with that identity and inverse.
     """
     classes = _iso_partition(cat)
     aut = {}
@@ -628,13 +755,13 @@ def iso_classes(cat: FinCat) -> IsoClasses:
     for cls in classes:
         rep = cls[0]
         endos = cat.hom(rep, rep)
-        invertibles = tuple(m for m in endos if cat.is_invertible(m))
+        invertibles = tuple([m for m in endos if cat.is_invertible(m)])
         full[rep] = len(invertibles) == len(endos)
-        aut[rep] = FinGroup.from_mul(
-            invertibles,
-            lambda a, b: cat.compose(a, b),
-            name=f"aut({rep})",
-        )
+        pos = {m: i for i, m in enumerate(invertibles)}
+        table = tuple([tuple([pos[cat.compose(a, b)] for b in invertibles]) for a in invertibles])
+        aut[rep] = _trusted(FinGroup, labels=invertibles, table=table, name=f"aut({rep})",
+                            _index=pos, _identity=pos[cat.identity[rep]],
+                            _inverse=tuple([pos[cat.inverse(a)] for a in invertibles]))
     return IsoClasses(classes, tuple(c[0] for c in classes), aut, full)
 
 

@@ -32,6 +32,13 @@ def _first_repeat(items: Sequence[str]) -> str:
     return next(x for x in items if x in seen or seen.add(x))
 
 
+def _require_list(value, what: str) -> None:
+    """Raise TypeError unless ``value``, the part ``what`` of a manifest, is a
+    list: a string or object would be read item by item."""
+    if type(value) is not list:
+        raise TypeError(f"{what} must be a list, not {type(value).__name__}")
+
+
 @dataclass(frozen=True, eq=False)
 class FinGroup:
     """A finite group given by element labels and a Cayley table on indices.

@@ -18,7 +18,7 @@ from typing import Any, Mapping
 
 from .errors import ValidationError
 from .fincat import CatFunctor, FinCat, validate
-from .groups import FinGroup, GroupHom
+from .groups import FinGroup, GroupHom, _require_list
 from .groupact import ComplexOfGroups, ScwolAction, validate_action
 from .hocolim import CellSpectrum, PseudoDiagram, StrictDiagram
 
@@ -73,6 +73,10 @@ def group_from_payload(payload: Mapping) -> FinGroup:
         labels = tuple(str(x) for x in payload["elements"])
         pos = {lab: i for i, lab in enumerate(labels)}
         table = tuple(tuple(pos[str(v)] for v in row) for row in payload["table"])
+        _require_list(payload["elements"], "elements")
+        _require_list(payload["table"], "table")
+        for k, row in enumerate(payload["table"]):
+            _require_list(row, f"table row {k}")
     except (KeyError, TypeError) as exc:
         raise BadManifest(f"malformed group payload ({exc})",
                           witness={"kind": "group", "error": str(exc)}) from exc

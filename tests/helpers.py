@@ -77,6 +77,15 @@ class InvalidQuotient(EulcatError):
     builders, never by the library."""
 
 
+def assert_same_table(got: FinCat, want: FinCat) -> None:
+    """Same name, presentation, and identity and composition tables in the
+    same iteration order."""
+    assert got.name == want.name
+    assert fincat.equal_presentation(got, want)
+    assert list(got.identity.items()) == list(want.identity.items())
+    assert list(got.composition.items()) == list(want.composition.items())
+
+
 def assert_orbit_projection(action, q) -> None:
     """The oracle for ``groupact.quotient``: ``q``, its result on
     ``action``, is a scwol; each composable pair of orbits has exactly one

@@ -1,0 +1,145 @@
+"""CLI fuzz on category and group manifests.
+
+A manifest drawn from the strategies is written with one entry of its
+payload dropped, retyped, duplicated, swapped with a sibling or renamed, and
+run through ``cli.main(["--json", cmd, path])`` for every subcommand that
+takes its kind.  Each run either exits 2 with exactly one ``error:`` line
+and nothing on stdout, or prints the library's own answer on the value the
+manifest parses to.  Any other exception escapes and fails the test.
+"""
+
+import contextlib
+import copy
+import io
+import json
+import os
+import tempfile
+from random import Random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from eulcat import cli, manifest, zoo
+from eulcat.errors import EulcatError
+
+from strategies import SEEDS, groupoids, groups, posets, scwols
+
+SUBCOMMANDS = {
+    kind: [name for name, c in cli.COMMANDS.items()
+           if c.kinds is not None and (not c.kinds or kind in c.kinds)]
+    for kind in ("category", "group")
+}
+OTHER_TYPES = (0, 2.5, True, None, "x", "iii", [], {}, ["x", "x", "x"])
+MUTATIONS = ("drop", "retype", "duplicate", "swap", "rename")
+
+
+def paths(value, path=()):
+    """The key path of every entry below ``value``."""
+    items = value.items() if type(value) is dict else enumerate(value) if type(value) is list else ()
+    for key, item in items:
+        yield path + (key,)
+        yield from paths(item, path + (key,))
+
+
+def strings(value):
+    """Every string below ``value``, keys included."""
+    if type(value) is str:
+        yield value
+    elif type(value) in (dict, list):
+        for key, item in (value.items() if type(value) is dict else enumerate(value)):
+            if type(key) is str:
+                yield key
+            yield from strings(item)
+
+
+def mutate(payload, rng, mutation):
+    """A copy of ``payload`` with one entry changed by ``mutation``."""
+    payload = copy.deepcopy(payload)
+    path = rng.choice(list(paths(payload)))
+    parent = payload
+    for key in path[:-1]:
+        parent = parent[key]
+    key, value = path[-1], parent[path[-1]]
+    keys = list(parent) if type(parent) is dict else list(range(len(parent)))
+    if mutation == "drop":
+        del parent[key]
+    elif mutation == "retype":
+        parent[key] = rng.choice([v for v in OTHER_TYPES if type(v) is not type(value)])
+    elif mutation == "duplicate":
+        if type(parent) is list:
+            parent.insert(key, copy.deepcopy(value))
+        else:
+            parent[f"{key}'"] = copy.deepcopy(value)
+    elif mutation == "swap":
+        other = rng.choice(keys)
+        parent[key], parent[other] = parent[other], value
+    else:  # rename a name to another name of the manifest, or to one of none
+        name = rng.choice(sorted(set(strings(payload))) + ["ghost"])
+        if type(value) is str:
+            parent[key] = name
+        elif type(parent) is dict:
+            parent[name] = parent.pop(key)
+    return payload
+
+
+def library_answer(data, argv):
+    """(exit code, stdout, stderr) that the library's own answer on the
+    parsed value calls for."""
+    try:
+        kind, value = manifest.parse(data)
+        args = cli._parser().parse_args(argv)
+        _, report, ok = cli.COMMANDS[args.command].handler(kind, value, args)
+    except EulcatError as exc:
+        return 2, "", f"error: {exc}\n"
+    return (0 if ok else 1), manifest._dumps(report) + "\n", ""
+
+
+def run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_clean_run(kind, payload):
+    data = {"schema": 1, "kind": kind, "payload": payload}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzzed.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
+        for command in SUBCOMMANDS[kind]:
+            argv = ["--json", command, path]
+            code, out, err = run_cli(argv)
+            if code == 2:
+                assert out == ""
+                assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+            assert (code, out, err) == library_answer(data, argv)
+
+
+categories = st.one_of(scwols, posets, groupoids.map(lambda g: g.category))
+
+
+@settings(max_examples=80, deadline=None)
+@given(categories, SEEDS, st.sampled_from(MUTATIONS))
+def test_mutated_category_manifest(cat, seed, mutation):
+    payload = manifest.category_payload(cat)
+    assert_clean_run("category", mutate(payload, Random(seed), mutation))
+
+
+@settings(max_examples=60, deadline=None)
+@given(groups, SEEDS, st.sampled_from(MUTATIONS))
+def test_mutated_group_manifest(group, seed, mutation):
+    payload = manifest.group_payload(group)
+    assert_clean_run("group", mutate(payload, Random(seed), mutation))
+
+
+def test_mutations_reach_both_outcomes():
+    """Non-vacuity: over a few seeds on one category, mutations are both
+    rejected and accepted."""
+    payload = manifest.category_payload(zoo.pushout_scwol())
+    codes = set()
+    for seed in range(40):
+        data = {"schema": 1, "kind": "category",
+                "payload": mutate(payload, Random(seed), MUTATIONS[seed % len(MUTATIONS)])}
+        codes.add(library_answer(data, ["--json", "validate", "unused"])[0])
+    assert codes == {0, 2}

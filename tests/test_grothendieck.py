@@ -20,7 +20,7 @@ from hypothesis import given, settings
 
 from eulcat import randgen
 from eulcat.errors import ValidationError
-from eulcat.fincat import CatFunctor, FinCat, Morphism, classify, equal_presentation
+from eulcat.fincat import CatFunctor, FinCat, Morphism, classify
 from eulcat.groupact import complex_of_groups, complex_to_pseudo_diagram
 from eulcat.groups import cyclic_group
 from eulcat.hocolim import (
@@ -35,7 +35,7 @@ from eulcat.hocolim import (
 
 from eulcat.zoo import discrete_category, one_object_category, pushout_scwol, terminal_category
 
-from helpers import split_idempotent
+from helpers import assert_same_table, split_idempotent
 from strategies import TWISTED_ACTION_SEEDS, actions, strict_diagrams
 
 
@@ -146,13 +146,6 @@ def reference_grothendieck_pseudo(d: PseudoDiagram) -> FinCat:
         return FinCat(tuple(objs), tuple(mors), ident, comp, name=f"hocolim({idx.name})")
     except ValidationError as exc:
         raise CoherenceFailure(f"pseudo homotopy colimit is not a category: {exc}") from exc
-
-
-def assert_same_table(got: FinCat, want: FinCat) -> None:
-    assert got.name == want.name
-    assert equal_presentation(got, want)
-    assert list(got.identity.items()) == list(want.identity.items())
-    assert list(got.composition.items()) == list(want.composition.items())
 
 
 def assert_same_alphas(got, want) -> None:

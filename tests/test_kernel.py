@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eulcat import eulerchar, hocolim, randgen, ratlin, zoo
+from eulcat import eulerchar, fincat, hocolim, manifest, randgen, ratlin, zoo
 from eulcat.errors import EulcatError, InvariantViolation
 from eulcat.eulerchar import HypothesisNotMet, chi2_free_EI, free_aut_witness
 from eulcat.fincat import (
@@ -43,8 +43,8 @@ from eulcat.groupact import haefliger_chi
 from eulcat.hocolim import bar_spectrum, check_hocolim_formula, constant_diagram, grothendieck
 from eulcat.ratlin import NoWeighting, RatMatrix, coweighting, solve_linear, weighting
 
-from helpers import count_calls, mor_count_matrix, split_idempotent
-from strategies import groupoids, posets, scwols, skeletal_scwols, strict_diagrams
+from helpers import assert_same_table, count_calls, mor_count_matrix, split_idempotent
+from strategies import SEEDS, groupoids, posets, scwols, skeletal_scwols, strict_diagrams
 
 grothendieck_totals = strict_diagrams.map(lambda d: grothendieck(d).category)
 
@@ -661,3 +661,87 @@ class TestFractionsMade:
         fractions_made[0] = 0
         weighting(cat)
         assert fractions_made[0] == len(cat.objects)
+
+
+# -- a manifest read once, its name table built on first read --------------------------
+
+
+def manifest_dict(payload):
+    """The name-keyed table a manifest's ``compose`` entries describe, in
+    their order: what ``fincat.validate`` held before it read the entries
+    straight into rows."""
+    return {(str(g), str(f)): str(gf) for g, f, gf in payload["compose"]}
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Counts of ``_Rows`` constructions (each one pass over a table's
+    entries) and of name tables built from rows."""
+    counts = {"passes": 0, "tables": 0}
+    real_init, real_table = fincat._Rows.__init__, fincat._Rows.table
+
+    def init(self, cat, *records):
+        counts["passes"] += 1
+        real_init(self, cat, *records)
+
+    def table(self):
+        counts["tables"] += 1
+        return real_table(self)
+
+    monkeypatch.setattr(fincat._Rows, "__init__", init)
+    monkeypatch.setattr(fincat._Rows, "table", table)
+    return counts
+
+
+class TestTableOnFirstRead:
+    @settings(max_examples=30, deadline=None)
+    @given(st.one_of(scwols, posets, groupoids.map(lambda g: g.category), grothendieck_totals),
+           SEEDS)
+    def test_no_table_until_read_then_the_manifest_order(self, cat, seed):
+        payload = manifest.category_payload(cat)
+        Random(seed).shuffle(payload["compose"])
+        loaded = fincat.validate(payload, name=cat.name)
+        report = classify(loaded)
+        if report.is_scwol and report.is_skeletal:  # else it composes a skeleton first
+            path_counts(loaded)
+        for fn in (weighting, ratlin.chi_L):
+            try:
+                fn(loaded)
+            except EulcatError:  # no weighting: the table is not read either way
+                pass
+        assert "composition" not in vars(loaded)
+        first = loaded.composition
+        assert loaded.composition is first
+        want = FinCat(cat.objects, cat.morphisms, dict(cat.identity), manifest_dict(payload),
+                      name=cat.name)
+        assert_same_table(loaded, want)
+
+    @pytest.mark.parametrize("build", [lambda: zoo.polygon_scwol(12),
+                                       lambda: zoo.subsets_poset_opposite(3),
+                                       lambda: zoo.one_object_category(cyclic_group(4))],
+                             ids=["polygon12", "subsets3", "Z4"])
+    def test_one_pass_per_load_and_one_table_on_read(self, build, kernel_calls):
+        payload = manifest.category_payload(build())
+        kernel_calls["passes"] = 0
+        cat = manifest.category_from_payload(payload)
+        assert kernel_calls == {"passes": 1, "tables": 0}
+        report = classify(cat)
+        weighting(cat)
+        ratlin.chi_L(cat)
+        if report.is_scwol:
+            path_counts(cat)
+        assert kernel_calls == {"passes": 1, "tables": 0}
+        assert list(cat.composition.items()) == list(manifest_dict(payload).items())
+        cat.composition
+        assert kernel_calls == {"passes": 1, "tables": 1}
+
+    def test_a_table_handed_in_is_kept(self, kernel_calls):
+        """A FinCat built from a name dict checks it on the same rows and keeps
+        the dict it was given."""
+        cat = zoo.polygon_scwol(6)
+        comp = dict(cat.composition)
+        kernel_calls["passes"] = 0
+        rebuilt = FinCat(cat.objects, cat.morphisms, dict(cat.identity), comp)
+        assert rebuilt.composition is comp
+        assert kernel_calls == {"passes": 1, "tables": 0}
+

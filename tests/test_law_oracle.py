@@ -18,11 +18,13 @@ them: the input checks are what carry the weight.
 
 Every other value the library derives from validated ones is built by
 ``errors._trusted``, with no constructor check: functors, homomorphisms,
-complexes, actions, diagrams, spectra, weightings and subgroups.
+complexes, actions, diagrams, spectra, weightings, subgroups and the
+automorphism groups of ``iso_classes``.
 ``helpers.assert_revalidates`` rebuilds each through its constructor here,
 and the skeleton's eta goes through ``fincat._check_natural``; the
-non-vacuity tests show that a twist with its factors swapped and one wrong
-eta component are rejected, and no listed path runs a constructor check.
+non-vacuity tests show that a twist with its factors swapped, one wrong
+eta component and automorphisms with a wrong inverse are rejected, and no
+listed path runs a constructor check.
 """
 
 from fractions import Fraction
@@ -37,8 +39,10 @@ from eulcat.eulerchar import chi2_free_EI, chi_scwol, groupoid_chi2
 from eulcat.fincat import (
     BrokenIdentity,
     CatFunctor,
+    FinCat,
     NonAssociative,
     NotNatural,
+    iso_classes,
     lower_link,
     path_counts,
     product,
@@ -59,7 +63,7 @@ from eulcat.groupact import (
     stabilizer,
     transport_groupoid,
 )
-from eulcat.groups import GroupHom, cyclic_group
+from eulcat.groups import FinGroup, GroupHom, cyclic_group
 from eulcat.hocolim import (
     CellSpectrum,
     CoherenceFailure,
@@ -91,6 +95,7 @@ from strategies import (
     groupoids,
     groups,
     noncentral_actions,
+    posets,
     scwols,
     skeletal_scwols,
     small_groupoids,
@@ -357,6 +362,21 @@ class TestTrustedBuilders:
     def test_weightings(self, cat):
         assert_revalidates(weighting(cat), coweighting(cat))
 
+    @settings(max_examples=30, deadline=None)
+    @given(st.one_of(SCWOLS_AND_GROUPOIDS, posets, strict_diagrams.map(
+        lambda d: grothendieck(d).category)))
+    def test_automorphism_groups(self, cat):
+        """Built with no group check: the constructor accepts each one and
+        finds the same identity and inverses."""
+        checks = []
+        with pytest.MonkeyPatch.context() as mp:
+            real = FinGroup.__post_init__
+            mp.setattr(FinGroup, "__post_init__", lambda self: checks.append(1) or real(self))
+            auts = iso_classes(cat).aut
+        assert checks == []
+        for group in auts.values():
+            assert_same_group(group)
+
     @settings(max_examples=20, deadline=None)
     @given(groups, ANY_ACTION)
     def test_identities_and_stabilizers(self, group, action):
@@ -391,6 +411,23 @@ class TestTrustedNonVacuity:
         with pytest.raises(NotNatural, match="naturality fails"):
             assert_retraction_data(cat, sk.inclusion, sk.retraction, {**sk.eta, x: other})
         assert_retraction_data(cat, sk.inclusion, sk.retraction, sk.eta)
+
+
+    def test_automorphisms_with_a_wrong_inverse(self, monkeypatch):
+        """Z/3 with every element read as its own inverse: the oracle sees it."""
+        cat = zoo.one_object_category(cyclic_group(3))
+        monkeypatch.setattr(FinCat, "inverse", lambda self, m: m)
+        with pytest.raises(AssertionError):
+            assert_same_group(iso_classes(cat).aut["*"])
+
+
+def assert_same_group(group: FinGroup) -> None:
+    """The oracle for a group built with ``errors._trusted``: the group
+    constructor accepts its labels and table and finds the same identity
+    and inverses."""
+    checked = FinGroup(group.labels, group.table, name=group.name)
+    fields = ("labels", "table", "name", "_index", "_identity", "_inverse")
+    assert [getattr(checked, f) for f in fields] == [getattr(group, f) for f in fields]
 
 
 CHECKED_CLASSES = (ComplexOfGroups, GroupHom, CatFunctor, ScwolAction, CellSpectrum,

@@ -360,6 +360,32 @@ TWO_ARROWS_PAIR_TWICE = {
 
 
 ONE_VERTEX = {"x": ONE_OBJECT}
+TWO_POINTS = {
+    "objects": ["x", "y"],
+    "morphisms": [{"id": "id_x", "source": "x", "target": "x"},
+                  {"id": "id_y", "source": "y", "target": "y"}],
+    "identity": {"x": "id_x", "y": "id_y"},
+    "compose": [["id_x", "id_x", "id_x"], ["id_y", "id_y", "id_y"]],
+}
+Z2 = {"elements": ["0", "1"], "table": [["0", "1"], ["1", "0"]]}
+# Parts that must be lists but were read item by item: each of these once
+# validated, as (i, i, i), objects x and y, Z/2 and the trivial group.
+NOT_LISTS = {
+    "category-compose-entry-str": ("category", {**ONE_OBJECT, "compose": ["iii"]},
+                                   "compose entry 0 must be a list, not str"),
+    "category-compose-dict": ("category", {**ONE_OBJECT, "compose": {"iii": 0}},
+                              "compose must be a list, not dict"),
+    "category-objects-str": ("category", {**TWO_POINTS, "objects": "xy"},
+                             "objects must be a list, not str"),
+    "category-morphisms-dict": ("category", {"objects": [], "morphisms": {}, "identity": {}},
+                                "morphisms must be a list, not dict"),
+    "group-elements-str": ("group", {"elements": "01", "table": ["01", "10"]},
+                           "elements must be a list, not str"),
+    "group-table-row-str": ("group", {**Z2, "table": ["01", "10"]},
+                            "table row 0 must be a list, not str"),
+    "group-table-dict": ("group", {"elements": ["0"], "table": {"0": 1}},
+                         "table must be a list, not dict"),
+}
 IDENTITY_EDGE = {"i": {"objects": {"x": "x"}, "morphisms": {"i": "i"}}}
 
 
@@ -498,6 +524,7 @@ CIRCLE_ACTION = manifest.action_payload(randgen.circle_action())
             for stray, named in STRAY_DIAGRAM_NAMES.values()
             for kind in ("diagram", "pseudo_diagram")
         ],
+        *NOT_LISTS.values(),
     ],
     ids=["category-identity-list", "category-pair-listed-twice", "diagram-vertices-list",
          "spectrum-cells-list", "spectrum-cell-not-integer", "pseudo-unit-non-index-object",
@@ -506,7 +533,8 @@ CIRCLE_ACTION = manifest.action_payload(randgen.circle_action())
          "complex-hom-for-no-morphism", "complex-local-for-no-object",
          "action-object-row-for-no-element", "action-morphism-row-for-no-element",
          *[f"{kind}-stray-{case}" for case in STRAY_DIAGRAM_NAMES
-           for kind in ("diagram", "pseudo_diagram")]],
+           for kind in ("diagram", "pseudo_diagram")],
+         *NOT_LISTS],
 )
 def test_malformed_payload_exits_2_with_one_error_line(tmp_path, capsys, kind, payload, named):
     path = tmp_path / "bad.json"
@@ -519,6 +547,27 @@ def test_malformed_payload_exits_2_with_one_error_line(tmp_path, capsys, kind, p
     ]
     assert named in captured.err
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("kind, payload, named", NOT_LISTS.values(), ids=list(NOT_LISTS))
+def test_part_that_is_no_list_is_malformed(kind, payload, named):
+    with pytest.raises(manifest.ValidationError) as exc:
+        manifest.parse({"schema": 1, "kind": kind, "payload": payload})
+    if kind == "category":
+        assert str(exc.value) == f"C: malformed category description ({named})"
+        assert exc.value.witness == {"cause": named}
+    else:
+        assert str(exc.value) == f"malformed group payload ({named})"
+        assert exc.value.witness == {"kind": "group", "error": named}
+
+
+@pytest.mark.parametrize("kind, payload", [
+    ("category", ONE_OBJECT), ("category", TWO_POINTS), ("group", Z2),
+    ("category", {**ONE_OBJECT, "objects": [1], "morphisms": [{"id": 2, "source": 1, "target": 1}],
+                  "identity": {"1": 2}, "compose": [[2, 2, 2]]}),
+], ids=["one-object", "two-points", "Z2", "number-ids"])
+def test_lists_are_accepted(kind, payload):
+    assert manifest.parse({"schema": 1, "kind": kind, "payload": payload})[0] == kind
 
 
 @pytest.mark.parametrize("kind", ["diagram", "pseudo_diagram"])

@@ -12,7 +12,10 @@ label-level check and body are kept here too, and must agree with it on
 accept/reject and on the groupoid built.
 """
 
+import ast
 import itertools
+import json
+import re
 import time
 from random import Random
 
@@ -36,6 +39,7 @@ from eulcat.fincat import (
     classify,
     equal_presentation,
     product,
+    validate,
 )
 from eulcat.groupact import (
     AxiomIIViolation,
@@ -55,7 +59,7 @@ from eulcat.groupact import (
     stabilizer,
     transport_groupoid,
 )
-from eulcat import randgen, zoo
+from eulcat import manifest, randgen, zoo
 from eulcat.groups import (
     FinGroup,
     GroupHom,
@@ -1223,3 +1227,179 @@ def test_plain_rejection_carries_its_witness(build, message, witness):
     assert type(info.value) is ValidationError
     assert str(info.value) == message
     assert info.value.witness == witness
+
+
+# -- validate: a category manifest read once ------------------------------------------
+
+
+def reference_records(objects, morphisms, identity, name):
+    """FinCat's checks of ids, endpoints and the identity map, one name at a
+    time."""
+    dup = next((x for i, x in enumerate(objects) if x in objects[:i]), None)
+    if dup is not None:
+        raise DanglingReference(f"{name}: duplicate object ids", witness={"object": dup})
+    names = [m.name for m in morphisms]
+    dups = sorted({n for n in names if names.count(n) > 1})
+    if dups:
+        raise DanglingReference(f"{name}: duplicate morphism ids {dups}",
+                                witness={"morphism": dups[0]})
+    for m in morphisms:
+        if m.source not in objects or m.target not in objects:
+            raise DanglingReference(
+                f"{name}: morphism {m.name!r} has unknown endpoint {m.source!r} -> {m.target!r}",
+                witness={"morphism": m.name},
+            )
+    mor = {m.name: m for m in morphisms}
+    for x in objects:
+        if x not in identity:
+            raise BrokenIdentity(f"{name}: object {x!r} has no identity morphism",
+                                 witness={"object": x})
+        e = identity[x]
+        if e not in mor:
+            raise DanglingReference(f"{name}: identity {e!r} of {x!r} is unknown",
+                                    witness={"object": x})
+        if mor[e].source != x or mor[e].target != x:
+            raise BrokenIdentity(f"{name}: identity {e!r} is not an endomorphism of {x!r}",
+                                 witness={"morphism": e})
+    for x in identity:
+        if x not in objects:
+            raise DanglingReference(f"{name}: identity table names unknown object {x!r}",
+                                    witness={"object": x})
+
+
+QUOTED = r"""('(?:[^'\\]|\\.)*'|"(?:[^"\\]|\\.)*")"""
+
+
+def law_witness(message):
+    """The witness of a ``reference_fincat_laws`` failure, read off its
+    message: the pair it names, or the morphism of an identity law."""
+    pair = re.search(rf"\({QUOTED}, {QUOTED}\)", message)
+    if pair:
+        return {"pair": (ast.literal_eval(pair[1]), ast.literal_eval(pair[2]))}
+    return {"morphism": ast.literal_eval(re.findall(QUOTED, message)[-1])}
+
+
+def reference_validate(raw, name="C"):
+    """``fincat.validate`` as the name-keyed table it once built: parse it,
+    reject a part that is no list, a pair listed twice, bad records, then
+    ``reference_fincat_laws``.  Returns the parts and the table."""
+    try:
+        objects = tuple(str(x) for x in raw["objects"])
+        morphisms = tuple(
+            Morphism(str(m["id"]), str(m["source"]), str(m["target"])) for m in raw["morphisms"]
+        )
+        identity = {str(k): str(v) for k, v in raw["identity"].items()}
+        triples = raw.get("compose", [])
+        composition = {(str(g), str(f)): str(gf) for g, f, gf in triples}
+        parts = [("objects", raw["objects"]), ("morphisms", raw["morphisms"]),
+                 ("compose", triples)] + [(f"compose entry {k}", e) for k, e in enumerate(triples)]
+        for what, part in parts:
+            if type(part) is not list:
+                raise TypeError(f"{what} must be a list, not {type(part).__name__}")
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise DanglingReference(f"{name}: malformed category description ({exc})",
+                                witness={"cause": str(exc)}) from exc
+    name = str(raw.get("name", name))
+    pairs = [(str(g), str(f)) for g, f, _ in triples]
+    for k, pair in enumerate(pairs):
+        if pair in pairs[:k]:
+            raise DanglingReference(
+                f"{name}: pair ({pair[0]!r}, {pair[1]!r}) is listed more than once in compose",
+                witness={"pair": pair},
+            )
+    reference_records(objects, morphisms, identity, name)
+    try:
+        reference_fincat_laws(objects, morphisms, identity, composition, name)
+    except ValidationError as exc:
+        if exc.witness is None:
+            exc.witness = law_witness(str(exc))
+        raise
+    return objects, morphisms, identity, composition, name
+
+
+def with_number_ids(payload):
+    """The same category with every object and morphism id a JSON number."""
+    objects = {x: k for k, x in enumerate(payload["objects"])}
+    ids = {m["id"]: len(objects) + k for k, m in enumerate(payload["morphisms"])}
+    return {
+        "objects": list(objects.values()),
+        "morphisms": [{"id": ids[m["id"]], "source": objects[m["source"]],
+                       "target": objects[m["target"]]} for m in payload["morphisms"]],
+        "identity": {str(objects[x]): ids[e] for x, e in payload["identity"].items()},
+        "compose": [[ids[g], ids[f], ids[gf]] for g, f, gf in payload["compose"]],
+    }
+
+
+def faulty(payload, rng, fault):
+    """``payload`` with its compose entries shuffled and ``fault`` put in."""
+    payload = json.loads(json.dumps(payload))
+    table = payload["compose"]
+    rng.shuffle(table)
+    k = rng.randrange(len(table))
+    if fault == "drop":
+        del table[k]
+    elif fault == "swap-composites":
+        j = rng.randrange(len(table))
+        table[k][2], table[j][2] = table[j][2], table[k][2]
+    elif fault == "swap-factors":
+        table[k][0], table[k][1] = table[k][1], table[k][0]
+    elif fault == "dangling":
+        table[k][rng.randrange(3)] = "ghost"
+    elif fault == "listed-twice":
+        twin = [*table[k][:2], rng.choice(table)[2]]
+        table.insert(rng.randrange(len(table) + 1), twin)
+    elif fault == "number-ids":
+        payload = with_number_ids(payload)
+    elif fault == "listed-twice-and-object-repeated":
+        table.append(list(table[k]))
+        payload["objects"].append(rng.choice(payload["objects"]))
+    elif fault == "dangling-then-malformed":
+        j = rng.randrange(k, len(table))
+        table[k][0] = "ghost"
+        table[j] = table[j][:2] if j != k else "ghost"
+    elif fault == "entry-not-a-list":
+        table[k] = "".join(table[k][0][:1] * 3)
+    return payload
+
+
+FAULTS = (None, "drop", "swap-composites", "swap-factors", "dangling", "listed-twice",
+          "number-ids", "listed-twice-and-object-repeated", "dangling-then-malformed",
+          "entry-not-a-list")
+
+
+class TestValidate:
+    """``fincat.validate`` reads a manifest's entries once into the rows of
+    its check and builds no name table; the table it once built, checked by
+    the name-based references, gives the same verdict."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(categories, SEEDS, st.sampled_from(FAULTS))
+    def test_same_verdict_as_the_name_table(self, cat, seed, fault):
+        payload = faulty(manifest.category_payload(cat), Random(seed), fault)
+        got = outcome(validate, payload, witness=True)
+        assert got == outcome(reference_validate, payload, witness=True)
+        if got is None:
+            loaded = validate(payload)
+            objects, morphisms, identity, composition, name = reference_validate(payload)
+            by_names = FinCat(objects, morphisms, identity, composition, name=name, check=False)
+            assert list(loaded.composition.items()) == list(composition.items())
+            assert loaded._invertible == by_names._invertible
+            assert loaded._directly_finite == by_names._directly_finite
+
+    def test_every_fault_is_seen(self):
+        """Non-vacuity: on the pushout scwol each fault but a shuffle and
+        number ids is rejected, with the class that the first fault in the
+        old order calls for."""
+        payload = manifest.category_payload(zoo.pushout_scwol())
+        want = {"drop": IncompleteCompositionTable, "dangling": DanglingReference,
+                "listed-twice": DanglingReference, "number-ids": None,
+                "listed-twice-and-object-repeated": DanglingReference,
+                "dangling-then-malformed": DanglingReference,
+                "entry-not-a-list": DanglingReference, None: None}
+        for fault, cls in want.items():
+            got = outcome(validate, faulty(payload, Random(1), fault))
+            assert (got and got[0]) == cls, fault
+        both = faulty(payload, Random(1), "listed-twice-and-object-repeated")
+        assert "listed more than once" in outcome(validate, both)[1]
+        malformed = faulty(payload, Random(1), "dangling-then-malformed")
+        assert "malformed category description" in outcome(validate, malformed)[1]
