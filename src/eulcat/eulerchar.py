@@ -3,9 +3,10 @@
 Three computable regimes, each equal to chi_L where they overlap (the
 tests check this; nothing here computes a second route):
 
-* finite scwols: the alternating sum of path counts over a skeleton,
-  which simultaneously computes the Euler characteristic, the L2-Euler
-  characteristic, and the Euler characteristic of the classifying space;
+* finite scwols: the total of the skeleton's weighting, an integer equal
+  to the alternating count of its composable paths, which simultaneously
+  computes the Euler characteristic, the L2-Euler characteristic, and the
+  Euler characteristic of the classifying space;
 * finite groupoids: groupoid cardinality, the sum of 1/|aut| over
   isomorphism classes;
 * finite EI-categories whose skeleton has free left aut-actions on
@@ -24,31 +25,50 @@ from .fincat import (
     _is_EI,
     _is_groupoid,
     _iso_partition,
+    _require_scwol,
     _skeleton_category,
-    path_counts,
 )
-from .ratlin import weighting
+from .ratlin import _weigh_category
 
 
 class HypothesisNotMet(EulcatError):
     """EI/freeness hypothesis fails; carries a witness pair."""
 
 
+def _scwol_weights(cat: FinCat) -> tuple[FinCat, list[int]]:
+    """The skeleton of a finite scwol and its weighting, as integers in the
+    skeleton's object order.
+
+    Every endomorphism of a scwol is an identity, so on its skeleton
+    |mor(x, x)| = 1 and no cycle of arrows joins distinct objects (their
+    composite would be an identity, making them isomorphic).  The
+    weighting equation is then w(x) = 1 - sum of w(y) over the non-identity
+    arrows x -> y: the recursion of the alternating count of paths starting
+    at x.  Back-substitution along a topological order divides only by the
+    diagonal, 1, so the denominator stays 1 and every weight is an integer.
+    """
+    _require_scwol(cat)
+    gamma = _skeleton_category(cat)
+    return gamma, _weigh_category(gamma)[0]
+
+
 def chi_scwol(cat: FinCat) -> int:
-    """Alternating sum of path counts of a finite scwol.
+    """Alternating count of the composable paths of a finite scwol, as the
+    total of its skeleton's integer weighting (``_scwol_weights``).
 
     This single integer is the Euler characteristic, the L2-Euler
     characteristic, and the Euler characteristic of the classifying space.
     """
-    return path_counts(cat).euler_sum()
+    return sum(_scwol_weights(cat)[1])
 
 
 def chi_f_scwol(cat: FinCat) -> dict[str, Fraction]:
     """Functorial Euler characteristic of a finite scwol: the alternating
-    count of bar-model cells starting at each iso-class representative.
-    The values sum to chi_scwol, since both sums count the same paths."""
-    pc = path_counts(cat)
-    return {x: Fraction(pc.start_sum(x)) for x in pc.starts}
+    count of bar-model cells starting at each iso-class representative,
+    which is the skeleton's integer weight there (``_scwol_weights``).  The
+    values sum to chi_scwol."""
+    gamma, nums = _scwol_weights(cat)
+    return {x: Fraction(v) for x, v in zip(gamma.objects, nums)}
 
 
 def groupoid_chi2(cat: FinCat) -> Fraction:
@@ -89,10 +109,10 @@ def chi2_free_EI(cat: FinCat) -> Fraction:
     / (|aut(x_0)| ... |aut(x_l)|) over paths x_0 -> ... -> x_l with pairwise
     distinct objects.  In a skeletal EI category the arrows between distinct
     objects form no cycle and |mor(x, x)| = |aut(x)|, so this sum is the
-    total of the skeleton's weighting, computed by back-substitution along a
-    topological order (never by elimination).  chi_L is invariant under
-    equivalence, so this is chi_L of the input too, and no second route is
-    computed.
+    total of the skeleton's weighting, computed in integers by
+    back-substitution along a topological order (never by elimination).
+    chi_L is invariant under equivalence, so this is chi_L of the input
+    too, and no second route is computed.
     """
     gamma = _skeleton_category(cat)
     if not _is_EI(gamma):
@@ -112,4 +132,5 @@ def chi2_free_EI(cat: FinCat) -> Fraction:
             f"left aut-action is not free: {u!r} o {a!r} = {a!r}", witness=witness
         )
 
-    return weighting(gamma).total()
+    nums, den, _ = _weigh_category(gamma)
+    return Fraction(sum(nums), den)

@@ -907,6 +907,10 @@ class PathCounts:
 def path_counts(cat: FinCat, n_max: Optional[int] = None) -> PathCounts:
     """Count composable paths of non-identity morphisms, per length and start.
 
+    It serves per-length output (the ``paths`` command, ``bar_spectrum``);
+    the alternating sums alone are the skeleton's weighting
+    (``eulerchar._scwol_weights``), found in one pass over the arrows.
+
     The input is replaced by its skeleton internally.  Counts come from a
     dynamic program over the skeleton's non-identity arrows: the number of
     paths of length n starting at x is the sum, over arrows x -> y, of

@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from .errors import ValidationError, _trusted
-from .eulerchar import chi_scwol
+from .eulerchar import _scwol_weights, chi_scwol
 from .fincat import (
     CatFunctor,
     FinCat,
@@ -41,8 +41,6 @@ from .fincat import (
     _iso_partition,
     _require_scwol,
     _retract,
-    _skeleton_category,
-    _skeleton_path_counts,
     skeleton,
 )
 from .groups import FinGroup, GroupHom, _image_of
@@ -1059,11 +1057,12 @@ def haefliger_chi(cat: FinCat, vals: Mapping[str, Fraction]) -> Fraction:
     space of the local group at i (1 for trivial groups).  Every key must
     name an object, and isomorphic objects must carry equal values: the sum
     reads the value at each skeleton representative.  Each 1 - chi(B Lk^i)
-    is read as the alternating count of paths starting at i, the identity
-    the formula's proof rests on, so no lower link is built.
+    is the alternating count of paths starting at i, the identity the
+    formula's proof rests on, and that count is the skeleton's integer
+    weight at i (``eulerchar._scwol_weights``: the diagonal is 1, so the
+    weights need no denominator).  No lower link is built.
     """
-    _require_scwol(cat)
-    gamma = _skeleton_category(cat)
+    gamma, nums = _scwol_weights(cat)
     for x in vals:
         cat.require_object(x)
         if gamma.has_object(x):
@@ -1076,10 +1075,9 @@ def haefliger_chi(cat: FinCat, vals: Mapping[str, Fraction]) -> Fraction:
                 f"{vals[rep]} and {vals[x]}",
                 witness={"objects": (rep, x), "values": (vals[rep], vals[x])},
             )
-    pc = _skeleton_path_counts(gamma, cat.name)
     total = Fraction(0)
-    for i in gamma.objects:
+    for i, weight in zip(gamma.objects, nums):
         if i not in vals:
             raise MissingValue(f"no local value supplied at {i!r}", witness={"object": i})
-        total += pc.start_sum(i) * Fraction(vals[i])
+        total += weight * Fraction(vals[i])
     return total

@@ -289,10 +289,17 @@ def spectrum_payload(spec: CellSpectrum) -> dict:
 
 
 def spectrum_from_payload(payload: Mapping) -> CellSpectrum:
+    """The index category and, per object, a JSON list of integer cell
+    counts; a float, a bool or a string is no count."""
     index = category_from_payload(payload["index"], name="index")
-    cells = {
-        str(i): tuple(int(v) for v in vec) for i, vec in payload["cells"].items()
-    }
+    cells = {}
+    for i, vec in payload["cells"].items():
+        if type(vec) is not list or any(type(v) is not int for v in vec):
+            raise BadManifest(
+                f"malformed spectrum payload (cell counts at {i!r} must be a list of integers)",
+                witness={"kind": "spectrum", "object": str(i)},
+            )
+        cells[str(i)] = tuple(vec)
     return CellSpectrum(index, cells)
 
 

@@ -12,8 +12,9 @@ each weight as a numerator over one running denominator, the lcm of the
 weights' denominators, and checks every equation once against the rows it
 solved by comparing integer row sums with that denominator.  Fractions are
 made only for results: one per object of a returned ``Weighting`` and the
-two totals of ``chi_L``.  Only ``solve_linear`` computes in Fractions.  No
-floating point anywhere.
+two totals of ``chi_L``; ``_weigh_category`` hands the integers themselves
+to the scwol and free-EI formulas of ``eulerchar``.  Only ``solve_linear``
+computes in Fractions.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -269,14 +270,20 @@ def _class_reps(cat: FinCat) -> Callable[[], list[int]]:
     return reps_of
 
 
-def _solve(cat: FinCat, side: str) -> Weighting:
+def _weigh_category(cat: FinCat, side: str = "weighting") -> tuple[list[int], int, bool]:
     """``_weigh`` on the hom-count rows of ``cat`` (transposed for a
-    coweighting), condensed if need be onto ``_class_reps``.  The kernel
-    has checked the values, so the ``Weighting`` is built without a second
-    check; its values are the only Fractions made."""
+    coweighting), condensed if need be onto ``_class_reps``: ``(nums, den,
+    unique)`` in object order, and no Fraction made."""
     rows = _count_rows(cat, transpose=(side == "coweighting"))
-    nums, den, unique = _weigh(rows, _support(rows, _class_reps(cat)), side, cat.name,
-                               cat.objects.__getitem__)
+    return _weigh(rows, _support(rows, _class_reps(cat)), side, cat.name,
+                  cat.objects.__getitem__)
+
+
+def _solve(cat: FinCat, side: str) -> Weighting:
+    """``_weigh_category`` as a ``Weighting``.  The kernel has checked the
+    values, so it is built without a second check; its values are the only
+    Fractions made."""
+    nums, den, unique = _weigh_category(cat, side)
     values = {x: Fraction(v, den) for x, v in zip(cat.objects, nums)}
     return _trusted(Weighting, category=cat, values=values, side=side, unique=unique)
 

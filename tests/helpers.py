@@ -34,6 +34,16 @@ def nonidentity_paths(cat: FinCat, length: int) -> list[tuple[str, ...]]:
     return paths
 
 
+def chain(n: int) -> FinCat:
+    """The chain poset 0 < 1 < ... < n-1: one arrow i -> j for each i < j,
+    the deepest scwol on n objects."""
+    objs = tuple(str(i) for i in range(n))
+    arrows = [(f"{i}<{j}", objs[i], objs[j]) for i in range(n) for j in range(i + 1, n)]
+    compose = {(f"{j}<{k}", f"{i}<{j}"): f"{i}<{k}"
+               for i in range(n) for j in range(i + 1, n) for k in range(j + 1, n)}
+    return zoo.build_category(objs, arrows, compose, name=f"chain{n}")
+
+
 def mor_count_matrix(cat: FinCat) -> RatMatrix:
     """The matrix (|mor(x, y)|) indexed by the category's object order."""
     return RatMatrix.from_rows(

@@ -4,9 +4,9 @@ from random import Random
 
 from hypothesis import strategies as st
 
-from eulcat import groupact, randgen
+from eulcat import groupact, randgen, zoo
 from eulcat.groups import symmetric_group
-from helpers import flag_action
+from helpers import chain, flag_action
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -33,6 +33,17 @@ actions = st.one_of(
 )
 groups = seeded(randgen.random_group, max_order=6)
 small_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+
+
+@st.composite
+def chains(draw, max_objects=40):
+    """A ``helpers.chain`` of up to ``max_objects`` objects, as deep as a
+    scwol on them gets, optionally with up to three objects doubled by
+    ``zoo.inflate`` so that it is not skeletal."""
+    n = draw(st.integers(1, max_objects))
+    cat = chain(n)
+    doubled = draw(st.sets(st.integers(0, n - 1), max_size=3))
+    return zoo.inflate(cat, {str(i): 2 for i in doubled}) if doubled else cat
 
 
 SYMMETRIC = (symmetric_group(3), symmetric_group(4))

@@ -1,11 +1,13 @@
-"""CLI fuzz on category and group manifests.
+"""CLI fuzz on category, group and spectrum manifests.
 
 A manifest drawn from the strategies is written with one entry of its
 payload dropped, retyped, duplicated, swapped with a sibling or renamed, and
 run through ``cli.main(["--json", cmd, path])`` for every subcommand that
-takes its kind.  Each run either exits 2 with exactly one ``error:`` line
-and nothing on stdout, or prints the library's own answer on the value the
-manifest parses to.  Any other exception escapes and fails the test.
+takes its kind; a spectrum also goes to ``check-formula --spectrum path``
+on a diagram over its unmutated index.  Each run either exits 2 with exactly
+one ``error:`` line and nothing on stdout, or prints the library's own answer
+on the value the manifest parses to.  Any other exception escapes and fails
+the test.
 """
 
 import contextlib
@@ -19,7 +21,7 @@ from random import Random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eulcat import cli, manifest, zoo
+from eulcat import cli, hocolim, manifest, zoo
 from eulcat.errors import EulcatError
 
 from strategies import SEEDS, groupoids, groups, posets, scwols
@@ -27,7 +29,7 @@ from strategies import SEEDS, groupoids, groups, posets, scwols
 SUBCOMMANDS = {
     kind: [name for name, c in cli.COMMANDS.items()
            if c.kinds is not None and (not c.kinds or kind in c.kinds)]
-    for kind in ("category", "group")
+    for kind in ("category", "group", "spectrum")
 }
 OTHER_TYPES = (0, 2.5, True, None, "x", "iii", [], {}, ["x", "x", "x"])
 MUTATIONS = ("drop", "retype", "duplicate", "swap", "rename")
@@ -101,19 +103,32 @@ def run_cli(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-def assert_clean_run(kind, payload):
+def write_json(tmp, name, data):
+    path = os.path.join(tmp, name)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh)
+    return path
+
+
+def assert_clean_run(kind, payload, formula_index=None):
+    """Every run of the manifest is clean.  With ``formula_index`` the
+    manifest, a spectrum, is also the ``--spectrum`` of ``check-formula`` on
+    the constant one-point diagram over that index."""
     data = {"schema": 1, "kind": kind, "payload": payload}
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "fuzzed.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(data, fh)
-        for command in SUBCOMMANDS[kind]:
-            argv = ["--json", command, path]
+        path = write_json(tmp, "fuzzed.json", data)
+        runs = [(["--json", command, path], data) for command in SUBCOMMANDS[kind]]
+        if formula_index is not None:
+            diagram = json.loads(json.dumps(manifest.serialize(
+                "diagram", hocolim.constant_diagram(formula_index, zoo.terminal_category()))))
+            diagram_path = write_json(tmp, "diagram.json", diagram)
+            runs.append((["--json", "check-formula", diagram_path, "--spectrum", path], diagram))
+        for argv, parsed in runs:
             code, out, err = run_cli(argv)
             if code == 2:
                 assert out == ""
                 assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
-            assert (code, out, err) == library_answer(data, argv)
+            assert (code, out, err) == library_answer(parsed, argv)
 
 
 categories = st.one_of(scwols, posets, groupoids.map(lambda g: g.category))
@@ -133,13 +148,30 @@ def test_mutated_group_manifest(group, seed, mutation):
     assert_clean_run("group", mutate(payload, Random(seed), mutation))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(scwols, posets), SEEDS, st.sampled_from(MUTATIONS))
+def test_mutated_spectrum_manifest(cat, seed, mutation):
+    spectrum = hocolim.bar_spectrum(cat)
+    payload = manifest.spectrum_payload(spectrum)
+    assert_clean_run("spectrum", mutate(payload, Random(seed), mutation), spectrum.index)
+
+
+def outcome_codes(kind, payload):
+    """The exit codes of ``validate`` over 40 seeded mutations of ``payload``."""
+    codes = set()
+    for seed in range(40):
+        data = {"schema": 1, "kind": kind,
+                "payload": mutate(payload, Random(seed), MUTATIONS[seed % len(MUTATIONS)])}
+        codes.add(library_answer(data, ["--json", "validate", "unused"])[0])
+    return codes
+
+
 def test_mutations_reach_both_outcomes():
     """Non-vacuity: over a few seeds on one category, mutations are both
     rejected and accepted."""
-    payload = manifest.category_payload(zoo.pushout_scwol())
-    codes = set()
-    for seed in range(40):
-        data = {"schema": 1, "kind": "category",
-                "payload": mutate(payload, Random(seed), MUTATIONS[seed % len(MUTATIONS)])}
-        codes.add(library_answer(data, ["--json", "validate", "unused"])[0])
-    assert codes == {0, 2}
+    assert outcome_codes("category", manifest.category_payload(zoo.pushout_scwol())) == {0, 2}
+
+
+def test_spectrum_mutations_reach_both_outcomes():
+    payload = manifest.spectrum_payload(hocolim.bar_spectrum(zoo.pushout_scwol()))
+    assert outcome_codes("spectrum", payload) == {0, 2}

@@ -43,8 +43,17 @@ from eulcat.groupact import haefliger_chi
 from eulcat.hocolim import bar_spectrum, check_hocolim_formula, constant_diagram, grothendieck
 from eulcat.ratlin import NoWeighting, RatMatrix, coweighting, solve_linear, weighting
 
-from helpers import assert_same_table, count_calls, mor_count_matrix, split_idempotent
-from strategies import SEEDS, groupoids, posets, scwols, skeletal_scwols, strict_diagrams
+from helpers import assert_same_table, chain, count_calls, mor_count_matrix, split_idempotent
+from strategies import (
+    SEEDS,
+    chains,
+    groupoids,
+    posets,
+    scwols,
+    skeletal_scwols,
+    small_rationals,
+    strict_diagrams,
+)
 
 grothendieck_totals = strict_diagrams.map(lambda d: grothendieck(d).category)
 
@@ -230,6 +239,50 @@ class TestPathCountsAgainstMatrixPowers:
         assert path_counts(cat, n_max=depth).counts == dense_path_counts(cat)[0]
         with pytest.raises(NotScwol):
             path_counts(cat, n_max=depth - 1)
+
+
+# -- chi of a scwol on the weighting kernel ----------------------------------------------
+
+
+class TestScwolChiAgainstPathCounts:
+    """chi_scwol, chi_f_scwol and haefliger_chi read the skeleton's integer
+    weighting; the per-length path counts are the reference."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(skeletal_scwols, scwols, posets, chains()), st.data())
+    def test_weights_are_the_alternating_path_counts(self, cat, data):
+        pc = path_counts(cat)
+        chi = eulerchar.chi_scwol(cat)
+        assert type(chi) is int and chi == pc.euler_sum()
+        assert eulerchar.chi_f_scwol(cat) == {x: pc.start_sum(x) for x in pc.starts}
+        vals = {x: data.draw(small_rationals) for x in pc.starts}
+        assert haefliger_chi(cat, vals) == sum(pc.start_sum(x) * v for x, v in vals.items())
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda: eulerchar.chi_scwol(zoo.inflate(chain(6), {"2": 2})),
+            lambda: eulerchar.chi_f_scwol(zoo.subsets_poset_opposite(3)),
+            lambda: haefliger_chi(zoo.pushout_scwol(), {x: 1 for x in "jkl"}),
+            lambda: chi2_free_EI(grothendieck(constant_diagram(
+                zoo.pushout_scwol(), zoo.one_object_category(cyclic_group(2)))).category),
+        ],
+        ids=["chi_scwol", "chi_f_scwol", "haefliger_chi", "chi2_free_EI"],
+    )
+    def test_one_weighting_and_no_path_counts(self, monkeypatch, run):
+        counts = {"_weigh_category": 0, "_skeleton_path_counts": 0, "weighting": 0}
+        count_calls(monkeypatch, counts)
+        run()
+        assert counts == {"_weigh_category": 1, "_skeleton_path_counts": 0, "weighting": 0}
+
+    @pytest.mark.parametrize("run", [lambda: path_counts(zoo.polygon_scwol(4)),
+                                     lambda: bar_spectrum(zoo.polygon_scwol(4))],
+                             ids=["path_counts", "bar_spectrum"])
+    def test_per_length_output_still_counts_paths(self, monkeypatch, run):
+        counts = {"_skeleton_path_counts": 0}
+        count_calls(monkeypatch, counts)
+        run()
+        assert counts == {"_skeleton_path_counts": 1}
 
 
 # -- weightings and coweightings --------------------------------------------------------

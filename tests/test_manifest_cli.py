@@ -570,6 +570,26 @@ def test_lists_are_accepted(kind, payload):
     assert manifest.parse({"schema": 1, "kind": kind, "payload": payload})[0] == kind
 
 
+@pytest.mark.parametrize("counts", [[1, 2.9], [True], ["1"], "1"],
+                         ids=["float", "bool", "numeric-string", "bare-string"])
+def test_spectrum_counts_that_are_no_integers_are_rejected(tmp_path, capsys, counts):
+    """``int(v)`` once read 2.9 as 2, true as 1 and the string "1" as (1,)."""
+    payload = manifest.spectrum_payload(bar_spectrum(zoo.pushout_scwol()))
+    payload["cells"]["j"] = counts
+    data = {"schema": 1, "kind": "spectrum", "payload": payload}
+    with pytest.raises(manifest.BadManifest) as info:
+        manifest.parse(data)
+    assert str(info.value) == (
+        "malformed spectrum payload (cell counts at 'j' must be a list of integers)")
+    assert info.value.witness == {"kind": "spectrum", "object": "j"}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main(["--json", "validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {info.value}\n"
+
+
 @pytest.mark.parametrize("kind", ["diagram", "pseudo_diagram"])
 @pytest.mark.parametrize(
     "vertices, edges, missing",
