@@ -11,8 +11,13 @@ runs on integer rows (``_Rows``: one row of composites per morphism, whole
 rows compared at a time) read in one pass over the table's entries, the
 ``compose`` list itself for a manifest.  The inverse search reads the same
 rows, and a validated manifest's name-keyed table is built from them on
-first read.  Names come back only to report the first failure, whose
-``witness`` holds the offending names.
+first read.  The functor check (``_check_functor``: a functor is two int
+arrays, its object and morphism images) and the naturality check read
+rows too (``_rows_of``): those a validated manifest keeps, or rows read in
+one pass over any other category's table.  Composition and naturality are
+checked on the rows of a generating set of morphisms
+(``_Rows.generators``), which imply the rest.  Names come back only to
+report the first failure, whose ``witness`` holds the offending names.
 
 Two morphisms x -> w with checked endpoints are equal when Hom(x, w) has one
 element.  So on a *thin* category (``_is_thin``: no hom-set has two
@@ -82,6 +87,8 @@ class FinCat:
     reads the integer rows its check made, in the manifest's entry order;
     and a Grothendieck total built by ``_lazy_total``, with its inverse data
     as handed in.  Every other FinCat holds its table from construction.
+    A category validated from a manifest keeps the rows its check made
+    (``_rows``) for its lifetime: the checks that meet it read them.
     """
 
     objects: tuple[str, ...]
@@ -116,14 +123,15 @@ class FinCat:
         rows.check_laws(self)
         rows.set_inverses(self)
         if from_manifest:
+            object.__setattr__(self, "_rows", rows)
             object.__setattr__(self, "_build_composition", rows.table)
             del self.__dict__["composition"]
 
-    def _check_records(self, check: bool) -> Optional[tuple[list, dict, list, list]]:
+    def _check_records(self, check: bool) -> Optional[tuple[list, dict, dict]]:
         """Check the object and morphism ids, the endpoints and the identity
         map, and set the lookup tables of ``_headers``.  For a checked build,
-        return what ``_Rows`` reads: the morphism names, their index, and
-        the object index of each source and target."""
+        return what ``_Rows`` reads: the morphism names, their index and the
+        object index."""
         objects, morphisms = self.objects, self.morphisms
         obj_index = {x: i for i, x in enumerate(objects)} if check else set(objects)
         if len(obj_index) != len(objects):
@@ -169,9 +177,7 @@ class FinCat:
                 )
         if not check:
             return None
-        src = [obj_index[m.source] for m in morphisms]
-        tgt = [obj_index[m.target] for m in morphisms]
-        return names, index, src, tgt
+        return names, index, obj_index
 
     def _check_listing(self) -> None:
         """Raise at the faults of a manifest's ``compose`` list that are
@@ -260,29 +266,38 @@ class _Triples:
 
 
 class _Rows:
-    """The composition table of a checked FinCat on morphism indices, read in
-    one pass over its entries: ``rows[f][g]`` is the index of ``g o f``, and
-    ``order[k]`` is the f of entry k.
+    """The composition table of a FinCat on morphism indices, read in one
+    pass over its entries: ``rows[f][g]`` is the index of ``g o f``, and
+    ``order[k]`` is the f of entry k.  ``objects`` indexes the objects, and
+    ``src``, ``tgt`` and ``ident`` give each morphism's endpoints and each
+    object's identity by index.
 
-    Each entry is checked as it is read, in table order: known names,
-    composable pair, endpoints of the composite.  ``check_laws`` and
+    For a check, each entry is checked as it is read, in table order: known
+    names, composable pair, endpoints of the composite.  ``check_laws`` and
     ``set_inverses`` read the rows, and ``table`` rebuilds the name-keyed
-    table from them.  Names come back only to report the first failure,
-    whose ``witness`` holds the offending names.
+    table from them.  The lawful table of a FinCat already built is read
+    with no check and no ``order`` (``_rows_of``).  Names come back only to
+    report the first failure, whose ``witness`` holds the offending names.
     """
 
-    __slots__ = ("names", "index", "src", "tgt", "ident", "rows", "order")
+    __slots__ = ("names", "index", "objects", "src", "tgt", "ident", "rows", "order", "gens")
 
-    def __init__(self, cat: FinCat, names: list, index: dict, src: list, tgt: list):
+    def __init__(self, cat: FinCat, names: list, index: dict, objects: dict, check: bool = True):
         comp = cat.composition
         from_manifest = type(comp) is _Triples
-        entries = comp.entries if from_manifest else ((g, f, gf) for (g, f), gf in comp.items())
-        self.names, self.index, self.src, self.tgt = names, index, src, tgt
+        self.names, self.index, self.objects = names, index, objects
+        self.src = src = [objects[m.source] for m in cat.morphisms]
+        self.tgt = tgt = [objects[m.target] for m in cat.morphisms]
         self.ident = [index[cat.identity[x]] for x in cat.objects]
         rows: list[dict[int, int]] = [{} for _ in names]
-        order: list[int] = []
-        self.rows, self.order = rows, order
+        self.rows, self.order, self.gens = rows, None, None
+        if not check:  # a lawful name table, read as it is
+            for (g, f), gf in comp.items():
+                rows[index[f]][index[g]] = index[gf]
+            return
+        self.order = order = []
         put = order.append
+        entries = comp.entries if from_manifest else ((g, f, gf) for (g, f), gf in comp.items())
         for g, f, gf in entries:
             try:
                 gi, fi, ci = index[g], index[f], index[gf]
@@ -386,6 +401,12 @@ class _Rows:
         object.__setattr__(cat, "_invertible", inv)
         object.__setattr__(cat, "_directly_finite", directly_finite)
 
+    def generators(self) -> list[int]:
+        """``_generating_set`` of the category, found once."""
+        if self.gens is None:
+            self.gens = _generating_set(self.rows, self.ident, self.src, self.tgt)
+        return self.gens
+
     def table(self) -> dict[tuple[str, str], str]:
         """The name-keyed table, in entry order: row f holds its cells in the
         order of the entries that filled them."""
@@ -396,6 +417,60 @@ class _Rows:
             g, gf = next(cells[f])
             table[(names[g], names[f])] = names[gf]
         return table
+
+
+def _generating_set(rows: Sequence, ident: Sequence[int], src: Sequence[int],
+                    tgt: Sequence[int]) -> list[int]:
+    """Morphisms of which every morphism is a composite (an identity is the
+    empty one), on rows where ``rows[x][g]`` is g o x, defined when
+    ``src[g] == tgt[x]``, and ``ident`` lists the identities.  In index
+    order, each morphism that is no composite of those found before it is
+    added, and the composites it makes are reached from the identities by
+    composing on the left.  A group is the one-object case, with
+    ``rows[x][g]`` the product xg.
+
+    A map of morphisms into a lawful category that preserves identities
+    preserves every composite once F(h o s) = F(h) o F(s) for every
+    generator s and every h: for f = s_k o ... o s_1 and any g,
+    g o f = (g o s_k o ... o s_2) o s_1, so F(g o f) = F(g) o F(f) by
+    induction on k.  Likewise the naturality squares of two functors
+    commute everywhere once they do at the generators: squares that commute
+    at f and at g commute at g o f."""
+    reached = [False] * len(rows)
+    into: list[list[int]] = [[] for _ in ident]  # reached, by target
+    for x, e in enumerate(ident):
+        reached[e] = True
+        into[x].append(e)
+    gens: list[int] = []
+    for m in range(len(rows)):
+        if reached[m]:
+            continue
+        gens.append(m)
+        # a new composite has the form u o m o v, v reached before m
+        todo = [rows[v][m] for v in into[src[m]]]
+        while todo:
+            x = todo.pop()
+            if not reached[x]:
+                reached[x] = True
+                y = tgt[x]
+                into[y].append(x)
+                row = rows[x]
+                todo += [row[g] for g in gens if src[g] == y]
+    return gens
+
+
+def _rows_of(cat: FinCat) -> _Rows:
+    """The rows of ``cat``: those a category validated from a manifest keeps,
+    or rows read in one pass over the table that any other FinCat holds
+    (lawful, by its check or its builder's proof), with no law checked.
+    Those are not kept: next to a name table they would be a second copy
+    of it, so a check reads them once and hands them down."""
+    rows = cat.__dict__.get("_rows")
+    if rows is None:
+        names = [m.name for m in cat.morphisms]
+        rows = _Rows(cat, names, {m: i for i, m in enumerate(names)},
+                     {x: i for i, x in enumerate(cat.objects)}, check=False)
+    return rows
 
 
 class _TableOnFirstRead:
@@ -513,6 +588,9 @@ class NotNatural(ValidationError):
 
 @dataclass(frozen=True, eq=False)
 class CatFunctor:
+    """A functor given by its object and morphism maps, checked on the two
+    int arrays of ``_functor_arrays``."""
+
     source: FinCat
     target: FinCat
     obj_map: Mapping[str, str]
@@ -539,44 +617,97 @@ class CatFunctor:
         return _trusted(CatFunctor, source=cat, target=cat, obj_map=obj_map, mor_map=mor_map)
 
 
+# A functor on indices: the object image and the morphism image, by the
+# object and morphism order of its source, as indices of its target.
+_Arrays = tuple[list[int], list[int]]
+
+
 def _check_functor(src: FinCat, tgt: FinCat, obj_map: Mapping, mor_map: Mapping) -> None:
     """Check the laws of a functor ``src`` -> ``tgt`` in order: objects,
-    morphisms (an image for each), source/target, identities, composition.
-    Composition is checked only on entries with no identity factor, and not
-    at all into a thin ``tgt``, where both sides share a hom-set.  Keys
-    naming nothing in ``src`` are ignored.  A failure raises NotAFunctor with
-    witness ``{"law": law, "at": x}``, x an object, morphism or pair."""
+    morphisms (an image for each), source/target, identities, composition,
+    on its arrays.  Keys naming nothing in ``src`` are ignored.  A failure
+    raises NotAFunctor with witness ``{"law": law, "at": x}``, x an object,
+    morphism or pair; the maps are read by name again only then."""
+    s, t = _rows_of(src), _rows_of(tgt)
+    try:
+        fo = list(map(t.objects.__getitem__, map(obj_map.__getitem__, src.objects)))
+        fm = list(map(t.index.__getitem__, map(mor_map.__getitem__, s.names)))
+    except (KeyError, TypeError):
+        _walk_functor_maps(src, tgt, obj_map, mor_map)  # raises, at the first fault
+        raise
+    _check_functor_arrays(src, tgt, s, t, fo, fm)
 
-    def fail(message: str, law: str, at) -> NoReturn:
-        raise NotAFunctor(message, witness={"law": law, "at": at})
 
-    mor, comp, src_ids = tgt._mor, tgt.composition, src._identity_names
+def _walk_functor_maps(src: FinCat, tgt: FinCat, obj_map: Mapping, mor_map: Mapping) -> None:
+    """Raise NotAFunctor at the first object without an image in ``tgt``,
+    else at the first morphism without one or with wrong endpoints."""
     for x in src.objects:
         if x not in obj_map or not tgt.has_object(obj_map[x]):
-            fail(f"object map undefined or out of range at {x!r}", "objects", x)
+            _not_a_functor(f"object map undefined or out of range at {x!r}", "objects", x)
+    mor = tgt._mor
     for m in src.morphisms:
         if m.name not in mor_map:
-            fail(f"morphism map undefined at {m.name!r}", "morphisms", m.name)
+            _not_a_functor(f"morphism map undefined at {m.name!r}", "morphisms", m.name)
         fm = mor_map[m.name]
         if fm not in mor:
-            fail(f"image {fm!r} is not a morphism of {tgt.name}", "morphisms", m.name)
+            _not_a_functor(f"image {fm!r} is not a morphism of {tgt.name}", "morphisms", m.name)
         if mor[fm].source != obj_map[m.source] or mor[fm].target != obj_map[m.target]:
-            fail(f"image of {m.name!r} has wrong endpoints", "source/target", m.name)
-    for x in src.objects:
-        if mor_map[src.identity[x]] != tgt.identity[obj_map[x]]:
-            fail(f"identity of {x!r} not preserved", "identities", x)
+            _not_a_functor(f"image of {m.name!r} has wrong endpoints", "source/target", m.name)
+
+
+def _not_a_functor(message: str, law: str, at) -> NoReturn:
+    raise NotAFunctor(message, witness={"law": law, "at": at})
+
+
+def _check_functor_arrays(src: FinCat, tgt: FinCat, s: _Rows, t: _Rows, fo: list[int],
+                          fm: list[int]) -> None:
+    """The laws of ``_check_functor`` after the images, on the rows ``s`` of
+    ``src`` and ``t`` of ``tgt``: source/target, identities, then
+    composition.  Composition is not checked into a thin ``tgt``, where both
+    sides share a hom-set.  Elsewhere it is checked on the rows of ``src``'s
+    generators (``_Rows.generators``), row s mapped by ``fm`` against row
+    ``fm[s]`` of ``tgt``.  A broken row is located in ``src.composition``
+    entry order, skipping entries with an identity factor, which hold by
+    source/target and identities."""
+    image, obj_image = fm.__getitem__, fo.__getitem__
+    if list(map(t.src.__getitem__, fm)) != list(map(obj_image, s.src)) or \
+            list(map(t.tgt.__getitem__, fm)) != list(map(obj_image, s.tgt)):
+        k = next(k for k, i in enumerate(fm)
+                 if t.src[i] != fo[s.src[k]] or t.tgt[i] != fo[s.tgt[k]])
+        _not_a_functor(f"image of {s.names[k]!r} has wrong endpoints", "source/target", s.names[k])
+    if list(map(image, s.ident)) != list(map(t.ident.__getitem__, fo)):
+        x = next(x for x, e, y in zip(src.objects, s.ident, fo) if fm[e] != t.ident[y])
+        _not_a_functor(f"identity of {x!r} not preserved", "identities", x)
     if _is_thin(tgt):  # both sides run F(s(f)) -> F(t(g)), by source/target
         return
+    s_rows, t_rows = s.rows, t.rows
+    for f in s.generators():
+        row = s_rows[f]
+        if list(map(t_rows[fm[f]].__getitem__, map(image, row))) != list(map(image, row.values())):
+            break
+    else:
+        return
+    index, ids = s.index, src._identity_names
     for (g, f), gf in src.composition.items():
-        if g in src_ids or f in src_ids:  # holds by source/target and identities
-            continue
-        if comp[(mor_map[g], mor_map[f])] != mor_map[gf]:
-            fail(f"composition not preserved on ({g!r}, {f!r})", "composition", (g, f))
+        if g not in ids and f not in ids and t_rows[fm[index[f]]][fm[index[g]]] != fm[index[gf]]:
+            _not_a_functor(f"composition not preserved on ({g!r}, {f!r})", "composition", (g, f))
+
+
+def _functor_arrays(fun: CatFunctor, t: _Rows) -> _Arrays:
+    """The arrays of ``fun``, a functor, read off its maps, with ``t`` the
+    rows of its target."""
+    return ([t.objects[fun.obj_map[x]] for x in fun.source.objects],
+            [t.index[fun.mor_map[m.name]] for m in fun.source.morphisms])
 
 
 def _identity_maps(cat: FinCat) -> tuple[dict[str, str], dict[str, str]]:
     """The object and morphism maps of the identity functor of ``cat``."""
     return {x: x for x in cat.objects}, {m.name: m.name for m in cat.morphisms}
+
+
+def _identity_arrays(cat: FinCat) -> _Arrays:
+    """The arrays of the identity functor of ``cat``."""
+    return list(range(len(cat.objects))), list(range(len(cat.morphisms)))
 
 
 def _composite_maps(first: CatFunctor, second: CatFunctor) -> tuple[dict, dict]:
@@ -587,14 +718,27 @@ def _composite_maps(first: CatFunctor, second: CatFunctor) -> tuple[dict, dict]:
     return obj_map, mor_map
 
 
-def _check_natural(cat, tgt, f_obj, f_mor, g_obj, g_mor, components, where) -> None:
-    """Check that ``components`` (a ``PseudoDiagram`` table) is a natural isomorphism F => G.
+def _composite_arrays(first: _Arrays, second: _Arrays) -> _Arrays:
+    """The arrays of ``first`` then ``second``."""
+    (fo1, fm1), (fo2, fm2) = first, second
+    return [fo2[x] for x in fo1], [fm2[m] for m in fm1]
 
-    F and G are parallel functors ``cat`` -> ``tgt``, given by their object
-    and morphism maps, which must preserve identities (validated functors or
-    their composites).  ``components[x]`` must be an invertible morphism
-    F(x) -> G(x) of ``tgt``, every square at a non-identity must commute, and
-    no key may name anything but an object of ``cat``.  A failure raises
+
+def _check_natural(cat: FinCat, s: _Rows, tgt: FinCat, t: _Rows, f: _Arrays, g: _Arrays,
+                   components: Mapping, where: str) -> list[int]:
+    """Check that ``components`` (a ``PseudoDiagram`` table) is a natural
+    isomorphism F => G, and return the component at each object of ``cat``
+    as a morphism index of ``tgt``.
+
+    F and G are parallel functors ``cat`` -> ``tgt``, whose rows are ``s``
+    and ``t``, given by their arrays (validated functors or their
+    composites).  ``components[x]`` must be an invertible morphism
+    F(x) -> G(x) of ``tgt``, every square must commute, and no key may name
+    anything but an object of ``cat``.  The squares are read off the rows
+    of ``tgt``, at the generators of ``cat`` (``_Rows.generators``): the
+    others commute once these do.  A broken one is located among all
+    squares in morphism order; one at an identity holds by the endpoints,
+    so the first that fails is at a non-identity.  A failure raises
     NotNatural, its message prefixed by ``where``, with the entry and the
     object or morphism as witness.
     """
@@ -602,27 +746,32 @@ def _check_natural(cat, tgt, f_obj, f_mor, g_obj, g_mor, components, where) -> N
     def fail(message: str, **witness) -> NoReturn:
         raise NotNatural(f"{where}: {message}", witness={"entry": where, **witness})
 
-    for x in cat.objects:
+    (f_obj, f_mor), (g_obj, g_mor) = f, g
+    comp = []
+    for x, fx, gx in zip(cat.objects, f_obj, g_obj):
         c = components.get(x)
         if c is None:
             fail(f"no component at {x!r}", object=x)
         if c not in tgt._mor:
             fail(f"component at {x!r} is not a morphism of {tgt.name}", object=x)
-        if tgt.source(c) != f_obj[x] or tgt.target(c) != g_obj[x]:
+        i = t.index[c]
+        if t.src[i] != fx or t.tgt[i] != gx:
             fail(f"component at {x!r} has wrong endpoints", object=x)
         if not tgt.is_invertible(c):
             fail(f"component at {x!r} is not invertible", object=x)
-    for m in cat.morphisms:
-        if cat.is_identity(m.name):  # holds by the endpoints checked above
-            continue
-        lhs = tgt.compose(components[m.target], f_mor[m.name])
-        rhs = tgt.compose(g_mor[m.name], components[m.source])
-        if lhs != rhs:
-            fail(f"naturality fails at morphism {m.name!r}", morphism=m.name)
+        comp.append(i)
+    rows, ends_s, ends_t = t.rows, s.src, s.tgt
+    for m in s.generators():
+        if rows[f_mor[m]][comp[ends_t[m]]] != rows[comp[ends_s[m]]][g_mor[m]]:
+            lhs = [rows[fm][comp[y]] for fm, y in zip(f_mor, ends_t)]
+            rhs = [rows[comp[x]][gm] for gm, x in zip(g_mor, ends_s)]
+            m = s.names[next(k for k, (a, b) in enumerate(zip(lhs, rhs)) if a != b)]
+            fail(f"naturality fails at morphism {m!r}", morphism=m)
     # every object has a component, so a longer table has a stray key
     if len(components) != len(cat.objects):
         x = next(x for x in components if not cat.has_object(x))
         fail(f"component key {x!r} is not an object of {cat.name}", object=x)
+    return comp
 
 
 # -- structural predicates ----------------------------------------------------

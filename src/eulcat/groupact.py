@@ -16,8 +16,8 @@ The reports (``chi_theorems``, ``skeletal_reduction``, ``developability_check``)
 compute their identities because the identities are what they report.
 
 ``ScwolAction`` is the one validator of an action: a G-set reaches it as an
-action on the discrete scwol, each element is checked by the functor check
-behind ``CatFunctor``, and every rejection is a ``NotAnAction`` with a
+action on the discrete scwol, each element is checked by the row functor
+check behind ``CatFunctor``, and every rejection is a ``NotAnAction`` with a
 witness.  Orbits are named by their least members, and each lift and
 carrying element (some g with g . x = y) is found by one helper.
 """
@@ -35,12 +35,14 @@ from .fincat import (
     FinCat,
     Morphism,
     NotAFunctor,
-    _check_functor,
+    _check_functor_arrays,
     _count_rows,
+    _generating_set,
     _is_thin,
     _iso_partition,
     _require_scwol,
     _retract,
+    _rows_of,
     skeleton,
 )
 from .groups import FinGroup, GroupHom, _image_of
@@ -84,13 +86,17 @@ class AxiomIIViolation(NotAnAction):
         )
 
 
-def _check_homomorphism_law(group: FinGroup, table: Mapping, points: Sequence[str], what: str):
+def _check_homomorphism_law(group: FinGroup, perms: list[list[int]], points: Sequence[str],
+                            what: str):
     """Require that the identity fixes each of ``points`` (``what``s, which
-    ``table[g]`` maps among themselves) and ``table[gh] == table[g] o
-    table[h]`` on them for every pair (g, h), one whole index row at a time."""
+    ``perms[g]`` permutes by index, for the element of index g) and
+    ``perms[gh] == perms[g] o perms[h]`` for every pair (g, h), one whole
+    index row at a time.  The pairs whose h is one of the group's
+    generators (``fincat._generating_set`` on the Cayley table) imply the
+    others: for h = s_1 ... s_k, perms[gh] = perms[g s_1 ... s_{k-1}] o
+    perms[s_k] = perms[g] o perms[h] by induction on k.  A failure is
+    located among all pairs, in order."""
     labels, mul = group.labels, group.table
-    index = {p: i for i, p in enumerate(points)}
-    perms = [[index[table[g][p]] for p in points] for g in labels]
     e = group._identity
     for i, j in enumerate(perms[e]):
         if i != j:
@@ -98,6 +104,11 @@ def _check_homomorphism_law(group: FinGroup, table: Mapping, points: Sequence[st
                 f"identity element moves {'an' if what == 'object' else 'a'} {what}",
                 witness={"element": labels[e], what: points[i]},
             )
+    one = [0] * len(labels)
+    gens = _generating_set(mul, [e], one, one)
+    if all(perms[mul[g][h]] == list(map(perm_g.__getitem__, perms[h]))
+           for g, perm_g in enumerate(perms) for h in gens):
+        return
     for g, perm_g in enumerate(perms):
         for h, perm_h in enumerate(perms):
             gh = mul[g][h]
@@ -110,11 +121,18 @@ def _check_homomorphism_law(group: FinGroup, table: Mapping, points: Sequence[st
                 )
 
 
-def _check_permutation(g: str, table: Mapping[str, str], points: list[str], level: str) -> None:
-    """Require ``table`` (element g on ``level``) to permute the sorted ``points``."""
-    if sorted(table) != points or sorted(table.values()) != points:
+def _permutation(g: str, table: Mapping[str, str], points: Sequence[str], index: Mapping,
+                 level: str) -> list[int]:
+    """The index array of ``table`` (element g on ``level``) on ``points``,
+    which ``index`` numbers; NotAFunctorAction unless it permutes them."""
+    try:
+        perm = list(map(index.__getitem__, map(table.__getitem__, points)))
+    except (KeyError, TypeError):
+        perm = None
+    if perm is None or len(table) != len(points) or len(set(perm)) != len(points):
         raise NotAFunctorAction(f"element {g!r} does not permute the {level}",
                                 witness={"element": g, "level": level})
+    return perm
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,12 +141,13 @@ class ScwolAction:
 
     ``on_objects[g]`` and ``on_morphisms[g]`` give the permutation induced
     by each group element.  Validation checks that each element permutes
-    the objects and the morphisms as a functor (by ``fincat._check_functor``),
-    the homomorphism law against the Cayley table, and both scwol-action
-    axioms, and last that no row is given for a label that is no element;
-    each rejection has a witness.  On a thin space the homomorphism law is
-    checked on objects only: g.(h.m) and (gh).m both run gh.s(m) ->
-    gh.t(m), and no hom-set has two elements.
+    the objects and the morphisms as a functor (by the row check of
+    ``fincat._check_functor_arrays``), the homomorphism law against the
+    Cayley table, and both scwol-action axioms, and last that no row is
+    given for a label that is no element; each rejection has a witness.
+    Every check runs on index arrays of the space's rows.  On a thin space
+    the homomorphism law is checked on objects only: g.(h.m) and (gh).m
+    both run gh.s(m) -> gh.t(m), and no hom-set has two elements.
     """
 
     group: FinGroup
@@ -140,43 +159,50 @@ class ScwolAction:
         g_labels = self.group.labels
         cat = self.space
         _require_scwol(cat)
+        r = _rows_of(cat)
+        names, src, tgt = r.names, r.src, r.tgt
 
         # object level first: axiom (i) only needs the object action, and the
         # interesting rejections (e.g. swapping the endpoints of an arrow)
         # should be reported as axiom violations, not as functor breakage
-        objects = sorted(cat.objects)
+        on_obj = []
         for g in g_labels:
             if g not in self.on_objects or g not in self.on_morphisms:
                 raise NotAFunctorAction(f"no action data for element {g!r}", witness={"element": g})
-            _check_permutation(g, self.on_objects[g], objects, "objects")
-        _check_homomorphism_law(self.group, self.on_objects, cat.objects, "object")
-        arrows = [m for m in cat.morphisms if not cat.is_identity(m.name)]
-        for m in arrows:
-            for g in g_labels:
-                if self.on_objects[g][m.source] == m.target:
-                    raise AxiomIViolation(m.name, g)
+            on_obj.append(_permutation(g, self.on_objects[g], cat.objects, r.objects, "objects"))
+        _check_homomorphism_law(self.group, on_obj, cat.objects, "object")
+        is_ident = set(r.ident)
+        arrows = [k for k in range(len(names)) if k not in is_ident]
+        images = list(zip(*on_obj))  # images[x][g]: g . x
+        for k in arrows:
+            if tgt[k] in images[src[k]]:
+                raise AxiomIViolation(names[k], g_labels[images[src[k]].index(tgt[k])])
 
         # morphism level: each element acts as a strictly invertible functor
-        names = sorted(m.name for m in cat.morphisms)
-        for g in g_labels:
-            _check_permutation(g, self.on_morphisms[g], names, "morphisms")
+        on_mor = []
+        for g, fo in zip(g_labels, on_obj):
+            fm = _permutation(g, self.on_morphisms[g], names, r.index, "morphisms")
             try:
-                _check_functor(cat, cat, self.on_objects[g], self.on_morphisms[g])
+                _check_functor_arrays(cat, cat, r, r, fo, fm)
             except NotAFunctor as exc:
                 law, at = exc.witness["law"], exc.witness["at"]
                 raise NotAFunctorAction(
                     f"element {g!r} breaks {law} at {at!r}", witness={"element": g, **exc.witness}
                 ) from exc
+            on_mor.append(fm)
         # on identities the law follows from the object level and functoriality;
-        # on a thin space g.(h.m) and (gh).m both run gh.s(m) -> gh.t(m)
+        # on a thin space g.(h.m) and (gh).m both run gh.s(m) -> gh.t(m).  An
+        # element maps identities to identities, so arrows to arrows.
         if not _is_thin(cat):
-            _check_homomorphism_law(
-                self.group, self.on_morphisms, [m.name for m in arrows], "morphism"
-            )
-        for m in arrows:
-            for g in g_labels:
-                if self.on_objects[g][m.source] == m.source and self.on_morphisms[g][m.name] != m.name:
-                    raise AxiomIIViolation(m.name, g)
+            pos = {k: i for i, k in enumerate(arrows)}
+            _check_homomorphism_law(self.group, [[pos[fm[k]] for k in arrows] for fm in on_mor],
+                                    [names[k] for k in arrows], "morphism")
+        moved = list(zip(*on_mor))  # moved[k][g]: g . k
+        for k in arrows:
+            x = src[k]
+            for g, (gx, gk) in enumerate(zip(images[x], moved[k])):
+                if gx == x and gk != k:
+                    raise AxiomIIViolation(names[k], g_labels[g])
         # every element has both rows, so a longer table has a stray row
         for table in (self.on_objects, self.on_morphisms):
             if len(table) != len(g_labels):

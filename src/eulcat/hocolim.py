@@ -17,20 +17,24 @@ from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .errors import EulcatError, ValidationError, _trusted
-from .eulerchar import chi_scwol, chi2_free_EI, groupoid_chi2
+from .eulerchar import _scwol_weights, chi_scwol, chi2_free_EI, groupoid_chi2
 from .fincat import (
     CatFunctor,
     FinCat,
     Morphism,
     _check_natural,
+    _composite_arrays,
     _composite_maps,
     _count_rows,
+    _functor_arrays,
+    _identity_arrays,
     _identity_maps,
     _is_groupoid,
     _is_scwol,
     _iso_partition,
     _lazy_total,
     _require_scwol,
+    _rows_of,
     _skeleton_category,
     _skeleton_path_counts,
 )
@@ -128,9 +132,11 @@ class PseudoDiagram:
     a natural isomorphism C(v) o C(u) => C(v o u), and ``unit[i][c]`` the
     component at c of a natural isomorphism Id => C(id_i).  The diagram fixes
     the source and target functors, so each table is checked against them
-    (``fincat._check_natural``); together the tables must satisfy the
-    pseudofunctor unit and associativity axioms, checked on every composable
-    pair and triple.
+    (``fincat._check_natural``, on the edges' int arrays); together the
+    tables must satisfy the pseudofunctor unit and associativity axioms,
+    checked on every composable pair and triple.  Every composite is read
+    off the integer rows of the index and the vertices, and names come back
+    only to report a failure.
     """
 
     index: FinCat
@@ -142,31 +148,42 @@ class PseudoDiagram:
     def __post_init__(self):
         _check_vertices_and_edges(self)
         idx = self.index
-        for i in idx.objects:
+        r = _rows_of(idx)
+        # by index object and by index morphism
+        vrows = [_rows_of(self.vertex[i]) for i in idx.objects]
+        arrays = [_functor_arrays(self.edge[m], vrows[t]) for m, t in zip(r.names, r.tgt)]
+        unit = []
+        for i, e, ri in zip(idx.objects, r.ident, vrows):
             components = self.unit.get(i)
             if components is None:
                 raise CoherenceFailure(f"no unit isomorphism at {i!r}", witness={"object": i})
-            ci, fun = self.vertex[i], self.edge[idx.identity[i]]
-            _check_natural(
-                ci, ci, *_identity_maps(ci), fun.obj_map, fun.mor_map, components, f"unit at {i!r}"
-            )
+            ci = self.vertex[i]
+            unit.append(_check_natural(ci, ri, ci, ri, _identity_arrays(ci), arrays[e],
+                                       components, f"unit at {i!r}"))
+        # comp[u][v]: the components of the comp table at (v, u), by index
+        comp: list[dict[int, list[int]]] = [{} for _ in r.names]
         for (v, u), components in self.comp.items():
-            if (v, u) not in idx.composition:
+            vi, ui = r.index.get(v), r.index.get(u)
+            if vi is None or ui is None or vi not in r.rows[ui]:
                 raise CoherenceFailure(
                     f"comp given for non-composable pair ({v!r}, {u!r})", witness={"pair": (v, u)}
                 )
-            fun = self.edge[idx.composition[(v, u)]]
-            f_obj, f_mor = _composite_maps(self.edge[u], self.edge[v])
-            _check_natural(fun.source, fun.target, f_obj, f_mor, fun.obj_map, fun.mor_map,
-                           components, f"comp at {(v, u)!r}")
-        for (v, u) in idx.composition:
-            if (v, u) not in self.comp:
-                raise CoherenceFailure(
-                    f"no comp isomorphism at ({v!r}, {u!r})", witness={"pair": (v, u)}
-                )
+            vu = r.rows[ui][vi]
+            fun = self.edge[r.names[vu]]
+            comp[ui][vi] = _check_natural(
+                fun.source, vrows[r.src[ui]], fun.target, vrows[r.tgt[vi]],
+                _composite_arrays(arrays[ui], arrays[vi]), arrays[vu], components,
+                f"comp at {(v, u)!r}")
+        # every key of comp is a composable pair, so fewer keys misses one
+        if len(self.comp) != sum(map(len, r.rows)):
+            for (v, u) in idx.composition:
+                if (v, u) not in self.comp:
+                    raise CoherenceFailure(
+                        f"no comp isomorphism at ({v!r}, {u!r})", witness={"pair": (v, u)}
+                    )
 
-        self._check_unit_axioms()
-        self._check_associativity_axiom()
+        self._check_unit_axioms(r, vrows, arrays, unit, comp)
+        self._check_associativity_axiom(r, vrows, arrays, comp)
 
     def comp_component(self, v: str, u: str, c: str) -> str:
         """Component of C(v) o C(u) => C(vu) at the object c of C(source(u))."""
@@ -180,55 +197,54 @@ class PseudoDiagram:
         """Inverse of the comp component C(v) o C(u) => C(v o u) at c."""
         return self.vertex[self.index.target(v)].inverse(self.comp_component(v, u, c))
 
-    def _check_unit_axioms(self):
-        idx = self.index
-        for m in idx.morphisms:
-            u = m.name
-            tgt_cat = self.vertex[m.target]
-            for c in self.vertex[m.source].objects:
-                # C_{u, id} o (C(u) . unit_source) = 1
-                left = tgt_cat.compose(
-                    self.comp_component(u, idx.identity[m.source], c),
-                    self.edge[u].mor_map[self.unit[m.source][c]],
-                )
-                if left != tgt_cat.identity[self.edge[u].obj_map[c]]:
+    def _check_unit_axioms(self, r, vrows: list, arrays: list, unit: list[list[int]],
+                           comp: list[dict[int, list[int]]]):
+        """Both unit axioms at every index morphism and object of its source,
+        read off the rows of the target vertex; ``r`` holds the index's rows,
+        ``vrows`` the vertices', ``arrays`` the edges' arrays and ``unit``
+        and ``comp`` the checked components, by index, as ``__post_init__``
+        builds them."""
+        for u, m in enumerate(self.index.morphisms):
+            s_i, t_i = r.src[u], r.tgt[u]
+            rows, ident = vrows[t_i].rows, vrows[t_i].ident
+            fo, fm = arrays[u]
+            right, left = comp[r.ident[s_i]][u], comp[u][r.ident[t_i]]
+            unit_s, unit_t = unit[s_i], unit[t_i]
+            for c, x in enumerate(fo):
+                # C_{u, id} o (C(u) . unit_source) = 1, then C_{id, u} o (unit_target at C(u)c) = 1
+                side = ("right" if rows[fm[unit_s[c]]][right[c]] != ident[x] else
+                        "left" if rows[unit_t[x]][left[c]] != ident[x] else None)
+                if side is not None:
+                    obj = self.vertex[m.source].objects[c]
                     raise CoherenceFailure(
-                        f"right unit axiom fails for {u!r} at object {c!r}",
-                        witness={"morphism": u, "object": c},
-                    )
-                # C_{id, u} o (unit_target at C(u)c) = 1
-                left2 = tgt_cat.compose(
-                    self.comp_component(idx.identity[m.target], u, c),
-                    self.unit[m.target][self.edge[u].obj_map[c]],
-                )
-                if left2 != tgt_cat.identity[self.edge[u].obj_map[c]]:
-                    raise CoherenceFailure(
-                        f"left unit axiom fails for {u!r} at object {c!r}",
-                        witness={"morphism": u, "object": c},
-                    )
+                        f"{side} unit axiom fails for {m.name!r} at object {obj!r}",
+                        witness={"morphism": m.name, "object": obj})
 
-    def _check_associativity_axiom(self):
+    def _check_associativity_axiom(self, r, vrows: list, arrays: list,
+                                   comp: list[dict[int, list[int]]]):
+        """The associativity axiom on every composable triple and object,
+        read off the rows of the target vertex, in the order of the index's
+        morphisms and of ``morphisms_from``; the arguments are those of
+        ``_check_unit_axioms``."""
         idx = self.index
-        for u in idx.morphism_names():
-            for v in idx.morphisms_from(idx.target(u)):
-                vu = idx.compose(v, u)
-                for w in idx.morphisms_from(idx.target(v)):
-                    wv = idx.compose(w, v)
-                    cat = self.vertex[idx.target(w)]
-                    for c in self.vertex[idx.source(u)].objects:
-                        lhs = cat.compose(
-                            self.comp_component(w, vu, c),
-                            self.edge[w].mor_map[self.comp_component(v, u, c)],
-                        )
-                        rhs = cat.compose(
-                            self.comp_component(wv, u, c),
-                            self.comp_component(w, v, self.edge[u].obj_map[c]),
-                        )
-                        if lhs != rhs:
+        names, index, idx_rows = r.names, r.index, r.rows
+        out = [[index[g] for g in idx.morphisms_from(x)] for x in idx.objects]
+        for u in range(len(names)):
+            fo_u = arrays[u][0]
+            for v in out[r.tgt[u]]:
+                vu, c_vu = idx_rows[u][v], comp[u][v]
+                for w in out[r.tgt[v]]:
+                    wv = idx_rows[v][w]
+                    rows, fm_w = vrows[r.tgt[w]].rows, arrays[w][1]
+                    c_w_vu, c_wv_u, c_wv = comp[vu][w], comp[u][wv], comp[v][w]
+                    for c, x in enumerate(fo_u):
+                        if rows[fm_w[c_vu[c]]][c_w_vu[c]] != rows[c_wv[x]][c_wv_u[c]]:
+                            obj = self.vertex[idx.objects[r.src[u]]].objects[c]
+                            triple = (names[w], names[v], names[u])
                             raise CoherenceFailure(
                                 f"associativity coherence fails on triple "
-                                f"({w!r}, {v!r}, {u!r}) at object {c!r}",
-                                witness={"triple": (w, v, u), "object": c},
+                                f"{triple!r} at object {obj!r}",
+                                witness={"triple": triple, "object": obj},
                             )
 
     @staticmethod
@@ -603,18 +619,26 @@ def check_hocolim_formula(
     total category built.  The other invariants take the invariant of the
     total category, built from the validated diagram with no second law
     check.
-    RHS: formula_value over the bar spectrum of the index (which must then
-    be a finite scwol) or over an explicitly supplied spectrum, whose
-    alternating sums must be a weighting on the diagram's index.  The
-    invariant is computed once per distinct vertex category.
+    RHS: over the bar spectrum of the index (which must then be a finite
+    scwol), the sum of each skeleton object's weight times its value: the
+    bar model has a 0-cell at every object of the index's skeleton, and its
+    alternating cell counts are the skeleton's integer weights
+    (``eulerchar._scwol_weights``), so no cell is counted.  Over an
+    explicitly supplied spectrum, whose alternating sums must be a weighting
+    on the diagram's index, it is ``formula_value``.  The invariant is
+    computed once per distinct vertex category.
     """
     fn = _invariant_fn(invariant)
     lhs = _total_chi_L(d) if invariant == "chiL" else fn(_grothendieck(d))
 
-    spec = spectrum if spectrum is not None else bar_spectrum(d.index)
+    if spectrum is None:
+        gamma, weights = _scwol_weights(d.index)
+        objects = gamma.objects
+    else:
+        objects = spectrum.objects_with_cells()
     vals = {}
     invariant_of: dict[FinCat, Fraction] = {}
-    for i in spec.objects_with_cells():
+    for i in objects:
         if i not in d.vertex:
             raise MissingValue(
                 f"spectrum object {i!r} is not an index object", witness={"object": i}
@@ -623,9 +647,12 @@ def check_hocolim_formula(
         if cat not in invariant_of:
             invariant_of[cat] = fn(cat)
         vals[i] = invariant_of[cat]
-    if spectrum is not None and spectrum.index is not d.index:
-        _check_weighting_on(spectrum, d.index)
-    rhs = formula_value(spec, vals)
+    if spectrum is None:
+        rhs = Fraction(sum(w * vals[i] for w, i in zip(weights, objects)))
+    else:
+        if spectrum.index is not d.index:
+            _check_weighting_on(spectrum, d.index)
+        rhs = formula_value(spectrum, vals)
     return FormulaReport(invariant, lhs, rhs, vals, lhs == rhs)
 
 

@@ -104,6 +104,15 @@ def _str_map(raw: Mapping) -> dict[str, str]:
     return {str(k): str(v) for k, v in raw.items()}
 
 
+def _entries(raw, what: str) -> list:
+    """``raw``, the part ``what`` of a manifest, once it and each of its
+    entries are lists: a string or object would be read item by item."""
+    _require_list(raw, what)
+    for k, entry in enumerate(raw):
+        _require_list(entry, f"{what} entry {k}")
+    return raw
+
+
 def _functor_from_payload(payload: Mapping, src: FinCat, tgt: FinCat, edge: str) -> CatFunctor:
     """The functor along index morphism ``edge``.  CatFunctor ignores keys
     that name nothing in ``src``; a manifest may not carry them."""
@@ -178,7 +187,7 @@ def pseudo_diagram_payload(d: PseudoDiagram) -> dict:
 def pseudo_diagram_from_payload(payload: Mapping) -> PseudoDiagram:
     index, vertex, edge = _diagram_parts(payload)
     comp = {}
-    for v, u, components in payload.get("comp", []):
+    for v, u, components in _entries(payload.get("comp", []), "comp"):
         v, u = str(v), str(u)
         if (v, u) not in index.composition:
             raise BadManifest(f"comp entry for non-composable pair ({v!r}, {u!r})",
@@ -257,7 +266,7 @@ def complex_from_payload(payload: Mapping) -> ComplexOfGroups:
                                   witness={"morphism": m.name})
             homs[m.name] = GroupHom(local[m.source], local[m.target], _str_map(raw))
     twists = {}
-    for b, a, g in payload.get("twists", []):
+    for b, a, g in _entries(payload.get("twists", []), "twists"):
         twists[(str(b), str(a))] = str(g)
     for (b, a) in base.composition:
         if (b, a) not in twists:

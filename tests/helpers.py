@@ -5,8 +5,32 @@ import itertools
 from fractions import Fraction
 
 from eulcat import eulerchar, fincat, groupact, hocolim, randgen, ratlin, zoo
+from typing import Mapping, NoReturn, Sequence
+
 from eulcat.errors import EulcatError, _trusted
-from eulcat.fincat import CatFunctor, FinCat, NotNatural, _check_natural, _identity_maps
+from eulcat.fincat import (
+    CatFunctor,
+    FinCat,
+    NotAFunctor,
+    NotNatural,
+    _check_natural,
+    _composite_arrays,
+    _composite_maps,
+    _functor_arrays,
+    _identity_arrays,
+    _identity_maps,
+    _is_thin,
+    _require_scwol,
+    _rows_of,
+)
+from eulcat.groupact import (
+    AxiomIIViolation,
+    AxiomIViolation,
+    NotAFunctorAction,
+    NotAHomomorphismAction,
+)
+from eulcat.groups import FinGroup
+from eulcat.hocolim import CoherenceFailure, _check_vertices_and_edges
 from eulcat.groups import GroupHom, cyclic_group, symmetric_group, trivial_group
 from eulcat.hocolim import StrictDiagram, constant_diagram
 from eulcat.ratlin import RatMatrix
@@ -71,6 +95,31 @@ def nat_iso_checks(f: CatFunctor, g: CatFunctor, components) -> None:
         rhs = tgt.compose(g.mor_map[m.name], components[m.source])
         if lhs != rhs:
             raise NotNatural(f"naturality fails at morphism {m.name!r}")
+
+
+def corrupt_component(components, c, cat, how, rng):
+    """A copy of the component table with the entry at ``c`` replaced by a
+    parallel twin, a non-invertible arrow or an arrow with other endpoints
+    (left as it is when ``cat`` has none), by a name that is no morphism of
+    ``cat``, or dropped."""
+    table = dict(components)
+    old = table[c]
+    ends = cat.source(old), cat.target(old)
+    if how == "twin":
+        twins = [m for m in cat.hom(*ends) if m != old]
+        table[c] = rng.choice(twins) if twins else old
+    elif how == "non-invertible":
+        arrows = [m for m in cat.morphism_names() if not cat.is_invertible(m)]
+        parallel = [m for m in arrows if (cat.source(m), cat.target(m)) == ends]
+        table[c] = rng.choice(parallel or arrows or [old])
+    elif how == "misplaced":
+        arrows = [m for m in cat.morphism_names() if (cat.source(m), cat.target(m)) != ends]
+        table[c] = rng.choice(arrows or [old])
+    elif how == "unknown":
+        table[c] = "?nosuch"
+    else:
+        del table[c]
+    return table
 
 
 def assert_lawful(cat: FinCat) -> FinCat:
@@ -198,11 +247,11 @@ def assert_complex_revalidates(cplx) -> None:
 def assert_retraction_data(cat, inclusion, retraction, eta) -> None:
     """The oracle for ``fincat._retract`` (behind ``skeleton`` and
     ``equivariant_skeleton``): both functors revalidate, and ``eta`` is a
-    natural isomorphism i o r => id (i is the identity on names, so i o r
-    has the maps of r)."""
+    natural isomorphism i o r => id."""
     assert_revalidates(inclusion, retraction)
-    _check_natural(cat, cat, retraction.obj_map, retraction.mor_map, *_identity_maps(cat), eta,
-                   "eta")
+    rows, gamma = _rows_of(cat), _rows_of(retraction.target)
+    i_r = _composite_arrays(_functor_arrays(retraction, gamma), _functor_arrays(inclusion, rows))
+    _check_natural(cat, rows, cat, rows, i_r, _identity_arrays(cat), eta, "eta")
 
 
 def trivial_diagram(index: FinCat) -> StrictDiagram:
@@ -337,3 +386,257 @@ def z2_chain_complex_data(corrupt: bool):
     if corrupt:
         twists[("b", "a")] = "1"
     return base, {x: z2 for x in base.objects}, {m.name: ident for m in base.morphisms}, twists
+
+
+# -- reference checks -----------------------------------------------------------------
+#
+# The functor, action, naturality and pseudo-coherence checks as the library
+# made them before they moved onto integer rows: one name lookup at a time.
+# The bodies are copied unchanged; only the names of the copies (and the
+# calls between them) carry a ``reference_`` prefix.
+
+
+def reference_check_functor(src: FinCat, tgt: FinCat, obj_map: Mapping, mor_map: Mapping) -> None:
+    """Check the laws of a functor ``src`` -> ``tgt`` in order: objects,
+    morphisms (an image for each), source/target, identities, composition.
+    Composition is checked only on entries with no identity factor, and not
+    at all into a thin ``tgt``, where both sides share a hom-set.  Keys
+    naming nothing in ``src`` are ignored.  A failure raises NotAFunctor with
+    witness ``{"law": law, "at": x}``, x an object, morphism or pair."""
+
+    def fail(message: str, law: str, at) -> NoReturn:
+        raise NotAFunctor(message, witness={"law": law, "at": at})
+
+    mor, comp, src_ids = tgt._mor, tgt.composition, src._identity_names
+    for x in src.objects:
+        if x not in obj_map or not tgt.has_object(obj_map[x]):
+            fail(f"object map undefined or out of range at {x!r}", "objects", x)
+    for m in src.morphisms:
+        if m.name not in mor_map:
+            fail(f"morphism map undefined at {m.name!r}", "morphisms", m.name)
+        fm = mor_map[m.name]
+        if fm not in mor:
+            fail(f"image {fm!r} is not a morphism of {tgt.name}", "morphisms", m.name)
+        if mor[fm].source != obj_map[m.source] or mor[fm].target != obj_map[m.target]:
+            fail(f"image of {m.name!r} has wrong endpoints", "source/target", m.name)
+    for x in src.objects:
+        if mor_map[src.identity[x]] != tgt.identity[obj_map[x]]:
+            fail(f"identity of {x!r} not preserved", "identities", x)
+    if _is_thin(tgt):  # both sides run F(s(f)) -> F(t(g)), by source/target
+        return
+    for (g, f), gf in src.composition.items():
+        if g in src_ids or f in src_ids:  # holds by source/target and identities
+            continue
+        if comp[(mor_map[g], mor_map[f])] != mor_map[gf]:
+            fail(f"composition not preserved on ({g!r}, {f!r})", "composition", (g, f))
+
+
+def reference_check_natural(cat, tgt, f_obj, f_mor, g_obj, g_mor, components, where) -> None:
+    """Check that ``components`` (a ``PseudoDiagram`` table) is a natural isomorphism F => G.
+
+    F and G are parallel functors ``cat`` -> ``tgt``, given by their object
+    and morphism maps, which must preserve identities (validated functors or
+    their composites).  ``components[x]`` must be an invertible morphism
+    F(x) -> G(x) of ``tgt``, every square at a non-identity must commute, and
+    no key may name anything but an object of ``cat``.  A failure raises
+    NotNatural, its message prefixed by ``where``, with the entry and the
+    object or morphism as witness.
+    """
+
+    def fail(message: str, **witness) -> NoReturn:
+        raise NotNatural(f"{where}: {message}", witness={"entry": where, **witness})
+
+    for x in cat.objects:
+        c = components.get(x)
+        if c is None:
+            fail(f"no component at {x!r}", object=x)
+        if c not in tgt._mor:
+            fail(f"component at {x!r} is not a morphism of {tgt.name}", object=x)
+        if tgt.source(c) != f_obj[x] or tgt.target(c) != g_obj[x]:
+            fail(f"component at {x!r} has wrong endpoints", object=x)
+        if not tgt.is_invertible(c):
+            fail(f"component at {x!r} is not invertible", object=x)
+    for m in cat.morphisms:
+        if cat.is_identity(m.name):  # holds by the endpoints checked above
+            continue
+        lhs = tgt.compose(components[m.target], f_mor[m.name])
+        rhs = tgt.compose(g_mor[m.name], components[m.source])
+        if lhs != rhs:
+            fail(f"naturality fails at morphism {m.name!r}", morphism=m.name)
+    # every object has a component, so a longer table has a stray key
+    if len(components) != len(cat.objects):
+        x = next(x for x in components if not cat.has_object(x))
+        fail(f"component key {x!r} is not an object of {cat.name}", object=x)
+
+
+def reference_check_unit_axioms(self):
+    idx = self.index
+    for m in idx.morphisms:
+        u = m.name
+        tgt_cat = self.vertex[m.target]
+        for c in self.vertex[m.source].objects:
+            # C_{u, id} o (C(u) . unit_source) = 1
+            left = tgt_cat.compose(
+                self.comp_component(u, idx.identity[m.source], c),
+                self.edge[u].mor_map[self.unit[m.source][c]],
+            )
+            if left != tgt_cat.identity[self.edge[u].obj_map[c]]:
+                raise CoherenceFailure(
+                    f"right unit axiom fails for {u!r} at object {c!r}",
+                    witness={"morphism": u, "object": c},
+                )
+            # C_{id, u} o (unit_target at C(u)c) = 1
+            left2 = tgt_cat.compose(
+                self.comp_component(idx.identity[m.target], u, c),
+                self.unit[m.target][self.edge[u].obj_map[c]],
+            )
+            if left2 != tgt_cat.identity[self.edge[u].obj_map[c]]:
+                raise CoherenceFailure(
+                    f"left unit axiom fails for {u!r} at object {c!r}",
+                    witness={"morphism": u, "object": c},
+                )
+
+
+def reference_check_associativity_axiom(self):
+    idx = self.index
+    for u in idx.morphism_names():
+        for v in idx.morphisms_from(idx.target(u)):
+            vu = idx.compose(v, u)
+            for w in idx.morphisms_from(idx.target(v)):
+                wv = idx.compose(w, v)
+                cat = self.vertex[idx.target(w)]
+                for c in self.vertex[idx.source(u)].objects:
+                    lhs = cat.compose(
+                        self.comp_component(w, vu, c),
+                        self.edge[w].mor_map[self.comp_component(v, u, c)],
+                    )
+                    rhs = cat.compose(
+                        self.comp_component(wv, u, c),
+                        self.comp_component(w, v, self.edge[u].obj_map[c]),
+                    )
+                    if lhs != rhs:
+                        raise CoherenceFailure(
+                            f"associativity coherence fails on triple "
+                            f"({w!r}, {v!r}, {u!r}) at object {c!r}",
+                            witness={"triple": (w, v, u), "object": c},
+                        )
+
+
+def reference_pseudo_diagram_checks(self):
+    """The body of ``PseudoDiagram.__post_init__``; ``self`` is an
+    unvalidated PseudoDiagram."""
+    _check_vertices_and_edges(self)
+    idx = self.index
+    for i in idx.objects:
+        components = self.unit.get(i)
+        if components is None:
+            raise CoherenceFailure(f"no unit isomorphism at {i!r}", witness={"object": i})
+        ci, fun = self.vertex[i], self.edge[idx.identity[i]]
+        reference_check_natural(
+            ci, ci, *_identity_maps(ci), fun.obj_map, fun.mor_map, components, f"unit at {i!r}"
+        )
+    for (v, u), components in self.comp.items():
+        if (v, u) not in idx.composition:
+            raise CoherenceFailure(
+                f"comp given for non-composable pair ({v!r}, {u!r})", witness={"pair": (v, u)}
+            )
+        fun = self.edge[idx.composition[(v, u)]]
+        f_obj, f_mor = _composite_maps(self.edge[u], self.edge[v])
+        reference_check_natural(fun.source, fun.target, f_obj, f_mor, fun.obj_map, fun.mor_map,
+                                components, f"comp at {(v, u)!r}")
+    for (v, u) in idx.composition:
+        if (v, u) not in self.comp:
+            raise CoherenceFailure(
+                f"no comp isomorphism at ({v!r}, {u!r})", witness={"pair": (v, u)}
+            )
+
+    reference_check_unit_axioms(self)
+    reference_check_associativity_axiom(self)
+
+
+def reference_check_homomorphism_law(group: FinGroup, table: Mapping, points: Sequence[str],
+                                      what: str):
+    """Require that the identity fixes each of ``points`` (``what``s, which
+    ``table[g]`` maps among themselves) and ``table[gh] == table[g] o
+    table[h]`` on them for every pair (g, h), one whole index row at a time."""
+    labels, mul = group.labels, group.table
+    index = {p: i for i, p in enumerate(points)}
+    perms = [[index[table[g][p]] for p in points] for g in labels]
+    e = group._identity
+    for i, j in enumerate(perms[e]):
+        if i != j:
+            raise NotAHomomorphismAction(
+                f"identity element moves {'an' if what == 'object' else 'a'} {what}",
+                witness={"element": labels[e], what: points[i]},
+            )
+    for g, perm_g in enumerate(perms):
+        for h, perm_h in enumerate(perms):
+            gh = mul[g][h]
+            if perms[gh] != [perm_g[j] for j in perm_h]:
+                i = next(i for i, j in enumerate(perm_h) if perm_g[j] != perms[gh][i])
+                raise NotAHomomorphismAction(
+                    f"action of {labels[g]!r}{labels[h]!r} disagrees with action of "
+                    f"{labels[gh]!r} on {points[i]!r}",
+                    witness={"pair": (labels[g], labels[h]), what: points[i]},
+                )
+
+
+def reference_check_permutation(g: str, table: Mapping[str, str], points: list[str],
+                                level: str) -> None:
+    """Require ``table`` (element g on ``level``) to permute the sorted ``points``."""
+    if sorted(table) != points or sorted(table.values()) != points:
+        raise NotAFunctorAction(f"element {g!r} does not permute the {level}",
+                                witness={"element": g, "level": level})
+
+
+def reference_action_checks(self):
+    """The body of ``ScwolAction.__post_init__``; ``self`` holds ``group``,
+    ``space``, ``on_objects`` and ``on_morphisms``."""
+    g_labels = self.group.labels
+    cat = self.space
+    _require_scwol(cat)
+
+    # object level first: axiom (i) only needs the object action, and the
+    # interesting rejections (e.g. swapping the endpoints of an arrow)
+    # should be reported as axiom violations, not as functor breakage
+    objects = sorted(cat.objects)
+    for g in g_labels:
+        if g not in self.on_objects or g not in self.on_morphisms:
+            raise NotAFunctorAction(f"no action data for element {g!r}", witness={"element": g})
+        reference_check_permutation(g, self.on_objects[g], objects, "objects")
+    reference_check_homomorphism_law(self.group, self.on_objects, cat.objects, "object")
+    arrows = [m for m in cat.morphisms if not cat.is_identity(m.name)]
+    for m in arrows:
+        for g in g_labels:
+            if self.on_objects[g][m.source] == m.target:
+                raise AxiomIViolation(m.name, g)
+
+    # morphism level: each element acts as a strictly invertible functor
+    names = sorted(m.name for m in cat.morphisms)
+    for g in g_labels:
+        reference_check_permutation(g, self.on_morphisms[g], names, "morphisms")
+        try:
+            reference_check_functor(cat, cat, self.on_objects[g], self.on_morphisms[g])
+        except NotAFunctor as exc:
+            law, at = exc.witness["law"], exc.witness["at"]
+            raise NotAFunctorAction(
+                f"element {g!r} breaks {law} at {at!r}", witness={"element": g, **exc.witness}
+            ) from exc
+    # on identities the law follows from the object level and functoriality;
+    # on a thin space g.(h.m) and (gh).m both run gh.s(m) -> gh.t(m)
+    if not _is_thin(cat):
+        reference_check_homomorphism_law(
+            self.group, self.on_morphisms, [m.name for m in arrows], "morphism"
+        )
+    for m in arrows:
+        for g in g_labels:
+            if self.on_objects[g][m.source] == m.source and self.on_morphisms[g][m.name] != m.name:
+                raise AxiomIIViolation(m.name, g)
+    # every element has both rows, so a longer table has a stray row
+    for table in (self.on_objects, self.on_morphisms):
+        if len(table) != len(g_labels):
+            label = next(g for g in table if g not in self.group)
+            raise NotAFunctorAction(
+                f"action row {label!r} is not an element of {self.group.name}",
+                witness={"element": label},
+            )

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from eulcat import groupact, randgen, zoo
 from eulcat.groups import symmetric_group
+from eulcat.hocolim import PseudoDiagram, constant_diagram
 from helpers import chain, flag_action
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
@@ -32,6 +33,15 @@ actions = st.one_of(
     st.sampled_from(TWISTED_ACTION_SEEDS).map(lambda s: randgen.random_action(Random(s))),
 )
 groups = seeded(randgen.random_group, max_order=6)
+pseudo_diagrams = st.one_of(
+    strict_diagrams.map(PseudoDiagram.from_strict),
+    actions.map(lambda a: groupact.complex_to_pseudo_diagram(
+        groupact.complex_of_groups(a).complex)),
+    # one-object monoid vertices, so that a component can be a parallel
+    # arrow that is not invertible
+    scwols.map(lambda idx: PseudoDiagram.from_strict(constant_diagram(idx, zoo.monoid_z2_mult()))),
+)
+
 small_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=12)
 
 

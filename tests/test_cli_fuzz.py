@@ -1,4 +1,4 @@
-"""CLI fuzz on category, group and spectrum manifests.
+"""CLI fuzz on manifests of every kind.
 
 A manifest drawn from the strategies is written with one entry of its
 payload dropped, retyped, duplicated, swapped with a sibling or renamed, and
@@ -18,18 +18,28 @@ import os
 import tempfile
 from random import Random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eulcat import cli, hocolim, manifest, zoo
+from eulcat import cli, groupact, hocolim, manifest, randgen, zoo
 from eulcat.errors import EulcatError
 
-from strategies import SEEDS, groupoids, groups, posets, scwols
+from strategies import (
+    SEEDS,
+    actions,
+    groupoids,
+    groups,
+    posets,
+    pseudo_diagrams,
+    scwols,
+    strict_diagrams,
+)
 
 SUBCOMMANDS = {
     kind: [name for name, c in cli.COMMANDS.items()
            if c.kinds is not None and (not c.kinds or kind in c.kinds)]
-    for kind in ("category", "group", "spectrum")
+    for kind in manifest.KINDS
 }
 OTHER_TYPES = (0, 2.5, True, None, "x", "iii", [], {}, ["x", "x", "x"])
 MUTATIONS = ("drop", "retype", "duplicate", "swap", "rename")
@@ -156,6 +166,34 @@ def test_mutated_spectrum_manifest(cat, seed, mutation):
     assert_clean_run("spectrum", mutate(payload, Random(seed), mutation), spectrum.index)
 
 
+@settings(max_examples=30, deadline=None)
+@given(strict_diagrams, SEEDS, st.sampled_from(MUTATIONS))
+def test_mutated_diagram_manifest(d, seed, mutation):
+    payload = manifest.diagram_payload(d)
+    assert_clean_run("diagram", mutate(payload, Random(seed), mutation))
+
+
+@settings(max_examples=30, deadline=None)
+@given(pseudo_diagrams, SEEDS, st.sampled_from(MUTATIONS))
+def test_mutated_pseudo_diagram_manifest(p, seed, mutation):
+    payload = manifest.pseudo_diagram_payload(p)
+    assert_clean_run("pseudo_diagram", mutate(payload, Random(seed), mutation))
+
+
+@settings(max_examples=30, deadline=None)
+@given(actions, SEEDS, st.sampled_from(MUTATIONS))
+def test_mutated_action_manifest(action, seed, mutation):
+    payload = manifest.action_payload(action)
+    assert_clean_run("action", mutate(payload, Random(seed), mutation))
+
+
+@settings(max_examples=30, deadline=None)
+@given(actions, SEEDS, st.sampled_from(MUTATIONS))
+def test_mutated_complex_manifest(action, seed, mutation):
+    payload = manifest.complex_payload(groupact.complex_of_groups(action).complex)
+    assert_clean_run("complex", mutate(payload, Random(seed), mutation))
+
+
 def outcome_codes(kind, payload):
     """The exit codes of ``validate`` over 40 seeded mutations of ``payload``."""
     codes = set()
@@ -175,3 +213,16 @@ def test_mutations_reach_both_outcomes():
 def test_spectrum_mutations_reach_both_outcomes():
     payload = manifest.spectrum_payload(hocolim.bar_spectrum(zoo.pushout_scwol()))
     assert outcome_codes("spectrum", payload) == {0, 2}
+
+
+@pytest.mark.parametrize("kind, value", [
+    ("diagram", hocolim.constant_diagram(zoo.pushout_scwol(), zoo.monoid_z2_mult())),
+    ("pseudo_diagram", groupact.complex_to_pseudo_diagram(
+        groupact.complex_of_groups(randgen.circle_action()).complex)),
+    ("action", randgen.circle_action()),
+    ("complex", groupact.complex_of_groups(randgen.circle_action()).complex),
+], ids=["diagram", "pseudo_diagram", "action", "complex"])
+def test_composite_kinds_reach_both_outcomes(kind, value):
+    """Non-vacuity for the diagram, pseudo-diagram, action and complex
+    manifests: over a few seeds, mutations are both rejected and accepted."""
+    assert outcome_codes(kind, manifest.serialize(kind, value)["payload"]) == {0, 2}

@@ -39,11 +39,24 @@ from eulcat.fincat import (
     skeleton,
 )
 from eulcat.groups import FinGroup, cyclic_group
-from eulcat.groupact import haefliger_chi
-from eulcat.hocolim import bar_spectrum, check_hocolim_formula, constant_diagram, grothendieck
+from eulcat.groupact import complex_of_groups, complex_to_pseudo_diagram, haefliger_chi
+from eulcat.hocolim import (
+    PseudoDiagram,
+    bar_spectrum,
+    check_hocolim_formula,
+    constant_diagram,
+    grothendieck,
+)
 from eulcat.ratlin import NoWeighting, RatMatrix, coweighting, solve_linear, weighting
 
-from helpers import assert_same_table, chain, count_calls, mor_count_matrix, split_idempotent
+from helpers import (
+    assert_same_table,
+    chain,
+    count_calls,
+    mor_count_matrix,
+    s3_flag_action,
+    split_idempotent,
+)
 from strategies import (
     SEEDS,
     chains,
@@ -733,9 +746,9 @@ def kernel_calls(monkeypatch):
     counts = {"passes": 0, "tables": 0}
     real_init, real_table = fincat._Rows.__init__, fincat._Rows.table
 
-    def init(self, cat, *records):
+    def init(self, cat, *records, **options):
         counts["passes"] += 1
-        real_init(self, cat, *records)
+        real_init(self, cat, *records, **options)
 
     def table(self):
         counts["tables"] += 1
@@ -787,6 +800,22 @@ class TestTableOnFirstRead:
         assert list(cat.composition.items()) == list(manifest_dict(payload).items())
         cat.composition
         assert kernel_calls == {"passes": 1, "tables": 1}
+
+    def test_checks_build_no_table(self, kernel_calls):
+        """The functor, action, naturality and coherence checks read the rows
+        that loading kept: loading an action, the parts of a pseudo diagram
+        from a complex of groups (index, vertices and edge functors) and the
+        pseudo diagram's checks build no name table, and read the entries
+        of each category once."""
+        flag, h = s3_flag_action()
+        pseudo = complex_to_pseudo_diagram(complex_of_groups(flag, h_elements=h).complex)
+        action_payload = manifest.action_payload(flag)
+        pseudo_payload = manifest.pseudo_diagram_payload(pseudo)
+        kernel_calls["passes"] = 0
+        manifest.action_from_payload(action_payload)
+        index, vertex, edge = manifest._diagram_parts(pseudo_payload)
+        PseudoDiagram(index, vertex, edge, pseudo.comp, pseudo.unit)
+        assert kernel_calls == {"passes": 2 + len(vertex), "tables": 0}
 
     def test_a_table_handed_in_is_kept(self, kernel_calls):
         """A FinCat built from a name dict checks it on the same rows and keeps

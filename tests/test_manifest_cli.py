@@ -397,6 +397,18 @@ def _trivial_arrow_complex_payload() -> dict:
     return manifest.complex_payload(one_arrow_complex(one, other, GroupHom(one, other, {"0": "0"})))
 
 
+def _chain_complex_payload(twists) -> dict:
+    """The trivial complex over 0 -a-> 1 -b-> 2 with its ``twists`` replaced:
+    a twist read item by item from the string "ba0" would be ("b", "a", "0"),
+    the one twist it needs."""
+    from eulcat.groupact import constant_complex
+    from eulcat.groups import trivial_group
+
+    base = zoo.build_category(("0", "1", "2"), (("a", "0", "1"), ("b", "1", "2"), ("ba", "0", "2")),
+                              {("b", "a"): "ba"}, name="chain3")
+    return {**manifest.complex_payload(constant_complex(base, trivial_group())), "twists": twists}
+
+
 def _without_local(payload: dict, x: str) -> dict:
     return {**payload, "local": {k: v for k, v in payload["local"].items() if k != x}}
 
@@ -525,6 +537,16 @@ CIRCLE_ACTION = manifest.action_payload(randgen.circle_action())
             for kind in ("diagram", "pseudo_diagram")
         ],
         *NOT_LISTS.values(),
+        ("complex", _chain_complex_payload(["ba0"]), "twists entry 0 must be a list, not str"),
+        ("complex", _chain_complex_payload({"ba0": 1}), "twists must be a list, not dict"),
+        ("pseudo_diagram",
+         {"index": ONE_OBJECT, "vertices": ONE_VERTEX, "edges": IDENTITY_EDGE,
+          "comp": ["iix"], "unit": {"x": {"x": "i"}}},
+         "comp entry 0 must be a list, not str"),
+        ("pseudo_diagram",
+         {"index": ONE_OBJECT, "vertices": ONE_VERTEX, "edges": IDENTITY_EDGE,
+          "comp": {"iix": {"x": "i"}}, "unit": {"x": {"x": "i"}}},
+         "comp must be a list, not dict"),
     ],
     ids=["category-identity-list", "category-pair-listed-twice", "diagram-vertices-list",
          "spectrum-cells-list", "spectrum-cell-not-integer", "pseudo-unit-non-index-object",
@@ -534,7 +556,8 @@ CIRCLE_ACTION = manifest.action_payload(randgen.circle_action())
          "action-object-row-for-no-element", "action-morphism-row-for-no-element",
          *[f"{kind}-stray-{case}" for case in STRAY_DIAGRAM_NAMES
            for kind in ("diagram", "pseudo_diagram")],
-         *NOT_LISTS],
+         *NOT_LISTS, "complex-twists-entry-str", "complex-twists-dict", "pseudo-comp-entry-str",
+         "pseudo-comp-dict"],
 )
 def test_malformed_payload_exits_2_with_one_error_line(tmp_path, capsys, kind, payload, named):
     path = tmp_path / "bad.json"
