@@ -26,6 +26,7 @@ from . import manifest, randgen, zoo
 from .errors import EulcatError
 from .eulerchar import chi_scwol, groupoid_chi2
 from .fincat import (
+    _ends_of,
     _iso_partition,
     are_isomorphic,
     classify,
@@ -153,12 +154,14 @@ def _hocolim(kind, value, args):
         chi = R(chi_L(cat))
     except NoEulerCharacteristic:
         chi = None
+    # counted off a total's arrays: only --json names its objects and morphisms
+    objects, morphisms = len(cat), _ends_of(cat).census()[0]
     lines = [
-        f"objects: {len(cat.objects)}",
-        f"morphisms: {len(cat.morphisms)}",
+        f"objects: {objects}",
+        f"morphisms: {morphisms}",
         f"chi_L: {'undefined' if chi is None else chi}",
     ]
-    report = {"objects": len(cat.objects), "morphisms": len(cat.morphisms), "chi_L": chi}
+    report = {"objects": objects, "morphisms": morphisms, "chi_L": chi}
     if args.json:
         report["category"] = manifest.category_payload(cat)
     return lines, report, True

@@ -22,9 +22,10 @@ from .errors import EulcatError
 from .fincat import (
     FinCat,
     NotGroupoid,
+    _count_rows,
     _is_EI,
     _is_groupoid,
-    _iso_partition,
+    _iso_roots,
     _require_scwol,
     _skeleton_category,
 )
@@ -73,12 +74,14 @@ def chi_f_scwol(cat: FinCat) -> dict[str, Fraction]:
 
 def groupoid_chi2(cat: FinCat) -> Fraction:
     """Groupoid cardinality: sum of 1/|aut| over isomorphism classes, where
-    |aut(x)| = |mor(x, x)| since every endomorphism is invertible."""
+    |aut(x)| = |mor(x, x)| since every endomorphism is invertible; read off
+    the hom counts at the least object of each class (``_iso_roots``)."""
     if not _is_groupoid(cat):
         first = next(m.name for m in cat.morphisms if not cat.is_invertible(m.name))
         raise NotGroupoid(f"{cat.name} has a non-invertible morphism", witness={"morphism": first})
+    rows = _count_rows(cat)
     return sum(
-        (Fraction(1, len(cat.hom(cls[0], cls[0]))) for cls in _iso_partition(cat)),
+        (Fraction(1, rows[x][x]) for x, r in enumerate(_iso_roots(cat)) if r == x),
         Fraction(0),
     )
 

@@ -3,7 +3,10 @@
 A FinCat stores everything needed to answer categorical questions by
 exhaustive search: the full composition table (which a category validated
 from a manifest and a Grothendieck total build on first read, see
-``FinCat``), identities, hom-sets.
+``FinCat``), identities, hom-sets.  The structural predicates
+(``classify``), the hom counts and the isomorphism classes read int arrays
+(``_Ends``: endpoints, identities and inverses by index) where a FinCat
+keeps them, and its records where it does not (``_ends_of``).
 Validation checks the endpoints of every composite, the identity laws on
 every morphism and, unless the category is thin, associativity on every
 composable triple, so downstream code may assume a lawful category.  It
@@ -32,7 +35,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import InitVar, dataclass, field
-from operator import itemgetter
+from itertools import compress
+from operator import eq, itemgetter
 from typing import Iterable, Mapping, NoReturn, Optional, Sequence
 
 from .errors import ValidationError, _trusted
@@ -80,15 +84,19 @@ class FinCat:
     and a total composition table on composable pairs.
 
     ``composition[(g, f)]`` is the name of ``g o f`` (apply f first), defined
-    exactly when ``target(f) == source(g)``.  Two kinds of FinCat hold a
-    builder in place of the table, which is built on the first read of
-    ``composition``, stored on the instance, and the builder dropped:
-    a category validated from a manifest by ``validate``, whose builder
-    reads the integer rows its check made, in the manifest's entry order;
-    and a Grothendieck total built by ``_lazy_total``, with its inverse data
-    as handed in.  Every other FinCat holds its table from construction.
-    A category validated from a manifest keeps the rows its check made
-    (``_rows``) for its lifetime: the checks that meet it read them.
+    exactly when ``target(f) == source(g)``.  A category validated from a
+    manifest by ``validate`` holds a builder in place of the table, which
+    is built from the integer rows its check made, in the manifest's entry
+    order, on the first read of ``composition``, stored on the instance,
+    and the builder dropped.  It keeps those rows (``_rows``) for its
+    lifetime: the checks and predicates that meet it read them.  A
+    Grothendieck total is a ``hocolim._Total``, which keeps integer arrays
+    (``_arrays``) and makes every name field on its first read.  Every
+    other FinCat holds its names and table from construction, and where
+    it keeps no arrays the predicates read its records (``_ends_of``).
+    Direct finiteness comes from the inverse search of the table or rows
+    (``_find_invertibles``, ``_Rows.set_inverses``), or, for a total over a
+    directly finite index, from the diagram's vertices.
     """
 
     objects: tuple[str, ...]
@@ -265,7 +273,93 @@ class _Triples:
         self.entries = entries
 
 
-class _Rows:
+class _Ends:
+    """The int arrays a FinCat can keep in place of reading its records:
+    ``src`` and ``tgt`` (object indices of each morphism's endpoints),
+    ``ident`` (the identity of each object, by morphism index) and ``inv``
+    (each invertible morphism to its inverse, in morphism order).  A
+    Grothendieck total keeps these (``_arrays``), and a category validated
+    from a manifest keeps its ``_Rows``, which has the same four.
+
+    The structural predicates read only what the methods give, and
+    ``_RecordEnds`` gives the same off the records of any other FinCat."""
+
+    __slots__ = ("src", "tgt", "ident", "inv")
+
+    def __init__(self, src: list[int], tgt: list[int], ident: list[int], inv: dict[int, int]):
+        self.src, self.tgt, self.ident, self.inv = src, tgt, ident, inv
+
+    def endomorphisms(self) -> int:
+        """The number of endomorphisms."""
+        return sum(map(eq, self.src, self.tgt))
+
+    def census(self) -> tuple[int, int, int]:
+        """The number of morphisms, of invertible ones and of invertible
+        endomorphisms."""
+        src, tgt, inv = self.src, self.tgt, self.inv
+        return len(src), len(inv), len([m for m in inv if src[m] == tgt[m]])
+
+    def hom_rows(self, transpose: bool = False) -> list[dict[int, int]]:
+        """Sparse rows {j: |Hom(x_i, x_j)|} of the non-empty hom-sets (or of
+        the transpose), each in the order of the first morphism of each."""
+        rows: list[dict[int, int]] = [{} for _ in self.ident]
+        pairs = zip(self.tgt, self.src) if transpose else zip(self.src, self.tgt)
+        for (i, j), count in Counter(pairs).items():
+            rows[i][j] = count
+        return rows
+
+    def invertible_ends(self) -> Iterable[tuple[int, int]]:
+        """The endpoints (i, j) of each invertible morphism."""
+        src, tgt, inv = self.src, self.tgt, self.inv
+        return zip(map(src.__getitem__, inv), map(tgt.__getitem__, inv))
+
+
+class _RecordEnds:
+    """What the methods of ``_Ends`` give, read off the records, ``_hom``
+    and ``_invertible`` of a FinCat that keeps no arrays, for one use.
+    These tables hold the same facts, so no per-morphism array is made."""
+
+    __slots__ = ("cat",)
+
+    def __init__(self, cat: FinCat):
+        self.cat = cat
+
+    def endomorphisms(self) -> int:
+        return len([m for m in self.cat.morphisms if m.source == m.target])
+
+    def census(self) -> tuple[int, int, int]:
+        cat = self.cat
+        mor, inv = cat._mor, cat._invertible
+        return len(cat.morphisms), len(inv), len([m for m in inv if mor[m].source == mor[m].target])
+
+    def hom_rows(self, transpose: bool = False) -> list[dict[int, int]]:
+        index = {x: i for i, x in enumerate(self.cat.objects)}
+        rows: list[dict[int, int]] = [{} for _ in index]
+        if transpose:
+            for (x, y), ms in self.cat._hom.items():
+                rows[index[y]][index[x]] = len(ms)
+        else:
+            for (x, y), ms in self.cat._hom.items():
+                rows[index[x]][index[y]] = len(ms)
+        return rows
+
+    def invertible_ends(self) -> Iterable[tuple[int, int]]:
+        cat = self.cat
+        index, mor = {x: i for i, x in enumerate(cat.objects)}, cat._mor
+        return [(index[mor[m].source], index[mor[m].target]) for m in cat._invertible]
+
+
+def _ends_of(cat: FinCat):
+    """The arrays ``cat`` keeps (a Grothendieck total's ``_arrays``, or the
+    ``_rows`` of a category validated from a manifest), or else a
+    ``_RecordEnds`` on it, not kept (see ``_rows_of``).  ``len(cat)`` is the
+    number of objects."""
+    d = cat.__dict__
+    ends = d.get("_arrays") or d.get("_rows")
+    return _RecordEnds(cat) if ends is None else ends
+
+
+class _Rows(_Ends):
     """The composition table of a FinCat on morphism indices, read in one
     pass over its entries: ``rows[f][g]`` is the index of ``g o f``, and
     ``order[k]`` is the f of entry k.  ``objects`` indexes the objects, and
@@ -280,7 +374,7 @@ class _Rows:
     report the first failure, whose ``witness`` holds the offending names.
     """
 
-    __slots__ = ("names", "index", "objects", "src", "tgt", "ident", "rows", "order", "gens")
+    __slots__ = ("names", "index", "objects", "rows", "order", "gens")
 
     def __init__(self, cat: FinCat, names: list, index: dict, objects: dict, check: bool = True):
         comp = cat.composition
@@ -290,7 +384,7 @@ class _Rows:
         self.tgt = tgt = [objects[m.target] for m in cat.morphisms]
         self.ident = [index[cat.identity[x]] for x in cat.objects]
         rows: list[dict[int, int]] = [{} for _ in names]
-        self.rows, self.order, self.gens = rows, None, None
+        self.rows, self.order, self.gens, self.inv = rows, None, None, None
         if not check:  # a lawful name table, read as it is
             for (g, f), gf in comp.items():
                 rows[index[f]][index[g]] = index[gf]
@@ -384,21 +478,12 @@ class _Rows:
                     )
 
     def set_inverses(self, cat: FinCat) -> None:
-        """Set ``cat._invertible`` and ``cat._directly_finite`` by the search of
-        ``FinCat._find_invertibles``, with g o m read as ``rows[m][g]``."""
-        index, src, tgt, ident, rows = self.index, self.src, self.tgt, self.ident, self.rows
-        hom = cat._hom
-        inv: dict[str, str] = {}
-        directly_finite = True
-        for m, mor in enumerate(cat.morphisms):
-            for g in hom.get((mor.target, mor.source), ()):
-                gi = index[g]
-                if rows[m][gi] == ident[src[m]]:
-                    if rows[gi][m] == ident[tgt[m]]:
-                        inv[mor.name] = g
-                        break
-                    directly_finite = False
-        object.__setattr__(cat, "_invertible", inv)
+        """Record ``inv`` (each invertible morphism to its inverse, by index)
+        and set ``cat._invertible`` and ``cat._directly_finite``, by
+        ``_inverse_search`` on the rows."""
+        names = self.names
+        self.inv, directly_finite = _inverse_search(self.rows, self.src, self.tgt, self.ident)
+        object.__setattr__(cat, "_invertible", {names[m]: names[g] for m, g in self.inv.items()})
         object.__setattr__(cat, "_directly_finite", directly_finite)
 
     def generators(self) -> list[int]:
@@ -459,6 +544,39 @@ def _generating_set(rows: Sequence, ident: Sequence[int], src: Sequence[int],
     return gens
 
 
+def _inverse_search(rows: Sequence, src: Sequence[int], tgt: Sequence[int],
+                    ident: Sequence[int]) -> tuple[dict[int, int], bool]:
+    """The search of ``FinCat._find_invertibles`` on int rows, where g o m
+    is ``rows[m][g]``: each invertible m to its inverse, in morphism order,
+    and whether no g has g o m = id but m o g != id.  The candidates g for m
+    run through Hom(t(m), s(m)) in morphism order, and the search stops at
+    an inverse, the only left inverse of m.  Only a morphism with a reverse
+    arrow has a candidate.  An identity e is its own inverse and has no
+    other left inverse (g o e = g), and it is no left inverse of any other
+    m (e o m = m), so it is neither searched nor a candidate."""
+    reverse = set(zip(tgt, src))
+    searched = list(compress(range(len(src)), map(reverse.__contains__, zip(src, tgt))))
+    identities = set(ident)
+    back: dict[tuple[int, int], list[int]] = {}  # (t(g), s(g)): those g
+    for g in searched:
+        if g not in identities:
+            back.setdefault((tgt[g], src[g]), []).append(g)
+    inv: dict[int, int] = {}
+    directly_finite = True
+    for m in searched:
+        if m in identities:
+            inv[m] = m
+            continue
+        row, unit = rows[m], ident[src[m]]
+        for g in back[src[m], tgt[m]]:
+            if row[g] == unit:
+                if rows[g][m] == ident[tgt[m]]:
+                    inv[m] = g
+                    break
+                directly_finite = False
+    return inv, directly_finite
+
+
 def _rows_of(cat: FinCat) -> _Rows:
     """The rows of ``cat``: those a category validated from a manifest keeps,
     or rows read in one pass over the table that any other FinCat holds
@@ -474,11 +592,11 @@ def _rows_of(cat: FinCat) -> _Rows:
 
 
 class _TableOnFirstRead:
-    """``FinCat.composition`` of a category that holds a builder in place of
-    its table (see ``FinCat``): the first read runs the builder, stores the
-    table on the instance and drops the builder.  A non-data descriptor, so a
-    table already on the instance (every other FinCat) shadows it and is read
-    directly."""
+    """``FinCat.composition`` of a category validated from a manifest, which
+    holds a builder in place of its table: the first read runs the builder,
+    stores the table on the instance and drops the builder.  A non-data
+    descriptor, so a table already on the instance (every other FinCat)
+    shadows it and is read directly."""
 
     def __get__(self, cat, owner=None):
         if cat is None:
@@ -506,19 +624,6 @@ def _headers(objects, morphisms, identity) -> dict:
         "_by_source": {k: tuple(v) for k, v in by_source.items()},
         "_identity_names": frozenset(identity.values()),
     }
-
-
-def _lazy_total(objects, morphisms, identity, name, invertible, directly_finite,
-                build_composition) -> FinCat:
-    """A FinCat whose composition table ``build_composition()`` makes on first
-    read, with its inverse data handed in: ``invertible`` maps each invertible
-    morphism to its inverse and ``directly_finite`` is the truth of that
-    property.  Unchecked: for Grothendieck totals of validated diagrams, whose
-    inverse data ``hocolim._grothendieck`` reads off the diagram with proof."""
-    return _trusted(FinCat, objects=objects, morphisms=morphisms, identity=identity, name=name,
-                    _invertible=invertible, _directly_finite=directly_finite,
-                    _build_composition=build_composition,
-                    **_headers(objects, morphisms, identity))
 
 
 def validate(raw: Mapping, name: str = "C") -> FinCat:
@@ -788,47 +893,51 @@ class PredicateReport:
 
 
 def classify(cat: FinCat) -> PredicateReport:
-    """Compute structural predicates from the tables.
+    """Compute structural predicates from what ``_ends_of`` reads: the int
+    arrays ``cat`` keeps, or its records.
 
-    Each predicate is one pass over the morphisms (skeletal: no invertible
-    arrow between distinct objects), except direct finiteness, which the
-    inverse search of ``FinCat._find_invertibles`` already decided.
+    Every identity is an endomorphism, one per object, so ``cat`` is a
+    scwol when those are all its endomorphisms; it is EI when every
+    endomorphism is invertible, a groupoid when every morphism is, and
+    skeletal when every invertible morphism is an endomorphism.  So each of
+    those is a count (``_Ends.endomorphisms``, ``_Ends.census``).
+    Connectivity is one union-find pass over the non-empty hom-sets
+    (``_Ends.hom_rows``).  Direct finiteness was decided when ``cat`` was
+    built: by the inverse search of its table or rows
+    (``FinCat._find_invertibles``, ``_Rows.set_inverses``), or, for a
+    Grothendieck total over a directly finite index, from its vertices
+    (``hocolim._grothendieck``).
     """
-    is_skeletal = not any(
-        m.source != m.target and cat.is_invertible(m.name) for m in cat.morphisms
-    )
+    ends = _ends_of(cat)
+    endos = ends.endomorphisms()
+    morphisms, invertibles, invertible_endos = ends.census()
 
-    # connectivity under the zigzag relation: one union-find pass over the
-    # endpoints of the morphisms, counting the merges
-    parent = {x: x for x in cat.objects}
-
-    def root(x: str) -> str:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    components = len(cat.objects)
-    for m in cat.morphisms:
-        a, b = root(m.source), root(m.target)
-        if a != b:
-            parent[a] = b
-            components -= 1
-    is_connected = components <= 1
+    # connectivity under the zigzag relation, counting the merges
+    parent = list(range(len(cat)))
+    components = len(parent)
+    for a, row in enumerate(ends.hom_rows()):
+        for b in row:
+            while parent[a] != a:
+                parent[a] = a = parent[parent[a]]
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
+            if a != b:
+                parent[a] = b
+                components -= 1
 
     return PredicateReport(
-        is_scwol=_is_scwol(cat),
-        is_EI=_is_EI(cat),
+        is_scwol=endos == len(cat),
+        is_EI=invertible_endos == endos,
         is_directly_finite=cat._directly_finite,
-        is_groupoid=_is_groupoid(cat),
-        is_skeletal=is_skeletal,
-        is_connected=is_connected,
+        is_groupoid=invertibles == morphisms,
+        is_skeletal=invertible_endos == invertibles,
+        is_connected=components <= 1,
     )
 
 
 def _is_scwol(cat: FinCat) -> bool:
-    """``classify(cat).is_scwol`` in one pass: every endomorphism is an identity."""
-    return all(m.source != m.target or cat.is_identity(m.name) for m in cat.morphisms)
+    """``classify(cat).is_scwol``."""
+    return _ends_of(cat).endomorphisms() == len(cat)
 
 
 def _is_thin(cat: FinCat) -> bool:
@@ -840,20 +949,22 @@ def _is_thin(cat: FinCat) -> bool:
 def _require_scwol(cat: FinCat) -> None:
     """Raise NotScwol, with the first non-identity endomorphism as witness,
     unless every endomorphism of ``cat`` is an identity."""
-    for m in cat.morphisms:
-        if m.source == m.target and not cat.is_identity(m.name):
-            raise NotScwol(f"{cat.name} has a non-identity endomorphism",
-                           witness={"morphism": m.name})
+    if _is_scwol(cat):
+        return
+    m = next(m.name for m in cat.morphisms if m.source == m.target and not cat.is_identity(m.name))
+    raise NotScwol(f"{cat.name} has a non-identity endomorphism", witness={"morphism": m})
 
 
 def _is_EI(cat: FinCat) -> bool:
-    """``classify(cat).is_EI`` in one pass: every endomorphism is invertible."""
-    return all(m.source != m.target or cat.is_invertible(m.name) for m in cat.morphisms)
+    """``classify(cat).is_EI``."""
+    ends = _ends_of(cat)
+    return ends.census()[2] == ends.endomorphisms()
 
 
 def _is_groupoid(cat: FinCat) -> bool:
-    """``classify(cat).is_groupoid``: every morphism has an inverse."""
-    return len(cat._invertible) == len(cat.morphisms)
+    """``classify(cat).is_groupoid``."""
+    morphisms, invertibles, _ = _ends_of(cat).census()
+    return invertibles == morphisms
 
 
 # -- isomorphism classes and automorphism groups ------------------------------
@@ -867,23 +978,26 @@ class IsoClasses:
     all_endos_invertible: Mapping[str, bool]
 
 
-def _iso_partition(cat: FinCat) -> tuple[tuple[str, ...], ...]:
-    """Isomorphism classes, each sorted, in the order of their least object.
+def _iso_roots(cat: FinCat) -> list[int]:
+    """The least object index of each object's isomorphism class, by object
+    index, from the invertible morphisms of ``_ends_of``.  The class of x is
+    x with the targets of the invertible arrows out of x (isomorphism is
+    symmetric and transitive in a lawful category), so its least index is
+    the least of those."""
+    root = list(range(len(cat)))
+    for x, y in _ends_of(cat).invertible_ends():
+        if y < root[x]:
+            root[x] = y
+    return root
 
-    In sorted order, the next object x not yet placed is the least of its
-    class, which is x with the targets of the invertible arrows out of x
-    (isomorphism is symmetric and transitive in a lawful category).
-    """
-    placed: set[str] = set()
-    classes = []
-    for x in sorted(cat.objects):
-        if x in placed:
-            continue
-        cls = {x}
-        cls.update(cat.target(m) for m in cat.morphisms_from(x) if cat.is_invertible(m))
-        placed |= cls
-        classes.append(tuple(sorted(cls)))
-    return tuple(classes)
+
+def _iso_partition(cat: FinCat) -> tuple[tuple[str, ...], ...]:
+    """Isomorphism classes, each sorted, in the order of their least object:
+    the classes of ``_iso_roots``, named."""
+    classes: dict[int, list[str]] = {}
+    for x, r in zip(cat.objects, _iso_roots(cat)):
+        classes.setdefault(r, []).append(x)
+    return tuple(sorted(tuple(sorted(cls)) for cls in classes.values()))
 
 
 def iso_classes(cat: FinCat) -> IsoClasses:
@@ -947,10 +1061,9 @@ def _skeleton_category(cat: FinCat) -> FinCat:
     """``skeleton(cat).category`` alone, for callers that read nothing else:
     no functors or natural isomorphism are built, and a skeletal input (every
     class a singleton) is returned as it is."""
-    classes = _iso_partition(cat)
-    if len(classes) == len(cat.objects):
+    if all(r == x for x, r in enumerate(_iso_roots(cat))):
         return cat
-    return full_subcategory(cat, [cls[0] for cls in classes], name=f"sk({cat.name})")
+    return full_subcategory(cat, [cls[0] for cls in _iso_partition(cat)], name=f"sk({cat.name})")
 
 
 def _retract(cat: FinCat, rep_of: Mapping[str, str], name: str) -> SkeletonData:
@@ -998,16 +1111,10 @@ def skeleton(cat: FinCat) -> SkeletonData:
 
 def _count_rows(cat: FinCat, transpose: bool = False) -> list[dict[int, int]]:
     """Sparse rows {j: |mor(x_i, x_j)|} of the hom-count matrix, indexed by
-    the object order (or of its transpose); only non-zero counts are stored."""
-    index = {x: i for i, x in enumerate(cat.objects)}
-    rows: list[dict[int, int]] = [{} for _ in cat.objects]
-    for m in cat.morphisms:
-        i, j = index[m.source], index[m.target]
-        if transpose:
-            i, j = j, i
-        row = rows[i]
-        row[j] = row.get(j, 0) + 1
-    return rows
+    the object order (or of its transpose), from ``_ends_of``; only
+    non-zero counts are stored, in the order of the first morphism of each
+    hom-set."""
+    return _ends_of(cat).hom_rows(transpose)
 
 
 def _topological_order(rows: Sequence[Mapping[int, int]]) -> Optional[list[int]]:

@@ -6,7 +6,9 @@ One builder serves strict and pseudo diagrams alike: it asks the diagram
 for its coherence inverses (``unit_inv``, ``comp_inv``), which are
 identities for a strict diagram.  A pseudo diagram holds each coherence
 isomorphism as its table of components, as its manifest does: the edges
-already fix the functors it runs between.
+already fix the functors it runs between.  The builder writes the total as
+integer arrays (``_Total``); its names and composition table are made when
+first read.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import EulcatError, ValidationError, _trusted
 from .eulerchar import _scwol_weights, chi_scwol, chi2_free_EI, groupoid_chi2
@@ -22,17 +24,19 @@ from .fincat import (
     CatFunctor,
     FinCat,
     Morphism,
+    _Ends,
     _check_natural,
     _composite_arrays,
     _composite_maps,
     _count_rows,
     _functor_arrays,
+    _headers,
     _identity_arrays,
     _identity_maps,
+    _inverse_search,
     _is_groupoid,
     _is_scwol,
-    _iso_partition,
-    _lazy_total,
+    _iso_roots,
     _require_scwol,
     _rows_of,
     _skeleton_category,
@@ -295,8 +299,176 @@ class GrothendieckResult:
         return alphas
 
 
+class _OnFirstRead:
+    """A name field of ``_Total``.  Its first read has the total make it
+    (``_Total._make``) and store it on the instance, which shadows this
+    non-data descriptor, so later reads find it there directly."""
+
+    def __set_name__(self, owner, name: str):
+        self.name = name
+
+    def __get__(self, total, owner=None):
+        if total is None:
+            return self
+        total._make(self.name)
+        return total.__dict__[self.name]
+
+
+class _Total(FinCat):
+    """A Grothendieck total as ``_grothendieck`` writes it: integer arrays,
+    with the names made when they are first read.
+
+    ``_arrays`` (a ``fincat._Ends``: ``src``, ``tgt``, ``ident`` and
+    ``inv``) is what ``classify``, ``_count_rows`` and ``_iso_roots`` read,
+    and ``_plan`` (a ``_Numbering``) is what names and composes the
+    morphisms.  The object names are made on their first read.  The first
+    read of the morphism records, ``identity``, ``_invertible`` or a lookup
+    table of ``fincat._headers`` makes all of those, and the first read of
+    ``composition`` makes the table.  Names and order are those of the
+    name-level construction.  Only this class carries the descriptors, so
+    no other FinCat pays for them.
+    """
+
+    objects = _OnFirstRead()
+    morphisms = _OnFirstRead()
+    identity = _OnFirstRead()
+    composition = _OnFirstRead()
+    _mor = _OnFirstRead()
+    _hom = _OnFirstRead()
+    _by_source = _OnFirstRead()
+    _identity_names = _OnFirstRead()
+    _invertible = _OnFirstRead()
+
+    def __len__(self) -> int:
+        return len(self._arrays.ident)
+
+    def _make(self, attr: str) -> None:
+        """Store the name field ``attr`` on the instance, with those made
+        alongside it."""
+        fields, plan, arrays = self.__dict__, self._plan, self._arrays
+        if "objects" not in fields:
+            fields["objects"] = plan.object_names()
+        if attr == "objects":
+            return
+        if "morphisms" not in fields:
+            objs, names = fields["objects"], plan.morphism_names()
+            mors = tuple(map(Morphism, names, [objs[x] for x in arrays.src],
+                             [objs[y] for y in arrays.tgt]))
+            identity = {x: names[e] for x, e in zip(objs, arrays.ident)}
+            fields.update(_headers(objs, mors, identity), morphisms=mors, identity=identity,
+                          _invertible={names[m]: names[g] for m, g in arrays.inv.items()})
+        if attr == "composition":
+            names = [m.name for m in fields["morphisms"]]
+            fields["composition"] = {(names[q], name): names[base + pos[h[g]]]
+                                     for name, runs in zip(names, plan.runs())
+                                     for first, base, h, gs, pos in runs
+                                     for q, g in enumerate(gs, first)}
+
+
+class _VertexOrder:
+    """The morphisms of a vertex category C out of each object x, in the
+    order (u, f)@c lists them when C(u)(c) = x: by target object, then in
+    ``C.morphisms`` order, which is Hom(x, e) for each e in turn.
+
+    ``index`` numbers the objects; ``out[x]`` holds the names and
+    ``ends[x]`` the target indices; ``pos[f]`` is the place of f in the
+    list of its source."""
+
+    __slots__ = ("index", "out", "ends", "pos")
+
+    def __init__(self, cat: FinCat):
+        self.index = index = {x: k for k, x in enumerate(cat.objects)}
+        self.out = out = [[] for _ in index]
+        self.ends = ends = [[] for _ in index]
+        for x, y, fs in sorted([(index[x], index[y], fs) for (x, y), fs in cat._hom.items()]):
+            out[x] += fs
+            ends[x] += [y] * len(fs)
+        self.pos = {f: q for fs in out for q, f in enumerate(fs)}
+
+
+class _Numbering:
+    """How ``_grothendieck`` numbered a total, kept to name and compose its
+    morphisms on request.
+
+    ``place[i]`` is the index of the first object (i, c) and the
+    ``_VertexOrder`` of C(i); ``starts[u][k]`` is the index of the first
+    morphism (u, f)@c, for the k-th object c of C(source(u)); ``blocks``
+    holds each run of morphisms (u, f)@c with u and c fixed, as
+    (i, k, u, j, x) in morphism order, where u: i -> j and x is the index
+    of C(u)(c) in C(j).  ``rows`` holds the composites once they are made."""
+
+    __slots__ = ("diagram", "place", "starts", "blocks", "rows")
+
+    def __init__(self, diagram: Diagram):
+        self.diagram, self.place, self.starts, self.blocks, self.rows = diagram, {}, {}, [], None
+
+    def object_names(self) -> tuple[str, ...]:
+        d = self.diagram
+        return tuple([_pair_obj(i, c) for i in d.index.objects for c in d.vertex[i].objects])
+
+    def morphism_names(self) -> list[str]:
+        d, place = self.diagram, self.place
+        names = []
+        for i, k, u, j, x in self.blocks:
+            c = d.vertex[i].objects[k]
+            names += [_triple_mor(u, f, c) for f in place[j][1].out[x]]
+        return names
+
+    def runs(self) -> Iterator[list[tuple]]:
+        """The composites of each morphism m = (u, f)@c, in index order, as
+        runs (first, base, h, gs, pos), one for each v out of j in turn: the
+        morphism first + k out of t(m) is (v, g)@e with g = gs[k], and
+        (v, g)@e o (u, f)@c = (v o u, g o C(v)(f) o comp_inv(v, u, c))@c is
+        the morphism base + pos[h[g]].  Here h is the row of
+        C(v)(f) o comp_inv(v, u, c) in the int rows of its vertex
+        (``fincat._rows_of``), base is the first morphism (v o u, -)@c and
+        pos the place of each morphism of that vertex in its list
+        (``_VertexOrder``); C(v) is read off the edge's int arrays."""
+        d, place, starts = self.diagram, self.place, self.starts
+        idx = d.index
+        local: dict[FinCat, tuple] = {}
+        edges: dict[str, tuple[list[int], list[int]]] = {}
+
+        def local_of(i: str) -> tuple:
+            """The rows of C(i), and its ``_VertexOrder`` by morphism index."""
+            cat = d.vertex[i]
+            if cat not in local:
+                r, order = _rows_of(cat), place[i][1]
+                pos = [0] * len(r.names)
+                for f, q in order.pos.items():
+                    pos[r.index[f]] = q
+                local[cat] = r, [[r.index[f] for f in fs] for fs in order.out], pos
+            return local[cat]
+
+        for i, k, u, j, x in self.blocks:
+            c = d.vertex[i].objects[k]
+            out_j = local_of(j)[1][x]
+            # per v out of j: everything about (v o u, c) that does not depend on f
+            steps = []
+            for v in idx.morphisms_from(j):
+                r, out, pos = local_of(idx.target(v))
+                if v not in edges:
+                    edges[v] = _functor_arrays(d.edge[v], r)
+                obj_image, mor_image = edges[v]
+                steps.append((r.rows, r.rows[r.index[d.comp_inv(v, u, c)]], obj_image, mor_image,
+                              starts[idx.compose(v, u)][k], starts[v], out, pos))
+            for f, e in zip(out_j, place[j][1].ends[x]):
+                yield [(first[e], base, vrows[after_inv[mor_image[f]]], out[obj_image[e]], pos)
+                       for vrows, after_inv, obj_image, mor_image, base, first, out, pos in steps]
+
+    def composites(self) -> list[dict[int, int]]:
+        """The composition rows of ``runs``, made once: ``rows[m][q]`` is
+        the index of q o m, for q in the order of the morphisms out of the
+        target of m."""
+        if self.rows is None:
+            self.rows = [{q: base + pos[h[g]] for first, base, h, gs, pos in runs
+                          for q, g in enumerate(gs, first)} for runs in self.runs()]
+        return self.rows
+
+
 def _grothendieck(d: Diagram) -> FinCat:
-    """The Grothendieck construction of a strict or pseudo diagram.
+    """The Grothendieck construction of a strict or pseudo diagram, written
+    as the integer arrays of a ``_Total``.
 
     Objects are pairs (i, c); a morphism (i,c) -> (j,e) is a pair (u, f)
     with u: i -> j and f: C(u)(c) -> e, named ``(u,f)@c``.  Composition is
@@ -305,9 +477,14 @@ def _grothendieck(d: Diagram) -> FinCat:
     inverses looked up on the diagram (identities for a strict diagram).
     No law is checked: the diagram's checks make it a category (arXiv:1007.3868).
 
+    The objects are numbered i-major and the morphisms (u, f)@c by i, then
+    c, then u in ``morphisms_from(i)`` order, then f by target and in
+    ``C(j).morphisms`` order (``_VertexOrder``).  The builder writes the
+    endpoints, the identities and the inverses as indices; names and the
+    composition table are made on first read (``_Total``).
+
     When the index is directly finite (every scwol and every EI category
-    is), the inverse data is read off the diagram and the composition table
-    is built on its first read (``fincat._lazy_total``):
+    is), the inverse data is read off the diagram:
 
     - (u, f)@c is invertible exactly when u is invertible in the index and f
       in C(j).  If (v, g) is its inverse, v is u's, and g o C(v)(f) and
@@ -317,78 +494,95 @@ def _grothendieck(d: Diagram) -> FinCat:
       g = unit_inv(i, c) o comp_inv(u^-1, u, c)^-1 o C(u^-1)(f^-1): composed
       after (u, f) it gives (id_i, unit_inv(i, c)), since C(u^-1) is a
       functor, and a left inverse of an invertible arrow is its inverse.
+      For a strict diagram and u = id_i, C(id_i) is the identity and the
+      coherences are identities, so g = f^-1.
     - The total is directly finite exactly when every C(i) is.  A left
       inverse (v, g) of (u, f) has v o u = id_i, so u is invertible, and
       g o C(v)(f) is an isomorphism: a one-sided inverse in C(i), which
       makes C(v)(f), and so f, invertible when C(i) is directly finite.
       Conversely, f |-> (id_i, f o unit_inv(i, c)) embeds C(i) faithfully.
 
-    Over any other index the table is built at once and searched for
-    inverses.
+    Over any other index the composition rows are made at once and
+    searched for inverses (``fincat._inverse_search``), and direct
+    finiteness comes from that search.
     """
     idx = d.index
-    lift = idx._directly_finite
-    objs = []
-    mors = []
-    ident = {}
-    inv: dict[str, str] = {}
-    # names[(u, c)][f] is the name of (u, f)@c; the f run through the
-    # morphisms out of C(u)(c) in target order, the order of ``mors``
-    names: dict[tuple[str, str], dict[str, str]] = {}
+    plan = _Numbering(d)
+    place, starts, blocks = plan.place, plan.starts, plan.blocks
+    orders: dict[FinCat, _VertexOrder] = {}
+    shifted = {}  # shifted[i][x]: the target indices of the morphisms out of (i, x)
+    n = 0
     for i in idx.objects:
         ci = d.vertex[i]
-        for c in ci.objects:
-            src = _pair_obj(i, c)
-            objs.append(src)
-            for u in idx.morphisms_from(i):
-                j = idx.target(u)
-                cj = d.vertex[j]
-                uc = d.edge[u].obj_map[c]
-                named = names[(u, c)] = {}
-                for e in cj.objects:
-                    tgt = _pair_obj(j, e)
-                    for f in cj.hom(uc, e):
-                        named[f] = name = _triple_mor(u, f, c)
-                        mors.append(Morphism(name, src, tgt))
-                if lift and idx.is_invertible(u):
-                    v = idx.inverse(u)
-                    # unit_inv(i, c) o comp_inv(v, u, c)^-1: C(v)C(u)(c) -> c
-                    back = ci.compose(d.unit_inv(i, c), ci.inverse(d.comp_inv(v, u, c)))
-                    v_mor = d.edge[v].mor_map
-                    for f, name in named.items():
-                        if cj.is_invertible(f):
-                            g = ci.compose(back, v_mor[cj.inverse(f)])
-                            inv[name] = _triple_mor(v, g, cj.target(f))
-            ident[src] = names[(idx.identity[i], c)][d.unit_inv(i, c)]
+        order = orders.get(ci)
+        if order is None:
+            order = orders[ci] = _VertexOrder(ci)
+        place[i] = (n, order)
+        shifted[i] = [[n + e for e in ends] for ends in order.ends]
+        n += len(ci.objects)
 
-    def table() -> dict[tuple[str, str], str]:
-        comp = {}
-        for (u, c), named in names.items():
-            cj = d.vertex[idx.target(u)]
-            # per v out of j: everything about (v o u, c) that does not depend on f
-            steps = [
-                (
-                    v,
-                    d.vertex[idx.target(v)].composition,
-                    d.edge[v].mor_map,
-                    d.comp_inv(v, u, c),
-                    names[(idx.compose(v, u), c)],
-                )
-                for v in idx.morphisms_from(idx.target(u))
-            ]
-            for f, name in named.items():
-                e = cj.target(f)
-                for v, k_comp, v_mor, comp_inv, composite in steps:
-                    h = k_comp[(v_mor[f], comp_inv)]
-                    for g, g_name in names[(v, e)].items():
-                        comp[(g_name, name)] = composite[k_comp[(g, h)]]
-        return comp
+    src: list[int] = []
+    tgt: list[int] = []
+    for i in idx.objects:
+        first = place[i][0]
+        objs = d.vertex[i].objects
+        steps = []
+        for u in idx.morphisms_from(i):
+            j = idx.target(u)
+            obj_map, index = d.edge[u].obj_map, place[j][1].index
+            steps.append((u, j, [index[obj_map[c]] for c in objs], shifted[j],
+                          starts.setdefault(u, [])))
+        for k in range(len(objs)):
+            for u, j, image, ends, start in steps:
+                x = image[k]
+                start.append(len(src))
+                blocks.append((i, k, u, j, x))
+                tgt += ends[x]
+                src += [first + k] * len(ends[x])
 
-    name = f"hocolim({idx.name})"
-    if not lift:
-        return FinCat(tuple(objs), tuple(mors), ident, table(), name=name, check=False)
-    directly_finite = all(d.vertex[i]._directly_finite for i in idx.objects)
-    return _lazy_total(tuple(objs), tuple(mors), ident, name, inv, directly_finite, table)
+    ident = []
+    for i in idx.objects:
+        start, pos = starts[idx.identity[i]], place[i][1].pos
+        ident += [start[k] + pos[d.unit_inv(i, c)] for k, c in enumerate(d.vertex[i].objects)]
+
+    if idx._directly_finite:
+        inv = _lifted_inverses(d, plan)
+        directly_finite = all(d.vertex[i]._directly_finite for i in idx.objects)
+    else:
+        inv, directly_finite = _inverse_search(plan.composites(), src, tgt, ident)
+    return _trusted(_Total, name=f"hocolim({idx.name})", _arrays=_Ends(src, tgt, ident, inv),
+                    _plan=plan, _directly_finite=directly_finite)
+
+
+def _lifted_inverses(d: Diagram, plan: _Numbering) -> dict[int, int]:
+    """Each invertible morphism of the total to its inverse, by index and in
+    morphism order, read off the diagram over a directly finite index (see
+    ``_grothendieck``)."""
+    idx, place, starts = d.index, plan.place, plan.starts
+    strict = isinstance(d, StrictDiagram)
+    inv: dict[int, int] = {}
+    for i, k, u, j, x in plan.blocks:
+        if not idx.is_invertible(u):
+            continue
+        order_i, order_j = place[i][1], place[j][1]
+        ci, cj, v = d.vertex[i], d.vertex[j], idx.inverse(u)
+        start, pos, m = starts[v], order_i.pos, starts[u][k]
+        out, ends = order_j.out[x], order_j.ends[x]
+        if strict and u == idx.identity[i]:  # the inverse of (id_i, f)@c is (id_i, f^-1)@e
+            inverse = cj._invertible
+            for q, f in enumerate(out, m):
+                g = inverse.get(f)
+                if g is not None:
+                    inv[q] = start[ends[q - m]] + pos[g]
+            continue
+        c = ci.objects[k]
+        # unit_inv(i, c) o comp_inv(v, u, c)^-1: C(v)C(u)(c) -> c
+        back = ci.compose(d.unit_inv(i, c), ci.inverse(d.comp_inv(v, u, c)))
+        v_mor = d.edge[v].mor_map
+        for q, (f, e) in enumerate(zip(out, ends), m):
+            if cj.is_invertible(f):
+                inv[q] = start[e] + pos[ci.compose(back, v_mor[cj.inverse(f)])]
+    return inv
 
 
 def grothendieck(d: StrictDiagram) -> GrothendieckResult:
@@ -463,9 +657,8 @@ def _total_counts(d: Diagram) -> tuple[list[dict[int, int]], Callable[[], list[i
             root[max(a, b)] = min(a, b)
 
         for i in idx.objects:
-            for cls in _iso_partition(d.vertex[i]):
-                for c in cls[1:]:
-                    join(at(i, cls[0]), at(i, c))
+            for c, r in enumerate(_iso_roots(d.vertex[i])):
+                join(offset[i] + r, offset[i] + c)
             for u in idx.morphisms_from(i):
                 if idx.is_invertible(u):
                     j, obj_map = idx.target(u), d.edge[u].obj_map

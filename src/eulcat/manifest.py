@@ -186,10 +186,11 @@ def pseudo_diagram_payload(d: PseudoDiagram) -> dict:
 
 def pseudo_diagram_from_payload(payload: Mapping) -> PseudoDiagram:
     index, vertex, edge = _diagram_parts(payload)
-    comp = {}
+    comp, mor = {}, index._mor
     for v, u, components in _entries(payload.get("comp", []), "comp"):
         v, u = str(v), str(u)
-        if (v, u) not in index.composition:
+        # composable read off the endpoints: the index's table has every such pair
+        if u not in mor or v not in mor or mor[u].target != mor[v].source:
             raise BadManifest(f"comp entry for non-composable pair ({v!r}, {u!r})",
                               witness={"pair": (v, u)})
         comp[(v, u)] = _str_map(components)

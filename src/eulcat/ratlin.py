@@ -5,7 +5,7 @@ rows, by the first route that applies: back-substitution when the arrows
 between distinct objects form no cycle; otherwise the same on the system
 condensed onto isomorphism classes; and only when that is still cyclic,
 Gaussian elimination (``solve_linear``) on the condensed matrix.  Its rows
-come from a category (``_count_rows`` and ``_iso_partition``) or, for the
+come from a category (``_count_rows`` and ``_iso_roots``) or, for the
 Grothendieck construction of a strict diagram, from the diagram itself
 (``hocolim``).  The kernel works in integers: back-substitution carries
 each weight as a numerator over one running denominator, the lcm of the
@@ -25,7 +25,7 @@ from math import gcd, lcm
 from typing import Callable, Mapping, Optional, Sequence
 
 from .errors import EulcatError, InvariantViolation, _trusted
-from .fincat import FinCat, _count_rows, _iso_partition, _topological_order
+from .fincat import FinCat, _count_rows, _iso_roots, _topological_order
 
 Rational = Fraction
 
@@ -261,13 +261,18 @@ class Weighting:
 
 def _class_reps(cat: FinCat) -> Callable[[], list[int]]:
     """The condensation callback for ``_support`` on the hom-count rows of
-    ``cat``: the first object, in object order, of each ``_iso_partition``
-    class, as row indices in increasing order."""
+    ``cat``: the first object, in object order, of each isomorphism class
+    (``_iso_roots``), as row indices in increasing order."""
     def reps_of() -> list[int]:
-        index = {x: i for i, x in enumerate(cat.objects)}
-        return sorted(min(index[x] for x in cls) for cls in _iso_partition(cat))
+        return [x for x, r in enumerate(_iso_roots(cat)) if r == x]
 
     return reps_of
+
+
+def _label(cat: FinCat) -> Callable[[int], str]:
+    """The name of an object of ``cat`` by index, read only when a failure
+    is reported."""
+    return lambda k: cat.objects[k]
 
 
 def _weigh_category(cat: FinCat, side: str = "weighting") -> tuple[list[int], int, bool]:
@@ -275,8 +280,7 @@ def _weigh_category(cat: FinCat, side: str = "weighting") -> tuple[list[int], in
     coweighting), condensed if need be onto ``_class_reps``: ``(nums, den,
     unique)`` in object order, and no Fraction made."""
     rows = _count_rows(cat, transpose=(side == "coweighting"))
-    return _weigh(rows, _support(rows, _class_reps(cat)), side, cat.name,
-                  cat.objects.__getitem__)
+    return _weigh(rows, _support(rows, _class_reps(cat)), side, cat.name, _label(cat))
 
 
 def _solve(cat: FinCat, side: str) -> Weighting:
@@ -310,7 +314,7 @@ def coweighting(cat: FinCat) -> Weighting:
 def chi_L(cat: FinCat) -> Fraction:
     """Leinster Euler characteristic: the common sum of a weighting and a
     coweighting; raises if either is missing."""
-    return _chi_L_of_rows(_count_rows(cat), _class_reps(cat), cat.name, cat.objects.__getitem__)
+    return _chi_L_of_rows(_count_rows(cat), _class_reps(cat), cat.name, _label(cat))
 
 
 def _chi_L_of_rows(

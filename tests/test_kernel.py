@@ -452,6 +452,72 @@ class TestIsoClassesAgainstAllPairs:
         assert len(_skeleton_category(cat).objects) == 1
 
 
+def hom_count_rows(cat):
+    """The hom-count rows by object index, counted over every object pair by
+    name: the reference for ``_count_rows``."""
+    return [{j: len(cat.hom(x, y)) for j, y in enumerate(cat.objects) if cat.hom(x, y)}
+            for x in cat.objects]
+
+
+def stored(cat):
+    """``cat`` as each kind of FinCat: itself, and validated from its
+    manifest, which keeps its rows (with the entries shuffled)."""
+    payload = manifest.category_payload(cat)
+    Random(len(payload["compose"])).shuffle(payload["compose"])
+    return [cat, fincat.validate(payload, name=cat.name)]
+
+
+def assert_predicates_of(cat):
+    """classify, the one-pass predicates, the hom counts and the iso
+    classes of ``cat`` against the all-pairs references, which read names;
+    ``cat``'s own reads come first, so a total is read off its arrays."""
+    report = classify(cat)
+    predicates = (_is_scwol(cat), _is_EI(cat), _is_groupoid(cat))
+    rows = (_count_rows(cat), _count_rows(cat, transpose=True))
+    classes = fincat._iso_partition(cat)
+    assert report == all_pairs_classify(cat)
+    assert predicates == (report.is_scwol, report.is_EI, report.is_groupoid)
+    want = hom_count_rows(cat)
+    assert [dict(sorted(r.items())) for r in rows[0]] == want
+    assert [dict(sorted(r.items())) for r in rows[1]] == hom_count_rows(opposite(cat))
+    assert classes == all_pairs_iso_classes(cat)[0]
+
+
+class TestClassifyOnEveryStore:
+    """One predicate implementation, reading a Grothendieck total's arrays, a
+    manifest category's rows, or the records of any other FinCat."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(strict_diagrams)
+    def test_totals(self, d):
+        assert_predicates_of(grothendieck(d).category)
+        assert_predicates_of(hocolim.grothendieck_pseudo(PseudoDiagram.from_strict(d)))
+
+    def test_totals_over_an_index_not_directly_finite(self):
+        for vertex in (zoo.terminal_category(), zoo.one_object_category(cyclic_group(3)),
+                       split_idempotent()):
+            assert_predicates_of(grothendieck(constant_diagram(split_idempotent(), vertex)).category)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(scwols, posets, groupoids.map(lambda g: g.category), grothendieck_totals))
+    def test_manifest_categories_and_records(self, cat):
+        for each in stored(cat):
+            assert_predicates_of(each)
+
+    @pytest.mark.parametrize("build", [
+        split_idempotent,
+        zoo.monoid_z2_mult,
+        zoo.gamma_one,
+        lambda: zoo.inflate(zoo.one_object_category(cyclic_group(3)), {"*": 2}),
+        lambda: product(zoo.monoid_z2_mult(), zoo.pushout_scwol()),
+        lambda: zoo.discrete_category([]),
+        lambda: zoo.discrete_category("abc"),
+    ], ids=["split", "Z2-mult", "gamma1", "inflated-Z3", "product", "empty", "discrete"])
+    def test_hand_built(self, build):
+        for each in stored(build()):
+            assert_predicates_of(each)
+
+
 def test_full_subcategory_reads_an_iterator_once():
     cat = zoo.subsets_poset_opposite(2)
     kept = full_subcategory(cat, iter(cat.objects[1:]))
@@ -487,10 +553,12 @@ class TestOnePassScwolCheck:
         ids=["bar_spectrum", "haefliger_chi"],
     )
     def test_one_skeleton_pass_and_no_classify(self, monkeypatch, run, partitions):
-        counts = {"classify": 0, "_iso_partition": 0}
+        # a skeletal input is recognised from its iso roots alone, with no
+        # named partition made
+        counts = {"classify": 0, "_iso_roots": 0, "_iso_partition": 0}
         count_calls(monkeypatch, counts)
         run()
-        assert counts == {"classify": 0, "_iso_partition": partitions}
+        assert counts == {"classify": 0, "_iso_roots": partitions, "_iso_partition": 0}
 
 
 class TestOnePassPredicates:
@@ -816,6 +884,35 @@ class TestTableOnFirstRead:
         index, vertex, edge = manifest._diagram_parts(pseudo_payload)
         PseudoDiagram(index, vertex, edge, pseudo.comp, pseudo.unit)
         assert kernel_calls == {"passes": 2 + len(vertex), "tables": 0}
+
+    def test_loading_a_pseudo_manifest_builds_no_table(self, kernel_calls):
+        """``pseudo_diagram_from_payload`` reads off the endpoints that each
+        comp entry names a composable pair, so a load builds no name table,
+        the index's included."""
+        flag, h = s3_flag_action()
+        pseudo = complex_to_pseudo_diagram(complex_of_groups(flag, h_elements=h).complex)
+        payload = manifest.pseudo_diagram_payload(pseudo)
+        kernel_calls["tables"] = 0
+        loaded = manifest.pseudo_diagram_from_payload(payload)
+        assert kernel_calls["tables"] == 0 and "composition" not in vars(loaded.index)
+
+    def test_comp_entry_for_a_pair_that_does_not_compose(self):
+        """A comp entry whose pair does not compose, or names no index
+        morphism, is rejected with the pair as witness, as a lookup in the
+        index's table would."""
+        flag, h = s3_flag_action()
+        pseudo = complex_to_pseudo_diagram(complex_of_groups(flag, h_elements=h).complex)
+        index = pseudo.index
+        u = next(m.name for m in index.morphisms if not index.is_identity(m.name))
+        v = next(m.name for m in index.morphisms if m.source != index.target(u))
+        for pair in ((v, u), ("nosuch", u), (u, "nosuch")):
+            assert pair not in index.composition
+            payload = manifest.pseudo_diagram_payload(pseudo)
+            payload["comp"].append([*pair, {}])
+            with pytest.raises(manifest.BadManifest) as info:
+                manifest.pseudo_diagram_from_payload(payload)
+            assert str(info.value) == f"comp entry for non-composable pair {pair!r}"
+            assert info.value.witness == {"pair": pair}
 
     def test_a_table_handed_in_is_kept(self, kernel_calls):
         """A FinCat built from a name dict checks it on the same rows and keeps
