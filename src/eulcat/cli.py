@@ -83,8 +83,9 @@ def _validate(kind, value, args):
     lines = [f"OK: valid {kind}"]
     report = {"kind": kind, "valid": True}
     if kind == "category":
-        lines.append(f"objects: {len(value.objects)}, morphisms: {len(value.morphisms)}")
-        report.update(objects=len(value.objects), morphisms=len(value.morphisms))
+        objects, morphisms = len(value), _ends_of(value).census()[0]
+        lines.append(f"objects: {objects}, morphisms: {morphisms}")
+        report.update(objects=objects, morphisms=morphisms)
     if args.json:
         report["canonical"] = manifest.serialize(kind, value)
     return lines, report, True

@@ -1,26 +1,33 @@
 """Finite categories as explicit object/morphism/composition tables.
 
 A FinCat stores everything needed to answer categorical questions by
-exhaustive search: the full composition table (which a category validated
-from a manifest and a Grothendieck total build on first read, see
-``FinCat``), identities, hom-sets.  The structural predicates
-(``classify``), the hom counts and the isomorphism classes read int arrays
-(``_Ends``: endpoints, identities and inverses by index) where a FinCat
-keeps them, and its records where it does not (``_ends_of``).
-Validation checks the endpoints of every composite, the identity laws on
-every morphism and, unless the category is thin, associativity on every
-composable triple, so downstream code may assume a lawful category.  It
-runs on integer rows (``_Rows``: one row of composites per morphism, whole
-rows compared at a time) read in one pass over the table's entries, the
-``compose`` list itself for a manifest.  The inverse search reads the same
-rows, and a validated manifest's name-keyed table is built from them on
-first read.  The functor check (``_check_functor``: a functor is two int
-arrays, its object and morphism images) and the naturality check read
-rows too (``_rows_of``): those a validated manifest keeps, or rows read in
-one pass over any other category's table.  Composition and naturality are
-checked on the rows of a generating set of morphisms
-(``_Rows.generators``), which imply the rest.  Names come back only to
-report the first failure, whose ``witness`` holds the offending names.
+exhaustive search: the full composition table, identities, hom-sets.  Two
+kinds keep integer arrays in place of their names and make each name field
+(the ``Morphism`` records, the lookup tables of ``_headers``, the
+composition table) on its first read (``_OnFirstRead``): a category
+validated from a manifest (``_Loaded``, which keeps its ``_Rows``) and a
+Grothendieck total (``hocolim._Total``, which keeps ``_Ends``).  Every
+other FinCat, built by the name-keyed constructor, holds its names from the
+start.  The structural predicates (``classify``), the hom counts and the
+isomorphism classes read int arrays (``_Ends``: endpoints, identities and
+inverses by index) where a FinCat keeps them, and its records where it
+does not (``_ends_of``).
+
+Validation checks the ids, endpoints and identity map, the endpoints of
+every composite, the identity laws on every morphism and, unless the
+category is thin, associativity on every composable triple, so downstream
+code may assume a lawful category.  It runs on integer rows (``_Rows``:
+one row of composites per morphism, whole rows compared at a time) read in
+one pass over the table's entries, the ``compose`` list itself for a
+manifest, whose ids are read into the index arrays first (``validate``).
+The inverse search reads the same rows.  The functor check
+(``_check_functor``: a functor is two int arrays, its object and morphism
+images) and the naturality check read rows too (``_rows_of``): those a
+validated manifest keeps, or rows read in one pass over any other
+category's table.  Composition and naturality are checked on the rows of a
+generating set of morphisms (``_Rows.generators``), which imply the rest.
+Names come back only to report the first failure, whose ``witness`` holds
+the offending names.
 
 Two morphisms x -> w with checked endpoints are equal when Hom(x, w) has one
 element.  So on a *thin* category (``_is_thin``: no hom-set has two
@@ -37,7 +44,7 @@ from collections import Counter
 from dataclasses import InitVar, dataclass, field
 from itertools import compress
 from operator import eq, itemgetter
-from typing import Iterable, Mapping, NoReturn, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, NoReturn, Optional, Sequence
 
 from .errors import ValidationError, _trusted
 from .groups import FinGroup, _first_repeat, _require_list
@@ -84,16 +91,15 @@ class FinCat:
     and a total composition table on composable pairs.
 
     ``composition[(g, f)]`` is the name of ``g o f`` (apply f first), defined
-    exactly when ``target(f) == source(g)``.  A category validated from a
-    manifest by ``validate`` holds a builder in place of the table, which
-    is built from the integer rows its check made, in the manifest's entry
-    order, on the first read of ``composition``, stored on the instance,
-    and the builder dropped.  It keeps those rows (``_rows``) for its
-    lifetime: the checks and predicates that meet it read them.  A
-    Grothendieck total is a ``hocolim._Total``, which keeps integer arrays
-    (``_arrays``) and makes every name field on its first read.  Every
-    other FinCat holds its names and table from construction, and where
-    it keeps no arrays the predicates read its records (``_ends_of``).
+    exactly when ``target(f) == source(g)``.  This constructor takes names
+    and holds them all from construction; where it keeps no arrays the
+    predicates read its records (``_ends_of``).  Two subclasses keep integer
+    arrays instead and make their name fields on first read: a category
+    validated from a manifest by ``validate`` is a ``_Loaded``, which keeps
+    the rows of its check (``_rows``) and makes its records, lookup tables
+    and table (in the manifest's entry order) from them, and a Grothendieck
+    total is a ``hocolim._Total``, which keeps ``_arrays`` and makes every
+    name field.
     Direct finiteness comes from the inverse search of the table or rows
     (``_find_invertibles``, ``_Rows.set_inverses``), or, for a total over a
     directly finite index, from the diagram's vertices.
@@ -114,32 +120,20 @@ class FinCat:
     _directly_finite: bool = field(init=False, repr=False)
 
     def __post_init__(self, check: bool = True):
-        try:
-            records = self._check_records(check)
-            rows = _Rows(self, *records) if check else None
-        except ValidationError:
-            self._check_listing()  # a malformed entry or a pair listed twice comes first
-            raise
-        if rows is None:
+        records = self._check_records(check)
+        if records is None:
             self._find_invertibles()
             return
-        comp = self.composition
-        from_manifest = type(comp) is _Triples
-        # each entry filled one cell, so fewer cells means a pair listed twice
-        if from_manifest and sum(map(len, rows.rows)) != len(comp.entries):
-            self._check_listing()
-        rows.check_laws(self)
+        rows = _Rows.of(self, *records)
+        rows.check_entries(((g, f, gf) for (g, f), gf in self.composition.items()), self.name)
+        rows.check_laws(self.name)
         rows.set_inverses(self)
-        if from_manifest:
-            object.__setattr__(self, "_rows", rows)
-            object.__setattr__(self, "_build_composition", rows.table)
-            del self.__dict__["composition"]
 
     def _check_records(self, check: bool) -> Optional[tuple[list, dict, dict]]:
         """Check the object and morphism ids, the endpoints and the identity
         map, and set the lookup tables of ``_headers``.  For a checked build,
-        return what ``_Rows`` reads: the morphism names, their index and the
-        object index."""
+        return what ``_Rows.of`` reads: the morphism names, their index and
+        the object index."""
         objects, morphisms = self.objects, self.morphisms
         obj_index = {x: i for i, x in enumerate(objects)} if check else set(objects)
         if len(obj_index) != len(objects):
@@ -186,23 +180,6 @@ class FinCat:
         if not check:
             return None
         return names, index, obj_index
-
-    def _check_listing(self) -> None:
-        """Raise at the faults of a manifest's ``compose`` list that are
-        reported before every other check: ValueError at the first entry of
-        other than three names (``validate`` reports it as malformed), then
-        DanglingReference at the first pair (g, f) listed twice.  A table held
-        as a dict has neither."""
-        comp = self.composition
-        if type(comp) is not _Triples:
-            return
-        pairs = [(str(g), str(f)) for g, f, _ in comp.entries]
-        if len(set(pairs)) != len(pairs):
-            pair = _first_repeat(pairs)
-            raise DanglingReference(
-                f"{self.name}: pair ({pair[0]!r}, {pair[1]!r}) is listed more than once in compose",
-                witness={"pair": pair},
-            )
 
     def _find_invertibles(self) -> None:
         """Set ``_invertible`` (each invertible m to its inverse) and
@@ -254,6 +231,10 @@ class FinCat:
     def has_object(self, x: str) -> bool:
         return x in self._by_source
 
+    def _arrows(self) -> Iterable[tuple[str, str, str]]:
+        """The name, source and target of each morphism, in order."""
+        return [(m.name, m.source, m.target) for m in self.morphisms]
+
     def require_object(self, x: str) -> None:
         if not self.has_object(x):
             raise UnknownObject(f"{self.name} has no object {x!r}", witness={"object": x})
@@ -262,15 +243,22 @@ class FinCat:
         return len(self.objects)
 
 
-class _Triples:
-    """The ``compose`` entries ``[g, f, gf]`` of a category manifest, handed
-    to ``FinCat`` by ``validate`` in place of a name-keyed table.  An id may
-    be a JSON number, read as its ``str``."""
+class _OnFirstRead:
+    """A name field of a FinCat that keeps integer arrays in its place: a
+    category validated from a manifest (``_Loaded``) or a Grothendieck total
+    (``hocolim._Total``).  Its first read has the category make it
+    (``_make``) and store it on the instance, which shadows this non-data
+    descriptor, so later reads find it there directly.  Only those classes
+    carry the descriptors, so no other FinCat pays for them."""
 
-    __slots__ = ("entries",)
+    def __set_name__(self, owner, name: str):
+        self.name = name
 
-    def __init__(self, entries: list):
-        self.entries = entries
+    def __get__(self, cat, owner=None):
+        if cat is None:
+            return self
+        cat._make(self.name)
+        return cat.__dict__[self.name]
 
 
 class _Ends:
@@ -298,6 +286,10 @@ class _Ends:
         endomorphisms."""
         src, tgt, inv = self.src, self.tgt, self.inv
         return len(src), len(inv), len([m for m in inv if src[m] == tgt[m]])
+
+    def is_thin(self) -> bool:
+        """Whether no two morphisms share their endpoints."""
+        return len(set(zip(self.src, self.tgt))) == len(self.src)
 
     def hom_rows(self, transpose: bool = False) -> list[dict[int, int]]:
         """Sparse rows {j: |Hom(x_i, x_j)|} of the non-empty hom-sets (or of
@@ -332,6 +324,9 @@ class _RecordEnds:
         mor, inv = cat._mor, cat._invertible
         return len(cat.morphisms), len(inv), len([m for m in inv if mor[m].source == mor[m].target])
 
+    def is_thin(self) -> bool:
+        return len(self.cat._hom) == len(self.cat.morphisms)
+
     def hom_rows(self, transpose: bool = False) -> list[dict[int, int]]:
         index = {x: i for i, x in enumerate(self.cat.objects)}
         rows: list[dict[int, int]] = [{} for _ in index]
@@ -360,93 +355,116 @@ def _ends_of(cat: FinCat):
 
 
 class _Rows(_Ends):
-    """The composition table of a FinCat on morphism indices, read in one
-    pass over its entries: ``rows[f][g]`` is the index of ``g o f``, and
-    ``order[k]`` is the f of entry k.  ``objects`` indexes the objects, and
-    ``src``, ``tgt`` and ``ident`` give each morphism's endpoints and each
-    object's identity by index.
+    """The composition table of a FinCat on morphism indices: ``rows[f][g]``
+    is the index of ``g o f``.  ``objects`` numbers the objects, ``names``
+    names the morphisms and ``index`` numbers them, and ``src``, ``tgt``
+    and ``ident`` give each morphism's endpoints and each object's identity
+    by index.
 
-    For a check, each entry is checked as it is read, in table order: known
-    names, composable pair, endpoints of the composite.  ``check_laws`` and
-    ``set_inverses`` read the rows, and ``table`` rebuilds the name-keyed
-    table from them.  The lawful table of a FinCat already built is read
-    with no check and no ``order`` (``_rows_of``).  Names come back only to
-    report the first failure, whose ``witness`` holds the offending names.
+    The rows are filled in one pass over the table's entries: checked as
+    they are read, in table order, with the f of each entry kept in
+    ``order`` (``check_entries``), or, for the lawful table of a FinCat
+    already built, read as they are (``read``, through ``_rows_of``).
+    ``check_laws`` and ``set_inverses`` read the rows, and ``table``
+    rebuilds the name-keyed table from them.  Names come back only to report
+    the first failure, whose ``witness`` holds the offending names.
     """
 
     __slots__ = ("names", "index", "objects", "rows", "order", "gens")
 
-    def __init__(self, cat: FinCat, names: list, index: dict, objects: dict, check: bool = True):
-        comp = cat.composition
-        from_manifest = type(comp) is _Triples
-        self.names, self.index, self.objects = names, index, objects
-        self.src = src = [objects[m.source] for m in cat.morphisms]
-        self.tgt = tgt = [objects[m.target] for m in cat.morphisms]
-        self.ident = [index[cat.identity[x]] for x in cat.objects]
-        rows: list[dict[int, int]] = [{} for _ in names]
-        self.rows, self.order, self.gens, self.inv = rows, None, None, None
-        if not check:  # a lawful name table, read as it is
-            for (g, f), gf in comp.items():
-                rows[index[f]][index[g]] = index[gf]
-            return
+    def __init__(self, objects: dict, names: list, index: dict, src: list[int], tgt: list[int],
+                 ident: list[int]):
+        self.src, self.tgt, self.ident, self.inv = src, tgt, ident, None
+        self.objects, self.names, self.index = objects, names, index
+        self.rows = [{} for _ in names]
+        self.order = self.gens = None
+
+    @classmethod
+    def of(cls, cat: FinCat, names: list, index: dict, objects: dict) -> "_Rows":
+        """Empty rows on the records of ``cat``, whose morphisms ``names``
+        lists and ``index`` numbers, and whose objects ``objects`` numbers."""
+        mors = cat.morphisms
+        return cls(objects, names, index, [objects[m.source] for m in mors],
+                   [objects[m.target] for m in mors], [index[cat.identity[x]] for x in cat.objects])
+
+    def read(self, table: Mapping) -> "_Rows":
+        """Fill the rows from a lawful name-keyed table, with no check."""
+        rows, index = self.rows, self.index
+        for (g, f), gf in table.items():
+            rows[index[f]][index[g]] = index[gf]
+        return self
+
+    def check_entries(self, entries: Iterable, name: str, numbers: bool = False) -> None:
+        """Fill the rows from ``entries``, the triples (g, f, gf) of the
+        table of the category ``name`` in order, checking each as it is
+        read: known names (with ``numbers``, an id may be a JSON number,
+        read as its ``str``), a composable pair, the endpoints of the
+        composite."""
+        index, src, tgt, rows = self.index, self.src, self.tgt, self.rows
         self.order = order = []
         put = order.append
-        entries = comp.entries if from_manifest else ((g, f, gf) for (g, f), gf in comp.items())
         for g, f, gf in entries:
             try:
                 gi, fi, ci = index[g], index[f], index[gf]
             except (KeyError, TypeError):
-                if from_manifest:
+                if numbers:
                     g, f, gf = str(g), str(f), str(gf)
                 if g not in index or f not in index or gf not in index:
                     raise DanglingReference(
-                        f"{cat.name}: composition entry ({g!r}, {f!r}) -> {gf!r} names unknown morphisms",
+                        f"{name}: composition entry ({g!r}, {f!r}) -> {gf!r} names unknown morphisms",
                         witness={"pair": (g, f)},
                     ) from None
                 gi, fi, ci = index[g], index[f], index[gf]
             if tgt[fi] != src[gi]:
+                objs = list(self.objects)
                 raise DanglingReference(
-                    f"{cat.name}: pair ({g!r}, {f!r}) is not composable "
-                    f"(target of {f!r} is {cat.target(f)!r}, source of {g!r} is {cat.source(g)!r})",
+                    f"{name}: pair ({g!r}, {f!r}) is not composable "
+                    f"(target of {f!r} is {objs[tgt[fi]]!r}, source of {g!r} is {objs[src[gi]]!r})",
                     witness={"pair": (g, f)},
                 )
             if src[ci] != src[fi] or tgt[ci] != tgt[gi]:
                 raise IncompleteCompositionTable(
-                    f"{cat.name}: composite {gf!r} of ({g!r}, {f!r}) has wrong endpoints",
+                    f"{name}: composite {gf!r} of ({g!r}, {f!r}) has wrong endpoints",
                     witness={"pair": (g, f)},
                 )
             rows[fi][gi] = ci
             put(fi)
 
-    def check_laws(self, cat: FinCat) -> None:
+    def out(self) -> list[list[int]]:
+        """The morphisms out of each object, by index, in morphism order."""
+        out: list[list[int]] = [[] for _ in self.ident]
+        for m, x in enumerate(self.src):
+            out[x].append(m)
+        return out
+
+    def check_laws(self, name: str) -> None:
         """Check completeness, then both identity laws, then associativity on
-        every composable triple unless ``cat`` is thin, where both sides of a
-        triple share a one-element hom-set."""
+        every composable triple unless the category ``name`` is thin, where
+        both sides of a triple share a one-element hom-set."""
         names, src, tgt, ident, rows = self.names, self.src, self.tgt, self.ident, self.rows
-        index = self.index
-        out = [[index[g] for g in cat._by_source[x]] for x in cat.objects]
+        out = self.out()
         # every key of rows[f] is composable with f, so a short row misses one
         for f, row in enumerate(rows):
             if len(row) != len(out[tgt[f]]):
                 g = next(g for g in out[tgt[f]] if g not in row)
                 raise IncompleteCompositionTable(
-                    f"{cat.name}: missing composite for pair ({names[g]!r}, {names[f]!r})",
+                    f"{name}: missing composite for pair ({names[g]!r}, {names[f]!r})",
                     witness={"pair": (names[g], names[f])},
                 )
 
         for f, row in enumerate(rows):
             if row[ident[tgt[f]]] != f:
                 raise BrokenIdentity(
-                    f"{cat.name}: id o {names[f]!r} != {names[f]!r}", witness={"morphism": names[f]}
+                    f"{name}: id o {names[f]!r} != {names[f]!r}", witness={"morphism": names[f]}
                 )
             if rows[ident[src[f]]][f] != f:
                 raise BrokenIdentity(
-                    f"{cat.name}: {names[f]!r} o id != {names[f]!r}", witness={"morphism": names[f]}
+                    f"{name}: {names[f]!r} o id != {names[f]!r}", witness={"morphism": names[f]}
                 )
 
         # both sides of a triple lie in Hom(s(f), t(h)), by the endpoints
         # checked above, so a thin category is associative
-        if _is_thin(cat):
+        if self.is_thin():
             return
         # h o (g o f) against (h o g) o f for all h at once: take_out[y] reads
         # row[h] for every h out of y, take_hg[g] reads row[h o g] in the same
@@ -472,7 +490,7 @@ class _Rows(_Ends):
                     h = next(h for h in out[tgt[g]] if row_gf[h] != row_f[rows[g][h]])
                     triple = {"h": names[h], "g": names[g], "f": names[f]}
                     raise NonAssociative(
-                        f"{cat.name}: h o (g o f) != (h o g) o f for "
+                        f"{name}: h o (g o f) != (h o g) o f for "
                         f"(h, g, f) = ({names[h]!r}, {names[g]!r}, {names[f]!r})",
                         witness=triple,
                     )
@@ -492,16 +510,17 @@ class _Rows(_Ends):
             self.gens = _generating_set(self.rows, self.ident, self.src, self.tgt)
         return self.gens
 
-    def table(self) -> dict[tuple[str, str], str]:
-        """The name-keyed table, in entry order: row f holds its cells in the
-        order of the entries that filled them."""
-        names = self.names
-        cells = [iter(row.items()) for row in self.rows]
-        table = {}
+    def pairs(self) -> Iterator[tuple[int, int]]:
+        """The pairs (g, f) of checked entries, by index, in entry order:
+        row f holds its cells in the order of the entries that filled them."""
+        cells = [iter(row) for row in self.rows]
         for f in self.order:
-            g, gf = next(cells[f])
-            table[(names[g], names[f])] = names[gf]
-        return table
+            yield next(cells[f]), f
+
+    def table(self) -> dict[tuple[str, str], str]:
+        """The name-keyed table of checked entries, in entry order."""
+        names, rows = self.names, self.rows
+        return {(names[g], names[f]): names[rows[f][g]] for g, f in self.pairs()}
 
 
 def _generating_set(rows: Sequence, ident: Sequence[int], src: Sequence[int],
@@ -586,28 +605,48 @@ def _rows_of(cat: FinCat) -> _Rows:
     rows = cat.__dict__.get("_rows")
     if rows is None:
         names = [m.name for m in cat.morphisms]
-        rows = _Rows(cat, names, {m: i for i, m in enumerate(names)},
-                     {x: i for i, x in enumerate(cat.objects)}, check=False)
+        rows = _Rows.of(cat, names, {m: i for i, m in enumerate(names)},
+                        {x: i for i, x in enumerate(cat.objects)}).read(cat.composition)
     return rows
 
 
-class _TableOnFirstRead:
-    """``FinCat.composition`` of a category validated from a manifest, which
-    holds a builder in place of its table: the first read runs the builder,
-    stores the table on the instance and drops the builder.  A non-data
-    descriptor, so a table already on the instance (every other FinCat)
-    shadows it and is read directly."""
+class _Loaded(FinCat):
+    """A category as ``validate`` loads it from a manifest: its object
+    names, identity map, inverses and the ``_Rows`` of its check, which the
+    predicates, hom counts and functor checks read.  The morphism records,
+    the lookup tables of ``_headers`` and the name-keyed table (in entry
+    order) are made on their first read."""
 
-    def __get__(self, cat, owner=None):
-        if cat is None:
-            return self
-        table = cat.__dict__["_build_composition"]()
-        cat.__dict__["composition"] = table
-        del cat.__dict__["_build_composition"]
-        return table
+    morphisms = _OnFirstRead()
+    composition = _OnFirstRead()
+    _mor = _OnFirstRead()
+    _hom = _OnFirstRead()
+    _by_source = _OnFirstRead()
+    _identity_names = _OnFirstRead()
 
+    def _make(self, attr: str) -> None:
+        """Store the name field ``attr`` on the instance: the table, the
+        identity names, or else the records with every lookup table."""
+        fields, rows = self.__dict__, self._rows
+        if attr == "composition":
+            fields[attr] = rows.table()
+        elif attr == "_identity_names":
+            fields[attr] = frozenset(self.identity.values())
+        else:
+            objs = self.objects
+            mors = tuple(map(Morphism, rows.names, [objs[x] for x in rows.src],
+                             [objs[y] for y in rows.tgt]))
+            fields.update(_headers(objs, mors, self.identity), morphisms=mors)
 
-FinCat.composition = _TableOnFirstRead()
+    def morphism_names(self) -> tuple[str, ...]:
+        return tuple(self._rows.names)
+
+    def has_object(self, x: str) -> bool:
+        return x in self._rows.objects
+
+    def _arrows(self) -> Iterable[tuple[str, str, str]]:
+        objs, rows = self.objects, self._rows
+        return zip(rows.names, map(objs.__getitem__, rows.src), map(objs.__getitem__, rows.tgt))
 
 
 def _headers(objects, morphisms, identity) -> dict:
@@ -639,29 +678,87 @@ def validate(raw: Mapping, name: str = "C") -> FinCat:
 
     ``objects``, ``morphisms``, ``compose`` and each of its entries are
     lists, and each pair (g, f) is listed once.  An id may be a JSON number,
-    read as its ``str``.  The entries are read once, into the integer rows of
-    the check; the name-keyed table is built from those rows on its first
-    read, in entry order.
+    read as its ``str``.  The ids are read into integer arrays and the
+    entries into the integer rows of the check, each once (``_load``); the
+    result is a ``_Loaded``, which makes its records and name-keyed table
+    only when they are read.
     """
     try:
-        objects = tuple(str(x) for x in raw["objects"])
-        morphisms = tuple(
-            Morphism(str(m["id"]), str(m["source"]), str(m["target"])) for m in raw["morphisms"]
-        )
+        objects = tuple([str(x) for x in raw["objects"]])
+        names, sources, targets = [], [], []
+        for m in raw["morphisms"]:
+            names.append(str(m["id"]))
+            sources.append(str(m["source"]))
+            targets.append(str(m["target"]))
         identity = {str(k): str(v) for k, v in raw["identity"].items()}
-        triples = raw.get("compose", [])
-        _require_lists(raw, triples)
+        entries = raw.get("compose", [])
+        _require_lists(raw, entries)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         cause = exc
     else:
         try:
-            return FinCat(objects, morphisms, identity, _Triples(triples),
-                          name=str(raw.get("name", name)))
+            return _load(str(raw.get("name", name)), objects, names, sources, targets, identity,
+                         entries)
         except ValueError as exc:  # an entry of other than three names stops the check
             cause = exc
     raise DanglingReference(
         f"{name}: malformed category description ({cause})", witness={"cause": str(cause)}
     ) from cause
+
+
+def _load(name: str, objects: tuple, names: list, sources: list, targets: list,
+          identity: dict, entries: list) -> FinCat:
+    """``validate`` after the parse: the ids interned into index arrays,
+    checked by whole-array compares, then the entries checked into
+    ``_Rows``, and the laws and inverses read off the rows.  Only a manifest
+    whose ids, endpoints or identity map fail has records made, for the walk
+    of ``FinCat._check_records`` to raise the first fault in its order.  A
+    malformed entry, then a pair listed twice, comes before every other
+    fault (``_check_listing``)."""
+    obj_index = {x: i for i, x in enumerate(objects)}
+    index = {m: i for i, m in enumerate(names)}
+    try:
+        src = [obj_index[x] for x in sources]
+        tgt = [obj_index[x] for x in targets]
+        ident = [index[identity[x]] for x in objects]
+        # every object has an identity, so a longer identity map names another
+        lawful = (len(obj_index) == len(objects) and len(index) == len(names)
+                  and len(identity) == len(objects)
+                  and list(map(src.__getitem__, ident)) == list(map(tgt.__getitem__, ident))
+                  == list(range(len(ident))))
+    except KeyError:
+        lawful = False
+    try:
+        if not lawful:
+            records = tuple(map(Morphism, names, sources, targets))
+            _trusted(FinCat, name=name, objects=objects, morphisms=records,
+                     identity=identity)._check_records(False)  # raises, at the first fault
+        rows = _Rows(obj_index, names, index, src, tgt, ident)
+        rows.check_entries(entries, name, numbers=True)
+    except ValidationError:
+        _check_listing(name, entries)
+        raise
+    # each entry filled one cell, so fewer cells means a pair listed twice
+    if sum(map(len, rows.rows)) != len(entries):
+        _check_listing(name, entries)
+    rows.check_laws(name)
+    cat = _trusted(_Loaded, name=name, objects=objects, identity=identity, _rows=rows)
+    rows.set_inverses(cat)
+    return cat
+
+
+def _check_listing(name: str, entries: list) -> None:
+    """Raise at the faults of a manifest's ``compose`` list that are
+    reported before every other check: ValueError at the first entry of
+    other than three names (``validate`` reports it as malformed), then
+    DanglingReference at the first pair (g, f) listed twice."""
+    pairs = [(str(g), str(f)) for g, f, _ in entries]
+    if len(set(pairs)) != len(pairs):
+        pair = _first_repeat(pairs)
+        raise DanglingReference(
+            f"{name}: pair ({pair[0]!r}, {pair[1]!r}) is listed more than once in compose",
+            witness={"pair": pair},
+        )
 
 
 def _require_lists(raw: Mapping, triples) -> None:
@@ -802,7 +899,7 @@ def _functor_arrays(fun: CatFunctor, t: _Rows) -> _Arrays:
     """The arrays of ``fun``, a functor, read off its maps, with ``t`` the
     rows of its target."""
     return ([t.objects[fun.obj_map[x]] for x in fun.source.objects],
-            [t.index[fun.mor_map[m.name]] for m in fun.source.morphisms])
+            [t.index[fun.mor_map[m]] for m in fun.source.morphism_names()])
 
 
 def _identity_maps(cat: FinCat) -> tuple[dict[str, str], dict[str, str]]:
@@ -812,7 +909,7 @@ def _identity_maps(cat: FinCat) -> tuple[dict[str, str], dict[str, str]]:
 
 def _identity_arrays(cat: FinCat) -> _Arrays:
     """The arrays of the identity functor of ``cat``."""
-    return list(range(len(cat.objects))), list(range(len(cat.morphisms)))
+    return list(range(len(cat))), list(range(len(cat.morphism_names())))
 
 
 def _composite_maps(first: CatFunctor, second: CatFunctor) -> tuple[dict, dict]:
@@ -857,7 +954,7 @@ def _check_natural(cat: FinCat, s: _Rows, tgt: FinCat, t: _Rows, f: _Arrays, g: 
         c = components.get(x)
         if c is None:
             fail(f"no component at {x!r}", object=x)
-        if c not in tgt._mor:
+        if c not in t.index:
             fail(f"component at {x!r} is not a morphism of {tgt.name}", object=x)
         i = t.index[c]
         if t.src[i] != fx or t.tgt[i] != gx:
@@ -943,7 +1040,7 @@ def _is_scwol(cat: FinCat) -> bool:
 def _is_thin(cat: FinCat) -> bool:
     """Whether every non-empty hom-set of ``cat`` has one element, so that
     any two morphisms with the same endpoints are equal."""
-    return len(cat._hom) == len(cat.morphisms)
+    return _ends_of(cat).is_thin()
 
 
 def _require_scwol(cat: FinCat) -> None:

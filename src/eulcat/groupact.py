@@ -366,68 +366,80 @@ class ComplexOfGroups:
         for x in base.objects:
             if x not in self.local:
                 raise ValidationError(f"no local group at {x!r}", witness={"object": x})
-        for m in base.morphisms:
-            hom, at = self.homs.get(m.name), {"morphism": m.name}
+        r = _rows_of(base)
+        names, index, rows, src, tgt = r.names, r.index, r.rows, r.src, r.tgt
+        local, ids = [self.local[x] for x in base.objects], set(r.ident)
+        for m, name in enumerate(names):
+            hom, at = self.homs.get(name), {"morphism": name}
             if hom is None:
-                raise ValidationError(f"no structure homomorphism along {m.name!r}", witness=at)
-            if hom.source is not self.local[m.source] or hom.target is not self.local[m.target]:
-                raise ValidationError(f"homomorphism along {m.name!r} has wrong endpoints", witness=at)
+                raise ValidationError(f"no structure homomorphism along {name!r}", witness=at)
+            if hom.source is not local[src[m]] or hom.target is not local[tgt[m]]:
+                raise ValidationError(f"homomorphism along {name!r} has wrong endpoints", witness=at)
             if not hom.is_injective():
-                raise ValidationError(f"homomorphism along {m.name!r} is not injective", witness=at)
-            if base.is_identity(m.name) and any(hom(x) != x for x in hom.source.labels):
-                raise ValidationError(f"identity morphism {m.name!r} carries a non-identity map",
+                raise ValidationError(f"homomorphism along {name!r} is not injective", witness=at)
+            if m in ids and any(hom(x) != x for x in hom.source.labels):
+                raise ValidationError(f"identity morphism {name!r} carries a non-identity map",
                                       witness=at)
 
+        # twist[(b, a)] is the index of the twist at the pair (b, a) of
+        # morphism indices, img[m][i] that of the image of element i along m
+        twist: dict[tuple[int, int], int] = {}
+        unit_fault = False
         for (b, a), g in self.twists.items():
-            if (b, a) not in base.composition:
+            bi, ai = index.get(b), index.get(a)
+            if bi is None or ai is None or bi not in rows[ai]:
                 raise ValidationError(f"twist given for non-composable pair ({b!r}, {a!r})",
                                       witness={"pair": (b, a)})
-            if g not in self.local[base.target(b)]:
+            group = local[tgt[bi]]
+            if g not in group:
                 raise ValidationError(
-                    f"twist at ({b!r}, {a!r}) is not an element of the local group at {base.target(b)!r}",
-                    witness={"pair": (b, a), "element": g},
+                    f"twist at ({b!r}, {a!r}) is not an element of the local group at "
+                    f"{base.objects[tgt[bi]]!r}", witness={"pair": (b, a), "element": g},
                 )
-        for (b, a) in base.composition:
-            if (b, a) not in self.twists:
-                raise ValidationError(f"no twist at composable pair ({b!r}, {a!r})",
-                                      witness={"pair": (b, a)})
-            g = self.twists[(b, a)]
-            if (base.is_identity(a) or base.is_identity(b)) and g != self.local[base.target(b)].identity:
-                raise ValidationError(f"unit twist at ({b!r}, {a!r}) must be trivial",
-                                      witness={"pair": (b, a), "element": g})
+            twist[(bi, ai)] = group._index[g]
+            unit_fault = unit_fault or (bi in ids or ai in ids) and g != group.identity
+        # every key of twists is a composable pair, so fewer keys misses one;
+        # a fault is located among the pairs in table order
+        if unit_fault or len(twist) != sum(map(len, rows)):
+            for (b, a) in base.composition:
+                if (b, a) not in self.twists:
+                    raise ValidationError(f"no twist at composable pair ({b!r}, {a!r})",
+                                          witness={"pair": (b, a)})
+                g = self.twists[(b, a)]
+                unit = base.is_identity(a) or base.is_identity(b)
+                if unit and g != self.local[base.target(b)].identity:
+                    raise ValidationError(f"unit twist at ({b!r}, {a!r}) must be trivial",
+                                          witness={"pair": (b, a), "element": g})
 
-        # conjugation identity (the 2-cell condition), on indices: twist[p]
-        # is the index of the twist at the pair p, img[m][i] that of the
-        # image of element i along m
-        img = {m.name: _image_of(self.homs[m.name]) for m in base.morphisms}
-        twist: dict[tuple[str, str], int] = {}
-        for (b, a), g in self.twists.items():
-            ba = self.base.compose(b, a)
-            tgt = self.local[base.target(b)]
-            table = tgt.table
-            gi = twist[(b, a)] = tgt._index[g]
-            row_g, g_inv = table[gi], tgt._inverse[gi]
-            img_b, img_ba = img[b], img[ba]
-            conjugated = [table[row_g[img_b[j]]][g_inv] for j in img[a]]
+        # conjugation identity (the 2-cell condition), on indices
+        img = [_image_of(self.homs[m]) for m in names]
+        for (bi, ai), gi in twist.items():
+            table = local[tgt[bi]].table
+            row_g, g_inv = table[gi], local[tgt[bi]]._inverse[gi]
+            img_b, img_ba = img[bi], img[rows[ai][bi]]
+            conjugated = [table[row_g[img_b[j]]][g_inv] for j in img[ai]]
             if conjugated != img_ba:
-                x = next(x for x, c, want in zip(self.local[base.source(a)].labels,
-                                                 conjugated, img_ba) if c != want)
+                b, a = names[bi], names[ai]
+                x = next(x for x, c, want in zip(local[src[ai]].labels, conjugated, img_ba)
+                         if c != want)
                 raise ValidationError(f"conjugation identity fails at ({b!r}, {a!r}) on element {x!r}",
                                       witness={"pair": (b, a), "element": x})
 
         # cocycle identity on composable triples
-        for a in base.morphism_names():
-            for b in base.morphisms_from(base.target(a)):
-                ba = base.compose(b, a)
+        out = r.out()
+        for a in range(len(names)):
+            for b in out[tgt[a]]:
+                ba = rows[a][b]
                 tw_ba = twist[(b, a)]
-                for c in base.morphisms_from(base.target(b)):
-                    cb = base.compose(c, b)
-                    table = self.local[base.target(c)].table
+                for c in out[tgt[b]]:
+                    cb = rows[b][c]
+                    table = local[tgt[c]].table
                     lhs = table[twist[(c, ba)]][img[c][tw_ba]]
                     rhs = table[twist[(cb, a)]][twist[(c, b)]]
                     if lhs != rhs:
-                        raise ValidationError(f"cocycle fails on triple ({c!r}, {b!r}, {a!r})",
-                                              witness={"triple": (c, b, a)})
+                        triple = (names[c], names[b], names[a])
+                        raise ValidationError(f"cocycle fails on triple {triple!r}",
+                                              witness={"triple": triple})
 
     def twist(self, b: str, a: str) -> str:
         return self.twists[(b, a)]
@@ -644,12 +656,12 @@ def hocolim_groups(cplx: ComplexOfGroups) -> FinCat:
 def _hocolim_chi_L(cplx: ComplexOfGroups) -> Fraction:
     """``chi_L(hocolim_groups(cplx))`` from hom counts, with no total built:
     |Hom(s, t)| is |local[t]| per a: s -> t, and (a, g) is invertible exactly
-    when a is, so the iso classes are the base's.  The name and labels are
-    the total's, and so is every message and witness."""
+    when a is, so the iso classes are the base's.  The name is the total's,
+    and so is every message and witness."""
     base = cplx.base
     orders = [cplx.local[x].order for x in base.objects]
     rows = [{t: count * orders[t] for t, count in row.items()} for row in _count_rows(base)]
-    return _chi_L_of_rows(rows, _class_reps(base), f"hocolim({base.name})", base.objects.__getitem__)
+    return _chi_L_of_rows(rows, _class_reps(base), f"hocolim({base.name})")
 
 
 def complex_to_pseudo_diagram(cplx: ComplexOfGroups):

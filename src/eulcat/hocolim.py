@@ -25,6 +25,7 @@ from .fincat import (
     FinCat,
     Morphism,
     _Ends,
+    _OnFirstRead,
     _check_natural,
     _composite_arrays,
     _composite_maps,
@@ -88,12 +89,12 @@ def _check_vertices_and_edges(d: Diagram) -> None:
     for i in d.index.objects:
         if i not in d.vertex:
             raise ValidationError(f"no vertex category at {i!r}", witness={"object": i})
-    for m in d.index.morphisms:
-        fun, at = d.edge.get(m.name), {"morphism": m.name}
+    for m, x, y in d.index._arrows():
+        fun, at = d.edge.get(m), {"morphism": m}
         if fun is None:
-            raise ValidationError(f"no functor along {m.name!r}", witness=at)
-        if fun.source is not d.vertex[m.source] or fun.target is not d.vertex[m.target]:
-            raise ValidationError(f"functor along {m.name!r} has wrong endpoints", witness=at)
+            raise ValidationError(f"no functor along {m!r}", witness=at)
+        if fun.source is not d.vertex[x] or fun.target is not d.vertex[y]:
+            raise ValidationError(f"functor along {m!r} has wrong endpoints", witness=at)
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,7 +209,7 @@ class PseudoDiagram:
         ``vrows`` the vertices', ``arrays`` the edges' arrays and ``unit``
         and ``comp`` the checked components, by index, as ``__post_init__``
         builds them."""
-        for u, m in enumerate(self.index.morphisms):
+        for u, m in enumerate(r.names):
             s_i, t_i = r.src[u], r.tgt[u]
             rows, ident = vrows[t_i].rows, vrows[t_i].ident
             fo, fm = arrays[u]
@@ -219,20 +220,18 @@ class PseudoDiagram:
                 side = ("right" if rows[fm[unit_s[c]]][right[c]] != ident[x] else
                         "left" if rows[unit_t[x]][left[c]] != ident[x] else None)
                 if side is not None:
-                    obj = self.vertex[m.source].objects[c]
-                    raise CoherenceFailure(
-                        f"{side} unit axiom fails for {m.name!r} at object {obj!r}",
-                        witness={"morphism": m.name, "object": obj})
+                    obj = self.vertex[self.index.objects[s_i]].objects[c]
+                    raise CoherenceFailure(f"{side} unit axiom fails for {m!r} at object {obj!r}",
+                                           witness={"morphism": m, "object": obj})
 
     def _check_associativity_axiom(self, r, vrows: list, arrays: list,
                                    comp: list[dict[int, list[int]]]):
         """The associativity axiom on every composable triple and object,
         read off the rows of the target vertex, in the order of the index's
-        morphisms and of ``morphisms_from``; the arguments are those of
-        ``_check_unit_axioms``."""
+        morphisms and of those out of each object (``_Rows.out``); the
+        arguments are those of ``_check_unit_axioms``."""
         idx = self.index
-        names, index, idx_rows = r.names, r.index, r.rows
-        out = [[index[g] for g in idx.morphisms_from(x)] for x in idx.objects]
+        names, idx_rows, out = r.names, r.rows, r.out()
         for u in range(len(names)):
             fo_u = arrays[u][0]
             for v in out[r.tgt[u]]:
@@ -299,21 +298,6 @@ class GrothendieckResult:
         return alphas
 
 
-class _OnFirstRead:
-    """A name field of ``_Total``.  Its first read has the total make it
-    (``_Total._make``) and store it on the instance, which shadows this
-    non-data descriptor, so later reads find it there directly."""
-
-    def __set_name__(self, owner, name: str):
-        self.name = name
-
-    def __get__(self, total, owner=None):
-        if total is None:
-            return self
-        total._make(self.name)
-        return total.__dict__[self.name]
-
-
 class _Total(FinCat):
     """A Grothendieck total as ``_grothendieck`` writes it: integer arrays,
     with the names made when they are first read.
@@ -321,12 +305,12 @@ class _Total(FinCat):
     ``_arrays`` (a ``fincat._Ends``: ``src``, ``tgt``, ``ident`` and
     ``inv``) is what ``classify``, ``_count_rows`` and ``_iso_roots`` read,
     and ``_plan`` (a ``_Numbering``) is what names and composes the
-    morphisms.  The object names are made on their first read.  The first
-    read of the morphism records, ``identity``, ``_invertible`` or a lookup
-    table of ``fincat._headers`` makes all of those, and the first read of
+    morphisms.  Each name field is a ``fincat._OnFirstRead``.  The object
+    names are made on their first read.  The first read of the morphism
+    records, ``identity``, ``_invertible`` or a lookup table of
+    ``fincat._headers`` makes all of those, and the first read of
     ``composition`` makes the table.  Names and order are those of the
-    name-level construction.  Only this class carries the descriptors, so
-    no other FinCat pays for them.
+    name-level construction.
     """
 
     objects = _OnFirstRead()
@@ -672,10 +656,7 @@ def _total_counts(d: Diagram) -> tuple[list[dict[int, int]], Callable[[], list[i
 def _total_chi_L(d: Diagram) -> Fraction:
     """``chi_L`` of the Grothendieck construction of a strict or pseudo
     diagram from ``_total_counts``; no total category is built."""
-    def label(k: int) -> str:
-        return [_pair_obj(i, c) for i in d.index.objects for c in d.vertex[i].objects][k]
-
-    return _chi_L_of_rows(*_total_counts(d), f"hocolim({d.index.name})", label)
+    return _chi_L_of_rows(*_total_counts(d), f"hocolim({d.index.name})")
 
 
 # -- cell spectra --------------------------------------------------------------

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Any, Mapping
 
 from .errors import ValidationError
-from .fincat import CatFunctor, FinCat, validate
+from .fincat import CatFunctor, FinCat, _ends_of, _rows_of, validate
 from .groups import FinGroup, GroupHom, _require_list
 from .groupact import ComplexOfGroups, ScwolAction, validate_action
 from .hocolim import CellSpectrum, PseudoDiagram, StrictDiagram
@@ -122,7 +122,7 @@ def _functor_from_payload(payload: Mapping, src: FinCat, tgt: FinCat, edge: str)
         x = next(x for x in fun.obj_map if not src.has_object(x))
         raise BadManifest(f"edge {edge!r}: object map key {x!r} is not an object of {src.name}",
                           witness={"edge": edge, "object": x})
-    if len(fun.mor_map) != len(src.morphisms):
+    if len(fun.mor_map) != _ends_of(src).census()[0]:
         names = set(src.morphism_names())
         m = next(m for m in fun.mor_map if m not in names)
         raise BadManifest(f"edge {edge!r}: morphism map key {m!r} is not a morphism of {src.name}",
@@ -154,13 +154,10 @@ def _diagram_parts(payload: Mapping) -> tuple[FinCat, dict, dict]:
         i = next(i for i in vertex if not index.has_object(i))
         raise BadManifest(f"vertex category for non-index object {i!r}", witness={"object": i})
     edges, edge = payload["edges"], {}
-    for m in index.morphisms:
-        if m.name not in edges:
-            raise BadManifest(f"no edge functor for morphism {m.name!r}",
-                              witness={"morphism": m.name})
-        edge[m.name] = _functor_from_payload(
-            edges[m.name], vertex[m.source], vertex[m.target], m.name
-        )
+    for m, x, y in index._arrows():
+        if m not in edges:
+            raise BadManifest(f"no edge functor for morphism {m!r}", witness={"morphism": m})
+        edge[m] = _functor_from_payload(edges[m], vertex[x], vertex[y], m)
     if len(edges) != len(edge):
         m = next(m for m in edges if m not in edge)
         raise BadManifest(f"edge functor for non-index morphism {m!r}", witness={"morphism": m})
@@ -186,11 +183,12 @@ def pseudo_diagram_payload(d: PseudoDiagram) -> dict:
 
 def pseudo_diagram_from_payload(payload: Mapping) -> PseudoDiagram:
     index, vertex, edge = _diagram_parts(payload)
-    comp, mor = {}, index._mor
+    comp, r = {}, _rows_of(index)
+    at, src, tgt = r.index, r.src, r.tgt
     for v, u, components in _entries(payload.get("comp", []), "comp"):
         v, u = str(v), str(u)
         # composable read off the endpoints: the index's table has every such pair
-        if u not in mor or v not in mor or mor[u].target != mor[v].source:
+        if u not in at or v not in at or tgt[at[u]] != src[at[v]]:
             raise BadManifest(f"comp entry for non-composable pair ({v!r}, {u!r})",
                               witness={"pair": (v, u)})
         comp[(v, u)] = _str_map(components)
@@ -256,23 +254,26 @@ def complex_from_payload(payload: Mapping) -> ComplexOfGroups:
     for x in base.objects:
         if x not in local:
             raise BadManifest(f"no local group for object {x!r}", witness={"object": x})
-    homs = {}
-    for m in base.morphisms:
-        if base.is_identity(m.name):
-            homs[m.name] = GroupHom.identity_hom(local[m.source])
+    homs, ids = {}, base._identity_names
+    for m, x, y in base._arrows():
+        if m in ids:
+            homs[m] = GroupHom.identity_hom(local[x])
         else:
-            raw = payload["homs"].get(m.name)
+            raw = payload["homs"].get(m)
             if raw is None:
-                raise BadManifest(f"no structure homomorphism for {m.name!r}",
-                                  witness={"morphism": m.name})
-            homs[m.name] = GroupHom(local[m.source], local[m.target], _str_map(raw))
+                raise BadManifest(f"no structure homomorphism for {m!r}", witness={"morphism": m})
+            homs[m] = GroupHom(local[x], local[y], _str_map(raw))
     twists = {}
     for b, a, g in _entries(payload.get("twists", []), "twists"):
         twists[(str(b), str(a))] = str(g)
-    for (b, a) in base.composition:
+    # the composable pairs in the table's order, read off the rows
+    r = _rows_of(base)
+    names, units = r.names, set(r.ident)
+    for bi, ai in r.pairs():
+        b, a = names[bi], names[ai]
         if (b, a) not in twists:
-            if base.is_identity(a) or base.is_identity(b):
-                twists[(b, a)] = local[base.target(b)].identity
+            if ai in units or bi in units:
+                twists[(b, a)] = local[base.objects[r.tgt[bi]]].identity
             else:
                 raise BadManifest(f"no twist for composable pair ({b!r}, {a!r})",
                                   witness={"pair": (b, a)})

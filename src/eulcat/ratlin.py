@@ -9,8 +9,10 @@ come from a category (``_count_rows`` and ``_iso_roots``) or, for the
 Grothendieck construction of a strict diagram, from the diagram itself
 (``hocolim``).  The kernel works in integers: back-substitution carries
 each weight as a numerator over one running denominator, the lcm of the
-weights' denominators, and checks every equation once against the rows it
-solved by comparing integer row sums with that denominator.  Fractions are
+weights' denominators.  Each route solves its rows exactly by construction
+(see ``_weigh``), so no result is checked again; ``_check_equations``, an
+integer row sum compared with that denominator, checks the weightings a
+caller hands in (``Weighting``, a user's cell spectrum).  Fractions are
 made only for results: one per object of a returned ``Weighting`` and the
 two totals of ``chi_L``; ``_weigh_category`` hands the integers themselves
 to the scwol and free-EI formulas of ``eulerchar``.  Only ``solve_linear``
@@ -203,17 +205,27 @@ def _weigh(
     support: Support,
     side: str,
     name: str,
-    label: Callable[[int], str],
 ) -> tuple[list[int], int, bool]:
     """The kernel behind every weighting: ``(nums, den, unique)`` with
-    w_j = nums[j] / den solving sum_j rows[i][j] w_j = 1, checked against
-    ``rows`` in integers.
+    w_j = nums[j] / den solving sum_j rows[i][j] w_j = 1.
 
     ``support`` is what ``_support`` gives for ``rows`` (``_chi_L_of_rows``
     derives the coweighting's from the weighting's).  Objects off the
     condensation representatives get 0, and only a still-cyclic condensate
-    reaches ``solve_linear``.  ``name`` and ``label`` (row index to object)
-    serve the messages.
+    reaches ``solve_linear``; ``name`` serves its message.  Every route
+    solves ``rows`` exactly, so the result is not checked against them:
+
+    - back-substitution along a topological order of the support sets w_i
+      from equation i once every other term of it is known, in integers;
+    - condensation gives weight 0 off the representatives, so a
+      representative's full equation is its condensed one, and a
+      non-representative x isomorphic to its representative r has
+      |mor(x, y)| = |mor(r, y)| for every y: its row (its column, on the
+      transpose) is r's, so its equation is r's;
+    - ``solve_linear`` returns None on an inconsistent system (reported as
+      ``NoWeighting``) and otherwise a solution of every equation.
+
+    The tests check every result against its rows as an oracle.
     """
     solved_rows, order, reps = support
     if order is not None:
@@ -232,7 +244,6 @@ def _weigh(
         for r, v in zip(reps, nums):
             full[r] = v
         nums, unique = full, unique and len(reps) == len(full)
-    _check_equations(rows, nums, den, side, label)
     return nums, den, unique
 
 
@@ -269,24 +280,17 @@ def _class_reps(cat: FinCat) -> Callable[[], list[int]]:
     return reps_of
 
 
-def _label(cat: FinCat) -> Callable[[int], str]:
-    """The name of an object of ``cat`` by index, read only when a failure
-    is reported."""
-    return lambda k: cat.objects[k]
-
-
 def _weigh_category(cat: FinCat, side: str = "weighting") -> tuple[list[int], int, bool]:
     """``_weigh`` on the hom-count rows of ``cat`` (transposed for a
     coweighting), condensed if need be onto ``_class_reps``: ``(nums, den,
     unique)`` in object order, and no Fraction made."""
     rows = _count_rows(cat, transpose=(side == "coweighting"))
-    return _weigh(rows, _support(rows, _class_reps(cat)), side, cat.name, _label(cat))
+    return _weigh(rows, _support(rows, _class_reps(cat)), side, cat.name)
 
 
 def _solve(cat: FinCat, side: str) -> Weighting:
-    """``_weigh_category`` as a ``Weighting``.  The kernel has checked the
-    values, so it is built without a second check; its values are the only
-    Fractions made."""
+    """``_weigh_category`` as a ``Weighting``, built unchecked: the kernel
+    solves the rows exactly.  Its values are the only Fractions made."""
     nums, den, unique = _weigh_category(cat, side)
     values = {x: Fraction(v, den) for x, v in zip(cat.objects, nums)}
     return _trusted(Weighting, category=cat, values=values, side=side, unique=unique)
@@ -314,14 +318,13 @@ def coweighting(cat: FinCat) -> Weighting:
 def chi_L(cat: FinCat) -> Fraction:
     """Leinster Euler characteristic: the common sum of a weighting and a
     coweighting; raises if either is missing."""
-    return _chi_L_of_rows(_count_rows(cat), _class_reps(cat), cat.name, _label(cat))
+    return _chi_L_of_rows(_count_rows(cat), _class_reps(cat), cat.name)
 
 
 def _chi_L_of_rows(
     rows: Sequence[Mapping[int, int]],
     reps_of: Callable[[], Sequence[int]],
     name: str,
-    label: Callable[[int], str],
 ) -> Fraction:
     """``chi_L`` of the category with hom-count rows ``rows``: the weighting
     on the rows and the coweighting on their transpose, by ``_weigh``.
@@ -339,7 +342,7 @@ def _chi_L_of_rows(
     for side, side_rows, side_support in (("weighting", rows, support),
                                           ("coweighting", cols, co_support)):
         try:
-            nums, den, _ = _weigh(side_rows, side_support, side, name, label)
+            nums, den, _ = _weigh(side_rows, side_support, side, name)
         except NoWeighting as exc:
             raise NoEulerCharacteristic(str(exc), witness=exc.witness) from exc
         totals.append(Fraction(sum(nums), den))

@@ -7,10 +7,15 @@ from fractions import Fraction
 from eulcat import eulerchar, fincat, groupact, hocolim, randgen, ratlin, zoo
 from typing import Mapping, NoReturn, Sequence
 
-from eulcat.errors import EulcatError, _trusted
+from eulcat.errors import EulcatError, ValidationError, _trusted
 from eulcat.fincat import (
+    BrokenIdentity,
     CatFunctor,
+    DanglingReference,
     FinCat,
+    IncompleteCompositionTable,
+    Morphism,
+    NonAssociative,
     NotAFunctor,
     NotNatural,
     _check_natural,
@@ -29,7 +34,7 @@ from eulcat.groupact import (
     NotAFunctorAction,
     NotAHomomorphismAction,
 )
-from eulcat.groups import FinGroup
+from eulcat.groups import FinGroup, _require_list
 from eulcat.hocolim import CoherenceFailure, _check_vertices_and_edges
 from eulcat.groups import GroupHom, cyclic_group, symmetric_group, trivial_group
 from eulcat.hocolim import StrictDiagram, constant_diagram
@@ -640,3 +645,170 @@ def reference_action_checks(self):
                 f"action row {label!r} is not an element of {self.group.name}",
                 witness={"element": label},
             )
+
+
+# -- the record-level manifest reader, as a reference ---------------------------------
+
+
+def reference_validate(raw, name="C"):
+    """``fincat.validate`` as it was before manifests were read into integer
+    arrays: a ``Morphism`` record per morphism, then the checks of the
+    name-keyed ``FinCat`` in order (ids, endpoints and identity map on the
+    records, the ``compose`` entries one at a time, completeness, identity
+    laws, associativity unless thin), with a malformed entry and then a pair
+    listed twice reported before every other fault.  Returns the eager
+    ``FinCat`` of the table in entry order."""
+    try:
+        objects = tuple(str(x) for x in raw["objects"])
+        morphisms = tuple(
+            Morphism(str(m["id"]), str(m["source"]), str(m["target"])) for m in raw["morphisms"]
+        )
+        identity = {str(k): str(v) for k, v in raw["identity"].items()}
+        triples = raw.get("compose", [])
+        reference_require_lists(raw, triples)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        cause = exc
+    else:
+        cat_name = str(raw.get("name", name))
+        try:
+            try:
+                mor = reference_check_records(cat_name, objects, morphisms, identity)
+                table = reference_read_entries(cat_name, mor, triples)
+            except ValidationError:
+                reference_check_listing(cat_name, triples)
+                raise
+            if len(table) != len(triples):
+                reference_check_listing(cat_name, triples)
+            reference_check_laws(cat_name, objects, morphisms, identity, table)
+            return FinCat(objects, morphisms, identity, table, name=cat_name)
+        except ValueError as exc:
+            cause = exc
+    raise DanglingReference(
+        f"{name}: malformed category description ({cause})", witness={"cause": str(cause)}
+    ) from cause
+
+
+def reference_require_lists(raw, triples) -> None:
+    """TypeError unless the parts and entries are lists; an entry that does
+    not unpack into three raises first, unless every entry is a list."""
+    if (type(raw["objects"]) is list and type(raw["morphisms"]) is list
+            and type(triples) is list and {*map(type, triples)} <= {list}):
+        return
+    for _g, _f, _gf in triples:
+        pass
+    for part, what in ((raw["objects"], "objects"), (raw["morphisms"], "morphisms"),
+                       (triples, "compose")):
+        _require_list(part, what)
+    for k, entry in enumerate(triples):
+        _require_list(entry, f"compose entry {k}")
+
+
+def reference_check_records(name, objects, morphisms, identity) -> dict:
+    """Ids, endpoints and identity map, on the records; the records by name."""
+    if len(set(objects)) != len(objects):
+        dup = next(x for k, x in enumerate(objects) if x in objects[:k])
+        raise DanglingReference(f"{name}: duplicate object ids", witness={"object": dup})
+    names = [m.name for m in morphisms]
+    if len(set(names)) != len(names):
+        dup = sorted({n for n in names if names.count(n) > 1})
+        raise DanglingReference(f"{name}: duplicate morphism ids {dup}", witness={"morphism": dup[0]})
+    for m in morphisms:
+        if m.source not in objects or m.target not in objects:
+            raise DanglingReference(
+                f"{name}: morphism {m.name!r} has unknown endpoint {m.source!r} -> {m.target!r}",
+                witness={"morphism": m.name},
+            )
+    mor = {m.name: m for m in morphisms}
+    for x in objects:
+        if x not in identity:
+            raise BrokenIdentity(f"{name}: object {x!r} has no identity morphism",
+                                 witness={"object": x})
+        e = identity[x]
+        if e not in mor:
+            raise DanglingReference(f"{name}: identity {e!r} of {x!r} is unknown",
+                                    witness={"object": x})
+        if mor[e].source != x or mor[e].target != x:
+            raise BrokenIdentity(f"{name}: identity {e!r} is not an endomorphism of {x!r}",
+                                 witness={"morphism": e})
+    for x in identity:
+        if x not in objects:
+            raise DanglingReference(f"{name}: identity table names unknown object {x!r}",
+                                    witness={"object": x})
+    return mor
+
+
+def reference_read_entries(name, mor, triples) -> dict:
+    """The entries one at a time, in order: known names (a JSON number read
+    as its ``str``), a composable pair, the endpoints of the composite."""
+    table = {}
+    for g, f, gf in triples:
+        try:
+            known = g in mor and f in mor and gf in mor
+        except TypeError:
+            known = False
+        if not known:
+            g, f, gf = str(g), str(f), str(gf)
+            if g not in mor or f not in mor or gf not in mor:
+                raise DanglingReference(
+                    f"{name}: composition entry ({g!r}, {f!r}) -> {gf!r} names unknown morphisms",
+                    witness={"pair": (g, f)},
+                )
+        if mor[f].target != mor[g].source:
+            raise DanglingReference(
+                f"{name}: pair ({g!r}, {f!r}) is not composable "
+                f"(target of {f!r} is {mor[f].target!r}, source of {g!r} is {mor[g].source!r})",
+                witness={"pair": (g, f)},
+            )
+        if mor[gf].source != mor[f].source or mor[gf].target != mor[g].target:
+            raise IncompleteCompositionTable(
+                f"{name}: composite {gf!r} of ({g!r}, {f!r}) has wrong endpoints",
+                witness={"pair": (g, f)},
+            )
+        table[(g, f)] = gf
+    return table
+
+
+def reference_check_listing(name, triples) -> None:
+    """ValueError at an entry of other than three names, then the first pair
+    listed twice."""
+    pairs = [(str(g), str(f)) for g, f, _ in triples]
+    for k, pair in enumerate(pairs):
+        if pair in pairs[:k]:
+            raise DanglingReference(
+                f"{name}: pair ({pair[0]!r}, {pair[1]!r}) is listed more than once in compose",
+                witness={"pair": pair},
+            )
+
+
+def reference_check_laws(name, objects, morphisms, identity, table) -> None:
+    """Completeness, both identity laws, then associativity unless thin, one
+    name lookup at a time, in morphism order."""
+    mor = {m.name: m for m in morphisms}
+    by_source = {x: [m.name for m in morphisms if m.source == x] for x in objects}
+    for f in morphisms:
+        g = next((g for g in by_source[f.target] if (g, f.name) not in table), None)
+        if g is not None:
+            raise IncompleteCompositionTable(f"{name}: missing composite for pair ({g!r}, {f.name!r})",
+                                             witness={"pair": (g, f.name)})
+    for f in morphisms:
+        if table[(identity[f.target], f.name)] != f.name:
+            raise BrokenIdentity(f"{name}: id o {f.name!r} != {f.name!r}", witness={"morphism": f.name})
+        if table[(f.name, identity[f.source])] != f.name:
+            raise BrokenIdentity(f"{name}: {f.name!r} o id != {f.name!r}", witness={"morphism": f.name})
+    if len({(m.source, m.target) for m in morphisms}) == len(morphisms):
+        return
+    ids = set(identity.values())
+    for f in morphisms:
+        if f.name in ids:
+            continue
+        for g in by_source[f.target]:
+            if g in ids:
+                continue
+            gf = table[(g, f.name)]
+            for h in by_source[mor[g].target]:
+                if table[(h, gf)] != table[(table[(h, g)], f.name)]:
+                    raise NonAssociative(
+                        f"{name}: h o (g o f) != (h o g) o f for "
+                        f"(h, g, f) = ({h!r}, {g!r}, {f.name!r})",
+                        witness={"h": h, "g": g, "f": f.name},
+                    )

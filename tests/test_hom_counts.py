@@ -42,16 +42,15 @@ from strategies import actions, free_actions, groups, noncentral_actions, scwols
 
 
 def assert_reads_the_total(module, route, arg, total):
-    """The rows, classes, name and labels ``route(arg)`` hands
-    ``_chi_L_of_rows`` (looked up on ``module``) are those of ``total``,
-    entry by entry, and its value is ``chi_L(total)``."""
+    """The rows, classes and name ``route(arg)`` hands ``_chi_L_of_rows``
+    (looked up on ``module``) are those of ``total``, entry by entry, and
+    its value is ``chi_L(total)``."""
     seen = {}
     real = ratlin._chi_L_of_rows
 
-    def capture(rows, reps_of, name, label):
-        seen.update(rows=rows, reps=list(reps_of()), name=name,
-                    labels=[label(k) for k in range(len(rows))])
-        return real(rows, reps_of, name, label)
+    def capture(rows, reps_of, name):
+        seen.update(rows=rows, reps=list(reps_of()), name=name)
+        return real(rows, reps_of, name)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(module, "_chi_L_of_rows", capture)
@@ -59,7 +58,6 @@ def assert_reads_the_total(module, route, arg, total):
     assert seen["rows"] == fincat._count_rows(total)
     assert seen["reps"] == ratlin._class_reps(total)()
     assert seen["name"] == total.name
-    assert seen["labels"] == list(total.objects)
     assert value == chi_L(total)
 
 
@@ -90,18 +88,6 @@ class TestComplexOfGroups:
     def test_noncentral_actions(self, drawn):
         action, h = drawn
         assert_complex_route(complex_of_groups(action, h_elements=h).complex)
-
-    def test_a_failing_row_is_named_alike(self, monkeypatch):
-        """With the back-substitution made to return zeros, both routes
-        raise on the same object of the same name."""
-        cplx = complex_of_groups(s3_flag_action()[0]).complex
-        monkeypatch.setattr(ratlin, "_back_substitute", lambda rows, order: ([0] * len(rows), 1))
-        with pytest.raises(NoEulerCharacteristic) as want:
-            chi_L(hocolim_groups(cplx))
-        with pytest.raises(NoEulerCharacteristic) as got:
-            groupact._hocolim_chi_L(cplx)
-        assert str(got.value) == str(want.value)
-        assert got.value.witness == want.value.witness
 
 
 class TestPseudoDiagrams:

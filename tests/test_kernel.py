@@ -636,7 +636,7 @@ def fraction_check_equations(rows, values, side, label):
             raise NoWeighting(f"{side} equation fails at {x!r}", witness={"object": x})
 
 
-def fraction_weigh(rows, reps_of, side, name, label):
+def fraction_weigh(rows, reps_of, side, name, label=None):
     """``(values, unique)`` by the same routes as ``ratlin._weigh``, in
     Fractions, each side finding its own topological order."""
     solved_rows, reps = rows, None
@@ -660,11 +660,11 @@ def fraction_weigh(rows, reps_of, side, name, label):
         for r, v in zip(reps, values):
             full[r] = v
         values, unique = full, unique and len(reps) == len(full)
-    fraction_check_equations(rows, values, side, label)
+    fraction_check_equations(rows, values, side, label or LABELS.__getitem__)
     return values, unique
 
 
-def fraction_chi_L(rows, reps_of, name, label):
+def fraction_chi_L(rows, reps_of, name, label=None):
     totals = []
     for side, side_rows in (("weighting", rows), ("coweighting", ratlin._transpose(rows))):
         try:
@@ -678,16 +678,30 @@ def fraction_chi_L(rows, reps_of, name, label):
     return totals[0]
 
 
+def checked_weigh(rows, support, side, name, weigh=ratlin._weigh):
+    """``ratlin._weigh`` with an oracle on its result, which the kernel
+    does not check: it solves every one of ``rows``
+    (``fraction_check_equations``), or NoWeighting names the first that
+    fails.  The library's supports are solved exactly; the drawn ones may
+    condense onto any representatives."""
+    nums, den, unique = weigh(rows, support, side, name)
+    fraction_check_equations(rows, [Fraction(v, den) for v in nums], side, LABELS.__getitem__)
+    return nums, den, unique
+
+
 def kernel_outcome(fn, *args):
-    """fn(*args, "C", label), or the class, message and witness it raises."""
-    try:
-        return fn(*args, "C", LABELS.__getitem__)
-    except EulcatError as exc:
-        return type(exc).__name__, str(exc), exc.witness
+    """fn(*args, "C"), with every kernel result checked against its rows
+    (``checked_weigh``), or the class, message and witness it raises."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ratlin, "_weigh", checked_weigh)
+        try:
+            return fn(*args, "C")
+        except EulcatError as exc:
+            return type(exc).__name__, str(exc), exc.witness
 
 
-def integer_weigh(rows, reps_of, side, name, label):
-    nums, den, unique = ratlin._weigh(rows, ratlin._support(rows, reps_of), side, name, label)
+def integer_weigh(rows, reps_of, side, name):
+    nums, den, unique = ratlin._weigh(rows, ratlin._support(rows, reps_of), side, name)
     values = [Fraction(v, den) for v in nums]
     assert den == lcm(*(v.denominator for v in values))
     return values, unique
@@ -809,14 +823,14 @@ def manifest_dict(payload):
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """Counts of ``_Rows`` constructions (each one pass over a table's
-    entries) and of name tables built from rows."""
+    """Counts of ``_Rows`` constructions (each filled in one pass over a
+    table's entries) and of name tables built from rows."""
     counts = {"passes": 0, "tables": 0}
     real_init, real_table = fincat._Rows.__init__, fincat._Rows.table
 
-    def init(self, cat, *records, **options):
+    def init(self, *arrays):
         counts["passes"] += 1
-        real_init(self, cat, *records, **options)
+        real_init(self, *arrays)
 
     def table(self):
         counts["tables"] += 1
@@ -895,6 +909,35 @@ class TestTableOnFirstRead:
         kernel_calls["tables"] = 0
         loaded = manifest.pseudo_diagram_from_payload(payload)
         assert kernel_calls["tables"] == 0 and "composition" not in vars(loaded.index)
+
+    def test_loading_a_complex_builds_no_table(self, kernel_calls):
+        """``complex_from_payload`` reads the composable pairs off the base's
+        rows to fill in unit twists and find a missing one, so a load
+        builds no name table."""
+        flag, h = s3_flag_action()
+        payload = manifest.complex_payload(complex_of_groups(flag, h_elements=h).complex)
+        kernel_calls["tables"] = 0
+        loaded = manifest.complex_from_payload(payload)
+        assert kernel_calls["tables"] == 0 and "composition" not in vars(loaded.base)
+
+    @settings(max_examples=20, deadline=None)
+    @given(SEEDS)
+    def test_missing_twist_in_table_order(self, seed):
+        """With the base's entries shuffled and some twists dropped, the
+        first missing pair of the base's table is reported, as a walk of the
+        name table finds it."""
+        rng = Random(seed)
+        flag, h = s3_flag_action()
+        payload = manifest.complex_payload(complex_of_groups(flag, h_elements=h).complex)
+        rng.shuffle(payload["base"]["compose"])
+        dropped = rng.sample(payload["twists"], rng.randint(1, 3))
+        payload["twists"] = [t for t in payload["twists"] if t not in dropped]
+        table = fincat.validate(payload["base"], name="base").composition
+        b, a = next(pair for pair in table if [*pair] in [t[:2] for t in dropped])
+        with pytest.raises(manifest.BadManifest) as info:
+            manifest.complex_from_payload(payload)
+        assert str(info.value) == f"no twist for composable pair ({b!r}, {a!r})"
+        assert info.value.witness == {"pair": (b, a)}
 
     def test_comp_entry_for_a_pair_that_does_not_compose(self):
         """A comp entry whose pair does not compose, or names no index

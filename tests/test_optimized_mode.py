@@ -17,8 +17,8 @@ from eulcat.errors import InvariantViolation
 
 solve = ratlin._weigh
 
-def skewed(rows, support, side, name, label):
-    nums, den, unique = solve(rows, support, side, name, label)
+def skewed(rows, support, side, name):
+    nums, den, unique = solve(rows, support, side, name)
     if side == "coweighting":
         nums = [0] * (len(nums) - 1) + [99 * den]
     return nums, den, unique
