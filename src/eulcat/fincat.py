@@ -6,9 +6,10 @@ kinds keep integer arrays in place of their names and make each name field
 (the ``Morphism`` records, the lookup tables of ``_headers``, the
 composition table) on its first read (``_OnFirstRead``): a category
 validated from a manifest (``_Loaded``, which keeps its ``_Rows``) and a
-Grothendieck total (``hocolim._Total``, which keeps ``_Ends``).  Every
-other FinCat, built by the name-keyed constructor, holds its names from the
-start.  The structural predicates (``classify``), the hom counts and the
+Grothendieck total (``hocolim._Total``, which keeps ``_Ends``).  The
+writer reads those arrays (``FinCat._int_table``), so writing either makes
+no name field but the object names.  Every other FinCat, built by the
+name-keyed constructor, holds its names from the start.  The structural predicates (``classify``), the hom counts and the
 isomorphism classes read int arrays (``_Ends``: endpoints, identities and
 inverses by index) where a FinCat keeps them, and its records where it
 does not (``_ends_of``).
@@ -47,7 +48,7 @@ from operator import eq, itemgetter
 from typing import Iterable, Iterator, Mapping, NoReturn, Optional, Sequence
 
 from .errors import ValidationError, _trusted
-from .groups import FinGroup, _first_repeat, _require_list
+from .groups import FinGroup, _first_repeat, _generating_set, _require_list
 
 
 class DanglingReference(ValidationError):
@@ -234,6 +235,13 @@ class FinCat:
     def _arrows(self) -> Iterable[tuple[str, str, str]]:
         """The name, source and target of each morphism, in order."""
         return [(m.name, m.source, m.target) for m in self.morphisms]
+
+    def _int_table(self) -> tuple[Sequence[str], _Ends, Sequence[Mapping[int, int]]]:
+        """The morphism names, the endpoint arrays and the composition rows
+        (``rows[f][g]`` is the index of g o f), for one use: those of
+        ``_rows_of``, which a category validated from a manifest keeps."""
+        r = _rows_of(self)
+        return r.names, r, r.rows
 
     def require_object(self, x: str) -> None:
         if not self.has_object(x):
@@ -521,46 +529,6 @@ class _Rows(_Ends):
         """The name-keyed table of checked entries, in entry order."""
         names, rows = self.names, self.rows
         return {(names[g], names[f]): names[rows[f][g]] for g, f in self.pairs()}
-
-
-def _generating_set(rows: Sequence, ident: Sequence[int], src: Sequence[int],
-                    tgt: Sequence[int]) -> list[int]:
-    """Morphisms of which every morphism is a composite (an identity is the
-    empty one), on rows where ``rows[x][g]`` is g o x, defined when
-    ``src[g] == tgt[x]``, and ``ident`` lists the identities.  In index
-    order, each morphism that is no composite of those found before it is
-    added, and the composites it makes are reached from the identities by
-    composing on the left.  A group is the one-object case, with
-    ``rows[x][g]`` the product xg.
-
-    A map of morphisms into a lawful category that preserves identities
-    preserves every composite once F(h o s) = F(h) o F(s) for every
-    generator s and every h: for f = s_k o ... o s_1 and any g,
-    g o f = (g o s_k o ... o s_2) o s_1, so F(g o f) = F(g) o F(f) by
-    induction on k.  Likewise the naturality squares of two functors
-    commute everywhere once they do at the generators: squares that commute
-    at f and at g commute at g o f."""
-    reached = [False] * len(rows)
-    into: list[list[int]] = [[] for _ in ident]  # reached, by target
-    for x, e in enumerate(ident):
-        reached[e] = True
-        into[x].append(e)
-    gens: list[int] = []
-    for m in range(len(rows)):
-        if reached[m]:
-            continue
-        gens.append(m)
-        # a new composite has the form u o m o v, v reached before m
-        todo = [rows[v][m] for v in into[src[m]]]
-        while todo:
-            x = todo.pop()
-            if not reached[x]:
-                reached[x] = True
-                y = tgt[x]
-                into[y].append(x)
-                row = rows[x]
-                todo += [row[g] for g in gens if src[g] == y]
-    return gens
 
 
 def _inverse_search(rows: Sequence, src: Sequence[int], tgt: Sequence[int],

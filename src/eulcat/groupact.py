@@ -37,7 +37,6 @@ from .fincat import (
     NotAFunctor,
     _check_functor_arrays,
     _count_rows,
-    _generating_set,
     _is_thin,
     _iso_partition,
     _require_scwol,
@@ -45,7 +44,7 @@ from .fincat import (
     _rows_of,
     skeleton,
 )
-from .groups import FinGroup, GroupHom, _image_of
+from .groups import FinGroup, GroupHom, _generating_set, _image_of
 from .hocolim import MissingValue, PseudoDiagram, bar_spectrum, formula_value
 from .ratlin import _chi_L_of_rows, _class_reps
 from .zoo import arrow_category, discrete_category, one_object_category
@@ -92,7 +91,7 @@ def _check_homomorphism_law(group: FinGroup, perms: list[list[int]], points: Seq
     ``perms[g]`` permutes by index, for the element of index g) and
     ``perms[gh] == perms[g] o perms[h]`` for every pair (g, h), one whole
     index row at a time.  The pairs whose h is one of the group's
-    generators (``fincat._generating_set`` on the Cayley table) imply the
+    generators (``groups._generating_set`` on the Cayley table) imply the
     others: for h = s_1 ... s_k, perms[gh] = perms[g s_1 ... s_{k-1}] o
     perms[s_k] = perms[g] o perms[h] by induction on k.  A failure is
     located among all pairs, in order."""

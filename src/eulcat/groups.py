@@ -5,8 +5,9 @@ every group law is computed on integer indices: ``FinGroup.table`` holds
 the products and ``FinGroup._inverse`` the inverses, and a homomorphism is
 read as the list of its image indices (``_image_of``).  Labels come back only
 for results and error messages.  Groups are tiny here (order <= a few dozen),
-so every axiom is checked exhaustively at construction time, a whole row of
-the table at a time.
+so every axiom is checked at construction time, a whole row of the table at
+a time; associativity only with the middle factor in a generating set
+(Light's test, ``_generating_set``), which implies the rest.
 """
 
 from __future__ import annotations
@@ -37,6 +38,46 @@ def _require_list(value, what: str) -> None:
     list: a string or object would be read item by item."""
     if type(value) is not list:
         raise TypeError(f"{what} must be a list, not {type(value).__name__}")
+
+
+def _generating_set(rows: Sequence, ident: Sequence[int], src: Sequence[int],
+                    tgt: Sequence[int]) -> list[int]:
+    """Morphisms of which every morphism is a composite (an identity is the
+    empty one), on rows where ``rows[x][g]`` is g o x, defined when
+    ``src[g] == tgt[x]``, and ``ident`` lists the identities.  In index
+    order, each morphism that is no composite of those found before it is
+    added, and the composites it makes are reached from the identities by
+    composing on the left.  A group is the one-object case, with
+    ``rows[x][g]`` the product xg.
+
+    A map of morphisms into a lawful category that preserves identities
+    preserves every composite once F(h o s) = F(h) o F(s) for every
+    generator s and every h: for f = s_k o ... o s_1 and any g,
+    g o f = (g o s_k o ... o s_2) o s_1, so F(g o f) = F(g) o F(f) by
+    induction on k.  Likewise the naturality squares of two functors
+    commute everywhere once they do at the generators: squares that commute
+    at f and at g commute at g o f."""
+    reached = [False] * len(rows)
+    into: list[list[int]] = [[] for _ in ident]  # reached, by target
+    for x, e in enumerate(ident):
+        reached[e] = True
+        into[x].append(e)
+    gens: list[int] = []
+    for m in range(len(rows)):
+        if reached[m]:
+            continue
+        gens.append(m)
+        # a new composite has the form u o m o v, v reached before m
+        todo = [rows[v][m] for v in into[src[m]]]
+        while todo:
+            x = todo.pop()
+            if not reached[x]:
+                reached[x] = True
+                y = tgt[x]
+                into[y].append(x)
+                row = rows[x]
+                todo += [row[g] for g in gens if src[g] == y]
+    return gens
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,7 +131,16 @@ class FinGroup:
             inverse.append(b)
         object.__setattr__(self, "_inverse", tuple(inverse))
         # (ab)c against a(bc) for every c at once: row ab of the table
-        # against row a read through row b
+        # against row a read through row b, for b in a generating set
+        # (Light's test).  The b that pass for every a and c contain e, by
+        # the identity found above, and are closed under products: if b and
+        # b' pass, then (a(bb'))c = ((ab)b')c = (ab)(b'c) = a(b(b'c))
+        # = a((bb')c).  Every element is a product of generators, so all of
+        # them pass.  A failure is located among all pairs, in order.
+        one = [0] * n
+        gens = _generating_set(rows, [identity], one, one)
+        if all(rows[row_a[b]] == [row_a[x] for x in rows[b]] for row_a in rows for b in gens):
+            return
         for a, row_a in enumerate(rows):
             for b, ab in enumerate(row_a):
                 if rows[ab] != [row_a[x] for x in rows[b]]:

@@ -310,7 +310,9 @@ class _Total(FinCat):
     records, ``identity``, ``_invertible`` or a lookup table of
     ``fincat._headers`` makes all of those, and the first read of
     ``composition`` makes the table.  Names and order are those of the
-    name-level construction.
+    name-level construction.  The writer reads the object names, the
+    morphism names and the arrays (``_int_table``), and makes none of the
+    other fields.
     """
 
     objects = _OnFirstRead()
@@ -348,6 +350,13 @@ class _Total(FinCat):
                                      for first, base, h, gs, pos in runs
                                      for q, g in enumerate(gs, first)}
 
+    def _int_table(self) -> tuple[list[str], _Ends, list[dict[int, int]]]:
+        """The morphism names, ``_arrays`` and the composition rows, which
+        ``_Numbering.composites`` makes in one walk of the runs and does not
+        keep."""
+        plan = self._plan
+        return plan.morphism_names(), self._arrays, plan.composites()
+
 
 class _VertexOrder:
     """The morphisms of a vertex category C out of each object x, in the
@@ -379,7 +388,8 @@ class _Numbering:
     morphism (u, f)@c, for the k-th object c of C(source(u)); ``blocks``
     holds each run of morphisms (u, f)@c with u and c fixed, as
     (i, k, u, j, x) in morphism order, where u: i -> j and x is the index
-    of C(u)(c) in C(j).  ``rows`` holds the composites once they are made."""
+    of C(u)(c) in C(j).  ``rows`` holds the composites if the build searched
+    them for inverses (over an index that is not directly finite)."""
 
     __slots__ = ("diagram", "place", "starts", "blocks", "rows")
 
@@ -441,13 +451,13 @@ class _Numbering:
                        for vrows, after_inv, obj_image, mor_image, base, first, out, pos in steps]
 
     def composites(self) -> list[dict[int, int]]:
-        """The composition rows of ``runs``, made once: ``rows[m][q]`` is
-        the index of q o m, for q in the order of the morphisms out of the
-        target of m."""
-        if self.rows is None:
-            self.rows = [{q: base + pos[h[g]] for first, base, h, gs, pos in runs
-                          for q, g in enumerate(gs, first)} for runs in self.runs()]
-        return self.rows
+        """The composition rows of ``runs``: ``rows[m][q]`` is the index of
+        q o m, for q in the order of the morphisms out of the target of m.
+        They are ``rows`` if the build kept them, and else made afresh."""
+        if self.rows is not None:
+            return self.rows
+        return [{q: base + pos[h[g]] for first, base, h, gs, pos in runs
+                 for q, g in enumerate(gs, first)} for runs in self.runs()]
 
 
 def _grothendieck(d: Diagram) -> FinCat:
@@ -533,7 +543,8 @@ def _grothendieck(d: Diagram) -> FinCat:
         inv = _lifted_inverses(d, plan)
         directly_finite = all(d.vertex[i]._directly_finite for i in idx.objects)
     else:
-        inv, directly_finite = _inverse_search(plan.composites(), src, tgt, ident)
+        plan.rows = plan.composites()
+        inv, directly_finite = _inverse_search(plan.rows, src, tgt, ident)
     return _trusted(_Total, name=f"hocolim({idx.name})", _arrays=_Ends(src, tgt, ident, inv),
                     _plan=plan, _directly_finite=directly_finite)
 

@@ -5,16 +5,19 @@
      "payload": {...}}
 
 All numbers that can be non-integral are strings "p/q"; integers stay JSON
-integers.  Serialization is deterministic (object-id order), and
-``parse(serialize(x))`` rebuilds an identical structure for every kind.
-``_dumps`` writes every manifest file and every CLI ``--json`` report.
+integers.  Serialization is deterministic: objects and morphisms in the
+value's order, a category's ``compose`` entries in name order (g, then f),
+and every key sorted by the writer.  ``parse(serialize(x))`` rebuilds an
+identical structure for every kind.  ``_dumps`` writes every manifest file
+and every CLI ``--json`` report.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any, Mapping
+from itertools import chain
+from typing import Any, Mapping, Sequence
 
 from .errors import ValidationError
 from .fincat import CatFunctor, FinCat, _ends_of, _rows_of, validate
@@ -41,15 +44,39 @@ def parse_rational(raw) -> Fraction:
 
 
 def category_payload(cat: FinCat) -> dict:
+    """The payload of ``cat``, read off its integer arrays
+    (``FinCat._int_table``), so writing a Grothendieck total or a category
+    loaded from a manifest makes none of its name fields.  Each entry is a
+    fresh list, which a caller may edit."""
+    names, ends, rows = cat._int_table()
+    objs = cat.objects
     return {
         "name": cat.name,
-        "objects": list(cat.objects),
-        "morphisms": [
-            {"id": m.name, "source": m.source, "target": m.target} for m in cat.morphisms
-        ],
-        "identity": {x: cat.identity[x] for x in cat.objects},
-        "compose": sorted([g, f, gf] for (g, f), gf in cat.composition.items()),
+        "objects": list(objs),
+        "morphisms": [{"id": m, "source": objs[x], "target": objs[y]}
+                      for m, x, y in zip(names, ends.src, ends.tgt)],
+        "identity": {x: names[e] for x, e in zip(objs, ends.ident)},
+        "compose": _compose_entries(names, rows),
     }
+
+
+def _compose_entries(names: Sequence[str], rows: Sequence[Mapping[int, int]]) -> list[list[str]]:
+    """``sorted([g, f, gf] for (g, f), gf in table.items())`` for the table
+    whose ``rows[f][g]`` is the index of g o f, morphisms named by ``names``.
+
+    The names are sorted once.  Each cell (f, g, gf) goes to the bucket of
+    g, with f taken in name order, and the buckets are emitted in name order
+    of g.  That is the order of the sort: lists compare item by item, the
+    names are distinct, so two entries are ordered by the names of their g
+    and, for one g, of their f; each pair (g, f) has one entry, so gf is
+    never compared."""
+    order = sorted(range(len(names)), key=names.__getitem__)
+    buckets: list[list[list[str]]] = [[] for _ in names]
+    for f in order:
+        name_f = names[f]
+        for g, gf in rows[f].items():
+            buckets[g].append([names[g], name_f, names[gf]])
+    return list(chain.from_iterable(map(buckets.__getitem__, order)))
 
 
 def category_from_payload(payload: Mapping, name: str = "C") -> FinCat:
@@ -449,14 +476,15 @@ def _write_list(v, nl: str, out: list[str]) -> None:
         pass
     if {*map(type, v)} <= _SEQUENCES and all(v):
         ind2 = ind + "  "
+        inner = "," + ind2
+        lengths = {*map(len, v)}
         try:  # a list of non-empty string lists, such as compose triples
-            out.append(
-                "[" + ind + "[" + ind2
-                + (ind + "]" + sep + "[" + ind2).join(
-                    [("," + ind2).join(map(_quote, x)) for x in v]
-                )
-                + ind + "]" + nl + "]"
-            )
+            if len(lengths) == 1:  # of one length k: quote them all in one stream, k at a time
+                items = map(inner.join, zip(*[map(_quote, chain.from_iterable(v))] * lengths.pop()))
+            else:
+                items = [inner.join(map(_quote, x)) for x in v]
+            out.append("[" + ind + "[" + ind2 + (ind + "]" + sep + "[" + ind2).join(items)
+                       + ind + "]" + nl + "]")
             return
         except TypeError:
             pass

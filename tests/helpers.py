@@ -812,3 +812,21 @@ def reference_check_laws(name, objects, morphisms, identity, table) -> None:
                         f"(h, g, f) = ({h!r}, {g!r}, {f.name!r})",
                         witness={"h": h, "g": g, "f": f.name},
                     )
+
+
+# -- the name-level writer, as a reference -------------------------------
+
+
+def reference_category_payload(cat: FinCat) -> dict:
+    """``manifest.category_payload`` as it was before it read the integer
+    arrays: the records, the identity map and the sorted name triples of
+    the composition table."""
+    return {
+        "name": cat.name,
+        "objects": list(cat.objects),
+        "morphisms": [
+            {"id": m.name, "source": m.source, "target": m.target} for m in cat.morphisms
+        ],
+        "identity": {x: cat.identity[x] for x in cat.objects},
+        "compose": sorted([g, f, gf] for (g, f), gf in cat.composition.items()),
+    }

@@ -65,6 +65,7 @@ from eulcat.groups import (
     GroupHom,
     NotAGroup,
     NotAHomomorphism,
+    _generating_set,
     cyclic_group,
     symmetric_group,
 )
@@ -150,30 +151,35 @@ def reference_fincat_laws(objects, morphisms, identity, composition, name):
 
 
 def reference_group_laws(labels, table, name):
-    """FinGroup's axioms, one product at a time."""
+    """FinGroup's axioms, one product at a time, associativity on every
+    triple in order."""
     n = len(labels)
     if len(set(labels)) != n:
-        raise NotAGroup(f"duplicate element labels in {name}")
+        dup = next(x for k, x in enumerate(labels) if x in labels[:k])
+        raise NotAGroup(f"duplicate element labels in {name}", witness={"element": dup})
     if len(table) != n or any(len(row) != n for row in table):
-        raise NotAGroup(f"Cayley table of {name} is not {n}x{n}")
+        raise NotAGroup(f"Cayley table of {name} is not {n}x{n}",
+                        witness={"shape": [len(row) for row in table]})
     for row in table:
         for v in row:
             if not 0 <= v < n:
-                raise NotAGroup(f"Cayley table entry {v} out of range")
+                raise NotAGroup(f"Cayley table entry {v} out of range", witness={"entry": v})
     identity = None
     for e in range(n):
         if all(table[e][x] == x == table[x][e] for x in range(n)):
             identity = e
             break
     if identity is None:
-        raise NotAGroup(f"{name} has no identity element")
+        raise NotAGroup(f"{name} has no identity element", witness={"group": name})
     for a in range(n):
         if not any(table[a][b] == identity == table[b][a] for b in range(n)):
-            raise NotAGroup(f"element {labels[a]!r} of {name} has no inverse")
+            raise NotAGroup(f"element {labels[a]!r} of {name} has no inverse",
+                            witness={"element": labels[a]})
     for a, b, c in itertools.product(range(n), repeat=3):
         if table[table[a][b]][c] != table[a][table[b][c]]:
             raise NotAGroup(
-                f"{name} is not associative on ({labels[a]!r}, {labels[b]!r}, {labels[c]!r})"
+                f"{name} is not associative on ({labels[a]!r}, {labels[b]!r}, {labels[c]!r})",
+                witness=(labels[a], labels[b], labels[c]),
             )
 
 
@@ -455,8 +461,9 @@ def assert_same_fincat_verdict(cat, composition):
 
 
 def assert_same_group_verdict(labels, table, name):
-    got = outcome(FinGroup, labels, table, name=name)
-    assert got == outcome(reference_group_laws, labels, table, name)
+    """Class, message and witness against ``reference_group_laws``."""
+    got = outcome(FinGroup, labels, table, name=name, witness=True)
+    assert got == outcome(reference_group_laws, labels, table, name, witness=True)
     if got is None:
         group = FinGroup(labels, table, name=name)
         assert (group._identity, group._inverse) == reference_identity_and_inverse(table)
@@ -674,6 +681,27 @@ class TestFinGroup:
         a, b = rng.randrange(n), rng.randrange(n)
         table[a][b] = (table[a][b] + rng.randrange(1, n)) % n if n > 1 else 0
         assert_same_group_verdict(group.labels, tuple(map(tuple, table)), group.name)
+
+    @pytest.mark.parametrize("group", [cyclic_group(5), cyclic_group(6), symmetric_group(3)],
+                             ids=lambda g: g.name)
+    def test_every_table_with_one_product_changed(self, group):
+        """FinGroup checks associativity with the middle factor in a
+        generating set (Light's test) and locates a failure among all
+        triples; the first failing triple's middle factor is often no
+        generator, and it is still found."""
+        n, table = group.order, group.table
+        one = [0] * n
+        gens = {group.labels[b] for b in _generating_set(table, [group._identity], one, one)}
+        middles = set()
+        for a, b, v in itertools.product(range(n), repeat=3):
+            if v != table[a][b]:
+                changed = [list(row) for row in table]
+                changed[a][b] = v
+                got = assert_same_group_verdict(group.labels, tuple(map(tuple, changed)),
+                                                group.name)
+                if "associative" in got[1]:
+                    middles.add(got[2][1])
+        assert middles - gens and len(gens) < n - 1
 
     @settings(max_examples=40, deadline=None)
     @given(groups, SEEDS)

@@ -3,20 +3,27 @@
 ``_dumps(v)`` must equal ``json.dumps(v, indent=2, sort_keys=True)`` byte for
 byte on every JSON value, and raise the same error where json.dumps does.
 ``dump_file`` must write what ``json.dump`` with those options wrote, plus a
-newline, for every manifest kind.
+newline, for every manifest kind.  ``category_payload``, which reads a
+category's integer arrays, must give the payload and bytes of the
+name-level writer it replaced (``helpers.reference_category_payload``).
 """
 
 import json
 from fractions import Fraction
+from random import Random
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eulcat import manifest, randgen, zoo
-from eulcat.groupact import complex_of_groups, complex_to_pseudo_diagram
-from eulcat.groups import cyclic_group
-from eulcat.hocolim import bar_spectrum, constant_diagram
+from eulcat.fincat import FinCat, Morphism, full_subcategory, opposite, product, validate
+from eulcat.groupact import complex_of_groups, complex_to_pseudo_diagram, hocolim_groups
+from eulcat.groups import cyclic_group, symmetric_group
+from eulcat.hocolim import bar_spectrum, constant_diagram, grothendieck, grothendieck_pseudo
+
+from helpers import reference_category_payload, split_idempotent
+from strategies import TWISTED_ACTION_SEEDS
 
 texts = st.text()  # control and non-ASCII characters included
 string_lists = st.lists(texts) | st.lists(texts).map(tuple)
@@ -43,8 +50,17 @@ def reference(value) -> str:
     return json.dumps(value, indent=2, sort_keys=True)
 
 
+class Text(str):
+    pass
+
+
 @settings(max_examples=150, deadline=None)
 @given(json_values)
+@example([("a", "b"), ["c", "d"], ("e", "f")])  # equal-length string lists and tuples
+@example([["a"], ["b", "c"], ("d",)])  # ragged
+@example([["a", Text("b\n"), "c"]])
+@example([["a", "b", "c"], ["d", "e", 1]])  # the fallback after part of the stream is quoted
+@example([["\ud800", "x", "\udfff"], ["\udbff\udc00", "y", "z"]])
 @example("\ud800")
 @example(["\ud800", "\x00\x1f\x7fé "])
 @example([["a"], []])
@@ -112,3 +128,113 @@ def test_dump_file_bytes(kind, tmp_path):
         json.dump(manifest.serialize(kind, value), fh, indent=2, sort_keys=True)
         fh.write("\n")
     assert path.read_bytes() == want.read_bytes()
+
+
+# -- category_payload against the name-level writer -------------------------------------
+
+
+def assert_writes_as_before(cat) -> None:
+    """``category_payload`` reads the integer arrays; its payload equals the
+    name-level writer's (``helpers.reference_category_payload``), and both
+    are written to the same bytes."""
+    got = manifest.category_payload(cat)
+    want = reference_category_payload(cat)
+    assert got == want
+    assert manifest._dumps(got) == manifest._dumps(want)
+
+
+def twisted_complex(seed):
+    return complex_of_groups(randgen.random_action(Random(seed))).complex
+
+
+def renamed(cat: FinCat) -> FinCat:
+    """``cat`` with names that share prefixes and are not ASCII: the k-th
+    morphism is one of a few prefixes followed by k // 6 letters b."""
+    prefixes = ["", "\u00e9", "\ud800", "a\x00", "A", "a"]
+    new = {m.name: prefixes[k % 6] + "b" * (k // 6) for k, m in enumerate(cat.morphisms)}
+    obj = {x: "\u00f8" * k + "x" for k, x in enumerate(cat.objects)}
+    return FinCat(tuple(obj[x] for x in cat.objects),
+                  tuple(Morphism(new[m.name], obj[m.source], obj[m.target]) for m in cat.morphisms),
+                  {obj[x]: new[e] for x, e in cat.identity.items()},
+                  {(new[g], new[f]): new[gf] for (g, f), gf in cat.composition.items()},
+                  name=cat.name)
+
+
+def numbered_manifest(cat: FinCat, seed: int) -> dict:
+    """The payload of ``cat`` with every id a JSON number and the compose
+    entries shuffled."""
+    payload = reference_category_payload(cat)
+    obj = {x: k for k, x in enumerate(payload["objects"])}
+    mor = {m["id"]: k for k, m in enumerate(payload["morphisms"])}
+    compose = [[mor[g], mor[f], mor[gf]] for g, f, gf in payload["compose"]]
+    Random(seed).shuffle(compose)
+    return {"objects": list(obj.values()),
+            "morphisms": [{"id": mor[m["id"]], "source": obj[m["source"]],
+                           "target": obj[m["target"]]} for m in payload["morphisms"]],
+            "identity": {str(obj[x]): mor[e] for x, e in payload["identity"].items()},
+            "compose": compose}
+
+
+ZOO = {
+    "pushout": zoo.pushout_scwol,
+    "polygon5": lambda: zoo.polygon_scwol(5),
+    "subsets3": lambda: zoo.subsets_poset_opposite(3),
+    "S3": lambda: zoo.one_object_category(symmetric_group(3)),
+    "monoid": zoo.monoid_z2_mult,
+    "split": split_idempotent,
+    "groupoid": lambda: zoo.contractible_groupoid(["p", "q", "r"]),
+    "product": lambda: product(zoo.pushout_scwol(), zoo.parallel_pair_scwol()),
+    "opposite": lambda: opposite(zoo.subsets_poset_opposite(3)),
+    "full_subcategory": lambda: full_subcategory(
+        zoo.inflate(zoo.pushout_scwol(), {"j": 2, "k": 1, "l": 1}), ["j0", "j1", "k0"]),
+}
+
+
+class TestCategoryPayload:
+    @pytest.mark.parametrize("seed", TWISTED_ACTION_SEEDS)
+    def test_totals(self, seed):
+        """Strict and pseudo Grothendieck totals (``hocolim._Total``), and
+        the homotopy colimit of a complex of groups built by names."""
+        assert_writes_as_before(grothendieck(randgen.random_strict_diagram(Random(seed))).category)
+        cplx = twisted_complex(seed)
+        assert_writes_as_before(grothendieck_pseudo(complex_to_pseudo_diagram(cplx)))
+        assert_writes_as_before(hocolim_groups(cplx))
+
+    def test_total_over_an_index_not_directly_finite(self):
+        """The split-idempotent index: the build keeps the composition rows."""
+        total = grothendieck(constant_diagram(split_idempotent(),
+                                              zoo.one_object_category(cyclic_group(3)))).category
+        assert total._plan.rows is not None
+        assert_writes_as_before(total)
+
+    def test_total_with_its_records_made(self):
+        total = grothendieck_pseudo(complex_to_pseudo_diagram(twisted_complex(14)))
+        total.morphisms  # made before the write
+        assert_writes_as_before(total)
+
+    @pytest.mark.parametrize("kind", sorted(ZOO))
+    def test_name_keyed_categories(self, kind):
+        assert_writes_as_before(ZOO[kind]())
+        assert_writes_as_before(renamed(ZOO[kind]()))
+
+    @pytest.mark.parametrize("kind", sorted(ZOO))
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_loaded_from_numbered_unsorted_entries(self, kind, seed):
+        """A loaded manifest keeps its entries in their order; ids 0..n-1
+        read as strings sort as strings ("10" before "2")."""
+        assert_writes_as_before(validate(numbered_manifest(ZOO[kind](), seed)))
+
+    @pytest.mark.parametrize("build", [
+        lambda: grothendieck(randgen.random_strict_diagram(Random(TWISTED_ACTION_SEEDS[0]))).category,
+        lambda: grothendieck_pseudo(complex_to_pseudo_diagram(twisted_complex(18))),
+        lambda: validate(reference_category_payload(ZOO["product"]())),
+    ], ids=["strict", "pseudo", "loaded"])
+    def test_writing_makes_no_name_table(self, build):
+        """Writing a total or a loaded category makes no records, lookup
+        table or name-keyed table, and pins no composition rows on a
+        total's plan."""
+        cat = build()
+        manifest.category_payload(cat)
+        assert not {"composition", "morphisms", "_hom"} & vars(cat).keys()
+        plan = vars(cat).get("_plan")
+        assert plan is None or plan.rows is None
