@@ -26,7 +26,6 @@ from . import manifest, randgen, zoo
 from .errors import EulcatError
 from .eulerchar import chi_scwol, groupoid_chi2
 from .fincat import (
-    _ends_of,
     _iso_partition,
     are_isomorphic,
     classify,
@@ -83,7 +82,7 @@ def _validate(kind, value, args):
     lines = [f"OK: valid {kind}"]
     report = {"kind": kind, "valid": True}
     if kind == "category":
-        objects, morphisms = len(value), _ends_of(value).census()[0]
+        objects, morphisms = len(value), len(value._ends.src)
         lines.append(f"objects: {objects}, morphisms: {morphisms}")
         report.update(objects=objects, morphisms=morphisms)
     if args.json:
@@ -156,7 +155,7 @@ def _hocolim(kind, value, args):
     except NoEulerCharacteristic:
         chi = None
     # counted off a total's arrays: only --json names its objects and morphisms
-    objects, morphisms = len(cat), _ends_of(cat).census()[0]
+    objects, morphisms = len(cat), len(cat._ends.src)
     lines = [
         f"objects: {objects}",
         f"morphisms: {morphisms}",

@@ -1,18 +1,18 @@
 """Finite categories as explicit object/morphism/composition tables.
 
 A FinCat stores everything needed to answer categorical questions by
-exhaustive search: the full composition table, identities, hom-sets.  Two
-kinds keep integer arrays in place of their names and make each name field
-(the ``Morphism`` records, the lookup tables of ``_headers``, the
-composition table) on its first read (``_OnFirstRead``): a category
-validated from a manifest (``_Loaded``, which keeps its ``_Rows``) and a
-Grothendieck total (``hocolim._Total``, which keeps ``_Ends``).  The
-writer reads those arrays (``FinCat._int_table``), so writing either makes
-no name field but the object names.  Every other FinCat, built by the
-name-keyed constructor, holds its names from the start.  The structural predicates (``classify``), the hom counts and the
-isomorphism classes read int arrays (``_Ends``: endpoints, identities and
-inverses by index) where a FinCat keeps them, and its records where it
-does not (``_ends_of``).
+exhaustive search: the full composition table, identities, hom-sets.  Every
+FinCat keeps ``_ends`` (``_Ends``: endpoints, identities and inverses by
+index), which the structural predicates (``classify``), the hom counts and
+the isomorphism classes read.  Two kinds keep integer arrays in place of
+their names and make each name field (the ``Morphism`` records, the lookup
+tables of ``_headers``, the composition table) on its first read
+(``_OnFirstRead``): a category validated from a manifest (``_Loaded``,
+whose ``_ends`` are its ``_Rows``) and a Grothendieck total
+(``hocolim._Total``).  The writer reads those arrays
+(``FinCat._int_table``), so writing either makes no name field but the
+object names.  Every other FinCat, built by the name-keyed constructor,
+holds its names from the start and builds its ``_ends`` from them.
 
 Validation checks the ids, endpoints and identity map, the endpoints of
 every composite, the identity laws on every morphism and, unless the
@@ -93,17 +93,17 @@ class FinCat:
 
     ``composition[(g, f)]`` is the name of ``g o f`` (apply f first), defined
     exactly when ``target(f) == source(g)``.  This constructor takes names
-    and holds them all from construction; where it keeps no arrays the
-    predicates read its records (``_ends_of``).  Two subclasses keep integer
+    and holds them all from construction, and builds ``_ends`` (``_Ends``:
+    endpoints, identities and inverses by index) from the object and
+    morphism indexes of its record check.  Two subclasses keep integer
     arrays instead and make their name fields on first read: a category
-    validated from a manifest by ``validate`` is a ``_Loaded``, which keeps
-    the rows of its check (``_rows``) and makes its records, lookup tables
-    and table (in the manifest's entry order) from them, and a Grothendieck
-    total is a ``hocolim._Total``, which keeps ``_arrays`` and makes every
-    name field.
-    Direct finiteness comes from the inverse search of the table or rows
-    (``_find_invertibles``, ``_Rows.set_inverses``), or, for a total over a
-    directly finite index, from the diagram's vertices.
+    validated from a manifest by ``validate`` is a ``_Loaded``, whose
+    ``_ends`` are the rows of its check and which makes its records, lookup
+    tables and table (in the manifest's entry order) from them, and a
+    Grothendieck total is a ``hocolim._Total``, which makes every name
+    field.  Direct finiteness comes from the inverse search of the table or
+    rows (``_find_invertibles``, ``_Rows.set_inverses``), or, for a total
+    over a directly finite index, from the diagram's vertices.
     """
 
     objects: tuple[str, ...]
@@ -116,32 +116,37 @@ class FinCat:
     _mor: dict = field(init=False, repr=False)
     _hom: dict = field(init=False, repr=False)
     _by_source: dict = field(init=False, repr=False)
-    _identity_names: frozenset = field(init=False, repr=False)
     _invertible: dict = field(init=False, repr=False)
     _directly_finite: bool = field(init=False, repr=False)
+    _ends: _Ends = field(init=False, repr=False)
 
     def __post_init__(self, check: bool = True):
-        records = self._check_records(check)
-        if records is None:
+        names, index, obj_index = self._check_records()
+        mors = self.morphisms
+        src, tgt = [obj_index[m.source] for m in mors], [obj_index[m.target] for m in mors]
+        ident = [index[self.identity[x]] for x in self.objects]
+        if check:
+            rows = _Rows(obj_index, names, index, src, tgt, ident)
+            rows.check_entries(((g, f, gf) for (g, f), gf in self.composition.items()), self.name)
+            rows.check_laws(self.name)
+            rows.set_inverses(self)
+            inv = rows.inv
+        else:
             self._find_invertibles()
-            return
-        rows = _Rows.of(self, *records)
-        rows.check_entries(((g, f, gf) for (g, f), gf in self.composition.items()), self.name)
-        rows.check_laws(self.name)
-        rows.set_inverses(self)
+            inv = {index[m]: index[g] for m, g in self._invertible.items()}
+        object.__setattr__(self, "_ends", _Ends(src, tgt, ident, inv))
 
-    def _check_records(self, check: bool) -> Optional[tuple[list, dict, dict]]:
+    def _check_records(self) -> tuple[list, dict, dict]:
         """Check the object and morphism ids, the endpoints and the identity
-        map, and set the lookup tables of ``_headers``.  For a checked build,
-        return what ``_Rows.of`` reads: the morphism names, their index and
-        the object index."""
+        map, and set the lookup tables of ``_headers``.  Return the morphism
+        names, their index and the object index."""
         objects, morphisms = self.objects, self.morphisms
-        obj_index = {x: i for i, x in enumerate(objects)} if check else set(objects)
+        obj_index = {x: i for i, x in enumerate(objects)}
         if len(obj_index) != len(objects):
             dup = _first_repeat(objects)
             raise DanglingReference(f"{self.name}: duplicate object ids", witness={"object": dup})
         names = [m.name for m in morphisms]
-        index = {m: i for i, m in enumerate(names)} if check else set(names)
+        index = {m: i for i, m in enumerate(names)}
         if len(index) != len(names):
             dup = sorted(n for n, k in Counter(names).items() if k > 1)
             raise DanglingReference(
@@ -154,7 +159,7 @@ class FinCat:
                     f"{m.source!r} -> {m.target!r}",
                     witness={"morphism": m.name},
                 )
-        for attr, table in _headers(objects, morphisms, self.identity).items():
+        for attr, table in _headers(objects, morphisms).items():
             object.__setattr__(self, attr, table)
         mor = self._mor
 
@@ -178,16 +183,14 @@ class FinCat:
                 raise DanglingReference(
                     f"{self.name}: identity table names unknown object {x!r}", witness={"object": x}
                 )
-        if not check:
-            return None
         return names, index, obj_index
 
     def _find_invertibles(self) -> None:
         """Set ``_invertible`` (each invertible m to its inverse) and
         ``_directly_finite`` (no g with g o m = id but m o g != id) in one
         search of the name table, which stops at an inverse: the only left
-        inverse of m.  For unchecked builds; a checked one searches its rows
-        (``_Rows.set_inverses``)."""
+        inverse of m.  For unchecked builds, which hand ``_ends`` the result
+        by index; a checked one searches its rows (``_Rows.set_inverses``)."""
         inv: dict[str, str] = {}
         directly_finite = True
         for m in self.morphisms:
@@ -218,7 +221,7 @@ class FinCat:
         return self._by_source[x]
 
     def is_identity(self, m: str) -> bool:
-        return m in self._identity_names
+        return self.identity[self.source(m)] == m
 
     def is_invertible(self, m: str) -> bool:
         return m in self._invertible
@@ -241,14 +244,14 @@ class FinCat:
         (``rows[f][g]`` is the index of g o f), for one use: those of
         ``_rows_of``, which a category validated from a manifest keeps."""
         r = _rows_of(self)
-        return r.names, r, r.rows
+        return r.names, self._ends, r.rows
 
     def require_object(self, x: str) -> None:
         if not self.has_object(x):
             raise UnknownObject(f"{self.name} has no object {x!r}", witness={"object": x})
 
     def __len__(self) -> int:
-        return len(self.objects)
+        return len(self._ends.ident)
 
 
 class _OnFirstRead:
@@ -270,15 +273,13 @@ class _OnFirstRead:
 
 
 class _Ends:
-    """The int arrays a FinCat can keep in place of reading its records:
-    ``src`` and ``tgt`` (object indices of each morphism's endpoints),
-    ``ident`` (the identity of each object, by morphism index) and ``inv``
-    (each invertible morphism to its inverse, in morphism order).  A
-    Grothendieck total keeps these (``_arrays``), and a category validated
-    from a manifest keeps its ``_Rows``, which has the same four.
-
-    The structural predicates read only what the methods give, and
-    ``_RecordEnds`` gives the same off the records of any other FinCat."""
+    """The int arrays every FinCat keeps as ``_ends``: ``src`` and ``tgt``
+    (object indices of each morphism's endpoints), ``ident`` (the identity
+    of each object, by morphism index) and ``inv`` (each invertible
+    morphism to its inverse, in morphism order).  A category validated from
+    a manifest keeps its ``_Rows``, which has the same four.  The structural
+    predicates, the hom counts and the isomorphism classes read only what
+    the methods give."""
 
     __slots__ = ("src", "tgt", "ident", "inv")
 
@@ -314,54 +315,6 @@ class _Ends:
         return zip(map(src.__getitem__, inv), map(tgt.__getitem__, inv))
 
 
-class _RecordEnds:
-    """What the methods of ``_Ends`` give, read off the records, ``_hom``
-    and ``_invertible`` of a FinCat that keeps no arrays, for one use.
-    These tables hold the same facts, so no per-morphism array is made."""
-
-    __slots__ = ("cat",)
-
-    def __init__(self, cat: FinCat):
-        self.cat = cat
-
-    def endomorphisms(self) -> int:
-        return len([m for m in self.cat.morphisms if m.source == m.target])
-
-    def census(self) -> tuple[int, int, int]:
-        cat = self.cat
-        mor, inv = cat._mor, cat._invertible
-        return len(cat.morphisms), len(inv), len([m for m in inv if mor[m].source == mor[m].target])
-
-    def is_thin(self) -> bool:
-        return len(self.cat._hom) == len(self.cat.morphisms)
-
-    def hom_rows(self, transpose: bool = False) -> list[dict[int, int]]:
-        index = {x: i for i, x in enumerate(self.cat.objects)}
-        rows: list[dict[int, int]] = [{} for _ in index]
-        if transpose:
-            for (x, y), ms in self.cat._hom.items():
-                rows[index[y]][index[x]] = len(ms)
-        else:
-            for (x, y), ms in self.cat._hom.items():
-                rows[index[x]][index[y]] = len(ms)
-        return rows
-
-    def invertible_ends(self) -> Iterable[tuple[int, int]]:
-        cat = self.cat
-        index, mor = {x: i for i, x in enumerate(cat.objects)}, cat._mor
-        return [(index[mor[m].source], index[mor[m].target]) for m in cat._invertible]
-
-
-def _ends_of(cat: FinCat):
-    """The arrays ``cat`` keeps (a Grothendieck total's ``_arrays``, or the
-    ``_rows`` of a category validated from a manifest), or else a
-    ``_RecordEnds`` on it, not kept (see ``_rows_of``).  ``len(cat)`` is the
-    number of objects."""
-    d = cat.__dict__
-    ends = d.get("_arrays") or d.get("_rows")
-    return _RecordEnds(cat) if ends is None else ends
-
-
 class _Rows(_Ends):
     """The composition table of a FinCat on morphism indices: ``rows[f][g]``
     is the index of ``g o f``.  ``objects`` numbers the objects, ``names``
@@ -386,14 +339,6 @@ class _Rows(_Ends):
         self.objects, self.names, self.index = objects, names, index
         self.rows = [{} for _ in names]
         self.order = self.gens = None
-
-    @classmethod
-    def of(cls, cat: FinCat, names: list, index: dict, objects: dict) -> "_Rows":
-        """Empty rows on the records of ``cat``, whose morphisms ``names``
-        lists and ``index`` numbers, and whose objects ``objects`` numbers."""
-        mors = cat.morphisms
-        return cls(objects, names, index, [objects[m.source] for m in mors],
-                   [objects[m.target] for m in mors], [index[cat.identity[x]] for x in cat.objects])
 
     def read(self, table: Mapping) -> "_Rows":
         """Fill the rows from a lawful name-keyed table, with no check."""
@@ -534,13 +479,15 @@ class _Rows(_Ends):
 def _inverse_search(rows: Sequence, src: Sequence[int], tgt: Sequence[int],
                     ident: Sequence[int]) -> tuple[dict[int, int], bool]:
     """The search of ``FinCat._find_invertibles`` on int rows, where g o m
-    is ``rows[m][g]``: each invertible m to its inverse, in morphism order,
-    and whether no g has g o m = id but m o g != id.  The candidates g for m
-    run through Hom(t(m), s(m)) in morphism order, and the search stops at
-    an inverse, the only left inverse of m.  Only a morphism with a reverse
-    arrow has a candidate.  An identity e is its own inverse and has no
-    other left inverse (g o e = g), and it is no left inverse of any other
-    m (e o m = m), so it is neither searched nor a candidate."""
+    is ``rows[m][g]``, for a checked build, a manifest and a total over an
+    index that is not directly finite: the ``inv`` of their ``_ends`` (each
+    invertible m to its inverse, in morphism order), and whether no g has
+    g o m = id but m o g != id.  The candidates g for m run through
+    Hom(t(m), s(m)) in morphism order, and the search stops at an inverse,
+    the only left inverse of m.  Only a morphism with a reverse arrow has a
+    candidate.  An identity e is its own inverse and has no other left
+    inverse (g o e = g), and it is no left inverse of any other m
+    (e o m = m), so it is neither searched nor a candidate."""
     reverse = set(zip(tgt, src))
     searched = list(compress(range(len(src)), map(reverse.__contains__, zip(src, tgt))))
     identities = set(ident)
@@ -565,61 +512,60 @@ def _inverse_search(rows: Sequence, src: Sequence[int], tgt: Sequence[int],
 
 
 def _rows_of(cat: FinCat) -> _Rows:
-    """The rows of ``cat``: those a category validated from a manifest keeps,
-    or rows read in one pass over the table that any other FinCat holds
-    (lawful, by its check or its builder's proof), with no law checked.
-    Those are not kept: next to a name table they would be a second copy
-    of it, so a check reads them once and hands them down."""
-    rows = cat.__dict__.get("_rows")
-    if rows is None:
-        names = [m.name for m in cat.morphisms]
-        rows = _Rows.of(cat, names, {m: i for i, m in enumerate(names)},
-                        {x: i for i, x in enumerate(cat.objects)}).read(cat.composition)
-    return rows
+    """The rows of ``cat``: its ``_ends`` where they are rows (a category
+    validated from a manifest), or else rows on its ``_ends``, read in one
+    pass over the table it holds (lawful, by its check or its builder's
+    proof), with no law checked.  Those are not kept: next to a name table
+    they would be a second copy of it, so a check reads them once and hands
+    them down."""
+    ends = cat._ends
+    if isinstance(ends, _Rows):
+        return ends
+    names = [m.name for m in cat.morphisms]
+    return _Rows({x: i for i, x in enumerate(cat.objects)}, names,
+                 {m: i for i, m in enumerate(names)}, ends.src, ends.tgt,
+                 ends.ident).read(cat.composition)
 
 
 class _Loaded(FinCat):
     """A category as ``validate`` loads it from a manifest: its object
-    names, identity map, inverses and the ``_Rows`` of its check, which the
-    predicates, hom counts and functor checks read.  The morphism records,
-    the lookup tables of ``_headers`` and the name-keyed table (in entry
-    order) are made on their first read."""
+    names, identity map, inverses and, as ``_ends``, the ``_Rows`` of its
+    check, which the predicates, hom counts and functor checks read.  The
+    morphism records, the lookup tables of ``_headers`` and the name-keyed
+    table (in entry order) are made on their first read."""
 
     morphisms = _OnFirstRead()
     composition = _OnFirstRead()
     _mor = _OnFirstRead()
     _hom = _OnFirstRead()
     _by_source = _OnFirstRead()
-    _identity_names = _OnFirstRead()
 
     def _make(self, attr: str) -> None:
-        """Store the name field ``attr`` on the instance: the table, the
-        identity names, or else the records with every lookup table."""
-        fields, rows = self.__dict__, self._rows
+        """Store the name field ``attr`` on the instance: the table, or else
+        the records with every lookup table."""
+        fields, rows = self.__dict__, self._ends
         if attr == "composition":
             fields[attr] = rows.table()
-        elif attr == "_identity_names":
-            fields[attr] = frozenset(self.identity.values())
         else:
             objs = self.objects
             mors = tuple(map(Morphism, rows.names, [objs[x] for x in rows.src],
                              [objs[y] for y in rows.tgt]))
-            fields.update(_headers(objs, mors, self.identity), morphisms=mors)
+            fields.update(_headers(objs, mors), morphisms=mors)
 
     def morphism_names(self) -> tuple[str, ...]:
-        return tuple(self._rows.names)
+        return tuple(self._ends.names)
 
     def has_object(self, x: str) -> bool:
-        return x in self._rows.objects
+        return x in self._ends.objects
 
     def _arrows(self) -> Iterable[tuple[str, str, str]]:
-        objs, rows = self.objects, self._rows
+        objs, rows = self.objects, self._ends
         return zip(rows.names, map(objs.__getitem__, rows.src), map(objs.__getitem__, rows.tgt))
 
 
-def _headers(objects, morphisms, identity) -> dict:
-    """The lookup tables ``_mor``, ``_hom``, ``_by_source`` and
-    ``_identity_names`` of a FinCat, from morphisms whose endpoints are objects."""
+def _headers(objects, morphisms) -> dict:
+    """The lookup tables ``_mor``, ``_hom`` and ``_by_source`` of a FinCat,
+    from morphisms whose endpoints are objects."""
     hom: dict[tuple[str, str], list[str]] = {}
     by_source: dict[str, list[str]] = {x: [] for x in objects}
     for m in morphisms:
@@ -629,7 +575,6 @@ def _headers(objects, morphisms, identity) -> dict:
         "_mor": {m.name: m for m in morphisms},
         "_hom": {k: tuple(v) for k, v in hom.items()},
         "_by_source": {k: tuple(v) for k, v in by_source.items()},
-        "_identity_names": frozenset(identity.values()),
     }
 
 
@@ -700,7 +645,7 @@ def _load(name: str, objects: tuple, names: list, sources: list, targets: list,
         if not lawful:
             records = tuple(map(Morphism, names, sources, targets))
             _trusted(FinCat, name=name, objects=objects, morphisms=records,
-                     identity=identity)._check_records(False)  # raises, at the first fault
+                     identity=identity)._check_records()  # raises, at the first fault
         rows = _Rows(obj_index, names, index, src, tgt, ident)
         rows.check_entries(entries, name, numbers=True)
     except ValidationError:
@@ -710,7 +655,7 @@ def _load(name: str, objects: tuple, names: list, sources: list, targets: list,
     if sum(map(len, rows.rows)) != len(entries):
         _check_listing(name, entries)
     rows.check_laws(name)
-    cat = _trusted(_Loaded, name=name, objects=objects, identity=identity, _rows=rows)
+    cat = _trusted(_Loaded, name=name, objects=objects, identity=identity, _ends=rows)
     rows.set_inverses(cat)
     return cat
 
@@ -857,7 +802,7 @@ def _check_functor_arrays(src: FinCat, tgt: FinCat, s: _Rows, t: _Rows, fo: list
             break
     else:
         return
-    index, ids = s.index, src._identity_names
+    index, ids = s.index, set(src.identity.values())
     for (g, f), gf in src.composition.items():
         if g not in ids and f not in ids and t_rows[fm[index[f]]][fm[index[g]]] != fm[index[gf]]:
             _not_a_functor(f"composition not preserved on ({g!r}, {f!r})", "composition", (g, f))
@@ -958,8 +903,7 @@ class PredicateReport:
 
 
 def classify(cat: FinCat) -> PredicateReport:
-    """Compute structural predicates from what ``_ends_of`` reads: the int
-    arrays ``cat`` keeps, or its records.
+    """Compute structural predicates from the int arrays ``cat._ends``.
 
     Every identity is an endomorphism, one per object, so ``cat`` is a
     scwol when those are all its endomorphisms; it is EI when every
@@ -973,7 +917,7 @@ def classify(cat: FinCat) -> PredicateReport:
     Grothendieck total over a directly finite index, from its vertices
     (``hocolim._grothendieck``).
     """
-    ends = _ends_of(cat)
+    ends = cat._ends
     endos = ends.endomorphisms()
     morphisms, invertibles, invertible_endos = ends.census()
 
@@ -1002,33 +946,36 @@ def classify(cat: FinCat) -> PredicateReport:
 
 def _is_scwol(cat: FinCat) -> bool:
     """``classify(cat).is_scwol``."""
-    return _ends_of(cat).endomorphisms() == len(cat)
+    return cat._ends.endomorphisms() == len(cat)
 
 
 def _is_thin(cat: FinCat) -> bool:
     """Whether every non-empty hom-set of ``cat`` has one element, so that
     any two morphisms with the same endpoints are equal."""
-    return _ends_of(cat).is_thin()
+    return cat._ends.is_thin()
 
 
 def _require_scwol(cat: FinCat) -> None:
     """Raise NotScwol, with the first non-identity endomorphism as witness,
-    unless every endomorphism of ``cat`` is an identity."""
+    unless every endomorphism of ``cat`` is an identity.  The witness is
+    found on ``_ends`` and named by ``morphism_names``."""
     if _is_scwol(cat):
         return
-    m = next(m.name for m in cat.morphisms if m.source == m.target and not cat.is_identity(m.name))
-    raise NotScwol(f"{cat.name} has a non-identity endomorphism", witness={"morphism": m})
+    ends = cat._ends
+    m = next(m for m, (x, y) in enumerate(zip(ends.src, ends.tgt)) if x == y and ends.ident[x] != m)
+    raise NotScwol(f"{cat.name} has a non-identity endomorphism",
+                   witness={"morphism": cat.morphism_names()[m]})
 
 
 def _is_EI(cat: FinCat) -> bool:
     """``classify(cat).is_EI``."""
-    ends = _ends_of(cat)
+    ends = cat._ends
     return ends.census()[2] == ends.endomorphisms()
 
 
 def _is_groupoid(cat: FinCat) -> bool:
     """``classify(cat).is_groupoid``."""
-    morphisms, invertibles, _ = _ends_of(cat).census()
+    morphisms, invertibles, _ = cat._ends.census()
     return invertibles == morphisms
 
 
@@ -1045,12 +992,12 @@ class IsoClasses:
 
 def _iso_roots(cat: FinCat) -> list[int]:
     """The least object index of each object's isomorphism class, by object
-    index, from the invertible morphisms of ``_ends_of``.  The class of x is
+    index, from the invertible morphisms of ``cat._ends``.  The class of x is
     x with the targets of the invertible arrows out of x (isomorphism is
     symmetric and transitive in a lawful category), so its least index is
     the least of those."""
     root = list(range(len(cat)))
-    for x, y in _ends_of(cat).invertible_ends():
+    for x, y in cat._ends.invertible_ends():
         if y < root[x]:
             root[x] = y
     return root
@@ -1176,10 +1123,10 @@ def skeleton(cat: FinCat) -> SkeletonData:
 
 def _count_rows(cat: FinCat, transpose: bool = False) -> list[dict[int, int]]:
     """Sparse rows {j: |mor(x_i, x_j)|} of the hom-count matrix, indexed by
-    the object order (or of its transpose), from ``_ends_of``; only
+    the object order (or of its transpose), from ``cat._ends``; only
     non-zero counts are stored, in the order of the first morphism of each
     hom-set."""
-    return _ends_of(cat).hom_rows(transpose)
+    return cat._ends.hom_rows(transpose)
 
 
 def _topological_order(rows: Sequence[Mapping[int, int]]) -> Optional[list[int]]:

@@ -302,17 +302,17 @@ class _Total(FinCat):
     """A Grothendieck total as ``_grothendieck`` writes it: integer arrays,
     with the names made when they are first read.
 
-    ``_arrays`` (a ``fincat._Ends``: ``src``, ``tgt``, ``ident`` and
-    ``inv``) is what ``classify``, ``_count_rows`` and ``_iso_roots`` read,
-    and ``_plan`` (a ``_Numbering``) is what names and composes the
-    morphisms.  Each name field is a ``fincat._OnFirstRead``.  The object
-    names are made on their first read.  The first read of the morphism
-    records, ``identity``, ``_invertible`` or a lookup table of
-    ``fincat._headers`` makes all of those, and the first read of
-    ``composition`` makes the table.  Names and order are those of the
-    name-level construction.  The writer reads the object names, the
-    morphism names and the arrays (``_int_table``), and makes none of the
-    other fields.
+    ``_ends`` (a ``fincat._Ends``: ``src``, ``tgt``, ``ident`` and ``inv``,
+    which every FinCat keeps) is what ``classify``, ``_count_rows``,
+    ``_iso_roots`` and ``len`` read, and ``_plan`` (a ``_Numbering``) is
+    what names and composes the morphisms.  Each name field is a
+    ``fincat._OnFirstRead``.  The object names are made on their first
+    read.  The first read of the morphism records, ``identity``,
+    ``_invertible`` or a lookup table of ``fincat._headers`` makes all of
+    those, and the first read of ``composition`` makes the table.  Names
+    and order are those of the name-level construction.  The writer reads
+    the object names, the morphism names and the arrays (``_int_table``),
+    and makes none of the other fields.
     """
 
     objects = _OnFirstRead()
@@ -322,16 +322,12 @@ class _Total(FinCat):
     _mor = _OnFirstRead()
     _hom = _OnFirstRead()
     _by_source = _OnFirstRead()
-    _identity_names = _OnFirstRead()
     _invertible = _OnFirstRead()
-
-    def __len__(self) -> int:
-        return len(self._arrays.ident)
 
     def _make(self, attr: str) -> None:
         """Store the name field ``attr`` on the instance, with those made
         alongside it."""
-        fields, plan, arrays = self.__dict__, self._plan, self._arrays
+        fields, plan, arrays = self.__dict__, self._plan, self._ends
         if "objects" not in fields:
             fields["objects"] = plan.object_names()
         if attr == "objects":
@@ -341,7 +337,7 @@ class _Total(FinCat):
             mors = tuple(map(Morphism, names, [objs[x] for x in arrays.src],
                              [objs[y] for y in arrays.tgt]))
             identity = {x: names[e] for x, e in zip(objs, arrays.ident)}
-            fields.update(_headers(objs, mors, identity), morphisms=mors, identity=identity,
+            fields.update(_headers(objs, mors), morphisms=mors, identity=identity,
                           _invertible={names[m]: names[g] for m, g in arrays.inv.items()})
         if attr == "composition":
             names = [m.name for m in fields["morphisms"]]
@@ -351,11 +347,11 @@ class _Total(FinCat):
                                      for q, g in enumerate(gs, first)}
 
     def _int_table(self) -> tuple[list[str], _Ends, list[dict[int, int]]]:
-        """The morphism names, ``_arrays`` and the composition rows, which
+        """The morphism names, ``_ends`` and the composition rows, which
         ``_Numbering.composites`` makes in one walk of the runs and does not
         keep."""
         plan = self._plan
-        return plan.morphism_names(), self._arrays, plan.composites()
+        return plan.morphism_names(), self._ends, plan.composites()
 
 
 class _VertexOrder:
@@ -545,7 +541,7 @@ def _grothendieck(d: Diagram) -> FinCat:
     else:
         plan.rows = plan.composites()
         inv, directly_finite = _inverse_search(plan.rows, src, tgt, ident)
-    return _trusted(_Total, name=f"hocolim({idx.name})", _arrays=_Ends(src, tgt, ident, inv),
+    return _trusted(_Total, name=f"hocolim({idx.name})", _ends=_Ends(src, tgt, ident, inv),
                     _plan=plan, _directly_finite=directly_finite)
 
 

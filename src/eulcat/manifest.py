@@ -20,7 +20,7 @@ from itertools import chain
 from typing import Any, Mapping, Sequence
 
 from .errors import ValidationError
-from .fincat import CatFunctor, FinCat, _ends_of, _rows_of, validate
+from .fincat import CatFunctor, FinCat, _rows_of, validate
 from .groups import FinGroup, GroupHom, _require_list
 from .groupact import ComplexOfGroups, ScwolAction, validate_action
 from .hocolim import CellSpectrum, PseudoDiagram, StrictDiagram
@@ -149,7 +149,7 @@ def _functor_from_payload(payload: Mapping, src: FinCat, tgt: FinCat, edge: str)
         x = next(x for x in fun.obj_map if not src.has_object(x))
         raise BadManifest(f"edge {edge!r}: object map key {x!r} is not an object of {src.name}",
                           witness={"edge": edge, "object": x})
-    if len(fun.mor_map) != _ends_of(src).census()[0]:
+    if len(fun.mor_map) != len(src._ends.src):
         names = set(src.morphism_names())
         m = next(m for m in fun.mor_map if m not in names)
         raise BadManifest(f"edge {edge!r}: morphism map key {m!r} is not a morphism of {src.name}",
@@ -281,7 +281,7 @@ def complex_from_payload(payload: Mapping) -> ComplexOfGroups:
     for x in base.objects:
         if x not in local:
             raise BadManifest(f"no local group for object {x!r}", witness={"object": x})
-    homs, ids = {}, base._identity_names
+    homs, ids = {}, set(base.identity.values())
     for m, x, y in base._arrows():
         if m in ids:
             homs[m] = GroupHom.identity_hom(local[x])

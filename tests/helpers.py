@@ -412,7 +412,7 @@ def reference_check_functor(src: FinCat, tgt: FinCat, obj_map: Mapping, mor_map:
     def fail(message: str, law: str, at) -> NoReturn:
         raise NotAFunctor(message, witness={"law": law, "at": at})
 
-    mor, comp, src_ids = tgt._mor, tgt.composition, src._identity_names
+    mor, comp, src_ids = tgt._mor, tgt.composition, set(src.identity.values())
     for x in src.objects:
         if x not in obj_map or not tgt.has_object(obj_map[x]):
             fail(f"object map undefined or out of range at {x!r}", "objects", x)
@@ -645,6 +645,29 @@ def reference_action_checks(self):
                 f"action row {label!r} is not an element of {self.group.name}",
                 witness={"element": label},
             )
+
+
+# -- the record-level endpoint arrays, as a reference ----------------------------------
+
+
+def reference_ends(cat) -> tuple[list, list, list, list]:
+    """What ``cat._ends`` must hold, read off the records: the object index
+    of each morphism's source and target, the morphism index of each
+    object's identity, and the (m, inverse of m) index pairs of
+    ``_invertible`` in its order.  These are the facts the predicates read
+    off the records of a FinCat that kept no arrays."""
+    objects = {x: i for i, x in enumerate(cat.objects)}
+    index = {m.name: i for i, m in enumerate(cat.morphisms)}
+    return ([objects[m.source] for m in cat.morphisms],
+            [objects[m.target] for m in cat.morphisms],
+            [index[cat.identity[x]] for x in cat.objects],
+            [(index[m], index[g]) for m, g in cat._invertible.items()])
+
+
+def stored_ends(cat) -> tuple[list, list, list, list]:
+    """``cat._ends`` in the shape of ``reference_ends``."""
+    ends = cat._ends
+    return list(ends.src), list(ends.tgt), list(ends.ident), list(ends.inv.items())
 
 
 # -- the record-level manifest reader, as a reference ---------------------------------

@@ -378,7 +378,7 @@ class TestLiftedInverses:
 
 # the fields of a total made on first read
 NAME_FIELDS = {"objects", "morphisms", "identity", "composition", "_mor", "_hom", "_by_source",
-               "_identity_names", "_invertible"}
+               "_invertible"}
 
 
 def counting_name_builds(mp: pytest.MonkeyPatch) -> dict[str, int]:

@@ -33,13 +33,21 @@ from eulcat.fincat import (
     equal_presentation,
     full_subcategory,
     iso_classes,
+    lower_link,
     opposite,
     path_counts,
     product,
     skeleton,
 )
-from eulcat.groups import FinGroup, cyclic_group
-from eulcat.groupact import complex_of_groups, complex_to_pseudo_diagram, haefliger_chi
+from eulcat.groups import FinGroup, cyclic_group, symmetric_group
+from eulcat.groupact import (
+    complex_of_groups,
+    complex_to_pseudo_diagram,
+    haefliger_chi,
+    hocolim_groups,
+    quotient,
+    transport_groupoid,
+)
 from eulcat.hocolim import (
     PseudoDiagram,
     bar_spectrum,
@@ -54,8 +62,10 @@ from helpers import (
     chain,
     count_calls,
     mor_count_matrix,
+    reference_ends,
     s3_flag_action,
     split_idempotent,
+    stored_ends,
 )
 from strategies import (
     SEEDS,
@@ -483,9 +493,45 @@ def assert_predicates_of(cat):
     assert classes == all_pairs_iso_classes(cat)[0]
 
 
+def s3_flag_complex():
+    flag, h = s3_flag_action()
+    return complex_of_groups(flag, h_elements=h).complex
+
+
+def s3_transport():
+    group = symmetric_group(3)
+    return transport_groupoid(group, *randgen.random_gset(Random(0), group))
+
+
+def widest_lower_link(cat):
+    return lower_link(cat, max(cat.objects, key=lambda x: len(cat.morphisms_from(x))))
+
+
+# categories checked by the constructor, and one from each name-keyed builder
+HAND_BUILT = {
+    "split": split_idempotent,
+    "Z2-mult": zoo.monoid_z2_mult,
+    "gamma1": zoo.gamma_one,
+    "inflated-Z3": lambda: zoo.inflate(zoo.one_object_category(cyclic_group(3)), {"*": 2}),
+    "product": lambda: product(zoo.monoid_z2_mult(), zoo.pushout_scwol()),
+    "empty": lambda: zoo.discrete_category([]),
+    "discrete": lambda: zoo.discrete_category("abc"),
+    "quotient": lambda: quotient(s3_flag_action()[0]).category,
+    "hocolim-groups": lambda: hocolim_groups(s3_flag_complex()),
+    "transport": s3_transport,
+    "lower-link": lambda: widest_lower_link(zoo.subsets_poset_opposite(3)),
+    "opposite": lambda: opposite(split_idempotent()),
+    "full-subcategory": lambda: full_subcategory(split_idempotent(), ["x"]),
+    "skeleton": lambda: skeleton(randgen.connected_groupoid(cyclic_group(2), 3, "g")[0]).category,
+    "product-split": lambda: product(split_idempotent(), zoo.pushout_scwol()),
+    "randgen": lambda: randgen.random_scwol(Random(0)),
+}
+
+
 class TestClassifyOnEveryStore:
-    """One predicate implementation, reading a Grothendieck total's arrays, a
-    manifest category's rows, or the records of any other FinCat."""
+    """One predicate implementation, reading the ``_ends`` every FinCat
+    keeps: a Grothendieck total's arrays, a manifest category's rows, or
+    the arrays the name-keyed constructor builds."""
 
     @settings(max_examples=40, deadline=None)
     @given(strict_diagrams)
@@ -504,18 +550,62 @@ class TestClassifyOnEveryStore:
         for each in stored(cat):
             assert_predicates_of(each)
 
-    @pytest.mark.parametrize("build", [
-        split_idempotent,
-        zoo.monoid_z2_mult,
-        zoo.gamma_one,
-        lambda: zoo.inflate(zoo.one_object_category(cyclic_group(3)), {"*": 2}),
-        lambda: product(zoo.monoid_z2_mult(), zoo.pushout_scwol()),
-        lambda: zoo.discrete_category([]),
-        lambda: zoo.discrete_category("abc"),
-    ], ids=["split", "Z2-mult", "gamma1", "inflated-Z3", "product", "empty", "discrete"])
+    @pytest.mark.parametrize("build", HAND_BUILT.values(), ids=HAND_BUILT.keys())
     def test_hand_built(self, build):
         for each in stored(build()):
             assert_predicates_of(each)
+
+
+def assert_ends_of(cat):
+    assert stored_ends(cat) == reference_ends(cat)
+
+
+class TestEndsEqualTheRecords:
+    """The ``_ends`` of every store hold what its records say
+    (``helpers.reference_ends``)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(scwols, posets, groupoids.map(lambda g: g.category), grothendieck_totals))
+    def test_drawn(self, cat):
+        for each in stored(cat):
+            assert_ends_of(each)
+
+    @settings(max_examples=20, deadline=None)
+    @given(strict_diagrams)
+    def test_pseudo_totals(self, d):
+        assert_ends_of(hocolim.grothendieck_pseudo(PseudoDiagram.from_strict(d)))
+
+    def test_totals_over_an_index_not_directly_finite(self):
+        for vertex in (zoo.terminal_category(), split_idempotent()):
+            assert_ends_of(grothendieck(constant_diagram(split_idempotent(), vertex)).category)
+
+    @pytest.mark.parametrize("build", HAND_BUILT.values(), ids=HAND_BUILT.keys())
+    def test_hand_built(self, build):
+        for each in stored(build()):
+            assert_ends_of(each)
+
+    def test_split_idempotent_is_not_directly_finite(self):
+        """r o s = id_y but s o r != id_x, in the checked build and in the
+        unchecked products with it."""
+        split = split_idempotent()
+        for cat in (split, product(split, zoo.pushout_scwol()),
+                    product(zoo.monoid_z2_mult(), split)):
+            assert not cat._directly_finite, cat.name
+            assert [m for m in cat.morphism_names() if cat.is_invertible(m)] == \
+                [cat.identity[x] for x in cat.objects], cat.name
+
+    def test_a_swapped_source_is_caught(self):
+        """Non-vacuity: a scratch store with two ``src`` entries swapped
+        fails the comparison."""
+        cat = zoo.pushout_scwol()
+        ends = cat._ends
+        src = list(ends.src)
+        i, j = next((i, j) for i, j in itertools.combinations(range(len(src)), 2)
+                    if src[i] != src[j])
+        src[i], src[j] = src[j], src[i]
+        object.__setattr__(cat, "_ends", fincat._Ends(src, ends.tgt, ends.ident, ends.inv))
+        with pytest.raises(AssertionError):
+            assert_ends_of(cat)
 
 
 def test_full_subcategory_reads_an_iterator_once():

@@ -24,8 +24,8 @@ from hypothesis import strategies as st
 from eulcat import cli, fincat, groupact, manifest, randgen, ratlin, zoo
 from eulcat.errors import EulcatError
 from eulcat.eulerchar import chi_scwol
-from eulcat.fincat import NonAssociative, classify, path_counts, product, validate
-from eulcat.groups import symmetric_group
+from eulcat.fincat import NonAssociative, NotScwol, classify, path_counts, product, validate
+from eulcat.groups import cyclic_group, symmetric_group
 from eulcat.hocolim import chi2_of, grothendieck
 
 from helpers import reference_validate
@@ -49,7 +49,7 @@ def verdict(read, payload):
 
 
 NAMES = ("name", "objects", "morphisms", "identity", "composition", "_invertible",
-         "_directly_finite", "_mor", "_hom", "_by_source", "_identity_names")
+         "_directly_finite", "_mor", "_hom", "_by_source")
 
 
 def normal(value):
@@ -227,6 +227,19 @@ class TestNamesOnFirstRead:
         for fn in (ratlin.weighting, ratlin.coweighting, ratlin.chi_L, chi2_of, chi_scwol,
                    path_counts):
             fn(loaded)
+        assert not records_made(loaded) and "composition" not in vars(loaded)
+
+    @pytest.mark.parametrize("order", [2, 3])
+    def test_scwol_witness_makes_no_records(self, order):
+        """``chi_scwol`` of a loaded B(Z/n) names its NotScwol witness, the
+        first non-identity endomorphism, from the arrays, as the eager
+        category does, and makes no records."""
+        cat = zoo.one_object_category(cyclic_group(order))
+        loaded = validate(manifest.category_payload(cat), name=cat.name)
+        for each in (cat, loaded):
+            with pytest.raises(NotScwol) as err:
+                chi_scwol(each)
+            assert err.value.witness == {"morphism": "1"}
         assert not records_made(loaded) and "composition" not in vars(loaded)
 
     def test_groups_loads_make_no_records(self, monkeypatch):
