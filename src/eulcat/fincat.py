@@ -4,15 +4,16 @@ A FinCat stores everything needed to answer categorical questions by
 exhaustive search: the full composition table, identities, hom-sets.  Every
 FinCat keeps ``_ends`` (``_Ends``: endpoints, identities and inverses by
 index), which the structural predicates (``classify``), the hom counts and
-the isomorphism classes read.  Two kinds keep integer arrays in place of
-their names and make each name field (the ``Morphism`` records, the lookup
-tables of ``_headers``, the composition table) on its first read
-(``_OnFirstRead``): a category validated from a manifest (``_Loaded``,
-whose ``_ends`` are its ``_Rows``) and a Grothendieck total
-(``hocolim._Total``).  The writer reads those arrays
-(``FinCat._int_table``), so writing either makes no name field but the
-object names.  Every other FinCat, built by the name-keyed constructor,
-holds its names from the start and builds its ``_ends`` from them.
+the isomorphism classes read.
+
+Every category the library builds or loads is a ``_Store``: names and the
+integer rows of its table (``_Rows``), written through the one unchecked
+constructor ``_stored`` or checked in from a manifest (``validate``); a
+Grothendieck total (``hocolim._Total``) keeps its plan instead.  Both make
+each name field (records, lookup tables, identity and inverse maps, the
+table) on its first read (``_OnFirstRead``); the library reads the arrays
+(``_rows_of``).  The ``FinCat`` constructor is the checked boundary for
+hand-built categories (``zoo``): it holds its names and keeps its rows.
 
 Validation checks the ids, endpoints and identity map, the endpoints of
 every composite, the identity laws on every morphism and, unless the
@@ -21,14 +22,14 @@ code may assume a lawful category.  It runs on integer rows (``_Rows``:
 one row of composites per morphism, whole rows compared at a time) read in
 one pass over the table's entries, the ``compose`` list itself for a
 manifest, whose ids are read into the index arrays first (``validate``).
-The inverse search reads the same rows.  The functor check
+The inverse search reads the same rows (``_inverse_search``), and the
+category keeps them as its ``_ends``.  The functor check
 (``_check_functor``: a functor is two int arrays, its object and morphism
-images) and the naturality check read rows too (``_rows_of``): those a
-validated manifest keeps, or rows read in one pass over any other
-category's table.  Composition and naturality are checked on the rows of a
-generating set of morphisms (``_Rows.generators``), which imply the rest.
-Names come back only to report the first failure, whose ``witness`` holds
-the offending names.
+images) and the naturality check read rows too (``_rows_of``).
+Composition and naturality are checked on the rows of a generating set of
+morphisms (``_Rows.generators``), which imply the rest.  Names come back
+only to report the first failure, whose ``witness`` holds the offending
+names.
 
 Two morphisms x -> w with checked endpoints are equal when Hom(x, w) has one
 element.  So on a *thin* category (``_is_thin``: no hom-set has two
@@ -42,7 +43,7 @@ function of its inputs.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from itertools import compress
 from operator import eq, itemgetter
 from typing import Iterable, Iterator, Mapping, NoReturn, Optional, Sequence
@@ -92,18 +93,16 @@ class FinCat:
     and a total composition table on composable pairs.
 
     ``composition[(g, f)]`` is the name of ``g o f`` (apply f first), defined
-    exactly when ``target(f) == source(g)``.  This constructor takes names
-    and holds them all from construction, and builds ``_ends`` (``_Ends``:
-    endpoints, identities and inverses by index) from the object and
-    morphism indexes of its record check.  Two subclasses keep integer
-    arrays instead and make their name fields on first read: a category
-    validated from a manifest by ``validate`` is a ``_Loaded``, whose
-    ``_ends`` are the rows of its check and which makes its records, lookup
-    tables and table (in the manifest's entry order) from them, and a
-    Grothendieck total is a ``hocolim._Total``, which makes every name
-    field.  Direct finiteness comes from the inverse search of the table or
-    rows (``_find_invertibles``, ``_Rows.set_inverses``), or, for a total
-    over a directly finite index, from the diagram's vertices.
+    exactly when ``target(f) == source(g)``.  This constructor is the checked
+    boundary for hand-built categories: it takes names, holds them all from
+    construction, checks every law on the integer rows of its table
+    (``_Rows``, numbered by the indexes of its record check) and keeps those
+    rows as ``_ends`` (endpoints, identities and inverses by index).  The library
+    builds no category through it: its builders write the arrays of a
+    ``_Store`` (``_stored``), ``validate`` checks a manifest into one, and a
+    Grothendieck total is a ``hocolim._Total``; those make their name fields
+    on first read.  Direct finiteness and the inverses come from the inverse
+    search of the rows (``_inverse_search``), or from a builder's proof.
     """
 
     objects: tuple[str, ...]
@@ -111,7 +110,6 @@ class FinCat:
     identity: Mapping[str, str]
     composition: Mapping[tuple[str, str], str]
     name: str = "C"
-    check: InitVar[bool] = True
 
     _mor: dict = field(init=False, repr=False)
     _hom: dict = field(init=False, repr=False)
@@ -120,21 +118,19 @@ class FinCat:
     _directly_finite: bool = field(init=False, repr=False)
     _ends: _Ends = field(init=False, repr=False)
 
-    def __post_init__(self, check: bool = True):
+    def __post_init__(self, *_):
+        # perfbench/tracing.py wraps this method and passes it one flag more
         names, index, obj_index = self._check_records()
         mors = self.morphisms
         src, tgt = [obj_index[m.source] for m in mors], [obj_index[m.target] for m in mors]
         ident = [index[self.identity[x]] for x in self.objects]
-        if check:
-            rows = _Rows(obj_index, names, index, src, tgt, ident)
-            rows.check_entries(((g, f, gf) for (g, f), gf in self.composition.items()), self.name)
-            rows.check_laws(self.name)
-            rows.set_inverses(self)
-            inv = rows.inv
-        else:
-            self._find_invertibles()
-            inv = {index[m]: index[g] for m, g in self._invertible.items()}
-        object.__setattr__(self, "_ends", _Ends(src, tgt, ident, inv))
+        rows = _Rows(obj_index, names, index, src, tgt, ident)
+        rows.check_entries(((g, f, gf) for (g, f), gf in self.composition.items()), self.name)
+        rows.check_laws(self.name)
+        rows.inv, directly_finite = _inverse_search(rows.rows, src, tgt, ident)
+        object.__setattr__(self, "_invertible", {names[m]: names[g] for m, g in rows.inv.items()})
+        object.__setattr__(self, "_directly_finite", directly_finite)
+        object.__setattr__(self, "_ends", rows)
 
     def _check_records(self) -> tuple[list, dict, dict]:
         """Check the object and morphism ids, the endpoints and the identity
@@ -185,24 +181,6 @@ class FinCat:
                 )
         return names, index, obj_index
 
-    def _find_invertibles(self) -> None:
-        """Set ``_invertible`` (each invertible m to its inverse) and
-        ``_directly_finite`` (no g with g o m = id but m o g != id) in one
-        search of the name table, which stops at an inverse: the only left
-        inverse of m.  For unchecked builds, which hand ``_ends`` the result
-        by index; a checked one searches its rows (``_Rows.set_inverses``)."""
-        inv: dict[str, str] = {}
-        directly_finite = True
-        for m in self.morphisms:
-            for g in self.hom(m.target, m.source):
-                if self.composition[(g, m.name)] == self.identity[m.source]:
-                    if self.composition[(m.name, g)] == self.identity[m.target]:
-                        inv[m.name] = g
-                        break
-                    directly_finite = False
-        object.__setattr__(self, "_invertible", inv)
-        object.__setattr__(self, "_directly_finite", directly_finite)
-
     # -- accessors ----------------------------------------------------------
 
     def source(self, m: str) -> str:
@@ -239,13 +217,6 @@ class FinCat:
         """The name, source and target of each morphism, in order."""
         return [(m.name, m.source, m.target) for m in self.morphisms]
 
-    def _int_table(self) -> tuple[Sequence[str], _Ends, Sequence[Mapping[int, int]]]:
-        """The morphism names, the endpoint arrays and the composition rows
-        (``rows[f][g]`` is the index of g o f), for one use: those of
-        ``_rows_of``, which a category validated from a manifest keeps."""
-        r = _rows_of(self)
-        return r.names, self._ends, r.rows
-
     def require_object(self, x: str) -> None:
         if not self.has_object(x):
             raise UnknownObject(f"{self.name} has no object {x!r}", witness={"object": x})
@@ -256,11 +227,11 @@ class FinCat:
 
 class _OnFirstRead:
     """A name field of a FinCat that keeps integer arrays in its place: a
-    category validated from a manifest (``_Loaded``) or a Grothendieck total
-    (``hocolim._Total``).  Its first read has the category make it
-    (``_make``) and store it on the instance, which shadows this non-data
-    descriptor, so later reads find it there directly.  Only those classes
-    carry the descriptors, so no other FinCat pays for them."""
+    ``_Store`` or a Grothendieck total (``hocolim._Total``).  Its first read
+    has the category make it (``_make``) and store it on the instance, which
+    shadows this non-data descriptor, so later reads find it there directly.
+    Only those classes carry the descriptors, so no other FinCat pays for
+    them."""
 
     def __set_name__(self, owner, name: str):
         self.name = name
@@ -276,8 +247,8 @@ class _Ends:
     """The int arrays every FinCat keeps as ``_ends``: ``src`` and ``tgt``
     (object indices of each morphism's endpoints), ``ident`` (the identity
     of each object, by morphism index) and ``inv`` (each invertible
-    morphism to its inverse, in morphism order).  A category validated from
-    a manifest keeps its ``_Rows``, which has the same four.  The structural
+    morphism to its inverse, in morphism order).  Every FinCat but a
+    Grothendieck total keeps a ``_Rows``, which has the same four.  The structural
     predicates, the hom counts and the isomorphism classes read only what
     the methods give."""
 
@@ -322,30 +293,24 @@ class _Rows(_Ends):
     and ``ident`` give each morphism's endpoints and each object's identity
     by index.
 
-    The rows are filled in one pass over the table's entries: checked as
-    they are read, in table order, with the f of each entry kept in
-    ``order`` (``check_entries``), or, for the lawful table of a FinCat
-    already built, read as they are (``read``, through ``_rows_of``).
-    ``check_laws`` and ``set_inverses`` read the rows, and ``table``
-    rebuilds the name-keyed table from them.  Names come back only to report
-    the first failure, whose ``witness`` holds the offending names.
+    Row f holds its cells in the order of the entries that filled it, and
+    ``order`` the f of each entry, so ``pairs`` and ``table`` give the
+    entries back in order.  A builder writes them (``_stored``), or
+    ``check_entries`` checks each entry of a table as it fills them.
+    ``check_laws`` and the inverse search read the rows.  Names come back
+    only to report the first failure, whose ``witness`` holds the offending
+    names.
     """
 
     __slots__ = ("names", "index", "objects", "rows", "order", "gens")
 
-    def __init__(self, objects: dict, names: list, index: dict, src: list[int], tgt: list[int],
-                 ident: list[int]):
+    def __init__(self, objects: dict, names: Sequence[str], index: dict, src: list[int],
+                 tgt: list[int], ident: list[int], rows: Optional[list] = None,
+                 order: Optional[list[int]] = None):
         self.src, self.tgt, self.ident, self.inv = src, tgt, ident, None
         self.objects, self.names, self.index = objects, names, index
-        self.rows = [{} for _ in names]
-        self.order = self.gens = None
-
-    def read(self, table: Mapping) -> "_Rows":
-        """Fill the rows from a lawful name-keyed table, with no check."""
-        rows, index = self.rows, self.index
-        for (g, f), gf in table.items():
-            rows[index[f]][index[g]] = index[gf]
-        return self
+        self.rows = [{} for _ in names] if rows is None else rows
+        self.order, self.gens = order, None
 
     def check_entries(self, entries: Iterable, name: str, numbers: bool = False) -> None:
         """Fill the rows from ``entries``, the triples (g, f, gf) of the
@@ -448,15 +413,6 @@ class _Rows(_Ends):
                         witness=triple,
                     )
 
-    def set_inverses(self, cat: FinCat) -> None:
-        """Record ``inv`` (each invertible morphism to its inverse, by index)
-        and set ``cat._invertible`` and ``cat._directly_finite``, by
-        ``_inverse_search`` on the rows."""
-        names = self.names
-        self.inv, directly_finite = _inverse_search(self.rows, self.src, self.tgt, self.ident)
-        object.__setattr__(cat, "_invertible", {names[m]: names[g] for m, g in self.inv.items()})
-        object.__setattr__(cat, "_directly_finite", directly_finite)
-
     def generators(self) -> list[int]:
         """``_generating_set`` of the category, found once."""
         if self.gens is None:
@@ -478,16 +434,15 @@ class _Rows(_Ends):
 
 def _inverse_search(rows: Sequence, src: Sequence[int], tgt: Sequence[int],
                     ident: Sequence[int]) -> tuple[dict[int, int], bool]:
-    """The search of ``FinCat._find_invertibles`` on int rows, where g o m
-    is ``rows[m][g]``, for a checked build, a manifest and a total over an
-    index that is not directly finite: the ``inv`` of their ``_ends`` (each
-    invertible m to its inverse, in morphism order), and whether no g has
-    g o m = id but m o g != id.  The candidates g for m run through
-    Hom(t(m), s(m)) in morphism order, and the search stops at an inverse,
-    the only left inverse of m.  Only a morphism with a reverse arrow has a
-    candidate.  An identity e is its own inverse and has no other left
-    inverse (g o e = g), and it is no left inverse of any other m
-    (e o m = m), so it is neither searched nor a candidate."""
+    """The inverses of a category on int rows, where g o m is
+    ``rows[m][g]``: the ``inv`` of its ``_ends`` (each invertible m to its
+    inverse, in morphism order), and whether no g has g o m = id but
+    m o g != id.  The candidates g for m run through Hom(t(m), s(m)) in
+    morphism order, and the search stops at an inverse, the only left
+    inverse of m.  Only a morphism with a reverse arrow has a candidate.  An
+    identity e is its own inverse and has no other left inverse (g o e = g),
+    and it is no left inverse of any other m (e o m = m), so it is neither
+    searched nor a candidate."""
     reverse = set(zip(tgt, src))
     searched = list(compress(range(len(src)), map(reverse.__contains__, zip(src, tgt))))
     identities = set(ident)
@@ -512,43 +467,43 @@ def _inverse_search(rows: Sequence, src: Sequence[int], tgt: Sequence[int],
 
 
 def _rows_of(cat: FinCat) -> _Rows:
-    """The rows of ``cat``: its ``_ends`` where they are rows (a category
-    validated from a manifest), or else rows on its ``_ends``, read in one
-    pass over the table it holds (lawful, by its check or its builder's
-    proof), with no law checked.  Those are not kept: next to a name table
-    they would be a second copy of it, so a check reads them once and hands
-    them down."""
+    """The rows of ``cat``: its ``_ends``, which are rows on every FinCat
+    but a Grothendieck total (those a builder wrote, or those a check
+    filled), or else rows read in one pass over the plan of a total
+    (``hocolim._Total._read_rows``), which are not kept."""
     ends = cat._ends
-    if isinstance(ends, _Rows):
-        return ends
-    names = [m.name for m in cat.morphisms]
-    return _Rows({x: i for i, x in enumerate(cat.objects)}, names,
-                 {m: i for i, m in enumerate(names)}, ends.src, ends.tgt,
-                 ends.ident).read(cat.composition)
+    return ends if isinstance(ends, _Rows) else cat._read_rows()
 
 
-class _Loaded(FinCat):
-    """A category as ``validate`` loads it from a manifest: its object
-    names, identity map, inverses and, as ``_ends``, the ``_Rows`` of its
-    check, which the predicates, hom counts and functor checks read.  The
-    morphism records, the lookup tables of ``_headers`` and the name-keyed
-    table (in entry order) are made on their first read."""
+class _Store(FinCat):
+    """A category the library built (``_stored``) or loaded (``validate``):
+    its name, object names and, as ``_ends``, its ``_Rows``.  The records,
+    the lookup tables of ``_headers``, the identity and inverse maps and
+    the table (in entry order) are made on their first read; a manifest's
+    identity map is kept as it was read."""
 
     morphisms = _OnFirstRead()
+    identity = _OnFirstRead()
     composition = _OnFirstRead()
     _mor = _OnFirstRead()
     _hom = _OnFirstRead()
     _by_source = _OnFirstRead()
+    _invertible = _OnFirstRead()
 
     def _make(self, attr: str) -> None:
-        """Store the name field ``attr`` on the instance: the table, or else
-        the records with every lookup table."""
+        """Store the name field ``attr`` on the instance: the table, the
+        identity or inverse map, or else the records with every lookup
+        table."""
         fields, rows = self.__dict__, self._ends
+        names, objs = rows.names, self.objects
         if attr == "composition":
             fields[attr] = rows.table()
+        elif attr == "identity":
+            fields[attr] = {x: names[e] for x, e in zip(objs, rows.ident)}
+        elif attr == "_invertible":
+            fields[attr] = {names[m]: names[g] for m, g in rows.inv.items()}
         else:
-            objs = self.objects
-            mors = tuple(map(Morphism, rows.names, [objs[x] for x in rows.src],
+            mors = tuple(map(Morphism, names, [objs[x] for x in rows.src],
                              [objs[y] for y in rows.tgt]))
             fields.update(_headers(objs, mors), morphisms=mors)
 
@@ -561,6 +516,28 @@ class _Loaded(FinCat):
     def _arrows(self) -> Iterable[tuple[str, str, str]]:
         objs, rows = self.objects, self._ends
         return zip(rows.names, map(objs.__getitem__, rows.src), map(objs.__getitem__, rows.tgt))
+
+
+def _stored(name: str, objects: Sequence[str], names: Sequence[str], src: list[int],
+            tgt: list[int], ident: list[int], entries: Iterable[tuple[int, int, int]],
+            inverses: Optional[tuple[dict[int, int], bool]] = None) -> FinCat:
+    """The one unchecked constructor: the ``_Store`` of arrays a builder
+    writes, lawful by its proof.  ``entries`` are the triples (g, f, g o f)
+    by index, in ``composition`` order; ``inverses`` (``inv`` and direct
+    finiteness) are lifted from the input, or else searched.  Only the id
+    check is left: a builder's names are made from its input's."""
+    objects = tuple(objects)
+    obj_index, index = {x: i for i, x in enumerate(objects)}, {m: i for i, m in enumerate(names)}
+    if len(obj_index) != len(objects) or len(index) != len(names):
+        records = tuple(map(Morphism, names, [objects[x] for x in src], [objects[y] for y in tgt]))
+        _trusted(FinCat, name=name, objects=objects, morphisms=records)._check_records()  # raises
+    r = _Rows(obj_index, names, index, src, tgt, ident, None, [])
+    rows, put = r.rows, r.order.append
+    for g, f, gf in entries:
+        rows[f][g] = gf
+        put(f)
+    r.inv, directly_finite = inverses or _inverse_search(rows, src, tgt, ident)
+    return _trusted(_Store, name=name, objects=objects, _ends=r, _directly_finite=directly_finite)
 
 
 def _headers(objects, morphisms) -> dict:
@@ -593,7 +570,7 @@ def validate(raw: Mapping, name: str = "C") -> FinCat:
     lists, and each pair (g, f) is listed once.  An id may be a JSON number,
     read as its ``str``.  The ids are read into integer arrays and the
     entries into the integer rows of the check, each once (``_load``); the
-    result is a ``_Loaded``, which makes its records and name-keyed table
+    result is a ``_Store``, which makes its records and name-keyed table
     only when they are read.
     """
     try:
@@ -623,7 +600,8 @@ def _load(name: str, objects: tuple, names: list, sources: list, targets: list,
           identity: dict, entries: list) -> FinCat:
     """``validate`` after the parse: the ids interned into index arrays,
     checked by whole-array compares, then the entries checked into
-    ``_Rows``, and the laws and inverses read off the rows.  Only a manifest
+    ``_Rows``, and the laws and inverses read off the rows, which the
+    ``_Store`` keeps with the manifest's identity map.  Only a manifest
     whose ids, endpoints or identity map fail has records made, for the walk
     of ``FinCat._check_records`` to raise the first fault in its order.  A
     malformed entry, then a pair listed twice, comes before every other
@@ -655,9 +633,9 @@ def _load(name: str, objects: tuple, names: list, sources: list, targets: list,
     if sum(map(len, rows.rows)) != len(entries):
         _check_listing(name, entries)
     rows.check_laws(name)
-    cat = _trusted(_Loaded, name=name, objects=objects, identity=identity, _ends=rows)
-    rows.set_inverses(cat)
-    return cat
+    rows.inv, directly_finite = _inverse_search(rows.rows, src, tgt, ident)
+    return _trusted(_Store, name=name, objects=objects, identity=identity, _ends=rows,
+                    _directly_finite=directly_finite)
 
 
 def _check_listing(name: str, entries: list) -> None:
@@ -817,7 +795,7 @@ def _functor_arrays(fun: CatFunctor, t: _Rows) -> _Arrays:
 
 def _identity_maps(cat: FinCat) -> tuple[dict[str, str], dict[str, str]]:
     """The object and morphism maps of the identity functor of ``cat``."""
-    return {x: x for x in cat.objects}, {m.name: m.name for m in cat.morphisms}
+    return {x: x for x in cat.objects}, {m: m for m in cat.morphism_names()}
 
 
 def _identity_arrays(cat: FinCat) -> _Arrays:
@@ -872,7 +850,7 @@ def _check_natural(cat: FinCat, s: _Rows, tgt: FinCat, t: _Rows, f: _Arrays, g: 
         i = t.index[c]
         if t.src[i] != fx or t.tgt[i] != gx:
             fail(f"component at {x!r} has wrong endpoints", object=x)
-        if not tgt.is_invertible(c):
+        if i not in t.inv:
             fail(f"component at {x!r} is not invertible", object=x)
         comp.append(i)
     rows, ends_s, ends_t = t.rows, s.src, s.tgt
@@ -912,10 +890,9 @@ def classify(cat: FinCat) -> PredicateReport:
     those is a count (``_Ends.endomorphisms``, ``_Ends.census``).
     Connectivity is one union-find pass over the non-empty hom-sets
     (``_Ends.hom_rows``).  Direct finiteness was decided when ``cat`` was
-    built: by the inverse search of its table or rows
-    (``FinCat._find_invertibles``, ``_Rows.set_inverses``), or, for a
-    Grothendieck total over a directly finite index, from its vertices
-    (``hocolim._grothendieck``).
+    built: by the inverse search of its rows (``_inverse_search``), or from
+    its builder's proof, as for a Grothendieck total over a directly finite
+    index (``hocolim._grothendieck``).
     """
     ends = cat._ends
     endos = ends.endomorphisms()
@@ -1058,15 +1035,21 @@ class SkeletonData:
 
 
 def full_subcategory(cat: FinCat, objects: Iterable[str], name: str | None = None) -> FinCat:
-    keep = set(objects)
-    objs = tuple(x for x in cat.objects if x in keep)
-    mors = tuple(m for m in cat.morphisms if m.source in keep and m.target in keep)
-    names = {m.name for m in mors}
-    comp = {
-        (g, f): gf for (g, f), gf in cat.composition.items() if g in names and f in names
-    }
-    ident = {x: cat.identity[x] for x in objs}
-    return FinCat(objs, mors, ident, comp, name=name or f"{cat.name}_full", check=False)
+    """The full subcategory on ``objects`` (other names are ignored), off
+    the rows of ``cat``, in its orders.  An inverse of a kept morphism is
+    kept, and a one-sided inverse here is one in ``cat``, so the inverses
+    of a directly finite ``cat`` are lifted."""
+    keep, r = set(objects), _rows_of(cat)
+    kept = [x for x, c in enumerate(cat.objects) if c in keep]
+    obj_at = {x: k for k, x in enumerate(kept)}
+    mors = [m for m, (x, y) in enumerate(zip(r.src, r.tgt)) if x in obj_at and y in obj_at]
+    at, rows = {m: k for k, m in enumerate(mors)}, r.rows
+    inverses = ({at[m]: at[g] for m, g in r.inv.items() if m in at}, True)
+    return _stored(name or f"{cat.name}_full", [cat.objects[x] for x in kept],
+                   [r.names[m] for m in mors], [obj_at[r.src[m]] for m in mors],
+                   [obj_at[r.tgt[m]] for m in mors], [at[r.ident[x]] for x in kept],
+                   ((at[g], at[f], at[rows[f][g]]) for g, f in r.pairs() if f in at and g in at),
+                   inverses if cat._directly_finite else None)
 
 
 def _skeleton_category(cat: FinCat) -> FinCat:
@@ -1088,18 +1071,23 @@ def _retract(cat: FinCat, rep_of: Mapping[str, str], name: str) -> SkeletonData:
     representative); the retraction r conjugates f: x -> y into
     r(f) = eta_y^-1 o f o eta_x: rep(x) -> rep(y), so r o i = id_Gamma.
     Unchecked: the inner eta cancel in r(g) o r(f), and eta is natural by that definition.
+    Everything is read off the rows of ``cat``.
     """
     gamma = full_subcategory(cat, rep_of.values(), name=name)
     obj_map, mor_map = _identity_maps(gamma)
     inclusion = _trusted(CatFunctor, source=gamma, target=cat, obj_map=obj_map, mor_map=mor_map)
-    eta_comp = {x: cat.identity[x] for x in rep_of}
-    for x, rep in rep_of.items():
-        if x != rep:
-            eta_comp[x] = min(u for u in cat.hom(rep, x) if cat.is_invertible(u))
-    r_mor = {}
-    for m in cat.morphisms:
-        f_eta = cat.compose(m.name, eta_comp[m.source])
-        r_mor[m.name] = cat.compose(cat.inverse(eta_comp[m.target]), f_eta)
+    r = _rows_of(cat)
+    names, objects, rows, inv = r.names, r.objects, r.rows, r.inv
+    isos: dict[int, list[str]] = {}  # the isomorphisms rep(x) -> x, by x
+    for u in inv:
+        x = r.tgt[u]
+        if x != r.src[u] and objects[rep_of[cat.objects[x]]] == r.src[u]:
+            isos.setdefault(x, []).append(names[u])
+    eta_comp = {x: min(isos[objects[x]]) if x != rep else names[r.ident[objects[x]]]
+                for x, rep in rep_of.items()}
+    eta = [r.index[eta_comp[x]] for x in cat.objects]
+    r_mor = {names[m]: names[rows[rows[eta[x]][m]][inv[eta[y]]]]
+             for m, (x, y) in enumerate(zip(r.src, r.tgt))}
     retraction = _trusted(CatFunctor, source=cat, target=gamma, obj_map=dict(rep_of),
                           mor_map=r_mor)
     return SkeletonData(gamma, inclusion, retraction, eta_comp)
@@ -1228,69 +1216,58 @@ def lower_link(cat: FinCat, obj: str) -> FinCat:
 
     Objects are the non-identity morphisms a with source obj; a morphism
     a -> b is a morphism u of the ambient scwol with u o a = b, recorded as
-    the pair (u, a).  Its composites are those of ``cat``, so no law is checked.
+    the pair (u, a).  Its composites are those of ``cat``, read off its
+    rows, so no law is checked.
     """
     _require_scwol(cat)
     cat.require_object(obj)
-    link_objs = tuple(
-        m for m in cat.morphisms_from(obj) if not cat.is_identity(m)
-    )
-
-    def pair_name(u: str, a: str) -> str:
-        return f"({u},{a})"
-
-    mors = []
-    comp = {}
-    ident = {}
-    u_of: dict[str, str] = {}
-    for a in link_objs:
-        for u in cat.morphisms_from(cat.target(a)):
-            b = cat.compose(u, a)
-            if b in link_objs:
-                nm = pair_name(u, a)
-                mors.append(Morphism(nm, a, b))
-                u_of[nm] = u
-                if cat.is_identity(u):
-                    ident[a] = nm
-    out: dict[str, list[Morphism]] = {a: [] for a in link_objs}
-    for m in mors:
-        out[m.source].append(m)
-    for m1 in mors:
-        for m2 in out[m1.target]:
-            comp[(m2.name, m1.name)] = pair_name(
-                cat.compose(u_of[m2.name], u_of[m1.name]), m1.source
-            )
-    return FinCat(link_objs, tuple(mors), ident, comp, name=f"Lk^{obj}({cat.name})", check=False)
+    r = _rows_of(cat)
+    names, rows, out, start = r.names, r.rows, r.out(), r.objects[obj]
+    link = [a for a in out[start] if a != r.ident[start]]
+    link_at = {a: k for k, a in enumerate(link)}
+    pairs = {pair: m for m, pair in enumerate(  # the morphisms (u, a), each to its index
+        [(u, a) for a in link for u in out[r.tgt[a]] if rows[a][u] in link_at])}
+    src = [link_at[a] for _, a in pairs]
+    tgt = [link_at[rows[a][u]] for u, a in pairs]
+    by_source: list[list[tuple[int, int]]] = [[] for _ in link]  # (m, u) of each m out of k
+    for (u, _), m in pairs.items():
+        by_source[src[m]].append((m, u))
+    # (u2, b) o (u1, a) = (u2 o u1, a)
+    return _stored(f"Lk^{obj}({cat.name})", [names[a] for a in link],
+                   [f"({names[u]},{names[a]})" for u, a in pairs], src, tgt,
+                   [pairs[r.ident[r.tgt[a]], a] for a in link],
+                   ((m2, m1, pairs[rows[u1][u2], a]) for (u1, a), m1 in pairs.items()
+                    for m2, u2 in by_source[tgt[m1]]))
 
 
 # -- constructions used across the library ------------------------------------
 
 
 def opposite(cat: FinCat) -> FinCat:
-    mors = tuple(Morphism(m.name, m.target, m.source) for m in cat.morphisms)
-    comp = {(f, g): gf for (g, f), gf in cat.composition.items()}
-    # lawful by construction from a validated category
-    return FinCat(cat.objects, mors, dict(cat.identity), comp, name=f"{cat.name}^op", check=False)
+    """The opposite category, off the rows of ``cat``: each entry (g, f) is
+    read as (f, g), in ``cat``'s order.  Its inverses are ``cat``'s."""
+    r = _rows_of(cat)
+    return _stored(f"{cat.name}^op", cat.objects, r.names, r.tgt, r.src, r.ident,
+                   ((f, g, r.rows[f][g]) for g, f in r.pairs()), (r.inv, cat._directly_finite))
 
 
 def product(a: FinCat, b: FinCat) -> FinCat:
+    """The product category, off the rows of ``a`` and ``b``, ``a``'s
+    index major; the entries pair ``a``'s with ``b``'s, each in order."""
+
     def po(x, y):
         return f"({x},{y})"
 
-    objs = tuple(po(x, y) for x in a.objects for y in b.objects)
-    mors = tuple(
-        Morphism(po(m.name, n.name), po(m.source, n.source), po(m.target, n.target))
-        for m in a.morphisms
-        for n in b.morphisms
-    )
-    ident = {
-        po(x, y): po(a.identity[x], b.identity[y]) for x in a.objects for y in b.objects
-    }
-    comp = {}
-    for (g1, f1), c1 in a.composition.items():
-        for (g2, f2), c2 in b.composition.items():
-            comp[(po(g1, g2), po(f1, f2))] = po(c1, c2)
-    return FinCat(objs, mors, ident, comp, name=f"{a.name}x{b.name}", check=False)
+    ra, rb = _rows_of(a), _rows_of(b)
+    n, k = len(b), len(rb.names)  # the objects and the morphisms of b
+    b_entries = [(g, f, rb.rows[f][g]) for g, f in rb.pairs()]
+    return _stored(
+        f"{a.name}x{b.name}", [po(x, y) for x in a.objects for y in b.objects],
+        [po(m1, m2) for m1 in ra.names for m2 in rb.names],
+        [x * n + y for x in ra.src for y in rb.src], [x * n + y for x in ra.tgt for y in rb.tgt],
+        [e1 * k + e2 for e1 in ra.ident for e2 in rb.ident],
+        ((g1 * k + g2, f1 * k + f2, ra.rows[f1][g1] * k + gf2)
+         for g1, f1 in ra.pairs() for g2, f2, gf2 in b_entries))
 
 
 def equal_presentation(a: FinCat, b: FinCat) -> bool:

@@ -9,8 +9,9 @@ the source of a morphism fixes the morphism.  Inputs are validated and what
 is derived from them is trusted: the quotient, each orbit arrow's one lift,
 the complex of groups, the reduced and restricted actions and the transport
 groupoid follow from a validated action by the axioms (arXiv:1007.3868;
-Bridson-Haefliger III.C), so each is built unchecked (by ``errors._trusted``)
-and no function re-proves a paper identity on its own output.  Each proof
+Bridson-Haefliger III.C), so each is built unchecked (by ``errors._trusted``,
+a category as arrays by ``fincat._stored``) and no function re-proves a
+paper identity on its own output.  Each proof
 is in the builder's docstring; the checks live in the tests as oracles.
 The reports (``chi_theorems``, ``skeletal_reduction``, ``developability_check``)
 compute their identities because the identities are what they report.
@@ -24,6 +25,7 @@ carrying element (some g with g . x = y) is found by one helper.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
@@ -33,8 +35,8 @@ from .eulerchar import _scwol_weights, chi_scwol
 from .fincat import (
     CatFunctor,
     FinCat,
-    Morphism,
     NotAFunctor,
+    _Rows,
     _check_functor_arrays,
     _count_rows,
     _is_thin,
@@ -42,6 +44,7 @@ from .fincat import (
     _require_scwol,
     _retract,
     _rows_of,
+    _stored,
     skeleton,
 )
 from .groups import FinGroup, GroupHom, _generating_set, _image_of
@@ -271,7 +274,7 @@ def trivial_action(group: FinGroup, space: FinCat) -> ScwolAction:
         group,
         space,
         {g: {x: x for x in space.objects} for g in group.labels},
-        {g: {m.name: m.name for m in space.morphisms} for g in group.labels},
+        {g: {m: m for m in space.morphism_names()} for g in group.labels},
     )
 
 
@@ -292,9 +295,8 @@ def quotient(action: ScwolAction) -> QuotientResult:
     """Quotient scwol: objects and morphisms are G-orbits, each named by its
     least member, with composition and identities induced from the space.
 
-    One pass over the space's composition table records the orbit of b o a
-    for each pair (orbit of b, orbit of a).  A validated action settles the
-    rest, so nothing is checked:
+    The orbit of b o a is recorded for each pair (orbit of b, orbit of a).
+    A validated action settles the rest, so nothing is checked:
 
     * the composite is well-defined: if (b', a') = (h.b, g.a) is another
       composable lift, g^-1 h fixes target(a) = source(b), so by axiom (ii)
@@ -308,23 +310,28 @@ def quotient(action: ScwolAction) -> QuotientResult:
     The same axioms give the source-side orbit bijection: two arrows out of
     x in one orbit differ by an element fixing x, hence agree (axiom ii),
     and translating a lift of an orbit arrow out of [x] by an element gives
-    one out of x.
+    one out of x, so the row of the least member a of [a] holds one lift of
+    each pair ([b], [a]); the entries are written in name order.  A lift
+    b' o a = id of [b] o [a] = [id] makes a invertible in the space, a
+    scwol, so the inverses are the orbits of the space's.
     """
     cat = action.space
     obj_orbit = {x: orb[0] for orb in action.object_orbits() for x in orb}
     mor_orbit = {m: orb[0] for orb in action.morphism_orbits() for m in orb}
 
-    objs = tuple(sorted(set(obj_orbit.values())))
-    mors = tuple(
-        Morphism(m, obj_orbit[cat.source(m)], obj_orbit[cat.target(m)])
-        for m in sorted(set(mor_orbit.values()))
-    )
-    ident = {x: mor_orbit[cat.identity[x]] for x in objs}
-    composite = {(mor_orbit[b], mor_orbit[a]): mor_orbit[ba]
-                 for (b, a), ba in cat.composition.items()}
-    comp = dict(sorted(composite.items()))
-
-    q = FinCat(objs, mors, ident, comp, name=f"{cat.name}/{action.group.name}", check=False)
+    r = _rows_of(cat)
+    objs = sorted(set(obj_orbit.values()))
+    names = sorted(set(mor_orbit.values()))
+    obj_at, at = {x: i for i, x in enumerate(objs)}, {m: i for i, m in enumerate(names)}
+    of_obj = [obj_at[obj_orbit[x]] for x in cat.objects]  # by space index: the orbit's index
+    of_mor = [at[mor_orbit[m]] for m in r.names]
+    lifts = [r.index[m] for m in names]
+    cells = {(of_mor[b], f): of_mor[ba] for f, a in enumerate(lifts) for b, ba in r.rows[a].items()}
+    q = _stored(f"{cat.name}/{action.group.name}", objs, names,
+                [of_obj[r.src[a]] for a in lifts], [of_obj[r.tgt[a]] for a in lifts],
+                [of_mor[r.ident[r.objects[x]]] for x in objs],
+                [(b, f, ba) for (b, f), ba in sorted(cells.items())],
+                ({f: of_mor[r.inv[a]] for f, a in enumerate(lifts) if a in r.inv}, True))
     return QuotientResult(q, obj_orbit, mor_orbit)
 
 
@@ -517,6 +524,7 @@ def _complex_from_quotient(
     cat = action.space
     group = action.group
     object_reps, h_elements = object_reps or {}, h_elements or {}
+    qr, r = _rows_of(base), _rows_of(cat)
     for orbit_name in object_reps:
         if not base.has_object(orbit_name):
             raise ValidationError(
@@ -525,7 +533,7 @@ def _complex_from_quotient(
                 witness={"object": orbit_name},
             )
     for m, h in h_elements.items():
-        if m not in base._mor:
+        if m not in qr.index:
             raise ValidationError(
                 f"override h element given for {m!r}, which is no morphism of {base.name}",
                 witness={"morphism": m},
@@ -548,56 +556,57 @@ def _complex_from_quotient(
 
     local = {s: stabilizer(action, reps[s]) for s in base.objects}
 
+    ids, lift_at, arrows = set(qr.ident), _lifts(q, r), list(base._arrows())
     lifts: dict[str, str] = {}
     h_elts: dict[str, str] = {}
-    for m in base.morphisms:
-        s_rep = reps[m.source]
-        t_rep = reps[m.target]
-        lift = lifts[m.name] = _lifts(q, cat, s_rep, m.name)[0]
-        wanted = h_elements.get(m.name)
-        if base.is_identity(m.name):
+    for m, (name, x, y) in enumerate(arrows):
+        t_rep = reps[y]
+        lift = lift_at[r.objects[reps[x]], name]
+        lifts[name], lift_target = r.names[lift], cat.objects[r.tgt[lift]]
+        wanted = h_elements.get(name)
+        if m in ids:
             if wanted not in (None, group.identity):
                 raise ValidationError(
-                    f"override h element {wanted!r} at identity morphism {m.name!r} "
-                    f"is not the group identity", witness={"morphism": m.name, "element": wanted})
+                    f"override h element {wanted!r} at identity morphism {name!r} "
+                    f"is not the group identity", witness={"morphism": name, "element": wanted})
             wanted = group.identity
         if wanted is not None:
-            if action.act_obj(wanted, cat.target(lift)) != t_rep:
+            if action.act_obj(wanted, lift_target) != t_rep:
                 raise ValidationError(
                     f"override h element {wanted!r} does not carry the lift target onto {t_rep!r}",
-                    witness={"morphism": m.name, "element": wanted},
+                    witness={"morphism": name, "element": wanted},
                 )
-            h_elts[m.name] = wanted
+            h_elts[name] = wanted
         else:
-            h_elts[m.name] = _carrier(action, cat.target(lift), t_rep)
+            h_elts[name] = _carrier(action, lift_target, t_rep)
 
     labels, table, inverse, index = group.labels, group.table, group._inverse, group._index
-    h_idx: dict[str, int] = {}
+    h_idx = [group.index(h_elts[name]) for name in qr.names]
     homs = {}
-    for m in base.morphisms:
+    for (name, x, y), h in zip(arrows, h_idx):
         # conjugation happens in the ambient group; an element fixing the
         # lift's source fixes the lift and hence its target, so conjugating
         # by h lands in the stabilizer of the target representative
-        h = h_idx[m.name] = group.index(h_elts[m.name])
         row_h, h_inv = table[h], inverse[h]
-        homs[m.name] = _trusted(
-            GroupHom, source=local[m.source], target=local[m.target],
-            mapping={a: labels[table[row_h[index[a]]][h_inv]] for a in local[m.source].labels},
+        homs[name] = _trusted(
+            GroupHom, source=local[x], target=local[y],
+            mapping={a: labels[table[row_h[index[a]]][h_inv]] for a in local[x].labels},
         )
-    # twist(b, a) = h_ba . h_a^-1 . h_b^-1
+    # twist(b, a) = h_ba . h_a^-1 . h_b^-1, in the quotient's entry order
     twists = {}
-    for (b, a) in base.composition:
-        ba = base.compose(b, a)
-        twists[(b, a)] = labels[table[h_idx[ba]][table[inverse[h_idx[a]]][inverse[h_idx[b]]]]]
+    for b, a in qr.pairs():
+        h_ba = h_idx[qr.rows[a][b]]
+        twists[(qr.names[b], qr.names[a])] = labels[table[h_ba][table[inverse[h_idx[a]]][inverse[h_idx[b]]]]]
 
     cplx = _trusted(ComplexOfGroups, base=base, local=local, homs=homs, twists=twists)
     return ComplexFromAction(cplx, MorphismToGroup(group, reps, lifts, h_elts), q)
 
 
-def _lifts(q: QuotientResult, cat: FinCat, start: str, orbit: str) -> list[str]:
-    """The morphisms of ``cat`` out of ``start`` that lie in the morphism
-    orbit ``orbit`` of the quotient ``q``."""
-    return [a for a in cat.morphisms_from(start) if q.morphism_orbit_of[a] == orbit]
+def _lifts(q: QuotientResult, r: _Rows) -> dict[tuple[int, str], int]:
+    """(x, orbit) to the one morphism of the space (whose rows are ``r``) out
+    of x in that orbit of ``q``, by index (see ``quotient``)."""
+    orbit_of = q.morphism_orbit_of
+    return {(x, orbit_of[m]): a for a, (m, x) in enumerate(zip(r.names, r.src))}
 
 
 def _carrier(action: ScwolAction, x: str, y: str) -> str:
@@ -615,41 +624,34 @@ def hocolim_groups(cplx: ComplexOfGroups) -> FinCat:
     a: s -> t in the base and g in local[t], composed by
     (b, g2) o (a, g1) = (b o a, g2 . F(b)(g1) . twist(b, a)^{-1}).
     The complex's identities make it lawful (Bridson-Haefliger III.C): no law is checked.
+    It is written off the base's rows and the local Cayley tables.
     """
     base = cplx.base
+    r = _rows_of(base)
+    names, out = r.names, r.out()
+    local = [cplx.local[x] for x in base.objects]
+    start, mor_names, src, tgt = [], [], [], []  # start[a]: the index of (a, first g)
+    for a, (name, x, y) in enumerate(zip(names, r.src, r.tgt)):
+        start.append(len(mor_names))
+        mor_names += [f"({name},{g})" for g in local[y].labels]
+        src += [x] * local[y].order
+        tgt += [y] * local[y].order
 
-    def nm(a: str, g: str) -> str:
-        return f"({a},{g})"
+    def entries():
+        # on indices: for each g1, k is the index of F(b)(g1) . twist(b, a)^-1,
+        # and the composite with (b, g2) is (b o a, g2 . k), read off row g2
+        for a, row_a in enumerate(r.rows):
+            for b in out[r.tgt[a]]:
+                group = local[r.tgt[b]]
+                table, first_b, first_ba = group.table, start[b], start[row_a[b]]
+                tw_inv = group._inverse[group.index(cplx.twist(names[b], names[a]))]
+                for f, fb_g1 in enumerate(_image_of(cplx.homs[names[b]]), start[a]):
+                    k = table[fb_g1][tw_inv]
+                    for g2, row_g2 in enumerate(table):
+                        yield first_b + g2, f, first_ba + row_g2[k]
 
-    mors = []
-    ident = {}
-    for m in base.morphisms:
-        for g in cplx.local[m.target].labels:
-            mors.append(Morphism(nm(m.name, g), m.source, m.target))
-    for x in base.objects:
-        ident[x] = nm(base.identity[x], cplx.local[x].identity)
-
-    # on indices: for each g1, k is the index of F(b)(g1) . twist(b, a)^-1,
-    # and the composite with (b, g2) is (b o a, g2 . k), read off row g2
-    comp = {}
-    for ma in base.morphism_names():
-        for mb in base.morphisms_from(base.target(ma)):
-            ba = base.compose(mb, ma)
-            tgt = cplx.local[base.target(mb)]
-            table = tgt.table
-            tw_inv = tgt._inverse[tgt.index(cplx.twist(mb, ma))]
-            fb = _image_of(cplx.homs[mb])
-            b_names = [nm(mb, g2) for g2 in tgt.labels]
-            ba_names = [nm(ba, g) for g in tgt.labels]
-            for g1, fb_g1 in zip(cplx.local[base.target(ma)].labels, fb):
-                a_g1 = nm(ma, g1)
-                k = table[fb_g1][tw_inv]
-                for b_g2, row_g2 in zip(b_names, table):
-                    comp[(b_g2, a_g1)] = ba_names[row_g2[k]]
-
-    return FinCat(
-        tuple(base.objects), tuple(mors), ident, comp, name=f"hocolim({base.name})", check=False
-    )
+    return _stored(f"hocolim({base.name})", base.objects, mor_names, src, tgt,
+                   [start[e] + local[x]._identity for x, e in enumerate(r.ident)], entries())
 
 
 def _hocolim_chi_L(cplx: ComplexOfGroups) -> Fraction:
@@ -670,10 +672,10 @@ def complex_to_pseudo_diagram(cplx: ComplexOfGroups):
     base = cplx.base
     vertex = {x: one_object_category(cplx.local[x], obj="*") for x in base.objects}
     edge = {}
-    for m in base.morphisms:
-        hom = cplx.homs[m.name]
-        edge[m.name] = _trusted(CatFunctor, source=vertex[m.source], target=vertex[m.target],
-                                obj_map={"*": "*"}, mor_map={g: hom(g) for g in hom.source.labels})
+    for m, x, y in base._arrows():
+        hom = cplx.homs[m]
+        edge[m] = _trusted(CatFunctor, source=vertex[x], target=vertex[y],
+                           obj_map={"*": "*"}, mor_map={g: hom(g) for g in hom.source.labels})
     comp = {pair: {"*": tw} for pair, tw in cplx.twists.items()}
     unit = {x: {"*": cplx.local[x].identity} for x in base.objects}
     return _trusted(PseudoDiagram, index=base, vertex=vertex, edge=edge, comp=comp, unit=unit)
@@ -733,11 +735,10 @@ def skeletal_reduction(action: ScwolAction) -> SkeletalReduction:
 
     on_objects = {}
     on_morphisms = {}
+    arrows, gamma_arrows = cat.morphism_names(), gamma.morphism_names()
     for g in group.labels:
         on_objects[g] = {x: r.obj_map[action.act_obj(g, x)] for x in gamma.objects}
-        on_morphisms[g] = {
-            m.name: r.mor_map[action.act_mor(g, m.name)] for m in gamma.morphisms
-        }
+        on_morphisms[g] = {m: r.mor_map[action.act_mor(g, m)] for m in gamma_arrows}
     reduced = _trusted(ScwolAction, group=group, space=gamma, on_objects=on_objects,
                        on_morphisms=on_morphisms)
 
@@ -747,9 +748,9 @@ def skeletal_reduction(action: ScwolAction) -> SkeletalReduction:
         for g in group.labels
         for x in cat.objects
     ) and all(
-        r.mor_map[action.act_mor(g, m.name)] == reduced.act_mor(g, r.mor_map[m.name])
+        r.mor_map[action.act_mor(g, m)] == reduced.act_mor(g, r.mor_map[m])
         for g in group.labels
-        for m in cat.morphisms
+        for m in arrows
     )
 
     # (2) induced functor on quotients commutes with projections and is an
@@ -764,26 +765,16 @@ def skeletal_reduction(action: ScwolAction) -> SkeletalReduction:
         prev = rbar_obj.setdefault(qx.object_orbit_of[x], img)
         if prev != img:
             square = False
-    for m in cat.morphisms:
-        img = qg.morphism_orbit_of[r.mor_map[m.name]]
-        prev = rbar_mor.setdefault(qx.morphism_orbit_of[m.name], img)
+    for m in arrows:
+        img = qg.morphism_orbit_of[r.mor_map[m]]
+        prev = rbar_mor.setdefault(qx.morphism_orbit_of[m], img)
         if prev != img:
             square = False
     if square:
         rbar = _trusted(CatFunctor, source=qx.category, target=qg.category, obj_map=rbar_obj,
                         mor_map=rbar_mor)
         surjective = set(rbar_obj.values()) == set(qg.category.objects)
-        fully_faithful = all(
-            len(qx.category.hom(a, b))
-            == len(qg.category.hom(rbar_obj[a], rbar_obj[b]))
-            and len(
-                {rbar_mor[m] for m in qx.category.hom(a, b)}
-            )
-            == len(qx.category.hom(a, b))
-            for a in qx.category.objects
-            for b in qx.category.objects
-        )
-        is_equivalence = surjective and fully_faithful
+        is_equivalence = surjective and _fully_faithful(qx.category, qg.category, rbar)
     else:
         rbar = None
         is_equivalence = False
@@ -821,6 +812,18 @@ def skeletal_reduction(action: ScwolAction) -> SkeletalReduction:
     return SkeletalReduction(reduced, r, incl, report)
 
 
+def _fully_faithful(a: FinCat, b: FinCat, fun: CatFunctor) -> bool:
+    """Whether ``fun``: a -> b is fully faithful, off the endpoint arrays:
+    each Hom(x, y) has as many morphisms and images as Hom(F(x), F(y))."""
+    ea, eb, at = a._ends, b._ends, {x: k for k, x in enumerate(b.objects)}
+    image = [at[fun.obj_map[x]] for x in a.objects]
+    count_a, count_b = Counter(zip(ea.src, ea.tgt)), Counter(zip(eb.src, eb.tgt))
+    mapped = set(zip(ea.src, ea.tgt, map(fun.mor_map.__getitem__, a.morphism_names())))
+    objects = range(len(a))
+    return Counter((x, y) for x, y, _ in mapped) == count_a and all(
+        count_a[x, y] == count_b[image[x], image[y]] for x in objects for y in objects)
+
+
 def _coordinated_choices(action, r, qx, rbar):
     """Choices making the complexes over X/G and over the skeleton agree.
 
@@ -834,9 +837,11 @@ def _coordinated_choices(action, r, qx, rbar):
     cat = action.space
     qsk = skeleton(qx.category)
     rep_of, eta, normal_form = qsk.retraction.obj_map, qsk.eta, qsk.retraction.mor_map
+    rows = _rows_of(cat)
+    lift_at = _lifts(qx, rows)
 
     def lift_target(start: str, orbit: str) -> str:
-        return cat.target(_lifts(qx, cat, start, orbit)[0])
+        return cat.objects[rows.tgt[lift_at[rows.objects[start], orbit]]]
 
     # selected preimage per orbit object of X/G; an orbit's name is its
     # least member
@@ -844,13 +849,13 @@ def _coordinated_choices(action, r, qx, rbar):
 
     # h elements: chosen on skeletal morphisms, shared along normal forms
     h_on_skel: dict[str, str] = {}
-    for m in qsk.category.morphisms:
-        if qsk.category.is_identity(m.name):
-            h_on_skel[m.name] = action.group.identity
+    skel = qsk.category
+    units = set(skel._ends.ident)
+    for m, (name, x, y) in enumerate(skel._arrows()):
+        if m in units:
+            h_on_skel[name] = action.group.identity
         else:
-            h_on_skel[m.name] = _carrier(
-                action, lift_target(sel[m.source], m.name), sel[m.target]
-            )
+            h_on_skel[name] = _carrier(action, lift_target(sel[x], name), sel[y])
     h_x = {m: h_on_skel[nf] for m, nf in normal_form.items()}
 
     # transport through rbar for the reduced action: every object/morphism
@@ -864,9 +869,9 @@ def _complexes_agree_along(fx: ComplexOfGroups, fg: ComplexOfGroups, rbar: CatFu
     for x in fx.base.objects:
         if set(fx.local[x].labels) != set(fg.local[rbar.obj_map[x]].labels):
             return False
-    for m in fx.base.morphisms:
-        img = rbar.mor_map[m.name]
-        if dict(fx.homs[m.name].mapping) != dict(fg.homs[img].mapping):
+    for m in fx.base.morphism_names():
+        img = rbar.mor_map[m]
+        if dict(fx.homs[m].mapping) != dict(fg.homs[img].mapping):
             return False
     for (b, a), tw in fx.twists.items():
         if fg.twists[(rbar.mor_map[b], rbar.mor_map[a])] != tw:
@@ -919,7 +924,7 @@ def equivariant_skeleton(action: ScwolAction) -> EquivariantSkeleton:
     restricted = _trusted(
         ScwolAction, group=group, space=gamma,
         on_objects={g: {x: action.act_obj(g, x) for x in gamma.objects} for g in group.labels},
-        on_morphisms={g: {m.name: action.act_mor(g, m.name) for m in gamma.morphisms}
+        on_morphisms={g: {m: action.act_mor(g, m) for m in gamma.morphism_names()}
                       for g in group.labels},
     )
 
@@ -969,20 +974,19 @@ def transport_groupoid(group: FinGroup, elements: Sequence[str],
          for g, row in rows.items()},
     )
 
-    def nm(g: str, s: str) -> str:
-        return f"({g},{s})"
-
-    e, labels, table = group.identity, group.labels, group.table
-    mors = [Morphism(nm(g, s), s, act[g][s]) for s in elements for g in labels]
-    ident = {s: nm(e, s) for s in elements}
-    comp = {}
-    for s in elements:
-        for gi, g in enumerate(labels):
-            mid = act[g][s]
-            for h, row_h in zip(labels, table):
-                comp[(nm(h, mid), nm(g, s))] = nm(labels[row_h[gi]], s)
-    return FinCat(elements, tuple(mors), ident, comp, name=f"transport({group.name})",
-                  check=False)
+    # the morphism (g, s) is number s * |G| + g, elements and labels by index
+    n, at = group.order, {s: k for k, s in enumerate(elements)}
+    moved = [[at[act[g][s]] for g in group.labels] for s in elements]  # moved[s][g]: g . s
+    # (h, g . s) o (g, s) = (hg, s), and (g, s) has the inverse (g^-1, g . s)
+    return _stored(f"transport({group.name})", elements,
+                   [f"({g},{s})" for s in elements for g in group.labels],
+                   [k for k in range(len(elements)) for _ in range(n)],
+                   [mid for targets in moved for mid in targets],
+                   [k * n + group._identity for k in range(len(elements))],
+                   ((mid * n + h, k * n + g, k * n + row_h[g]) for k, targets in enumerate(moved)
+                    for g, mid in enumerate(targets) for h, row_h in enumerate(group.table)),
+                   ({k * n + g: mid * n + group._inverse[g] for k, targets in enumerate(moved)
+                     for g, mid in enumerate(targets)}, True))
 
 
 # -- the chi theorems ----------------------------------------------------------------

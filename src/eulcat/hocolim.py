@@ -26,6 +26,7 @@ from .fincat import (
     Morphism,
     _Ends,
     _OnFirstRead,
+    _Rows,
     _check_natural,
     _composite_arrays,
     _composite_maps,
@@ -311,8 +312,8 @@ class _Total(FinCat):
     ``_invertible`` or a lookup table of ``fincat._headers`` makes all of
     those, and the first read of ``composition`` makes the table.  Names
     and order are those of the name-level construction.  The writer reads
-    the object names, the morphism names and the arrays (``_int_table``),
-    and makes none of the other fields.
+    the object names and the rows of ``_read_rows``, and makes none of the
+    other fields.
     """
 
     objects = _OnFirstRead()
@@ -346,33 +347,43 @@ class _Total(FinCat):
                                      for first, base, h, gs, pos in runs
                                      for q, g in enumerate(gs, first)}
 
-    def _int_table(self) -> tuple[list[str], _Ends, list[dict[int, int]]]:
-        """The morphism names, ``_ends`` and the composition rows, which
-        ``_Numbering.composites`` makes in one walk of the runs and does not
-        keep."""
-        plan = self._plan
-        return plan.morphism_names(), self._ends, plan.composites()
+    def _read_rows(self) -> _Rows:
+        """Rows on ``_ends`` (``_Numbering.composites``, not kept), in the
+        order of ``composition``: by first factor, each row in its order."""
+        arrays, names, rows = self._ends, self._plan.morphism_names(), self._plan.composites()
+        r = _Rows({x: k for k, x in enumerate(self.objects)}, names,
+                  {m: k for k, m in enumerate(names)}, arrays.src, arrays.tgt, arrays.ident,
+                  rows, [f for f, row in enumerate(rows) for _ in row])
+        r.inv = arrays.inv
+        return r
 
 
 class _VertexOrder:
     """The morphisms of a vertex category C out of each object x, in the
     order (u, f)@c lists them when C(u)(c) = x: by target object, then in
-    ``C.morphisms`` order, which is Hom(x, e) for each e in turn.
+    morphism order, which is Hom(x, e) for each e in turn; read off
+    ``C._ends``.  ``index`` numbers the objects and ``names`` names the
+    morphisms; ``out[x]`` holds the morphism indices and ``ends[x]`` the
+    target indices; ``pos[f]`` is the place of f in the list of its source."""
 
-    ``index`` numbers the objects; ``out[x]`` holds the names and
-    ``ends[x]`` the target indices; ``pos[f]`` is the place of f in the
-    list of its source."""
-
-    __slots__ = ("index", "out", "ends", "pos")
+    __slots__ = ("index", "names", "names_at", "out", "ends", "pos")
 
     def __init__(self, cat: FinCat):
-        self.index = index = {x: k for k, x in enumerate(cat.objects)}
-        self.out = out = [[] for _ in index]
-        self.ends = ends = [[] for _ in index]
-        for x, y, fs in sorted([(index[x], index[y], fs) for (x, y), fs in cat._hom.items()]):
-            out[x] += fs
-            ends[x] += [y] * len(fs)
-        self.pos = {f: q for fs in out for q, f in enumerate(fs)}
+        src, tgt, n = cat._ends.src, cat._ends.tgt, len(cat)
+        self.index, self.names = {x: k for k, x in enumerate(cat.objects)}, cat.morphism_names()
+        self.names_at, self.out, ends = None, [[] for _ in range(n)], list(zip(src, tgt))
+        for x, fs in itertools.groupby(sorted(range(len(src)), key=ends.__getitem__), src.__getitem__):
+            self.out[x] = list(fs)
+        self.ends = [list(map(tgt.__getitem__, fs)) for fs in self.out]
+        self.pos = pos = {}
+        for fs in self.out:
+            pos.update(zip(fs, range(len(fs))))
+
+    def at(self) -> dict[str, int]:
+        """The index of each morphism by name, made on first use."""
+        if self.names_at is None:
+            self.names_at = {m: k for k, m in enumerate(self.names)}
+        return self.names_at
 
 
 class _Numbering:
@@ -400,8 +411,8 @@ class _Numbering:
         d, place = self.diagram, self.place
         names = []
         for i, k, u, j, x in self.blocks:
-            c = d.vertex[i].objects[k]
-            names += [_triple_mor(u, f, c) for f in place[j][1].out[x]]
+            c, order = d.vertex[i].objects[k], place[j][1]
+            names += [_triple_mor(u, order.names[f], c) for f in order.out[x]]
         return names
 
     def runs(self) -> Iterator[list[tuple]]:
@@ -420,14 +431,11 @@ class _Numbering:
         edges: dict[str, tuple[list[int], list[int]]] = {}
 
         def local_of(i: str) -> tuple:
-            """The rows of C(i), and its ``_VertexOrder`` by morphism index."""
+            """The rows of C(i), and its ``_VertexOrder``'s lists and places."""
             cat = d.vertex[i]
             if cat not in local:
-                r, order = _rows_of(cat), place[i][1]
-                pos = [0] * len(r.names)
-                for f, q in order.pos.items():
-                    pos[r.index[f]] = q
-                local[cat] = r, [[r.index[f] for f in fs] for fs in order.out], pos
+                order = place[i][1]
+                local[cat] = _rows_of(cat), order.out, order.pos
             return local[cat]
 
         for i, k, u, j, x in self.blocks:
@@ -530,10 +538,12 @@ def _grothendieck(d: Diagram) -> FinCat:
                 tgt += ends[x]
                 src += [first + k] * len(ends[x])
 
-    ident = []
+    ident, strict = [], isinstance(d, StrictDiagram)
     for i in idx.objects:
-        start, pos = starts[idx.identity[i]], place[i][1].pos
-        ident += [start[k] + pos[d.unit_inv(i, c)] for k, c in enumerate(d.vertex[i].objects)]
+        start, order, ci = starts[idx.identity[i]], place[i][1], d.vertex[i]
+        # (id_i, unit_inv(i, c))@c, where unit_inv(i, c) = id_c if d is strict
+        units = ci._ends.ident if strict else [order.at()[d.unit_inv(i, c)] for c in ci.objects]
+        ident += [start[k] + order.pos[e] for k, e in enumerate(units)]
 
     if idx._directly_finite:
         inv = _lifted_inverses(d, plan)
@@ -548,31 +558,35 @@ def _grothendieck(d: Diagram) -> FinCat:
 def _lifted_inverses(d: Diagram, plan: _Numbering) -> dict[int, int]:
     """Each invertible morphism of the total to its inverse, by index and in
     morphism order, read off the diagram over a directly finite index (see
-    ``_grothendieck``)."""
+    ``_grothendieck``), on the vertices' rows."""
     idx, place, starts = d.index, plan.place, plan.starts
     strict = isinstance(d, StrictDiagram)
     inv: dict[int, int] = {}
+    edges: dict[str, list[int]] = {}  # the morphism image of C(v) for each v
     for i, k, u, j, x in plan.blocks:
         if not idx.is_invertible(u):
             continue
         order_i, order_j = place[i][1], place[j][1]
-        ci, cj, v = d.vertex[i], d.vertex[j], idx.inverse(u)
+        ci, inverse, v = d.vertex[i], d.vertex[j]._ends.inv, idx.inverse(u)
         start, pos, m = starts[v], order_i.pos, starts[u][k]
         out, ends = order_j.out[x], order_j.ends[x]
         if strict and u == idx.identity[i]:  # the inverse of (id_i, f)@c is (id_i, f^-1)@e
-            inverse = cj._invertible
             for q, f in enumerate(out, m):
                 g = inverse.get(f)
                 if g is not None:
                     inv[q] = start[ends[q - m]] + pos[g]
             continue
-        c = ci.objects[k]
-        # unit_inv(i, c) o comp_inv(v, u, c)^-1: C(v)C(u)(c) -> c
-        back = ci.compose(d.unit_inv(i, c), ci.inverse(d.comp_inv(v, u, c)))
-        v_mor = d.edge[v].mor_map
+        at, c, rows = order_i.at(), ci.objects[k], _rows_of(ci).rows
+        if v not in edges:
+            edges[v] = [at[f] for f in map(d.edge[v].mor_map.__getitem__, order_j.names)]
+        v_mor = edges[v]
+        # unit_inv(i, c) o comp_inv(v, u, c)^-1: C(v)C(u)(c) -> c, id_c in a strict diagram
+        back = ci._ends.ident[k] if strict else \
+            rows[ci._ends.inv[at[d.comp_inv(v, u, c)]]][at[d.unit_inv(i, c)]]
         for q, (f, e) in enumerate(zip(out, ends), m):
-            if cj.is_invertible(f):
-                inv[q] = start[e] + pos[ci.compose(back, v_mor[cj.inverse(f)])]
+            g = inverse.get(f)
+            if g is not None:
+                inv[q] = start[e] + pos[rows[v_mor[g]][back]]
     return inv
 
 
@@ -849,17 +863,6 @@ def _check_weighting_on(spec: CellSpectrum, index: FinCat) -> None:
             f"weighting equation fails at {x!r}",
             witness={"object": x},
         ) from None
-
-
-def homotopy_orbit_chi(chi_bg, vertex: FinCat, invariant: str = "chiL") -> Fraction:
-    """Invariant of the homotopy orbit of a group action on a category.
-
-    Classifying spaces of nontrivial finite groups admit no finite cell
-    model, so ``chi_bg`` (the Euler characteristic of the acting group's
-    classifying space) is taken on trust from the caller; the result
-    chi_bg * invariant(vertex) is reported without independent verification.
-    """
-    return Fraction(chi_bg) * _invariant_fn(invariant)(vertex)
 
 
 def constant_diagram(index: FinCat, cat: FinCat) -> StrictDiagram:

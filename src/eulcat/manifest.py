@@ -44,12 +44,12 @@ def parse_rational(raw) -> Fraction:
 
 
 def category_payload(cat: FinCat) -> dict:
-    """The payload of ``cat``, read off its integer arrays
-    (``FinCat._int_table``), so writing a Grothendieck total or a category
-    loaded from a manifest makes none of its name fields.  Each entry is a
-    fresh list, which a caller may edit."""
-    names, ends, rows = cat._int_table()
-    objs = cat.objects
+    """The payload of ``cat``, read off its integer rows (``_rows_of``), so
+    writing a store or a Grothendieck total makes none of its name fields
+    but a total's object names.  Each entry is a fresh list, which a caller
+    may edit."""
+    ends = _rows_of(cat)
+    names, rows, objs = ends.names, ends.rows, cat.objects
     return {
         "name": cat.name,
         "objects": list(objs),

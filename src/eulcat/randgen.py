@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from random import Random
 from typing import Mapping, Optional, Sequence
 
-from .fincat import CatFunctor, FinCat, Morphism
+from .fincat import CatFunctor, FinCat, _rows_of, _stored
 from .groups import FinGroup, GroupHom, all_homs, cyclic_group, klein_four_group, symmetric_group, trivial_group
 from .groupact import ScwolAction, trivial_action
 from .hocolim import StrictDiagram, constant_diagram, set_diagram
@@ -180,28 +180,23 @@ class Groupoid:
 
 
 def connected_groupoid(group: FinGroup, n_objects: int, prefix: str) -> tuple[FinCat, GroupoidComponent]:
-    """A connected groupoid with the given vertex group: hom(i, j) ~ G."""
-    objs = tuple(f"{prefix}.{i}" for i in range(n_objects))
+    """A connected groupoid with the given vertex group: hom(i, j) ~ G,
+    (h; j, k) o (g; i, j) = (hg; i, k) and (g; i, j)^-1 = (g^-1; j, i)."""
+    objs, objects, n = tuple(f"{prefix}.{i}" for i in range(n_objects)), range(n_objects), group.order
 
-    def nm(g, i, j):
-        return f"{prefix}[{g};{i},{j}]"
+    def at(g, i, j):  # the index of (g; i, j)
+        return (i * n_objects + j) * n + g
 
-    mors = []
-    ident = {}
-    comp = {}
-    e = group.identity
-    for i in range(n_objects):
-        ident[objs[i]] = nm(e, i, i)
-        for j in range(n_objects):
-            for g in group.labels:
-                mors.append(Morphism(nm(g, i, j), objs[i], objs[j]))
-    for i in range(n_objects):
-        for j in range(n_objects):
-            for k in range(n_objects):
-                for g in group.labels:
-                    for h in group.labels:
-                        comp[(nm(h, j, k), nm(g, i, j))] = nm(group.mul(h, g), i, k)
-    cat = FinCat(objs, tuple(mors), ident, comp, name=f"gpd({prefix})", check=False)
+    cat = _stored(f"gpd({prefix})", objs,
+                  [f"{prefix}[{g};{i},{j}]" for i in objects for j in objects for g in group.labels],
+                  [i for i in objects for _ in objects for _ in range(n)],
+                  [j for _ in objects for j in objects for _ in range(n)],
+                  [at(group._identity, i, i) for i in objects],
+                  ((at(h, j, k), at(g, i, j), at(row_h[g], i, k)) for i in objects
+                   for j in objects for k in objects for g in range(n)
+                   for h, row_h in enumerate(group.table)),
+                  ({at(g, i, j): at(group._inverse[g], j, i) for i in objects for j in objects
+                    for g in range(n)}, True))
     return cat, GroupoidComponent(prefix, group, objs)
 
 
@@ -224,14 +219,21 @@ def random_groupoid(rng: Random, max_objects: int = 4, max_group_order: int = 4,
 
 
 def disjoint_union(cats: Sequence[FinCat]) -> FinCat:
-    objs = tuple(x for c in cats for x in c.objects)
-    mors = tuple(m for c in cats for m in c.morphisms)
-    ident = {}
-    comp = {}
+    """The categories side by side, off their rows and inverses."""
+    objects, names, src, tgt, ident, parts = [], [], [], [], [], []
+    inverses: dict[int, int] = {}
     for c in cats:
-        ident.update(c.identity)
-        comp.update(c.composition)
-    return FinCat(objs, mors, ident, comp, name="+".join(c.name for c in cats), check=False)
+        r, n_obj, n_mor = _rows_of(c), len(objects), len(names)
+        objects += c.objects
+        names += r.names
+        src += [x + n_obj for x in r.src]
+        tgt += [y + n_obj for y in r.tgt]
+        ident += [e + n_mor for e in r.ident]
+        inverses.update((m + n_mor, g + n_mor) for m, g in r.inv.items())
+        parts.append((r, n_mor))
+    return _stored("+".join(c.name for c in cats), objects, names, src, tgt, ident,
+                   ((g + n, f + n, r.rows[f][g] + n) for r, n in parts for g, f in r.pairs()),
+                   (inverses, all(c._directly_finite for c in cats)))
 
 
 def random_groupoid_functor(rng: Random, src: Groupoid, tgt: Groupoid) -> CatFunctor:
@@ -343,27 +345,30 @@ def induced_free_action(group: FinGroup, base: FinCat) -> ScwolAction:
     def mo(g, m):
         return f"{g}*{m}"
 
-    objs = tuple(ob(g, x) for g in group.labels for x in base.objects)
-    mors = tuple(
-        Morphism(mo(g, m.name), ob(g, m.source), ob(g, m.target))
-        for g in group.labels
-        for m in base.morphisms
-    )
-    ident = {ob(g, x): mo(g, base.identity[x]) for g in group.labels for x in base.objects}
-    comp = {}
-    for g in group.labels:
-        for (b, a), ba in base.composition.items():
-            comp[(mo(g, b), mo(g, a))] = mo(g, ba)
-    space = FinCat(objs, mors, ident, comp, name=f"{group.name}x{base.name}", check=False)
+    # the copy g of the base, written off its rows: the morphism (g, m) is
+    # number g |M| + m, with the base's inverses in each copy
+    r, n_obj = _rows_of(base), len(base)
+    n_mor = len(r.names)
+    copies = range(group.order)
+    space = _stored(f"{group.name}x{base.name}",
+                    [ob(g, x) for g in group.labels for x in base.objects],
+                    [mo(g, m) for g in group.labels for m in r.names],
+                    [g * n_obj + x for g in copies for x in r.src],
+                    [g * n_obj + y for g in copies for y in r.tgt],
+                    [g * n_mor + e for g in copies for e in r.ident],
+                    ((g * n_mor + b, g * n_mor + a, g * n_mor + r.rows[a][b])
+                     for g in copies for b, a in r.pairs()),
+                    ({g * n_mor + m: g * n_mor + u for g in copies for m, u in r.inv.items()},
+                     base._directly_finite))
     on_objects = {
         g: {ob(h, x): ob(group.mul(g, h), x) for h in group.labels for x in base.objects}
         for g in group.labels
     }
     on_morphisms = {
         g: {
-            mo(h, m.name): mo(group.mul(g, h), m.name)
+            mo(h, m): mo(group.mul(g, h), m)
             for h in group.labels
-            for m in base.morphisms
+            for m in base.morphism_names()
         }
         for g in group.labels
     }

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Mapping, Sequence
 
-from .fincat import FinCat, Morphism
+from .fincat import FinCat, Morphism, _stored
 from .groups import FinGroup, cyclic_group, klein_four_group
 
 
@@ -130,13 +130,13 @@ def polygon_scwol(n: int) -> FinCat:
 
 
 def one_object_category(group: FinGroup, obj: str = "*") -> FinCat:
-    """The one-object category of a group; its laws are the group's, not checked again."""
-    mors = [Morphism(g, obj, obj) for g in group.labels]
-    ident = {obj: group.identity}
-    comp = {
-        (g, f): group.mul(g, f) for g in group.labels for f in group.labels
-    }
-    return FinCat((obj,), tuple(mors), ident, comp, name=f"B{group.name}", check=False)
+    """The one-object category of a group, written off its Cayley table;
+    its laws are the group's and its inverses the group's inverses, not
+    checked again.  The entries (g, f) run over g, then f, in label order."""
+    n = len(group.labels)
+    return _stored(f"B{group.name}", (obj,), group.labels, [0] * n, [0] * n, [group._identity],
+                   ((g, f, gf) for g, row in enumerate(group.table) for f, gf in enumerate(row)),
+                   (dict(enumerate(group._inverse)), True))
 
 
 def monoid_z2_mult() -> FinCat:

@@ -853,3 +853,209 @@ def reference_category_payload(cat: FinCat) -> dict:
         "identity": {x: cat.identity[x] for x in cat.objects},
         "compose": sorted([g, f, gf] for (g, f), gf in cat.composition.items()),
     }
+
+
+# -- the name-level builders, as references -------------------------------------------
+
+
+def reference_invertibles(cat: FinCat) -> tuple[dict[str, str], bool]:
+    """``_invertible`` and ``_directly_finite`` by the search of the name
+    table that the unchecked constructor once ran: each m against the
+    morphisms of Hom(t(m), s(m)) in order, stopping at an inverse, the only
+    left inverse of m.  It reads only ``hom``, ``composition`` and
+    ``identity``, not the rows of the library's search."""
+    inv: dict[str, str] = {}
+    directly_finite = True
+    for m in cat.morphisms:
+        for g in cat.hom(m.target, m.source):
+            if cat.composition[(g, m.name)] == cat.identity[m.source]:
+                if cat.composition[(m.name, g)] == cat.identity[m.target]:
+                    inv[m.name] = g
+                    break
+                directly_finite = False
+    return inv, directly_finite
+
+
+def reference_full_subcategory(cat: FinCat, objects, name=None) -> FinCat:
+    keep = set(objects)
+    objs = tuple(x for x in cat.objects if x in keep)
+    mors = tuple(m for m in cat.morphisms if m.source in keep and m.target in keep)
+    names = {m.name for m in mors}
+    comp = {
+        (g, f): gf for (g, f), gf in cat.composition.items() if g in names and f in names
+    }
+    ident = {x: cat.identity[x] for x in objs}
+    return FinCat(objs, mors, ident, comp, name=name or f"{cat.name}_full")
+
+
+def reference_retract(cat: FinCat, rep_of: Mapping[str, str], name: str):
+    """(Gamma, inclusion maps, retraction maps, eta) of ``fincat._retract``,
+    composed by name."""
+    gamma = reference_full_subcategory(cat, rep_of.values(), name=name)
+    eta_comp = {x: cat.identity[x] for x in rep_of}
+    for x, rep in rep_of.items():
+        if x != rep:
+            eta_comp[x] = min(u for u in cat.hom(rep, x) if cat.is_invertible(u))
+    r_mor = {}
+    for m in cat.morphisms:
+        f_eta = cat.compose(m.name, eta_comp[m.source])
+        r_mor[m.name] = cat.compose(cat.inverse(eta_comp[m.target]), f_eta)
+    inclusion = ({x: x for x in gamma.objects}, {m.name: m.name for m in gamma.morphisms})
+    return gamma, inclusion, (dict(rep_of), r_mor), eta_comp
+
+
+def reference_lower_link(cat: FinCat, obj: str) -> FinCat:
+    link_objs = tuple(m for m in cat.morphisms_from(obj) if not cat.is_identity(m))
+
+    def pair_name(u: str, a: str) -> str:
+        return f"({u},{a})"
+
+    mors, comp, ident, u_of = [], {}, {}, {}
+    for a in link_objs:
+        for u in cat.morphisms_from(cat.target(a)):
+            b = cat.compose(u, a)
+            if b in link_objs:
+                nm = pair_name(u, a)
+                mors.append(Morphism(nm, a, b))
+                u_of[nm] = u
+                if cat.is_identity(u):
+                    ident[a] = nm
+    out: dict[str, list[Morphism]] = {a: [] for a in link_objs}
+    for m in mors:
+        out[m.source].append(m)
+    for m1 in mors:
+        for m2 in out[m1.target]:
+            comp[(m2.name, m1.name)] = pair_name(
+                cat.compose(u_of[m2.name], u_of[m1.name]), m1.source
+            )
+    return FinCat(link_objs, tuple(mors), ident, comp, name=f"Lk^{obj}({cat.name})")
+
+
+def reference_opposite(cat: FinCat) -> FinCat:
+    mors = tuple(Morphism(m.name, m.target, m.source) for m in cat.morphisms)
+    comp = {(f, g): gf for (g, f), gf in cat.composition.items()}
+    return FinCat(cat.objects, mors, dict(cat.identity), comp, name=f"{cat.name}^op")
+
+
+def reference_product(a: FinCat, b: FinCat) -> FinCat:
+    def po(x, y):
+        return f"({x},{y})"
+
+    objs = tuple(po(x, y) for x in a.objects for y in b.objects)
+    mors = tuple(
+        Morphism(po(m.name, n.name), po(m.source, n.source), po(m.target, n.target))
+        for m in a.morphisms
+        for n in b.morphisms
+    )
+    ident = {po(x, y): po(a.identity[x], b.identity[y]) for x in a.objects for y in b.objects}
+    comp = {}
+    for (g1, f1), c1 in a.composition.items():
+        for (g2, f2), c2 in b.composition.items():
+            comp[(po(g1, g2), po(f1, f2))] = po(c1, c2)
+    return FinCat(objs, mors, ident, comp, name=f"{a.name}x{b.name}")
+
+
+def reference_quotient(action) -> FinCat:
+    cat = action.space
+    obj_orbit = {x: orb[0] for orb in action.object_orbits() for x in orb}
+    mor_orbit = {m: orb[0] for orb in action.morphism_orbits() for m in orb}
+    objs = tuple(sorted(set(obj_orbit.values())))
+    mors = tuple(
+        Morphism(m, obj_orbit[cat.source(m)], obj_orbit[cat.target(m)])
+        for m in sorted(set(mor_orbit.values()))
+    )
+    ident = {x: mor_orbit[cat.identity[x]] for x in objs}
+    composite = {(mor_orbit[b], mor_orbit[a]): mor_orbit[ba]
+                 for (b, a), ba in cat.composition.items()}
+    return FinCat(objs, mors, ident, dict(sorted(composite.items())),
+                  name=f"{cat.name}/{action.group.name}")
+
+
+def reference_hocolim_groups(cplx) -> FinCat:
+    base = cplx.base
+
+    def nm(a: str, g: str) -> str:
+        return f"({a},{g})"
+
+    mors = [Morphism(nm(m.name, g), m.source, m.target)
+            for m in base.morphisms for g in cplx.local[m.target].labels]
+    ident = {x: nm(base.identity[x], cplx.local[x].identity) for x in base.objects}
+    comp = {}
+    for ma in base.morphism_names():
+        for mb in base.morphisms_from(base.target(ma)):
+            tgt = cplx.local[base.target(mb)]
+            tw_inv = tgt.inv(cplx.twist(mb, ma))
+            for g1 in cplx.local[base.target(ma)].labels:
+                k = tgt.mul(cplx.homs[mb](g1), tw_inv)
+                for g2 in tgt.labels:
+                    comp[(nm(mb, g2), nm(ma, g1))] = nm(base.compose(mb, ma), tgt.mul(g2, k))
+    return FinCat(tuple(base.objects), tuple(mors), ident, comp, name=f"hocolim({base.name})")
+
+
+def reference_transport_groupoid(group, elements, act) -> FinCat:
+    def nm(g: str, s: str) -> str:
+        return f"({g},{s})"
+
+    elements = tuple(elements)
+    mors = [Morphism(nm(g, s), s, act[g][s]) for s in elements for g in group.labels]
+    ident = {s: nm(group.identity, s) for s in elements}
+    comp = {}
+    for s in elements:
+        for g in group.labels:
+            for h in group.labels:
+                comp[(nm(h, act[g][s]), nm(g, s))] = nm(group.mul(h, g), s)
+    return FinCat(elements, tuple(mors), ident, comp, name=f"transport({group.name})")
+
+
+def reference_one_object_category(group, obj: str = "*") -> FinCat:
+    mors = [Morphism(g, obj, obj) for g in group.labels]
+    comp = {(g, f): group.mul(g, f) for g in group.labels for f in group.labels}
+    return FinCat((obj,), tuple(mors), {obj: group.identity}, comp, name=f"B{group.name}")
+
+
+def reference_connected_groupoid(group, n_objects: int, prefix: str) -> FinCat:
+    objs = tuple(f"{prefix}.{i}" for i in range(n_objects))
+
+    def nm(g, i, j):
+        return f"{prefix}[{g};{i},{j}]"
+
+    mors, ident, comp = [], {}, {}
+    for i in range(n_objects):
+        ident[objs[i]] = nm(group.identity, i, i)
+        for j in range(n_objects):
+            for g in group.labels:
+                mors.append(Morphism(nm(g, i, j), objs[i], objs[j]))
+    for i, j, k in itertools.product(range(n_objects), repeat=3):
+        for g in group.labels:
+            for h in group.labels:
+                comp[(nm(h, j, k), nm(g, i, j))] = nm(group.mul(h, g), i, k)
+    return FinCat(objs, tuple(mors), ident, comp, name=f"gpd({prefix})")
+
+
+def reference_disjoint_union(cats) -> FinCat:
+    ident, comp = {}, {}
+    for c in cats:
+        ident.update(c.identity)
+        comp.update(c.composition)
+    return FinCat(tuple(x for c in cats for x in c.objects),
+                  tuple(m for c in cats for m in c.morphisms), ident, comp,
+                  name="+".join(c.name for c in cats))
+
+
+def reference_induced_space(group, base: FinCat) -> FinCat:
+    """The space of ``randgen.induced_free_action(group, base)``."""
+
+    def ob(g, x):
+        return f"{g}*{x}"
+
+    def mo(g, m):
+        return f"{g}*{m}"
+
+    objs = tuple(ob(g, x) for g in group.labels for x in base.objects)
+    mors = tuple(Morphism(mo(g, m.name), ob(g, m.source), ob(g, m.target))
+                 for g in group.labels for m in base.morphisms)
+    ident = {ob(g, x): mo(g, base.identity[x]) for g in group.labels for x in base.objects}
+    comp = {(mo(g, b), mo(g, a)): mo(g, ba)
+            for g in group.labels for (b, a), ba in base.composition.items()}
+    return FinCat(objs, mors, ident, comp, name=f"{group.name}x{base.name}")
+

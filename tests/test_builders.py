@@ -1,0 +1,226 @@
+"""Every builder writes the integer store.
+
+The library's builders write the arrays of a ``fincat._Store`` through its
+one unchecked constructor (``fincat._stored``), reading the rows of their
+inputs (``fincat._rows_of``), not their name tables.  Each is compared with
+the name-level builder it replaced (``helpers.reference_*``, each built
+through the checked ``FinCat`` constructor) on drawn inputs: name, objects,
+records, identity map, the composition table in its order, inverses,
+direct finiteness and ``_ends`` (``assert_same_build``, which also rebuilds
+the store's own tables through the checked constructor).  Inputs include
+Grothendieck totals and manifest categories with shuffled entries, so that
+a builder keeps its input's entry order whatever its store.
+"""
+
+import itertools
+from random import Random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from eulcat import fincat, groupact, hocolim, manifest, randgen, zoo
+from eulcat.fincat import (
+    DanglingReference,
+    FinCat,
+    full_subcategory,
+    lower_link,
+    opposite,
+    product,
+    skeleton,
+)
+from eulcat.groups import cyclic_group, symmetric_group
+
+from helpers import (
+    assert_lawful,
+    reference_connected_groupoid,
+    reference_disjoint_union,
+    reference_full_subcategory,
+    reference_hocolim_groups,
+    reference_induced_space,
+    reference_lower_link,
+    reference_one_object_category,
+    reference_opposite,
+    reference_product,
+    reference_quotient,
+    reference_retract,
+    reference_transport_groupoid,
+    split_idempotent,
+    stored_ends,
+)
+from strategies import SEEDS, actions, groupoids, groups, posets, scwols, strict_diagrams
+
+
+def assert_same_build(got: FinCat, want: FinCat) -> None:
+    """``got``, a store a builder wrote, holds what the name-level reference
+    ``want`` (checked by the constructor) holds: name, objects, records,
+    identity map, the table in its order, inverses, direct finiteness and
+    ``_ends``; and its own tables pass the checked constructor."""
+    assert got.name == want.name
+    assert got.objects == want.objects
+    assert got.morphisms == want.morphisms
+    assert dict(got.identity) == dict(want.identity)
+    assert list(got.composition.items()) == list(want.composition.items())
+    assert list(got._invertible.items()) == list(want._invertible.items())
+    assert got._directly_finite == want._directly_finite
+    assert stored_ends(got) == stored_ends(want)
+    assert_lawful(got)
+
+
+def loaded(cat, seed):
+    """``cat`` written to its manifest, the entries shuffled, and loaded."""
+    payload = manifest.category_payload(cat)
+    Random(seed).shuffle(payload["compose"])
+    return fincat.validate(payload)
+
+
+drawn = st.one_of(scwols, posets, groupoids.map(lambda g: g.category),
+                  strict_diagrams.map(lambda d: hocolim.grothendieck(d).category),
+                  st.just(split_idempotent()))
+# each drawn category as it was built, and loaded with its entries shuffled
+inputs = st.one_of(drawn, st.builds(loaded, drawn, SEEDS))
+small = st.one_of(posets, st.sampled_from([zoo.pushout_scwol(), zoo.monoid_z2_mult(),
+                                           split_idempotent(), zoo.discrete_category([])]))
+
+
+class TestSameAsTheNameLevelBuilder:
+    @settings(max_examples=40, deadline=None)
+    @given(inputs, st.data())
+    def test_full_subcategory(self, cat, data):
+        keep = data.draw(st.sets(st.sampled_from(cat.objects))) if cat.objects else set()
+        got = full_subcategory(cat, keep)
+        assert_same_build(got, reference_full_subcategory(cat, keep))
+
+    @settings(max_examples=40, deadline=None)
+    @given(inputs)
+    def test_skeleton(self, cat):
+        sk = skeleton(cat)
+        rep_of = sk.retraction.obj_map
+        gamma, inclusion, retraction, eta = reference_retract(cat, rep_of, f"sk({cat.name})")
+        assert_same_build(sk.category, gamma)
+        assert (dict(sk.inclusion.obj_map), dict(sk.inclusion.mor_map)) == inclusion
+        assert (dict(sk.retraction.obj_map), dict(sk.retraction.mor_map)) == retraction
+        assert list(sk.eta.items()) == list(eta.items())
+        if gamma.objects == cat.objects:  # skeletal: returned as it is
+            assert fincat._skeleton_category(cat) is cat
+        else:
+            assert_same_build(fincat._skeleton_category(cat), gamma)
+
+    @settings(max_examples=40, deadline=None)
+    @given(inputs)
+    def test_opposite(self, cat):
+        assert_same_build(opposite(cat), reference_opposite(cat))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.one_of(small, st.builds(loaded, small, SEEDS)), small)
+    def test_product(self, a, b):
+        assert_same_build(product(a, b), reference_product(a, b))
+        assert_same_build(product(b, a), reference_product(b, a))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.one_of(scwols, posets).flatmap(
+        lambda c: st.one_of(st.just(c), st.builds(loaded, st.just(c), SEEDS))))
+    def test_lower_link(self, cat):
+        for x in cat.objects:
+            assert_same_build(lower_link(cat, x), reference_lower_link(cat, x))
+
+    @settings(max_examples=30, deadline=None)
+    @given(actions)
+    def test_quotient_and_hocolim_groups(self, action):
+        q = groupact.quotient(action)
+        assert_same_build(q.category, reference_quotient(action))
+        cplx = groupact.complex_of_groups(action).complex
+        assert_same_build(groupact.hocolim_groups(cplx), reference_hocolim_groups(cplx))
+
+    @settings(max_examples=30, deadline=None)
+    @given(groups, SEEDS)
+    def test_transport_and_one_object(self, group, seed):
+        elements, act = randgen.random_gset(Random(seed), group)
+        assert_same_build(groupact.transport_groupoid(group, elements, act),
+                          reference_transport_groupoid(group, elements, act))
+        assert_same_build(zoo.one_object_category(group), reference_one_object_category(group))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.tuples(groups, st.integers(1, 3)), min_size=1, max_size=3), scwols)
+    def test_groupoids_and_their_union(self, parts, cat):
+        built = [randgen.connected_groupoid(g, n, f"c{k}")[0] for k, (g, n) in enumerate(parts)]
+        for (g, n), (k, got) in zip(parts, enumerate(built)):
+            assert_same_build(got, reference_connected_groupoid(g, n, f"c{k}"))
+        for cats in (built, built + [cat], [cat]):
+            assert_same_build(randgen.disjoint_union(cats), reference_disjoint_union(cats))
+
+    @settings(max_examples=30, deadline=None)
+    @given(groups, st.one_of(scwols, posets))
+    def test_induced_action_space(self, group, base):
+        space = randgen.induced_free_action(group, base).space
+        assert_same_build(space, reference_induced_space(group, base))
+
+
+class TestNamesCollide:
+    def test_a_product_with_repeated_names(self):
+        """Pair names that coincide are rejected, as the record check of the
+        name-level builder rejected them: same class, message and witness."""
+        a = zoo.build_category(("x", "x,y"), (), name="A")
+        b = zoo.build_category(("y,z", "z"), (), name="B")
+        with pytest.raises(DanglingReference) as want:
+            reference_product(a, b)
+        with pytest.raises(DanglingReference) as got:
+            product(a, b)
+        assert str(got.value) == str(want.value)
+        assert got.value.witness == want.value.witness
+
+
+class TestNonVacuity:
+    def test_one_swapped_cell_is_caught(self):
+        """A store whose rows have two cells of one row swapped fails the
+        comparison with its reference."""
+        cat = product(zoo.parallel_pair_scwol(), split_idempotent())
+        rows = cat._ends.rows
+        f, (g1, g2) = next((f, pair) for f, row in enumerate(rows)
+                           for pair in itertools.combinations(row, 2)
+                           if row[pair[0]] != row[pair[1]])
+        rows[f][g1], rows[f][g2] = rows[f][g2], rows[f][g1]
+        with pytest.raises(AssertionError):
+            assert_same_build(cat, reference_product(zoo.parallel_pair_scwol(), split_idempotent()))
+
+
+class TestInputTablesStayUnmade:
+    @settings(max_examples=20, deadline=None)
+    @given(strict_diagrams)
+    def test_builders_make_no_table_of_a_total(self, d):
+        total = hocolim.grothendieck(d).category
+        full_subcategory(total, total.objects[::2])
+        skeleton(total)
+        opposite(total)
+        assert "composition" not in vars(total)
+
+    def test_totals_over_store_vertices_make_no_vertex_names(self):
+        """``hocolim._VertexOrder`` and the lifted inverses read the
+        vertices' arrays: building a total over stores makes none of their
+        records."""
+        vertex = randgen.random_groupoid(Random(3), 3, 4).category
+        pair = zoo.one_object_category(symmetric_group(3))
+        for index in (zoo.pushout_scwol(), zoo.inflate(zoo.pushout_scwol(), {"j": 2})):
+            for cat in (vertex, pair):
+                hocolim.grothendieck(hocolim.constant_diagram(index, cat)).category
+                assert not {"morphisms", "composition", "_hom"} & vars(cat).keys()
+
+    def test_audit_actions_make_no_space_names(self):
+        """The reduction and chi-theorem reports on an induced free action
+        read the rows of its space and of the quotients."""
+        action = randgen.induced_free_action(cyclic_group(3), zoo.inflate(zoo.pushout_scwol(),
+                                                                          {"k": 2}))
+        q = groupact.quotient(action)
+        groupact.skeletal_reduction(action)
+        groupact.chi_theorems(action)
+        assert not {"morphisms", "composition", "_hom"} & vars(action.space).keys()
+        groupact.complex_of_groups(action)
+        assert "composition" not in vars(q.category)
+
+
+def test_a_store_keeps_a_copy_of_nothing():
+    """A built store holds its arrays and its object names only."""
+    cat = product(zoo.pushout_scwol(), zoo.one_object_category(cyclic_group(2)))
+    assert set(vars(cat)) == {"name", "objects", "_ends", "_directly_finite"}
+    assert cat.composition is cat.composition
+    assert "composition" in vars(cat)

@@ -53,7 +53,7 @@ from helpers import assert_same_table, split_idempotent
 from strategies import TWISTED_ACTION_SEEDS, actions, strict_diagrams
 
 
-def reference_grothendieck(d: StrictDiagram, verify: bool = False) -> SimpleNamespace:
+def reference_grothendieck(d: StrictDiagram) -> SimpleNamespace:
     idx = d.index
     objs = []
     vertex_of: dict[str, tuple[str, str]] = {}
@@ -96,9 +96,7 @@ def reference_grothendieck(d: StrictDiagram, verify: bool = False) -> SimpleName
             gf = d.vertex[k].compose(g, d.edge[v].mor_map[f])
             comp[(m2, m.name)] = _triple_mor(vu, gf, c)
 
-    cat = FinCat(
-        tuple(objs), tuple(mors), ident, comp, name=f"hocolim({idx.name})", check=verify
-    )
+    cat = FinCat(tuple(objs), tuple(mors), ident, comp, name=f"hocolim({idx.name})")
 
     alphas = {}
     for i in idx.objects:
@@ -284,7 +282,7 @@ def assert_inverse_data_of_table(total: FinCat) -> None:
     """The inverse data of ``total`` equals that of its own table, checked
     and searched by the FinCat constructor."""
     checked = FinCat(total.objects, total.morphisms, dict(total.identity), total.composition,
-                     name=total.name, check=True)
+                     name=total.name)
     assert list(total._invertible.items()) == list(checked._invertible.items())
     assert total._directly_finite == checked._directly_finite
 

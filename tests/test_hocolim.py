@@ -672,16 +672,6 @@ class TestChiLFromHomCounts:
         assert str(got.value) == str(want.value) == f"hocolim({d.index.name}) admits no weighting"
 
 
-class TestHomotopyOrbit:
-    def test_trusts_supplied_classifying_space_value(self):
-        from eulcat.hocolim import homotopy_orbit_chi
-
-        vertex = zoo.one_object_category(cyclic_group(3))
-        # a group with chi(BG) = 0 (infinite cyclic, say) contributes a factor 0
-        assert homotopy_orbit_chi(0, vertex, "chiL") == 0
-        assert homotopy_orbit_chi(1, vertex, "chi2") == Fraction(1, 3)
-
-
 class TestCoequalizer:
     @staticmethod
     def build(rng):

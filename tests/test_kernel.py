@@ -122,7 +122,7 @@ def eliminated(cat, side):
 def reordered(cat, order):
     """The same category with its objects listed in another order."""
     objs = tuple(cat.objects[i] for i in order)
-    return FinCat(objs, cat.morphisms, cat.identity, cat.composition, name=cat.name, check=False)
+    return FinCat(objs, cat.morphisms, cat.identity, cat.composition, name=cat.name)
 
 
 def simple_path_sum(gamma):
@@ -213,7 +213,7 @@ def all_pairs_skeleton_category(cat):
     names = {m.name for m in mors}
     comp = {(g, f): gf for (g, f), gf in cat.composition.items() if g in names and f in names}
     ident = {x: cat.identity[x] for x in objs}
-    return FinCat(objs, mors, ident, comp, name=f"sk({cat.name})", check=False)
+    return FinCat(objs, mors, ident, comp, name=f"sk({cat.name})")
 
 
 # -- the topological order --------------------------------------------------------

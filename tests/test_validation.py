@@ -76,6 +76,7 @@ from eulcat.randgen import homs_between
 from helpers import (
     InvalidQuotient,
     assert_orbit_projection,
+    reference_invertibles,
     s3_chain,
     s3_flag_action,
     unvalidated,
@@ -1409,10 +1410,9 @@ class TestValidate:
         if got is None:
             loaded = validate(payload)
             objects, morphisms, identity, composition, name = reference_validate(payload)
-            by_names = FinCat(objects, morphisms, identity, composition, name=name, check=False)
+            by_names = FinCat(objects, morphisms, identity, composition, name=name)
             assert list(loaded.composition.items()) == list(composition.items())
-            assert loaded._invertible == by_names._invertible
-            assert loaded._directly_finite == by_names._directly_finite
+            assert (loaded._invertible, loaded._directly_finite) == reference_invertibles(by_names)
 
     def test_every_fault_is_seen(self):
         """Non-vacuity: on the pushout scwol each fault but a shuffle and
