@@ -86,7 +86,7 @@ def _validate(kind, value, args):
         lines.append(f"objects: {objects}, morphisms: {morphisms}")
         report.update(objects=objects, morphisms=morphisms)
     if args.json:
-        report["canonical"] = manifest.serialize(kind, value)
+        report["canonical"] = manifest._manifest(kind, value)
     return lines, report, True
 
 
@@ -102,7 +102,7 @@ def _skeleton(kind, cat, args):
     lines.append(f"skeleton objects: {', '.join(gamma.objects)}")
     report = {
         "classes": [list(cls) for cls in iso.classes],
-        "skeleton": manifest.category_payload(gamma),
+        "skeleton": gamma,
         "aut_orders": {rep_: iso.aut[rep_].order for rep_ in iso.representatives},
     }
     return lines, report, True
@@ -163,7 +163,7 @@ def _hocolim(kind, value, args):
     ]
     report = {"objects": objects, "morphisms": morphisms, "chi_L": chi}
     if args.json:
-        report["category"] = manifest.category_payload(cat)
+        report["category"] = cat
     return lines, report, True
 
 
@@ -189,8 +189,8 @@ def _check_formula(kind, diagram, args):
 
 def _quotient(kind, action, args):
     q = quotient(action).category
-    lines = [f"objects: {', '.join(q.objects)}", f"morphisms: {len(q.morphisms)}"]
-    return lines, {"quotient": manifest.category_payload(q)}, True
+    lines = [f"objects: {', '.join(q.objects)}", f"morphisms: {len(q._ends.src)}"]
+    return lines, {"quotient": q}, True
 
 
 def _complex_of_groups(kind, action, args):
@@ -202,7 +202,7 @@ def _complex_of_groups(kind, action, args):
         if g != cplx.local[cplx.base.target(b)].identity
     ]
     lines += nontrivial if nontrivial else ["all twists trivial"]
-    return lines, {"complex": manifest.complex_payload(cplx)}, True
+    return lines, {"complex": manifest._complex_payload(cplx)}, True
 
 
 def _transport(kind, action, args):

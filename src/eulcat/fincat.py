@@ -991,29 +991,36 @@ def _iso_partition(cat: FinCat) -> tuple[tuple[str, ...], ...]:
 
 def iso_classes(cat: FinCat) -> IsoClasses:
     """Partition objects into isomorphism classes, in one pass over the
-    arrows out of each class representative.
+    morphisms, read off the rows of ``cat`` (``_rows_of``).
 
     The representative of each class is its lexicographically least object
     id.  The automorphism group at the representative is the group of
-    invertible endomorphisms under composition (all endomorphisms, in an
-    EI-category), built unchecked: in a lawful category the invertible
-    endomorphisms of x hold id_x and are closed under composition
-    ((a o b)^-1 = b^-1 o a^-1) and under ``cat.inverse``, and composition
-    is associative, so they form a group with that identity and inverse.
+    invertible endomorphisms (``inv``) under composition (all
+    endomorphisms, in an EI-category), in morphism order, built unchecked:
+    in a lawful category the invertible endomorphisms of x hold id_x and
+    are closed under composition ((a o b)^-1 = b^-1 o a^-1) and under
+    inverses, and composition is associative, so they form a group with
+    that identity and inverse.  Its product a o b is ``rows[b][a]``.
     """
     classes = _iso_partition(cat)
+    r = _rows_of(cat)
+    names, rows, inv = r.names, r.rows, r.inv
+    endos: dict[int, list[int]] = {r.objects[cls[0]]: [] for cls in classes}
+    for m, (x, y) in enumerate(zip(r.src, r.tgt)):
+        if x == y and x in endos:
+            endos[x].append(m)
     aut = {}
     full = {}
-    for cls in classes:
+    for cls, (x, ms) in zip(classes, endos.items()):
         rep = cls[0]
-        endos = cat.hom(rep, rep)
-        invertibles = tuple([m for m in endos if cat.is_invertible(m)])
-        full[rep] = len(invertibles) == len(endos)
+        invertibles = [m for m in ms if m in inv]
+        full[rep] = len(invertibles) == len(ms)
         pos = {m: i for i, m in enumerate(invertibles)}
-        table = tuple([tuple([pos[cat.compose(a, b)] for b in invertibles]) for a in invertibles])
-        aut[rep] = _trusted(FinGroup, labels=invertibles, table=table, name=f"aut({rep})",
-                            _index=pos, _identity=pos[cat.identity[rep]],
-                            _inverse=tuple([pos[cat.inverse(a)] for a in invertibles]))
+        table = tuple([tuple([pos[rows[b][a]] for b in invertibles]) for a in invertibles])
+        labels = tuple([names[m] for m in invertibles])
+        aut[rep] = _trusted(FinGroup, labels=labels, table=table, name=f"aut({rep})",
+                            _index={m: i for i, m in enumerate(labels)}, _identity=pos[r.ident[x]],
+                            _inverse=tuple([pos[inv[a]] for a in invertibles]))
     return IsoClasses(classes, tuple(c[0] for c in classes), aut, full)
 
 

@@ -94,10 +94,10 @@ def _check_homomorphism_law(group: FinGroup, perms: list[list[int]], points: Seq
     ``perms[g]`` permutes by index, for the element of index g) and
     ``perms[gh] == perms[g] o perms[h]`` for every pair (g, h), one whole
     index row at a time.  The pairs whose h is one of the group's
-    generators (``groups._generating_set`` on the Cayley table) imply the
-    others: for h = s_1 ... s_k, perms[gh] = perms[g s_1 ... s_{k-1}] o
-    perms[s_k] = perms[g] o perms[h] by induction on k.  A failure is
-    located among all pairs, in order."""
+    generators (``groups._generating_set`` on the Cayley table, kept by the
+    group's check as ``_gens``) imply the others: for h = s_1 ... s_k,
+    perms[gh] = perms[g s_1 ... s_{k-1}] o perms[s_k] = perms[g] o perms[h]
+    by induction on k.  A failure is located among all pairs, in order."""
     labels, mul = group.labels, group.table
     e = group._identity
     for i, j in enumerate(perms[e]):
@@ -106,8 +106,10 @@ def _check_homomorphism_law(group: FinGroup, perms: list[list[int]], points: Seq
                 f"identity element moves {'an' if what == 'object' else 'a'} {what}",
                 witness={"element": labels[e], what: points[i]},
             )
-    one = [0] * len(labels)
-    gens = _generating_set(mul, [e], one, one)
+    gens = group._gens
+    if gens is None:  # a group built unchecked: a subgroup or an automorphism group
+        one = [0] * len(labels)
+        gens = _generating_set(mul, [e], one, one)
     if all(perms[mul[g][h]] == list(map(perm_g.__getitem__, perms[h]))
            for g, perm_g in enumerate(perms) for h in gens):
         return

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import ValidationError, _trusted
 
@@ -93,6 +93,8 @@ class FinGroup:
     _index: dict = field(init=False, repr=False, compare=False)
     _identity: int = field(init=False, repr=False, compare=False)
     _inverse: tuple = field(init=False, repr=False, compare=False)
+    # the generating set the check found; None on a group built unchecked
+    _gens: Optional[list] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.labels)
@@ -139,6 +141,7 @@ class FinGroup:
         # them pass.  A failure is located among all pairs, in order.
         one = [0] * n
         gens = _generating_set(rows, [identity], one, one)
+        object.__setattr__(self, "_gens", gens)
         if all(rows[row_a[b]] == [row_a[x] for x in rows[b]] for row_a in rows for b in gens):
             return
         for a, row_a in enumerate(rows):

@@ -312,8 +312,8 @@ class _Total(FinCat):
     ``_invertible`` or a lookup table of ``fincat._headers`` makes all of
     those, and the first read of ``composition`` makes the table.  Names
     and order are those of the name-level construction.  The writer reads
-    the object names and the rows of ``_read_rows``, and makes none of the
-    other fields.
+    the object names and the rows of ``_read_rows``, and ``morphism_names``
+    reads the plan, so neither makes any other field.
     """
 
     objects = _OnFirstRead()
@@ -346,6 +346,9 @@ class _Total(FinCat):
                                      for name, runs in zip(names, plan.runs())
                                      for first, base, h, gs, pos in runs
                                      for q, g in enumerate(gs, first)}
+
+    def morphism_names(self) -> tuple[str, ...]:
+        return tuple(self._plan.morphism_names())
 
     def _read_rows(self) -> _Rows:
         """Rows on ``_ends`` (``_Numbering.composites``, not kept), in the

@@ -9,15 +9,20 @@ integers.  Serialization is deterministic: objects and morphisms in the
 value's order, a category's ``compose`` entries in name order (g, then f),
 and every key sorted by the writer.  ``parse(serialize(x))`` rebuilds an
 identical structure for every kind.  ``_dumps`` writes every manifest file
-and every CLI ``--json`` report.
+and every CLI ``--json`` report.  The payload builders leave each category
+in a payload as the category itself, which ``_dumps`` writes straight from
+its integer rows (``_write_category``); ``serialize``, ``category_payload``
+and the public ``*_payload`` builders give plain JSON data, each category
+expanded to its payload (``_plain``).
 """
 
 from __future__ import annotations
 
 import json
+from collections import deque
 from fractions import Fraction
-from itertools import chain
-from typing import Any, Mapping, Sequence
+from itertools import chain, repeat
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import ValidationError
 from .fincat import CatFunctor, FinCat, _rows_of, validate
@@ -44,39 +49,50 @@ def parse_rational(raw) -> Fraction:
 
 
 def category_payload(cat: FinCat) -> dict:
-    """The payload of ``cat``, read off its integer rows (``_rows_of``), so
-    writing a store or a Grothendieck total makes none of its name fields
-    but a total's object names.  Each entry is a fresh list, which a caller
-    may edit."""
+    """The payload of ``cat`` as plain data, read off its integer rows
+    (``_rows_of``), so it makes none of the name fields of a store or a
+    Grothendieck total but a total's object names.  Each entry is a fresh
+    list, which a caller may edit.  The writer does not build it: it writes
+    a category straight from its rows (``_write_category``)."""
     ends = _rows_of(cat)
-    names, rows, objs = ends.names, ends.rows, cat.objects
+    names, objs = ends.names, cat.objects
+    named = names.__getitem__
+    order, buckets = _compose_buckets(names, ends.rows, lambda fs, gs, gfs: map(
+        list, zip(map(named, gs), map(named, fs), map(named, gfs))))
     return {
         "name": cat.name,
         "objects": list(objs),
         "morphisms": [{"id": m, "source": objs[x], "target": objs[y]}
                       for m, x, y in zip(names, ends.src, ends.tgt)],
         "identity": {x: names[e] for x, e in zip(objs, ends.ident)},
-        "compose": _compose_entries(names, rows),
+        "compose": list(chain.from_iterable(map(buckets.__getitem__, order))),
     }
 
 
-def _compose_entries(names: Sequence[str], rows: Sequence[Mapping[int, int]]) -> list[list[str]]:
-    """``sorted([g, f, gf] for (g, f), gf in table.items())`` for the table
-    whose ``rows[f][g]`` is the index of g o f, morphisms named by ``names``.
+def _compose_buckets(names: Sequence[str], rows: Sequence[dict[int, int]],
+                     cells: Callable[[Iterator[int], Iterator[int], Iterator[int]], Iterable]
+                     ) -> tuple[list[int], list[list]]:
+    """The order of the ``compose`` entries, ``sorted([g, f, gf] for (g, f),
+    gf in table.items())``, for the table whose ``rows[f][g]`` is the index
+    of g o f, morphisms named by ``names``: the morphism indices in name
+    order, and per g the bucket of its entries in that order.
+    ``cells(fs, gs, gfs)`` makes the entries from iterators over the f, the
+    g and the g o f of every cell.
 
-    The names are sorted once.  Each cell (f, g, gf) goes to the bucket of
-    g, with f taken in name order, and the buckets are emitted in name order
-    of g.  That is the order of the sort: lists compare item by item, the
-    names are distinct, so two entries are ordered by the names of their g
-    and, for one g, of their f; each pair (g, f) has one entry, so gf is
-    never compared."""
+    The names are sorted once.  The cells are read row by row, f in name
+    order, and each goes to the bucket of its g, so that buckets read in
+    name order of g give the order of the sort: lists compare item by item,
+    the names are distinct, so two entries are ordered by the names of their
+    g and, for one g, of their f; each pair (g, f) has one entry, so gf is
+    never compared.  Every step is one ``map`` over all the cells."""
     order = sorted(range(len(names)), key=names.__getitem__)
-    buckets: list[list[list[str]]] = [[] for _ in names]
-    for f in order:
-        name_f = names[f]
-        for g, gf in rows[f].items():
-            buckets[g].append([names[g], name_f, names[gf]])
-    return list(chain.from_iterable(map(buckets.__getitem__, order)))
+    by_f = list(map(rows.__getitem__, order))
+    gs = list(chain.from_iterable(by_f))
+    fs = chain.from_iterable(map(repeat, order, map(len, by_f)))
+    gfs = chain.from_iterable(map(dict.values, by_f))
+    buckets: list[list] = [[] for _ in names]
+    deque(map(list.append, map(buckets.__getitem__, gs), cells(fs, iter(gs), gfs)), 0)
+    return order, buckets
 
 
 def category_from_payload(payload: Mapping, name: str = "C") -> FinCat:
@@ -123,7 +139,7 @@ def group_from_payload(payload: Mapping) -> FinGroup:
 def _functor_payload(fun: CatFunctor) -> dict:
     return {
         "objects": {x: fun.obj_map[x] for x in fun.source.objects},
-        "morphisms": {m.name: fun.mor_map[m.name] for m in fun.source.morphisms},
+        "morphisms": {m: fun.mor_map[m] for m in fun.source.morphism_names()},
     }
 
 
@@ -157,12 +173,12 @@ def _functor_from_payload(payload: Mapping, src: FinCat, tgt: FinCat, edge: str)
     return fun
 
 
-def diagram_payload(d: StrictDiagram | PseudoDiagram) -> dict:
+def _diagram_payload(d: StrictDiagram | PseudoDiagram) -> dict:
     """Index, vertices and edges: a strict payload, and the core of a pseudo one."""
     return {
-        "index": category_payload(d.index),
-        "vertices": {i: category_payload(d.vertex[i]) for i in d.index.objects},
-        "edges": {m.name: _functor_payload(d.edge[m.name]) for m in d.index.morphisms},
+        "index": d.index,
+        "vertices": {i: d.vertex[i] for i in d.index.objects},
+        "edges": {m: _functor_payload(d.edge[m]) for m in d.index.morphism_names()},
     }
 
 
@@ -195,9 +211,9 @@ def diagram_from_payload(payload: Mapping) -> StrictDiagram:
     return StrictDiagram(*_diagram_parts(payload))
 
 
-def pseudo_diagram_payload(d: PseudoDiagram) -> dict:
+def _pseudo_diagram_payload(d: PseudoDiagram) -> dict:
     return {
-        **diagram_payload(d),
+        **_diagram_payload(d),
         "comp": sorted(
             [v, u, {c: components[c] for c in sorted(components)}]
             for (v, u), components in d.comp.items()
@@ -231,17 +247,17 @@ def pseudo_diagram_from_payload(payload: Mapping) -> PseudoDiagram:
 # -- actions ------------------------------------------------------------------------
 
 
-def action_payload(action: ScwolAction) -> dict:
+def _action_payload(action: ScwolAction) -> dict:
+    names = action.space.morphism_names()
     return {
         "group": group_payload(action.group),
-        "scwol": category_payload(action.space),
+        "scwol": action.space,
         "object_action": {
             g: {x: action.act_obj(g, x) for x in action.space.objects}
             for g in action.group.labels
         },
         "morphism_action": {
-            g: {m.name: action.act_mor(g, m.name) for m in action.space.morphisms}
-            for g in action.group.labels
+            g: {m: action.act_mor(g, m) for m in names} for g in action.group.labels
         },
     }
 
@@ -255,20 +271,20 @@ def action_from_payload(payload: Mapping) -> ScwolAction:
 # -- complexes of groups ---------------------------------------------------------------
 
 
-def complex_payload(cplx: ComplexOfGroups) -> dict:
+def _complex_payload(cplx: ComplexOfGroups) -> dict:
     base = cplx.base
+    names, ids = base.morphism_names(), set(base._ends.ident)
+    units = {names[e] for e in ids}
     return {
-        "base": category_payload(base),
+        "base": base,
         "local": {x: group_payload(cplx.local[x]) for x in base.objects},
         "homs": {
-            m.name: {a: cplx.homs[m.name](a) for a in cplx.local[m.source].labels}
-            for m in base.morphisms
-            if not base.is_identity(m.name)
+            names[m]: {a: cplx.homs[names[m]](a) for a in cplx.local[base.objects[x]].labels}
+            for m, x in enumerate(base._ends.src)
+            if m not in ids
         },
         "twists": sorted(
-            [b, a, g]
-            for (b, a), g in cplx.twists.items()
-            if not (base.is_identity(a) or base.is_identity(b))
+            [b, a, g] for (b, a), g in cplx.twists.items() if a not in units and b not in units
         ),
     }
 
@@ -319,9 +335,9 @@ def complex_from_payload(payload: Mapping) -> ComplexOfGroups:
 # -- spectra -----------------------------------------------------------------------------
 
 
-def spectrum_payload(spec: CellSpectrum) -> dict:
+def _spectrum_payload(spec: CellSpectrum) -> dict:
     return {
-        "index": category_payload(spec.index),
+        "index": spec.index,
         "cells": {i: list(spec.cells[i]) for i in sorted(spec.cells)},
     }
 
@@ -344,23 +360,77 @@ def spectrum_from_payload(payload: Mapping) -> CellSpectrum:
 # -- envelope ---------------------------------------------------------------------------
 
 
-# kind -> (serializer, parser)
+# kind -> (payload builder, parser); a builder leaves each category in its
+# payload as the category itself, which ``_dumps`` writes from its rows
 _CODECS = {
-    "category": (category_payload, category_from_payload),
+    "category": (lambda cat: cat, category_from_payload),
     "group": (group_payload, group_from_payload),
-    "diagram": (diagram_payload, diagram_from_payload),
-    "pseudo_diagram": (pseudo_diagram_payload, pseudo_diagram_from_payload),
-    "action": (action_payload, action_from_payload),
-    "complex": (complex_payload, complex_from_payload),
-    "spectrum": (spectrum_payload, spectrum_from_payload),
+    "diagram": (_diagram_payload, diagram_from_payload),
+    "pseudo_diagram": (_pseudo_diagram_payload, pseudo_diagram_from_payload),
+    "action": (_action_payload, action_from_payload),
+    "complex": (_complex_payload, complex_from_payload),
+    "spectrum": (_spectrum_payload, spectrum_from_payload),
 }
 KINDS = tuple(_CODECS)
 
 
-def serialize(kind: str, value) -> dict:
+def _manifest(kind: str, value) -> dict:
+    """The manifest of ``value``, with each category in it left as the
+    category: what ``dump_file`` and ``eulcat --json validate`` write."""
     if kind not in KINDS:
         raise BadManifest(f"unknown manifest kind {kind!r}", witness={"kind": kind})
     return {"schema": SCHEMA_VERSION, "kind": kind, "payload": _CODECS[kind][0](value)}
+
+
+def serialize(kind: str, value) -> dict:
+    """The manifest of ``value`` as plain JSON data, each category expanded
+    to its ``category_payload``."""
+    return _plain(_manifest(kind, value))
+
+
+def _plain(value):
+    """``value`` with every category in its dicts, lists and tuples replaced
+    by its payload."""
+    t = type(value)
+    if t is dict:
+        return {k: _plain(v) for k, v in value.items()}
+    if t is list or t is tuple:
+        return t(map(_plain, value))
+    return _expanded(value) if isinstance(value, FinCat) else value
+
+
+# The public payload builders give plain data, as ``serialize`` does.
+
+
+def diagram_payload(d: StrictDiagram | PseudoDiagram) -> dict:
+    return _plain(_diagram_payload(d))
+
+
+def pseudo_diagram_payload(d: PseudoDiagram) -> dict:
+    return _plain(_pseudo_diagram_payload(d))
+
+
+def action_payload(action: ScwolAction) -> dict:
+    return _plain(_action_payload(action))
+
+
+def complex_payload(cplx: ComplexOfGroups) -> dict:
+    return _plain(_complex_payload(cplx))
+
+
+def spectrum_payload(spec: CellSpectrum) -> dict:
+    return _plain(_spectrum_payload(spec))
+
+
+def _expanded(value) -> dict:
+    """The payload of a category ``value`` inside a value given as plain
+    data: the one place the library builds ``category_payload``.  The
+    ``json.dumps`` fallback of ``_dumps`` calls it (as ``default``) on each
+    value it cannot write, where anything but a category raises json.dumps's
+    own TypeError."""
+    if not isinstance(value, FinCat):
+        return json.JSONEncoder().default(value)
+    return category_payload(value)
 
 
 def parse(manifest: Mapping) -> tuple[str, Any]:
@@ -409,21 +479,24 @@ _SEQUENCES = {list, tuple}
 
 
 def _dumps(value) -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte.
+    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, with
+    each category in ``value`` in place of its ``category_payload``.
 
     CPython's C encoder does not indent, so json.dumps runs its pure-Python
     encoder here.  This writer covers dicts with str keys, lists, tuples,
-    str, int, bool and None.  Any other value (a float, a non-str key, a
-    subclass, an unserialisable object, a cycle) raises TypeError or
+    str, int, bool and None, and writes a category from its rows
+    (``_write_category``).  Any other value (a float, a non-str key or
+    name, a subclass, an unserialisable object, a cycle) raises TypeError or
     RecursionError inside it, and then the whole value goes to json.dumps,
-    so the bytes and the errors are json.dumps's own.  (A str subclass in a
-    list of strings is escaped as a str, which is what json.dumps does.)
+    which expands each category (``_expanded``), so the bytes and the
+    errors are json.dumps's own.  (A str subclass in a list of strings is
+    escaped as a str, which is what json.dumps does.)
     """
     out: list[str] = []
     try:
         _write(value, "\n", out)
     except (TypeError, RecursionError):
-        return json.dumps(value, indent=2, sort_keys=True)
+        return json.dumps(value, indent=2, sort_keys=True, default=_expanded)
     return "".join(out)
 
 
@@ -459,6 +532,8 @@ def _write(v, nl: str, out: list[str]) -> None:
         out.append("true")
     elif v is False:
         out.append("false")
+    elif isinstance(v, FinCat):
+        _write_category(v, nl, out)
     else:
         raise TypeError
 
@@ -478,7 +553,7 @@ def _write_list(v, nl: str, out: list[str]) -> None:
         ind2 = ind + "  "
         inner = "," + ind2
         lengths = {*map(len, v)}
-        try:  # a list of non-empty string lists, such as compose triples
+        try:  # a list of non-empty string lists, such as a Cayley table or twists
             if len(lengths) == 1:  # of one length k: quote them all in one stream, k at a time
                 items = map(inner.join, zip(*[map(_quote, chain.from_iterable(v))] * lengths.pop()))
             else:
@@ -496,8 +571,59 @@ def _write_list(v, nl: str, out: list[str]) -> None:
     out.append(nl + "]")
 
 
+def _write_category(cat: FinCat, nl: str, out: list[str]) -> None:
+    """Append the text of ``category_payload(cat)`` to ``out``, as ``_write``
+    would, straight from the rows of ``cat`` (``_rows_of``): each name is
+    quoted once, and each composite is one piece, its quoted f and g o f,
+    filed in the bucket of its g (``_compose_buckets``); a bucket is joined
+    around its g's quoted name in one call.  The morphism records come from
+    the endpoint arrays, the identity map from ``ident`` in object-name
+    order.  A name that is no str raises TypeError in ``_quote``, as
+    ``_write`` does on a value it does not cover."""
+    ends = _rows_of(cat)
+    objs = cat.objects
+    q, qo = list(map(_quote, ends.names)), list(map(_quote, objs))
+    ind = nl + "  "
+    ind2 = ind + "  "
+    ind3 = ind2 + "  "
+    sep, sep3, close = "," + ind2, "," + ind3, ind2 + "]"
+    qf = [x + sep3 for x in q]  # a piece starts with its quoted f
+    order, buckets = _compose_buckets(ends.names, ends.rows, lambda fs, gs, gfs: map(
+        str.__add__, map(qf.__getitem__, fs), map(q.__getitem__, gfs)))
+    compose = []
+    for g in order:
+        bucket = buckets[g]
+        if bucket:
+            head = "[" + ind3 + qf[g]
+            bucket[0] = head + bucket[0]
+            bucket[-1] += close
+            compose.append((close + sep + head).join(bucket))
+            bucket.clear()  # its pieces go now, not after the last bucket
+    record = "{" + ind3 + '"id": %s' + sep3 + '"source": %s' + sep3 + '"target": %s' + ind2 + "}"
+    records = map(record.__mod__, zip(q, map(qo.__getitem__, ends.src),
+                                      map(qo.__getitem__, ends.tgt)))
+    identity = [_quote(x) + ": " + q[e] for x, e in sorted(zip(objs, ends.ident))]
+    out.append("{" + ind + '"compose": ')
+    _block("[", compose, ind, "]", out)
+    out.append("," + ind + '"identity": ')
+    _block("{", identity, ind, "}", out)
+    out.append("," + ind + '"morphisms": ')
+    _block("[", records, ind, "]", out)
+    out.append("," + ind + '"name": ' + _quote(cat.name) + "," + ind + '"objects": ')
+    _block("[", qo, ind, "]", out)
+    out.append(nl + "}")
+
+
+def _block(opening: str, items: Iterable[str], nl: str, closing: str, out: list[str]) -> None:
+    """Append the text of a list or dict of written ``items`` to ``out``;
+    ``nl`` is the newline and indent of its closing bracket."""
+    ind = nl + "  "
+    body = ("," + ind).join(items)
+    out += (opening + ind, body, nl + closing) if body else (opening + closing,)
+
+
 def dump_file(path: str, kind: str, value) -> None:
-    text = _dumps(serialize(kind, value))
+    text = _dumps(_manifest(kind, value))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
         fh.write("\n")

@@ -855,6 +855,26 @@ def reference_category_payload(cat: FinCat) -> dict:
     }
 
 
+def reference_iso_classes(cat: FinCat) -> fincat.IsoClasses:
+    """``fincat.iso_classes`` as it was before it read the rows: each
+    representative's automorphism group from ``hom``, ``is_invertible``,
+    ``compose``, ``identity`` and ``inverse``."""
+    classes = fincat._iso_partition(cat)
+    aut = {}
+    full = {}
+    for cls in classes:
+        rep = cls[0]
+        endos = cat.hom(rep, rep)
+        invertibles = tuple([m for m in endos if cat.is_invertible(m)])
+        full[rep] = len(invertibles) == len(endos)
+        pos = {m: i for i, m in enumerate(invertibles)}
+        table = tuple([tuple([pos[cat.compose(a, b)] for b in invertibles]) for a in invertibles])
+        aut[rep] = _trusted(FinGroup, labels=invertibles, table=table, name=f"aut({rep})",
+                            _index=pos, _identity=pos[cat.identity[rep]],
+                            _inverse=tuple([pos[cat.inverse(a)] for a in invertibles]))
+    return fincat.IsoClasses(classes, tuple(c[0] for c in classes), aut, full)
+
+
 # -- the name-level builders, as references -------------------------------------------
 
 

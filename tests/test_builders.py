@@ -19,10 +19,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eulcat import fincat, groupact, hocolim, manifest, randgen, zoo
+from eulcat import eulerchar, fincat, groupact, hocolim, manifest, randgen, zoo
 from eulcat.fincat import (
     DanglingReference,
     FinCat,
+    NotScwol,
     full_subcategory,
     lower_link,
     opposite,
@@ -38,6 +39,7 @@ from helpers import (
     reference_full_subcategory,
     reference_hocolim_groups,
     reference_induced_space,
+    reference_iso_classes,
     reference_lower_link,
     reference_one_object_category,
     reference_opposite,
@@ -156,6 +158,61 @@ class TestSameAsTheNameLevelBuilder:
         assert_same_build(space, reference_induced_space(group, base))
 
 
+def assert_same_iso_classes(cat) -> None:
+    """``iso_classes`` on rows gives what the name-level version gives."""
+    assert_same_classes(fincat.iso_classes(cat), reference_iso_classes(cat))
+
+
+def assert_same_classes(got, want) -> None:
+    """Classes, representatives, ``all_endos_invertible`` and each
+    automorphism group's name, labels, table, index, identity and
+    inverses."""
+    assert got.classes == want.classes
+    assert got.representatives == want.representatives
+    assert dict(got.all_endos_invertible) == dict(want.all_endos_invertible)
+    assert list(got.aut) == list(want.aut)
+    for rep, group in got.aut.items():
+        other = want.aut[rep]
+        assert (group.name, group.labels, group.table) == (other.name, other.labels, other.table)
+        assert (group._index, group._identity, group._inverse) == (
+            other._index, other._identity, other._inverse)
+
+
+class TestIsoClassesOnRows:
+    @settings(max_examples=60, deadline=None)
+    @given(inputs)
+    def test_drawn_categories(self, cat):
+        assert_same_iso_classes(cat)
+
+    @settings(max_examples=20, deadline=None)
+    @given(actions)
+    def test_homotopy_colimits_of_complexes(self, action):
+        """One-object vertices make large automorphism groups."""
+        cplx = groupact.complex_of_groups(action).complex
+        assert_same_iso_classes(groupact.hocolim_groups(cplx))
+        assert_same_iso_classes(hocolim.grothendieck_pseudo(groupact.complex_to_pseudo_diagram(cplx)))
+
+    @pytest.mark.parametrize("cat", [
+        zoo.one_object_category(symmetric_group(3)), zoo.monoid_z2_mult(), split_idempotent(),
+        product(split_idempotent(), zoo.one_object_category(cyclic_group(2))),
+        zoo.discrete_category([]),
+    ], ids=["S3", "monoid", "split", "split x Z2", "empty"])
+    def test_named_examples(self, cat):
+        assert_same_iso_classes(cat)
+        assert_same_iso_classes(loaded(cat, 0))
+
+    def test_a_changed_product_is_caught(self):
+        """Non-vacuity: an automorphism table with one product changed
+        fails the comparison."""
+        cat = zoo.one_object_category(symmetric_group(3))
+        want = reference_iso_classes(cat)
+        table = [list(row) for row in want.aut["*"].table]
+        table[1][2] = table[1][3]
+        object.__setattr__(want.aut["*"], "table", tuple(map(tuple, table)))
+        with pytest.raises(AssertionError):
+            assert_same_classes(fincat.iso_classes(cat), want)
+
+
 class TestNamesCollide:
     def test_a_product_with_repeated_names(self):
         """Pair names that coincide are rejected, as the record check of the
@@ -204,6 +261,31 @@ class TestInputTablesStayUnmade:
             for cat in (vertex, pair):
                 hocolim.grothendieck(hocolim.constant_diagram(index, cat)).category
                 assert not {"morphisms", "composition", "_hom"} & vars(cat).keys()
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.one_of(posets, groupoids.map(lambda g: g.category)), SEEDS)
+    def test_iso_classes_make_no_names_of_a_store(self, cat, seed):
+        """``iso_classes`` (behind the ``skeleton`` command) and
+        ``groupoid_chi2`` read a loaded category's rows."""
+        store = loaded(cat, seed)
+        fincat.iso_classes(store)
+        if fincat.classify(store).is_groupoid:
+            eulerchar.groupoid_chi2(store)
+        assert not {"morphisms", "composition", "_hom", "_mor"} & set(vars(store))
+
+    def test_a_witness_on_a_total_makes_no_records(self):
+        """``_Total.morphism_names`` reads the plan: the ``NotScwol``
+        witness of a total makes none of its name fields, and is the one
+        raised once its records are made."""
+        total = hocolim.grothendieck(hocolim.constant_diagram(
+            zoo.pushout_scwol(), zoo.one_object_category(cyclic_group(2)))).category
+        with pytest.raises(NotScwol) as got:
+            eulerchar.chi_scwol(total)
+        assert not {"morphisms", "_mor", "_hom", "_by_source", "identity"} & set(vars(total))
+        assert total.morphism_names() == tuple(m.name for m in total.morphisms)
+        with pytest.raises(NotScwol) as want:
+            eulerchar.chi_scwol(total)
+        assert (str(got.value), got.value.witness) == (str(want.value), want.value.witness)
 
     def test_audit_actions_make_no_space_names(self):
         """The reduction and chi-theorem reports on an induced free action

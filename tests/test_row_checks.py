@@ -17,11 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eulcat import fincat, zoo
+from eulcat import fincat, groupact, zoo
 from eulcat.errors import EulcatError
 from eulcat.fincat import CatFunctor
 from eulcat.groupact import NotAHomomorphismAction, ScwolAction
-from eulcat.groups import cyclic_group, symmetric_group
+from eulcat.groups import _generating_set, cyclic_group, symmetric_group
 from eulcat.hocolim import PseudoDiagram
 
 from helpers import (
@@ -183,6 +183,36 @@ class TestAction:
                         for g, row in shift.items()}
         action = SimpleNamespace(group=group, space=disc)
         got, want = action_verdicts(action, shift, on_morphisms)
+        assert got == want
+        assert got[0] is NotAHomomorphismAction
+
+    @pytest.mark.parametrize("group, kept", [
+        (cyclic_group(4), True), (symmetric_group(3), True),
+        (cyclic_group(6).subgroup(["0", "2", "4"], "H"), False),
+    ], ids=["Z4", "S3", "unchecked subgroup"])
+    def test_the_kept_generating_set(self, group, kept, monkeypatch):
+        """A checked group keeps the generating set of its check
+        (``_gens``), so an action check finds none afresh; a group built
+        unchecked has none and the check finds one.  Either way an element
+        that acts as another is caught with the references' verdict."""
+        one = [0] * group.order
+        gens = _generating_set(group.table, [group._identity], one, one)
+        assert group._gens == (gens if kept else None)
+        found = []
+        real = groupact._generating_set
+        monkeypatch.setattr(groupact, "_generating_set", lambda *a: found.append(a) or real(*a))
+        pts = tuple(f"p{i}" for i in range(group.order))
+        disc = zoo.discrete_category(pts)
+        left = {g: {pts[h]: pts[group.table[k][h]] for h in range(group.order)}
+                for k, g in enumerate(group.labels)}
+        on_morphisms = {g: {disc.identity[x]: disc.identity[y] for x, y in row.items()}
+                        for g, row in left.items()}
+        ScwolAction(group, disc, left, on_morphisms)
+        assert bool(found) != kept
+        left[group.labels[-1]] = dict(left[group.labels[1]])
+        got, want = action_verdicts(SimpleNamespace(group=group, space=disc), left,
+                                    {g: {disc.identity[x]: disc.identity[y] for x, y in row.items()}
+                                     for g, row in left.items()})
         assert got == want
         assert got[0] is NotAHomomorphismAction
 

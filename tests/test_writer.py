@@ -6,8 +6,13 @@ byte on every JSON value, and raise the same error where json.dumps does.
 newline, for every manifest kind.  ``category_payload``, which reads a
 category's integer arrays, must give the payload and bytes of the
 name-level writer it replaced (``helpers.reference_category_payload``).
+A category inside a value is written from its rows (``_write_category``):
+the text must be that of ``json.dumps`` with ``category_payload`` in its
+place, at any depth.
 """
 
+import copy
+import itertools
 import json
 from fractions import Fraction
 from random import Random
@@ -18,12 +23,12 @@ from hypothesis import strategies as st
 
 from eulcat import manifest, randgen, zoo
 from eulcat.fincat import FinCat, Morphism, full_subcategory, opposite, product, validate
-from eulcat.groupact import complex_of_groups, complex_to_pseudo_diagram, hocolim_groups
+from eulcat.groupact import complex_of_groups, complex_to_pseudo_diagram, hocolim_groups, quotient
 from eulcat.groups import cyclic_group, symmetric_group
 from eulcat.hocolim import bar_spectrum, constant_diagram, grothendieck, grothendieck_pseudo
 
 from helpers import reference_category_payload, split_idempotent
-from strategies import TWISTED_ACTION_SEEDS
+from strategies import SEEDS, TWISTED_ACTION_SEEDS, groupoids, posets, scwols, strict_diagrams
 
 texts = st.text()  # control and non-ASCII characters included
 string_lists = st.lists(texts) | st.lists(texts).map(tuple)
@@ -238,3 +243,157 @@ class TestCategoryPayload:
         assert not {"composition", "morphisms", "_hom"} & vars(cat).keys()
         plan = vars(cat).get("_plan")
         assert plan is None or plan.rows is None
+
+
+# -- a category inside a value, written from its rows ----------------------------------------
+
+
+NESTINGS = [
+    lambda c: c,
+    lambda c: {"category": c, "objects": 3, "chi_L": None},
+    lambda c: {"a": [c, {"b": c, "c": [1, "x"]}], "z": (True, "y")},
+]
+
+
+def assert_renders_as_its_payload(cat) -> None:
+    """``_dumps`` of a value holding ``cat`` at depths 0-2 is ``json.dumps``
+    of the value with ``category_payload(cat)`` in its place; so is the
+    ``json.dumps`` fallback, reached through a float in the value."""
+    payload = manifest.category_payload(cat)
+    for nest in NESTINGS:
+        assert manifest._dumps(nest(cat)) == reference(nest(payload))
+    assert manifest._dumps([0.5, cat]) == reference([0.5, payload])
+
+
+def with_names(cat: FinCat, morphism, obj) -> FinCat:
+    """``cat`` with morphism k named ``morphism(k)`` and object k ``obj(k)``."""
+    new = {m.name: morphism(k) for k, m in enumerate(cat.morphisms)}
+    objs = {x: obj(k) for k, x in enumerate(cat.objects)}
+    return FinCat(tuple(objs[x] for x in cat.objects),
+                  tuple(Morphism(new[m.name], objs[m.source], objs[m.target])
+                        for m in cat.morphisms),
+                  {objs[x]: new[e] for x, e in cat.identity.items()},
+                  {(new[g], new[f]): new[gf] for (g, f), gf in cat.composition.items()},
+                  name=cat.name)
+
+
+ODD_NAMES = ['"', "\\", "\x00", "\x1f", "\u00e9", "\ud800", "\udbff\udc00", "\U0001f600", "a b", ""]
+
+
+def odd(k: int) -> str:
+    return ODD_NAMES[k % len(ODD_NAMES)] + "m" * (k // len(ODD_NAMES))
+
+
+class TestWriteCategory:
+    @pytest.mark.parametrize("kind", sorted(ZOO))
+    def test_zoo(self, kind):
+        assert_renders_as_its_payload(ZOO[kind]())
+        assert_renders_as_its_payload(renamed(ZOO[kind]()))
+
+    @pytest.mark.parametrize("kind", sorted(ZOO))
+    def test_names_that_need_escapes(self, kind):
+        """Quotes, backslashes, control characters, non-ASCII, lone and
+        paired surrogates and the empty name, as morphism, object and
+        category names."""
+        cat = with_names(ZOO[kind](), odd, lambda k: "o" + odd(k))
+        assert_renders_as_its_payload(cat)
+        assert_renders_as_its_payload(FinCat(cat.objects, cat.morphisms, cat.identity,
+                                             cat.composition, name='"\ud800\n'))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(scwols, posets, groupoids.map(lambda g: g.category)), SEEDS)
+    def test_drawn_stores(self, cat, seed):
+        """Drawn categories, and their manifests loaded with shuffled
+        entries and numbered ids."""
+        assert_renders_as_its_payload(cat)
+        assert_renders_as_its_payload(validate(numbered_manifest(cat, seed)))
+
+    @pytest.mark.parametrize("seed", TWISTED_ACTION_SEEDS)
+    def test_totals_and_quotients(self, seed):
+        """Strict and pseudo totals, the homotopy colimit of a complex of
+        groups and the quotient of an action."""
+        assert_renders_as_its_payload(grothendieck(randgen.random_strict_diagram(Random(seed))).category)
+        action = randgen.random_action(Random(seed))
+        cplx = complex_of_groups(action).complex
+        assert_renders_as_its_payload(grothendieck_pseudo(complex_to_pseudo_diagram(cplx)))
+        assert_renders_as_its_payload(hocolim_groups(cplx))
+        assert_renders_as_its_payload(quotient(action).category)
+
+    def test_total_over_an_index_not_directly_finite(self):
+        total = grothendieck(constant_diagram(split_idempotent(),
+                                              zoo.one_object_category(cyclic_group(3)))).category
+        assert total._plan.rows is not None
+        assert_renders_as_its_payload(total)
+
+    def test_empty_category(self):
+        for cat in (zoo.discrete_category([]), validate({"objects": [], "morphisms": [],
+                                                         "identity": {}, "compose": []})):
+            assert_renders_as_its_payload(cat)
+
+    def test_names_that_are_no_strings_go_to_json_dumps(self):
+        """A hand-built category with a number for a name is written by the
+        ``json.dumps`` fallback, which writes its payload."""
+        cat = zoo.pushout_scwol()
+        numbered = FinCat(cat.objects, cat.morphisms, cat.identity, cat.composition, name=7)
+        assert manifest._dumps({"c": numbered}) == reference(
+            {"c": manifest.category_payload(numbered)})
+
+    def test_other_objects_raise_as_json_dumps(self):
+        value = {"c": zoo.pushout_scwol(), "x": Fraction(1, 2)}
+        with pytest.raises(TypeError, match="Object of type Fraction is not JSON serializable"):
+            manifest._dumps(value)
+
+    def test_one_swapped_cell_is_caught(self, monkeypatch):
+        """Non-vacuity: a renderer that reads rows with two composites of
+        one row swapped writes other bytes than the payload."""
+        cat = product(zoo.parallel_pair_scwol(), split_idempotent())
+        want = reference({"c": manifest.category_payload(cat)})
+        rows = [dict(row) for row in cat._ends.rows]
+        f, (g1, g2) = next((f, pair) for f, row in enumerate(rows)
+                           for pair in itertools.combinations(row, 2)
+                           if row[pair[0]] != row[pair[1]])
+        rows[f][g1], rows[f][g2] = rows[f][g2], rows[f][g1]
+        swapped = copy.copy(cat._ends)
+        swapped.rows = rows
+        monkeypatch.setattr(manifest, "_rows_of", lambda c: swapped)
+        assert manifest._dumps({"c": cat}) != want
+
+    @pytest.mark.parametrize("build", [
+        lambda: grothendieck(randgen.random_strict_diagram(Random(TWISTED_ACTION_SEEDS[0]))).category,
+        lambda: grothendieck_pseudo(complex_to_pseudo_diagram(twisted_complex(18))),
+        lambda: hocolim_groups(twisted_complex(18)),
+        lambda: validate(reference_category_payload(ZOO["product"]())),
+    ], ids=["strict", "pseudo", "hocolim_groups", "loaded"])
+    def test_writing_a_report_makes_no_records(self, build):
+        """Writing a report that holds a total or a loaded category makes
+        none of its records, lookup tables or table, and pins no composition
+        rows on a total's plan."""
+        cat = build()
+        manifest._dumps({"category": cat, "objects": len(cat)})
+        assert not {"composition", "morphisms", "_mor", "_hom"} & set(vars(cat))
+        plan = vars(cat).get("_plan")
+        assert plan is None or plan.rows is None
+
+
+def holds_a_category(value) -> bool:
+    if isinstance(value, FinCat):
+        return True
+    if isinstance(value, dict):
+        return any(map(holds_a_category, value.values()))
+    return isinstance(value, (list, tuple)) and any(map(holds_a_category, value))
+
+
+@pytest.mark.parametrize("kind", sorted(MANIFESTS))
+def test_serialize_gives_plain_data(kind):
+    """``serialize`` and the public payload builders expand every category
+    to its payload; the manifest ``dump_file`` writes holds the categories
+    themselves and is written to the same text."""
+    value = MANIFESTS[kind]()
+    data = manifest.serialize(kind, value)
+    assert not holds_a_category(data)
+    assert json.loads(json.dumps(data)) == data
+    if kind != "category":
+        assert getattr(manifest, f"{kind}_payload")(value) == data["payload"]
+    kept = manifest._manifest(kind, value)
+    assert holds_a_category(kept) == (kind != "group")
+    assert manifest._dumps(kept) == reference(data)
