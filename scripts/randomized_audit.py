@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Randomized cross-check of the homotopy colimit formula and the group
-action theorems, at configurable scale.
+"""Randomized cross-check of the homotopy colimit formula (with Leinster's
+Lemma 1.3: the weighting and coweighting of each total have one sum) and
+the group action theorems, at configurable scale.
 
 Example:
     python scripts/randomized_audit.py --instances 500 --seed 42
@@ -16,6 +17,7 @@ from eulcat.eulerchar import chi_scwol
 from eulcat.fincat import classify
 from eulcat.groupact import chi_theorems, quotient, skeletal_reduction
 from eulcat.hocolim import check_hocolim_formula, grothendieck
+from eulcat.ratlin import coweighting, weighting
 
 
 def audit(instances: int, seed: int) -> int:
@@ -26,10 +28,16 @@ def audit(instances: int, seed: int) -> int:
     for i in range(instances):
         d = randgen.random_strict_diagram(rng)
         rep = check_hocolim_formula(d, "chiL")
-        flags = classify(grothendieck(d).category)
+        total = grothendieck(d).category
+        flags = classify(total)
         if not (rep.equal and flags.is_directly_finite and flags.is_EI):
             failures += 1
             print(f"FORMULA FAIL at instance {i}: lhs={rep.lhs} rhs={rep.rhs}")
+        # Leinster's Lemma 1.3, which chi_L takes as proved on an acyclic support
+        w, v = weighting(total).total(), coweighting(total).total()
+        if w != v:
+            failures += 1
+            print(f"LEINSTER FAIL at instance {i}: weighting={w} coweighting={v}")
     print(
         f"homotopy colimit formula: {instances} instances, "
         f"{failures} failures, {time.time() - t0:.2f}s"

@@ -275,9 +275,9 @@ class _Ends:
         """Sparse rows {j: |Hom(x_i, x_j)|} of the non-empty hom-sets (or of
         the transpose), each in the order of the first morphism of each."""
         rows: list[dict[int, int]] = [{} for _ in self.ident]
-        pairs = zip(self.tgt, self.src) if transpose else zip(self.src, self.tgt)
-        for (i, j), count in Counter(pairs).items():
-            rows[i][j] = count
+        for i, j in zip(self.tgt, self.src) if transpose else zip(self.src, self.tgt):
+            row = rows[i]
+            row[j] = row.get(j, 0) + 1
         return rows
 
     def invertible_ends(self) -> Iterable[tuple[int, int]]:
@@ -728,7 +728,7 @@ def _check_functor(src: FinCat, tgt: FinCat, obj_map: Mapping, mor_map: Mapping)
     except (KeyError, TypeError):
         _walk_functor_maps(src, tgt, obj_map, mor_map)  # raises, at the first fault
         raise
-    _check_functor_arrays(src, tgt, s, t, fo, fm)
+    _check_functor_arrays(src, tgt, s, t, fo, fm, _is_thin(tgt))
 
 
 def _walk_functor_maps(src: FinCat, tgt: FinCat, obj_map: Mapping, mor_map: Mapping) -> None:
@@ -753,11 +753,12 @@ def _not_a_functor(message: str, law: str, at) -> NoReturn:
 
 
 def _check_functor_arrays(src: FinCat, tgt: FinCat, s: _Rows, t: _Rows, fo: list[int],
-                          fm: list[int]) -> None:
+                          fm: list[int], thin: bool) -> None:
     """The laws of ``_check_functor`` after the images, on the rows ``s`` of
     ``src`` and ``t`` of ``tgt``: source/target, identities, then
-    composition.  Composition is not checked into a thin ``tgt``, where both
-    sides share a hom-set.  Elsewhere it is checked on the rows of ``src``'s
+    composition.  Composition is not checked into a thin ``tgt``
+    (``thin``, which is ``_is_thin(tgt)``), where both sides share a
+    hom-set.  Elsewhere it is checked on the rows of ``src``'s
     generators (``_Rows.generators``), row s mapped by ``fm`` against row
     ``fm[s]`` of ``tgt``.  A broken row is located in ``src.composition``
     entry order, skipping entries with an identity factor, which hold by
@@ -771,7 +772,7 @@ def _check_functor_arrays(src: FinCat, tgt: FinCat, s: _Rows, t: _Rows, fo: list
     if list(map(image, s.ident)) != list(map(t.ident.__getitem__, fo)):
         x = next(x for x, e, y in zip(src.objects, s.ident, fo) if fm[e] != t.ident[y])
         _not_a_functor(f"identity of {x!r} not preserved", "identities", x)
-    if _is_thin(tgt):  # both sides run F(s(f)) -> F(t(g)), by source/target
+    if thin:  # both sides run F(s(f)) -> F(t(g)), by source/target
         return
     s_rows, t_rows = s.rows, t.rows
     for f in s.generators():

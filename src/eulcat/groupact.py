@@ -183,11 +183,12 @@ class ScwolAction:
                 raise AxiomIViolation(names[k], g_labels[images[src[k]].index(tgt[k])])
 
         # morphism level: each element acts as a strictly invertible functor
+        thin = _is_thin(cat)
         on_mor = []
         for g, fo in zip(g_labels, on_obj):
             fm = _permutation(g, self.on_morphisms[g], names, r.index, "morphisms")
             try:
-                _check_functor_arrays(cat, cat, r, r, fo, fm)
+                _check_functor_arrays(cat, cat, r, r, fo, fm, thin)
             except NotAFunctor as exc:
                 law, at = exc.witness["law"], exc.witness["at"]
                 raise NotAFunctorAction(
@@ -197,7 +198,7 @@ class ScwolAction:
         # on identities the law follows from the object level and functoriality;
         # on a thin space g.(h.m) and (gh).m both run gh.s(m) -> gh.t(m).  An
         # element maps identities to identities, so arrows to arrows.
-        if not _is_thin(cat):
+        if not thin:
             pos = {k: i for i, k in enumerate(arrows)}
             _check_homomorphism_law(self.group, [[pos[fm[k]] for k in arrows] for fm in on_mor],
                                     [names[k] for k in arrows], "morphism")
@@ -256,19 +257,30 @@ def _orbits(names: Sequence[str], orbit) -> tuple[tuple[str, ...], ...]:
 def validate_action(raw: Mapping, group: FinGroup, space: FinCat) -> ScwolAction:
     """Build a ScwolAction from plain data (the JSON payload of kind "action")."""
     try:
-        on_objects = {
-            str(g): {str(x): str(y) for x, y in table.items()}
-            for g, table in raw["object_action"].items()
-        }
-        on_morphisms = {
-            str(g): {str(m): str(n) for m, n in table.items()}
-            for g, table in raw["morphism_action"].items()
-        }
+        on_objects = _str_tables(raw["object_action"])
+        on_morphisms = _str_tables(raw["morphism_action"])
     except (KeyError, TypeError, AttributeError) as exc:
         raise NotAFunctorAction(
             f"malformed action description ({exc})", witness={"cause": str(exc)}
         ) from exc
     return ScwolAction(group, space, on_objects, on_morphisms)
+
+
+def _str_tables(tables: Mapping) -> Mapping[str, Mapping[str, str]]:
+    """An action table with every label read as a str (a JSON number id
+    too): ``tables`` itself when every key and value already is one, as in
+    a JSON manifest, else a copy.  A malformed table is copied, which
+    raises as the copy's reads do."""
+    try:
+        types = set(map(type, tables))
+        for table in tables.values():
+            types.update(map(type, table))
+            types.update(map(type, table.values()))
+        if types <= {str}:
+            return tables
+    except (KeyError, TypeError, AttributeError):
+        pass
+    return {str(g): {str(x): str(y) for x, y in table.items()} for g, table in tables.items()}
 
 
 def trivial_action(group: FinGroup, space: FinCat) -> ScwolAction:

@@ -14,9 +14,10 @@ weights' denominators.  Each route solves its rows exactly by construction
 integer row sum compared with that denominator, checks the weightings a
 caller hands in (``Weighting``, a user's cell spectrum).  Fractions are
 made only for results: one per object of a returned ``Weighting`` and the
-two totals of ``chi_L``; ``_weigh_category`` hands the integers themselves
-to the scwol and free-EI formulas of ``eulerchar``.  Only ``solve_linear``
-computes in Fractions.  No floating point anywhere.
+total of ``chi_L`` (two on a still-cyclic condensate, where both sides are
+solved); ``_weigh_category`` hands the integers themselves to the scwol and
+free-EI formulas of ``eulerchar``.  Only ``solve_linear`` computes in
+Fractions.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -210,9 +211,9 @@ def _weigh(
     w_j = nums[j] / den solving sum_j rows[i][j] w_j = 1.
 
     ``support`` is what ``_support`` gives for ``rows`` (``_chi_L_of_rows``
-    derives the coweighting's from the weighting's).  Objects off the
-    condensation representatives get 0, and only a still-cyclic condensate
-    reaches ``solve_linear``; ``name`` serves its message.  Every route
+    derives a still-cyclic coweighting's from the weighting's).  Objects
+    off the condensation representatives get 0, and only a still-cyclic
+    condensate reaches ``solve_linear``; ``name`` serves its message.  Every route
     solves ``rows`` exactly, so the result is not checked against them:
 
     - back-substitution along a topological order of the support sets w_i
@@ -317,7 +318,16 @@ def coweighting(cat: FinCat) -> Weighting:
 
 def chi_L(cat: FinCat) -> Fraction:
     """Leinster Euler characteristic: the common sum of a weighting and a
-    coweighting; raises if either is missing."""
+    coweighting; raises if either is missing.
+
+    Both exist, and their sums agree, whenever the arrows between distinct
+    isomorphism classes form no cycle (every EI category): in a
+    topological order the condensed hom-count matrix is triangular with
+    diagonal |End(x)| >= 1, so it is invertible, and by Leinster's Lemma
+    1.3 (sum_i w_i = sum_i sum_j v_j |mor(j, i)| w_i = sum_j v_j) a
+    weighting w and a coweighting v have the same sum.  There the sum of
+    the weighting is returned; see ``_chi_L_of_rows``.
+    """
     return _chi_L_of_rows(_count_rows(cat), _class_reps(cat), cat.name)
 
 
@@ -326,27 +336,27 @@ def _chi_L_of_rows(
     reps_of: Callable[[], Sequence[int]],
     name: str,
 ) -> Fraction:
-    """``chi_L`` of the category with hom-count rows ``rows``: the weighting
-    on the rows and the coweighting on their transpose, by ``_weigh``.
+    """``chi_L`` of the category with hom-count rows ``rows``, by ``_weigh``.
 
-    Both sides share one support: the transpose of an acyclic support is
-    acyclic in the reversed order, and a transposed support condenses onto
-    the same classes.  The two totals are the only Fractions made.
+    On an acyclic support, after condensation if any, it is the weighting's
+    total, the only Fraction made: the condensed matrix is triangular with
+    diagonal |End(x)| >= 1, so both sides exist and are unique, and
+    Leinster's Lemma 1.3 makes their totals equal (``chi_L``).  A
+    still-cyclic condensate (a non-EI cycle) is solved on both sides, the
+    coweighting on the transpose of the condensed rows, and the totals are
+    compared.
     """
     support = _support(rows, reps_of)
     solved_rows, order, reps = support
-    cols = _transpose(rows)
-    co_support = (cols if reps is None else _transpose(solved_rows),
-                  None if order is None else order[::-1], reps)
-    totals = []
-    for side, side_rows, side_support in (("weighting", rows, support),
-                                          ("coweighting", cols, co_support)):
-        try:
-            nums, den, _ = _weigh(side_rows, side_support, side, name)
-        except NoWeighting as exc:
-            raise NoEulerCharacteristic(str(exc), witness=exc.witness) from exc
-        totals.append(Fraction(sum(nums), den))
-    total, cototal = totals
+    try:
+        nums, den, _ = _weigh(rows, support, "weighting", name)
+        if order is not None:
+            return Fraction(sum(nums), den)
+        co_nums, co_den, _ = _weigh(_transpose(rows), (_transpose(solved_rows), None, reps),
+                                    "coweighting", name)
+    except NoWeighting as exc:
+        raise NoEulerCharacteristic(str(exc), witness=exc.witness) from exc
+    total, cototal = Fraction(sum(nums), den), Fraction(sum(co_nums), co_den)
     if total != cototal:
         raise InvariantViolation(
             f"{name}: weighting and coweighting sums disagree",

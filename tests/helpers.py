@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 from eulcat import eulerchar, fincat, groupact, hocolim, randgen, ratlin, zoo
@@ -662,6 +663,17 @@ def reference_ends(cat) -> tuple[list, list, list, list]:
             [objects[m.target] for m in cat.morphisms],
             [index[cat.identity[x]] for x in cat.objects],
             [(index[m], index[g]) for m, g in cat._invertible.items()])
+
+
+def reference_hom_rows(ends, transpose: bool = False) -> list[dict[int, int]]:
+    """``_Ends.hom_rows`` as it was: a ``Counter`` of the endpoint pairs,
+    copied into rows, so each row lists its keys in the order of the first
+    morphism of each hom-set."""
+    rows: list[dict[int, int]] = [{} for _ in ends.ident]
+    pairs = zip(ends.tgt, ends.src) if transpose else zip(ends.src, ends.tgt)
+    for (i, j), count in Counter(pairs).items():
+        rows[i][j] = count
+    return rows
 
 
 def stored_ends(cat) -> tuple[list, list, list, list]:

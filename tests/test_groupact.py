@@ -181,6 +181,76 @@ class TestValidateAction:
                 assert fixes_path == fixes_source
 
 
+def reference_action_tables(raw):
+    """How ``validate_action`` read the two tables before it kept tables of
+    strs as they are: a copy of every entry through ``str()``."""
+    try:
+        return tuple({str(g): {str(x): str(y) for x, y in table.items()}
+                      for g, table in raw[key].items()}
+                     for key in ("object_action", "morphism_action"))
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise NotAFunctorAction(
+            f"malformed action description ({exc})", witness={"cause": str(exc)}
+        ) from exc
+
+
+def action_raw(action):
+    return {"object_action": {g: dict(t) for g, t in action.on_objects.items()},
+            "morphism_action": {g: dict(t) for g, t in action.on_morphisms.items()}}
+
+
+def arrow_raw(object_action):
+    ids = {"id_0": "id_0", "id_1": "id_1", "a": "a"}
+    return {"object_action": object_action, "morphism_action": {"0": ids, "1": dict(ids)}}
+
+
+class TestActionTables:
+    def test_tables_of_strs_are_kept(self):
+        raw = action_raw(s3_flag_action()[0])
+        action = validate_action(raw, s3_flag_action()[0].group, s3_flag_action()[0].space)
+        assert action.on_objects is raw["object_action"]
+        assert action.on_morphisms is raw["morphism_action"]
+
+    def test_numbers_are_read_as_strs(self):
+        raw = arrow_raw({0: {0: 0, 1: 1}, "1": {"0": "0", 1: "1"}})
+        action = validate_action(raw, cyclic_group(2), zoo.arrow_category())
+        assert action.on_objects == reference_action_tables(raw)[0]
+        assert all(type(k) is str and all(type(x) is str and type(y) is str
+                                          for x, y in t.items())
+                   for k, t in action.on_objects.items())
+
+    @pytest.mark.parametrize("raw", [
+        [],
+        {},
+        {"object_action": []},
+        {"object_action": ["0", "1"], "morphism_action": {}},
+        {"object_action": {"0": ["0"]}, "morphism_action": {}},
+        {"object_action": {"0": "01"}, "morphism_action": {}},
+        {"object_action": {"0": None}, "morphism_action": {}},
+        {"object_action": {"0": {"0": "0"}}},
+        {"object_action": {"0": {"0": "0"}}, "morphism_action": 5},
+        {"object_action": {"0": {"0": "0"}}, "morphism_action": {"0": {"a": "a"}, 1: [2]}},
+    ], ids=lambda raw: repr(raw)[:40])
+    def test_malformed_tables_keep_their_message(self, raw):
+        with pytest.raises(NotAFunctorAction) as want:
+            reference_action_tables(raw)
+        with pytest.raises(NotAFunctorAction) as got:
+            validate_action(raw, cyclic_group(2), zoo.arrow_category())
+        assert (str(got.value), got.value.witness) == (str(want.value), want.value.witness)
+        assert str(got.value).startswith("malformed action description (")
+
+    def test_thinness_is_read_once_per_load(self, monkeypatch):
+        """The space's thinness decides whether the functor checks and the
+        morphism-level homomorphism law run; it is read once per load, not
+        once per group element."""
+        action = s3_flag_action()[0]
+        raw = action_raw(action)
+        counts = {"_is_thin": 0}
+        count_calls(monkeypatch, counts)
+        validate_action(raw, action.group, action.space)
+        assert action.group.order > 1 and counts == {"_is_thin": 1}
+
+
 def two_composite_scwol():
     """x -f-> y -g-> z with two arrows h1, h2: x -> z and g o f = h1."""
     return zoo.build_category(

@@ -63,6 +63,7 @@ from helpers import (
     count_calls,
     mor_count_matrix,
     reference_ends,
+    reference_hom_rows,
     s3_flag_action,
     split_idempotent,
     stored_ends,
@@ -608,6 +609,52 @@ class TestEndsEqualTheRecords:
             assert_ends_of(cat)
 
 
+def rows_in_order(rows):
+    """Each row's (key, count) pairs in key order: equal only if the
+    counts and the order of the keys are."""
+    return [list(row.items()) for row in rows]
+
+
+def assert_hom_rows_of(cat):
+    for transpose in (False, True):
+        assert (rows_in_order(cat._ends.hom_rows(transpose))
+                == rows_in_order(reference_hom_rows(cat._ends, transpose)))
+
+
+class TestHomRowsAgainstTheCounter:
+    """``_Ends.hom_rows`` counts in one pass what the ``Counter`` of
+    endpoint pairs counted (``helpers.reference_hom_rows``): the same rows,
+    counts and key order, plain and transposed, on every store."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(scwols, posets, groupoids.map(lambda g: g.category), grothendieck_totals))
+    def test_drawn(self, cat):
+        for each in stored(cat):
+            assert_hom_rows_of(each)
+
+    @settings(max_examples=30, deadline=None)
+    @given(strict_diagrams)
+    def test_strict_and_pseudo_totals(self, d):
+        assert_hom_rows_of(grothendieck(d).category)
+        assert_hom_rows_of(hocolim.grothendieck_pseudo(PseudoDiagram.from_strict(d)))
+
+    @pytest.mark.parametrize("build", HAND_BUILT.values(), ids=HAND_BUILT.keys())
+    def test_hand_built(self, build):
+        for each in stored(build()):
+            assert_hom_rows_of(each)
+
+    def test_two_keys_swapped_are_caught(self):
+        """Non-vacuity: a reference row with two keys swapped holds the
+        same counts but fails the comparison."""
+        cat = zoo.subsets_poset_opposite(3)
+        got, want = cat._ends.hom_rows(), reference_hom_rows(cat._ends)
+        k = next(k for k, row in enumerate(want) if len(row) > 1)
+        (a, ca), (b, cb), *rest = want[k].items()
+        want[k] = dict([(b, cb), (a, ca), *rest])
+        assert got == want
+        assert rows_in_order(got) != rows_in_order(want)
+
+
 def test_full_subcategory_reads_an_iterator_once():
     cat = zoo.subsets_poset_opposite(2)
     kept = full_subcategory(cat, iter(cat.objects[1:]))
@@ -726,16 +773,23 @@ def fraction_check_equations(rows, values, side, label):
             raise NoWeighting(f"{side} equation fails at {x!r}", witness={"object": x})
 
 
+def fraction_support(rows, reps_of):
+    """``(solved_rows, order, reps)``: ``rows``, condensed onto ``reps_of()``
+    if their support has a cycle, and a topological order of the result
+    (None if it has one too)."""
+    order = _topological_order(rows)
+    if order is not None:
+        return rows, order, None
+    reps = reps_of()
+    pos = {r: k for k, r in enumerate(reps)}
+    solved_rows = [{pos[j]: c for j, c in rows[r].items() if j in pos} for r in reps]
+    return solved_rows, _topological_order(solved_rows), reps
+
+
 def fraction_weigh(rows, reps_of, side, name, label=None):
     """``(values, unique)`` by the same routes as ``ratlin._weigh``, in
     Fractions, each side finding its own topological order."""
-    solved_rows, reps = rows, None
-    order = _topological_order(rows)
-    if order is None:
-        reps = reps_of()
-        pos = {r: k for k, r in enumerate(reps)}
-        solved_rows = [{pos[j]: c for j, c in rows[r].items() if j in pos} for r in reps]
-        order = _topological_order(solved_rows)
+    solved_rows, order, reps = fraction_support(rows, reps_of)
     if order is not None:
         values, unique = fraction_back_substitute(solved_rows, order), True
     else:
@@ -755,6 +809,8 @@ def fraction_weigh(rows, reps_of, side, name, label=None):
 
 
 def fraction_chi_L(rows, reps_of, name, label=None):
+    """Both totals, compared: Leinster's Lemma 1.3, which ``chi_L`` takes as
+    proved on an acyclic support, as an oracle."""
     totals = []
     for side, side_rows in (("weighting", rows), ("coweighting", ratlin._transpose(rows))):
         try:
@@ -819,20 +875,51 @@ def category_rows(cat):
     return _count_rows(cat), ratlin._class_reps(cat)
 
 
-def assert_kernels_agree(rows, reps_of):
+def weighting_chi_L(rows, reps_of, name):
+    """The total of the Fraction weighting alone."""
+    try:
+        values, _ = fraction_weigh(rows, reps_of, "weighting", name)
+    except NoWeighting as exc:
+        raise ratlin.NoEulerCharacteristic(str(exc), witness=exc.witness) from exc
+    return sum(values, Fraction(0))
+
+
+def assert_kernels_agree(rows, reps_of, classes=True):
+    """Each side of the integer kernel against the Fraction one, and
+    ``_chi_L_of_rows`` against both totals (``fraction_chi_L``).
+
+    ``classes`` says that ``reps_of()`` are isomorphism classes, as on a
+    category's rows.  Drawn representatives need not be: a coweighting
+    condensed onto them may solve no equation that the weighting does, and
+    there an acyclic condensate is the weighting's total, as in the library,
+    where Lemma 1.3 spares the second solve.  Rows acyclic as drawn are
+    compared with both totals either way."""
     cols = ratlin._transpose(rows)
     for side, side_rows in (("weighting", rows), ("coweighting", cols)):
         assert (kernel_outcome(integer_weigh, side_rows, reps_of, side)
                 == kernel_outcome(fraction_weigh, side_rows, reps_of, side))
+    _, order, reps = fraction_support(rows, reps_of)
+    one_sided = not classes and order is not None and reps is not None
     assert (kernel_outcome(ratlin._chi_L_of_rows, rows, reps_of)
-            == kernel_outcome(fraction_chi_L, rows, reps_of))
+            == kernel_outcome(weighting_chi_L if one_sided else fraction_chi_L, rows, reps_of))
 
 
 class TestIntegerKernelAgainstFractions:
     @settings(max_examples=60, deadline=None)
     @given(count_rows())
     def test_drawn_rows(self, drawn):
-        assert_kernels_agree(*drawn)
+        assert_kernels_agree(*drawn, classes=False)
+
+    def test_representatives_that_are_no_classes(self):
+        """b's row and a's differ, so the coweighting condensed onto a
+        fails at b while the weighting solves both rows: the two-sided
+        reference raises, and ``_chi_L_of_rows``, which solves one side on
+        an acyclic condensate, gives the weighting's total."""
+        rows, reps_of = [{0: 1, 1: 2}, {1: 1, 0: 1}], lambda: [0]
+        assert kernel_outcome(fraction_chi_L, rows, reps_of) == (
+            "NoEulerCharacteristic", "coweighting equation fails at 'b'", {"object": "b"})
+        assert kernel_outcome(ratlin._chi_L_of_rows, rows, reps_of) == 1
+        assert_kernels_agree(rows, reps_of, classes=False)
 
     @settings(max_examples=30, deadline=None)
     @given(strict_diagrams)
@@ -888,10 +975,28 @@ class TestFractionsMade:
     @pytest.mark.parametrize("build", [lambda: zoo.polygon_scwol(80),
                                        lambda: zoo.subsets_poset_opposite(5)],
                              ids=["polygon80", "subsets5"])
-    def test_chi_L_makes_its_two_totals(self, build, fractions_made):
+    def test_chi_L_makes_one_total_on_an_acyclic_support(self, build, fractions_made):
         cat = build()
         fractions_made[0] = 0
         ratlin.chi_L(cat)
+        assert fractions_made[0] == 1
+
+    def test_chi_L_makes_two_totals_on_a_cyclic_condensate(self, fractions_made, monkeypatch):
+        """Both sides are solved by elimination, whose Fractions are not
+        counted here: only the totals outside ``_weigh``."""
+        real = ratlin._weigh
+
+        def uncounted(*args):
+            made = fractions_made[0]
+            try:
+                return real(*args)
+            finally:
+                fractions_made[0] = made
+
+        monkeypatch.setattr(ratlin, "_weigh", uncounted)
+        cat = split_idempotent()
+        fractions_made[0] = 0
+        assert ratlin.chi_L(cat) == 1
         assert fractions_made[0] == 2
 
     def test_weighting_makes_one_per_object(self, fractions_made):
@@ -899,6 +1004,47 @@ class TestFractionsMade:
         fractions_made[0] = 0
         weighting(cat)
         assert fractions_made[0] == len(cat.objects)
+
+
+class TestOneSolveOnAnAcyclicSupport:
+    """``_weigh`` runs once per chi_L when the support is acyclic, after
+    condensation if any, and twice, one side each, when it stays cyclic."""
+
+    @staticmethod
+    def weighs(fn, *args):
+        counts = {"_weigh": 0}
+        with pytest.MonkeyPatch.context() as mp:
+            count_calls(mp, counts)
+            fn(*args)
+        return counts["_weigh"]
+
+    @pytest.mark.parametrize("build", [
+        lambda: zoo.polygon_scwol(80),
+        lambda: zoo.subsets_poset_opposite(4),
+        lambda: zoo.inflate(zoo.pushout_scwol(), {"j": 3}),  # condensed, then acyclic
+        lambda: zoo.one_object_category(cyclic_group(3)),
+    ], ids=["polygon80", "subsets4", "inflated", "Z3"])
+    def test_once_on_an_acyclic_support(self, build):
+        assert self.weighs(ratlin.chi_L, build()) == 1
+
+    def test_once_per_drawn_total(self):
+        rng = Random(0)
+        for _ in range(20):
+            assert self.weighs(hocolim._total_chi_L, randgen.random_strict_diagram(rng)) == 1
+
+    @pytest.mark.parametrize("build", [
+        split_idempotent,
+        lambda: product(split_idempotent(), zoo.one_object_category(cyclic_group(2))),
+        lambda: product(zoo.pushout_scwol(), split_idempotent()),
+        lambda: product(split_idempotent(), split_idempotent()),
+    ], ids=["split", "split-x-Z2", "pushout-x-split", "split-x-split"])
+    def test_twice_on_a_cyclic_condensate(self, build):
+        assert self.weighs(ratlin.chi_L, build()) == 2
+
+    def test_twice_on_a_cyclic_total(self):
+        d = constant_diagram(zoo.pushout_scwol(), split_idempotent())
+        assert self.weighs(hocolim._total_chi_L, d) == 2
+
 
 
 # -- a manifest read once, its name table built on first read --------------------------

@@ -3,8 +3,9 @@
 Inputs are validated and what is built from them is trusted; a second route
 to the same quantity lives in the tests as an oracle.  ``InvariantViolation``
 ("two routes to the same quantity disagree") is therefore raised only by
-``ratlin.chi_L``, whose weighting and coweighting totals are both part of
-the definition.  This scan fails if a raise of it appears in any other
+``ratlin.chi_L``, and only on a condensate that stays cyclic, where it
+solves and compares both the weighting and the coweighting; on an acyclic
+support it solves one side, and the tests compare both.  This scan fails if a raise of it appears in any other
 module.  Only the standard library ``ast`` is used.
 """
 

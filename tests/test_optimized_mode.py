@@ -8,8 +8,10 @@ from pathlib import Path
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 # Forces the coweighting total away from the weighting total, so chi_L sees
-# a mismatch.  Reports through the exit code and stdout, since -O strips any
-# assert the script itself would make.
+# a mismatch.  The category is a split idempotent (s: y -> x, r: x -> y,
+# r o s = id_y, s o r = e), whose condensate stays cyclic, so chi_L solves
+# and compares both sides.  Reports through the exit code and stdout, since
+# -O strips any assert the script itself would make.
 SCRIPT = """
 import sys
 from eulcat import ratlin, zoo
@@ -27,8 +29,14 @@ ratlin._weigh = skewed
 if sys.flags.optimize != 1 or __debug__:
     print("not optimized")
     sys.exit(3)
+split = zoo.build_category(
+    ["x", "y"],
+    [("e", "x", "x"), ("s", "y", "x"), ("r", "x", "y")],
+    {("r", "s"): "id_y", ("s", "r"): "e", ("e", "e"): "e", ("e", "s"): "s", ("r", "e"): "r"},
+    name="split",
+)
 try:
-    ratlin.chi_L(zoo.pushout_scwol())
+    ratlin.chi_L(split)
 except InvariantViolation as exc:
     print("raised", exc.witness["weighting"], exc.witness["coweighting"])
     sys.exit(0)
