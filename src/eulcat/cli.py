@@ -26,8 +26,9 @@ from . import manifest, randgen, zoo
 from .errors import EulcatError
 from .eulerchar import chi_scwol, groupoid_chi2
 from .fincat import (
+    CatFunctor,
+    NotAFunctor,
     _iso_partition,
-    are_isomorphic,
     classify,
     full_subcategory,
     iso_classes,
@@ -44,6 +45,7 @@ from .groupact import (
 )
 from .groups import perm_of_label, symmetric_group
 from .hocolim import (
+    _is_identity_on,
     _total_chi_L,
     bar_spectrum,
     builtin_spectrum,
@@ -206,11 +208,11 @@ def _complex_of_groups(kind, action, args):
 
 
 def _transport(kind, action, args):
-    space = action.space
-    moving = next((m.name for m in space.morphisms if not space.is_identity(m.name)), None)
+    space, ends = action.space, action.space._ends
+    moving = next((m for m, x in enumerate(ends.src) if ends.ident[x] != m), None)
     if moving is not None:
         raise manifest.BadManifest("transport expects an action on a discrete scwol",
-                                   witness={"morphism": moving})
+                                   witness={"morphism": space.morphism_names()[moving]})
     chi2, chi = _transport_chis(action.group, space.objects, action.on_objects)
     return [f"chi2: {R(chi2)}", f"chi: {chi}"], {"chi2": R(chi2), "chi": str(chi)}, True
 
@@ -322,8 +324,16 @@ def _demo_intro_pushout(out) -> bool:
 
 def _demo_z2_circle(out) -> bool:
     action = randgen.circle_action()
-    q = quotient(action)
-    iso_to_p = are_isomorphic(q.category, zoo.pushout_scwol())
+    q, p = quotient(action).category, zoo.pushout_scwol()
+    # x, y, z to j, k, l, a1, b1 to g, h and identities to identities, and back
+    obj_map = {"x": "j", "y": "k", "z": "l"}
+    mor_map = {"a1": "g", "b1": "h", **{q.identity[x]: p.identity[y] for x, y in obj_map.items()}}
+    try:
+        there = CatFunctor(q, p, obj_map, mor_map)
+        back = CatFunctor(p, q, {y: x for x, y in obj_map.items()}, {n: m for m, n in mor_map.items()})
+        iso_to_p = _is_identity_on(there.then(back), q) and _is_identity_on(back.then(there), p)
+    except NotAFunctor:
+        iso_to_p = False
     built = complex_of_groups(action)
     orders = [built.complex.local[x].order for x in built.complex.base.objects]
     rep = chi_theorems(action)

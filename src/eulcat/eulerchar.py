@@ -27,6 +27,7 @@ from .fincat import (
     _is_groupoid,
     _iso_roots,
     _require_scwol,
+    _rows_of,
     _skeleton_category,
 )
 from .ratlin import _weigh_category
@@ -77,8 +78,9 @@ def groupoid_chi2(cat: FinCat) -> Fraction:
     |aut(x)| = |mor(x, x)| since every endomorphism is invertible; read off
     the hom counts at the least object of each class (``_iso_roots``)."""
     if not _is_groupoid(cat):
-        first = next(m.name for m in cat.morphisms if not cat.is_invertible(m.name))
-        raise NotGroupoid(f"{cat.name} has a non-invertible morphism", witness={"morphism": first})
+        first = next(m for m in range(len(cat._ends.src)) if m not in cat._ends.inv)
+        raise NotGroupoid(f"{cat.name} has a non-invertible morphism",
+                          witness={"morphism": cat.morphism_names()[first]})
     rows = _count_rows(cat)
     return sum(
         (Fraction(1, rows[x][x]) for x, r in enumerate(_iso_roots(cat)) if r == x),
@@ -89,18 +91,21 @@ def groupoid_chi2(cat: FinCat) -> Fraction:
 def free_aut_witness(cat: FinCat):
     """A pair (u, a) with u a non-identity automorphism fixing a under
     postcomposition, or None if every left aut-action on hom-sets is free.
+    It is the first over y, then x, then a in Hom(x, y), then u, on ``_rows_of(cat)``.
 
     Expects a skeletal category.
     """
-    for y in cat.objects:
-        auts = [u for u in cat.hom(y, y) if cat.is_invertible(u) and not cat.is_identity(u)]
-        if not auts:
-            continue
-        for x in cat.objects:
-            for a in cat.hom(x, y):
-                for u in auts:
-                    if cat.compose(u, a) == a:
-                        return (u, a)
+    r = _rows_of(cat)
+    into: list[list[int]] = [[] for _ in r.ident]  # Hom(x, y) of each y, for each x in turn
+    for out in r.out():
+        for a in out:
+            into[r.tgt[a]].append(a)
+    for y, hom in enumerate(into):
+        auts = [u for u in hom if r.src[u] == y and u in r.inv and u != r.ident[y]]
+        for a in hom:
+            for u in auts:
+                if r.rows[a][u] == a:
+                    return r.names[u], r.names[a]
     return None
 
 
@@ -119,11 +124,9 @@ def chi2_free_EI(cat: FinCat) -> Fraction:
     """
     gamma = _skeleton_category(cat)
     if not _is_EI(gamma):
-        bad = next(
-            m.name
-            for m in gamma.morphisms
-            if m.source == m.target and not gamma.is_invertible(m.name)
-        )
+        ends = gamma._ends
+        bad = gamma.morphism_names()[next(m for m, (x, y) in enumerate(zip(ends.src, ends.tgt))
+                                          if x == y and m not in ends.inv)]
         raise HypothesisNotMet(
             f"{cat.name} is not EI: endomorphism {bad!r} is not invertible",
             witness=bad,

@@ -1,7 +1,7 @@
 """Finite categories as explicit object/morphism/composition tables.
 
-A FinCat stores everything needed to answer categorical questions by
-exhaustive search: the full composition table, identities, hom-sets.  Every
+A FinCat is given by its objects, morphism records, identity map and full
+composition table; every question here is answered off integer arrays.  Every
 FinCat keeps ``_ends`` (``_Ends``: endpoints, identities and inverses by
 index), which the structural predicates (``classify``), the hom counts and
 the isomorphism classes read.
@@ -29,7 +29,8 @@ images) and the naturality check read rows too (``_rows_of``).
 Composition and naturality are checked on the rows of a generating set of
 morphisms (``_Rows.generators``), which imply the rest.  Names come back
 only to report the first failure, whose ``witness`` holds the offending
-names.
+names: the walk that locates it reads the entries in table order
+(``_Rows.pairs``) or the index arrays, and names only the witness.
 
 Two morphisms x -> w with checked endpoints are equal when Hom(x, w) has one
 element.  So on a *thin* category (``_is_thin``: no hom-set has two
@@ -726,51 +727,51 @@ def _check_functor(src: FinCat, tgt: FinCat, obj_map: Mapping, mor_map: Mapping)
         fo = list(map(t.objects.__getitem__, map(obj_map.__getitem__, src.objects)))
         fm = list(map(t.index.__getitem__, map(mor_map.__getitem__, s.names)))
     except (KeyError, TypeError):
-        _walk_functor_maps(src, tgt, obj_map, mor_map)  # raises, at the first fault
+        _walk_functor_maps(s, t, tgt.name, obj_map, mor_map)  # raises, at the first fault
         raise
-    _check_functor_arrays(src, tgt, s, t, fo, fm, _is_thin(tgt))
+    _check_functor_arrays(s, t, fo, fm, _is_thin(tgt))
 
 
-def _walk_functor_maps(src: FinCat, tgt: FinCat, obj_map: Mapping, mor_map: Mapping) -> None:
-    """Raise NotAFunctor at the first object without an image in ``tgt``,
-    else at the first morphism without one or with wrong endpoints."""
-    for x in src.objects:
-        if x not in obj_map or not tgt.has_object(obj_map[x]):
+def _walk_functor_maps(s: _Rows, t: _Rows, tgt: str, obj_map: Mapping, mor_map: Mapping) -> None:
+    """Raise NotAFunctor at the first object without an image in the target,
+    named ``tgt``, else at the first morphism without one or with wrong
+    endpoints, on the rows ``s`` of the source and ``t`` of the target."""
+    for x in s.objects:
+        if x not in obj_map or obj_map[x] not in t.objects:
             _not_a_functor(f"object map undefined or out of range at {x!r}", "objects", x)
-    mor = tgt._mor
-    for m in src.morphisms:
-        if m.name not in mor_map:
-            _not_a_functor(f"morphism map undefined at {m.name!r}", "morphisms", m.name)
-        fm = mor_map[m.name]
-        if fm not in mor:
-            _not_a_functor(f"image {fm!r} is not a morphism of {tgt.name}", "morphisms", m.name)
-        if mor[fm].source != obj_map[m.source] or mor[fm].target != obj_map[m.target]:
-            _not_a_functor(f"image of {m.name!r} has wrong endpoints", "source/target", m.name)
+    fo = [t.objects[obj_map[x]] for x in s.objects]
+    for m, name in enumerate(s.names):
+        if name not in mor_map:
+            _not_a_functor(f"morphism map undefined at {name!r}", "morphisms", name)
+        k = t.index.get(mor_map[name])
+        if k is None:
+            _not_a_functor(f"image {mor_map[name]!r} is not a morphism of {tgt}", "morphisms", name)
+        if t.src[k] != fo[s.src[m]] or t.tgt[k] != fo[s.tgt[m]]:
+            _not_a_functor(f"image of {name!r} has wrong endpoints", "source/target", name)
 
 
 def _not_a_functor(message: str, law: str, at) -> NoReturn:
     raise NotAFunctor(message, witness={"law": law, "at": at})
 
 
-def _check_functor_arrays(src: FinCat, tgt: FinCat, s: _Rows, t: _Rows, fo: list[int],
-                          fm: list[int], thin: bool) -> None:
+def _check_functor_arrays(s: _Rows, t: _Rows, fo: list[int], fm: list[int], thin: bool) -> None:
     """The laws of ``_check_functor`` after the images, on the rows ``s`` of
-    ``src`` and ``t`` of ``tgt``: source/target, identities, then
-    composition.  Composition is not checked into a thin ``tgt``
-    (``thin``, which is ``_is_thin(tgt)``), where both sides share a
-    hom-set.  Elsewhere it is checked on the rows of ``src``'s
-    generators (``_Rows.generators``), row s mapped by ``fm`` against row
-    ``fm[s]`` of ``tgt``.  A broken row is located in ``src.composition``
-    entry order, skipping entries with an identity factor, which hold by
-    source/target and identities."""
-    image, obj_image = fm.__getitem__, fo.__getitem__
+    its source and ``t`` of its target: source/target, identities, then
+    composition.  Composition is not checked into a thin target (``thin``,
+    which is ``_is_thin`` of it), where both sides share a hom-set.
+    Elsewhere it is checked on the rows of the source's generators
+    (``_Rows.generators``), row s mapped by ``fm`` against row ``fm[s]`` of
+    the target.  A broken row is located among the entries of the source
+    in order (``_Rows.pairs``), skipping entries with an identity factor,
+    which hold by source/target and identities."""
+    image, obj_image, names = fm.__getitem__, fo.__getitem__, s.names
     if list(map(t.src.__getitem__, fm)) != list(map(obj_image, s.src)) or \
             list(map(t.tgt.__getitem__, fm)) != list(map(obj_image, s.tgt)):
         k = next(k for k, i in enumerate(fm)
                  if t.src[i] != fo[s.src[k]] or t.tgt[i] != fo[s.tgt[k]])
-        _not_a_functor(f"image of {s.names[k]!r} has wrong endpoints", "source/target", s.names[k])
+        _not_a_functor(f"image of {names[k]!r} has wrong endpoints", "source/target", names[k])
     if list(map(image, s.ident)) != list(map(t.ident.__getitem__, fo)):
-        x = next(x for x, e, y in zip(src.objects, s.ident, fo) if fm[e] != t.ident[y])
+        x = next(x for x, e, y in zip(s.objects, s.ident, fo) if fm[e] != t.ident[y])
         _not_a_functor(f"identity of {x!r} not preserved", "identities", x)
     if thin:  # both sides run F(s(f)) -> F(t(g)), by source/target
         return
@@ -781,10 +782,11 @@ def _check_functor_arrays(src: FinCat, tgt: FinCat, s: _Rows, t: _Rows, fo: list
             break
     else:
         return
-    index, ids = s.index, set(src.identity.values())
-    for (g, f), gf in src.composition.items():
-        if g not in ids and f not in ids and t_rows[fm[index[f]]][fm[index[g]]] != fm[index[gf]]:
-            _not_a_functor(f"composition not preserved on ({g!r}, {f!r})", "composition", (g, f))
+    ids = set(s.ident)
+    for g, f in s.pairs():
+        if g not in ids and f not in ids and t_rows[fm[f]][fm[g]] != fm[s_rows[f][g]]:
+            _not_a_functor(f"composition not preserved on ({names[g]!r}, {names[f]!r})",
+                           "composition", (names[g], names[f]))
 
 
 def _functor_arrays(fun: CatFunctor, t: _Rows) -> _Arrays:
@@ -1277,95 +1279,3 @@ def product(a: FinCat, b: FinCat) -> FinCat:
         ((g1 * k + g2, f1 * k + f2, ra.rows[f1][g1] * k + gf2)
          for g1, f1 in ra.pairs() for g2, f2, gf2 in b_entries))
 
-
-def equal_presentation(a: FinCat, b: FinCat) -> bool:
-    """Literal equality of the underlying tables (used for round-trip tests)."""
-    return (
-        a.objects == b.objects
-        and a.morphisms == b.morphisms
-        and dict(a.identity) == dict(b.identity)
-        and dict(a.composition) == dict(b.composition)
-    )
-
-
-def are_isomorphic(a: FinCat, b: FinCat) -> bool:
-    """Decide isomorphism of two finite categories by backtracking search.
-
-    Exponential in the worst case; intended for the small instances in tests
-    and reports (a handful of objects, hom-sets with a few elements).
-    """
-    if len(a.objects) != len(b.objects) or len(a.morphisms) != len(b.morphisms):
-        return False
-
-    def obj_signature(cat: FinCat, x: str):
-        out_prof = sorted(len(cat.hom(x, y)) for y in cat.objects)
-        in_prof = sorted(len(cat.hom(y, x)) for y in cat.objects)
-        return (out_prof, in_prof, len(cat.hom(x, x)))
-
-    sig_a = {x: obj_signature(a, x) for x in a.objects}
-    sig_b = {x: obj_signature(b, x) for x in b.objects}
-    if sorted(map(str, sig_a.values())) != sorted(map(str, sig_b.values())):
-        return False
-
-    objs = sorted(a.objects, key=lambda x: str(sig_a[x]))
-
-    def try_objects(i: int, omap: dict[str, str], used: set[str]) -> bool:
-        if i == len(objs):
-            return _find_morphism_bijection(a, b, omap)
-        x = objs[i]
-        for y in b.objects:
-            if y in used or sig_b[y] != sig_a[x]:
-                continue
-            if any(
-                len(a.hom(x0, x)) != len(b.hom(y0, y)) or len(a.hom(x, x0)) != len(b.hom(y, y0))
-                for x0, y0 in omap.items()
-            ):
-                continue
-            omap[x] = y
-            used.add(y)
-            if try_objects(i + 1, omap, used):
-                return True
-            del omap[x]
-            used.discard(y)
-        return False
-
-    return try_objects(0, {}, set())
-
-
-def _find_morphism_bijection(a: FinCat, b: FinCat, omap: Mapping[str, str]) -> bool:
-    mors = [m.name for m in a.morphisms if not a.is_identity(m.name)]
-    mmap: dict[str, str] = {
-        a.identity[x]: b.identity[omap[x]] for x in a.objects
-    }
-    used = set(mmap.values())
-
-    def ok(partial_new: str, m: str) -> bool:
-        # every composable pair among mapped morphisms whose composite is
-        # already mapped (or is m itself) must commute with the candidate
-        for f, ff in list(mmap.items()) + [(m, partial_new)]:
-            for g, gg in list(mmap.items()) + [(m, partial_new)]:
-                if a.target(f) == a.source(g):
-                    comp_a = a.compose(g, f)
-                    if comp_a in mmap or comp_a == m:
-                        want = mmap.get(comp_a, partial_new if comp_a == m else None)
-                        if want is not None and b.compose(gg, ff) != want:
-                            return False
-        return True
-
-    def backtrack(i: int) -> bool:
-        if i == len(mors):
-            return True
-        m = mors[i]
-        for cand in b.hom(omap[a.source(m)], omap[a.target(m)]):
-            if cand in used or b.is_identity(cand):
-                continue
-            if ok(cand, m):
-                mmap[m] = cand
-                used.add(cand)
-                if backtrack(i + 1):
-                    return True
-                del mmap[m]
-                used.discard(cand)
-        return False
-
-    return backtrack(0)

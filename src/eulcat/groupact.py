@@ -188,7 +188,7 @@ class ScwolAction:
         for g, fo in zip(g_labels, on_obj):
             fm = _permutation(g, self.on_morphisms[g], names, r.index, "morphisms")
             try:
-                _check_functor_arrays(cat, cat, r, r, fo, fm, thin)
+                _check_functor_arrays(r, r, fo, fm, thin)
             except NotAFunctor as exc:
                 law, at = exc.witness["law"], exc.witness["at"]
                 raise NotAFunctorAction(
@@ -421,13 +421,13 @@ class ComplexOfGroups:
         # every key of twists is a composable pair, so fewer keys misses one;
         # a fault is located among the pairs in table order
         if unit_fault or len(twist) != sum(map(len, rows)):
-            for (b, a) in base.composition:
+            for bi, ai in r.pairs():
+                b, a = names[bi], names[ai]
                 if (b, a) not in self.twists:
                     raise ValidationError(f"no twist at composable pair ({b!r}, {a!r})",
                                           witness={"pair": (b, a)})
                 g = self.twists[(b, a)]
-                unit = base.is_identity(a) or base.is_identity(b)
-                if unit and g != self.local[base.target(b)].identity:
+                if (bi in ids or ai in ids) and g != local[tgt[bi]].identity:
                     raise ValidationError(f"unit twist at ({b!r}, {a!r}) must be trivial",
                                           witness={"pair": (b, a), "element": g})
 

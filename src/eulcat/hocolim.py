@@ -182,7 +182,8 @@ class PseudoDiagram:
                 f"comp at {(v, u)!r}")
         # every key of comp is a composable pair, so fewer keys misses one
         if len(self.comp) != sum(map(len, r.rows)):
-            for (v, u) in idx.composition:
+            for vi, ui in r.pairs():
+                v, u = r.names[vi], r.names[ui]
                 if (v, u) not in self.comp:
                     raise CoherenceFailure(
                         f"no comp isomorphism at ({v!r}, {u!r})", witness={"pair": (v, u)}
@@ -365,28 +366,22 @@ class _VertexOrder:
     """The morphisms of a vertex category C out of each object x, in the
     order (u, f)@c lists them when C(u)(c) = x: by target object, then in
     morphism order, which is Hom(x, e) for each e in turn; read off
-    ``C._ends``.  ``index`` numbers the objects and ``names`` names the
-    morphisms; ``out[x]`` holds the morphism indices and ``ends[x]`` the
-    target indices; ``pos[f]`` is the place of f in the list of its source."""
+    ``C._ends``, with no morphism name.  ``index`` numbers the objects;
+    ``out[x]`` holds the morphism indices and ``ends[x]`` the target
+    indices; ``pos[f]`` is the place of f in the list of its source."""
 
-    __slots__ = ("index", "names", "names_at", "out", "ends", "pos")
+    __slots__ = ("index", "out", "ends", "pos")
 
     def __init__(self, cat: FinCat):
         src, tgt, n = cat._ends.src, cat._ends.tgt, len(cat)
-        self.index, self.names = {x: k for k, x in enumerate(cat.objects)}, cat.morphism_names()
-        self.names_at, self.out, ends = None, [[] for _ in range(n)], list(zip(src, tgt))
+        self.index = {x: k for k, x in enumerate(cat.objects)}
+        self.out, ends = [[] for _ in range(n)], list(zip(src, tgt))
         for x, fs in itertools.groupby(sorted(range(len(src)), key=ends.__getitem__), src.__getitem__):
             self.out[x] = list(fs)
         self.ends = [list(map(tgt.__getitem__, fs)) for fs in self.out]
         self.pos = pos = {}
         for fs in self.out:
             pos.update(zip(fs, range(len(fs))))
-
-    def at(self) -> dict[str, int]:
-        """The index of each morphism by name, made on first use."""
-        if self.names_at is None:
-            self.names_at = {m: k for k, m in enumerate(self.names)}
-        return self.names_at
 
 
 class _Numbering:
@@ -412,10 +407,11 @@ class _Numbering:
 
     def morphism_names(self) -> list[str]:
         d, place = self.diagram, self.place
+        local = {cat: cat.morphism_names() for cat in set(d.vertex.values())}
         names = []
         for i, k, u, j, x in self.blocks:
-            c, order = d.vertex[i].objects[k], place[j][1]
-            names += [_triple_mor(u, order.names[f], c) for f in order.out[x]]
+            c = d.vertex[i].objects[k]
+            names += [_triple_mor(u, local[d.vertex[j]][f], c) for f in place[j][1].out[x]]
         return names
 
     def runs(self) -> Iterator[list[tuple]]:
@@ -479,10 +475,11 @@ def _grothendieck(d: Diagram) -> FinCat:
     No law is checked: the diagram's checks make it a category (arXiv:1007.3868).
 
     The objects are numbered i-major and the morphisms (u, f)@c by i, then
-    c, then u in ``morphisms_from(i)`` order, then f by target and in
-    ``C(j).morphisms`` order (``_VertexOrder``).  The builder writes the
-    endpoints, the identities and the inverses as indices; names and the
-    composition table are made on first read (``_Total``).
+    c, then u in ``morphisms_from(i)`` order, then f by target and in the
+    morphism order of C(j) (``_VertexOrder``).  The builder writes the
+    endpoints, the identities and the inverses as indices, off the vertices'
+    arrays and rows, copying no vertex's names; names and the composition
+    table are made on first read (``_Total``).
 
     When the index is directly finite (every scwol and every EI category
     is), the inverse data is read off the diagram:
@@ -545,7 +542,8 @@ def _grothendieck(d: Diagram) -> FinCat:
     for i in idx.objects:
         start, order, ci = starts[idx.identity[i]], place[i][1], d.vertex[i]
         # (id_i, unit_inv(i, c))@c, where unit_inv(i, c) = id_c if d is strict
-        units = ci._ends.ident if strict else [order.at()[d.unit_inv(i, c)] for c in ci.objects]
+        at = None if strict else _rows_of(ci).index
+        units = ci._ends.ident if strict else [at[d.unit_inv(i, c)] for c in ci.objects]
         ident += [start[k] + order.pos[e] for k, e in enumerate(units)]
 
     if idx._directly_finite:
@@ -579,10 +577,10 @@ def _lifted_inverses(d: Diagram, plan: _Numbering) -> dict[int, int]:
                 if g is not None:
                     inv[q] = start[ends[q - m]] + pos[g]
             continue
-        at, c, rows = order_i.at(), ci.objects[k], _rows_of(ci).rows
+        c, ri = ci.objects[k], _rows_of(ci)
         if v not in edges:
-            edges[v] = [at[f] for f in map(d.edge[v].mor_map.__getitem__, order_j.names)]
-        v_mor = edges[v]
+            edges[v] = _functor_arrays(d.edge[v], ri)[1]
+        v_mor, at, rows = edges[v], ri.index, ri.rows
         # unit_inv(i, c) o comp_inv(v, u, c)^-1: C(v)C(u)(c) -> c, id_c in a strict diagram
         back = ci._ends.ident[k] if strict else \
             rows[ci._ends.inv[at[d.comp_inv(v, u, c)]]][at[d.unit_inv(i, c)]]

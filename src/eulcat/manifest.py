@@ -11,9 +11,9 @@ and every key sorted by the writer.  ``parse(serialize(x))`` rebuilds an
 identical structure for every kind.  ``_dumps`` writes every manifest file
 and every CLI ``--json`` report.  The payload builders leave each category
 in a payload as the category itself, which ``_dumps`` writes straight from
-its integer rows (``_write_category``); ``serialize``, ``category_payload``
-and the public ``*_payload`` builders give plain JSON data, each category
-expanded to its payload (``_plain``).
+its integer rows (``_write_category``); ``serialize`` and
+``category_payload`` give plain JSON data, each category expanded to its
+payload (``_plain``).
 """
 
 from __future__ import annotations
@@ -397,29 +397,6 @@ def _plain(value):
     if t is list or t is tuple:
         return t(map(_plain, value))
     return _expanded(value) if isinstance(value, FinCat) else value
-
-
-# The public payload builders give plain data, as ``serialize`` does.
-
-
-def diagram_payload(d: StrictDiagram | PseudoDiagram) -> dict:
-    return _plain(_diagram_payload(d))
-
-
-def pseudo_diagram_payload(d: PseudoDiagram) -> dict:
-    return _plain(_pseudo_diagram_payload(d))
-
-
-def action_payload(action: ScwolAction) -> dict:
-    return _plain(_action_payload(action))
-
-
-def complex_payload(cplx: ComplexOfGroups) -> dict:
-    return _plain(_complex_payload(cplx))
-
-
-def spectrum_payload(spec: CellSpectrum) -> dict:
-    return _plain(_spectrum_payload(spec))
 
 
 def _expanded(value) -> dict:

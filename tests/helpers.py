@@ -4,8 +4,9 @@ import dataclasses
 import itertools
 from collections import Counter
 from fractions import Fraction
+from random import Random
 
-from eulcat import eulerchar, fincat, groupact, hocolim, randgen, ratlin, zoo
+from eulcat import eulerchar, fincat, groupact, hocolim, manifest, randgen, ratlin, zoo
 from typing import Mapping, NoReturn, Sequence
 
 from eulcat.errors import EulcatError, ValidationError, _trusted
@@ -18,6 +19,7 @@ from eulcat.fincat import (
     Morphism,
     NonAssociative,
     NotAFunctor,
+    NotGroupoid,
     NotNatural,
     _check_natural,
     _composite_arrays,
@@ -25,9 +27,13 @@ from eulcat.fincat import (
     _functor_arrays,
     _identity_arrays,
     _identity_maps,
+    _is_EI,
+    _is_groupoid,
     _is_thin,
+    _not_a_functor,
     _require_scwol,
     _rows_of,
+    _skeleton_category,
 )
 from eulcat.groupact import (
     AxiomIIViolation,
@@ -128,6 +134,109 @@ def corrupt_component(components, c, cat, how, rng):
     return table
 
 
+# -- literal equality and the isomorphism search, as test oracles ---------------------
+
+
+def equal_presentation(a: FinCat, b: FinCat) -> bool:
+    """Literal equality of the underlying tables (used for round-trip tests)."""
+    return (
+        a.objects == b.objects
+        and a.morphisms == b.morphisms
+        and dict(a.identity) == dict(b.identity)
+        and dict(a.composition) == dict(b.composition)
+    )
+
+
+def are_isomorphic(a: FinCat, b: FinCat) -> bool:
+    """Decide isomorphism of two finite categories by backtracking search.
+
+    Exponential in the worst case; intended for the small instances in tests
+    (a handful of objects, hom-sets with a few elements).
+    """
+    if len(a.objects) != len(b.objects) or len(a.morphisms) != len(b.morphisms):
+        return False
+
+    def obj_signature(cat: FinCat, x: str):
+        out_prof = sorted(len(cat.hom(x, y)) for y in cat.objects)
+        in_prof = sorted(len(cat.hom(y, x)) for y in cat.objects)
+        return (out_prof, in_prof, len(cat.hom(x, x)))
+
+    sig_a = {x: obj_signature(a, x) for x in a.objects}
+    sig_b = {x: obj_signature(b, x) for x in b.objects}
+    if sorted(map(str, sig_a.values())) != sorted(map(str, sig_b.values())):
+        return False
+
+    objs = sorted(a.objects, key=lambda x: str(sig_a[x]))
+
+    def try_objects(i: int, omap: dict[str, str], used: set[str]) -> bool:
+        if i == len(objs):
+            return _find_morphism_bijection(a, b, omap)
+        x = objs[i]
+        for y in b.objects:
+            if y in used or sig_b[y] != sig_a[x]:
+                continue
+            if any(
+                len(a.hom(x0, x)) != len(b.hom(y0, y)) or len(a.hom(x, x0)) != len(b.hom(y, y0))
+                for x0, y0 in omap.items()
+            ):
+                continue
+            omap[x] = y
+            used.add(y)
+            if try_objects(i + 1, omap, used):
+                return True
+            del omap[x]
+            used.discard(y)
+        return False
+
+    return try_objects(0, {}, set())
+
+
+def _find_morphism_bijection(a: FinCat, b: FinCat, omap: Mapping[str, str]) -> bool:
+    mors = [m.name for m in a.morphisms if not a.is_identity(m.name)]
+    mmap: dict[str, str] = {
+        a.identity[x]: b.identity[omap[x]] for x in a.objects
+    }
+    used = set(mmap.values())
+
+    def ok(partial_new: str, m: str) -> bool:
+        # every composable pair among mapped morphisms whose composite is
+        # already mapped (or is m itself) must commute with the candidate
+        for f, ff in list(mmap.items()) + [(m, partial_new)]:
+            for g, gg in list(mmap.items()) + [(m, partial_new)]:
+                if a.target(f) == a.source(g):
+                    comp_a = a.compose(g, f)
+                    if comp_a in mmap or comp_a == m:
+                        want = mmap.get(comp_a, partial_new if comp_a == m else None)
+                        if want is not None and b.compose(gg, ff) != want:
+                            return False
+        return True
+
+    def backtrack(i: int) -> bool:
+        if i == len(mors):
+            return True
+        m = mors[i]
+        for cand in b.hom(omap[a.source(m)], omap[a.target(m)]):
+            if cand in used or b.is_identity(cand):
+                continue
+            if ok(cand, m):
+                mmap[m] = cand
+                used.add(cand)
+                if backtrack(i + 1):
+                    return True
+                del mmap[m]
+                used.discard(cand)
+        return False
+
+    return backtrack(0)
+
+
+def loaded(cat, seed):
+    """``cat`` written to its manifest, the entries shuffled, and loaded."""
+    payload = manifest.category_payload(cat)
+    Random(seed).shuffle(payload["compose"])
+    return fincat.validate(payload)
+
+
 def assert_lawful(cat: FinCat) -> FinCat:
     """The law oracle for categories the library builds without checking
     their laws: rebuild the same tables through the checked ``FinCat``
@@ -146,7 +255,7 @@ def assert_same_table(got: FinCat, want: FinCat) -> None:
     """Same name, presentation, and identity and composition tables in the
     same iteration order."""
     assert got.name == want.name
-    assert fincat.equal_presentation(got, want)
+    assert equal_presentation(got, want)
     assert list(got.identity.items()) == list(want.identity.items())
     assert list(got.composition.items()) == list(want.composition.items())
 
@@ -646,6 +755,133 @@ def reference_action_checks(self):
                 f"action row {label!r} is not an element of {self.group.name}",
                 witness={"element": label},
             )
+
+
+# -- the name walks of the rejection locators, as references ------------------------
+#
+# The locators that find the first fault once a check on rows has failed,
+# as the library walked them before they read the rows: over the morphism
+# records, the lookup tables and the name-keyed ``composition`` table.
+# The bodies are copied unchanged but for the ``reference_`` prefix, a
+# ``self`` that is the checked value, and the library's own checks in
+# front of a walk (the rejections that guard it), kept as they were.
+
+
+def reference_walk_functor_maps(src: FinCat, tgt: FinCat, obj_map: Mapping,
+                                mor_map: Mapping) -> None:
+    """Raise NotAFunctor at the first object without an image in ``tgt``,
+    else at the first morphism without one or with wrong endpoints."""
+    for x in src.objects:
+        if x not in obj_map or not tgt.has_object(obj_map[x]):
+            _not_a_functor(f"object map undefined or out of range at {x!r}", "objects", x)
+    mor = tgt._mor
+    for m in src.morphisms:
+        if m.name not in mor_map:
+            _not_a_functor(f"morphism map undefined at {m.name!r}", "morphisms", m.name)
+        fm = mor_map[m.name]
+        if fm not in mor:
+            _not_a_functor(f"image {fm!r} is not a morphism of {tgt.name}", "morphisms", m.name)
+        if mor[fm].source != obj_map[m.source] or mor[fm].target != obj_map[m.target]:
+            _not_a_functor(f"image of {m.name!r} has wrong endpoints", "source/target", m.name)
+
+
+def reference_check_functor_arrays(src: FinCat, tgt: FinCat, s, t, fo: list[int],
+                                   fm: list[int], thin: bool) -> None:
+    """``fincat._check_functor_arrays`` with its composition walk over
+    ``src.composition``."""
+    image, obj_image = fm.__getitem__, fo.__getitem__
+    if list(map(t.src.__getitem__, fm)) != list(map(obj_image, s.src)) or \
+            list(map(t.tgt.__getitem__, fm)) != list(map(obj_image, s.tgt)):
+        k = next(k for k, i in enumerate(fm)
+                 if t.src[i] != fo[s.src[k]] or t.tgt[i] != fo[s.tgt[k]])
+        _not_a_functor(f"image of {s.names[k]!r} has wrong endpoints", "source/target", s.names[k])
+    if list(map(image, s.ident)) != list(map(t.ident.__getitem__, fo)):
+        x = next(x for x, e, y in zip(src.objects, s.ident, fo) if fm[e] != t.ident[y])
+        _not_a_functor(f"identity of {x!r} not preserved", "identities", x)
+    if thin:  # both sides run F(s(f)) -> F(t(g)), by source/target
+        return
+    s_rows, t_rows = s.rows, t.rows
+    for f in s.generators():
+        row = s_rows[f]
+        if list(map(t_rows[fm[f]].__getitem__, map(image, row))) != list(map(image, row.values())):
+            break
+    else:
+        return
+    index, ids = s.index, set(src.identity.values())
+    for (g, f), gf in src.composition.items():
+        if g not in ids and f not in ids and t_rows[fm[index[f]]][fm[index[g]]] != fm[index[gf]]:
+            _not_a_functor(f"composition not preserved on ({g!r}, {f!r})", "composition", (g, f))
+
+
+def reference_twist_walk(self) -> None:
+    """The walk of ``ComplexOfGroups.__post_init__`` that locates a missing
+    twist or a non-trivial unit twist; ``self`` holds ``base``, ``local``
+    and ``twists``."""
+    base = self.base
+    for (b, a) in base.composition:
+        if (b, a) not in self.twists:
+            raise ValidationError(f"no twist at composable pair ({b!r}, {a!r})",
+                                  witness={"pair": (b, a)})
+        g = self.twists[(b, a)]
+        unit = base.is_identity(a) or base.is_identity(b)
+        if unit and g != self.local[base.target(b)].identity:
+            raise ValidationError(f"unit twist at ({b!r}, {a!r}) must be trivial",
+                                  witness={"pair": (b, a), "element": g})
+
+
+def reference_free_aut_witness(cat: FinCat):
+    """A pair (u, a) with u a non-identity automorphism fixing a under
+    postcomposition, or None if every left aut-action on hom-sets is free.
+
+    Expects a skeletal category.
+    """
+    for y in cat.objects:
+        auts = [u for u in cat.hom(y, y) if cat.is_invertible(u) and not cat.is_identity(u)]
+        if not auts:
+            continue
+        for x in cat.objects:
+            for a in cat.hom(x, y):
+                for u in auts:
+                    if cat.compose(u, a) == a:
+                        return (u, a)
+    return None
+
+
+def reference_groupoid_rejection(cat: FinCat) -> None:
+    """The rejection of ``eulerchar.groupoid_chi2``."""
+    if not _is_groupoid(cat):
+        first = next(m.name for m in cat.morphisms if not cat.is_invertible(m.name))
+        raise NotGroupoid(f"{cat.name} has a non-invertible morphism", witness={"morphism": first})
+
+
+def reference_free_EI_rejections(cat: FinCat) -> None:
+    """The rejections of ``eulerchar.chi2_free_EI``."""
+    gamma = _skeleton_category(cat)
+    if not _is_EI(gamma):
+        bad = next(
+            m.name
+            for m in gamma.morphisms
+            if m.source == m.target and not gamma.is_invertible(m.name)
+        )
+        raise eulerchar.HypothesisNotMet(
+            f"{cat.name} is not EI: endomorphism {bad!r} is not invertible",
+            witness=bad,
+        )
+    witness = reference_free_aut_witness(gamma)
+    if witness is not None:
+        u, a = witness
+        raise eulerchar.HypothesisNotMet(
+            f"left aut-action is not free: {u!r} o {a!r} = {a!r}", witness=witness
+        )
+
+
+def reference_transport_rejection(action) -> None:
+    """The rejection of the ``transport`` command (``cli._transport``)."""
+    space = action.space
+    moving = next((m.name for m in space.morphisms if not space.is_identity(m.name)), None)
+    if moving is not None:
+        raise manifest.BadManifest("transport expects an action on a discrete scwol",
+                                   witness={"morphism": moving})
 
 
 # -- the record-level endpoint arrays, as a reference ----------------------------------

@@ -14,7 +14,6 @@ from eulcat import randgen, zoo
 from eulcat.cli import main
 from eulcat.eulerchar import HypothesisNotMet, chi2_free_EI, chi_scwol, groupoid_chi2
 from eulcat.fincat import (
-    are_isomorphic,
     classify,
     iso_classes,
     path_counts,
@@ -40,7 +39,7 @@ from eulcat.hocolim import (
 )
 from eulcat.ratlin import chi_L, weighting
 
-from helpers import assert_lawful, nonidentity_paths
+from helpers import are_isomorphic, assert_lawful, nonidentity_paths
 
 
 def report(number: int, text: str) -> None:

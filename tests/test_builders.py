@@ -19,10 +19,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eulcat import eulerchar, fincat, groupact, hocolim, manifest, randgen, zoo
+from eulcat import cli, eulerchar, fincat, groupact, hocolim, manifest, randgen, zoo
+from eulcat.errors import ValidationError
 from eulcat.fincat import (
     DanglingReference,
     FinCat,
+    NotAFunctor,
+    NotGroupoid,
     NotScwol,
     full_subcategory,
     lower_link,
@@ -34,6 +37,7 @@ from eulcat.groups import cyclic_group, symmetric_group
 
 from helpers import (
     assert_lawful,
+    loaded,
     reference_connected_groupoid,
     reference_disjoint_union,
     reference_full_subcategory,
@@ -67,13 +71,6 @@ def assert_same_build(got: FinCat, want: FinCat) -> None:
     assert got._directly_finite == want._directly_finite
     assert stored_ends(got) == stored_ends(want)
     assert_lawful(got)
-
-
-def loaded(cat, seed):
-    """``cat`` written to its manifest, the entries shuffled, and loaded."""
-    payload = manifest.category_payload(cat)
-    Random(seed).shuffle(payload["compose"])
-    return fincat.validate(payload)
 
 
 drawn = st.one_of(scwols, posets, groupoids.map(lambda g: g.category),
@@ -241,6 +238,10 @@ class TestNonVacuity:
             assert_same_build(cat, reference_product(zoo.parallel_pair_scwol(), split_idempotent()))
 
 
+# the name fields a store makes on their first read, but its identity map
+NAME_FIELDS = {"morphisms", "composition", "_mor", "_hom", "_by_source", "_invertible"}
+
+
 class TestInputTablesStayUnmade:
     @settings(max_examples=20, deadline=None)
     @given(strict_diagrams)
@@ -286,6 +287,62 @@ class TestInputTablesStayUnmade:
         with pytest.raises(NotScwol) as want:
             eulerchar.chi_scwol(total)
         assert (str(got.value), got.value.witness) == (str(want.value), want.value.witness)
+
+    def test_chi2_free_EI_makes_no_names_of_a_store(self):
+        """``chi2_free_EI`` reads a loaded skeletal category's rows, and its
+        rejections (not free, not EI) find their witnesses on them."""
+        free, not_free, not_EI = (loaded(cat, 0) for cat in (
+            zoo.gamma_one(), zoo.gamma_two(), zoo.monoid_z2_mult()))
+        eulerchar.chi2_free_EI(free)
+        for store, message in ((not_free, "not free"), (not_EI, "is not EI")):
+            with pytest.raises(eulerchar.HypothesisNotMet, match=message):
+                eulerchar.chi2_free_EI(store)
+        for store in (free, not_free, not_EI):
+            assert not NAME_FIELDS & vars(store).keys()
+
+    def test_rejections_make_no_names_of_a_store(self):
+        """Each rejection locator walks the rows and names only its witness:
+        ``groupoid_chi2``, the functor check's map and composition walks,
+        the twist walk of a complex, the missing-comp walk of a pseudo
+        diagram and the ``transport`` command, on stores.  Where a table
+        must be read by name to set up the input, it is read off a twin
+        store loaded from the same manifest."""
+        scwol = loaded(zoo.pushout_scwol(), 1)
+        with pytest.raises(NotGroupoid):
+            eulerchar.groupoid_chi2(scwol)
+        s3 = loaded(zoo.one_object_category(symmetric_group(3)), 2)
+        obj_map, mor_map = fincat._identity_maps(s3)
+        a, b = [m for m in s3.morphism_names() if m != s3.identity["*"]][:2]
+        with pytest.raises(NotAFunctor, match="composition"):
+            fincat.CatFunctor(s3, s3, obj_map, {**mor_map, a: b, b: a})
+        del mor_map[a]
+        with pytest.raises(NotAFunctor, match="undefined"):
+            fincat.CatFunctor(s3, s3, obj_map, mor_map)
+
+        cplx = groupact.constant_complex(loaded(zoo.circle_scwol(), 3), cyclic_group(2))
+        base = loaded(zoo.circle_scwol(), 3)
+        twists = dict(cplx.twists)
+        del twists[next(iter(twists))]
+        with pytest.raises(ValidationError, match="no twist"):
+            groupact.ComplexOfGroups(base, cplx.local, cplx.homs, twists)
+
+        vertex = zoo.monoid_z2_mult()
+        p = hocolim.PseudoDiagram.from_strict(hocolim.constant_diagram(
+            loaded(zoo.circle_scwol(), 4), vertex))
+        index, twin = loaded(zoo.circle_scwol(), 4), loaded(vertex, 5)
+        ident = fincat.CatFunctor.identity_functor(twin)
+        comp = dict(p.comp)
+        del comp[next(iter(comp))]
+        with pytest.raises(hocolim.CoherenceFailure, match="no comp"):
+            hocolim.PseudoDiagram(index, {i: twin for i in index.objects},
+                                  {m: ident for m in index.morphism_names()}, comp, p.unit)
+
+        action = manifest.action_from_payload(
+            manifest.serialize("action", randgen.circle_action())["payload"])
+        with pytest.raises(manifest.BadManifest):
+            cli._transport("action", action, None)
+        for cat in (scwol, s3, base, index, twin, action.space):
+            assert not NAME_FIELDS & vars(cat).keys()
 
     def test_audit_actions_make_no_space_names(self):
         """The reduction and chi-theorem reports on an induced free action

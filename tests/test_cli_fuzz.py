@@ -162,35 +162,35 @@ def test_mutated_group_manifest(group, seed, mutation):
 @given(st.one_of(scwols, posets), SEEDS, st.sampled_from(MUTATIONS))
 def test_mutated_spectrum_manifest(cat, seed, mutation):
     spectrum = hocolim.bar_spectrum(cat)
-    payload = manifest.spectrum_payload(spectrum)
+    payload = manifest.serialize("spectrum", spectrum)["payload"]
     assert_clean_run("spectrum", mutate(payload, Random(seed), mutation), spectrum.index)
 
 
 @settings(max_examples=30, deadline=None)
 @given(strict_diagrams, SEEDS, st.sampled_from(MUTATIONS))
 def test_mutated_diagram_manifest(d, seed, mutation):
-    payload = manifest.diagram_payload(d)
+    payload = manifest.serialize("diagram", d)["payload"]
     assert_clean_run("diagram", mutate(payload, Random(seed), mutation))
 
 
 @settings(max_examples=30, deadline=None)
 @given(pseudo_diagrams, SEEDS, st.sampled_from(MUTATIONS))
 def test_mutated_pseudo_diagram_manifest(p, seed, mutation):
-    payload = manifest.pseudo_diagram_payload(p)
+    payload = manifest.serialize("pseudo_diagram", p)["payload"]
     assert_clean_run("pseudo_diagram", mutate(payload, Random(seed), mutation))
 
 
 @settings(max_examples=30, deadline=None)
 @given(actions, SEEDS, st.sampled_from(MUTATIONS))
 def test_mutated_action_manifest(action, seed, mutation):
-    payload = manifest.action_payload(action)
+    payload = manifest.serialize("action", action)["payload"]
     assert_clean_run("action", mutate(payload, Random(seed), mutation))
 
 
 @settings(max_examples=30, deadline=None)
 @given(actions, SEEDS, st.sampled_from(MUTATIONS))
 def test_mutated_complex_manifest(action, seed, mutation):
-    payload = manifest.complex_payload(groupact.complex_of_groups(action).complex)
+    payload = manifest.serialize("complex", groupact.complex_of_groups(action).complex)["payload"]
     assert_clean_run("complex", mutate(payload, Random(seed), mutation))
 
 
@@ -211,7 +211,7 @@ def test_mutations_reach_both_outcomes():
 
 
 def test_spectrum_mutations_reach_both_outcomes():
-    payload = manifest.spectrum_payload(hocolim.bar_spectrum(zoo.pushout_scwol()))
+    payload = manifest.serialize("spectrum", hocolim.bar_spectrum(zoo.pushout_scwol()))["payload"]
     assert outcome_codes("spectrum", payload) == {0, 2}
 
 

@@ -9,9 +9,7 @@ from eulcat.fincat import (
     NonAssociative,
     NotScwol,
     UnknownObject,
-    are_isomorphic,
     classify,
-    equal_presentation,
     iso_classes,
     lower_link,
     opposite,
@@ -22,6 +20,7 @@ from eulcat.fincat import (
 )
 from eulcat.groups import FinGroup, NotAGroup, cyclic_group, symmetric_group, perm_of_label
 
+from helpers import are_isomorphic, equal_presentation
 from strategies import scwols, skeletal_scwols, groupoids
 
 

@@ -17,9 +17,7 @@ from eulcat.fincat import (
     _identity_arrays,
     _identity_maps,
     _rows_of,
-    are_isomorphic,
     classify,
-    equal_presentation,
     iso_classes,
     path_counts,
     skeleton,
@@ -60,8 +58,10 @@ from eulcat.hocolim import grothendieck_pseudo
 from eulcat.ratlin import chi_L
 
 from helpers import (
+    are_isomorphic,
     assert_complex_revalidates,
     count_calls,
+    equal_presentation,
     nonidentity_paths,
     s3_chain,
     s3_flag_action,

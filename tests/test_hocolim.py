@@ -13,9 +13,7 @@ from eulcat.fincat import (
     CatFunctor,
     NotNatural,
     NotScwol,
-    are_isomorphic,
     classify,
-    equal_presentation,
     product,
     skeleton,
 )
@@ -42,9 +40,11 @@ from eulcat.hocolim import (
 from eulcat.ratlin import NoEulerCharacteristic, NoWeighting, chi_L, weighting
 
 from helpers import (
+    are_isomorphic,
     assert_lawful,
     corrupt_component,
     count_calls,
+    equal_presentation,
     nat_iso_checks,
     reference_check_associativity_axiom,
     reference_check_unit_axioms,
@@ -297,7 +297,7 @@ class TestDiagramChecks:
         the skeleton's functors and eta are built unchecked: no CatFunctor is
         composed with ``then``, made an identity functor or validated on the
         way, except the edges a manifest holds."""
-        payload = manifest.pseudo_diagram_payload(p)
+        payload = manifest.serialize("pseudo_diagram", p)["payload"]
 
         def made(*sections):
             """The then, identity_functor and validation calls ``sections`` make."""

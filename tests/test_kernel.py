@@ -30,7 +30,6 @@ from eulcat.fincat import (
     _skeleton_category,
     _topological_order,
     classify,
-    equal_presentation,
     full_subcategory,
     iso_classes,
     lower_link,
@@ -61,6 +60,7 @@ from helpers import (
     assert_same_table,
     chain,
     count_calls,
+    equal_presentation,
     mor_count_matrix,
     reference_ends,
     reference_hom_rows,
@@ -1127,8 +1127,8 @@ class TestTableOnFirstRead:
         of each category once."""
         flag, h = s3_flag_action()
         pseudo = complex_to_pseudo_diagram(complex_of_groups(flag, h_elements=h).complex)
-        action_payload = manifest.action_payload(flag)
-        pseudo_payload = manifest.pseudo_diagram_payload(pseudo)
+        action_payload = manifest.serialize("action", flag)["payload"]
+        pseudo_payload = manifest.serialize("pseudo_diagram", pseudo)["payload"]
         kernel_calls["passes"] = 0
         manifest.action_from_payload(action_payload)
         index, vertex, edge = manifest._diagram_parts(pseudo_payload)
@@ -1141,7 +1141,7 @@ class TestTableOnFirstRead:
         the index's included."""
         flag, h = s3_flag_action()
         pseudo = complex_to_pseudo_diagram(complex_of_groups(flag, h_elements=h).complex)
-        payload = manifest.pseudo_diagram_payload(pseudo)
+        payload = manifest.serialize("pseudo_diagram", pseudo)["payload"]
         kernel_calls["tables"] = 0
         loaded = manifest.pseudo_diagram_from_payload(payload)
         assert kernel_calls["tables"] == 0 and "composition" not in vars(loaded.index)
@@ -1151,7 +1151,8 @@ class TestTableOnFirstRead:
         rows to fill in unit twists and find a missing one, so a load
         builds no name table."""
         flag, h = s3_flag_action()
-        payload = manifest.complex_payload(complex_of_groups(flag, h_elements=h).complex)
+        cplx = complex_of_groups(flag, h_elements=h).complex
+        payload = manifest.serialize("complex", cplx)["payload"]
         kernel_calls["tables"] = 0
         loaded = manifest.complex_from_payload(payload)
         assert kernel_calls["tables"] == 0 and "composition" not in vars(loaded.base)
@@ -1164,7 +1165,8 @@ class TestTableOnFirstRead:
         name table finds it."""
         rng = Random(seed)
         flag, h = s3_flag_action()
-        payload = manifest.complex_payload(complex_of_groups(flag, h_elements=h).complex)
+        cplx = complex_of_groups(flag, h_elements=h).complex
+        payload = manifest.serialize("complex", cplx)["payload"]
         rng.shuffle(payload["base"]["compose"])
         dropped = rng.sample(payload["twists"], rng.randint(1, 3))
         payload["twists"] = [t for t in payload["twists"] if t not in dropped]
@@ -1186,7 +1188,7 @@ class TestTableOnFirstRead:
         v = next(m.name for m in index.morphisms if m.source != index.target(u))
         for pair in ((v, u), ("nosuch", u), (u, "nosuch")):
             assert pair not in index.composition
-            payload = manifest.pseudo_diagram_payload(pseudo)
+            payload = manifest.serialize("pseudo_diagram", pseudo)["payload"]
             payload["comp"].append([*pair, {}])
             with pytest.raises(manifest.BadManifest) as info:
                 manifest.pseudo_diagram_from_payload(payload)

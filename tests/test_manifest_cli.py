@@ -6,11 +6,12 @@ import pytest
 from eulcat import manifest, randgen, zoo
 from eulcat.cli import main
 from eulcat.errors import InvariantViolation
-from eulcat.fincat import equal_presentation
 from eulcat.groupact import complex_of_groups, complex_to_pseudo_diagram
 from eulcat.groups import cyclic_group
 from eulcat.hocolim import bar_spectrum, builtin_spectrum, constant_diagram
 from eulcat.ratlin import NoEulerCharacteristic
+
+from helpers import equal_presentation
 
 
 @pytest.fixture
@@ -394,7 +395,8 @@ def _trivial_arrow_complex_payload() -> dict:
     from eulcat.groups import GroupHom, trivial_group
 
     one, other = trivial_group(), trivial_group()
-    return manifest.complex_payload(one_arrow_complex(one, other, GroupHom(one, other, {"0": "0"})))
+    cplx = one_arrow_complex(one, other, GroupHom(one, other, {"0": "0"}))
+    return manifest.serialize("complex", cplx)["payload"]
 
 
 def _chain_complex_payload(twists) -> dict:
@@ -406,7 +408,8 @@ def _chain_complex_payload(twists) -> dict:
 
     base = zoo.build_category(("0", "1", "2"), (("a", "0", "1"), ("b", "1", "2"), ("ba", "0", "2")),
                               {("b", "a"): "ba"}, name="chain3")
-    return {**manifest.complex_payload(constant_complex(base, trivial_group())), "twists": twists}
+    payload = manifest.serialize("complex", constant_complex(base, trivial_group()))["payload"]
+    return {**payload, "twists": twists}
 
 
 def _without_local(payload: dict, x: str) -> dict:
@@ -480,7 +483,7 @@ def _with_stray(payload: dict, table: str, key: str, value) -> dict:
     return {**payload, table: {**payload[table], key: value}}
 
 
-CIRCLE_ACTION = manifest.action_payload(randgen.circle_action())
+CIRCLE_ACTION = manifest.serialize("action", randgen.circle_action())["payload"]
 
 
 @pytest.mark.parametrize(
@@ -597,7 +600,7 @@ def test_lists_are_accepted(kind, payload):
                          ids=["float", "bool", "numeric-string", "bare-string"])
 def test_spectrum_counts_that_are_no_integers_are_rejected(tmp_path, capsys, counts):
     """``int(v)`` once read 2.9 as 2, true as 1 and the string "1" as (1,)."""
-    payload = manifest.spectrum_payload(bar_spectrum(zoo.pushout_scwol()))
+    payload = manifest.serialize("spectrum", bar_spectrum(zoo.pushout_scwol()))["payload"]
     payload["cells"]["j"] = counts
     data = {"schema": 1, "kind": "spectrum", "payload": payload}
     with pytest.raises(manifest.BadManifest) as info:

@@ -3,8 +3,8 @@
 A category inside a CLI report or a manifest is written straight from its
 integer rows (``manifest._write_category``).  ``category_payload``, the
 category as plain data with one list per composable pair, is built in
-``src/`` only by ``manifest._expanded``: the expansion behind ``serialize``,
-the public payload builders and the ``json.dumps`` fallback.  This scan
+``src/`` only by ``manifest._expanded``: the expansion behind ``serialize``
+and the ``json.dumps`` fallback.  This scan
 fails if ``category_payload`` is called anywhere else in ``src/eulcat/``.
 Only the standard library ``ast`` is used.
 """

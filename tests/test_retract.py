@@ -15,7 +15,6 @@ from eulcat import groups, randgen, zoo
 from eulcat.fincat import (
     CatFunctor,
     SkeletonData,
-    equal_presentation,
     full_subcategory,
     iso_classes,
     skeleton,
@@ -32,7 +31,7 @@ from eulcat.groupact import (
 )
 from eulcat.groups import cyclic_group
 
-from helpers import InvalidQuotient, count_calls, nat_iso_checks
+from helpers import InvalidQuotient, count_calls, equal_presentation, nat_iso_checks
 from strategies import actions, groupoids, posets, scwols
 
 

@@ -37,7 +37,6 @@ from eulcat.fincat import (
     NotScwol,
     _is_thin,
     classify,
-    equal_presentation,
     product,
     validate,
 )
@@ -76,6 +75,7 @@ from eulcat.randgen import homs_between
 from helpers import (
     InvalidQuotient,
     assert_orbit_projection,
+    equal_presentation,
     reference_invertibles,
     s3_chain,
     s3_flag_action,
