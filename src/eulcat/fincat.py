@@ -228,8 +228,9 @@ class FinCat:
 
 class _OnFirstRead:
     """A name field of a FinCat that keeps integer arrays in its place: a
-    ``_Store`` or a Grothendieck total (``hocolim._Total``).  Its first read
-    has the category make it (``_make``) and store it on the instance, which
+    ``_Store`` or a Grothendieck total (``hocolim._Total``), or an index of
+    a total's rows (``hocolim._TotalRows``).  Its first read has the
+    category make it (``_make``) and store it on the instance, which
     shadows this non-data descriptor, so later reads find it there directly.
     Only those classes carry the descriptors, so no other FinCat pays for
     them."""
@@ -803,7 +804,7 @@ def _identity_maps(cat: FinCat) -> tuple[dict[str, str], dict[str, str]]:
 
 def _identity_arrays(cat: FinCat) -> _Arrays:
     """The arrays of the identity functor of ``cat``."""
-    return list(range(len(cat))), list(range(len(cat.morphism_names())))
+    return list(range(len(cat))), list(range(len(cat._ends.src)))
 
 
 def _composite_maps(first: CatFunctor, second: CatFunctor) -> tuple[dict, dict]:

@@ -1115,15 +1115,17 @@ def haefliger_chi(cat: FinCat, vals: Mapping[str, Fraction]) -> Fraction:
     is the alternating count of paths starting at i, the identity the
     formula's proof rests on, and that count is the skeleton's integer
     weight at i (``eulerchar._scwol_weights``: the diagonal is 1, so the
-    weights need no denominator).  No lower link is built.
+    weights need no denominator).  No lower link is built.  The skeleton
+    object isomorphic to each object is found on ``_ends``.
     """
     gamma, nums = _scwol_weights(cat)
+    objs = cat.objects
+    rep_of = {objs[x]: objs[y] for x, y in cat._ends.invertible_ends() if gamma.has_object(objs[y])}
     for x in vals:
         cat.require_object(x)
         if gamma.has_object(x):
             continue
-        isomorphic = (cat.target(u) for u in cat.morphisms_from(x) if cat.is_invertible(u))
-        rep = next(y for y in isomorphic if gamma.has_object(y))
+        rep = rep_of[x]
         if rep in vals and Fraction(vals[rep]) != Fraction(vals[x]):
             raise ValidationError(
                 f"isomorphic objects {rep!r} and {x!r} carry different values "

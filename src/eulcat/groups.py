@@ -58,7 +58,8 @@ def _generating_set(rows: Sequence, ident: Sequence[int], src: Sequence[int],
     commute everywhere once they do at the generators: squares that commute
     at f and at g commute at g o f."""
     reached = [False] * len(rows)
-    into: list[list[int]] = [[] for _ in ident]  # reached, by target
+    # the morphisms reached, by target, and the generators, by source
+    into, gens_from = [[] for _ in ident], [[] for _ in ident]
     for x, e in enumerate(ident):
         reached[e] = True
         into[x].append(e)
@@ -67,6 +68,7 @@ def _generating_set(rows: Sequence, ident: Sequence[int], src: Sequence[int],
         if reached[m]:
             continue
         gens.append(m)
+        gens_from[src[m]].append(m)
         # a new composite has the form u o m o v, v reached before m
         todo = [rows[v][m] for v in into[src[m]]]
         while todo:
@@ -76,7 +78,7 @@ def _generating_set(rows: Sequence, ident: Sequence[int], src: Sequence[int],
                 y = tgt[x]
                 into[y].append(x)
                 row = rows[x]
-                todo += [row[g] for g in gens if src[g] == y]
+                todo += [row[g] for g in gens_from[y]]
     return gens
 
 

@@ -2,13 +2,14 @@
 categories, finite cell models encoded as spectra of per-object cell counts,
 and the executable cross-check of the homotopy colimit formula.
 
-One builder serves strict and pseudo diagrams alike: it asks the diagram
-for its coherence inverses (``unit_inv``, ``comp_inv``), which are
-identities for a strict diagram.  A pseudo diagram holds each coherence
-isomorphism as its table of components, as its manifest does: the edges
-already fix the functors it runs between.  The builder writes the total as
-integer arrays (``_Total``); its names and composition table are made when
-first read.
+One builder serves strict and pseudo diagrams alike.  It reads a checked
+diagram on index arrays (``_IndexView``): the rows of the index, the
+vertices' rows, each edge's arrays and the coherence components by index,
+which are identities for a strict diagram.  A pseudo diagram holds each
+coherence isomorphism as its table of components, as its manifest does:
+the edges already fix the functors it runs between.  The builder writes
+the total as integer arrays (``_Total``); its names and composition table
+are made when first read.
 """
 
 from __future__ import annotations
@@ -108,25 +109,26 @@ class StrictDiagram:
 
     def __post_init__(self):
         _check_vertices_and_edges(self)
-        idx = self.index
-        for i in idx.objects:
-            if not _is_identity_on(self.edge[idx.identity[i]], self.vertex[i]):
-                raise ValidationError(f"edge at id_{i!r} is not the identity functor",
-                                      witness={"object": i})
-        for (v, u), vu in idx.composition.items():
-            if not _is_composite(self.edge[u], self.edge[v], self.edge[vu]):
+        # compared on the edges' arrays, and by their maps where one has a stray key
+        view = _IndexView(self)
+        r, edges = view.rows, view.edges
+        arrays = list(map(view.arrays, range(len(edges))))
+        stray = [len(f.obj_map) != len(fo) or len(f.mor_map) != len(fm)
+                 for f, (fo, fm) in zip(edges, arrays)]
+        for x, e, cat in zip(self.index.objects, r.ident, view.vertex):
+            if not (_is_identity_on(edges[e], cat) if stray[e] else
+                    arrays[e] == _identity_arrays(cat)):
+                raise ValidationError(f"edge at id_{x!r} is not the identity functor",
+                                      witness={"object": x})
+        names, ids = r.names, set(r.ident)  # a pair with an identity holds by the above
+        for v, u in r.pairs():
+            vu = r.rows[u][v]
+            by_maps = stray[u] or stray[v] or stray[vu]
+            if not (_is_composite(edges[u], edges[v], edges[vu]) if by_maps else u in ids or v in ids
+                    or _composite_arrays(arrays[u], arrays[v]) == arrays[vu]):
+                v, u, vu = names[v], names[u], names[vu]
                 raise ValidationError(f"strictness fails: edge({vu!r}) != edge({v!r}) o edge({u!r})",
                                       witness={"pair": (v, u)})
-
-    # Coherence inverses for the Grothendieck construction: all identities.
-
-    def unit_inv(self, i: str, c: str) -> str:
-        return self.vertex[i].identity[c]
-
-    def comp_inv(self, v: str, u: str, c: str) -> str:
-        """Identity at C(v)(C(u)(c)) = C(v o u)(c)."""
-        vc = self.edge[v].obj_map[self.edge[u].obj_map[c]]
-        return self.vertex[self.index.target(v)].identity[vc]
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,7 +144,7 @@ class PseudoDiagram:
     tables must satisfy the pseudofunctor unit and associativity axioms,
     checked on every composable pair and triple.  Every composite is read
     off the integer rows of the index and the vertices, and names come back
-    only to report a failure.
+    only to report a failure.  The builder reads the check's ``_IndexView``.
     """
 
     index: FinCat
@@ -153,31 +155,26 @@ class PseudoDiagram:
 
     def __post_init__(self):
         _check_vertices_and_edges(self)
-        idx = self.index
-        r = _rows_of(idx)
-        # by index object and by index morphism
-        vrows = [_rows_of(self.vertex[i]) for i in idx.objects]
-        arrays = [_functor_arrays(self.edge[m], vrows[t]) for m, t in zip(r.names, r.tgt)]
-        unit = []
-        for i, e, ri in zip(idx.objects, r.ident, vrows):
+        view = _IndexView(self)
+        r, vrows, arrays = view.rows, view.vrows, list(map(view.arrays, range(len(view.edges))))
+        view.unit = unit = []
+        for i, e, ci, ri in zip(self.index.objects, r.ident, view.vertex, vrows):
             components = self.unit.get(i)
             if components is None:
                 raise CoherenceFailure(f"no unit isomorphism at {i!r}", witness={"object": i})
-            ci = self.vertex[i]
             unit.append(_check_natural(ci, ri, ci, ri, _identity_arrays(ci), arrays[e],
                                        components, f"unit at {i!r}"))
         # comp[u][v]: the components of the comp table at (v, u), by index
-        comp: list[dict[int, list[int]]] = [{} for _ in r.names]
+        view.comp = comp = [{} for _ in r.names]
         for (v, u), components in self.comp.items():
             vi, ui = r.index.get(v), r.index.get(u)
             if vi is None or ui is None or vi not in r.rows[ui]:
                 raise CoherenceFailure(
                     f"comp given for non-composable pair ({v!r}, {u!r})", witness={"pair": (v, u)}
                 )
-            vu = r.rows[ui][vi]
-            fun = self.edge[r.names[vu]]
+            vu, s, t = r.rows[ui][vi], r.src[ui], r.tgt[vi]
             comp[ui][vi] = _check_natural(
-                fun.source, vrows[r.src[ui]], fun.target, vrows[r.tgt[vi]],
+                view.vertex[s], vrows[s], view.vertex[t], vrows[t],
                 _composite_arrays(arrays[ui], arrays[vi]), arrays[vu], components,
                 f"comp at {(v, u)!r}")
         # every key of comp is a composable pair, so fewer keys misses one
@@ -189,28 +186,15 @@ class PseudoDiagram:
                         f"no comp isomorphism at ({v!r}, {u!r})", witness={"pair": (v, u)}
                     )
 
-        self._check_unit_axioms(r, vrows, arrays, unit, comp)
-        self._check_associativity_axiom(r, vrows, arrays, comp)
+        self._check_unit_axioms(view, arrays)
+        self._check_associativity_axiom(view, arrays)
+        object.__setattr__(self, "_view", view)
 
-    def comp_component(self, v: str, u: str, c: str) -> str:
-        """Component of C(v) o C(u) => C(vu) at the object c of C(source(u))."""
-        return self.comp[(v, u)][c]
-
-    def unit_inv(self, i: str, c: str) -> str:
-        """Inverse of the unit component Id => C(id_i) at c."""
-        return self.vertex[i].inverse(self.unit[i][c])
-
-    def comp_inv(self, v: str, u: str, c: str) -> str:
-        """Inverse of the comp component C(v) o C(u) => C(v o u) at c."""
-        return self.vertex[self.index.target(v)].inverse(self.comp_component(v, u, c))
-
-    def _check_unit_axioms(self, r, vrows: list, arrays: list, unit: list[list[int]],
-                           comp: list[dict[int, list[int]]]):
+    def _check_unit_axioms(self, view: "_IndexView", arrays: list):
         """Both unit axioms at every index morphism and object of its source,
-        read off the rows of the target vertex; ``r`` holds the index's rows,
-        ``vrows`` the vertices', ``arrays`` the edges' arrays and ``unit``
-        and ``comp`` the checked components, by index, as ``__post_init__``
-        builds them."""
+        read off the rows of the target vertex, on the view ``__post_init__``
+        builds, with the checked components, and the edges' arrays."""
+        r, vrows, unit, comp = view.rows, view.vrows, view.unit, view.comp
         for u, m in enumerate(r.names):
             s_i, t_i = r.src[u], r.tgt[u]
             rows, ident = vrows[t_i].rows, vrows[t_i].ident
@@ -222,18 +206,17 @@ class PseudoDiagram:
                 side = ("right" if rows[fm[unit_s[c]]][right[c]] != ident[x] else
                         "left" if rows[unit_t[x]][left[c]] != ident[x] else None)
                 if side is not None:
-                    obj = self.vertex[self.index.objects[s_i]].objects[c]
+                    obj = view.vertex[s_i].objects[c]
                     raise CoherenceFailure(f"{side} unit axiom fails for {m!r} at object {obj!r}",
                                            witness={"morphism": m, "object": obj})
 
-    def _check_associativity_axiom(self, r, vrows: list, arrays: list,
-                                   comp: list[dict[int, list[int]]]):
+    def _check_associativity_axiom(self, view: "_IndexView", arrays: list):
         """The associativity axiom on every composable triple and object,
         read off the rows of the target vertex, in the order of the index's
         morphisms and of those out of each object (``_Rows.out``); the
         arguments are those of ``_check_unit_axioms``."""
-        idx = self.index
-        names, idx_rows, out = r.names, r.rows, r.out()
+        r, vrows, comp = view.rows, view.vrows, view.comp
+        names, idx_rows, out = r.names, r.rows, view.out
         for u in range(len(names)):
             fo_u = arrays[u][0]
             for v in out[r.tgt[u]]:
@@ -244,7 +227,7 @@ class PseudoDiagram:
                     c_w_vu, c_wv_u, c_wv = comp[vu][w], comp[u][wv], comp[v][w]
                     for c, x in enumerate(fo_u):
                         if rows[fm_w[c_vu[c]]][c_w_vu[c]] != rows[c_wv[x]][c_wv_u[c]]:
-                            obj = self.vertex[idx.objects[r.src[u]]].objects[c]
+                            obj = view.vertex[r.src[u]].objects[c]
                             triple = (names[w], names[v], names[u])
                             raise CoherenceFailure(
                                 f"associativity coherence fails on triple "
@@ -256,13 +239,70 @@ class PseudoDiagram:
     def from_strict(d: StrictDiagram) -> "PseudoDiagram":
         """View a strict diagram as a pseudo diagram with identity coherences
         (their own inverses), lawful unchecked since the diagram is strict."""
-        idx = d.index
-        comp = {
-            (v, u): {c: d.comp_inv(v, u, c) for c in d.vertex[idx.source(u)].objects}
-            for (v, u) in idx.composition
-        }
-        unit = {i: {c: d.unit_inv(i, c) for c in d.vertex[i].objects} for i in idx.objects}
-        return _trusted(PseudoDiagram, index=idx, vertex=d.vertex, edge=d.edge, comp=comp, unit=unit)
+        view = _IndexView(d)
+        r, ids = view.rows, [[vr.names[e] for e in vr.ident] for vr in view.vrows]
+        comp = {(r.names[v], r.names[u]): dict(zip(view.vertex[r.src[u]].objects, map(
+            ids[r.tgt[v]].__getitem__, view.image[r.rows[u][v]]))) for v, u in r.pairs()}
+        unit = {i: dict(zip(cat.objects, units))
+                for i, cat, units in zip(d.index.objects, view.vertex, ids)}
+        return _trusted(PseudoDiagram, index=d.index, vertex=d.vertex, edge=d.edge, comp=comp,
+                        unit=unit)
+
+
+class _IndexView:
+    """A checked diagram on index arrays: the index's ``rows`` and ``out``
+    (``_Rows.out``); by index object, the vertices and their rows; by index
+    morphism u, the edge and C(u) on objects (``image``; ``arrays`` makes
+    both arrays of C(u) once per functor); and the coherence components as
+    morphisms of their vertex, ``unit[i][c]`` at the object c of C(i) and
+    ``comp[u][v][c]`` at the object c of C(source(u)), None if strict."""
+
+    __slots__ = ("rows", "out", "vertex", "vrows", "edges", "image", "made", "unit", "comp")
+
+    def __init__(self, d: Diagram):
+        self.rows = r = _rows_of(d.index)
+        self.out, self.made, self.unit, self.comp = r.out(), {}, None, None
+        self.vertex = vertex = [d.vertex[i] for i in d.index.objects]
+        self.vrows = vrows = [_rows_of(cat) for cat in vertex]
+        self.edges = edges = [d.edge[m] for m in r.names]
+        self.image = [[vrows[t].objects[f.obj_map[x]] for x in f.source.objects]
+                      for f, t in zip(edges, r.tgt)]
+
+    def arrays(self, u: int) -> tuple[list[int], list[int]]:
+        """The arrays of C(u) (``fincat._functor_arrays``), once per functor."""
+        fun = self.edges[u]
+        if fun not in self.made:
+            self.made[fun] = _functor_arrays(fun, self.vrows[self.rows.tgt[u]])
+        return self.made[fun]
+
+    def inv_units(self, i: int) -> list[int]:
+        """The inverse of the unit component at each object of C(i)."""
+        vr = self.vrows[i]
+        return vr.ident if self.unit is None else list(map(vr.inv.__getitem__, self.unit[i]))
+
+    def inv_comp(self, v: int, u: int, c: int) -> int:
+        """The inverse of the comp component C(v) o C(u) => C(v o u) at c."""
+        vr = self.vrows[self.rows.tgt[v]]
+        return (vr.ident[self.image[v][self.image[u][c]]] if self.comp is None
+                else vr.inv[self.comp[u][v][c]])
+
+
+def _index_view(d: Diagram) -> _IndexView:
+    """The ``_IndexView`` a ``PseudoDiagram``'s check kept, or else a new
+    one, with the components read off the tables of an unchecked one."""
+    if "_view" in vars(d):
+        return d._view
+    view = _IndexView(d)
+    if isinstance(d, PseudoDiagram):
+        r, vrows = view.rows, view.vrows
+        view.unit = [list(map(vr.index.__getitem__, map(d.unit[i].__getitem__, cat.objects)))
+                     for i, cat, vr in zip(d.index.objects, view.vertex, vrows)]
+        view.comp = [{} for _ in r.names]
+        for (v, u), components in d.comp.items():
+            vi, ui = r.index[v], r.index[u]
+            view.comp[ui][vi] = list(map(vrows[r.tgt[vi]].index.__getitem__, map(
+                components.__getitem__, view.vertex[r.src[ui]].objects)))
+    return view
 
 
 Diagram = Union[StrictDiagram, PseudoDiagram]
@@ -353,29 +393,41 @@ class _Total(FinCat):
 
     def _read_rows(self) -> _Rows:
         """Rows on ``_ends`` (``_Numbering.composites``, not kept), in the
-        order of ``composition``: by first factor, each row in its order."""
-        arrays, names, rows = self._ends, self._plan.morphism_names(), self._plan.composites()
-        r = _Rows({x: k for k, x in enumerate(self.objects)}, names,
-                  {m: k for k, m in enumerate(names)}, arrays.src, arrays.tgt, arrays.ident,
-                  rows, [f for f, row in enumerate(rows) for _ in row])
-        r.inv = arrays.inv
+        order of ``composition``: by first factor, each row in its order;
+        the writer makes neither index of their names (``_TotalRows``)."""
+        arrays, rows = self._ends, self._plan.composites()
+        r = _TotalRows(None, self._plan.morphism_names(), None, arrays.src, arrays.tgt,
+                       arrays.ident, rows, [f for f, row in enumerate(rows) for _ in row])
+        del r.objects, r.index  # made on first read
+        r.inv, r.total = arrays.inv, self
         return r
+
+
+class _TotalRows(_Rows):
+    """The rows of a total (``_Total._read_rows``), whose name index and
+    object index are made on their first read, as the total's names are."""
+
+    index = _OnFirstRead()
+    objects = _OnFirstRead()
+
+    def _make(self, attr: str) -> None:
+        names = self.names if attr == "index" else self.total.objects
+        self.__dict__[attr] = {x: k for k, x in enumerate(names)}
 
 
 class _VertexOrder:
     """The morphisms of a vertex category C out of each object x, in the
     order (u, f)@c lists them when C(u)(c) = x: by target object, then in
     morphism order, which is Hom(x, e) for each e in turn; read off
-    ``C._ends``, with no morphism name.  ``index`` numbers the objects;
-    ``out[x]`` holds the morphism indices and ``ends[x]`` the target
-    indices; ``pos[f]`` is the place of f in the list of its source."""
+    ``C._ends``, with no name.  ``out[x]`` holds the morphism indices and
+    ``ends[x]`` the target indices; ``pos[f]`` is the place of f in the
+    list of its source."""
 
-    __slots__ = ("index", "out", "ends", "pos")
+    __slots__ = ("out", "ends", "pos")
 
     def __init__(self, cat: FinCat):
-        src, tgt, n = cat._ends.src, cat._ends.tgt, len(cat)
-        self.index = {x: k for k, x in enumerate(cat.objects)}
-        self.out, ends = [[] for _ in range(n)], list(zip(src, tgt))
+        src, tgt = cat._ends.src, cat._ends.tgt
+        self.out, ends = [[] for _ in range(len(cat))], list(zip(src, tgt))
         for x, fs in itertools.groupby(sorted(range(len(src)), key=ends.__getitem__), src.__getitem__):
             self.out[x] = list(fs)
         self.ends = [list(map(tgt.__getitem__, fs)) for fs in self.out]
@@ -386,7 +438,7 @@ class _VertexOrder:
 
 class _Numbering:
     """How ``_grothendieck`` numbered a total, kept to name and compose its
-    morphisms on request.
+    morphisms on request, on the diagram's ``_IndexView``.
 
     ``place[i]`` is the index of the first object (i, c) and the
     ``_VertexOrder`` of C(i); ``starts[u][k]`` is the index of the first
@@ -396,22 +448,23 @@ class _Numbering:
     of C(u)(c) in C(j).  ``rows`` holds the composites if the build searched
     them for inverses (over an index that is not directly finite)."""
 
-    __slots__ = ("diagram", "place", "starts", "blocks", "rows")
+    __slots__ = ("view", "place", "starts", "blocks", "rows")
 
-    def __init__(self, diagram: Diagram):
-        self.diagram, self.place, self.starts, self.blocks, self.rows = diagram, {}, {}, [], None
+    def __init__(self, view: _IndexView):
+        self.view, self.place, self.blocks, self.rows = view, [], [], None
+        self.starts = [[] for _ in view.rows.src]
 
     def object_names(self) -> tuple[str, ...]:
-        d = self.diagram
-        return tuple([_pair_obj(i, c) for i in d.index.objects for c in d.vertex[i].objects])
+        return tuple([_pair_obj(i, c) for i, cat in zip(self.view.rows.objects, self.view.vertex)
+                      for c in cat.objects])
 
     def morphism_names(self) -> list[str]:
-        d, place = self.diagram, self.place
-        local = {cat: cat.morphism_names() for cat in set(d.vertex.values())}
-        names = []
+        view, place = self.view, self.place
+        local = {cat: cat.morphism_names() for cat in set(view.vertex)}
+        index, names = view.rows.names, []
         for i, k, u, j, x in self.blocks:
-            c = d.vertex[i].objects[k]
-            names += [_triple_mor(u, local[d.vertex[j]][f], c) for f in place[j][1].out[x]]
+            c, fs = view.vertex[i].objects[k], local[view.vertex[j]]
+            names += [_triple_mor(index[u], fs[f], c) for f in place[j][1].out[x]]
         return names
 
     def runs(self) -> Iterator[list[tuple]]:
@@ -420,36 +473,22 @@ class _Numbering:
         morphism first + k out of t(m) is (v, g)@e with g = gs[k], and
         (v, g)@e o (u, f)@c = (v o u, g o C(v)(f) o comp_inv(v, u, c))@c is
         the morphism base + pos[h[g]].  Here h is the row of
-        C(v)(f) o comp_inv(v, u, c) in the int rows of its vertex
-        (``fincat._rows_of``), base is the first morphism (v o u, -)@c and
-        pos the place of each morphism of that vertex in its list
-        (``_VertexOrder``); C(v) is read off the edge's int arrays."""
-        d, place, starts = self.diagram, self.place, self.starts
-        idx = d.index
-        local: dict[FinCat, tuple] = {}
-        edges: dict[str, tuple[list[int], list[int]]] = {}
-
-        def local_of(i: str) -> tuple:
-            """The rows of C(i), and its ``_VertexOrder``'s lists and places."""
-            cat = d.vertex[i]
-            if cat not in local:
-                order = place[i][1]
-                local[cat] = _rows_of(cat), order.out, order.pos
-            return local[cat]
-
+        C(v)(f) o comp_inv(v, u, c) in the int rows of its vertex, base is
+        the first morphism (v o u, -)@c and pos the place of each morphism
+        of that vertex in its list (``_VertexOrder``); all of it is read off
+        the view."""
+        view, place, starts, r = self.view, self.place, self.starts, self.view.rows
         for i, k, u, j, x in self.blocks:
-            c = d.vertex[i].objects[k]
-            out_j = local_of(j)[1][x]
             # per v out of j: everything about (v o u, c) that does not depend on f
             steps = []
-            for v in idx.morphisms_from(j):
-                r, out, pos = local_of(idx.target(v))
-                if v not in edges:
-                    edges[v] = _functor_arrays(d.edge[v], r)
-                obj_image, mor_image = edges[v]
-                steps.append((r.rows, r.rows[r.index[d.comp_inv(v, u, c)]], obj_image, mor_image,
-                              starts[idx.compose(v, u)][k], starts[v], out, pos))
-            for f, e in zip(out_j, place[j][1].ends[x]):
+            for v in view.out[j]:
+                t = r.tgt[v]
+                rows, order = view.vrows[t].rows, place[t][1]
+                obj_image, mor_image = view.arrays(v)
+                steps.append((rows, rows[view.inv_comp(v, u, k)], obj_image, mor_image,
+                              starts[r.rows[u][v]][k], starts[v], order.out, order.pos))
+            order_j = place[j][1]
+            for f, e in zip(order_j.out[x], order_j.ends[x]):
                 yield [(first[e], base, vrows[after_inv[mor_image[f]]], out[obj_image[e]], pos)
                        for vrows, after_inv, obj_image, mor_image, base, first, out, pos in steps]
 
@@ -465,21 +504,21 @@ class _Numbering:
 
 def _grothendieck(d: Diagram) -> FinCat:
     """The Grothendieck construction of a strict or pseudo diagram, written
-    as the integer arrays of a ``_Total``.
+    as the integer arrays of a ``_Total`` off the diagram's ``_IndexView``.
 
     Objects are pairs (i, c); a morphism (i,c) -> (j,e) is a pair (u, f)
     with u: i -> j and f: C(u)(c) -> e, named ``(u,f)@c``.  Composition is
     (v, g) o (u, f) = (v o u, g o C(v)(f) o comp_inv(v, u, c)) and the
     identity of (i, c) is (id_i, unit_inv(i, c)), with the coherence
-    inverses looked up on the diagram (identities for a strict diagram).
+    inverses read off the view (identities for a strict diagram).
     No law is checked: the diagram's checks make it a category (arXiv:1007.3868).
 
     The objects are numbered i-major and the morphisms (u, f)@c by i, then
-    c, then u in ``morphisms_from(i)`` order, then f by target and in the
+    c, then u in the index's morphism order, then f by target and in the
     morphism order of C(j) (``_VertexOrder``).  The builder writes the
-    endpoints, the identities and the inverses as indices, off the vertices'
-    arrays and rows, copying no vertex's names; names and the composition
-    table are made on first read (``_Total``).
+    endpoints, the identities and the inverses as indices, off the index's
+    and the vertices' rows and the edges' arrays, reading no name; names
+    and the composition table are made on first read (``_Total``).
 
     When the index is directly finite (every scwol and every EI category
     is), the inverse data is read off the diagram:
@@ -492,8 +531,6 @@ def _grothendieck(d: Diagram) -> FinCat:
       g = unit_inv(i, c) o comp_inv(u^-1, u, c)^-1 o C(u^-1)(f^-1): composed
       after (u, f) it gives (id_i, unit_inv(i, c)), since C(u^-1) is a
       functor, and a left inverse of an invertible arrow is its inverse.
-      For a strict diagram and u = id_i, C(id_i) is the identity and the
-      coherences are identities, so g = f^-1.
     - The total is directly finite exactly when every C(i) is.  A left
       inverse (v, g) of (u, f) has v o u = id_i, so u is invertible, and
       g o C(v)(f) is an isomorphism: a one-sided inverse in C(i), which
@@ -504,33 +541,21 @@ def _grothendieck(d: Diagram) -> FinCat:
     searched for inverses (``fincat._inverse_search``), and direct
     finiteness comes from that search.
     """
-    idx = d.index
-    plan = _Numbering(d)
+    view = _index_view(d)
+    plan, r = _Numbering(view), view.rows
     place, starts, blocks = plan.place, plan.starts, plan.blocks
-    orders: dict[FinCat, _VertexOrder] = {}
-    shifted = {}  # shifted[i][x]: the target indices of the morphisms out of (i, x)
-    n = 0
-    for i in idx.objects:
-        ci = d.vertex[i]
-        order = orders.get(ci)
-        if order is None:
-            order = orders[ci] = _VertexOrder(ci)
-        place[i] = (n, order)
-        shifted[i] = [[n + e for e in ends] for ends in order.ends]
-        n += len(ci.objects)
+    orders = {cat: _VertexOrder(cat) for cat in dict.fromkeys(view.vertex)}
+    offset = itertools.accumulate(map(len, view.vertex), initial=0)
+    place += [(n, orders[cat]) for n, cat in zip(offset, view.vertex)]
+    # shifted[i][x]: the target indices of the morphisms out of (i, x)
+    shifted = [[[n + e for e in ends] for ends in order.ends] for n, order in place]
 
     src: list[int] = []
     tgt: list[int] = []
-    for i in idx.objects:
+    for i, us in enumerate(view.out):
         first = place[i][0]
-        objs = d.vertex[i].objects
-        steps = []
-        for u in idx.morphisms_from(i):
-            j = idx.target(u)
-            obj_map, index = d.edge[u].obj_map, place[j][1].index
-            steps.append((u, j, [index[obj_map[c]] for c in objs], shifted[j],
-                          starts.setdefault(u, [])))
-        for k in range(len(objs)):
+        steps = [(u, r.tgt[u], view.image[u], shifted[r.tgt[u]], starts[u]) for u in us]
+        for k in range(len(view.vertex[i])):
             for u, j, image, ends, start in steps:
                 x = image[k]
                 start.append(len(src))
@@ -538,56 +563,41 @@ def _grothendieck(d: Diagram) -> FinCat:
                 tgt += ends[x]
                 src += [first + k] * len(ends[x])
 
-    ident, strict = [], isinstance(d, StrictDiagram)
-    for i in idx.objects:
-        start, order, ci = starts[idx.identity[i]], place[i][1], d.vertex[i]
-        # (id_i, unit_inv(i, c))@c, where unit_inv(i, c) = id_c if d is strict
-        at = None if strict else _rows_of(ci).index
-        units = ci._ends.ident if strict else [at[d.unit_inv(i, c)] for c in ci.objects]
-        ident += [start[k] + order.pos[e] for k, e in enumerate(units)]
+    # (id_i, unit_inv(i, c))@c
+    ident = [starts[e][k] + place[i][1].pos[g]
+             for i, e in enumerate(r.ident) for k, g in enumerate(view.inv_units(i))]
 
-    if idx._directly_finite:
-        inv = _lifted_inverses(d, plan)
-        directly_finite = all(d.vertex[i]._directly_finite for i in idx.objects)
+    if d.index._directly_finite:
+        inv = _lifted_inverses(plan)
+        directly_finite = all(cat._directly_finite for cat in view.vertex)
     else:
         plan.rows = plan.composites()
         inv, directly_finite = _inverse_search(plan.rows, src, tgt, ident)
-    return _trusted(_Total, name=f"hocolim({idx.name})", _ends=_Ends(src, tgt, ident, inv),
+    return _trusted(_Total, name=f"hocolim({d.index.name})", _ends=_Ends(src, tgt, ident, inv),
                     _plan=plan, _directly_finite=directly_finite)
 
 
-def _lifted_inverses(d: Diagram, plan: _Numbering) -> dict[int, int]:
+def _lifted_inverses(plan: _Numbering) -> dict[int, int]:
     """Each invertible morphism of the total to its inverse, by index and in
-    morphism order, read off the diagram over a directly finite index (see
-    ``_grothendieck``), on the vertices' rows."""
-    idx, place, starts = d.index, plan.place, plan.starts
-    strict = isinstance(d, StrictDiagram)
+    morphism order, read off the diagram's view over a directly finite index
+    (see ``_grothendieck``), on the vertices' rows."""
+    view, place, starts = plan.view, plan.place, plan.starts
     inv: dict[int, int] = {}
-    edges: dict[str, list[int]] = {}  # the morphism image of C(v) for each v
     for i, k, u, j, x in plan.blocks:
-        if not idx.is_invertible(u):
+        v = view.rows.inv.get(u)
+        if v is None:
             continue
-        order_i, order_j = place[i][1], place[j][1]
-        ci, inverse, v = d.vertex[i], d.vertex[j]._ends.inv, idx.inverse(u)
-        start, pos, m = starts[v], order_i.pos, starts[u][k]
-        out, ends = order_j.out[x], order_j.ends[x]
-        if strict and u == idx.identity[i]:  # the inverse of (id_i, f)@c is (id_i, f^-1)@e
-            for q, f in enumerate(out, m):
-                g = inverse.get(f)
-                if g is not None:
-                    inv[q] = start[ends[q - m]] + pos[g]
-            continue
-        c, ri = ci.objects[k], _rows_of(ci)
-        if v not in edges:
-            edges[v] = _functor_arrays(d.edge[v], ri)[1]
-        v_mor, at, rows = edges[v], ri.index, ri.rows
-        # unit_inv(i, c) o comp_inv(v, u, c)^-1: C(v)C(u)(c) -> c, id_c in a strict diagram
-        back = ci._ends.ident[k] if strict else \
-            rows[ci._ends.inv[at[d.comp_inv(v, u, c)]]][at[d.unit_inv(i, c)]]
-        for q, (f, e) in enumerate(zip(out, ends), m):
+        ri, order_j, inverse = view.vrows[i], place[j][1], view.vrows[j].inv
+        start, pos, rows = starts[v], place[i][1].pos, ri.rows
+        # unit_inv(i, c) o comp_inv(v, u, c)^-1: C(v)C(u)(c) -> c; none is
+        # needed in a strict diagram at u = id_i, where C(v) is the identity
+        plain = view.comp is None and u == view.rows.ident[i]
+        back = None if plain else rows[ri.inv[view.inv_comp(v, u, k)]][view.inv_units(i)[k]]
+        v_mor = None if plain else view.arrays(v)[1]
+        for q, (f, e) in enumerate(zip(order_j.out[x], order_j.ends[x]), starts[u][k]):
             g = inverse.get(f)
             if g is not None:
-                inv[q] = start[e] + pos[rows[v_mor[g]][back]]
+                inv[q] = start[e] + pos[g if back is None else rows[v_mor[g]][back]]
     return inv
 
 
@@ -611,7 +621,8 @@ def grothendieck_pseudo(d: PseudoDiagram) -> FinCat:
 def _total_counts(d: Diagram) -> tuple[list[dict[int, int]], Callable[[], list[int]]]:
     """The hom-count rows of the Grothendieck construction of a strict or
     pseudo diagram, and a function giving the least index of each of its
-    isomorphism classes in increasing order, read off the diagram.
+    isomorphism classes in increasing order, read off the diagram's
+    ``_IndexView``.
 
     The objects (i, c) are numbered i-major, as ``_grothendieck`` lists them,
     and |Hom((i,c),(j,e))| = sum over u: i -> j of |C(j)(C(u)c, e)|: the
@@ -619,34 +630,22 @@ def _total_counts(d: Diagram) -> tuple[list[dict[int, int]], Callable[[], list[i
     (u, f) needs u and f invertible, so (i,c) and (j,e) are isomorphic
     exactly when some invertible u: i -> j has C(u)c isomorphic to e in C(j).
     """
-    idx = d.index
-    offset: dict[str, int] = {}
-    position: dict[str, dict[str, int]] = {}
-    vertex_rows: dict[str, list[dict[int, int]]] = {}
-    n = 0
-    for i in idx.objects:
-        ci = d.vertex[i]
-        offset[i] = n
-        position[i] = {c: k for k, c in enumerate(ci.objects)}
-        vertex_rows[i] = _count_rows(ci)
-        n += len(ci.objects)
+    view = _index_view(d)
+    r = view.rows
+    offset = list(itertools.accumulate(map(len, view.vertex), initial=0))
+    n = offset.pop()
+    counts = {cat: _count_rows(cat) for cat in dict.fromkeys(view.vertex)}
 
     rows = []
-    for i in idx.objects:
-        # per u out of i: where C(j) starts, its rows and positions, C(u)
-        steps = []
-        for u in idx.morphisms_from(i):
-            j = idx.target(u)
-            steps.append((offset[j], vertex_rows[j], position[j], d.edge[u].obj_map))
-        for c in d.vertex[i].objects:
+    for i, us in enumerate(view.out):
+        # per u out of i: where C(j) starts, its rows, C(u) on objects
+        steps = [(offset[r.tgt[u]], counts[view.vertex[r.tgt[u]]], view.image[u]) for u in us]
+        for c in range(len(view.vertex[i])):
             row: dict[int, int] = {}
-            for base, v_rows, pos, obj_map in steps:
-                for e, count in v_rows[pos[obj_map[c]]].items():
+            for base, v_rows, image in steps:
+                for e, count in v_rows[image[c]].items():
                     row[base + e] = row.get(base + e, 0) + count
             rows.append(row)
-
-    def at(i: str, c: str) -> int:
-        return offset[i] + position[i][c]
 
     def reps_of() -> list[int]:
         # union-find whose roots are the least members of their classes
@@ -662,14 +661,14 @@ def _total_counts(d: Diagram) -> tuple[list[dict[int, int]], Callable[[], list[i
             a, b = find(a), find(b)
             root[max(a, b)] = min(a, b)
 
-        for i in idx.objects:
-            for c, r in enumerate(_iso_roots(d.vertex[i])):
-                join(offset[i] + r, offset[i] + c)
-            for u in idx.morphisms_from(i):
-                if idx.is_invertible(u):
-                    j, obj_map = idx.target(u), d.edge[u].obj_map
-                    for c in d.vertex[i].objects:
-                        join(at(i, c), at(j, obj_map[c]))
+        for i, us in enumerate(view.out):
+            for c, rc in enumerate(_iso_roots(view.vertex[i]), offset[i]):
+                join(offset[i] + rc, c)
+            for u in us:
+                if u in r.inv:
+                    base = offset[r.tgt[u]]
+                    for c, x in enumerate(view.image[u], offset[i]):
+                        join(c, base + x)
         return [k for k in range(n) if find(k) == k]
 
     return rows, reps_of

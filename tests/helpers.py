@@ -592,7 +592,7 @@ def reference_check_unit_axioms(self):
         for c in self.vertex[m.source].objects:
             # C_{u, id} o (C(u) . unit_source) = 1
             left = tgt_cat.compose(
-                self.comp_component(u, idx.identity[m.source], c),
+                self.comp[(u, idx.identity[m.source])][c],
                 self.edge[u].mor_map[self.unit[m.source][c]],
             )
             if left != tgt_cat.identity[self.edge[u].obj_map[c]]:
@@ -602,7 +602,7 @@ def reference_check_unit_axioms(self):
                 )
             # C_{id, u} o (unit_target at C(u)c) = 1
             left2 = tgt_cat.compose(
-                self.comp_component(idx.identity[m.target], u, c),
+                self.comp[(idx.identity[m.target], u)][c],
                 self.unit[m.target][self.edge[u].obj_map[c]],
             )
             if left2 != tgt_cat.identity[self.edge[u].obj_map[c]]:
@@ -622,12 +622,12 @@ def reference_check_associativity_axiom(self):
                 cat = self.vertex[idx.target(w)]
                 for c in self.vertex[idx.source(u)].objects:
                     lhs = cat.compose(
-                        self.comp_component(w, vu, c),
-                        self.edge[w].mor_map[self.comp_component(v, u, c)],
+                        self.comp[(w, vu)][c],
+                        self.edge[w].mor_map[self.comp[(v, u)][c]],
                     )
                     rhs = cat.compose(
-                        self.comp_component(wv, u, c),
-                        self.comp_component(w, v, self.edge[u].obj_map[c]),
+                        self.comp[(wv, u)][c],
+                        self.comp[(w, v)][self.edge[u].obj_map[c]],
                     )
                     if lhs != rhs:
                         raise CoherenceFailure(
@@ -1327,3 +1327,247 @@ def reference_induced_space(group, base: FinCat) -> FinCat:
             for g in group.labels for (b, a), ba in base.composition.items()}
     return FinCat(objs, mors, ident, comp, name=f"{group.name}x{base.name}")
 
+
+
+# -- the name walks of the Grothendieck builder, as references --------------------------
+
+
+def reference_unit_inv(d, i: str, c: str) -> str:
+    """Inverse of the unit component Id => C(id_i) at c, by name: an
+    identity for a strict diagram."""
+    if isinstance(d, StrictDiagram):
+        return d.vertex[i].identity[c]
+    return d.vertex[i].inverse(d.unit[i][c])
+
+
+def reference_comp_inv(d, v: str, u: str, c: str) -> str:
+    """Inverse of the comp component C(v) o C(u) => C(v o u) at c, by name:
+    the identity at C(v)(C(u)(c)) for a strict diagram."""
+    cat = d.vertex[d.index.target(v)]
+    if isinstance(d, StrictDiagram):
+        return cat.identity[d.edge[v].obj_map[d.edge[u].obj_map[c]]]
+    return cat.inverse(d.comp[(v, u)][c])
+
+
+def _reference_vertex_order(cat):
+    """The object index of ``cat``, the morphisms out of each object by
+    target, then in morphism order, their targets, and the place of each
+    morphism in its list."""
+    src, tgt = cat._ends.src, cat._ends.tgt
+    out = [[] for _ in cat.objects]
+    for f in sorted(range(len(src)), key=lambda f: (src[f], tgt[f])):
+        out[src[f]].append(f)
+    return ({x: k for k, x in enumerate(cat.objects)}, out,
+            [[tgt[f] for f in fs] for fs in out], {f: k for fs in out for k, f in enumerate(fs)})
+
+
+def reference_total_arrays(d) -> dict:
+    """What ``hocolim._grothendieck`` writes, by the name walk it replaced,
+    which read the index with ``morphisms_from``, ``target``, ``identity``,
+    ``compose``, ``is_invertible`` and ``inverse`` and the coherence
+    inverses by name: object and morphism names, ``_ends`` (``inv`` as
+    pairs in order), direct finiteness and the composition rows."""
+    idx, orders = d.index, {}
+
+    def order_of(cat):
+        if cat not in orders:
+            orders[cat] = _reference_vertex_order(cat)
+        return orders[cat]
+
+    def at(cat):
+        return {m: k for k, m in enumerate(cat.morphism_names())}
+
+    place, n = {}, 0
+    for i in idx.objects:
+        place[i], n = n, n + len(d.vertex[i].objects)
+    starts, blocks, src, tgt = {}, [], [], []
+    for i in idx.objects:
+        objs, steps = d.vertex[i].objects, []
+        for u in idx.morphisms_from(i):
+            j = idx.target(u)
+            index, _, ends, _ = order_of(d.vertex[j])
+            steps.append((u, j, [index[d.edge[u].obj_map[c]] for c in objs], ends,
+                          starts.setdefault(u, [])))
+        for k in range(len(objs)):
+            for u, j, image, ends, start in steps:
+                x = image[k]
+                start.append(len(src))
+                blocks.append((i, k, u, j, x))
+                tgt += [place[j] + e for e in ends[x]]
+                src += [place[i] + k] * len(ends[x])
+    names = []
+    for i, k, u, j, x in blocks:
+        local = d.vertex[j].morphism_names()
+        names += [hocolim._triple_mor(u, local[f], d.vertex[i].objects[k])
+                  for f in order_of(d.vertex[j])[1][x]]
+    ident = []
+    for i in idx.objects:
+        ci = d.vertex[i]
+        pos, at_i = order_of(ci)[3], at(ci)
+        ident += [starts[idx.identity[i]][k] + pos[at_i[reference_unit_inv(d, i, c)]]
+                  for k, c in enumerate(ci.objects)]
+
+    rows = []
+    for i, k, u, j, x in blocks:
+        c, cj = d.vertex[i].objects[k], d.vertex[j]
+        _, out_j, ends_j, _ = order_of(cj)
+        for f, e in zip(out_j[x], ends_j[x]):
+            row = {}
+            for v in idx.morphisms_from(j):
+                ct = d.vertex[idx.target(v)]
+                index_t, out_t, _, pos_t = order_of(ct)
+                names_t, at_t = ct.morphism_names(), at(ct)
+                y = index_t[d.edge[v].obj_map[cj.objects[e]]]
+                after = ct.compose(d.edge[v].mor_map[cj.morphism_names()[f]],
+                                   reference_comp_inv(d, v, u, c))
+                base = starts[idx.compose(v, u)][k]
+                for q, g in enumerate(out_t[y], starts[v][e]):
+                    row[q] = base + pos_t[at_t[ct.compose(names_t[g], after)]]
+            rows.append(row)
+
+    if idx._directly_finite:
+        inv = {}
+        for i, k, u, j, x in blocks:
+            if not idx.is_invertible(u):
+                continue
+            ci, cj, v = d.vertex[i], d.vertex[j], idx.inverse(u)
+            c, names_j, pos_i, at_i = ci.objects[k], cj.morphism_names(), order_of(ci)[3], at(ci)
+            _, out_j, ends_j, _ = order_of(cj)
+            back = ci.compose(reference_unit_inv(d, i, c),
+                              ci.inverse(reference_comp_inv(d, v, u, c)))
+            for q, (f, e) in enumerate(zip(out_j[x], ends_j[x]), starts[u][k]):
+                if cj.is_invertible(names_j[f]):
+                    g = ci.compose(back, d.edge[v].mor_map[cj.inverse(names_j[f])])
+                    inv[q] = starts[v][e] + pos_i[at_i[g]]
+        directly_finite = all(d.vertex[i]._directly_finite for i in idx.objects)
+    else:
+        inv, directly_finite = fincat._inverse_search(rows, src, tgt, ident)
+    objects = [hocolim._pair_obj(i, c) for i in idx.objects for c in d.vertex[i].objects]
+    return {"objects": objects, "morphisms": names, "src": src, "tgt": tgt, "ident": ident,
+            "inv": list(inv.items()), "directly_finite": directly_finite, "rows": rows}
+
+
+def reference_total_counts(d) -> tuple[list[dict[int, int]], list[int]]:
+    """``hocolim._total_counts`` by the name walk it replaced: the hom-count
+    rows of the total and the least index of each isomorphism class."""
+    idx = d.index
+    offset, position, vertex_rows, n = {}, {}, {}, 0
+    for i in idx.objects:
+        ci = d.vertex[i]
+        offset[i], position[i] = n, {c: k for k, c in enumerate(ci.objects)}
+        vertex_rows[i] = fincat._count_rows(ci)
+        n += len(ci.objects)
+    rows = []
+    for i in idx.objects:
+        steps = [(offset[idx.target(u)], vertex_rows[idx.target(u)], position[idx.target(u)],
+                  d.edge[u].obj_map) for u in idx.morphisms_from(i)]
+        for c in d.vertex[i].objects:
+            row: dict[int, int] = {}
+            for base, v_rows, pos, obj_map in steps:
+                for e, count in v_rows[pos[obj_map[c]]].items():
+                    row[base + e] = row.get(base + e, 0) + count
+            rows.append(row)
+
+    root = list(range(n))
+
+    def find(k: int) -> int:
+        while root[k] != k:
+            k = root[k]
+        return k
+
+    def join(a: int, b: int) -> None:
+        a, b = find(a), find(b)
+        root[max(a, b)] = min(a, b)
+
+    for i in idx.objects:
+        for c, r in enumerate(fincat._iso_roots(d.vertex[i])):
+            join(offset[i] + r, offset[i] + c)
+        for u in idx.morphisms_from(i):
+            if idx.is_invertible(u):
+                j, obj_map = idx.target(u), d.edge[u].obj_map
+                for c in d.vertex[i].objects:
+                    join(offset[i] + position[i][c], offset[j] + position[j][obj_map[c]])
+    return rows, [k for k in range(n) if find(k) == k]
+
+
+def reference_haefliger_chi(cat: FinCat, vals: Mapping[str, Fraction]) -> Fraction:
+    """``groupact.haefliger_chi`` by the name walk it replaced: each value
+    key outside the skeleton finds its representative with
+    ``morphisms_from``, ``is_invertible`` and ``target``."""
+    gamma, nums = eulerchar._scwol_weights(cat)
+    for x in vals:
+        cat.require_object(x)
+        if gamma.has_object(x):
+            continue
+        isomorphic = (cat.target(u) for u in cat.morphisms_from(x) if cat.is_invertible(u))
+        rep = next(y for y in isomorphic if gamma.has_object(y))
+        if rep in vals and Fraction(vals[rep]) != Fraction(vals[x]):
+            raise ValidationError(
+                f"isomorphic objects {rep!r} and {x!r} carry different values "
+                f"{vals[rep]} and {vals[x]}",
+                witness={"objects": (rep, x), "values": (vals[rep], vals[x])},
+            )
+    total = Fraction(0)
+    for i, weight in zip(gamma.objects, nums):
+        if i not in vals:
+            raise hocolim.MissingValue(f"no local value supplied at {i!r}", witness={"object": i})
+        total += weight * Fraction(vals[i])
+    return total
+
+
+def reloaded_diagram(d, seed: int):
+    """``d`` again, over its index and each distinct vertex written to a
+    manifest, the entries shuffled, and loaded (``loaded``), with its edges
+    and coherence tables as they were; checked by its constructor."""
+    stores = {}
+    for cat in d.vertex.values():
+        if cat not in stores:
+            stores[cat] = loaded(cat, seed)
+    edge = {m: CatFunctor(stores[f.source], stores[f.target], f.obj_map, f.mor_map)
+            for m, f in d.edge.items()}
+    parts = (loaded(d.index, seed), {i: stores[cat] for i, cat in d.vertex.items()}, edge)
+    if isinstance(d, StrictDiagram):
+        return StrictDiagram(*parts)
+    return hocolim.PseudoDiagram(*parts, d.comp, d.unit)
+
+
+def reference_generating_set(rows, ident, src, tgt) -> list[int]:
+    """``groups._generating_set`` as it was: each reached morphism scans
+    every generator found so far for those out of its target."""
+    reached = [False] * len(rows)
+    into: list[list[int]] = [[] for _ in ident]
+    for x, e in enumerate(ident):
+        reached[e] = True
+        into[x].append(e)
+    gens: list[int] = []
+    for m in range(len(rows)):
+        if reached[m]:
+            continue
+        gens.append(m)
+        todo = [rows[v][m] for v in into[src[m]]]
+        while todo:
+            x = todo.pop()
+            if not reached[x]:
+                reached[x] = True
+                y = tgt[x]
+                into[y].append(x)
+                row = rows[x]
+                todo += [row[g] for g in gens if src[g] == y]
+    return gens
+
+
+def reference_strict_diagram_checks(self) -> None:
+    """The body of ``StrictDiagram.__post_init__`` as it was, comparing the
+    edges' name maps as dicts on every identity and every composable pair
+    in the order of the index's table; ``self`` is an unvalidated
+    StrictDiagram."""
+    _check_vertices_and_edges(self)
+    idx = self.index
+    for i in idx.objects:
+        if not hocolim._is_identity_on(self.edge[idx.identity[i]], self.vertex[i]):
+            raise ValidationError(f"edge at id_{i!r} is not the identity functor",
+                                  witness={"object": i})
+    for (v, u), vu in idx.composition.items():
+        if not hocolim._is_composite(self.edge[u], self.edge[v], self.edge[vu]):
+            raise ValidationError(f"strictness fails: edge({vu!r}) != edge({v!r}) o edge({u!r})",
+                                  witness={"pair": (v, u)})

@@ -13,6 +13,7 @@ a builder keeps its input's entry order whatever its store.
 """
 
 import itertools
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -48,13 +49,24 @@ from helpers import (
     reference_one_object_category,
     reference_opposite,
     reference_product,
+    reference_haefliger_chi,
     reference_quotient,
     reference_retract,
     reference_transport_groupoid,
+    reloaded_diagram,
     split_idempotent,
     stored_ends,
 )
-from strategies import SEEDS, actions, groupoids, groups, posets, scwols, strict_diagrams
+from strategies import (
+    SEEDS,
+    actions,
+    groupoids,
+    groups,
+    posets,
+    pseudo_diagrams,
+    scwols,
+    strict_diagrams,
+)
 
 
 def assert_same_build(got: FinCat, want: FinCat) -> None:
@@ -344,6 +356,49 @@ class TestInputTablesStayUnmade:
         for cat in (scwol, s3, base, index, twin, action.space):
             assert not NAME_FIELDS & vars(cat).keys()
 
+    @settings(max_examples=30, deadline=None)
+    @given(st.one_of(strict_diagrams, pseudo_diagrams), SEEDS)
+    def test_totals_and_counts_make_no_names_of_their_stores(self, d, seed):
+        """The builder and the hom counts read a diagram over loaded stores
+        on its ``hocolim._IndexView``: ``grothendieck`` (or
+        ``grothendieck_pseudo``), ``_total_chi_L`` and the diagram's own
+        check make no name field of the index or of any vertex."""
+        with pytest.MonkeyPatch.context() as mp:
+            made = spied_makes(mp)
+            d = reloaded_diagram(d, seed)
+            stores = {id(d.index), *map(id, d.vertex.values())}
+            made.clear()
+            if isinstance(d, hocolim.StrictDiagram):
+                hocolim.grothendieck(hocolim.StrictDiagram(d.index, d.vertex, d.edge))
+            else:
+                hocolim.grothendieck_pseudo(hocolim.PseudoDiagram(
+                    d.index, d.vertex, d.edge, d.comp, d.unit))
+            hocolim._total_chi_L(d)
+        assert [attr for cat, attr in made if id(cat) in stores] == []
+
+    @settings(max_examples=30, deadline=None)
+    @given(scwols, SEEDS)
+    def test_haefliger_makes_no_names_of_a_store(self, cat, seed):
+        """``haefliger_chi`` finds each representative on ``_ends``: with a
+        value at every object, alike on each class, it makes no name field
+        of a loaded scwol."""
+        store = loaded(cat, seed)
+        roots = fincat._iso_roots(store)
+        vals = {x: Fraction(r + 1, 2) for x, r in zip(store.objects, roots)}
+        with pytest.MonkeyPatch.context() as mp:
+            made = spied_makes(mp)
+            groupact.haefliger_chi(store, vals)
+        assert [attr for made_on, attr in made if made_on is store] == []
+
+    def test_the_spy_sees_a_name_read(self):
+        """Non-vacuity: the old name walk of ``haefliger_chi`` on a store
+        with a value off its skeleton makes the store's records."""
+        store = loaded(zoo.inflate(zoo.pushout_scwol(), {"k": 2}), 0)
+        with pytest.MonkeyPatch.context() as mp:
+            made = spied_makes(mp)
+            reference_haefliger_chi(store, {x: 1 for x in store.objects})
+        assert [attr for cat, attr in made if cat is store]
+
     def test_audit_actions_make_no_space_names(self):
         """The reduction and chi-theorem reports on an induced free action
         read the rows of its space and of the quotients."""
@@ -355,6 +410,19 @@ class TestInputTablesStayUnmade:
         assert not {"morphisms", "composition", "_hom"} & vars(action.space).keys()
         groupact.complex_of_groups(action)
         assert "composition" not in vars(q.category)
+
+
+def spied_makes(mp: pytest.MonkeyPatch) -> list:
+    """Record (store, field) for each call of ``fincat._Store._make`` while
+    ``mp`` is active."""
+    made, real = [], fincat._Store._make
+
+    def spy(cat, attr):
+        made.append((cat, attr))
+        return real(cat, attr)
+
+    mp.setattr(fincat._Store, "_make", spy)
+    return made
 
 
 def test_a_store_keeps_a_copy_of_nothing():

@@ -150,7 +150,7 @@ def reference_grothendieck_pseudo(d: PseudoDiagram) -> FinCat:
             k = idx.target(v)
             ck = d.vertex[k]
             vu = idx.compose(v, u)
-            tw_inv = ck.inverse(d.comp_component(v, u, c))
+            tw_inv = ck.inverse(d.comp[(v, u)][c])
             gf = ck.compose(g, ck.compose(d.edge[v].mor_map[f], tw_inv))
             comp[(m2, m.name)] = _triple_mor(vu, gf, c)
 
@@ -496,15 +496,15 @@ class TestCountsOffTheArrays:
     def test_check_formula_chi2(self, kind):
         """``check_hocolim_formula(d, "chi2")`` builds the total and takes
         chi2 of it: off the arrays for a groupoid or a skeletal scwol; the
-        free-EI route reads the total's rows (``_Total._read_rows``), which
-        name its objects and make no records or table."""
+        free-EI route reads the total's rows (``_Total._read_rows``), whose
+        object index is made only if read, so no route makes a name field."""
         d = COUNTED_DIAGRAMS[kind]()
         with pytest.MonkeyPatch.context() as mp:
             totals = captured_totals(mp)
             report = check_hocolim_formula(d, "chi2")
         assert report.equal and len(totals) == 1
         made = NAME_FIELDS & vars(totals[0]).keys()
-        assert made == ({"objects"} if kind == "EI" else set())
+        assert made == set()
 
     @pytest.mark.parametrize("kind", list(COUNTED_DIAGRAMS))
     def test_cli_hocolim_names_only_for_json(self, kind, tmp_path):

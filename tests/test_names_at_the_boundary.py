@@ -6,12 +6,16 @@ The exponential isomorphism search (``are_isomorphic`` with
 in ``tests/helpers.py``, and ``src/eulcat/`` defines none of them.  The
 name-keyed ``composition`` table is read only where a table is handed in
 or built by name: the checked ``FinCat`` constructor and ``FinCat.compose``,
-the strictness check of a ``StrictDiagram``, ``PseudoDiagram.from_strict``,
 ``constant_complex`` and ``one_arrow_complex``, and the hand-built zoo
 categories ``inflate`` and ``cone``.  This scan fails if a module defines
 one of those names or reads ``.composition`` anywhere else; a site that no
-longer reads it must leave ``ALLOWED_READS`` too.  Only the standard
-library ``ast`` is used.
+longer reads it must leave ``ALLOWED_READS`` too.
+
+The Grothendieck builder's walks and Haefliger's sum read a diagram on
+index arrays (``hocolim._IndexView``, ``_ends``): a second scan fails if
+one of them calls a name accessor of a category or a diagram
+(``CALLS_OFF_THE_VIEW``) or reads a functor's name maps.  Only the
+standard library ``ast`` is used.
 """
 
 import ast
@@ -25,8 +29,6 @@ FORBIDDEN_DEFS = {"are_isomorphic", "_find_morphism_bijection", "equal_presentat
 ALLOWED_READS = {
     ("fincat.py", "FinCat.__post_init__"),
     ("fincat.py", "FinCat.compose"),
-    ("hocolim.py", "StrictDiagram.__post_init__"),
-    ("hocolim.py", "PseudoDiagram.from_strict"),
     ("groupact.py", "constant_complex"),
     ("groupact.py", "one_arrow_complex"),
     ("zoo.py", "inflate"),
@@ -94,6 +96,101 @@ def test_a_planted_read_fails_the_scan():
     assert planted != source
     assert scan(source)[1] == []
     assert [where for where, _ in scan(planted)[1]] == ["free_aut_witness"]
+
+
+# the walks that read a diagram on index arrays, by module
+OFF_THE_VIEW = {
+    "hocolim.py": {"_grothendieck", "_Numbering.runs", "_lifted_inverses", "_total_counts"},
+    "groupact.py": {"haefliger_chi"},
+}
+CALLS_OFF_THE_VIEW = {"morphisms_from", "target", "is_invertible", "inverse", "compose",
+                      "unit_inv", "comp_inv"}
+MAPS = {"obj_map", "mor_map"}
+
+
+def name_reads(source: str, functions) -> list[tuple[str, int, str]]:
+    """The calls of a name accessor in ``CALLS_OFF_THE_VIEW`` and the reads
+    of an attribute in ``MAPS`` inside the ``functions`` of ``source``
+    (dotted names, as ``scan`` gives them), nested functions included, each
+    as (function, line, name)."""
+    found = []
+
+    def walk(node, where, inside):
+        for child in ast.iter_child_nodes(node):
+            inner, within = where, inside
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{where}.{child.name}" if where else child.name
+                within = inside or (inner if inner in functions else None)
+            elif within and isinstance(child, ast.Call):
+                func = child.func
+                called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if called in CALLS_OFF_THE_VIEW:
+                    found.append((within, child.lineno, called))
+            elif (within and isinstance(child, ast.Attribute) and child.attr in MAPS
+                  and isinstance(child.ctx, ast.Load)):
+                found.append((within, child.lineno, child.attr))
+            walk(child, inner, within)
+
+    walk(ast.parse(source), "", None)
+    return found
+
+
+def test_the_call_scan_sees_planted_calls_and_reads():
+    source = (
+        "class _Numbering:\n"
+        "    def runs(self):\n"
+        "        def step(v):\n"
+        "            return idx.compose(v, u), d.edge[v].obj_map\n"
+        "        return target(u)\n"
+        "    def names(self):\n"
+        "        return idx.target(u)\n"
+        "def haefliger_chi(cat):\n"
+        "    return cat.inverse(m), fun.mor_map, fun.obj_map.get\n"
+    )
+    assert name_reads(source, {"_Numbering.runs", "haefliger_chi"}) == [
+        ("_Numbering.runs", 4, "compose"), ("_Numbering.runs", 4, "obj_map"),
+        ("_Numbering.runs", 5, "target"), ("haefliger_chi", 9, "inverse"),
+        ("haefliger_chi", 9, "mor_map"), ("haefliger_chi", 9, "obj_map"),
+    ]
+
+
+@pytest.mark.parametrize("anchor, planted, where", [
+    ("    for i, k, u, j, x in plan.blocks:\n", "        plan.index.target(u)\n",
+     "_lifted_inverses"),
+    ("    counts = {cat: _count_rows(cat) for cat in dict.fromkeys(view.vertex)}\n",
+     "    images = [d.edge[m].obj_map for m in r.names]\n", "_total_counts"),
+], ids=["call", "map-read"])
+def test_a_planted_name_read_fails_the_call_scan(anchor, planted, where):
+    """Non-vacuity: a walk that reads the index or an edge by name again
+    is seen."""
+    source = (SRC / "hocolim.py").read_text(encoding="utf-8")
+    body = source.replace(anchor, anchor + planted, 1)
+    assert body != source
+    assert name_reads(source, OFF_THE_VIEW["hocolim.py"]) == []
+    assert [w for w, _, _ in name_reads(body, OFF_THE_VIEW["hocolim.py"])] == [where]
+
+
+def function_names(source: str) -> set[str]:
+    """The dotted name of every function and class in ``source``."""
+    names = set()
+
+    def walk(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = where
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{where}.{child.name}" if where else child.name
+                names.add(inner)
+            walk(child, inner)
+
+    walk(ast.parse(source), "")
+    return names
+
+
+@pytest.mark.parametrize("module", sorted(OFF_THE_VIEW))
+def test_the_walks_read_no_names(module):
+    source = (SRC / module).read_text(encoding="utf-8")
+    assert OFF_THE_VIEW[module] <= function_names(source)
+    assert name_reads(source, OFF_THE_VIEW[module]) == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eulcat import fincat, groupact, zoo
+from eulcat import fincat, groupact, hocolim, randgen, zoo
 from eulcat.errors import EulcatError
 from eulcat.fincat import CatFunctor
 from eulcat.groupact import NotAHomomorphismAction, ScwolAction
@@ -28,11 +28,23 @@ from helpers import (
     corrupt_component,
     reference_action_checks,
     reference_check_functor,
+    reference_generating_set,
     reference_pseudo_diagram_checks,
     s3_flag_action,
     unvalidated,
 )
-from strategies import SEEDS, actions, flag_actions, pseudo_diagrams, strict_diagrams
+from strategies import (
+    SEEDS,
+    actions,
+    flag_actions,
+    groupoids,
+    groups,
+    posets,
+    pseudo_diagrams,
+    scwols,
+    small_groupoids,
+    strict_diagrams,
+)
 
 
 def outcome(fn, *args):
@@ -280,3 +292,35 @@ class TestPseudoDiagram:
         for kind in ("naturality fails", "is not invertible", "has wrong endpoints",
                      "right unit axiom fails", "associativity coherence fails"):
             assert any(kind in message for message in messages), kind
+
+
+small_categories = st.one_of(scwols, posets, groupoids.map(lambda g: g.category),
+                             strict_diagrams.map(lambda d: hocolim.grothendieck(d).category))
+
+
+class TestGeneratingSet:
+    """``_generating_set`` buckets the generators by source; the scan it
+    replaced (``reference_generating_set``) gives the same list."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(small_categories,
+                     st.tuples(small_groupoids, small_groupoids).map(
+                         lambda ab: fincat.product(ab[0].category, ab[1].category))))
+    def test_categories_and_products(self, cat):
+        r = fincat._rows_of(cat)
+        args = (r.rows, r.ident, r.src, r.tgt)
+        assert _generating_set(*args) == reference_generating_set(*args)
+
+    @settings(max_examples=40, deadline=None)
+    @given(groups)
+    def test_groups(self, group):
+        one = [0] * group.order
+        args = (group.table, [group._identity], one, one)
+        assert _generating_set(*args) == reference_generating_set(*args)
+
+    def test_a_large_product(self):
+        cat = fincat.product(zoo.one_object_category(symmetric_group(4)),
+                             randgen.random_groupoid(Random(1), 3, 4).category)
+        r = fincat._rows_of(cat)
+        args = (r.rows, r.ident, r.src, r.tgt)
+        assert _generating_set(*args) == reference_generating_set(*args)
