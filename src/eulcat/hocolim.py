@@ -31,7 +31,6 @@ from .fincat import (
     _check_natural,
     _composite_arrays,
     _composite_maps,
-    _count_rows,
     _functor_arrays,
     _headers,
     _identity_arrays,
@@ -425,9 +424,9 @@ class _VertexOrder:
 
     __slots__ = ("out", "ends", "pos")
 
-    def __init__(self, cat: FinCat):
-        src, tgt = cat._ends.src, cat._ends.tgt
-        self.out, ends = [[] for _ in range(len(cat))], list(zip(src, tgt))
+    def __init__(self, arrays: _Ends):
+        src, tgt = arrays.src, arrays.tgt
+        self.out, ends = [[] for _ in arrays.ident], list(zip(src, tgt))
         for x, fs in itertools.groupby(sorted(range(len(src)), key=ends.__getitem__), src.__getitem__):
             self.out[x] = list(fs)
         self.ends = [list(map(tgt.__getitem__, fs)) for fs in self.out]
@@ -460,10 +459,9 @@ class _Numbering:
 
     def morphism_names(self) -> list[str]:
         view, place = self.view, self.place
-        local = {cat: cat.morphism_names() for cat in set(view.vertex)}
         index, names = view.rows.names, []
         for i, k, u, j, x in self.blocks:
-            c, fs = view.vertex[i].objects[k], local[view.vertex[j]]
+            c, fs = view.vertex[i].objects[k], view.vrows[j].names
             names += [_triple_mor(index[u], fs[f], c) for f in place[j][1].out[x]]
         return names
 
@@ -544,9 +542,10 @@ def _grothendieck(d: Diagram) -> FinCat:
     view = _index_view(d)
     plan, r = _Numbering(view), view.rows
     place, starts, blocks = plan.place, plan.starts, plan.blocks
-    orders = {cat: _VertexOrder(cat) for cat in dict.fromkeys(view.vertex)}
+    # keyed by the rows, which equal vertices of one manifest share
+    orders = {ends: _VertexOrder(ends) for ends in dict.fromkeys(cat._ends for cat in view.vertex)}
     offset = itertools.accumulate(map(len, view.vertex), initial=0)
-    place += [(n, orders[cat]) for n, cat in zip(offset, view.vertex)]
+    place += [(n, orders[cat._ends]) for n, cat in zip(offset, view.vertex)]
     # shifted[i][x]: the target indices of the morphisms out of (i, x)
     shifted = [[[n + e for e in ends] for ends in order.ends] for n, order in place]
 
@@ -634,12 +633,12 @@ def _total_counts(d: Diagram) -> tuple[list[dict[int, int]], Callable[[], list[i
     r = view.rows
     offset = list(itertools.accumulate(map(len, view.vertex), initial=0))
     n = offset.pop()
-    counts = {cat: _count_rows(cat) for cat in dict.fromkeys(view.vertex)}
+    counts = {ends: ends.hom_rows() for ends in dict.fromkeys(cat._ends for cat in view.vertex)}
 
     rows = []
     for i, us in enumerate(view.out):
         # per u out of i: where C(j) starts, its rows, C(u) on objects
-        steps = [(offset[r.tgt[u]], counts[view.vertex[r.tgt[u]]], view.image[u]) for u in us]
+        steps = [(offset[r.tgt[u]], counts[view.vertex[r.tgt[u]]._ends], view.image[u]) for u in us]
         for c in range(len(view.vertex[i])):
             row: dict[int, int] = {}
             for base, v_rows, image in steps:

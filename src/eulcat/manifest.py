@@ -14,6 +14,14 @@ in a payload as the category itself, which ``_dumps`` writes straight from
 its integer rows (``_write_category``); ``serialize`` and
 ``category_payload`` give plain JSON data, each category expanded to its
 payload (``_plain``).
+
+One load checks each repeated table once.  A vertex category or a local
+group equal to one checked earlier in the same manifest shares that check's
+result under its own name (``_category_once``, ``_group_once``), and an edge
+functor or a structure homomorphism whose map equals that of the first one
+checked between the same two tables is not checked again
+(``_functor_from_payload``, ``complex_from_payload``).  Nothing is kept from
+one load to the next.
 """
 
 from __future__ import annotations
@@ -24,8 +32,8 @@ from fractions import Fraction
 from itertools import chain, repeat
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
-from .errors import ValidationError
-from .fincat import CatFunctor, FinCat, _rows_of, validate
+from .errors import ValidationError, _trusted
+from .fincat import CatFunctor, FinCat, _rows_of, _Store, validate
 from .groups import FinGroup, GroupHom, _require_list
 from .groupact import ComplexOfGroups, ScwolAction, validate_action
 from .hocolim import CellSpectrum, PseudoDiagram, StrictDiagram
@@ -99,6 +107,75 @@ def category_from_payload(payload: Mapping, name: str = "C") -> FinCat:
     return validate(payload, name=name)
 
 
+# -- repeated tables in one manifest ---------------------------------------------
+
+
+def _str_names(values: Iterable) -> bool:
+    """Whether every one of ``values`` is a str.  Only a payload whose names
+    all are may stand for its equal copies: ``1 == 1.0 == True``, yet the
+    ``str`` of each, which names it, differs."""
+    return {*map(type, values)} <= {str}
+
+
+def _same_table(raw: Mapping, first: Mapping, fields: tuple[str, ...]) -> bool:
+    """Whether the payload ``raw`` equals ``first`` in ``fields``: the one
+    full comparison a payload makes with an earlier one."""
+    return all(raw.get(f) == first.get(f) for f in fields)
+
+
+def _once(raw, key, seen: dict, fields: tuple[str, ...], str_names: Callable[[Any], bool],
+          check: Callable[[], Any], share: Callable[[Any], Any]):
+    """``check()``, the checked value of the payload ``raw``, or, when an
+    earlier payload of this load under the same cheap ``key`` equals ``raw``
+    in ``fields`` and has only str names, ``share`` of that payload's value.
+    ``seen`` holds the first payload checked under each key (a ``None`` key
+    stores nothing), its value and, once a later payload meets it, whether
+    ``str_names`` holds of it: a payload whose tables never repeat pays only
+    for its key.  A JSON decoder makes only exact lists, dicts and strs, on
+    which ``==`` is plain equality."""
+    first = seen.get(key)
+    if first is not None:
+        if first[2] is None:
+            first[2] = str_names(first[0])
+        if first[2] and _same_table(raw, first[0], fields):
+            return share(first[1])
+    value = check()
+    if key is not None:
+        seen.setdefault(key, [raw, value, None])
+    return value
+
+
+_CATEGORY_FIELDS = ("objects", "morphisms", "identity", "compose")
+
+
+def _category_names(raw: Mapping) -> bool:
+    """Whether every name in the checked category payload ``raw`` is a str."""
+    mors, identity = raw["morphisms"], raw["identity"]
+    return type(identity) is dict and {*map(type, mors)} <= {dict} and _str_names(chain(
+        chain.from_iterable((m["id"], m["source"], m["target"]) for m in mors),
+        identity, identity.values(), chain.from_iterable(raw.get("compose", []))))
+
+
+def _category_once(raw, name: str, seen: dict) -> FinCat:
+    """``category_from_payload(raw, name)``, checked once per table in one
+    load (``_once``), keyed by the object names and the numbers of
+    morphisms and entries.  A later payload equal to a checked one in every
+    field but ``name`` would be read by ``validate`` into the same rows, so
+    it becomes a new ``_Store`` on those rows with its own name and identity
+    map."""
+    key = None
+    if type(raw) is dict:
+        objs, mors, entries = raw.get("objects"), raw.get("morphisms"), raw.get("compose", [])
+        if type(objs) is list and type(mors) is list and type(entries) is list \
+                and _str_names(objs):
+            key = tuple(objs), len(mors), len(entries)
+    return _once(raw, key, seen, _CATEGORY_FIELDS, _category_names,
+                 lambda: category_from_payload(raw, name),
+                 lambda cat: _trusted(_Store, name=str(raw.get("name", name)),
+                                      objects=cat.objects, identity=dict(raw["identity"]),
+                                      _ends=cat._ends, _directly_finite=cat._directly_finite))
+
+
 # -- group ----------------------------------------------------------------------
 
 
@@ -109,6 +186,33 @@ def group_payload(group: FinGroup) -> dict:
         "table": [[group.labels[v] for v in row] for row in group.table],
         "identity": group.identity,
     }
+
+
+_GROUP_FIELDS = ("elements", "table", "identity")
+
+
+def _group_names(raw: Mapping) -> bool:
+    """Whether the identity and every cell of the checked group payload
+    ``raw`` are str (or the identity is left out)."""
+    return type(raw.get("identity")) in (str, type(None)) and \
+        _str_names(chain.from_iterable(raw["table"]))
+
+
+def _group_once(raw, seen: dict) -> FinGroup:
+    """``group_from_payload(raw)``, checked once per table in one load
+    (``_once``), keyed by the elements and the number of rows: a payload
+    equal in ``elements``, ``table`` and ``identity`` to a checked one gives
+    a group with its own name that shares the checked group's index,
+    identity, inverses and generators."""
+    key = None
+    if type(raw) is dict:
+        elems, table = raw.get("elements"), raw.get("table")
+        if type(elems) is list and type(table) is list and _str_names(elems):
+            key = tuple(elems), len(table)
+    return _once(raw, key, seen, _GROUP_FIELDS, _group_names, lambda: group_from_payload(raw),
+                 lambda g: _trusted(FinGroup, labels=g.labels, table=g.table,
+                                    name=str(raw.get("name", "G")), _index=g._index,
+                                    _identity=g._identity, _inverse=g._inverse, _gens=g._gens))
 
 
 def group_from_payload(payload: Mapping) -> FinGroup:
@@ -156,10 +260,21 @@ def _entries(raw, what: str) -> list:
     return raw
 
 
-def _functor_from_payload(payload: Mapping, src: FinCat, tgt: FinCat, edge: str) -> CatFunctor:
+def _functor_from_payload(payload: Mapping, src: FinCat, tgt: FinCat, edge: str,
+                          checked: dict) -> CatFunctor:
     """The functor along index morphism ``edge``.  CatFunctor ignores keys
-    that name nothing in ``src``; a manifest may not carry them."""
-    fun = CatFunctor(src, tgt, _str_map(payload["objects"]), _str_map(payload["morphisms"]))
+    that name nothing in ``src``; a manifest may not carry them.  Its check
+    reads only the rows of ``src`` and ``tgt`` and the maps, so ``checked``
+    holds the maps of the first functor checked in this load between each
+    (source rows, target rows), and a later one with equal maps is built
+    unchecked."""
+    maps = _str_map(payload["objects"]), _str_map(payload["morphisms"])
+    pair = src._ends, tgt._ends
+    if checked.get(pair) == maps:
+        fun = _trusted(CatFunctor, source=src, target=tgt, obj_map=maps[0], mor_map=maps[1])
+    else:
+        fun = CatFunctor(src, tgt, *maps)
+        checked.setdefault(pair, maps)
     # CatFunctor requires every object and morphism, so a longer map has a stray key
     if len(fun.obj_map) != len(src.objects):
         x = next(x for x in fun.obj_map if not src.has_object(x))
@@ -185,10 +300,9 @@ def _diagram_payload(d: StrictDiagram | PseudoDiagram) -> dict:
 def _diagram_parts(payload: Mapping) -> tuple[FinCat, dict, dict]:
     """Parse index, vertices and edges, naming a missing or stray vertex or
     edge."""
-    index = category_from_payload(payload["index"], name="index")
+    index, seen = category_from_payload(payload["index"], name="index"), {}
     vertex = {
-        str(i): category_from_payload(p, name=f"vertex[{i}]")
-        for i, p in payload["vertices"].items()
+        str(i): _category_once(p, f"vertex[{i}]", seen) for i, p in payload["vertices"].items()
     }
     for i in index.objects:
         if i not in vertex:
@@ -196,11 +310,11 @@ def _diagram_parts(payload: Mapping) -> tuple[FinCat, dict, dict]:
     if len(vertex) != len(index.objects):
         i = next(i for i in vertex if not index.has_object(i))
         raise BadManifest(f"vertex category for non-index object {i!r}", witness={"object": i})
-    edges, edge = payload["edges"], {}
+    edges, edge, checked = payload["edges"], {}, {}
     for m, x, y in index._arrows():
         if m not in edges:
             raise BadManifest(f"no edge functor for morphism {m!r}", witness={"morphism": m})
-        edge[m] = _functor_from_payload(edges[m], vertex[x], vertex[y], m)
+        edge[m] = _functor_from_payload(edges[m], vertex[x], vertex[y], m, checked)
     if len(edges) != len(edge):
         m = next(m for m in edges if m not in edge)
         raise BadManifest(f"edge functor for non-index morphism {m!r}", witness={"morphism": m})
@@ -290,14 +404,16 @@ def _complex_payload(cplx: ComplexOfGroups) -> dict:
 
 
 def complex_from_payload(payload: Mapping) -> ComplexOfGroups:
-    base = category_from_payload(payload["base"], name="base")
-    local = {
-        str(x): group_from_payload(p) for x, p in payload["local"].items()
-    }
+    base, seen = category_from_payload(payload["base"], name="base"), {}
+    local = {str(x): _group_once(p, seen) for x, p in payload["local"].items()}
     for x in base.objects:
         if x not in local:
             raise BadManifest(f"no local group for object {x!r}", witness={"object": x})
-    homs, ids = {}, set(base.identity.values())
+    # a homomorphism's check reads the two tables and the map, so a map
+    # equal to the first one checked between two tables is not checked
+    # again: a group keeps the index of the group whose check it shares
+    # (``_group_once``)
+    homs, ids, checked = {}, set(base.identity.values()), {}
     for m, x, y in base._arrows():
         if m in ids:
             homs[m] = GroupHom.identity_hom(local[x])
@@ -305,7 +421,13 @@ def complex_from_payload(payload: Mapping) -> ComplexOfGroups:
             raw = payload["homs"].get(m)
             if raw is None:
                 raise BadManifest(f"no structure homomorphism for {m!r}", witness={"morphism": m})
-            homs[m] = GroupHom(local[x], local[y], _str_map(raw))
+            mapping, s, t = _str_map(raw), local[x], local[y]
+            pair = id(s._index), id(t._index)
+            if checked.get(pair) == mapping:
+                homs[m] = _trusted(GroupHom, source=s, target=t, mapping=mapping)
+            else:
+                homs[m] = GroupHom(s, t, mapping)
+                checked.setdefault(pair, mapping)
     twists = {}
     for b, a, g in _entries(payload.get("twists", []), "twists"):
         twists[(str(b), str(a))] = str(g)

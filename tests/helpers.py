@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import json
 from collections import Counter
 from fractions import Fraction
 from random import Random
@@ -1571,3 +1572,119 @@ def reference_strict_diagram_checks(self) -> None:
         if not hocolim._is_composite(self.edge[u], self.edge[v], self.edge[vu]):
             raise ValidationError(f"strictness fails: edge({vu!r}) != edge({v!r}) o edge({u!r})",
                                   witness={"pair": (v, u)})
+
+
+# -- manifest loads that check every copy of a repeated table ---------------------
+
+
+def table_key(payload) -> str:
+    """A category or group payload without its name, as JSON text: two
+    payloads of str names hold one table exactly when their keys are equal."""
+    return json.dumps({k: v for k, v in payload.items() if k != "name"}, sort_keys=True)
+
+
+def reference_functor_from_payload(payload, src: FinCat, tgt: FinCat, edge: str) -> CatFunctor:
+    """``manifest._functor_from_payload`` as it was: every edge checked."""
+    fun = CatFunctor(src, tgt, manifest._str_map(payload["objects"]),
+                     manifest._str_map(payload["morphisms"]))
+    if len(fun.obj_map) != len(src.objects):
+        x = next(x for x in fun.obj_map if not src.has_object(x))
+        raise manifest.BadManifest(
+            f"edge {edge!r}: object map key {x!r} is not an object of {src.name}",
+            witness={"edge": edge, "object": x})
+    if len(fun.mor_map) != len(src._ends.src):
+        names = set(src.morphism_names())
+        m = next(m for m in fun.mor_map if m not in names)
+        raise manifest.BadManifest(
+            f"edge {edge!r}: morphism map key {m!r} is not a morphism of {src.name}",
+            witness={"edge": edge, "morphism": m})
+    return fun
+
+
+def reference_diagram_parts(payload) -> tuple:
+    """``manifest._diagram_parts`` as it was: every vertex and every edge
+    checked in full."""
+    BadManifest = manifest.BadManifest
+    index = manifest.category_from_payload(payload["index"], name="index")
+    vertex = {
+        str(i): manifest.category_from_payload(p, name=f"vertex[{i}]")
+        for i, p in payload["vertices"].items()
+    }
+    for i in index.objects:
+        if i not in vertex:
+            raise BadManifest(f"no vertex category for index object {i!r}", witness={"object": i})
+    if len(vertex) != len(index.objects):
+        i = next(i for i in vertex if not index.has_object(i))
+        raise BadManifest(f"vertex category for non-index object {i!r}", witness={"object": i})
+    edges, edge = payload["edges"], {}
+    for m, x, y in index._arrows():
+        if m not in edges:
+            raise BadManifest(f"no edge functor for morphism {m!r}", witness={"morphism": m})
+        edge[m] = reference_functor_from_payload(edges[m], vertex[x], vertex[y], m)
+    if len(edges) != len(edge):
+        m = next(m for m in edges if m not in edge)
+        raise BadManifest(f"edge functor for non-index morphism {m!r}", witness={"morphism": m})
+    return index, vertex, edge
+
+
+def reference_pseudo_diagram_from_payload(payload) -> hocolim.PseudoDiagram:
+    """``manifest.pseudo_diagram_from_payload`` on ``reference_diagram_parts``."""
+    BadManifest = manifest.BadManifest
+    index, vertex, edge = reference_diagram_parts(payload)
+    comp, r = {}, _rows_of(index)
+    at, src, tgt = r.index, r.src, r.tgt
+    for v, u, components in manifest._entries(payload.get("comp", []), "comp"):
+        v, u = str(v), str(u)
+        if u not in at or v not in at or tgt[at[u]] != src[at[v]]:
+            raise BadManifest(f"comp entry for non-composable pair ({v!r}, {u!r})",
+                              witness={"pair": (v, u)})
+        comp[(v, u)] = manifest._str_map(components)
+    unit = {}
+    for i, components in payload.get("unit", {}).items():
+        i = str(i)
+        if not index.has_object(i):
+            raise BadManifest(f"unit entry for non-index object {i!r}", witness={"object": i})
+        unit[i] = manifest._str_map(components)
+    return hocolim.PseudoDiagram(index, vertex, edge, comp, unit)
+
+
+def reference_complex_from_payload(payload) -> groupact.ComplexOfGroups:
+    """``manifest.complex_from_payload`` as it was: every local group and
+    every structure homomorphism checked in full."""
+    BadManifest = manifest.BadManifest
+    base = manifest.category_from_payload(payload["base"], name="base")
+    local = {str(x): manifest.group_from_payload(p) for x, p in payload["local"].items()}
+    for x in base.objects:
+        if x not in local:
+            raise BadManifest(f"no local group for object {x!r}", witness={"object": x})
+    homs, ids = {}, set(base.identity.values())
+    for m, x, y in base._arrows():
+        if m in ids:
+            homs[m] = GroupHom.identity_hom(local[x])
+        else:
+            raw = payload["homs"].get(m)
+            if raw is None:
+                raise BadManifest(f"no structure homomorphism for {m!r}", witness={"morphism": m})
+            homs[m] = GroupHom(local[x], local[y], manifest._str_map(raw))
+    twists = {}
+    for b, a, g in manifest._entries(payload.get("twists", []), "twists"):
+        twists[(str(b), str(a))] = str(g)
+    r = _rows_of(base)
+    names, units = r.names, set(r.ident)
+    for bi, ai in r.pairs():
+        b, a = names[bi], names[ai]
+        if (b, a) not in twists:
+            if ai in units or bi in units:
+                twists[(b, a)] = local[base.objects[r.tgt[bi]]].identity
+            else:
+                raise BadManifest(f"no twist for composable pair ({b!r}, {a!r})",
+                                  witness={"pair": (b, a)})
+    cplx = groupact.ComplexOfGroups(base, local, homs, twists)
+    if len(local) != len(base.objects):
+        x = next(x for x in local if not base.has_object(x))
+        raise BadManifest(f"local group for non-base object {x!r}", witness={"object": x})
+    for m in payload.get("homs", {}):
+        if m not in homs:
+            raise BadManifest(f"structure homomorphism for non-base morphism {m!r}",
+                              witness={"morphism": m})
+    return cplx

@@ -67,6 +67,7 @@ from helpers import (
     s3_flag_action,
     split_idempotent,
     stored_ends,
+    table_key,
 )
 from strategies import (
     SEEDS,
@@ -1124,7 +1125,8 @@ class TestTableOnFirstRead:
         that loading kept: loading an action, the parts of a pseudo diagram
         from a complex of groups (index, vertices and edge functors) and the
         pseudo diagram's checks build no name table, and read the entries
-        of each category once."""
+        of each distinct table once: vertices that differ only in their
+        names share the rows of the first."""
         flag, h = s3_flag_action()
         pseudo = complex_to_pseudo_diagram(complex_of_groups(flag, h_elements=h).complex)
         action_payload = manifest.serialize("action", flag)["payload"]
@@ -1133,7 +1135,9 @@ class TestTableOnFirstRead:
         manifest.action_from_payload(action_payload)
         index, vertex, edge = manifest._diagram_parts(pseudo_payload)
         PseudoDiagram(index, vertex, edge, pseudo.comp, pseudo.unit)
-        assert kernel_calls == {"passes": 2 + len(vertex), "tables": 0}
+        tables = {table_key(p) for p in pseudo_payload["vertices"].values()}
+        assert 1 < len(tables) < len(vertex)
+        assert kernel_calls == {"passes": 2 + len(tables), "tables": 0}
 
     def test_loading_a_pseudo_manifest_builds_no_table(self, kernel_calls):
         """``pseudo_diagram_from_payload`` reads off the endpoints that each

@@ -157,7 +157,7 @@ def test_the_call_scan_sees_planted_calls_and_reads():
 @pytest.mark.parametrize("anchor, planted, where", [
     ("    for i, k, u, j, x in plan.blocks:\n", "        plan.index.target(u)\n",
      "_lifted_inverses"),
-    ("    counts = {cat: _count_rows(cat) for cat in dict.fromkeys(view.vertex)}\n",
+    ("    counts = {ends: ends.hom_rows() for ends in dict.fromkeys(cat._ends for cat in view.vertex)}\n",
      "    images = [d.edge[m].obj_map for m in r.names]\n", "_total_counts"),
 ], ids=["call", "map-read"])
 def test_a_planted_name_read_fails_the_call_scan(anchor, planted, where):

@@ -1,9 +1,13 @@
 """Smoke runs of the scripts under ``scripts/``, each in its own process."""
 
+import importlib.util
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -61,3 +65,57 @@ def test_randomized_audit_catches_a_skewed_coweighting():
     fails = [line for line in out.stdout.splitlines() if line.startswith("LEINSTER FAIL")]
     assert len(fails) == 5, out.stdout
     assert "homotopy colimit formula: 5 instances, 5 failures" in out.stdout
+
+
+def in_git_checkout() -> bool:
+    try:
+        subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify", "HEAD"],
+                       capture_output=True, check=True)
+    except (OSError, subprocess.CalledProcessError):
+        return False
+    return True
+
+
+@pytest.mark.skipif(not in_git_checkout(), reason="bench_pairs.py archives a git commit")
+def test_bench_pairs_tiny(tmp_path):
+    out_path = tmp_path / "bench.json"
+    out = run_script("bench_pairs.py", "--size", "tiny", "--pairs", "1", "--seconds", "1",
+                     "--workload", "groups", "--claim", "groups:task_p90_ms",
+                     "--out", str(out_path))
+    assert out.returncode == 0, out.stdout + out.stderr
+    report = json.loads(out_path.read_text(encoding="utf-8"))
+    assert {"change", "command", "host", "quartiles", "claim", "workloads"} <= set(report)
+    groups = report["workloads"]["groups"]
+    assert (groups["pairs"], groups["failed_runs"], groups["all_correct"]) == (1, 0, True)
+    assert groups["first_side"] == ["parent"]
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    assert list(groups["metrics"]) == [m["name"] for m in bench["end_to_end"]]
+    for spec in bench["end_to_end"]:
+        metric = groups["metrics"][spec["name"]]
+        assert (metric["unit"], metric["better"], metric["bound"]) == (
+            spec["unit"], spec["better"], spec["bound"])
+        assert [len(metric["runs"][side]) for side in ("parent", "change")] == [1, 1]
+        assert metric["change_wins"] in ("0/1", "1/1")
+        assert isinstance(metric["within_bound"], bool)
+    assert report["claim"]["metric"] == "task_p90_ms" and isinstance(report["claim"]["met"], bool)
+
+
+def test_bench_pairs_reads_correct_from_each_run():
+    """Non-vacuity: a run that reports ``correct: false`` makes its workload
+    not all correct, though it exited 0 and failed no task."""
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    specs = [{"name": "tasks_per_s", "unit": "1/s", "better": "higher", "bound": 0.15}]
+
+    def result(value, correct):
+        return {"correct": correct, "failed": 0, "metrics": {"tasks_per_s": {"value": value}}}
+
+    runs = [("parent", 0, result(100.0, True)), ("change", 0, result(120.0, True)),
+            ("change", 0, result(90.0, True)), ("parent", 0, result(100.0, True))]
+    good = bench_pairs.summarize(specs, runs, ["parent", "change"], 0, 1.0)
+    assert good["all_correct"] and good["failed_runs"] == 0
+    assert good["metrics"]["tasks_per_s"]["change_wins"] == "1/2"
+    assert good["metrics"]["tasks_per_s"]["median_change"] == 0.05
+    runs[2] = ("change", 0, result(90.0, False))
+    assert not bench_pairs.summarize(specs, runs, ["parent", "change"], 0, 1.0)["all_correct"]
