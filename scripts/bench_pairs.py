@@ -2,8 +2,8 @@
 """Run the benchmark in alternating parent/change pairs and summarise them.
 
     python3 scripts/bench_pairs.py [--workload W]... [--pairs N] [--seconds S]
-        [--seed N] [--size full|tiny] [--claim WORKLOAD:METRIC] [--change TEXT]
-        [--out PATH]
+        [--seed N [--seed HELD_OUT]] [--size full|tiny] [--claim WORKLOAD:METRIC]
+        [--change TEXT] [--out PATH]
 
 The parent side runs ``perfbench/run.py`` in a ``git archive`` of HEAD
 extracted to a temporary directory; the change side runs it in this working
@@ -18,8 +18,9 @@ runs that exited non-zero (``failed_runs``) and, per end-to-end metric of
 change wins, the relative change of the medians and whether it lies within
 the metric's bound.  With ``--claim``, it also says whether the change wins
 at least nine in ten pairs of that metric and moves its median by more than
-the parent's interquartile range.  The exit code is 0 when every run was
-correct.  Standard library only.
+the parent's interquartile range.  A second ``--seed`` runs the same pairs
+again at that seed, and its claim and workloads go under ``held_out_seed``.
+The exit code is 0 when every run was correct.  Standard library only.
 """
 
 from __future__ import annotations
@@ -146,6 +147,25 @@ def extract(into: str) -> str:
     return commit
 
 
+def run_pairs(checkouts: dict, workloads: list[str], specs: list[dict], args,
+              seed: int) -> dict:
+    """The summary of each workload over ``args.pairs`` alternating pairs at
+    ``seed``."""
+    summary = {}
+    for workload in workloads:
+        runs, first_side = [], []
+        for k in range(args.pairs):
+            order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+            first_side.append(order[0])
+            for side in order:
+                code, result = run_once(checkouts[side], workload, seed, args.seconds, args.size)
+                runs.append((side, code, result))
+                print(f"{workload} seed {seed} pair {k + 1}/{args.pairs} {side}: exit {code}, "
+                      f"correct {result.get('correct')}", file=sys.stderr)
+        summary[workload] = summarize(specs, runs, first_side, seed, args.seconds)
+    return summary
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -153,12 +173,16 @@ def main(argv=None) -> int:
                         help="a workload of BENCHMARK.json (repeatable; default all)")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=20)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int, action="append",
+                        help="the seed (default 0); a second one is the held-out seed")
     parser.add_argument("--size", choices=("full", "tiny"), default="full")
     parser.add_argument("--claim", help="WORKLOAD:METRIC whose gain is claimed")
     parser.add_argument("--change", default="", help="what the change does, for the summary")
     parser.add_argument("--out", help="write the summary here instead of to stdout")
     args = parser.parse_args(argv)
+    seeds = args.seed or [0]
+    if len(seeds) > 2:
+        parser.error("--seed may be given at most twice")
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     workloads = args.workload or [w["name"] for w in bench["workloads"]]
@@ -166,41 +190,34 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as parent_dir:
         commit = extract(parent_dir)
         checkouts = {"parent": Path(parent_dir), "change": ROOT}
-        summary = {}
-        for workload in workloads:
-            runs, first_side = [], []
-            for k in range(args.pairs):
-                order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-                first_side.append(order[0])
-                for side in order:
-                    code, result = run_once(checkouts[side], workload, args.seed, args.seconds,
-                                            args.size)
-                    runs.append((side, code, result))
-                    print(f"{workload} pair {k + 1}/{args.pairs} {side}: exit {code}, "
-                          f"correct {result.get('correct')}", file=sys.stderr)
-            summary[workload] = summarize(specs, runs, first_side, args.seed, args.seconds)
+        summaries = [run_pairs(checkouts, workloads, specs, args, seed) for seed in seeds]
 
+    held_out = f" (and at --seed {seeds[1]} under held_out_seed)" if len(seeds) > 1 else ""
     report = {
         "change": args.change,
-        "command": f"python3 perfbench/run.py --workload W --seed {args.seed} --seconds "
-                   f"{args.seconds:g} --trace 0 --size {args.size}, run by scripts/bench_pairs.py "
-                   f"in a git archive of the parent commit ({commit}) and in the change's "
-                   "working tree; pairs alternate which side runs first",
+        "command": f"python3 perfbench/run.py --workload W --seed {seeds[0]} --seconds "
+                   f"{args.seconds:g} --trace 0 --size {args.size}{held_out}, run by "
+                   f"scripts/bench_pairs.py in a git archive of the parent commit ({commit}) and "
+                   "in the change's working tree; pairs alternate which side runs first",
         "host": f"{platform.machine()}, {os.cpu_count()} CPUs, Python {platform.python_version()}; "
                 "times are normalised by perfbench/calibrate.py",
         "quartiles": QUARTILES,
         "claim": None,
-        "workloads": summary,
+        "workloads": summaries[0],
     }
-    if args.claim:
-        workload, metric = args.claim.split(":")
-        report["claim"] = claim_verdict(summary, workload, metric)
+    claim = args.claim.split(":") if args.claim else None
+    if claim:
+        report["claim"] = claim_verdict(summaries[0], *claim)
+    if len(seeds) > 1:
+        report["held_out_seed"] = {"seed": seeds[1],
+                                   "claim": claim_verdict(summaries[1], *claim) if claim else None,
+                                   **summaries[1]}
     text = json.dumps(report, indent=1)
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")
     else:
         print(text)
-    return 0 if all(w["all_correct"] for w in summary.values()) else 1
+    return 0 if all(w["all_correct"] for summary in summaries for w in summary.values()) else 1
 
 
 if __name__ == "__main__":

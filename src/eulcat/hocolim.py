@@ -100,7 +100,11 @@ def _check_vertices_and_edges(d: Diagram) -> None:
 
 @dataclass(frozen=True, eq=False)
 class StrictDiagram:
-    """A strict functor from a finite index category into finite categories."""
+    """A strict functor from a finite index category into finite categories.
+
+    The check reads the diagram on index arrays (``_IndexView``), making
+    every edge's arrays, and the diagram keeps that view (``_view``) for
+    the builder and the hom counts, as a ``PseudoDiagram`` does."""
 
     index: FinCat
     vertex: Mapping[str, FinCat]
@@ -128,6 +132,7 @@ class StrictDiagram:
                 v, u, vu = names[v], names[u], names[vu]
                 raise ValidationError(f"strictness fails: edge({vu!r}) != edge({v!r}) o edge({u!r})",
                                       witness={"pair": (v, u)})
+        object.__setattr__(self, "_view", view)
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,7 +243,7 @@ class PseudoDiagram:
     def from_strict(d: StrictDiagram) -> "PseudoDiagram":
         """View a strict diagram as a pseudo diagram with identity coherences
         (their own inverses), lawful unchecked since the diagram is strict."""
-        view = _IndexView(d)
+        view = _index_view(d)
         r, ids = view.rows, [[vr.names[e] for e in vr.ident] for vr in view.vrows]
         comp = {(r.names[v], r.names[u]): dict(zip(view.vertex[r.src[u]].objects, map(
             ids[r.tgt[v]].__getitem__, view.image[r.rows[u][v]]))) for v, u in r.pairs()}
@@ -254,7 +259,11 @@ class _IndexView:
     morphism u, the edge and C(u) on objects (``image``; ``arrays`` makes
     both arrays of C(u) once per functor); and the coherence components as
     morphisms of their vertex, ``unit[i][c]`` at the object c of C(i) and
-    ``comp[u][v][c]`` at the object c of C(source(u)), None if strict."""
+    ``comp[u][v][c]`` at the object c of C(source(u)), None if strict.
+
+    A diagram has one view for its whole life, kept as its ``_view``: the
+    one its check built, or the one ``_index_view`` made on first use.  It
+    holds the diagram's data by index, no derived result."""
 
     __slots__ = ("rows", "out", "vertex", "vrows", "edges", "image", "made", "unit", "comp")
 
@@ -287,8 +296,10 @@ class _IndexView:
 
 
 def _index_view(d: Diagram) -> _IndexView:
-    """The ``_IndexView`` a ``PseudoDiagram``'s check kept, or else a new
-    one, with the components read off the tables of an unchecked one."""
+    """The ``_IndexView`` of ``d``: the one its check kept, or else, for a
+    diagram built unchecked (``constant_diagram``, ``from_strict``,
+    ``complex_to_pseudo_diagram``), one made now and kept, with the
+    components read off the tables of a pseudo diagram."""
     if "_view" in vars(d):
         return d._view
     view = _IndexView(d)
@@ -301,6 +312,7 @@ def _index_view(d: Diagram) -> _IndexView:
             vi, ui = r.index[v], r.index[u]
             view.comp[ui][vi] = list(map(vrows[r.tgt[vi]].index.__getitem__, map(
                 components.__getitem__, view.vertex[r.src[ui]].objects)))
+    object.__setattr__(d, "_view", view)
     return view
 
 
@@ -647,8 +659,11 @@ def _total_counts(d: Diagram) -> tuple[list[dict[int, int]], Callable[[], list[i
             rows.append(row)
 
     def reps_of() -> list[int]:
-        # union-find whose roots are the least members of their classes
-        root = list(range(n))
+        # union-find whose roots are the least members of their classes,
+        # started on the classes of each vertex; C(id_i) is isomorphic to the
+        # identity functor (by the unit), so only the other invertible u join
+        roots = {ends: _iso_roots(cat) for ends, cat in {c._ends: c for c in view.vertex}.items()}
+        root = [base + rc for base, cat in zip(offset, view.vertex) for rc in roots[cat._ends]]
 
         def find(k: int) -> int:
             while root[k] != k:
@@ -656,19 +671,14 @@ def _total_counts(d: Diagram) -> tuple[list[dict[int, int]], Callable[[], list[i
                 k = root[k]
             return k
 
-        def join(a: int, b: int) -> None:
-            a, b = find(a), find(b)
-            root[max(a, b)] = min(a, b)
-
         for i, us in enumerate(view.out):
-            for c, rc in enumerate(_iso_roots(view.vertex[i]), offset[i]):
-                join(offset[i] + rc, c)
             for u in us:
-                if u in r.inv:
+                if u in r.inv and u != r.ident[i]:
                     base = offset[r.tgt[u]]
                     for c, x in enumerate(view.image[u], offset[i]):
-                        join(c, base + x)
-        return [k for k in range(n) if find(k) == k]
+                        a, b = find(c), find(base + x)
+                        root[max(a, b)] = min(a, b)
+        return [k for k, rk in enumerate(root) if rk == k]
 
     return rows, reps_of
 

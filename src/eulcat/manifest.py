@@ -248,6 +248,10 @@ def _functor_payload(fun: CatFunctor) -> dict:
 
 
 def _str_map(raw: Mapping) -> dict[str, str]:
+    """``raw`` with every key and value read as a str: ``raw`` itself when
+    it is a dict of str to str, as a JSON manifest gives, else a copy."""
+    if type(raw) is dict and all(type(k) is str and type(v) is str for k, v in raw.items()):
+        return raw
     return {str(k): str(v) for k, v in raw.items()}
 
 

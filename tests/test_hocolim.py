@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from eulcat import fincat, hocolim, manifest, randgen, ratlin, zoo
 from eulcat.eulerchar import chi_scwol
-from eulcat.errors import ValidationError
+from eulcat.errors import EulcatError, ValidationError
 from eulcat.fincat import (
     CatFunctor,
     NotNatural,
@@ -298,38 +298,78 @@ class TestDiagramChecks:
         """Strictness and the coherence tables are checked on the maps, and
         the skeleton's functors and eta are built unchecked: no CatFunctor is
         composed with ``then``, made an identity functor or validated on the
-        way, except the edges a manifest holds: one per distinct triple of
-        source table, target table and maps."""
+        way, except the edges a manifest load checks (``edge_checks``)."""
         payload = manifest.serialize("pseudo_diagram", p)["payload"]
-
-        def made(*sections):
-            """The then, identity_functor and validation calls ``sections`` make."""
-            calls = dict.fromkeys(("then", "identity_functor", "__post_init__"), 0)
-
-            def counting(name, real):
-                def counted(*args):
-                    calls[name] += 1
-                    return real(*args)
-                return counted
-
-            with pytest.MonkeyPatch.context() as mp:
-                for name in calls:
-                    mp.setattr(CatFunctor, name, counting(name, getattr(CatFunctor, name)))
-                for section in sections:
-                    section()
-            return calls
-
-        assert made(
+        assert functor_calls(
             lambda: StrictDiagram(d.index, d.vertex, d.edge),
             lambda: PseudoDiagram(p.index, p.vertex, p.edge, p.comp, p.unit),
         ) == {"then": 0, "identity_functor": 0, "__post_init__": 0}
-        tables, edges = payload["vertices"], payload["edges"]
-        distinct = {(table_key(tables[x]), table_key(tables[y]), json.dumps(edges[m], sort_keys=True))
-                    for m, x, y in p.index._arrows()}
-        assert made(lambda: manifest.pseudo_diagram_from_payload(payload)) == {
-            "then": 0, "identity_functor": 0, "__post_init__": len(distinct)}
-        assert made(lambda: skeleton(cat)) == {
+        assert functor_calls(lambda: manifest.pseudo_diagram_from_payload(payload)) == {
+            "then": 0, "identity_functor": 0, "__post_init__": edge_checks(payload)}
+        assert functor_calls(lambda: skeleton(cat)) == {
             "then": 0, "identity_functor": 0, "__post_init__": 0}
+
+    def test_a_map_is_compared_with_the_first_one_checked(self):
+        """Edges a, b, c: k -> j with maps A, B, B between one pair of
+        tables: b differs from a, the first checked, and c is compared with
+        a too, so all three are checked, though only two maps are distinct.
+        With the identity edges, one per table, five edges are checked."""
+        two, xy = zoo.discrete_category(["0", "1"], "P"), zoo.discrete_category(["x", "y"], "Q")
+        index = zoo.build_category(("k", "j"), [(m, "k", "j") for m in "abc"], name="I")
+
+        def edge(images):
+            return CatFunctor(two, xy, images, {two.identity[c]: xy.identity[e]
+                                               for c, e in images.items()})
+
+        same, swapped = edge({"0": "x", "1": "y"}), edge({"0": "y", "1": "x"})
+        d = StrictDiagram(index, {"k": two, "j": xy},
+                          {"id_k": CatFunctor.identity_functor(two),
+                           "id_j": CatFunctor.identity_functor(xy),
+                           "a": same, "b": swapped, "c": swapped})
+        payload = json.loads(json.dumps(manifest.serialize("diagram", d)["payload"]))
+        assert edge_checks(payload) == 5
+        assert functor_calls(lambda: manifest.diagram_from_payload(payload)) == {
+            "then": 0, "identity_functor": 0, "__post_init__": 5}
+
+
+def functor_calls(*sections) -> dict:
+    """The then, identity_functor and validation calls ``sections`` make."""
+    calls = dict.fromkeys(("then", "identity_functor", "__post_init__"), 0)
+
+    def counting(name, real):
+        def counted(*args):
+            calls[name] += 1
+            return real(*args)
+        return counted
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in calls:
+            mp.setattr(CatFunctor, name, counting(name, getattr(CatFunctor, name)))
+        for section in sections:
+            section()
+    return calls
+
+
+def edge_checks(payload) -> int:
+    """The edge functors one load of a diagram ``payload`` with str names
+    checks.  Its vertices share one table when a later one equals, but for
+    its name, the first vertex under its key (objects, numbers of morphisms
+    and entries; ``manifest._category_once``).  In the index's arrow order
+    (``manifest._diagram_parts``) an edge is checked unless its maps equal
+    those of the first edge checked between the same two tables
+    (``manifest._functor_from_payload``)."""
+    tables, first, table = payload["vertices"], {}, {}
+    for i, t in tables.items():
+        f = first.setdefault((tuple(t["objects"]), len(t["morphisms"]), len(t["compose"])), i)
+        table[i] = f if table_key(t) == table_key(tables[f]) else i
+    index = manifest.category_from_payload(payload["index"], name="index")
+    checked, checks = {}, 0
+    for m, x, y in index._arrows():
+        maps, pair = payload["edges"][m], (table[x], table[y])
+        if checked.get(pair) != maps:
+            checks += 1
+            checked.setdefault(pair, maps)
+    return checks
 
 
 class TestSpectra:
@@ -373,6 +413,17 @@ class TestSpectra:
     def test_unknown_kind(self):
         with pytest.raises(UnknownKind):
             builtin_spectrum("moebius")
+
+    @pytest.mark.parametrize("kind, kwargs, message", [
+        ("terminal", {}, "terminal spectrum needs cat=... and obj=..."),
+        ("terminal", {"cat": zoo.terminal_category()}, "terminal spectrum needs cat=... and obj=..."),
+        ("terminal", {"obj": "*"}, "terminal spectrum needs cat=... and obj=..."),
+        ("subsets_poset", {}, "subsets_poset spectrum needs q=..."),
+    ], ids=["terminal-bare", "terminal-no-obj", "terminal-no-cat", "subsets-no-q"])
+    def test_builtin_without_its_arguments(self, kind, kwargs, message):
+        with pytest.raises(UnknownKind) as err:
+            builtin_spectrum(kind, **kwargs)
+        assert (type(err.value), str(err.value), err.value.witness) == (UnknownKind, message, None)
 
     def test_invalid_user_spectrum_rejected(self):
         with pytest.raises(NoWeighting):
@@ -425,6 +476,13 @@ class TestCheckFormula:
     def test_intro_pushout_chil(self):
         rep = check_hocolim_formula(intro_pushout_diagram(), "chiL")
         assert rep.equal and rep.lhs == 0
+
+    def test_unknown_invariant_rejected(self):
+        with pytest.raises(EulcatError) as err:
+            check_hocolim_formula(intro_pushout_diagram(), "bogus")
+        assert (type(err.value), str(err.value), err.value.witness) == (
+            EulcatError, "unknown invariant 'bogus'; pick one of ('chiL', 'chi2', 'chi_scwol')",
+            None)
 
     def test_group_index_rejected(self):
         index = zoo.one_object_category(cyclic_group(2))

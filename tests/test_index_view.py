@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eulcat import fincat, groupact, hocolim, manifest, randgen, zoo
+from eulcat import fincat, groupact, hocolim, manifest, randgen, ratlin, zoo
 from eulcat.cli import main
 from eulcat.errors import EulcatError, ValidationError
 from eulcat.groupact import haefliger_chi
@@ -175,6 +175,19 @@ class TestStrictCheck:
         assert {cls for how, cls in seen if how == "stray"} == {ValidationError, KeyError}
 
 
+def moving_unit() -> PseudoDiagram:
+    """The contractible groupoid on a, b over the terminal index, with
+    C(id) the functor that swaps a and b; in a thin category every
+    component is the one arrow between its ends and every axiom holds."""
+    vertex = zoo.contractible_groupoid(("a", "b"))
+    swap = {"a": "b", "b": "a"}
+    arrow = {x: f"u[{x}>{y}]" for x, y in swap.items()}
+    mor_map = {"id_a": "id_b", "id_b": "id_a", arrow["a"]: arrow["b"], arrow["b"]: arrow["a"]}
+    e = "id_i"
+    return PseudoDiagram(zoo.terminal_category("i"), {"i": vertex},
+                         {e: CatFunctor(vertex, vertex, swap, mor_map)}, {(e, e): arrow}, {"i": arrow})
+
+
 diagrams = st.one_of(strict_diagrams, pseudo_diagrams)
 # each drawn diagram as it was built, and over loaded stores
 drawn = st.one_of(diagrams, st.builds(reloaded_diagram, diagrams, SEEDS))
@@ -214,6 +227,18 @@ class TestAsByNames:
         assert [list(row.items()) for row in rows] == [list(row.items()) for row in want_rows]
         assert reps_of() == want_reps
 
+    @pytest.mark.parametrize("d", [
+        twisted_over_z2("1"), twisted_over_z2("2"), moving_unit(),
+        constant_diagram(zoo.contractible_groupoid(("a", "b")), zoo.contractible_groupoid("xyz")),
+    ], ids=["twisted-1", "twisted-2", "moving-unit", "over-a-groupoid"])
+    def test_hom_counts_over_invertible_index_arrows(self, d):
+        """Classes joined along invertible index arrows, and a unit that
+        moves objects within their class."""
+        rows, reps_of = hocolim._total_counts(d)
+        want_rows, want_reps = reference_total_counts(d)
+        assert (rows, reps_of()) == (want_rows, want_reps)
+        assert hocolim._total_chi_L(d) == ratlin.chi_L(hocolim._grothendieck(d))
+
     @settings(max_examples=60, deadline=None)
     @given(st.one_of(scwols, st.builds(loaded, scwols, SEEDS)), st.data())
     def test_haefliger_sums_and_witnesses(self, cat, data):
@@ -240,3 +265,91 @@ class TestAsByNames:
         got = failure(haefliger_chi, loaded(fat, 1), vals)
         assert got is not None and issubclass(got[0], ValidationError)
         assert got == failure(reference_haefliger_chi, fat, vals)
+
+
+def fresh(d):
+    """``d`` over the same index, vertices and edges, built unchecked: it has
+    no view until ``_index_view`` makes one."""
+    return unvalidated(StrictDiagram, index=d.index, vertex=d.vertex, edge=d.edge)
+
+
+class TestOneViewPerDiagram:
+    """Each diagram makes its ``_IndexView`` at most once: a checked one
+    keeps the view its check built, and any other keeps the one made on its
+    first use."""
+
+    @staticmethod
+    def views(*sections) -> int:
+        """How many views ``sections`` make."""
+        made, real = [], hocolim._IndexView.__init__
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hocolim._IndexView, "__init__", lambda view, d: made.append(d) or real(view, d))
+            for section in sections:
+                section()
+        return len(made)
+
+    @staticmethod
+    def every_use(diagram):
+        """The formula check, two builds and the pseudo view of the strict
+        diagram ``diagram()``."""
+        return [lambda: hocolim.check_hocolim_formula(diagram()),
+                lambda: hocolim.grothendieck(diagram()), lambda: hocolim.grothendieck(diagram()),
+                lambda: PseudoDiagram.from_strict(diagram())]
+
+    def test_a_checked_strict_diagram(self):
+        d = randgen.random_groupoid_diagram(Random(3))
+        built = []
+        assert self.views(lambda: built.append(
+            StrictDiagram(d.index, d.vertex, d.edge)), *self.every_use(lambda: built[0])) == 1
+        view = built[0]._view
+        assert set(view.made) == set(view.edges)  # with every edge's arrays
+        assert hocolim._index_view(built[0]) is view
+
+    def test_a_constant_diagram(self):
+        d = constant_diagram(zoo.pushout_scwol(), zoo.one_object_category(cyclic_group(3)))
+        assert "_view" not in vars(d)
+        assert self.views(*self.every_use(lambda: d)) == 1
+        assert self.views(*self.every_use(lambda: d)) == 0
+
+    def test_a_checked_pseudo_diagram(self):
+        p = PseudoDiagram.from_strict(randgen.random_groupoid_diagram(Random(3)))
+        built = []
+        assert self.views(lambda: built.append(
+            PseudoDiagram(p.index, p.vertex, p.edge, p.comp, p.unit))) == 1
+        q = built[0]
+        assert self.views(lambda: hocolim.check_hocolim_formula(q),
+                          lambda: hocolim.grothendieck_pseudo(q),
+                          lambda: hocolim._total_counts(q)) == 0
+
+    def test_a_rejected_pseudo_diagram_keeps_no_view(self):
+        """Unchecked and malformed: the view is kept only once it is whole."""
+        p = PseudoDiagram.from_strict(constant_diagram(zoo.pushout_scwol(), zoo.monoid_z2_mult()))
+        unit = {**p.unit, "j": {}}
+        q = unvalidated(PseudoDiagram, index=p.index, vertex=p.vertex, edge=p.edge, comp=p.comp,
+                        unit=unit)
+        with pytest.raises(KeyError):
+            hocolim._index_view(q)
+        assert "_view" not in vars(q)
+
+    @settings(max_examples=40, deadline=None)
+    @given(strict_diagrams)
+    def test_kept_and_fresh_views_agree(self, d):
+        """The view a check kept, with every edge's arrays made, and one made
+        afresh give the same hom counts, totals, composites, names and
+        classification."""
+        d = StrictDiagram(d.index, d.vertex, d.edge)
+
+        def counts(d):
+            rows, reps_of = hocolim._total_counts(d)
+            return [list(row.items()) for row in rows], reps_of()
+
+        def total(d):
+            got = hocolim.grothendieck(d).category
+            ends = got._ends
+            return (ends.src, ends.tgt, ends.ident, list(ends.inv.items()),
+                    got._plan.composites(), got.objects, got.morphism_names(),
+                    fincat.classify(got))
+
+        assert counts(d) == counts(fresh(d))
+        assert total(d) == total(fresh(d))
+        assert "_view" in vars(d)

@@ -101,6 +101,24 @@ class TestRoundTrip:
             manifest.parse({"schema": 1, "kind": "nope", "payload": {}})
         assert info.value.witness == {"kind": "nope"}
 
+    def test_unknown_kind_has_no_manifest(self):
+        with pytest.raises(manifest.BadManifest) as info:
+            manifest._manifest("nope", zoo.terminal_category())
+        assert (str(info.value), info.value.witness) == (
+            "unknown manifest kind 'nope'", {"kind": "nope"})
+
+    def test_a_json_array_is_no_manifest(self, tmp_path, capsys):
+        data = [{"schema": 1, "kind": "category"}]
+        with pytest.raises(manifest.BadManifest) as info:
+            manifest.parse(data)
+        assert (str(info.value), info.value.witness) == (
+            "manifest must be a JSON object", {"type": "list"})
+        path = tmp_path / "array.json"
+        path.write_text(json.dumps(data))
+        assert main(["--json", "validate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: manifest must be a JSON object\n")
+
     def test_bad_schema_rejected(self):
         with pytest.raises(manifest.BadManifest) as info:
             manifest.parse({"schema": 99, "kind": "category", "payload": {}})

@@ -334,6 +334,39 @@ class TestStillChecked:
         assert len({id(c._ends) for c in d.vertex.values()}) == n
 
 
+class TestStrMap:
+    def test_a_json_map_is_read_as_it_is(self):
+        """Every key and value of a JSON-loaded map is a str: the load keeps
+        the decoder's dicts as the edges' maps, with no copy."""
+        d = constant_diagram(zoo.polygon_scwol(2), zoo.one_object_category(cyclic_group(3)))
+        payload = renamed("diagram", d, Random(0))
+        raw = payload["edges"]["t1"]
+        assert manifest._str_map(raw["morphisms"]) is raw["morphisms"]
+        fun = parsed("diagram", payload).edge["t1"]
+        assert fun.obj_map is raw["objects"] and fun.mor_map is raw["morphisms"]
+
+    @pytest.mark.parametrize("raw, want", [
+        ({1: "a"}, {"1": "a"}), ({"a": 1.0}, {"a": "1.0"}), ({True: True}, {"True": "True"}),
+        ({"a": "b", "c": 1}, {"a": "b", "c": "1"}),
+    ], ids=["int-key", "float-value", "bool", "last-value"])
+    def test_other_ids_are_copied_as_their_str(self, raw, want):
+        got = manifest._str_map(raw)
+        assert got is not raw and got == want
+        assert list(map(type, [*got, *got.values()])) == [str] * 2 * len(want)
+
+    def test_a_map_of_numeric_ids_loads_as_its_str(self):
+        """An edge map whose ids are JSON numbers reads as the map of their
+        str names, and the load keeps the copy."""
+        d = constant_diagram(zoo.polygon_scwol(2), zoo.one_object_category(cyclic_group(3)))
+        payload = renamed("diagram", d, Random(0))
+        raw = payload["edges"]["t1"]["morphisms"]
+        assert set(raw) == {"0", "1", "2"}
+        numeric = {int(k): int(v) for k, v in raw.items()}
+        payload["edges"]["t1"]["morphisms"] = numeric
+        fun = parsed("diagram", payload).edge["t1"]
+        assert fun.mor_map is not numeric and fun.mor_map == raw
+
+
 Z2_PAYLOAD = {"name": "Z2", "elements": ["0", "1"], "table": [["0", "1"], ["1", "0"]],
               "identity": "0"}
 

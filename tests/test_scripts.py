@@ -78,26 +78,39 @@ def in_git_checkout() -> bool:
 
 @pytest.mark.skipif(not in_git_checkout(), reason="bench_pairs.py archives a git commit")
 def test_bench_pairs_tiny(tmp_path):
+    """One pair at seed 0 and one at the held-out seed 1009, each summarised
+    in the schema of the ``BENCH_*.json`` files."""
     out_path = tmp_path / "bench.json"
     out = run_script("bench_pairs.py", "--size", "tiny", "--pairs", "1", "--seconds", "1",
-                     "--workload", "groups", "--claim", "groups:task_p90_ms",
-                     "--out", str(out_path))
+                     "--seed", "0", "--seed", "1009", "--workload", "groups",
+                     "--claim", "groups:task_p90_ms", "--out", str(out_path))
     assert out.returncode == 0, out.stdout + out.stderr
     report = json.loads(out_path.read_text(encoding="utf-8"))
-    assert {"change", "command", "host", "quartiles", "claim", "workloads"} <= set(report)
-    groups = report["workloads"]["groups"]
-    assert (groups["pairs"], groups["failed_runs"], groups["all_correct"]) == (1, 0, True)
-    assert groups["first_side"] == ["parent"]
+    assert {"change", "command", "host", "quartiles", "claim", "workloads",
+            "held_out_seed"} <= set(report)
+    held_out = report["held_out_seed"]
+    assert set(held_out) == {"seed", "claim", "groups"} and held_out["seed"] == 1009
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    assert list(groups["metrics"]) == [m["name"] for m in bench["end_to_end"]]
-    for spec in bench["end_to_end"]:
-        metric = groups["metrics"][spec["name"]]
-        assert (metric["unit"], metric["better"], metric["bound"]) == (
-            spec["unit"], spec["better"], spec["bound"])
-        assert [len(metric["runs"][side]) for side in ("parent", "change")] == [1, 1]
-        assert metric["change_wins"] in ("0/1", "1/1")
-        assert isinstance(metric["within_bound"], bool)
-    assert report["claim"]["metric"] == "task_p90_ms" and isinstance(report["claim"]["met"], bool)
+    for seed, groups, claim in ((0, report["workloads"]["groups"], report["claim"]),
+                                (1009, held_out["groups"], held_out["claim"])):
+        assert (groups["seed"], groups["pairs"], groups["failed_runs"], groups["all_correct"]) == (
+            seed, 1, 0, True)
+        assert groups["first_side"] == ["parent"]
+        assert list(groups["metrics"]) == [m["name"] for m in bench["end_to_end"]]
+        for spec in bench["end_to_end"]:
+            metric = groups["metrics"][spec["name"]]
+            assert (metric["unit"], metric["better"], metric["bound"]) == (
+                spec["unit"], spec["better"], spec["bound"])
+            assert [len(metric["runs"][side]) for side in ("parent", "change")] == [1, 1]
+            assert metric["change_wins"] in ("0/1", "1/1")
+            assert isinstance(metric["within_bound"], bool)
+        assert claim["metric"] == "task_p90_ms" and isinstance(claim["met"], bool)
+
+
+def test_bench_pairs_takes_at_most_two_seeds():
+    out = run_script("bench_pairs.py", "--seed", "0", "--seed", "1", "--seed", "2")
+    assert out.returncode == 2
+    assert "--seed may be given at most twice" in out.stderr
 
 
 def test_bench_pairs_reads_correct_from_each_run():
