@@ -1,0 +1,143 @@
+#!/usr/bin/env python3
+"""Measure what a benchmark workload's set-up holds in memory.
+
+    python3 scripts/memory.py --workload audit [--seed N] [--size full|tiny]
+
+Runs the set-up of ``perfbench/workloads.py`` for the workload once, under
+``tracemalloc``, and prints one JSON object:
+
+- ``traced_bytes`` and ``traced_peak_bytes``: what tracemalloc traces once
+  the set-up has returned (after a collection), and its peak during it;
+- ``categories``: the ``FinCat``s reachable from the set-up's tasks, and
+  ``with_views`` how many of them hold a name view;
+- ``views``: per name view (``morphisms``, ``composition``, ``_mor``,
+  ``_hom``, ``_by_source``, ``_invertible``), the categories that hold it;
+- ``view_bytes``: the bytes those views hold beyond the rows;
+- ``row_bytes``: the bytes the categories' ``_ends`` hold (their rows, or
+  a total's arrays).
+
+Bytes are ``sys.getsizeof`` summed over each object reachable from a row
+or a view, each object counted once, rows first, so a name string that a
+row and a view share is a row's.  Reading a category here makes no view.
+Manifests the set-up writes go to a temporary directory.  Nothing under
+``perfbench/`` is edited.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import json
+import sys
+import tempfile
+import tracemalloc
+import types
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import workloads  # noqa: E402
+from eulcat.fincat import FinCat, Morphism, _Ends  # noqa: E402
+
+VIEWS = ("morphisms", "composition", "_mor", "_hom", "_by_source", "_invertible")
+LEAVES = (str, int, float, bool, type(None), type, types.ModuleType)
+
+
+def categories(root) -> list[FinCat]:
+    """The FinCats reachable from ``root``, through containers, instances
+    and closures, but not through a function's globals, a class or a
+    module."""
+    found, seen, stack = [], set(), [root]
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, LEAVES) or id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, FinCat):
+            found.append(obj)
+        if isinstance(obj, types.FunctionType):
+            for cell in obj.__closure__ or ():
+                try:
+                    stack.append(cell.cell_contents)
+                except ValueError:  # an empty cell
+                    pass
+        elif not isinstance(obj, (types.BuiltinFunctionType, types.MethodWrapperType)):
+            stack.extend(gc.get_referents(obj))
+    return found
+
+
+def slot_values(obj) -> list:
+    """The values of the slots of ``obj`` that are set, read off the slot
+    descriptors, so no ``_OnFirstRead`` of a subclass runs."""
+    values = []
+    for cls in type(obj).__mro__:
+        for slot in getattr(cls, "__slots__", ()):
+            try:
+                values.append(cls.__dict__[slot].__get__(obj, cls))
+            except AttributeError:
+                pass
+    return values
+
+
+def deep_size(root, seen: set) -> int:
+    """``sys.getsizeof`` summed over ``root`` and the containers, records,
+    rows and names it holds, skipping the objects in ``seen``, which it
+    extends."""
+    total, stack = 0, [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        total += sys.getsizeof(obj)
+        if isinstance(obj, dict):
+            stack.extend(obj.keys())
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            stack.extend(obj)
+        elif isinstance(obj, Morphism):
+            stack.append(vars(obj))
+        elif isinstance(obj, _Ends):
+            stack.extend(slot_values(obj))
+    return total
+
+
+def measure(workload: str, seed: int, size: str) -> dict:
+    """Set up ``workload`` and report what it holds (see the module
+    docstring)."""
+    with tempfile.TemporaryDirectory() as out_dir:
+        gc.collect()
+        tracemalloc.start()
+        tasks = workloads.WORKLOADS[workload](seed, out_dir, size)
+        gc.collect()
+        traced, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        cats = categories(tasks)
+        seen: set = set()
+        row_bytes = sum(deep_size(cat._ends, seen) for cat in cats)
+        held = {attr: [cat for cat in cats if attr in vars(cat)] for attr in VIEWS}
+        view_bytes = sum(deep_size(vars(cat)[attr], seen) for attr in VIEWS for cat in held[attr])
+        return {
+            "workload": workload, "seed": seed, "size": size, "tasks": len(tasks),
+            "traced_bytes": traced, "traced_peak_bytes": peak,
+            "categories": len(cats),
+            "with_views": sum(any(attr in vars(cat) for attr in VIEWS) for cat in cats),
+            "views": {attr: len(held[attr]) for attr in VIEWS},
+            "view_bytes": view_bytes, "row_bytes": row_bytes,
+        }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--workload", required=True, choices=sorted(workloads.WORKLOADS))
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--size", choices=sorted(workloads.SIZES), default="full")
+    args = parser.parse_args(argv)
+    print(json.dumps(measure(args.workload, args.seed, args.size)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -363,11 +363,8 @@ def _demo_inclusion_exclusion(out) -> bool:
     )
     poset = zoo.subsets_poset_opposite(2)
     elements = {label: sorted(intersection(label)) for label in poset.objects}
-    maps = {
-        m.name: {x: x for x in elements[m.source]}
-        for m in poset.morphisms
-        if not poset.is_identity(m.name)
-    }
+    maps = {m: {x: x for x in elements[s]} for m, s, _ in poset._arrows()
+            if not poset.is_identity(m)}
     direct = _total_chi_L(set_diagram(poset, elements, maps))
 
     out.append("inclusion-exclusion for S0={1,2}, S1={2,3}, S2={3}")

@@ -1,19 +1,18 @@
 """Finite categories as explicit object/morphism/composition tables.
 
 A FinCat is given by its objects, morphism records, identity map and full
-composition table; every question here is answered off integer arrays.  Every
-FinCat keeps ``_ends`` (``_Ends``: endpoints, identities and inverses by
+composition table; every question here is answered off integer arrays.  There
+is one representation.  Every FinCat keeps its name, its objects, its
+identity map and ``_ends`` (``_Ends``: endpoints, identities and inverses by
 index), which the structural predicates (``classify``), the hom counts and
-the isomorphism classes read.
-
-Every category the library builds or loads is a ``_Store``: names and the
-integer rows of its table (``_Rows``), written through the one unchecked
-constructor ``_stored`` or checked in from a manifest (``validate``); a
-Grothendieck total (``hocolim._Total``) keeps its plan instead.  Both make
-each name field (records, lookup tables, identity and inverse maps, the
-table) on its first read (``_OnFirstRead``); the library reads the arrays
-(``_rows_of``).  The ``FinCat`` constructor is the checked boundary for
-hand-built categories (``zoo``): it holds its names and keeps its rows.
+the isomorphism classes read.  Its ``_ends`` are the integer rows of its
+table (``_Rows``), which the checked constructor fills from a hand-built
+table (``zoo``), a builder writes through the one unchecked constructor
+``_stored``, or ``validate`` checks in from a manifest; a Grothendieck total
+(``hocolim._Total``, the one subclass) keeps its plan instead.  Each name
+field (records, lookup tables, the inverse map, the table, and the identity
+map where none was given) is made on its first read (``_OnFirstRead``); the
+library reads the arrays (``_rows_of``).
 
 Validation checks the ids, endpoints and identity map, the endpoints of
 every composite, the identity laws on every morphism and, unless the
@@ -88,6 +87,24 @@ class Morphism:
     target: str
 
 
+class _OnFirstRead:
+    """A name field of a FinCat, made from its integer arrays on its first
+    read: the category makes it (``_make``) and stores it on the instance,
+    which shadows this non-data descriptor, so later reads find it there
+    directly.  A ``hocolim._TotalRows`` makes its indexes the same way.
+    On the class it has no value, so a dataclass field that is one has no
+    default."""
+
+    def __set_name__(self, owner, name: str):
+        self.name = name
+
+    def __get__(self, cat, owner=None):
+        if cat is None:
+            raise AttributeError(self.name)
+        cat._make(self.name)
+        return cat.__dict__[self.name]
+
+
 @dataclass(frozen=True, eq=False)
 class FinCat:
     """A finite category: ordered objects, morphism records, identity map,
@@ -95,29 +112,34 @@ class FinCat:
 
     ``composition[(g, f)]`` is the name of ``g o f`` (apply f first), defined
     exactly when ``target(f) == source(g)``.  This constructor is the checked
-    boundary for hand-built categories: it takes names, holds them all from
-    construction, checks every law on the integer rows of its table
-    (``_Rows``, numbered by the indexes of its record check) and keeps those
-    rows as ``_ends`` (endpoints, identities and inverses by index).  The library
-    builds no category through it: its builders write the arrays of a
-    ``_Store`` (``_stored``), ``validate`` checks a manifest into one, and a
-    Grothendieck total is a ``hocolim._Total``; those make their name fields
-    on first read.  Direct finiteness and the inverses come from the inverse
-    search of the rows (``_inverse_search``), or from a builder's proof.
+    boundary for hand-built categories: it takes names, checks every law on
+    the integer rows of its table (``_Rows``, numbered by the indexes of its
+    record check) and keeps only those rows, as ``_ends`` (endpoints,
+    identities and inverses by index), with its name, its objects and the
+    identity map it was given.  Every other category is one of these too,
+    written unchecked by a builder (``_stored``) or checked in from a
+    manifest (``validate``); a Grothendieck total (``hocolim._Total``) keeps
+    its plan instead of rows.  The records, the table (in entry order), the
+    lookup tables of ``_headers`` and the inverse map are views
+    (``_OnFirstRead``), made on their first read with the values and order
+    they were given in; the accessors but ``hom``, ``morphisms_from``,
+    ``is_invertible`` and ``inverse`` read the rows and make none.  Direct
+    finiteness and the inverses come from the inverse search of the rows
+    (``_inverse_search``), or from a builder's proof.
     """
 
     objects: tuple[str, ...]
-    morphisms: tuple[Morphism, ...]
-    identity: Mapping[str, str]
-    composition: Mapping[tuple[str, str], str]
+    morphisms: tuple[Morphism, ...] = _OnFirstRead()
+    identity: Mapping[str, str] = _OnFirstRead()
+    composition: Mapping[tuple[str, str], str] = _OnFirstRead()
     name: str = "C"
 
-    _mor: dict = field(init=False, repr=False)
-    _hom: dict = field(init=False, repr=False)
-    _by_source: dict = field(init=False, repr=False)
-    _invertible: dict = field(init=False, repr=False)
     _directly_finite: bool = field(init=False, repr=False)
     _ends: _Ends = field(init=False, repr=False)
+    _mor = _OnFirstRead()
+    _hom = _OnFirstRead()
+    _by_source = _OnFirstRead()
+    _invertible = _OnFirstRead()
 
     def __post_init__(self, *_):
         # perfbench/tracing.py wraps this method and passes it one flag more
@@ -129,14 +151,14 @@ class FinCat:
         rows.check_entries(((g, f, gf) for (g, f), gf in self.composition.items()), self.name)
         rows.check_laws(self.name)
         rows.inv, directly_finite = _inverse_search(rows.rows, src, tgt, ident)
-        object.__setattr__(self, "_invertible", {names[m]: names[g] for m, g in rows.inv.items()})
-        object.__setattr__(self, "_directly_finite", directly_finite)
-        object.__setattr__(self, "_ends", rows)
+        fields = self.__dict__
+        del fields["morphisms"], fields["composition"]  # views from here on
+        fields.update(_directly_finite=directly_finite, _ends=rows)
 
     def _check_records(self) -> tuple[list, dict, dict]:
         """Check the object and morphism ids, the endpoints and the identity
-        map, and set the lookup tables of ``_headers``.  Return the morphism
-        names, their index and the object index."""
+        map on their indexes.  Return the morphism names, their index and
+        the object index."""
         objects, morphisms = self.objects, self.morphisms
         obj_index = {x: i for i, x in enumerate(objects)}
         if len(obj_index) != len(objects):
@@ -156,42 +178,65 @@ class FinCat:
                     f"{m.source!r} -> {m.target!r}",
                     witness={"morphism": m.name},
                 )
-        for attr, table in _headers(objects, morphisms).items():
-            object.__setattr__(self, attr, table)
-        mor = self._mor
 
+        identity = self.identity
         for x in objects:
-            if x not in self.identity:
+            if x not in identity:
                 raise BrokenIdentity(
                     f"{self.name}: object {x!r} has no identity morphism", witness={"object": x}
                 )
-            e = self.identity[x]
-            if e not in mor:
+            e = identity[x]
+            if e not in index:
                 raise DanglingReference(
                     f"{self.name}: identity {e!r} of {x!r} is unknown", witness={"object": x}
                 )
-            if mor[e].source != x or mor[e].target != x:
+            m = morphisms[index[e]]
+            if m.source != x or m.target != x:
                 raise BrokenIdentity(
                     f"{self.name}: identity {e!r} is not an endomorphism of {x!r}",
                     witness={"morphism": e},
                 )
-        for x in self.identity:
+        for x in identity:
             if x not in obj_index:
                 raise DanglingReference(
                     f"{self.name}: identity table names unknown object {x!r}", witness={"object": x}
                 )
         return names, index, obj_index
 
+    def _make(self, attr: str) -> None:
+        """Store the name field ``attr`` on the instance: the table, the
+        identity or inverse map, or else the records with every lookup
+        table."""
+        fields, rows = self.__dict__, self._ends
+        names, objs = rows.names, self.objects
+        if attr == "composition":
+            fields[attr] = rows.table()
+        elif attr == "identity":
+            fields[attr] = {x: names[e] for x, e in zip(objs, rows.ident)}
+        elif attr == "_invertible":
+            fields[attr] = {names[m]: names[g] for m, g in rows.inv.items()}
+        else:
+            mors = tuple(map(Morphism, names, [objs[x] for x in rows.src],
+                             [objs[y] for y in rows.tgt]))
+            fields.update(_headers(objs, mors), morphisms=mors)
+
     # -- accessors ----------------------------------------------------------
 
+    def _named(self) -> _Rows:
+        """The rows the name accessors read: ``_ends``, or a total's own."""
+        return self._ends
+
     def source(self, m: str) -> str:
-        return self._mor[m].source
+        r = self._named()
+        return self.objects[r.src[r.index[m]]]
 
     def target(self, m: str) -> str:
-        return self._mor[m].target
+        r = self._named()
+        return self.objects[r.tgt[r.index[m]]]
 
     def compose(self, g: str, f: str) -> str:
-        return self.composition[(g, f)]
+        r = self._named()
+        return r.names[r.rows[r.index[f]][r.index[g]]]
 
     def hom(self, x: str, y: str) -> tuple[str, ...]:
         return self._hom.get((x, y), ())
@@ -200,7 +245,9 @@ class FinCat:
         return self._by_source[x]
 
     def is_identity(self, m: str) -> bool:
-        return self.identity[self.source(m)] == m
+        r = self._named()
+        i = r.index[m]
+        return r.ident[r.src[i]] == i
 
     def is_invertible(self, m: str) -> bool:
         return m in self._invertible
@@ -209,14 +256,15 @@ class FinCat:
         return self._invertible[m]
 
     def morphism_names(self) -> tuple[str, ...]:
-        return tuple(m.name for m in self.morphisms)
+        return tuple(self._named().names)
 
     def has_object(self, x: str) -> bool:
-        return x in self._by_source
+        return x in self._named().objects
 
     def _arrows(self) -> Iterable[tuple[str, str, str]]:
         """The name, source and target of each morphism, in order."""
-        return [(m.name, m.source, m.target) for m in self.morphisms]
+        objs, rows = self.objects, self._named()
+        return zip(rows.names, map(objs.__getitem__, rows.src), map(objs.__getitem__, rows.tgt))
 
     def require_object(self, x: str) -> None:
         if not self.has_object(x):
@@ -224,25 +272,6 @@ class FinCat:
 
     def __len__(self) -> int:
         return len(self._ends.ident)
-
-
-class _OnFirstRead:
-    """A name field of a FinCat that keeps integer arrays in its place: a
-    ``_Store`` or a Grothendieck total (``hocolim._Total``), or an index of
-    a total's rows (``hocolim._TotalRows``).  Its first read has the
-    category make it (``_make``) and store it on the instance, which
-    shadows this non-data descriptor, so later reads find it there directly.
-    Only those classes carry the descriptors, so no other FinCat pays for
-    them."""
-
-    def __set_name__(self, owner, name: str):
-        self.name = name
-
-    def __get__(self, cat, owner=None):
-        if cat is None:
-            return self
-        cat._make(self.name)
-        return cat.__dict__[self.name]
 
 
 class _Ends:
@@ -477,53 +506,10 @@ def _rows_of(cat: FinCat) -> _Rows:
     return ends if isinstance(ends, _Rows) else cat._read_rows()
 
 
-class _Store(FinCat):
-    """A category the library built (``_stored``) or loaded (``validate``):
-    its name, object names and, as ``_ends``, its ``_Rows``.  The records,
-    the lookup tables of ``_headers``, the identity and inverse maps and
-    the table (in entry order) are made on their first read; a manifest's
-    identity map is kept as it was read."""
-
-    morphisms = _OnFirstRead()
-    identity = _OnFirstRead()
-    composition = _OnFirstRead()
-    _mor = _OnFirstRead()
-    _hom = _OnFirstRead()
-    _by_source = _OnFirstRead()
-    _invertible = _OnFirstRead()
-
-    def _make(self, attr: str) -> None:
-        """Store the name field ``attr`` on the instance: the table, the
-        identity or inverse map, or else the records with every lookup
-        table."""
-        fields, rows = self.__dict__, self._ends
-        names, objs = rows.names, self.objects
-        if attr == "composition":
-            fields[attr] = rows.table()
-        elif attr == "identity":
-            fields[attr] = {x: names[e] for x, e in zip(objs, rows.ident)}
-        elif attr == "_invertible":
-            fields[attr] = {names[m]: names[g] for m, g in rows.inv.items()}
-        else:
-            mors = tuple(map(Morphism, names, [objs[x] for x in rows.src],
-                             [objs[y] for y in rows.tgt]))
-            fields.update(_headers(objs, mors), morphisms=mors)
-
-    def morphism_names(self) -> tuple[str, ...]:
-        return tuple(self._ends.names)
-
-    def has_object(self, x: str) -> bool:
-        return x in self._ends.objects
-
-    def _arrows(self) -> Iterable[tuple[str, str, str]]:
-        objs, rows = self.objects, self._ends
-        return zip(rows.names, map(objs.__getitem__, rows.src), map(objs.__getitem__, rows.tgt))
-
-
 def _stored(name: str, objects: Sequence[str], names: Sequence[str], src: list[int],
             tgt: list[int], ident: list[int], entries: Iterable[tuple[int, int, int]],
             inverses: Optional[tuple[dict[int, int], bool]] = None) -> FinCat:
-    """The one unchecked constructor: the ``_Store`` of arrays a builder
+    """The one unchecked constructor: the FinCat of arrays a builder
     writes, lawful by its proof.  ``entries`` are the triples (g, f, g o f)
     by index, in ``composition`` order; ``inverses`` (``inv`` and direct
     finiteness) are lifted from the input, or else searched.  Only the id
@@ -539,7 +525,7 @@ def _stored(name: str, objects: Sequence[str], names: Sequence[str], src: list[i
         rows[f][g] = gf
         put(f)
     r.inv, directly_finite = inverses or _inverse_search(rows, src, tgt, ident)
-    return _trusted(_Store, name=name, objects=objects, _ends=r, _directly_finite=directly_finite)
+    return _trusted(FinCat, name=name, objects=objects, _ends=r, _directly_finite=directly_finite)
 
 
 def _headers(objects, morphisms) -> dict:
@@ -572,7 +558,7 @@ def validate(raw: Mapping, name: str = "C") -> FinCat:
     lists, and each pair (g, f) is listed once.  An id may be a JSON number,
     read as its ``str``.  The ids are read into integer arrays and the
     entries into the integer rows of the check, each once (``_load``); the
-    result is a ``_Store``, which makes its records and name-keyed table
+    result keeps its rows, and makes its records and name-keyed table
     only when they are read.
     """
     try:
@@ -603,7 +589,7 @@ def _load(name: str, objects: tuple, names: list, sources: list, targets: list,
     """``validate`` after the parse: the ids interned into index arrays,
     checked by whole-array compares, then the entries checked into
     ``_Rows``, and the laws and inverses read off the rows, which the
-    ``_Store`` keeps with the manifest's identity map.  Only a manifest
+    category keeps with the manifest's identity map.  Only a manifest
     whose ids, endpoints or identity map fail has records made, for the walk
     of ``FinCat._check_records`` to raise the first fault in its order.  A
     malformed entry, then a pair listed twice, comes before every other
@@ -636,7 +622,7 @@ def _load(name: str, objects: tuple, names: list, sources: list, targets: list,
         _check_listing(name, entries)
     rows.check_laws(name)
     rows.inv, directly_finite = _inverse_search(rows.rows, src, tgt, ident)
-    return _trusted(_Store, name=name, objects=objects, identity=identity, _ends=rows,
+    return _trusted(FinCat, name=name, objects=objects, identity=identity, _ends=rows,
                     _directly_finite=directly_finite)
 
 
@@ -1182,9 +1168,12 @@ def path_counts(cat: FinCat, n_max: Optional[int] = None) -> PathCounts:
     dynamic program over the skeleton's non-identity arrows: the number of
     paths of length n starting at x is the sum, over arrows x -> y, of
     those of length n - 1 starting at y, so each length costs one pass over
-    the arrows.  A skeletal scwol has no cycle of arrows, so its paths visit
-    distinct objects and stop before the object count; a longer path
-    raises NotScwol, as does one longer than ``n_max``.
+    the arrows.  A skeletal scwol has no cycle of non-identity arrows: in
+    x -> y -> ... -> x, with x != y, the arrow f: x -> y and the composite
+    g: y -> x give endomorphisms g o f and f o g, identities in a scwol, so
+    f would be an isomorphism between distinct objects, which a skeleton
+    has not.  So its paths visit distinct objects and have fewer arrows
+    than it has objects.  A path longer than ``n_max`` raises NotScwol.
     """
     _require_scwol(cat)
     return _skeleton_path_counts(_skeleton_category(cat), cat.name, n_max)
@@ -1200,8 +1189,7 @@ def _skeleton_path_counts(gamma: FinCat, name: str, n_max: Optional[int] = None)
     counts = [len(objs)]
     starts = [[1] for _ in objs]
     vec = [1] * len(objs)
-    level = 1
-    while True:
+    for level in range(1, len(objs)):  # a path visits distinct objects (``path_counts``)
         vec = [sum(k * vec[j] for j, k in row.items() if j != i) for i, row in enumerate(rows)]
         total = sum(vec)
         if not total:
@@ -1211,13 +1199,9 @@ def _skeleton_path_counts(gamma: FinCat, name: str, n_max: Optional[int] = None)
                 f"{name}: a path of {level} arrows is longer than the requested cap {n_max}",
                 witness={"level": level},
             )
-        if level >= len(objs):
-            raise NotScwol(f"{name}: a path of {level} arrows repeats an object",
-                           witness={"level": level})
         counts.append(total)
         for row, v in zip(starts, vec):
             row.append(v)
-        level += 1
 
     return PathCounts(tuple(counts), {x: tuple(row) for x, row in zip(objs, starts)})
 

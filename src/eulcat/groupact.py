@@ -470,7 +470,7 @@ def constant_complex(base: FinCat, group: FinGroup) -> ComplexOfGroups:
     return ComplexOfGroups(
         base,
         {x: group for x in base.objects},
-        {m.name: ident for m in base.morphisms},
+        {m: ident for m in base.morphism_names()},
         {(b, a): group.identity for (b, a) in base.composition},
     )
 

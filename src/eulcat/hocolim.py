@@ -346,8 +346,8 @@ class GrothendieckResult:
             ci = self.diagram.vertex[i]
             alphas[i] = _trusted(CatFunctor, source=ci, target=self.category,
                                  obj_map={c: _pair_obj(i, c) for c in ci.objects},
-                                 mor_map={m.name: _triple_mor(idx.identity[i], m.name, m.source)
-                                          for m in ci.morphisms})
+                                 mor_map={m: _triple_mor(idx.identity[i], m, x)
+                                          for m, x, _ in ci._arrows()})
         return alphas
 
 
@@ -359,28 +359,32 @@ class _Total(FinCat):
     which every FinCat keeps) is what ``classify``, ``_count_rows``,
     ``_iso_roots`` and ``len`` read, and ``_plan`` (a ``_Numbering``) is
     what names and composes the morphisms.  Each name field is a
-    ``fincat._OnFirstRead``.  The object names are made on their first
+    ``fincat._OnFirstRead``, its objects too, which are made on their first
     read.  The first read of the morphism records, ``identity``,
     ``_invertible`` or a lookup table of ``fincat._headers`` makes all of
     those, and the first read of ``composition`` makes the table.  Names
     and order are those of the name-level construction.  The writer reads
     the object names and the rows of ``_read_rows``, and ``morphism_names``
-    reads the plan, so neither makes any other field.
+    reads the plan, so neither makes any other field.  The accessors that
+    a FinCat answers off its rows read ``_names`` here, the morphism names
+    on ``_ends`` with no composite, and ``compose`` reads ``_composites``,
+    the composition rows; each is made on its first read.
     """
 
     objects = _OnFirstRead()
-    morphisms = _OnFirstRead()
-    identity = _OnFirstRead()
-    composition = _OnFirstRead()
-    _mor = _OnFirstRead()
-    _hom = _OnFirstRead()
-    _by_source = _OnFirstRead()
-    _invertible = _OnFirstRead()
+    _names = _OnFirstRead()
+    _composites = _OnFirstRead()
 
     def _make(self, attr: str) -> None:
         """Store the name field ``attr`` on the instance, with those made
         alongside it."""
         fields, plan, arrays = self.__dict__, self._plan, self._ends
+        if attr == "_names":
+            fields[attr] = self._read_rows([])
+            return
+        if attr == "_composites":
+            fields[attr] = plan.composites()
+            return
         if "objects" not in fields:
             fields["objects"] = plan.object_names()
         if attr == "objects":
@@ -402,11 +406,20 @@ class _Total(FinCat):
     def morphism_names(self) -> tuple[str, ...]:
         return tuple(self._plan.morphism_names())
 
-    def _read_rows(self) -> _Rows:
-        """Rows on ``_ends`` (``_Numbering.composites``, not kept), in the
-        order of ``composition``: by first factor, each row in its order;
-        the writer makes neither index of their names (``_TotalRows``)."""
-        arrays, rows = self._ends, self._plan.composites()
+    def _named(self) -> _Rows:
+        return self._names
+
+    def compose(self, g: str, f: str) -> str:
+        r = self._names
+        return r.names[self._composites[r.index[f]][r.index[g]]]
+
+    def _read_rows(self, rows: Optional[list] = None) -> _Rows:
+        """Rows on ``_ends`` (``_Numbering.composites``, not kept, or
+        ``rows``), in the order of ``composition``: by first factor, each
+        row in its order; the writer makes neither index of their names
+        (``_TotalRows``)."""
+        arrays = self._ends
+        rows = self._plan.composites() if rows is None else rows
         r = _TotalRows(None, self._plan.morphism_names(), None, arrays.src, arrays.tgt,
                        arrays.ident, rows, [f for f, row in enumerate(rows) for _ in row])
         del r.objects, r.index  # made on first read
@@ -878,7 +891,7 @@ def constant_diagram(index: FinCat, cat: FinCat) -> StrictDiagram:
     """``cat`` at every index object and identity edges: strict, so unchecked."""
     ident = CatFunctor.identity_functor(cat)
     return _trusted(StrictDiagram, index=index, vertex={i: cat for i in index.objects},
-                    edge={m.name: ident for m in index.morphisms})
+                    edge={m: ident for m in index.morphism_names()})
 
 
 def set_diagram(index: FinCat, sets: Mapping[str, Sequence[str]],
@@ -890,13 +903,13 @@ def set_diagram(index: FinCat, sets: Mapping[str, Sequence[str]],
     """
     vertex = {i: discrete_category(sets[i], name=f"set[{i}]") for i in index.objects}
     edge = {}
-    for m in index.morphisms:
-        if index.is_identity(m.name) and m.name not in maps:
-            edge[m.name] = CatFunctor.identity_functor(vertex[m.source])
+    for m, i, j in index._arrows():
+        if index.is_identity(m) and m not in maps:
+            edge[m] = CatFunctor.identity_functor(vertex[i])
             continue
-        fn = maps[m.name]
-        src, tgt = vertex[m.source], vertex[m.target]
-        edge[m.name] = CatFunctor(
+        fn = maps[m]
+        src, tgt = vertex[i], vertex[j]
+        edge[m] = CatFunctor(
             src,
             tgt,
             {x: fn[x] for x in src.objects},

@@ -33,7 +33,7 @@ from itertools import chain, repeat
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import ValidationError, _trusted
-from .fincat import CatFunctor, FinCat, _rows_of, _Store, validate
+from .fincat import CatFunctor, FinCat, _rows_of, validate
 from .groups import FinGroup, GroupHom, _require_list
 from .groupact import ComplexOfGroups, ScwolAction, validate_action
 from .hocolim import CellSpectrum, PseudoDiagram, StrictDiagram
@@ -161,7 +161,7 @@ def _category_once(raw, name: str, seen: dict) -> FinCat:
     load (``_once``), keyed by the object names and the numbers of
     morphisms and entries.  A later payload equal to a checked one in every
     field but ``name`` would be read by ``validate`` into the same rows, so
-    it becomes a new ``_Store`` on those rows with its own name and identity
+    it becomes a new FinCat on those rows with its own name and identity
     map."""
     key = None
     if type(raw) is dict:
@@ -171,7 +171,7 @@ def _category_once(raw, name: str, seen: dict) -> FinCat:
             key = tuple(objs), len(mors), len(entries)
     return _once(raw, key, seen, _CATEGORY_FIELDS, _category_names,
                  lambda: category_from_payload(raw, name),
-                 lambda cat: _trusted(_Store, name=str(raw.get("name", name)),
+                 lambda cat: _trusted(FinCat, name=str(raw.get("name", name)),
                                       objects=cat.objects, identity=dict(raw["identity"]),
                                       _ends=cat._ends, _directly_finite=cat._directly_finite))
 

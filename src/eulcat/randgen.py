@@ -113,14 +113,14 @@ def random_free_index(rng: Random, max_objects: int = 4, edge_prob: float = 0.5)
     cat = random_skeletal_scwol(rng, max_objects, edge_prob, max_parallel=2)
     generators = []
     decomposition = {}
-    for m in cat.morphisms:
-        if cat.is_identity(m.name):
-            decomposition[m.name] = ()
+    for m in cat.morphism_names():
+        if cat.is_identity(m):
+            decomposition[m] = ()
             continue
-        seq = tuple(m.name[2:-1].split("."))
-        decomposition[m.name] = tuple(f"p[{e}]" for e in seq)
+        seq = tuple(m[2:-1].split("."))
+        decomposition[m] = tuple(f"p[{e}]" for e in seq)
         if len(seq) == 1:
-            generators.append(m.name)
+            generators.append(m)
     return FreeDiagramIndex(cat, tuple(generators), decomposition)
 
 
@@ -281,15 +281,15 @@ def random_groupoid_diagram(
             rng, vertices[cat.source(gen)], vertices[cat.target(gen)]
         )
     edge: dict[str, CatFunctor] = {}
-    for m in cat.morphisms:
-        parts = index.decomposition[m.name]
+    for m, x, _ in cat._arrows():
+        parts = index.decomposition[m]
         if not parts:
-            edge[m.name] = CatFunctor.identity_functor(vertices[m.source].category)
+            edge[m] = CatFunctor.identity_functor(vertices[x].category)
         else:
             fun = gen_functors[parts[0]]
             for nxt in parts[1:]:
                 fun = fun.then(gen_functors[nxt])
-            edge[m.name] = fun
+            edge[m] = fun
     return StrictDiagram(cat, {i: g.category for i, g in vertices.items()}, edge)
 
 
@@ -297,6 +297,7 @@ def random_inclusion_diagram(rng: Random, universe_size: int = 6,
                              max_objects: int = 4) -> StrictDiagram:
     """Random diagram of subset inclusions over a random poset."""
     poset = random_poset(rng, max_objects)
+    arrows = list(poset._arrows())
     universe = [f"u{i}" for i in range(rng.randint(1, universe_size))]
 
     def up_set(start: str) -> set[str]:
@@ -304,9 +305,9 @@ def random_inclusion_diagram(rng: Random, universe_size: int = 6,
         changed = True
         while changed:
             changed = False
-            for m in poset.morphisms:
-                if m.source in out and m.target not in out:
-                    out.add(m.target)
+            for _, x, y in arrows:
+                if x in out and y not in out:
+                    out.add(y)
                     changed = True
         return out
 
@@ -314,11 +315,7 @@ def random_inclusion_diagram(rng: Random, universe_size: int = 6,
     sets = {
         i: [u for u in universe if i in membership[u]] for i in poset.objects
     }
-    maps = {
-        m.name: {u: u for u in sets[m.source]}
-        for m in poset.morphisms
-        if not poset.is_identity(m.name)
-    }
+    maps = {m: {u: u for u in sets[x]} for m, x, _ in arrows if not poset.is_identity(m)}
     return set_diagram(poset, sets, maps)
 
 
@@ -421,7 +418,7 @@ def reflection_action(sides: int) -> ScwolAction:
         mmap[f"id_v{i}"] = f"id_v{(-i) % sides}"
         mmap[f"id_e{i}"] = f"id_e{(sides - 1 - i) % sides}"
     identity_o = {x: x for x in space.objects}
-    identity_m = {m.name: m.name for m in space.morphisms}
+    identity_m = {m: m for m in space.morphism_names()}
     return ScwolAction(
         group,
         space,
@@ -443,7 +440,7 @@ def circle_action() -> ScwolAction:
         group,
         space,
         {"0": {o: o for o in space.objects}, "1": swap_o},
-        {"0": {m.name: m.name for m in space.morphisms}, "1": swap_m},
+        {"0": {m: m for m in space.morphism_names()}, "1": swap_m},
     )
 
 
@@ -480,11 +477,11 @@ def inflate_action(action: ScwolAction, copies: Mapping[str, int]) -> ScwolActio
         for x in action.space.objects:
             for i in range(copies.get(x, 1)):
                 omap[f"{x}~{i}"] = f"{action.act_obj(g, x)}~{i}"
-        for m in action.space.morphisms:
-            gm = action.act_mor(g, m.name)
-            for i in range(copies.get(m.source, 1)):
-                for j in range(copies.get(m.target, 1)):
-                    mmap[f"{m.name}~{i}~{j}"] = f"{gm}~{i}~{j}"
+        for m, x, y in action.space._arrows():
+            gm = action.act_mor(g, m)
+            for i in range(copies.get(x, 1)):
+                for j in range(copies.get(y, 1)):
+                    mmap[f"{m}~{i}~{j}"] = f"{gm}~{i}~{j}"
         on_objects[g] = omap
         on_morphisms[g] = mmap
     return ScwolAction(action.group, space, on_objects, on_morphisms)

@@ -1688,3 +1688,33 @@ def reference_complex_from_payload(payload) -> groupact.ComplexOfGroups:
             raise BadManifest(f"structure homomorphism for non-base morphism {m!r}",
                               witness={"morphism": m})
     return cplx
+
+
+def reference_name_fields(objects, morphisms, identity, composition) -> dict:
+    """The name fields the checked constructor once kept from its inputs:
+    the records and the table as given, the lookup tables ``_mor``,
+    ``_hom`` and ``_by_source`` built eagerly from the records (as
+    ``fincat._headers`` does), and the inverse map by a search of the given
+    table: each m against Hom(t(m), s(m)) in order, stopping at the first
+    two-sided inverse."""
+    hom: dict = {}
+    by_source: dict = {x: [] for x in objects}
+    for m in morphisms:
+        hom.setdefault((m.source, m.target), []).append(m.name)
+        by_source[m.source].append(m.name)
+    inverse = {}
+    for m in morphisms:
+        for g in hom.get((m.target, m.source), ()):
+            if composition[(g, m.name)] == identity[m.source] and \
+                    composition[(m.name, g)] == identity[m.target]:
+                inverse[m.name] = g
+                break
+    return {
+        "morphisms": tuple(morphisms),
+        "composition": dict(composition),
+        "_mor": {m.name: m for m in morphisms},
+        "_hom": {k: tuple(v) for k, v in hom.items()},
+        "_by_source": {k: tuple(v) for k, v in by_source.items()},
+        "_invertible": inverse,
+    }
+

@@ -1,6 +1,6 @@
 """Every builder writes the integer store.
 
-The library's builders write the arrays of a ``fincat._Store`` through its
+The library's builders write the arrays of a ``fincat.FinCat`` through its
 one unchecked constructor (``fincat._stored``), reading the rows of their
 inputs (``fincat._rows_of``), not their name tables.  Each is compared with
 the name-level builder it replaced (``helpers.reference_*``, each built
@@ -413,15 +413,15 @@ class TestInputTablesStayUnmade:
 
 
 def spied_makes(mp: pytest.MonkeyPatch) -> list:
-    """Record (store, field) for each call of ``fincat._Store._make`` while
+    """Record (store, field) for each call of ``fincat.FinCat._make`` while
     ``mp`` is active."""
-    made, real = [], fincat._Store._make
+    made, real = [], fincat.FinCat._make
 
     def spy(cat, attr):
         made.append((cat, attr))
         return real(cat, attr)
 
-    mp.setattr(fincat._Store, "_make", spy)
+    mp.setattr(fincat.FinCat, "_make", spy)
     return made
 
 

@@ -600,6 +600,7 @@ class TestEndsEqualTheRecords:
         """Non-vacuity: a scratch store with two ``src`` entries swapped
         fails the comparison."""
         cat = zoo.pushout_scwol()
+        cat.morphisms, cat._invertible  # the records, made off the true rows before the swap
         ends = cat._ends
         src = list(ends.src)
         i, j = next((i, j) for i, j in itertools.combinations(range(len(src)), 2)
@@ -1199,13 +1200,17 @@ class TestTableOnFirstRead:
             assert str(info.value) == f"comp entry for non-composable pair {pair!r}"
             assert info.value.witness == {"pair": pair}
 
-    def test_a_table_handed_in_is_kept(self, kernel_calls):
-        """A FinCat built from a name dict checks it on the same rows and keeps
-        the dict it was given."""
+    def test_a_table_handed_in_is_read_back_in_order(self, kernel_calls):
+        """A FinCat built from a name dict checks it on the same rows and
+        keeps the rows, not the dict: its ``composition`` is a view made on
+        first read, equal to the dict in value and in order."""
         cat = zoo.polygon_scwol(6)
         comp = dict(cat.composition)
-        kernel_calls["passes"] = 0
+        kernel_calls["passes"] = kernel_calls["tables"] = 0
         rebuilt = FinCat(cat.objects, cat.morphisms, dict(cat.identity), comp)
-        assert rebuilt.composition is comp
         assert kernel_calls == {"passes": 1, "tables": 0}
+        assert "composition" not in vars(rebuilt)
+        assert rebuilt.composition is not comp
+        assert list(rebuilt.composition.items()) == list(comp.items())
+        assert kernel_calls == {"passes": 1, "tables": 1}
 

@@ -132,3 +132,42 @@ def test_bench_pairs_reads_correct_from_each_run():
     assert good["metrics"]["tasks_per_s"]["median_change"] == 0.05
     runs[2] = ("change", 0, result(90.0, False))
     assert not bench_pairs.summarize(specs, runs, ["parent", "change"], 0, 1.0)["all_correct"]
+
+
+def test_memory_audit_tiny():
+    out = run_script("memory.py", "--workload", "audit", "--size", "tiny")
+    assert out.returncode == 0, out.stdout + out.stderr
+    report = json.loads(out.stdout)
+    assert (report["workload"], report["seed"], report["size"]) == ("audit", 0, "tiny")
+    assert report["categories"] > 0 and report["row_bytes"] > 0
+    assert report["traced_peak_bytes"] >= report["traced_bytes"] > report["row_bytes"]
+    assert report["with_views"] == report["view_bytes"] == 0
+    assert set(report["views"].values()) == {0}
+
+
+# Runs the memory report with a constructor that reads its records back, so
+# every hand-built category keeps that view.
+EAGER_MEMORY = """
+import runpy, sys
+from eulcat.fincat import FinCat
+
+real = FinCat.__post_init__
+
+def eager(self, *flags):
+    real(self, *flags)
+    self.morphisms
+
+FinCat.__post_init__ = eager
+path = sys.argv[1]
+sys.argv = [path, "--workload", "audit", "--size", "tiny"]
+runpy.run_path(path, run_name="__main__")
+"""
+
+
+def test_memory_counts_a_planted_eager_read():
+    out = run_python("-c", EAGER_MEMORY, str(ROOT / "scripts" / "memory.py"))
+    assert out.returncode == 0, out.stdout + out.stderr
+    report = json.loads(out.stdout)
+    assert report["with_views"] > 0 and report["view_bytes"] > 0
+    assert report["views"]["morphisms"] == report["views"]["_mor"] > 0
+    assert report["views"]["composition"] == 0
