@@ -26,7 +26,7 @@ category keeps them as its ``_ends``.  The functor check
 (``_check_functor``: a functor is two int arrays, its object and morphism
 images) and the naturality check read rows too (``_rows_of``).
 Composition and naturality are checked on the rows of a generating set of
-morphisms (``_Rows.generators``), which imply the rest.  Names come back
+morphisms (``groups._check_on_generators``).  Names come back
 only to report the first failure, whose ``witness`` holds the offending
 names: the walk that locates it reads the entries in table order
 (``_Rows.pairs``) or the index arrays, and names only the witness.
@@ -45,11 +45,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import compress
-from operator import eq, itemgetter
+from operator import eq
 from typing import Iterable, Iterator, Mapping, NoReturn, Optional, Sequence
 
 from .errors import ValidationError, _trusted
-from .groups import FinGroup, _first_repeat, _generating_set, _require_list
+from .groups import (FinGroup, _check_on_generators, _first_repeat, _generating_set,
+                     _require_list, _unassociative)
 
 
 class DanglingReference(ValidationError):
@@ -387,9 +388,9 @@ class _Rows(_Ends):
         return out
 
     def check_laws(self, name: str) -> None:
-        """Check completeness, then both identity laws, then associativity on
-        every composable triple unless the category ``name`` is thin, where
-        both sides of a triple share a one-element hom-set."""
+        """Check completeness, both identity laws, then associativity on every
+        composable triple (``groups._unassociative``) unless the category
+        ``name`` is thin, where both sides share a one-element hom-set."""
         names, src, tgt, ident, rows = self.names, self.src, self.tgt, self.ident, self.rows
         out = self.out()
         # every key of rows[f] is composable with f, so a short row misses one
@@ -415,34 +416,12 @@ class _Rows(_Ends):
         # checked above, so a thin category is associative
         if self.is_thin():
             return
-        # h o (g o f) against (h o g) o f for all h at once: take_out[y] reads
-        # row[h] for every h out of y, take_hg[g] reads row[h o g] in the same
-        # order.  Every object has its identity, so no getter is empty.  A
-        # triple whose f or g is an identity holds by the identity laws
-        # above, so those pairs are skipped and get no getter.
-        is_ident = [False] * len(names)
-        for i in ident:
-            is_ident[i] = True
-        take_out = [itemgetter(*hs) for hs in out]
-        take_hg = [
-            None if is_ident[g] else itemgetter(*[rows[g][h] for h in out[tgt[g]]])
-            for g in range(len(names))
-        ]
-        for f, row_f in enumerate(rows):
-            if is_ident[f]:
-                continue
-            for g in out[tgt[f]]:
-                if is_ident[g]:
-                    continue
-                row_gf = rows[row_f[g]]
-                if take_out[tgt[g]](row_gf) != take_hg[g](row_f):
-                    h = next(h for h in out[tgt[g]] if row_gf[h] != row_f[rows[g][h]])
-                    triple = {"h": names[h], "g": names[g], "f": names[f]}
-                    raise NonAssociative(
-                        f"{name}: h o (g o f) != (h o g) o f for "
-                        f"(h, g, f) = ({names[h]!r}, {names[g]!r}, {names[f]!r})",
-                        witness=triple,
-                    )
+        bad = _unassociative(rows, tgt, ident, out, out)
+        if bad is not None:
+            f, g, h = map(names.__getitem__, bad)
+            raise NonAssociative(f"{name}: h o (g o f) != (h o g) o f for "
+                                 f"(h, g, f) = ({h!r}, {g!r}, {f!r})",
+                                 witness={"h": h, "g": g, "f": f})
 
     def generators(self) -> list[int]:
         """``_generating_set`` of the category, found once."""
@@ -747,10 +726,10 @@ def _check_functor_arrays(s: _Rows, t: _Rows, fo: list[int], fm: list[int], thin
     composition.  Composition is not checked into a thin target (``thin``,
     which is ``_is_thin`` of it), where both sides share a hom-set.
     Elsewhere it is checked on the rows of the source's generators
-    (``_Rows.generators``), row s mapped by ``fm`` against row ``fm[s]`` of
-    the target.  A broken row is located among the entries of the source
-    in order (``_Rows.pairs``), skipping entries with an identity factor,
-    which hold by source/target and identities."""
+    (``groups._check_on_generators``), row s mapped by ``fm`` against row
+    ``fm[s]`` of the target.  A broken row is located among the entries of
+    the source in order (``_Rows.pairs``), skipping entries with an identity
+    factor, which hold by source/target and identities."""
     image, obj_image, names = fm.__getitem__, fo.__getitem__, s.names
     if list(map(t.src.__getitem__, fm)) != list(map(obj_image, s.src)) or \
             list(map(t.tgt.__getitem__, fm)) != list(map(obj_image, s.tgt)):
@@ -763,17 +742,16 @@ def _check_functor_arrays(s: _Rows, t: _Rows, fo: list[int], fm: list[int], thin
     if thin:  # both sides run F(s(f)) -> F(t(g)), by source/target
         return
     s_rows, t_rows = s.rows, t.rows
-    for f in s.generators():
-        row = s_rows[f]
-        if list(map(t_rows[fm[f]].__getitem__, map(image, row))) != list(map(image, row.values())):
-            break
-    else:
-        return
-    ids = set(s.ident)
-    for g, f in s.pairs():
-        if g not in ids and f not in ids and t_rows[fm[f]][fm[g]] != fm[s_rows[f][g]]:
-            _not_a_functor(f"composition not preserved on ({names[g]!r}, {names[f]!r})",
-                           "composition", (names[g], names[f]))
+
+    def locate() -> NoReturn:
+        ids = set(s.ident)
+        for g, f in s.pairs():
+            if g not in ids and f not in ids and t_rows[fm[f]][fm[g]] != fm[s_rows[f][g]]:
+                _not_a_functor(f"composition not preserved on ({names[g]!r}, {names[f]!r})",
+                               "composition", (names[g], names[f]))
+
+    _check_on_generators(s, lambda f: list(map(t_rows[fm[f]].__getitem__, map(image, s_rows[f])))
+                         == list(map(image, s_rows[f].values())), locate)
 
 
 def _functor_arrays(fun: CatFunctor, t: _Rows) -> _Arrays:
@@ -818,12 +796,11 @@ def _check_natural(cat: FinCat, s: _Rows, tgt: FinCat, t: _Rows, f: _Arrays, g: 
     composites).  ``components[x]`` must be an invertible morphism
     F(x) -> G(x) of ``tgt``, every square must commute, and no key may name
     anything but an object of ``cat``.  The squares are read off the rows
-    of ``tgt``, at the generators of ``cat`` (``_Rows.generators``): the
-    others commute once these do.  A broken one is located among all
-    squares in morphism order; one at an identity holds by the endpoints,
-    so the first that fails is at a non-identity.  A failure raises
-    NotNatural, its message prefixed by ``where``, with the entry and the
-    object or morphism as witness.
+    of ``tgt``, at the generators of ``cat`` (``groups._check_on_generators``),
+    and a broken one is located among all squares in morphism order; one at
+    an identity holds by the endpoints, so the first that fails is at a
+    non-identity.  A failure raises NotNatural, its message prefixed by
+    ``where``, with the entry and the object or morphism as witness.
     """
 
     def fail(message: str, **witness) -> NoReturn:
@@ -844,12 +821,15 @@ def _check_natural(cat: FinCat, s: _Rows, tgt: FinCat, t: _Rows, f: _Arrays, g: 
             fail(f"component at {x!r} is not invertible", object=x)
         comp.append(i)
     rows, ends_s, ends_t = t.rows, s.src, s.tgt
-    for m in s.generators():
-        if rows[f_mor[m]][comp[ends_t[m]]] != rows[comp[ends_s[m]]][g_mor[m]]:
-            lhs = [rows[fm][comp[y]] for fm, y in zip(f_mor, ends_t)]
-            rhs = [rows[comp[x]][gm] for gm, x in zip(g_mor, ends_s)]
-            m = s.names[next(k for k, (a, b) in enumerate(zip(lhs, rhs)) if a != b)]
-            fail(f"naturality fails at morphism {m!r}", morphism=m)
+
+    def locate() -> NoReturn:
+        lhs = [rows[fm][comp[y]] for fm, y in zip(f_mor, ends_t)]
+        rhs = [rows[comp[x]][gm] for gm, x in zip(g_mor, ends_s)]
+        m = s.names[next(k for k, (a, b) in enumerate(zip(lhs, rhs)) if a != b)]
+        fail(f"naturality fails at morphism {m!r}", morphism=m)
+
+    _check_on_generators(s, lambda m: rows[f_mor[m]][comp[ends_t[m]]] ==
+                         rows[comp[ends_s[m]]][g_mor[m]], locate)
     # every object has a component, so a longer table has a stray key
     if len(components) != len(cat.objects):
         x = next(x for x in components if not cat.has_object(x))

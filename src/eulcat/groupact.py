@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NoReturn, Optional, Sequence
 
 from .errors import ValidationError, _trusted
 from .eulerchar import _scwol_weights, chi_scwol
@@ -47,7 +47,7 @@ from .fincat import (
     _stored,
     skeleton,
 )
-from .groups import FinGroup, GroupHom, _generating_set, _image_of
+from .groups import FinGroup, GroupHom, _check_on_generators, _image_of
 from .hocolim import MissingValue, PseudoDiagram, bar_spectrum, formula_value
 from .ratlin import _chi_L_of_rows, _class_reps
 from .zoo import arrow_category, discrete_category, one_object_category
@@ -92,12 +92,9 @@ def _check_homomorphism_law(group: FinGroup, perms: list[list[int]], points: Seq
                             what: str):
     """Require that the identity fixes each of ``points`` (``what``s, which
     ``perms[g]`` permutes by index, for the element of index g) and
-    ``perms[gh] == perms[g] o perms[h]`` for every pair (g, h), one whole
-    index row at a time.  The pairs whose h is one of the group's
-    generators (``groups._generating_set`` on the Cayley table, kept by the
-    group's check as ``_gens``) imply the others: for h = s_1 ... s_k,
-    perms[gh] = perms[g s_1 ... s_{k-1}] o perms[s_k] = perms[g] o perms[h]
-    by induction on k.  A failure is located among all pairs, in order."""
+    ``perms[gh] == perms[g] o perms[h]`` for every pair (g, h), one index row
+    at a time at the generators h (``groups._check_on_generators``); a
+    failure is located among all pairs, in order."""
     labels, mul = group.labels, group.table
     e = group._identity
     for i, j in enumerate(perms[e]):
@@ -106,23 +103,19 @@ def _check_homomorphism_law(group: FinGroup, perms: list[list[int]], points: Seq
                 f"identity element moves {'an' if what == 'object' else 'a'} {what}",
                 witness={"element": labels[e], what: points[i]},
             )
-    gens = group._gens
-    if gens is None:  # a group built unchecked: a subgroup or an automorphism group
-        one = [0] * len(labels)
-        gens = _generating_set(mul, [e], one, one)
-    if all(perms[mul[g][h]] == list(map(perm_g.__getitem__, perms[h]))
-           for g, perm_g in enumerate(perms) for h in gens):
-        return
-    for g, perm_g in enumerate(perms):
-        for h, perm_h in enumerate(perms):
-            gh = mul[g][h]
-            if perms[gh] != [perm_g[j] for j in perm_h]:
-                i = next(i for i, j in enumerate(perm_h) if perm_g[j] != perms[gh][i])
-                raise NotAHomomorphismAction(
-                    f"action of {labels[g]!r}{labels[h]!r} disagrees with action of "
-                    f"{labels[gh]!r} on {points[i]!r}",
-                    witness={"pair": (labels[g], labels[h]), what: points[i]},
-                )
+
+    def locate() -> NoReturn:
+        g, h, i = next((g, h, i) for g, perm_g in enumerate(perms) for h, perm_h in enumerate(perms)
+                       for i, j in enumerate(perm_h) if perm_g[j] != perms[mul[g][h]][i])
+        raise NotAHomomorphismAction(
+            f"action of {labels[g]!r}{labels[h]!r} disagrees with action of "
+            f"{labels[mul[g][h]]!r} on {points[i]!r}",
+            witness={"pair": (labels[g], labels[h]), what: points[i]},
+        )
+
+    _check_on_generators(group, lambda h: all(
+        perms[mul[g][h]] == list(map(perm_g.__getitem__, perms[h]))
+        for g, perm_g in enumerate(perms)), locate)
 
 
 def _permutation(g: str, table: Mapping[str, str], points: Sequence[str], index: Mapping,

@@ -5,16 +5,19 @@ every group law is computed on integer indices: ``FinGroup.table`` holds
 the products and ``FinGroup._inverse`` the inverses, and a homomorphism is
 read as the list of its image indices (``_image_of``).  Labels come back only
 for results and error messages.  Groups are tiny here (order <= a few dozen),
-so every axiom is checked at construction time, a whole row of the table at
-a time; associativity only with the middle factor in a generating set
-(Light's test, ``_generating_set``), which implies the rest.
+so every axiom is checked at construction time.  Associativity (Light's
+test) and homomorphisms, like functors, naturality and actions, are checked
+at a generating set (``_generating_set``) by one kernel,
+``_check_on_generators``; a category's associativity (``_unassociative``)
+still checks every composable triple.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Mapping, NoReturn, Optional, Sequence, Union
 
 from .errors import ValidationError, _trusted
 
@@ -48,15 +51,8 @@ def _generating_set(rows: Sequence, ident: Sequence[int], src: Sequence[int],
     order, each morphism that is no composite of those found before it is
     added, and the composites it makes are reached from the identities by
     composing on the left.  A group is the one-object case, with
-    ``rows[x][g]`` the product xg.
-
-    A map of morphisms into a lawful category that preserves identities
-    preserves every composite once F(h o s) = F(h) o F(s) for every
-    generator s and every h: for f = s_k o ... o s_1 and any g,
-    g o f = (g o s_k o ... o s_2) o s_1, so F(g o f) = F(g) o F(f) by
-    induction on k.  Likewise the naturality squares of two functors
-    commute everywhere once they do at the generators: squares that commute
-    at f and at g commute at g o f."""
+    ``rows[x][g]`` the product xg.  Why a law checked at these implies it
+    everywhere is proved once, in ``_check_on_generators``."""
     reached = [False] * len(rows)
     # the morphisms reached, by target, and the generators, by source
     into, gens_from = [[] for _ in ident], [[] for _ in ident]
@@ -82,11 +78,72 @@ def _generating_set(rows: Sequence, ident: Sequence[int], src: Sequence[int],
     return gens
 
 
+def _check_on_generators(of: Union["FinGroup", "_Rows"], holds: Callable[[int], bool],
+                         locate: Callable[[], NoReturn]) -> list[int]:
+    """Check a law on ``of``, a group or a category's rows (``fincat._Rows``),
+    by ``holds(s)`` at each generator s, and return the generators: a checked
+    group's ``_gens``, the rows' ``generators()``, or, for a group built
+    unchecked, ``_generating_set`` found now.  If one fails, ``locate()``
+    walks every case in the caller's order and raises the caller's error,
+    message and witness at the first that fails.
+
+    Why the generators suffice.  Each caller checks the law at identities
+    first, and the elements where it holds are closed under products, so it
+    holds at every product of generators, which is every element.  Write st
+    for s then t (t o s in a category):
+
+    - a homomorphism, action or functor F, with the law F(xs) = F(x)F(s) at
+      s for every x (or its mirror image): F(x st) = F(xs)F(t) = F(x)F(s)F(t)
+      = F(x)F(st), the last step by the law at t with x = s;
+    - naturality squares: squares that commute at s and at t commute at st;
+    - associativity (Light's test), with h o (g o f) = (h o g) o f at g for
+      every composable h and f: h o ((g2 o g1) o f) = h o (g2 o (g1 o f))
+      = (h o g2) o (g1 o f) = ((h o g2) o g1) o f = (h o (g2 o g1)) o f,
+      each step by the law at g1 or at g2."""
+    gens = _gens_of(of) if isinstance(of, FinGroup) else of.generators()
+    if not all(map(holds, gens)):
+        locate()
+        raise AssertionError("a law fails at a generator but its locator found no fault")
+    return gens
+
+
+def _gens_of(group: FinGroup) -> list[int]:
+    """The generators a checked group kept (``_gens``), or else found now."""
+    if group._gens is not None:
+        return group._gens
+    one = [0] * len(group.table)
+    return _generating_set(group.table, [group._identity], one, one)
+
+
+def _unassociative(rows: Sequence, tgt: Sequence[int], ident: Sequence[int],
+                   out: Sequence[Sequence[int]],
+                   middles: Sequence[Sequence[int]]) -> Optional[tuple[int, int, int]]:
+    """The first triple (f, g, h) with h o (g o f) != (h o g) o f, or None,
+    where ``rows[f][g]`` is g o f and ``out[y]`` lists the morphisms out of
+    y: f in index order, g in ``middles[tgt[f]]``, h in ``out[tgt[g]]``,
+    all h at once (``take_h`` reads row[h] for every h out of t(g), and
+    ``take_hg`` row[h o g]).  Triples with an identity f or g hold by the
+    identity laws, which callers check first.  A group has ``[range(n)]``."""
+    ids = set(ident)
+    take_out = [itemgetter(*hs) for hs in out]
+    steps = [[(g, take_out[tgt[g]], itemgetter(*[rows[g][h] for h in out[tgt[g]]]))
+              for g in gs if g not in ids] for gs in middles]
+    for f, row_f in enumerate(rows):
+        if f in ids:
+            continue
+        for g, take_h, take_hg in steps[tgt[f]]:
+            if take_h(rows[row_f[g]]) != take_hg(row_f):
+                row_gf = rows[row_f[g]]
+                return f, g, next(h for h in out[tgt[g]] if row_gf[h] != row_f[rows[g][h]])
+    return None
+
+
 @dataclass(frozen=True, eq=False)
 class FinGroup:
     """A finite group given by element labels and a Cayley table on indices.
 
     ``table[i][j]`` is the index of the product ``labels[i] * labels[j]``.
+    Associativity is checked on generators (``_check_on_generators``).
     """
 
     labels: tuple[str, ...]
@@ -134,28 +191,18 @@ class FinGroup:
                                 witness={"element": self.labels[a]}) from None
             inverse.append(b)
         object.__setattr__(self, "_inverse", tuple(inverse))
-        # (ab)c against a(bc) for every c at once: row ab of the table
-        # against row a read through row b, for b in a generating set
-        # (Light's test).  The b that pass for every a and c contain e, by
-        # the identity found above, and are closed under products: if b and
-        # b' pass, then (a(bb'))c = ((ab)b')c = (ab)(b'c) = a(b(b'c))
-        # = a((bb')c).  Every element is a product of generators, so all of
-        # them pass.  A failure is located among all pairs, in order.
-        one = [0] * n
-        gens = _generating_set(rows, [identity], one, one)
+        # (ab)c against a(bc), b a generator (``_check_on_generators``), on
+        # the one-object category of the table; located among all (a, b, c)
+        one, out = [0] * n, [range(n)]
+
+        def locate() -> NoReturn:
+            a, b, c = map(self.labels.__getitem__, _unassociative(rows, one, [identity], out, out))
+            raise NotAGroup(f"{self.name} is not associative on ({a!r}, {b!r}, {c!r})",
+                            witness=(a, b, c))
+
+        gens = _check_on_generators(
+            self, lambda b: _unassociative(rows, one, [identity], out, [[b]]) is None, locate)
         object.__setattr__(self, "_gens", gens)
-        if all(rows[row_a[b]] == [row_a[x] for x in rows[b]] for row_a in rows for b in gens):
-            return
-        for a, row_a in enumerate(rows):
-            for b, ab in enumerate(row_a):
-                if rows[ab] != [row_a[x] for x in rows[b]]:
-                    c = next(c for c in range(n) if rows[ab][c] != row_a[rows[b][c]])
-                    triple = (self.labels[a], self.labels[b], self.labels[c])
-                    raise NotAGroup(
-                        f"{self.name} is not associative on "
-                        f"({triple[0]!r}, {triple[1]!r}, {triple[2]!r})",
-                        witness=triple,
-                    )
 
     # -- basic queries ----------------------------------------------------
 
@@ -273,7 +320,7 @@ def perm_of_label(label: str) -> tuple[int, ...]:
 
 @dataclass(frozen=True, eq=False)
 class GroupHom:
-    """A group homomorphism given elementwise."""
+    """A group homomorphism given elementwise, checked on generators (``_check_on_generators``)."""
 
     source: FinGroup
     target: FinGroup
@@ -292,16 +339,18 @@ class GroupHom:
         img = _image_of(self)
         if img[source._identity] != target._identity:
             raise NotAHomomorphism("identity is not preserved", witness={"element": source.identity})
-        # f(ab) against f(a)f(b) for every b at once: row a of the source
-        # read through f, against row f(a) of the target read at f(b)
-        for a, row_a in enumerate(source.table):
-            row_fa = target.table[img[a]]
-            if [img[ab] for ab in row_a] != [row_fa[fb] for fb in img]:
-                b = next(b for b, ab in enumerate(row_a) if img[ab] != row_fa[img[b]])
-                pair = (source.labels[a], source.labels[b])
-                raise NotAHomomorphism(
-                    f"product not preserved on ({pair[0]!r}, {pair[1]!r})", witness={"pair": pair}
-                )
+        # f(ab) against f(a)f(b) on the rows a of the generators
+        # (``_check_on_generators``), located among all pairs in order
+        s_table, t_table = source.table, target.table
+
+        def locate() -> NoReturn:
+            a, b = next((source.labels[a], source.labels[b]) for a, row_a in enumerate(s_table)
+                        for b, ab in enumerate(row_a) if img[ab] != t_table[img[a]][img[b]])
+            raise NotAHomomorphism(f"product not preserved on ({a!r}, {b!r})",
+                                   witness={"pair": (a, b)})
+
+        _check_on_generators(source, lambda a: [img[ab] for ab in s_table[a]] ==
+                             [t_table[img[a]][fb] for fb in img], locate)
         # every element has an image, so a longer map has a stray key
         if len(self.mapping) != len(source):
             key = next(k for k in self.mapping if k not in source)
@@ -328,40 +377,28 @@ def _image_of(hom: GroupHom) -> list[int]:
 
 
 def all_homs(source: FinGroup, target: FinGroup) -> list[GroupHom]:
-    """Enumerate every homomorphism source -> target by backtracking.
-
-    Only intended for tiny groups (orders <= ~8).
-    """
-    src = source.labels
-    out: list[GroupHom] = []
-    partial: dict[str, str] = {source.identity: target.identity}
-
-    def consistent(elt, img) -> bool:
-        for a, fa in partial.items():
-            for x, fx, y, fy in ((elt, img, a, fa), (a, fa, elt, img)):
-                prod = source.mul(x, y)
-                if prod in partial or prod == elt:
-                    want = partial.get(prod, img if prod == elt else None)
-                    if want is not None and target.mul(fx, fy) != want:
-                        return False
-        return True
-
-    def extend(i):
-        if i == len(src):
-            try:
-                out.append(GroupHom(source, target, dict(partial)))
-            except NotAHomomorphism:
-                pass
-            return
-        elt = src[i]
-        if elt in partial:
-            extend(i + 1)
-            return
-        for img in target.labels:
-            if consistent(elt, img):
-                partial[elt] = img
-                extend(i + 1)
-                del partial[elt]
-
-    extend(0)
-    return out
+    """Every homomorphism source -> target, ordered by the target indices of
+    the images of ``source.labels``.  A homomorphism is fixed by its values
+    at the generators of its source, so each choice of those is extended
+    along products and kept if ``GroupHom`` accepts it."""
+    e, table, gens = source._identity, source.table, _gens_of(source)
+    # every element y but e once, as y = xs: x reached before y, s a
+    # generator (each generator first as es)
+    reached, steps = [e], []
+    for x in reached:
+        for s in gens:
+            y = table[x][s]
+            if y not in reached:
+                reached.append(y)
+                steps.append((y, x, s))
+    homs = []
+    for images in itertools.product(range(len(target)), repeat=len(gens)):
+        at, img = dict(zip(gens, images)), [target._identity] * len(table)
+        for y, x, s in steps:
+            img[y] = target.table[img[x]][at[s]]
+        try:
+            homs.append(GroupHom(source, target, dict(zip(source.labels, map(
+                target.labels.__getitem__, img)))))
+        except NotAHomomorphism:
+            pass
+    return sorted(homs, key=_image_of)

@@ -242,7 +242,8 @@ class PseudoDiagram:
     @staticmethod
     def from_strict(d: StrictDiagram) -> "PseudoDiagram":
         """View a strict diagram as a pseudo diagram with identity coherences
-        (their own inverses), lawful unchecked since the diagram is strict."""
+        (their own inverses), lawful unchecked since the diagram is strict,
+        on the strict diagram's ``_IndexView``."""
         view = _index_view(d)
         r, ids = view.rows, [[vr.names[e] for e in vr.ident] for vr in view.vrows]
         comp = {(r.names[v], r.names[u]): dict(zip(view.vertex[r.src[u]].objects, map(
@@ -250,7 +251,7 @@ class PseudoDiagram:
         unit = {i: dict(zip(cat.objects, units))
                 for i, cat, units in zip(d.index.objects, view.vertex, ids)}
         return _trusted(PseudoDiagram, index=d.index, vertex=d.vertex, edge=d.edge, comp=comp,
-                        unit=unit)
+                        unit=unit, _view=view)
 
 
 class _IndexView:
@@ -259,11 +260,11 @@ class _IndexView:
     morphism u, the edge and C(u) on objects (``image``; ``arrays`` makes
     both arrays of C(u) once per functor); and the coherence components as
     morphisms of their vertex, ``unit[i][c]`` at the object c of C(i) and
-    ``comp[u][v][c]`` at the object c of C(source(u)), None if strict.
+    ``comp[u][v][c]`` at the object c of C(source(u)), None if identities.
 
     A diagram has one view for its whole life, kept as its ``_view``: the
-    one its check built, or the one ``_index_view`` made on first use.  It
-    holds the diagram's data by index, no derived result."""
+    one its check built, its strict diagram's (``from_strict``), or the one
+    ``_index_view`` made on first use, with no derived result."""
 
     __slots__ = ("rows", "out", "vertex", "vrows", "edges", "image", "made", "unit", "comp")
 
@@ -296,10 +297,10 @@ class _IndexView:
 
 
 def _index_view(d: Diagram) -> _IndexView:
-    """The ``_IndexView`` of ``d``: the one its check kept, or else, for a
-    diagram built unchecked (``constant_diagram``, ``from_strict``,
-    ``complex_to_pseudo_diagram``), one made now and kept, with the
-    components read off the tables of a pseudo diagram."""
+    """The ``_IndexView`` of ``d``: the one its check kept (or, for
+    ``from_strict``, its strict diagram's), or else, for a diagram built
+    unchecked (``constant_diagram``, ``complex_to_pseudo_diagram``), one
+    made now and kept, with the components read off a pseudo diagram's tables."""
     if "_view" in vars(d):
         return d._view
     view = _IndexView(d)

@@ -42,7 +42,7 @@ from eulcat.groupact import (
     NotAFunctorAction,
     NotAHomomorphismAction,
 )
-from eulcat.groups import FinGroup, _require_list
+from eulcat.groups import FinGroup, NotAGroup, NotAHomomorphism, _require_list
 from eulcat.hocolim import CoherenceFailure, _check_vertices_and_edges
 from eulcat.groups import GroupHom, cyclic_group, symmetric_group, trivial_group
 from eulcat.hocolim import StrictDiagram, constant_diagram
@@ -1555,6 +1555,108 @@ def reference_generating_set(rows, ident, src, tgt) -> list[int]:
                 row = rows[x]
                 todo += [row[g] for g in gens if src[g] == y]
     return gens
+
+
+def reference_group_checks(labels, table, name) -> None:
+    """``FinGroup.__post_init__`` as it was before its associativity check
+    went through ``groups._check_on_generators``, with the loop that
+    compared row ab against row a read through row b for every pair (a, b)
+    in order, naming the first c of the first failing pair."""
+    n = len(labels)
+    if len(set(labels)) != n:
+        dup = next(x for k, x in enumerate(labels) if x in labels[:k])
+        raise NotAGroup(f"duplicate element labels in {name}", witness={"element": dup})
+    shape = [len(row) for row in table]
+    if shape != [n] * n:
+        raise NotAGroup(f"Cayley table of {name} is not {n}x{n}", witness={"shape": shape})
+    for row in table:
+        for v in row:
+            if not 0 <= v < n:
+                raise NotAGroup(f"Cayley table entry {v} out of range", witness={"entry": v})
+    rows = [list(row) for row in table]
+    cols = [list(col) for col in zip(*rows)]
+    every = list(range(n))
+    identity = next((e for e in every if rows[e] == every and cols[e] == every), None)
+    if identity is None:
+        raise NotAGroup(f"{name} has no identity element", witness={"group": name})
+    for a, row_a in enumerate(rows):
+        if not any(x == identity == y for x, y in zip(row_a, cols[a])):
+            raise NotAGroup(f"element {labels[a]!r} of {name} has no inverse",
+                            witness={"element": labels[a]})
+    for a, row_a in enumerate(rows):
+        for b, ab in enumerate(row_a):
+            if rows[ab] != [row_a[x] for x in rows[b]]:
+                c = next(c for c in range(n) if rows[ab][c] != row_a[rows[b][c]])
+                triple = (labels[a], labels[b], labels[c])
+                raise NotAGroup(
+                    f"{name} is not associative on ({triple[0]!r}, {triple[1]!r}, {triple[2]!r})",
+                    witness=triple,
+                )
+
+
+def reference_group_hom_checks(source: FinGroup, target: FinGroup, mapping: Mapping) -> None:
+    """``GroupHom.__post_init__`` as it was before it went through
+    ``groups._check_on_generators``: f(ab) against f(a)f(b) on every row a
+    of the source, naming the first b of the first failing row."""
+    for a in source.labels:
+        if a not in mapping:
+            raise NotAHomomorphism(f"map undefined on {a!r}", witness={"element": a})
+        if mapping[a] not in target:
+            raise NotAHomomorphism(f"image {mapping[a]!r} not in target group",
+                                   witness={"element": a, "image": mapping[a]})
+    img = [target.index(mapping[a]) for a in source.labels]
+    if img[source._identity] != target._identity:
+        raise NotAHomomorphism("identity is not preserved", witness={"element": source.identity})
+    for a, row_a in enumerate(source.table):
+        row_fa = target.table[img[a]]
+        if [img[ab] for ab in row_a] != [row_fa[fb] for fb in img]:
+            b = next(b for b, ab in enumerate(row_a) if img[ab] != row_fa[img[b]])
+            pair = (source.labels[a], source.labels[b])
+            raise NotAHomomorphism(
+                f"product not preserved on ({pair[0]!r}, {pair[1]!r})", witness={"pair": pair}
+            )
+    if len(mapping) != len(source):
+        key = next(k for k in mapping if k not in source)
+        raise NotAHomomorphism(f"map key {key!r} is not an element of {source.name}",
+                               witness={"key": key})
+
+
+def reference_all_homs(source: FinGroup, target: FinGroup) -> list[GroupHom]:
+    """``groups.all_homs`` as it was: a backtracking search over the source's
+    labels in order, each tried on every target label in order."""
+    src = source.labels
+    out: list[GroupHom] = []
+    partial: dict[str, str] = {source.identity: target.identity}
+
+    def consistent(elt, img) -> bool:
+        for a, fa in partial.items():
+            for x, fx, y, fy in ((elt, img, a, fa), (a, fa, elt, img)):
+                prod = source.mul(x, y)
+                if prod in partial or prod == elt:
+                    want = partial.get(prod, img if prod == elt else None)
+                    if want is not None and target.mul(fx, fy) != want:
+                        return False
+        return True
+
+    def extend(i):
+        if i == len(src):
+            try:
+                out.append(GroupHom(source, target, dict(partial)))
+            except NotAHomomorphism:
+                pass
+            return
+        elt = src[i]
+        if elt in partial:
+            extend(i + 1)
+            return
+        for img in target.labels:
+            if consistent(elt, img):
+                partial[elt] = img
+                extend(i + 1)
+                del partial[elt]
+
+    extend(0)
+    return out
 
 
 def reference_strict_diagram_checks(self) -> None:

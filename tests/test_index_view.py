@@ -275,8 +275,8 @@ def fresh(d):
 
 class TestOneViewPerDiagram:
     """Each diagram makes its ``_IndexView`` at most once: a checked one
-    keeps the view its check built, and any other keeps the one made on its
-    first use."""
+    keeps the view its check built, ``from_strict`` shares its strict
+    diagram's, and any other keeps the one made on its first use."""
 
     @staticmethod
     def views(*sections) -> int:
@@ -320,6 +320,38 @@ class TestOneViewPerDiagram:
         assert self.views(lambda: hocolim.check_hocolim_formula(q),
                           lambda: hocolim.grothendieck_pseudo(q),
                           lambda: hocolim._total_counts(q)) == 0
+
+    def test_from_strict_shares_the_strict_view(self):
+        """``from_strict`` of a checked strict diagram makes no view: its
+        build, formula check and hom counts read the strict diagram's, whose
+        identity coherences are None."""
+        d = randgen.random_groupoid_diagram(Random(3))
+        d = StrictDiagram(d.index, d.vertex, d.edge)
+        built = []
+        assert self.views(lambda: built.append(PseudoDiagram.from_strict(d)),
+                          lambda: hocolim.grothendieck_pseudo(built[0]),
+                          lambda: hocolim.check_hocolim_formula(built[0]),
+                          lambda: hocolim._total_counts(built[0])) == 0
+        assert built[0]._view is d._view and d._view.comp is None
+
+    @settings(max_examples=30, deadline=None)
+    @given(strict_diagrams)
+    def test_the_shared_view_builds_the_same_total(self, d):
+        """The total of ``from_strict`` on the strict view equals the total
+        on a view made from its identity coherence tables."""
+        p = PseudoDiagram.from_strict(d)
+        tables = unvalidated(PseudoDiagram, index=p.index, vertex=p.vertex, edge=p.edge,
+                             comp=p.comp, unit=p.unit)
+
+        def total(p):
+            got = hocolim.grothendieck_pseudo(p)
+            ends = got._ends
+            return (ends.src, ends.tgt, ends.ident, list(ends.inv.items()),
+                    got._plan.composites(), got.objects, got.morphism_names(),
+                    got._directly_finite)
+
+        assert total(p) == total(tables)
+        assert tables._view.comp is not None and p._view.comp is None
 
     def test_a_rejected_pseudo_diagram_keeps_no_view(self):
         """Unchecked and malformed: the view is kept only once it is whole."""

@@ -211,8 +211,8 @@ class TestAction:
         gens = _generating_set(group.table, [group._identity], one, one)
         assert group._gens == (gens if kept else None)
         found = []
-        real = groupact._generating_set
-        monkeypatch.setattr(groupact, "_generating_set", lambda *a: found.append(a) or real(*a))
+        monkeypatch.setattr("eulcat.groups._generating_set",
+                            lambda *a: found.append(a) or _generating_set(*a))
         pts = tuple(f"p{i}" for i in range(group.order))
         disc = zoo.discrete_category(pts)
         left = {g: {pts[h]: pts[group.table[k][h]] for h in range(group.order)}
