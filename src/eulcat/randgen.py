@@ -4,6 +4,8 @@ Everything takes an explicit random.Random so test suites stay reproducible.
 Strict diagrams are generated over free categories on acyclic multigraphs
 (where any assignment on generating edges extends uniquely and strictly) and
 over posets via subset-inclusion systems (where commutativity is automatic).
+A random groupoid is drawn whole (component sizes, then vertex groups) and
+then written once, all its components in one store (``groupoid_union``).
 """
 
 from __future__ import annotations
@@ -144,9 +146,8 @@ def random_poset(rng: Random, max_objects: int = 5, rel_prob: float = 0.4) -> Fi
     arrows = [(nm(i, j), objects[i], objects[j]) for i in range(n) for j in range(n) if i != j and leq[i][j]]
     compose = {}
     for i, j, k in itertools.product(range(n), repeat=3):
-        if i != j and j != k and leq[i][j] and leq[j][k]:
-            left = nm(j, k) if j != k else None
-            compose[(nm(j, k), nm(i, j))] = nm(i, k) if i != k else f"id_{objects[i]}"
+        if i != j and j != k and leq[i][j] and leq[j][k]:  # so i < j < k
+            compose[(nm(j, k), nm(i, j))] = nm(i, k)
     return build_category(objects, arrows, compose, name="poset")
 
 
@@ -179,61 +180,56 @@ class Groupoid:
     components: tuple[GroupoidComponent, ...]
 
 
+def groupoid_union(parts: Sequence[tuple[FinGroup, int, str]]) -> Groupoid:
+    """The disjoint union of connected groupoids, one per part ``(group, n,
+    prefix)`` with objects ``prefix.0`` .. ``prefix.(n-1)``, written in one
+    store: hom(i, j) ~ G, (h; j, k) o (g; i, j) = (hg; i, k) and
+    (g; i, j)^-1 = (g^-1; j, i), each by index arithmetic, with the entries
+    in the order part, i, j, k, g, h.  Its name is the parts' ``gpd(prefix)``
+    joined by ``+``."""
+    objects, names, src, tgt, ident, blocks, comps = [], [], [], [], [], [], []
+    inverses: dict[int, int] = {}
+    for group, size, prefix in parts:
+        n_obj, base, n, objs = len(objects), len(names), group.order, range(size)
+        # at[i][j] is the index of (e; i, j), so (g; i, j) is at[i][j] + g
+        at = [[base + (i * size + j) * n for j in objs] for i in objs]
+        comps.append(GroupoidComponent(prefix, group, tuple(f"{prefix}.{i}" for i in objs)))
+        objects += comps[-1].objects
+        names += [f"{prefix}[{g};{i},{j}]" for i in objs for j in objs for g in group.labels]
+        src += [n_obj + i for i in objs for _ in range(size * n)]
+        tgt += [n_obj + j for _ in objs for j in objs for _ in range(n)]
+        ident += [at[i][i] + group._identity for i in objs]
+        inverses.update((at[i][j] + g, at[j][i] + u) for i in objs for j in objs
+                        for g, u in enumerate(group._inverse))
+        blocks.append((at, group.table))
+    entries = ((jk + h, ij + g, ik + row_h[g]) for at, table in blocks
+               for row_i in at for ij, row_j in zip(row_i, at) for jk, ik in zip(row_j, row_i)
+               for g in range(len(table)) for h, row_h in enumerate(table))
+    cat = _stored("+".join(f"gpd({c.prefix})" for c in comps), objects, names, src, tgt, ident,
+                  entries, (inverses, True))
+    return Groupoid(cat, tuple(comps))
+
+
 def connected_groupoid(group: FinGroup, n_objects: int, prefix: str) -> tuple[FinCat, GroupoidComponent]:
-    """A connected groupoid with the given vertex group: hom(i, j) ~ G,
-    (h; j, k) o (g; i, j) = (hg; i, k) and (g; i, j)^-1 = (g^-1; j, i)."""
-    objs, objects, n = tuple(f"{prefix}.{i}" for i in range(n_objects)), range(n_objects), group.order
-
-    def at(g, i, j):  # the index of (g; i, j)
-        return (i * n_objects + j) * n + g
-
-    cat = _stored(f"gpd({prefix})", objs,
-                  [f"{prefix}[{g};{i},{j}]" for i in objects for j in objects for g in group.labels],
-                  [i for i in objects for _ in objects for _ in range(n)],
-                  [j for _ in objects for j in objects for _ in range(n)],
-                  [at(group._identity, i, i) for i in objects],
-                  ((at(h, j, k), at(g, i, j), at(row_h[g], i, k)) for i in objects
-                   for j in objects for k in objects for g in range(n)
-                   for h, row_h in enumerate(group.table)),
-                  ({at(g, i, j): at(group._inverse[g], j, i) for i in objects for j in objects
-                    for g in range(n)}, True))
-    return cat, GroupoidComponent(prefix, group, objs)
+    """A connected groupoid with the given vertex group: the one-part
+    ``groupoid_union``."""
+    gpd = groupoid_union([(group, n_objects, prefix)])
+    return gpd.category, gpd.components[0]
 
 
 def random_groupoid(rng: Random, max_objects: int = 4, max_group_order: int = 4,
                     tag: str = "c") -> Groupoid:
+    """A random groupoid on 1 to ``max_objects`` objects: its component
+    sizes, then each component's vertex group, drawn in that order and
+    written in one ``groupoid_union``."""
     total = rng.randint(1, max_objects)
     sizes = []
     while total > 0:
         s = rng.randint(1, total)
         sizes.append(s)
         total -= s
-    cats = []
-    comps = []
-    for idx, size in enumerate(sizes):
-        grp = random_group(rng, max_group_order)
-        cat, comp = connected_groupoid(grp, size, prefix=f"{tag}{idx}")
-        cats.append(cat)
-        comps.append(comp)
-    return Groupoid(disjoint_union(cats), tuple(comps))
-
-
-def disjoint_union(cats: Sequence[FinCat]) -> FinCat:
-    """The categories side by side, off their rows and inverses."""
-    objects, names, src, tgt, ident, parts = [], [], [], [], [], []
-    inverses: dict[int, int] = {}
-    for c in cats:
-        r, n_obj, n_mor = _rows_of(c), len(objects), len(names)
-        objects += c.objects
-        names += r.names
-        src += [x + n_obj for x in r.src]
-        tgt += [y + n_obj for y in r.tgt]
-        ident += [e + n_mor for e in r.ident]
-        inverses.update((m + n_mor, g + n_mor) for m, g in r.inv.items())
-        parts.append((r, n_mor))
-    return _stored("+".join(c.name for c in cats), objects, names, src, tgt, ident,
-                   ((g + n, f + n, r.rows[f][g] + n) for r, n in parts for g, f in r.pairs()),
-                   (inverses, all(c._directly_finite for c in cats)))
+    return groupoid_union([(random_group(rng, max_group_order), size, f"{tag}{idx}")
+                           for idx, size in enumerate(sizes)])
 
 
 def random_groupoid_functor(rng: Random, src: Groupoid, tgt: Groupoid) -> CatFunctor:

@@ -35,6 +35,7 @@ from eulcat.fincat import (
     _require_scwol,
     _rows_of,
     _skeleton_category,
+    _stored,
 )
 from eulcat.groupact import (
     AxiomIIViolation,
@@ -1309,6 +1310,66 @@ def reference_disjoint_union(cats) -> FinCat:
     return FinCat(tuple(x for c in cats for x in c.objects),
                   tuple(m for c in cats for m in c.morphisms), ident, comp,
                   name="+".join(c.name for c in cats))
+
+
+def reference_random_groupoid(rng, max_objects: int = 4, max_group_order: int = 4,
+                              tag: str = "c") -> randgen.Groupoid:
+    """``randgen.random_groupoid`` as it was before it wrote one store: the
+    same draw, each component written as a store of its own
+    (``stored_connected_groupoid``), then every composite copied into a
+    second store (``stored_disjoint_union``)."""
+    total = rng.randint(1, max_objects)
+    sizes = []
+    while total > 0:
+        s = rng.randint(1, total)
+        sizes.append(s)
+        total -= s
+    cats = []
+    comps = []
+    for idx, size in enumerate(sizes):
+        grp = randgen.random_group(rng, max_group_order)
+        cat, comp = stored_connected_groupoid(grp, size, prefix=f"{tag}{idx}")
+        cats.append(cat)
+        comps.append(comp)
+    return randgen.Groupoid(stored_disjoint_union(cats), tuple(comps))
+
+
+def stored_connected_groupoid(group, n_objects: int, prefix: str):
+    """One component of ``reference_random_groupoid``, with its own store."""
+    objs, objects, n = tuple(f"{prefix}.{i}" for i in range(n_objects)), range(n_objects), group.order
+
+    def at(g, i, j):  # the index of (g; i, j)
+        return (i * n_objects + j) * n + g
+
+    cat = _stored(f"gpd({prefix})", objs,
+                  [f"{prefix}[{g};{i},{j}]" for i in objects for j in objects for g in group.labels],
+                  [i for i in objects for _ in objects for _ in range(n)],
+                  [j for _ in objects for j in objects for _ in range(n)],
+                  [at(group._identity, i, i) for i in objects],
+                  ((at(h, j, k), at(g, i, j), at(row_h[g], i, k)) for i in objects
+                   for j in objects for k in objects for g in range(n)
+                   for h, row_h in enumerate(group.table)),
+                  ({at(g, i, j): at(group._inverse[g], j, i) for i in objects for j in objects
+                    for g in range(n)}, True))
+    return cat, randgen.GroupoidComponent(prefix, group, objs)
+
+
+def stored_disjoint_union(cats) -> FinCat:
+    """The categories side by side, copied off their rows and inverses."""
+    objects, names, src, tgt, ident, parts = [], [], [], [], [], []
+    inverses: dict[int, int] = {}
+    for c in cats:
+        r, n_obj, n_mor = _rows_of(c), len(objects), len(names)
+        objects += c.objects
+        names += r.names
+        src += [x + n_obj for x in r.src]
+        tgt += [y + n_obj for y in r.tgt]
+        ident += [e + n_mor for e in r.ident]
+        inverses.update((m + n_mor, g + n_mor) for m, g in r.inv.items())
+        parts.append((r, n_mor))
+    return _stored("+".join(c.name for c in cats), objects, names, src, tgt, ident,
+                   ((g + n, f + n, r.rows[f][g] + n) for r, n in parts for g, f in r.pairs()),
+                   (inverses, all(c._directly_finite for c in cats)))
 
 
 def reference_induced_space(group, base: FinCat) -> FinCat:

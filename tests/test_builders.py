@@ -12,8 +12,11 @@ Grothendieck totals and manifest categories with shuffled entries, so that
 a builder keeps its input's entry order whatever its store.
 """
 
+import importlib.util
 import itertools
+import sys
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -51,10 +54,12 @@ from helpers import (
     reference_product,
     reference_haefliger_chi,
     reference_quotient,
+    reference_random_groupoid,
     reference_retract,
     reference_transport_groupoid,
     reloaded_diagram,
     split_idempotent,
+    stored_connected_groupoid,
     stored_ends,
 )
 from strategies import (
@@ -67,6 +72,8 @@ from strategies import (
     scwols,
     strict_diagrams,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def assert_same_build(got: FinCat, want: FinCat) -> None:
@@ -152,19 +159,87 @@ class TestSameAsTheNameLevelBuilder:
         assert_same_build(zoo.one_object_category(group), reference_one_object_category(group))
 
     @settings(max_examples=30, deadline=None)
-    @given(st.lists(st.tuples(groups, st.integers(1, 3)), min_size=1, max_size=3), scwols)
-    def test_groupoids_and_their_union(self, parts, cat):
-        built = [randgen.connected_groupoid(g, n, f"c{k}")[0] for k, (g, n) in enumerate(parts)]
-        for (g, n), (k, got) in zip(parts, enumerate(built)):
-            assert_same_build(got, reference_connected_groupoid(g, n, f"c{k}"))
-        for cats in (built, built + [cat], [cat]):
-            assert_same_build(randgen.disjoint_union(cats), reference_disjoint_union(cats))
+    @given(st.lists(st.tuples(groups, st.integers(1, 3)), min_size=1, max_size=3))
+    def test_groupoids_and_their_union(self, parts):
+        parts = [(g, n, f"c{k}") for k, (g, n) in enumerate(parts)]
+        want = [reference_connected_groupoid(*part) for part in parts]
+        built = [randgen.connected_groupoid(*part) for part in parts]
+        for (cat, _), ref in zip(built, want):
+            assert_same_build(cat, ref)
+        union = randgen.groupoid_union(parts)
+        assert_same_build(union.category, reference_disjoint_union(want))
+        assert union.components == tuple(comp for _, comp in built)
 
     @settings(max_examples=30, deadline=None)
     @given(groups, st.one_of(scwols, posets))
     def test_induced_action_space(self, group, base):
         space = randgen.induced_free_action(group, base).space
         assert_same_build(space, reference_induced_space(group, base))
+
+
+def assert_same_draw(got: randgen.Groupoid, want: randgen.Groupoid) -> None:
+    """``assert_same_build`` on the categories, and the same components and
+    entry order (``_Rows.order``)."""
+    assert_same_build(got.category, want.category)
+    assert got.components == want.components
+    assert got.category._ends.order == want.category._ends.order
+
+
+def load_workloads():
+    """``perfbench/workloads.py``, imported once by its path."""
+    if "workloads" not in sys.modules:
+        spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+        sys.modules["workloads"] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules["workloads"])
+    return sys.modules["workloads"]
+
+
+class TestOneStorePerGroupoid:
+    """``random_groupoid`` writes its components in one store, and draws
+    what the route of a store per component and a copied union drew."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(SEEDS, st.integers(1, 5), st.integers(1, 6), st.sampled_from(["c", "cv", "v0", "t1"]))
+    def test_same_draw_as_the_two_store_route(self, seed, max_objects, max_group_order, tag):
+        got_rng, want_rng = Random(seed), Random(seed)
+        assert_same_draw(randgen.random_groupoid(got_rng, max_objects, max_group_order, tag),
+                         reference_random_groupoid(want_rng, max_objects, max_group_order, tag))
+        assert got_rng.getstate() == want_rng.getstate()
+
+    @pytest.mark.parametrize("seed", [0, 1, 1009])
+    def test_audit_vertices(self, seed, monkeypatch):
+        """Every vertex of the ``audit`` set-up's diagrams, drawn both ways."""
+        workloads = load_workloads()
+        got = workloads.audit_instances(seed, 40)[0]
+        monkeypatch.setattr(randgen, "random_groupoid", reference_random_groupoid)
+        want = workloads.audit_instances(seed, 40)[0]
+        assert len(got) == len(want)
+        groupoid_vertices = 0
+        for d, e in zip(got, want):
+            assert d.index.name == e.index.name and d.index.objects == e.index.objects
+            for x in d.index.objects:
+                assert_same_build(d.vertex[x], e.vertex[x])
+                assert d.vertex[x]._ends.order == e.vertex[x]._ends.order
+                groupoid_vertices += d.vertex[x].name.startswith("gpd(")
+        assert groupoid_vertices > 50
+
+    def test_a_swapped_loop_is_caught(self):
+        """Non-vacuity: the entries written with the k and g loops swapped
+        (order i, j, g, k, h) fill the same table in another order, and
+        fail the comparison."""
+        group, n, prefix = cyclic_group(3), 2, "c0"
+        cat = randgen.connected_groupoid(group, n, prefix)[0]
+        r, m = cat._ends, group.order
+        entries = [(jk + h, ij + g, r.rows[ij + g][jk + h])
+                   for i in range(n) for j in range(n) for g in range(m) for k in range(n)
+                   for ij, jk in [((i * n + j) * m, (j * n + k) * m)] for h in range(m)]
+        swapped = fincat._stored(cat.name, cat.objects, r.names, r.src, r.tgt, r.ident,
+                                 entries, (r.inv, True))
+        want = stored_connected_groupoid(group, n, prefix)[0]
+        assert dict(swapped.composition) == dict(want.composition)
+        assert list(swapped.composition) != list(want.composition)
+        with pytest.raises(AssertionError):
+            assert_same_build(swapped, want)
 
 
 def assert_same_iso_classes(cat) -> None:

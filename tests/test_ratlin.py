@@ -9,7 +9,7 @@ from eulcat import hocolim, ratlin, zoo
 from eulcat.fincat import opposite, product, skeleton
 from eulcat.groups import cyclic_group
 from eulcat.hocolim import constant_diagram, grothendieck
-from eulcat.randgen import connected_groupoid, disjoint_union
+from eulcat.randgen import groupoid_union
 from eulcat.ratlin import (
     DimensionMismatch,
     NoEulerCharacteristic,
@@ -109,7 +109,7 @@ class TestWeighting:
 
     def test_mixed_denominators(self):
         # B(Z/2) + B(Z/3): weighting 1/2 and 1/3, verified with L = 6
-        cat = disjoint_union([connected_groupoid(cyclic_group(n), 1, f"z{n}")[0] for n in (2, 3)])
+        cat = groupoid_union([(cyclic_group(n), 1, f"z{n}") for n in (2, 3)]).category
         values = {"z2.0": Fraction(1, 2), "z3.0": Fraction(1, 3)}
         for side in ("weighting", "coweighting"):
             assert Weighting(cat, values, side, True).total() == Fraction(5, 6)

@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -34,6 +35,12 @@ def test_randomized_audit():
     out = run_script("randomized_audit.py", "--instances", "20", "--seed", "0")
     assert out.returncode == 0, out.stdout + out.stderr
     assert "FAIL" not in out.stdout
+    # each section's seconds, and of those the seconds spent drawing
+    for prefix in ("homotopy colimit formula: 20 instances, 0 failures, ",
+                   "free quotient law: 10 instances, 0 failures, ",
+                   "skeletal reduction + chi theorems: 10 actions, 0 failures, "):
+        assert re.search(re.escape(prefix) + r"\d+\.\d\ds \(\d+\.\d\ds drawing\)$",
+                         out.stdout, re.MULTILINE), out.stdout
 
 
 # Runs the audit with every coweighting total off by one, so the Lemma 1.3
