@@ -14,11 +14,17 @@ Runs the set-up of ``perfbench/workloads.py`` for the workload once, under
   ``_hom``, ``_by_source``, ``_invertible``), the categories that hold it;
 - ``view_bytes``: the bytes those views hold beyond the rows;
 - ``row_bytes``: the bytes the categories' ``_ends`` hold (their rows, or
-  a total's arrays).
+  a total's arrays);
+- ``functors``: the ``CatFunctor``s reachable from the set-up's tasks, and
+  ``functor_views`` how many of them hold an ``obj_map`` or ``mor_map``
+  view made from their arrays (a map given by name is no view), counted
+  in a second, untraced set-up;
+- ``functor_bytes``: the bytes the functors' arrays (``_arrays``) hold.
 
 Bytes are ``sys.getsizeof`` summed over each object reachable from a row
 or a view, each object counted once, rows first, so a name string that a
-row and a view share is a row's.  Reading a category here makes no view.
+row and a view share is a row's.  Reading a category or a functor here
+makes no view.
 Manifests the set-up writes go to a temporary directory.  Nothing under
 ``perfbench/`` is edited.  Standard library only.
 """
@@ -32,23 +38,29 @@ import sys
 import tempfile
 import tracemalloc
 import types
+import weakref
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import workloads  # noqa: E402
-from eulcat.fincat import FinCat, Morphism, _Ends  # noqa: E402
+from eulcat.fincat import CatFunctor, FinCat, Morphism, _Ends  # noqa: E402
 
 VIEWS = ("morphisms", "composition", "_mor", "_hom", "_by_source", "_invertible")
 LEAVES = (str, int, float, bool, type(None), type, types.ModuleType)
 
 
 def categories(root) -> list[FinCat]:
-    """The FinCats reachable from ``root``, through containers, instances
-    and closures, but not through a function's globals, a class or a
-    module."""
-    found, seen, stack = [], set(), [root]
+    """The FinCats reachable from ``root`` (see ``reachable``)."""
+    return reachable(root)[0]
+
+
+def reachable(root) -> tuple[list[FinCat], list[CatFunctor]]:
+    """The FinCats and the CatFunctors reachable from ``root``, through
+    containers, instances and closures, but not through a function's
+    globals, a class or a module."""
+    found, functors, seen, stack = [], [], set(), [root]
     while stack:
         obj = stack.pop()
         if isinstance(obj, LEAVES) or id(obj) in seen:
@@ -56,6 +68,8 @@ def categories(root) -> list[FinCat]:
         seen.add(id(obj))
         if isinstance(obj, FinCat):
             found.append(obj)
+        elif isinstance(obj, CatFunctor):
+            functors.append(obj)
         if isinstance(obj, types.FunctionType):
             for cell in obj.__closure__ or ():
                 try:
@@ -64,7 +78,7 @@ def categories(root) -> list[FinCat]:
                     pass
         elif not isinstance(obj, (types.BuiltinFunctionType, types.MethodWrapperType)):
             stack.extend(gc.get_referents(obj))
-    return found
+    return found, functors
 
 
 def slot_values(obj) -> list:
@@ -113,11 +127,12 @@ def measure(workload: str, seed: int, size: str) -> dict:
         gc.collect()
         traced, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
-        cats = categories(tasks)
+        cats, functors = reachable(tasks)
         seen: set = set()
         row_bytes = sum(deep_size(cat._ends, seen) for cat in cats)
         held = {attr: [cat for cat in cats if attr in vars(cat)] for attr in VIEWS}
         view_bytes = sum(deep_size(vars(cat)[attr], seen) for attr in VIEWS for cat in held[attr])
+        functor_bytes = sum(deep_size(fun._arrays, seen) for fun in functors)
         return {
             "workload": workload, "seed": seed, "size": size, "tasks": len(tasks),
             "traced_bytes": traced, "traced_peak_bytes": peak,
@@ -125,7 +140,24 @@ def measure(workload: str, seed: int, size: str) -> dict:
             "with_views": sum(any(attr in vars(cat) for attr in VIEWS) for cat in cats),
             "views": {attr: len(held[attr]) for attr in VIEWS},
             "view_bytes": view_bytes, "row_bytes": row_bytes,
+            "functors": len(functors), "functor_views": functor_views(workload, seed, size),
+            "functor_bytes": functor_bytes,
         }
+
+
+def functor_views(workload: str, seed: int, size: str) -> int:
+    """How many of the functors reachable from a second set-up of
+    ``workload``, run untraced, had a map view made from their arrays
+    (``CatFunctor._make``) during it: counted apart, so that the count
+    does not add to the traced bytes."""
+    viewed, make = weakref.WeakSet(), CatFunctor._make
+    CatFunctor._make = lambda fun, attr: viewed.add(fun) or make(fun, attr)
+    try:
+        with tempfile.TemporaryDirectory() as out_dir:
+            tasks = workloads.WORKLOADS[workload](seed, out_dir, size)
+    finally:
+        CatFunctor._make = make
+    return sum(fun in viewed for fun in reachable(tasks)[1])
 
 
 def main(argv=None) -> int:

@@ -89,10 +89,10 @@ class Morphism:
 
 
 class _OnFirstRead:
-    """A name field of a FinCat, made from its integer arrays on its first
-    read: the category makes it (``_make``) and stores it on the instance,
-    which shadows this non-data descriptor, so later reads find it there
-    directly.  A ``hocolim._TotalRows`` makes its indexes the same way.
+    """A name field of a FinCat, or a functor's map, made from its integer
+    arrays on its first read by its owner (``_make``), which stores it on
+    the instance; that shadows this non-data descriptor, so later reads find
+    it there.  A ``hocolim._TotalRows`` makes its indexes the same way.
     On the class it has no value, so a dataclass field that is one has no
     default."""
 
@@ -648,16 +648,48 @@ class NotNatural(ValidationError):
 
 @dataclass(frozen=True, eq=False)
 class CatFunctor:
-    """A functor given by its object and morphism maps, checked on the two
-    int arrays of ``_functor_arrays``."""
+    """A functor, kept as its int arrays (``_arrays``, see ``_Arrays``); it
+    keeps the maps it is given and checks them (``_check_functor``), as
+    ``from_arrays`` checks arrays.  Other maps are views (``_OnFirstRead``)."""
 
     source: FinCat
     target: FinCat
-    obj_map: Mapping[str, str]
-    mor_map: Mapping[str, str]
+    obj_map: Mapping[str, str] = _OnFirstRead()
+    mor_map: Mapping[str, str] = _OnFirstRead()
+
+    _arrays: _Arrays = field(init=False, repr=False)
 
     def __post_init__(self):
-        _check_functor(self.source, self.target, self.obj_map, self.mor_map)
+        self.__dict__["_arrays"] = _check_functor(self.source, self.target, self.obj_map,
+                                                  self.mor_map)
+
+    @staticmethod
+    def from_arrays(source: FinCat, target: FinCat, fo: list[int], fm: list[int]) -> "CatFunctor":
+        """The functor with the arrays ``fo`` and ``fm`` (``_Arrays``), checked:
+        NotAFunctor at an array of the wrong length, at the first image that
+        is no index of ``target``, then at the laws of ``_check_functor``."""
+        s, t = _rows_of(source), _rows_of(target)
+        for images, keys, n, law in ((fo, source.objects, len(t.ident), "objects"),
+                                     (fm, s.names, len(t.src), "morphisms")):
+            if len(images) != len(keys):
+                _not_a_functor(f"{len(images)} images for {len(keys)} {law}", law, len(images))
+            k = next((k for k, i in enumerate(images) if type(i) is not int or not 0 <= i < n), None)
+            if k is not None:
+                _not_a_functor(f"image of {keys[k]!r} is out of range", law, keys[k])
+        _check_functor_arrays(s, t, fo, fm, _is_thin(target))
+        return _trusted(CatFunctor, source=source, target=target, _arrays=(fo, fm))
+
+    def _make(self, attr: str) -> None:
+        """Store the map ``attr``, read off its array, on the instance."""
+        keys, names = (cat.objects if attr == "obj_map" else cat._named().names
+                       for cat in (self.source, self.target))
+        images = self._arrays[attr == "mor_map"]
+        self.__dict__[attr] = dict(zip(keys, map(names.__getitem__, images)))
+
+    def _has_stray_key(self) -> bool:
+        """Whether a map it was given has a key naming nothing in its source."""
+        (fo, fm), given = self._arrays, self.__dict__
+        return len(given.get("obj_map", fo)) != len(fo) or len(given.get("mor_map", fm)) != len(fm)
 
     def then(self, other: "CatFunctor") -> "CatFunctor":
         """Composite functor self ; other (apply self first), a functor unchecked."""
@@ -666,15 +698,13 @@ class CatFunctor:
                 "functors are not composable",
                 witness={"target": self.target.name, "source": other.source.name},
             )
-        obj_map, mor_map = _composite_maps(self, other)
-        return _trusted(CatFunctor, source=self.source, target=other.target, obj_map=obj_map,
-                        mor_map=mor_map)
+        return _trusted(CatFunctor, source=self.source, target=other.target,
+                        _arrays=_composite_arrays(self._arrays, other._arrays))
 
     @staticmethod
     def identity_functor(cat: FinCat) -> "CatFunctor":
         """The identity functor, lawful on every category: built unchecked."""
-        obj_map, mor_map = _identity_maps(cat)
-        return _trusted(CatFunctor, source=cat, target=cat, obj_map=obj_map, mor_map=mor_map)
+        return _trusted(CatFunctor, source=cat, target=cat, _arrays=_identity_arrays(cat))
 
 
 # A functor on indices: the object image and the morphism image, by the
@@ -682,12 +712,15 @@ class CatFunctor:
 _Arrays = tuple[list[int], list[int]]
 
 
-def _check_functor(src: FinCat, tgt: FinCat, obj_map: Mapping, mor_map: Mapping) -> None:
+def _check_functor(src: FinCat, tgt: FinCat, obj_map: Mapping, mor_map: Mapping) -> _Arrays:
     """Check the laws of a functor ``src`` -> ``tgt`` in order: objects,
     morphisms (an image for each), source/target, identities, composition,
-    on its arrays.  Keys naming nothing in ``src`` are ignored.  A failure
-    raises NotAFunctor with witness ``{"law": law, "at": x}``, x an object,
-    morphism or pair; the maps are read by name again only then."""
+    on its arrays, and return them.  Keys naming nothing in ``src`` are
+    ignored.  A failure raises NotAFunctor with witness
+    ``{"law": law, "at": x}``, x an object, morphism or pair; the maps are
+    read by name again only then, by a walk that raises on maps whose reads
+    repeat (a missing key or unhashable image too); the bare ``raise``
+    guards maps whose second read differs."""
     s, t = _rows_of(src), _rows_of(tgt)
     try:
         fo = list(map(t.objects.__getitem__, map(obj_map.__getitem__, src.objects)))
@@ -696,6 +729,7 @@ def _check_functor(src: FinCat, tgt: FinCat, obj_map: Mapping, mor_map: Mapping)
         _walk_functor_maps(s, t, tgt.name, obj_map, mor_map)  # raises, at the first fault
         raise
     _check_functor_arrays(s, t, fo, fm, _is_thin(tgt))
+    return fo, fm
 
 
 def _walk_functor_maps(s: _Rows, t: _Rows, tgt: str, obj_map: Mapping, mor_map: Mapping) -> None:
@@ -754,29 +788,9 @@ def _check_functor_arrays(s: _Rows, t: _Rows, fo: list[int], fm: list[int], thin
                          == list(map(image, s_rows[f].values())), locate)
 
 
-def _functor_arrays(fun: CatFunctor, t: _Rows) -> _Arrays:
-    """The arrays of ``fun``, a functor, read off its maps, with ``t`` the
-    rows of its target."""
-    return ([t.objects[fun.obj_map[x]] for x in fun.source.objects],
-            [t.index[fun.mor_map[m]] for m in fun.source.morphism_names()])
-
-
-def _identity_maps(cat: FinCat) -> tuple[dict[str, str], dict[str, str]]:
-    """The object and morphism maps of the identity functor of ``cat``."""
-    return {x: x for x in cat.objects}, {m: m for m in cat.morphism_names()}
-
-
 def _identity_arrays(cat: FinCat) -> _Arrays:
     """The arrays of the identity functor of ``cat``."""
     return list(range(len(cat))), list(range(len(cat._ends.src)))
-
-
-def _composite_maps(first: CatFunctor, second: CatFunctor) -> tuple[dict, dict]:
-    """The maps of ``first`` then ``second``, composed key by key (an extra
-    key of ``first`` is kept, or raises KeyError), without validating them."""
-    obj_map = {x: second.obj_map[y] for x, y in first.obj_map.items()}
-    mor_map = {m: second.mor_map[n] for m, n in first.mor_map.items()}
-    return obj_map, mor_map
 
 
 def _composite_arrays(first: _Arrays, second: _Arrays) -> _Arrays:
@@ -1051,10 +1065,11 @@ def _retract(cat: FinCat, rep_of: Mapping[str, str], name: str) -> SkeletonData:
     Everything is read off the rows of ``cat``.
     """
     gamma = full_subcategory(cat, rep_of.values(), name=name)
-    obj_map, mor_map = _identity_maps(gamma)
-    inclusion = _trusted(CatFunctor, source=gamma, target=cat, obj_map=obj_map, mor_map=mor_map)
-    r = _rows_of(cat)
+    r, g = _rows_of(cat), gamma._ends
     names, objects, rows, inv = r.names, r.objects, r.rows, r.inv
+    fm = list(map(r.index.__getitem__, g.names))
+    inclusion = _trusted(CatFunctor, source=gamma, target=cat,
+                         _arrays=(list(map(objects.__getitem__, gamma.objects)), fm))
     isos: dict[int, list[str]] = {}  # the isomorphisms rep(x) -> x, by x
     for u in inv:
         x = r.tgt[u]
@@ -1062,11 +1077,10 @@ def _retract(cat: FinCat, rep_of: Mapping[str, str], name: str) -> SkeletonData:
             isos.setdefault(x, []).append(names[u])
     eta_comp = {x: min(isos[objects[x]]) if x != rep else names[r.ident[objects[x]]]
                 for x, rep in rep_of.items()}
-    eta = [r.index[eta_comp[x]] for x in cat.objects]
-    r_mor = {names[m]: names[rows[rows[eta[x]][m]][inv[eta[y]]]]
-             for m, (x, y) in enumerate(zip(r.src, r.tgt))}
-    retraction = _trusted(CatFunctor, source=cat, target=gamma, obj_map=dict(rep_of),
-                          mor_map=r_mor)
+    eta, at = [r.index[eta_comp[x]] for x in cat.objects], {m: k for k, m in enumerate(fm)}
+    r_mor = [at[rows[rows[eta[x]][m]][inv[eta[y]]]] for m, (x, y) in enumerate(zip(r.src, r.tgt))]
+    retraction = _trusted(CatFunctor, source=cat, target=gamma, _arrays=(
+        [g.objects[rep_of[x]] for x in cat.objects], r_mor))
     return SkeletonData(gamma, inclusion, retraction, eta_comp)
 
 

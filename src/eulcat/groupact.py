@@ -680,9 +680,9 @@ def complex_to_pseudo_diagram(cplx: ComplexOfGroups):
     vertex = {x: one_object_category(cplx.local[x], obj="*") for x in base.objects}
     edge = {}
     for m, x, y in base._arrows():
-        hom = cplx.homs[m]
+        # the morphisms of a one-object category are its group's elements, in order
         edge[m] = _trusted(CatFunctor, source=vertex[x], target=vertex[y],
-                           obj_map={"*": "*"}, mor_map={g: hom(g) for g in hom.source.labels})
+                           _arrays=([0], _image_of(cplx.homs[m])))
     comp = {pair: {"*": tw} for pair, tw in cplx.twists.items()}
     unit = {x: {"*": cplx.local[x].identity} for x in base.objects}
     return _trusted(PseudoDiagram, index=base, vertex=vertex, edge=edge, comp=comp, unit=unit)
@@ -778,8 +778,10 @@ def skeletal_reduction(action: ScwolAction) -> SkeletalReduction:
         if prev != img:
             square = False
     if square:
-        rbar = _trusted(CatFunctor, source=qx.category, target=qg.category, obj_map=rbar_obj,
-                        mor_map=rbar_mor)
+        s, t = _rows_of(qx.category), _rows_of(qg.category)
+        rbar = _trusted(CatFunctor, source=qx.category, target=qg.category, _arrays=(
+            [t.objects[rbar_obj[x]] for x in qx.category.objects],
+            [t.index[rbar_mor[m]] for m in s.names]))
         surjective = set(rbar_obj.values()) == set(qg.category.objects)
         is_equivalence = surjective and _fully_faithful(qx.category, qg.category, rbar)
     else:
@@ -822,10 +824,9 @@ def skeletal_reduction(action: ScwolAction) -> SkeletalReduction:
 def _fully_faithful(a: FinCat, b: FinCat, fun: CatFunctor) -> bool:
     """Whether ``fun``: a -> b is fully faithful, off the endpoint arrays:
     each Hom(x, y) has as many morphisms and images as Hom(F(x), F(y))."""
-    ea, eb, at = a._ends, b._ends, {x: k for k, x in enumerate(b.objects)}
-    image = [at[fun.obj_map[x]] for x in a.objects]
+    ea, eb, (image, mor_image) = a._ends, b._ends, fun._arrays
     count_a, count_b = Counter(zip(ea.src, ea.tgt)), Counter(zip(eb.src, eb.tgt))
-    mapped = set(zip(ea.src, ea.tgt, map(fun.mor_map.__getitem__, a.morphism_names())))
+    mapped = set(zip(ea.src, ea.tgt, mor_image))
     objects = range(len(a))
     return Counter((x, y) for x, y, _ in mapped) == count_a and all(
         count_a[x, y] == count_b[image[x], image[y]] for x in objects for y in objects)

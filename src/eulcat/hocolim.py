@@ -30,11 +30,8 @@ from .fincat import (
     _Rows,
     _check_natural,
     _composite_arrays,
-    _composite_maps,
-    _functor_arrays,
     _headers,
     _identity_arrays,
-    _identity_maps,
     _inverse_search,
     _is_groupoid,
     _is_scwol,
@@ -73,15 +70,12 @@ class ForeignSpectrum(ValidationError):
     diagram's index category."""
 
 
-def _is_identity_on(fun: CatFunctor, cat: FinCat) -> bool:
-    """Whether ``fun`` has the maps of the identity functor of ``cat``,
-    without building and validating that functor."""
-    return (dict(fun.obj_map), dict(fun.mor_map)) == _identity_maps(cat)
-
-
 def _is_composite(first: CatFunctor, second: CatFunctor, fun: CatFunctor) -> bool:
-    """Whether ``fun`` has the maps of ``first.then(second)``."""
-    return _composite_maps(first, second) == (dict(fun.obj_map), dict(fun.mor_map))
+    """Whether ``fun`` has the maps of ``first`` then ``second``, composed key
+    by key: an extra key of ``first`` is kept, or raises KeyError."""
+    return (dict(fun.obj_map), dict(fun.mor_map)) == (
+        {x: second.obj_map[y] for x, y in first.obj_map.items()},
+        {m: second.mor_map[n] for m, n in first.mor_map.items()})
 
 
 def _check_vertices_and_edges(d: Diagram) -> None:
@@ -102,8 +96,8 @@ def _check_vertices_and_edges(d: Diagram) -> None:
 class StrictDiagram:
     """A strict functor from a finite index category into finite categories.
 
-    The check reads the diagram on index arrays (``_IndexView``), making
-    every edge's arrays, and the diagram keeps that view (``_view``) for
+    The check reads the diagram on index arrays (``_IndexView``), with
+    every edge's own arrays, and the diagram keeps that view (``_view``) for
     the builder and the hom counts, as a ``PseudoDiagram`` does."""
 
     index: FinCat
@@ -112,15 +106,12 @@ class StrictDiagram:
 
     def __post_init__(self):
         _check_vertices_and_edges(self)
-        # compared on the edges' arrays, and by their maps where one has a stray key
+        # compared on the edges' arrays, and by maps where one has a stray key (no identity has)
         view = _IndexView(self)
-        r, edges = view.rows, view.edges
-        arrays = list(map(view.arrays, range(len(edges))))
-        stray = [len(f.obj_map) != len(fo) or len(f.mor_map) != len(fm)
-                 for f, (fo, fm) in zip(edges, arrays)]
+        r, edges, arrays = view.rows, view.edges, view.arrays
+        stray = [f._has_stray_key() for f in edges]
         for x, e, cat in zip(self.index.objects, r.ident, view.vertex):
-            if not (_is_identity_on(edges[e], cat) if stray[e] else
-                    arrays[e] == _identity_arrays(cat)):
+            if stray[e] or arrays[e] != _identity_arrays(cat):
                 raise ValidationError(f"edge at id_{x!r} is not the identity functor",
                                       witness={"object": x})
         names, ids = r.names, set(r.ident)  # a pair with an identity holds by the above
@@ -160,7 +151,7 @@ class PseudoDiagram:
     def __post_init__(self):
         _check_vertices_and_edges(self)
         view = _IndexView(self)
-        r, vrows, arrays = view.rows, view.vrows, list(map(view.arrays, range(len(view.edges))))
+        r, vrows, arrays = view.rows, view.vrows, view.arrays
         view.unit = unit = []
         for i, e, ci, ri in zip(self.index.objects, r.ident, view.vertex, vrows):
             components = self.unit.get(i)
@@ -257,32 +248,25 @@ class PseudoDiagram:
 class _IndexView:
     """A checked diagram on index arrays: the index's ``rows`` and ``out``
     (``_Rows.out``); by index object, the vertices and their rows; by index
-    morphism u, the edge and C(u) on objects (``image``; ``arrays`` makes
-    both arrays of C(u) once per functor); and the coherence components as
-    morphisms of their vertex, ``unit[i][c]`` at the object c of C(i) and
-    ``comp[u][v][c]`` at the object c of C(source(u)), None if identities.
+    morphism u, the edge, its ``_arrays`` (``arrays``) and C(u) on objects
+    (``image``); and the coherence components as morphisms of their vertex,
+    ``unit[i][c]`` at the object c of C(i) and ``comp[u][v][c]`` at the
+    object c of C(source(u)), None if identities.
 
     A diagram has one view for its whole life, kept as its ``_view``: the
     one its check built, its strict diagram's (``from_strict``), or the one
     ``_index_view`` made on first use, with no derived result."""
 
-    __slots__ = ("rows", "out", "vertex", "vrows", "edges", "image", "made", "unit", "comp")
+    __slots__ = ("rows", "out", "vertex", "vrows", "edges", "arrays", "image", "unit", "comp")
 
     def __init__(self, d: Diagram):
         self.rows = r = _rows_of(d.index)
-        self.out, self.made, self.unit, self.comp = r.out(), {}, None, None
+        self.out, self.unit, self.comp = r.out(), None, None
         self.vertex = vertex = [d.vertex[i] for i in d.index.objects]
-        self.vrows = vrows = [_rows_of(cat) for cat in vertex]
+        self.vrows = [_rows_of(cat) for cat in vertex]
         self.edges = edges = [d.edge[m] for m in r.names]
-        self.image = [[vrows[t].objects[f.obj_map[x]] for x in f.source.objects]
-                      for f, t in zip(edges, r.tgt)]
-
-    def arrays(self, u: int) -> tuple[list[int], list[int]]:
-        """The arrays of C(u) (``fincat._functor_arrays``), once per functor."""
-        fun = self.edges[u]
-        if fun not in self.made:
-            self.made[fun] = _functor_arrays(fun, self.vrows[self.rows.tgt[u]])
-        return self.made[fun]
+        self.arrays = [f._arrays for f in edges]
+        self.image = [fo for fo, _ in self.arrays]
 
     def inv_units(self, i: int) -> list[int]:
         """The inverse of the unit component at each object of C(i)."""
@@ -340,15 +324,14 @@ class GrothendieckResult:
     @property
     def alphas(self) -> dict[str, CatFunctor]:
         """The inclusions alpha_i: C(i) -> hocolim, f |-> (id_i, f), built on
-        every access and unchecked: (id_i, g) o (id_i, f) = (id_i, g o f)."""
-        idx = self.diagram.index
-        alphas = {}
-        for i in idx.objects:
-            ci = self.diagram.vertex[i]
+        every access and unchecked: (id_i, g) o (id_i, f) = (id_i, g o f).
+        (id_i, f)@c is ``pos[f]`` after ``starts[id_i][c]`` (``_Numbering``)."""
+        plan, alphas = self.category._plan, {}
+        for (first, order), e, i, ci in zip(plan.place, plan.view.rows.ident,
+                                            self.diagram.index.objects, plan.view.vertex):
+            fm = [plan.starts[e][c] + order.pos[f] for f, c in enumerate(ci._ends.src)]
             alphas[i] = _trusted(CatFunctor, source=ci, target=self.category,
-                                 obj_map={c: _pair_obj(i, c) for c in ci.objects},
-                                 mor_map={m: _triple_mor(idx.identity[i], m, x)
-                                          for m, x, _ in ci._arrows()})
+                                 _arrays=(list(range(first, first + len(ci))), fm))
         return alphas
 
 
@@ -508,7 +491,7 @@ class _Numbering:
             for v in view.out[j]:
                 t = r.tgt[v]
                 rows, order = view.vrows[t].rows, place[t][1]
-                obj_image, mor_image = view.arrays(v)
+                obj_image, mor_image = view.arrays[v]
                 steps.append((rows, rows[view.inv_comp(v, u, k)], obj_image, mor_image,
                               starts[r.rows[u][v]][k], starts[v], order.out, order.pos))
             order_j = place[j][1]
@@ -618,7 +601,7 @@ def _lifted_inverses(plan: _Numbering) -> dict[int, int]:
         # needed in a strict diagram at u = id_i, where C(v) is the identity
         plain = view.comp is None and u == view.rows.ident[i]
         back = None if plain else rows[ri.inv[view.inv_comp(v, u, k)]][view.inv_units(i)[k]]
-        v_mor = None if plain else view.arrays(v)[1]
+        v_mor = None if plain else view.arrays[v][1]
         for q, (f, e) in enumerate(zip(order_j.out[x], order_j.ends[x]), starts[u][k]):
             g = inverse.get(f)
             if g is not None:
@@ -908,12 +891,9 @@ def set_diagram(index: FinCat, sets: Mapping[str, Sequence[str]],
         if index.is_identity(m) and m not in maps:
             edge[m] = CatFunctor.identity_functor(vertex[i])
             continue
-        fn = maps[m]
-        src, tgt = vertex[i], vertex[j]
-        edge[m] = CatFunctor(
-            src,
-            tgt,
-            {x: fn[x] for x in src.objects},
-            {src.identity[x]: tgt.identity[fn[x]] for x in src.objects},
-        )
+        fn, src, tgt = maps[m], vertex[i], vertex[j]
+        fo = list(map(tgt._ends.objects.__getitem__, [fn[x] for x in src.objects]))
+        # each morphism of a discrete category is an identity, sent to one
+        edge[m] = CatFunctor.from_arrays(src, tgt, fo, [tgt._ends.ident[fo[x]]
+                                                        for x in src._ends.src])
     return StrictDiagram(index, vertex, edge)

@@ -269,16 +269,17 @@ def _functor_from_payload(payload: Mapping, src: FinCat, tgt: FinCat, edge: str,
     """The functor along index morphism ``edge``.  CatFunctor ignores keys
     that name nothing in ``src``; a manifest may not carry them.  Its check
     reads only the rows of ``src`` and ``tgt`` and the maps, so ``checked``
-    holds the maps of the first functor checked in this load between each
-    (source rows, target rows), and a later one with equal maps is built
-    unchecked."""
+    holds the first functor checked in this load between each (source rows,
+    target rows), and a later one with equal maps is built unchecked and
+    shares its arrays."""
     maps = _str_map(payload["objects"]), _str_map(payload["morphisms"])
     pair = src._ends, tgt._ends
-    if checked.get(pair) == maps:
-        fun = _trusted(CatFunctor, source=src, target=tgt, obj_map=maps[0], mor_map=maps[1])
+    if (first := checked.get(pair)) is not None and (first.obj_map, first.mor_map) == maps:
+        fun = _trusted(CatFunctor, source=src, target=tgt, obj_map=maps[0], mor_map=maps[1],
+                       _arrays=first._arrays)
     else:
         fun = CatFunctor(src, tgt, *maps)
-        checked.setdefault(pair, maps)
+        checked.setdefault(pair, fun)
     # CatFunctor requires every object and morphism, so a longer map has a stray key
     if len(fun.obj_map) != len(src.objects):
         x = next(x for x in fun.obj_map if not src.has_object(x))

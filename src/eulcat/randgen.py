@@ -16,7 +16,7 @@ from random import Random
 from typing import Mapping, Optional, Sequence
 
 from .fincat import CatFunctor, FinCat, _rows_of, _stored
-from .groups import FinGroup, GroupHom, all_homs, cyclic_group, klein_four_group, symmetric_group, trivial_group
+from .groups import FinGroup, GroupHom, _image_of, all_homs, cyclic_group, klein_four_group, symmetric_group, trivial_group
 from .groupact import ScwolAction, trivial_action
 from .hocolim import StrictDiagram, constant_diagram, set_diagram
 from .zoo import build_category, circle_scwol, cone, inflate, polygon_scwol
@@ -234,24 +234,22 @@ def random_groupoid(rng: Random, max_objects: int = 4, max_group_order: int = 4,
 
 def random_groupoid_functor(rng: Random, src: Groupoid, tgt: Groupoid) -> CatFunctor:
     """Random functor built per component from a group homomorphism and an
-    arbitrary object assignment into a chosen target component."""
-    obj_map: dict[str, str] = {}
-    mor_map: dict[str, str] = {}
+    arbitrary object assignment into a chosen target component, drawn in
+    that order and written as arrays on the layout of ``groupoid_union``:
+    (g; i, j) goes to (hom(g); a_i, a_j), at ``at[a_i][a_j] + img[g]``."""
+    sizes = [len(c.objects) for c in tgt.components]
+    targets = list(zip(tgt.components, itertools.accumulate(sizes, initial=0), itertools.accumulate(
+        [n * n * c.group.order for n, c in zip(sizes, tgt.components)], initial=0)))
+    fo, fm = [], []
     for comp in src.components:
-        target_comp = rng.choice(tgt.components)
-        hom = rng.choice(homs_between(comp.group, target_comp.group))
-        assign = {
-            i: rng.randrange(len(target_comp.objects)) for i in range(len(comp.objects))
-        }
-        for i, obj in enumerate(comp.objects):
-            obj_map[obj] = target_comp.objects[assign[i]]
-        for g in comp.group.labels:
-            for i in range(len(comp.objects)):
-                for j in range(len(comp.objects)):
-                    mor_map[f"{comp.prefix}[{g};{i},{j}]"] = (
-                        f"{target_comp.prefix}[{hom(g)};{assign[i]},{assign[j]}]"
-                    )
-    return CatFunctor(src.category, tgt.category, obj_map, mor_map)
+        target_comp, first, base = rng.choice(targets)
+        img = _image_of(rng.choice(homs_between(comp.group, target_comp.group)))
+        size, order = len(target_comp.objects), target_comp.group.order
+        assign = [rng.randrange(size) for _ in comp.objects]
+        fo += [first + a for a in assign]
+        fm += [at + h for at in [base + (a * size + b) * order for a in assign for b in assign]
+               for h in img]
+    return CatFunctor.from_arrays(src.category, tgt.category, fo, fm)
 
 
 # -- diagrams --------------------------------------------------------------------

@@ -1,10 +1,13 @@
 """Constructions that only the tests use, kept out of the library."""
 
 import dataclasses
+import importlib.util
 import itertools
 import json
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 from eulcat import eulerchar, fincat, groupact, hocolim, manifest, randgen, ratlin, zoo
@@ -24,10 +27,7 @@ from eulcat.fincat import (
     NotNatural,
     _check_natural,
     _composite_arrays,
-    _composite_maps,
-    _functor_arrays,
     _identity_arrays,
-    _identity_maps,
     _is_EI,
     _is_groupoid,
     _is_thin,
@@ -367,8 +367,30 @@ def assert_retraction_data(cat, inclusion, retraction, eta) -> None:
     natural isomorphism i o r => id."""
     assert_revalidates(inclusion, retraction)
     rows, gamma = _rows_of(cat), _rows_of(retraction.target)
-    i_r = _composite_arrays(_functor_arrays(retraction, gamma), _functor_arrays(inclusion, rows))
+    i_r = _composite_arrays(reference_functor_arrays(retraction, gamma),
+                            reference_functor_arrays(inclusion, rows))
     _check_natural(cat, rows, cat, rows, i_r, _identity_arrays(cat), eta, "eta")
+
+
+def reference_functor_arrays(fun: CatFunctor, t) -> tuple[list[int], list[int]]:
+    """The arrays of ``fun``, a functor, read off its maps by name, with
+    ``t`` the rows of its target: fresh lists, which a caller may change."""
+    return ([t.objects[fun.obj_map[x]] for x in fun.source.objects],
+            [t.index[fun.mor_map[m]] for m in fun.source.morphism_names()])
+
+
+def identity_maps(cat: FinCat) -> tuple[dict[str, str], dict[str, str]]:
+    """The object and morphism maps of the identity functor of ``cat``."""
+    return {x: x for x in cat.objects}, {m: m for m in cat.morphism_names()}
+
+
+def reference_composite_maps(first: CatFunctor, second: CatFunctor) -> tuple[dict, dict]:
+    """The maps of ``first`` then ``second``, composed key by key (an extra
+    key of ``first`` is kept, or raises KeyError), as ``then`` composed them
+    before a functor kept its arrays."""
+    obj_map = {x: second.obj_map[y] for x, y in first.obj_map.items()}
+    mor_map = {m: second.mor_map[n] for m, n in first.mor_map.items()}
+    return obj_map, mor_map
 
 
 def trivial_diagram(index: FinCat) -> StrictDiagram:
@@ -650,7 +672,7 @@ def reference_pseudo_diagram_checks(self):
             raise CoherenceFailure(f"no unit isomorphism at {i!r}", witness={"object": i})
         ci, fun = self.vertex[i], self.edge[idx.identity[i]]
         reference_check_natural(
-            ci, ci, *_identity_maps(ci), fun.obj_map, fun.mor_map, components, f"unit at {i!r}"
+            ci, ci, *identity_maps(ci), fun.obj_map, fun.mor_map, components, f"unit at {i!r}"
         )
     for (v, u), components in self.comp.items():
         if (v, u) not in idx.composition:
@@ -658,7 +680,7 @@ def reference_pseudo_diagram_checks(self):
                 f"comp given for non-composable pair ({v!r}, {u!r})", witness={"pair": (v, u)}
             )
         fun = self.edge[idx.composition[(v, u)]]
-        f_obj, f_mor = _composite_maps(self.edge[u], self.edge[v])
+        f_obj, f_mor = reference_composite_maps(self.edge[u], self.edge[v])
         reference_check_natural(fun.source, fun.target, f_obj, f_mor, fun.obj_map, fun.mor_map,
                                 components, f"comp at {(v, u)!r}")
     for (v, u) in idx.composition:
@@ -1372,6 +1394,39 @@ def stored_disjoint_union(cats) -> FinCat:
                    (inverses, all(c._directly_finite for c in cats)))
 
 
+def load_workloads():
+    """``perfbench/workloads.py``, imported once by its path."""
+    if "workloads" not in sys.modules:
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("workloads", path)
+        sys.modules["workloads"] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules["workloads"])
+    return sys.modules["workloads"]
+
+
+def reference_random_groupoid_functor(rng, src: randgen.Groupoid,
+                                      tgt: randgen.Groupoid) -> CatFunctor:
+    """``randgen.random_groupoid_functor`` as it was before functors were
+    drawn by index: the same draw, written by name and checked by name."""
+    obj_map: dict[str, str] = {}
+    mor_map: dict[str, str] = {}
+    for comp in src.components:
+        target_comp = rng.choice(tgt.components)
+        hom = rng.choice(randgen.homs_between(comp.group, target_comp.group))
+        assign = {
+            i: rng.randrange(len(target_comp.objects)) for i in range(len(comp.objects))
+        }
+        for i, obj in enumerate(comp.objects):
+            obj_map[obj] = target_comp.objects[assign[i]]
+        for g in comp.group.labels:
+            for i in range(len(comp.objects)):
+                for j in range(len(comp.objects)):
+                    mor_map[f"{comp.prefix}[{g};{i},{j}]"] = (
+                        f"{target_comp.prefix}[{hom(g)};{assign[i]},{assign[j]}]"
+                    )
+    return CatFunctor(src.category, tgt.category, obj_map, mor_map)
+
+
 def reference_induced_space(group, base: FinCat) -> FinCat:
     """The space of ``randgen.induced_free_action(group, base)``."""
 
@@ -1728,7 +1783,8 @@ def reference_strict_diagram_checks(self) -> None:
     _check_vertices_and_edges(self)
     idx = self.index
     for i in idx.objects:
-        if not hocolim._is_identity_on(self.edge[idx.identity[i]], self.vertex[i]):
+        e = self.edge[idx.identity[i]]
+        if (dict(e.obj_map), dict(e.mor_map)) != identity_maps(self.vertex[i]):
             raise ValidationError(f"edge at id_{i!r} is not the identity functor",
                                   witness={"object": i})
     for (v, u), vu in idx.composition.items():

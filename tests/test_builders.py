@@ -12,11 +12,8 @@ Grothendieck totals and manifest categories with shuffled entries, so that
 a builder keeps its input's entry order whatever its store.
 """
 
-import importlib.util
 import itertools
-import sys
 from fractions import Fraction
-from pathlib import Path
 from random import Random
 
 import pytest
@@ -41,6 +38,8 @@ from eulcat.groups import cyclic_group, symmetric_group
 
 from helpers import (
     assert_lawful,
+    identity_maps,
+    load_workloads,
     loaded,
     reference_connected_groupoid,
     reference_disjoint_union,
@@ -72,8 +71,6 @@ from strategies import (
     scwols,
     strict_diagrams,
 )
-
-ROOT = Path(__file__).resolve().parents[1]
 
 
 def assert_same_build(got: FinCat, want: FinCat) -> None:
@@ -183,15 +180,6 @@ def assert_same_draw(got: randgen.Groupoid, want: randgen.Groupoid) -> None:
     assert_same_build(got.category, want.category)
     assert got.components == want.components
     assert got.category._ends.order == want.category._ends.order
-
-
-def load_workloads():
-    """``perfbench/workloads.py``, imported once by its path."""
-    if "workloads" not in sys.modules:
-        spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
-        sys.modules["workloads"] = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(sys.modules["workloads"])
-    return sys.modules["workloads"]
 
 
 class TestOneStorePerGroupoid:
@@ -398,7 +386,7 @@ class TestInputTablesStayUnmade:
         with pytest.raises(NotGroupoid):
             eulerchar.groupoid_chi2(scwol)
         s3 = loaded(zoo.one_object_category(symmetric_group(3)), 2)
-        obj_map, mor_map = fincat._identity_maps(s3)
+        obj_map, mor_map = identity_maps(s3)
         a, b = [m for m in s3.morphism_names() if m != s3.identity["*"]][:2]
         with pytest.raises(NotAFunctor, match="composition"):
             fincat.CatFunctor(s3, s3, obj_map, {**mor_map, a: b, b: a})

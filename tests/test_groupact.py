@@ -15,7 +15,6 @@ from eulcat.fincat import (
     UnknownObject,
     _check_natural,
     _identity_arrays,
-    _identity_maps,
     _rows_of,
     classify,
     iso_classes,
@@ -62,6 +61,7 @@ from helpers import (
     assert_complex_revalidates,
     count_calls,
     equal_presentation,
+    identity_maps,
     nonidentity_paths,
     s3_chain,
     s3_flag_action,
@@ -429,10 +429,10 @@ class TestIdentityEntriesAreSettled:
     def test_functor_check_reads_no_entry(self):
         space = two_composite_scwol()
         table = counting_reads(space)
-        CatFunctor(space, space, *_identity_maps(space))
+        CatFunctor(space, space, *identity_maps(space))
         assert table.reads == 0
         with pytest.raises(NotAFunctor):  # non-vacuity: h1 and h2 swapped break (g, f)
-            obj_map, mor_map = _identity_maps(space)
+            obj_map, mor_map = identity_maps(space)
             CatFunctor(space, space, obj_map, changed(mor_map, {"h1": "h2", "h2": "h1"}))
 
     @pytest.mark.parametrize("space", [zoo.discrete_category("pq"), two_composite_scwol()],

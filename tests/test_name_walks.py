@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from eulcat import cli, eulerchar, fincat, groupact, hocolim, randgen, zoo
 from eulcat.errors import EulcatError
-from eulcat.fincat import CatFunctor, _functor_arrays, _is_thin, _rows_of, _skeleton_category
+from eulcat.fincat import CatFunctor, _is_thin, _rows_of, _skeleton_category
 from eulcat.groupact import ComplexOfGroups, constant_complex
 from eulcat.groups import cyclic_group, symmetric_group
 from eulcat.hocolim import PseudoDiagram, constant_diagram
@@ -33,8 +33,9 @@ from helpers import (
     loaded,
     reference_check_functor,
     reference_check_functor_arrays,
-    reference_free_EI_rejections,
     reference_free_aut_witness,
+    reference_free_EI_rejections,
+    reference_functor_arrays,
     reference_groupoid_rejection,
     reference_pseudo_diagram_checks,
     reference_transport_rejection,
@@ -137,7 +138,7 @@ def mutate_arrays(fun, rng, fault):
     changed to a parallel twin or to another morphism, or two images
     exchanged."""
     t = _rows_of(fun.target)
-    fo, fm = _functor_arrays(fun, t)
+    fo, fm = reference_functor_arrays(fun, t)
     if not fm:
         return fo, fm
     if fault == "image":

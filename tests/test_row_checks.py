@@ -26,6 +26,7 @@ from eulcat.hocolim import PseudoDiagram
 
 from helpers import (
     corrupt_component,
+    identity_maps,
     reference_action_checks,
     reference_check_functor,
     reference_generating_set,
@@ -129,7 +130,7 @@ class TestFunctor:
 
     def test_wrong_endpoints(self):
         space = zoo.pushout_scwol()
-        obj_map, mor_map = fincat._identity_maps(space)
+        obj_map, mor_map = identity_maps(space)
         arrows = [m for m in space.morphism_names() if not space.is_identity(m)]
         mor_map[arrows[0]] = space.identity[space.objects[0]]
         args = (space, space, obj_map, mor_map)

@@ -150,21 +150,30 @@ def test_memory_audit_tiny():
     assert report["traced_peak_bytes"] >= report["traced_bytes"] > report["row_bytes"]
     assert report["with_views"] == report["view_bytes"] == 0
     assert set(report["views"].values()) == {0}
+    assert report["functors"] > 0 and report["functor_bytes"] > 0
+    assert report["functor_views"] == 0
 
 
 # Runs the memory report with a constructor that reads its records back, so
-# every hand-built category keeps that view.
+# every hand-built category keeps that view, and a functor constructor that
+# reads its object map, so every functor built from arrays keeps that view.
 EAGER_MEMORY = """
 import runpy, sys
-from eulcat.fincat import FinCat
+from eulcat.fincat import CatFunctor, FinCat
 
-real = FinCat.__post_init__
+real, from_arrays = FinCat.__post_init__, CatFunctor.from_arrays
 
 def eager(self, *flags):
     real(self, *flags)
     self.morphisms
 
+def eager_functor(*args):
+    fun = from_arrays(*args)
+    fun.obj_map
+    return fun
+
 FinCat.__post_init__ = eager
+CatFunctor.from_arrays = eager_functor
 path = sys.argv[1]
 sys.argv = [path, "--workload", "audit", "--size", "tiny"]
 runpy.run_path(path, run_name="__main__")
@@ -178,3 +187,4 @@ def test_memory_counts_a_planted_eager_read():
     assert report["with_views"] > 0 and report["view_bytes"] > 0
     assert report["views"]["morphisms"] == report["views"]["_mor"] > 0
     assert report["views"]["composition"] == 0
+    assert 0 < report["functor_views"] <= report["functors"]
