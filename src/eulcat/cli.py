@@ -36,6 +36,7 @@ from .fincat import (
     path_counts,
 )
 from .groupact import (
+    _transport_groupoid,
     chi_theorems,
     complex_of_groups,
     developability_check,
@@ -69,12 +70,6 @@ def _load(path: str, *kinds: str):
             witness={"path": path, "kind": kind},
         )
     return kind, value
-
-
-def _transport_chis(group, points, act) -> tuple[Fraction, int]:
-    """chi2 and chi of the transport groupoid of ``group`` acting on ``points``."""
-    groupoid = transport_groupoid(group, points, act)
-    return groupoid_chi2(groupoid), len(_iso_partition(groupoid))
 
 
 # -- handlers: (kind, value, args) -> (human lines, JSON report, ok) ---------------
@@ -213,7 +208,8 @@ def _transport(kind, action, args):
     if moving is not None:
         raise manifest.BadManifest("transport expects an action on a discrete scwol",
                                    witness={"morphism": space.morphism_names()[moving]})
-    chi2, chi = _transport_chis(action.group, space.objects, action.on_objects)
+    groupoid = _transport_groupoid(action)
+    chi2, chi = groupoid_chi2(groupoid), len(_iso_partition(groupoid))
     return [f"chi2: {R(chi2)}", f"chi: {chi}"], {"chi2": R(chi2), "chi": str(chi)}, True
 
 
@@ -381,7 +377,8 @@ def _demo_transport_s3(out) -> bool:
     act = {
         g: {s: str(perm_of_label(g)[int(s) - 1] + 1) for s in pts} for g in s3.labels
     }
-    chi2, chi = _transport_chis(s3, pts, act)
+    groupoid = transport_groupoid(s3, pts, act)
+    chi2, chi = groupoid_chi2(groupoid), len(_iso_partition(groupoid))
     out.append("transport groupoid of S3 acting on {1,2,3}")
     out.append(f"chi2 = {R(chi2)} = |S|/|G| = 3/6")
     out.append(f"chi  = {chi} = |S/G|")

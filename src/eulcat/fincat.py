@@ -89,10 +89,10 @@ class Morphism:
 
 
 class _OnFirstRead:
-    """A name field of a FinCat, or a functor's map, made from its integer
-    arrays on its first read by its owner (``_make``), which stores it on
-    the instance; that shadows this non-data descriptor, so later reads find
-    it there.  A ``hocolim._TotalRows`` makes its indexes the same way.
+    """A name field of a FinCat, a functor's map or an action's tables
+    (``groupact.ScwolAction``), made from its integer arrays on its first
+    read by its owner (``_make``), which stores it on the instance; that
+    shadows this non-data descriptor, so later reads find it there.  A ``hocolim._TotalRows`` makes its indexes the same way.
     On the class it has no value, so a dataclass field that is one has no
     default."""
 
@@ -1146,9 +1146,6 @@ class PathCounts:
 
     def euler_sum(self) -> int:
         return sum((-1) ** n * c for n, c in enumerate(self.counts))
-
-    def start_sum(self, x: str) -> int:
-        return sum((-1) ** n * c for n, c in enumerate(self.starts[x]))
 
 
 def path_counts(cat: FinCat, n_max: Optional[int] = None) -> PathCounts:

@@ -19,14 +19,18 @@ compute their identities because the identities are what they report.
 ``ScwolAction`` is the one validator of an action: a G-set reaches it as an
 action on the discrete scwol, each element is checked by the row functor
 check behind ``CatFunctor``, and every rejection is a ``NotAnAction`` with a
-witness.  Orbits are named by their least members, and each lift and
-carrying element (some g with g . x = y) is found by one helper.
+witness.  An action keeps the arrays of each element, and everything
+downstream reads them: orbits, fixers, carriers, the quotient's projection,
+and the reduced and restricted actions, each r o g o i on arrays
+(``_conjugated``); names are read and written only at the boundary.  Orbits
+are named by their least members, and each lift and carrying element (some
+g with g . x = y) is found by one helper.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, NoReturn, Optional, Sequence
 
@@ -36,11 +40,16 @@ from .fincat import (
     CatFunctor,
     FinCat,
     NotAFunctor,
+    SkeletonData,
+    _Arrays,
+    _OnFirstRead,
     _Rows,
     _check_functor_arrays,
+    _composite_arrays,
     _count_rows,
+    _identity_arrays,
     _is_thin,
-    _iso_partition,
+    _iso_roots,
     _require_scwol,
     _retract,
     _rows_of,
@@ -134,23 +143,25 @@ def _permutation(g: str, table: Mapping[str, str], points: Sequence[str], index:
 
 @dataclass(frozen=True, eq=False)
 class ScwolAction:
-    """A finite group acting on a finite scwol.
-
-    ``on_objects[g]`` and ``on_morphisms[g]`` give the permutation induced
-    by each group element.  Validation checks that each element permutes
-    the objects and the morphisms as a functor (by the row check of
-    ``fincat._check_functor_arrays``), the homomorphism law against the
-    Cayley table, and both scwol-action axioms, and last that no row is
-    given for a label that is no element; each rejection has a witness.
-    Every check runs on index arrays of the space's rows.  On a thin space
-    the homomorphism law is checked on objects only: g.(h.m) and (gh).m
-    both run gh.s(m) -> gh.t(m), and no hom-set has two elements.
-    """
+    """A finite group acting on a finite scwol, kept as the arrays of each
+    element g (``_arrays``, in group order): the endofunctor of the space
+    (``fincat._Arrays``) that the name tables ``on_objects[g]`` and
+    ``on_morphisms[g]`` give.  Validation reads the tables into the arrays
+    and checks that each element permutes the objects and the morphisms as
+    a functor (by the row check of ``fincat._check_functor_arrays``), the
+    homomorphism law against the Cayley table, and both scwol-action
+    axioms, and last that no row is given for a label that is no element;
+    each rejection has a witness.  On a thin space the homomorphism law is
+    checked on objects only: g.(h.m) and (gh).m both run gh.s(m) -> gh.t(m),
+    and no hom-set has two elements.  Given tables are kept; those of a
+    derived action are views (``_OnFirstRead``), in space order."""
 
     group: FinGroup
     space: FinCat
-    on_objects: Mapping[str, Mapping[str, str]]
-    on_morphisms: Mapping[str, Mapping[str, str]]
+    on_objects: Mapping[str, Mapping[str, str]] = _OnFirstRead()
+    on_morphisms: Mapping[str, Mapping[str, str]] = _OnFirstRead()
+
+    _arrays: list[_Arrays] = field(init=False, repr=False)
 
     def __post_init__(self):
         g_labels = self.group.labels
@@ -209,6 +220,18 @@ class ScwolAction:
                     f"action row {label!r} is not an element of {self.group.name}",
                     witness={"element": label},
                 )
+        self.__dict__["_arrays"] = list(zip(on_obj, on_mor))
+
+    def _make(self, attr: str) -> None:
+        """Store the table ``attr``, read off the arrays, on the instance."""
+        self.__dict__[attr] = self._tables(attr == "on_morphisms")
+
+    def _tables(self, level: int) -> dict[str, dict[str, str]]:
+        """The name table of each element on the objects (``level`` 0) or
+        the morphisms (1) of the space, in group and space order."""
+        names = self.space.objects if level == 0 else self.space._named().names
+        return {g: dict(zip(names, map(names.__getitem__, arrays[level])))
+                for g, arrays in zip(self.group.labels, self._arrays)}
 
     # -- convenience -------------------------------------------------------
 
@@ -225,26 +248,33 @@ class ScwolAction:
         return tuple(sorted({self.act_mor(g, m) for g in self.group.labels}))
 
     def object_orbits(self) -> tuple[tuple[str, ...], ...]:
-        return _orbits(self.space.objects, self.object_orbit)
+        return _named_orbits(self.space.objects, self._arrays, 0)
 
     def morphism_orbits(self) -> tuple[tuple[str, ...], ...]:
-        return _orbits(self.space.morphism_names(), self.morphism_orbit)
+        return _named_orbits(self.space._named().names, self._arrays, 1)
 
     def is_free_on_objects(self) -> bool:
         only_identity = [self.group.identity]
         return all(_fixers(self, x) == only_identity for x in self.space.objects)
 
 
-def _orbits(names: Sequence[str], orbit) -> tuple[tuple[str, ...], ...]:
-    """The distinct ``orbit(x)``, in the order of their least members."""
-    seen: set[str] = set()
-    orbits = []
-    for x in sorted(names):
-        if x not in seen:
-            orb = orbit(x)
-            seen.update(orb)
-            orbits.append(orb)
-    return tuple(orbits)
+def _orbits(names: Sequence[str], arrays: Sequence[_Arrays], level: int):
+    """The orbits of the points ``names`` under the permutations
+    ``arrays[g][level]``, by index, each in name order, in the order of
+    their least members, and the orbit of each point by its index."""
+    orbits: dict[int, list[int]] = {}
+    least = [-1] * len(names)  # the least member of each point's orbit
+    for x in sorted(range(len(names)), key=names.__getitem__):
+        if least[x] < 0:
+            for arrays_g in arrays:
+                least[arrays_g[level][x]] = x
+        orbits.setdefault(least[x], []).append(x)
+    at = {x: k for k, x in enumerate(orbits)}
+    return list(orbits.values()), [at[x] for x in least]
+
+
+def _named_orbits(names: Sequence[str], arrays: Sequence[_Arrays], level: int):
+    return tuple(tuple(map(names.__getitem__, orb)) for orb in _orbits(names, arrays, level)[0])
 
 
 def validate_action(raw: Mapping, group: FinGroup, space: FinCat) -> ScwolAction:
@@ -277,12 +307,11 @@ def _str_tables(tables: Mapping) -> Mapping[str, Mapping[str, str]]:
 
 
 def trivial_action(group: FinGroup, space: FinCat) -> ScwolAction:
-    return ScwolAction(
-        group,
-        space,
-        {g: {x: x for x in space.objects} for g in group.labels},
-        {g: {m: m for m in space.morphism_names()} for g in group.labels},
-    )
+    """Every element acting as the identity, lawful on every scwol: only the
+    space is checked.  The elements share one pair of arrays."""
+    _require_scwol(space)
+    return _trusted(ScwolAction, group=group, space=space,
+                    _arrays=[_identity_arrays(space)] * group.order)
 
 
 # -- quotients ------------------------------------------------------------------
@@ -291,11 +320,14 @@ def trivial_action(group: FinGroup, space: FinCat) -> ScwolAction:
 @dataclass(frozen=True, eq=False)
 class QuotientResult:
     """The quotient scwol and the orbit of each object and morphism: the
-    maps of the projection, which is built as no functor."""
+    maps of the projection, which is built as no functor.  ``_arrays`` is
+    the projection on indices (``fincat._Arrays``): the quotient index of
+    each object and morphism of the space."""
 
     category: FinCat
     object_orbit_of: Mapping[str, str]
     morphism_orbit_of: Mapping[str, str]
+    _arrays: _Arrays = field(repr=False)
 
 
 def quotient(action: ScwolAction) -> QuotientResult:
@@ -320,31 +352,31 @@ def quotient(action: ScwolAction) -> QuotientResult:
     one out of x, so the row of the least member a of [a] holds one lift of
     each pair ([b], [a]); the entries are written in name order.  A lift
     b' o a = id of [b] o [a] = [id] makes a invertible in the space, a
-    scwol, so the inverses are the orbits of the space's.
+    scwol, so the inverses are the orbits of the space's.  The orbits are
+    read off the action's arrays (``_orbits``).
     """
     cat = action.space
-    obj_orbit = {x: orb[0] for orb in action.object_orbits() for x in orb}
-    mor_orbit = {m: orb[0] for orb in action.morphism_orbits() for m in orb}
-
     r = _rows_of(cat)
-    objs = sorted(set(obj_orbit.values()))
-    names = sorted(set(mor_orbit.values()))
-    obj_at, at = {x: i for i, x in enumerate(objs)}, {m: i for i, m in enumerate(names)}
-    of_obj = [obj_at[obj_orbit[x]] for x in cat.objects]  # by space index: the orbit's index
-    of_mor = [at[mor_orbit[m]] for m in r.names]
-    lifts = [r.index[m] for m in names]
+    objs, names = cat.objects, r.names
+    (obj_orbits, of_obj), (mor_orbits, of_mor) = (_orbits(objs, action._arrays, 0),
+                                                  _orbits(names, action._arrays, 1))
+    lifts = [orb[0] for orb in mor_orbits]
     cells = {(of_mor[b], f): of_mor[ba] for f, a in enumerate(lifts) for b, ba in r.rows[a].items()}
-    q = _stored(f"{cat.name}/{action.group.name}", objs, names,
-                [of_obj[r.src[a]] for a in lifts], [of_obj[r.tgt[a]] for a in lifts],
-                [of_mor[r.ident[r.objects[x]]] for x in objs],
+    q = _stored(f"{cat.name}/{action.group.name}", [objs[orb[0]] for orb in obj_orbits],
+                [names[a] for a in lifts], [of_obj[r.src[a]] for a in lifts],
+                [of_obj[r.tgt[a]] for a in lifts],
+                [of_mor[r.ident[orb[0]]] for orb in obj_orbits],
                 [(b, f, ba) for (b, f), ba in sorted(cells.items())],
                 ({f: of_mor[r.inv[a]] for f, a in enumerate(lifts) if a in r.inv}, True))
-    return QuotientResult(q, obj_orbit, mor_orbit)
+    return QuotientResult(q, {objs[x]: objs[orb[0]] for orb in obj_orbits for x in orb},
+                          {names[m]: names[orb[0]] for orb in mor_orbits for m in orb},
+                          (of_obj, of_mor))
 
 
 def _fixers(action: ScwolAction, obj: str) -> list[str]:
-    """The elements g with g . obj = obj, in group order."""
-    return [g for g in action.group.labels if action.act_obj(g, obj) == obj]
+    """The elements g with g . obj = obj, in group order, off the arrays."""
+    x = action.space._named().objects[obj]
+    return [g for g, (fo, _) in zip(action.group.labels, action._arrays) if fo[x] == x]
 
 
 def stabilizer(action: ScwolAction, obj: str) -> FinGroup:
@@ -458,16 +490,6 @@ class ComplexOfGroups:
         return self.twists[(b, a)]
 
 
-def constant_complex(base: FinCat, group: FinGroup) -> ComplexOfGroups:
-    ident = GroupHom.identity_hom(group)
-    return ComplexOfGroups(
-        base,
-        {x: group for x in base.objects},
-        {m: ident for m in base.morphism_names()},
-        {(b, a): group.identity for (b, a) in base.composition},
-    )
-
-
 def one_arrow_complex(g0: FinGroup, g1: FinGroup, hom: GroupHom) -> ComplexOfGroups:
     """A complex G0 -> G1 over the arrow scwol {0 -> 1}; ``ComplexOfGroups``
     rejects a ``hom`` whose endpoints are not G0 and G1."""
@@ -523,15 +545,13 @@ def _complex_from_quotient(
     object_reps: Optional[Mapping[str, str]],
     h_elements: Optional[Mapping[str, str]],
 ) -> ComplexFromAction:
-    """``complex_of_groups`` on the quotient ``q`` of the same action.  Each
-    orbit arrow out of a representative has exactly one lift there, by the
-    source-side orbit bijection of the quotient, so no count is checked.  The
-    complex is unchecked: conjugations by h, with h = e at identities, satisfy its identities."""
+    """``complex_of_groups`` on the quotient ``q`` of the same action: the
+    overrides are checked by name and read into indices for
+    ``_complex_from_choices``."""
     base = q.category
-    cat = action.space
     group = action.group
     object_reps, h_elements = object_reps or {}, h_elements or {}
-    qr, r = _rows_of(base), _rows_of(cat)
+    qr, r = _rows_of(base), _rows_of(action.space)
     for orbit_name in object_reps:
         if not base.has_object(orbit_name):
             raise ValidationError(
@@ -551,53 +571,64 @@ def _complex_from_quotient(
                 witness={"morphism": m, "element": h},
             )
 
-    reps: dict[str, str] = {}
-    for orbit_name in base.objects:
+    # an orbit is named by its least member, the default representative
+    reps = []
+    for s, orbit_name in enumerate(base.objects):
         chosen = object_reps.get(orbit_name, orbit_name)
-        if q.object_orbit_of.get(chosen) != orbit_name:
+        x = r.objects.get(chosen)
+        if x is None or q._arrays[0][x] != s:
             raise ValidationError(
                 f"override representative {chosen!r} does not project to {orbit_name!r}",
                 witness={"object": orbit_name, "representative": chosen},
             )
-        reps[orbit_name] = chosen
+        reps.append(x)
+    h = [None if m not in h_elements else group._index[h_elements[m]] for m in qr.names]
+    return _complex_from_choices(action, q, reps, h)
 
-    local = {s: stabilizer(action, reps[s]) for s in base.objects}
 
-    ids, lift_at, arrows = set(qr.ident), _lifts(q, r), list(base._arrows())
-    lifts: dict[str, str] = {}
-    h_elts: dict[str, str] = {}
-    for m, (name, x, y) in enumerate(arrows):
-        t_rep = reps[y]
-        lift = lift_at[r.objects[reps[x]], name]
-        lifts[name], lift_target = r.names[lift], cat.objects[r.tgt[lift]]
-        wanted = h_elements.get(name)
-        if m in ids:
-            if wanted not in (None, group.identity):
-                raise ValidationError(
-                    f"override h element {wanted!r} at identity morphism {name!r} "
-                    f"is not the group identity", witness={"morphism": name, "element": wanted})
-            wanted = group.identity
-        if wanted is not None:
-            if action.act_obj(wanted, lift_target) != t_rep:
-                raise ValidationError(
-                    f"override h element {wanted!r} does not carry the lift target onto {t_rep!r}",
-                    witness={"morphism": name, "element": wanted},
-                )
-            h_elts[name] = wanted
-        else:
-            h_elts[name] = _carrier(action, lift_target, t_rep)
-
+def _complex_from_choices(action: ScwolAction, q: QuotientResult, reps: list[int],
+                          h: list[Optional[int]]) -> ComplexFromAction:
+    """The complex of ``action`` over ``q`` with the representative
+    ``reps[s]`` of each orbit s and the h element ``h[m]`` (None: the least
+    that fits) of each orbit arrow, by index.  Each orbit arrow out of a
+    representative has one lift there (the source-side orbit bijection of
+    ``quotient``), so no count is checked.  The complex is unchecked:
+    conjugations by h, with h = e at identities, satisfy its identities."""
+    base, cat, group = q.category, action.space, action.group
+    qr, r = _rows_of(base), _rows_of(cat)
     labels, table, inverse, index = group.labels, group.table, group._inverse, group._index
-    h_idx = [group.index(h_elts[name]) for name in qr.names]
+    local = [stabilizer(action, cat.objects[x]) for x in reps]
+
+    ids, lift_at = set(qr.ident), _lifts(q, r)
+    lifts, h_idx = {}, []
+    for m, (name, x, y) in enumerate(zip(qr.names, qr.src, qr.tgt)):
+        lift = lift_at[reps[x], m]
+        lifts[name] = r.names[lift]
+        wanted = h[m]
+        if m in ids:
+            if wanted not in (None, group._identity):
+                raise ValidationError(f"override h element {labels[wanted]!r} at identity morphism "
+                                      f"{name!r} is not the group identity",
+                                      witness={"morphism": name, "element": labels[wanted]})
+            wanted = group._identity
+        if wanted is None:
+            wanted = _carrier(action, r.tgt[lift], reps[y])
+        elif action._arrays[wanted][0][r.tgt[lift]] != reps[y]:
+            raise ValidationError(
+                f"override h element {labels[wanted]!r} does not carry the lift target onto "
+                f"{cat.objects[reps[y]]!r}", witness={"morphism": name, "element": labels[wanted]},
+            )
+        h_idx.append(wanted)
+
     homs = {}
-    for (name, x, y), h in zip(arrows, h_idx):
+    for name, x, y, g in zip(qr.names, qr.src, qr.tgt, h_idx):
         # conjugation happens in the ambient group; an element fixing the
         # lift's source fixes the lift and hence its target, so conjugating
-        # by h lands in the stabilizer of the target representative
-        row_h, h_inv = table[h], inverse[h]
+        # by g lands in the stabilizer of the target representative
+        row_g, g_inv = table[g], inverse[g]
         homs[name] = _trusted(
             GroupHom, source=local[x], target=local[y],
-            mapping={a: labels[table[row_h[index[a]]][h_inv]] for a in local[x].labels},
+            mapping={a: labels[table[row_g[index[a]]][g_inv]] for a in local[x].labels},
         )
     # twist(b, a) = h_ba . h_a^-1 . h_b^-1, in the quotient's entry order
     twists = {}
@@ -605,20 +636,22 @@ def _complex_from_quotient(
         h_ba = h_idx[qr.rows[a][b]]
         twists[(qr.names[b], qr.names[a])] = labels[table[h_ba][table[inverse[h_idx[a]]][inverse[h_idx[b]]]]]
 
-    cplx = _trusted(ComplexOfGroups, base=base, local=local, homs=homs, twists=twists)
-    return ComplexFromAction(cplx, MorphismToGroup(group, reps, lifts, h_elts), q)
+    objs = base.objects
+    cplx = _trusted(ComplexOfGroups, base=base, local=dict(zip(objs, local)), homs=homs, twists=twists)
+    to_group = MorphismToGroup(group, {s: cat.objects[x] for s, x in zip(objs, reps)}, lifts,
+                               {m: labels[g] for m, g in zip(qr.names, h_idx)})
+    return ComplexFromAction(cplx, to_group, q)
 
 
-def _lifts(q: QuotientResult, r: _Rows) -> dict[tuple[int, str], int]:
+def _lifts(q: QuotientResult, r: _Rows) -> dict[tuple[int, int], int]:
     """(x, orbit) to the one morphism of the space (whose rows are ``r``) out
     of x in that orbit of ``q``, by index (see ``quotient``)."""
-    orbit_of = q.morphism_orbit_of
-    return {(x, orbit_of[m]): a for a, (m, x) in enumerate(zip(r.names, r.src))}
+    return {(x, orbit): a for a, (orbit, x) in enumerate(zip(q._arrays[1], r.src))}
 
 
-def _carrier(action: ScwolAction, x: str, y: str) -> str:
-    """The least-index group element g with g . x = y."""
-    return next(g for g in action.group.labels if action.act_obj(g, x) == y)
+def _carrier(action: ScwolAction, x: int, y: int) -> int:
+    """The least group index g with g . x = y, on object indices."""
+    return next(g for g, (fo, _) in enumerate(action._arrays) if fo[x] == y)
 
 
 # -- homotopy colimit of a complex of groups -------------------------------------
@@ -732,72 +765,43 @@ def skeletal_reduction(action: ScwolAction) -> SkeletalReduction:
     commuting quotient square with its induced equivalence, stabilizer
     preservation, literal agreement of the two associated complexes of groups
     under coordinated choices, equality of chi_L of the two homotopy colimits
-    (from their hom counts) and preservation of freeness on objects.
+    (from their hom counts) and preservation of freeness on objects, on arrays.
     """
-    cat = action.space
-    group = action.group
-    sk = skeleton(cat)
-    gamma = sk.category
-    r, incl = sk.retraction, sk.inclusion
+    sk = skeleton(action.space)
+    r, ra, reduced = sk.retraction, sk.retraction._arrays, _conjugated(action, sk)
 
-    on_objects = {}
-    on_morphisms = {}
-    arrows, gamma_arrows = cat.morphism_names(), gamma.morphism_names()
-    for g in group.labels:
-        on_objects[g] = {x: r.obj_map[action.act_obj(g, x)] for x in gamma.objects}
-        on_morphisms[g] = {m: r.mor_map[action.act_mor(g, m)] for m in gamma_arrows}
-    reduced = _trusted(ScwolAction, group=group, space=gamma, on_objects=on_objects,
-                       on_morphisms=on_morphisms)
-
-    # (1) r is G-equivariant
-    equivariant = all(
-        r.obj_map[action.act_obj(g, x)] == reduced.act_obj(g, r.obj_map[x])
-        for g in group.labels
-        for x in cat.objects
-    ) and all(
-        r.mor_map[action.act_mor(g, m)] == reduced.act_mor(g, r.mor_map[m])
-        for g in group.labels
-        for m in arrows
-    )
+    # (1) r is G-equivariant: r o g == g o r, on arrays
+    equivariant = all(_composite_arrays(a, ra) == _composite_arrays(ra, b)
+                      for a, b in zip(action._arrays, reduced._arrays))
 
     # (2) induced functor on quotients commutes with projections and is an
-    # equivalence
+    # equivalence: rbar o px == pg o r holds for some rbar when each orbit of
+    # X has one image orbit, and px is onto
     qx = quotient(action)
     qg = quotient(reduced)
-    rbar_obj = {}
-    rbar_mor = {}
-    square = True
-    for x in cat.objects:
-        img = qg.object_orbit_of[r.obj_map[x]]
-        prev = rbar_obj.setdefault(qx.object_orbit_of[x], img)
-        if prev != img:
-            square = False
-    for m in arrows:
-        img = qg.morphism_orbit_of[r.mor_map[m]]
-        prev = rbar_mor.setdefault(qx.morphism_orbit_of[m], img)
-        if prev != img:
-            square = False
+    images = _composite_arrays(ra, qg._arrays)
+    descended = [dict(zip(p, img)) for p, img in zip(qx._arrays, images)]
+    square = all(list(map(h.__getitem__, p)) == img
+                 for h, p, img in zip(descended, qx._arrays, images))
     if square:
-        s, t = _rows_of(qx.category), _rows_of(qg.category)
-        rbar = _trusted(CatFunctor, source=qx.category, target=qg.category, _arrays=(
-            [t.objects[rbar_obj[x]] for x in qx.category.objects],
-            [t.index[rbar_mor[m]] for m in s.names]))
-        surjective = set(rbar_obj.values()) == set(qg.category.objects)
+        rbar = _trusted(CatFunctor, source=qx.category, target=qg.category,
+                        _arrays=tuple([h[k] for k in range(len(h))] for h in descended))
+        surjective = len(set(rbar._arrays[0])) == len(qg.category)
         is_equivalence = surjective and _fully_faithful(qx.category, qg.category, rbar)
     else:
         rbar = None
         is_equivalence = False
 
     # (3) the inclusion preserves stabilizers, compared as member lists
-    stab_ok = all(_fixers(action, x) == _fixers(reduced, x) for x in gamma.objects)
+    stab_ok = all(_fixers(action, x) == _fixers(reduced, x) for x in reduced.space.objects)
 
     # (4) the associated complexes agree under coordinated choices
     complexes_agree = False
     fx = fg = None
     if rbar is not None:
         fx_choices, fg_choices = _coordinated_choices(action, r, qx, rbar)
-        fx = _complex_from_quotient(action, qx, *fx_choices)
-        fg = _complex_from_quotient(reduced, qg, *fg_choices)
+        fx = _complex_from_choices(action, qx, *fx_choices)
+        fg = _complex_from_choices(reduced, qg, *fg_choices)
         complexes_agree = _complexes_agree_along(fx.complex, fg.complex, rbar)
 
     # (5) the homotopy colimits have equal chi_L
@@ -818,7 +822,15 @@ def skeletal_reduction(action: ScwolAction) -> SkeletalReduction:
         hocolims_equal_chi=hocolims_equal,
         freeness_preserved=freeness,
     )
-    return SkeletalReduction(reduced, r, incl, report)
+    return SkeletalReduction(reduced, r, sk.inclusion, report)
+
+
+def _conjugated(action: ScwolAction, sk: SkeletonData) -> ScwolAction:
+    """The action r o g o i on the category of ``sk`` (inclusion i, retraction
+    r), unchecked: the reduced and the restricted action (see their callers)."""
+    i, r = sk.inclusion._arrays, sk.retraction._arrays
+    return _trusted(ScwolAction, group=action.group, space=sk.category,
+                    _arrays=[_composite_arrays(_composite_arrays(i, a), r) for a in action._arrays])
 
 
 def _fully_faithful(a: FinCat, b: FinCat, fun: CatFunctor) -> bool:
@@ -832,59 +844,58 @@ def _fully_faithful(a: FinCat, b: FinCat, fun: CatFunctor) -> bool:
         count_a[x, y] == count_b[image[x], image[y]] for x in objects for y in objects)
 
 
-def _coordinated_choices(action, r, qx, rbar):
-    """Choices making the complexes over X/G and over the skeleton agree.
+def _coordinated_choices(action: ScwolAction, r: CatFunctor, qx: QuotientResult,
+                         rbar: CatFunctor):
+    """Choices making the complexes over X/G and over the skeleton agree,
+    as the arguments of ``_complex_from_choices`` for each side.
 
-    Follows the retraction: take the skeleton of X/G; the selected preimage
-    of an orbit is the target of the unique lift, from the least preimage of
-    its skeletal representative, of the unique isomorphism eta between them;
-    h elements are chosen on skeletal morphisms, shared along the skeleton's
-    retraction (the normal form of each morphism) and transported through
-    rbar.
+    Follows the retraction r, by its arrays: take the skeleton of
+    X/G; the selected preimage of an orbit is the target of the unique lift,
+    from the least preimage of its skeletal representative, of the unique
+    isomorphism eta between them; h elements are chosen on skeletal
+    morphisms, shared along the skeleton's retraction (the normal form of
+    each morphism) and transported through rbar.
     """
-    cat = action.space
-    qsk = skeleton(qx.category)
-    rep_of, eta, normal_form = qsk.retraction.obj_map, qsk.eta, qsk.retraction.mor_map
-    rows = _rows_of(cat)
+    rows = _rows_of(action.space)
+    qsk, qrows = skeleton(qx.category), _rows_of(qx.category)
+    (rep_of, normal_form), (incl_obj, incl_mor) = qsk.retraction._arrays, qsk.inclusion._arrays
     lift_at = _lifts(qx, rows)
+    # an orbit is named by its least member
+    least = [rows.objects[s] for s in qx.category.objects]
+    eta = [qrows.index[qsk.eta[s]] for s in qx.category.objects]
 
-    def lift_target(start: str, orbit: str) -> str:
-        return cat.objects[rows.tgt[lift_at[rows.objects[start], orbit]]]
-
-    # selected preimage per orbit object of X/G; an orbit's name is its
-    # least member
-    sel = {s: lift_target(rep, eta[s]) for s, rep in rep_of.items()}
+    # selected preimage per orbit object of X/G
+    sel = [rows.tgt[lift_at[least[incl_obj[rep_of[s]]], eta[s]]] for s in range(len(least))]
 
     # h elements: chosen on skeletal morphisms, shared along normal forms
-    h_on_skel: dict[str, str] = {}
-    skel = qsk.category
-    units = set(skel._ends.ident)
-    for m, (name, x, y) in enumerate(skel._arrows()):
-        if m in units:
-            h_on_skel[name] = action.group.identity
-        else:
-            h_on_skel[name] = _carrier(action, lift_target(sel[x], name), sel[y])
-    h_x = {m: h_on_skel[nf] for m, nf in normal_form.items()}
+    skel = qsk.category._ends
+    units = set(skel.ident)
+    h_on_skel = [action.group._identity if m in units else
+                 _carrier(action, rows.tgt[lift_at[sel[incl_obj[x]], incl_mor[m]]], sel[incl_obj[y]])
+                 for m, (x, y) in enumerate(zip(skel.src, skel.tgt))]
+    h_x = [h_on_skel[nf] for nf in normal_form]
 
     # transport through rbar for the reduced action: every object/morphism
     # of Gamma/G is the rbar-image of a unique skeletal object/morphism
-    sel_g = {rbar.obj_map[s]: r.obj_map[sel[s]] for s in qsk.category.objects}
-    h_g = {rbar.mor_map[nf]: h for nf, h in h_on_skel.items()}
+    rbar_obj, rbar_mor = rbar._arrays
+    sel_g, h_g = [0] * len(rbar.target), [0] * len(rbar.target._ends.src)
+    for s in incl_obj:
+        sel_g[rbar_obj[s]] = r._arrays[0][sel[s]]
+    for m, h in enumerate(h_on_skel):
+        h_g[rbar_mor[incl_mor[m]]] = h
     return (sel, h_x), (sel_g, h_g)
 
 
 def _complexes_agree_along(fx: ComplexOfGroups, fg: ComplexOfGroups, rbar: CatFunctor) -> bool:
-    for x in fx.base.objects:
-        if set(fx.local[x].labels) != set(fg.local[rbar.obj_map[x]].labels):
-            return False
-    for m in fx.base.morphism_names():
-        img = rbar.mor_map[m]
-        if dict(fx.homs[m].mapping) != dict(fg.homs[img].mapping):
-            return False
-    for (b, a), tw in fx.twists.items():
-        if fg.twists[(rbar.mor_map[b], rbar.mor_map[a])] != tw:
-            return False
-    return True
+    """Whether ``fx`` and ``fg`` have the same local groups (as element
+    sets), structure maps and twists along rbar, by its arrays."""
+    (ro, rm), xr = rbar._arrays, _rows_of(fx.base)
+    objs, names, xn = fg.base.objects, _rows_of(fg.base).names, xr.names
+    return (all(set(fx.local[x].labels) == set(fg.local[objs[i]].labels)
+                for x, i in zip(fx.base.objects, ro))
+            and all(dict(fx.homs[m].mapping) == dict(fg.homs[names[i]].mapping) for m, i in zip(xn, rm))
+            and all(fg.twists[(names[rm[b]], names[rm[a]])] == fx.twists[(xn[b], xn[a])]
+                    for b, a in xr.pairs()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -909,43 +920,28 @@ def equivariant_skeleton(action: ScwolAction) -> EquivariantSkeleton:
     builder ``fincat._retract`` (also behind ``skeleton``) turns this choice
     into the category sk_G(X), the inclusion, the retraction and eta; eta
     then satisfies eta_{g.x} = g . eta_x, because isomorphisms in a scwol
-    are unique.  G carries the section onto itself: the restriction is unchecked.
+    are unique.  G carries the section onto itself, so the restriction is
+    r o g o i, unchecked.  Both equivariances are read off the arrays.
     """
     cat = action.space
-    group = action.group
-    classes = _iso_partition(cat)
-    class_of_obj = {x: cls[0] for cls in classes for x in cls}
+    objs, r = cat.objects, _rows_of(cat)
 
-    # G acts on iso classes, which come in the order of their least objects:
-    # the first class met of each orbit is its least, and its least object
-    # is pushed forward along the action
-    section: dict[str, str] = {}
-    for cls in classes:
-        if cls[0] not in section:
-            for g in group.labels:
-                y = action.act_obj(g, cls[0])
-                section[class_of_obj[y]] = y
+    # G acts on iso classes (by their least indices, ``_iso_roots``), met in
+    # the order of their least objects: the first class met of each orbit is
+    # its least, and its least object is pushed forward along the action
+    root, section = _iso_roots(cat), {}
+    for x in sorted(range(len(objs)), key=objs.__getitem__):
+        if root[x] not in section:
+            for fo, _ in action._arrays:
+                section[root[fo[x]]] = fo[x]
 
-    sk = _retract(cat, {x: section[class_of_obj[x]] for x in cat.objects}, f"sk_G({cat.name})")
-    gamma, eta_comp = sk.category, sk.eta
-
-    restricted = _trusted(
-        ScwolAction, group=group, space=gamma,
-        on_objects={g: {x: action.act_obj(g, x) for x in gamma.objects} for g in group.labels},
-        on_morphisms={g: {m: action.act_mor(g, m) for m in gamma.morphism_names()}
-                      for g in group.labels},
-    )
-
-    incl_equivariant = all(
-        gamma.has_object(action.act_obj(g, x))
-        for g in group.labels
-        for x in gamma.objects
-    )
-    eta_equivariant = all(
-        action.act_mor(g, eta_comp[x]) == eta_comp[action.act_obj(g, x)]
-        for g in group.labels
-        for x in cat.objects
-    )
+    sk = _retract(cat, {x: objs[section[k]] for x, k in zip(objs, root)}, f"sk_G({cat.name})")
+    restricted = _conjugated(action, sk)
+    kept, eta = sk.inclusion._arrays[0], [r.index[sk.eta[x]] for x in objs]
+    in_gamma = set(kept)
+    incl_equivariant = all(fo[x] in in_gamma for fo, _ in action._arrays for x in kept)
+    eta_equivariant = all(fm[eta[x]] == eta[fo[x]] for fo, fm in action._arrays
+                          for x in range(len(objs)))
     return EquivariantSkeleton(
         restricted, sk.inclusion, sk.retraction, sk.eta, incl_equivariant, eta_equivariant
     )
@@ -962,29 +958,33 @@ def transport_groupoid(group: FinGroup, elements: Sequence[str],
     elements g with g . s1 = s2, composed by group multiplication.  The
     table ``act`` is validated once, as a ``ScwolAction`` on the discrete
     scwol on ``elements``, so a table that is not an action raises a
-    ``NotAnAction``.  The groupoid is then built with no law check: the
-    G-set law (hg) . s = h . (g . s) gives each composite its endpoints,
-    e . s = s gives the identities, and the group's Cayley table gives the
-    unit and associativity laws.
+    ``NotAnAction``; ``_transport_groupoid`` builds the groupoid.
     """
-    elements = tuple(elements)
-    disc = discrete_category(elements, name="S")
+    disc = discrete_category(tuple(elements), name="S")
     # a name outside the set maps to itself here; ScwolAction rejects its row
     # at the object level before it reads these morphism rows, and a row for
     # a label that is no element after every other check
     rows = {g: dict(row) for g, row in act.items()}
     disc_id = disc.identity
-    ScwolAction(
+    return _transport_groupoid(ScwolAction(
         group,
         disc,
         rows,
         {g: {disc_id.get(s, s): disc_id.get(t, t) for s, t in row.items()}
          for g, row in rows.items()},
-    )
+    ))
 
+
+def _transport_groupoid(action: ScwolAction) -> FinCat:
+    """Transport groupoid of the objects of a validated action, a G-set,
+    read off its object arrays.  It is built with no law check: the G-set
+    law (hg) . s = h . (g . s) gives each composite its endpoints, e . s = s
+    gives the identities, and the group's Cayley table gives the unit and
+    associativity laws."""
+    group, elements = action.group, action.space.objects
     # the morphism (g, s) is number s * |G| + g, elements and labels by index
-    n, at = group.order, {s: k for k, s in enumerate(elements)}
-    moved = [[at[act[g][s]] for g in group.labels] for s in elements]  # moved[s][g]: g . s
+    n = group.order
+    moved = list(zip(*(fo for fo, _ in action._arrays)))  # moved[s][g]: g . s
     # (h, g . s) o (g, s) = (hg, s), and (g, s) has the inverse (g^-1, g . s)
     return _stored(f"transport({group.name})", elements,
                    [f"({g},{s})" for s in elements for g in group.labels],

@@ -367,17 +367,12 @@ def pseudo_diagram_from_payload(payload: Mapping) -> PseudoDiagram:
 
 
 def _action_payload(action: ScwolAction) -> dict:
-    names = action.space.morphism_names()
+    """The action's tables, written off its arrays in space order."""
     return {
         "group": group_payload(action.group),
         "scwol": action.space,
-        "object_action": {
-            g: {x: action.act_obj(g, x) for x in action.space.objects}
-            for g in action.group.labels
-        },
-        "morphism_action": {
-            g: {m: action.act_mor(g, m) for m in names} for g in action.group.labels
-        },
+        "object_action": action._tables(0),
+        "morphism_action": action._tables(1),
     }
 
 

@@ -12,7 +12,7 @@ import itertools
 from typing import Iterable, Mapping, Sequence
 
 from .fincat import FinCat, Morphism, _stored
-from .groups import FinGroup, cyclic_group, klein_four_group
+from .groups import FinGroup
 
 
 def build_category(
@@ -139,19 +139,6 @@ def one_object_category(group: FinGroup, obj: str = "*") -> FinCat:
                    (dict(enumerate(group._inverse)), True))
 
 
-def monoid_z2_mult() -> FinCat:
-    """The two-element multiplicative monoid ({1,0}, x) as a one-object category."""
-    obj = "*"
-    mors = (Morphism("1", obj, obj), Morphism("0", obj, obj))
-    comp = {
-        ("1", "1"): "1",
-        ("1", "0"): "0",
-        ("0", "1"): "0",
-        ("0", "0"): "0",
-    }
-    return FinCat((obj,), mors, {obj: "1"}, comp, name="(Z/2,x)")
-
-
 def contractible_groupoid(objects: Sequence[str]) -> FinCat:
     """Exactly one morphism between any two objects (all invertible)."""
     arrows = []
@@ -237,34 +224,6 @@ def two_object_ei_category(group: FinGroup, action: Mapping[str, Mapping[str, st
         comp[(f"m{s}", "id_x")] = f"m{s}"
     comp[("id_x", "id_x")] = "id_x"
     return FinCat(objs, tuple(mors), ident, comp, name=name)
-
-
-def gamma_one() -> FinCat:
-    """Two-object EI category whose aut(y) is Z/4 = <(1234)> acting on 4 points."""
-    z4 = cyclic_group(4)
-    cycle = {"1": "2", "2": "3", "3": "4", "4": "1"}
-    points = ("1", "2", "3", "4")
-    action = {}
-    for k in range(4):
-        m = {}
-        for s in points:
-            t = s
-            for _ in range(k):
-                t = cycle[t]
-            m[s] = t
-        action[str(k)] = m
-    return two_object_ei_category(z4, action, points, name="Gamma1")
-
-
-def gamma_two() -> FinCat:
-    """Two-object EI category whose aut(y) is the Klein group <(12),(34)>."""
-    v4 = klein_four_group()
-    swap12 = {"1": "2", "2": "1", "3": "3", "4": "4"}
-    swap34 = {"1": "1", "2": "2", "3": "4", "4": "3"}
-    ident = {s: s for s in ("1", "2", "3", "4")}
-    both = {s: swap34[swap12[s]] for s in ident}
-    action = {"e": ident, "a": swap12, "b": swap34, "ab": both}
-    return two_object_ei_category(v4, action, ("1", "2", "3", "4"), name="Gamma2")
 
 
 def cone(cat: FinCat, apex: str = "t") -> FinCat:

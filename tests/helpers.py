@@ -45,7 +45,7 @@ from eulcat.groupact import (
 )
 from eulcat.groups import FinGroup, NotAGroup, NotAHomomorphism, _require_list
 from eulcat.hocolim import CoherenceFailure, _check_vertices_and_edges
-from eulcat.groups import GroupHom, cyclic_group, symmetric_group, trivial_group
+from eulcat.groups import GroupHom, cyclic_group, klein_four_group, symmetric_group, trivial_group
 from eulcat.hocolim import StrictDiagram, constant_diagram
 from eulcat.ratlin import RatMatrix
 from eulcat.zoo import terminal_category
@@ -255,11 +255,16 @@ class InvalidQuotient(EulcatError):
 
 def assert_same_table(got: FinCat, want: FinCat) -> None:
     """Same name, presentation, and identity and composition tables in the
-    same iteration order."""
-    assert got.name == want.name
-    assert equal_presentation(got, want)
-    assert list(got.identity.items()) == list(want.identity.items())
-    assert list(got.composition.items()) == list(want.composition.items())
+    same iteration order.  It raises AssertionError itself, which
+    ``python -O`` keeps."""
+    if got.name != want.name:
+        raise AssertionError(f"names differ: {got.name!r} != {want.name!r}")
+    if not equal_presentation(got, want):
+        raise AssertionError(f"{got.name}: presentations differ")
+    if list(got.identity.items()) != list(want.identity.items()):
+        raise AssertionError(f"{got.name}: identity tables differ")
+    if list(got.composition.items()) != list(want.composition.items()):
+        raise AssertionError(f"{got.name}: composition tables differ")
 
 
 def assert_orbit_projection(action, q) -> None:
@@ -342,8 +347,18 @@ def assert_transport_groupoid(group, elements, act, groupoid) -> None:
                              f"{Fraction(len(elements), group.order)}")
 
 
-# the library's one builder past a constructor's checks, for non-vacuity tests
-unvalidated = _trusted
+def unvalidated(cls, **fields):
+    """``cls`` holding ``fields`` past its constructor's checks, by the
+    library's one builder for that (``errors._trusted``), for non-vacuity
+    tests.  An action given by its tables also gets the arrays its check
+    reads from them, on which the library works."""
+    value = _trusted(cls, **fields)
+    if cls is groupact.ScwolAction and "_arrays" not in fields:
+        r = fincat._rows_of(value.space)
+        object.__setattr__(value, "_arrays", [
+            ([r.objects[value.on_objects[g][x]] for x in value.space.objects],
+             [r.index[value.on_morphisms[g][m]] for m in r.names]) for g in value.group.labels])
+    return value
 
 
 def assert_revalidates(*values) -> None:
@@ -395,6 +410,52 @@ def reference_composite_maps(first: CatFunctor, second: CatFunctor) -> tuple[dic
 
 def trivial_diagram(index: FinCat) -> StrictDiagram:
     return constant_diagram(index, terminal_category())
+
+
+# -- small categories and complexes the tests share -----------------------------
+# Used only by tests, so kept here rather than in ``eulcat.zoo``.
+
+
+def monoid_z2_mult() -> FinCat:
+    """The two-element multiplicative monoid ({1,0}, x) as a one-object category."""
+    obj = "*"
+    mors = (Morphism("1", obj, obj), Morphism("0", obj, obj))
+    comp = {("1", "1"): "1", ("1", "0"): "0", ("0", "1"): "0", ("0", "0"): "0"}
+    return FinCat((obj,), mors, {obj: "1"}, comp, name="(Z/2,x)")
+
+
+def gamma_one() -> FinCat:
+    """Two-object EI category whose aut(y) is Z/4 = <(1234)> acting on 4 points."""
+    points = ("1", "2", "3", "4")
+    action = {str(k): {s: points[(i + k) % 4] for i, s in enumerate(points)} for k in range(4)}
+    return zoo.two_object_ei_category(cyclic_group(4), action, points, name="Gamma1")
+
+
+def gamma_two() -> FinCat:
+    """Two-object EI category whose aut(y) is the Klein group <(12),(34)>."""
+    swap12 = {"1": "2", "2": "1", "3": "3", "4": "4"}
+    swap34 = {"1": "1", "2": "2", "3": "4", "4": "3"}
+    ident = {s: s for s in ("1", "2", "3", "4")}
+    both = {s: swap34[swap12[s]] for s in ident}
+    action = {"e": ident, "a": swap12, "b": swap34, "ab": both}
+    return zoo.two_object_ei_category(klein_four_group(), action, ("1", "2", "3", "4"),
+                                      name="Gamma2")
+
+
+def constant_complex(base: FinCat, group: FinGroup) -> groupact.ComplexOfGroups:
+    """``group`` at every object of ``base``, identity structure maps and trivial twists."""
+    ident = GroupHom.identity_hom(group)
+    return groupact.ComplexOfGroups(
+        base,
+        {x: group for x in base.objects},
+        {m: ident for m in base.morphism_names()},
+        {(b, a): group.identity for (b, a) in base.composition},
+    )
+
+
+def start_sum(pc: fincat.PathCounts, x: str) -> int:
+    """The alternating count of the paths of ``pc`` that start at x."""
+    return sum((-1) ** n * c for n, c in enumerate(pc.starts[x]))
 
 
 def split_idempotent():
@@ -1937,3 +1998,232 @@ def reference_name_fields(objects, morphisms, identity, composition) -> dict:
         "_invertible": inverse,
     }
 
+
+
+# -- the name-level action route ----------------------------------------------------
+# ``groupact``'s quotient, complex of groups, skeletal reduction, equivariant
+# skeleton and chi theorems as they read an action by name, before an action
+# kept its arrays: the reference of ``tests/test_action_arrays.py``.  Every
+# action here, the input and each derived one, is a ``NamedAction``.
+
+
+@dataclasses.dataclass(frozen=True)
+class NamedAction:
+    """An action as its name tables only."""
+
+    group: FinGroup
+    space: FinCat
+    on_objects: Mapping[str, Mapping[str, str]]
+    on_morphisms: Mapping[str, Mapping[str, str]]
+
+    def act_obj(self, g: str, x: str) -> str:
+        return self.on_objects[g][x]
+
+    def act_mor(self, g: str, m: str) -> str:
+        return self.on_morphisms[g][m]
+
+
+def named_action(action) -> NamedAction:
+    """The tables of ``action`` (a ``ScwolAction``), copied."""
+    return NamedAction(action.group, action.space,
+                       {g: dict(t) for g, t in action.on_objects.items()},
+                       {g: dict(t) for g, t in action.on_morphisms.items()})
+
+
+def _reference_orbits(action: NamedAction, names, act) -> tuple[tuple[str, ...], ...]:
+    seen: set[str] = set()
+    orbits = []
+    for x in sorted(names):
+        if x not in seen:
+            orb = tuple(sorted({act(g, x) for g in action.group.labels}))
+            seen.update(orb)
+            orbits.append(orb)
+    return tuple(orbits)
+
+
+def reference_fixers(action: NamedAction, obj: str) -> list[str]:
+    return [g for g in action.group.labels if action.act_obj(g, obj) == obj]
+
+
+def reference_is_free(action: NamedAction) -> bool:
+    return all(reference_fixers(action, x) == [action.group.identity] for x in action.space.objects)
+
+
+def reference_carrier(action: NamedAction, x: str, y: str) -> str:
+    return next(g for g in action.group.labels if action.act_obj(g, x) == y)
+
+
+def reference_quotient_result(action: NamedAction):
+    """(category, object_orbit_of, morphism_orbit_of) of ``groupact.quotient``."""
+    cat = action.space
+    obj_orbit = {x: orb[0] for orb in _reference_orbits(action, cat.objects, action.act_obj)
+                 for x in orb}
+    mor_orbit = {m: orb[0] for orb in _reference_orbits(action, cat.morphism_names(), action.act_mor)
+                 for m in orb}
+    r = _rows_of(cat)
+    objs = sorted(set(obj_orbit.values()))
+    names = sorted(set(mor_orbit.values()))
+    obj_at, at = {x: i for i, x in enumerate(objs)}, {m: i for i, m in enumerate(names)}
+    of_obj = [obj_at[obj_orbit[x]] for x in cat.objects]
+    of_mor = [at[mor_orbit[m]] for m in r.names]
+    lifts = [r.index[m] for m in names]
+    cells = {(of_mor[b], f): of_mor[ba] for f, a in enumerate(lifts) for b, ba in r.rows[a].items()}
+    q = _stored(f"{cat.name}/{action.group.name}", objs, names,
+                [of_obj[r.src[a]] for a in lifts], [of_obj[r.tgt[a]] for a in lifts],
+                [of_mor[r.ident[r.objects[x]]] for x in objs],
+                [(b, f, ba) for (b, f), ba in sorted(cells.items())],
+                ({f: of_mor[r.inv[a]] for f, a in enumerate(lifts) if a in r.inv}, True))
+    return q, obj_orbit, mor_orbit
+
+
+def reference_complex(action: NamedAction, q, object_reps=None, h_elements=None):
+    """(complex, representatives, lifts, h elements) of
+    ``groupact.complex_of_groups`` over ``q``, a ``reference_quotient_result``."""
+    base, obj_orbit_of, mor_orbit_of = q
+    cat, group = action.space, action.group
+    object_reps, h_elements = object_reps or {}, h_elements or {}
+    qr, r = _rows_of(base), _rows_of(cat)
+    reps = {s: object_reps.get(s, s) for s in base.objects}
+    if any(obj_orbit_of.get(x) != s for s, x in reps.items()):
+        raise ValidationError("representative does not project to its orbit")
+    local = {s: group.subgroup(reference_fixers(action, reps[s]), name=f"Stab({reps[s]})")
+             for s in base.objects}
+    lift_at = {(x, mor_orbit_of[m]): a for a, (m, x) in enumerate(zip(r.names, r.src))}
+    ids, arrows = set(qr.ident), list(base._arrows())
+    lifts, h_elts = {}, {}
+    for m, (name, x, y) in enumerate(arrows):
+        lift = lift_at[r.objects[reps[x]], name]
+        lifts[name], lift_target = r.names[lift], cat.objects[r.tgt[lift]]
+        wanted = group.identity if m in ids else h_elements.get(name)
+        if wanted is not None and action.act_obj(wanted, lift_target) != reps[y]:
+            raise ValidationError("h element does not carry the lift target")
+        h_elts[name] = wanted if wanted is not None else reference_carrier(action, lift_target, reps[y])
+    homs = {name: groupact.GroupHom(local[x], local[y], {
+        a: group.mul(group.mul(h_elts[name], a), group.inv(h_elts[name])) for a in local[x].labels})
+        for name, x, y in arrows}
+    twists = {(qr.names[b], qr.names[a]): group.mul(
+        h_elts[qr.names[qr.rows[a][b]]],
+        group.mul(group.inv(h_elts[qr.names[a]]), group.inv(h_elts[qr.names[b]])))
+        for b, a in qr.pairs()}
+    return groupact.ComplexOfGroups(base, local, homs, twists), reps, lifts, h_elts
+
+
+def _reference_coordinated_choices(action: NamedAction, r, qx, rbar):
+    cat = action.space
+    qsk = fincat.skeleton(qx[0])
+    rep_of, eta, normal_form = qsk.retraction.obj_map, qsk.eta, qsk.retraction.mor_map
+    rows = _rows_of(cat)
+    lift_at = {(x, qx[2][m]): a for a, (m, x) in enumerate(zip(rows.names, rows.src))}
+
+    def lift_target(start: str, orbit: str) -> str:
+        return cat.objects[rows.tgt[lift_at[rows.objects[start], orbit]]]
+
+    sel = {s: lift_target(rep, eta[s]) for s, rep in rep_of.items()}
+    h_on_skel: dict[str, str] = {}
+    skel = qsk.category
+    for name, x, y in skel._arrows():
+        if skel.is_identity(name):
+            h_on_skel[name] = action.group.identity
+        else:
+            h_on_skel[name] = reference_carrier(action, lift_target(sel[x], name), sel[y])
+    h_x = {m: h_on_skel[nf] for m, nf in normal_form.items()}
+    sel_g = {rbar.obj_map[s]: r.obj_map[sel[s]] for s in qsk.category.objects}
+    h_g = {rbar.mor_map[nf]: h for nf, h in h_on_skel.items()}
+    return (sel, h_x), (sel_g, h_g)
+
+
+def _reference_complexes_agree(fx, fg, rbar) -> bool:
+    for x in fx.base.objects:
+        if set(fx.local[x].labels) != set(fg.local[rbar.obj_map[x]].labels):
+            return False
+    for m in fx.base.morphism_names():
+        if dict(fx.homs[m].mapping) != dict(fg.homs[rbar.mor_map[m]].mapping):
+            return False
+    return all(fg.twists[(rbar.mor_map[b], rbar.mor_map[a])] == tw
+               for (b, a), tw in fx.twists.items())
+
+
+def reference_skeletal_reduction(action: NamedAction):
+    """(reduced action, retraction, inclusion, report) of
+    ``groupact.skeletal_reduction``."""
+    cat, group = action.space, action.group
+    sk = fincat.skeleton(cat)
+    gamma, r, incl = sk.category, sk.retraction, sk.inclusion
+    reduced = NamedAction(
+        group, gamma,
+        {g: {x: r.obj_map[action.act_obj(g, x)] for x in gamma.objects} for g in group.labels},
+        {g: {m: r.mor_map[action.act_mor(g, m)] for m in gamma.morphism_names()}
+         for g in group.labels})
+    equivariant = all(
+        r.obj_map[action.act_obj(g, x)] == reduced.act_obj(g, r.obj_map[x])
+        for g in group.labels for x in cat.objects
+    ) and all(
+        r.mor_map[action.act_mor(g, m)] == reduced.act_mor(g, r.mor_map[m])
+        for g in group.labels for m in cat.morphism_names())
+    qx, qg = reference_quotient_result(action), reference_quotient_result(reduced)
+    rbar_obj, rbar_mor, square = {}, {}, True
+    for x in cat.objects:
+        img = qg[1][r.obj_map[x]]
+        square &= rbar_obj.setdefault(qx[1][x], img) == img
+    for m in cat.morphism_names():
+        img = qg[2][r.mor_map[m]]
+        square &= rbar_mor.setdefault(qx[2][m], img) == img
+    rbar, is_equivalence = None, False
+    if square:
+        rbar = CatFunctor(qx[0], qg[0], rbar_obj, rbar_mor)
+        is_equivalence = (set(rbar_obj.values()) == set(qg[0].objects)
+                          and groupact._fully_faithful(qx[0], qg[0], rbar))
+    stab_ok = all(reference_fixers(action, x) == reference_fixers(reduced, x) for x in gamma.objects)
+    complexes_agree = hocolims_equal = False
+    if rbar is not None:
+        fx_choices, fg_choices = _reference_coordinated_choices(action, r, qx, rbar)
+        fx = reference_complex(action, qx, *fx_choices)[0]
+        fg = reference_complex(reduced, qg, *fg_choices)[0]
+        complexes_agree = _reference_complexes_agree(fx, fg, rbar)
+        hocolims_equal = groupact._hocolim_chi_L(fx) == groupact._hocolim_chi_L(fg)
+    freeness = (not reference_is_free(action)) or reference_is_free(reduced)
+    report = groupact.ReductionReport(equivariant, square, is_equivalence, stab_ok,
+                                      complexes_agree, hocolims_equal, freeness)
+    return reduced, r, incl, report
+
+
+def reference_equivariant_skeleton(action: NamedAction):
+    """(restricted action, inclusion, retraction, eta, the two equivariance
+    flags) of ``groupact.equivariant_skeleton``."""
+    cat, group = action.space, action.group
+    classes = fincat._iso_partition(cat)
+    class_of_obj = {x: cls[0] for cls in classes for x in cls}
+    section: dict[str, str] = {}
+    for cls in classes:
+        if cls[0] not in section:
+            for g in group.labels:
+                y = action.act_obj(g, cls[0])
+                section[class_of_obj[y]] = y
+    sk = fincat._retract(cat, {x: section[class_of_obj[x]] for x in cat.objects},
+                         f"sk_G({cat.name})")
+    gamma, eta = sk.category, sk.eta
+    restricted = NamedAction(
+        group, gamma,
+        {g: {x: action.act_obj(g, x) for x in gamma.objects} for g in group.labels},
+        {g: {m: action.act_mor(g, m) for m in gamma.morphism_names()} for g in group.labels})
+    incl_equivariant = all(gamma.has_object(action.act_obj(g, x))
+                           for g in group.labels for x in gamma.objects)
+    eta_equivariant = all(action.act_mor(g, eta[x]) == eta[action.act_obj(g, x)]
+                          for g in group.labels for x in cat.objects)
+    return restricted, sk.inclusion, sk.retraction, eta, incl_equivariant, eta_equivariant
+
+
+def reference_chi_theorems(action: NamedAction) -> groupact.ChiTheoremsReport:
+    q = reference_quotient_result(action)
+    cplx = reference_complex(action, q)[0]
+    chi_x, chi_q = eulerchar.chi_scwol(action.space), eulerchar.chi_scwol(q[0])
+    order = action.group.order
+    free = reference_is_free(action)
+    spectrum = hocolim.bar_spectrum(q[0])
+    formula_route = hocolim.formula_value(
+        spectrum, {s: Fraction(1, cplx.local[s].order) for s in q[0].objects})
+    direct_route = groupact._hocolim_chi_L(cplx)
+    ones_route = hocolim.formula_value(spectrum, {s: Fraction(1) for s in q[0].objects})
+    return groupact.ChiTheoremsReport(
+        chi_x, chi_q, free, (Fraction(chi_x, order) == chi_q) if free else None, formula_route,
+        direct_route, direct_route == Fraction(chi_x, order), int(ones_route), ones_route == chi_q)

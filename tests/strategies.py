@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from eulcat import groupact, randgen, zoo
 from eulcat.groups import symmetric_group
 from eulcat.hocolim import PseudoDiagram, constant_diagram
-from helpers import chain, flag_action
+from helpers import chain, flag_action, monoid_z2_mult
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -39,7 +39,7 @@ pseudo_diagrams = st.one_of(
         groupact.complex_of_groups(a).complex)),
     # one-object monoid vertices, so that a component can be a parallel
     # arrow that is not invertible
-    scwols.map(lambda idx: PseudoDiagram.from_strict(constant_diagram(idx, zoo.monoid_z2_mult()))),
+    scwols.map(lambda idx: PseudoDiagram.from_strict(constant_diagram(idx, monoid_z2_mult()))),
 )
 
 small_rationals = st.fractions(min_value=-5, max_value=5, max_denominator=12)

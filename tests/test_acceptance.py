@@ -39,7 +39,14 @@ from eulcat.hocolim import (
 )
 from eulcat.ratlin import chi_L, weighting
 
-from helpers import are_isomorphic, assert_lawful, nonidentity_paths
+from helpers import (
+    are_isomorphic,
+    assert_lawful,
+    gamma_one,
+    gamma_two,
+    monoid_z2_mult,
+    nonidentity_paths,
+)
 
 
 def report(number: int, text: str) -> None:
@@ -66,18 +73,18 @@ def test_01_weighting_goldens():
 
 
 def test_02_chi_l_goldens():
-    assert chi_L(zoo.monoid_z2_mult()) == Fraction(1, 2)
+    assert chi_L(monoid_z2_mult()) == Fraction(1, 2)
     assert chi_L(zoo.one_object_category(cyclic_group(2))) == Fraction(1, 2)
     for n in range(1, 25):
         assert chi_L(zoo.one_object_category(cyclic_group(n))) == Fraction(1, n)
     for extra in (klein_four_group(), symmetric_group(3)):
         assert chi_L(zoo.one_object_category(extra)) == Fraction(1, extra.order)
 
-    gamma1 = zoo.gamma_one()
+    gamma1 = gamma_one()
     assert chi_L(gamma1) == Fraction(1, 4)
     assert chi2_free_EI(gamma1) == Fraction(1, 4)
     with pytest.raises(HypothesisNotMet):
-        chi2_free_EI(zoo.gamma_two())
+        chi2_free_EI(gamma_two())
     report(2, "chi_L goldens, group categories to order 24, free-EI gate")
 
 

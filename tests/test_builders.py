@@ -38,12 +38,17 @@ from eulcat.groups import cyclic_group, symmetric_group
 
 from helpers import (
     assert_lawful,
+    constant_complex,
+    gamma_one,
+    gamma_two,
     identity_maps,
     load_workloads,
     loaded,
+    monoid_z2_mult,
     reference_connected_groupoid,
     reference_disjoint_union,
     reference_full_subcategory,
+    reference_haefliger_chi,
     reference_hocolim_groups,
     reference_induced_space,
     reference_iso_classes,
@@ -51,7 +56,6 @@ from helpers import (
     reference_one_object_category,
     reference_opposite,
     reference_product,
-    reference_haefliger_chi,
     reference_quotient,
     reference_random_groupoid,
     reference_retract,
@@ -94,7 +98,7 @@ drawn = st.one_of(scwols, posets, groupoids.map(lambda g: g.category),
                   st.just(split_idempotent()))
 # each drawn category as it was built, and loaded with its entries shuffled
 inputs = st.one_of(drawn, st.builds(loaded, drawn, SEEDS))
-small = st.one_of(posets, st.sampled_from([zoo.pushout_scwol(), zoo.monoid_z2_mult(),
+small = st.one_of(posets, st.sampled_from([zoo.pushout_scwol(), monoid_z2_mult(),
                                            split_idempotent(), zoo.discrete_category([])]))
 
 
@@ -265,7 +269,7 @@ class TestIsoClassesOnRows:
         assert_same_iso_classes(hocolim.grothendieck_pseudo(groupact.complex_to_pseudo_diagram(cplx)))
 
     @pytest.mark.parametrize("cat", [
-        zoo.one_object_category(symmetric_group(3)), zoo.monoid_z2_mult(), split_idempotent(),
+        zoo.one_object_category(symmetric_group(3)), monoid_z2_mult(), split_idempotent(),
         product(split_idempotent(), zoo.one_object_category(cyclic_group(2))),
         zoo.discrete_category([]),
     ], ids=["S3", "monoid", "split", "split x Z2", "empty"])
@@ -367,7 +371,7 @@ class TestInputTablesStayUnmade:
         """``chi2_free_EI`` reads a loaded skeletal category's rows, and its
         rejections (not free, not EI) find their witnesses on them."""
         free, not_free, not_EI = (loaded(cat, 0) for cat in (
-            zoo.gamma_one(), zoo.gamma_two(), zoo.monoid_z2_mult()))
+            gamma_one(), gamma_two(), monoid_z2_mult()))
         eulerchar.chi2_free_EI(free)
         for store, message in ((not_free, "not free"), (not_EI, "is not EI")):
             with pytest.raises(eulerchar.HypothesisNotMet, match=message):
@@ -394,14 +398,14 @@ class TestInputTablesStayUnmade:
         with pytest.raises(NotAFunctor, match="undefined"):
             fincat.CatFunctor(s3, s3, obj_map, mor_map)
 
-        cplx = groupact.constant_complex(loaded(zoo.circle_scwol(), 3), cyclic_group(2))
+        cplx = constant_complex(loaded(zoo.circle_scwol(), 3), cyclic_group(2))
         base = loaded(zoo.circle_scwol(), 3)
         twists = dict(cplx.twists)
         del twists[next(iter(twists))]
         with pytest.raises(ValidationError, match="no twist"):
             groupact.ComplexOfGroups(base, cplx.local, cplx.homs, twists)
 
-        vertex = zoo.monoid_z2_mult()
+        vertex = monoid_z2_mult()
         p = hocolim.PseudoDiagram.from_strict(hocolim.constant_diagram(
             loaded(zoo.circle_scwol(), 4), vertex))
         index, twin = loaded(zoo.circle_scwol(), 4), loaded(vertex, 5)

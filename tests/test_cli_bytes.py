@@ -25,6 +25,8 @@ from eulcat.groupact import ScwolAction, complex_of_groups, complex_to_pseudo_di
 from eulcat.groups import cyclic_group
 from eulcat.hocolim import builtin_spectrum, constant_diagram, grothendieck
 
+from helpers import monoid_z2_mult
+
 EXPECTED = Path(__file__).with_name("cli_bytes.json")
 
 
@@ -44,7 +46,7 @@ def _bz2_diagram():
 MANIFESTS = {
     "p.json": ("category", zoo.pushout_scwol),
     "fat.json": ("category", lambda: zoo.inflate(zoo.pushout_scwol(), {"j": 2, "k": 1, "l": 1})),
-    "m.json": ("category", zoo.monoid_z2_mult),
+    "m.json": ("category", monoid_z2_mult),
     "bz2.json": ("category", lambda: zoo.one_object_category(cyclic_group(2))),
     "total.json": ("category", lambda: grothendieck(_bz2_diagram()).category),
     "act.json": ("action", randgen.circle_action),

@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 from eulcat import cli, groupact, hocolim, manifest, randgen, zoo
 from eulcat.errors import EulcatError
 
+from helpers import monoid_z2_mult
 from strategies import (
     SEEDS,
     actions,
@@ -216,7 +217,7 @@ def test_spectrum_mutations_reach_both_outcomes():
 
 
 @pytest.mark.parametrize("kind, value", [
-    ("diagram", hocolim.constant_diagram(zoo.pushout_scwol(), zoo.monoid_z2_mult())),
+    ("diagram", hocolim.constant_diagram(zoo.pushout_scwol(), monoid_z2_mult())),
     ("pseudo_diagram", groupact.complex_to_pseudo_diagram(
         groupact.complex_of_groups(randgen.circle_action()).complex)),
     ("action", randgen.circle_action()),

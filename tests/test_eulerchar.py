@@ -17,6 +17,8 @@ from eulcat.ratlin import Weighting, chi_L
 
 from strategies import groupoids, scwols
 
+from helpers import monoid_z2_mult, gamma_one, gamma_two
+
 
 class TestChiScwol:
     def test_pushout(self):
@@ -111,7 +113,7 @@ class TestGroupoidChi2:
 
 class TestChi2FreeEI:
     def test_gamma_one(self):
-        assert chi2_free_EI(zoo.gamma_one()) == Fraction(1, 4)
+        assert chi2_free_EI(gamma_one()) == Fraction(1, 4)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
     def test_one_object_group(self, n):
@@ -119,15 +121,15 @@ class TestChi2FreeEI:
 
     def test_gamma_two_rejected_with_witness(self):
         with pytest.raises(HypothesisNotMet) as err:
-            chi2_free_EI(zoo.gamma_two())
+            chi2_free_EI(gamma_two())
         u, a = err.value.witness
-        cat = zoo.gamma_two()
+        cat = gamma_two()
         assert cat.compose(u, a) == a
         assert not cat.is_identity(u)
 
     def test_non_ei_rejected(self):
         with pytest.raises(HypothesisNotMet):
-            chi2_free_EI(zoo.monoid_z2_mult())
+            chi2_free_EI(monoid_z2_mult())
 
     @settings(max_examples=20, deadline=None)
     @given(scwols)

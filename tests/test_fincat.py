@@ -20,7 +20,7 @@ from eulcat.fincat import (
 )
 from eulcat.groups import FinGroup, NotAGroup, cyclic_group, symmetric_group, perm_of_label
 
-from helpers import are_isomorphic, equal_presentation
+from helpers import are_isomorphic, equal_presentation, monoid_z2_mult, start_sum
 from strategies import scwols, skeletal_scwols, groupoids
 
 
@@ -198,7 +198,7 @@ class TestClassify:
         assert not rep.is_scwol
 
     def test_multiplicative_monoid(self):
-        rep = classify(zoo.monoid_z2_mult())
+        rep = classify(monoid_z2_mult())
         assert not rep.is_EI
         assert rep.is_directly_finite
 
@@ -364,7 +364,7 @@ class TestLowerLink:
             assert classify(link).is_scwol
             assert len(path_counts(link).counts) < depth + 1
             # every path from x corresponds to a path one shorter in the link
-            assert path_counts(cat).start_sum(x) == 1 - (
+            assert start_sum(path_counts(cat), x) == 1 - (
                 path_counts(link).euler_sum()
             )
 

@@ -59,6 +59,7 @@ from eulcat.ratlin import chi_L
 from helpers import (
     are_isomorphic,
     assert_complex_revalidates,
+    constant_complex,
     count_calls,
     equal_presentation,
     identity_maps,
@@ -624,7 +625,6 @@ class TestHocolimGroups:
         assert all(len(total.hom(src, x)) == 2 for x in others)
 
     def test_constant_trivial_complex_recovers_base(self):
-        from eulcat.groupact import constant_complex
         from eulcat.groups import trivial_group
 
         base = zoo.subsets_poset_opposite(1)

@@ -46,6 +46,7 @@ from helpers import (
     corrupt_component,
     count_calls,
     equal_presentation,
+    monoid_z2_mult,
     nat_iso_checks,
     reference_check_associativity_axiom,
     reference_check_unit_axioms,
@@ -272,7 +273,7 @@ class TestDiagramChecks:
     def test_rejection_names_the_entry_and_object(self):
         """A one-object monoid over the terminal index: a unit component
         that is not invertible, and a comp table with no component."""
-        index, vertex = zoo.terminal_category("i"), zoo.monoid_z2_mult()
+        index, vertex = zoo.terminal_category("i"), monoid_z2_mult()
         idx_id = index.identity["i"]
         args = (index, {"i": vertex}, {idx_id: CatFunctor.identity_functor(vertex)})
         with pytest.raises(NotNatural) as err:

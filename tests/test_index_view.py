@@ -33,6 +33,7 @@ from eulcat.hocolim import CoherenceFailure, PseudoDiagram, StrictDiagram, const
 
 from helpers import (
     loaded,
+    monoid_z2_mult,
     reference_haefliger_chi,
     reference_strict_diagram_checks,
     reference_total_arrays,
@@ -90,7 +91,7 @@ class TestRejections:
         index = zoo.pushout_scwol()
         a = next(m for m in index.morphism_names() if not index.is_identity(m))
         pair = tuple(a if x == "a" else x for x in pair)
-        p = PseudoDiagram.from_strict(constant_diagram(index, zoo.monoid_z2_mult()))
+        p = PseudoDiagram.from_strict(constant_diagram(index, monoid_z2_mult()))
         comp = {**p.comp, pair: {"*": "1"}}
         with pytest.raises(CoherenceFailure) as err:
             PseudoDiagram(p.index, p.vertex, p.edge, comp, p.unit)
@@ -355,7 +356,7 @@ class TestOneViewPerDiagram:
 
     def test_a_rejected_pseudo_diagram_keeps_no_view(self):
         """Unchecked and malformed: the view is kept only once it is whole."""
-        p = PseudoDiagram.from_strict(constant_diagram(zoo.pushout_scwol(), zoo.monoid_z2_mult()))
+        p = PseudoDiagram.from_strict(constant_diagram(zoo.pushout_scwol(), monoid_z2_mult()))
         unit = {**p.unit, "j": {}}
         q = unvalidated(PseudoDiagram, index=p.index, vertex=p.vertex, edge=p.edge, comp=p.comp,
                         unit=unit)

@@ -76,7 +76,6 @@ from eulcat.hocolim import (
 from eulcat.ratlin import chi_L, coweighting, weighting
 
 from helpers import (
-    InvalidQuotient,
     assert_complex_revalidates,
     assert_equivariant_section,
     assert_lawful,
@@ -84,7 +83,10 @@ from helpers import (
     assert_retraction_data,
     assert_revalidates,
     assert_transport_groupoid,
+    gamma_one,
+    InvalidQuotient,
     s3_flag_action,
+    start_sum,
     unvalidated,
     z2_chain_complex_data,
 )
@@ -184,7 +186,7 @@ class TestPaperIdentities:
         route = Fraction(0)
         for i in gamma.objects:
             one_minus = 1 - chi_scwol(lower_link(gamma, i))
-            assert one_minus == pc.start_sum(i)
+            assert one_minus == start_sum(pc, i)
             route += one_minus * vals[i]
         assert haefliger_chi(cat, vals) == route
 
@@ -195,7 +197,7 @@ class TestPaperIdentities:
         assert chi2_free_EI(total) == chi_L(total)
 
     @pytest.mark.parametrize("cat", [
-        zoo.gamma_one(), zoo.one_object_category(cyclic_group(3)), zoo.pushout_scwol(),
+        gamma_one(), zoo.one_object_category(cyclic_group(3)), zoo.pushout_scwol(),
         zoo.subsets_poset_opposite(3), zoo.contractible_groupoid(("a", "b", "c")),
         product(zoo.one_object_category(cyclic_group(2)), zoo.circle_scwol()),
     ], ids=["gamma_one", "BZ3", "pushout", "subsets3", "contractible", "BZ2xcircle"])

@@ -11,7 +11,7 @@ from eulcat.groups import cyclic_group
 from eulcat.hocolim import bar_spectrum, builtin_spectrum, constant_diagram
 from eulcat.ratlin import NoEulerCharacteristic
 
-from helpers import equal_presentation
+from helpers import constant_complex, equal_presentation, monoid_z2_mult
 
 
 @pytest.fixture
@@ -188,7 +188,7 @@ class TestCli:
         assert capsys.readouterr().out.strip() == "j: 1, k: -1"
 
     def test_chil_monoid(self, tmp_path, capsys):
-        path = write(tmp_path, "m.json", "category", zoo.monoid_z2_mult())
+        path = write(tmp_path, "m.json", "category", monoid_z2_mult())
         assert main(["chil", path]) == 0
         assert capsys.readouterr().out.strip() == "1/2"
 
@@ -330,7 +330,7 @@ class TestCli:
         assert capsys.readouterr().out.strip() == str(expected)
 
     def test_json_reports_match_human_numbers(self, tmp_path, capsys):
-        path = write(tmp_path, "m.json", "category", zoo.monoid_z2_mult())
+        path = write(tmp_path, "m.json", "category", monoid_z2_mult())
         assert main(["chil", path]) == 0
         human = capsys.readouterr().out.strip()
         assert main(["--json", "chil", path]) == 0
@@ -421,7 +421,6 @@ def _chain_complex_payload(twists) -> dict:
     """The trivial complex over 0 -a-> 1 -b-> 2 with its ``twists`` replaced:
     a twist read item by item from the string "ba0" would be ("b", "a", "0"),
     the one twist it needs."""
-    from eulcat.groupact import constant_complex
     from eulcat.groups import trivial_group
 
     base = zoo.build_category(("0", "1", "2"), (("a", "0", "1"), ("b", "1", "2"), ("ba", "0", "2")),

@@ -24,13 +24,17 @@ from hypothesis import strategies as st
 from eulcat import cli, eulerchar, fincat, groupact, hocolim, randgen, zoo
 from eulcat.errors import EulcatError
 from eulcat.fincat import CatFunctor, _is_thin, _rows_of, _skeleton_category
-from eulcat.groupact import ComplexOfGroups, constant_complex
+from eulcat.groupact import ComplexOfGroups
 from eulcat.groups import cyclic_group, symmetric_group
 from eulcat.hocolim import PseudoDiagram, constant_diagram
 
 from helpers import (
+    constant_complex,
     discrete_action,
+    gamma_one,
+    gamma_two,
     loaded,
+    monoid_z2_mult,
     reference_check_functor,
     reference_check_functor_arrays,
     reference_free_aut_witness,
@@ -68,8 +72,8 @@ def outcome(fn, *args):
 totals = st.one_of(strict_diagrams.map(lambda d: hocolim.grothendieck(d).category),
                    pseudo_diagrams.map(hocolim.grothendieck_pseudo))
 drawn = st.one_of(scwols, posets, groupoids.map(lambda g: g.category), totals,
-                  st.sampled_from([split_idempotent(), zoo.monoid_z2_mult(), zoo.gamma_one(),
-                                   zoo.gamma_two()]))
+                  st.sampled_from([split_idempotent(), monoid_z2_mult(), gamma_one(),
+                                   gamma_two()]))
 # each drawn category as it was built, and loaded with its entries shuffled
 categories = st.one_of(drawn, st.builds(loaded, drawn, SEEDS))
 
@@ -283,7 +287,7 @@ class TestTwistWalk:
 pseudo_inputs = st.one_of(
     pseudo_diagrams,
     st.builds(lambda index, cat: PseudoDiagram.from_strict(constant_diagram(index, cat)),
-              categories, st.sampled_from([zoo.monoid_z2_mult(),
+              categories, st.sampled_from([monoid_z2_mult(),
                                            zoo.one_object_category(cyclic_group(2))])),
 )
 
@@ -314,7 +318,7 @@ class TestMissingCompWalk:
         total = hocolim.grothendieck(constant_diagram(zoo.pushout_scwol(),
                                                       zoo.arrow_category())).category
         for index in (total, loaded(zoo.circle_scwol(), 4)):
-            p = PseudoDiagram.from_strict(constant_diagram(index, zoo.monoid_z2_mult()))
+            p = PseudoDiagram.from_strict(constant_diagram(index, monoid_z2_mult()))
             comp = dict(p.comp)
             dropped = Random(1).sample(sorted(comp), 2)
             for key in dropped:
@@ -347,22 +351,22 @@ class TestWitnesses:
         loaded with its entries shuffled."""
         z3 = cyclic_group(3)
         fixed = zoo.two_object_ei_category(z3, {g: {"p": "p"} for g in z3.labels}, ("p",))
-        for built in (zoo.gamma_two(), fixed, fincat.product(fixed, zoo.arrow_category())):
+        for built in (gamma_two(), fixed, fincat.product(fixed, zoo.arrow_category())):
             for cat in (built, loaded(built, 6)):
                 want = reference_free_aut_witness(cat)
                 assert eulerchar.free_aut_witness(cat) == want is not None
                 got = outcome(eulerchar.chi2_free_EI, cat)
                 assert got == outcome(reference_free_EI_rejections, cat)
-        assert eulerchar.free_aut_witness(zoo.gamma_one()) is None
+        assert eulerchar.free_aut_witness(gamma_one()) is None
 
     def test_every_rejection_is_seen(self):
         """Non-vacuity: a scwol is no groupoid, the Z/2 monoid is not EI,
         and an arrow of the space is no transport input; the witnesses are
         those by names."""
         cases = [(eulerchar.groupoid_chi2, reference_groupoid_rejection, zoo.pushout_scwol()),
-                 (eulerchar.chi2_free_EI, reference_free_EI_rejections, zoo.monoid_z2_mult()),
+                 (eulerchar.chi2_free_EI, reference_free_EI_rejections, monoid_z2_mult()),
                  (eulerchar.chi2_free_EI, reference_free_EI_rejections,
-                  loaded(zoo.monoid_z2_mult(), 2))]
+                  loaded(monoid_z2_mult(), 2))]
         for fn, reference, cat in cases:
             got = outcome(fn, cat)
             assert got is not None and got == outcome(reference, cat)

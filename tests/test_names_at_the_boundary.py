@@ -5,17 +5,20 @@ The exponential isomorphism search (``are_isomorphic`` with
 ``_find_morphism_bijection``) and ``equal_presentation`` are test oracles
 in ``tests/helpers.py``, and ``src/eulcat/`` defines none of them.  The
 name-keyed ``composition`` table is read only where a table is handed in
-or built by name: the checked ``FinCat`` constructor, ``constant_complex``
-and ``one_arrow_complex``, and the hand-built zoo categories ``inflate`` and
-``cone``; ``FinCat.compose`` reads the rows.  This scan fails if a module
-defines one of those names or reads ``.composition`` anywhere else; a site
-that no longer reads it must leave ``ALLOWED_READS`` too.
+or built by name: the checked ``FinCat`` constructor, ``one_arrow_complex``
+and the hand-built zoo categories ``inflate`` and ``cone``;
+``FinCat.compose`` reads the rows.  This scan fails if a module defines one
+of those names or reads ``.composition`` anywhere else; a site that no
+longer reads it must leave ``ALLOWED_READS`` too.
 
 The Grothendieck builder's walks and Haefliger's sum read a diagram on
 index arrays (``hocolim._IndexView``, ``_ends``): a second scan fails if
 one of them calls a name accessor of a category or a diagram
-(``CALLS_OFF_THE_VIEW``) or reads a functor's name maps.  Only the
-standard library ``ast`` is used.
+(``CALLS_OFF_THE_VIEW``) or reads a functor's name maps.  The action layer
+reads an action's arrays (``ScwolAction._arrays``) and those of the
+functors it builds: a third scan fails if one of its functions
+(``OFF_THE_ACTION_ARRAYS``) reads an action's name tables or a functor's
+name maps (``ACTION_NAMES``).  Only the standard library ``ast`` is used.
 """
 
 import ast
@@ -28,7 +31,6 @@ MODULES = sorted(SRC.glob("*.py"))
 FORBIDDEN_DEFS = {"are_isomorphic", "_find_morphism_bijection", "equal_presentation"}
 ALLOWED_READS = {
     ("fincat.py", "FinCat.__post_init__"),
-    ("groupact.py", "constant_complex"),
     ("groupact.py", "one_arrow_complex"),
     ("zoo.py", "inflate"),
     ("zoo.py", "cone"),
@@ -107,11 +109,12 @@ CALLS_OFF_THE_VIEW = {"morphisms_from", "target", "is_invertible", "inverse", "c
 MAPS = {"obj_map", "mor_map"}
 
 
-def name_reads(source: str, functions) -> list[tuple[str, int, str]]:
-    """The calls of a name accessor in ``CALLS_OFF_THE_VIEW`` and the reads
-    of an attribute in ``MAPS`` inside the ``functions`` of ``source``
-    (dotted names, as ``scan`` gives them), nested functions included, each
-    as (function, line, name)."""
+def name_reads(source: str, functions, calls=CALLS_OFF_THE_VIEW,
+               maps=MAPS) -> list[tuple[str, int, str]]:
+    """The calls of a name accessor in ``calls`` and the reads of an
+    attribute in ``maps`` inside the ``functions`` of ``source`` (dotted
+    names, as ``scan`` gives them), nested functions included, each as
+    (function, line, name)."""
     found = []
 
     def walk(node, where, inside):
@@ -123,9 +126,9 @@ def name_reads(source: str, functions) -> list[tuple[str, int, str]]:
             elif within and isinstance(child, ast.Call):
                 func = child.func
                 called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                if called in CALLS_OFF_THE_VIEW:
+                if called in calls:
                     found.append((within, child.lineno, called))
-            elif (within and isinstance(child, ast.Attribute) and child.attr in MAPS
+            elif (within and isinstance(child, ast.Attribute) and child.attr in maps
                   and isinstance(child.ctx, ast.Load)):
                 found.append((within, child.lineno, child.attr))
             walk(child, inner, within)
@@ -190,6 +193,47 @@ def test_the_walks_read_no_names(module):
     source = (SRC / module).read_text(encoding="utf-8")
     assert OFF_THE_VIEW[module] <= function_names(source)
     assert name_reads(source, OFF_THE_VIEW[module]) == []
+
+
+# the action layer, by module: each reads the arrays of an action, a
+# projection, a retraction and rbar, and no name table
+OFF_THE_ACTION_ARRAYS = {
+    "groupact.py": {"quotient", "_fixers", "_carrier", "stabilizer",
+                    "ScwolAction.is_free_on_objects", "skeletal_reduction", "_coordinated_choices",
+                    "_complexes_agree_along", "equivariant_skeleton", "chi_theorems"},
+    "manifest.py": {"_action_payload"},
+}
+ACTION_NAMES = {"on_objects", "on_morphisms", "act_obj", "act_mor", "obj_map", "mor_map"}
+
+
+def action_name_reads(source: str, module: str) -> list[tuple[str, int, str]]:
+    return name_reads(source, OFF_THE_ACTION_ARRAYS[module], calls=(), maps=ACTION_NAMES)
+
+
+@pytest.mark.parametrize("module", sorted(OFF_THE_ACTION_ARRAYS))
+def test_the_action_layer_reads_no_names(module):
+    source = (SRC / module).read_text(encoding="utf-8")
+    assert OFF_THE_ACTION_ARRAYS[module] <= function_names(source)
+    assert action_name_reads(source, module) == []
+
+
+@pytest.mark.parametrize("module, anchor, planted, where", [
+    ("groupact.py", "    x = action.space._named().objects[obj]\n",
+     "    table = action.on_objects[action.group.identity]\n", "_fixers"),
+    ("groupact.py", "    (ro, rm), xr = rbar._arrays, _rows_of(fx.base)\n",
+     "    images = rbar.obj_map\n", "_complexes_agree_along"),
+    ("manifest.py", '        "object_action": action._tables(0),\n',
+     '        "moved": action.act_obj(action.group.identity, action.space.objects[0]),\n',
+     "_action_payload"),
+], ids=["table", "map", "accessor"])
+def test_a_planted_action_name_read_fails_the_scan(module, anchor, planted, where):
+    """Non-vacuity: an action-layer function that reads a name table, a
+    functor's name map or a name accessor of an action is seen."""
+    source = (SRC / module).read_text(encoding="utf-8")
+    body = source.replace(anchor, anchor + planted, 1)
+    assert body != source
+    assert action_name_reads(source, module) == []
+    assert [w for w, _, _ in action_name_reads(body, module)] == [where]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

@@ -24,7 +24,13 @@ from eulcat.errors import EulcatError
 from eulcat.fincat import CatFunctor
 from eulcat.groups import FinGroup, GroupHom, cyclic_group, symmetric_group
 
-from helpers import identity_maps, reference_all_homs, reference_group_checks, reference_group_hom_checks
+from helpers import (
+    identity_maps,
+    monoid_z2_mult,
+    reference_all_homs,
+    reference_group_checks,
+    reference_group_hom_checks,
+)
 from strategies import SEEDS
 
 KERNEL_USERS = ("groups", "fincat", "groupact")
@@ -65,7 +71,7 @@ def generating_set_calls(monkeypatch) -> list:
 
 def pseudo_diagram():
     return hocolim.PseudoDiagram.from_strict(
-        hocolim.constant_diagram(zoo.pushout_scwol(), zoo.monoid_z2_mult()))
+        hocolim.constant_diagram(zoo.pushout_scwol(), monoid_z2_mult()))
 
 
 class TestEveryCheckCallsTheKernel:
@@ -150,7 +156,7 @@ class TestCheckLawsStillChecksEveryTriple:
     @pytest.mark.parametrize("cat", [
         zoo.one_object_category(cyclic_group(6)),
         zoo.one_object_category(symmetric_group(3)),
-        zoo.monoid_z2_mult(),
+        monoid_z2_mult(),
     ], ids=lambda c: c.name)
     def test_every_middle_factor(self, cat, monkeypatch):
         assert not fincat._is_thin(cat)

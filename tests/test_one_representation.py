@@ -27,7 +27,10 @@ from eulcat.groups import cyclic_group, klein_four_group
 
 import strategies
 from helpers import (
+    gamma_one,
+    gamma_two,
     loaded,
+    monoid_z2_mult,
     reference_check_records,
     reference_name_fields,
     split_idempotent,
@@ -58,11 +61,11 @@ ZOO = {
     "subsets3": lambda: zoo.subsets_poset_opposite(3),
     "polygon5": lambda: zoo.polygon_scwol(5),
     "BZ3": lambda: zoo.one_object_category(cyclic_group(3)),
-    "Z2-mult": zoo.monoid_z2_mult,
+    "Z2-mult": monoid_z2_mult,
     "E(a,b,c)": lambda: zoo.contractible_groupoid("abc"),
     "inflated": lambda: zoo.inflate(zoo.pushout_scwol(), {"k": 2, "j": 3}),
-    "gamma1": zoo.gamma_one,
-    "gamma2": zoo.gamma_two,
+    "gamma1": gamma_one,
+    "gamma2": gamma_two,
     "two-object": lambda: zoo.two_object_ei_category(
         klein_four_group(), {g: {"p": "p"} for g in klein_four_group().labels}, ("p",)),
     "cone": lambda: zoo.cone(zoo.circle_scwol()),

@@ -22,7 +22,7 @@ from eulcat.ratlin import (
     weighting,
 )
 
-from helpers import count_calls, split_idempotent
+from helpers import count_calls, gamma_one, monoid_z2_mult, split_idempotent
 from strategies import groupoids, skeletal_scwols, strict_diagrams
 
 grothendieck_totals = strict_diagrams.map(lambda d: grothendieck(d).category)
@@ -174,13 +174,13 @@ class TestOneIntegerCheck:
 
 class TestChiL:
     def test_two_element_monoid(self):
-        assert chi_L(zoo.monoid_z2_mult()) == Fraction(1, 2)
+        assert chi_L(monoid_z2_mult()) == Fraction(1, 2)
 
     def test_two_element_group(self):
         assert chi_L(zoo.one_object_category(cyclic_group(2))) == Fraction(1, 2)
 
     def test_gamma_one(self):
-        assert chi_L(zoo.gamma_one()) == Fraction(1, 4)
+        assert chi_L(gamma_one()) == Fraction(1, 4)
 
     def test_empty_category(self):
         assert chi_L(zoo.discrete_category([])) == 0

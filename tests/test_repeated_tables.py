@@ -29,6 +29,7 @@ from eulcat.groupact import complex_of_groups, complex_to_pseudo_diagram, trivia
 from eulcat.groups import FinGroup, cyclic_group, symmetric_group
 from eulcat.hocolim import StrictDiagram, constant_diagram
 from helpers import (
+    monoid_z2_mult,
     reference_complex_from_payload,
     reference_diagram_parts,
     reference_pseudo_diagram_from_payload,
@@ -50,7 +51,7 @@ repeated_strict = st.one_of(
     strict_diagrams,
     st.tuples(scwols, st.one_of(small_groups.map(zoo.one_object_category),
                                 groupoids.map(lambda g: g.category),
-                                st.just(zoo.monoid_z2_mult()))).map(lambda t: constant_diagram(*t)),
+                                st.just(monoid_z2_mult()))).map(lambda t: constant_diagram(*t)),
 )
 
 READERS = {

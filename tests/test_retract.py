@@ -270,6 +270,13 @@ def assert_same_retraction(new, old):
     assert dict(new.eta) == dict(old.eta)
 
 
+def named_choices(action, q, reps, h):
+    """Index choices (``groupact._complex_from_choices``) as the reference's
+    names: each orbit's representative and each orbit arrow's h element."""
+    return ({s: action.space.objects[x] for s, x in zip(q.category.objects, reps)},
+            {m: action.group.labels[g] for m, g in zip(q.category.morphism_names(), h)})
+
+
 def reduction_setup(action):
     """The arguments skeletal_reduction hands to the coordinated choices:
     the reduced action, the retraction r, both quotients and rbar."""
@@ -322,9 +329,9 @@ class TestSharedBuilderMatchesReferences:
     @example(FAT_CIRCLE)
     def test_coordinated_choices(self, action):
         reduced, r, qx, qg, rbar = reduction_setup(action)
-        assert _coordinated_choices(action, r, qx, rbar) == reference_coordinated_choices(
-            action, reduced, r, qx, qg, rbar
-        )
+        fx, fg = _coordinated_choices(action, r, qx, rbar)
+        assert (named_choices(action, qx, *fx), named_choices(reduced, qg, *fg)) == \
+            reference_coordinated_choices(action, reduced, r, qx, qg, rbar)
 
 
 # -- work the builder no longer does ------------------------------------------------

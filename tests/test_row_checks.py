@@ -27,6 +27,7 @@ from eulcat.hocolim import PseudoDiagram
 from helpers import (
     corrupt_component,
     identity_maps,
+    monoid_z2_mult,
     reference_action_checks,
     reference_check_functor,
     reference_generating_set,
@@ -279,7 +280,7 @@ class TestPseudoDiagram:
         diagrams = [complex_to_pseudo_diagram(complex_of_groups(flag, h_elements=h).complex),
                     complex_to_pseudo_diagram(complex_of_groups(random_action(Random(14))).complex)]
         diagrams.append(PseudoDiagram.from_strict(constant_diagram(zoo.pushout_scwol(),
-                                                                   zoo.monoid_z2_mult())))
+                                                                   monoid_z2_mult())))
         diagrams.append(PseudoDiagram.from_strict(constant_diagram(
             zoo.pushout_scwol(), zoo.contractible_groupoid(("a", "b")))))
         messages = []

@@ -27,7 +27,7 @@ from eulcat.groupact import complex_of_groups, complex_to_pseudo_diagram, hocoli
 from eulcat.groups import cyclic_group, symmetric_group
 from eulcat.hocolim import bar_spectrum, constant_diagram, grothendieck, grothendieck_pseudo
 
-from helpers import reference_category_payload, split_idempotent
+from helpers import monoid_z2_mult, reference_category_payload, split_idempotent
 from strategies import SEEDS, TWISTED_ACTION_SEEDS, groupoids, posets, scwols, strict_diagrams
 
 texts = st.text()  # control and non-ASCII characters included
@@ -185,7 +185,7 @@ ZOO = {
     "polygon5": lambda: zoo.polygon_scwol(5),
     "subsets3": lambda: zoo.subsets_poset_opposite(3),
     "S3": lambda: zoo.one_object_category(symmetric_group(3)),
-    "monoid": zoo.monoid_z2_mult,
+    "monoid": monoid_z2_mult,
     "split": split_idempotent,
     "groupoid": lambda: zoo.contractible_groupoid(["p", "q", "r"]),
     "product": lambda: product(zoo.pushout_scwol(), zoo.parallel_pair_scwol()),
