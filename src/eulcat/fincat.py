@@ -89,9 +89,9 @@ class Morphism:
 
 
 class _OnFirstRead:
-    """A name field of a FinCat, a functor's map or an action's tables
-    (``groupact.ScwolAction``), made from its integer arrays on its first
-    read by its owner (``_make``), which stores it on the instance; that
+    """A name field of a FinCat, a functor's map, an action's tables or a
+    quotient's orbit maps (``groupact``), made from its integer arrays on its
+    first read by its owner (``_make``), which stores it on the instance; that
     shadows this non-data descriptor, so later reads find it there.  A ``hocolim._TotalRows`` makes its indexes the same way.
     On the class it has no value, so a dataclass field that is one has no
     default."""

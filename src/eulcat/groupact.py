@@ -319,15 +319,28 @@ def trivial_action(group: FinGroup, space: FinCat) -> ScwolAction:
 
 @dataclass(frozen=True, eq=False)
 class QuotientResult:
-    """The quotient scwol and the orbit of each object and morphism: the
-    maps of the projection, which is built as no functor.  ``_arrays`` is
-    the projection on indices (``fincat._Arrays``): the quotient index of
-    each object and morphism of the space."""
+    """The quotient scwol of an action on ``space`` and the projection,
+    which is built as no functor: ``_arrays`` (``fincat._Arrays``) holds
+    the quotient index of each object and morphism of the space.  The
+    orbit of each by name, ``object_orbit_of`` and ``morphism_orbit_of``,
+    are views (``_OnFirstRead``) listed orbit by orbit, each in name
+    order."""
 
     category: FinCat
-    object_orbit_of: Mapping[str, str]
-    morphism_orbit_of: Mapping[str, str]
+    space: FinCat = field(repr=False)
     _arrays: _Arrays = field(repr=False)
+    object_orbit_of = _OnFirstRead()
+    morphism_orbit_of = _OnFirstRead()
+
+    def _make(self, attr: str) -> None:
+        """Store the map ``attr`` off the arrays: each orbit is named by
+        its least member, the quotient's name at its index."""
+        level = attr == "morphism_orbit_of"
+        names, orbit_names = ((self.space._named().names, self.category._named().names) if level
+                              else (self.space.objects, self.category.objects))
+        of = self._arrays[level]
+        self.__dict__[attr] = {names[x]: orbit_names[of[x]]
+                               for x in sorted(range(len(names)), key=lambda x: (of[x], names[x]))}
 
 
 def quotient(action: ScwolAction) -> QuotientResult:
@@ -368,9 +381,7 @@ def quotient(action: ScwolAction) -> QuotientResult:
                 [of_mor[r.ident[orb[0]]] for orb in obj_orbits],
                 [(b, f, ba) for (b, f), ba in sorted(cells.items())],
                 ({f: of_mor[r.inv[a]] for f, a in enumerate(lifts) if a in r.inv}, True))
-    return QuotientResult(q, {objs[x]: objs[orb[0]] for orb in obj_orbits for x in orb},
-                          {names[m]: names[orb[0]] for orb in mor_orbits for m in orb},
-                          (of_obj, of_mor))
+    return QuotientResult(q, cat, (of_obj, of_mor))
 
 
 def _fixers(action: ScwolAction, obj: str) -> list[str]:

@@ -6,6 +6,9 @@ Strict diagrams are generated over free categories on acyclic multigraphs
 over posets via subset-inclusion systems (where commutativity is automatic).
 A random groupoid is drawn whole (component sizes, then vertex groups) and
 then written once, all its components in one store (``groupoid_union``).
+The hand-built actions go through the checked ``ScwolAction`` constructor;
+the induced free action and the lifts along the cone and the inflation are
+written as arrays (``_arrays``), with the proof in the docstring.
 """
 
 from __future__ import annotations
@@ -15,11 +18,12 @@ from dataclasses import dataclass
 from random import Random
 from typing import Mapping, Optional, Sequence
 
-from .fincat import CatFunctor, FinCat, _rows_of, _stored
+from .errors import _trusted
+from .fincat import CatFunctor, FinCat, _require_scwol, _rows_of, _stored
 from .groups import FinGroup, GroupHom, _image_of, all_homs, cyclic_group, klein_four_group, symmetric_group, trivial_group
 from .groupact import ScwolAction, trivial_action
 from .hocolim import StrictDiagram, constant_diagram, set_diagram
-from .zoo import build_category, circle_scwol, cone, inflate, polygon_scwol
+from .zoo import _inflated, build_category, circle_scwol, cone, inflate, polygon_scwol
 
 _POOL: Optional[list[FinGroup]] = None
 _HOM_CACHE: dict[tuple[int, int], list[GroupHom]] = {}
@@ -328,22 +332,19 @@ def random_strict_diagram(rng: Random) -> StrictDiagram:
 
 
 def induced_free_action(group: FinGroup, base: FinCat) -> ScwolAction:
-    """G x Y with g . (h, y) = (gh, y): free on objects, quotient Y."""
+    """G x Y with g . (h, y) = (gh, y): free on objects, quotient Y.
 
-    def ob(g, x):
-        return f"{g}*{x}"
-
-    def mo(g, m):
-        return f"{g}*{m}"
-
-    # the copy g of the base, written off its rows: the morphism (g, m) is
-    # number g |M| + m, with the base's inverses in each copy
+    Copy h of the base is written off its rows, (h, x) as object h |Y| + x
+    and (h, m) as morphism h |M| + m.  Element g moves copy h onto copy gh
+    (its Cayley row): an automorphism, and (gk)h = g(kh).  Only the identity
+    fixes an object, and it fixes every morphism (axiom ii); a non-identity
+    arrow of a scwol has two ends (axiom i).  So only the space is checked."""
     r, n_obj = _rows_of(base), len(base)
     n_mor = len(r.names)
     copies = range(group.order)
     space = _stored(f"{group.name}x{base.name}",
-                    [ob(g, x) for g in group.labels for x in base.objects],
-                    [mo(g, m) for g in group.labels for m in r.names],
+                    [f"{g}*{x}" for g in group.labels for x in base.objects],
+                    [f"{g}*{m}" for g in group.labels for m in r.names],
                     [g * n_obj + x for g in copies for x in r.src],
                     [g * n_obj + y for g in copies for y in r.tgt],
                     [g * n_mor + e for g in copies for e in r.ident],
@@ -351,19 +352,10 @@ def induced_free_action(group: FinGroup, base: FinCat) -> ScwolAction:
                      for g in copies for b, a in r.pairs()),
                     ({g * n_mor + m: g * n_mor + u for g in copies for m, u in r.inv.items()},
                      base._directly_finite))
-    on_objects = {
-        g: {ob(h, x): ob(group.mul(g, h), x) for h in group.labels for x in base.objects}
-        for g in group.labels
-    }
-    on_morphisms = {
-        g: {
-            mo(h, m): mo(group.mul(g, h), m)
-            for h in group.labels
-            for m in base.morphism_names()
-        }
-        for g in group.labels
-    }
-    return ScwolAction(group, space, on_objects, on_morphisms)
+    _require_scwol(space)
+    return _trusted(ScwolAction, group=group, space=space, _arrays=[
+        ([gh * n_obj + x for gh in row for x in range(n_obj)],
+         [gh * n_mor + m for gh in row for m in range(n_mor)]) for row in group.table])
 
 
 def rotation_action(sides: int, step: int = 1) -> ScwolAction:
@@ -439,46 +431,35 @@ def circle_action() -> ScwolAction:
 
 
 def cone_action(action: ScwolAction, apex: str = "t") -> ScwolAction:
-    """Extend an action over the cone with a fixed apex."""
+    """Extend an action over the cone with a fixed apex: g . c[x] = c[g . x]
+    on the cone's layout (``zoo.cone``: the space's morphisms, id_apex,
+    then each c[x]).  Each element is a functor (c[t(m)] o m = c[s(m)] goes
+    to c[g.t(m)] o g.m = c[g.s(m)]), the law holds on the new arrows as on
+    the objects, no c[x] ends where it starts (axiom i) and g fixing x
+    fixes c[x] (axiom ii); so it is not checked again."""
     space = cone(action.space, apex)
-    on_objects = {}
-    on_morphisms = {}
-    for g in action.group.labels:
-        omap = dict(action.on_objects[g])
-        omap[apex] = apex
-        mmap = dict(action.on_morphisms[g])
-        mmap[f"id_{apex}"] = f"id_{apex}"
-        for x in action.space.objects:
-            mmap[f"c[{x}]"] = f"c[{action.act_obj(g, x)}]"
-        on_objects[g] = omap
-        on_morphisms[g] = mmap
-    return ScwolAction(action.group, space, on_objects, on_morphisms)
+    n, top = len(action.space), len(action.space._named().names)
+    return _trusted(ScwolAction, group=action.group, space=space, _arrays=[
+        ([*fo, n], [*fm, top, *(top + 1 + y for y in fo)]) for fo, fm in action._arrays])
 
 
 def inflate_action(action: ScwolAction, copies: Mapping[str, int]) -> ScwolAction:
     """Clone objects (orbit-constant copy counts) and extend the action by
-    fixing the copy index: g . (x, i) = (g . x, i)."""
-    for x in action.space.objects:
-        for g in action.group.labels:
-            if copies.get(x, 1) != copies.get(action.act_obj(g, x), 1):
-                raise ValueError("copy counts must be constant on orbits")
+    fixing the copy index: g . (x, i) = (g . x, i), and g . (m, i, j) =
+    (g . m, i, j), on the inflation's layout (``zoo._inflated``).  Orbit
+    constancy makes each element a bijection of the copies; it is a functor
+    and a homomorphism copy by copy, as on the space, and the axioms hold
+    as there: g . (x, i) = (y, j) needs g . x = y and i = j, and g fixing
+    (x, i) fixes x.  So it is not checked again."""
+    counts = [copies.get(x, 1) for x in action.space.objects]
+    if any(counts[y] != c for fo, _ in action._arrays for c, y in zip(counts, fo)):
+        raise ValueError("copy counts must be constant on orbits")
     space = inflate(action.space, copies)
-    on_objects = {}
-    on_morphisms = {}
-    for g in action.group.labels:
-        omap = {}
-        mmap = {}
-        for x in action.space.objects:
-            for i in range(copies.get(x, 1)):
-                omap[f"{x}~{i}"] = f"{action.act_obj(g, x)}~{i}"
-        for m, x, y in action.space._arrows():
-            gm = action.act_mor(g, m)
-            for i in range(copies.get(x, 1)):
-                for j in range(copies.get(y, 1)):
-                    mmap[f"{m}~{i}~{j}"] = f"{gm}~{i}~{j}"
-        on_objects[g] = omap
-        on_morphisms[g] = mmap
-    return ScwolAction(action.group, space, on_objects, on_morphisms)
+    n, ob, at = _inflated(action.space.objects, _rows_of(action.space), copies)
+    return _trusted(ScwolAction, group=action.group, space=space, _arrays=[
+        ([ob[y] + i for x, y in enumerate(fo) for i in range(n[x])],
+         [at[gm] + o for m, gm in enumerate(fm) for o in range(at[m + 1] - at[m])])
+        for fo, fm in action._arrays])
 
 
 def cyclic_subgroups(group: FinGroup) -> list[tuple[str, ...]]:

@@ -4,14 +4,19 @@ Naming follows the geometry: the pushout scwol is {k <- j -> l}, the
 parallel pair is {j => k}, the circle scwol is the barycentric square with
 two edges and two vertices, and polygon scwols are face posets of subdivided
 n-gons with arrows from edges into their endpoints.
+
+The hand-built categories go through the checked ``FinCat`` constructor;
+the one-object category of a group, the cone and the inflation are written
+off their input's rows (``fincat._stored``), with the proof in the docstring.
 """
 
 from __future__ import annotations
 
 import itertools
+from itertools import accumulate, chain
 from typing import Iterable, Mapping, Sequence
 
-from .fincat import FinCat, Morphism, _stored
+from .fincat import FinCat, Morphism, _rows_of, _stored
 from .groups import FinGroup
 
 
@@ -163,89 +168,58 @@ def contractible_groupoid(objects: Sequence[str]) -> FinCat:
     return build_category(objs, arrows, compose, name="E(" + ",".join(objs) + ")")
 
 
+def _inflated(objects: Sequence[str], r, copies: Mapping[str, int]) -> tuple[list[int], ...]:
+    """The number n[x] of copies of each of the ``objects`` of the rows
+    ``r`` in their inflation by ``copies``, and the first index of the
+    copies (x, i) of each object and (m, i, j) of each morphism."""
+    n = [max(copies.get(x, 1), 0) for x in objects]
+    sizes = [n[x] * n[y] for x, y in zip(r.src, r.tgt)]
+    return n, list(accumulate(n, initial=0)), list(accumulate(sizes, initial=0))
+
+
 def inflate(cat: FinCat, copies: Mapping[str, int], name: str | None = None) -> FinCat:
     """Equivalence-inflation: object x becomes copies (x,0), ..., (x,m-1),
     with hom((x,i),(y,j)) a bijective copy of hom(x,y).
 
     The result is equivalent to the input; inflating a scwol yields a scwol
-    whose skeleton is the input.
+    whose skeleton is the input.  It is written off the rows of ``cat``,
+    unchecked: (m, i, j) is morphism at[m] + i n[t(m)] + j (``_inflated``),
+    (id_x, i, i) is the identity of (x, i), and (g, j, k) o (f, i, j) =
+    (g o f, i, k) in ``cat``'s entry order, so the laws are ``cat``'s, copy
+    by copy.  Its inverses are searched.
     """
-
-    def ob(x, i):
-        return f"{x}~{i}"
-
-    def mo(m, i, j):
-        return f"{m}~{i}~{j}"
-
-    objs = []
-    for x in cat.objects:
-        for i in range(copies.get(x, 1)):
-            objs.append(ob(x, i))
-    mors = []
-    ident = {}
-    comp = {}
-    for m in cat.morphisms:
-        for i in range(copies.get(m.source, 1)):
-            for j in range(copies.get(m.target, 1)):
-                nm = mo(m.name, i, j)
-                mors.append(Morphism(nm, ob(m.source, i), ob(m.target, j)))
-                if cat.is_identity(m.name) and i == j:
-                    ident[ob(m.source, i)] = nm
-    for (g, f), gf in cat.composition.items():
-        fs = cat.source(f)
-        ft = cat.target(f)
-        gt = cat.target(g)
-        for i in range(copies.get(fs, 1)):
-            for j in range(copies.get(ft, 1)):
-                for k in range(copies.get(gt, 1)):
-                    comp[(mo(g, j, k), mo(f, i, j))] = mo(gf, i, k)
-    return FinCat(tuple(objs), tuple(mors), ident, comp, name=name or f"infl({cat.name})")
-
-
-def two_object_ei_category(group: FinGroup, action: Mapping[str, Mapping[str, str]],
-                           points: Sequence[str], name: str = "Gamma") -> FinCat:
-    """EI-category with objects x, y, mor(x,y) a left G-set, aut(y) = G.
-
-    ``action[g][s]`` is the image of point s under g; mor(x,x) = {id},
-    mor(y,x) is empty, and composition g o s = action[g][s].
-    """
-    objs = ("x", "y")
-    mors = [Morphism("id_x", "x", "x")]
-    mors += [Morphism(g, "y", "y") for g in group.labels]
-    mors += [Morphism(f"m{s}", "x", "y") for s in points]
-    ident = {"x": "id_x", "y": group.identity}
-    comp: dict[tuple[str, str], str] = {}
-    for g in group.labels:
-        for h in group.labels:
-            comp[(g, h)] = group.mul(g, h)
-        for s in points:
-            comp[(g, f"m{s}")] = f"m{action[g][s]}"
-    for s in points:
-        comp[(f"m{s}", "id_x")] = f"m{s}"
-    comp[("id_x", "id_x")] = "id_x"
-    return FinCat(objs, tuple(mors), ident, comp, name=name)
+    r = _rows_of(cat)
+    (n, ob, at), src, tgt = _inflated(cat.objects, r, copies), r.src, r.tgt
+    mors = [(m, x, y, i, j) for m, x, y in zip(r.names, src, tgt)
+            for i in range(n[x]) for j in range(n[y])]
+    return _stored(name or f"infl({cat.name})",
+                   [f"{x}~{i}" for x, c in zip(cat.objects, n) for i in range(c)],
+                   [f"{m}~{i}~{j}" for m, _, _, i, j in mors], [ob[x] + i for _, x, _, i, _ in mors],
+                   [ob[y] + j for _, _, y, _, j in mors],
+                   [at[e] + i * c + i for e, c in zip(r.ident, n) for i in range(c)],
+                   ((at[g] + j * n[z] + k, at[f] + i * n[y] + j, at[r.rows[f][g]] + i * n[z] + k)
+                    for g, f in r.pairs() for x, y, z in [(src[f], tgt[f], tgt[g])]
+                    for i in range(n[x]) for j in range(n[y]) for k in range(n[z])))
 
 
 def cone(cat: FinCat, apex: str = "t") -> FinCat:
-    """Freely adjoin a terminal object ``apex`` (one new arrow from each object)."""
+    """Freely adjoin a terminal object ``apex`` (one new arrow from each
+    object), written off the rows of ``cat``, unchecked.  Its morphisms are
+    ``cat``'s, id_apex, then c[x] for each object x; its entries ``cat``'s,
+    (id_apex, id_apex), (id_apex, c[x]) and (c[x], id_x) for each x, then
+    (c[t(m)], m) = c[s(m)] for each non-identity m.  Hom(x, apex) = {c[x]}
+    and Hom(apex, x) is empty for x != apex, so each composite into apex is
+    the one arrow of its hom-set and no new arrow has a one-sided inverse."""
     if cat.has_object(apex):
         raise ValueError(f"object {apex!r} already present")
-    objs = cat.objects + (apex,)
-    mors = list(cat.morphisms)
-    ident = dict(cat.identity)
-    comp = dict(cat.composition)
-
-    def nm(x):
-        return f"c[{x}]"
-
-    ident[apex] = f"id_{apex}"
-    mors.append(Morphism(f"id_{apex}", apex, apex))
-    comp[(f"id_{apex}", f"id_{apex}")] = f"id_{apex}"
-    for x in cat.objects:
-        mors.append(Morphism(nm(x), x, apex))
-        comp[(f"id_{apex}", nm(x))] = nm(x)
-        comp[(nm(x), cat.identity[x])] = nm(x)
-    for m in cat.morphisms:
-        if not cat.is_identity(m.name):
-            comp[(nm(m.target), m.name)] = nm(m.source)
-    return FinCat(tuple(objs), tuple(mors), ident, comp, name=f"cone({cat.name})")
+    r = _rows_of(cat)
+    n, top, ident = len(cat), len(r.names), r.ident  # top is id_apex, top + 1 + x is c[x]
+    return _stored(f"cone({cat.name})", cat.objects + (apex,),
+                   [*r.names, f"id_{apex}", *(f"c[{x}]" for x in cat.objects)],
+                   [*r.src, n, *range(n)], [*r.tgt, *[n] * (n + 1)], [*ident, top],
+                   chain(((g, f, r.rows[f][g]) for g, f in r.pairs()), [(top, top, top)],
+                         chain.from_iterable(((top, c, c), (c, e, c))
+                                             for c, e in enumerate(ident, top + 1)),
+                         ((top + 1 + y, m, top + 1 + x) for m, (x, y) in enumerate(zip(r.src, r.tgt))
+                          if ident[x] != m)),
+                   ({**r.inv, top: top}, cat._directly_finite))

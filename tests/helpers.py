@@ -424,11 +424,35 @@ def monoid_z2_mult() -> FinCat:
     return FinCat((obj,), mors, {obj: "1"}, comp, name="(Z/2,x)")
 
 
+def two_object_ei_category(group: FinGroup, action: Mapping[str, Mapping[str, str]],
+                           points: Sequence[str], name: str = "Gamma") -> FinCat:
+    """EI-category with objects x, y, mor(x,y) a left G-set, aut(y) = G.
+
+    ``action[g][s]`` is the image of point s under g; mor(x,x) = {id},
+    mor(y,x) is empty, and composition g o s = action[g][s].
+    """
+    objs = ("x", "y")
+    mors = [Morphism("id_x", "x", "x")]
+    mors += [Morphism(g, "y", "y") for g in group.labels]
+    mors += [Morphism(f"m{s}", "x", "y") for s in points]
+    ident = {"x": "id_x", "y": group.identity}
+    comp: dict[tuple[str, str], str] = {}
+    for g in group.labels:
+        for h in group.labels:
+            comp[(g, h)] = group.mul(g, h)
+        for s in points:
+            comp[(g, f"m{s}")] = f"m{action[g][s]}"
+    for s in points:
+        comp[(f"m{s}", "id_x")] = f"m{s}"
+    comp[("id_x", "id_x")] = "id_x"
+    return FinCat(objs, tuple(mors), ident, comp, name=name)
+
+
 def gamma_one() -> FinCat:
     """Two-object EI category whose aut(y) is Z/4 = <(1234)> acting on 4 points."""
     points = ("1", "2", "3", "4")
     action = {str(k): {s: points[(i + k) % 4] for i, s in enumerate(points)} for k in range(4)}
-    return zoo.two_object_ei_category(cyclic_group(4), action, points, name="Gamma1")
+    return two_object_ei_category(cyclic_group(4), action, points, name="Gamma1")
 
 
 def gamma_two() -> FinCat:
@@ -438,8 +462,8 @@ def gamma_two() -> FinCat:
     ident = {s: s for s in ("1", "2", "3", "4")}
     both = {s: swap34[swap12[s]] for s in ident}
     action = {"e": ident, "a": swap12, "b": swap34, "ab": both}
-    return zoo.two_object_ei_category(klein_four_group(), action, ("1", "2", "3", "4"),
-                                      name="Gamma2")
+    return two_object_ei_category(klein_four_group(), action, ("1", "2", "3", "4"),
+                                  name="Gamma2")
 
 
 def constant_complex(base: FinCat, group: FinGroup) -> groupact.ComplexOfGroups:
@@ -1506,6 +1530,145 @@ def reference_induced_space(group, base: FinCat) -> FinCat:
     return FinCat(objs, mors, ident, comp, name=f"{group.name}x{base.name}")
 
 
+
+# -- the cone, the inflation and the action lifts by name, as references --------
+# (each through the checked constructor, as they were built before they were
+# written off rows and arrays)
+
+
+def reference_inflate(cat: FinCat, copies: Mapping[str, int], name: str | None = None) -> FinCat:
+    """``zoo.inflate`` by name."""
+
+    def ob(x, i):
+        return f"{x}~{i}"
+
+    def mo(m, i, j):
+        return f"{m}~{i}~{j}"
+
+    objs = []
+    for x in cat.objects:
+        for i in range(copies.get(x, 1)):
+            objs.append(ob(x, i))
+    mors = []
+    ident = {}
+    comp = {}
+    for m in cat.morphisms:
+        for i in range(copies.get(m.source, 1)):
+            for j in range(copies.get(m.target, 1)):
+                nm = mo(m.name, i, j)
+                mors.append(Morphism(nm, ob(m.source, i), ob(m.target, j)))
+                if cat.is_identity(m.name) and i == j:
+                    ident[ob(m.source, i)] = nm
+    for (g, f), gf in cat.composition.items():
+        fs = cat.source(f)
+        ft = cat.target(f)
+        gt = cat.target(g)
+        for i in range(copies.get(fs, 1)):
+            for j in range(copies.get(ft, 1)):
+                for k in range(copies.get(gt, 1)):
+                    comp[(mo(g, j, k), mo(f, i, j))] = mo(gf, i, k)
+    return FinCat(tuple(objs), tuple(mors), ident, comp, name=name or f"infl({cat.name})")
+
+
+def reference_cone(cat: FinCat, apex: str = "t") -> FinCat:
+    """``zoo.cone`` by name."""
+    if cat.has_object(apex):
+        raise ValueError(f"object {apex!r} already present")
+    objs = cat.objects + (apex,)
+    mors = list(cat.morphisms)
+    ident = dict(cat.identity)
+    comp = dict(cat.composition)
+
+    def nm(x):
+        return f"c[{x}]"
+
+    ident[apex] = f"id_{apex}"
+    mors.append(Morphism(f"id_{apex}", apex, apex))
+    comp[(f"id_{apex}", f"id_{apex}")] = f"id_{apex}"
+    for x in cat.objects:
+        mors.append(Morphism(nm(x), x, apex))
+        comp[(f"id_{apex}", nm(x))] = nm(x)
+        comp[(nm(x), cat.identity[x])] = nm(x)
+    for m in cat.morphisms:
+        if not cat.is_identity(m.name):
+            comp[(nm(m.target), m.name)] = nm(m.source)
+    return FinCat(tuple(objs), tuple(mors), ident, comp, name=f"cone({cat.name})")
+
+
+def reference_cone_action(action, apex: str = "t"):
+    """``randgen.cone_action`` by name, through the checked constructor."""
+    space = reference_cone(action.space, apex)
+    on_objects = {}
+    on_morphisms = {}
+    for g in action.group.labels:
+        omap = dict(action.on_objects[g])
+        omap[apex] = apex
+        mmap = dict(action.on_morphisms[g])
+        mmap[f"id_{apex}"] = f"id_{apex}"
+        for x in action.space.objects:
+            mmap[f"c[{x}]"] = f"c[{action.act_obj(g, x)}]"
+        on_objects[g] = omap
+        on_morphisms[g] = mmap
+    return groupact.ScwolAction(action.group, space, on_objects, on_morphisms)
+
+
+def reference_inflate_action(action, copies: Mapping[str, int]):
+    """``randgen.inflate_action`` by name, through the checked constructor."""
+    for x in action.space.objects:
+        for g in action.group.labels:
+            if copies.get(x, 1) != copies.get(action.act_obj(g, x), 1):
+                raise ValueError("copy counts must be constant on orbits")
+    space = reference_inflate(action.space, copies)
+    on_objects = {}
+    on_morphisms = {}
+    for g in action.group.labels:
+        omap = {}
+        mmap = {}
+        for x in action.space.objects:
+            for i in range(copies.get(x, 1)):
+                omap[f"{x}~{i}"] = f"{action.act_obj(g, x)}~{i}"
+        for m, x, y in action.space._arrows():
+            gm = action.act_mor(g, m)
+            for i in range(copies.get(x, 1)):
+                for j in range(copies.get(y, 1)):
+                    mmap[f"{m}~{i}~{j}"] = f"{gm}~{i}~{j}"
+        on_objects[g] = omap
+        on_morphisms[g] = mmap
+    return groupact.ScwolAction(action.group, space, on_objects, on_morphisms)
+
+
+def reference_induced_free_action(group, base: FinCat):
+    """``randgen.induced_free_action`` by name, through the checked
+    constructor."""
+
+    def ob(g, x):
+        return f"{g}*{x}"
+
+    def mo(g, m):
+        return f"{g}*{m}"
+
+    on_objects = {
+        g: {ob(h, x): ob(group.mul(g, h), x) for h in group.labels for x in base.objects}
+        for g in group.labels
+    }
+    on_morphisms = {
+        g: {mo(h, m): mo(group.mul(g, h), m) for h in group.labels for m in base.morphism_names()}
+        for g in group.labels
+    }
+    return groupact.ScwolAction(group, reference_induced_space(group, base), on_objects,
+                                on_morphisms)
+
+
+
+def inflate_action_without_offset(action, copies: Mapping[str, int]):
+    """``randgen.inflate_action`` with every copy sent to the first copy of
+    its image, the copy offset dropped: a planted fault."""
+    n, ob, at = zoo._inflated(action.space.objects, _rows_of(action.space), copies)
+    return _trusted(groupact.ScwolAction, group=action.group,
+                    space=zoo.inflate(action.space, copies), _arrays=[
+                        ([ob[y] for x, y in enumerate(fo) for _ in range(n[x])],
+                         [at[gm] for m, gm in enumerate(fm) for _ in range(at[m + 1] - at[m])])
+                        for fo, fm in action._arrays])
 
 # -- the name walks of the Grothendieck builder, as references --------------------------
 

@@ -9,31 +9,43 @@ orders included, on drawn actions, the flag actions and every action of the
 ``audit`` instances.  A derived action composed without r fails the
 comparison, or ``skeletal_reduction`` itself.  The ``audit`` free and
 reduction tasks make no name view of a functor or an action.
+
+The lifts of an action along the cone and the inflation, and the induced
+free action, are written on arrays too: each is compared with the name-level
+lift (``helpers.reference_*``, through the checked constructor) on drawn
+actions and on every action of the ``audit`` instances, and a lift that
+drops the copy offset fails the comparison.  The ``audit`` and ``groups``
+set-ups make no view of a category or an action.
 """
 
 from random import Random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from eulcat import groupact, randgen
-from eulcat.errors import _trusted
-from eulcat.fincat import CatFunctor, _composite_arrays, _rows_of
+from eulcat import groupact, randgen, zoo
+from eulcat.errors import EulcatError, _trusted
+from eulcat.fincat import CatFunctor, FinCat, _composite_arrays, _rows_of
 from eulcat.groupact import ScwolAction, trivial_action
 from eulcat.groups import cyclic_group
 
 from helpers import (
     assert_same_table,
+    inflate_action_without_offset,
     load_workloads,
     named_action,
     reference_chi_theorems,
     reference_complex,
+    reference_cone_action,
     reference_equivariant_skeleton,
+    reference_induced_free_action,
+    reference_inflate_action,
     reference_quotient_result,
     reference_skeletal_reduction,
     s3_flag_action,
 )
-from strategies import SEEDS, flag_actions
+from strategies import SEEDS, flag_actions, groups, posets, scwols
 
 # the circle action with both swapped objects doubled: the retraction of
 # its skeleton does real work
@@ -158,13 +170,17 @@ def test_a_derived_action_without_r_fails_the_comparison(monkeypatch):
 
 
 def test_derived_tables_are_views():
-    """A derived action keeps arrays only, and its tables are made on first
-    read, in space order; a checked action keeps the tables it was given."""
-    red = groupact.skeletal_reduction(FAT).action
-    assert "on_objects" not in vars(red) and "on_morphisms" not in vars(red)
-    assert list(red.on_objects["0"]) == list(red.space.objects)
-    assert "on_objects" in vars(red) and "on_objects" in vars(FAT)
-    assert FAT.on_objects == FAT._tables(0) and FAT.on_morphisms == FAT._tables(1)
+    """A derived action (a reduced action, a lift) keeps arrays only, and
+    its tables are made on first read, in space order; a checked action
+    keeps the tables it was given."""
+    lifted = randgen.inflate_action(randgen.circle_action(), {"x": 2, "x2": 2})
+    for derived in (groupact.skeletal_reduction(FAT).action, lifted):
+        assert "on_objects" not in vars(derived) and "on_morphisms" not in vars(derived)
+        assert list(derived.on_objects["0"]) == list(derived.space.objects)
+        assert "on_objects" in vars(derived)
+    circle = randgen.circle_action()
+    assert "on_objects" in vars(circle) and "on_morphisms" in vars(circle)
+    assert circle.on_objects == circle._tables(0) and circle.on_morphisms == circle._tables(1)
 
 
 def test_audit_tasks_make_no_views(monkeypatch):
@@ -188,3 +204,113 @@ def test_audit_tasks_make_no_views(monkeypatch):
     # the spy sees a view where one is made
     groupact.skeletal_reduction(actions[0]).action.on_objects
     assert made == ["on_objects"]
+
+
+def outcome(lift, *args):
+    """The arrays of the action ``lift(*args)``, or the class, message and
+    witness of what it raised."""
+    try:
+        return lift(*args)._arrays
+    except (EulcatError, ValueError) as exc:
+        return type(exc), str(exc), getattr(exc, "witness", None)
+
+
+def orbit_copies(action, counts=(2, 0, 1, 3)) -> dict:
+    """Copy counts constant on the object orbits, cycling through ``counts``."""
+    return {x: counts[k % len(counts)] for k, orbit in enumerate(action.object_orbits())
+            for x in orbit}
+
+
+def assert_same_lifts(action) -> None:
+    """``cone_action`` and ``inflate_action`` of ``action`` hold the arrays
+    that the checked constructor reads from the name-level lift's tables
+    (or raise as it does): coned at a new apex, and inflated with
+    orbit-constant counts and with counts that are not."""
+    apex = "t" if not action.space.has_object("t") else "apex"
+    same("cone lifts", outcome(randgen.cone_action, action, apex),
+         outcome(reference_cone_action, action, apex))
+    for copies in (orbit_copies(action), {action.space.objects[0]: 2}, {}):
+        same("inflation lifts", outcome(randgen.inflate_action, action, copies),
+             outcome(reference_inflate_action, action, copies))
+
+
+class TestLiftsOnArrays:
+    @settings(max_examples=60, deadline=None)
+    @given(SEEDS)
+    def test_drawn_actions(self, seed):
+        assert_same_lifts(randgen.random_action(Random(seed)))
+
+    @pytest.mark.parametrize("seed", [0, 1, 1009])
+    def test_audit_actions(self, seed):
+        _, free, actions = load_workloads().audit_instances(seed, 40)
+        for action in free + actions:
+            assert_same_lifts(action)
+
+    @pytest.mark.parametrize("seed", [0, 1, 1009])
+    def test_audit_actions_drawn_both_ways(self, seed, monkeypatch):
+        """The ``audit`` set-up draws the same actions with the name-level
+        lifts in place of the array ones."""
+        workloads = load_workloads()
+        got = workloads.audit_instances(seed, 40)
+        for name in ("cone_action", "inflate_action", "induced_free_action"):
+            monkeypatch.setattr(randgen, name, globals()[f"reference_{name}"])
+        want = workloads.audit_instances(seed, 40)
+        assert len(got[1] + got[2]) == len(want[1] + want[2]) == 20
+        for g, w in zip(got[1] + got[2], want[1] + want[2]):
+            assert_same_table(g.space, w.space)
+            same("drawn actions", g._arrays, w._arrays)
+
+    @settings(max_examples=30, deadline=None)
+    @given(groups, st.one_of(scwols, posets))
+    def test_induced_free_actions(self, group, base):
+        same("induced actions", randgen.induced_free_action(group, base)._arrays,
+             reference_induced_free_action(group, base)._arrays)
+
+    def test_a_base_that_is_no_scwol(self):
+        """The induced action of a base with a non-identity endomorphism is
+        rejected as the checked constructor rejected it."""
+        base = zoo.one_object_category(cyclic_group(2))
+        got = outcome(randgen.induced_free_action, cyclic_group(3), base)
+        assert got == outcome(reference_induced_free_action, cyclic_group(3), base)
+        assert got[0].__name__ == "NotScwol"
+
+
+def test_a_lift_without_the_copy_offset_fails_the_comparison(monkeypatch):
+    """Non-vacuity: dropping the copy offset is seen (the circle action's
+    swapped objects get two copies each)."""
+    action = randgen.circle_action()
+    assert_same_lifts(action)
+    monkeypatch.setattr(randgen, "inflate_action", inflate_action_without_offset)
+    with pytest.raises(AssertionError, match="inflation lifts differ"):
+        assert_same_lifts(action)
+
+
+def test_set_ups_make_no_views(monkeypatch, tmp_path):
+    """The ``audit`` set-up at seed 0 and the ``groups`` set-up make no view
+    of a category or an action: the cones, inflations and lifts are written
+    off arrays (before, they made 181 category and 36 action views, and
+    22 category views)."""
+    workloads = load_workloads()
+    made = []
+    for cls in (FinCat, ScwolAction):
+        real = cls._make
+        monkeypatch.setattr(cls, "_make", lambda self, attr, real=real: made.append(attr)
+                            or real(self, attr))
+    workloads.audit_instances(0, 1500)
+    workloads.groups_setup(0, str(tmp_path))
+    assert made == []
+    # the spy sees a view where one is made
+    reference_cone_action(randgen.circle_action())
+    assert made
+
+
+def test_quotient_orbit_maps_are_views():
+    """``quotient`` keeps its projection as arrays; each orbit map is made
+    on its first read, orbit by orbit, each orbit in name order."""
+    q = groupact.quotient(FAT)
+    assert not {"object_orbit_of", "morphism_orbit_of"} & vars(q).keys()
+    assert list(q.object_orbit_of.items()) == [
+        ("x2~0", "x2~0"), ("x~0", "x2~0"), ("x2~1", "x2~1"), ("x~1", "x2~1"),
+        ("y~0", "y~0"), ("z~0", "z~0")]
+    assert q.object_orbit_of is q.object_orbit_of
+    assert "morphism_orbit_of" not in vars(q)

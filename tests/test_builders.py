@@ -45,11 +45,13 @@ from helpers import (
     load_workloads,
     loaded,
     monoid_z2_mult,
+    reference_cone,
     reference_connected_groupoid,
     reference_disjoint_union,
     reference_full_subcategory,
     reference_haefliger_chi,
     reference_hocolim_groups,
+    reference_inflate,
     reference_induced_space,
     reference_iso_classes,
     reference_lower_link,
@@ -142,6 +144,27 @@ class TestSameAsTheNameLevelBuilder:
     def test_lower_link(self, cat):
         for x in cat.objects:
             assert_same_build(lower_link(cat, x), reference_lower_link(cat, x))
+
+    @settings(max_examples=40, deadline=None)
+    @given(inputs)
+    def test_cone(self, cat):
+        apex = "t" if not cat.has_object("t") else "apex"
+        assert_same_build(zoo.cone(cat, apex), reference_cone(cat, apex))
+
+    @settings(max_examples=40, deadline=None)
+    @given(inputs, st.data())
+    def test_inflate(self, cat, data):
+        copies = data.draw(st.dictionaries(st.sampled_from(cat.objects), st.integers(0, 3))
+                           if cat.objects else st.just({}))
+        assert_same_build(zoo.inflate(cat, copies), reference_inflate(cat, copies))
+
+    @pytest.mark.parametrize("copies", [{"j": 0}, {"j": 0, "k": 0, "l": 0}, {"k": 0, "l": 3}],
+                             ids=["source", "all", "one-target"])
+    def test_inflate_with_no_copies(self, copies):
+        """An object with no copies takes its morphisms along."""
+        for cat in (zoo.pushout_scwol(), loaded(zoo.pushout_scwol(), 2)):
+            assert_same_build(zoo.inflate(cat, copies, name="I"),
+                              reference_inflate(cat, copies, name="I"))
 
     @settings(max_examples=30, deadline=None)
     @given(actions)
@@ -301,6 +324,25 @@ class TestNamesCollide:
             product(a, b)
         assert str(got.value) == str(want.value)
         assert got.value.witness == want.value.witness
+
+
+    @pytest.mark.parametrize("arrows", [(("c[x]", "x", "y"),), (("id_t", "y", "x"),)],
+                             ids=["c[x]", "id_t"])
+    def test_a_cone_with_repeated_names(self, arrows):
+        """A cone arrow named like a morphism of its input is rejected as
+        the record check of the name-level builder rejected it."""
+        cat = zoo.build_category(("x", "y"), arrows, name="B")
+        with pytest.raises(DanglingReference) as want:
+            reference_cone(cat)
+        with pytest.raises(DanglingReference) as got:
+            zoo.cone(cat)
+        assert str(got.value) == str(want.value)
+        assert got.value.witness == want.value.witness
+
+    def test_an_apex_already_present(self):
+        for build in (zoo.cone, reference_cone):
+            with pytest.raises(ValueError, match="^object 'j' already present$"):
+                build(zoo.pushout_scwol(), "j")
 
 
 class TestNonVacuity:

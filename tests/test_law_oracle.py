@@ -3,7 +3,8 @@ without checking it again.
 
 Every homotopy colimit total (``grothendieck``, ``grothendieck_pseudo``,
 ``hocolim_groups``), and ``one_object_category``, ``lower_link``,
-``quotient`` and ``transport_groupoid``, is built from an input whose own
+``quotient``, ``transport_groupoid``, the zoo's ``cone`` and ``inflate``
+and the space of ``induced_free_action``, is built from an input whose own
 checks make it lawful.  Here each output is rebuilt through the checked
 ``FinCat`` constructor (``helpers.assert_lawful``).  The consequences of
 the scwol-action axioms that the library reads without checking (the orbit
@@ -18,13 +19,15 @@ them: the input checks are what carry the weight.
 
 Every other value the library derives from validated ones is built by
 ``errors._trusted``, with no constructor check: functors, homomorphisms,
-complexes, actions, diagrams, spectra, weightings, subgroups and the
-automorphism groups of ``iso_classes``.
+complexes, actions (the action lifts along the cone and the inflation, and
+the induced free action, among them), diagrams, spectra, weightings,
+subgroups and the automorphism groups of ``iso_classes``.
 ``helpers.assert_revalidates`` rebuilds each through its constructor here,
 and the skeleton's eta goes through ``fincat._check_natural``; the
 non-vacuity tests show that a twist with its factors swapped, one wrong
-eta component and automorphisms with a wrong inverse are rejected, and no
-listed path runs a constructor check.
+eta component, automorphisms with a wrong inverse and an inflation lift
+without its copy offset are rejected, and no listed path runs a
+constructor check.
 """
 
 from fractions import Fraction
@@ -33,7 +36,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eulcat import groupact, zoo
+from eulcat import groupact, randgen, zoo
 from eulcat.errors import ValidationError
 from eulcat.eulerchar import chi2_free_EI, chi_scwol, groupoid_chi2
 from eulcat.fincat import (
@@ -51,6 +54,7 @@ from eulcat.groupact import (
     AxiomIIViolation,
     AxiomIViolation,
     ComplexOfGroups,
+    NotAFunctorAction,
     ScwolAction,
     complex_of_groups,
     complex_to_pseudo_diagram,
@@ -84,6 +88,7 @@ from helpers import (
     assert_revalidates,
     assert_transport_groupoid,
     gamma_one,
+    inflate_action_without_offset,
     InvalidQuotient,
     s3_flag_action,
     start_sum,
@@ -151,6 +156,13 @@ class TestSmallerBuilders:
     @given(st.one_of(actions, noncentral_actions.map(lambda drawn: drawn[0])))
     def test_quotient(self, action):
         assert_lawful(quotient(action).category)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.one_of(SCWOLS_AND_GROUPOIDS, posets), st.data())
+    def test_cone_and_inflate(self, cat, data):
+        copies = data.draw(st.dictionaries(st.sampled_from(cat.objects), st.integers(0, 3)))
+        assert_lawful(zoo.cone(cat, "apex"))
+        assert_lawful(zoo.inflate(cat, copies))
 
 
 class TestActionConsequences:
@@ -378,6 +390,27 @@ class TestTrustedBuilders:
         for group in auts.values():
             assert_same_group(group)
 
+    @settings(max_examples=25, deadline=None)
+    @given(ANY_ACTION)
+    def test_action_lifts(self, action):
+        """The lift along an inflation with orbit-constant copy counts, and
+        along the cone unless the space is one already."""
+        copies = {x: (2, 1, 0)[k % 3] for k, orbit in enumerate(action.object_orbits())
+                  for x in orbit}
+        lifts = [randgen.inflate_action(action, copies)]
+        if not action.space.has_object("t"):
+            lifts.append(randgen.cone_action(action))
+        for lifted in lifts:
+            assert_lawful(lifted.space)
+            assert_revalidates(lifted)
+
+    @settings(max_examples=25, deadline=None)
+    @given(groups, scwols)
+    def test_induced_free_action(self, group, base):
+        action = randgen.induced_free_action(group, base)
+        assert_lawful(action.space)
+        assert_revalidates(action)
+
     @settings(max_examples=20, deadline=None)
     @given(groups, ANY_ACTION)
     def test_identities_and_stabilizers(self, group, action):
@@ -413,6 +446,14 @@ class TestTrustedNonVacuity:
             assert_retraction_data(cat, sk.inclusion, sk.retraction, {**sk.eta, x: other})
         assert_retraction_data(cat, sk.inclusion, sk.retraction, sk.eta)
 
+
+    def test_an_inflation_lift_without_its_copy_offset(self):
+        """Each copy of the circle's swapped objects sent to the first copy
+        of its image: the oracle sees that the element does not permute."""
+        lifted = inflate_action_without_offset(randgen.circle_action(), {"x": 2, "x2": 2})
+        with pytest.raises(NotAFunctorAction, match="does not permute the objects"):
+            assert_revalidates(lifted)
+        assert_revalidates(randgen.inflate_action(randgen.circle_action(), {"x": 2, "x2": 2}))
 
     def test_automorphisms_with_a_wrong_inverse(self, monkeypatch):
         """Z/3 with every element read as its own inverse: the oracle sees it."""

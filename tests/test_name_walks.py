@@ -46,6 +46,7 @@ from helpers import (
     reference_twist_walk,
     reference_walk_functor_maps,
     split_idempotent,
+    two_object_ei_category,
     unvalidated,
 )
 from strategies import (
@@ -350,7 +351,7 @@ class TestWitnesses:
         product with an arrow the order of the objects; each built and
         loaded with its entries shuffled."""
         z3 = cyclic_group(3)
-        fixed = zoo.two_object_ei_category(z3, {g: {"p": "p"} for g in z3.labels}, ("p",))
+        fixed = two_object_ei_category(z3, {g: {"p": "p"} for g in z3.labels}, ("p",))
         for built in (gamma_two(), fixed, fincat.product(fixed, zoo.arrow_category())):
             for cat in (built, loaded(built, 6)):
                 want = reference_free_aut_witness(cat)

@@ -34,6 +34,7 @@ from helpers import (
     reference_check_records,
     reference_name_fields,
     split_idempotent,
+    two_object_ei_category,
 )
 from strategies import SEEDS, groupoids, posets, scwols
 
@@ -66,7 +67,7 @@ ZOO = {
     "inflated": lambda: zoo.inflate(zoo.pushout_scwol(), {"k": 2, "j": 3}),
     "gamma1": gamma_one,
     "gamma2": gamma_two,
-    "two-object": lambda: zoo.two_object_ei_category(
+    "two-object": lambda: two_object_ei_category(
         klein_four_group(), {g: {"p": "p"} for g in klein_four_group().labels}, ("p",)),
     "cone": lambda: zoo.cone(zoo.circle_scwol()),
     "split": split_idempotent,
