@@ -15,6 +15,10 @@ Runs the set-up of ``perfbench/workloads.py`` for the workload once, under
 - ``view_bytes``: the bytes those views hold beyond the rows;
 - ``row_bytes``: the bytes the categories' ``_ends`` hold (their rows, or
   a total's arrays);
+- ``cells``: the composition entries the categories' rows hold, and
+  ``row_container_bytes`` the bytes of the row containers alone (each
+  row's tuple, without the composites it holds), so that their ratio is
+  the layout's cost per entry;
 - ``functors``: the ``CatFunctor``s reachable from the set-up's tasks, and
   ``functor_views`` how many of them hold an ``obj_map`` or ``mor_map``
   view made from their arrays (a map given by name is no view), counted
@@ -45,7 +49,7 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import workloads  # noqa: E402
-from eulcat.fincat import CatFunctor, FinCat, Morphism, _Ends  # noqa: E402
+from eulcat.fincat import CatFunctor, FinCat, Morphism, _Ends, _Rows  # noqa: E402
 
 VIEWS = ("morphisms", "composition", "_mor", "_hom", "_by_source", "_invertible")
 LEAVES = (str, int, float, bool, type(None), type, types.ModuleType)
@@ -130,6 +134,9 @@ def measure(workload: str, seed: int, size: str) -> dict:
         cats, functors = reachable(tasks)
         seen: set = set()
         row_bytes = sum(deep_size(cat._ends, seen) for cat in cats)
+        held = {id(cat._ends): cat._ends.rows for cat in cats if isinstance(cat._ends, _Rows)}
+        cells = sum(len(row) for rows in held.values() for row in rows)
+        row_container_bytes = sum(sys.getsizeof(row) for rows in held.values() for row in rows)
         held = {attr: [cat for cat in cats if attr in vars(cat)] for attr in VIEWS}
         view_bytes = sum(deep_size(vars(cat)[attr], seen) for attr in VIEWS for cat in held[attr])
         functor_bytes = sum(deep_size(fun._arrays, seen) for fun in functors)
@@ -140,6 +147,7 @@ def measure(workload: str, seed: int, size: str) -> dict:
             "with_views": sum(any(attr in vars(cat) for attr in VIEWS) for cat in cats),
             "views": {attr: len(held[attr]) for attr in VIEWS},
             "view_bytes": view_bytes, "row_bytes": row_bytes,
+            "cells": cells, "row_container_bytes": row_container_bytes,
             "functors": len(functors), "functor_views": functor_views(workload, seed, size),
             "functor_bytes": functor_bytes,
         }

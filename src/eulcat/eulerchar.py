@@ -104,7 +104,7 @@ def free_aut_witness(cat: FinCat):
         auts = [u for u in hom if r.src[u] == y and u in r.inv and u != r.ident[y]]
         for a in hom:
             for u in auts:
-                if r.rows[a][u] == a:
+                if r.rows[a][r.pos[u]] == a:
                     return r.names[u], r.names[a]
     return None
 

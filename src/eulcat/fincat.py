@@ -44,13 +44,13 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import accumulate, chain, compress, repeat
 from operator import eq
 from typing import Iterable, Iterator, Mapping, NoReturn, Optional, Sequence
 
 from .errors import ValidationError, _trusted
 from .groups import (FinGroup, _check_on_generators, _first_repeat, _generating_set,
-                     _require_list, _unassociative)
+                     _positions, _require_list, _unassociative)
 
 
 class DanglingReference(ValidationError):
@@ -151,7 +151,7 @@ class FinCat:
         rows = _Rows(obj_index, names, index, src, tgt, ident)
         rows.check_entries(((g, f, gf) for (g, f), gf in self.composition.items()), self.name)
         rows.check_laws(self.name)
-        rows.inv, directly_finite = _inverse_search(rows.rows, src, tgt, ident)
+        rows.inv, directly_finite = _inverse_search(rows.rows, rows.pos, src, tgt, ident)
         fields = self.__dict__
         del fields["morphisms"], fields["composition"]  # views from here on
         fields.update(_directly_finite=directly_finite, _ends=rows)
@@ -237,7 +237,15 @@ class FinCat:
 
     def compose(self, g: str, f: str) -> str:
         r = self._named()
-        return r.names[r.rows[r.index[f]][r.index[g]]]
+        gi, fi = r.index[g], r.index[f]
+        if r.src[gi] != r.tgt[fi]:  # (g, f) is not composable
+            raise KeyError((g, f))
+        return r.names[self._composites[fi][r.pos[gi]]]
+
+    @property
+    def _composites(self) -> list:
+        """The rows ``compose`` reads: those of ``_ends``, or a total's own."""
+        return self._ends.rows
 
     def hom(self, x: str, y: str) -> tuple[str, ...]:
         return self._hom.get((x, y), ())
@@ -319,30 +327,54 @@ class _Ends:
 
 
 class _Rows(_Ends):
-    """The composition table of a FinCat on morphism indices: ``rows[f][g]``
-    is the index of ``g o f``.  ``objects`` numbers the objects, ``names``
-    names the morphisms and ``index`` numbers them, and ``src``, ``tgt``
-    and ``ident`` give each morphism's endpoints and each object's identity
-    by index.
+    """The composition table of a FinCat on morphism indices: row f is a
+    tuple of the ``g o f`` for the g out of t(f) (``out``), in index order,
+    so g o f is ``rows[f][pos[g]]``, ``pos[g]`` the place of g among the
+    morphisms out of its source.  A complete table needs no key, and the
+    garbage collector stops tracking a tuple of ints.  ``objects`` numbers
+    the objects, ``names`` names the morphisms and ``index`` numbers them,
+    and ``src``, ``tgt`` and ``ident`` give each morphism's endpoints and
+    each object's identity by index.
 
-    Row f holds its cells in the order of the entries that filled it, and
-    ``order`` the f of each entry, so ``pairs`` and ``table`` give the
-    entries back in order.  A builder writes them (``_stored``), or
-    ``check_entries`` checks each entry of a table as it fills them.
-    ``check_laws`` and the inverse search read the rows.  Names come back
-    only to report the first failure, whose ``witness`` holds the offending
-    names.
+    ``order`` holds the cell of each entry in entry order, numbered row by
+    row, so ``entries``, ``pairs`` and ``table`` give the entries back in
+    order, whatever order filled a row.  A builder writes them (``_fill``,
+    by ``_stored``), or ``check_entries`` checks each entry of a table as it
+    fills them.  ``check_laws`` and the inverse search read the rows.  Names
+    come back only to report the first failure, whose ``witness`` holds the
+    offending names.
     """
 
-    __slots__ = ("names", "index", "objects", "rows", "order", "gens")
+    __slots__ = ("names", "index", "objects", "rows", "pos", "order", "gens")
 
     def __init__(self, objects: dict, names: Sequence[str], index: dict, src: list[int],
                  tgt: list[int], ident: list[int], rows: Optional[list] = None,
-                 order: Optional[list[int]] = None):
+                 order: Optional[Sequence[int]] = None):
         self.src, self.tgt, self.ident, self.inv = src, tgt, ident, None
         self.objects, self.names, self.index = objects, names, index
-        self.rows = [{} for _ in names] if rows is None else rows
-        self.order, self.gens = order, None
+        pos, width = _positions(src, len(ident))
+        self.pos = tuple(pos)
+        if rows is None:  # to be filled: until then ``order`` holds where each row starts
+            order = list(accumulate([width[y] for y in tgt], initial=0))
+        self.rows, self.order, self.gens = rows, order, None
+
+    def _fill(self, entries: Iterable[tuple[int, int, int]]) -> None:
+        """Write the cells of ``entries``, the triples (g, f, g o f) by
+        index in order, and their places in ``order``, unchecked."""
+        pos, start = self.pos, self.order
+        cells, order = [None] * start[-1], []
+        put = order.append
+        for g, f, gf in entries:
+            cell = start[f] + pos[g]
+            cells[cell] = gf
+            put(cell)
+        self._cut(cells, order)
+
+    def _cut(self, cells: list, order: list) -> None:
+        """Keep ``cells``, filled row by row, as the rows, and ``order``."""
+        start = self.order
+        self.rows = list(map(tuple, map(cells.__getitem__, map(slice, start, start[1:]))))
+        self.order = tuple(order)
 
     def check_entries(self, entries: Iterable, name: str, numbers: bool = False) -> None:
         """Fill the rows from ``entries``, the triples (g, f, gf) of the
@@ -350,8 +382,8 @@ class _Rows(_Ends):
         read: known names (with ``numbers``, an id may be a JSON number,
         read as its ``str``), a composable pair, the endpoints of the
         composite."""
-        index, src, tgt, rows = self.index, self.src, self.tgt, self.rows
-        self.order = order = []
+        index, src, tgt, pos, start = self.index, self.src, self.tgt, self.pos, self.order
+        cells, order = [None] * start[-1], []
         put = order.append
         for g, f, gf in entries:
             try:
@@ -377,8 +409,10 @@ class _Rows(_Ends):
                     f"{name}: composite {gf!r} of ({g!r}, {f!r}) has wrong endpoints",
                     witness={"pair": (g, f)},
                 )
-            rows[fi][gi] = ci
-            put(fi)
+            cell = start[fi] + pos[gi]  # as in ``_fill``
+            cells[cell] = ci
+            put(cell)
+        self._cut(cells, order)
 
     def out(self) -> list[list[int]]:
         """The morphisms out of each object, by index, in morphism order."""
@@ -391,23 +425,24 @@ class _Rows(_Ends):
         """Check completeness, both identity laws, then associativity on every
         composable triple (``groups._unassociative``) unless the category
         ``name`` is thin, where both sides share a one-element hom-set."""
-        names, src, tgt, ident, rows = self.names, self.src, self.tgt, self.ident, self.rows
+        names, src, tgt, ident, rows, pos = (self.names, self.src, self.tgt, self.ident,
+                                             self.rows, self.pos)
         out = self.out()
-        # every key of rows[f] is composable with f, so a short row misses one
+        # an empty cell is a composable pair with no entry
         for f, row in enumerate(rows):
-            if len(row) != len(out[tgt[f]]):
-                g = next(g for g in out[tgt[f]] if g not in row)
+            if None in row:
+                g = out[tgt[f]][row.index(None)]
                 raise IncompleteCompositionTable(
                     f"{name}: missing composite for pair ({names[g]!r}, {names[f]!r})",
                     witness={"pair": (names[g], names[f])},
                 )
 
         for f, row in enumerate(rows):
-            if row[ident[tgt[f]]] != f:
+            if row[pos[ident[tgt[f]]]] != f:
                 raise BrokenIdentity(
                     f"{name}: id o {names[f]!r} != {names[f]!r}", witness={"morphism": names[f]}
                 )
-            if rows[ident[src[f]]][f] != f:
+            if rows[ident[src[f]]][pos[f]] != f:
                 raise BrokenIdentity(
                     f"{name}: {names[f]!r} o id != {names[f]!r}", witness={"morphism": names[f]}
                 )
@@ -416,7 +451,7 @@ class _Rows(_Ends):
         # checked above, so a thin category is associative
         if self.is_thin():
             return
-        bad = _unassociative(rows, tgt, ident, out, out)
+        bad = _unassociative(rows, pos, tgt, ident, out, out)
         if bad is not None:
             f, g, h = map(names.__getitem__, bad)
             raise NonAssociative(f"{name}: h o (g o f) != (h o g) o f for "
@@ -429,30 +464,38 @@ class _Rows(_Ends):
             self.gens = _generating_set(self.rows, self.ident, self.src, self.tgt)
         return self.gens
 
+    def entries(self) -> Iterator[tuple[int, int, int]]:
+        """The triples (g, f, g o f) of the checked entries, by index, in
+        entry order: each place in ``order`` is read off the cells row by
+        row, the g of each from ``out``."""
+        rows, out, order = self.rows, self.out(), self.order
+        fs = list(chain.from_iterable(map(repeat, range(len(rows)), map(len, rows))))
+        gs = list(chain.from_iterable(map(out.__getitem__, self.tgt)))
+        cells = list(chain.from_iterable(rows))
+        return zip(map(gs.__getitem__, order), map(fs.__getitem__, order),
+                   map(cells.__getitem__, order))
+
     def pairs(self) -> Iterator[tuple[int, int]]:
-        """The pairs (g, f) of checked entries, by index, in entry order:
-        row f holds its cells in the order of the entries that filled them."""
-        cells = [iter(row) for row in self.rows]
-        for f in self.order:
-            yield next(cells[f]), f
+        """The pairs (g, f) of checked entries, by index, in entry order."""
+        return ((g, f) for g, f, _ in self.entries())
 
     def table(self) -> dict[tuple[str, str], str]:
         """The name-keyed table of checked entries, in entry order."""
-        names, rows = self.names, self.rows
-        return {(names[g], names[f]): names[rows[f][g]] for g, f in self.pairs()}
+        names = self.names
+        return {(names[g], names[f]): names[gf] for g, f, gf in self.entries()}
 
 
-def _inverse_search(rows: Sequence, src: Sequence[int], tgt: Sequence[int],
+def _inverse_search(rows: Sequence, pos: Sequence[int], src: Sequence[int], tgt: Sequence[int],
                     ident: Sequence[int]) -> tuple[dict[int, int], bool]:
     """The inverses of a category on int rows, where g o m is
-    ``rows[m][g]``: the ``inv`` of its ``_ends`` (each invertible m to its
-    inverse, in morphism order), and whether no g has g o m = id but
-    m o g != id.  The candidates g for m run through Hom(t(m), s(m)) in
-    morphism order, and the search stops at an inverse, the only left
-    inverse of m.  Only a morphism with a reverse arrow has a candidate.  An
-    identity e is its own inverse and has no other left inverse (g o e = g),
-    and it is no left inverse of any other m (e o m = m), so it is neither
-    searched nor a candidate."""
+    ``rows[m][pos[g]]`` (``_Rows``): the ``inv`` of its ``_ends`` (each
+    invertible m to its inverse, in morphism order), and whether no g has
+    g o m = id but m o g != id.  The candidates g for m run through
+    Hom(t(m), s(m)) in morphism order, and the search stops at an inverse,
+    the only left inverse of m.  Only a morphism with a reverse arrow has a
+    candidate.  An identity e is its own inverse and has no other left
+    inverse (g o e = g), and it is no left inverse of any other m
+    (e o m = m), so it is neither searched nor a candidate."""
     reverse = set(zip(tgt, src))
     searched = list(compress(range(len(src)), map(reverse.__contains__, zip(src, tgt))))
     identities = set(ident)
@@ -466,10 +509,10 @@ def _inverse_search(rows: Sequence, src: Sequence[int], tgt: Sequence[int],
         if m in identities:
             inv[m] = m
             continue
-        row, unit = rows[m], ident[src[m]]
+        row, unit, p = rows[m], ident[src[m]], pos[m]
         for g in back[src[m], tgt[m]]:
-            if row[g] == unit:
-                if rows[g][m] == ident[tgt[m]]:
+            if row[pos[g]] == unit:
+                if rows[g][p] == ident[tgt[m]]:
                     inv[m] = g
                     break
                 directly_finite = False
@@ -498,12 +541,9 @@ def _stored(name: str, objects: Sequence[str], names: Sequence[str], src: list[i
     if len(obj_index) != len(objects) or len(index) != len(names):
         records = tuple(map(Morphism, names, [objects[x] for x in src], [objects[y] for y in tgt]))
         _trusted(FinCat, name=name, objects=objects, morphisms=records)._check_records()  # raises
-    r = _Rows(obj_index, names, index, src, tgt, ident, None, [])
-    rows, put = r.rows, r.order.append
-    for g, f, gf in entries:
-        rows[f][g] = gf
-        put(f)
-    r.inv, directly_finite = inverses or _inverse_search(rows, src, tgt, ident)
+    r = _Rows(obj_index, names, index, src, tgt, ident)
+    r._fill(entries)
+    r.inv, directly_finite = inverses or _inverse_search(r.rows, r.pos, src, tgt, ident)
     return _trusted(FinCat, name=name, objects=objects, _ends=r, _directly_finite=directly_finite)
 
 
@@ -596,11 +636,11 @@ def _load(name: str, objects: tuple, names: list, sources: list, targets: list,
     except ValidationError:
         _check_listing(name, entries)
         raise
-    # each entry filled one cell, so fewer cells means a pair listed twice
-    if sum(map(len, rows.rows)) != len(entries):
+    # each entry filled one cell, so fewer filled cells means a pair listed twice
+    if sum(map(len, rows.rows)) - sum(map(tuple.count, rows.rows, repeat(None))) != len(entries):
         _check_listing(name, entries)
     rows.check_laws(name)
-    rows.inv, directly_finite = _inverse_search(rows.rows, src, tgt, ident)
+    rows.inv, directly_finite = _inverse_search(rows.rows, rows.pos, src, tgt, ident)
     return _trusted(FinCat, name=name, objects=objects, identity=identity, _ends=rows,
                     _directly_finite=directly_finite)
 
@@ -761,9 +801,10 @@ def _check_functor_arrays(s: _Rows, t: _Rows, fo: list[int], fm: list[int], thin
     which is ``_is_thin`` of it), where both sides share a hom-set.
     Elsewhere it is checked on the rows of the source's generators
     (``groups._check_on_generators``), row s mapped by ``fm`` against row
-    ``fm[s]`` of the target.  A broken row is located among the entries of
-    the source in order (``_Rows.pairs``), skipping entries with an identity
-    factor, which hold by source/target and identities."""
+    ``fm[s]`` of the target read at the cells of the images (``cell``) of
+    the morphisms out of t(s).  A broken row is located among the entries
+    of the source in order (``_Rows.entries``), skipping entries with an
+    identity factor, which hold by source/target and identities."""
     image, obj_image, names = fm.__getitem__, fo.__getitem__, s.names
     if list(map(t.src.__getitem__, fm)) != list(map(obj_image, s.src)) or \
             list(map(t.tgt.__getitem__, fm)) != list(map(obj_image, s.tgt)):
@@ -775,17 +816,18 @@ def _check_functor_arrays(s: _Rows, t: _Rows, fo: list[int], fm: list[int], thin
         _not_a_functor(f"identity of {x!r} not preserved", "identities", x)
     if thin:  # both sides run F(s(f)) -> F(t(g)), by source/target
         return
-    s_rows, t_rows = s.rows, t.rows
+    s_rows, t_rows, s_out, s_tgt = s.rows, t.rows, s.out(), s.tgt
+    cell = list(map(t.pos.__getitem__, fm))
 
     def locate() -> NoReturn:
         ids = set(s.ident)
-        for g, f in s.pairs():
-            if g not in ids and f not in ids and t_rows[fm[f]][fm[g]] != fm[s_rows[f][g]]:
+        for g, f, gf in s.entries():
+            if g not in ids and f not in ids and t_rows[fm[f]][cell[g]] != fm[gf]:
                 _not_a_functor(f"composition not preserved on ({names[g]!r}, {names[f]!r})",
                                "composition", (names[g], names[f]))
 
-    _check_on_generators(s, lambda f: list(map(t_rows[fm[f]].__getitem__, map(image, s_rows[f])))
-                         == list(map(image, s_rows[f].values())), locate)
+    _check_on_generators(s, lambda f: list(map(t_rows[fm[f]].__getitem__, map(
+        cell.__getitem__, s_out[s_tgt[f]]))) == list(map(image, s_rows[f])), locate)
 
 
 def _identity_arrays(cat: FinCat) -> _Arrays:
@@ -834,16 +876,17 @@ def _check_natural(cat: FinCat, s: _Rows, tgt: FinCat, t: _Rows, f: _Arrays, g: 
         if i not in t.inv:
             fail(f"component at {x!r} is not invertible", object=x)
         comp.append(i)
-    rows, ends_s, ends_t = t.rows, s.src, s.tgt
+    rows, pos, ends_s, ends_t = t.rows, t.pos, s.src, s.tgt
+    cell = [pos[i] for i in comp]
 
     def locate() -> NoReturn:
-        lhs = [rows[fm][comp[y]] for fm, y in zip(f_mor, ends_t)]
-        rhs = [rows[comp[x]][gm] for gm, x in zip(g_mor, ends_s)]
+        lhs = [rows[fm][cell[y]] for fm, y in zip(f_mor, ends_t)]
+        rhs = [rows[comp[x]][pos[gm]] for gm, x in zip(g_mor, ends_s)]
         m = s.names[next(k for k, (a, b) in enumerate(zip(lhs, rhs)) if a != b)]
         fail(f"naturality fails at morphism {m!r}", morphism=m)
 
-    _check_on_generators(s, lambda m: rows[f_mor[m]][comp[ends_t[m]]] ==
-                         rows[comp[ends_s[m]]][g_mor[m]], locate)
+    _check_on_generators(s, lambda m: rows[f_mor[m]][cell[ends_t[m]]] ==
+                         rows[comp[ends_s[m]]][pos[g_mor[m]]], locate)
     # every object has a component, so a longer table has a stray key
     if len(components) != len(cat.objects):
         x = next(x for x in components if not cat.has_object(x))
@@ -984,11 +1027,11 @@ def iso_classes(cat: FinCat) -> IsoClasses:
     in a lawful category the invertible endomorphisms of x hold id_x and
     are closed under composition ((a o b)^-1 = b^-1 o a^-1) and under
     inverses, and composition is associative, so they form a group with
-    that identity and inverse.  Its product a o b is ``rows[b][a]``.
+    that identity and inverse.  Its product a o b is ``rows[b][pos[a]]``.
     """
     classes = _iso_partition(cat)
     r = _rows_of(cat)
-    names, rows, inv = r.names, r.rows, r.inv
+    names, rows, cell, inv = r.names, r.rows, r.pos, r.inv
     endos: dict[int, list[int]] = {r.objects[cls[0]]: [] for cls in classes}
     for m, (x, y) in enumerate(zip(r.src, r.tgt)):
         if x == y and x in endos:
@@ -1000,7 +1043,7 @@ def iso_classes(cat: FinCat) -> IsoClasses:
         invertibles = [m for m in ms if m in inv]
         full[rep] = len(invertibles) == len(ms)
         pos = {m: i for i, m in enumerate(invertibles)}
-        table = tuple([tuple([pos[rows[b][a]] for b in invertibles]) for a in invertibles])
+        table = tuple([tuple([pos[rows[b][cell[a]]] for b in invertibles]) for a in invertibles])
         labels = tuple([names[m] for m in invertibles])
         aut[rep] = _trusted(FinGroup, labels=labels, table=table, name=f"aut({rep})",
                             _index={m: i for i, m in enumerate(labels)}, _identity=pos[r.ident[x]],
@@ -1034,12 +1077,12 @@ def full_subcategory(cat: FinCat, objects: Iterable[str], name: str | None = Non
     kept = [x for x, c in enumerate(cat.objects) if c in keep]
     obj_at = {x: k for k, x in enumerate(kept)}
     mors = [m for m, (x, y) in enumerate(zip(r.src, r.tgt)) if x in obj_at and y in obj_at]
-    at, rows = {m: k for k, m in enumerate(mors)}, r.rows
+    at = {m: k for k, m in enumerate(mors)}
     inverses = ({at[m]: at[g] for m, g in r.inv.items() if m in at}, True)
     return _stored(name or f"{cat.name}_full", [cat.objects[x] for x in kept],
                    [r.names[m] for m in mors], [obj_at[r.src[m]] for m in mors],
                    [obj_at[r.tgt[m]] for m in mors], [at[r.ident[x]] for x in kept],
-                   ((at[g], at[f], at[rows[f][g]]) for g, f in r.pairs() if f in at and g in at),
+                   ((at[g], at[f], at[gf]) for g, f, gf in r.entries() if f in at and g in at),
                    inverses if cat._directly_finite else None)
 
 
@@ -1066,7 +1109,7 @@ def _retract(cat: FinCat, rep_of: Mapping[str, str], name: str) -> SkeletonData:
     """
     gamma = full_subcategory(cat, rep_of.values(), name=name)
     r, g = _rows_of(cat), gamma._ends
-    names, objects, rows, inv = r.names, r.objects, r.rows, r.inv
+    names, objects, rows, pos, inv = r.names, r.objects, r.rows, r.pos, r.inv
     fm = list(map(r.index.__getitem__, g.names))
     inclusion = _trusted(CatFunctor, source=gamma, target=cat,
                          _arrays=(list(map(objects.__getitem__, gamma.objects)), fm))
@@ -1078,7 +1121,8 @@ def _retract(cat: FinCat, rep_of: Mapping[str, str], name: str) -> SkeletonData:
     eta_comp = {x: min(isos[objects[x]]) if x != rep else names[r.ident[objects[x]]]
                 for x, rep in rep_of.items()}
     eta, at = [r.index[eta_comp[x]] for x in cat.objects], {m: k for k, m in enumerate(fm)}
-    r_mor = [at[rows[rows[eta[x]][m]][inv[eta[y]]]] for m, (x, y) in enumerate(zip(r.src, r.tgt))]
+    r_mor = [at[rows[rows[eta[x]][pos[m]]][pos[inv[eta[y]]]]]
+             for m, (x, y) in enumerate(zip(r.src, r.tgt))]
     retraction = _trusted(CatFunctor, source=cat, target=gamma, _arrays=(
         [g.objects[rep_of[x]] for x in cat.objects], r_mor))
     return SkeletonData(gamma, inclusion, retraction, eta_comp)
@@ -1208,13 +1252,13 @@ def lower_link(cat: FinCat, obj: str) -> FinCat:
     _require_scwol(cat)
     cat.require_object(obj)
     r = _rows_of(cat)
-    names, rows, out, start = r.names, r.rows, r.out(), r.objects[obj]
+    names, rows, pos, out, start = r.names, r.rows, r.pos, r.out(), r.objects[obj]
     link = [a for a in out[start] if a != r.ident[start]]
     link_at = {a: k for k, a in enumerate(link)}
     pairs = {pair: m for m, pair in enumerate(  # the morphisms (u, a), each to its index
-        [(u, a) for a in link for u in out[r.tgt[a]] if rows[a][u] in link_at])}
+        [(u, a) for a in link for u, ua in zip(out[r.tgt[a]], rows[a]) if ua in link_at])}
     src = [link_at[a] for _, a in pairs]
-    tgt = [link_at[rows[a][u]] for u, a in pairs]
+    tgt = [link_at[rows[a][pos[u]]] for u, a in pairs]
     by_source: list[list[tuple[int, int]]] = [[] for _ in link]  # (m, u) of each m out of k
     for (u, _), m in pairs.items():
         by_source[src[m]].append((m, u))
@@ -1222,7 +1266,7 @@ def lower_link(cat: FinCat, obj: str) -> FinCat:
     return _stored(f"Lk^{obj}({cat.name})", [names[a] for a in link],
                    [f"({names[u]},{names[a]})" for u, a in pairs], src, tgt,
                    [pairs[r.ident[r.tgt[a]], a] for a in link],
-                   ((m2, m1, pairs[rows[u1][u2], a]) for (u1, a), m1 in pairs.items()
+                   ((m2, m1, pairs[rows[u1][pos[u2]], a]) for (u1, a), m1 in pairs.items()
                     for m2, u2 in by_source[tgt[m1]]))
 
 
@@ -1234,7 +1278,7 @@ def opposite(cat: FinCat) -> FinCat:
     read as (f, g), in ``cat``'s order.  Its inverses are ``cat``'s."""
     r = _rows_of(cat)
     return _stored(f"{cat.name}^op", cat.objects, r.names, r.tgt, r.src, r.ident,
-                   ((f, g, r.rows[f][g]) for g, f in r.pairs()), (r.inv, cat._directly_finite))
+                   ((f, g, gf) for g, f, gf in r.entries()), (r.inv, cat._directly_finite))
 
 
 def product(a: FinCat, b: FinCat) -> FinCat:
@@ -1246,12 +1290,12 @@ def product(a: FinCat, b: FinCat) -> FinCat:
 
     ra, rb = _rows_of(a), _rows_of(b)
     n, k = len(b), len(rb.names)  # the objects and the morphisms of b
-    b_entries = [(g, f, rb.rows[f][g]) for g, f in rb.pairs()]
+    b_entries = list(rb.entries())
     return _stored(
         f"{a.name}x{b.name}", [po(x, y) for x in a.objects for y in b.objects],
         [po(m1, m2) for m1 in ra.names for m2 in rb.names],
         [x * n + y for x in ra.src for y in rb.src], [x * n + y for x in ra.tgt for y in rb.tgt],
         [e1 * k + e2 for e1 in ra.ident for e2 in rb.ident],
-        ((g1 * k + g2, f1 * k + f2, ra.rows[f1][g1] * k + gf2)
-         for g1, f1 in ra.pairs() for g2, f2, gf2 in b_entries))
+        ((g1 * k + g2, f1 * k + f2, gf1 * k + gf2)
+         for g1, f1, gf1 in ra.entries() for g2, f2, gf2 in b_entries))
 

@@ -373,8 +373,9 @@ def quotient(action: ScwolAction) -> QuotientResult:
     objs, names = cat.objects, r.names
     (obj_orbits, of_obj), (mor_orbits, of_mor) = (_orbits(objs, action._arrays, 0),
                                                   _orbits(names, action._arrays, 1))
-    lifts = [orb[0] for orb in mor_orbits]
-    cells = {(of_mor[b], f): of_mor[ba] for f, a in enumerate(lifts) for b, ba in r.rows[a].items()}
+    lifts, out = [orb[0] for orb in mor_orbits], r.out()
+    cells = {(of_mor[b], f): of_mor[ba] for f, a in enumerate(lifts)
+             for b, ba in zip(out[r.tgt[a]], r.rows[a])}
     q = _stored(f"{cat.name}/{action.group.name}", [objs[orb[0]] for orb in obj_orbits],
                 [names[a] for a in lifts], [of_obj[r.src[a]] for a in lifts],
                 [of_obj[r.tgt[a]] for a in lifts],
@@ -423,7 +424,7 @@ class ComplexOfGroups:
             if x not in self.local:
                 raise ValidationError(f"no local group at {x!r}", witness={"object": x})
         r = _rows_of(base)
-        names, index, rows, src, tgt = r.names, r.index, r.rows, r.src, r.tgt
+        names, index, rows, pos, src, tgt = r.names, r.index, r.rows, r.pos, r.src, r.tgt
         local, ids = [self.local[x] for x in base.objects], set(r.ident)
         for m, name in enumerate(names):
             hom, at = self.homs.get(name), {"morphism": name}
@@ -443,7 +444,7 @@ class ComplexOfGroups:
         unit_fault = False
         for (b, a), g in self.twists.items():
             bi, ai = index.get(b), index.get(a)
-            if bi is None or ai is None or bi not in rows[ai]:
+            if bi is None or ai is None or src[bi] != tgt[ai]:
                 raise ValidationError(f"twist given for non-composable pair ({b!r}, {a!r})",
                                       witness={"pair": (b, a)})
             group = local[tgt[bi]]
@@ -472,7 +473,7 @@ class ComplexOfGroups:
         for (bi, ai), gi in twist.items():
             table = local[tgt[bi]].table
             row_g, g_inv = table[gi], local[tgt[bi]]._inverse[gi]
-            img_b, img_ba = img[bi], img[rows[ai][bi]]
+            img_b, img_ba = img[bi], img[rows[ai][pos[bi]]]
             conjugated = [table[row_g[img_b[j]]][g_inv] for j in img[ai]]
             if conjugated != img_ba:
                 b, a = names[bi], names[ai]
@@ -484,11 +485,9 @@ class ComplexOfGroups:
         # cocycle identity on composable triples
         out = r.out()
         for a in range(len(names)):
-            for b in out[tgt[a]]:
-                ba = rows[a][b]
+            for b, ba in zip(out[tgt[a]], rows[a]):
                 tw_ba = twist[(b, a)]
-                for c in out[tgt[b]]:
-                    cb = rows[b][c]
+                for c, cb in zip(out[tgt[b]], rows[b]):
                     table = local[tgt[c]].table
                     lhs = table[twist[(c, ba)]][img[c][tw_ba]]
                     rhs = table[twist[(cb, a)]][twist[(c, b)]]
@@ -643,8 +642,8 @@ def _complex_from_choices(action: ScwolAction, q: QuotientResult, reps: list[int
         )
     # twist(b, a) = h_ba . h_a^-1 . h_b^-1, in the quotient's entry order
     twists = {}
-    for b, a in qr.pairs():
-        h_ba = h_idx[qr.rows[a][b]]
+    for b, a, ba in qr.entries():
+        h_ba = h_idx[ba]
         twists[(qr.names[b], qr.names[a])] = labels[table[h_ba][table[inverse[h_idx[a]]][inverse[h_idx[b]]]]]
 
     objs = base.objects
@@ -692,9 +691,9 @@ def hocolim_groups(cplx: ComplexOfGroups) -> FinCat:
         # on indices: for each g1, k is the index of F(b)(g1) . twist(b, a)^-1,
         # and the composite with (b, g2) is (b o a, g2 . k), read off row g2
         for a, row_a in enumerate(r.rows):
-            for b in out[r.tgt[a]]:
+            for b, ba in zip(out[r.tgt[a]], row_a):
                 group = local[r.tgt[b]]
-                table, first_b, first_ba = group.table, start[b], start[row_a[b]]
+                table, first_b, first_ba = group.table, start[b], start[ba]
                 tw_inv = group._inverse[group.index(cplx.twist(names[b], names[a]))]
                 for f, fb_g1 in enumerate(_image_of(cplx.homs[names[b]]), start[a]):
                     k = table[fb_g1][tw_inv]

@@ -43,18 +43,30 @@ def _require_list(value, what: str) -> None:
         raise TypeError(f"{what} must be a list, not {type(value).__name__}")
 
 
+def _positions(src: Sequence[int], n: int) -> tuple[list[int], list[int]]:
+    """The place of each morphism among the morphisms out of its source, in
+    index order, for ``n`` objects: the cell of g in a row (``fincat._Rows``);
+    and the number of morphisms out of each object, the width of a row."""
+    seen, pos = [0] * n, []
+    for x in src:
+        pos.append(seen[x])
+        seen[x] += 1
+    return pos, seen
+
+
 def _generating_set(rows: Sequence, ident: Sequence[int], src: Sequence[int],
                     tgt: Sequence[int]) -> list[int]:
     """Morphisms of which every morphism is a composite (an identity is the
-    empty one), on rows where ``rows[x][g]`` is g o x, defined when
-    ``src[g] == tgt[x]``, and ``ident`` lists the identities.  In index
-    order, each morphism that is no composite of those found before it is
-    added, and the composites it makes are reached from the identities by
-    composing on the left.  A group is the one-object case, with
-    ``rows[x][g]`` the product xg.  Why a law checked at these implies it
-    everywhere is proved once, in ``_check_on_generators``."""
+    empty one), on rows where row x lists the composites g o x for the g out
+    of ``tgt[x]`` in index order (``fincat._Rows``), and ``ident`` lists the
+    identities.  In index order, each morphism that is no composite of those
+    found before it is added, and the composites it makes are reached from
+    the identities by composing on the left.  A group is the one-object
+    case, with ``rows[x][g]`` the product xg.  Why a law checked at these
+    implies it everywhere is proved once, in ``_check_on_generators``."""
+    pos = _positions(src, len(ident))[0]
     reached = [False] * len(rows)
-    # the morphisms reached, by target, and the generators, by source
+    # the morphisms reached, by target, and the cells of the generators, by source
     into, gens_from = [[] for _ in ident], [[] for _ in ident]
     for x, e in enumerate(ident):
         reached[e] = True
@@ -64,9 +76,10 @@ def _generating_set(rows: Sequence, ident: Sequence[int], src: Sequence[int],
         if reached[m]:
             continue
         gens.append(m)
-        gens_from[src[m]].append(m)
+        p = pos[m]
+        gens_from[src[m]].append(p)
         # a new composite has the form u o m o v, v reached before m
-        todo = [rows[v][m] for v in into[src[m]]]
+        todo = [rows[v][p] for v in into[src[m]]]
         while todo:
             x = todo.pop()
             if not reached[x]:
@@ -74,7 +87,7 @@ def _generating_set(rows: Sequence, ident: Sequence[int], src: Sequence[int],
                 y = tgt[x]
                 into[y].append(x)
                 row = rows[x]
-                todo += [row[g] for g in gens_from[y]]
+                todo += [row[p] for p in gens_from[y]]
     return gens
 
 
@@ -115,26 +128,27 @@ def _gens_of(group: FinGroup) -> list[int]:
     return _generating_set(group.table, [group._identity], one, one)
 
 
-def _unassociative(rows: Sequence, tgt: Sequence[int], ident: Sequence[int],
+def _unassociative(rows: Sequence, pos: Sequence[int], tgt: Sequence[int], ident: Sequence[int],
                    out: Sequence[Sequence[int]],
                    middles: Sequence[Sequence[int]]) -> Optional[tuple[int, int, int]]:
     """The first triple (f, g, h) with h o (g o f) != (h o g) o f, or None,
-    where ``rows[f][g]`` is g o f and ``out[y]`` lists the morphisms out of
-    y: f in index order, g in ``middles[tgt[f]]``, h in ``out[tgt[g]]``,
-    all h at once (``take_h`` reads row[h] for every h out of t(g), and
-    ``take_hg`` row[h o g]).  Triples with an identity f or g hold by the
-    identity laws, which callers check first.  A group has ``[range(n)]``."""
+    on tuple rows where ``rows[f][pos[g]]`` is g o f (``fincat._Rows``) and
+    ``out[y]`` lists the morphisms out of y: f in index order, g in
+    ``middles[tgt[f]]``, h in ``out[tgt[g]]``, all h at once (the row of
+    g o f against row f read at the cells of the h o g, ``take``).
+    Triples with an identity f, g or h hold by the identity laws, which
+    callers check first, so a g with no other h is skipped.  A group has
+    ``pos[g] == g`` and ``out == [[0, ..., n-1]]``."""
     ids = set(ident)
-    take_out = [itemgetter(*hs) for hs in out]
-    steps = [[(g, take_out[tgt[g]], itemgetter(*[rows[g][h] for h in out[tgt[g]]]))
-              for g in gs if g not in ids] for gs in middles]
+    steps = [[(g, pos[g], itemgetter(*map(pos.__getitem__, rows[g])))
+              for g in gs if g not in ids and len(rows[g]) > 1] for gs in middles]
     for f, row_f in enumerate(rows):
         if f in ids:
             continue
-        for g, take_h, take_hg in steps[tgt[f]]:
-            if take_h(rows[row_f[g]]) != take_hg(row_f):
-                row_gf = rows[row_f[g]]
-                return f, g, next(h for h in out[tgt[g]] if row_gf[h] != row_f[rows[g][h]])
+        for g, p, take in steps[tgt[f]]:
+            row_gf = rows[row_f[p]]
+            if row_gf != take(row_f):
+                return f, g, next(h for h, a, b in zip(out[tgt[g]], row_gf, take(row_f)) if a != b)
     return None
 
 
@@ -168,10 +182,10 @@ class FinGroup:
                 if not 0 <= v < n:
                     raise NotAGroup(f"Cayley table entry {v} out of range", witness={"entry": v})
         object.__setattr__(self, "_index", {lab: i for i, lab in enumerate(self.labels)})
-        rows = [list(row) for row in self.table]
-        cols = [list(col) for col in zip(*rows)]
+        rows = list(map(tuple, self.table))  # rows of a table of tuples (``fincat._Rows``)
+        cols = list(zip(*rows))
         # identity: the first e whose row and column both read 0, 1, ..., n-1
-        every = list(range(n))
+        every = tuple(range(n))
         identity = next((e for e in every if rows[e] == every and cols[e] == every), None)
         if identity is None:
             raise NotAGroup(f"{self.name} has no identity element", witness={"group": self.name})
@@ -193,15 +207,14 @@ class FinGroup:
         object.__setattr__(self, "_inverse", tuple(inverse))
         # (ab)c against a(bc), b a generator (``_check_on_generators``), on
         # the one-object category of the table; located among all (a, b, c)
-        one, out = [0] * n, [range(n)]
+        table = (rows, every, [0] * n, [identity], [every])
 
         def locate() -> NoReturn:
-            a, b, c = map(self.labels.__getitem__, _unassociative(rows, one, [identity], out, out))
+            a, b, c = map(self.labels.__getitem__, _unassociative(*table, [every]))
             raise NotAGroup(f"{self.name} is not associative on ({a!r}, {b!r}, {c!r})",
                             witness=(a, b, c))
 
-        gens = _check_on_generators(
-            self, lambda b: _unassociative(rows, one, [identity], out, [[b]]) is None, locate)
+        gens = _check_on_generators(self, lambda b: _unassociative(*table, [[b]]) is None, locate)
         object.__setattr__(self, "_gens", gens)
 
     # -- basic queries ----------------------------------------------------

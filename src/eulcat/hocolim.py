@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .errors import EulcatError, ValidationError, _trusted
 from .eulerchar import _scwol_weights, chi_scwol, chi2_free_EI, groupoid_chi2
@@ -41,6 +41,7 @@ from .fincat import (
     _skeleton_category,
     _skeleton_path_counts,
 )
+from .groups import _positions
 from .ratlin import NoWeighting, Weighting, _chi_L_of_rows, chi_L
 from .zoo import (
     discrete_category,
@@ -115,8 +116,7 @@ class StrictDiagram:
                 raise ValidationError(f"edge at id_{x!r} is not the identity functor",
                                       witness={"object": x})
         names, ids = r.names, set(r.ident)  # a pair with an identity holds by the above
-        for v, u in r.pairs():
-            vu = r.rows[u][v]
+        for v, u, vu in r.entries():
             by_maps = stray[u] or stray[v] or stray[vu]
             if not (_is_composite(edges[u], edges[v], edges[vu]) if by_maps else u in ids or v in ids
                     or _composite_arrays(arrays[u], arrays[v]) == arrays[vu]):
@@ -163,11 +163,11 @@ class PseudoDiagram:
         view.comp = comp = [{} for _ in r.names]
         for (v, u), components in self.comp.items():
             vi, ui = r.index.get(v), r.index.get(u)
-            if vi is None or ui is None or vi not in r.rows[ui]:
+            if vi is None or ui is None or r.src[vi] != r.tgt[ui]:
                 raise CoherenceFailure(
                     f"comp given for non-composable pair ({v!r}, {u!r})", witness={"pair": (v, u)}
                 )
-            vu, s, t = r.rows[ui][vi], r.src[ui], r.tgt[vi]
+            vu, s, t = r.rows[ui][r.pos[vi]], r.src[ui], r.tgt[vi]
             comp[ui][vi] = _check_natural(
                 view.vertex[s], vrows[s], view.vertex[t], vrows[t],
                 _composite_arrays(arrays[ui], arrays[vi]), arrays[vu], components,
@@ -192,14 +192,14 @@ class PseudoDiagram:
         r, vrows, unit, comp = view.rows, view.vrows, view.unit, view.comp
         for u, m in enumerate(r.names):
             s_i, t_i = r.src[u], r.tgt[u]
-            rows, ident = vrows[t_i].rows, vrows[t_i].ident
+            rows, pos, ident = vrows[t_i].rows, vrows[t_i].pos, vrows[t_i].ident
             fo, fm = arrays[u]
             right, left = comp[r.ident[s_i]][u], comp[u][r.ident[t_i]]
             unit_s, unit_t = unit[s_i], unit[t_i]
             for c, x in enumerate(fo):
                 # C_{u, id} o (C(u) . unit_source) = 1, then C_{id, u} o (unit_target at C(u)c) = 1
-                side = ("right" if rows[fm[unit_s[c]]][right[c]] != ident[x] else
-                        "left" if rows[unit_t[x]][left[c]] != ident[x] else None)
+                side = ("right" if rows[fm[unit_s[c]]][pos[right[c]]] != ident[x] else
+                        "left" if rows[unit_t[x]][pos[left[c]]] != ident[x] else None)
                 if side is not None:
                     obj = view.vertex[s_i].objects[c]
                     raise CoherenceFailure(f"{side} unit axiom fails for {m!r} at object {obj!r}",
@@ -214,14 +214,13 @@ class PseudoDiagram:
         names, idx_rows, out = r.names, r.rows, view.out
         for u in range(len(names)):
             fo_u = arrays[u][0]
-            for v in out[r.tgt[u]]:
-                vu, c_vu = idx_rows[u][v], comp[u][v]
-                for w in out[r.tgt[v]]:
-                    wv = idx_rows[v][w]
-                    rows, fm_w = vrows[r.tgt[w]].rows, arrays[w][1]
+            for v, vu in zip(out[r.tgt[u]], idx_rows[u]):
+                c_vu = comp[u][v]
+                for w, wv in zip(out[r.tgt[v]], idx_rows[v]):
+                    rows, pos, fm_w = vrows[r.tgt[w]].rows, vrows[r.tgt[w]].pos, arrays[w][1]
                     c_w_vu, c_wv_u, c_wv = comp[vu][w], comp[u][wv], comp[v][w]
                     for c, x in enumerate(fo_u):
-                        if rows[fm_w[c_vu[c]]][c_w_vu[c]] != rows[c_wv[x]][c_wv_u[c]]:
+                        if rows[fm_w[c_vu[c]]][pos[c_w_vu[c]]] != rows[c_wv[x]][pos[c_wv_u[c]]]:
                             obj = view.vertex[r.src[u]].objects[c]
                             triple = (names[w], names[v], names[u])
                             raise CoherenceFailure(
@@ -238,7 +237,7 @@ class PseudoDiagram:
         view = _index_view(d)
         r, ids = view.rows, [[vr.names[e] for e in vr.ident] for vr in view.vrows]
         comp = {(r.names[v], r.names[u]): dict(zip(view.vertex[r.src[u]].objects, map(
-            ids[r.tgt[v]].__getitem__, view.image[r.rows[u][v]]))) for v, u in r.pairs()}
+            ids[r.tgt[v]].__getitem__, view.image[vu]))) for v, u, vu in r.entries()}
         unit = {i: dict(zip(cat.objects, units))
                 for i, cat, units in zip(d.index.objects, view.vertex, ids)}
         return _trusted(PseudoDiagram, index=d.index, vertex=d.vertex, edge=d.edge, comp=comp,
@@ -381,11 +380,7 @@ class _Total(FinCat):
             fields.update(_headers(objs, mors), morphisms=mors, identity=identity,
                           _invertible={names[m]: names[g] for m, g in arrays.inv.items()})
         if attr == "composition":
-            names = [m.name for m in fields["morphisms"]]
-            fields["composition"] = {(names[q], name): names[base + pos[h[g]]]
-                                     for name, runs in zip(names, plan.runs())
-                                     for first, base, h, gs, pos in runs
-                                     for q, g in enumerate(gs, first)}
+            fields["composition"] = self._read_rows(fields.get("_composites")).table()
 
     def morphism_names(self) -> tuple[str, ...]:
         return tuple(self._plan.morphism_names())
@@ -393,19 +388,17 @@ class _Total(FinCat):
     def _named(self) -> _Rows:
         return self._names
 
-    def compose(self, g: str, f: str) -> str:
-        r = self._names
-        return r.names[self._composites[r.index[f]][r.index[g]]]
-
     def _read_rows(self, rows: Optional[list] = None) -> _Rows:
         """Rows on ``_ends`` (``_Numbering.composites``, not kept, or
-        ``rows``), in the order of ``composition``: by first factor, each
-        row in its order; the writer makes neither index of their names
-        (``_TotalRows``)."""
-        arrays = self._ends
+        ``rows``) and the names of the records if made, in the order of
+        ``composition``: by first factor, each row in the order of its
+        cells, so ``order`` is a ``range``; the writer makes neither index
+        of their names (``_TotalRows``)."""
+        arrays, records = self._ends, self.__dict__.get("morphisms")
         rows = self._plan.composites() if rows is None else rows
-        r = _TotalRows(None, self._plan.morphism_names(), None, arrays.src, arrays.tgt,
-                       arrays.ident, rows, [f for f, row in enumerate(rows) for _ in row])
+        names = self._plan.morphism_names() if records is None else [m.name for m in records]
+        r = _TotalRows(None, names, None, arrays.src, arrays.tgt, arrays.ident, rows,
+                       range(sum(map(len, rows))))
         del r.objects, r.index  # made on first read
         r.inv, r.total = arrays.inv, self
         return r
@@ -474,39 +467,33 @@ class _Numbering:
             names += [_triple_mor(index[u], fs[f], c) for f in place[j][1].out[x]]
         return names
 
-    def runs(self) -> Iterator[list[tuple]]:
-        """The composites of each morphism m = (u, f)@c, in index order, as
-        runs (first, base, h, gs, pos), one for each v out of j in turn: the
-        morphism first + k out of t(m) is (v, g)@e with g = gs[k], and
-        (v, g)@e o (u, f)@c = (v o u, g o C(v)(f) o comp_inv(v, u, c))@c is
-        the morphism base + pos[h[g]].  Here h is the row of
-        C(v)(f) o comp_inv(v, u, c) in the int rows of its vertex, base is
-        the first morphism (v o u, -)@c and pos the place of each morphism
-        of that vertex in its list (``_VertexOrder``); all of it is read off
-        the view."""
-        view, place, starts, r = self.view, self.place, self.starts, self.view.rows
+    def composites(self) -> list[tuple[int, ...]]:
+        """The composition rows (``fincat._Rows``), in index order: they are
+        ``rows`` if the build kept them, and else made afresh off the view.
+        The morphisms out of (j, e) are the (v, g)@e, v out of j in turn,
+        then g by the order of C(t(v)) (``_VertexOrder``); so row m = (u, f)@c
+        lists the (v, g)@e o (u, f)@c = (v o u, g o C(v)(f) o comp_inv(v, u, c))@c
+        in that order, each the morphism base + pos[h[cell[g]]]: h is the row
+        of C(v)(f) o comp_inv(v, u, c) in its vertex, ``cell`` the vertex's
+        ``fincat._Rows.pos``, base the first morphism (v o u, -)@c and pos
+        the place of each morphism of that vertex in its list."""
+        if self.rows is not None:
+            return self.rows
+        view, place, starts, r, rows = self.view, self.place, self.starts, self.view.rows, []
         for i, k, u, j, x in self.blocks:
             # per v out of j: everything about (v o u, c) that does not depend on f
             steps = []
-            for v in view.out[j]:
-                t = r.tgt[v]
-                rows, order = view.vrows[t].rows, place[t][1]
-                obj_image, mor_image = view.arrays[v]
-                steps.append((rows, rows[view.inv_comp(v, u, k)], obj_image, mor_image,
-                              starts[r.rows[u][v]][k], starts[v], order.out, order.pos))
+            for v, vu in zip(view.out[j], r.rows[u]):
+                vr, order = view.vrows[r.tgt[v]], place[r.tgt[v]][1]
+                steps.append((vr.rows, vr.rows[view.inv_comp(v, u, k)], *view.arrays[v], vr.pos,
+                              starts[vu][k], order.out, order.pos))
             order_j = place[j][1]
-            for f, e in zip(order_j.out[x], order_j.ends[x]):
-                yield [(first[e], base, vrows[after_inv[mor_image[f]]], out[obj_image[e]], pos)
-                       for vrows, after_inv, obj_image, mor_image, base, first, out, pos in steps]
-
-    def composites(self) -> list[dict[int, int]]:
-        """The composition rows of ``runs``: ``rows[m][q]`` is the index of
-        q o m, for q in the order of the morphisms out of the target of m.
-        They are ``rows`` if the build kept them, and else made afresh."""
-        if self.rows is not None:
-            return self.rows
-        return [{q: base + pos[h[g]] for first, base, h, gs, pos in runs
-                 for q, g in enumerate(gs, first)} for runs in self.runs()]
+            rows += [tuple([base + pos[h[cell[g]]]
+                            for v_rows, after_inv, obj_image, mor_image, cell, base, out, pos in steps
+                            for h in [v_rows[after_inv[cell[mor_image[f]]]]]
+                            for g in out[obj_image[e]]])
+                     for f, e in zip(order_j.out[x], order_j.ends[x])]
+        return rows
 
 
 def _grothendieck(d: Diagram) -> FinCat:
@@ -580,7 +567,8 @@ def _grothendieck(d: Diagram) -> FinCat:
         directly_finite = all(cat._directly_finite for cat in view.vertex)
     else:
         plan.rows = plan.composites()
-        inv, directly_finite = _inverse_search(plan.rows, src, tgt, ident)
+        inv, directly_finite = _inverse_search(plan.rows, _positions(src, len(ident))[0], src,
+                                               tgt, ident)
     return _trusted(_Total, name=f"hocolim({d.index.name})", _ends=_Ends(src, tgt, ident, inv),
                     _plan=plan, _directly_finite=directly_finite)
 
@@ -596,11 +584,12 @@ def _lifted_inverses(plan: _Numbering) -> dict[int, int]:
         if v is None:
             continue
         ri, order_j, inverse = view.vrows[i], place[j][1], view.vrows[j].inv
-        start, pos, rows = starts[v], place[i][1].pos, ri.rows
-        # unit_inv(i, c) o comp_inv(v, u, c)^-1: C(v)C(u)(c) -> c; none is
-        # needed in a strict diagram at u = id_i, where C(v) is the identity
+        start, pos, rows, cell = starts[v], place[i][1].pos, ri.rows, ri.pos
+        # the cell of unit_inv(i, c) o comp_inv(v, u, c)^-1: C(v)C(u)(c) -> c;
+        # none is needed in a strict diagram at u = id_i, where C(v) is the identity
         plain = view.comp is None and u == view.rows.ident[i]
-        back = None if plain else rows[ri.inv[view.inv_comp(v, u, k)]][view.inv_units(i)[k]]
+        back = None if plain else cell[rows[ri.inv[view.inv_comp(v, u, k)]][
+            cell[view.inv_units(i)[k]]]]
         v_mor = None if plain else view.arrays[v][1]
         for q, (f, e) in enumerate(zip(order_j.out[x], order_j.ends[x]), starts[u][k]):
             g = inverse.get(f)

@@ -30,10 +30,10 @@ import json
 from collections import deque
 from fractions import Fraction
 from itertools import chain, repeat
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from .errors import ValidationError, _trusted
-from .fincat import CatFunctor, FinCat, _rows_of, validate
+from .fincat import CatFunctor, FinCat, _Rows, _rows_of, validate
 from .groups import FinGroup, GroupHom, _require_list
 from .groupact import ComplexOfGroups, ScwolAction, validate_action
 from .hocolim import CellSpectrum, PseudoDiagram, StrictDiagram
@@ -65,7 +65,7 @@ def category_payload(cat: FinCat) -> dict:
     ends = _rows_of(cat)
     names, objs = ends.names, cat.objects
     named = names.__getitem__
-    order, buckets = _compose_buckets(names, ends.rows, lambda fs, gs, gfs: map(
+    order, buckets = _compose_buckets(ends, lambda fs, gs, gfs: map(
         list, zip(map(named, gs), map(named, fs), map(named, gfs))))
     return {
         "name": cat.name,
@@ -77,15 +77,15 @@ def category_payload(cat: FinCat) -> dict:
     }
 
 
-def _compose_buckets(names: Sequence[str], rows: Sequence[dict[int, int]],
+def _compose_buckets(ends: _Rows,
                      cells: Callable[[Iterator[int], Iterator[int], Iterator[int]], Iterable]
                      ) -> tuple[list[int], list[list]]:
     """The order of the ``compose`` entries, ``sorted([g, f, gf] for (g, f),
-    gf in table.items())``, for the table whose ``rows[f][g]`` is the index
-    of g o f, morphisms named by ``names``: the morphism indices in name
-    order, and per g the bucket of its entries in that order.
-    ``cells(fs, gs, gfs)`` makes the entries from iterators over the f, the
-    g and the g o f of every cell.
+    gf in table.items())``, for the table whose rows are ``ends``
+    (``fincat._Rows``: cell p of row f is g o f for the p-th g out of
+    t(f)): the morphism indices in name order, and per g the bucket of its
+    entries in that order.  ``cells(fs, gs, gfs)`` makes the entries from
+    iterators over the f, the g and the g o f of every cell.
 
     The names are sorted once.  The cells are read row by row, f in name
     order, and each goes to the bucket of its g, so that buckets read in
@@ -93,11 +93,12 @@ def _compose_buckets(names: Sequence[str], rows: Sequence[dict[int, int]],
     the names are distinct, so two entries are ordered by the names of their
     g and, for one g, of their f; each pair (g, f) has one entry, so gf is
     never compared.  Every step is one ``map`` over all the cells."""
+    names, rows, out = ends.names, ends.rows, ends.out()
     order = sorted(range(len(names)), key=names.__getitem__)
     by_f = list(map(rows.__getitem__, order))
-    gs = list(chain.from_iterable(by_f))
+    gs = list(chain.from_iterable(map(out.__getitem__, map(ends.tgt.__getitem__, order))))
     fs = chain.from_iterable(map(repeat, order, map(len, by_f)))
-    gfs = chain.from_iterable(map(dict.values, by_f))
+    gfs = chain.from_iterable(by_f)
     buckets: list[list] = [[] for _ in names]
     deque(map(list.append, map(buckets.__getitem__, gs), cells(fs, iter(gs), gfs)), 0)
     return order, buckets
@@ -675,7 +676,8 @@ def _write_category(cat: FinCat, nl: str, out: list[str]) -> None:
     would, straight from the rows of ``cat`` (``_rows_of``): each name is
     quoted once, and each composite is one piece, its quoted f and g o f,
     filed in the bucket of its g (``_compose_buckets``); a bucket is joined
-    around its g's quoted name in one call.  The morphism records come from
+    around its g's quoted name in one call; the g of each cell is read off
+    ``out`` (``fincat._Rows``).  The morphism records come from
     the endpoint arrays, the identity map from ``ident`` in object-name
     order.  A name that is no str raises TypeError in ``_quote``, as
     ``_write`` does on a value it does not cover."""
@@ -687,7 +689,7 @@ def _write_category(cat: FinCat, nl: str, out: list[str]) -> None:
     ind3 = ind2 + "  "
     sep, sep3, close = "," + ind2, "," + ind3, ind2 + "]"
     qf = [x + sep3 for x in q]  # a piece starts with its quoted f
-    order, buckets = _compose_buckets(ends.names, ends.rows, lambda fs, gs, gfs: map(
+    order, buckets = _compose_buckets(ends, lambda fs, gs, gfs: map(
         str.__add__, map(qf.__getitem__, fs), map(q.__getitem__, gfs)))
     compose = []
     for g in order:

@@ -348,8 +348,8 @@ def induced_free_action(group: FinGroup, base: FinCat) -> ScwolAction:
                     [g * n_obj + x for g in copies for x in r.src],
                     [g * n_obj + y for g in copies for y in r.tgt],
                     [g * n_mor + e for g in copies for e in r.ident],
-                    ((g * n_mor + b, g * n_mor + a, g * n_mor + r.rows[a][b])
-                     for g in copies for b, a in r.pairs()),
+                    ((g * n_mor + b, g * n_mor + a, g * n_mor + ba)
+                     for g in copies for b, a, ba in r.entries()),
                     ({g * n_mor + m: g * n_mor + u for g in copies for m, u in r.inv.items()},
                      base._directly_finite))
     _require_scwol(space)

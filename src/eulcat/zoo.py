@@ -197,8 +197,8 @@ def inflate(cat: FinCat, copies: Mapping[str, int], name: str | None = None) -> 
                    [f"{m}~{i}~{j}" for m, _, _, i, j in mors], [ob[x] + i for _, x, _, i, _ in mors],
                    [ob[y] + j for _, _, y, _, j in mors],
                    [at[e] + i * c + i for e, c in zip(r.ident, n) for i in range(c)],
-                   ((at[g] + j * n[z] + k, at[f] + i * n[y] + j, at[r.rows[f][g]] + i * n[z] + k)
-                    for g, f in r.pairs() for x, y, z in [(src[f], tgt[f], tgt[g])]
+                   ((at[g] + j * n[z] + k, at[f] + i * n[y] + j, at[gf] + i * n[z] + k)
+                    for g, f, gf in r.entries() for x, y, z in [(src[f], tgt[f], tgt[g])]
                     for i in range(n[x]) for j in range(n[y]) for k in range(n[z])))
 
 
@@ -209,15 +209,18 @@ def cone(cat: FinCat, apex: str = "t") -> FinCat:
     (id_apex, id_apex), (id_apex, c[x]) and (c[x], id_x) for each x, then
     (c[t(m)], m) = c[s(m)] for each non-identity m.  Hom(x, apex) = {c[x]}
     and Hom(apex, x) is empty for x != apex, so each composite into apex is
-    the one arrow of its hom-set and no new arrow has a one-sided inverse."""
+    the one arrow of its hom-set and no new arrow has a one-sided inverse.
+    A new name that a morphism of ``cat`` already has is qualified by the
+    apex, as ``c[x]@apex``, so the cone of a cone has the names of both."""
     if cat.has_object(apex):
         raise ValueError(f"object {apex!r} already present")
     r = _rows_of(cat)
     n, top, ident = len(cat), len(r.names), r.ident  # top is id_apex, top + 1 + x is c[x]
+    taken, new = set(r.names), [f"id_{apex}", *(f"c[{x}]" for x in cat.objects)]
     return _stored(f"cone({cat.name})", cat.objects + (apex,),
-                   [*r.names, f"id_{apex}", *(f"c[{x}]" for x in cat.objects)],
+                   [*r.names, *(f"{m}@{apex}" if m in taken else m for m in new)],
                    [*r.src, n, *range(n)], [*r.tgt, *[n] * (n + 1)], [*ident, top],
-                   chain(((g, f, r.rows[f][g]) for g, f in r.pairs()), [(top, top, top)],
+                   chain(r.entries(), [(top, top, top)],
                          chain.from_iterable(((top, c, c), (c, e, c))
                                              for c, e in enumerate(ident, top + 1)),
                          ((top + 1 + y, m, top + 1 + x) for m, (x, y) in enumerate(zip(r.src, r.tgt))

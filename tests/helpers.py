@@ -43,12 +43,50 @@ from eulcat.groupact import (
     NotAFunctorAction,
     NotAHomomorphismAction,
 )
-from eulcat.groups import FinGroup, NotAGroup, NotAHomomorphism, _require_list
+from eulcat.groups import FinGroup, NotAGroup, NotAHomomorphism, _positions, _require_list
 from eulcat.hocolim import CoherenceFailure, _check_vertices_and_edges
 from eulcat.groups import GroupHom, cyclic_group, klein_four_group, symmetric_group, trivial_group
 from eulcat.hocolim import StrictDiagram, constant_diagram
 from eulcat.ratlin import RatMatrix
 from eulcat.zoo import terminal_category
+
+
+def keyed_rows(r) -> list[dict[int, int]]:
+    """The rows of ``r`` (``fincat._Rows``) re-keyed as dicts ``{g: g o f}``,
+    the dict layout of a row: cell p of row f under the p-th morphism out
+    of t(f), so each dict lists its keys in morphism order."""
+    out = r.out()
+    return [dict(zip(out[y], row)) for y, row in zip(r.tgt, r.rows)]
+
+
+def positional_rows(rows, src, tgt, n_objects: int) -> list[list[int]]:
+    """Dict rows ``{g: g o f}`` laid out as ``fincat._Rows`` lays them out:
+    row f lists the composites of the morphisms out of t(f), in morphism
+    order; KeyError if a row misses one of them."""
+    out: list[list[int]] = [[] for _ in range(n_objects)]
+    for m, x in enumerate(src):
+        out[x].append(m)
+    return [[row[g] for g in out[y]] for y, row in zip(tgt, rows)]
+
+
+def dict_fill(n: int, entries) -> tuple[list[dict[int, int]], list[int]]:
+    """The dict layout of ``n`` rows filled from ``entries``, the triples
+    (g, f, g o f) by index in order: ``rows[f][g] = g o f``, each row's keys
+    in the order of its entries, and the f of each entry, as ``_Rows`` kept
+    them when its rows were dicts."""
+    rows: list[dict[int, int]] = [{} for _ in range(n)]
+    order = []
+    for g, f, gf in entries:
+        rows[f][g] = gf
+        order.append(f)
+    return rows, order
+
+
+def dict_pairs(rows: list[dict[int, int]], order: list[int]) -> list[tuple[int, int]]:
+    """The pairs (g, f) of the dict layout in entry order: row f holds its
+    keys in the order of the entries that filled them."""
+    cells = [iter(row) for row in rows]
+    return [(next(cells[f]), f) for f in order]
 
 
 def nonidentity_paths(cat: FinCat, length: int) -> list[tuple[str, ...]]:
@@ -909,7 +947,7 @@ def reference_check_functor_arrays(src: FinCat, tgt: FinCat, s, t, fo: list[int]
         _not_a_functor(f"identity of {x!r} not preserved", "identities", x)
     if thin:  # both sides run F(s(f)) -> F(t(g)), by source/target
         return
-    s_rows, t_rows = s.rows, t.rows
+    s_rows, t_rows = keyed_rows(s), keyed_rows(t)
     for f in s.generators():
         row = s_rows[f]
         if list(map(t_rows[fm[f]].__getitem__, map(image, row))) != list(map(image, row.values())):
@@ -1475,7 +1513,7 @@ def stored_disjoint_union(cats) -> FinCat:
         inverses.update((m + n_mor, g + n_mor) for m, g in r.inv.items())
         parts.append((r, n_mor))
     return _stored("+".join(c.name for c in cats), objects, names, src, tgt, ident,
-                   ((g + n, f + n, r.rows[f][g] + n) for r, n in parts for g, f in r.pairs()),
+                   ((g + n, f + n, gf + n) for r, n in parts for g, f, gf in r.entries()),
                    (inverses, all(c._directly_finite for c in cats)))
 
 
@@ -1579,15 +1617,19 @@ def reference_cone(cat: FinCat, apex: str = "t") -> FinCat:
     ident = dict(cat.identity)
     comp = dict(cat.composition)
 
-    def nm(x):
-        return f"c[{x}]"
+    def free(name):  # a name a morphism of cat has is qualified by the apex
+        return f"{name}@{apex}" if name in cat.morphism_names() else name
 
-    ident[apex] = f"id_{apex}"
-    mors.append(Morphism(f"id_{apex}", apex, apex))
-    comp[(f"id_{apex}", f"id_{apex}")] = f"id_{apex}"
+    def nm(x):
+        return free(f"c[{x}]")
+
+    top = free(f"id_{apex}")
+    ident[apex] = top
+    mors.append(Morphism(top, apex, apex))
+    comp[(top, top)] = top
     for x in cat.objects:
         mors.append(Morphism(nm(x), x, apex))
-        comp[(f"id_{apex}", nm(x))] = nm(x)
+        comp[(top, nm(x))] = nm(x)
         comp[(nm(x), cat.identity[x])] = nm(x)
     for m in cat.morphisms:
         if not cat.is_identity(m.name):
@@ -1598,15 +1640,18 @@ def reference_cone(cat: FinCat, apex: str = "t") -> FinCat:
 def reference_cone_action(action, apex: str = "t"):
     """``randgen.cone_action`` by name, through the checked constructor."""
     space = reference_cone(action.space, apex)
+    # the new arrows, named as the cone names them: id_apex, then each c[x]
+    top, *arrows = space.morphism_names()[len(action.space.morphism_names()):]
+    c = dict(zip(action.space.objects, arrows))
     on_objects = {}
     on_morphisms = {}
     for g in action.group.labels:
         omap = dict(action.on_objects[g])
         omap[apex] = apex
         mmap = dict(action.on_morphisms[g])
-        mmap[f"id_{apex}"] = f"id_{apex}"
+        mmap[top] = top
         for x in action.space.objects:
-            mmap[f"c[{x}]"] = f"c[{action.act_obj(g, x)}]"
+            mmap[c[x]] = c[action.act_obj(g, x)]
         on_objects[g] = omap
         on_morphisms[g] = mmap
     return groupact.ScwolAction(action.group, space, on_objects, on_morphisms)
@@ -1707,7 +1752,8 @@ def reference_total_arrays(d) -> dict:
     which read the index with ``morphisms_from``, ``target``, ``identity``,
     ``compose``, ``is_invertible`` and ``inverse`` and the coherence
     inverses by name: object and morphism names, ``_ends`` (``inv`` as
-    pairs in order), direct finiteness and the composition rows."""
+    pairs in order), direct finiteness and the composition rows, as dicts
+    ``{q: q o m}`` (the dict layout, ``keyed_rows``)."""
     idx, orders = d.index, {}
 
     def order_of(cat):
@@ -1782,7 +1828,8 @@ def reference_total_arrays(d) -> dict:
                     inv[q] = starts[v][e] + pos_i[at_i[g]]
         directly_finite = all(d.vertex[i]._directly_finite for i in idx.objects)
     else:
-        inv, directly_finite = fincat._inverse_search(rows, src, tgt, ident)
+        inv, directly_finite = fincat._inverse_search(positional_rows(rows, src, tgt, n),
+                                                      _positions(src, n)[0], src, tgt, ident)
     objects = [hocolim._pair_obj(i, c) for i in idx.objects for c in d.vertex[i].objects]
     return {"objects": objects, "morphisms": names, "src": src, "tgt": tgt, "ident": ident,
             "inv": list(inv.items()), "directly_finite": directly_finite, "rows": rows}
@@ -2230,7 +2277,8 @@ def reference_quotient_result(action: NamedAction):
     of_obj = [obj_at[obj_orbit[x]] for x in cat.objects]
     of_mor = [at[mor_orbit[m]] for m in r.names]
     lifts = [r.index[m] for m in names]
-    cells = {(of_mor[b], f): of_mor[ba] for f, a in enumerate(lifts) for b, ba in r.rows[a].items()}
+    rows = keyed_rows(r)
+    cells = {(of_mor[b], f): of_mor[ba] for f, a in enumerate(lifts) for b, ba in rows[a].items()}
     q = _stored(f"{cat.name}/{action.group.name}", objs, names,
                 [of_obj[r.src[a]] for a in lifts], [of_obj[r.tgt[a]] for a in lifts],
                 [of_mor[r.ident[r.objects[x]]] for x in objs],
@@ -2265,9 +2313,9 @@ def reference_complex(action: NamedAction, q, object_reps=None, h_elements=None)
         a: group.mul(group.mul(h_elts[name], a), group.inv(h_elts[name])) for a in local[x].labels})
         for name, x, y in arrows}
     twists = {(qr.names[b], qr.names[a]): group.mul(
-        h_elts[qr.names[qr.rows[a][b]]],
+        h_elts[qr.names[ba]],
         group.mul(group.inv(h_elts[qr.names[a]]), group.inv(h_elts[qr.names[b]])))
-        for b, a in qr.pairs()}
+        for b, a, ba in qr.entries()}
     return groupact.ComplexOfGroups(base, local, homs, twists), reps, lifts, h_elts
 
 

@@ -35,10 +35,13 @@ from eulcat.fincat import (
     skeleton,
 )
 from eulcat.groups import cyclic_group, symmetric_group
+from eulcat.ratlin import chi_L
 
 from helpers import (
     assert_lawful,
+    assert_revalidates,
     constant_complex,
+    dict_fill,
     gamma_one,
     gamma_two,
     identity_maps,
@@ -245,7 +248,7 @@ class TestOneStorePerGroupoid:
         group, n, prefix = cyclic_group(3), 2, "c0"
         cat = randgen.connected_groupoid(group, n, prefix)[0]
         r, m = cat._ends, group.order
-        entries = [(jk + h, ij + g, r.rows[ij + g][jk + h])
+        entries = [(jk + h, ij + g, r.rows[ij + g][r.pos[jk + h]])
                    for i in range(n) for j in range(n) for g in range(m) for k in range(n)
                    for ij, jk in [((i * n + j) * m, (j * n + k) * m)] for h in range(m)]
         swapped = fincat._stored(cat.name, cat.objects, r.names, r.src, r.tgt, r.ident,
@@ -325,12 +328,13 @@ class TestNamesCollide:
         assert str(got.value) == str(want.value)
         assert got.value.witness == want.value.witness
 
-
-    @pytest.mark.parametrize("arrows", [(("c[x]", "x", "y"),), (("id_t", "y", "x"),)],
+    @pytest.mark.parametrize("arrows", [(("c[x]", "x", "y"), ("c[x]@t", "x", "y")),
+                                        (("id_t", "y", "x"), ("id_t@t", "y", "x"))],
                              ids=["c[x]", "id_t"])
     def test_a_cone_with_repeated_names(self, arrows):
-        """A cone arrow named like a morphism of its input is rejected as
-        the record check of the name-level builder rejected it."""
+        """A cone arrow named like a morphism of its input, qualified by the
+        apex too, is rejected as the record check of the name-level builder
+        rejects it."""
         cat = zoo.build_category(("x", "y"), arrows, name="B")
         with pytest.raises(DanglingReference) as want:
             reference_cone(cat)
@@ -338,6 +342,32 @@ class TestNamesCollide:
             zoo.cone(cat)
         assert str(got.value) == str(want.value)
         assert got.value.witness == want.value.witness
+
+    @pytest.mark.parametrize("arrows", [(("c[x]", "x", "y"),), (("id_t", "y", "x"),)],
+                             ids=["c[x]", "id_t"])
+    def test_a_cone_qualifies_a_taken_name(self, arrows):
+        """A cone arrow named like a morphism of its input is named
+        ``name@apex``, as the name-level builder names it, and the other
+        new arrows keep their names."""
+        cat = zoo.build_category(("x", "y"), arrows, name="B")
+        got, taken = zoo.cone(cat), arrows[0][0]
+        assert_same_build(got, reference_cone(cat))
+        assert got.morphism_names()[-3:] == tuple(
+            f"{m}@t" if m == taken else m for m in ("id_t", "c[x]", "c[y]"))
+
+    def test_the_cone_of_a_cone(self):
+        """The second cone qualifies the first cone's arrows it would name
+        again, and is a lawful category with a terminal object; a single
+        cone's names are unchanged."""
+        once = zoo.cone(zoo.polygon_scwol(3))
+        twice = zoo.cone(once, "s")
+        assert_same_build(twice, reference_cone(once, "s"))
+        assert_revalidates(twice)
+        assert chi_L(twice) == 1
+        assert once.morphism_names()[-7:] == ("id_t", "c[v0]", "c[v1]", "c[v2]", "c[e0]", "c[e1]",
+                                              "c[e2]")
+        assert twice.morphism_names()[-8:] == ("id_s", "c[v0]@s", "c[v1]@s", "c[v2]@s",
+                                               "c[e0]@s", "c[e1]@s", "c[e2]@s", "c[t]")
 
     def test_an_apex_already_present(self):
         for build in (zoo.cone, reference_cone):
@@ -348,13 +378,17 @@ class TestNamesCollide:
 class TestNonVacuity:
     def test_one_swapped_cell_is_caught(self):
         """A store whose rows have two cells of one row swapped fails the
-        comparison with its reference."""
+        comparison with its reference: the first two composites of one row
+        that differ, in the order of the entries, swapped in the list."""
         cat = product(zoo.parallel_pair_scwol(), split_idempotent())
-        rows = cat._ends.rows
-        f, (g1, g2) = next((f, pair) for f, row in enumerate(rows)
+        r = cat._ends
+        in_entry_order = dict_fill(len(r.names), r.entries())[0]
+        f, (g1, g2) = next((f, pair) for f, row in enumerate(in_entry_order)
                            for pair in itertools.combinations(row, 2)
                            if row[pair[0]] != row[pair[1]])
-        rows[f][g1], rows[f][g2] = rows[f][g2], rows[f][g1]
+        row, p1, p2 = list(r.rows[f]), r.pos[g1], r.pos[g2]
+        row[p1], row[p2] = row[p2], row[p1]
+        r.rows[f] = tuple(row)
         with pytest.raises(AssertionError):
             assert_same_build(cat, reference_product(zoo.parallel_pair_scwol(), split_idempotent()))
 

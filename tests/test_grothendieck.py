@@ -382,7 +382,7 @@ NAME_FIELDS = {"objects", "morphisms", "identity", "composition", "_mor", "_hom"
 def counting_name_builds(mp: pytest.MonkeyPatch) -> dict[str, int]:
     """Count the calls that make a total's morphism names, lookup tables and
     composites."""
-    counts = {"morphism_names": 0, "_headers": 0, "runs": 0}
+    counts = {"morphism_names": 0, "_headers": 0, "composites": 0}
 
     def counted(owner, name):
         real = getattr(owner, name)
@@ -394,7 +394,7 @@ def counting_name_builds(mp: pytest.MonkeyPatch) -> dict[str, int]:
         mp.setattr(owner, name, wrapper)
 
     counted(_Numbering, "morphism_names")
-    counted(_Numbering, "runs")
+    counted(_Numbering, "composites")
     counted(hocolim, "_headers")
     return counts
 
@@ -409,10 +409,10 @@ class TestTableOnFirstRead:
         with pytest.MonkeyPatch.context() as mp:
             counts = counting_name_builds(mp)
             first = total.composition
-            assert counts == {"morphism_names": 1, "_headers": 1, "runs": 1}
+            assert counts == {"morphism_names": 1, "_headers": 1, "composites": 1}
             assert NAME_FIELDS <= vars(total).keys()
             assert total.composition is first and total.morphisms is total.morphisms
-            assert counts == {"morphism_names": 1, "_headers": 1, "runs": 1}
+            assert counts == {"morphism_names": 1, "_headers": 1, "composites": 1}
         assert_same_table(total, reference_grothendieck(d).category)
 
     def test_audit_instances_leave_the_table_unbuilt(self):
@@ -433,13 +433,13 @@ class TestTableOnFirstRead:
                 total = grothendieck(randgen.random_strict_diagram(rng)).category
                 classify(total)
                 assert not NAME_FIELDS & vars(total).keys()
-            assert counts == {"morphism_names": 0, "_headers": 0, "runs": 0}
+            assert counts == {"morphism_names": 0, "_headers": 0, "composites": 0}
             records = total.morphisms
             assert NAME_FIELDS - {"composition"} == vars(total).keys() & NAME_FIELDS
             assert total._mor and total.identity and total.morphisms is records
-            assert counts == {"morphism_names": 1, "_headers": 1, "runs": 0}
+            assert counts == {"morphism_names": 1, "_headers": 1, "composites": 0}
             total.composition
-            assert counts == {"morphism_names": 1, "_headers": 1, "runs": 1}
+            assert counts == {"morphism_names": 1, "_headers": 1, "composites": 1}
 
     def test_object_names_alone(self):
         """Reading the objects names them and nothing else."""

@@ -32,6 +32,7 @@ from eulcat.fincat import CatFunctor
 from eulcat.hocolim import CoherenceFailure, PseudoDiagram, StrictDiagram, constant_diagram
 
 from helpers import (
+    keyed_rows,
     loaded,
     monoid_z2_mult,
     reference_haefliger_chi,
@@ -200,7 +201,7 @@ def total_arrays(d) -> dict:
     ends = total._ends
     return {"objects": list(total.objects), "morphisms": list(total.morphism_names()),
             "src": ends.src, "tgt": ends.tgt, "ident": ends.ident, "inv": list(ends.inv.items()),
-            "directly_finite": total._directly_finite, "rows": total._plan.composites()}
+            "directly_finite": total._directly_finite, "rows": keyed_rows(total._read_rows())}
 
 
 class TestAsByNames:

@@ -163,7 +163,7 @@ class TestCheckLawsStillChecksEveryTriple:
         seen, real = [], groups._unassociative
         monkeypatch.setattr(fincat, "_unassociative", lambda *a: seen.append(a) or real(*a))
         store = fincat.validate(manifest.category_payload(cat), cat.name)
-        (rows, tgt, ident, out, middles), = seen
+        (rows, pos, tgt, ident, out, middles), = seen
         assert middles == out == fincat._rows_of(store).out()
         assert sorted(g for gs in middles for g in gs) == list(range(len(rows)))
         assert fincat._rows_of(store).gens is None

@@ -27,6 +27,7 @@ from eulcat.hocolim import PseudoDiagram
 from helpers import (
     corrupt_component,
     identity_maps,
+    keyed_rows,
     monoid_z2_mult,
     reference_action_checks,
     reference_check_functor,
@@ -310,8 +311,8 @@ class TestGeneratingSet:
                          lambda ab: fincat.product(ab[0].category, ab[1].category))))
     def test_categories_and_products(self, cat):
         r = fincat._rows_of(cat)
-        args = (r.rows, r.ident, r.src, r.tgt)
-        assert _generating_set(*args) == reference_generating_set(*args)
+        assert _generating_set(r.rows, r.ident, r.src, r.tgt) == \
+            reference_generating_set(keyed_rows(r), r.ident, r.src, r.tgt)
 
     @settings(max_examples=40, deadline=None)
     @given(groups)
@@ -324,5 +325,5 @@ class TestGeneratingSet:
         cat = fincat.product(zoo.one_object_category(symmetric_group(4)),
                              randgen.random_groupoid(Random(1), 3, 4).category)
         r = fincat._rows_of(cat)
-        args = (r.rows, r.ident, r.src, r.tgt)
-        assert _generating_set(*args) == reference_generating_set(*args)
+        assert _generating_set(r.rows, r.ident, r.src, r.tgt) == \
+            reference_generating_set(keyed_rows(r), r.ident, r.src, r.tgt)

@@ -152,6 +152,9 @@ def test_memory_audit_tiny():
     assert set(report["views"].values()) == {0}
     assert report["functors"] > 0 and report["functor_bytes"] > 0
     assert report["functor_views"] == 0
+    # a row is a tuple of its composites: at most 40 bytes of container per
+    # entry, where a dict per row held about 100
+    assert 0 < report["row_container_bytes"] <= 40 * report["cells"]
 
 
 # Runs the memory report with a constructor that reads its records back, so

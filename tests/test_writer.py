@@ -27,7 +27,7 @@ from eulcat.groupact import complex_of_groups, complex_to_pseudo_diagram, hocoli
 from eulcat.groups import cyclic_group, symmetric_group
 from eulcat.hocolim import bar_spectrum, constant_diagram, grothendieck, grothendieck_pseudo
 
-from helpers import monoid_z2_mult, reference_category_payload, split_idempotent
+from helpers import dict_fill, monoid_z2_mult, reference_category_payload, split_idempotent
 from strategies import SEEDS, TWISTED_ACTION_SEEDS, groupoids, posets, scwols, strict_diagrams
 
 texts = st.text()  # control and non-ASCII characters included
@@ -348,11 +348,14 @@ class TestWriteCategory:
         one row swapped writes other bytes than the payload."""
         cat = product(zoo.parallel_pair_scwol(), split_idempotent())
         want = reference({"c": manifest.category_payload(cat)})
-        rows = [dict(row) for row in cat._ends.rows]
-        f, (g1, g2) = next((f, pair) for f, row in enumerate(rows)
+        r = cat._ends
+        pos, rows = r.pos, [list(row) for row in r.rows]
+        in_entry_order = dict_fill(len(r.names), r.entries())[0]
+        f, (g1, g2) = next((f, pair) for f, row in enumerate(in_entry_order)
                            for pair in itertools.combinations(row, 2)
                            if row[pair[0]] != row[pair[1]])
-        rows[f][g1], rows[f][g2] = rows[f][g2], rows[f][g1]
+        p1, p2 = pos[g1], pos[g2]
+        rows[f][p1], rows[f][p2] = rows[f][p2], rows[f][p1]
         swapped = copy.copy(cat._ends)
         swapped.rows = rows
         monkeypatch.setattr(manifest, "_rows_of", lambda c: swapped)
