@@ -1,0 +1,149 @@
+#!/usr/bin/env python3
+"""Measure how category validation scales, on two families with known chi.
+
+    python3 scripts/scaling.py [--repeat K] [--smallest]
+
+Two families, each run at sizes that about double its composition table:
+
+- ``BZ``: B(Z/n), the one-object category of the cyclic group of order n,
+  for n = 30, 60, 120, 240; its oracle is chi_L = 1/n;
+- ``FinSet``: FinSet<=n, the sets {0, ..., k-1} for k = 0..n and every
+  function between them, for n = 1, 2, 3, 4 (FinSet<=4 has 499 morphisms
+  and 133,799 composition entries); the empty set is initial, so its
+  oracle is chi_L = 1.  It is built here from its functions.
+
+Per size, the best of ``K`` runs (default 5) of ``fincat.validate`` on the
+category's manifest payload as ``json.load`` reads it from a file, as the
+CLI does (``validate_s``; a payload whose entries were built in another
+order than they are listed is read from scattered memory, and validates
+measurably slower at the largest sizes), and of the checked constructor
+``FinCat(objects, morphisms, identity, composition)`` (``checked_s``), and
+chi_L of the validated category, checked against the oracle on every run.
+Per family, the log-log slope of each time between the two largest sizes,
+over n (``slope``) and over the composition entries
+(``slope_over_entries``); a checker linear in its entries has a slope of 2
+over n on ``BZ``.  ``--smallest`` runs the smallest size of each family
+only, with no slope.
+
+Prints one JSON object; exits 1 if an oracle fails.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import itertools
+import json
+import math
+import platform
+import sys
+import time
+from fractions import Fraction
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from eulcat import fincat, manifest, ratlin, zoo  # noqa: E402
+from eulcat.fincat import FinCat, Morphism  # noqa: E402
+from eulcat.groups import cyclic_group  # noqa: E402
+
+
+def cyclic_payload(n: int) -> dict:
+    """The manifest payload of B(Z/n)."""
+    return manifest.category_payload(zoo.one_object_category(cyclic_group(n)))
+
+
+def finset_payload(n: int) -> dict:
+    """The manifest payload of FinSet<=n: objects "0".."n", a morphism
+    k>m:f per function f from {0..k-1} to {0..m-1}, written as its values,
+    and g o f the function i -> g(f(i))."""
+    objects = [str(k) for k in range(n + 1)]
+    maps = {(k, m): list(itertools.product(range(m), repeat=k))
+            for k in range(n + 1) for m in range(n + 1)}
+
+    def name(k: int, m: int, f: tuple) -> str:
+        return f"{k}>{m}:{''.join(map(str, f))}"
+
+    morphisms = [{"id": name(k, m, f), "source": str(k), "target": str(m)}
+                 for (k, m), fs in maps.items() for f in fs]
+    compose = [[name(m, p, g), name(k, m, f), name(k, p, tuple(g[i] for i in f))]
+               for k, m, p in itertools.product(range(n + 1), repeat=3)
+               for f in maps[k, m] for g in maps[m, p]]
+    return {"name": f"FinSet<={n}", "objects": objects, "morphisms": morphisms,
+            "identity": {str(k): name(k, k, tuple(range(k))) for k in range(n + 1)},
+            "compose": compose}
+
+
+# family -> (payload of size n, chi_L of size n, sizes, the oracle in words)
+FAMILIES = {
+    "BZ": (cyclic_payload, lambda n: Fraction(1, n), (30, 60, 120, 240), "chi_L = 1/n"),
+    "FinSet": (finset_payload, lambda n: Fraction(1), (1, 2, 3, 4), "chi_L = 1"),
+}
+
+
+def best_of(repeat: int, fn) -> tuple[float, object]:
+    """The least wall time of ``repeat`` calls of ``fn``, and its last value."""
+    best, value = math.inf, None
+    for _ in range(repeat):
+        start = time.perf_counter()
+        value = fn()
+        best = min(best, time.perf_counter() - start)
+    return best, value
+
+
+def checked_args(payload: dict) -> tuple:
+    """The arguments of the checked constructor for ``payload``."""
+    morphisms = tuple(Morphism(m["id"], m["source"], m["target"]) for m in payload["morphisms"])
+    composition = {(g, f): gf for g, f, gf in payload["compose"]}
+    return (tuple(payload["objects"]), morphisms, dict(payload["identity"]), composition,
+            payload["name"])
+
+
+def slope(sizes: list[dict], x: str, y: str) -> float:
+    """The log-log slope of ``y`` over ``x`` between the last two sizes."""
+    a, b = sizes[-2], sizes[-1]
+    return round(math.log(b[y] / a[y]) / math.log(b[x] / a[x]), 3)
+
+
+def measure(family: str, repeat: int, smallest: bool) -> tuple[dict, list[str]]:
+    """The report of one family, and its oracle failures."""
+    build, oracle, sizes, words = FAMILIES[family]
+    rows, failures = [], []
+    for n in sizes[:1] if smallest else sizes:
+        payload = json.loads(json.dumps(build(n)))
+        validate_s, cat = best_of(repeat, lambda: fincat.validate(payload, payload["name"]))
+        args = checked_args(payload)
+        checked_s, _ = best_of(repeat, lambda: FinCat(*args))
+        chi = ratlin.chi_L(cat)
+        if chi != oracle(n):
+            failures.append(f"{family} n={n}: chi_L = {chi}, oracle {oracle(n)}")
+        rows.append({"n": n, "morphisms": len(payload["morphisms"]),
+                     "entries": len(payload["compose"]), "validate_s": round(validate_s, 6),
+                     "checked_s": round(checked_s, 6), "chi_L": str(chi)})
+    report = {"oracle": words, "sizes": rows}
+    if len(rows) > 1:
+        report["slope"] = {t: slope(rows, "n", f"{t}_s") for t in ("validate", "checked")}
+        report["slope_over_entries"] = {t: slope(rows, "entries", f"{t}_s")
+                                        for t in ("validate", "checked")}
+    return report, failures
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--repeat", type=int, default=5, help="runs per size; the best is kept")
+    parser.add_argument("--smallest", action="store_true", help="the smallest size only")
+    args = parser.parse_args(argv)
+    if args.repeat < 1:
+        parser.error("--repeat must be at least 1")
+    out = {"repeat": args.repeat, "python": platform.python_version(), "families": {}}
+    failures = []
+    for family in FAMILIES:
+        out["families"][family], failed = measure(family, args.repeat, args.smallest)
+        failures += failed
+    out["ok"], out["failures"] = not failures, failures
+    print(json.dumps(out, indent=2))
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -16,17 +16,18 @@ library reads the arrays (``_rows_of``).
 
 Validation checks the ids, endpoints and identity map, the endpoints of
 every composite, the identity laws on every morphism and, unless the
-category is thin, associativity on every composable triple, so downstream
-code may assume a lawful category.  It runs on integer rows (``_Rows``:
-one row of composites per morphism, whole rows compared at a time) read in
-one pass over the table's entries, the ``compose`` list itself for a
-manifest, whose ids are read into the index arrays first (``validate``).
+category is thin, associativity (at generators, which implies it on every
+triple), so downstream code may assume a lawful category.  It runs on
+integer rows (``_Rows``: one row of composites per morphism, whole rows
+compared at a time) read in one pass over the table's entries, the
+``compose`` list itself for a manifest, whose ids are read into the index
+arrays first (``validate``).
 The inverse search reads the same rows (``_inverse_search``), and the
 category keeps them as its ``_ends``.  The functor check
 (``_check_functor``: a functor is two int arrays, its object and morphism
 images) and the naturality check read rows too (``_rows_of``).
-Composition and naturality are checked on the rows of a generating set of
-morphisms (``groups._check_on_generators``).  Names come back
+Associativity, composition and naturality are checked on the rows of a
+generating set of morphisms (``groups._check_on_generators``).  Names come back
 only to report the first failure, whose ``witness`` holds the offending
 names: the walk that locates it reads the entries in table order
 (``_Rows.pairs``) or the index arrays, and names only the witness.
@@ -49,8 +50,8 @@ from operator import eq
 from typing import Iterable, Iterator, Mapping, NoReturn, Optional, Sequence
 
 from .errors import ValidationError, _trusted
-from .groups import (FinGroup, _check_on_generators, _first_repeat, _generating_set,
-                     _positions, _require_list, _unassociative)
+from .groups import (FinGroup, _check_associative, _check_on_generators, _first_repeat,
+                     _generating_set, _positions, _require_list)
 
 
 class DanglingReference(ValidationError):
@@ -422,8 +423,8 @@ class _Rows(_Ends):
         return out
 
     def check_laws(self, name: str) -> None:
-        """Check completeness, both identity laws, then associativity on every
-        composable triple (``groups._unassociative``) unless the category
+        """Check completeness, both identity laws, then associativity at the
+        generators, kept in ``gens`` (``groups._check_associative``), unless
         ``name`` is thin, where both sides share a one-element hom-set."""
         names, src, tgt, ident, rows, pos = (self.names, self.src, self.tgt, self.ident,
                                              self.rows, self.pos)
@@ -451,12 +452,13 @@ class _Rows(_Ends):
         # checked above, so a thin category is associative
         if self.is_thin():
             return
-        bad = _unassociative(rows, pos, tgt, ident, out, out)
-        if bad is not None:
-            f, g, h = map(names.__getitem__, bad)
+
+        def fail(f: str, g: str, h: str) -> NoReturn:
             raise NonAssociative(f"{name}: h o (g o f) != (h o g) o f for "
                                  f"(h, g, f) = ({h!r}, {g!r}, {f!r})",
                                  witness={"h": h, "g": g, "f": f})
+
+        _check_associative(self, names, rows, pos, src, tgt, ident, out, fail)
 
     def generators(self) -> list[int]:
         """``_generating_set`` of the category, found once."""

@@ -6,10 +6,9 @@ the products and ``FinGroup._inverse`` the inverses, and a homomorphism is
 read as the list of its image indices (``_image_of``).  Labels come back only
 for results and error messages.  Groups are tiny here (order <= a few dozen),
 so every axiom is checked at construction time.  Associativity (Light's
-test) and homomorphisms, like functors, naturality and actions, are checked
-at a generating set (``_generating_set``) by one kernel,
-``_check_on_generators``; a category's associativity (``_unassociative``)
-still checks every composable triple.
+test, ``_check_associative``, for groups and categories alike) and
+homomorphisms, like functors, naturality and actions, are checked at a
+generating set (``_generating_set``) by one kernel, ``_check_on_generators``.
 """
 
 from __future__ import annotations
@@ -67,10 +66,9 @@ def _generating_set(rows: Sequence, ident: Sequence[int], src: Sequence[int],
     pos = _positions(src, len(ident))[0]
     reached = [False] * len(rows)
     # the morphisms reached, by target, and the cells of the generators, by source
-    into, gens_from = [[] for _ in ident], [[] for _ in ident]
-    for x, e in enumerate(ident):
+    into, gens_from = [[e] for e in ident], [[] for _ in ident]
+    for e in ident:
         reached[e] = True
-        into[x].append(e)
     gens: list[int] = []
     for m in range(len(rows)):
         if reached[m]:
@@ -80,14 +78,14 @@ def _generating_set(rows: Sequence, ident: Sequence[int], src: Sequence[int],
         gens_from[src[m]].append(p)
         # a new composite has the form u o m o v, v reached before m
         todo = [rows[v][p] for v in into[src[m]]]
-        while todo:
-            x = todo.pop()
+        for x in todo:  # read as it grows
             if not reached[x]:
                 reached[x] = True
                 y = tgt[x]
                 into[y].append(x)
                 row = rows[x]
-                todo += [row[p] for p in gens_from[y]]
+                for q in gens_from[y]:
+                    todo.append(row[q])
     return gens
 
 
@@ -129,19 +127,18 @@ def _gens_of(group: FinGroup) -> list[int]:
 
 
 def _unassociative(rows: Sequence, pos: Sequence[int], tgt: Sequence[int], ident: Sequence[int],
-                   out: Sequence[Sequence[int]],
-                   middles: Sequence[Sequence[int]]) -> Optional[tuple[int, int, int]]:
+                   out: Sequence[Sequence[int]]) -> Optional[tuple[int, int, int]]:
     """The first triple (f, g, h) with h o (g o f) != (h o g) o f, or None,
     on tuple rows where ``rows[f][pos[g]]`` is g o f (``fincat._Rows``) and
     ``out[y]`` lists the morphisms out of y: f in index order, g in
-    ``middles[tgt[f]]``, h in ``out[tgt[g]]``, all h at once (the row of
-    g o f against row f read at the cells of the h o g, ``take``).
-    Triples with an identity f, g or h hold by the identity laws, which
-    callers check first, so a g with no other h is skipped.  A group has
-    ``pos[g] == g`` and ``out == [[0, ..., n-1]]``."""
+    ``out[tgt[f]]``, h in ``out[tgt[g]]``, all h at once (the row of g o f
+    against row f read at the cells of the h o g, ``take``), to locate the
+    fault of ``_check_associative``.  Triples with an identity f, g or h
+    hold by the identity laws, checked first, so a g with no other h is
+    skipped.  A group has ``pos[g] == g`` and ``out == [[0, ..., n-1]]``."""
     ids = set(ident)
     steps = [[(g, pos[g], itemgetter(*map(pos.__getitem__, rows[g])))
-              for g in gs if g not in ids and len(rows[g]) > 1] for gs in middles]
+              for g in gs if g not in ids and len(rows[g]) > 1] for gs in out]
     for f, row_f in enumerate(rows):
         if f in ids:
             continue
@@ -152,12 +149,32 @@ def _unassociative(rows: Sequence, pos: Sequence[int], tgt: Sequence[int], ident
     return None
 
 
+def _check_associative(of: Union["FinGroup", "_Rows"], names: Sequence[str], rows: Sequence,
+                       pos: Sequence[int], src: Sequence[int], tgt: Sequence[int],
+                       ident: Sequence[int], out: Sequence[Sequence[int]],
+                       fail: Callable[..., NoReturn]) -> list[int]:
+    """Check h o (g o f) = (h o g) o f at each generator g of ``of`` (Light's
+    test) on rows as for ``_unassociative``; return the generators.  The first
+    fault, found by ``_unassociative``, is raised by ``fail`` on its names."""
+    into = [[] for _ in out]  # the rows, by target
+    for y, row in zip(tgt, rows):
+        into[y].append(row)
+
+    def holds(g: int) -> bool:  # one cell: its h is an identity, and its getter reads no tuple
+        fs, cells = into[src[g]], list(map(pos.__getitem__, rows[g]))
+        return len(cells) < 2 or list(map(rows.__getitem__, map(itemgetter(pos[g]), fs))) == \
+            list(map(itemgetter(*cells), fs))
+
+    return _check_on_generators(of, holds, lambda: (bad := _unassociative(
+        rows, pos, tgt, ident, out)) and fail(*map(names.__getitem__, bad)))
+
+
 @dataclass(frozen=True, eq=False)
 class FinGroup:
     """A finite group given by element labels and a Cayley table on indices.
 
     ``table[i][j]`` is the index of the product ``labels[i] * labels[j]``.
-    Associativity is checked on generators (``_check_on_generators``).
+    Associativity is checked on generators (``_check_associative``).
     """
 
     labels: tuple[str, ...]
@@ -205,17 +222,13 @@ class FinGroup:
                                 witness={"element": self.labels[a]}) from None
             inverse.append(b)
         object.__setattr__(self, "_inverse", tuple(inverse))
-        # (ab)c against a(bc), b a generator (``_check_on_generators``), on
-        # the one-object category of the table; located among all (a, b, c)
-        table = (rows, every, [0] * n, [identity], [every])
 
-        def locate() -> NoReturn:
-            a, b, c = map(self.labels.__getitem__, _unassociative(*table, [every]))
+        def fail(a: str, b: str, c: str) -> NoReturn:
             raise NotAGroup(f"{self.name} is not associative on ({a!r}, {b!r}, {c!r})",
                             witness=(a, b, c))
 
-        gens = _check_on_generators(self, lambda b: _unassociative(*table, [[b]]) is None, locate)
-        object.__setattr__(self, "_gens", gens)
+        object.__setattr__(self, "_gens", _check_associative(
+            self, self.labels, rows, every, [0] * n, [0] * n, [identity], [every], fail))
 
     # -- basic queries ----------------------------------------------------
 

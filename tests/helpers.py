@@ -7,6 +7,7 @@ import json
 import sys
 from collections import Counter
 from fractions import Fraction
+from operator import itemgetter
 from pathlib import Path
 from random import Random
 
@@ -1942,6 +1943,57 @@ def reference_generating_set(rows, ident, src, tgt) -> list[int]:
                 row = rows[x]
                 todo += [row[g] for g in gens if src[g] == y]
     return gens
+
+
+def reference_unassociative(rows, pos, tgt, ident, out, middles):
+    """``groups._unassociative`` as it was, with its ``middles``: the first
+    (f, g, h) with h o (g o f) != (h o g) o f, f in index order, g in
+    ``middles[tgt[f]]``, h in ``out[tgt[g]]``; identities and a g with no
+    other h skipped."""
+    ids = set(ident)
+    steps = [[(g, pos[g], itemgetter(*map(pos.__getitem__, rows[g])))
+              for g in gs if g not in ids and len(rows[g]) > 1] for gs in middles]
+    for f, row_f in enumerate(rows):
+        if f in ids:
+            continue
+        for g, p, take in steps[tgt[f]]:
+            row_gf = rows[row_f[p]]
+            if row_gf != take(row_f):
+                return f, g, next(h for h, a, b in zip(out[tgt[g]], row_gf, take(row_f)) if a != b)
+    return None
+
+
+def reference_check_laws_rows(self, name: str) -> None:
+    """``fincat._Rows.check_laws`` as it was before its associativity went
+    through ``groups._check_associative``: completeness, both identity laws,
+    then, unless thin, every morphism as a middle factor of the walk
+    (``reference_unassociative``).  It finds no generators."""
+    names, src, tgt, ident, rows, pos = self.names, self.src, self.tgt, self.ident, self.rows, self.pos
+    out = self.out()
+    for f, row in enumerate(rows):
+        if None in row:
+            g = out[tgt[f]][row.index(None)]
+            raise IncompleteCompositionTable(
+                f"{name}: missing composite for pair ({names[g]!r}, {names[f]!r})",
+                witness={"pair": (names[g], names[f])},
+            )
+    for f, row in enumerate(rows):
+        if row[pos[ident[tgt[f]]]] != f:
+            raise BrokenIdentity(
+                f"{name}: id o {names[f]!r} != {names[f]!r}", witness={"morphism": names[f]}
+            )
+        if rows[ident[src[f]]][pos[f]] != f:
+            raise BrokenIdentity(
+                f"{name}: {names[f]!r} o id != {names[f]!r}", witness={"morphism": names[f]}
+            )
+    if self.is_thin():
+        return
+    bad = reference_unassociative(rows, pos, tgt, ident, out, out)
+    if bad is not None:
+        f, g, h = map(names.__getitem__, bad)
+        raise NonAssociative(f"{name}: h o (g o f) != (h o g) o f for "
+                             f"(h, g, f) = ({h!r}, {g!r}, {f!r})",
+                             witness={"h": h, "g": g, "f": f})
 
 
 def reference_group_checks(labels, table, name) -> None:

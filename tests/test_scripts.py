@@ -191,3 +191,56 @@ def test_memory_counts_a_planted_eager_read():
     assert report["views"]["morphisms"] == report["views"]["_mor"] > 0
     assert report["views"]["composition"] == 0
     assert 0 < report["functor_views"] <= report["functors"]
+
+
+def load_scaling():
+    """``scripts/scaling.py``, imported by its path."""
+    spec = importlib.util.spec_from_file_location("scaling", ROOT / "scripts" / "scaling.py")
+    scaling = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(scaling)
+    return scaling
+
+
+def test_scaling_smallest():
+    """The smallest size of each family, with its oracle met, in the
+    report's schema; one size has no slope."""
+    out = run_script("scaling.py", "--smallest", "--repeat", "1")
+    assert out.returncode == 0, out.stdout + out.stderr
+    report = json.loads(out.stdout)
+    assert set(report) == {"repeat", "python", "families", "ok", "failures"}
+    assert (report["repeat"], report["ok"], report["failures"]) == (1, True, [])
+    assert list(report["families"]) == ["BZ", "FinSet"]
+    want = {"BZ": (30, 30, 900, "1/30"), "FinSet": (1, 3, 4, "1")}
+    for family, (n, morphisms, entries, chi) in want.items():
+        got = report["families"][family]
+        assert set(got) == {"oracle", "sizes"}
+        (size,) = got["sizes"]
+        assert set(size) == {"n", "morphisms", "entries", "validate_s", "checked_s", "chi_L"}
+        assert (size["n"], size["morphisms"], size["entries"], size["chi_L"]) == (
+            n, morphisms, entries, chi)
+        assert size["validate_s"] > 0 and size["checked_s"] > 0
+
+
+def test_scaling_finset_is_the_category_of_functions():
+    """FinSet<=2 has the 1 + 1 + 1 + 0 + 1 + 2 + 0 + 1 + 4 functions
+    between its three sets, and its payload validates."""
+    scaling = load_scaling()
+    payload = scaling.finset_payload(2)
+    assert len(payload["morphisms"]) == 11
+    assert len(payload["compose"]) == sum(
+        len([g for g in payload["morphisms"] if g["source"] == f["target"]])
+        for f in payload["morphisms"])
+    scaling.fincat.validate(payload)
+
+
+def test_scaling_fails_on_a_wrong_oracle(monkeypatch, capsys):
+    """Non-vacuity: an oracle that gives 1/(n + 1) for B(Z/n) fails the
+    run, naming the family and size, while FinSet still passes."""
+    scaling = load_scaling()
+    build, _, sizes, words = scaling.FAMILIES["BZ"]
+    monkeypatch.setitem(scaling.FAMILIES, "BZ",
+                        (build, lambda n: scaling.Fraction(1, n + 1), sizes, words))
+    assert scaling.main(["--smallest", "--repeat", "1"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"] is False
+    assert report["failures"] == ["BZ n=30: chi_L = 1/30, oracle 1/31"]
