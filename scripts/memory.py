@@ -14,8 +14,9 @@ Runs the set-up of ``perfbench/workloads.py`` for the workload once, under
   ``_hom``, ``_by_source``, ``_invertible``), the categories that hold it;
 - ``view_bytes``: the bytes those views hold beyond the rows;
 - ``row_bytes``: the bytes the categories' ``_ends`` hold (their rows, or
-  a total's arrays);
-- ``cells``: the composition entries the categories' rows hold, and
+  a total's arrays and what of its rows it has made);
+- ``cells``: the composition entries the categories' rows hold (a
+  total's only once they are made), and
   ``row_container_bytes`` the bytes of the row containers alone (each
   row's tuple, without the composites it holds), so that their ratio is
   the layout's cost per entry;
@@ -49,7 +50,8 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import workloads  # noqa: E402
-from eulcat.fincat import CatFunctor, FinCat, Morphism, _Ends, _Rows  # noqa: E402
+from eulcat.fincat import CatFunctor, FinCat, Morphism, _Ends  # noqa: E402
+from eulcat.hocolim import _TotalRows  # noqa: E402
 
 VIEWS = ("morphisms", "composition", "_mor", "_hom", "_by_source", "_invertible")
 LEAVES = (str, int, float, bool, type(None), type, types.ModuleType)
@@ -87,15 +89,24 @@ def reachable(root) -> tuple[list[FinCat], list[CatFunctor]]:
 
 def slot_values(obj) -> list:
     """The values of the slots of ``obj`` that are set, read off the slot
-    descriptors, so no ``_OnFirstRead`` of a subclass runs."""
+    descriptors, so no ``_OnFirstRead`` of a subclass runs, and of the
+    fields of a total's rows made so far but the plan (``_TotalRows``)."""
     values = []
     for cls in type(obj).__mro__:
-        for slot in getattr(cls, "__slots__", ()):
+        for slot in cls.__dict__.get("__slots__", ()):  # a class's own, not inherited
             try:
                 values.append(cls.__dict__[slot].__get__(obj, cls))
             except AttributeError:
                 pass
+    if isinstance(obj, _TotalRows):
+        values += [value for key, value in vars(obj).items() if key != "plan"]
     return values
+
+
+def held_rows(ends: _Ends):
+    """The composition rows ``ends`` holds, or None: a total's only once
+    made, read without making them."""
+    return vars(ends).get("rows") if isinstance(ends, _TotalRows) else ends.rows
 
 
 def deep_size(root, seen: set) -> int:
@@ -134,7 +145,7 @@ def measure(workload: str, seed: int, size: str) -> dict:
         cats, functors = reachable(tasks)
         seen: set = set()
         row_bytes = sum(deep_size(cat._ends, seen) for cat in cats)
-        held = {id(cat._ends): cat._ends.rows for cat in cats if isinstance(cat._ends, _Rows)}
+        held = {id(cat._ends): rows for cat in cats if (rows := held_rows(cat._ends)) is not None}
         cells = sum(len(row) for rows in held.values() for row in rows)
         row_container_bytes = sum(sys.getsizeof(row) for rows in held.values() for row in rows)
         held = {attr: [cat for cat in cats if attr in vars(cat)] for attr in VIEWS}

@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Measure how category validation scales, on two families with known chi.
+"""Measure how category validation and writing scale, on families with known chi.
 
     python3 scripts/scaling.py [--repeat K] [--smallest]
 
-Two families, each run at sizes that about double its composition table:
+Two validation families, each run at sizes that about double its
+composition table:
 
 - ``BZ``: B(Z/n), the one-object category of the cyclic group of order n,
   for n = 30, 60, 120, 240; its oracle is chi_L = 1/n;
@@ -19,6 +20,16 @@ order than they are listed is read from scattered memory, and validates
 measurably slower at the largest sizes), and of the checked constructor
 ``FinCat(objects, morphisms, identity, composition)`` (``checked_s``), and
 chi_L of the validated category, checked against the oracle on every run.
+
+One writer family, ``ZnCone``: the Grothendieck total of Z/n acting
+trivially on ``cone(polygon_scwol(4))`` (its complex of groups as a pseudo
+diagram), for n = 2, 4, 8, 16, 32 (50 to 800 morphisms); chi of the cone
+is 1, so its oracle is chi_L = 1/n.  Per size, the best of ``K`` runs of
+``manifest._dumps`` on a freshly built total, which makes its composition
+rows for the write (``write_s``), the size of the text (``bytes``), and
+chi_L of the category read back from the text, checked against the
+oracle on every run.
+
 Per family, the log-log slope of each time between the two largest sizes,
 over n (``slope``) and over the composition entries
 (``slope_over_entries``); a checker linear in its entries has a slope of 2
@@ -43,7 +54,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from eulcat import fincat, manifest, ratlin, zoo  # noqa: E402
+from eulcat import fincat, groupact, hocolim, manifest, ratlin, zoo  # noqa: E402
 from eulcat.fincat import FinCat, Morphism  # noqa: E402
 from eulcat.groups import cyclic_group  # noqa: E402
 
@@ -74,11 +85,11 @@ def finset_payload(n: int) -> dict:
             "compose": compose}
 
 
-# family -> (payload of size n, chi_L of size n, sizes, the oracle in words)
-FAMILIES = {
-    "BZ": (cyclic_payload, lambda n: Fraction(1, n), (30, 60, 120, 240), "chi_L = 1/n"),
-    "FinSet": (finset_payload, lambda n: Fraction(1), (1, 2, 3, 4), "chi_L = 1"),
-}
+def trivial_cone_diagram(n: int) -> hocolim.PseudoDiagram:
+    """The pseudo diagram whose total is the homotopy quotient of Z/n
+    acting trivially on ``cone(polygon_scwol(4))``."""
+    action = groupact.trivial_action(cyclic_group(n), zoo.cone(zoo.polygon_scwol(4)))
+    return groupact.complex_to_pseudo_diagram(groupact.complex_of_groups(action).complex)
 
 
 def best_of(repeat: int, fn) -> tuple[float, object]:
@@ -99,6 +110,51 @@ def checked_args(payload: dict) -> tuple:
             payload["name"])
 
 
+def validation(payload_of):
+    """The layers of a validation family whose payload of size n is
+    ``payload_of(n)``: a function of n and K giving the size's report and
+    chi_L of the validated category."""
+    def run(n: int, repeat: int) -> tuple[dict, Fraction]:
+        payload = json.loads(json.dumps(payload_of(n)))
+        validate_s, cat = best_of(repeat, lambda: fincat.validate(payload, payload["name"]))
+        args = checked_args(payload)
+        checked_s, _ = best_of(repeat, lambda: FinCat(*args))
+        return {"morphisms": len(payload["morphisms"]), "entries": len(payload["compose"]),
+                "validate_s": round(validate_s, 6), "checked_s": round(checked_s, 6)}, \
+            ratlin.chi_L(cat)
+    return run
+
+
+def writing(diagram_of):
+    """The layer of a writer family whose pseudo diagram of size n is
+    ``diagram_of(n)``: a function of n and K giving the size's report and
+    chi_L of the category read back from the written text."""
+    def run(n: int, repeat: int) -> tuple[dict, Fraction]:
+        d = diagram_of(n)
+        write_s, text = math.inf, ""
+        for _ in range(repeat):
+            total = hocolim.grothendieck_pseudo(d)  # fresh, so each write makes its rows
+            start = time.perf_counter()
+            text = manifest._dumps({"category": total})
+            write_s = min(write_s, time.perf_counter() - start)
+        payload = json.loads(text)["category"]
+        return {"morphisms": len(payload["morphisms"]), "entries": len(payload["compose"]),
+                "write_s": round(write_s, 6), "bytes": len(text)}, \
+            ratlin.chi_L(fincat.validate(payload))
+    return run
+
+
+# family -> (the report of size n and K and its chi_L, chi_L of size n, sizes,
+# the oracle in words)
+FAMILIES = {
+    "BZ": (validation(cyclic_payload), lambda n: Fraction(1, n), (30, 60, 120, 240),
+           "chi_L = 1/n"),
+    "FinSet": (validation(finset_payload), lambda n: Fraction(1), (1, 2, 3, 4), "chi_L = 1"),
+    "ZnCone": (writing(trivial_cone_diagram), lambda n: Fraction(1, n), (2, 4, 8, 16, 32),
+               "chi_L = 1/n"),
+}
+
+
 def slope(sizes: list[dict], x: str, y: str) -> float:
     """The log-log slope of ``y`` over ``x`` between the last two sizes."""
     a, b = sizes[-2], sizes[-1]
@@ -107,24 +163,18 @@ def slope(sizes: list[dict], x: str, y: str) -> float:
 
 def measure(family: str, repeat: int, smallest: bool) -> tuple[dict, list[str]]:
     """The report of one family, and its oracle failures."""
-    build, oracle, sizes, words = FAMILIES[family]
+    run, oracle, sizes, words = FAMILIES[family]
     rows, failures = [], []
     for n in sizes[:1] if smallest else sizes:
-        payload = json.loads(json.dumps(build(n)))
-        validate_s, cat = best_of(repeat, lambda: fincat.validate(payload, payload["name"]))
-        args = checked_args(payload)
-        checked_s, _ = best_of(repeat, lambda: FinCat(*args))
-        chi = ratlin.chi_L(cat)
+        row, chi = run(n, repeat)
         if chi != oracle(n):
             failures.append(f"{family} n={n}: chi_L = {chi}, oracle {oracle(n)}")
-        rows.append({"n": n, "morphisms": len(payload["morphisms"]),
-                     "entries": len(payload["compose"]), "validate_s": round(validate_s, 6),
-                     "checked_s": round(checked_s, 6), "chi_L": str(chi)})
+        rows.append({"n": n, **row, "chi_L": str(chi)})
     report = {"oracle": words, "sizes": rows}
     if len(rows) > 1:
-        report["slope"] = {t: slope(rows, "n", f"{t}_s") for t in ("validate", "checked")}
-        report["slope_over_entries"] = {t: slope(rows, "entries", f"{t}_s")
-                                        for t in ("validate", "checked")}
+        timed = [key[:-2] for key in rows[0] if key.endswith("_s")]
+        report["slope"] = {t: slope(rows, "n", f"{t}_s") for t in timed}
+        report["slope_over_entries"] = {t: slope(rows, "entries", f"{t}_s") for t in timed}
     return report, failures
 
 

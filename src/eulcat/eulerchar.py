@@ -27,7 +27,6 @@ from .fincat import (
     _is_groupoid,
     _iso_roots,
     _require_scwol,
-    _rows_of,
     _skeleton_category,
 )
 from .ratlin import _weigh_category
@@ -91,11 +90,11 @@ def groupoid_chi2(cat: FinCat) -> Fraction:
 def free_aut_witness(cat: FinCat):
     """A pair (u, a) with u a non-identity automorphism fixing a under
     postcomposition, or None if every left aut-action on hom-sets is free.
-    It is the first over y, then x, then a in Hom(x, y), then u, on ``_rows_of(cat)``.
+    It is the first over y, then x, then a in Hom(x, y), then u, on ``cat._ends``.
 
     Expects a skeletal category.
     """
-    r = _rows_of(cat)
+    r = cat._ends
     into: list[list[int]] = [[] for _ in r.ident]  # Hom(x, y) of each y, for each x in turn
     for out in r.out():
         for a in out:

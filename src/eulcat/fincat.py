@@ -3,16 +3,17 @@
 A FinCat is given by its objects, morphism records, identity map and full
 composition table; every question here is answered off integer arrays.  There
 is one representation.  Every FinCat keeps its name, its objects, its
-identity map and ``_ends`` (``_Ends``: endpoints, identities and inverses by
-index), which the structural predicates (``classify``), the hom counts and
-the isomorphism classes read.  Its ``_ends`` are the integer rows of its
-table (``_Rows``), which the checked constructor fills from a hand-built
-table (``zoo``), a builder writes through the one unchecked constructor
-``_stored``, or ``validate`` checks in from a manifest; a Grothendieck total
-(``hocolim._Total``, the one subclass) keeps its plan instead.  Each name
-field (records, lookup tables, the inverse map, the table, and the identity
-map where none was given) is made on its first read (``_OnFirstRead``); the
-library reads the arrays (``_rows_of``).
+identity map and ``_ends``, the integer rows of its table (``_Rows``, whose
+endpoints, identities and inverses by index, ``_Ends``, are what the
+structural predicates (``classify``), the hom counts and the isomorphism
+classes read).  The checked constructor fills them from a hand-built table
+(``zoo``), a builder writes them through the one unchecked constructor
+``_stored``, or ``validate`` checks them in from a manifest; a Grothendieck
+total (``hocolim._Total``, the one subclass) keeps a ``hocolim._TotalRows``,
+whose composites, names and indexes are made off its plan on their first
+read and kept.  Each name field (records, lookup tables, the inverse map,
+the table, and the identity map where none was given) is made on its first
+read (``_OnFirstRead``); the library reads the rows (``cat._ends``).
 
 Validation checks the ids, endpoints and identity map, the endpoints of
 every composite, the identity laws on every morphism and, unless the
@@ -25,7 +26,7 @@ arrays first (``validate``).
 The inverse search reads the same rows (``_inverse_search``), and the
 category keeps them as its ``_ends``.  The functor check
 (``_check_functor``: a functor is two int arrays, its object and morphism
-images) and the naturality check read rows too (``_rows_of``).
+images) and the naturality check read rows too.
 Associativity, composition and naturality are checked on the rows of a
 generating set of morphisms (``groups._check_on_generators``).  Names come back
 only to report the first failure, whose ``witness`` holds the offending
@@ -93,8 +94,9 @@ class _OnFirstRead:
     """A name field of a FinCat, a functor's map, an action's tables or a
     quotient's orbit maps (``groupact``), made from its integer arrays on its
     first read by its owner (``_make``), which stores it on the instance; that
-    shadows this non-data descriptor, so later reads find it there.  A ``hocolim._TotalRows`` makes its indexes the same way.
-    On the class it has no value, so a dataclass field that is one has no
+    shadows this non-data descriptor, so later reads find it there.  The
+    rows of a total (``hocolim._TotalRows``) are made the same way.  On the
+    class it has no value, so a dataclass field that is one has no
     default."""
 
     def __set_name__(self, owner, name: str):
@@ -121,10 +123,10 @@ class FinCat:
     identity map it was given.  Every other category is one of these too,
     written unchecked by a builder (``_stored``) or checked in from a
     manifest (``validate``); a Grothendieck total (``hocolim._Total``) keeps
-    its plan instead of rows.  The records, the table (in entry order), the
-    lookup tables of ``_headers`` and the inverse map are views
-    (``_OnFirstRead``), made on their first read with the values and order
-    they were given in; the accessors but ``hom``, ``morphisms_from``,
+    rows made off its plan on their first read.  The records, the table (in
+    entry order), the lookup tables of ``_headers`` and the inverse map are
+    views (``_OnFirstRead``), made on their first read with the values and
+    order they were given in; the accessors but ``hom``, ``morphisms_from``,
     ``is_invertible`` and ``inverse`` read the rows and make none.  Direct
     finiteness and the inverses come from the inverse search of the rows
     (``_inverse_search``), or from a builder's proof.
@@ -137,7 +139,7 @@ class FinCat:
     name: str = "C"
 
     _directly_finite: bool = field(init=False, repr=False)
-    _ends: _Ends = field(init=False, repr=False)
+    _ends: _Rows = field(init=False, repr=False)
     _mor = _OnFirstRead()
     _hom = _OnFirstRead()
     _by_source = _OnFirstRead()
@@ -224,29 +226,20 @@ class FinCat:
 
     # -- accessors ----------------------------------------------------------
 
-    def _named(self) -> _Rows:
-        """The rows the name accessors read: ``_ends``, or a total's own."""
-        return self._ends
-
     def source(self, m: str) -> str:
-        r = self._named()
+        r = self._ends
         return self.objects[r.src[r.index[m]]]
 
     def target(self, m: str) -> str:
-        r = self._named()
+        r = self._ends
         return self.objects[r.tgt[r.index[m]]]
 
     def compose(self, g: str, f: str) -> str:
-        r = self._named()
+        r = self._ends
         gi, fi = r.index[g], r.index[f]
         if r.src[gi] != r.tgt[fi]:  # (g, f) is not composable
             raise KeyError((g, f))
-        return r.names[self._composites[fi][r.pos[gi]]]
-
-    @property
-    def _composites(self) -> list:
-        """The rows ``compose`` reads: those of ``_ends``, or a total's own."""
-        return self._ends.rows
+        return r.names[r.rows[fi][r.pos[gi]]]
 
     def hom(self, x: str, y: str) -> tuple[str, ...]:
         return self._hom.get((x, y), ())
@@ -255,7 +248,7 @@ class FinCat:
         return self._by_source[x]
 
     def is_identity(self, m: str) -> bool:
-        r = self._named()
+        r = self._ends
         i = r.index[m]
         return r.ident[r.src[i]] == i
 
@@ -266,14 +259,14 @@ class FinCat:
         return self._invertible[m]
 
     def morphism_names(self) -> tuple[str, ...]:
-        return tuple(self._named().names)
+        return tuple(self._ends.names)
 
     def has_object(self, x: str) -> bool:
-        return x in self._named().objects
+        return x in self._ends.objects
 
     def _arrows(self) -> Iterable[tuple[str, str, str]]:
         """The name, source and target of each morphism, in order."""
-        objs, rows = self.objects, self._named()
+        objs, rows = self.objects, self._ends
         return zip(rows.names, map(objs.__getitem__, rows.src), map(objs.__getitem__, rows.tgt))
 
     def require_object(self, x: str) -> None:
@@ -285,13 +278,13 @@ class FinCat:
 
 
 class _Ends:
-    """The int arrays every FinCat keeps as ``_ends``: ``src`` and ``tgt``
-    (object indices of each morphism's endpoints), ``ident`` (the identity
-    of each object, by morphism index) and ``inv`` (each invertible
-    morphism to its inverse, in morphism order).  Every FinCat but a
-    Grothendieck total keeps a ``_Rows``, which has the same four.  The structural
-    predicates, the hom counts and the isomorphism classes read only what
-    the methods give."""
+    """The int arrays of the rows every FinCat keeps as ``_ends``
+    (``_Rows``): ``src`` and ``tgt`` (object indices of each morphism's
+    endpoints), ``ident`` (the identity of each object, by morphism index)
+    and ``inv`` (each invertible morphism to its inverse, in morphism
+    order).  The structural predicates, the hom counts and the isomorphism
+    classes read only what the methods give, which a Grothendieck total
+    writes at once (``hocolim._TotalRows``)."""
 
     __slots__ = ("src", "tgt", "ident", "inv")
 
@@ -521,15 +514,6 @@ def _inverse_search(rows: Sequence, pos: Sequence[int], src: Sequence[int], tgt:
     return inv, directly_finite
 
 
-def _rows_of(cat: FinCat) -> _Rows:
-    """The rows of ``cat``: its ``_ends``, which are rows on every FinCat
-    but a Grothendieck total (those a builder wrote, or those a check
-    filled), or else rows read in one pass over the plan of a total
-    (``hocolim._Total._read_rows``), which are not kept."""
-    ends = cat._ends
-    return ends if isinstance(ends, _Rows) else cat._read_rows()
-
-
 def _stored(name: str, objects: Sequence[str], names: Sequence[str], src: list[int],
             tgt: list[int], ident: list[int], entries: Iterable[tuple[int, int, int]],
             inverses: Optional[tuple[dict[int, int], bool]] = None) -> FinCat:
@@ -710,7 +694,7 @@ class CatFunctor:
         """The functor with the arrays ``fo`` and ``fm`` (``_Arrays``), checked:
         NotAFunctor at an array of the wrong length, at the first image that
         is no index of ``target``, then at the laws of ``_check_functor``."""
-        s, t = _rows_of(source), _rows_of(target)
+        s, t = source._ends, target._ends
         for images, keys, n, law in ((fo, source.objects, len(t.ident), "objects"),
                                      (fm, s.names, len(t.src), "morphisms")):
             if len(images) != len(keys):
@@ -723,7 +707,7 @@ class CatFunctor:
 
     def _make(self, attr: str) -> None:
         """Store the map ``attr``, read off its array, on the instance."""
-        keys, names = (cat.objects if attr == "obj_map" else cat._named().names
+        keys, names = (cat.objects if attr == "obj_map" else cat._ends.names
                        for cat in (self.source, self.target))
         images = self._arrays[attr == "mor_map"]
         self.__dict__[attr] = dict(zip(keys, map(names.__getitem__, images)))
@@ -763,7 +747,7 @@ def _check_functor(src: FinCat, tgt: FinCat, obj_map: Mapping, mor_map: Mapping)
     read by name again only then, by a walk that raises on maps whose reads
     repeat (a missing key or unhashable image too); the bare ``raise``
     guards maps whose second read differs."""
-    s, t = _rows_of(src), _rows_of(tgt)
+    s, t = src._ends, tgt._ends
     try:
         fo = list(map(t.objects.__getitem__, map(obj_map.__getitem__, src.objects)))
         fm = list(map(t.index.__getitem__, map(mor_map.__getitem__, s.names)))
@@ -1020,7 +1004,8 @@ def _iso_partition(cat: FinCat) -> tuple[tuple[str, ...], ...]:
 
 def iso_classes(cat: FinCat) -> IsoClasses:
     """Partition objects into isomorphism classes, in one pass over the
-    morphisms, read off the rows of ``cat`` (``_rows_of``).
+    morphisms, read off the rows of ``cat`` (``_ends``; a total's are
+    made on their first read and kept).
 
     The representative of each class is its lexicographically least object
     id.  The automorphism group at the representative is the group of
@@ -1032,7 +1017,7 @@ def iso_classes(cat: FinCat) -> IsoClasses:
     that identity and inverse.  Its product a o b is ``rows[b][pos[a]]``.
     """
     classes = _iso_partition(cat)
-    r = _rows_of(cat)
+    r = cat._ends
     names, rows, cell, inv = r.names, r.rows, r.pos, r.inv
     endos: dict[int, list[int]] = {r.objects[cls[0]]: [] for cls in classes}
     for m, (x, y) in enumerate(zip(r.src, r.tgt)):
@@ -1075,7 +1060,7 @@ def full_subcategory(cat: FinCat, objects: Iterable[str], name: str | None = Non
     the rows of ``cat``, in its orders.  An inverse of a kept morphism is
     kept, and a one-sided inverse here is one in ``cat``, so the inverses
     of a directly finite ``cat`` are lifted."""
-    keep, r = set(objects), _rows_of(cat)
+    keep, r = set(objects), cat._ends
     kept = [x for x, c in enumerate(cat.objects) if c in keep]
     obj_at = {x: k for k, x in enumerate(kept)}
     mors = [m for m, (x, y) in enumerate(zip(r.src, r.tgt)) if x in obj_at and y in obj_at]
@@ -1110,7 +1095,7 @@ def _retract(cat: FinCat, rep_of: Mapping[str, str], name: str) -> SkeletonData:
     Everything is read off the rows of ``cat``.
     """
     gamma = full_subcategory(cat, rep_of.values(), name=name)
-    r, g = _rows_of(cat), gamma._ends
+    r, g = cat._ends, gamma._ends
     names, objects, rows, pos, inv = r.names, r.objects, r.rows, r.pos, r.inv
     fm = list(map(r.index.__getitem__, g.names))
     inclusion = _trusted(CatFunctor, source=gamma, target=cat,
@@ -1253,7 +1238,7 @@ def lower_link(cat: FinCat, obj: str) -> FinCat:
     """
     _require_scwol(cat)
     cat.require_object(obj)
-    r = _rows_of(cat)
+    r = cat._ends
     names, rows, pos, out, start = r.names, r.rows, r.pos, r.out(), r.objects[obj]
     link = [a for a in out[start] if a != r.ident[start]]
     link_at = {a: k for k, a in enumerate(link)}
@@ -1278,7 +1263,7 @@ def lower_link(cat: FinCat, obj: str) -> FinCat:
 def opposite(cat: FinCat) -> FinCat:
     """The opposite category, off the rows of ``cat``: each entry (g, f) is
     read as (f, g), in ``cat``'s order.  Its inverses are ``cat``'s."""
-    r = _rows_of(cat)
+    r = cat._ends
     return _stored(f"{cat.name}^op", cat.objects, r.names, r.tgt, r.src, r.ident,
                    ((f, g, gf) for g, f, gf in r.entries()), (r.inv, cat._directly_finite))
 
@@ -1290,7 +1275,7 @@ def product(a: FinCat, b: FinCat) -> FinCat:
     def po(x, y):
         return f"({x},{y})"
 
-    ra, rb = _rows_of(a), _rows_of(b)
+    ra, rb = a._ends, b._ends
     n, k = len(b), len(rb.names)  # the objects and the morphisms of b
     b_entries = list(rb.entries())
     return _stored(

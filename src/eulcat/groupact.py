@@ -52,7 +52,6 @@ from .fincat import (
     _iso_roots,
     _require_scwol,
     _retract,
-    _rows_of,
     _stored,
     skeleton,
 )
@@ -167,7 +166,7 @@ class ScwolAction:
         g_labels = self.group.labels
         cat = self.space
         _require_scwol(cat)
-        r = _rows_of(cat)
+        r = cat._ends
         names, src, tgt = r.names, r.src, r.tgt
 
         # object level first: axiom (i) only needs the object action, and the
@@ -229,7 +228,7 @@ class ScwolAction:
     def _tables(self, level: int) -> dict[str, dict[str, str]]:
         """The name table of each element on the objects (``level`` 0) or
         the morphisms (1) of the space, in group and space order."""
-        names = self.space.objects if level == 0 else self.space._named().names
+        names = self.space.objects if level == 0 else self.space._ends.names
         return {g: dict(zip(names, map(names.__getitem__, arrays[level])))
                 for g, arrays in zip(self.group.labels, self._arrays)}
 
@@ -251,7 +250,7 @@ class ScwolAction:
         return _named_orbits(self.space.objects, self._arrays, 0)
 
     def morphism_orbits(self) -> tuple[tuple[str, ...], ...]:
-        return _named_orbits(self.space._named().names, self._arrays, 1)
+        return _named_orbits(self.space._ends.names, self._arrays, 1)
 
     def is_free_on_objects(self) -> bool:
         only_identity = [self.group.identity]
@@ -336,7 +335,7 @@ class QuotientResult:
         """Store the map ``attr`` off the arrays: each orbit is named by
         its least member, the quotient's name at its index."""
         level = attr == "morphism_orbit_of"
-        names, orbit_names = ((self.space._named().names, self.category._named().names) if level
+        names, orbit_names = ((self.space._ends.names, self.category._ends.names) if level
                               else (self.space.objects, self.category.objects))
         of = self._arrays[level]
         self.__dict__[attr] = {names[x]: orbit_names[of[x]]
@@ -369,7 +368,7 @@ def quotient(action: ScwolAction) -> QuotientResult:
     read off the action's arrays (``_orbits``).
     """
     cat = action.space
-    r = _rows_of(cat)
+    r = cat._ends
     objs, names = cat.objects, r.names
     (obj_orbits, of_obj), (mor_orbits, of_mor) = (_orbits(objs, action._arrays, 0),
                                                   _orbits(names, action._arrays, 1))
@@ -387,7 +386,7 @@ def quotient(action: ScwolAction) -> QuotientResult:
 
 def _fixers(action: ScwolAction, obj: str) -> list[str]:
     """The elements g with g . obj = obj, in group order, off the arrays."""
-    x = action.space._named().objects[obj]
+    x = action.space._ends.objects[obj]
     return [g for g, (fo, _) in zip(action.group.labels, action._arrays) if fo[x] == x]
 
 
@@ -423,7 +422,7 @@ class ComplexOfGroups:
         for x in base.objects:
             if x not in self.local:
                 raise ValidationError(f"no local group at {x!r}", witness={"object": x})
-        r = _rows_of(base)
+        r = base._ends
         names, index, rows, pos, src, tgt = r.names, r.index, r.rows, r.pos, r.src, r.tgt
         local, ids = [self.local[x] for x in base.objects], set(r.ident)
         for m, name in enumerate(names):
@@ -561,7 +560,7 @@ def _complex_from_quotient(
     base = q.category
     group = action.group
     object_reps, h_elements = object_reps or {}, h_elements or {}
-    qr, r = _rows_of(base), _rows_of(action.space)
+    qr, r = base._ends, action.space._ends
     for orbit_name in object_reps:
         if not base.has_object(orbit_name):
             raise ValidationError(
@@ -605,7 +604,7 @@ def _complex_from_choices(action: ScwolAction, q: QuotientResult, reps: list[int
     ``quotient``), so no count is checked.  The complex is unchecked:
     conjugations by h, with h = e at identities, satisfy its identities."""
     base, cat, group = q.category, action.space, action.group
-    qr, r = _rows_of(base), _rows_of(cat)
+    qr, r = base._ends, cat._ends
     labels, table, inverse, index = group.labels, group.table, group._inverse, group._index
     local = [stabilizer(action, cat.objects[x]) for x in reps]
 
@@ -677,7 +676,7 @@ def hocolim_groups(cplx: ComplexOfGroups) -> FinCat:
     It is written off the base's rows and the local Cayley tables.
     """
     base = cplx.base
-    r = _rows_of(base)
+    r = base._ends
     names, out = r.names, r.out()
     local = [cplx.local[x] for x in base.objects]
     start, mor_names, src, tgt = [], [], [], []  # start[a]: the index of (a, first g)
@@ -866,8 +865,8 @@ def _coordinated_choices(action: ScwolAction, r: CatFunctor, qx: QuotientResult,
     morphisms, shared along the skeleton's retraction (the normal form of
     each morphism) and transported through rbar.
     """
-    rows = _rows_of(action.space)
-    qsk, qrows = skeleton(qx.category), _rows_of(qx.category)
+    rows = action.space._ends
+    qsk, qrows = skeleton(qx.category), qx.category._ends
     (rep_of, normal_form), (incl_obj, incl_mor) = qsk.retraction._arrays, qsk.inclusion._arrays
     lift_at = _lifts(qx, rows)
     # an orbit is named by its least member
@@ -899,8 +898,8 @@ def _coordinated_choices(action: ScwolAction, r: CatFunctor, qx: QuotientResult,
 def _complexes_agree_along(fx: ComplexOfGroups, fg: ComplexOfGroups, rbar: CatFunctor) -> bool:
     """Whether ``fx`` and ``fg`` have the same local groups (as element
     sets), structure maps and twists along rbar, by its arrays."""
-    (ro, rm), xr = rbar._arrays, _rows_of(fx.base)
-    objs, names, xn = fg.base.objects, _rows_of(fg.base).names, xr.names
+    (ro, rm), xr = rbar._arrays, fx.base._ends
+    objs, names, xn = fg.base.objects, fg.base._ends.names, xr.names
     return (all(set(fx.local[x].labels) == set(fg.local[objs[i]].labels)
                 for x, i in zip(fx.base.objects, ro))
             and all(dict(fx.homs[m].mapping) == dict(fg.homs[names[i]].mapping) for m, i in zip(xn, rm))
@@ -934,7 +933,7 @@ def equivariant_skeleton(action: ScwolAction) -> EquivariantSkeleton:
     r o g o i, unchecked.  Both equivariances are read off the arrays.
     """
     cat = action.space
-    objs, r = cat.objects, _rows_of(cat)
+    objs, r = cat.objects, cat._ends
 
     # G acts on iso classes (by their least indices, ``_iso_roots``), met in
     # the order of their least objects: the first class met of each orbit is

@@ -8,8 +8,10 @@ vertices' rows, each edge's arrays and the coherence components by index,
 which are identities for a strict diagram.  A pseudo diagram holds each
 coherence isomorphism as its table of components, as its manifest does:
 the edges already fix the functors it runs between.  The builder writes
-the total as integer arrays (``_Total``); its names and composition table
-are made when first read.
+the total's endpoints, identities and inverses as integer arrays
+(``_TotalRows``, the ``_ends`` of a ``_Total``) with the plan that numbered
+them; its composition rows and names are made off the plan when first
+read, and kept.
 """
 
 from __future__ import annotations
@@ -24,20 +26,17 @@ from .eulerchar import _scwol_weights, chi_scwol, chi2_free_EI, groupoid_chi2
 from .fincat import (
     CatFunctor,
     FinCat,
-    Morphism,
     _Ends,
     _OnFirstRead,
     _Rows,
     _check_natural,
     _composite_arrays,
-    _headers,
     _identity_arrays,
     _inverse_search,
     _is_groupoid,
     _is_scwol,
     _iso_roots,
     _require_scwol,
-    _rows_of,
     _skeleton_category,
     _skeleton_path_counts,
 )
@@ -259,10 +258,10 @@ class _IndexView:
     __slots__ = ("rows", "out", "vertex", "vrows", "edges", "arrays", "image", "unit", "comp")
 
     def __init__(self, d: Diagram):
-        self.rows = r = _rows_of(d.index)
+        self.rows = r = d.index._ends
         self.out, self.unit, self.comp = r.out(), None, None
         self.vertex = vertex = [d.vertex[i] for i in d.index.objects]
-        self.vrows = [_rows_of(cat) for cat in vertex]
+        self.vrows = [cat._ends for cat in vertex]
         self.edges = edges = [d.edge[m] for m in r.names]
         self.arrays = [f._arrays for f in edges]
         self.image = [fo for fo, _ in self.arrays]
@@ -325,7 +324,7 @@ class GrothendieckResult:
         """The inclusions alpha_i: C(i) -> hocolim, f |-> (id_i, f), built on
         every access and unchecked: (id_i, g) o (id_i, f) = (id_i, g o f).
         (id_i, f)@c is ``pos[f]`` after ``starts[id_i][c]`` (``_Numbering``)."""
-        plan, alphas = self.category._plan, {}
+        plan, alphas = self.category._ends.plan, {}
         for (first, order), e, i, ci in zip(plan.place, plan.view.rows.ident,
                                             self.diagram.index.objects, plan.view.vertex):
             fm = [plan.starts[e][c] + order.pos[f] for f, c in enumerate(ci._ends.src)]
@@ -335,85 +334,55 @@ class GrothendieckResult:
 
 
 class _Total(FinCat):
-    """A Grothendieck total as ``_grothendieck`` writes it: integer arrays,
-    with the names made when they are first read.
-
-    ``_ends`` (a ``fincat._Ends``: ``src``, ``tgt``, ``ident`` and ``inv``,
-    which every FinCat keeps) is what ``classify``, ``_count_rows``,
-    ``_iso_roots`` and ``len`` read, and ``_plan`` (a ``_Numbering``) is
-    what names and composes the morphisms.  Each name field is a
-    ``fincat._OnFirstRead``, its objects too, which are made on their first
-    read.  The first read of the morphism records, ``identity``,
-    ``_invertible`` or a lookup table of ``fincat._headers`` makes all of
-    those, and the first read of ``composition`` makes the table.  Names
-    and order are those of the name-level construction.  The writer reads
-    the object names and the rows of ``_read_rows``, and ``morphism_names``
-    reads the plan, so neither makes any other field.  The accessors that
-    a FinCat answers off its rows read ``_names`` here, the morphism names
-    on ``_ends`` with no composite, and ``compose`` reads ``_composites``,
-    the composition rows; each is made on its first read.
-    """
+    """A Grothendieck total as ``_grothendieck`` writes it: its ``_ends``
+    are a ``_TotalRows``, and its objects, like every name field of a
+    FinCat, are made on their first read, off the plan the rows keep."""
 
     objects = _OnFirstRead()
-    _names = _OnFirstRead()
-    _composites = _OnFirstRead()
 
     def _make(self, attr: str) -> None:
-        """Store the name field ``attr`` on the instance, with those made
-        alongside it."""
-        fields, plan, arrays = self.__dict__, self._plan, self._ends
-        if attr == "_names":
-            fields[attr] = self._read_rows([])
-            return
-        if attr == "_composites":
-            fields[attr] = plan.composites()
-            return
-        if "objects" not in fields:
-            fields["objects"] = plan.object_names()
+        """Store the name field ``attr`` on the instance: the object names
+        here, the rest as every FinCat does."""
         if attr == "objects":
-            return
-        if "morphisms" not in fields:
-            objs, names = fields["objects"], plan.morphism_names()
-            mors = tuple(map(Morphism, names, [objs[x] for x in arrays.src],
-                             [objs[y] for y in arrays.tgt]))
-            identity = {x: names[e] for x, e in zip(objs, arrays.ident)}
-            fields.update(_headers(objs, mors), morphisms=mors, identity=identity,
-                          _invertible={names[m]: names[g] for m, g in arrays.inv.items()})
-        if attr == "composition":
-            fields["composition"] = self._read_rows(fields.get("_composites")).table()
-
-    def morphism_names(self) -> tuple[str, ...]:
-        return tuple(self._plan.morphism_names())
-
-    def _named(self) -> _Rows:
-        return self._names
-
-    def _read_rows(self, rows: Optional[list] = None) -> _Rows:
-        """Rows on ``_ends`` (``_Numbering.composites``, not kept, or
-        ``rows``) and the names of the records if made, in the order of
-        ``composition``: by first factor, each row in the order of its
-        cells, so ``order`` is a ``range``; the writer makes neither index
-        of their names (``_TotalRows``)."""
-        arrays, records = self._ends, self.__dict__.get("morphisms")
-        rows = self._plan.composites() if rows is None else rows
-        names = self._plan.morphism_names() if records is None else [m.name for m in records]
-        r = _TotalRows(None, names, None, arrays.src, arrays.tgt, arrays.ident, rows,
-                       range(sum(map(len, rows))))
-        del r.objects, r.index  # made on first read
-        r.inv, r.total = arrays.inv, self
-        return r
+            self.__dict__[attr] = tuple(self._ends.objects)
+        else:
+            super()._make(attr)
 
 
 class _TotalRows(_Rows):
-    """The rows of a total (``_Total._read_rows``), whose name index and
-    object index are made on their first read, as the total's names are."""
+    """The rows of a Grothendieck total: ``src``, ``tgt``, ``ident`` and
+    ``inv`` as ``_grothendieck`` writes them, and ``plan``, the
+    ``_Numbering`` that names and composes its morphisms.  The composition
+    rows, ``pos``, ``order`` (a ``range``: the entries are listed by first
+    factor, each row in the order of its cells), the names and both indexes
+    are made off the plan on their first read and kept (``_OnFirstRead``),
+    so what ``classify``, ``len`` and the hom counts read makes none."""
 
+    rows = _OnFirstRead()
+    pos = _OnFirstRead()
+    order = _OnFirstRead()
+    names = _OnFirstRead()
     index = _OnFirstRead()
     objects = _OnFirstRead()
 
+    def __init__(self, src: list[int], tgt: list[int], ident: list[int], inv: dict[int, int],
+                 plan: _Numbering):
+        _Ends.__init__(self, src, tgt, ident, inv)
+        self.plan, self.gens = plan, None
+
     def _make(self, attr: str) -> None:
-        names = self.names if attr == "index" else self.total.objects
-        self.__dict__[attr] = {x: k for k, x in enumerate(names)}
+        plan, fields = self.plan, self.__dict__
+        if attr == "rows":
+            fields[attr] = plan.composites()
+        elif attr == "pos":
+            fields[attr] = tuple(_positions(self.src, len(self.ident))[0])
+        elif attr == "order":
+            fields[attr] = range(sum(map(len, self.rows)))
+        elif attr == "names":
+            fields[attr] = plan.morphism_names()
+        else:
+            fields[attr] = {x: k for k, x in enumerate(
+                self.names if attr == "index" else plan.object_names())}
 
 
 class _VertexOrder:
@@ -446,13 +415,12 @@ class _Numbering:
     morphism (u, f)@c, for the k-th object c of C(source(u)); ``blocks``
     holds each run of morphisms (u, f)@c with u and c fixed, as
     (i, k, u, j, x) in morphism order, where u: i -> j and x is the index
-    of C(u)(c) in C(j).  ``rows`` holds the composites if the build searched
-    them for inverses (over an index that is not directly finite)."""
+    of C(u)(c) in C(j)."""
 
-    __slots__ = ("view", "place", "starts", "blocks", "rows")
+    __slots__ = ("view", "place", "starts", "blocks")
 
     def __init__(self, view: _IndexView):
-        self.view, self.place, self.blocks, self.rows = view, [], [], None
+        self.view, self.place, self.blocks = view, [], []
         self.starts = [[] for _ in view.rows.src]
 
     def object_names(self) -> tuple[str, ...]:
@@ -468,17 +436,14 @@ class _Numbering:
         return names
 
     def composites(self) -> list[tuple[int, ...]]:
-        """The composition rows (``fincat._Rows``), in index order: they are
-        ``rows`` if the build kept them, and else made afresh off the view.
-        The morphisms out of (j, e) are the (v, g)@e, v out of j in turn,
-        then g by the order of C(t(v)) (``_VertexOrder``); so row m = (u, f)@c
+        """The composition rows (``fincat._Rows``), in index order, made off
+        the view.  The morphisms out of (j, e) are the (v, g)@e, v out of j
+        in turn, then g by the order of C(t(v)) (``_VertexOrder``); so row m = (u, f)@c
         lists the (v, g)@e o (u, f)@c = (v o u, g o C(v)(f) o comp_inv(v, u, c))@c
         in that order, each the morphism base + pos[h[cell[g]]]: h is the row
         of C(v)(f) o comp_inv(v, u, c) in its vertex, ``cell`` the vertex's
         ``fincat._Rows.pos``, base the first morphism (v o u, -)@c and pos
         the place of each morphism of that vertex in its list."""
-        if self.rows is not None:
-            return self.rows
         view, place, starts, r, rows = self.view, self.place, self.starts, self.view.rows, []
         for i, k, u, j, x in self.blocks:
             # per v out of j: everything about (v o u, c) that does not depend on f
@@ -498,7 +463,8 @@ class _Numbering:
 
 def _grothendieck(d: Diagram) -> FinCat:
     """The Grothendieck construction of a strict or pseudo diagram, written
-    as the integer arrays of a ``_Total`` off the diagram's ``_IndexView``.
+    as the integer arrays of a ``_Total``'s rows (``_TotalRows``) off the
+    diagram's ``_IndexView``.
 
     Objects are pairs (i, c); a morphism (i,c) -> (j,e) is a pair (u, f)
     with u: i -> j and f: C(u)(c) -> e, named ``(u,f)@c``.  Composition is
@@ -511,8 +477,9 @@ def _grothendieck(d: Diagram) -> FinCat:
     c, then u in the index's morphism order, then f by target and in the
     morphism order of C(j) (``_VertexOrder``).  The builder writes the
     endpoints, the identities and the inverses as indices, off the index's
-    and the vertices' rows and the edges' arrays, reading no name; names
-    and the composition table are made on first read (``_Total``).
+    and the vertices' rows and the edges' arrays, reading no name, and
+    keeps the plan (``_Numbering``); the composition rows, the names and
+    the table are made on first read.
 
     When the index is directly finite (every scwol and every EI category
     is), the inverse data is read off the diagram:
@@ -531,9 +498,10 @@ def _grothendieck(d: Diagram) -> FinCat:
       makes C(v)(f), and so f, invertible when C(i) is directly finite.
       Conversely, f |-> (id_i, f o unit_inv(i, c)) embeds C(i) faithfully.
 
-    Over any other index the composition rows are made at once and
-    searched for inverses (``fincat._inverse_search``), and direct
-    finiteness comes from that search.
+    Over any other index the composition rows are made at once, kept as
+    the total's rows, and searched for inverses
+    (``fincat._inverse_search``), and direct finiteness comes from that
+    search.
     """
     view = _index_view(d)
     plan, r = _Numbering(view), view.rows
@@ -562,15 +530,14 @@ def _grothendieck(d: Diagram) -> FinCat:
     ident = [starts[e][k] + place[i][1].pos[g]
              for i, e in enumerate(r.ident) for k, g in enumerate(view.inv_units(i))]
 
+    ends = _TotalRows(src, tgt, ident, None, plan)
     if d.index._directly_finite:
-        inv = _lifted_inverses(plan)
+        ends.inv = _lifted_inverses(plan)
         directly_finite = all(cat._directly_finite for cat in view.vertex)
     else:
-        plan.rows = plan.composites()
-        inv, directly_finite = _inverse_search(plan.rows, _positions(src, len(ident))[0], src,
-                                               tgt, ident)
-    return _trusted(_Total, name=f"hocolim({d.index.name})", _ends=_Ends(src, tgt, ident, inv),
-                    _plan=plan, _directly_finite=directly_finite)
+        ends.inv, directly_finite = _inverse_search(ends.rows, ends.pos, src, tgt, ident)
+    return _trusted(_Total, name=f"hocolim({d.index.name})", _ends=ends,
+                    _directly_finite=directly_finite)
 
 
 def _lifted_inverses(plan: _Numbering) -> dict[int, int]:

@@ -29,11 +29,12 @@ from __future__ import annotations
 import json
 from collections import deque
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
+from operator import getitem
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from .errors import ValidationError, _trusted
-from .fincat import CatFunctor, FinCat, _Rows, _rows_of, validate
+from .fincat import CatFunctor, FinCat, _Rows, validate
 from .groups import FinGroup, GroupHom, _require_list
 from .groupact import ComplexOfGroups, ScwolAction, validate_action
 from .hocolim import CellSpectrum, PseudoDiagram, StrictDiagram
@@ -58,50 +59,48 @@ def parse_rational(raw) -> Fraction:
 
 def category_payload(cat: FinCat) -> dict:
     """The payload of ``cat`` as plain data, read off its integer rows
-    (``_rows_of``), so it makes none of the name fields of a store or a
+    (``_ends``), so it makes none of the name fields of a store or a
     Grothendieck total but a total's object names.  Each entry is a fresh
-    list, which a caller may edit.  The writer does not build it: it writes
-    a category straight from its rows (``_write_category``)."""
-    ends = _rows_of(cat)
+    list, which a caller may edit, made in the order it is listed
+    (``_compose_entries``).  The writer does not build it: it writes a
+    category straight from its rows (``_write_category``)."""
+    ends = cat._ends
     names, objs = ends.names, cat.objects
     named = names.__getitem__
-    order, buckets = _compose_buckets(ends, lambda fs, gs, gfs: map(
-        list, zip(map(named, gs), map(named, fs), map(named, gfs))))
+    order, counts, fs, gfs = _compose_entries(ends)
+    gs = chain.from_iterable(map(repeat, map(named, order), counts))
     return {
         "name": cat.name,
         "objects": list(objs),
         "morphisms": [{"id": m, "source": objs[x], "target": objs[y]}
                       for m, x, y in zip(names, ends.src, ends.tgt)],
         "identity": {x: names[e] for x, e in zip(objs, ends.ident)},
-        "compose": list(chain.from_iterable(map(buckets.__getitem__, order))),
+        "compose": list(map(list, zip(gs, map(named, fs), map(named, gfs)))),
     }
 
 
-def _compose_buckets(ends: _Rows,
-                     cells: Callable[[Iterator[int], Iterator[int], Iterator[int]], Iterable]
-                     ) -> tuple[list[int], list[list]]:
-    """The order of the ``compose`` entries, ``sorted([g, f, gf] for (g, f),
-    gf in table.items())``, for the table whose rows are ``ends``
-    (``fincat._Rows``: cell p of row f is g o f for the p-th g out of
-    t(f)): the morphism indices in name order, and per g the bucket of its
-    entries in that order.  ``cells(fs, gs, gfs)`` makes the entries from
-    iterators over the f, the g and the g o f of every cell.
+def _compose_entries(ends: _Rows) -> tuple[list[int], list[int], list[int], Iterator[int]]:
+    """The ``compose`` entries of the table whose rows are ``ends``
+    (``fincat._Rows``), by index, in the order of ``sorted([g, f, gf] for
+    (g, f), gf in table.items())``: the morphisms g in name order, the
+    number of entries of each, the f of every entry, and an iterator over
+    their g o f.
 
-    The names are sorted once.  The cells are read row by row, f in name
-    order, and each goes to the bucket of its g, so that buckets read in
-    name order of g give the order of the sort: lists compare item by item,
-    the names are distinct, so two entries are ordered by the names of their
-    g and, for one g, of their f; each pair (g, f) has one entry, so gf is
-    never compared.  Every step is one ``map`` over all the cells."""
-    names, rows, out = ends.names, ends.rows, ends.out()
+    Lists compare item by item and the names are distinct, so two entries
+    are ordered by the names of their g and, for one g, of their f; each
+    pair (g, f) has one entry, so gf is never compared.  The f of the
+    entries of g are the morphisms into s(g), in name order, filed once per
+    object, and g o f is ``rows[f][pos[g]]``.  Every step is one ``map``
+    over the morphisms or over all the cells."""
+    names, src, tgt, rows, pos = ends.names, ends.src, ends.tgt, ends.rows, ends.pos
     order = sorted(range(len(names)), key=names.__getitem__)
-    by_f = list(map(rows.__getitem__, order))
-    gs = list(chain.from_iterable(map(out.__getitem__, map(ends.tgt.__getitem__, order))))
-    fs = chain.from_iterable(map(repeat, order, map(len, by_f)))
-    gfs = chain.from_iterable(by_f)
-    buckets: list[list] = [[] for _ in names]
-    deque(map(list.append, map(buckets.__getitem__, gs), cells(fs, iter(gs), gfs)), 0)
-    return order, buckets
+    into: list[list[int]] = [[] for _ in ends.ident]
+    deque(map(list.append, map(into.__getitem__, map(tgt.__getitem__, order)), order), 0)
+    firsts = list(map(into.__getitem__, map(src.__getitem__, order)))
+    counts = list(map(len, firsts))
+    fs = list(chain.from_iterable(firsts))
+    cells = chain.from_iterable(map(repeat, map(pos.__getitem__, order), counts))
+    return order, counts, fs, map(getitem, map(rows.__getitem__, fs), cells)
 
 
 def category_from_payload(payload: Mapping, name: str = "C") -> FinCat:
@@ -346,7 +345,7 @@ def _pseudo_diagram_payload(d: PseudoDiagram) -> dict:
 
 def pseudo_diagram_from_payload(payload: Mapping) -> PseudoDiagram:
     index, vertex, edge = _diagram_parts(payload)
-    comp, r = {}, _rows_of(index)
+    comp, r = {}, index._ends
     at, src, tgt = r.index, r.src, r.tgt
     for v, u, components in _entries(payload.get("comp", []), "comp"):
         v, u = str(v), str(u)
@@ -433,7 +432,7 @@ def complex_from_payload(payload: Mapping) -> ComplexOfGroups:
     for b, a, g in _entries(payload.get("twists", []), "twists"):
         twists[(str(b), str(a))] = str(g)
     # the composable pairs in the table's order, read off the rows
-    r = _rows_of(base)
+    r = base._ends
     names, units = r.names, set(r.ident)
     for bi, ai in r.pairs():
         b, a = names[bi], names[ai]
@@ -673,15 +672,14 @@ def _write_list(v, nl: str, out: list[str]) -> None:
 
 def _write_category(cat: FinCat, nl: str, out: list[str]) -> None:
     """Append the text of ``category_payload(cat)`` to ``out``, as ``_write``
-    would, straight from the rows of ``cat`` (``_rows_of``): each name is
+    would, straight from the rows of ``cat`` (``_ends``): each name is
     quoted once, and each composite is one piece, its quoted f and g o f,
-    filed in the bucket of its g (``_compose_buckets``); a bucket is joined
-    around its g's quoted name in one call; the g of each cell is read off
-    ``out`` (``fincat._Rows``).  The morphism records come from
-    the endpoint arrays, the identity map from ``ident`` in object-name
-    order.  A name that is no str raises TypeError in ``_quote``, as
-    ``_write`` does on a value it does not cover."""
-    ends = _rows_of(cat)
+    made in the order of the entries (``_compose_entries``); the pieces of
+    one g are joined around its quoted name in one call.  The morphism
+    records come from the endpoint arrays, the identity map from ``ident``
+    in object-name order.  A name that is no str raises TypeError in
+    ``_quote``, as ``_write`` does on a value it does not cover."""
+    ends = cat._ends
     objs = cat.objects
     q, qo = list(map(_quote, ends.names)), list(map(_quote, objs))
     ind = nl + "  "
@@ -689,17 +687,16 @@ def _write_category(cat: FinCat, nl: str, out: list[str]) -> None:
     ind3 = ind2 + "  "
     sep, sep3, close = "," + ind2, "," + ind3, ind2 + "]"
     qf = [x + sep3 for x in q]  # a piece starts with its quoted f
-    order, buckets = _compose_buckets(ends, lambda fs, gs, gfs: map(
-        str.__add__, map(qf.__getitem__, fs), map(q.__getitem__, gfs)))
+    order, counts, fs, gfs = _compose_entries(ends)
+    pieces = map(str.__add__, map(qf.__getitem__, fs), map(q.__getitem__, gfs))
     compose = []
-    for g in order:
-        bucket = buckets[g]
-        if bucket:
+    for g, n in zip(order, counts):
+        if n:
+            bucket = list(islice(pieces, n))
             head = "[" + ind3 + qf[g]
             bucket[0] = head + bucket[0]
             bucket[-1] += close
             compose.append((close + sep + head).join(bucket))
-            bucket.clear()  # its pieces go now, not after the last bucket
     record = "{" + ind3 + '"id": %s' + sep3 + '"source": %s' + sep3 + '"target": %s' + ind2 + "}"
     records = map(record.__mod__, zip(q, map(qo.__getitem__, ends.src),
                                       map(qo.__getitem__, ends.tgt)))

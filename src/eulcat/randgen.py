@@ -19,7 +19,7 @@ from random import Random
 from typing import Mapping, Optional, Sequence
 
 from .errors import _trusted
-from .fincat import CatFunctor, FinCat, _require_scwol, _rows_of, _stored
+from .fincat import CatFunctor, FinCat, _require_scwol, _stored
 from .groups import FinGroup, GroupHom, _image_of, all_homs, cyclic_group, klein_four_group, symmetric_group, trivial_group
 from .groupact import ScwolAction, trivial_action
 from .hocolim import StrictDiagram, constant_diagram, set_diagram
@@ -339,7 +339,7 @@ def induced_free_action(group: FinGroup, base: FinCat) -> ScwolAction:
     (its Cayley row): an automorphism, and (gk)h = g(kh).  Only the identity
     fixes an object, and it fixes every morphism (axiom ii); a non-identity
     arrow of a scwol has two ends (axiom i).  So only the space is checked."""
-    r, n_obj = _rows_of(base), len(base)
+    r, n_obj = base._ends, len(base)
     n_mor = len(r.names)
     copies = range(group.order)
     space = _stored(f"{group.name}x{base.name}",
@@ -438,7 +438,7 @@ def cone_action(action: ScwolAction, apex: str = "t") -> ScwolAction:
     the objects, no c[x] ends where it starts (axiom i) and g fixing x
     fixes c[x] (axiom ii); so it is not checked again."""
     space = cone(action.space, apex)
-    n, top = len(action.space), len(action.space._named().names)
+    n, top = len(action.space), len(action.space._ends.names)
     return _trusted(ScwolAction, group=action.group, space=space, _arrays=[
         ([*fo, n], [*fm, top, *(top + 1 + y for y in fo)]) for fo, fm in action._arrays])
 
@@ -455,7 +455,7 @@ def inflate_action(action: ScwolAction, copies: Mapping[str, int]) -> ScwolActio
     if any(counts[y] != c for fo, _ in action._arrays for c, y in zip(counts, fo)):
         raise ValueError("copy counts must be constant on orbits")
     space = inflate(action.space, copies)
-    n, ob, at = _inflated(action.space.objects, _rows_of(action.space), copies)
+    n, ob, at = _inflated(action.space.objects, action.space._ends, copies)
     return _trusted(ScwolAction, group=action.group, space=space, _arrays=[
         ([ob[y] + i for x, y in enumerate(fo) for i in range(n[x])],
          [at[gm] + o for m, gm in enumerate(fm) for o in range(at[m + 1] - at[m])])

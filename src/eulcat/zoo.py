@@ -16,7 +16,7 @@ import itertools
 from itertools import accumulate, chain
 from typing import Iterable, Mapping, Sequence
 
-from .fincat import FinCat, Morphism, _rows_of, _stored
+from .fincat import FinCat, Morphism, _stored
 from .groups import FinGroup
 
 
@@ -188,7 +188,7 @@ def inflate(cat: FinCat, copies: Mapping[str, int], name: str | None = None) -> 
     (g o f, i, k) in ``cat``'s entry order, so the laws are ``cat``'s, copy
     by copy.  Its inverses are searched.
     """
-    r = _rows_of(cat)
+    r = cat._ends
     (n, ob, at), src, tgt = _inflated(cat.objects, r, copies), r.src, r.tgt
     mors = [(m, x, y, i, j) for m, x, y in zip(r.names, src, tgt)
             for i in range(n[x]) for j in range(n[y])]
@@ -214,7 +214,7 @@ def cone(cat: FinCat, apex: str = "t") -> FinCat:
     apex, as ``c[x]@apex``, so the cone of a cone has the names of both."""
     if cat.has_object(apex):
         raise ValueError(f"object {apex!r} already present")
-    r = _rows_of(cat)
+    r = cat._ends
     n, top, ident = len(cat), len(r.names), r.ident  # top is id_apex, top + 1 + x is c[x]
     taken, new = set(r.names), [f"id_{apex}", *(f"c[{x}]" for x in cat.objects)]
     return _stored(f"cone({cat.name})", cat.objects + (apex,),

@@ -34,7 +34,6 @@ from eulcat.fincat import (
     _is_thin,
     _not_a_functor,
     _require_scwol,
-    _rows_of,
     _skeleton_category,
     _stored,
 )
@@ -393,7 +392,7 @@ def unvalidated(cls, **fields):
     reads from them, on which the library works."""
     value = _trusted(cls, **fields)
     if cls is groupact.ScwolAction and "_arrays" not in fields:
-        r = fincat._rows_of(value.space)
+        r = value.space._ends
         object.__setattr__(value, "_arrays", [
             ([r.objects[value.on_objects[g][x]] for x in value.space.objects],
              [r.index[value.on_morphisms[g][m]] for m in r.names]) for g in value.group.labels])
@@ -420,7 +419,7 @@ def assert_retraction_data(cat, inclusion, retraction, eta) -> None:
     ``equivariant_skeleton``): both functors revalidate, and ``eta`` is a
     natural isomorphism i o r => id."""
     assert_revalidates(inclusion, retraction)
-    rows, gamma = _rows_of(cat), _rows_of(retraction.target)
+    rows, gamma = cat._ends, retraction.target._ends
     i_r = _composite_arrays(reference_functor_arrays(retraction, gamma),
                             reference_functor_arrays(inclusion, rows))
     _check_natural(cat, rows, cat, rows, i_r, _identity_arrays(cat), eta, "eta")
@@ -1505,7 +1504,7 @@ def stored_disjoint_union(cats) -> FinCat:
     objects, names, src, tgt, ident, parts = [], [], [], [], [], []
     inverses: dict[int, int] = {}
     for c in cats:
-        r, n_obj, n_mor = _rows_of(c), len(objects), len(names)
+        r, n_obj, n_mor = c._ends, len(objects), len(names)
         objects += c.objects
         names += r.names
         src += [x + n_obj for x in r.src]
@@ -1709,7 +1708,7 @@ def reference_induced_free_action(group, base: FinCat):
 def inflate_action_without_offset(action, copies: Mapping[str, int]):
     """``randgen.inflate_action`` with every copy sent to the first copy of
     its image, the copy offset dropped: a planted fault."""
-    n, ob, at = zoo._inflated(action.space.objects, _rows_of(action.space), copies)
+    n, ob, at = zoo._inflated(action.space.objects, action.space._ends, copies)
     return _trusted(groupact.ScwolAction, group=action.group,
                     space=zoo.inflate(action.space, copies), _arrays=[
                         ([ob[y] for x, y in enumerate(fo) for _ in range(n[x])],
@@ -2173,7 +2172,7 @@ def reference_pseudo_diagram_from_payload(payload) -> hocolim.PseudoDiagram:
     """``manifest.pseudo_diagram_from_payload`` on ``reference_diagram_parts``."""
     BadManifest = manifest.BadManifest
     index, vertex, edge = reference_diagram_parts(payload)
-    comp, r = {}, _rows_of(index)
+    comp, r = {}, index._ends
     at, src, tgt = r.index, r.src, r.tgt
     for v, u, components in manifest._entries(payload.get("comp", []), "comp"):
         v, u = str(v), str(u)
@@ -2211,7 +2210,7 @@ def reference_complex_from_payload(payload) -> groupact.ComplexOfGroups:
     twists = {}
     for b, a, g in manifest._entries(payload.get("twists", []), "twists"):
         twists[(str(b), str(a))] = str(g)
-    r = _rows_of(base)
+    r = base._ends
     names, units = r.names, set(r.ident)
     for bi, ai in r.pairs():
         b, a = names[bi], names[ai]
@@ -2322,7 +2321,7 @@ def reference_quotient_result(action: NamedAction):
                  for x in orb}
     mor_orbit = {m: orb[0] for orb in _reference_orbits(action, cat.morphism_names(), action.act_mor)
                  for m in orb}
-    r = _rows_of(cat)
+    r = cat._ends
     objs = sorted(set(obj_orbit.values()))
     names = sorted(set(mor_orbit.values()))
     obj_at, at = {x: i for i, x in enumerate(objs)}, {m: i for i, m in enumerate(names)}
@@ -2345,7 +2344,7 @@ def reference_complex(action: NamedAction, q, object_reps=None, h_elements=None)
     base, obj_orbit_of, mor_orbit_of = q
     cat, group = action.space, action.group
     object_reps, h_elements = object_reps or {}, h_elements or {}
-    qr, r = _rows_of(base), _rows_of(cat)
+    qr, r = base._ends, cat._ends
     reps = {s: object_reps.get(s, s) for s in base.objects}
     if any(obj_orbit_of.get(x) != s for s, x in reps.items()):
         raise ValidationError("representative does not project to its orbit")
@@ -2375,7 +2374,7 @@ def _reference_coordinated_choices(action: NamedAction, r, qx, rbar):
     cat = action.space
     qsk = fincat.skeleton(qx[0])
     rep_of, eta, normal_form = qsk.retraction.obj_map, qsk.eta, qsk.retraction.mor_map
-    rows = _rows_of(cat)
+    rows = cat._ends
     lift_at = {(x, qx[2][m]): a for a, (m, x) in enumerate(zip(rows.names, rows.src))}
 
     def lift_target(start: str, orbit: str) -> str:

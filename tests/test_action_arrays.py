@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 from eulcat import groupact, randgen, zoo
 from eulcat.errors import EulcatError, _trusted
-from eulcat.fincat import CatFunctor, FinCat, _composite_arrays, _rows_of
+from eulcat.fincat import CatFunctor, FinCat, _composite_arrays
 from eulcat.groupact import ScwolAction, trivial_action
 from eulcat.groups import cyclic_group
 
@@ -60,7 +60,7 @@ def tables(action) -> list:
 
 def arrays_of(named) -> list:
     """The arrays of a ``NamedAction``'s tables, on its space's indices."""
-    r = _rows_of(named.space)
+    r = named.space._ends
     return [([r.objects[named.on_objects[g][x]] for x in named.space.objects],
              [r.index[named.on_morphisms[g][m]] for m in r.names]) for g in named.group.labels]
 

@@ -2,7 +2,7 @@
 
 The library's builders write the arrays of a ``fincat.FinCat`` through its
 one unchecked constructor (``fincat._stored``), reading the rows of their
-inputs (``fincat._rows_of``), not their name tables.  Each is compared with
+inputs (their ``_ends``), not their name tables.  Each is compared with
 the name-level builder it replaced (``helpers.reference_*``, each built
 through the checked ``FinCat`` constructor) on drawn inputs: name, objects,
 records, identity map, the composition table in its order, inverses,
@@ -430,7 +430,7 @@ class TestInputTablesStayUnmade:
         assert not {"morphisms", "composition", "_hom", "_mor"} & set(vars(store))
 
     def test_a_witness_on_a_total_makes_no_records(self):
-        """``_Total.morphism_names`` reads the plan: the ``NotScwol``
+        """``morphism_names`` reads the names on a total's rows: the ``NotScwol``
         witness of a total makes none of its name fields, and is the one
         raised once its records are made."""
         total = hocolim.grothendieck(hocolim.constant_diagram(

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from eulcat import fincat, groupact, hocolim, manifest, randgen, zoo
 from eulcat.errors import EulcatError, _trusted
-from eulcat.fincat import CatFunctor, NotAFunctor, _rows_of
+from eulcat.fincat import CatFunctor, NotAFunctor
 from eulcat.groups import _image_of, cyclic_group
 from eulcat.hocolim import _pair_obj, _triple_mor, constant_diagram, set_diagram
 
@@ -43,7 +43,7 @@ def by_name(source, obj_map, mor_map, target) -> tuple[list[int], list[int]]:
     """The arrays of the maps ``obj_map`` and ``mor_map`` from ``source``
     into ``target``, read by name."""
     named = SimpleNamespace(source=source, obj_map=obj_map, mor_map=mor_map)
-    return reference_functor_arrays(named, _rows_of(target))
+    return reference_functor_arrays(named, target._ends)
 
 
 def assert_same_functor(got: CatFunctor, want: CatFunctor) -> None:
@@ -321,7 +321,7 @@ class TestRejections:
         rng = Random(seed)
         fun = d.edge[rng.choice(d.index.morphism_names())]
         fo, fm = map(list, fun._arrays)
-        t = _rows_of(fun.target)
+        t = fun.target._ends
         if fm:
             fm[rng.randrange(len(fm))] = rng.randrange(len(t.src))
         s_names, t_names = fun.source.morphism_names(), t.names

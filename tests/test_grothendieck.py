@@ -24,7 +24,7 @@ from hypothesis import given, settings
 import contextlib
 import io
 
-from eulcat import cli, hocolim, manifest, randgen
+from eulcat import cli, fincat, hocolim, manifest, randgen
 from eulcat.errors import ValidationError
 from eulcat.fincat import CatFunctor, FinCat, Morphism, classify
 from eulcat.groupact import complex_of_groups, complex_to_pseudo_diagram
@@ -290,7 +290,7 @@ def assert_inverse_data_of_table(total: FinCat) -> None:
 def assert_lifted_inverses(total: FinCat) -> None:
     """``total`` was built with no composite made, and the inverse data it
     holds is that of its table."""
-    assert total._plan.rows is None and "composition" not in vars(total)
+    assert "rows" not in vars(total._ends) and "composition" not in vars(total)
     assert_inverse_data_of_table(total)
 
 
@@ -366,10 +366,10 @@ class TestLiftedInverses:
     ], ids=["terminal", "Z3", "split", "empty"])
     def test_index_not_directly_finite_searches_the_table(self, vertex):
         """The split-idempotent index (r o s = id_y, s o r = e != id_x) is not
-        directly finite: the composition rows are made at once and searched,
-        and the name table is still made on first read."""
+        directly finite: the composition rows are made at once, searched and
+        kept, and the name table is still made on first read."""
         total = grothendieck(constant_strict(split_idempotent(), vertex)).category
-        assert total._plan.rows is not None and "composition" not in vars(total)
+        assert "rows" in vars(total._ends) and "composition" not in vars(total)
         assert_inverse_data_of_table(total)
         assert total._directly_finite == (not total.objects)
 
@@ -395,7 +395,7 @@ def counting_name_builds(mp: pytest.MonkeyPatch) -> dict[str, int]:
 
     counted(_Numbering, "morphism_names")
     counted(_Numbering, "composites")
-    counted(hocolim, "_headers")
+    counted(fincat, "_headers")
     return counts
 
 
@@ -409,7 +409,8 @@ class TestTableOnFirstRead:
         with pytest.MonkeyPatch.context() as mp:
             counts = counting_name_builds(mp)
             first = total.composition
-            assert counts == {"morphism_names": 1, "_headers": 1, "composites": 1}
+            assert counts == {"morphism_names": 1, "_headers": 0, "composites": 1}
+            total.morphisms, total.identity, total._invertible
             assert NAME_FIELDS <= vars(total).keys()
             assert total.composition is first and total.morphisms is total.morphisms
             assert counts == {"morphism_names": 1, "_headers": 1, "composites": 1}
@@ -425,7 +426,8 @@ class TestTableOnFirstRead:
     def test_audit_instances_make_no_names(self):
         """``classify`` on the totals of 40 audit instances makes no object
         name, no morphism record, no lookup table and no composite; a first
-        read of the records makes them once, and the table once more."""
+        read of the records makes them and the lookup tables once, and the
+        table once more."""
         rng = Random(0)
         with pytest.MonkeyPatch.context() as mp:
             counts = counting_name_builds(mp)
@@ -435,7 +437,8 @@ class TestTableOnFirstRead:
                 assert not NAME_FIELDS & vars(total).keys()
             assert counts == {"morphism_names": 0, "_headers": 0, "composites": 0}
             records = total.morphisms
-            assert NAME_FIELDS - {"composition"} == vars(total).keys() & NAME_FIELDS
+            assert {"objects", "morphisms", "_mor", "_hom", "_by_source"} == \
+                vars(total).keys() & NAME_FIELDS
             assert total._mor and total.identity and total.morphisms is records
             assert counts == {"morphism_names": 1, "_headers": 1, "composites": 0}
             total.composition
@@ -496,8 +499,9 @@ class TestCountsOffTheArrays:
     def test_check_formula_chi2(self, kind):
         """``check_hocolim_formula(d, "chi2")`` builds the total and takes
         chi2 of it: off the arrays for a groupoid or a skeletal scwol; the
-        free-EI route reads the total's rows (``_Total._read_rows``), whose
-        object index is made only if read, so no route makes a name field."""
+        free-EI route reads the total's rows (``_ends``, made on first read),
+        whose object index is made only if read, so no route makes a name
+        field."""
         d = COUNTED_DIAGRAMS[kind]()
         with pytest.MonkeyPatch.context() as mp:
             totals = captured_totals(mp)

@@ -15,7 +15,6 @@ from eulcat.fincat import (
     UnknownObject,
     _check_natural,
     _identity_arrays,
-    _rows_of,
     classify,
     iso_classes,
     path_counts,
@@ -442,7 +441,7 @@ class TestIdentityEntriesAreSettled:
         calls = []
         real = FinCat.compose
         monkeypatch.setattr(FinCat, "compose", lambda self, g, f: calls.append((g, f)) or real(self, g, f))
-        ident, rows = _identity_arrays(space), _rows_of(space)
+        ident, rows = _identity_arrays(space), space._ends
         _check_natural(space, rows, space, rows, ident, ident, dict(space.identity), "id")
         assert calls == []
 

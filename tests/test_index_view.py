@@ -201,7 +201,7 @@ def total_arrays(d) -> dict:
     ends = total._ends
     return {"objects": list(total.objects), "morphisms": list(total.morphism_names()),
             "src": ends.src, "tgt": ends.tgt, "ident": ends.ident, "inv": list(ends.inv.items()),
-            "directly_finite": total._directly_finite, "rows": keyed_rows(total._read_rows())}
+            "directly_finite": total._directly_finite, "rows": keyed_rows(total._ends)}
 
 
 class TestAsByNames:
@@ -349,7 +349,7 @@ class TestOneViewPerDiagram:
             got = hocolim.grothendieck_pseudo(p)
             ends = got._ends
             return (ends.src, ends.tgt, ends.ident, list(ends.inv.items()),
-                    got._plan.composites(), got.objects, got.morphism_names(),
+                    got._ends.rows, got.objects, got.morphism_names(),
                     got._directly_finite)
 
         assert total(p) == total(tables)
@@ -381,7 +381,7 @@ class TestOneViewPerDiagram:
             got = hocolim.grothendieck(d).category
             ends = got._ends
             return (ends.src, ends.tgt, ends.ident, list(ends.inv.items()),
-                    got._plan.composites(), got.objects, got.morphism_names(),
+                    got._ends.rows, got.objects, got.morphism_names(),
                     fincat.classify(got))
 
         assert counts(d) == counts(fresh(d))

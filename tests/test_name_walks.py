@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from eulcat import cli, eulerchar, fincat, groupact, hocolim, randgen, zoo
 from eulcat.errors import EulcatError
-from eulcat.fincat import CatFunctor, _is_thin, _rows_of, _skeleton_category
+from eulcat.fincat import CatFunctor, _is_thin, _skeleton_category
 from eulcat.groupact import ComplexOfGroups
 from eulcat.groups import cyclic_group, symmetric_group
 from eulcat.hocolim import PseudoDiagram, constant_diagram
@@ -107,7 +107,7 @@ def mutate_maps(fun, rng, fault):
     """The maps of ``fun`` with one object or morphism image changed to
     another, to a parallel twin or to no name, or dropped."""
     obj_map, mor_map = dict(fun.obj_map), dict(fun.mor_map)
-    t = _rows_of(fun.target)
+    t = fun.target._ends
     if fault in ("object", "drop-object") or not mor_map:
         if obj_map:
             x = rng.choice(sorted(obj_map))
@@ -130,7 +130,7 @@ def mutate_maps(fun, rng, fault):
 
 def map_walks(fun, obj_map, mor_map):
     src, tgt = fun.source, fun.target
-    s, t = _rows_of(src), _rows_of(tgt)
+    s, t = src._ends, tgt._ends
     return (outcome(fincat._walk_functor_maps, s, t, tgt.name, obj_map, mor_map),
             outcome(reference_walk_functor_maps, src, tgt, obj_map, mor_map))
 
@@ -142,7 +142,7 @@ def mutate_arrays(fun, rng, fault):
     """The arrays of ``fun`` with one morphism image (two for "two-twins")
     changed to a parallel twin or to another morphism, or two images
     exchanged."""
-    t = _rows_of(fun.target)
+    t = fun.target._ends
     fo, fm = reference_functor_arrays(fun, t)
     if not fm:
         return fo, fm
@@ -159,7 +159,7 @@ def mutate_arrays(fun, rng, fault):
 
 def array_checks(fun, fo, fm):
     src, tgt = fun.source, fun.target
-    s, t, thin = _rows_of(src), _rows_of(tgt), _is_thin(tgt)
+    s, t, thin = src._ends, tgt._ends, _is_thin(tgt)
     return (outcome(fincat._check_functor_arrays, s, t, fo, fm, thin),
             outcome(reference_check_functor_arrays, src, tgt, s, t, fo, fm, thin))
 

@@ -90,8 +90,8 @@ def test_a_planted_read_fails_the_scan():
     outside the boundary."""
     path = SRC / "eulerchar.py"
     source = path.read_text(encoding="utf-8")
-    planted = source.replace("    r = _rows_of(cat)\n",
-                             "    r = _rows_of(cat)\n    table = cat.composition\n", 1)
+    planted = source.replace("    r = cat._ends\n",
+                             "    r = cat._ends\n    table = cat.composition\n", 1)
     assert planted != source
     assert scan(source)[1] == []
     assert [where for where, _ in scan(planted)[1]] == ["free_aut_witness"]
@@ -217,9 +217,9 @@ def test_the_action_layer_reads_no_names(module):
 
 
 @pytest.mark.parametrize("module, anchor, planted, where", [
-    ("groupact.py", "    x = action.space._named().objects[obj]\n",
+    ("groupact.py", "    x = action.space._ends.objects[obj]\n",
      "    table = action.on_objects[action.group.identity]\n", "_fixers"),
-    ("groupact.py", "    (ro, rm), xr = rbar._arrays, _rows_of(fx.base)\n",
+    ("groupact.py", "    (ro, rm), xr = rbar._arrays, fx.base._ends\n",
      "    images = rbar.obj_map\n", "_complexes_agree_along"),
     ("manifest.py", '        "object_action": action._tables(0),\n',
      '        "moved": action.act_obj(action.group.identity, action.space.objects[0]),\n',

@@ -145,7 +145,7 @@ class TestEveryCheckCallsTheKernel:
 
 class TestTheKernel:
     def test_it_tests_only_the_generators(self):
-        rows = fincat._rows_of(zoo.one_object_category(symmetric_group(3)))
+        rows = zoo.one_object_category(symmetric_group(3))._ends
         seen = []
         gens = groups._check_on_generators(rows, lambda s: seen.append(s) or True, None)
         assert seen == gens == rows.generators()
@@ -189,7 +189,7 @@ class TestTheKernel:
         written unchecked finds them on its first check."""
         assert not fincat._is_thin(cat)
         store = fincat.validate(manifest.category_payload(cat), cat.name)
-        unchecked = fincat._rows_of(cat).gens is None
+        unchecked = cat._ends.gens is None
         calls = generating_set_calls(monkeypatch)
         CatFunctor(store, store, *identity_maps(store))
         assert calls == []
@@ -215,14 +215,14 @@ class TestValidCategoriesSkipTheWalk:
         store = fincat.validate(manifest.category_payload(cat), cat.name)
         FinCat(cat.objects, cat.morphisms, cat.identity, cat.composition, cat.name)
         assert seen == []
-        rows = fincat._rows_of(store)
+        rows = store._ends
         assert rows.gens == groups._generating_set(rows.rows, rows.ident, rows.src, rows.tgt)
 
     @pytest.mark.parametrize("n", [2, 7, 30, 120])
     def test_a_cyclic_group_has_one_generator(self, n):
         store = fincat.validate(manifest.category_payload(
             zoo.one_object_category(cyclic_group(n))), "B")
-        assert fincat._rows_of(store).gens == [1]
+        assert store._ends.gens == [1]
 
 
 def broken_table(group, rng):

@@ -8,11 +8,15 @@ constructor once kept eagerly (``helpers.reference_name_fields``); the row
 accessors and the set-up of the ``audit`` benchmark make no view, and every
 rejection of the record check keeps its class, message, witness and order
 (``helpers.reference_check_records``).  A Grothendieck total answers the
-same accessors off its names and endpoints, and makes its composition rows
-only for ``compose``.
+same accessors off the names and endpoints on its rows (a ``_Rows`` like
+every category's), makes its composition rows only when they are read
+(``compose``, ``lower_link``, a functor check, the writer) and keeps them,
+with no reference back to the total.
 """
 
+import gc
 import importlib.util
+import weakref
 from pathlib import Path
 from random import Random
 
@@ -22,8 +26,9 @@ from hypothesis import strategies as st
 
 from eulcat import fincat, hocolim, manifest, randgen, zoo
 from eulcat.errors import EulcatError
-from eulcat.fincat import FinCat, Morphism
+from eulcat.fincat import CatFunctor, FinCat, Morphism
 from eulcat.groups import cyclic_group, klein_four_group
+from eulcat.ratlin import chi_L
 
 import strategies
 from helpers import (
@@ -277,8 +282,12 @@ class TestRejectionsUnchanged:
 class TestTotalAccessors:
     def test_name_accessors_make_no_composites(self):
         """On a total, every accessor but ``compose`` reads the names and
-        endpoints; ``compose`` makes the composition rows, once."""
+        endpoints on its rows, as ``classify``, ``len`` and ``chi_L`` read
+        the endpoints; ``compose`` makes the composition rows, once."""
         total = hocolim.grothendieck(randgen.random_strict_diagram(Random(2))).category
+        fincat.classify(total)
+        assert len(total) == len(total._ends.ident)
+        chi_L(total)
         names = total.morphism_names()
         arrows = list(total._arrows())
         for m, x, y in arrows:
@@ -286,19 +295,112 @@ class TestTotalAccessors:
             total.is_identity(m)
         for x in total.objects:
             total.require_object(x)
-        assert "_names" in vars(total) and "_composites" not in vars(total)
+        assert "rows" not in vars(total._ends)
         assert set(VIEWS).isdisjoint(vars(total))
         for m, _, y in arrows:
             for g in names:
                 if total.source(g) == y:
                     assert total.compose(g, m) == total.composition[(g, m)]
-        assert vars(total)["_composites"] is total._composites
+        assert vars(total._ends)["rows"] is total._ends.rows
 
-    def test_lower_link_makes_no_composites(self):
+    def test_lower_link_keeps_the_composites(self):
+        """``lower_link`` makes a total's composition rows on their first
+        read, and a second link reads the same rows."""
         d = hocolim.constant_diagram(zoo.pushout_scwol(), zoo.terminal_arrow_poset())
         total = hocolim.grothendieck(d).category
         assert len(fincat.lower_link(total, total.objects[0]).objects) > 1
-        assert "_names" in vars(total) and "_composites" not in vars(total)
+        rows = vars(total._ends)["rows"]
+        fincat.lower_link(total, total.objects[1])
+        assert total._ends.rows is rows
+
+
+def a_non_thin_scwol_total():
+    """A total that is a scwol with two arrows between some two objects, so
+    that ``lower_link`` and a functor check into it read its rows."""
+    d = hocolim.constant_diagram(zoo.pushout_scwol(), zoo.parallel_pair_scwol())
+    return hocolim._grothendieck(d), d
+
+
+def composites_made(monkeypatch) -> int:
+    """How often ``_Numbering.composites`` runs while a total is composed
+    in, linked, checked as a functor's target and written twice."""
+    calls = []
+    real = hocolim._Numbering.composites
+    monkeypatch.setattr(hocolim._Numbering, "composites",
+                        lambda plan: calls.append(1) or real(plan))
+    total, d = a_non_thin_scwol_total()
+    (m, _, _), g = next((a, g) for a in total._arrows() for g in total.morphism_names()
+                        if total.source(g) == a[2] and not total.is_identity(g))
+    total.compose(g, m)
+    fincat.lower_link(total, total.objects[0])
+    j = d.index.objects[0]
+    alpha = hocolim.GrothendieckResult(total, d).alphas[j]
+    CatFunctor(alpha.source, total, dict(alpha.obj_map), dict(alpha.mor_map))
+    assert manifest._dumps({"c": total}) == manifest._dumps({"c": total})
+    return len(calls)
+
+
+def collected_when_dropped() -> bool:
+    """Whether a total whose every field has been made is freed once it is
+    dropped, with the cyclic collector off."""
+    gc.disable()
+    try:
+        total, _ = a_non_thin_scwol_total()
+        total.composition, total.morphisms, total.identity, total._invertible
+        total._ends.index, total._ends.objects, total._ends.order
+        manifest._dumps({"c": total})
+        ref = weakref.ref(total)
+        del total
+        return ref() is None
+    finally:
+        gc.enable()
+
+
+class TestOneRowStore:
+    """Every FinCat keeps a ``_Rows``; a total's are made off its plan on
+    first read and kept, and hold no reference back to the total."""
+
+    def test_every_kind_keeps_rows(self):
+        total, d = a_non_thin_scwol_total()
+        for cat in (total, d.index, zoo.pushout_scwol(), loaded(zoo.pushout_scwol(), 0)):
+            assert isinstance(cat._ends, fincat._Rows)
+
+    def test_the_memory_script_reads_only_made_rows(self):
+        """``scripts/memory.py`` counts a total's rows once they are made,
+        and reading a total there makes none."""
+        total, _ = a_non_thin_scwol_total()
+        before = memory.deep_size(total._ends, set())
+        assert memory.held_rows(total._ends) is None and "rows" not in vars(total._ends)
+        rows = total._ends.rows
+        assert memory.held_rows(total._ends) is rows
+        assert memory.deep_size(total._ends, set()) > before
+
+    def test_the_composites_are_made_once(self, monkeypatch):
+        assert composites_made(monkeypatch) == 1
+
+    def test_a_dropped_total_needs_no_collector(self):
+        assert collected_when_dropped()
+
+    def test_rows_not_kept_are_seen(self, monkeypatch):
+        """Non-vacuity: rows made afresh on every read are counted."""
+        # the class holds an ``_OnFirstRead``, which raises on a class read
+        monkeypatch.setattr(hocolim._TotalRows, "rows", property(lambda r: r.plan.composites()),
+                            raising=False)
+        assert composites_made(monkeypatch) > 1
+
+    def test_a_back_reference_is_seen(self, monkeypatch):
+        """Non-vacuity: rows that refer back to their total keep it alive
+        until the collector runs."""
+        real = hocolim._grothendieck
+
+        def linked(d):
+            total = real(d)
+            total._ends.total = total
+            return total
+
+        monkeypatch.setattr(hocolim, "_grothendieck", linked)
+        assert not collected_when_dropped()
+        gc.collect()
 
 
 class TestAuditSetUpMakesNoViews:

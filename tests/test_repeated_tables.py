@@ -24,7 +24,6 @@ from hypothesis import strategies as st
 from eulcat import fincat, manifest, randgen, zoo
 from eulcat.cli import main
 from eulcat.errors import EulcatError
-from eulcat.fincat import _rows_of
 from eulcat.groupact import complex_of_groups, complex_to_pseudo_diagram, trivial_action
 from eulcat.groups import FinGroup, cyclic_group, symmetric_group
 from eulcat.hocolim import StrictDiagram, constant_diagram
@@ -82,7 +81,7 @@ def renamed(kind: str, value, rng: Random) -> dict:
 def assert_same_category(a, b) -> None:
     assert (a.name, a.objects, a.morphism_names()) == (b.name, b.objects, b.morphism_names())
     assert list(a.identity.items()) == list(b.identity.items())
-    ra, rb = _rows_of(a), _rows_of(b)
+    ra, rb = a._ends, b._ends
     assert (ra.rows, ra.order, ra.src, ra.tgt, ra.ident, ra.inv) == \
         (rb.rows, rb.order, rb.src, rb.tgt, rb.ident, rb.inv)
     assert a._directly_finite == b._directly_finite

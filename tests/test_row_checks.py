@@ -310,7 +310,7 @@ class TestGeneratingSet:
                      st.tuples(small_groupoids, small_groupoids).map(
                          lambda ab: fincat.product(ab[0].category, ab[1].category))))
     def test_categories_and_products(self, cat):
-        r = fincat._rows_of(cat)
+        r = cat._ends
         assert _generating_set(r.rows, r.ident, r.src, r.tgt) == \
             reference_generating_set(keyed_rows(r), r.ident, r.src, r.tgt)
 
@@ -324,6 +324,6 @@ class TestGeneratingSet:
     def test_a_large_product(self):
         cat = fincat.product(zoo.one_object_category(symmetric_group(4)),
                              randgen.random_groupoid(Random(1), 3, 4).category)
-        r = fincat._rows_of(cat)
+        r = cat._ends
         assert _generating_set(r.rows, r.ident, r.src, r.tgt) == \
             reference_generating_set(keyed_rows(r), r.ident, r.src, r.tgt)

@@ -8,9 +8,9 @@ builder's ``_stored``, a checked constructor, a manifest), and replayed
 into the dict layout the rows had before (``dict_fill``: one dict per
 row, keyed by g, and the f of each entry).  Re-keyed (``keyed_rows``),
 the rows equal those dicts, and ``pairs`` and ``table`` give the entries
-in the order the dict layout gave them.  The rows a total reads for
-writing (``hocolim._Total._read_rows``) are compared with the name walk
-of ``reference_total_arrays``.
+in the order the dict layout gave them.  The rows a total makes on first
+read (``hocolim._TotalRows``) are compared with the name walk of
+``reference_total_arrays``.
 """
 
 from random import Random
@@ -162,7 +162,7 @@ class TestSameAsTheDictLayout:
         its cells: the dict layout of the name walk, its pairs in that
         order."""
         total = hocolim.grothendieck(d).category
-        r, want = total._read_rows(), reference_total_arrays(d)["rows"]
+        r, want = total._ends, reference_total_arrays(d)["rows"]
         assert keyed_rows(r) == want
         assert list(r.pairs()) == [(q, f) for f, row in enumerate(want) for q in row]
 

@@ -209,16 +209,17 @@ def test_scaling_smallest():
     report = json.loads(out.stdout)
     assert set(report) == {"repeat", "python", "families", "ok", "failures"}
     assert (report["repeat"], report["ok"], report["failures"]) == (1, True, [])
-    assert list(report["families"]) == ["BZ", "FinSet"]
-    want = {"BZ": (30, 30, 900, "1/30"), "FinSet": (1, 3, 4, "1")}
+    assert list(report["families"]) == ["BZ", "FinSet", "ZnCone"]
+    want = {"BZ": (30, 30, 900, "1/30"), "FinSet": (1, 3, 4, "1"), "ZnCone": (2, 50, 196, "1/2")}
     for family, (n, morphisms, entries, chi) in want.items():
         got = report["families"][family]
         assert set(got) == {"oracle", "sizes"}
         (size,) = got["sizes"]
-        assert set(size) == {"n", "morphisms", "entries", "validate_s", "checked_s", "chi_L"}
+        timed = {"write_s", "bytes"} if family == "ZnCone" else {"validate_s", "checked_s"}
+        assert set(size) == {"n", "morphisms", "entries", "chi_L"} | timed
         assert (size["n"], size["morphisms"], size["entries"], size["chi_L"]) == (
             n, morphisms, entries, chi)
-        assert size["validate_s"] > 0 and size["checked_s"] > 0
+        assert all(size[key] > 0 for key in timed)
 
 
 def test_scaling_finset_is_the_category_of_functions():
@@ -233,14 +234,27 @@ def test_scaling_finset_is_the_category_of_functions():
     scaling.fincat.validate(payload)
 
 
-def test_scaling_fails_on_a_wrong_oracle(monkeypatch, capsys):
-    """Non-vacuity: an oracle that gives 1/(n + 1) for B(Z/n) fails the
-    run, naming the family and size, while FinSet still passes."""
+def failures_with_a_wrong_oracle(monkeypatch, capsys, family: str) -> list[str]:
+    """The failures of a run whose oracle for ``family`` gives 1/(n + 1)."""
     scaling = load_scaling()
-    build, _, sizes, words = scaling.FAMILIES["BZ"]
-    monkeypatch.setitem(scaling.FAMILIES, "BZ",
-                        (build, lambda n: scaling.Fraction(1, n + 1), sizes, words))
+    run, _, sizes, words = scaling.FAMILIES[family]
+    monkeypatch.setitem(scaling.FAMILIES, family,
+                        (run, lambda n: scaling.Fraction(1, n + 1), sizes, words))
     assert scaling.main(["--smallest", "--repeat", "1"]) == 1
     report = json.loads(capsys.readouterr().out)
     assert report["ok"] is False
-    assert report["failures"] == ["BZ n=30: chi_L = 1/30, oracle 1/31"]
+    return report["failures"]
+
+
+def test_scaling_fails_on_a_wrong_oracle(monkeypatch, capsys):
+    """Non-vacuity: an oracle that gives 1/(n + 1) for B(Z/n) fails the
+    run, naming the family and size, while the other families still pass."""
+    assert failures_with_a_wrong_oracle(monkeypatch, capsys, "BZ") == [
+        "BZ n=30: chi_L = 1/30, oracle 1/31"]
+
+
+def test_scaling_fails_on_a_wrong_writer_oracle(monkeypatch, capsys):
+    """Non-vacuity: the same for the total of Z/n on the cone, whose chi_L
+    is read back from the written text."""
+    assert failures_with_a_wrong_oracle(monkeypatch, capsys, "ZnCone") == [
+        "ZnCone n=2: chi_L = 1/2, oracle 1/3"]

@@ -209,7 +209,7 @@ class TestCategoryPayload:
         """The split-idempotent index: the build keeps the composition rows."""
         total = grothendieck(constant_diagram(split_idempotent(),
                                               zoo.one_object_category(cyclic_group(3)))).category
-        assert total._plan.rows is not None
+        assert "rows" in vars(total._ends)
         assert_writes_as_before(total)
 
     def test_total_with_its_records_made(self):
@@ -236,13 +236,10 @@ class TestCategoryPayload:
     ], ids=["strict", "pseudo", "loaded"])
     def test_writing_makes_no_name_table(self, build):
         """Writing a total or a loaded category makes no records, lookup
-        table or name-keyed table, and pins no composition rows on a
-        total's plan."""
+        table or name-keyed table."""
         cat = build()
         manifest.category_payload(cat)
         assert not {"composition", "morphisms", "_hom"} & vars(cat).keys()
-        plan = vars(cat).get("_plan")
-        assert plan is None or plan.rows is None
 
 
 # -- a category inside a value, written from its rows ----------------------------------------
@@ -322,7 +319,7 @@ class TestWriteCategory:
     def test_total_over_an_index_not_directly_finite(self):
         total = grothendieck(constant_diagram(split_idempotent(),
                                               zoo.one_object_category(cyclic_group(3)))).category
-        assert total._plan.rows is not None
+        assert "rows" in vars(total._ends)
         assert_renders_as_its_payload(total)
 
     def test_empty_category(self):
@@ -358,7 +355,7 @@ class TestWriteCategory:
         rows[f][p1], rows[f][p2] = rows[f][p2], rows[f][p1]
         swapped = copy.copy(cat._ends)
         swapped.rows = rows
-        monkeypatch.setattr(manifest, "_rows_of", lambda c: swapped)
+        monkeypatch.setitem(vars(cat), "_ends", swapped)
         assert manifest._dumps({"c": cat}) != want
 
     @pytest.mark.parametrize("build", [
@@ -369,13 +366,10 @@ class TestWriteCategory:
     ], ids=["strict", "pseudo", "hocolim_groups", "loaded"])
     def test_writing_a_report_makes_no_records(self, build):
         """Writing a report that holds a total or a loaded category makes
-        none of its records, lookup tables or table, and pins no composition
-        rows on a total's plan."""
+        none of its records, lookup tables or table."""
         cat = build()
         manifest._dumps({"category": cat, "objects": len(cat)})
         assert not {"composition", "morphisms", "_mor", "_hom"} & set(vars(cat))
-        plan = vars(cat).get("_plan")
-        assert plan is None or plan.rows is None
 
 
 def holds_a_category(value) -> bool:
