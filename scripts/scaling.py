@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Measure how category validation and writing scale, on families with known chi.
+"""Measure how category validation, building and writing scale, on families with known chi.
 
     python3 scripts/scaling.py [--repeat K] [--smallest]
 
@@ -30,10 +30,19 @@ rows for the write (``write_s``), the size of the text (``bytes``), and
 chi_L of the category read back from the text, checked against the
 oracle on every run.
 
+One building family, ``SubsetsOp``: ``zoo.subsets_poset_opposite(q)``, the
+opposite of the poset of non-empty subsets of {0, ..., q}, for q = 2..6 (19
+to 2,059 morphisms; its size is q, reported as ``n``).  Per size, the best
+of ``K`` runs of the builder (``build_s``), with three closed forms checked
+on every run: 3^(q+1) - 2^(q+1) morphisms (the pairs K <= J of subsets, K
+non-empty), 4^(q+1) - 3^(q+1) composition entries (the chains
+K2 <= K <= J, K2 non-empty), and chi_L = 1 (the whole set is initial).
+
 Per family, the log-log slope of each time between the two largest sizes,
 over n (``slope``) and over the composition entries
 (``slope_over_entries``); a checker linear in its entries has a slope of 2
-over n on ``BZ``.  ``--smallest`` runs the smallest size of each family
+over n on ``BZ``, and a builder linear in its entries a slope of 1 over
+them on ``SubsetsOp``.  ``--smallest`` runs the smallest size of each family
 only, with no slope.
 
 Prints one JSON object; exits 1 if an oracle fails.  Standard library only.
@@ -144,14 +153,32 @@ def writing(diagram_of):
     return run
 
 
-# family -> (the report of size n and K and its chi_L, chi_L of size n, sizes,
-# the oracle in words)
+def building(build):
+    """The layer of a building family whose category of size n is
+    ``build(n)``: a function of n and K giving the size's report and chi_L
+    of the built category."""
+    def run(n: int, repeat: int) -> tuple[dict, Fraction]:
+        build_s, cat = best_of(repeat, lambda: build(n))
+        r = cat._ends
+        return {"morphisms": len(r.names), "entries": len(r.order),
+                "build_s": round(build_s, 6)}, ratlin.chi_L(cat)
+    return run
+
+
+# family -> (the report of size n and K and its chi_L, the values of size n
+# that the oracle fixes, sizes, the oracle in words)
 FAMILIES = {
-    "BZ": (validation(cyclic_payload), lambda n: Fraction(1, n), (30, 60, 120, 240),
+    "BZ": (validation(cyclic_payload), lambda n: {"chi_L": Fraction(1, n)}, (30, 60, 120, 240),
            "chi_L = 1/n"),
-    "FinSet": (validation(finset_payload), lambda n: Fraction(1), (1, 2, 3, 4), "chi_L = 1"),
-    "ZnCone": (writing(trivial_cone_diagram), lambda n: Fraction(1, n), (2, 4, 8, 16, 32),
-               "chi_L = 1/n"),
+    "FinSet": (validation(finset_payload), lambda n: {"chi_L": Fraction(1)}, (1, 2, 3, 4),
+               "chi_L = 1"),
+    "ZnCone": (writing(trivial_cone_diagram), lambda n: {"chi_L": Fraction(1, n)},
+               (2, 4, 8, 16, 32), "chi_L = 1/n"),
+    "SubsetsOp": (building(zoo.subsets_poset_opposite),
+                  lambda q: {"morphisms": 3 ** (q + 1) - 2 ** (q + 1),
+                             "entries": 4 ** (q + 1) - 3 ** (q + 1), "chi_L": Fraction(1)},
+                  (2, 3, 4, 5, 6),
+                  "morphisms = 3^(q+1) - 2^(q+1), entries = 4^(q+1) - 3^(q+1), chi_L = 1"),
 }
 
 
@@ -167,8 +194,9 @@ def measure(family: str, repeat: int, smallest: bool) -> tuple[dict, list[str]]:
     rows, failures = [], []
     for n in sizes[:1] if smallest else sizes:
         row, chi = run(n, repeat)
-        if chi != oracle(n):
-            failures.append(f"{family} n={n}: chi_L = {chi}, oracle {oracle(n)}")
+        got = {**row, "chi_L": chi}
+        failures += [f"{family} n={n}: {key} = {got[key]}, oracle {want}"
+                     for key, want in oracle(n).items() if got[key] != want]
         rows.append({"n": n, **row, "chi_L": str(chi)})
     report = {"oracle": words, "sizes": rows}
     if len(rows) > 1:

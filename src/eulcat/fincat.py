@@ -6,8 +6,8 @@ is one representation.  Every FinCat keeps its name, its objects, its
 identity map and ``_ends``, the integer rows of its table (``_Rows``, whose
 endpoints, identities and inverses by index, ``_Ends``, are what the
 structural predicates (``classify``), the hom counts and the isomorphism
-classes read).  The checked constructor fills them from a hand-built table
-(``zoo``), a builder writes them through the one unchecked constructor
+classes read).  The checked constructor fills them from a named hand-built
+table (``zoo``), a builder writes them through the one unchecked constructor
 ``_stored``, or ``validate`` checks them in from a manifest; a Grothendieck
 total (``hocolim._Total``, the one subclass) keeps a ``hocolim._TotalRows``,
 whose composites, names and indexes are made off its plan on their first
@@ -116,7 +116,7 @@ class FinCat:
 
     ``composition[(g, f)]`` is the name of ``g o f`` (apply f first), defined
     exactly when ``target(f) == source(g)``.  This constructor is the checked
-    boundary for hand-built categories: it takes names, checks every law on
+    boundary for named hand-built categories: it takes names, checks every law on
     the integer rows of its table (``_Rows``, numbered by the indexes of its
     record check) and keeps only those rows, as ``_ends`` (endpoints,
     identities and inverses by index), with its name, its objects and the
@@ -456,7 +456,7 @@ class _Rows(_Ends):
     def generators(self) -> list[int]:
         """``_generating_set`` of the category, found once."""
         if self.gens is None:
-            self.gens = _generating_set(self.rows, self.ident, self.src, self.tgt)
+            self.gens = _generating_set(self.rows, self.ident, self.src, self.tgt, self.pos)
         return self.gens
 
     def entries(self) -> Iterator[tuple[int, int, int]]:

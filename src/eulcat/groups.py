@@ -54,16 +54,17 @@ def _positions(src: Sequence[int], n: int) -> tuple[list[int], list[int]]:
 
 
 def _generating_set(rows: Sequence, ident: Sequence[int], src: Sequence[int],
-                    tgt: Sequence[int]) -> list[int]:
+                    tgt: Sequence[int], pos: Optional[Sequence[int]] = None) -> list[int]:
     """Morphisms of which every morphism is a composite (an identity is the
     empty one), on rows where row x lists the composites g o x for the g out
     of ``tgt[x]`` in index order (``fincat._Rows``), and ``ident`` lists the
     identities.  In index order, each morphism that is no composite of those
     found before it is added, and the composites it makes are reached from
     the identities by composing on the left.  A group is the one-object
-    case, with ``rows[x][g]`` the product xg.  Why a law checked at these
-    implies it everywhere is proved once, in ``_check_on_generators``."""
-    pos = _positions(src, len(ident))[0]
+    case, with ``rows[x][g]`` the product xg.  ``pos`` is ``_positions``
+    of ``src``, made here unless given.  Why a law checked at these implies
+    it everywhere is proved once, in ``_check_on_generators``."""
+    pos = _positions(src, len(ident))[0] if pos is None else pos
     reached = [False] * len(rows)
     # the morphisms reached, by target, and the cells of the generators, by source
     into, gens_from = [[e] for e in ident], [[] for _ in ident]

@@ -23,7 +23,7 @@ from .fincat import CatFunctor, FinCat, _require_scwol, _stored
 from .groups import FinGroup, GroupHom, _image_of, all_homs, cyclic_group, klein_four_group, symmetric_group, trivial_group
 from .groupact import ScwolAction, trivial_action
 from .hocolim import StrictDiagram, constant_diagram, set_diagram
-from .zoo import _inflated, build_category, circle_scwol, cone, inflate, polygon_scwol
+from .zoo import _acyclic, _inflated, _poset, circle_scwol, cone, inflate, polygon_scwol
 
 _POOL: Optional[list[FinGroup]] = None
 _HOM_CACHE: dict[tuple[int, int], list[GroupHom]] = {}
@@ -71,41 +71,32 @@ def random_skeletal_scwol(
 
     Being free, composable non-identity paths never collide, so arbitrary
     generator data extends strictly; being acyclic, it is a skeletal scwol.
-    """
+    Its arrows are the edge paths p[e.f...] by length (over 300, a sparser
+    instance is rolled), written by ``zoo._acyclic`` with the entries
+    (q, p) = p.q over p, then q, in path order."""
     n = rng.randint(1, max_objects)
     objects = [f"o{i}" for i in range(n)]
-    edges = []  # (name, src_index, tgt_index)
+    out: list[list[tuple[str, int]]] = [[] for _ in objects]  # the edges out of each object
     for i in range(n):
         for j in range(i + 1, n):
             if rng.random() < edge_prob:
                 for k in range(rng.randint(1, max_parallel)):
-                    edges.append((f"e{i}_{j}_{k}", i, j))
+                    out[i].append((f"e{i}_{j}_{k}", j))
 
-    # enumerate all composable edge paths; the free category has one
-    # morphism per path
+    # every composable edge path; the free category has one morphism per path
     paths: list[tuple[tuple[str, ...], int, int]] = []
-    frontier = [((e[0],), e[1], e[2]) for e in edges]
+    frontier = [((e,), i, j) for i, es in enumerate(out) for e, j in es]
     while frontier:
         paths.extend(frontier)
-        nxt = []
-        for seq, src, tgt in frontier:
-            for e in edges:
-                if e[1] == tgt:
-                    nxt.append((seq + (e[0],), src, e[2]))
-        frontier = nxt
+        frontier = [(seq + (e,), i, k) for seq, i, j in frontier for e, k in out[j]]
         if len(paths) > 300:  # roll a sparser instance instead
             return random_skeletal_scwol(rng, max_objects, edge_prob * 0.6, 1)
-
-    def path_name(seq):
-        return "p[" + ".".join(seq) + "]"
-
-    arrows = [(path_name(seq), objects[s], objects[t]) for seq, s, t in paths]
-    compose = {}
-    for seq1, s1, t1 in paths:
-        for seq2, s2, t2 in paths:
-            if t1 == s2:
-                compose[(path_name(seq2), path_name(seq1))] = path_name(seq1 + seq2)
-    return build_category(objects, arrows, compose, name="freecat")
+    at = {seq: m for m, (seq, _, _) in enumerate(paths, n)}
+    starting = [[(m, seq) for m, (seq, i, _) in enumerate(paths, n) if i == x] for x in range(n)]
+    return _acyclic("freecat", objects, ["p[" + ".".join(seq) + "]" for seq, _, _ in paths],
+                    [i for _, i, _ in paths], [j for _, _, j in paths],
+                    ((g, f, at[p + q]) for f, (p, _, j) in enumerate(paths, n)
+                     for g, q in starting[j]))
 
 
 @dataclass(frozen=True)
@@ -131,28 +122,17 @@ def random_free_index(rng: Random, max_objects: int = 4, edge_prob: float = 0.5)
 
 
 def random_poset(rng: Random, max_objects: int = 5, rel_prob: float = 0.4) -> FinCat:
-    """Random finite poset (one morphism x -> y iff x <= y), as a scwol."""
+    """Random finite poset (one morphism x -> y iff x <= y), as a scwol:
+    i < j drawn with probability ``rel_prob`` for each i < j, then
+    transitively closed, with arrows le[i,j] in ``zoo._poset`` order."""
     n = rng.randint(1, max_objects)
-    objects = [f"q{i}" for i in range(n)]
-    leq = [[i == j for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < rel_prob:
-                leq[i][j] = True
-    for k in range(n):  # transitive closure
-        for i in range(n):
-            for j in range(n):
-                leq[i][j] = leq[i][j] or (leq[i][k] and leq[k][j])
-
-    def nm(i, j):
-        return f"le[{i},{j}]"
-
-    arrows = [(nm(i, j), objects[i], objects[j]) for i in range(n) for j in range(n) if i != j and leq[i][j]]
-    compose = {}
-    for i, j, k in itertools.product(range(n), repeat=3):
-        if i != j and j != k and leq[i][j] and leq[j][k]:  # so i < j < k
-            compose[(nm(j, k), nm(i, j))] = nm(i, k)
-    return build_category(objects, arrows, compose, name="poset")
+    drawn = [[j for j in range(i + 1, n) if rng.random() < rel_prob] for i in range(n)]
+    above: list[set[int]] = [set() for _ in drawn]
+    for i in reversed(range(n)):  # transitive closure, the objects above i closed already
+        for j in drawn[i]:
+            above[i] |= above[j] | {j}
+    return _poset("poset", [f"q{i}" for i in range(n)], list(map(sorted, above)),
+                  "le[{},{}]".format)
 
 
 def random_scwol(rng: Random, max_objects: int = 8, allow_fattening: bool = True) -> FinCat:

@@ -5,15 +5,17 @@ parallel pair is {j => k}, the circle scwol is the barycentric square with
 two edges and two vertices, and polygon scwols are face posets of subdivided
 n-gons with arrows from edges into their endpoints.
 
-The hand-built categories go through the checked ``FinCat`` constructor;
-the one-object category of a group, the cone and the inflation are written
-off their input's rows (``fincat._stored``), with the proof in the docstring.
+The named hand-built categories go through the checked ``FinCat``
+constructor.  The families are written (``fincat._stored``), each with its
+proof in its docstring: the posets and free categories on acyclic
+multigraphs off their indices (``_acyclic``), and the one-object category of
+a group, the cone and the inflation off their input's rows.
 """
 
 from __future__ import annotations
 
 import itertools
-from itertools import accumulate, chain
+from itertools import accumulate, chain, count
 from typing import Iterable, Mapping, Sequence
 
 from .fincat import FinCat, Morphism, _stored
@@ -26,11 +28,13 @@ def build_category(
     compose: Mapping[tuple[str, str], str] | None = None,
     name: str = "C",
 ) -> FinCat:
-    """Assemble a FinCat from non-identity arrows (id_<x> added per object).
+    """Assemble a FinCat from non-identity arrows (id_<x> added per object)
+    through the checked constructor: the named hand-built categories.
 
     ``compose`` must cover every composable pair of non-identity arrows
     (FinCat raises IncompleteCompositionTable on a missing one); pairs
-    involving identities are filled in automatically.
+    involving identities are filled in automatically, in the layout that
+    ``_acyclic`` writes.
     """
     ident = {x: f"id_{x}" for x in objects}
     mors = [Morphism(ident[x], x, x) for x in objects]
@@ -42,8 +46,46 @@ def build_category(
     return FinCat(tuple(objects), tuple(mors), ident, comp, name=name)
 
 
+def _acyclic(name: str, objects: Sequence[str], names: Sequence[str], src: list[int],
+             tgt: list[int], entries: Iterable[tuple[int, int, int]]) -> FinCat:
+    """The category whose non-identity arrows ``names`` go from ``src`` to
+    ``tgt`` (object indices), all forward in some order of the ``objects``,
+    and ``entries`` the triples (g, f, g o f) by index of its composable
+    non-identity pairs, written unchecked in the layout of ``build_category``:
+    id_<x> is morphism x and arrow k is morphism len(objects) + k; the
+    entries are ``entries``, then (id_t(m), m) and, unless m is an
+    identity, (m, id_s(m)) for each morphism m in order.
+
+    The laws hold by construction.  In a poset the order is transitive and
+    each hom-set has one element, so every composite is forced.  In a free
+    category composition is concatenation of edge paths and the identities
+    are the empty paths.  With no cycles only the identities are invertible,
+    which the inverse search finds."""
+    n = len(objects)
+    ident = list(range(n))
+    return _stored(name, objects, [*(f"id_{x}" for x in objects), *names], ident + src,
+                   ident + tgt, ident,
+                   chain(entries, zip(ident, ident, ident),
+                         chain.from_iterable(((y, m, m), (m, x, m))
+                                             for m, x, y in zip(count(n), src, tgt))))
+
+
+def _poset(name: str, objects: Sequence[str], targets: Sequence[Sequence[int]], arrow) -> FinCat:
+    """The poset on ``objects`` with an arrow i -> j, named ``arrow(i, j)``,
+    for each j in ``targets[i]`` (a strict order, transitively closed, each
+    list in object order), written by ``_acyclic``: the arrows over i, then
+    j, and the entries (j -> k) o (i -> j) = i -> k over i, j, then k."""
+    at = [dict(zip(js, count(first)))  # at[i][j] is the index of i -> j
+          for js, first in zip(targets, accumulate(map(len, targets), initial=len(objects)))]
+    return _acyclic(name, objects, [arrow(i, j) for i, js in enumerate(targets) for j in js],
+                    [i for i, js in enumerate(targets) for _ in js], [j for js in targets for j in js],
+                    ((at[j][k], ij, at[i][k]) for i, row in enumerate(at)
+                     for j, ij in row.items() for k in targets[j]))
+
+
 def discrete_category(objects: Iterable[str], name: str = "discrete") -> FinCat:
-    return build_category(tuple(objects), (), name=name)
+    """The identities of ``objects`` only, in order (``_acyclic``)."""
+    return _acyclic(name, tuple(objects), [], [], [], ())
 
 
 def terminal_category(obj: str = "*") -> FinCat:
@@ -90,48 +132,33 @@ def subset_label(subset: Iterable[int]) -> str:
 def subsets_poset_opposite(q: int) -> FinCat:
     """Opposite of the poset of non-empty subsets of {0, ..., q}.
 
-    There is a unique arrow J -> K exactly when K is a subset of J.
+    There is a unique arrow J -> K, named ``J>K``, exactly when K is a
+    proper subset of J.  The objects are the subsets by size, then
+    lexicographically; each subset's proper subsets are listed once, off
+    its bitmask, and the arrows and entries follow in ``_poset`` order.
     """
-    universe = range(q + 1)
-    subsets = []
-    for r in range(1, q + 2):
-        subsets.extend(itertools.combinations(universe, r))
-    objects = [subset_label(s) for s in subsets]
-    arrows = []
-    compose = {}
-
-    def arrow_name(j, k):
-        return f"{subset_label(j)}>{subset_label(k)}"
-
-    pairs = [
-        (j, k)
-        for j in subsets
-        for k in subsets
-        if set(k) < set(j)
-    ]
-    for j, k in pairs:
-        arrows.append((arrow_name(j, k), subset_label(j), subset_label(k)))
-    for j, k in pairs:
-        for k2 in subsets:
-            if set(k2) < set(k):
-                compose[(arrow_name(k, k2), arrow_name(j, k))] = arrow_name(j, k2)
-    return build_category(objects, arrows, compose, name=f"subsets_op({q})")
+    subsets = [s for r in range(1, q + 2) for s in itertools.combinations(range(q + 1), r)]
+    labels = list(map(subset_label, subsets))
+    masks = [sum(1 << i for i in s) for s in subsets]
+    return _poset(f"subsets_op({q})", labels,
+                  [[k for k, b in enumerate(masks) if b & a == b != a] for a in masks],
+                  lambda j, k: f"{labels[j]}>{labels[k]}")
 
 
 def polygon_scwol(n: int) -> FinCat:
     """Face scwol of a subdivided n-gon: arrows from each edge to its endpoints.
 
-    Objects: vertices v0..v{n-1} and edges e0..e{n-1}; edge ei has arrows to
-    vi and v{(i+1) % n}.  For n = 2 this is the circle scwol shape.
+    Objects: vertices v0..v{n-1} and edges e0..e{n-1}; edge ei has arrows
+    si to vi and ti to v{(i+1) % n}, in the order s0, t0, s1, ..., and no
+    composable pair of them (``_acyclic``).  For n = 2 this is the circle
+    scwol shape.
     """
     if n < 2:
         raise ValueError("polygon needs at least 2 sides")
-    objects = [f"v{i}" for i in range(n)] + [f"e{i}" for i in range(n)]
-    arrows = []
-    for i in range(n):
-        arrows.append((f"s{i}", f"e{i}", f"v{i}"))
-        arrows.append((f"t{i}", f"e{i}", f"v{(i + 1) % n}"))
-    return build_category(objects, arrows, name=f"polygon({n})")
+    return _acyclic(f"polygon({n})", [f"v{i}" for i in range(n)] + [f"e{i}" for i in range(n)],
+                    [f"{a}{i}" for i in range(n) for a in "st"],
+                    [n + i for i in range(n) for _ in "st"],
+                    [y for i in range(n) for y in (i, (i + 1) % n)], ())
 
 
 def one_object_category(group: FinGroup, obj: str = "*") -> FinCat:

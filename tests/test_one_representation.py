@@ -411,15 +411,24 @@ class TestAuditSetUpMakesNoViews:
         assert views_held(instances) == []
 
     def test_a_planted_eager_read_is_seen(self, monkeypatch):
-        """Non-vacuity: a constructor that reads its records back leaves
-        one view of them on every hand-built category."""
-        real = FinCat.__post_init__
+        """Non-vacuity: constructors that read their records back, the
+        checked one and the unchecked writer (``fincat._stored``, through
+        ``fincat._trusted``), leave one view of them on every category they
+        make."""
+        real, trusted = FinCat.__post_init__, fincat._trusted
 
         def eager(self, *flags):
             real(self, *flags)
             self.morphisms
 
+        def eager_trusted(cls, **fields):
+            value = trusted(cls, **fields)
+            if cls is FinCat:
+                value.morphisms
+            return value
+
         monkeypatch.setattr(FinCat, "__post_init__", eager)
+        monkeypatch.setattr(fincat, "_trusted", eager_trusted)
         instances = memory.workloads.audit_instances(0, 10)
         held = views_held(instances)
         assert held and {attr for _, attr in held} == {"morphisms", "_mor", "_hom", "_by_source"}

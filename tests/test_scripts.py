@@ -157,25 +157,34 @@ def test_memory_audit_tiny():
     assert 0 < report["row_container_bytes"] <= 40 * report["cells"]
 
 
-# Runs the memory report with a constructor that reads its records back, so
-# every hand-built category keeps that view, and a functor constructor that
-# reads its object map, so every functor built from arrays keeps that view.
+# Runs the memory report with constructors that read their records back, the
+# checked one and the unchecked writer (``fincat._stored``, through
+# ``fincat._trusted``), so every category they make keeps that view, and a
+# functor constructor that reads its object map, so every functor built from
+# arrays keeps that view.
 EAGER_MEMORY = """
 import runpy, sys
+from eulcat import fincat
 from eulcat.fincat import CatFunctor, FinCat
 
-real, from_arrays = FinCat.__post_init__, CatFunctor.from_arrays
+real, trusted, from_arrays = FinCat.__post_init__, fincat._trusted, CatFunctor.from_arrays
 
 def eager(self, *flags):
     real(self, *flags)
     self.morphisms
+
+def eager_trusted(cls, **fields):
+    value = trusted(cls, **fields)
+    if cls is FinCat:
+        value.morphisms
+    return value
 
 def eager_functor(*args):
     fun = from_arrays(*args)
     fun.obj_map
     return fun
 
-FinCat.__post_init__ = eager
+FinCat.__post_init__, fincat._trusted = eager, eager_trusted
 CatFunctor.from_arrays = eager_functor
 path = sys.argv[1]
 sys.argv = [path, "--workload", "audit", "--size", "tiny"]
@@ -209,13 +218,15 @@ def test_scaling_smallest():
     report = json.loads(out.stdout)
     assert set(report) == {"repeat", "python", "families", "ok", "failures"}
     assert (report["repeat"], report["ok"], report["failures"]) == (1, True, [])
-    assert list(report["families"]) == ["BZ", "FinSet", "ZnCone"]
-    want = {"BZ": (30, 30, 900, "1/30"), "FinSet": (1, 3, 4, "1"), "ZnCone": (2, 50, 196, "1/2")}
+    assert list(report["families"]) == ["BZ", "FinSet", "ZnCone", "SubsetsOp"]
+    want = {"BZ": (30, 30, 900, "1/30"), "FinSet": (1, 3, 4, "1"), "ZnCone": (2, 50, 196, "1/2"),
+            "SubsetsOp": (2, 19, 37, "1")}
     for family, (n, morphisms, entries, chi) in want.items():
         got = report["families"][family]
         assert set(got) == {"oracle", "sizes"}
         (size,) = got["sizes"]
-        timed = {"write_s", "bytes"} if family == "ZnCone" else {"validate_s", "checked_s"}
+        timed = {"ZnCone": {"write_s", "bytes"}, "SubsetsOp": {"build_s"}}.get(
+            family, {"validate_s", "checked_s"})
         assert set(size) == {"n", "morphisms", "entries", "chi_L"} | timed
         assert (size["n"], size["morphisms"], size["entries"], size["chi_L"]) == (
             n, morphisms, entries, chi)
@@ -234,12 +245,14 @@ def test_scaling_finset_is_the_category_of_functions():
     scaling.fincat.validate(payload)
 
 
-def failures_with_a_wrong_oracle(monkeypatch, capsys, family: str) -> list[str]:
-    """The failures of a run whose oracle for ``family`` gives 1/(n + 1)."""
+def failures_with_a_wrong_oracle(monkeypatch, capsys, family: str, wrong=None) -> list[str]:
+    """The failures of a run whose oracle for ``family`` fixes the values
+    ``wrong(n)`` instead, by default chi_L = 1/(n + 1)."""
     scaling = load_scaling()
-    run, _, sizes, words = scaling.FAMILIES[family]
+    run, oracle, sizes, words = scaling.FAMILIES[family]
+    wrong = wrong or (lambda n: {"chi_L": scaling.Fraction(1, n + 1)})
     monkeypatch.setitem(scaling.FAMILIES, family,
-                        (run, lambda n: scaling.Fraction(1, n + 1), sizes, words))
+                        (run, lambda n: {**oracle(n), **wrong(n)}, sizes, words))
     assert scaling.main(["--smallest", "--repeat", "1"]) == 1
     report = json.loads(capsys.readouterr().out)
     assert report["ok"] is False
@@ -258,3 +271,11 @@ def test_scaling_fails_on_a_wrong_writer_oracle(monkeypatch, capsys):
     is read back from the written text."""
     assert failures_with_a_wrong_oracle(monkeypatch, capsys, "ZnCone") == [
         "ZnCone n=2: chi_L = 1/2, oracle 1/3"]
+
+
+def test_scaling_fails_on_a_wrong_count_oracle(monkeypatch, capsys):
+    """Non-vacuity: a count oracle one morphism off for the subsets poset
+    fails the run; its entries and chi_L still match."""
+    assert failures_with_a_wrong_oracle(monkeypatch, capsys, "SubsetsOp",
+                                        lambda q: {"morphisms": 3 ** (q + 1) - 2 ** (q + 1) + 1}) == [
+        "SubsetsOp n=2: morphisms = 19, oracle 20"]
