@@ -16,10 +16,11 @@ Runs the set-up of ``perfbench/workloads.py`` for the workload once, under
 - ``row_bytes``: the bytes the categories' ``_ends`` hold (their rows, or
   a total's arrays and what of its rows it has made);
 - ``cells``: the composition entries the categories' rows hold (a
-  total's only once they are made), and
-  ``row_container_bytes`` the bytes of the row containers alone (each
-  row's tuple, without the composites it holds), so that their ratio is
-  the layout's cost per entry;
+  total's only once they are made), ``row_tuples`` the distinct row
+  tuples that hold them (a tuple that several morphisms share, as in a
+  groupoid's rows, is one), and ``row_container_bytes`` the bytes of those
+  tuples alone (without the composites they hold), so that the ratio of
+  bytes to cells is the layout's cost per entry;
 - ``functors``: the ``CatFunctor``s reachable from the set-up's tasks, and
   ``functor_views`` how many of them hold an ``obj_map`` or ``mor_map``
   view made from their arrays (a map given by name is no view), counted
@@ -147,7 +148,8 @@ def measure(workload: str, seed: int, size: str) -> dict:
         row_bytes = sum(deep_size(cat._ends, seen) for cat in cats)
         held = {id(cat._ends): rows for cat in cats if (rows := held_rows(cat._ends)) is not None}
         cells = sum(len(row) for rows in held.values() for row in rows)
-        row_container_bytes = sum(sys.getsizeof(row) for rows in held.values() for row in rows)
+        tuples = {id(row): row for rows in held.values() for row in rows}
+        row_container_bytes = sum(map(sys.getsizeof, tuples.values()))
         held = {attr: [cat for cat in cats if attr in vars(cat)] for attr in VIEWS}
         view_bytes = sum(deep_size(vars(cat)[attr], seen) for attr in VIEWS for cat in held[attr])
         functor_bytes = sum(deep_size(fun._arrays, seen) for fun in functors)
@@ -158,7 +160,7 @@ def measure(workload: str, seed: int, size: str) -> dict:
             "with_views": sum(any(attr in vars(cat) for attr in VIEWS) for cat in cats),
             "views": {attr: len(held[attr]) for attr in VIEWS},
             "view_bytes": view_bytes, "row_bytes": row_bytes,
-            "cells": cells, "row_container_bytes": row_container_bytes,
+            "cells": cells, "row_tuples": len(tuples), "row_container_bytes": row_container_bytes,
             "functors": len(functors), "functor_views": functor_views(workload, seed, size),
             "functor_bytes": functor_bytes,
         }

@@ -38,12 +38,19 @@ on every run: 3^(q+1) - 2^(q+1) morphisms (the pairs K <= J of subsets, K
 non-empty), 4^(q+1) - 3^(q+1) composition entries (the chains
 K2 <= K <= J, K2 non-empty), and chi_L = 1 (the whole set is initial).
 
+A second building family, ``Groupoid``: the connected groupoid on three
+objects with vertex group Z/n, ``randgen.connected_groupoid``, for n = 2,
+4, 8, 16, 32 (18 to 288 morphisms), each group made once per size, so
+that the best of ``K`` runs times the groupoid alone; its oracles are 9n
+morphisms (n per ordered pair of objects), 27n^2 composition entries (n^2
+per composable pair of ordered pairs) and chi_L = 1/n.
+
 Per family, the log-log slope of each time between the two largest sizes,
 over n (``slope``) and over the composition entries
 (``slope_over_entries``); a checker linear in its entries has a slope of 2
 over n on ``BZ``, and a builder linear in its entries a slope of 1 over
-them on ``SubsetsOp``.  ``--smallest`` runs the smallest size of each family
-only, with no slope.
+them on ``SubsetsOp`` and ``Groupoid``.  ``--smallest`` runs the smallest
+size of each family only, with no slope.
 
 Prints one JSON object; exits 1 if an oracle fails.  Standard library only.
 """
@@ -51,6 +58,7 @@ Prints one JSON object; exits 1 if an oracle fails.  Standard library only.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -63,7 +71,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from eulcat import fincat, groupact, hocolim, manifest, ratlin, zoo  # noqa: E402
+from eulcat import fincat, groupact, hocolim, manifest, randgen, ratlin, zoo  # noqa: E402
 from eulcat.fincat import FinCat, Morphism  # noqa: E402
 from eulcat.groups import cyclic_group  # noqa: E402
 
@@ -153,6 +161,9 @@ def writing(diagram_of):
     return run
 
 
+cyclic = functools.cache(cyclic_group)  # one group per size, made outside the best time
+
+
 def building(build):
     """The layer of a building family whose category of size n is
     ``build(n)``: a function of n and K giving the size's report and chi_L
@@ -179,6 +190,9 @@ FAMILIES = {
                              "entries": 4 ** (q + 1) - 3 ** (q + 1), "chi_L": Fraction(1)},
                   (2, 3, 4, 5, 6),
                   "morphisms = 3^(q+1) - 2^(q+1), entries = 4^(q+1) - 3^(q+1), chi_L = 1"),
+    "Groupoid": (building(lambda n: randgen.connected_groupoid(cyclic(n), 3, "g")[0]),
+                 lambda n: {"morphisms": 9 * n, "entries": 27 * n * n, "chi_L": Fraction(1, n)},
+                 (2, 4, 8, 16, 32), "morphisms = 9n, entries = 27n^2, chi_L = 1/n"),
 }
 
 

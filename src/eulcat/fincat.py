@@ -332,11 +332,13 @@ class _Rows(_Ends):
 
     ``order`` holds the cell of each entry in entry order, numbered row by
     row, so ``entries``, ``pairs`` and ``table`` give the entries back in
-    order, whatever order filled a row.  A builder writes them (``_fill``,
-    by ``_stored``), or ``check_entries`` checks each entry of a table as it
-    fills them.  ``check_laws`` and the inverse search read the rows.  Names
-    come back only to report the first failure, whose ``witness`` holds the
-    offending names.
+    order, whatever order filled a row.  A builder writes them (through
+    ``_stored``: its entries by ``_fill``, or its rows and their order
+    finished, where a row may be one tuple shared by several morphisms), or
+    ``check_entries`` checks each entry of a table as it fills them.
+    ``check_laws`` and the inverse search read the rows.  Names come back
+    only to report the first failure, whose ``witness`` holds the offending
+    names.
     """
 
     __slots__ = ("names", "index", "objects", "rows", "pos", "order", "gens")
@@ -515,20 +517,26 @@ def _inverse_search(rows: Sequence, pos: Sequence[int], src: Sequence[int], tgt:
 
 
 def _stored(name: str, objects: Sequence[str], names: Sequence[str], src: list[int],
-            tgt: list[int], ident: list[int], entries: Iterable[tuple[int, int, int]],
-            inverses: Optional[tuple[dict[int, int], bool]] = None) -> FinCat:
+            tgt: list[int], ident: list[int], entries: Iterable[tuple[int, int, int]] = (),
+            inverses: Optional[tuple[dict[int, int], bool]] = None,
+            rows: Optional[list[tuple[int, ...]]] = None,
+            order: Optional[tuple[int, ...]] = None) -> FinCat:
     """The one unchecked constructor: the FinCat of arrays a builder
     writes, lawful by its proof.  ``entries`` are the triples (g, f, g o f)
-    by index, in ``composition`` order; ``inverses`` (``inv`` and direct
-    finiteness) are lifted from the input, or else searched.  Only the id
-    check is left: a builder's names are made from its input's."""
+    by index, in ``composition`` order, scattered into rows (``_fill``);
+    or a builder that writes its rows itself passes them finished, with
+    their ``order`` (both as ``_Rows`` keeps them), and no entries.
+    ``inverses`` (``inv`` and direct finiteness) are lifted from the input,
+    or else searched.  Only the id check is left: a builder's names are
+    made from its input's."""
     objects = tuple(objects)
     obj_index, index = {x: i for i, x in enumerate(objects)}, {m: i for i, m in enumerate(names)}
     if len(obj_index) != len(objects) or len(index) != len(names):
         records = tuple(map(Morphism, names, [objects[x] for x in src], [objects[y] for y in tgt]))
         _trusted(FinCat, name=name, objects=objects, morphisms=records)._check_records()  # raises
-    r = _Rows(obj_index, names, index, src, tgt, ident)
-    r._fill(entries)
+    r = _Rows(obj_index, names, index, src, tgt, ident, rows, order)
+    if rows is None:
+        r._fill(entries)
     r.inv, directly_finite = inverses or _inverse_search(r.rows, r.pos, src, tgt, ident)
     return _trusted(FinCat, name=name, objects=objects, _ends=r, _directly_finite=directly_finite)
 

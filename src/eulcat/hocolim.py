@@ -253,7 +253,8 @@ class _IndexView:
 
     A diagram has one view for its whole life, kept as its ``_view``: the
     one its check built, its strict diagram's (``from_strict``), or the one
-    ``_index_view`` made on first use, with no derived result."""
+    ``_index_view`` made on first use (for a random groupoid diagram, at its
+    draw), with no derived result."""
 
     __slots__ = ("rows", "out", "vertex", "vrows", "edges", "arrays", "image", "unit", "comp")
 

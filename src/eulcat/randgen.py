@@ -4,11 +4,17 @@ Everything takes an explicit random.Random so test suites stay reproducible.
 Strict diagrams are generated over free categories on acyclic multigraphs
 (where any assignment on generating edges extends uniquely and strictly) and
 over posets via subset-inclusion systems (where commutativity is automatic).
-A random groupoid is drawn whole (component sizes, then vertex groups) and
-then written once, all its components in one store (``groupoid_union``).
-The hand-built actions go through the checked ``ScwolAction`` constructor;
-the induced free action and the lifts along the cone and the inflation are
-written as arrays (``_arrays``), with the proof in the docstring.
+Every drawn instance is written unchecked, lawful by the proof in its
+builder's docstring, and the tests check it again through the checked
+constructors.  Random posets and free scwols are written by
+``zoo._acyclic``.  A random groupoid is drawn whole (component sizes, then
+vertex groups) and then written once, all its components in one store
+whose rows ``groupoid_union`` makes itself, one row per (i, g) shared by
+every (g; i, j).  A functor between random groupoids is written as its
+arrays, and a random groupoid diagram with its index view.  The hand-built
+actions go through the checked ``ScwolAction`` constructor; the induced
+free action and the lifts along the cone and the inflation are written as
+arrays (``_arrays``).
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from .errors import _trusted
 from .fincat import CatFunctor, FinCat, _require_scwol, _stored
 from .groups import FinGroup, GroupHom, _image_of, all_homs, cyclic_group, klein_four_group, symmetric_group, trivial_group
 from .groupact import ScwolAction, trivial_action
-from .hocolim import StrictDiagram, constant_diagram, set_diagram
+from .hocolim import StrictDiagram, _index_view, constant_diagram, set_diagram
 from .zoo import _acyclic, _inflated, _poset, circle_scwol, cone, inflate, polygon_scwol
 
 _POOL: Optional[list[FinGroup]] = None
@@ -168,13 +174,18 @@ def groupoid_union(parts: Sequence[tuple[FinGroup, int, str]]) -> Groupoid:
     """The disjoint union of connected groupoids, one per part ``(group, n,
     prefix)`` with objects ``prefix.0`` .. ``prefix.(n-1)``, written in one
     store: hom(i, j) ~ G, (h; j, k) o (g; i, j) = (hg; i, k) and
-    (g; i, j)^-1 = (g^-1; j, i), each by index arithmetic, with the entries
-    in the order part, i, j, k, g, h.  Its name is the parts' ``gpd(prefix)``
+    (g; i, j)^-1 = (g^-1; j, i), each by index arithmetic.  So the row of
+    (g; i, j), the (hg; i, k) for the (h; j, k) in order, does not depend
+    on j: it is one tuple, made once per (i, g) and kept by every j.  The
+    entries are listed in the order part, i, j, k, g, h.  With m the
+    group's order, the row of (g; i, j) starts at cell ((i n + j) m + g) n m
+    of its part, and (h; j, k) is at k m + h in it, so ``order`` is a run
+    of m cells per (i, j, k, g).  Its name is the parts' ``gpd(prefix)``
     joined by ``+``."""
-    objects, names, src, tgt, ident, blocks, comps = [], [], [], [], [], [], []
+    objects, names, src, tgt, ident, rows, order, comps = [], [], [], [], [], [], [], []
     inverses: dict[int, int] = {}
     for group, size, prefix in parts:
-        n_obj, base, n, objs = len(objects), len(names), group.order, range(size)
+        n_obj, base, first, n, objs = len(objects), len(names), len(order), group.order, range(size)
         # at[i][j] is the index of (e; i, j), so (g; i, j) is at[i][j] + g
         at = [[base + (i * size + j) * n for j in objs] for i in objs]
         comps.append(GroupoidComponent(prefix, group, tuple(f"{prefix}.{i}" for i in objs)))
@@ -185,12 +196,15 @@ def groupoid_union(parts: Sequence[tuple[FinGroup, int, str]]) -> Groupoid:
         ident += [at[i][i] + group._identity for i in objs]
         inverses.update((at[i][j] + g, at[j][i] + u) for i in objs for j in objs
                         for g, u in enumerate(group._inverse))
-        blocks.append((at, group.table))
-    entries = ((jk + h, ij + g, ik + row_h[g]) for at, table in blocks
-               for row_i in at for ij, row_j in zip(row_i, at) for jk, ik in zip(row_j, row_i)
-               for g in range(len(table)) for h, row_h in enumerate(table))
+        columns = list(zip(*group.table))  # columns[g][h] is hg
+        for row_i in at:
+            rows += [tuple(ik + hg for ik in row_i for hg in col) for col in columns] * size
+        width = size * n
+        order += itertools.chain.from_iterable(
+            range(start + k * n, start + k * n + n) for ij in range(size * size) for k in objs
+            for g in range(n) for start in [first + (ij * n + g) * width])
     cat = _stored("+".join(f"gpd({c.prefix})" for c in comps), objects, names, src, tgt, ident,
-                  entries, (inverses, True))
+                  inverses=(inverses, True), rows=rows, order=tuple(order))
     return Groupoid(cat, tuple(comps))
 
 
@@ -220,7 +234,12 @@ def random_groupoid_functor(rng: Random, src: Groupoid, tgt: Groupoid) -> CatFun
     """Random functor built per component from a group homomorphism and an
     arbitrary object assignment into a chosen target component, drawn in
     that order and written as arrays on the layout of ``groupoid_union``:
-    (g; i, j) goes to (hom(g); a_i, a_j), at ``at[a_i][a_j] + img[g]``."""
+    (g; i, j) goes to (phi(g); a_i, a_j), at ``at[a_i][a_j] + img[g]``.
+    It is a functor with phi a homomorphism, so it is not checked again:
+    (g; i, j) : i -> j goes to a_i -> a_j, the identity (e; i, i) to
+    (phi(e); a_i, a_i) = (e; a_i, a_i), and the composite (hg; i, k) of
+    (h; j, k) o (g; i, j) to (phi(hg); a_i, a_k) = (phi(h) phi(g); a_i, a_k),
+    the composite of their images."""
     sizes = [len(c.objects) for c in tgt.components]
     targets = list(zip(tgt.components, itertools.accumulate(sizes, initial=0), itertools.accumulate(
         [n * n * c.group.order for n, c in zip(sizes, tgt.components)], initial=0)))
@@ -233,7 +252,7 @@ def random_groupoid_functor(rng: Random, src: Groupoid, tgt: Groupoid) -> CatFun
         fo += [first + a for a in assign]
         fm += [at + h for at in [base + (a * size + b) * order for a in assign for b in assign]
                for h in img]
-    return CatFunctor.from_arrays(src.category, tgt.category, fo, fm)
+    return _trusted(CatFunctor, source=src.category, target=tgt.category, _arrays=(fo, fm))
 
 
 # -- diagrams --------------------------------------------------------------------
@@ -246,7 +265,13 @@ def random_groupoid_diagram(
     max_group_order: int = 4,
 ) -> StrictDiagram:
     """Random strict diagram: free scwol index, groupoid vertices, arbitrary
-    functors on generating edges extended along path decomposition."""
+    functors on generating edges extended along path decomposition.  It is
+    strict, so it is not checked again: the edge of an identity is the
+    identity functor, and the edge of a path is the composite of its
+    generators' functors along its one decomposition, so the edge of a
+    composite path, the concatenation of its factors' decompositions, is
+    the composite of its factors' edges.  Its ``_index_view`` is made and
+    kept here, as the check would keep it, for the builder to read."""
     index = random_free_index(rng, max_index_objects)
     cat = index.category
     vertices = {
@@ -268,7 +293,10 @@ def random_groupoid_diagram(
             for nxt in parts[1:]:
                 fun = fun.then(gen_functors[nxt])
             edge[m] = fun
-    return StrictDiagram(cat, {i: g.category for i, g in vertices.items()}, edge)
+    d = _trusted(StrictDiagram, index=cat, vertex={i: g.category for i, g in vertices.items()},
+                 edge=edge)
+    _index_view(d)
+    return d
 
 
 def random_inclusion_diagram(rng: Random, universe_size: int = 6,

@@ -1,6 +1,7 @@
 """Constructions that only the tests use, kept out of the library."""
 
 import dataclasses
+import hashlib
 import importlib.util
 import itertools
 import json
@@ -407,6 +408,21 @@ def assert_revalidates(*values) -> None:
     edges): a constructor trusts the validated values it is handed."""
     for value in values:
         type(value)(**{f.name: getattr(value, f.name) for f in dataclasses.fields(value) if f.init})
+
+
+def store(cat) -> tuple:
+    """Everything a FinCat keeps and shows, as plain values, for a writer's
+    recorded digest (``digest``): name, objects, identity map, morphism
+    names, endpoints, identities, rows, entry order, inverses and direct
+    finiteness."""
+    r = cat._ends
+    return (cat.name, cat.objects, list(cat.identity.items()), list(r.names), list(r.src),
+            list(r.tgt), list(r.ident), [tuple(row) for row in r.rows], list(r.order),
+            list(r.inv.items()), cat._directly_finite)
+
+
+def digest(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
 
 
 def assert_complex_revalidates(cplx) -> None:

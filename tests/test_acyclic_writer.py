@@ -14,7 +14,6 @@ through the checked constructor (``helpers.assert_revalidates``).
 Non-vacuity: a writer that swaps two composites fails both.
 """
 
-import hashlib
 from random import Random
 
 import pytest
@@ -22,22 +21,10 @@ import pytest
 from eulcat import randgen, zoo
 from eulcat.errors import ValidationError
 
-from helpers import assert_revalidates
+from helpers import assert_revalidates, digest, store
 
 POLYGONS = (8, 12, 16, 20, 24, 32, 40, 48, 64, 80)  # the posets workload's polygons
 SEEDS = [*range(199), 409]  # seed 409 draws over 300 paths and rolls again
-
-
-def store(cat) -> tuple:
-    """Everything a FinCat keeps and shows, as plain values."""
-    r = cat._ends
-    return (cat.name, cat.objects, list(cat.identity.items()), list(r.names), list(r.src),
-            list(r.tgt), list(r.ident), [tuple(row) for row in r.rows], list(r.order),
-            list(r.inv.items()), cat._directly_finite)
-
-
-def digest(value) -> str:
-    return hashlib.sha256(repr(value).encode()).hexdigest()
 
 
 def draws(builder, *args) -> list:

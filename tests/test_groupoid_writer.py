@@ -1,0 +1,173 @@
+"""Random groupoids, and their functors and diagrams, are written, not re-checked.
+
+``randgen.groupoid_union`` writes a groupoid's rows itself, one row tuple
+per (i, g) shared by every (g; i, j), with the entry order worked out by
+index arithmetic; ``random_groupoid_functor`` and ``random_groupoid_diagram``
+return their values unchecked, each lawful by the proof in its docstring.
+The stores are pinned by sha256 digests recorded while they were still
+filled entry by entry: name, objects, identity map, morphism names,
+endpoints, identities, rows, entry order, inverses and direct finiteness,
+the components, and for ``random_groupoid`` the state of the generator
+after each draw (so that every later draw of the audit stays the same).
+Each store is rebuilt through the checked constructor, and every functor
+and diagram the ``audit`` set-up draws through ``CatFunctor.from_arrays``
+and ``StrictDiagram`` (``helpers.assert_revalidates``).  Non-vacuity: a
+functor with one wrong image passes the drawing and fails the cross-check,
+and a writer that swaps two cells fails the digests and the checked
+constructor.
+"""
+
+from random import Random
+
+import pytest
+
+from eulcat import fincat, randgen
+from eulcat.errors import ValidationError
+from eulcat.fincat import CatFunctor, NotAFunctor
+from eulcat.hocolim import StrictDiagram
+
+from helpers import assert_revalidates, digest, load_workloads, store
+
+SEEDS = range(200)
+Z1, Z2, Z3, Z4, V4, Z5, Z6, S3 = randgen.group_pool()
+PARTS = {
+    "Z1 on 1": [(Z1, 1, "a")],
+    "Z2 on 3": [(Z2, 3, "b")],
+    "Z3 on 2": [(Z3, 2, "c0")],
+    "S3 on 3": [(S3, 3, "s")],
+    "Z6 on 4": [(Z6, 4, "z")],
+    "V4, Z5, S3, Z4, Z1": [(V4, 2, "v0"), (Z5, 1, "v1"), (S3, 2, "v2"), (Z4, 3, "v3"),
+                           (Z1, 2, "v4")],
+}
+RANDOM = {
+    "random_groupoid": (),
+    "random_groupoid(3, 4, v1)": (3, 4, "v1"),  # as the audit draws a diagram's vertices
+    "random_groupoid(6, 6, t)": (6, 6, "t"),
+}
+
+
+def groupoid_store(gpd: randgen.Groupoid) -> tuple:
+    """The category's ``store`` and each component's prefix, group and objects."""
+    return store(gpd.category), [(c.prefix, c.group.name, c.objects) for c in gpd.components]
+
+
+def draws(*args) -> list:
+    """The store of each seed's draw and the generator's state after it."""
+    out = []
+    for seed in SEEDS:
+        rng = Random(seed)
+        out.append((groupoid_store(randgen.random_groupoid(rng, *args)), rng.getstate()))
+    return out
+
+
+DIGESTS = {  # recorded while every cell went through ``_Rows._fill``
+    "Z1 on 1":
+        "b57ba846f786d7e9143f8c517844eb097e38d979c6040034aed1d7631a5028d4",
+    "Z2 on 3":
+        "46d7f473af537ebfbb3576c296fc7fb89696a6ab896f742ede097372616bf03e",
+    "Z3 on 2":
+        "387ec26ab71dfe33c4e3f0c09b03dc44aeed2b8739cae607218ba127fd58fda4",
+    "S3 on 3":
+        "81f8b3cc8a847f679f4ddd1dfe5fb204dae12830ceade59576ef2ec52ec0fd8d",
+    "Z6 on 4":
+        "2ba09f96fc144c53b6b1dc7259193fea98af7dd9868001dc1a6639f4a274935e",
+    "V4, Z5, S3, Z4, Z1":
+        "3da7ba101ddada9c93479a83620ab1005cf0110f853b1b65c2350bdfd6771812",
+    "random_groupoid":
+        "e1e3f69db35eda0179f52a9187b37d149dea76c445a3a92ab75ca2c366318a76",
+    "random_groupoid(3, 4, v1)":
+        "5365b9da28c54149bf4b41fd67cd4cb564a6c7d05ce9fe2ea69504051385fd33",
+    "random_groupoid(6, 6, t)":
+        "05d380bca539bcfccfa11e877806e929daa27133cc14348690308dac2fa6d28d",
+}
+
+
+@pytest.mark.parametrize("case", list(PARTS))
+def test_store_is_the_recorded_one(case):
+    gpd = randgen.groupoid_union(PARTS[case])
+    assert digest(groupoid_store(gpd)) == DIGESTS[case]
+    assert_revalidates(gpd.category)
+
+
+@pytest.mark.parametrize("case", list(RANDOM))
+def test_draws_are_the_recorded_ones(case):
+    assert digest(draws(*RANDOM[case])) == DIGESTS[case]
+
+
+@pytest.mark.parametrize("case", list(RANDOM))
+def test_draws_revalidate(case):
+    for seed in SEEDS:
+        assert_revalidates(randgen.random_groupoid(Random(seed), *RANDOM[case]).category)
+
+
+@pytest.mark.parametrize("case", list(PARTS))
+def test_a_row_is_shared_by_every_j(case):
+    """The row of (g; i, j) is the row of (g; i, 0), one object: a part of
+    n objects on a group of order m holds n m distinct rows."""
+    r = randgen.groupoid_union(PARTS[case]).category._ends
+    base = 0
+    for group, n, _ in PARTS[case]:
+        m = group.order
+        for i in range(n):
+            for j in range(n):
+                for g in range(m):
+                    assert r.rows[base + (i * n + j) * m + g] is r.rows[base + i * n * m + g]
+        base += n * n * m
+    assert len(set(map(id, r.rows))) == sum(n * group.order for group, n, _ in PARTS[case])
+
+
+@pytest.mark.parametrize("seed", [0, 1, 1009])
+def test_audit_functors_and_diagrams_revalidate(seed):
+    """Every edge of every diagram the ``audit`` set-up draws is accepted by
+    ``CatFunctor.from_arrays``, and every diagram by ``StrictDiagram``."""
+    diagrams = load_workloads().audit_instances(seed, 40)[0]
+    checked = 0
+    for d in diagrams:
+        for fun in d.edge.values():
+            CatFunctor.from_arrays(fun.source, fun.target, *fun._arrays)
+            checked += fun.source is not fun.target
+        assert_revalidates(d)
+    assert checked > 50
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_a_drawn_diagram_keeps_its_view(seed):
+    """A groupoid diagram holds its index view from the draw on, on its own
+    edges, as the checked constructor would leave it."""
+    d = randgen.random_groupoid_diagram(Random(seed))
+    view = vars(d)["_view"]
+    assert view.edges == [d.edge[m] for m in d.index.morphism_names()]
+    assert view.vertex == [d.vertex[i] for i in d.index.objects]
+    checked = StrictDiagram(d.index, d.vertex, d.edge)._view
+    assert (view.arrays, view.image, view.vrows) == (checked.arrays, checked.image, checked.vrows)
+
+
+def test_a_wrong_image_is_caught(monkeypatch):
+    """Non-vacuity: a group map with one wrong image, for which no map
+    Z3 -> Z3 is a homomorphism, passes the unchecked drawing, and
+    ``CatFunctor.from_arrays`` rejects the functor."""
+    image_of = randgen._image_of
+    monkeypatch.setattr(randgen, "_image_of",
+                        lambda hom: [*image_of(hom)[:-1], (image_of(hom)[-1] + 1) % 3])
+    src = randgen.groupoid_union([(Z3, 2, "a")])
+    tgt = randgen.groupoid_union([(Z3, 1, "b")])
+    fun = randgen.random_groupoid_functor(Random(0), src, tgt)
+    with pytest.raises(NotAFunctor):
+        CatFunctor.from_arrays(fun.source, fun.target, *fun._arrays)
+
+
+def test_a_swapped_pair_of_cells_is_caught(monkeypatch):
+    """Non-vacuity: a writer that swaps the first two cells of the first
+    row (in a fresh tuple) gives another store, and the checked constructor
+    rejects it."""
+    written = fincat._stored
+
+    def swapped(*args, rows=None, **kwargs):
+        (a, b, *rest), *others = rows
+        return written(*args, rows=[(b, a, *rest), *others], **kwargs)
+
+    monkeypatch.setattr(randgen, "_stored", swapped)
+    gpd = randgen.groupoid_union(PARTS["Z3 on 2"])
+    assert digest(groupoid_store(gpd)) != DIGESTS["Z3 on 2"]
+    with pytest.raises(ValidationError):
+        assert_revalidates(gpd.category)

@@ -155,6 +155,8 @@ def test_memory_audit_tiny():
     # a row is a tuple of its composites: at most 40 bytes of container per
     # entry, where a dict per row held about 100
     assert 0 < report["row_container_bytes"] <= 40 * report["cells"]
+    # each distinct row tuple counted once, and a row holds at least one cell
+    assert 0 < report["row_tuples"] < report["cells"]
 
 
 # Runs the memory report with constructors that read their records back, the
@@ -218,14 +220,15 @@ def test_scaling_smallest():
     report = json.loads(out.stdout)
     assert set(report) == {"repeat", "python", "families", "ok", "failures"}
     assert (report["repeat"], report["ok"], report["failures"]) == (1, True, [])
-    assert list(report["families"]) == ["BZ", "FinSet", "ZnCone", "SubsetsOp"]
+    assert list(report["families"]) == ["BZ", "FinSet", "ZnCone", "SubsetsOp", "Groupoid"]
     want = {"BZ": (30, 30, 900, "1/30"), "FinSet": (1, 3, 4, "1"), "ZnCone": (2, 50, 196, "1/2"),
-            "SubsetsOp": (2, 19, 37, "1")}
+            "SubsetsOp": (2, 19, 37, "1"), "Groupoid": (2, 18, 108, "1/2")}
     for family, (n, morphisms, entries, chi) in want.items():
         got = report["families"][family]
         assert set(got) == {"oracle", "sizes"}
         (size,) = got["sizes"]
-        timed = {"ZnCone": {"write_s", "bytes"}, "SubsetsOp": {"build_s"}}.get(
+        timed = {"ZnCone": {"write_s", "bytes"}, "SubsetsOp": {"build_s"},
+                 "Groupoid": {"build_s"}}.get(
             family, {"validate_s", "checked_s"})
         assert set(size) == {"n", "morphisms", "entries", "chi_L"} | timed
         assert (size["n"], size["morphisms"], size["entries"], size["chi_L"]) == (
@@ -279,3 +282,11 @@ def test_scaling_fails_on_a_wrong_count_oracle(monkeypatch, capsys):
     assert failures_with_a_wrong_oracle(monkeypatch, capsys, "SubsetsOp",
                                         lambda q: {"morphisms": 3 ** (q + 1) - 2 ** (q + 1) + 1}) == [
         "SubsetsOp n=2: morphisms = 19, oracle 20"]
+
+
+def test_scaling_fails_on_a_wrong_groupoid_oracle(monkeypatch, capsys):
+    """Non-vacuity: an entry count one off for the groupoid on Z/2 fails
+    the run; its morphisms and chi_L still match."""
+    assert failures_with_a_wrong_oracle(monkeypatch, capsys, "Groupoid",
+                                        lambda n: {"entries": 27 * n * n + 1}) == [
+        "Groupoid n=2: entries = 108, oracle 109"]
