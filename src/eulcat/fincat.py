@@ -333,9 +333,10 @@ class _Rows(_Ends):
     ``order`` holds the cell of each entry in entry order, numbered row by
     row, so ``entries``, ``pairs`` and ``table`` give the entries back in
     order, whatever order filled a row.  A builder writes them (through
-    ``_stored``: its entries by ``_fill``, or its rows and their order
-    finished, where a row may be one tuple shared by several morphisms), or
-    ``check_entries`` checks each entry of a table as it fills them.
+    ``_stored``: its entries by ``_fill``, or its rows, their order and
+    ``pos`` finished, where a row may be one tuple shared by several
+    morphisms), or ``check_entries`` checks each entry of a table as it
+    fills them.
     ``check_laws`` and the inverse search read the rows.  Names come back
     only to report the first failure, whose ``witness`` holds the offending
     names.
@@ -345,13 +346,13 @@ class _Rows(_Ends):
 
     def __init__(self, objects: dict, names: Sequence[str], index: dict, src: list[int],
                  tgt: list[int], ident: list[int], rows: Optional[list] = None,
-                 order: Optional[Sequence[int]] = None):
+                 order: Optional[Sequence[int]] = None, pos: Optional[Iterable[int]] = None):
         self.src, self.tgt, self.ident, self.inv = src, tgt, ident, None
         self.objects, self.names, self.index = objects, names, index
-        pos, width = _positions(src, len(ident))
-        self.pos = tuple(pos)
         if rows is None:  # to be filled: until then ``order`` holds where each row starts
+            pos, width = _positions(src, len(ident))
             order = list(accumulate([width[y] for y in tgt], initial=0))
+        self.pos = tuple(pos)
         self.rows, self.order, self.gens = rows, order, None
 
     def _fill(self, entries: Iterable[tuple[int, int, int]]) -> None:
@@ -520,12 +521,13 @@ def _stored(name: str, objects: Sequence[str], names: Sequence[str], src: list[i
             tgt: list[int], ident: list[int], entries: Iterable[tuple[int, int, int]] = (),
             inverses: Optional[tuple[dict[int, int], bool]] = None,
             rows: Optional[list[tuple[int, ...]]] = None,
-            order: Optional[tuple[int, ...]] = None) -> FinCat:
+            order: Optional[tuple[int, ...]] = None, pos: Optional[Iterable[int]] = None) -> FinCat:
     """The one unchecked constructor: the FinCat of arrays a builder
     writes, lawful by its proof.  ``entries`` are the triples (g, f, g o f)
     by index, in ``composition`` order, scattered into rows (``_fill``);
     or a builder that writes its rows itself passes them finished, with
-    their ``order`` (both as ``_Rows`` keeps them), and no entries.
+    their ``order`` and the ``pos`` that ``groups._positions`` would find
+    (all as ``_Rows`` keeps them), and no entries.
     ``inverses`` (``inv`` and direct finiteness) are lifted from the input,
     or else searched.  Only the id check is left: a builder's names are
     made from its input's."""
@@ -534,7 +536,7 @@ def _stored(name: str, objects: Sequence[str], names: Sequence[str], src: list[i
     if len(obj_index) != len(objects) or len(index) != len(names):
         records = tuple(map(Morphism, names, [objects[x] for x in src], [objects[y] for y in tgt]))
         _trusted(FinCat, name=name, objects=objects, morphisms=records)._check_records()  # raises
-    r = _Rows(obj_index, names, index, src, tgt, ident, rows, order)
+    r = _Rows(obj_index, names, index, src, tgt, ident, rows, order, pos)
     if rows is None:
         r._fill(entries)
     r.inv, directly_finite = inverses or _inverse_search(r.rows, r.pos, src, tgt, ident)

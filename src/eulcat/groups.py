@@ -5,7 +5,9 @@ every group law is computed on integer indices: ``FinGroup.table`` holds
 the products and ``FinGroup._inverse`` the inverses, and a homomorphism is
 read as the list of its image indices (``_image_of``).  Labels come back only
 for results and error messages.  Groups are tiny here (order <= a few dozen),
-so every axiom is checked at construction time.  Associativity (Light's
+so every axiom is checked at construction time, except for the cyclic
+groups, written by index arithmetic (``cyclic_group``), and the subgroups
+and identity maps of checked groups.  Associativity (Light's
 test, ``_check_associative``, for groups and categories alike) and
 homomorphisms, like functors, naturality and actions, are checked at a
 generating set (``_generating_set``) by one kernel, ``_check_on_generators``.
@@ -308,8 +310,17 @@ class FinGroup:
 
 
 def cyclic_group(n: int) -> FinGroup:
-    labels = tuple(str(i) for i in range(n))
-    return FinGroup.from_mul(labels, lambda a, b: str((int(a) + int(b)) % n), name=f"Z{n}")
+    """Z/n on the labels "0" .. "n-1", written by index arithmetic, not
+    checked: i + j mod n is associative, 0 is its identity and -i mod n the
+    inverse of i, and every element is a sum of 1s, so the check would keep
+    [1] as the generating set (none for n = 1, whose one element is 0)."""
+    name, every = f"Z{n}", tuple(range(n))
+    if n < 1:
+        raise NotAGroup(f"{name} has no identity element", witness={"group": name})
+    labels = tuple(map(str, every))
+    return _trusted(FinGroup, labels=labels, table=tuple(every[i:] + every[:i] for i in every),
+                    name=name, _index=dict(zip(labels, every)), _identity=0,
+                    _inverse=tuple(-i % n for i in every), _gens=[1] if n > 1 else [])
 
 
 def trivial_group() -> FinGroup:

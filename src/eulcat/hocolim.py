@@ -837,11 +837,19 @@ def constant_diagram(index: FinCat, cat: FinCat) -> StrictDiagram:
 
 def set_diagram(index: FinCat, sets: Mapping[str, Sequence[str]],
                 maps: Mapping[str, Mapping[str, str]]) -> StrictDiagram:
-    """Diagram of sets encoded as a diagram of discrete categories.
+    """Diagram of sets encoded as a diagram of discrete categories, checked.
 
     ``maps[u]`` sends elements of sets[source(u)] to sets[target(u)]; maps
     for identities may be omitted.
     """
+    return _set_diagram(index, sets, maps, True)
+
+
+def _set_diagram(index: FinCat, sets: Mapping[str, Sequence[str]],
+                 maps: Mapping[str, Mapping[str, str]], checked: bool) -> StrictDiagram:
+    """``set_diagram``, checked; or else, for maps lawful by the caller's
+    proof, written unchecked with its ``_index_view`` made and kept, as the
+    check would keep it."""
     vertex = {i: discrete_category(sets[i], name=f"set[{i}]") for i in index.objects}
     edge = {}
     for m, i, j in index._arrows():
@@ -851,6 +859,11 @@ def set_diagram(index: FinCat, sets: Mapping[str, Sequence[str]],
         fn, src, tgt = maps[m], vertex[i], vertex[j]
         fo = list(map(tgt._ends.objects.__getitem__, [fn[x] for x in src.objects]))
         # each morphism of a discrete category is an identity, sent to one
-        edge[m] = CatFunctor.from_arrays(src, tgt, fo, [tgt._ends.ident[fo[x]]
-                                                        for x in src._ends.src])
-    return StrictDiagram(index, vertex, edge)
+        arrays = fo, [tgt._ends.ident[fo[x]] for x in src._ends.src]
+        edge[m] = (CatFunctor.from_arrays(src, tgt, *arrays) if checked
+                   else _trusted(CatFunctor, source=src, target=tgt, _arrays=arrays))
+    if checked:
+        return StrictDiagram(index, vertex, edge)
+    d = _trusted(StrictDiagram, index=index, vertex=vertex, edge=edge)
+    _index_view(d)
+    return d

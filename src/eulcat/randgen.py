@@ -9,12 +9,13 @@ builder's docstring, and the tests check it again through the checked
 constructors.  Random posets and free scwols are written by
 ``zoo._acyclic``.  A random groupoid is drawn whole (component sizes, then
 vertex groups) and then written once, all its components in one store
-whose rows ``groupoid_union`` makes itself, one row per (i, g) shared by
-every (g; i, j).  A functor between random groupoids is written as its
-arrays, and a random groupoid diagram with its index view.  The hand-built
-actions go through the checked ``ScwolAction`` constructor; the induced
-free action and the lifts along the cone and the inflation are written as
-arrays (``_arrays``).
+whose rows and positions ``groupoid_union`` makes itself, one row per
+(i, g) shared by every (g; i, j).  A functor between random groupoids is
+written as its arrays, and a random groupoid or inclusion diagram with its
+index view.  The polygon rotations and reflections, the induced free
+action and the lifts along the cone and the inflation are written as
+arrays (``_arrays``); only the circle's reflection, the hand-built example
+of the CLI demo, goes through the checked ``ScwolAction`` constructor.
 """
 
 from __future__ import annotations
@@ -25,10 +26,10 @@ from random import Random
 from typing import Mapping, Optional, Sequence
 
 from .errors import _trusted
-from .fincat import CatFunctor, FinCat, _require_scwol, _stored
+from .fincat import CatFunctor, FinCat, _Arrays, _require_scwol, _stored
 from .groups import FinGroup, GroupHom, _image_of, all_homs, cyclic_group, klein_four_group, symmetric_group, trivial_group
 from .groupact import ScwolAction, trivial_action
-from .hocolim import StrictDiagram, _index_view, constant_diagram, set_diagram
+from .hocolim import StrictDiagram, _index_view, _set_diagram, constant_diagram
 from .zoo import _acyclic, _inflated, _poset, circle_scwol, cone, inflate, polygon_scwol
 
 _POOL: Optional[list[FinGroup]] = None
@@ -180,9 +181,10 @@ def groupoid_union(parts: Sequence[tuple[FinGroup, int, str]]) -> Groupoid:
     entries are listed in the order part, i, j, k, g, h.  With m the
     group's order, the row of (g; i, j) starts at cell ((i n + j) m + g) n m
     of its part, and (h; j, k) is at k m + h in it, so ``order`` is a run
-    of m cells per (i, j, k, g).  Its name is the parts' ``gpd(prefix)``
-    joined by ``+``."""
-    objects, names, src, tgt, ident, rows, order, comps = [], [], [], [], [], [], [], []
+    of m cells per (i, j, k, g), and (g; i, j) is at ``pos`` j m + g among
+    the morphisms out of i.  Its name is the parts' ``gpd(prefix)`` joined
+    by ``+``."""
+    objects, names, src, tgt, ident, rows, order, pos, comps = [], [], [], [], [], [], [], [], []
     inverses: dict[int, int] = {}
     for group, size, prefix in parts:
         n_obj, base, first, n, objs = len(objects), len(names), len(order), group.order, range(size)
@@ -200,11 +202,12 @@ def groupoid_union(parts: Sequence[tuple[FinGroup, int, str]]) -> Groupoid:
         for row_i in at:
             rows += [tuple(ik + hg for ik in row_i for hg in col) for col in columns] * size
         width = size * n
+        pos += itertools.chain.from_iterable(itertools.repeat(range(width), size))
         order += itertools.chain.from_iterable(
             range(start + k * n, start + k * n + n) for ij in range(size * size) for k in objs
             for g in range(n) for start in [first + (ij * n + g) * width])
     cat = _stored("+".join(f"gpd({c.prefix})" for c in comps), objects, names, src, tgt, ident,
-                  inverses=(inverses, True), rows=rows, order=tuple(order))
+                  inverses=(inverses, True), rows=rows, order=tuple(order), pos=pos)
     return Groupoid(cat, tuple(comps))
 
 
@@ -301,28 +304,22 @@ def random_groupoid_diagram(
 
 def random_inclusion_diagram(rng: Random, universe_size: int = 6,
                              max_objects: int = 4) -> StrictDiagram:
-    """Random diagram of subset inclusions over a random poset."""
+    """Random diagram of subset inclusions over a random poset: each element
+    of the universe lies in the up-set of an object drawn for it, in
+    universe order.  It is written by ``hocolim._set_diagram``, not
+    checked: membership is an up-set, so i <= j gives sets[i] within
+    sets[j], and inclusions compose strictly."""
     poset = random_poset(rng, max_objects)
     arrows = list(poset._arrows())
     universe = [f"u{i}" for i in range(rng.randint(1, universe_size))]
-
-    def up_set(start: str) -> set[str]:
-        out = {start}
-        changed = True
-        while changed:
-            changed = False
-            for _, x, y in arrows:
-                if x in out and y not in out:
-                    out.add(y)
-                    changed = True
-        return out
-
-    membership = {u: up_set(rng.choice(poset.objects)) for u in universe}
+    # a poset is transitively closed: the up-set of x is the targets of its arrows
+    membership = {u: {y for _, x, y in arrows if x == start}
+                  for u in universe for start in [rng.choice(poset.objects)]}
     sets = {
         i: [u for u in universe if i in membership[u]] for i in poset.objects
     }
     maps = {m: {u: u for u in sets[x]} for m, x, _ in arrows if not poset.is_identity(m)}
-    return set_diagram(poset, sets, maps)
+    return _set_diagram(poset, sets, maps, False)
 
 
 def random_strict_diagram(rng: Random) -> StrictDiagram:
@@ -366,59 +363,50 @@ def induced_free_action(group: FinGroup, base: FinCat) -> ScwolAction:
          [gh * n_mor + m for gh in row for m in range(n_mor)]) for row in group.table])
 
 
+def _polygon_arrays(n: int, vs: Sequence[int], es: Sequence[int], swap: bool) -> _Arrays:
+    """The arrays of the map of ``polygon_scwol(n)`` that sends v_i to
+    v_vs[i], e_i to e_es[i], each identity to the identity of its object's
+    image, and s_i and t_i to s and t of e_es[i], or to t and s with
+    ``swap``.  On the polygon's layout, v_i is object i and e_i object
+    n + i, the identities come first, and s_i is morphism 2n + 2i and t_i
+    2n + 2i + 1."""
+    fo = [*vs, *(n + j for j in es)]
+    return fo, [*fo, *(2 * n + 2 * j + b for j in es for b in ((1, 0) if swap else (0, 1)))]
+
+
 def rotation_action(sides: int, step: int = 1) -> ScwolAction:
-    """Cyclic rotation of the subdivided polygon; free on objects."""
+    """Z/(sides/step) rotating the subdivided polygon, k by k ``step``
+    sides: free on objects, written as arrays (``_polygon_arrays``), not
+    checked.  With r = k step, k sends v_i, e_i, s_i and t_i to v, e, s and
+    t of i + r (mod sides).  So s_i : e_i -> v_i and t_i : e_i -> v_(i+1)
+    go to arrows between the images of their ends, and no two arrows
+    compose: each k is a functor, and k then l rotates by k + l, mod
+    sides/step.  An edge goes to an edge, so no arrow e -> v joins a point
+    to its image (axiom i), and only 0 fixes an object (axiom ii)."""
+    if step < 1:
+        raise ValueError(f"step must be positive, not {step}")
     if sides % step:
         raise ValueError("step must divide the number of sides")
-    order = sides // step
-    group = cyclic_group(order)
-    space = polygon_scwol(sides)
-
-    def rot(k: int):
-        shift = k * step
-        omap = {}
-        mmap = {}
-        for i in range(sides):
-            omap[f"v{i}"] = f"v{(i + shift) % sides}"
-            omap[f"e{i}"] = f"e{(i + shift) % sides}"
-            mmap[f"s{i}"] = f"s{(i + shift) % sides}"
-            mmap[f"t{i}"] = f"t{(i + shift) % sides}"
-            mmap[f"id_v{i}"] = f"id_v{(i + shift) % sides}"
-            mmap[f"id_e{i}"] = f"id_e{(i + shift) % sides}"
-        return omap, mmap
-
-    on_objects = {}
-    on_morphisms = {}
-    for k in range(order):
-        omap, mmap = rot(k)
-        on_objects[str(k)] = omap
-        on_morphisms[str(k)] = mmap
-    return ScwolAction(group, space, on_objects, on_morphisms)
+    space, order = polygon_scwol(sides), sides // step
+    return _trusted(ScwolAction, group=cyclic_group(order), space=space, _arrays=[
+        _polygon_arrays(sides, r, r, False) for k in range(order)
+        for r in [[(i + k * step) % sides for i in range(sides)]]])
 
 
 def reflection_action(sides: int) -> ScwolAction:
-    """Z/2 reflection of an even polygon through two opposite vertices."""
+    """Z/2 reflecting an even polygon through v_0 and v_(sides/2), written
+    as arrays (``_polygon_arrays``), not checked: 1 sends v_i to v_(-i),
+    e_i to e_(j), j = sides - 1 - i, s_i : e_i -> v_i to t_j : e_j -> v_(-i)
+    and t_i : e_i -> v_(i+1) to s_j : e_j -> v_(-i-1).  So it is a functor
+    (no two arrows compose) and an involution.  An edge goes to an edge
+    (axiom i), and every arrow starts at an edge, which no reflection of an
+    even polygon fixes (axiom ii)."""
     if sides % 2:
         raise ValueError("reflection through vertices needs an even polygon")
-    group = cyclic_group(2)
-    space = polygon_scwol(sides)
-    omap = {}
-    mmap = {}
-    for i in range(sides):
-        omap[f"v{i}"] = f"v{(-i) % sides}"
-        omap[f"e{i}"] = f"e{(sides - 1 - i) % sides}"
-        mmap[f"s{i}"] = f"t{(sides - 1 - i) % sides}"
-        mmap[f"t{i}"] = f"s{(sides - 1 - i) % sides}"
-        mmap[f"id_v{i}"] = f"id_v{(-i) % sides}"
-        mmap[f"id_e{i}"] = f"id_e{(sides - 1 - i) % sides}"
-    identity_o = {x: x for x in space.objects}
-    identity_m = {m: m for m in space.morphism_names()}
-    return ScwolAction(
-        group,
-        space,
-        {"0": identity_o, "1": omap},
-        {"0": identity_m, "1": mmap},
-    )
+    group, space, every = cyclic_group(2), polygon_scwol(sides), range(sides)
+    return _trusted(ScwolAction, group=group, space=space, _arrays=[
+        _polygon_arrays(sides, every, every, False),
+        _polygon_arrays(sides, [-i % sides for i in every], [sides - 1 - i for i in every], True)])
 
 
 def circle_action() -> ScwolAction:

@@ -354,15 +354,16 @@ class TestAuditMakesNoFunctorViews:
         assert functor_views == []
 
     def test_a_planted_read_is_seen(self, functor_views, tmp_path, monkeypatch):
-        """Non-vacuity: a checked arrays constructor that reads its object
-        map back makes a view on every drawn groupoid functor."""
-        from_arrays = CatFunctor.from_arrays
+        """Non-vacuity: an identity functor constructor that reads its
+        object map back makes a view on every identity edge drawn (the
+        drawn diagrams call no checked arrays constructor)."""
+        identity_functor = CatFunctor.identity_functor
 
         def reading(*args):
-            fun = from_arrays(*args)
+            fun = identity_functor(*args)
             fun.obj_map
             return fun
 
-        monkeypatch.setattr(CatFunctor, "from_arrays", staticmethod(reading))
+        monkeypatch.setattr(CatFunctor, "identity_functor", staticmethod(reading))
         load_workloads().audit_setup(0, str(tmp_path), "tiny")
         assert functor_views and {attr for _, attr in functor_views} == {"obj_map"}

@@ -24,6 +24,7 @@ import pytest
 from eulcat import fincat, randgen
 from eulcat.errors import ValidationError
 from eulcat.fincat import CatFunctor, NotAFunctor
+from eulcat.groups import _positions
 from eulcat.hocolim import StrictDiagram
 
 from helpers import assert_revalidates, digest, load_workloads, store
@@ -114,6 +115,17 @@ def test_a_row_is_shared_by_every_j(case):
                     assert r.rows[base + (i * n + j) * m + g] is r.rows[base + i * n * m + g]
         base += n * n * m
     assert len(set(map(id, r.rows))) == sum(n * group.order for group, n, _ in PARTS[case])
+
+
+def test_positions_are_the_ones_found():
+    """The positions ``groupoid_union`` hands over, j m + g for (g; i, j),
+    are the ones ``groups._positions`` finds from the sources."""
+    pinned = [randgen.groupoid_union(parts) for parts in PARTS.values()]
+    pinned += [randgen.random_groupoid(Random(seed), *args) for args in RANDOM.values()
+               for seed in SEEDS]
+    for gpd in pinned:
+        r = gpd.category._ends
+        assert list(r.pos) == _positions(r.src, len(r.ident))[0]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 1009])

@@ -161,15 +161,15 @@ def test_memory_audit_tiny():
 
 # Runs the memory report with constructors that read their records back, the
 # checked one and the unchecked writer (``fincat._stored``, through
-# ``fincat._trusted``), so every category they make keeps that view, and a
-# functor constructor that reads its object map, so every functor built from
-# arrays keeps that view.
+# ``fincat._trusted``), so every category they make keeps that view, and an
+# identity functor constructor that reads its object map, so every identity
+# edge drawn keeps that view.
 EAGER_MEMORY = """
 import runpy, sys
 from eulcat import fincat
 from eulcat.fincat import CatFunctor, FinCat
 
-real, trusted, from_arrays = FinCat.__post_init__, fincat._trusted, CatFunctor.from_arrays
+real, trusted, identity_functor = FinCat.__post_init__, fincat._trusted, CatFunctor.identity_functor
 
 def eager(self, *flags):
     real(self, *flags)
@@ -182,12 +182,12 @@ def eager_trusted(cls, **fields):
     return value
 
 def eager_functor(*args):
-    fun = from_arrays(*args)
+    fun = identity_functor(*args)
     fun.obj_map
     return fun
 
 FinCat.__post_init__, fincat._trusted = eager, eager_trusted
-CatFunctor.from_arrays = eager_functor
+CatFunctor.identity_functor = eager_functor
 path = sys.argv[1]
 sys.argv = [path, "--workload", "audit", "--size", "tiny"]
 runpy.run_path(path, run_name="__main__")

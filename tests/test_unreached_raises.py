@@ -23,10 +23,14 @@ from eulcat.ratlin import DimensionMismatch, RatMatrix
     (lambda: zoo.polygon_scwol(1), "polygon needs at least 2 sides"),
     (lambda: zoo.cone(zoo.pushout_scwol(), "j"), "object 'j' already present"),
     (lambda: randgen.rotation_action(6, 4), "step must divide the number of sides"),
+    (lambda: randgen.rotation_action(4, 0), "step must be positive, not 0"),
+    (lambda: randgen.rotation_action(4, -1), "step must be positive, not -1"),
+    (lambda: randgen.rotation_action(0), "polygon needs at least 2 sides"),
     (lambda: randgen.reflection_action(5), "reflection through vertices needs an even polygon"),
     (lambda: randgen.inflate_action(randgen.rotation_action(4), {"v0": 2}),
      "copy counts must be constant on orbits"),
-], ids=["polygon-1", "cone-apex", "rotation-step", "odd-reflection", "inflate-off-orbit"])
+], ids=["polygon-1", "cone-apex", "rotation-step", "rotation-step-0", "rotation-step-negative",
+        "rotation-sides-0", "odd-reflection", "inflate-off-orbit"])
 def test_builder_arguments(build, message):
     with pytest.raises(ValueError) as info:
         build()
