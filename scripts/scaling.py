@@ -45,11 +45,21 @@ that the best of ``K`` runs times the groupoid alone; its oracles are 9n
 morphisms (n per ordered pair of objects), 27n^2 composition entries (n^2
 per composable pair of ordered pairs) and chi_L = 1/n.
 
+A third building family, ``Polygon``: ``zoo.polygon_scwol(n)``, the face
+scwol of the subdivided n-gon, for n = 40, 80, 160, 320, 640 (160 to 2,560
+morphisms); its oracles are 4n morphisms (2n identities, an arrow from
+each edge to each of its two ends), 6n composition entries (one per
+identity of a vertex or an arrow, three per identity of an edge) and
+chi_L = 0 (a circle).  A building family's ``entries`` are read off the
+built category after the timed build, so ``build_s`` covers the rows and
+positions its writer hands over and not the entry order, which is made
+on its first read.
+
 Per family, the log-log slope of each time between the two largest sizes,
 over n (``slope``) and over the composition entries
 (``slope_over_entries``); a checker linear in its entries has a slope of 2
 over n on ``BZ``, and a builder linear in its entries a slope of 1 over
-them on ``SubsetsOp`` and ``Groupoid``.  ``--smallest`` runs the smallest
+them on ``SubsetsOp``, ``Groupoid`` and ``Polygon``.  ``--smallest`` runs the smallest
 size of each family only, with no slope.
 
 Prints one JSON object; exits 1 if an oracle fails.  Standard library only.
@@ -193,6 +203,9 @@ FAMILIES = {
     "Groupoid": (building(lambda n: randgen.connected_groupoid(cyclic(n), 3, "g")[0]),
                  lambda n: {"morphisms": 9 * n, "entries": 27 * n * n, "chi_L": Fraction(1, n)},
                  (2, 4, 8, 16, 32), "morphisms = 9n, entries = 27n^2, chi_L = 1/n"),
+    "Polygon": (building(zoo.polygon_scwol),
+                lambda n: {"morphisms": 4 * n, "entries": 6 * n, "chi_L": Fraction(0)},
+                (40, 80, 160, 320, 640), "morphisms = 4n, entries = 6n, chi_L = 0"),
 }
 
 

@@ -332,54 +332,39 @@ class _Rows(_Ends):
 
     ``order`` holds the cell of each entry in entry order, numbered row by
     row, so ``entries``, ``pairs`` and ``table`` give the entries back in
-    order, whatever order filled a row.  A builder writes them (through
-    ``_stored``: its entries by ``_fill``, or its rows, their order and
-    ``pos`` finished, where a row may be one tuple shared by several
-    morphisms), or ``check_entries`` checks each entry of a table as it
-    fills them.
-    ``check_laws`` and the inverse search read the rows.  Names come back
-    only to report the first failure, whose ``witness`` holds the offending
-    names.
+    order, whatever order filled a row.  A builder hands ``_stored`` its
+    rows (one tuple may serve several morphisms), ``pos`` and ``order``
+    finished, ``order`` a tuple or a maker, called with these rows on the
+    first read and kept (in ``_order``); or ``check_entries`` checks each
+    entry of a table as it fills all three.  ``check_laws`` and the inverse
+    search read the rows.  Names come back only to report the first
+    failure, whose ``witness`` holds the offending names.
     """
 
-    __slots__ = ("names", "index", "objects", "rows", "pos", "order", "gens")
+    __slots__ = ("names", "index", "objects", "rows", "pos", "_order", "gens")
 
     def __init__(self, objects: dict, names: Sequence[str], index: dict, src: list[int],
                  tgt: list[int], ident: list[int], rows: Optional[list] = None,
-                 order: Optional[Sequence[int]] = None, pos: Optional[Iterable[int]] = None):
+                 pos: Optional[Sequence[int]] = None, order=None):
         self.src, self.tgt, self.ident, self.inv = src, tgt, ident, None
         self.objects, self.names, self.index = objects, names, index
-        if rows is None:  # to be filled: until then ``order`` holds where each row starts
-            pos, width = _positions(src, len(ident))
-            order = list(accumulate([width[y] for y in tgt], initial=0))
-        self.pos = tuple(pos)
-        self.rows, self.order, self.gens = rows, order, None
+        self.rows, self.pos, self._order, self.gens = rows, pos, order, None
 
-    def _fill(self, entries: Iterable[tuple[int, int, int]]) -> None:
-        """Write the cells of ``entries``, the triples (g, f, g o f) by
-        index in order, and their places in ``order``, unchecked."""
-        pos, start = self.pos, self.order
-        cells, order = [None] * start[-1], []
-        put = order.append
-        for g, f, gf in entries:
-            cell = start[f] + pos[g]
-            cells[cell] = gf
-            put(cell)
-        self._cut(cells, order)
-
-    def _cut(self, cells: list, order: list) -> None:
-        """Keep ``cells``, filled row by row, as the rows, and ``order``."""
-        start = self.order
-        self.rows = list(map(tuple, map(cells.__getitem__, map(slice, start, start[1:]))))
-        self.order = tuple(order)
+    @property
+    def order(self) -> Sequence[int]:
+        if callable(self._order):
+            self._order = self._order(self)
+        return self._order
 
     def check_entries(self, entries: Iterable, name: str, numbers: bool = False) -> None:
-        """Fill the rows from ``entries``, the triples (g, f, gf) of the
-        table of the category ``name`` in order, checking each as it is
-        read: known names (with ``numbers``, an id may be a JSON number,
-        read as its ``str``), a composable pair, the endpoints of the
-        composite."""
-        index, src, tgt, pos, start = self.index, self.src, self.tgt, self.pos, self.order
+        """Fill the rows, ``pos`` and ``order`` from ``entries``, the triples
+        (g, f, gf) of the table of the category ``name`` in order, checking
+        each as it is read: known names (with ``numbers``, an id may be a
+        JSON number, read as its ``str``), a composable pair, the endpoints
+        of the composite."""
+        index, src, tgt = self.index, self.src, self.tgt
+        pos, width = _positions(src, len(self.ident))
+        start = list(accumulate([width[y] for y in tgt], initial=0))  # where each row starts
         cells, order = [None] * start[-1], []
         put = order.append
         for g, f, gf in entries:
@@ -406,10 +391,11 @@ class _Rows(_Ends):
                     f"{name}: composite {gf!r} of ({g!r}, {f!r}) has wrong endpoints",
                     witness={"pair": (g, f)},
                 )
-            cell = start[fi] + pos[gi]  # as in ``_fill``
+            cell = start[fi] + pos[gi]
             cells[cell] = ci
             put(cell)
-        self._cut(cells, order)
+        self.rows = list(map(tuple, map(cells.__getitem__, map(slice, start, start[1:]))))
+        self.pos, self._order = tuple(pos), tuple(order)
 
     def out(self) -> list[list[int]]:
         """The morphisms out of each object, by index, in morphism order."""
@@ -517,29 +503,32 @@ def _inverse_search(rows: Sequence, pos: Sequence[int], src: Sequence[int], tgt:
     return inv, directly_finite
 
 
+def _cells(r: _Rows, pairs: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+    """The ``order`` of the entries ``pairs`` (g, f) on the rows ``r``."""
+    start, pos = list(accumulate(map(len, r.rows), initial=0)), r.pos
+    return tuple(start[f] + pos[g] for g, f in pairs)
+
+
+def _row_by_row(r: _Rows) -> tuple[int, ...]:
+    """The ``order`` of entries listed row by row, each in cell order."""
+    return tuple(range(sum(map(len, r.rows))))
+
+
 def _stored(name: str, objects: Sequence[str], names: Sequence[str], src: list[int],
-            tgt: list[int], ident: list[int], entries: Iterable[tuple[int, int, int]] = (),
-            inverses: Optional[tuple[dict[int, int], bool]] = None,
-            rows: Optional[list[tuple[int, ...]]] = None,
-            order: Optional[tuple[int, ...]] = None, pos: Optional[Iterable[int]] = None) -> FinCat:
+            tgt: list[int], ident: list[int], rows: list[tuple[int, ...]], pos: Sequence[int],
+            order, inverses: Optional[tuple[dict[int, int], bool]] = None) -> FinCat:
     """The one unchecked constructor: the FinCat of arrays a builder
-    writes, lawful by its proof.  ``entries`` are the triples (g, f, g o f)
-    by index, in ``composition`` order, scattered into rows (``_fill``);
-    or a builder that writes its rows itself passes them finished, with
-    their ``order`` and the ``pos`` that ``groups._positions`` would find
-    (all as ``_Rows`` keeps them), and no entries.
-    ``inverses`` (``inv`` and direct finiteness) are lifted from the input,
-    or else searched.  Only the id check is left: a builder's names are
-    made from its input's."""
+    writes, lawful by its proof, with its ``rows``, ``pos`` and ``order``
+    finished, as ``_Rows`` keeps them.  ``inverses`` (``inv`` and direct
+    finiteness) are known to the builder, or else searched.  Only the id
+    check is left: a builder's names are made from its input's."""
     objects = tuple(objects)
     obj_index, index = {x: i for i, x in enumerate(objects)}, {m: i for i, m in enumerate(names)}
     if len(obj_index) != len(objects) or len(index) != len(names):
         records = tuple(map(Morphism, names, [objects[x] for x in src], [objects[y] for y in tgt]))
         _trusted(FinCat, name=name, objects=objects, morphisms=records)._check_records()  # raises
-    r = _Rows(obj_index, names, index, src, tgt, ident, rows, order, pos)
-    if rows is None:
-        r._fill(entries)
-    r.inv, directly_finite = inverses or _inverse_search(r.rows, r.pos, src, tgt, ident)
+    r = _Rows(obj_index, names, index, src, tgt, ident, rows, pos, order)
+    r.inv, directly_finite = inverses or _inverse_search(rows, pos, src, tgt, ident)
     return _trusted(FinCat, name=name, objects=objects, _ends=r, _directly_finite=directly_finite)
 
 
@@ -1067,19 +1056,22 @@ class SkeletonData:
 
 def full_subcategory(cat: FinCat, objects: Iterable[str], name: str | None = None) -> FinCat:
     """The full subcategory on ``objects`` (other names are ignored), off
-    the rows of ``cat``, in its orders.  An inverse of a kept morphism is
-    kept, and a one-sided inverse here is one in ``cat``, so the inverses
-    of a directly finite ``cat`` are lifted."""
+    the rows of ``cat``, in its orders: row f keeps its composites with the
+    g kept out of t(f), the kept g o f.  An inverse of a kept morphism is kept,
+    and a one-sided inverse here is one in ``cat``, so the inverses of a
+    directly finite ``cat`` are lifted."""
     keep, r = set(objects), cat._ends
     kept = [x for x, c in enumerate(cat.objects) if c in keep]
     obj_at = {x: k for k, x in enumerate(kept)}
     mors = [m for m, (x, y) in enumerate(zip(r.src, r.tgt)) if x in obj_at and y in obj_at]
-    at = {m: k for k, m in enumerate(mors)}
+    at, src = {m: k for k, m in enumerate(mors)}, [obj_at[r.src[m]] for m in mors]
+    rows = [tuple(at[gf] for gf in r.rows[f] if gf in at) for f in mors]
+    pos = tuple(_positions(src, len(kept))[0])
     inverses = ({at[m]: at[g] for m, g in r.inv.items() if m in at}, True)
     return _stored(name or f"{cat.name}_full", [cat.objects[x] for x in kept],
-                   [r.names[m] for m in mors], [obj_at[r.src[m]] for m in mors],
-                   [obj_at[r.tgt[m]] for m in mors], [at[r.ident[x]] for x in kept],
-                   ((at[g], at[f], at[gf]) for g, f, gf in r.entries() if f in at and g in at),
+                   [r.names[m] for m in mors], src, [obj_at[r.tgt[m]] for m in mors],
+                   [at[r.ident[x]] for x in kept], rows, pos, lambda new: _cells(
+                       new, ((at[g], at[f]) for g, f in r.pairs() if f in at and g in at)),
                    inverses if cat._directly_finite else None)
 
 
@@ -1244,7 +1236,8 @@ def lower_link(cat: FinCat, obj: str) -> FinCat:
     Objects are the non-identity morphisms a with source obj; a morphism
     a -> b is a morphism u of the ambient scwol with u o a = b, recorded as
     the pair (u, a).  Its composites are those of ``cat``, read off its
-    rows, so no law is checked.
+    rows, so no law is checked: (u2, b) o (u1, a) = (u2 o u1, a), listed
+    row by row.
     """
     _require_scwol(cat)
     cat.require_object(obj)
@@ -1259,40 +1252,49 @@ def lower_link(cat: FinCat, obj: str) -> FinCat:
     by_source: list[list[tuple[int, int]]] = [[] for _ in link]  # (m, u) of each m out of k
     for (u, _), m in pairs.items():
         by_source[src[m]].append((m, u))
-    # (u2, b) o (u1, a) = (u2 o u1, a)
+    link_rows = [tuple(pairs[rows[u1][pos[u2]], a] for _, u2 in by_source[tgt[m1]])
+                 for (u1, a), m1 in pairs.items()]
     return _stored(f"Lk^{obj}({cat.name})", [names[a] for a in link],
                    [f"({names[u]},{names[a]})" for u, a in pairs], src, tgt,
-                   [pairs[r.ident[r.tgt[a]], a] for a in link],
-                   ((m2, m1, pairs[rows[u1][pos[u2]], a]) for (u1, a), m1 in pairs.items()
-                    for m2, u2 in by_source[tgt[m1]]))
+                   [pairs[r.ident[r.tgt[a]], a] for a in link], link_rows,
+                   tuple(_positions(src, len(link))[0]), _row_by_row)
 
 
 # -- constructions used across the library ------------------------------------
 
 
 def opposite(cat: FinCat) -> FinCat:
-    """The opposite category, off the rows of ``cat``: each entry (g, f) is
-    read as (f, g), in ``cat``'s order.  Its inverses are ``cat``'s."""
-    r = cat._ends
-    return _stored(f"{cat.name}^op", cat.objects, r.names, r.tgt, r.src, r.ident,
-                   ((f, g, gf) for g, f, gf in r.entries()), (r.inv, cat._directly_finite))
+    """The opposite category, off the rows of ``cat``: row f holds the f o g
+    for the g into s(f), in order, and each entry (g, f) is read as (f, g),
+    in ``cat``'s order.  Its inverses are ``cat``'s."""
+    r, into = cat._ends, [[] for _ in cat.objects]
+    for g, y in enumerate(r.tgt):
+        into[y].append(g)
+    rows = [tuple(r.rows[g][p] for g in into[x]) for p, x in zip(r.pos, r.src)]
+    pos = tuple(_positions(r.tgt, len(into))[0])
+    return _stored(f"{cat.name}^op", cat.objects, r.names, r.tgt, r.src, r.ident, rows, pos,
+                   lambda new: _cells(new, ((f, g) for g, f in r.pairs())),
+                   (r.inv, cat._directly_finite))
 
 
 def product(a: FinCat, b: FinCat) -> FinCat:
     """The product category, off the rows of ``a`` and ``b``, ``a``'s
-    index major; the entries pair ``a``'s with ``b``'s, each in order."""
+    index major: row (f1, f2) pairs the cells of row f1 with those of row
+    f2.  The entries pair ``a``'s with ``b``'s, each in order."""
 
     def po(x, y):
         return f"({x},{y})"
 
     ra, rb = a._ends, b._ends
     n, k = len(b), len(rb.names)  # the objects and the morphisms of b
-    b_entries = list(rb.entries())
+    src = [x * n + y for x in ra.src for y in rb.src]
+    rows = [tuple(g1 * k + g2 for g1 in row1 for g2 in row2) for row1 in ra.rows for row2 in rb.rows]
+    pos = tuple(_positions(src, len(a) * n)[0])
     return _stored(
         f"{a.name}x{b.name}", [po(x, y) for x in a.objects for y in b.objects],
-        [po(m1, m2) for m1 in ra.names for m2 in rb.names],
-        [x * n + y for x in ra.src for y in rb.src], [x * n + y for x in ra.tgt for y in rb.tgt],
-        [e1 * k + e2 for e1 in ra.ident for e2 in rb.ident],
-        ((g1 * k + g2, f1 * k + f2, gf1 * k + gf2)
-         for g1, f1, gf1 in ra.entries() for g2, f2, gf2 in b_entries))
+        [po(m1, m2) for m1 in ra.names for m2 in rb.names], src,
+        [x * n + y for x in ra.tgt for y in rb.tgt],
+        [e1 * k + e2 for e1 in ra.ident for e2 in rb.ident], rows, pos,
+        lambda new: _cells(new, ((g1 * k + g2, f1 * k + f2) for b_pairs in [list(rb.pairs())]
+                                 for g1, f1 in ra.pairs() for g2, f2 in b_pairs)))
 

@@ -44,6 +44,8 @@ from .fincat import (
     _Arrays,
     _OnFirstRead,
     _Rows,
+    _cells,
+    _row_by_row,
     _check_functor_arrays,
     _composite_arrays,
     _count_rows,
@@ -55,7 +57,7 @@ from .fincat import (
     _stored,
     skeleton,
 )
-from .groups import FinGroup, GroupHom, _check_on_generators, _image_of
+from .groups import FinGroup, GroupHom, _check_on_generators, _image_of, _positions
 from .hocolim import MissingValue, PseudoDiagram, bar_spectrum, formula_value
 from .ratlin import _chi_L_of_rows, _class_reps
 from .zoo import arrow_category, discrete_category, one_object_category
@@ -362,7 +364,8 @@ def quotient(action: ScwolAction) -> QuotientResult:
     x in one orbit differ by an element fixing x, hence agree (axiom ii),
     and translating a lift of an orbit arrow out of [x] by an element gives
     one out of x, so the row of the least member a of [a] holds one lift of
-    each pair ([b], [a]); the entries are written in name order.  A lift
+    each pair ([b], [a]), read into the row of [a] at the place of [b]; the
+    entries are listed by ([b], [a]).  A lift
     b' o a = id of [b] o [a] = [id] makes a invertible in the space, a
     scwol, so the inverses are the orbits of the space's.  The orbits are
     read off the action's arrays (``_orbits``).
@@ -375,11 +378,16 @@ def quotient(action: ScwolAction) -> QuotientResult:
     lifts, out = [orb[0] for orb in mor_orbits], r.out()
     cells = {(of_mor[b], f): of_mor[ba] for f, a in enumerate(lifts)
              for b, ba in zip(out[r.tgt[a]], r.rows[a])}
+    src, tgt = [of_obj[r.src[a]] for a in lifts], [of_obj[r.tgt[a]] for a in lifts]
+    pos, width = _positions(src, len(obj_orbits))
+    rows = [[None] * width[y] for y in tgt]
+    for (b, f), ba in cells.items():
+        rows[f][pos[b]] = ba
+    rows, pos = list(map(tuple, rows)), tuple(pos)
     q = _stored(f"{cat.name}/{action.group.name}", [objs[orb[0]] for orb in obj_orbits],
-                [names[a] for a in lifts], [of_obj[r.src[a]] for a in lifts],
-                [of_obj[r.tgt[a]] for a in lifts],
-                [of_mor[r.ident[orb[0]]] for orb in obj_orbits],
-                [(b, f, ba) for (b, f), ba in sorted(cells.items())],
+                [names[a] for a in lifts], src, tgt,
+                [of_mor[r.ident[orb[0]]] for orb in obj_orbits], rows, pos,
+                lambda new: _cells(new, sorted(cells)),
                 ({f: of_mor[r.inv[a]] for f, a in enumerate(lifts) if a in r.inv}, True))
     return QuotientResult(q, cat, (of_obj, of_mor))
 
@@ -673,7 +681,8 @@ def hocolim_groups(cplx: ComplexOfGroups) -> FinCat:
     a: s -> t in the base and g in local[t], composed by
     (b, g2) o (a, g1) = (b o a, g2 . F(b)(g1) . twist(b, a)^{-1}).
     The complex's identities make it lawful (Bridson-Haefliger III.C): no law is checked.
-    It is written off the base's rows and the local Cayley tables.
+    It is written off the base's rows and the local Cayley tables: row (a, g1) holds the
+    (b o a, g2 . F(b)(g1) . twist(b, a)^-1) over b, then g2; entries run over a, b, g1, g2.
     """
     base = cplx.base
     r = base._ends
@@ -686,21 +695,22 @@ def hocolim_groups(cplx: ComplexOfGroups) -> FinCat:
         src += [x] * local[y].order
         tgt += [y] * local[y].order
 
-    def entries():
-        # on indices: for each g1, k is the index of F(b)(g1) . twist(b, a)^-1,
-        # and the composite with (b, g2) is (b o a, g2 . k), read off row g2
-        for a, row_a in enumerate(r.rows):
-            for b, ba in zip(out[r.tgt[a]], row_a):
-                group = local[r.tgt[b]]
-                table, first_b, first_ba = group.table, start[b], start[ba]
-                tw_inv = group._inverse[group.index(cplx.twist(names[b], names[a]))]
-                for f, fb_g1 in enumerate(_image_of(cplx.homs[names[b]]), start[a]):
-                    k = table[fb_g1][tw_inv]
-                    for g2, row_g2 in enumerate(table):
-                        yield first_b + g2, f, first_ba + row_g2[k]
-
+    rows = []
+    for a, row_a in enumerate(r.rows):
+        blocks = []  # per b: the cells of each (a, g1) with the (b, g2), on indices
+        for b, ba in zip(out[r.tgt[a]], row_a):
+            group = local[r.tgt[b]]
+            table, tw_inv = group.table, group._inverse[group.index(cplx.twist(names[b], names[a]))]
+            blocks.append([[start[ba] + row_g2[table[fb_g1][tw_inv]] for row_g2 in table]
+                           for fb_g1 in _image_of(cplx.homs[names[b]])])
+        rows += [tuple(c for block in cells for c in block) for cells in zip(*blocks)]
+    pos = tuple(_positions(src, len(base))[0])
     return _stored(f"hocolim({base.name})", base.objects, mor_names, src, tgt,
-                   [start[e] + local[x]._identity for x, e in enumerate(r.ident)], entries())
+                   [start[e] + local[x]._identity for x, e in enumerate(r.ident)], rows, pos,
+                   lambda new: _cells(new, (
+                       (start[b] + g2, f) for a, y in enumerate(r.tgt) for b in out[y]
+                       for f in range(start[a], start[a] + local[y].order)
+                       for g2 in range(local[r.tgt[b]].order))))
 
 
 def _hocolim_chi_L(cplx: ComplexOfGroups) -> Fraction:
@@ -994,14 +1004,16 @@ def _transport_groupoid(action: ScwolAction) -> FinCat:
     # the morphism (g, s) is number s * |G| + g, elements and labels by index
     n = group.order
     moved = list(zip(*(fo for fo, _ in action._arrays)))  # moved[s][g]: g . s
-    # (h, g . s) o (g, s) = (hg, s), and (g, s) has the inverse (g^-1, g . s)
+    # (h, g . s) o (g, s) = (hg, s), and (g, s) has the inverse (g^-1, g . s): the
+    # row of (g, s) is column g of the table, shifted, and the entries run row by row
+    columns, objects = list(zip(*group.table)), range(len(elements))
     return _stored(f"transport({group.name})", elements,
                    [f"({g},{s})" for s in elements for g in group.labels],
-                   [k for k in range(len(elements)) for _ in range(n)],
+                   [k for k in objects for _ in range(n)],
                    [mid for targets in moved for mid in targets],
-                   [k * n + group._identity for k in range(len(elements))],
-                   ((mid * n + h, k * n + g, k * n + row_h[g]) for k, targets in enumerate(moved)
-                    for g, mid in enumerate(targets) for h, row_h in enumerate(group.table)),
+                   [k * n + group._identity for k in objects],
+                   [tuple(k * n + hg for hg in col) for k in objects for col in columns],
+                   tuple(range(n)) * len(elements), _row_by_row,
                    ({k * n + g: mid * n + group._inverse[g] for k, targets in enumerate(moved)
                      for g, mid in enumerate(targets)}, True))
 

@@ -354,14 +354,14 @@ class _TotalRows(_Rows):
     """The rows of a Grothendieck total: ``src``, ``tgt``, ``ident`` and
     ``inv`` as ``_grothendieck`` writes them, and ``plan``, the
     ``_Numbering`` that names and composes its morphisms.  The composition
-    rows, ``pos``, ``order`` (a ``range``: the entries are listed by first
+    rows, ``pos``, ``_order`` (a ``range``: the entries are listed by first
     factor, each row in the order of its cells), the names and both indexes
     are made off the plan on their first read and kept (``_OnFirstRead``),
     so what ``classify``, ``len`` and the hom counts read makes none."""
 
     rows = _OnFirstRead()
     pos = _OnFirstRead()
-    order = _OnFirstRead()
+    _order = _OnFirstRead()
     names = _OnFirstRead()
     index = _OnFirstRead()
     objects = _OnFirstRead()
@@ -377,7 +377,7 @@ class _TotalRows(_Rows):
             fields[attr] = plan.composites()
         elif attr == "pos":
             fields[attr] = tuple(_positions(self.src, len(self.ident))[0])
-        elif attr == "order":
+        elif attr == "_order":
             fields[attr] = range(sum(map(len, self.rows)))
         elif attr == "names":
             fields[attr] = plan.morphism_names()

@@ -9,8 +9,8 @@ builder's docstring, and the tests check it again through the checked
 constructors.  Random posets and free scwols are written by
 ``zoo._acyclic``.  A random groupoid is drawn whole (component sizes, then
 vertex groups) and then written once, all its components in one store
-whose rows and positions ``groupoid_union`` makes itself, one row per
-(i, g) shared by every (g; i, j).  A functor between random groupoids is
+(``groupoid_union``: one row per (i, g) shared by every (g; i, j), and an
+entry order made on its first read).  A functor between random groupoids is
 written as its arrays, and a random groupoid or inclusion diagram with its
 index view.  The polygon rotations and reflections, the induced free
 action and the lifts along the cone and the inflation are written as
@@ -26,7 +26,7 @@ from random import Random
 from typing import Mapping, Optional, Sequence
 
 from .errors import _trusted
-from .fincat import CatFunctor, FinCat, _Arrays, _require_scwol, _stored
+from .fincat import CatFunctor, FinCat, _Arrays, _Rows, _require_scwol, _stored
 from .groups import FinGroup, GroupHom, _image_of, all_homs, cyclic_group, klein_four_group, symmetric_group, trivial_group
 from .groupact import ScwolAction, trivial_action
 from .hocolim import StrictDiagram, _index_view, _set_diagram, constant_diagram
@@ -79,8 +79,8 @@ def random_skeletal_scwol(
     Being free, composable non-identity paths never collide, so arbitrary
     generator data extends strictly; being acyclic, it is a skeletal scwol.
     Its arrows are the edge paths p[e.f...] by length (over 300, a sparser
-    instance is rolled), written by ``zoo._acyclic`` with the entries
-    (q, p) = p.q over p, then q, in path order."""
+    instance is rolled), written by ``zoo._acyclic`` with the composites
+    q o p = p.q of each p over the q out of its end, in path order."""
     n = rng.randint(1, max_objects)
     objects = [f"o{i}" for i in range(n)]
     out: list[list[tuple[str, int]]] = [[] for _ in objects]  # the edges out of each object
@@ -99,11 +99,10 @@ def random_skeletal_scwol(
         if len(paths) > 300:  # roll a sparser instance instead
             return random_skeletal_scwol(rng, max_objects, edge_prob * 0.6, 1)
     at = {seq: m for m, (seq, _, _) in enumerate(paths, n)}
-    starting = [[(m, seq) for m, (seq, i, _) in enumerate(paths, n) if i == x] for x in range(n)]
+    starting = [[seq for seq, i, _ in paths if i == x] for x in range(n)]  # the paths out of x
     return _acyclic("freecat", objects, ["p[" + ".".join(seq) + "]" for seq, _, _ in paths],
                     [i for _, i, _ in paths], [j for _, _, j in paths],
-                    ((g, f, at[p + q]) for f, (p, _, j) in enumerate(paths, n)
-                     for g, q in starting[j]))
+                    [[at[p + q] for q in starting[j]] for p, _, j in paths])
 
 
 @dataclass(frozen=True)
@@ -115,17 +114,10 @@ class FreeDiagramIndex:
 
 def random_free_index(rng: Random, max_objects: int = 4, edge_prob: float = 0.5) -> FreeDiagramIndex:
     cat = random_skeletal_scwol(rng, max_objects, edge_prob, max_parallel=2)
-    generators = []
-    decomposition = {}
-    for m in cat.morphism_names():
-        if cat.is_identity(m):
-            decomposition[m] = ()
-            continue
-        seq = tuple(m[2:-1].split("."))
-        decomposition[m] = tuple(f"p[{e}]" for e in seq)
-        if len(seq) == 1:
-            generators.append(m)
-    return FreeDiagramIndex(cat, tuple(generators), decomposition)
+    decomposition = {m: () if cat.is_identity(m) else tuple(f"p[{e}]" for e in m[2:-1].split("."))
+                     for m in cat.morphism_names()}  # the edges of each path p[e.f...]
+    return FreeDiagramIndex(cat, tuple(m for m, edges in decomposition.items() if len(edges) == 1),
+                            decomposition)
 
 
 def random_poset(rng: Random, max_objects: int = 5, rel_prob: float = 0.4) -> FinCat:
@@ -181,13 +173,13 @@ def groupoid_union(parts: Sequence[tuple[FinGroup, int, str]]) -> Groupoid:
     entries are listed in the order part, i, j, k, g, h.  With m the
     group's order, the row of (g; i, j) starts at cell ((i n + j) m + g) n m
     of its part, and (h; j, k) is at k m + h in it, so ``order`` is a run
-    of m cells per (i, j, k, g), and (g; i, j) is at ``pos`` j m + g among
-    the morphisms out of i.  Its name is the parts' ``gpd(prefix)`` joined
-    by ``+``."""
-    objects, names, src, tgt, ident, rows, order, pos, comps = [], [], [], [], [], [], [], [], []
+    of m cells per (i, j, k, g), made on its first read off each part's n
+    and m; and (g; i, j) is at ``pos`` j m + g among the morphisms out of
+    i.  Its name is the parts' ``gpd(prefix)`` joined by ``+``."""
+    objects, names, src, tgt, ident, rows, pos, comps, runs = [], [], [], [], [], [], [], [], []
     inverses: dict[int, int] = {}
     for group, size, prefix in parts:
-        n_obj, base, first, n, objs = len(objects), len(names), len(order), group.order, range(size)
+        n_obj, base, n, objs = len(objects), len(names), group.order, range(size)
         # at[i][j] is the index of (e; i, j), so (g; i, j) is at[i][j] + g
         at = [[base + (i * size + j) * n for j in objs] for i in objs]
         comps.append(GroupoidComponent(prefix, group, tuple(f"{prefix}.{i}" for i in objs)))
@@ -203,11 +195,17 @@ def groupoid_union(parts: Sequence[tuple[FinGroup, int, str]]) -> Groupoid:
             rows += [tuple(ik + hg for ik in row_i for hg in col) for col in columns] * size
         width = size * n
         pos += itertools.chain.from_iterable(itertools.repeat(range(width), size))
-        order += itertools.chain.from_iterable(
-            range(start + k * n, start + k * n + n) for ij in range(size * size) for k in objs
-            for g in range(n) for start in [first + (ij * n + g) * width])
+        runs.append((size, n))
+
+    def order(_):  # a part's cells start after the n^3 m^2 cells of each part before
+        firsts = itertools.accumulate((size ** 3 * n * n for size, n in runs), initial=0)
+        return tuple(itertools.chain.from_iterable(
+            range(start + k * n, start + k * n + n) for (size, n), first in zip(runs, firsts)
+            for ij in range(size * size) for k in range(size) for g in range(n)
+            for start in [first + (ij * n + g) * size * n]))
+
     cat = _stored("+".join(f"gpd({c.prefix})" for c in comps), objects, names, src, tgt, ident,
-                  inverses=(inverses, True), rows=rows, order=tuple(order), pos=pos)
+                  inverses=(inverses, True), rows=rows, order=order, pos=tuple(pos))
     return Groupoid(cat, tuple(comps))
 
 
@@ -340,12 +338,14 @@ def induced_free_action(group: FinGroup, base: FinCat) -> ScwolAction:
     """G x Y with g . (h, y) = (gh, y): free on objects, quotient Y.
 
     Copy h of the base is written off its rows, (h, x) as object h |Y| + x
-    and (h, m) as morphism h |M| + m.  Element g moves copy h onto copy gh
-    (its Cayley row): an automorphism, and (gk)h = g(kh).  Only the identity
-    fixes an object, and it fixes every morphism (axiom ii); a non-identity
-    arrow of a scwol has two ends (axiom i).  So only the space is checked."""
+    and (h, m) as morphism h |M| + m: its rows, positions and entry order
+    are the base's, shifted, and copy 0, the base row for row, makes the
+    base's order.  Element g moves copy h onto copy gh (its Cayley row): an
+    automorphism, and (gk)h = g(kh).  Only the identity fixes an object, and
+    it fixes every morphism (axiom ii); a non-identity arrow of a scwol has
+    two ends (axiom i).  So only the space is checked."""
     r, n_obj = base._ends, len(base)
-    n_mor = len(r.names)
+    n_mor, cells, base_order = len(r.names), sum(map(len, r.rows)), r._order  # as made or maker
     copies = range(group.order)
     space = _stored(f"{group.name}x{base.name}",
                     [f"{g}*{x}" for g in group.labels for x in base.objects],
@@ -353,8 +353,12 @@ def induced_free_action(group: FinGroup, base: FinCat) -> ScwolAction:
                     [g * n_obj + x for g in copies for x in r.src],
                     [g * n_obj + y for g in copies for y in r.tgt],
                     [g * n_mor + e for g in copies for e in r.ident],
-                    ((g * n_mor + b, g * n_mor + a, g * n_mor + ba)
-                     for g in copies for b, a, ba in r.entries()),
+                    [*r.rows, *(tuple(c + g * n_mor for c in row) for g in copies[1:]
+                                for row in r.rows)], r.pos * group.order,
+                    lambda new: tuple(c + g * cells for made in [_Rows(
+                        None, None, None, new.src[:n_mor], new.tgt[:n_mor], new.ident[:n_obj],
+                        new.rows[:n_mor], new.pos[:n_mor], base_order).order] for g in copies
+                        for c in made),
                     ({g * n_mor + m: g * n_mor + u for g in copies for m, u in r.inv.items()},
                      base._directly_finite))
     _require_scwol(space)
@@ -411,8 +415,7 @@ def reflection_action(sides: int) -> ScwolAction:
 
 def circle_action() -> ScwolAction:
     """The reflection of the combinatorial circle (the 2-gon)."""
-    group = cyclic_group(2)
-    space = circle_scwol()
+    group, space = cyclic_group(2), circle_scwol()
     swap_o = {"x": "x2", "x2": "x", "y": "y", "z": "z"}
     swap_m = {
         "a1": "a2", "a2": "a1", "b1": "b2", "b2": "b1",
@@ -462,8 +465,7 @@ def cyclic_subgroups(group: FinGroup) -> list[tuple[str, ...]]:
     """Element sets of all cyclic subgroups (plus the whole group)."""
     out = {tuple(sorted(group.labels))}
     for g in group.labels:
-        members = {group.identity}
-        cur = g
+        members, cur = {group.identity}, g
         while cur not in members:
             members.add(cur)
             cur = group.mul(cur, g)
@@ -474,17 +476,11 @@ def cyclic_subgroups(group: FinGroup) -> list[tuple[str, ...]]:
 def coset_gset(group: FinGroup, members: Sequence[str], prefix: str):
     """Left cosets of a subgroup as a transitive G-set."""
     subgroup = frozenset(members)
-    cosets = sorted(
-        {frozenset(group.mul(g, h) for h in subgroup) for g in group.labels},
-        key=sorted,
-    )
+    cosets = sorted({frozenset(group.mul(g, h) for h in subgroup) for g in group.labels}, key=sorted)
     label = {c: f"{prefix}{i}" for i, c in enumerate(cosets)}
-    elements = [label[c] for c in cosets]
-    act = {
+    return [label[c] for c in cosets], {
         g: {label[c]: label[frozenset(group.mul(g, x) for x in c)] for c in cosets}
-        for g in group.labels
-    }
-    return elements, act
+        for g in group.labels}
 
 
 def random_gset(rng: Random, group: FinGroup, max_orbits: int = 3):
@@ -504,12 +500,13 @@ def random_free_action(rng: Random, max_group_order: int = 6,
                        max_space_objects: int = 12) -> ScwolAction:
     if rng.random() < 0.5:
         order = rng.randint(2, max_group_order)
-        group = cyclic_group(order) if order != 4 or rng.random() < 0.5 else klein_four_group()
+        pool = {g.name: g for g in group_pool()}
+        group = (pool.get(f"Z{order}") or cyclic_group(order) if order != 4 or rng.random() < 0.5
+                 else pool["V4"])
         if group.order == 6 and rng.random() < 0.5:
-            group = symmetric_group(3)
-        base = random_scwol(
-            rng, max_objects=max(1, max_space_objects // group.order), allow_fattening=False
-        )
+            group = pool["S3"]
+        base = random_scwol(rng, max_objects=max(1, max_space_objects // group.order),
+                            allow_fattening=False)
         return induced_free_action(group, base)
     sides = rng.choice([2, 3, 4, 5, 6])
     divisors = [d for d in range(1, sides) if sides % d == 0]
@@ -530,11 +527,6 @@ def random_action(rng: Random) -> ScwolAction:
     if rng.random() < 0.35:
         act = cone_action(act)
     if rng.random() < 0.3:
-        orbits = act.object_orbits()
-        copies = {}
-        for orb in orbits:
-            c = rng.choice([1, 1, 2])
-            for x in orb:
-                copies[x] = c
+        copies = {x: c for orb in act.object_orbits() for c in [rng.choice([1, 1, 2])] for x in orb}
         act = inflate_action(act, copies)
     return act

@@ -6,10 +6,10 @@ two edges and two vertices, and polygon scwols are face posets of subdivided
 n-gons with arrows from edges into their endpoints.
 
 The named hand-built categories go through the checked ``FinCat``
-constructor.  The families are written (``fincat._stored``), each with its
-proof in its docstring: the posets and free categories on acyclic
-multigraphs off their indices (``_acyclic``), and the one-object category of
-a group, the cone and the inflation off their input's rows.
+constructor.  The families hand ``fincat._stored`` their finished rows and
+positions and an entry order made on its first read, each with its proof
+in its docstring: posets and free categories on acyclic multigraphs off
+their indices (``_acyclic``), the rest off their input's rows or table.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ import itertools
 from itertools import accumulate, chain, count
 from typing import Iterable, Mapping, Sequence
 
-from .fincat import FinCat, Morphism, _stored
-from .groups import FinGroup
+from .fincat import FinCat, Morphism, _cells, _stored
+from .groups import FinGroup, _positions
 
 
 def build_category(
@@ -47,45 +47,54 @@ def build_category(
 
 
 def _acyclic(name: str, objects: Sequence[str], names: Sequence[str], src: list[int],
-             tgt: list[int], entries: Iterable[tuple[int, int, int]]) -> FinCat:
+             tgt: list[int], composites: Iterable[Sequence[int]]) -> FinCat:
     """The category whose non-identity arrows ``names`` go from ``src`` to
     ``tgt`` (object indices), all forward in some order of the ``objects``,
-    and ``entries`` the triples (g, f, g o f) by index of its composable
-    non-identity pairs, written unchecked in the layout of ``build_category``:
-    id_<x> is morphism x and arrow k is morphism len(objects) + k; the
-    entries are ``entries``, then (id_t(m), m) and, unless m is an
-    identity, (m, id_s(m)) for each morphism m in order.
+    written unchecked in the layout of ``build_category`` (id_<x> is
+    morphism x, arrow k is morphism len(objects) + k), with ``composites``
+    the g o f of each arrow f for the arrows g out of t(f), in order.
 
-    The laws hold by construction.  In a poset the order is transitive and
-    each hom-set has one element, so every composite is forced.  In a free
-    category composition is concatenation of edge paths and the identities
-    are the empty paths.  With no cycles only the identities are invertible,
-    which the inverse search finds."""
-    n = len(objects)
-    ident = list(range(n))
-    return _stored(name, objects, [*(f"id_{x}" for x in objects), *names], ident + src,
-                   ident + tgt, ident,
-                   chain(entries, zip(ident, ident, ident),
-                         chain.from_iterable(((y, m, m), (m, x, m))
-                                             for m, x, y in zip(count(n), src, tgt))))
+    The laws hold by construction: in a poset (transitive, one arrow per
+    hom-set) every composite is forced, and in a free category composition
+    is concatenation of edge paths.  With no cycles only the identities are
+    invertible, and it is directly finite.  The morphisms out of x are id_x,
+    then its arrows, so row id_x is that list and row f is f, then its
+    composites.  The entries are the composites of each arrow, (id_x, id_x),
+    then (id_t(m), m) and (m, id_s(m)) for each arrow m: the cells after the
+    first of each arrow's row, the first of each row id_x, then the first of
+    row m and cell ``pos[m]`` of row id_s(m)."""
+    n, ident = len(objects), list(range(len(objects)))
+    src, out, pos = ident + src, [[x] for x in ident], [0] * n
+    for m, x in enumerate(src[n:], n):
+        pos.append(len(out[x]))
+        out[x].append(m)
+    rows, pos = [*map(tuple, out), *((f, *c) for f, c in enumerate(composites, n))], tuple(pos)
+    return _stored(name, objects, [*(f"id_{x}" for x in objects), *names], src, ident + tgt,
+                   ident, rows, pos, _acyclic_order, ({x: x for x in ident}, True))
+
+
+def _acyclic_order(r) -> tuple[int, ...]:
+    """The entry order of rows ``_acyclic`` wrote, off them alone (no maker per store)."""
+    n, start, pos = len(r.ident), list(accumulate(map(len, r.rows), initial=0)), r.pos
+    return tuple(chain(*map(range, [s + 1 for s in start[n:-1]], start[n + 1:]), start[:n],
+                       *((start[m], start[x] + pos[m]) for m, x in enumerate(r.src[n:], n))))
 
 
 def _poset(name: str, objects: Sequence[str], targets: Sequence[Sequence[int]], arrow) -> FinCat:
     """The poset on ``objects`` with an arrow i -> j, named ``arrow(i, j)``,
     for each j in ``targets[i]`` (a strict order, transitively closed, each
     list in object order), written by ``_acyclic``: the arrows over i, then
-    j, and the entries (j -> k) o (i -> j) = i -> k over i, j, then k."""
+    j, and the composites (j -> k) o (i -> j) = i -> k of i -> j over k."""
     at = [dict(zip(js, count(first)))  # at[i][j] is the index of i -> j
           for js, first in zip(targets, accumulate(map(len, targets), initial=len(objects)))]
     return _acyclic(name, objects, [arrow(i, j) for i, js in enumerate(targets) for j in js],
                     [i for i, js in enumerate(targets) for _ in js], [j for js in targets for j in js],
-                    ((at[j][k], ij, at[i][k]) for i, row in enumerate(at)
-                     for j, ij in row.items() for k in targets[j]))
+                    [[row[k] for k in targets[j]] for row in at for j in row])
 
 
 def discrete_category(objects: Iterable[str], name: str = "discrete") -> FinCat:
     """The identities of ``objects`` only, in order (``_acyclic``)."""
-    return _acyclic(name, tuple(objects), [], [], [], ())
+    return _acyclic(name, tuple(objects), [], [], [], [])
 
 
 def terminal_category(obj: str = "*") -> FinCat:
@@ -94,16 +103,12 @@ def terminal_category(obj: str = "*") -> FinCat:
 
 def pushout_scwol() -> FinCat:
     """P = {k <- j -> l}: one arrow j->k, one arrow j->l."""
-    return build_category(
-        ("j", "k", "l"), (("g", "j", "k"), ("h", "j", "l")), name="P"
-    )
+    return build_category(("j", "k", "l"), (("g", "j", "k"), ("h", "j", "l")), name="P")
 
 
 def parallel_pair_scwol() -> FinCat:
     """A = {j => k}: a single pair of parallel arrows."""
-    return build_category(
-        ("j", "k"), (("f0", "j", "k"), ("f1", "j", "k")), name="A"
-    )
+    return build_category(("j", "k"), (("f0", "j", "k"), ("f1", "j", "k")), name="A")
 
 
 def arrow_category() -> FinCat:
@@ -118,11 +123,8 @@ def terminal_arrow_poset() -> FinCat:
 
 def circle_scwol() -> FinCat:
     """Combinatorial circle: edges x, x2 each mapping into vertices y and z."""
-    return build_category(
-        ("x", "x2", "y", "z"),
-        (("a1", "x", "y"), ("b1", "x", "z"), ("a2", "x2", "y"), ("b2", "x2", "z")),
-        name="circle",
-    )
+    return build_category(("x", "x2", "y", "z"), (("a1", "x", "y"), ("b1", "x", "z"),
+                                                  ("a2", "x2", "y"), ("b2", "x2", "z")), name="circle")
 
 
 def subset_label(subset: Iterable[int]) -> str:
@@ -158,41 +160,30 @@ def polygon_scwol(n: int) -> FinCat:
     return _acyclic(f"polygon({n})", [f"v{i}" for i in range(n)] + [f"e{i}" for i in range(n)],
                     [f"{a}{i}" for i in range(n) for a in "st"],
                     [n + i for i in range(n) for _ in "st"],
-                    [y for i in range(n) for y in (i, (i + 1) % n)], ())
+                    [y for i in range(n) for y in (i, (i + 1) % n)], [()] * (2 * n))
 
 
 def one_object_category(group: FinGroup, obj: str = "*") -> FinCat:
     """The one-object category of a group, written off its Cayley table;
     its laws are the group's and its inverses the group's inverses, not
-    checked again.  The entries (g, f) run over g, then f, in label order."""
+    checked again.  Row f is column f of the table; the entries (g, f) run
+    over g, then f, in label order."""
     n = len(group.labels)
     return _stored(f"B{group.name}", (obj,), group.labels, [0] * n, [0] * n, [group._identity],
-                   ((g, f, gf) for g, row in enumerate(group.table) for f, gf in enumerate(row)),
+                   list(zip(*group.table)), tuple(range(n)),
+                   lambda new: tuple(f * n + g for g in range(n) for f in range(n)),
                    (dict(enumerate(group._inverse)), True))
 
 
 def contractible_groupoid(objects: Sequence[str]) -> FinCat:
-    """Exactly one morphism between any two objects (all invertible)."""
-    arrows = []
-    compose = {}
-
-    def nm(x, y):
-        return f"u[{x}>{y}]"
-
+    """Exactly one morphism u[x>y] between any two objects x != y (all
+    invertible): u[y>z] o u[x>y] is u[x>z], or id_x when z = x."""
     objs = tuple(objects)
-    for x in objs:
-        for y in objs:
-            if x != y:
-                arrows.append((nm(x, y), x, y))
-    for x in objs:
-        for y in objs:
-            for z in objs:
-                if x != y and y != z:
-                    left = nm(y, z)
-                    right = nm(x, y)
-                    tgt = nm(x, z) if x != z else None
-                    compose[(left, right)] = tgt if tgt else f"id_{x}"
-    return build_category(objs, arrows, compose, name="E(" + ",".join(objs) + ")")
+    return build_category(
+        objs, [(f"u[{x}>{y}]", x, y) for x in objs for y in objs if x != y],
+        {(f"u[{y}>{z}]", f"u[{x}>{y}]"): f"u[{x}>{z}]" if x != z else f"id_{x}"
+         for x in objs for y in objs for z in objs if x != y and y != z},
+        name="E(" + ",".join(objs) + ")")
 
 
 def _inflated(objects: Sequence[str], r, copies: Mapping[str, int]) -> tuple[list[int], ...]:
@@ -212,21 +203,26 @@ def inflate(cat: FinCat, copies: Mapping[str, int], name: str | None = None) -> 
     whose skeleton is the input.  It is written off the rows of ``cat``,
     unchecked: (m, i, j) is morphism at[m] + i n[t(m)] + j (``_inflated``),
     (id_x, i, i) is the identity of (x, i), and (g, j, k) o (f, i, j) =
-    (g o f, i, k) in ``cat``'s entry order, so the laws are ``cat``'s, copy
-    by copy.  Its inverses are searched.
+    (g o f, i, k), so the laws are ``cat``'s, copy by copy.  Row (f, i, j)
+    is the (g o f, i, k) over the g out of t(f), then k, one tuple kept by
+    every j; the entries are ``cat``'s over i, j, k.  Inverses are searched.
     """
     r = cat._ends
     (n, ob, at), src, tgt = _inflated(cat.objects, r, copies), r.src, r.tgt
     mors = [(m, x, y, i, j) for m, x, y in zip(r.names, src, tgt)
             for i in range(n[x]) for j in range(n[y])]
+    rows = [row for row_f, x, y in zip(r.rows, src, tgt) for i in range(n[x]) for row in [tuple(
+        at[gf] + i * n[tgt[gf]] + k for gf in row_f for k in range(n[tgt[gf]]))] * n[y]]
+    pos = tuple(_positions([ob[x] + i for _, x, _, i, _ in mors], ob[-1])[0])
     return _stored(name or f"infl({cat.name})",
                    [f"{x}~{i}" for x, c in zip(cat.objects, n) for i in range(c)],
                    [f"{m}~{i}~{j}" for m, _, _, i, j in mors], [ob[x] + i for _, x, _, i, _ in mors],
                    [ob[y] + j for _, _, y, _, j in mors],
-                   [at[e] + i * c + i for e, c in zip(r.ident, n) for i in range(c)],
-                   ((at[g] + j * n[z] + k, at[f] + i * n[y] + j, at[gf] + i * n[z] + k)
-                    for g, f, gf in r.entries() for x, y, z in [(src[f], tgt[f], tgt[g])]
-                    for i in range(n[x]) for j in range(n[y]) for k in range(n[z])))
+                   [at[e] + i * c + i for e, c in zip(r.ident, n) for i in range(c)], rows, pos,
+                   lambda new: _cells(new, (
+                       (at[g] + j * n[z] + k, at[f] + i * n[y] + j)
+                       for g, f in r.pairs() for x, y, z in [(src[f], tgt[f], tgt[g])]
+                       for i in range(n[x]) for j in range(n[y]) for k in range(n[z]))))
 
 
 def cone(cat: FinCat, apex: str = "t") -> FinCat:
@@ -237,19 +233,21 @@ def cone(cat: FinCat, apex: str = "t") -> FinCat:
     (c[t(m)], m) = c[s(m)] for each non-identity m.  Hom(x, apex) = {c[x]}
     and Hom(apex, x) is empty for x != apex, so each composite into apex is
     the one arrow of its hom-set and no new arrow has a one-sided inverse.
-    A new name that a morphism of ``cat`` already has is qualified by the
-    apex, as ``c[x]@apex``, so the cone of a cone has the names of both."""
+    Row m is ``cat``'s, then c[t(m)] o m = c[s(m)] (c[x] is the last arrow
+    out of x), and the row of id_apex or c[x] is itself.  A new name that a
+    morphism of ``cat`` already has is qualified by the apex, as
+    ``c[x]@apex``, so the cone of a cone has the names of both."""
     if cat.has_object(apex):
         raise ValueError(f"object {apex!r} already present")
     r = cat._ends
     n, top, ident = len(cat), len(r.names), r.ident  # top is id_apex, top + 1 + x is c[x]
     taken, new = set(r.names), [f"id_{apex}", *(f"c[{x}]" for x in cat.objects)]
+    rows = [*(row + (top + 1 + x,) for row, x in zip(r.rows, r.src)), *zip(range(top, top + n + 1))]
+    pos = (*r.pos, 0, *(len(r.rows[e]) for e in ident))  # c[x] after the morphisms out of x
     return _stored(f"cone({cat.name})", cat.objects + (apex,),
                    [*r.names, *(f"{m}@{apex}" if m in taken else m for m in new)],
-                   [*r.src, n, *range(n)], [*r.tgt, *[n] * (n + 1)], [*ident, top],
-                   chain(r.entries(), [(top, top, top)],
-                         chain.from_iterable(((top, c, c), (c, e, c))
-                                             for c, e in enumerate(ident, top + 1)),
-                         ((top + 1 + y, m, top + 1 + x) for m, (x, y) in enumerate(zip(r.src, r.tgt))
-                          if ident[x] != m)),
+                   [*r.src, n, *range(n)], [*r.tgt, *[n] * (n + 1)], [*ident, top], rows, pos,
+                   lambda new: _cells(new, chain(r.pairs(), [(top, top)], *(
+                       ((top, c), (c, e)) for c, e in enumerate(ident, top + 1)), (
+                       (top + 1 + y, m) for m, (x, y) in enumerate(zip(r.src, r.tgt)) if ident[x] != m))),
                    ({**r.inv, top: top}, cat._directly_finite))

@@ -36,7 +36,6 @@ from eulcat.fincat import (
     _not_a_functor,
     _require_scwol,
     _skeleton_category,
-    _stored,
 )
 from eulcat.groupact import (
     AxiomIIViolation,
@@ -423,6 +422,19 @@ def store(cat) -> tuple:
 
 def digest(value) -> str:
     return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+def checked_store(name, objects, names, src, tgt, ident, entries) -> FinCat:
+    """The category of a builder's index arrays (object indices of the
+    endpoints, morphism indices of the identities) and its ``entries``, the
+    triples (g, f, g o f) by index in order, through the checked
+    constructor, which fills the rows, positions and entry order from the
+    entries and searches the inverses."""
+    objects = tuple(objects)
+    return FinCat(objects, tuple(map(Morphism, names, [objects[x] for x in src],
+                                     [objects[y] for y in tgt])),
+                  {x: names[e] for x, e in zip(objects, ident)},
+                  {(names[g], names[f]): names[gf] for g, f, gf in entries}, name=name)
 
 
 def assert_complex_revalidates(cplx) -> None:
@@ -1502,23 +1514,21 @@ def stored_connected_groupoid(group, n_objects: int, prefix: str):
     def at(g, i, j):  # the index of (g; i, j)
         return (i * n_objects + j) * n + g
 
-    cat = _stored(f"gpd({prefix})", objs,
-                  [f"{prefix}[{g};{i},{j}]" for i in objects for j in objects for g in group.labels],
-                  [i for i in objects for _ in objects for _ in range(n)],
-                  [j for _ in objects for j in objects for _ in range(n)],
-                  [at(group._identity, i, i) for i in objects],
-                  ((at(h, j, k), at(g, i, j), at(row_h[g], i, k)) for i in objects
-                   for j in objects for k in objects for g in range(n)
-                   for h, row_h in enumerate(group.table)),
-                  ({at(g, i, j): at(group._inverse[g], j, i) for i in objects for j in objects
-                    for g in range(n)}, True))
+    cat = checked_store(f"gpd({prefix})", objs,
+                        [f"{prefix}[{g};{i},{j}]" for i in objects for j in objects
+                         for g in group.labels],
+                        [i for i in objects for _ in objects for _ in range(n)],
+                        [j for _ in objects for j in objects for _ in range(n)],
+                        [at(group._identity, i, i) for i in objects],
+                        ((at(h, j, k), at(g, i, j), at(row_h[g], i, k)) for i in objects
+                         for j in objects for k in objects for g in range(n)
+                         for h, row_h in enumerate(group.table)))
     return cat, randgen.GroupoidComponent(prefix, group, objs)
 
 
 def stored_disjoint_union(cats) -> FinCat:
-    """The categories side by side, copied off their rows and inverses."""
+    """The categories side by side, copied off their rows."""
     objects, names, src, tgt, ident, parts = [], [], [], [], [], []
-    inverses: dict[int, int] = {}
     for c in cats:
         r, n_obj, n_mor = c._ends, len(objects), len(names)
         objects += c.objects
@@ -1526,11 +1536,9 @@ def stored_disjoint_union(cats) -> FinCat:
         src += [x + n_obj for x in r.src]
         tgt += [y + n_obj for y in r.tgt]
         ident += [e + n_mor for e in r.ident]
-        inverses.update((m + n_mor, g + n_mor) for m, g in r.inv.items())
         parts.append((r, n_mor))
-    return _stored("+".join(c.name for c in cats), objects, names, src, tgt, ident,
-                   ((g + n, f + n, gf + n) for r, n in parts for g, f, gf in r.entries()),
-                   (inverses, all(c._directly_finite for c in cats)))
+    return checked_store("+".join(c.name for c in cats), objects, names, src, tgt, ident,
+                         ((g + n, f + n, gf + n) for r, n in parts for g, f, gf in r.entries()))
 
 
 def load_workloads():
@@ -2346,11 +2354,10 @@ def reference_quotient_result(action: NamedAction):
     lifts = [r.index[m] for m in names]
     rows = keyed_rows(r)
     cells = {(of_mor[b], f): of_mor[ba] for f, a in enumerate(lifts) for b, ba in rows[a].items()}
-    q = _stored(f"{cat.name}/{action.group.name}", objs, names,
-                [of_obj[r.src[a]] for a in lifts], [of_obj[r.tgt[a]] for a in lifts],
-                [of_mor[r.ident[r.objects[x]]] for x in objs],
-                [(b, f, ba) for (b, f), ba in sorted(cells.items())],
-                ({f: of_mor[r.inv[a]] for f, a in enumerate(lifts) if a in r.inv}, True))
+    q = checked_store(f"{cat.name}/{action.group.name}", objs, names,
+                      [of_obj[r.src[a]] for a in lifts], [of_obj[r.tgt[a]] for a in lifts],
+                      [of_mor[r.ident[r.objects[x]]] for x in objs],
+                      [(b, f, ba) for (b, f), ba in sorted(cells.items())])
     return q, obj_orbit, mor_orbit
 
 

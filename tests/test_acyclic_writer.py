@@ -138,9 +138,12 @@ def test_a_swapped_composite_is_caught(monkeypatch):
     entries gives another store, and the checked constructor rejects it."""
     written = zoo._acyclic
 
-    def swapped(name, objects, names, src, tgt, entries):
-        (g, f, a), (g2, f2, b), *rest = entries
-        return written(name, objects, names, src, tgt, [(g, f, b), (g2, f2, a), *rest])
+    def swapped(name, objects, names, src, tgt, composites):
+        composites = list(composites)
+        f = next(f for f, listed in enumerate(composites) if listed)  # the first two entries
+        a, b, *rest = composites[f]
+        composites[f] = [b, a, *rest]
+        return written(name, objects, names, src, tgt, composites)
 
     monkeypatch.setattr(zoo, "_acyclic", swapped)
     cat = zoo.subsets_poset_opposite(2)

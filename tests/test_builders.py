@@ -40,6 +40,7 @@ from eulcat.ratlin import chi_L
 from helpers import (
     assert_lawful,
     assert_revalidates,
+    checked_store,
     constant_complex,
     dict_fill,
     gamma_one,
@@ -251,8 +252,7 @@ class TestOneStorePerGroupoid:
         entries = [(jk + h, ij + g, r.rows[ij + g][r.pos[jk + h]])
                    for i in range(n) for j in range(n) for g in range(m) for k in range(n)
                    for ij, jk in [((i * n + j) * m, (j * n + k) * m)] for h in range(m)]
-        swapped = fincat._stored(cat.name, cat.objects, r.names, r.src, r.tgt, r.ident,
-                                 entries, (r.inv, True))
+        swapped = checked_store(cat.name, cat.objects, r.names, r.src, r.tgt, r.ident, entries)
         want = stored_connected_groupoid(group, n, prefix)[0]
         assert dict(swapped.composition) == dict(want.composition)
         assert list(swapped.composition) != list(want.composition)

@@ -3,12 +3,14 @@ target (``fincat._Rows``): cell p of row f holds ``out[t(f)][p] o f``, and
 ``order`` keeps each entry's cell, so that the entries come back in the
 order they were given.
 
-Each fill of a ``_Rows`` is recorded, whichever route made it (a
-builder's ``_stored``, a checked constructor, a manifest), and replayed
-into the dict layout the rows had before (``dict_fill``: one dict per
-row, keyed by g, and the f of each entry).  Re-keyed (``keyed_rows``),
-the rows equal those dicts, and ``pairs`` and ``table`` give the entries
-in the order the dict layout gave them.  The rows a total makes on first
+Each fill of a ``_Rows`` is recorded, whichever route made it (the rows a
+builder hands ``_stored``, a checked constructor, a manifest), and
+replayed into the dict layout the rows had before (``dict_fill``: one
+dict per row, keyed by g, and the f of each entry): the entries a check
+read, or for written rows the entries in the order the builder wrote,
+whose cells must each be listed once.  Re-keyed (``keyed_rows``), the
+rows equal those dicts, and ``pairs`` and ``table`` give the entries in
+the order the dict layout gave them.  The rows a total makes on first
 read (``hocolim._TotalRows``) are compared with the name walk of
 ``reference_total_arrays``.
 """
@@ -23,7 +25,8 @@ from eulcat import fincat, groupact, hocolim, manifest, randgen, zoo
 from eulcat.fincat import full_subcategory, lower_link, opposite, product, skeleton
 from eulcat.groups import cyclic_group, symmetric_group
 
-from helpers import dict_fill, dict_pairs, keyed_rows, reference_total_arrays, split_idempotent
+from helpers import (checked_store, dict_fill, dict_pairs, keyed_rows, reference_total_arrays,
+                     split_idempotent)
 from strategies import SEEDS, strict_diagrams
 
 # the randgen draws whose categories are compared, and the categories
@@ -38,16 +41,17 @@ DRAWS = {
 
 class Fills:
     """Every ``_Rows`` filled while it is active, with the entries that
-    filled it as (g, f, g o f) by index, in order."""
+    filled it as (g, f, g o f) by index, in order; for rows a builder
+    wrote, ``None`` (``written_entries`` reads them back)."""
 
     def __init__(self, mp: pytest.MonkeyPatch):
         self.seen: list[tuple[fincat._Rows, list]] = []
-        fill, check = fincat._Rows._fill, fincat._Rows.check_entries
+        init, check = fincat._Rows.__init__, fincat._Rows.check_entries
 
-        def recorded_fill(r, entries):
-            entries = list(entries)
-            fill(r, entries)
-            self.seen.append((r, entries))
+        def recorded_init(r, *args):
+            init(r, *args)
+            if r.rows is not None:
+                self.seen.append((r, None))
 
         def recorded_check(r, entries, name, numbers=False):
             entries = list(entries)
@@ -56,13 +60,23 @@ class Fills:
             self.seen.append((r, [(at[str(g)], at[str(f)], at[str(gf)]) if numbers else
                                   (at[g], at[f], at[gf]) for g, f, gf in entries]))
 
-        mp.setattr(fincat._Rows, "_fill", recorded_fill)
+        mp.setattr(fincat._Rows, "__init__", recorded_init)
         mp.setattr(fincat._Rows, "check_entries", recorded_check)
 
 
+def written_entries(r: fincat._Rows) -> list:
+    """The entries of rows a builder wrote, in the order it wrote, each
+    cell listed once."""
+    assert sorted(r.order) == list(range(sum(map(len, r.rows))))
+    return list(r.entries())
+
+
 def assert_dict_layout(r: fincat._Rows, entries: list) -> None:
-    """The rows ``r`` re-keyed are the dict layout of ``entries``, and
-    ``pairs`` and ``table`` give its entries in its order."""
+    """The rows ``r`` re-keyed are the dict layout of ``entries`` (or of
+    the ``written_entries``), and ``pairs`` and ``table`` give its entries
+    in its order."""
+    if entries is None:
+        entries = written_entries(r)
     rows, order = dict_fill(len(r.names), entries)
     pairs, names = dict_pairs(rows, order), r.names
     assert keyed_rows(r) == rows
@@ -174,9 +188,9 @@ class TestNonVacuity:
         cat = product(zoo.parallel_pair_scwol(), split_idempotent())
         r = cat._ends
         entries = sorted(r.entries(), key=lambda e: (e[1], -r.pos[e[0]]))
-        back = fincat._stored("back", cat.objects, r.names, r.src, r.tgt, r.ident, entries)
-        forth = fincat._stored("forth", cat.objects, r.names, r.src, r.tgt, r.ident,
-                               sorted(entries, key=lambda e: (e[1], r.pos[e[0]])))
+        back = checked_store("back", cat.objects, r.names, r.src, r.tgt, r.ident, entries)
+        forth = checked_store("forth", cat.objects, r.names, r.src, r.tgt, r.ident,
+                              sorted(entries, key=lambda e: (e[1], r.pos[e[0]])))
         assert out_of_position(entries, back._ends)
         assert back._ends.rows == forth._ends.rows
         assert list(back._ends.entries()) == entries != list(forth._ends.entries())

@@ -220,15 +220,17 @@ def test_scaling_smallest():
     report = json.loads(out.stdout)
     assert set(report) == {"repeat", "python", "families", "ok", "failures"}
     assert (report["repeat"], report["ok"], report["failures"]) == (1, True, [])
-    assert list(report["families"]) == ["BZ", "FinSet", "ZnCone", "SubsetsOp", "Groupoid"]
+    assert list(report["families"]) == ["BZ", "FinSet", "ZnCone", "SubsetsOp", "Groupoid",
+                                        "Polygon"]
     want = {"BZ": (30, 30, 900, "1/30"), "FinSet": (1, 3, 4, "1"), "ZnCone": (2, 50, 196, "1/2"),
-            "SubsetsOp": (2, 19, 37, "1"), "Groupoid": (2, 18, 108, "1/2")}
+            "SubsetsOp": (2, 19, 37, "1"), "Groupoid": (2, 18, 108, "1/2"),
+            "Polygon": (40, 160, 240, "0")}
     for family, (n, morphisms, entries, chi) in want.items():
         got = report["families"][family]
         assert set(got) == {"oracle", "sizes"}
         (size,) = got["sizes"]
         timed = {"ZnCone": {"write_s", "bytes"}, "SubsetsOp": {"build_s"},
-                 "Groupoid": {"build_s"}}.get(
+                 "Groupoid": {"build_s"}, "Polygon": {"build_s"}}.get(
             family, {"validate_s", "checked_s"})
         assert set(size) == {"n", "morphisms", "entries", "chi_L"} | timed
         assert (size["n"], size["morphisms"], size["entries"], size["chi_L"]) == (
@@ -282,6 +284,14 @@ def test_scaling_fails_on_a_wrong_count_oracle(monkeypatch, capsys):
     assert failures_with_a_wrong_oracle(monkeypatch, capsys, "SubsetsOp",
                                         lambda q: {"morphisms": 3 ** (q + 1) - 2 ** (q + 1) + 1}) == [
         "SubsetsOp n=2: morphisms = 19, oracle 20"]
+
+
+def test_scaling_fails_on_a_wrong_polygon_oracle(monkeypatch, capsys):
+    """Non-vacuity: an entries oracle one off for the polygon fails the
+    run; its morphisms and chi_L still match."""
+    assert failures_with_a_wrong_oracle(monkeypatch, capsys, "Polygon",
+                                        lambda n: {"entries": 6 * n + 1}) == [
+        "Polygon n=40: entries = 240, oracle 241"]
 
 
 def test_scaling_fails_on_a_wrong_groupoid_oracle(monkeypatch, capsys):

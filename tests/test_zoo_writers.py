@@ -94,11 +94,11 @@ def test_a_cone_onto_the_wrong_arrow_is_caught(monkeypatch):
     """Non-vacuity: a writer that sends (c[t(m)], m) to c[t(m)], not c[s(m)]."""
     written = zoo._stored
 
-    def wrong(name, objects, names, src, tgt, ident, entries, inverses):
-        top = len(names) - len(objects)  # id_apex; c[x] is top + 1 + x
+    def wrong(name, objects, names, src, tgt, ident, rows, pos, order, inverses):
+        top = len(names) - len(objects)  # id_apex; c[x] is top + 1 + x, last in row f < top
         return written(name, objects, names, src, tgt, ident,
-                       [(g, f, g if g > top and f < top and src[f] != src[g] else gf)
-                        for g, f, gf in entries], inverses)
+                       [(*row[:-1], top + 1 + tgt[f]) if f < top and src[f] != tgt[f] else row
+                        for f, row in enumerate(rows)], pos, order, inverses)
 
     monkeypatch.setattr(zoo, "_stored", wrong)
     cat = zoo.cone(zoo.pushout_scwol())
