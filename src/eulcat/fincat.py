@@ -397,10 +397,10 @@ class _Rows(_Ends):
         self.rows = list(map(tuple, map(cells.__getitem__, map(slice, start, start[1:]))))
         self.pos, self._order = tuple(pos), tuple(order)
 
-    def out(self) -> list[list[int]]:
-        """The morphisms out of each object, by index, in morphism order."""
+    def out(self, into: bool = False) -> list[list[int]]:
+        """The morphisms out of (or ``into``) each object, by index, in morphism order."""
         out: list[list[int]] = [[] for _ in self.ident]
-        for m, x in enumerate(self.src):
+        for m, x in enumerate(self.tgt if into else self.src):
             out[x].append(m)
         return out
 
@@ -900,11 +900,12 @@ def classify(cat: FinCat) -> PredicateReport:
     endomorphism is invertible, a groupoid when every morphism is, and
     skeletal when every invertible morphism is an endomorphism.  So each of
     those is a count (``_Ends.endomorphisms``, ``_Ends.census``).
-    Connectivity is one union-find pass over the non-empty hom-sets
-    (``_Ends.hom_rows``).  Direct finiteness was decided when ``cat`` was
-    built: by the inverse search of its rows (``_inverse_search``), or from
-    its builder's proof, as for a Grothendieck total over a directly finite
-    index (``hocolim._grothendieck``).
+    Connectivity is one union-find pass over the endpoint pairs of the
+    non-empty hom-sets, each once (no hom-set is counted).  Direct
+    finiteness was decided when ``cat`` was built: by the inverse search of
+    its rows (``_inverse_search``), or from its builder's proof, as for a
+    Grothendieck total over a directly finite index
+    (``hocolim._grothendieck``).
     """
     ends = cat._ends
     endos = ends.endomorphisms()
@@ -913,15 +914,14 @@ def classify(cat: FinCat) -> PredicateReport:
     # connectivity under the zigzag relation, counting the merges
     parent = list(range(len(cat)))
     components = len(parent)
-    for a, row in enumerate(ends.hom_rows()):
-        for b in row:
-            while parent[a] != a:
-                parent[a] = a = parent[parent[a]]
-            while parent[b] != b:
-                parent[b] = b = parent[parent[b]]
-            if a != b:
-                parent[a] = b
-                components -= 1
+    for a, b in set(zip(ends.src, ends.tgt)):
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a != b:
+            parent[a] = b
+            components -= 1
 
     return PredicateReport(
         is_scwol=endos == len(cat),

@@ -610,7 +610,10 @@ def _complex_from_choices(action: ScwolAction, q: QuotientResult, reps: list[int
     that fits) of each orbit arrow, by index.  Each orbit arrow out of a
     representative has one lift there (the source-side orbit bijection of
     ``quotient``), so no count is checked.  The complex is unchecked:
-    conjugations by h, with h = e at identities, satisfy its identities."""
+    conjugations by h, with h = e at identities, satisfy its identities.
+    The twists are listed in the quotient's entry order, which ``quotient``
+    sorts by index: by b, then by a into the source of b, with b o a read
+    off the rows, so no entry order is made."""
     base, cat, group = q.category, action.space, action.group
     qr, r = base._ends, cat._ends
     labels, table, inverse, index = group.labels, group.table, group._inverse, group._index
@@ -647,11 +650,13 @@ def _complex_from_choices(action: ScwolAction, q: QuotientResult, reps: list[int
             GroupHom, source=local[x], target=local[y],
             mapping={a: labels[table[row_g[index[a]]][g_inv]] for a in local[x].labels},
         )
-    # twist(b, a) = h_ba . h_a^-1 . h_b^-1, in the quotient's entry order
-    twists = {}
-    for b, a, ba in qr.entries():
-        h_ba = h_idx[ba]
-        twists[(qr.names[b], qr.names[a])] = labels[table[h_ba][table[inverse[h_idx[a]]][inverse[h_idx[b]]]]]
+    # twist(b, a) = h_ba . h_a^-1 . h_b^-1 by b, then a into s(b), in index
+    # order: the quotient's entry order, with b o a = rows[a][pos[b]]
+    twists, into = {}, qr.out(into=True)
+    for b, (bn, x) in enumerate(zip(qr.names, qr.src)):
+        h_b, at = inverse[h_idx[b]], qr.pos[b]
+        for a in into[x]:
+            twists[(bn, qr.names[a])] = labels[table[h_idx[qr.rows[a][at]]][table[inverse[h_idx[a]]][h_b]]]
 
     objs = base.objects
     cplx = _trusted(ComplexOfGroups, base=base, local=dict(zip(objs, local)), homs=homs, twists=twists)
@@ -713,13 +718,13 @@ def hocolim_groups(cplx: ComplexOfGroups) -> FinCat:
                        for g2 in range(local[r.tgt[b]].order))))
 
 
-def _hocolim_chi_L(cplx: ComplexOfGroups) -> Fraction:
-    """``chi_L(hocolim_groups(cplx))`` from hom counts, with no total built:
+def _hocolim_chi_L(base: FinCat, orders: Sequence[int]) -> Fraction:
+    """``chi_L(hocolim_groups(cplx))`` from hom counts, with no total built,
+    for a complex over ``base`` whose local group at object t has order
+    ``orders[t]`` (by index), which is all it reads of the complex:
     |Hom(s, t)| is |local[t]| per a: s -> t, and (a, g) is invertible exactly
     when a is, so the iso classes are the base's.  The name is the total's,
     and so is every message and witness."""
-    base = cplx.base
-    orders = [cplx.local[x].order for x in base.objects]
     rows = [{t: count * orders[t] for t, count in row.items()} for row in _count_rows(base)]
     return _chi_L_of_rows(rows, _class_reps(base), f"hocolim({base.name})")
 
@@ -814,20 +819,16 @@ def skeletal_reduction(action: ScwolAction) -> SkeletalReduction:
     # (3) the inclusion preserves stabilizers, compared as member lists
     stab_ok = all(_fixers(action, x) == _fixers(reduced, x) for x in reduced.space.objects)
 
-    # (4) the associated complexes agree under coordinated choices
-    complexes_agree = False
-    fx = fg = None
+    # (4) the associated complexes agree under coordinated choices, and (5)
+    # their homotopy colimits have equal chi_L (local groups in object order)
+    complexes_agree = hocolims_equal = False
     if rbar is not None:
         fx_choices, fg_choices = _coordinated_choices(action, r, qx, rbar)
-        fx = _complex_from_choices(action, qx, *fx_choices)
-        fg = _complex_from_choices(reduced, qg, *fg_choices)
-        complexes_agree = _complexes_agree_along(fx.complex, fg.complex, rbar)
-
-    # (5) the homotopy colimits have equal chi_L
-    if fx is not None and fg is not None:
-        hocolims_equal = _hocolim_chi_L(fx.complex) == _hocolim_chi_L(fg.complex)
-    else:
-        hocolims_equal = False
+        fx = _complex_from_choices(action, qx, *fx_choices).complex
+        fg = _complex_from_choices(reduced, qg, *fg_choices).complex
+        complexes_agree = _complexes_agree_along(fx, fg, rbar)
+        hocolims_equal = (_hocolim_chi_L(qx.category, [g.order for g in fx.local.values()])
+                          == _hocolim_chi_L(qg.category, [g.order for g in fg.local.values()]))
 
     # (6) freeness on objects is preserved
     freeness = (not action.is_free_on_objects()) or reduced.is_free_on_objects()
@@ -907,14 +908,15 @@ def _coordinated_choices(action: ScwolAction, r: CatFunctor, qx: QuotientResult,
 
 def _complexes_agree_along(fx: ComplexOfGroups, fg: ComplexOfGroups, rbar: CatFunctor) -> bool:
     """Whether ``fx`` and ``fg`` have the same local groups (as element
-    sets), structure maps and twists along rbar, by its arrays."""
+    sets), structure maps and twists along rbar, by its arrays; the
+    composable pairs are read off the endpoints, not the entry order."""
     (ro, rm), xr = rbar._arrays, fx.base._ends
-    objs, names, xn = fg.base.objects, fg.base._ends.names, xr.names
+    objs, names, xn, out = fg.base.objects, fg.base._ends.names, xr.names, xr.out()
     return (all(set(fx.local[x].labels) == set(fg.local[objs[i]].labels)
                 for x, i in zip(fx.base.objects, ro))
             and all(dict(fx.homs[m].mapping) == dict(fg.homs[names[i]].mapping) for m, i in zip(xn, rm))
             and all(fg.twists[(names[rm[b]], names[rm[a]])] == fx.twists[(xn[b], xn[a])]
-                    for b, a in xr.pairs()))
+                    for a, y in enumerate(xr.tgt) for b in out[y]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -1049,24 +1051,23 @@ def chi_theorems(action: ScwolAction) -> ChiTheoremsReport:
     chi2(hocolim F) = chi(X)/|G| computed both via the quotient's cell
     spectrum with values 1/|stabilizer| and via chi_L of the homotopy colimit
     from its hom counts; and chi(hocolim F) = chi(X/G) via the all-ones values.
+
+    F is the complex of ``complex_of_groups(action)``, which is not built:
+    both routes read only the quotient and the order of each local group.
+    Its local group at the orbit s is the stabilizer of s's least member,
+    the orbit's name, so that order is the number of its fixers.
     """
-    from_action = complex_of_groups(action)
-    q = from_action.quotient
-    chi_x = chi_scwol(action.space)
-    chi_q = chi_scwol(q.category)
-    order = action.group.order
+    q = quotient(action)
+    chi_x, chi_q, order = chi_scwol(action.space), chi_scwol(q.category), action.group.order
 
     free = action.is_free_on_objects()
     free_law = (Fraction(chi_x, order) == chi_q) if free else None
 
-    spectrum = bar_spectrum(q.category)
-    inv_stab = {
-        s: Fraction(1, from_action.complex.local[s].order)
-        for s in q.category.objects
-    }
-    formula_route = formula_value(spectrum, inv_stab)
-    direct_route = _hocolim_chi_L(from_action.complex)
-    ones_route = formula_value(spectrum, {s: Fraction(1) for s in q.category.objects})
+    spectrum, objs = bar_spectrum(q.category), q.category.objects
+    orders = [len(_fixers(action, s)) for s in objs]
+    formula_route = formula_value(spectrum, {s: Fraction(1, n) for s, n in zip(objs, orders)})
+    direct_route = _hocolim_chi_L(q.category, orders)
+    ones_route = formula_value(spectrum, {s: Fraction(1) for s in objs})
 
     return ChiTheoremsReport(
         chi_space=chi_x,
@@ -1107,7 +1108,7 @@ def developability_check(
     L2-Euler characteristic r of its homotopy colimit, read off its hom
     counts, must satisfy chi(X) = r * |G| exactly (so r * |G| must be an
     integer of the right sign)."""
-    r = _hocolim_chi_L(cplx)
+    r = _hocolim_chi_L(cplx.base, [cplx.local[x].order for x in cplx.base.objects])
     results = []
     for chi_space, order in candidates:
         if order <= 0:

@@ -392,19 +392,17 @@ class _VertexOrder:
     morphism order, which is Hom(x, e) for each e in turn; read off
     ``C._ends``, with no name.  ``out[x]`` holds the morphism indices and
     ``ends[x]`` the target indices; ``pos[f]`` is the place of f in the
-    list of its source."""
+    list of its source.  Each list is made in index order and sorted by
+    target, a stable sort, so ties stay in index order."""
 
     __slots__ = ("out", "ends", "pos")
 
-    def __init__(self, arrays: _Ends):
-        src, tgt = arrays.src, arrays.tgt
-        self.out, ends = [[] for _ in arrays.ident], list(zip(src, tgt))
-        for x, fs in itertools.groupby(sorted(range(len(src)), key=ends.__getitem__), src.__getitem__):
-            self.out[x] = list(fs)
-        self.ends = [list(map(tgt.__getitem__, fs)) for fs in self.out]
-        self.pos = pos = {}
+    def __init__(self, arrays: _Rows):
+        self.out, self.pos, target = arrays.out(), {}, arrays.tgt.__getitem__
         for fs in self.out:
-            pos.update(zip(fs, range(len(fs))))
+            fs.sort(key=target)
+            self.pos.update(zip(fs, range(len(fs))))
+        self.ends = [list(map(target, fs)) for fs in self.out]
 
 
 class _Numbering:

@@ -2465,7 +2465,7 @@ def reference_skeletal_reduction(action: NamedAction):
         fx = reference_complex(action, qx, *fx_choices)[0]
         fg = reference_complex(reduced, qg, *fg_choices)[0]
         complexes_agree = _reference_complexes_agree(fx, fg, rbar)
-        hocolims_equal = groupact._hocolim_chi_L(fx) == groupact._hocolim_chi_L(fg)
+        hocolims_equal = complex_chi_L(fx) == complex_chi_L(fg)
     freeness = (not reference_is_free(action)) or reference_is_free(reduced)
     report = groupact.ReductionReport(equivariant, square, is_equivalence, stab_ok,
                                       complexes_agree, hocolims_equal, freeness)
@@ -2498,6 +2498,12 @@ def reference_equivariant_skeleton(action: NamedAction):
     return restricted, sk.inclusion, sk.retraction, eta, incl_equivariant, eta_equivariant
 
 
+def complex_chi_L(cplx) -> Fraction:
+    """``groupact._hocolim_chi_L`` of the complex of groups ``cplx``: its
+    base and the order of each local group, in the base's object order."""
+    return groupact._hocolim_chi_L(cplx.base, [cplx.local[x].order for x in cplx.base.objects])
+
+
 def reference_chi_theorems(action: NamedAction) -> groupact.ChiTheoremsReport:
     q = reference_quotient_result(action)
     cplx = reference_complex(action, q)[0]
@@ -2507,7 +2513,7 @@ def reference_chi_theorems(action: NamedAction) -> groupact.ChiTheoremsReport:
     spectrum = hocolim.bar_spectrum(q[0])
     formula_route = hocolim.formula_value(
         spectrum, {s: Fraction(1, cplx.local[s].order) for s in q[0].objects})
-    direct_route = groupact._hocolim_chi_L(cplx)
+    direct_route = complex_chi_L(cplx)
     ones_route = hocolim.formula_value(spectrum, {s: Fraction(1) for s in q[0].objects})
     return groupact.ChiTheoremsReport(
         chi_x, chi_q, free, (Fraction(chi_x, order) == chi_q) if free else None, formula_route,

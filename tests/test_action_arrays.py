@@ -6,7 +6,8 @@ The name-level route of the action layer (``tests/helpers.py``, from
 the skeletal reduction (report, reduced action, retraction), the
 equivariant skeleton and the chi theorems must come out the same, names and
 orders included, on drawn actions, the flag actions and every action of the
-``audit`` instances.  A derived action composed without r fails the
+``audit`` instances.  ``chi_theorems`` builds no complex of groups: it
+reads the quotient and the number of fixers of each orbit's name.  A derived action composed without r fails the
 comparison, or ``skeletal_reduction`` itself.  The ``audit`` free and
 reduction tasks make no name view of a functor or an action.
 
@@ -28,7 +29,7 @@ from eulcat import groupact, randgen, zoo
 from eulcat.errors import EulcatError, _trusted
 from eulcat.fincat import CatFunctor, FinCat, _composite_arrays
 from eulcat.groupact import ScwolAction, trivial_action
-from eulcat.groups import cyclic_group
+from eulcat.groups import FinGroup, cyclic_group
 
 from helpers import (
     assert_same_table,
@@ -146,6 +147,46 @@ class TestSameAsTheNameRoute:
     def test_fattened_actions(self):
         assert_same_route(FAT)
         assert_same_route(trivial_action(cyclic_group(3), randgen.random_scwol(Random(4), 5)))
+
+
+def spy_on_complexes(monkeypatch) -> list:
+    """Each call of ``groupact._complex_from_choices`` and of
+    ``FinGroup.subgroup`` (a local group) from now on, by name."""
+    calls = []
+    for owner, name in ((groupact, "_complex_from_choices"), (FinGroup, "subgroup")):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, _real=real, _name=name, **kwargs:
+                            calls.append(_name) or _real(*args, **kwargs))
+    return calls
+
+
+def theorem_actions() -> list:
+    """Drawn actions, the flag and fattened actions, and the actions of the
+    ``audit`` instances at seeds 0 and 1009."""
+    audit = [a for seed in (0, 1009) for part in load_workloads().audit_instances(seed, 40)[1:]
+             for a in part]
+    return [randgen.random_action(Random(seed)) for seed in range(30)] + [
+        s3_flag_action()[0], FAT] + audit
+
+
+def test_chi_theorems_build_no_complex(monkeypatch):
+    actions = theorem_actions()
+    want = [reference_chi_theorems(named_action(action)) for action in actions]
+    calls = spy_on_complexes(monkeypatch)
+    got = [groupact.chi_theorems(action) for action in actions]
+    assert calls == []
+    same("chi theorem reports", got, want)
+
+
+def test_a_complex_built_by_chi_theorems_is_seen(monkeypatch):
+    """Non-vacuity: a ``complex_of_groups`` call inside ``chi_theorems`` is
+    seen, with one local group per orbit."""
+    real = groupact.chi_theorems
+    monkeypatch.setattr(groupact, "chi_theorems",
+                        lambda action: groupact.complex_of_groups(action) and real(action))
+    calls = spy_on_complexes(monkeypatch)
+    groupact.chi_theorems(FAT)
+    assert calls == ["_complex_from_choices"] + ["subgroup"] * len(groupact.quotient(FAT).category)
 
 
 def without_r(action, sk):

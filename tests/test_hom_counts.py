@@ -36,7 +36,7 @@ from eulcat.hocolim import (
 )
 from eulcat.ratlin import NoEulerCharacteristic, chi_L
 
-from helpers import count_calls, s3_flag_action, split_idempotent
+from helpers import complex_chi_L, count_calls, s3_flag_action, split_idempotent
 from strategies import actions, free_actions, groups, noncentral_actions, scwols, strict_diagrams
 
 
@@ -61,7 +61,7 @@ def assert_reads_the_total(module, route, arg, total):
 
 
 def assert_complex_route(cplx):
-    assert_reads_the_total(groupact, groupact._hocolim_chi_L, cplx, hocolim_groups(cplx))
+    assert_reads_the_total(groupact, complex_chi_L, cplx, hocolim_groups(cplx))
 
 
 def assert_pseudo_route(p):

@@ -8,11 +8,18 @@ after their library calls on drawn diagrams no index or vertex store holds
 a made order; the first read makes the order the writer digests pin.
 Non-vacuity: a ``check_hocolim_formula`` that reads its index's entries is
 seen.
+
+The free and reduction tasks run no order maker at all: the complexes of
+groups a reduction builds list their twists off the quotient's rows, and
+``chi_theorems`` builds no complex (before, a seed-1009 pass made 450
+orders in its 150 reduction tasks).  A spy on ``_Rows.order`` records each
+read that runs a maker; a complex that reads its quotient's entries is
+seen.
 """
 
 import pytest
 
-from eulcat import hocolim, randgen
+from eulcat import fincat, groupact, hocolim, randgen
 from eulcat.eulerchar import chi_scwol
 from eulcat.fincat import classify
 from eulcat.ratlin import chi_L
@@ -59,6 +66,53 @@ def test_an_order_read_by_the_formula_is_seen(monkeypatch):
     diagrams = load_workloads().audit_instances(0, 10)[0]
     run_formula_tasks(diagrams)
     assert made(diagrams) == [d.index.name for d in diagrams]
+
+
+def spy_on_makers(monkeypatch) -> list:
+    """The stores whose order maker a read of ``_Rows.order`` runs, from
+    now on, in the order they run."""
+    runs, real = [], fincat._Rows.order.fget
+
+    def order(rows):
+        if callable(rows._order):
+            runs.append(rows)
+        return real(rows)
+
+    monkeypatch.setattr(fincat._Rows, "order", property(order))
+    return runs
+
+
+def run_action_tasks(free, actions) -> None:
+    """The library calls of each ``audit`` free and reduction task."""
+    workloads = load_workloads()
+    outcomes = [workloads._free_task(f"free{k}", a).run() for k, a in enumerate(free)]
+    outcomes += [workloads._reduction_task(f"reduction{k}", a).run() for k, a in enumerate(actions)]
+    assert all(workloads.facts_oracle(o) is None for o in outcomes)
+
+
+@pytest.mark.parametrize("seed", [0, 1009])
+def test_action_tasks_run_no_order_maker(seed, monkeypatch):
+    _, free, actions = load_workloads().audit_instances(seed, 40)
+    assert (len(free), len(actions)) == (10, 10)
+    runs = spy_on_makers(monkeypatch)
+    run_action_tasks(free, actions)
+    assert runs == []
+
+
+def test_an_order_read_by_a_complex_is_seen(monkeypatch):
+    """Non-vacuity: a complex that reads its quotient's entries makes the
+    order of each of the two quotients of every reduction."""
+    real = groupact._complex_from_choices
+
+    def reading(action, q, *choices):
+        list(q.category._ends.entries())
+        return real(action, q, *choices)
+
+    monkeypatch.setattr(groupact, "_complex_from_choices", reading)
+    _, free, actions = load_workloads().audit_instances(0, 40)
+    runs = spy_on_makers(monkeypatch)
+    run_action_tasks(free, actions)
+    assert len(runs) == 2 * len(actions)
 
 
 PINNED = {  # a builder, the pinned value of what it built, and that value's digest
