@@ -25,13 +25,7 @@ Runs the set-up of ``perfbench/workloads.py`` for the workload once, under
   ``functor_views`` how many of them hold an ``obj_map`` or ``mor_map``
   view made from their arrays (a map given by name is no view), counted
   in a second, untraced set-up;
-- ``functor_bytes``: the bytes the functors' arrays (``_arrays``) hold;
-- ``makers`` and ``maker_bytes``: the categories whose entry order is still
-  a maker (``fincat._Rows._order``, called on the first read), and the
-  bytes reachable only through those makers' closures (and the closures of
-  the functions they close over), not already counted as rows, views or
-  functor arrays: what a store keeps alive of its input until its order
-  is read.
+- ``functor_bytes``: the bytes the functors' arrays (``_arrays``) hold.
 
 Bytes are ``sys.getsizeof`` summed over each object reachable from a row
 or a view, each object counted once, rows first, so a name string that a
@@ -139,32 +133,6 @@ def deep_size(root, seen: set) -> int:
     return total
 
 
-def unmade_maker(ends: _Ends):
-    """The entry-order maker ``ends`` still holds, or None (a total's order
-    is a range, made on its first read)."""
-    order = None if isinstance(ends, _TotalRows) else ends._order
-    return order if callable(order) else None
-
-
-def closure_values(maker) -> list:
-    """The values ``maker`` closes over, and in turn those of each function
-    among them and of the unmade maker of each rows object among them."""
-    values, stack = [], [maker]
-    while stack:
-        for cell in stack.pop().__closure__ or ():
-            try:
-                value = cell.cell_contents
-            except ValueError:  # an empty cell
-                continue
-            if isinstance(value, types.FunctionType):
-                stack.append(value)
-                continue
-            values.append(value)
-            if isinstance(value, _Ends) and (inner := unmade_maker(value)) is not None:
-                stack.append(inner)
-    return values
-
-
 def measure(workload: str, seed: int, size: str) -> dict:
     """Set up ``workload`` and report what it holds (see the module
     docstring)."""
@@ -185,9 +153,6 @@ def measure(workload: str, seed: int, size: str) -> dict:
         held = {attr: [cat for cat in cats if attr in vars(cat)] for attr in VIEWS}
         view_bytes = sum(deep_size(vars(cat)[attr], seen) for attr in VIEWS for cat in held[attr])
         functor_bytes = sum(deep_size(fun._arrays, seen) for fun in functors)
-        makers = [maker for cat in cats if (maker := unmade_maker(cat._ends)) is not None]
-        maker_bytes = sum(deep_size(value, seen) for maker in makers
-                          for value in closure_values(maker))
         return {
             "workload": workload, "seed": seed, "size": size, "tasks": len(tasks),
             "traced_bytes": traced, "traced_peak_bytes": peak,
@@ -197,7 +162,7 @@ def measure(workload: str, seed: int, size: str) -> dict:
             "view_bytes": view_bytes, "row_bytes": row_bytes,
             "cells": cells, "row_tuples": len(tuples), "row_container_bytes": row_container_bytes,
             "functors": len(functors), "functor_views": functor_views(workload, seed, size),
-            "functor_bytes": functor_bytes, "makers": len(makers), "maker_bytes": maker_bytes,
+            "functor_bytes": functor_bytes,
         }
 
 

@@ -50,10 +50,9 @@ scwol of the subdivided n-gon, for n = 40, 80, 160, 320, 640 (160 to 2,560
 morphisms); its oracles are 4n morphisms (2n identities, an arrow from
 each edge to each of its two ends), 6n composition entries (one per
 identity of a vertex or an arrow, three per identity of an edge) and
-chi_L = 0 (a circle).  A building family's ``entries`` are read off the
-built category after the timed build, so ``build_s`` covers the rows and
-positions its writer hands over and not the entry order, which is made
-on its first read.
+chi_L = 0 (a circle).  A building family's ``entries`` are the cells of
+the built category's rows, counted after the timed build, so ``build_s``
+covers the rows and positions its writer hands over.
 
 Per family, the log-log slope of each time between the two largest sizes,
 over n (``slope``) and over the composition entries
@@ -181,7 +180,7 @@ def building(build):
     def run(n: int, repeat: int) -> tuple[dict, Fraction]:
         build_s, cat = best_of(repeat, lambda: build(n))
         r = cat._ends
-        return {"morphisms": len(r.names), "entries": len(r.order),
+        return {"morphisms": len(r.names), "entries": sum(map(len, r.rows)),
                 "build_s": round(build_s, 6)}, ratlin.chi_L(cat)
     return run
 

@@ -330,31 +330,24 @@ class _Rows(_Ends):
     and ``src``, ``tgt`` and ``ident`` give each morphism's endpoints and
     each object's identity by index.
 
-    ``order`` holds the cell of each entry in entry order, numbered row by
-    row, so ``entries``, ``pairs`` and ``table`` give the entries back in
-    order, whatever order filled a row.  A builder hands ``_stored`` its
-    rows (one tuple may serve several morphisms), ``pos`` and ``order``
-    finished, ``order`` a tuple or a maker, called with these rows on the
-    first read and kept (in ``_order``); or ``check_entries`` checks each
-    entry of a table as it fills all three.  ``check_laws`` and the inverse
-    search read the rows.  Names come back only to report the first
-    failure, whose ``witness`` holds the offending names.
+    A builder hands ``_stored`` its rows (one tuple may serve several
+    morphisms) and ``pos`` finished, and ``entries``, ``pairs`` and
+    ``table`` list them row by row, each row in cell order; or
+    ``check_entries`` checks each entry of a table as it fills both, and
+    keeps the cell of each entry in the order given as ``order``, so a
+    checked table lists its entries back in that order.  ``check_laws`` and
+    the inverse search read the rows.  Names come back only to report the
+    first failure, whose ``witness`` holds the offending names.
     """
 
-    __slots__ = ("names", "index", "objects", "rows", "pos", "_order", "gens")
+    __slots__ = ("names", "index", "objects", "rows", "pos", "order", "gens")
 
     def __init__(self, objects: dict, names: Sequence[str], index: dict, src: list[int],
                  tgt: list[int], ident: list[int], rows: Optional[list] = None,
-                 pos: Optional[Sequence[int]] = None, order=None):
+                 pos: Optional[Sequence[int]] = None):
         self.src, self.tgt, self.ident, self.inv = src, tgt, ident, None
         self.objects, self.names, self.index = objects, names, index
-        self.rows, self.pos, self._order, self.gens = rows, pos, order, None
-
-    @property
-    def order(self) -> Sequence[int]:
-        if callable(self._order):
-            self._order = self._order(self)
-        return self._order
+        self.rows, self.pos, self.order, self.gens = rows, pos, None, None
 
     def check_entries(self, entries: Iterable, name: str, numbers: bool = False) -> None:
         """Fill the rows, ``pos`` and ``order`` from ``entries``, the triples
@@ -395,7 +388,7 @@ class _Rows(_Ends):
             cells[cell] = ci
             put(cell)
         self.rows = list(map(tuple, map(cells.__getitem__, map(slice, start, start[1:]))))
-        self.pos, self._order = tuple(pos), tuple(order)
+        self.pos, self.order = tuple(pos), tuple(order)
 
     def out(self, into: bool = False) -> list[list[int]]:
         """The morphisms out of (or ``into``) each object, by index, in morphism order."""
@@ -449,22 +442,24 @@ class _Rows(_Ends):
         return self.gens
 
     def entries(self) -> Iterator[tuple[int, int, int]]:
-        """The triples (g, f, g o f) of the checked entries, by index, in
-        entry order: each place in ``order`` is read off the cells row by
-        row, the g of each from ``out``."""
+        """The triples (g, f, g o f) of the entries, by index: row by row,
+        the g of each from ``out``, or in the checked ``order``, each place
+        in it read off the cells row by row."""
         rows, out, order = self.rows, self.out(), self.order
         fs = list(chain.from_iterable(map(repeat, range(len(rows)), map(len, rows))))
         gs = list(chain.from_iterable(map(out.__getitem__, self.tgt)))
         cells = list(chain.from_iterable(rows))
+        if order is None:
+            return zip(gs, fs, cells)
         return zip(map(gs.__getitem__, order), map(fs.__getitem__, order),
                    map(cells.__getitem__, order))
 
     def pairs(self) -> Iterator[tuple[int, int]]:
-        """The pairs (g, f) of checked entries, by index, in entry order."""
+        """The pairs (g, f) of the entries, by index, in ``entries`` order."""
         return ((g, f) for g, f, _ in self.entries())
 
     def table(self) -> dict[tuple[str, str], str]:
-        """The name-keyed table of checked entries, in entry order."""
+        """The name-keyed table of the entries, in ``entries`` order."""
         names = self.names
         return {(names[g], names[f]): names[gf] for g, f, gf in self.entries()}
 
@@ -503,31 +498,21 @@ def _inverse_search(rows: Sequence, pos: Sequence[int], src: Sequence[int], tgt:
     return inv, directly_finite
 
 
-def _cells(r: _Rows, pairs: Iterable[tuple[int, int]]) -> tuple[int, ...]:
-    """The ``order`` of the entries ``pairs`` (g, f) on the rows ``r``."""
-    start, pos = list(accumulate(map(len, r.rows), initial=0)), r.pos
-    return tuple(start[f] + pos[g] for g, f in pairs)
-
-
-def _row_by_row(r: _Rows) -> tuple[int, ...]:
-    """The ``order`` of entries listed row by row, each in cell order."""
-    return tuple(range(sum(map(len, r.rows))))
-
-
 def _stored(name: str, objects: Sequence[str], names: Sequence[str], src: list[int],
             tgt: list[int], ident: list[int], rows: list[tuple[int, ...]], pos: Sequence[int],
-            order, inverses: Optional[tuple[dict[int, int], bool]] = None) -> FinCat:
+            inverses: Optional[tuple[dict[int, int], bool]] = None) -> FinCat:
     """The one unchecked constructor: the FinCat of arrays a builder
-    writes, lawful by its proof, with its ``rows``, ``pos`` and ``order``
-    finished, as ``_Rows`` keeps them.  ``inverses`` (``inv`` and direct
-    finiteness) are known to the builder, or else searched.  Only the id
-    check is left: a builder's names are made from its input's."""
+    writes, lawful by its proof, with its ``rows`` and ``pos`` finished,
+    as ``_Rows`` keeps them, and no entry order (its entries are listed
+    row by row).  ``inverses`` (``inv`` and direct finiteness) are known
+    to the builder, or else searched.  Only the id check is left: a
+    builder's names are made from its input's."""
     objects = tuple(objects)
     obj_index, index = {x: i for i, x in enumerate(objects)}, {m: i for i, m in enumerate(names)}
     if len(obj_index) != len(objects) or len(index) != len(names):
         records = tuple(map(Morphism, names, [objects[x] for x in src], [objects[y] for y in tgt]))
         _trusted(FinCat, name=name, objects=objects, morphisms=records)._check_records()  # raises
-    r = _Rows(obj_index, names, index, src, tgt, ident, rows, pos, order)
+    r = _Rows(obj_index, names, index, src, tgt, ident, rows, pos)
     r.inv, directly_finite = inverses or _inverse_search(rows, pos, src, tgt, ident)
     return _trusted(FinCat, name=name, objects=objects, _ends=r, _directly_finite=directly_finite)
 
@@ -1056,10 +1041,10 @@ class SkeletonData:
 
 def full_subcategory(cat: FinCat, objects: Iterable[str], name: str | None = None) -> FinCat:
     """The full subcategory on ``objects`` (other names are ignored), off
-    the rows of ``cat``, in its orders: row f keeps its composites with the
-    g kept out of t(f), the kept g o f.  An inverse of a kept morphism is kept,
-    and a one-sided inverse here is one in ``cat``, so the inverses of a
-    directly finite ``cat`` are lifted."""
+    the rows of ``cat``, in its object and morphism orders: row f keeps its
+    composites with the g kept out of t(f), the kept g o f.  An inverse of
+    a kept morphism is kept, and a one-sided inverse here is one in
+    ``cat``, so the inverses of a directly finite ``cat`` are lifted."""
     keep, r = set(objects), cat._ends
     kept = [x for x, c in enumerate(cat.objects) if c in keep]
     obj_at = {x: k for k, x in enumerate(kept)}
@@ -1070,8 +1055,7 @@ def full_subcategory(cat: FinCat, objects: Iterable[str], name: str | None = Non
     inverses = ({at[m]: at[g] for m, g in r.inv.items() if m in at}, True)
     return _stored(name or f"{cat.name}_full", [cat.objects[x] for x in kept],
                    [r.names[m] for m in mors], src, [obj_at[r.tgt[m]] for m in mors],
-                   [at[r.ident[x]] for x in kept], rows, pos, lambda new: _cells(
-                       new, ((at[g], at[f]) for g, f in r.pairs() if f in at and g in at)),
+                   [at[r.ident[x]] for x in kept], rows, pos,
                    inverses if cat._directly_finite else None)
 
 
@@ -1236,8 +1220,7 @@ def lower_link(cat: FinCat, obj: str) -> FinCat:
     Objects are the non-identity morphisms a with source obj; a morphism
     a -> b is a morphism u of the ambient scwol with u o a = b, recorded as
     the pair (u, a).  Its composites are those of ``cat``, read off its
-    rows, so no law is checked: (u2, b) o (u1, a) = (u2 o u1, a), listed
-    row by row.
+    rows, so no law is checked: (u2, b) o (u1, a) = (u2 o u1, a).
     """
     _require_scwol(cat)
     cat.require_object(obj)
@@ -1257,7 +1240,7 @@ def lower_link(cat: FinCat, obj: str) -> FinCat:
     return _stored(f"Lk^{obj}({cat.name})", [names[a] for a in link],
                    [f"({names[u]},{names[a]})" for u, a in pairs], src, tgt,
                    [pairs[r.ident[r.tgt[a]], a] for a in link], link_rows,
-                   tuple(_positions(src, len(link))[0]), _row_by_row)
+                   tuple(_positions(src, len(link))[0]))
 
 
 # -- constructions used across the library ------------------------------------
@@ -1265,22 +1248,20 @@ def lower_link(cat: FinCat, obj: str) -> FinCat:
 
 def opposite(cat: FinCat) -> FinCat:
     """The opposite category, off the rows of ``cat``: row f holds the f o g
-    for the g into s(f), in order, and each entry (g, f) is read as (f, g),
-    in ``cat``'s order.  Its inverses are ``cat``'s."""
+    for the g into s(f), in order.  Its inverses are ``cat``'s."""
     r, into = cat._ends, [[] for _ in cat.objects]
     for g, y in enumerate(r.tgt):
         into[y].append(g)
     rows = [tuple(r.rows[g][p] for g in into[x]) for p, x in zip(r.pos, r.src)]
     pos = tuple(_positions(r.tgt, len(into))[0])
     return _stored(f"{cat.name}^op", cat.objects, r.names, r.tgt, r.src, r.ident, rows, pos,
-                   lambda new: _cells(new, ((f, g) for g, f in r.pairs())),
                    (r.inv, cat._directly_finite))
 
 
 def product(a: FinCat, b: FinCat) -> FinCat:
     """The product category, off the rows of ``a`` and ``b``, ``a``'s
     index major: row (f1, f2) pairs the cells of row f1 with those of row
-    f2.  The entries pair ``a``'s with ``b``'s, each in order."""
+    f2."""
 
     def po(x, y):
         return f"({x},{y})"
@@ -1294,7 +1275,5 @@ def product(a: FinCat, b: FinCat) -> FinCat:
         f"{a.name}x{b.name}", [po(x, y) for x in a.objects for y in b.objects],
         [po(m1, m2) for m1 in ra.names for m2 in rb.names], src,
         [x * n + y for x in ra.tgt for y in rb.tgt],
-        [e1 * k + e2 for e1 in ra.ident for e2 in rb.ident], rows, pos,
-        lambda new: _cells(new, ((g1 * k + g2, f1 * k + f2) for b_pairs in [list(rb.pairs())]
-                                 for g1, f1 in ra.pairs() for g2, f2 in b_pairs)))
+        [e1 * k + e2 for e1 in ra.ident for e2 in rb.ident], rows, pos)
 

@@ -44,8 +44,6 @@ from .fincat import (
     _Arrays,
     _OnFirstRead,
     _Rows,
-    _cells,
-    _row_by_row,
     _check_functor_arrays,
     _composite_arrays,
     _count_rows,
@@ -364,8 +362,7 @@ def quotient(action: ScwolAction) -> QuotientResult:
     x in one orbit differ by an element fixing x, hence agree (axiom ii),
     and translating a lift of an orbit arrow out of [x] by an element gives
     one out of x, so the row of the least member a of [a] holds one lift of
-    each pair ([b], [a]), read into the row of [a] at the place of [b]; the
-    entries are listed by ([b], [a]).  A lift
+    each pair ([b], [a]), read into the row of [a] at the place of [b].  A lift
     b' o a = id of [b] o [a] = [id] makes a invertible in the space, a
     scwol, so the inverses are the orbits of the space's.  The orbits are
     read off the action's arrays (``_orbits``).
@@ -376,18 +373,16 @@ def quotient(action: ScwolAction) -> QuotientResult:
     (obj_orbits, of_obj), (mor_orbits, of_mor) = (_orbits(objs, action._arrays, 0),
                                                   _orbits(names, action._arrays, 1))
     lifts, out = [orb[0] for orb in mor_orbits], r.out()
-    cells = {(of_mor[b], f): of_mor[ba] for f, a in enumerate(lifts)
-             for b, ba in zip(out[r.tgt[a]], r.rows[a])}
     src, tgt = [of_obj[r.src[a]] for a in lifts], [of_obj[r.tgt[a]] for a in lifts]
     pos, width = _positions(src, len(obj_orbits))
     rows = [[None] * width[y] for y in tgt]
-    for (b, f), ba in cells.items():
-        rows[f][pos[b]] = ba
+    for row, a in zip(rows, lifts):
+        for b, ba in zip(out[r.tgt[a]], r.rows[a]):
+            row[pos[of_mor[b]]] = of_mor[ba]
     rows, pos = list(map(tuple, rows)), tuple(pos)
     q = _stored(f"{cat.name}/{action.group.name}", [objs[orb[0]] for orb in obj_orbits],
                 [names[a] for a in lifts], src, tgt,
                 [of_mor[r.ident[orb[0]]] for orb in obj_orbits], rows, pos,
-                lambda new: _cells(new, sorted(cells)),
                 ({f: of_mor[r.inv[a]] for f, a in enumerate(lifts) if a in r.inv}, True))
     return QuotientResult(q, cat, (of_obj, of_mor))
 
@@ -611,9 +606,8 @@ def _complex_from_choices(action: ScwolAction, q: QuotientResult, reps: list[int
     representative has one lift there (the source-side orbit bijection of
     ``quotient``), so no count is checked.  The complex is unchecked:
     conjugations by h, with h = e at identities, satisfy its identities.
-    The twists are listed in the quotient's entry order, which ``quotient``
-    sorts by index: by b, then by a into the source of b, with b o a read
-    off the rows, so no entry order is made."""
+    The twists are listed by b, then by a into the source of b, each in
+    index order, with b o a read off the quotient's rows."""
     base, cat, group = q.category, action.space, action.group
     qr, r = base._ends, cat._ends
     labels, table, inverse, index = group.labels, group.table, group._inverse, group._index
@@ -651,7 +645,7 @@ def _complex_from_choices(action: ScwolAction, q: QuotientResult, reps: list[int
             mapping={a: labels[table[row_g[index[a]]][g_inv]] for a in local[x].labels},
         )
     # twist(b, a) = h_ba . h_a^-1 . h_b^-1 by b, then a into s(b), in index
-    # order: the quotient's entry order, with b o a = rows[a][pos[b]]
+    # order, with b o a = rows[a][pos[b]]
     twists, into = {}, qr.out(into=True)
     for b, (bn, x) in enumerate(zip(qr.names, qr.src)):
         h_b, at = inverse[h_idx[b]], qr.pos[b]
@@ -687,7 +681,7 @@ def hocolim_groups(cplx: ComplexOfGroups) -> FinCat:
     (b, g2) o (a, g1) = (b o a, g2 . F(b)(g1) . twist(b, a)^{-1}).
     The complex's identities make it lawful (Bridson-Haefliger III.C): no law is checked.
     It is written off the base's rows and the local Cayley tables: row (a, g1) holds the
-    (b o a, g2 . F(b)(g1) . twist(b, a)^-1) over b, then g2; entries run over a, b, g1, g2.
+    (b o a, g2 . F(b)(g1) . twist(b, a)^-1) over b, then g2.
     """
     base = cplx.base
     r = base._ends
@@ -711,11 +705,7 @@ def hocolim_groups(cplx: ComplexOfGroups) -> FinCat:
         rows += [tuple(c for block in cells for c in block) for cells in zip(*blocks)]
     pos = tuple(_positions(src, len(base))[0])
     return _stored(f"hocolim({base.name})", base.objects, mor_names, src, tgt,
-                   [start[e] + local[x]._identity for x, e in enumerate(r.ident)], rows, pos,
-                   lambda new: _cells(new, (
-                       (start[b] + g2, f) for a, y in enumerate(r.tgt) for b in out[y]
-                       for f in range(start[a], start[a] + local[y].order)
-                       for g2 in range(local[r.tgt[b]].order))))
+                   [start[e] + local[x]._identity for x, e in enumerate(r.ident)], rows, pos)
 
 
 def _hocolim_chi_L(base: FinCat, orders: Sequence[int]) -> Fraction:
@@ -1007,7 +997,7 @@ def _transport_groupoid(action: ScwolAction) -> FinCat:
     n = group.order
     moved = list(zip(*(fo for fo, _ in action._arrays)))  # moved[s][g]: g . s
     # (h, g . s) o (g, s) = (hg, s), and (g, s) has the inverse (g^-1, g . s): the
-    # row of (g, s) is column g of the table, shifted, and the entries run row by row
+    # row of (g, s) is column g of the table, shifted
     columns, objects = list(zip(*group.table)), range(len(elements))
     return _stored(f"transport({group.name})", elements,
                    [f"({g},{s})" for s in elements for g in group.labels],
@@ -1015,7 +1005,7 @@ def _transport_groupoid(action: ScwolAction) -> FinCat:
                    [mid for targets in moved for mid in targets],
                    [k * n + group._identity for k in objects],
                    [tuple(k * n + hg for hg in col) for k in objects for col in columns],
-                   tuple(range(n)) * len(elements), _row_by_row,
+                   tuple(range(n)) * len(elements),
                    ({k * n + g: mid * n + group._inverse[g] for k, targets in enumerate(moved)
                      for g, mid in enumerate(targets)}, True))
 

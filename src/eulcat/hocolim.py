@@ -353,15 +353,14 @@ class _Total(FinCat):
 class _TotalRows(_Rows):
     """The rows of a Grothendieck total: ``src``, ``tgt``, ``ident`` and
     ``inv`` as ``_grothendieck`` writes them, and ``plan``, the
-    ``_Numbering`` that names and composes its morphisms.  The composition
-    rows, ``pos``, ``_order`` (a ``range``: the entries are listed by first
-    factor, each row in the order of its cells), the names and both indexes
-    are made off the plan on their first read and kept (``_OnFirstRead``),
-    so what ``classify``, ``len`` and the hom counts read makes none."""
+    ``_Numbering`` that names and composes its morphisms, and no entry
+    order, as a written store.  The composition rows, ``pos``, the names
+    and both indexes are made off the plan on their first read and kept
+    (``_OnFirstRead``), so what ``classify``, ``len`` and the hom counts
+    read makes none."""
 
     rows = _OnFirstRead()
     pos = _OnFirstRead()
-    _order = _OnFirstRead()
     names = _OnFirstRead()
     index = _OnFirstRead()
     objects = _OnFirstRead()
@@ -369,7 +368,7 @@ class _TotalRows(_Rows):
     def __init__(self, src: list[int], tgt: list[int], ident: list[int], inv: dict[int, int],
                  plan: _Numbering):
         _Ends.__init__(self, src, tgt, ident, inv)
-        self.plan, self.gens = plan, None
+        self.plan, self.order, self.gens = plan, None, None
 
     def _make(self, attr: str) -> None:
         plan, fields = self.plan, self.__dict__
@@ -377,8 +376,6 @@ class _TotalRows(_Rows):
             fields[attr] = plan.composites()
         elif attr == "pos":
             fields[attr] = tuple(_positions(self.src, len(self.ident))[0])
-        elif attr == "_order":
-            fields[attr] = range(sum(map(len, self.rows)))
         elif attr == "names":
             fields[attr] = plan.morphism_names()
         else:

@@ -9,13 +9,13 @@ builder's docstring, and the tests check it again through the checked
 constructors.  Random posets and free scwols are written by
 ``zoo._acyclic``.  A random groupoid is drawn whole (component sizes, then
 vertex groups) and then written once, all its components in one store
-(``groupoid_union``: one row per (i, g) shared by every (g; i, j), and an
-entry order made on its first read).  A functor between random groupoids is
-written as its arrays, and a random groupoid or inclusion diagram with its
-index view.  The polygon rotations and reflections, the induced free
-action and the lifts along the cone and the inflation are written as
-arrays (``_arrays``); only the circle's reflection, the hand-built example
-of the CLI demo, goes through the checked ``ScwolAction`` constructor.
+(``groupoid_union``: one row per (i, g) shared by every (g; i, j)).  A
+functor between random groupoids is written as its arrays, and a random
+groupoid or inclusion diagram with its index view.  The polygon rotations
+and reflections, the induced free action and the lifts along the cone and
+the inflation are written as arrays (``_arrays``); only the circle's
+reflection, the hand-built example of the CLI demo, goes through the
+checked ``ScwolAction`` constructor.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from random import Random
 from typing import Mapping, Optional, Sequence
 
 from .errors import _trusted
-from .fincat import CatFunctor, FinCat, _Arrays, _Rows, _require_scwol, _stored
+from .fincat import CatFunctor, FinCat, _Arrays, _require_scwol, _stored
 from .groups import FinGroup, GroupHom, _image_of, all_homs, cyclic_group, klein_four_group, symmetric_group, trivial_group
 from .groupact import ScwolAction, trivial_action
 from .hocolim import StrictDiagram, _index_view, _set_diagram, constant_diagram
@@ -169,14 +169,11 @@ def groupoid_union(parts: Sequence[tuple[FinGroup, int, str]]) -> Groupoid:
     store: hom(i, j) ~ G, (h; j, k) o (g; i, j) = (hg; i, k) and
     (g; i, j)^-1 = (g^-1; j, i), each by index arithmetic.  So the row of
     (g; i, j), the (hg; i, k) for the (h; j, k) in order, does not depend
-    on j: it is one tuple, made once per (i, g) and kept by every j.  The
-    entries are listed in the order part, i, j, k, g, h.  With m the
-    group's order, the row of (g; i, j) starts at cell ((i n + j) m + g) n m
-    of its part, and (h; j, k) is at k m + h in it, so ``order`` is a run
-    of m cells per (i, j, k, g), made on its first read off each part's n
-    and m; and (g; i, j) is at ``pos`` j m + g among the morphisms out of
-    i.  Its name is the parts' ``gpd(prefix)`` joined by ``+``."""
-    objects, names, src, tgt, ident, rows, pos, comps, runs = [], [], [], [], [], [], [], [], []
+    on j: it is one tuple, made once per (i, g) and kept by every j.  With
+    m the group's order, (g; i, j) is at ``pos`` j m + g among the
+    morphisms out of i.  Its name is the parts' ``gpd(prefix)`` joined by
+    ``+``."""
+    objects, names, src, tgt, ident, rows, pos, comps = [], [], [], [], [], [], [], []
     inverses: dict[int, int] = {}
     for group, size, prefix in parts:
         n_obj, base, n, objs = len(objects), len(names), group.order, range(size)
@@ -195,17 +192,8 @@ def groupoid_union(parts: Sequence[tuple[FinGroup, int, str]]) -> Groupoid:
             rows += [tuple(ik + hg for ik in row_i for hg in col) for col in columns] * size
         width = size * n
         pos += itertools.chain.from_iterable(itertools.repeat(range(width), size))
-        runs.append((size, n))
-
-    def order(_):  # a part's cells start after the n^3 m^2 cells of each part before
-        firsts = itertools.accumulate((size ** 3 * n * n for size, n in runs), initial=0)
-        return tuple(itertools.chain.from_iterable(
-            range(start + k * n, start + k * n + n) for (size, n), first in zip(runs, firsts)
-            for ij in range(size * size) for k in range(size) for g in range(n)
-            for start in [first + (ij * n + g) * size * n]))
-
     cat = _stored("+".join(f"gpd({c.prefix})" for c in comps), objects, names, src, tgt, ident,
-                  inverses=(inverses, True), rows=rows, order=order, pos=tuple(pos))
+                  inverses=(inverses, True), rows=rows, pos=tuple(pos))
     return Groupoid(cat, tuple(comps))
 
 
@@ -338,15 +326,13 @@ def induced_free_action(group: FinGroup, base: FinCat) -> ScwolAction:
     """G x Y with g . (h, y) = (gh, y): free on objects, quotient Y.
 
     Copy h of the base is written off its rows, (h, x) as object h |Y| + x
-    and (h, m) as morphism h |M| + m: its rows, positions and entry order
-    are the base's, shifted, and copy 0, the base row for row, makes the
-    base's order.  Element g moves copy h onto copy gh (its Cayley row): an
+    and (h, m) as morphism h |M| + m: its rows and positions are the
+    base's, shifted.  Element g moves copy h onto copy gh (its Cayley row): an
     automorphism, and (gk)h = g(kh).  Only the identity fixes an object, and
     it fixes every morphism (axiom ii); a non-identity arrow of a scwol has
     two ends (axiom i).  So only the space is checked."""
     r, n_obj = base._ends, len(base)
-    n_mor, cells, base_order = len(r.names), sum(map(len, r.rows)), r._order  # as made or maker
-    copies = range(group.order)
+    n_mor, copies = len(r.names), range(group.order)
     space = _stored(f"{group.name}x{base.name}",
                     [f"{g}*{x}" for g in group.labels for x in base.objects],
                     [f"{g}*{m}" for g in group.labels for m in r.names],
@@ -355,10 +341,6 @@ def induced_free_action(group: FinGroup, base: FinCat) -> ScwolAction:
                     [g * n_mor + e for g in copies for e in r.ident],
                     [*r.rows, *(tuple(c + g * n_mor for c in row) for g in copies[1:]
                                 for row in r.rows)], r.pos * group.order,
-                    lambda new: tuple(c + g * cells for made in [_Rows(
-                        None, None, None, new.src[:n_mor], new.tgt[:n_mor], new.ident[:n_obj],
-                        new.rows[:n_mor], new.pos[:n_mor], base_order).order] for g in copies
-                        for c in made),
                     ({g * n_mor + m: g * n_mor + u for g in copies for m, u in r.inv.items()},
                      base._directly_finite))
     _require_scwol(space)

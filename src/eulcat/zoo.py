@@ -7,18 +7,18 @@ n-gons with arrows from edges into their endpoints.
 
 The named hand-built categories go through the checked ``FinCat``
 constructor.  The families hand ``fincat._stored`` their finished rows and
-positions and an entry order made on its first read, each with its proof
-in its docstring: posets and free categories on acyclic multigraphs off
-their indices (``_acyclic``), the rest off their input's rows or table.
+positions, each with its proof in its docstring: posets and free
+categories on acyclic multigraphs off their indices (``_acyclic``), the
+rest off their input's rows or table.
 """
 
 from __future__ import annotations
 
 import itertools
-from itertools import accumulate, chain, count
+from itertools import accumulate, count
 from typing import Iterable, Mapping, Sequence
 
-from .fincat import FinCat, Morphism, _cells, _stored
+from .fincat import FinCat, Morphism, _stored
 from .groups import FinGroup, _positions
 
 
@@ -59,10 +59,7 @@ def _acyclic(name: str, objects: Sequence[str], names: Sequence[str], src: list[
     is concatenation of edge paths.  With no cycles only the identities are
     invertible, and it is directly finite.  The morphisms out of x are id_x,
     then its arrows, so row id_x is that list and row f is f, then its
-    composites.  The entries are the composites of each arrow, (id_x, id_x),
-    then (id_t(m), m) and (m, id_s(m)) for each arrow m: the cells after the
-    first of each arrow's row, the first of each row id_x, then the first of
-    row m and cell ``pos[m]`` of row id_s(m)."""
+    composites."""
     n, ident = len(objects), list(range(len(objects)))
     src, out, pos = ident + src, [[x] for x in ident], [0] * n
     for m, x in enumerate(src[n:], n):
@@ -70,14 +67,7 @@ def _acyclic(name: str, objects: Sequence[str], names: Sequence[str], src: list[
         out[x].append(m)
     rows, pos = [*map(tuple, out), *((f, *c) for f, c in enumerate(composites, n))], tuple(pos)
     return _stored(name, objects, [*(f"id_{x}" for x in objects), *names], src, ident + tgt,
-                   ident, rows, pos, _acyclic_order, ({x: x for x in ident}, True))
-
-
-def _acyclic_order(r) -> tuple[int, ...]:
-    """The entry order of rows ``_acyclic`` wrote, off them alone (no maker per store)."""
-    n, start, pos = len(r.ident), list(accumulate(map(len, r.rows), initial=0)), r.pos
-    return tuple(chain(*map(range, [s + 1 for s in start[n:-1]], start[n + 1:]), start[:n],
-                       *((start[m], start[x] + pos[m]) for m, x in enumerate(r.src[n:], n))))
+                   ident, rows, pos, ({x: x for x in ident}, True))
 
 
 def _poset(name: str, objects: Sequence[str], targets: Sequence[Sequence[int]], arrow) -> FinCat:
@@ -137,7 +127,7 @@ def subsets_poset_opposite(q: int) -> FinCat:
     There is a unique arrow J -> K, named ``J>K``, exactly when K is a
     proper subset of J.  The objects are the subsets by size, then
     lexicographically; each subset's proper subsets are listed once, off
-    its bitmask, and the arrows and entries follow in ``_poset`` order.
+    its bitmask, and the arrows follow in ``_poset`` order.
     """
     subsets = [s for r in range(1, q + 2) for s in itertools.combinations(range(q + 1), r)]
     labels = list(map(subset_label, subsets))
@@ -166,13 +156,10 @@ def polygon_scwol(n: int) -> FinCat:
 def one_object_category(group: FinGroup, obj: str = "*") -> FinCat:
     """The one-object category of a group, written off its Cayley table;
     its laws are the group's and its inverses the group's inverses, not
-    checked again.  Row f is column f of the table; the entries (g, f) run
-    over g, then f, in label order."""
+    checked again.  Row f is column f of the table."""
     n = len(group.labels)
     return _stored(f"B{group.name}", (obj,), group.labels, [0] * n, [0] * n, [group._identity],
-                   list(zip(*group.table)), tuple(range(n)),
-                   lambda new: tuple(f * n + g for g in range(n) for f in range(n)),
-                   (dict(enumerate(group._inverse)), True))
+                   list(zip(*group.table)), tuple(range(n)), (dict(enumerate(group._inverse)), True))
 
 
 def contractible_groupoid(objects: Sequence[str]) -> FinCat:
@@ -205,7 +192,7 @@ def inflate(cat: FinCat, copies: Mapping[str, int], name: str | None = None) -> 
     (id_x, i, i) is the identity of (x, i), and (g, j, k) o (f, i, j) =
     (g o f, i, k), so the laws are ``cat``'s, copy by copy.  Row (f, i, j)
     is the (g o f, i, k) over the g out of t(f), then k, one tuple kept by
-    every j; the entries are ``cat``'s over i, j, k.  Inverses are searched.
+    every j.  Inverses are searched.
     """
     r = cat._ends
     (n, ob, at), src, tgt = _inflated(cat.objects, r, copies), r.src, r.tgt
@@ -218,19 +205,13 @@ def inflate(cat: FinCat, copies: Mapping[str, int], name: str | None = None) -> 
                    [f"{x}~{i}" for x, c in zip(cat.objects, n) for i in range(c)],
                    [f"{m}~{i}~{j}" for m, _, _, i, j in mors], [ob[x] + i for _, x, _, i, _ in mors],
                    [ob[y] + j for _, _, y, _, j in mors],
-                   [at[e] + i * c + i for e, c in zip(r.ident, n) for i in range(c)], rows, pos,
-                   lambda new: _cells(new, (
-                       (at[g] + j * n[z] + k, at[f] + i * n[y] + j)
-                       for g, f in r.pairs() for x, y, z in [(src[f], tgt[f], tgt[g])]
-                       for i in range(n[x]) for j in range(n[y]) for k in range(n[z]))))
+                   [at[e] + i * c + i for e, c in zip(r.ident, n) for i in range(c)], rows, pos)
 
 
 def cone(cat: FinCat, apex: str = "t") -> FinCat:
     """Freely adjoin a terminal object ``apex`` (one new arrow from each
     object), written off the rows of ``cat``, unchecked.  Its morphisms are
-    ``cat``'s, id_apex, then c[x] for each object x; its entries ``cat``'s,
-    (id_apex, id_apex), (id_apex, c[x]) and (c[x], id_x) for each x, then
-    (c[t(m)], m) = c[s(m)] for each non-identity m.  Hom(x, apex) = {c[x]}
+    ``cat``'s, id_apex, then c[x] for each object x.  Hom(x, apex) = {c[x]}
     and Hom(apex, x) is empty for x != apex, so each composite into apex is
     the one arrow of its hom-set and no new arrow has a one-sided inverse.
     Row m is ``cat``'s, then c[t(m)] o m = c[s(m)] (c[x] is the last arrow
@@ -247,7 +228,4 @@ def cone(cat: FinCat, apex: str = "t") -> FinCat:
     return _stored(f"cone({cat.name})", cat.objects + (apex,),
                    [*r.names, *(f"{m}@{apex}" if m in taken else m for m in new)],
                    [*r.src, n, *range(n)], [*r.tgt, *[n] * (n + 1)], [*ident, top], rows, pos,
-                   lambda new: _cells(new, chain(r.pairs(), [(top, top)], *(
-                       ((top, c), (c, e)) for c, e in enumerate(ident, top + 1)), (
-                       (top + 1 + y, m) for m, (x, y) in enumerate(zip(r.src, r.tgt)) if ident[x] != m))),
                    ({**r.inv, top: top}, cat._directly_finite))

@@ -5,9 +5,11 @@
 the space of ``randgen.induced_free_action`` write their stores unchecked
 through ``fincat._stored``, each lawful by the proof in its docstring.
 Their stores are pinned by sha256 digests (``helpers.store``: name,
-objects, identity map, morphism names, endpoints, identities, rows, entry
-order, inverses and direct finiteness) recorded while every writer still
-scattered entries into rows, on fixed inputs and on seeded draws; the free
+objects, identity map, morphism names, endpoints, identities, rows,
+inverses and direct finiteness) on fixed inputs and on seeded draws,
+re-recorded without the entry order (a written store keeps none) on the
+code that still kept one, whose digests with it were recorded while every
+writer still scattered entries into rows; the free
 actions ``random_free_action`` draws are pinned with their group, their
 arrays and the state of the generator after each draw.  Each store is
 rebuilt through the checked constructor (``helpers.assert_revalidates``),
@@ -122,92 +124,92 @@ def drawn_gsets() -> list:
 
 
 RANDOM = {"random actions": drawn_actions, "random G-sets": drawn_gsets}
-DIGESTS = {  # recorded at the parent, where every store went through ``_Rows._fill``
+DIGESTS = {  # re-recorded at the parent without the entry order (module docstring)
     "full(subsets_op(2))":
-        "5845a698c3412dfc39ec6fb55b2a4cd5fd0968bd4f8ff7362bad48345108e294",
+        "8d4c2cbfff66b3647b8b85a23c4267fe0cfc57d03ea492414195da2ea6be0563",
     "full(cone(BS3))":
-        "151cb97d3bdb38e2d12f436a424bc1e8a1e944f53036f799b00119430eec7fc6",
+        "2f8ca98edcfd3c5e64bd05d44964aff2a42f0c27db17757a70fbaae26cc25c8d",
     "full(gpd)":
-        "4a6143b837d7574464b35afbbd4a52e772710df22ac5816558d3372ba872e5b6",
+        "13fa054de4aec8ad93d3fa338b5145f582c4a680ab771e9f3b481101c07e5c83",
     "full(E(abcd))":
-        "ae501ffad59ba5ab1d187a6faf34f76187a57de3b8e655d2d523f24daf2b1a02",
+        "f9330c29c0635b7d19c349fea1901969119328e5715340e4aa3144f5bf76e5ae",
     "full(split)":
-        "f3ba5c164710664a44047efab979ca878aec12595c4425fd9ab3f2aecfa41cb8",
+        "2fad0becf9f58051b854c6e36398ee4ea1ad4e1f468cfcb08e1a61442882f1ba",
     "Lk(polygon(4), e0)":
-        "8609d88943871ad4cecae6d81dd492c721c0f5bbb2393ca0378725978444a355",
+        "0cc2ac7de2b010c98d79cc0f2f66fe49dbc8c2f18799e4275829244f69c051a8",
     "Lk(cone(polygon(3)), e1)":
-        "3dbb54bd9e08ab9d25691c91142bb2b33d38824dc250d0586687625caf8362c6",
+        "6a1f8ac67c7aec843a286b1d64c24658d06a706d4157593730879bfb3ee813b4",
     "Lk(subsets_op(3), top)":
-        "6b8b13ce64b1edd408d5de6e3f53db0e26ab7ed65f620513074d627383b691e3",
+        "343a9b93eeaa5d8939906f41fe39c716e9064c27c14cac1e19fe938ea40f36fd",
     "Lk(inflate(cone))":
-        "0aaedef8d1dd37b7fb3f197e0cf1b093ad29d4a2192782a28da0c3686f2d4dae",
+        "2e4641b0d0b1704da7177abf00833699ab1a4fb749fb551b6b53b651b71716ef",
     "op(BS3)":
-        "f5e4f782c3d7b63bb286dcbf1ebeefad1bb619709d836127b92242698368bd1a",
+        "70fd373137461c1dc04c5fdf7d99b6ca91795f1f9d2f7d4c8f68251d44734ff2",
     "op(subsets_op(2))":
-        "bd08b08bdd2575fdbd040f092a505af67e901aac55be53d847202467bb83a801",
+        "e6cd9be81a829c139e574f83bd56ce3deccba49d0ac73271eea4d4b45dc26c3f",
     "op(gpd)":
-        "a0348f00a810cb8ccc03bb2bd8d6a7a6a7029e650d7b156082607ddc512d34b6",
+        "14e8220bc9b2319400d9d06c9d3ed2a01699ca979d8a6febcc610251283269f0",
     "op(cone(E(abc)))":
-        "8107a13c6bef94bc0d002b1e9974a02414440764204a8779574c776cbae7107d",
+        "505c99326b709fa6c308252ddaea7be4ab526082ad4a236268ff265bc67024ad",
     "op(split)":
-        "065d43f7509f30faed07039ba0d1aa192f4254f0e7d0945135a5598696bdb4cf",
+        "cbf132743e7a1b3d8d853014dac6ee879240ff812748a1859c7535eac3f91b67",
     "BZ3 x pushout":
-        "5e411455106db58a6cb2937e8df2c43a08a83307902d5743b225c67a2d3fa008",
+        "0fadf9246f86c64f665113fbd2f57410ac88d66e1b6a50b43059eb2dc69ba154",
     "polygon(3) x gpd(Z2)":
-        "4204e0838d03d9ff8e1b276aaa2c5880db1ef6197a698bd22836d0fe730fdaea",
+        "8f93a1bd1307903a2aa2ccd53066baf55f79f0b06439d357d0987a64ac23933a",
     "E(ab) x BS3":
-        "9e0e90394e935566970ba4605bb4aa9f3561fce70866a444d8f32c4821a771a6",
+        "a35f62839cacf311a6217b97765d6c3857adfc70c3b1d31a83d81a4615afb6e2",
     "split x arrow":
-        "a7afd4dbc417d13fe3f92a201c7402b4f8b9a5e4704f007e749bc67ffab59efc",
+        "692de57163939699abb5d8092eeeda15cb2a327ddea04dc38895caab029681e2",
     "quotient(rotation(6, 2))":
-        "54a95dafd57b47c069211a62fbb5d390ed20747bc8369b3b426f89f348973d2f",
+        "b4fa81f5b39adeb4198e2c0824dafecc4a76ea050078ff82c99f33a02b5a1d5c",
     "quotient(reflection(4))":
-        "289fcf4c71b8e730394d6a67d756a24ada7aa4fcbdfe0f51be6b98ffda2e8f2c",
+        "4f1375a11a08082362671e10ddc7485714b6952c715238e612cf5392dcb7be25",
     "quotient(circle)":
-        "3b703d623d590f059c8d0cfa9757d27035f3a4840f084f5735146fd74351db63",
+        "070893ef0dc896ae9c713dc3c5d68f75e2aeda4bda1871baa6ec43e8744e0fe8",
     "quotient(S3 x polygon(3))":
-        "2c8719cdc7e75bc063c44671d47e5a3fe3154b4fc1e0f0aae5b4cf44e1bf86a2",
+        "6a22e21250dd09af1ec942d41e0a46c5f76791e20fc1ed49bb148946693c7dfc",
     "quotient(cone(rotation(4)))":
-        "aff3b96c19a1962a1a2d28ab5da5b3c6e0c9e7fb1c89bf500662bcf7015e0919",
+        "149014263fa98516d69014b0613cce4a5a820619ad2580cfaa90a57fa804fd45",
     "quotient(inflate(reflection(4)))":
-        "2a254a346a59b5e77a3c5e3ab528784e6ee4e6ca41bebcb8d71260a6817638e0",
+        "f145823bd48a3b4e17f15ba51b40d5fbf180898d2460043d85479cfb25662695",
     "quotient(trivial(Z3, pushout))":
-        "671c246b86864e29565aed4deb595228aa65cc9971bed12560ee249fce16f432",
+        "3ecffe245263af83d1d6de2c75724af071a13991bb95368b439cca7b4bb11142",
     "hocolim_groups(rotation(6, 2))":
-        "bc87d04583c9c57979bbf2707665091d47ab61c518acad020e961779e3e8f9ef",
+        "e19235cc625e46d9a1c20b2c2d493ae7790436df49f0a740ab9917bd89d9b519",
     "hocolim_groups(reflection(4))":
-        "cd310cbec840cac81eb81e38db29d3107c2080fb154bbf9d75e512b64d87e44d",
+        "39b23eab5353e3a93ab38af30eb27c1af16a6f783ef77135e128caef3b2eb93e",
     "hocolim_groups(circle)":
-        "3925bc6b46136b8ff85a442a759de8fa2d55263a778a5bbacf05f204f9883fdb",
+        "61214711aaf4e9a7e8fcfc4b509fd81fb008137faa6bcb9f72eafa54c9ecb9c1",
     "hocolim_groups(S3 x polygon(3))":
-        "195518a1db78263652bb637f71afa618d0ad91922ab94e5d875a5b24b1072ba1",
+        "e976853dd5e76c9842e146bdc8731866392cf5ab9e8bb36333ece089c277f7ca",
     "hocolim_groups(cone(rotation(4)))":
-        "add0e3cabdc812b4624809a1e028ae8cf3d276d672b64eee531bf491e55196cd",
+        "968797cb73b188adea70b1ccb5491db490b3b25fc274e24cc343051b1f18c050",
     "hocolim_groups(inflate(reflection(4)))":
-        "b49198ba1998208bcb9eb71523d1e8af12be0beaa1ae79591045f37117d0fb46",
+        "2d52f9c6fa466e8301deaef34c8b061dbbcb4e43d8a87d840c93e2f9f690d55e",
     "hocolim_groups(trivial(Z3, pushout))":
-        "04473fdd9ab5ce0e6d93ec0bad96a68ccb1599c7e31b448f13f3bd8643b82329",
+        "6d1682233b1a44c5a45eba8be14037d7de47239668e5177d9fd1d7979d81d197",
     "transport(S3/Z2)":
-        "e2a714dc077b3da9cf6c97387038bdd3bd7f2c430ee7549f7effda1029cb5af8",
+        "535c526a18684f240b0eb4743f683146eacbd8ea86f723e9870394f6ba266490",
     "transport(S3/S3)":
-        "f9f70bcb1b8c055ec467d43d59fe2b2bd258603f99c88400876d82d4d06b1195",
+        "9e03f6431aefa0060ba4d082e103b828b11b4251c9a5c698d4aec84099f12bd6",
     "transport(V4, seed 3)":
-        "bd48b34060244565b29447b2f35d0c933f3b516821293a5249b80e52dd42a60e",
+        "5e4df21271f84c3c698f037b7a688167b8326bdd7c7d753b4c9abdf22eed2e18",
     "transport(S4, seed 5)":
-        "0eac938c5bb902ff4b37236bbc2ad66f1aef9322f6313f481563c29ccbc65eab",
+        "b0e3e2d0023faa117e0fb82df93199e1e66e2da52b4b4e9f96d784c5084bcb7d",
     "Z6 x polygon(3)":
-        "54c5021054dd48f261fa2576e7e6deb9986ec5cb171842ec9eabe0fe03e6f40c",
+        "8640662dbf61c333ca851e954e81bb8960467f58caade5eb07c4a2522a2a50b3",
     "V4 x cone(pushout)":
-        "1fb817192d038d8bc89826a7b40bc0ea673d0c68b638a03592fe3cd20f599926",
+        "c52853524500993fec9ae511203d8199c97b904dec10a57ffe76f08c9f0c85fb",
     "Z5 x subsets_op(1)":
-        "5177faaef2ccba801b873695d72c84c2adf6d1182ebd07c3304acd58eaae185b",
+        "1d23d2916d6109e27e7be46d69c1da820b0749d12f1a59e14d8b594015b4f63b",
     "random actions":
-        "7a96fcb8e112f919c388198185d1f7b9ecaf248593351e23ccdec03c9fe40a65",
+        "5e5bfe325c7496306a76c7bd1e3238b8278c0cc1869c9d13967d54e980f27a2b",
     "random G-sets":
-        "4e9c731822411cdf3e6cd67aa2cdee124020fbdeb9b56ba3d57ec7cead7c285d",
+        "fd9afbdd3ff987ca00f2a554fbb649c81e18bed793ac4f6bbad1d1b2a715b169",
 }
 FREE_DIGEST = (  # 200 seeds of ``random_free_action``: group, space store, arrays, state
-    "d4433cb735dd95740f40be93686d59ae3752393406e598f2f39cdcfa6ae8976c")
+    "c2c114c086047e1f862542623cb9c082115926852aa4994292dc6de1d7a35f8b")
 
 
 def check(cat) -> None:

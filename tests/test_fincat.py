@@ -353,7 +353,7 @@ class TestLowerLink:
                 for m2 in link.morphisms
                 if m1.target == m2.source
             }
-            assert list(link.composition.items()) == list(pairwise.items())
+            assert dict(link.composition) == pairwise
 
     @settings(max_examples=20, deadline=None)
     @given(skeletal_scwols)

@@ -700,7 +700,7 @@ class TestHocolimGroups:
         old = FinCat(tuple(base.objects), tuple(mors), ident, comp, name=f"hocolim({base.name})")
         new = hocolim_groups(cplx)
         assert equal_presentation(new, old) and new.name == old.name
-        assert list(new.composition.items()) == list(old.composition.items())
+        assert dict(new.composition) == dict(old.composition)
 
     @settings(max_examples=20, deadline=None)
     @given(actions)

@@ -28,7 +28,7 @@ from eulcat.cli import main
 from eulcat.errors import EulcatError, ValidationError
 from eulcat.groupact import haefliger_chi
 from eulcat.groups import cyclic_group
-from eulcat.fincat import CatFunctor
+from eulcat.fincat import CatFunctor, FinCat
 from eulcat.hocolim import CoherenceFailure, PseudoDiagram, StrictDiagram, constant_diagram
 
 from helpers import (
@@ -149,18 +149,29 @@ def mutated_edges(d, rng, how):
     return edge
 
 
+def indexes(d) -> tuple:
+    """The index of ``d`` and a checked copy of it that lists its entries
+    backwards.  A written index lists its identity rows first, so the check
+    meets a stray key at (m, id) as a failed compare; backwards, a pair
+    (g, m) comes first, and a stray key that names nothing raises KeyError."""
+    idx = d.index
+    return idx, FinCat(idx.objects, idx.morphisms, dict(idx.identity),
+                       dict(reversed(idx.composition.items())), name=idx.name)
+
+
 class TestStrictCheck:
     @settings(max_examples=80, deadline=None)
     @given(strict_diagrams, SEEDS, st.sampled_from(("stray", "swap", "identity")))
     def test_as_by_names(self, d, seed, how):
         """The check on arrays and the name-dict check it replaced give the
         same class, message and witness, or the same KeyError of a stray
-        key, on a diagram with one edge changed."""
+        key, on a diagram with one edge changed, over either index."""
         edge = mutated_edges(d, Random(seed), how)
-        got = failure(StrictDiagram, d.index, d.vertex, edge)
-        want = failure(reference_strict_diagram_checks,
-                       unvalidated(StrictDiagram, index=d.index, vertex=d.vertex, edge=edge))
-        assert got == want
+        for index in indexes(d):
+            got = failure(StrictDiagram, index, d.vertex, edge)
+            want = failure(reference_strict_diagram_checks,
+                           unvalidated(StrictDiagram, index=index, vertex=d.vertex, edge=edge))
+            assert got == want
 
     def test_every_kind_of_rejection_is_seen(self):
         """Non-vacuity: over a few seeds each mutation is rejected at least
@@ -170,9 +181,11 @@ class TestStrictCheck:
         for seed in range(60):
             d = randgen.random_strict_diagram(Random(seed))
             for how in ("stray", "swap", "identity"):
-                got = failure(StrictDiagram, d.index, d.vertex, mutated_edges(d, Random(seed), how))
-                if got is not None:
-                    seen.add((how, got[0]))
+                edge = mutated_edges(d, Random(seed), how)
+                for index in indexes(d):
+                    got = failure(StrictDiagram, index, d.vertex, edge)
+                    if got is not None:
+                        seen.add((how, got[0]))
         assert {how for how, _ in seen} == {"stray", "swap", "identity"}
         assert {cls for how, cls in seen if how == "stray"} == {ValidationError, KeyError}
 

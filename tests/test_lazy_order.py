@@ -1,20 +1,16 @@
-"""A written store makes its entry order on its first read, not before.
+"""The ``audit`` tasks list no written store's entries.
 
-A builder hands ``fincat._stored`` its rows and positions finished, and its
-entry order as a maker that ``_Rows.order`` runs on the first read and
-keeps (``_Rows._order`` holds the maker until then).  The formula tasks of
-the ``audit`` read no entry order of a diagram's index or vertices, so
-after their library calls on drawn diagrams no index or vertex store holds
-a made order; the first read makes the order the writer digests pin.
-Non-vacuity: a ``check_hocolim_formula`` that reads its index's entries is
-seen.
-
-The free and reduction tasks run no order maker at all: the complexes of
-groups a reduction builds list their twists off the quotient's rows, and
-``chi_theorems`` builds no complex (before, a seed-1009 pass made 450
-orders in its 150 reduction tasks).  A spy on ``_Rows.order`` records each
-read that runs a maker; a complex that reads its quotient's entries is
-seen.
+A builder hands ``fincat._stored`` its rows and positions finished and no
+entry order: ``_Rows.entries`` (and ``pairs`` and ``table`` through it)
+lists a written store row by row, each row in cell order, on every read.
+The formula, free and reduction tasks of the ``audit`` read the rows of
+the stores they are given, never their entries: a spy on
+``_Rows.entries`` records each read of a store with no entry order, over
+the tasks of seeds 0 and 1009.  The complexes of groups a reduction builds
+list their twists off the quotient's rows, and ``chi_theorems`` builds no
+complex.  Non-vacuity: a ``check_hocolim_formula`` that reads its index's
+``pairs()`` is seen, and so is a complex that reads its quotient's
+entries.
 """
 
 import pytest
@@ -27,13 +23,27 @@ from eulcat.ratlin import chi_L
 from helpers import digest, load_workloads, store
 from test_acyclic_writer import CASES as ACYCLIC, DIGESTS as ACYCLIC_DIGESTS
 from test_groupoid_writer import DIGESTS as GROUPOID_DIGESTS, PARTS, groupoid_store
+from test_row_by_row import row_by_row
 from test_zoo_writers import CASES as ZOO, DIGESTS as ZOO_DIGESTS
 
 
-def made(diagrams) -> list[str]:
-    """The index and vertex stores of ``diagrams`` whose order is made."""
-    return [cat.name for d in diagrams for cat in [d.index, *d.vertex.values()]
-            if not callable(cat._ends._order)]
+def spy_on_reads(monkeypatch) -> list:
+    """The stores with no entry order whose entries are read from now on,
+    in the order they are read."""
+    reads, real = [], fincat._Rows.entries
+
+    def entries(rows):
+        if rows.order is None:
+            reads.append(rows)
+        return real(rows)
+
+    monkeypatch.setattr(fincat._Rows, "entries", entries)
+    return reads
+
+
+def unordered(diagrams) -> bool:
+    """Whether no index or vertex store of ``diagrams`` holds an entry order."""
+    return all(cat._ends.order is None for d in diagrams for cat in [d.index, *d.vertex.values()])
 
 
 def run_formula_tasks(diagrams) -> None:
@@ -45,41 +55,29 @@ def run_formula_tasks(diagrams) -> None:
 
 
 @pytest.mark.parametrize("seed", [0, 1009])
-def test_formula_tasks_make_no_order(seed):
+def test_formula_tasks_make_no_order(seed, monkeypatch):
     diagrams = load_workloads().audit_instances(seed, 40)[0]
-    assert made(diagrams) == []
+    reads = spy_on_reads(monkeypatch)
     run_formula_tasks(diagrams)
-    assert made(diagrams) == []
+    assert reads == []
+    assert unordered(diagrams)
     assert sum(len(d.vertex) for d in diagrams) > 100
 
 
 def test_an_order_read_by_the_formula_is_seen(monkeypatch):
-    """Non-vacuity: a formula check that reads the entries of its index
-    leaves made orders behind."""
+    """Non-vacuity: a formula check that reads the pairs of its index is
+    seen, once per diagram."""
     check = hocolim.check_hocolim_formula
 
     def reading(d, *args, **kwargs):
-        list(d.index._ends.entries())
+        list(d.index._ends.pairs())
         return check(d, *args, **kwargs)
 
     monkeypatch.setattr(hocolim, "check_hocolim_formula", reading)
     diagrams = load_workloads().audit_instances(0, 10)[0]
+    reads = spy_on_reads(monkeypatch)
     run_formula_tasks(diagrams)
-    assert made(diagrams) == [d.index.name for d in diagrams]
-
-
-def spy_on_makers(monkeypatch) -> list:
-    """The stores whose order maker a read of ``_Rows.order`` runs, from
-    now on, in the order they run."""
-    runs, real = [], fincat._Rows.order.fget
-
-    def order(rows):
-        if callable(rows._order):
-            runs.append(rows)
-        return real(rows)
-
-    monkeypatch.setattr(fincat._Rows, "order", property(order))
-    return runs
+    assert reads == [d.index._ends for d in diagrams]
 
 
 def run_action_tasks(free, actions) -> None:
@@ -91,17 +89,17 @@ def run_action_tasks(free, actions) -> None:
 
 
 @pytest.mark.parametrize("seed", [0, 1009])
-def test_action_tasks_run_no_order_maker(seed, monkeypatch):
+def test_action_tasks_list_no_entries(seed, monkeypatch):
     _, free, actions = load_workloads().audit_instances(seed, 40)
     assert (len(free), len(actions)) == (10, 10)
-    runs = spy_on_makers(monkeypatch)
+    reads = spy_on_reads(monkeypatch)
     run_action_tasks(free, actions)
-    assert runs == []
+    assert reads == []
 
 
 def test_an_order_read_by_a_complex_is_seen(monkeypatch):
-    """Non-vacuity: a complex that reads its quotient's entries makes the
-    order of each of the two quotients of every reduction."""
+    """Non-vacuity: a complex that reads its quotient's entries is seen
+    for each of the two quotients of every reduction."""
     real = groupact._complex_from_choices
 
     def reading(action, q, *choices):
@@ -110,9 +108,9 @@ def test_an_order_read_by_a_complex_is_seen(monkeypatch):
 
     monkeypatch.setattr(groupact, "_complex_from_choices", reading)
     _, free, actions = load_workloads().audit_instances(0, 40)
-    runs = spy_on_makers(monkeypatch)
+    reads = spy_on_reads(monkeypatch)
     run_action_tasks(free, actions)
-    assert len(runs) == 2 * len(actions)
+    assert len(reads) == 2 * len(actions)
 
 
 PINNED = {  # a builder, the pinned value of what it built, and that value's digest
@@ -128,15 +126,16 @@ PINNED = {  # a builder, the pinned value of what it built, and that value's dig
 
 @pytest.mark.parametrize("case", list(PINNED))
 def test_a_made_order_is_the_pinned_one(case):
-    """A store that chi_L and ``classify`` have read has no order yet; its
-    first read makes the pinned one, kept for every later read."""
+    """The order a read makes of a store that chi_L and ``classify`` have
+    read: the store is the pinned one and keeps no order, and each read
+    lists its entries row by row."""
     build, pinned_of, pinned = PINNED[case]
     built = build()
     cat = getattr(built, "category", built)
     chi_L(cat)
     if classify(cat).is_scwol:
         chi_scwol(cat)
-    assert callable(cat._ends._order)
     assert digest(pinned_of(built)) == pinned
-    order = cat._ends._order
-    assert isinstance(order, tuple) and cat._ends.order is order
+    r = cat._ends
+    assert list(r.entries()) == list(r.entries()) == row_by_row(r)
+    assert r.order is None

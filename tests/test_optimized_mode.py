@@ -79,7 +79,7 @@ if sys.flags.optimize != 1 or __debug__:
     sys.exit(3)
 poset = zoo.subsets_poset_opposite(2)
 for got, want in ((zoo.pushout_scwol(), zoo.parallel_pair_scwol()),
-                  (loaded(poset, 0), poset), (poset, poset)):
+                  (loaded(poset, 0), loaded(poset, 1)), (poset, poset)):
     try:
         assert_same_table(got, want)
         print("same")

@@ -1,16 +1,16 @@
 """The rows of a category are lists aligned with the morphisms out of each
 target (``fincat._Rows``): cell p of row f holds ``out[t(f)][p] o f``, and
-``order`` keeps each entry's cell, so that the entries come back in the
-order they were given.
+a checked table's ``order`` keeps each entry's cell, so that the entries
+come back in the order they were given; written rows list theirs row by
+row.
 
 Each fill of a ``_Rows`` is recorded, whichever route made it (the rows a
 builder hands ``_stored``, a checked constructor, a manifest), and
 replayed into the dict layout the rows had before (``dict_fill``: one
 dict per row, keyed by g, and the f of each entry): the entries a check
-read, or for written rows the entries in the order the builder wrote,
-whose cells must each be listed once.  Re-keyed (``keyed_rows``), the
-rows equal those dicts, and ``pairs`` and ``table`` give the entries in
-the order the dict layout gave them.  The rows a total makes on first
+read, or for written rows their entries row by row.  Re-keyed
+(``keyed_rows``), the rows equal those dicts, and ``pairs`` and ``table``
+give the entries in the order the dict layout gave them.  The rows a total makes on first
 read (``hocolim._TotalRows``) are compared with the name walk of
 ``reference_total_arrays``.
 """
@@ -65,9 +65,9 @@ class Fills:
 
 
 def written_entries(r: fincat._Rows) -> list:
-    """The entries of rows a builder wrote, in the order it wrote, each
-    cell listed once."""
-    assert sorted(r.order) == list(range(sum(map(len, r.rows))))
+    """The entries of rows a builder wrote, which keep no entry order, so
+    are listed row by row."""
+    assert r.order is None
     return list(r.entries())
 
 

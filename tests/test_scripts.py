@@ -152,10 +152,6 @@ def test_memory_audit_tiny():
     assert set(report["views"].values()) == {0}
     assert report["functors"] > 0 and report["functor_bytes"] > 0
     assert report["functor_views"] == 0
-    # the set-up reads no entry order, so each store keeps its maker, and
-    # a maker's closure (its input's rows, say) holds less than the rows
-    assert 0 < report["makers"] <= report["categories"]
-    assert 0 < report["maker_bytes"] < report["row_bytes"]
     # a row is a tuple of its composites: at most 40 bytes of container per
     # entry, where a dict per row held about 100
     assert 0 < report["row_container_bytes"] <= 40 * report["cells"]
@@ -206,51 +202,6 @@ def test_memory_counts_a_planted_eager_read():
     assert report["views"]["morphisms"] == report["views"]["_mor"] > 0
     assert report["views"]["composition"] == 0
     assert 0 < report["functor_views"] <= report["functors"]
-
-
-# Runs the memory report with every written store's order maker wrapped in
-# a closure over one list of 100,000 slots (800,056 bytes on 64-bit
-# CPython), which only those makers hold.
-PLANTED_MAKER = """
-import runpy, sys
-from eulcat import fincat
-from eulcat.fincat import FinCat
-
-trusted = fincat._trusted
-
-def planter():
-    ballast = [None] * 100_000
-
-    def plant(order):
-        return lambda rows: ballast and order(rows)
-
-    return plant
-
-plant = planter()
-
-def planted(cls, **fields):
-    value = trusted(cls, **fields)
-    ends = fields.get("_ends")
-    if cls is FinCat and callable(ends._order):
-        ends._order = plant(ends._order)
-    return value
-
-fincat._trusted = planted
-path = sys.argv[1]
-sys.argv = [path, "--workload", "audit", "--size", "tiny"]
-runpy.run_path(path, run_name="__main__")
-"""
-
-
-def test_memory_counts_a_planted_maker_closure():
-    plain = json.loads(run_script("memory.py", "--workload", "audit", "--size", "tiny").stdout)
-    out = run_python("-c", PLANTED_MAKER, str(ROOT / "scripts" / "memory.py"))
-    assert out.returncode == 0, out.stdout + out.stderr
-    report = json.loads(out.stdout)
-    assert report["makers"] == plain["makers"]
-    ballast = sys.getsizeof([None] * 100_000)
-    # the list is counted once, and the makers it wraps keep their bytes
-    assert plain["maker_bytes"] + ballast <= report["maker_bytes"] < plain["maker_bytes"] + 2 * ballast
 
 
 def load_scaling():

@@ -1,12 +1,12 @@
-"""Two orders the totals and the manifests are written in, pinned.
+"""Two orders the complexes and the totals are built in, pinned.
 
-The twists of ``groupact.complex_of_groups`` are listed in the entry order
-of its quotient, and the ``groups`` set-up writes them in that order into
-its complex and pseudo-diagram manifests: the keys are checked against the
-named ``pairs()`` of the quotient, and the items are pinned by sha256
-digests recorded while the twists were still read off the quotient's
-entries, on 200 drawn actions and on the 15 actions of the ``groups``
-bench.
+The twists of ``groupact.complex_of_groups`` are listed by b, then by the
+a into the source of b, each in the quotient's index order: the keys are
+checked against that oracle, written here, and the items are pinned by
+sha256 digests recorded while the twists were still read off the
+quotient's entries, on 200 drawn actions and on the 15 actions of the
+``groups`` bench.  (The manifests of a complex and of a pseudo diagram
+sort what they write, so neither reads this order.)
 
 ``hocolim._VertexOrder`` numbers the morphisms of a Grothendieck total:
 ``out[x]`` lists the morphisms out of x by target, ties in index order, and
@@ -47,10 +47,12 @@ GROUPS_DIGESTS = {
 
 def named_twists(action) -> list:
     """The twists of the complex of ``action``, as items, after checking
-    that their keys are the quotient's named pairs in entry order."""
+    that their keys are listed by b, then by the a into s(b), by index."""
     built = groupact.complex_of_groups(action)
     qr, twists = built.quotient.category._ends, built.complex.twists
-    assert list(twists) == [(qr.names[b], qr.names[a]) for b, a in qr.pairs()]
+    mors = range(len(qr.names))
+    assert list(twists) == [(qr.names[b], qr.names[a]) for b in mors for a in mors
+                            if qr.tgt[a] == qr.src[b]]
     return list(twists.items())
 
 

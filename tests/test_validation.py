@@ -1061,7 +1061,7 @@ class TestComplexOfGroups:
         built = complex_of_groups(action, h_elements=h)
         homs, twists = reference_structure_maps(built)
         assert {m: dict(hom.mapping) for m, hom in built.complex.homs.items()} == homs
-        assert list(built.complex.twists.items()) == list(twists.items())
+        assert dict(built.complex.twists) == twists
 
     def test_s3_flag(self):
         """Non-central twists, from chosen h elements: the complex is built
@@ -1071,7 +1071,7 @@ class TestComplexOfGroups:
         built = complex_of_groups(action, h_elements=h_elements)
         homs, twists = reference_structure_maps(built)
         assert {m: dict(hom.mapping) for m, hom in built.complex.homs.items()} == homs
-        assert list(built.complex.twists.items()) == list(twists.items())
+        assert dict(built.complex.twists) == twists
         base, local = built.complex.base, built.complex.local
         rejected = 0
         for (b, a), tw in twists.items():
@@ -1097,7 +1097,7 @@ class TestQuotient:
     @given(actions)
     def test_same_composition_as_pairwise_orbit_loop(self, action):
         got = quotient(action).category.composition
-        assert list(got.items()) == list(reference_quotient_composition(action).items())
+        assert dict(got) == dict(reference_quotient_composition(action))
 
     @pytest.mark.parametrize("objects, arrows, compose, swap, want", [
         # g1 and g2 swapped, their composites h1 and h2 with f fixed
