@@ -10,8 +10,8 @@ Runs the set-up of ``perfbench/workloads.py`` for the workload once, under
   the set-up has returned (after a collection), and its peak during it;
 - ``categories``: the ``FinCat``s reachable from the set-up's tasks, and
   ``with_views`` how many of them hold a name view;
-- ``views``: per name view (``morphisms``, ``composition``, ``_mor``,
-  ``_hom``, ``_by_source``, ``_invertible``), the categories that hold it;
+- ``views``: per name view (``morphisms``, ``composition``, ``_hom``,
+  ``_by_source``, ``_invertible``), the categories that hold it;
 - ``view_bytes``: the bytes those views hold beyond the rows;
 - ``row_bytes``: the bytes the categories' ``_ends`` hold (their rows, or
   a total's arrays and what of its rows it has made);
@@ -54,7 +54,7 @@ import workloads  # noqa: E402
 from eulcat.fincat import CatFunctor, FinCat, Morphism, _Ends  # noqa: E402
 from eulcat.hocolim import _TotalRows  # noqa: E402
 
-VIEWS = ("morphisms", "composition", "_mor", "_hom", "_by_source", "_invertible")
+VIEWS = ("morphisms", "composition", "_hom", "_by_source", "_invertible")
 LEAVES = (str, int, float, bool, type(None), type, types.ModuleType)
 
 

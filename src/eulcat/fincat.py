@@ -140,7 +140,6 @@ class FinCat:
 
     _directly_finite: bool = field(init=False, repr=False)
     _ends: _Rows = field(init=False, repr=False)
-    _mor = _OnFirstRead()
     _hom = _OnFirstRead()
     _by_source = _OnFirstRead()
     _invertible = _OnFirstRead()
@@ -518,15 +517,14 @@ def _stored(name: str, objects: Sequence[str], names: Sequence[str], src: list[i
 
 
 def _headers(objects, morphisms) -> dict:
-    """The lookup tables ``_mor``, ``_hom`` and ``_by_source`` of a FinCat,
-    from morphisms whose endpoints are objects."""
+    """The lookup tables ``_hom`` and ``_by_source`` of a FinCat, from
+    morphisms whose endpoints are objects."""
     hom: dict[tuple[str, str], list[str]] = {}
     by_source: dict[str, list[str]] = {x: [] for x in objects}
     for m in morphisms:
         hom.setdefault((m.source, m.target), []).append(m.name)
         by_source[m.source].append(m.name)
     return {
-        "_mor": {m.name: m for m in morphisms},
         "_hom": {k: tuple(v) for k, v in hom.items()},
         "_by_source": {k: tuple(v) for k, v in by_source.items()},
     }

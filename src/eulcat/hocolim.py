@@ -72,10 +72,11 @@ class ForeignSpectrum(ValidationError):
 
 def _is_composite(first: CatFunctor, second: CatFunctor, fun: CatFunctor) -> bool:
     """Whether ``fun`` has the maps of ``first`` then ``second``, composed key
-    by key: an extra key of ``first`` is kept, or raises KeyError."""
+    by key: an extra key of ``first`` is kept, and one that ``second`` does
+    not map fails the compare."""
     return (dict(fun.obj_map), dict(fun.mor_map)) == (
-        {x: second.obj_map[y] for x, y in first.obj_map.items()},
-        {m: second.mor_map[n] for m, n in first.mor_map.items()})
+        {x: second.obj_map.get(y) for x, y in first.obj_map.items()},
+        {m: second.mor_map.get(n) for m, n in first.mor_map.items()})
 
 
 def _check_vertices_and_edges(d: Diagram) -> None:

@@ -703,7 +703,8 @@ def reference_check_functor(src: FinCat, tgt: FinCat, obj_map: Mapping, mor_map:
     def fail(message: str, law: str, at) -> NoReturn:
         raise NotAFunctor(message, witness={"law": law, "at": at})
 
-    mor, comp, src_ids = tgt._mor, tgt.composition, set(src.identity.values())
+    mor, comp = {m.name: m for m in tgt.morphisms}, tgt.composition
+    src_ids = set(src.identity.values())
     for x in src.objects:
         if x not in obj_map or not tgt.has_object(obj_map[x]):
             fail(f"object map undefined or out of range at {x!r}", "objects", x)
@@ -746,7 +747,7 @@ def reference_check_natural(cat, tgt, f_obj, f_mor, g_obj, g_mor, components, wh
         c = components.get(x)
         if c is None:
             fail(f"no component at {x!r}", object=x)
-        if c not in tgt._mor:
+        if c not in {m.name for m in tgt.morphisms}:
             fail(f"component at {x!r} is not a morphism of {tgt.name}", object=x)
         if tgt.source(c) != f_obj[x] or tgt.target(c) != g_obj[x]:
             fail(f"component at {x!r} has wrong endpoints", object=x)
@@ -955,7 +956,7 @@ def reference_walk_functor_maps(src: FinCat, tgt: FinCat, obj_map: Mapping,
     for x in src.objects:
         if x not in obj_map or not tgt.has_object(obj_map[x]):
             _not_a_functor(f"object map undefined or out of range at {x!r}", "objects", x)
-    mor = tgt._mor
+    mor = {m.name: m for m in tgt.morphisms}
     for m in src.morphisms:
         if m.name not in mor_map:
             _not_a_functor(f"morphism map undefined at {m.name!r}", "morphisms", m.name)
@@ -1353,94 +1354,6 @@ def reference_retract(cat: FinCat, rep_of: Mapping[str, str], name: str):
     return gamma, inclusion, (dict(rep_of), r_mor), eta_comp
 
 
-def reference_lower_link(cat: FinCat, obj: str) -> FinCat:
-    link_objs = tuple(m for m in cat.morphisms_from(obj) if not cat.is_identity(m))
-
-    def pair_name(u: str, a: str) -> str:
-        return f"({u},{a})"
-
-    mors, comp, ident, u_of = [], {}, {}, {}
-    for a in link_objs:
-        for u in cat.morphisms_from(cat.target(a)):
-            b = cat.compose(u, a)
-            if b in link_objs:
-                nm = pair_name(u, a)
-                mors.append(Morphism(nm, a, b))
-                u_of[nm] = u
-                if cat.is_identity(u):
-                    ident[a] = nm
-    out: dict[str, list[Morphism]] = {a: [] for a in link_objs}
-    for m in mors:
-        out[m.source].append(m)
-    for m1 in mors:
-        for m2 in out[m1.target]:
-            comp[(m2.name, m1.name)] = pair_name(
-                cat.compose(u_of[m2.name], u_of[m1.name]), m1.source
-            )
-    return FinCat(link_objs, tuple(mors), ident, comp, name=f"Lk^{obj}({cat.name})")
-
-
-def reference_opposite(cat: FinCat) -> FinCat:
-    mors = tuple(Morphism(m.name, m.target, m.source) for m in cat.morphisms)
-    comp = {(f, g): gf for (g, f), gf in cat.composition.items()}
-    return FinCat(cat.objects, mors, dict(cat.identity), comp, name=f"{cat.name}^op")
-
-
-def reference_product(a: FinCat, b: FinCat) -> FinCat:
-    def po(x, y):
-        return f"({x},{y})"
-
-    objs = tuple(po(x, y) for x in a.objects for y in b.objects)
-    mors = tuple(
-        Morphism(po(m.name, n.name), po(m.source, n.source), po(m.target, n.target))
-        for m in a.morphisms
-        for n in b.morphisms
-    )
-    ident = {po(x, y): po(a.identity[x], b.identity[y]) for x in a.objects for y in b.objects}
-    comp = {}
-    for (g1, f1), c1 in a.composition.items():
-        for (g2, f2), c2 in b.composition.items():
-            comp[(po(g1, g2), po(f1, f2))] = po(c1, c2)
-    return FinCat(objs, mors, ident, comp, name=f"{a.name}x{b.name}")
-
-
-def reference_quotient(action) -> FinCat:
-    cat = action.space
-    obj_orbit = {x: orb[0] for orb in action.object_orbits() for x in orb}
-    mor_orbit = {m: orb[0] for orb in action.morphism_orbits() for m in orb}
-    objs = tuple(sorted(set(obj_orbit.values())))
-    mors = tuple(
-        Morphism(m, obj_orbit[cat.source(m)], obj_orbit[cat.target(m)])
-        for m in sorted(set(mor_orbit.values()))
-    )
-    ident = {x: mor_orbit[cat.identity[x]] for x in objs}
-    composite = {(mor_orbit[b], mor_orbit[a]): mor_orbit[ba]
-                 for (b, a), ba in cat.composition.items()}
-    return FinCat(objs, mors, ident, dict(sorted(composite.items())),
-                  name=f"{cat.name}/{action.group.name}")
-
-
-def reference_hocolim_groups(cplx) -> FinCat:
-    base = cplx.base
-
-    def nm(a: str, g: str) -> str:
-        return f"({a},{g})"
-
-    mors = [Morphism(nm(m.name, g), m.source, m.target)
-            for m in base.morphisms for g in cplx.local[m.target].labels]
-    ident = {x: nm(base.identity[x], cplx.local[x].identity) for x in base.objects}
-    comp = {}
-    for ma in base.morphism_names():
-        for mb in base.morphisms_from(base.target(ma)):
-            tgt = cplx.local[base.target(mb)]
-            tw_inv = tgt.inv(cplx.twist(mb, ma))
-            for g1 in cplx.local[base.target(ma)].labels:
-                k = tgt.mul(cplx.homs[mb](g1), tw_inv)
-                for g2 in tgt.labels:
-                    comp[(nm(mb, g2), nm(ma, g1))] = nm(base.compose(mb, ma), tgt.mul(g2, k))
-    return FinCat(tuple(base.objects), tuple(mors), ident, comp, name=f"hocolim({base.name})")
-
-
 def reference_transport_groupoid(group, elements, act) -> FinCat:
     def nm(g: str, s: str) -> str:
         return f"({g},{s})"
@@ -1454,97 +1367,6 @@ def reference_transport_groupoid(group, elements, act) -> FinCat:
             for h in group.labels:
                 comp[(nm(h, act[g][s]), nm(g, s))] = nm(group.mul(h, g), s)
     return FinCat(elements, tuple(mors), ident, comp, name=f"transport({group.name})")
-
-
-def reference_one_object_category(group, obj: str = "*") -> FinCat:
-    mors = [Morphism(g, obj, obj) for g in group.labels]
-    comp = {(g, f): group.mul(g, f) for g in group.labels for f in group.labels}
-    return FinCat((obj,), tuple(mors), {obj: group.identity}, comp, name=f"B{group.name}")
-
-
-def reference_connected_groupoid(group, n_objects: int, prefix: str) -> FinCat:
-    objs = tuple(f"{prefix}.{i}" for i in range(n_objects))
-
-    def nm(g, i, j):
-        return f"{prefix}[{g};{i},{j}]"
-
-    mors, ident, comp = [], {}, {}
-    for i in range(n_objects):
-        ident[objs[i]] = nm(group.identity, i, i)
-        for j in range(n_objects):
-            for g in group.labels:
-                mors.append(Morphism(nm(g, i, j), objs[i], objs[j]))
-    for i, j, k in itertools.product(range(n_objects), repeat=3):
-        for g in group.labels:
-            for h in group.labels:
-                comp[(nm(h, j, k), nm(g, i, j))] = nm(group.mul(h, g), i, k)
-    return FinCat(objs, tuple(mors), ident, comp, name=f"gpd({prefix})")
-
-
-def reference_disjoint_union(cats) -> FinCat:
-    ident, comp = {}, {}
-    for c in cats:
-        ident.update(c.identity)
-        comp.update(c.composition)
-    return FinCat(tuple(x for c in cats for x in c.objects),
-                  tuple(m for c in cats for m in c.morphisms), ident, comp,
-                  name="+".join(c.name for c in cats))
-
-
-def reference_random_groupoid(rng, max_objects: int = 4, max_group_order: int = 4,
-                              tag: str = "c") -> randgen.Groupoid:
-    """``randgen.random_groupoid`` as it was before it wrote one store: the
-    same draw, each component written as a store of its own
-    (``stored_connected_groupoid``), then every composite copied into a
-    second store (``stored_disjoint_union``)."""
-    total = rng.randint(1, max_objects)
-    sizes = []
-    while total > 0:
-        s = rng.randint(1, total)
-        sizes.append(s)
-        total -= s
-    cats = []
-    comps = []
-    for idx, size in enumerate(sizes):
-        grp = randgen.random_group(rng, max_group_order)
-        cat, comp = stored_connected_groupoid(grp, size, prefix=f"{tag}{idx}")
-        cats.append(cat)
-        comps.append(comp)
-    return randgen.Groupoid(stored_disjoint_union(cats), tuple(comps))
-
-
-def stored_connected_groupoid(group, n_objects: int, prefix: str):
-    """One component of ``reference_random_groupoid``, with its own store."""
-    objs, objects, n = tuple(f"{prefix}.{i}" for i in range(n_objects)), range(n_objects), group.order
-
-    def at(g, i, j):  # the index of (g; i, j)
-        return (i * n_objects + j) * n + g
-
-    cat = checked_store(f"gpd({prefix})", objs,
-                        [f"{prefix}[{g};{i},{j}]" for i in objects for j in objects
-                         for g in group.labels],
-                        [i for i in objects for _ in objects for _ in range(n)],
-                        [j for _ in objects for j in objects for _ in range(n)],
-                        [at(group._identity, i, i) for i in objects],
-                        ((at(h, j, k), at(g, i, j), at(row_h[g], i, k)) for i in objects
-                         for j in objects for k in objects for g in range(n)
-                         for h, row_h in enumerate(group.table)))
-    return cat, randgen.GroupoidComponent(prefix, group, objs)
-
-
-def stored_disjoint_union(cats) -> FinCat:
-    """The categories side by side, copied off their rows."""
-    objects, names, src, tgt, ident, parts = [], [], [], [], [], []
-    for c in cats:
-        r, n_obj, n_mor = c._ends, len(objects), len(names)
-        objects += c.objects
-        names += r.names
-        src += [x + n_obj for x in r.src]
-        tgt += [y + n_obj for y in r.tgt]
-        ident += [e + n_mor for e in r.ident]
-        parts.append((r, n_mor))
-    return checked_store("+".join(c.name for c in cats), objects, names, src, tgt, ident,
-                         ((g + n, f + n, gf + n) for r, n in parts for g, f, gf in r.entries()))
 
 
 def load_workloads():
@@ -1580,159 +1402,7 @@ def reference_random_groupoid_functor(rng, src: randgen.Groupoid,
     return CatFunctor(src.category, tgt.category, obj_map, mor_map)
 
 
-def reference_induced_space(group, base: FinCat) -> FinCat:
-    """The space of ``randgen.induced_free_action(group, base)``."""
-
-    def ob(g, x):
-        return f"{g}*{x}"
-
-    def mo(g, m):
-        return f"{g}*{m}"
-
-    objs = tuple(ob(g, x) for g in group.labels for x in base.objects)
-    mors = tuple(Morphism(mo(g, m.name), ob(g, m.source), ob(g, m.target))
-                 for g in group.labels for m in base.morphisms)
-    ident = {ob(g, x): mo(g, base.identity[x]) for g in group.labels for x in base.objects}
-    comp = {(mo(g, b), mo(g, a)): mo(g, ba)
-            for g in group.labels for (b, a), ba in base.composition.items()}
-    return FinCat(objs, mors, ident, comp, name=f"{group.name}x{base.name}")
-
-
-
-# -- the cone, the inflation and the action lifts by name, as references --------
-# (each through the checked constructor, as they were built before they were
-# written off rows and arrays)
-
-
-def reference_inflate(cat: FinCat, copies: Mapping[str, int], name: str | None = None) -> FinCat:
-    """``zoo.inflate`` by name."""
-
-    def ob(x, i):
-        return f"{x}~{i}"
-
-    def mo(m, i, j):
-        return f"{m}~{i}~{j}"
-
-    objs = []
-    for x in cat.objects:
-        for i in range(copies.get(x, 1)):
-            objs.append(ob(x, i))
-    mors = []
-    ident = {}
-    comp = {}
-    for m in cat.morphisms:
-        for i in range(copies.get(m.source, 1)):
-            for j in range(copies.get(m.target, 1)):
-                nm = mo(m.name, i, j)
-                mors.append(Morphism(nm, ob(m.source, i), ob(m.target, j)))
-                if cat.is_identity(m.name) and i == j:
-                    ident[ob(m.source, i)] = nm
-    for (g, f), gf in cat.composition.items():
-        fs = cat.source(f)
-        ft = cat.target(f)
-        gt = cat.target(g)
-        for i in range(copies.get(fs, 1)):
-            for j in range(copies.get(ft, 1)):
-                for k in range(copies.get(gt, 1)):
-                    comp[(mo(g, j, k), mo(f, i, j))] = mo(gf, i, k)
-    return FinCat(tuple(objs), tuple(mors), ident, comp, name=name or f"infl({cat.name})")
-
-
-def reference_cone(cat: FinCat, apex: str = "t") -> FinCat:
-    """``zoo.cone`` by name."""
-    if cat.has_object(apex):
-        raise ValueError(f"object {apex!r} already present")
-    objs = cat.objects + (apex,)
-    mors = list(cat.morphisms)
-    ident = dict(cat.identity)
-    comp = dict(cat.composition)
-
-    def free(name):  # a name a morphism of cat has is qualified by the apex
-        return f"{name}@{apex}" if name in cat.morphism_names() else name
-
-    def nm(x):
-        return free(f"c[{x}]")
-
-    top = free(f"id_{apex}")
-    ident[apex] = top
-    mors.append(Morphism(top, apex, apex))
-    comp[(top, top)] = top
-    for x in cat.objects:
-        mors.append(Morphism(nm(x), x, apex))
-        comp[(top, nm(x))] = nm(x)
-        comp[(nm(x), cat.identity[x])] = nm(x)
-    for m in cat.morphisms:
-        if not cat.is_identity(m.name):
-            comp[(nm(m.target), m.name)] = nm(m.source)
-    return FinCat(tuple(objs), tuple(mors), ident, comp, name=f"cone({cat.name})")
-
-
-def reference_cone_action(action, apex: str = "t"):
-    """``randgen.cone_action`` by name, through the checked constructor."""
-    space = reference_cone(action.space, apex)
-    # the new arrows, named as the cone names them: id_apex, then each c[x]
-    top, *arrows = space.morphism_names()[len(action.space.morphism_names()):]
-    c = dict(zip(action.space.objects, arrows))
-    on_objects = {}
-    on_morphisms = {}
-    for g in action.group.labels:
-        omap = dict(action.on_objects[g])
-        omap[apex] = apex
-        mmap = dict(action.on_morphisms[g])
-        mmap[top] = top
-        for x in action.space.objects:
-            mmap[c[x]] = c[action.act_obj(g, x)]
-        on_objects[g] = omap
-        on_morphisms[g] = mmap
-    return groupact.ScwolAction(action.group, space, on_objects, on_morphisms)
-
-
-def reference_inflate_action(action, copies: Mapping[str, int]):
-    """``randgen.inflate_action`` by name, through the checked constructor."""
-    for x in action.space.objects:
-        for g in action.group.labels:
-            if copies.get(x, 1) != copies.get(action.act_obj(g, x), 1):
-                raise ValueError("copy counts must be constant on orbits")
-    space = reference_inflate(action.space, copies)
-    on_objects = {}
-    on_morphisms = {}
-    for g in action.group.labels:
-        omap = {}
-        mmap = {}
-        for x in action.space.objects:
-            for i in range(copies.get(x, 1)):
-                omap[f"{x}~{i}"] = f"{action.act_obj(g, x)}~{i}"
-        for m, x, y in action.space._arrows():
-            gm = action.act_mor(g, m)
-            for i in range(copies.get(x, 1)):
-                for j in range(copies.get(y, 1)):
-                    mmap[f"{m}~{i}~{j}"] = f"{gm}~{i}~{j}"
-        on_objects[g] = omap
-        on_morphisms[g] = mmap
-    return groupact.ScwolAction(action.group, space, on_objects, on_morphisms)
-
-
-def reference_induced_free_action(group, base: FinCat):
-    """``randgen.induced_free_action`` by name, through the checked
-    constructor."""
-
-    def ob(g, x):
-        return f"{g}*{x}"
-
-    def mo(g, m):
-        return f"{g}*{m}"
-
-    on_objects = {
-        g: {ob(h, x): ob(group.mul(g, h), x) for h in group.labels for x in base.objects}
-        for g in group.labels
-    }
-    on_morphisms = {
-        g: {mo(h, m): mo(group.mul(g, h), m) for h in group.labels for m in base.morphism_names()}
-        for g in group.labels
-    }
-    return groupact.ScwolAction(group, reference_induced_space(group, base), on_objects,
-                                on_morphisms)
-
+# -- a planted fault in an action lift --------------------------------------------
 
 
 def inflate_action_without_offset(action, copies: Mapping[str, int]):
@@ -1744,6 +1414,7 @@ def inflate_action_without_offset(action, copies: Mapping[str, int]):
                         ([ob[y] for x, y in enumerate(fo) for _ in range(n[x])],
                          [at[gm] for m, gm in enumerate(fm) for _ in range(at[m + 1] - at[m])])
                         for fo, fm in action._arrays])
+
 
 # -- the name walks of the Grothendieck builder, as references --------------------------
 
@@ -2130,7 +1801,8 @@ def reference_all_homs(source: FinGroup, target: FinGroup) -> list[GroupHom]:
 def reference_strict_diagram_checks(self) -> None:
     """The body of ``StrictDiagram.__post_init__`` as it was, comparing the
     edges' name maps as dicts on every identity and every composable pair
-    in the order of the index's table; ``self`` is an unvalidated
+    in the order of the index's table (a stray key of the first edge that
+    the second does not map raises KeyError); ``self`` is an unvalidated
     StrictDiagram."""
     _check_vertices_and_edges(self)
     idx = self.index
@@ -2140,7 +1812,9 @@ def reference_strict_diagram_checks(self) -> None:
             raise ValidationError(f"edge at id_{i!r} is not the identity functor",
                                   witness={"object": i})
     for (v, u), vu in idx.composition.items():
-        if not hocolim._is_composite(self.edge[u], self.edge[v], self.edge[vu]):
+        fun = self.edge[vu]
+        if reference_composite_maps(self.edge[u], self.edge[v]) != (dict(fun.obj_map),
+                                                                     dict(fun.mor_map)):
             raise ValidationError(f"strictness fails: edge({vu!r}) != edge({v!r}) o edge({u!r})",
                                   witness={"pair": (v, u)})
 
@@ -2263,9 +1937,9 @@ def reference_complex_from_payload(payload) -> groupact.ComplexOfGroups:
 
 def reference_name_fields(objects, morphisms, identity, composition) -> dict:
     """The name fields the checked constructor once kept from its inputs:
-    the records and the table as given, the lookup tables ``_mor``,
-    ``_hom`` and ``_by_source`` built eagerly from the records (as
-    ``fincat._headers`` does), and the inverse map by a search of the given
+    the records and the table as given, the lookup tables ``_hom`` and
+    ``_by_source`` built eagerly from the records (as ``fincat._headers``
+    does), and the inverse map by a search of the given
     table: each m against Hom(t(m), s(m)) in order, stopping at the first
     two-sided inverse."""
     hom: dict = {}
@@ -2283,7 +1957,6 @@ def reference_name_fields(objects, morphisms, identity, composition) -> dict:
     return {
         "morphisms": tuple(morphisms),
         "composition": dict(composition),
-        "_mor": {m.name: m for m in morphisms},
         "_hom": {k: tuple(v) for k, v in hom.items()},
         "_by_source": {k: tuple(v) for k, v in by_source.items()},
         "_invertible": inverse,

@@ -3,18 +3,24 @@
 ``fincat.full_subcategory``, ``lower_link``, ``opposite`` and ``product``,
 ``groupact.quotient``, ``hocolim_groups`` and ``_transport_groupoid``, and
 the space of ``randgen.induced_free_action`` write their stores unchecked
-through ``fincat._stored``, each lawful by the proof in its docstring.
-Their stores are pinned by sha256 digests (``helpers.store``: name,
-objects, identity map, morphism names, endpoints, identities, rows,
-inverses and direct finiteness) on fixed inputs and on seeded draws,
-re-recorded without the entry order (a written store keeps none) on the
-code that still kept one, whose digests with it were recorded while every
-writer still scattered entries into rows; the free
-actions ``random_free_action`` draws are pinned with their group, their
-arrays and the state of the generator after each draw.  Each store is
-rebuilt through the checked constructor (``helpers.assert_revalidates``),
-and its positions are the ones ``groups._positions`` finds.  Non-vacuity: a
-writer that swaps two cells of a row fails both.
+through ``fincat._stored``, each lawful by the proof in its docstring, and
+``randgen.cone_action``, ``inflate_action`` and ``induced_free_action``
+write their arrays unchecked.  This module is the one pin of each
+(``scripts/mutants.py`` found no mutant that a name-level copy killed and
+these digests did not).  Their stores are pinned by sha256 digests
+(``helpers.store``: name, objects, identity map, morphism names, endpoints,
+identities, rows, inverses and direct finiteness) on fixed inputs and on
+seeded draws, re-recorded without the entry order (a written store keeps
+none) on the code that still kept one, whose digests with it were recorded
+while every writer still scattered entries into rows.  The free actions
+``random_free_action`` draws are pinned with their group, their arrays and
+the state of the generator after each draw; the arrays of the fixed actions
+and of those ``random_action`` draws, lifts among them, with their spaces,
+and of each one's inflation at its first object, or the message that rejects
+it (``LIFT_DIGEST``).  Each store is rebuilt through the checked constructor
+(``helpers.assert_revalidates``), and its positions are the ones
+``groups._positions`` finds.  Non-vacuity: a writer that swaps two cells of
+a row fails both.
 """
 
 from random import Random
@@ -25,7 +31,8 @@ from eulcat import fincat, groupact, randgen, zoo
 from eulcat.errors import ValidationError
 from eulcat.groups import _positions, symmetric_group
 
-from helpers import assert_revalidates, digest, split_idempotent, store
+from helpers import (assert_revalidates, digest, s3_chain, s3_flag_action, split_idempotent,
+                     store)
 
 Z1, Z2, Z3, Z4, V4, Z5, Z6, S3 = randgen.group_pool()
 SEEDS = range(60)
@@ -57,6 +64,11 @@ def transport(group, members, max_orbits=None, seed=None):
     return groupact.transport_groupoid(group, elements, act)
 
 
+def flag_complex():
+    action, h_elements = s3_flag_action()
+    return groupact.complex_of_groups(action, h_elements=h_elements).complex
+
+
 CASES = {
     "full(subsets_op(2))": lambda: fincat.full_subcategory(
         zoo.subsets_poset_opposite(2), ["{0,1,2}", "{0,2}", "{2}", "{1}"]),
@@ -86,6 +98,10 @@ CASES = {
        for k in actions()},
     **{f"hocolim_groups({k})": lambda k=k: groupact.hocolim_groups(
         groupact.complex_of_groups(actions()[k]).complex) for k in actions()},
+    # twists that commute with no 3-cycle: the order of the factors of a composite shows
+    "hocolim_groups(S3 chain)": lambda: groupact.hocolim_groups(
+        groupact.ComplexOfGroups(*s3_chain(conjugating=True))),
+    "hocolim_groups(S3 flag)": lambda: groupact.hocolim_groups(flag_complex()),
     "transport(S3/Z2)": lambda: transport(S3, ["012", "021"]),
     "transport(S3/S3)": lambda: transport(S3, S3.labels),
     "transport(V4, seed 3)": lambda: transport(V4, None, 3, 3),
@@ -189,6 +205,10 @@ DIGESTS = {  # re-recorded at the parent without the entry order (module docstri
         "2d52f9c6fa466e8301deaef34c8b061dbbcb4e43d8a87d840c93e2f9f690d55e",
     "hocolim_groups(trivial(Z3, pushout))":
         "6d1682233b1a44c5a45eba8be14037d7de47239668e5177d9fd1d7979d81d197",
+    "hocolim_groups(S3 chain)":
+        "bd1c79ce1df141b8dcae2f0446de7ca327d3d1a9c45a8f4f6e1ccca73fb99534",
+    "hocolim_groups(S3 flag)":
+        "7a44b30688d8519dfa2a81c4b2037554590dbab7f4135089d483320e8efa822b",
     "transport(S3/Z2)":
         "535c526a18684f240b0eb4743f683146eacbd8ea86f723e9870394f6ba266490",
     "transport(S3/S3)":
@@ -210,6 +230,8 @@ DIGESTS = {  # re-recorded at the parent without the entry order (module docstri
 }
 FREE_DIGEST = (  # 200 seeds of ``random_free_action``: group, space store, arrays, state
     "c2c114c086047e1f862542623cb9c082115926852aa4994292dc6de1d7a35f8b")
+LIFT_DIGEST = (  # ``lifted_actions``, recorded before the lifts' name-level copies were retired
+    "23ae7eabe5bdb537c7f329af912c5e81085f2769634fc7397bbac3810001a967")
 
 
 def check(cat) -> None:
@@ -240,6 +262,35 @@ def free_draws() -> list:
         act = randgen.random_free_action(rng)
         out.append((act.group.name, store(act.space), act._arrays, rng.getstate()))
     return out
+
+
+def arrays(action) -> list:
+    return [(list(fo), list(fm)) for fo, fm in action._arrays]
+
+
+def lifted_actions() -> list:
+    """The space's store and the arrays of each fixed action and of the
+    action each seed draws (``random_action``), the cone and inflation lifts
+    and the induced free actions among them; and the arrays of each one's
+    inflation with two copies of its first object, or the message that
+    rejects those counts when they are not constant on its orbits."""
+    out = []
+    for act in [*actions().values(), *(randgen.random_action(Random(seed)) for seed in SEEDS)]:
+        try:
+            fat = arrays(randgen.inflate_action(act, {act.space.objects[0]: 2}))
+        except ValueError as exc:
+            fat = str(exc)
+        out.append((store(act.space), arrays(act), fat))
+    return out
+
+
+def test_lifted_actions_are_the_recorded_ones():
+    """The lifts write the arrays they wrote when the digest was recorded,
+    and each lifted action passes the checked constructor."""
+    assert digest(lifted_actions()) == LIFT_DIGEST
+    for act in [*actions().values(), *(randgen.random_action(Random(s)) for s in SEEDS[::3])]:
+        check(act.space)
+        assert_revalidates(act)
 
 
 def test_drawn_free_actions_are_the_recorded_ones():

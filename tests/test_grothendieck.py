@@ -375,7 +375,7 @@ class TestLiftedInverses:
 
 
 # the fields of a total made on first read
-NAME_FIELDS = {"objects", "morphisms", "identity", "composition", "_mor", "_hom", "_by_source",
+NAME_FIELDS = {"objects", "morphisms", "identity", "composition", "_hom", "_by_source",
                "_invertible"}
 
 
@@ -437,9 +437,9 @@ class TestTableOnFirstRead:
                 assert not NAME_FIELDS & vars(total).keys()
             assert counts == {"morphism_names": 0, "_headers": 0, "composites": 0}
             records = total.morphisms
-            assert {"objects", "morphisms", "_mor", "_hom", "_by_source"} == \
+            assert {"objects", "morphisms", "_hom", "_by_source"} == \
                 vars(total).keys() & NAME_FIELDS
-            assert total._mor and total.identity and total.morphisms is records
+            assert total._hom and total.identity and total.morphisms is records
             assert counts == {"morphism_names": 1, "_headers": 1, "composites": 0}
             total.composition
             assert counts == {"morphism_names": 1, "_headers": 1, "composites": 1}

@@ -16,7 +16,10 @@ and diagram the ``audit`` set-up draws through ``CatFunctor.from_arrays``
 and ``StrictDiagram`` (``helpers.assert_revalidates``).  Non-vacuity: a
 functor with one wrong image passes the drawing and fails the cross-check,
 and a writer that swaps two cells fails the digests and the checked
-constructor.
+constructor.  These digests are the one pin of ``groupoid_union`` and
+``random_groupoid``: the name-level copies they were once compared with
+are gone, as ``scripts/mutants.py`` found no mutant that the comparison
+killed and these digests did not.
 """
 
 from random import Random

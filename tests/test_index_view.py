@@ -35,6 +35,7 @@ from helpers import (
     keyed_rows,
     loaded,
     monoid_z2_mult,
+    reference_composite_maps,
     reference_haefliger_chi,
     reference_strict_diagram_checks,
     reference_total_arrays,
@@ -152,8 +153,9 @@ def mutated_edges(d, rng, how):
 def indexes(d) -> tuple:
     """The index of ``d`` and a checked copy of it that lists its entries
     backwards.  A written index lists its identity rows first, so the check
-    meets a stray key at (m, id) as a failed compare; backwards, a pair
-    (g, m) comes first, and a stray key that names nothing raises KeyError."""
+    meets a stray key at (m, id); backwards, a pair (g, m) comes first,
+    where the name-dict reference raises KeyError on a stray key that names
+    nothing."""
     idx = d.index
     return idx, FinCat(idx.objects, idx.morphisms, dict(idx.identity),
                        dict(reversed(idx.composition.items())), name=idx.name)
@@ -164,19 +166,25 @@ class TestStrictCheck:
     @given(strict_diagrams, SEEDS, st.sampled_from(("stray", "swap", "identity")))
     def test_as_by_names(self, d, seed, how):
         """The check on arrays and the name-dict check it replaced give the
-        same class, message and witness, or the same KeyError of a stray
-        key, on a diagram with one edge changed, over either index."""
+        same class, message and witness on a diagram with one edge changed,
+        over either index; where the reference raises KeyError on a stray
+        key, the check fails the compare at that pair."""
         edge = mutated_edges(d, Random(seed), how)
         for index in indexes(d):
             got = failure(StrictDiagram, index, d.vertex, edge)
             want = failure(reference_strict_diagram_checks,
                            unvalidated(StrictDiagram, index=index, vertex=d.vertex, edge=edge))
+            if want is not None and want[0] is KeyError:
+                (v, u), vu = next(pair for pair in index.composition.items() if failure(
+                    reference_composite_maps, edge[pair[0][1]], edge[pair[0][0]]))
+                want = (ValidationError,
+                        f"strictness fails: edge({vu!r}) != edge({v!r}) o edge({u!r})",
+                        {"pair": (v, u)})
             assert got == want
 
     def test_every_kind_of_rejection_is_seen(self):
         """Non-vacuity: over a few seeds each mutation is rejected at least
-        once, and a stray key is seen both as a failed compare and as a
-        KeyError."""
+        once, and a stray key only ever as a failed compare."""
         seen = set()
         for seed in range(60):
             d = randgen.random_strict_diagram(Random(seed))
@@ -187,7 +195,21 @@ class TestStrictCheck:
                     if got is not None:
                         seen.add((how, got[0]))
         assert {how for how, _ in seen} == {"stray", "swap", "identity"}
-        assert {cls for how, cls in seen if how == "stray"} == {ValidationError, KeyError}
+        assert {cls for how, cls in seen if how == "stray"} == {ValidationError}
+
+    def test_a_stray_key_over_the_backwards_index(self):
+        """An edge with a map key that names nothing fails the compare over
+        either entry order: the written opposite of the pushout meets it at
+        (g, id_k), and its backwards copy at (id_j, g), where the first
+        edge's stray key was looked up in the second edge's map and raised a
+        bare KeyError."""
+        d = constant_diagram(fincat.opposite(zoo.pushout_scwol()), zoo.arrow_category())
+        g = d.edge["g"]
+        edge = {**d.edge, "g": CatFunctor(g.source, g.target, dict(g.obj_map),
+                                          {**g.mor_map, "?extra": "?nowhere"})}
+        got = [failure(StrictDiagram, index, d.vertex, edge) for index in indexes(d)]
+        assert got == [(ValidationError, f"strictness fails: edge('g') != edge({v!r}) o edge({u!r})",
+                        {"pair": (v, u)}) for v, u in (("g", "id_k"), ("id_j", "g"))]
 
 
 def moving_unit() -> PseudoDiagram:

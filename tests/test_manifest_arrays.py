@@ -49,7 +49,7 @@ def verdict(read, payload):
 
 
 NAMES = ("name", "objects", "morphisms", "identity", "composition", "_invertible",
-         "_directly_finite", "_mor", "_hom", "_by_source")
+         "_directly_finite", "_hom", "_by_source")
 
 
 def normal(value):
@@ -187,7 +187,7 @@ class TestRecordReference:
 
 # -- records and name lookups made on first read --------------------------------------
 
-RECORD_FIELDS = {"morphisms", "_mor", "_hom", "_by_source"}
+RECORD_FIELDS = {"morphisms", "_hom", "_by_source"}
 
 
 def records_made(cat) -> set:

@@ -44,7 +44,7 @@ from helpers import (
 from strategies import SEEDS, groupoids, posets, scwols
 
 ROOT = Path(__file__).resolve().parents[1]
-VIEWS = ("morphisms", "composition", "_mor", "_hom", "_by_source", "_invertible")
+VIEWS = ("morphisms", "composition", "_hom", "_by_source", "_invertible")
 
 
 def load_memory_script():
@@ -173,7 +173,7 @@ class TestNoViewsAfterConstruction:
         assert cat.hom("j", "k") == ("g",)
         assert cat.morphisms_from("j") == ("id_j", "g", "h")
         assert not cat.is_invertible("g") and cat.inverse("id_j") == "id_j"
-        cat.morphisms, cat._mor, cat.composition, cat.composition
+        cat.morphisms, cat._by_source, cat.composition, cat.composition
         assert makes == [("P", "_hom"), ("P", "_invertible"), ("P", "composition")]
 
 
@@ -431,4 +431,4 @@ class TestAuditSetUpMakesNoViews:
         monkeypatch.setattr(fincat, "_trusted", eager_trusted)
         instances = memory.workloads.audit_instances(0, 10)
         held = views_held(instances)
-        assert held and {attr for _, attr in held} == {"morphisms", "_mor", "_hom", "_by_source"}
+        assert held and {attr for _, attr in held} == {"morphisms", "_hom", "_by_source"}

@@ -1,5 +1,6 @@
 """Smoke runs of the scripts under ``scripts/``, each in its own process."""
 
+import hashlib
 import importlib.util
 import json
 import os
@@ -199,7 +200,7 @@ def test_memory_counts_a_planted_eager_read():
     assert out.returncode == 0, out.stdout + out.stderr
     report = json.loads(out.stdout)
     assert report["with_views"] > 0 and report["view_bytes"] > 0
-    assert report["views"]["morphisms"] == report["views"]["_mor"] > 0
+    assert report["views"]["morphisms"] == report["views"]["_hom"] > 0
     assert report["views"]["composition"] == 0
     assert 0 < report["functor_views"] <= report["functors"]
 
@@ -300,3 +301,65 @@ def test_scaling_fails_on_a_wrong_groupoid_oracle(monkeypatch, capsys):
     assert failures_with_a_wrong_oracle(monkeypatch, capsys, "Groupoid",
                                         lambda n: {"entries": 27 * n * n + 1}) == [
         "Groupoid n=2: entries = 108, oracle 109"]
+
+
+# A package of one function for ``scripts/mutants.py``: swapping ``<`` for
+# ``<=`` is an equivalent mutant (at 0 both leave 0), and dropping the ``if``
+# body or returning after it is killed by ``TOY_TEST``.
+TOY = """def floor_at_zero(x):
+    if x < 0:
+        x = 0
+    return x
+"""
+TOY_TEST = """from eulcat.toy import floor_at_zero
+
+def test_floor_at_zero():
+    assert [floor_at_zero(x) for x in (-1, 0, 2)] == [0, 0, 2]
+"""
+
+
+def tree_digest(root: Path) -> str:
+    """sha256 over the paths and bytes of every file under ``root``."""
+    h = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        h.update(str(path.relative_to(root)).encode() + b"\0" + path.read_bytes())
+    return h.hexdigest()
+
+
+def toy_tree(root: Path, test: str) -> Path:
+    """``scripts/mutants.py`` beside a package ``eulcat`` that holds ``TOY``
+    alone, and a test file ``test``."""
+    for path, text in (("scripts/mutants.py", (ROOT / "scripts" / "mutants.py").read_text()),
+                       ("src/eulcat/__init__.py", ""), ("src/eulcat/toy.py", TOY),
+                       ("tests/test_toy.py", test)):
+        (root / path).parent.mkdir(parents=True, exist_ok=True)
+        (root / path).write_text(text)
+    return root
+
+
+def run_mutants(root: Path):
+    return subprocess.run([sys.executable, "scripts/mutants.py", "toy.floor_at_zero", "--",
+                           "tests/test_toy.py"], cwd=root, capture_output=True, text=True,
+                          timeout=300)
+
+
+def test_mutants_kills_and_keeps_the_planted_equivalent(tmp_path):
+    """A mutant that the test kills is killed, the planted equivalent one
+    survives and makes the exit code 1, and the run writes nothing in the
+    tree it mutates, nor in this repository's ``src/``."""
+    before, repo_src = tree_digest(toy_tree(tmp_path, TOY_TEST)), tree_digest(ROOT / "src")
+    out = run_mutants(tmp_path)
+    assert out.returncode == 1, out.stdout + out.stderr
+    report = json.loads(out.stdout)
+    table = report["functions"]["toy.floor_at_zero"]
+    assert table["survived"] == [{"operator": "compare", "line": 2, "change": "x < 0 -> x <= 0"}]
+    assert sorted(m["operator"] for m in table["killed"]) == ["drop_if", "return_early"]
+    assert report["totals"] == {"killed": 2, "survived": 1, "timed_out": 0}
+    assert tree_digest(tmp_path) == before
+    assert tree_digest(ROOT / "src") == repo_src
+
+
+def test_mutants_stops_on_a_failing_unmutated_run(tmp_path):
+    out = run_mutants(toy_tree(tmp_path, TOY_TEST.replace("[0, 0, 2]", "[0, 0, 3]")))
+    assert out.returncode == 2 and out.stdout == ""
+    assert "the unmutated run fails" in out.stderr

@@ -10,8 +10,11 @@ rebuilt through the checked constructor (``helpers.assert_revalidates``).
 A written store keeps no entry order, so no digest holds one: each was
 re-recorded without it on the code that still kept one, whose digests
 with it matched those recorded before.
-Non-vacuity: a cone whose new arrows compose with the wrong c[x] fails
-both.
+A negative copy count is read as 0.  These digests are the one pin of
+the three writers: the name-level copies they were once compared with are
+gone, as ``scripts/mutants.py`` found no mutant that the comparison killed
+and these digests did not.  Non-vacuity: a cone whose new arrows compose
+with the wrong c[x] fails both.
 """
 
 import pytest
@@ -32,6 +35,7 @@ CASES = {
     "cone(E(abc))": lambda: zoo.cone(zoo.contractible_groupoid("abc")),
     "inflate(pushout)": lambda: zoo.inflate(zoo.pushout_scwol(), {"j": 2, "k": 3}),
     "inflate(circle)": lambda: zoo.inflate(zoo.circle_scwol(), {"x": 2, "y": 0, "z": 3}),
+    "inflate(pushout, k -1)": lambda: zoo.inflate(zoo.pushout_scwol(), {"j": 2, "k": -1}),
     "inflate(BZ3)": lambda: zoo.inflate(zoo.one_object_category(Z3), {"*": 3}, name="fat"),
     "inflate(E(ab))": lambda: zoo.inflate(zoo.contractible_groupoid("ab"), {"a": 2}),
     "inflate(cone(polygon(3)))": lambda: zoo.inflate(zoo.cone(zoo.polygon_scwol(3)),
@@ -57,6 +61,8 @@ DIGESTS = {  # re-recorded at the parent without the entry order (module docstri
         "2aa1931c6b29e908f94b1e6ed8747b45498ab743736fd41158cc55eeeb0c0d4b",
     "inflate(circle)":
         "3e8d3743d74dc5a57d2ab0641a61d76b632e509d717789dbee20434045e61b39",
+    "inflate(pushout, k -1)":  # a negative count is read as 0
+        "b0a68a36a1ff8eb03704b25ed9f810878004846addd9d84a8990e16c7bc76128",
     "inflate(BZ3)":
         "1084ce16e9341755479b74ccd2bb101ec32e7f733bca3d269ad8244a96c5bb10",
     "inflate(E(ab))":
